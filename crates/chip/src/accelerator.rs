@@ -17,12 +17,13 @@
 use crate::compiler::{self, Program};
 use crate::config::{ChipConfig, EvictionPolicy};
 use crate::dispatcher::{DispatchPolicy, Dispatcher};
+use crate::inthash::IntMap;
 use crate::isa::HaccInstruction;
 use crate::mapping::ComputeMapping;
-use crate::neuracore::NeuraCore;
+use crate::neuracore::{CoreTickOutput, NeuraCore};
 use crate::neuramem::NeuraMem;
 use crate::profile::Profiler;
-use neura_mem::{MemoryController, MemoryRequest, RequestId};
+use neura_mem::{MemoryController, MemoryRequest, MemoryResponse};
 use neura_noc::{Packet, TorusNetwork, TorusTopology};
 use neura_sim::{Cycle, Histogram};
 use neura_sparse::{CooMatrix, CsrMatrix, DenseMatrix, SparseError};
@@ -150,6 +151,40 @@ pub struct AggregationRun {
     pub aggregated: DenseMatrix,
     /// Execution statistics.
     pub report: ExecutionReport,
+}
+
+/// A core's operand read that the tile's controller refused, waiting to
+/// be resubmitted.
+#[derive(Debug, Clone, Copy)]
+struct RetryRead {
+    tile: usize,
+    core: usize,
+    pipeline: usize,
+    request: MemoryRequest,
+}
+
+/// `HACC` payloads of the packets in the NoC; a packet's id is its slot.
+#[derive(Debug, Default)]
+struct PayloadSlab {
+    slots: Vec<Option<HaccInstruction>>,
+    free: Vec<usize>,
+}
+
+impl PayloadSlab {
+    fn insert(&mut self, hacc: HaccInstruction) -> u64 {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        self.slots[slot] = Some(hacc);
+        slot as u64
+    }
+
+    fn remove(&mut self, id: u64) -> HaccInstruction {
+        let slot = id as usize;
+        self.free.push(slot);
+        self.slots[slot].take().expect("every delivered packet has a registered payload")
+    }
 }
 
 /// The NeuraChip accelerator model.
@@ -301,20 +336,31 @@ impl Accelerator {
         let core_node = |core: usize| core;
         let mem_node = |mem: usize| total_cores + mem;
         let mem_tile = |mem: usize| mem / cfg.mems_per_tile;
+        let out_cols = program.output_shape.1.max(1) as u64;
 
         // --- bookkeeping -----------------------------------------------------
         let mut outputs: HashMap<u64, f64> = HashMap::with_capacity(program.output_nnz);
-        let mut packet_payloads: HashMap<u64, HaccInstruction> = HashMap::new();
-        let mut next_packet_id = 0u64;
-        let mut read_owner: HashMap<(usize, RequestId), (usize, usize)> = HashMap::new();
-        let mut retry_mem_requests: Vec<(usize, usize, MemoryRequest)> = Vec::new(); // (tile, core, req)
-        let mut retry_injections: Vec<(usize, Packet)> = Vec::new(); // (src core, packet)
+        let mut payloads = PayloadSlab::default();
+        // Issuing (core, pipeline) of every outstanding read, per tile by request id.
+        let mut read_owner: Vec<IntMap<(usize, usize)>> = vec![IntMap::default(); cfg.tiles];
+        let mut retry_reads: Vec<RetryRead> = Vec::new();
+        let mut retry_injections: Vec<Packet> = Vec::new();
         let mut retry_accepts: Vec<(usize, HaccInstruction)> = Vec::new(); // (mem, hacc)
         let mut retry_writebacks: Vec<(usize, MemoryRequest)> = Vec::new(); // (tile, req)
-        let mut completed_responses: Vec<neura_mem::MemoryResponse> = Vec::new();
+
+        // Per-cycle scratch, allocated once.
+        let mut can_accept: Vec<bool> = Vec::with_capacity(total_cores);
+        let mut load: Vec<usize> = Vec::with_capacity(total_cores);
+        let mut core_out = CoreTickOutput::default();
+        let mut refused: Vec<Packet> = Vec::new();
+        let mut delivered: Vec<Packet> = Vec::new();
+        let mut done: Vec<MemoryResponse> = Vec::new();
 
         let mut in_flight_samples = 0u128;
         let mut peak_in_flight = 0usize;
+        // Occupied hash-lines chip-wide, kept in step with every tick and
+        // barrier so the profiler never re-sums the NeuraMems.
+        let mut pad_occupancy = 0u64;
 
         let max_cycles = self
             .max_cycles_override
@@ -324,27 +370,25 @@ impl Accelerator {
         let mut drained = false;
         while cycle < max_cycles {
             let now = Cycle(cycle);
-            // When profiling, snapshot the counters whose per-cycle deltas
-            // feed the stall taxonomy; `None` takes none of these branches.
-            let baselines = profiler.as_deref_mut().map(|prof| {
+            if let Some(prof) = profiler.as_deref_mut() {
                 prof.begin_cycle(cycle);
-                let mems_totals = mems
-                    .iter()
-                    .map(|m| (m.stats().pad_full_stalls, m.stats().haccs_processed))
-                    .fold((0u64, 0u64), |acc, (pads, haccs)| (acc.0 + pads, acc.1 + haccs));
-                (dispatcher.stats().dispatched, noc.stats().injection_rejected, mems_totals)
-            });
+            }
+            let rejected_before = noc.stats().injection_rejected;
 
             // (1) Dispatch MMH instructions.
-            let can_accept: Vec<bool> = cores.iter().map(NeuraCore::can_accept).collect();
-            let load: Vec<usize> = cores.iter().map(NeuraCore::load).collect();
-            let _rows_crossed = dispatcher.dispatch_cycle(&can_accept, &load, |core_idx, instr| {
-                cores[core_idx].accept(instr)
-            });
-            if let Some(prof) = profiler.as_deref_mut() {
-                let (dispatched_before, _, _) = baselines.expect("snapshot taken when profiling");
-                if !dispatcher.is_done() && dispatcher.stats().dispatched == dispatched_before {
-                    prof.note_dispatch_starved();
+            if !dispatcher.is_done() {
+                can_accept.clear();
+                can_accept.extend(cores.iter().map(NeuraCore::can_accept));
+                load.clear();
+                load.extend(cores.iter().map(NeuraCore::load));
+                let dispatched_before = dispatcher.stats().dispatched;
+                dispatcher.dispatch_cycle(&can_accept, &load, |core_idx, instr| {
+                    cores[core_idx].accept(instr)
+                });
+                if let Some(prof) = profiler.as_deref_mut() {
+                    if !dispatcher.is_done() && dispatcher.stats().dispatched == dispatched_before {
+                        prof.note_dispatch_starved();
+                    }
                 }
             }
 
@@ -353,77 +397,66 @@ impl Accelerator {
             // otherwise they stay resident until the end of the program.
             if cfg.eviction == EvictionPolicy::Barrier {
                 for mem in &mut mems {
-                    if mem.occupancy() * 10 >= cfg.mem.hashlines * 9 {
+                    let occupied = mem.occupancy();
+                    if occupied * 10 >= cfg.mem.hashlines * 9 {
                         mem.barrier(now);
+                        pad_occupancy -= (occupied - mem.occupancy()) as u64;
                     }
                 }
             }
 
             // Retry previously rejected memory requests before new ones.
-            retry_mem_requests.retain(|(tile, core_idx, request)| {
-                match controllers[*tile].submit(*request, now) {
-                    Some(id) => {
-                        // Re-associate with the issuing pipeline recorded in the request owner map
-                        // (pipeline index was folded into the retry entry's core_idx pair).
-                        read_owner.insert((*tile, id), (*core_idx >> 8, *core_idx & 0xFF));
-                        false
-                    }
-                    None => true,
+            retry_reads.retain(|retry| match controllers[retry.tile].submit(retry.request, now) {
+                Some(id) => {
+                    read_owner[retry.tile].insert(id.0, (retry.core, retry.pipeline));
+                    false
                 }
+                None => true,
             });
 
             // (2, 5) Tick the cores: collect memory requests and HACCs.
             for (core_idx, core) in cores.iter_mut().enumerate() {
                 let credit = if retry_injections.len() > 256 { 0 } else { cfg.core.ports };
-                let out = core.tick(now, credit);
+                core.tick(now, credit, &mut core_out);
                 if let Some(prof) = profiler.as_deref_mut() {
-                    prof.record_core_tick(out.outcome, out.mmh_retired);
+                    prof.record_core_tick(core_out.outcome, core_out.mmh_retired);
                 }
                 let tile = core.tile();
-                for req in out.memory_requests {
+                for req in &core_out.memory_requests {
                     match controllers[tile].submit(req.request, now) {
                         Some(id) => {
-                            read_owner.insert((tile, id), (core_idx, req.pipeline));
+                            read_owner[tile].insert(id.0, (core_idx, req.pipeline));
                         }
-                        None => {
-                            // Encode (core, pipeline) into one usize for the retry list.
-                            retry_mem_requests.push((
-                                tile,
-                                (core_idx << 8) | req.pipeline,
-                                req.request,
-                            ));
-                        }
+                        None => retry_reads.push(RetryRead {
+                            tile,
+                            core: core_idx,
+                            pipeline: req.pipeline,
+                            request: req.request,
+                        }),
                     }
                 }
-                for hacc in out.haccs {
-                    let row = hacc.tag / program.output_shape.1.max(1) as u64;
-                    let mem_idx = mapping.map(hacc.tag, row);
-                    let packet_id = next_packet_id;
-                    next_packet_id += 1;
-                    packet_payloads.insert(packet_id, hacc);
+                for &hacc in &core_out.haccs {
+                    let mem_idx = mapping.map(hacc.tag, hacc.tag / out_cols);
                     let packet = Packet::new(
-                        packet_id,
+                        payloads.insert(hacc),
                         core_node(core_idx),
                         mem_node(mem_idx),
                         HaccInstruction::BYTES,
                     );
                     if let Err(p) = noc.inject(packet, now) {
-                        retry_injections.push((core_idx, p));
+                        retry_injections.push(p);
                     }
                 }
             }
 
             // Retry NoC injections that were previously refused.
-            let mut still_waiting = Vec::new();
-            for (core_idx, packet) in retry_injections.drain(..) {
-                match noc.inject(packet, now) {
-                    Ok(()) => {}
-                    Err(p) => still_waiting.push((core_idx, p)),
+            for packet in retry_injections.drain(..) {
+                if let Err(p) = noc.inject(packet, now) {
+                    refused.push(p);
                 }
             }
-            retry_injections = still_waiting;
+            std::mem::swap(&mut retry_injections, &mut refused);
             if let Some(prof) = profiler.as_deref_mut() {
-                let (_, rejected_before, _) = baselines.expect("snapshot taken when profiling");
                 if noc.stats().injection_rejected > rejected_before {
                     prof.note_noc_backpressure();
                 }
@@ -436,29 +469,29 @@ impl Accelerator {
             }
 
             // (7) Deliver HACCs to NeuraMems and tick them.
-            let mut still_pending_accepts = Vec::new();
-            for (mem_idx, hacc) in retry_accepts.drain(..) {
-                if !mems[mem_idx].accept(hacc) {
-                    still_pending_accepts.push((mem_idx, hacc));
-                }
-            }
-            retry_accepts = still_pending_accepts;
+            retry_accepts.retain(|&(mem_idx, hacc)| !mems[mem_idx].accept(hacc));
 
+            let mut pad_full_stalls = 0u64;
+            let mut haccs_processed = 0u64;
             for (mem_idx, mem) in mems.iter_mut().enumerate() {
-                for packet in noc.drain_delivered(mem_node(mem_idx)) {
+                noc.drain_delivered_into(mem_node(mem_idx), &mut delivered);
+                for packet in delivered.drain(..) {
                     if let Some(prof) = profiler.as_deref_mut() {
                         prof.record_hops(packet.hops);
                     }
-                    let hacc = packet_payloads
-                        .remove(&packet.id)
-                        .expect("every delivered packet has a registered payload");
+                    let hacc = payloads.remove(packet.id);
                     if !mem.accept(hacc) {
                         retry_accepts.push((mem_idx, hacc));
                     }
                 }
+                let (stalls_before, haccs_before, occupied_before) =
+                    (mem.stats().pad_full_stalls, mem.stats().haccs_processed, mem.occupancy());
                 mem.tick(now);
+                pad_full_stalls += mem.stats().pad_full_stalls - stalls_before;
+                haccs_processed += mem.stats().haccs_processed - haccs_before;
+                pad_occupancy = pad_occupancy + mem.occupancy() as u64 - occupied_before as u64;
                 // (8) Collect evictions and write them back.
-                for evicted in mem.drain_evicted() {
+                while let Some(evicted) = mem.pop_evicted() {
                     outputs.insert(evicted.tag, evicted.value);
                     let addr = compiler::layout::OUTPUT_BASE + evicted.tag * 8;
                     let request = MemoryRequest::write(addr, 8);
@@ -474,24 +507,15 @@ impl Accelerator {
                 .retain(|(tile, request)| controllers[*tile].submit(*request, now).is_none());
 
             if let Some(prof) = profiler.as_deref_mut() {
-                let (_, _, (pads_before, haccs_before)) =
-                    baselines.expect("snapshot taken when profiling");
-                let mut pads = 0u64;
-                let mut haccs = 0u64;
-                let mut occupancy = 0u64;
-                for mem in &mems {
-                    pads += mem.stats().pad_full_stalls;
-                    haccs += mem.stats().haccs_processed;
-                    occupancy += mem.occupancy() as u64;
-                }
-                prof.record_mems(occupancy, pads - pads_before, haccs - haccs_before);
+                prof.record_mems(pad_occupancy, pad_full_stalls, haccs_processed);
             }
 
             // (3, 4) Tick the memory controllers and deliver read responses.
-            completed_responses.clear();
+            // Responses of one cycle arrive in no particular order: each is a
+            // counter decrement here and a histogram sample in the profiler.
             let mut in_flight_now = 0usize;
             for (tile, controller) in controllers.iter_mut().enumerate() {
-                let mut done = Vec::new();
+                done.clear();
                 controller.tick(now, &mut done);
                 in_flight_now += controller.in_flight();
                 if let Some(prof) = profiler.as_deref_mut() {
@@ -501,14 +525,13 @@ impl Accelerator {
                         prof.record_dram_response(response.latency());
                     }
                 }
-                for response in done {
+                for response in &done {
                     if response.request.is_read() {
-                        if let Some((core_idx, pipeline)) = read_owner.remove(&(tile, response.id))
+                        if let Some((core_idx, pipeline)) = read_owner[tile].remove(&response.id.0)
                         {
                             cores[core_idx].memory_response(pipeline);
                         }
                     }
-                    completed_responses.push(response);
                 }
             }
             in_flight_samples += in_flight_now as u128;
@@ -524,7 +547,7 @@ impl Accelerator {
                 && noc.in_flight() == 0
                 && retry_injections.is_empty()
                 && retry_accepts.is_empty()
-                && retry_mem_requests.is_empty()
+                && retry_reads.is_empty()
                 && mems.iter().all(|m| m.backlog() == 0)
                 && controllers.iter().all(|c| c.pending() == 0);
             if machine_idle {
@@ -532,17 +555,15 @@ impl Accelerator {
                 // The flushed lines still owe their write-back traffic, which is
                 // drained in the epilogue below so that deferring evictions
                 // (HACC-BE) cannot dodge the output-write cost.
-                let mut flush_writes: Vec<(usize, MemoryRequest)> = Vec::new();
                 for (mem_idx, mem) in mems.iter_mut().enumerate() {
                     mem.barrier(now);
                     mem.flush(now);
-                    for evicted in mem.drain_evicted() {
+                    while let Some(evicted) = mem.pop_evicted() {
                         outputs.insert(evicted.tag, evicted.value);
                         let addr = compiler::layout::OUTPUT_BASE + evicted.tag * 8;
-                        flush_writes.push((mem_tile(mem_idx), MemoryRequest::write(addr, 8)));
+                        retry_writebacks.push((mem_tile(mem_idx), MemoryRequest::write(addr, 8)));
                     }
                 }
-                retry_writebacks.extend(flush_writes);
                 // Epilogue: keep ticking the memory system until every
                 // outstanding write-back has been committed to DRAM.
                 while (!retry_writebacks.is_empty() || controllers.iter().any(|c| c.pending() > 0))
@@ -553,7 +574,7 @@ impl Accelerator {
                         controllers[*tile].submit(*request, now).is_none()
                     });
                     for controller in controllers.iter_mut() {
-                        let mut done = Vec::new();
+                        done.clear();
                         controller.tick(now, &mut done);
                         if let Some(prof) = profiler.as_deref_mut() {
                             // Epilogue write-backs count toward the aggregate
@@ -565,8 +586,12 @@ impl Accelerator {
                     }
                     cycle += 1;
                 }
-                drained = true;
-                cycle += 1;
+                // The budget bounds `total_cycles`: if it ran out in the epilogue,
+                // write-backs are uncommitted or the closing cycle does not fit.
+                if cycle < max_cycles {
+                    drained = true;
+                    cycle += 1;
+                }
                 break;
             }
             cycle += 1;
@@ -814,6 +839,35 @@ mod tests {
         let a = small_graph(48, 8);
         let mut chip = Accelerator::new(ChipConfig::tile_4()).with_max_cycles(5);
         assert!(matches!(chip.run_spgemm(&a, &a), Err(ChipError::Incomplete { .. })));
+    }
+
+    /// A budget is a bound on `total_cycles`: one cycle short of the full
+    /// run must fail even when the machine itself has gone idle and only the
+    /// write-back epilogue (long under barrier eviction) is still running.
+    #[test]
+    fn cycle_budget_is_honoured_through_the_writeback_epilogue() {
+        let a = small_graph(48, 8);
+        for policy in [EvictionPolicy::Rolling, EvictionPolicy::Barrier] {
+            let config = ChipConfig::tile_4().with_eviction(policy);
+            let run_within = |budget: Option<u64>| {
+                let chip = Accelerator::new(config.clone());
+                let mut chip = match budget {
+                    Some(budget) => chip.with_max_cycles(budget),
+                    None => chip,
+                };
+                chip.run_spgemm(&a, &a).map(|run| run.report)
+            };
+            let full = run_within(None).expect("simulation drains");
+            let total = full.total_cycles;
+            for budget in total - 60..total {
+                match run_within(Some(budget)) {
+                    Err(ChipError::Incomplete { cycles, .. }) => assert_eq!(cycles, budget),
+                    other => panic!("{policy:?}: budget {budget} of {total} gave {other:?}"),
+                }
+            }
+            let exact = run_within(Some(total)).expect("the full run fits its own length");
+            assert_eq!(format!("{exact:?}"), format!("{full:?}"));
+        }
     }
 
     #[test]

@@ -32,11 +32,11 @@ pub struct DispatcherStats {
     pub rows_completed: u64,
 }
 
-/// The dispatcher walks a [`Program`] and feeds NeuraCores.
+/// The dispatcher walks a borrowed [`Program`] and feeds NeuraCores.
 #[derive(Debug)]
-pub struct Dispatcher {
-    instructions: Vec<MmhInstruction>,
-    row_boundaries: Vec<usize>,
+pub struct Dispatcher<'p> {
+    instructions: &'p [MmhInstruction],
+    row_boundaries: &'p [usize],
     next_instruction: usize,
     next_boundary: usize,
     policy: DispatchPolicy,
@@ -44,19 +44,25 @@ pub struct Dispatcher {
     round_robin_cursor: usize,
     per_core_dispatched: Vec<u64>,
     stats: DispatcherStats,
+    /// Working copies of the per-core inputs of the cycle being dispatched
+    /// (reused), so decisions made earlier in a cycle are visible to later
+    /// ones — otherwise every instruction of the cycle would pile onto the
+    /// single least-loaded core.
+    acceptable: Vec<bool>,
+    effective_load: Vec<usize>,
 }
 
-impl Dispatcher {
+impl<'p> Dispatcher<'p> {
     /// Creates a dispatcher over a compiled program for `cores` NeuraCores.
     pub fn new(
-        program: &Program,
+        program: &'p Program,
         cores: usize,
         policy: DispatchPolicy,
         dispatch_width: usize,
     ) -> Self {
         Dispatcher {
-            instructions: program.instructions.clone(),
-            row_boundaries: program.row_boundaries.clone(),
+            instructions: &program.instructions,
+            row_boundaries: &program.row_boundaries,
             next_instruction: 0,
             next_boundary: 0,
             policy,
@@ -64,6 +70,8 @@ impl Dispatcher {
             round_robin_cursor: 0,
             per_core_dispatched: vec![0; cores.max(1)],
             stats: DispatcherStats::default(),
+            acceptable: Vec::new(),
+            effective_load: Vec::new(),
         }
     }
 
@@ -106,11 +114,10 @@ impl Dispatcher {
         let mut rows_crossed = 0u64;
         let mut dispatched_this_cycle = 0usize;
         let mut blocked = false;
-        // Working copies so decisions made earlier in this same cycle are
-        // visible to later ones (otherwise every instruction of the cycle
-        // would pile onto the single least-loaded core).
-        let mut acceptable = core_can_accept.to_vec();
-        let mut effective_load = core_load.to_vec();
+        self.acceptable.clear();
+        self.acceptable.extend_from_slice(core_can_accept);
+        self.effective_load.clear();
+        self.effective_load.extend_from_slice(core_load);
 
         while dispatched_this_cycle < self.dispatch_width && !self.is_done() {
             let target = match self.policy {
@@ -118,18 +125,19 @@ impl Dispatcher {
                     let mut chosen = None;
                     for offset in 0..cores {
                         let candidate = (self.round_robin_cursor + offset) % cores;
-                        if acceptable[candidate] {
+                        if self.acceptable[candidate] {
                             chosen = Some(candidate);
                             break;
                         }
                     }
                     chosen
                 }
-                DispatchPolicy::LeastLoaded => acceptable
+                DispatchPolicy::LeastLoaded => self
+                    .acceptable
                     .iter()
                     .enumerate()
                     .filter(|(_, &ok)| ok)
-                    .min_by_key(|&(idx, _)| (effective_load[idx], idx))
+                    .min_by_key(|&(idx, _)| (self.effective_load[idx], idx))
                     .map(|(idx, _)| idx),
             };
             let Some(core) = target else {
@@ -139,11 +147,11 @@ impl Dispatcher {
             let instr = self.instructions[self.next_instruction].clone();
             if !assign(core, instr) {
                 // This core's instruction buffer is full; try the others.
-                acceptable[core] = false;
+                self.acceptable[core] = false;
                 blocked = true;
                 continue;
             }
-            effective_load[core] += 1;
+            self.effective_load[core] += 1;
             self.round_robin_cursor = (core + 1) % cores;
             self.per_core_dispatched[core] += 1;
             self.next_instruction += 1;

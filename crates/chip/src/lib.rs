@@ -53,6 +53,7 @@ pub mod compiler;
 pub mod config;
 pub mod dispatcher;
 pub mod gcn;
+mod inthash;
 pub mod isa;
 pub mod mapping;
 pub mod neuracore;

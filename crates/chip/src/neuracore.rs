@@ -7,8 +7,9 @@
 //! one `HACC` instruction per partial product toward the NeuraMems.
 //!
 //! The core interacts with the rest of the chip through explicit hand-offs:
-//! [`NeuraCore::tick`] returns the memory requests it wants to issue and the
-//! `HACC` instructions it produced this cycle; the accelerator forwards the
+//! [`NeuraCore::tick`] writes the memory requests it wants to issue and the
+//! `HACC` instructions it produced this cycle into a caller-owned
+//! [`CoreTickOutput`]; the accelerator forwards the
 //! former to the memory controller and the latter onto the NoC, and calls
 //! [`NeuraCore::memory_response`] when data returns.
 
@@ -77,7 +78,8 @@ pub enum TickOutcome {
     Idle,
 }
 
-/// Output of one [`NeuraCore::tick`] call.
+/// Output of one [`NeuraCore::tick`] call. The caller owns it and hands
+/// the same one back every cycle, so its buffers are allocated once.
 #[derive(Debug, Default)]
 pub struct CoreTickOutput {
     /// Memory read requests to forward to the tile's memory controller.
@@ -118,6 +120,9 @@ pub struct NeuraCore {
     stats: NeuraCoreStats,
     cpi_histogram: Histogram,
     next_pipeline: usize,
+    /// Pipelines not in [`PipelineState::Idle`], kept in step with every
+    /// state transition so `load`/`is_idle`/the idle tick never scan.
+    busy_pipelines: usize,
 }
 
 impl NeuraCore {
@@ -136,6 +141,7 @@ impl NeuraCore {
             stats: NeuraCoreStats::default(),
             cpi_histogram: Histogram::new(25, 20),
             next_pipeline: 0,
+            busy_pipelines: 0,
         }
     }
 
@@ -158,6 +164,7 @@ impl NeuraCore {
         for p in &mut self.pipelines {
             p.state = PipelineState::Idle;
         }
+        self.busy_pipelines = 0;
     }
 
     /// True when the instruction buffer can accept another MMH instruction.
@@ -167,8 +174,7 @@ impl NeuraCore {
 
     /// Number of instructions waiting plus executing (dispatcher load metric).
     pub fn load(&self) -> usize {
-        self.instx.len()
-            + self.pipelines.iter().filter(|p| !matches!(p.state, PipelineState::Idle)).count()
+        self.instx.len() + self.busy_pipelines
     }
 
     /// Accepts an MMH instruction from the dispatcher.
@@ -205,20 +211,25 @@ impl NeuraCore {
 
     /// True when no instruction is buffered, executing, or waiting for output.
     pub fn is_idle(&self) -> bool {
-        self.instx.is_empty()
-            && self.outbox.is_empty()
-            && self.pipelines.iter().all(|p| matches!(p.state, PipelineState::Idle))
+        self.instx.is_empty() && self.outbox.is_empty() && self.busy_pipelines == 0
     }
 
-    /// Advances the core one cycle.
+    /// Advances the core one cycle, overwriting `output` with what the
+    /// cycle produced.
     ///
     /// `output_credit` bounds how many HACCs may be handed to the NoC this
     /// cycle (router injection back-pressure).
-    pub fn tick(&mut self, now: Cycle, output_credit: usize) -> CoreTickOutput {
-        let mut output = CoreTickOutput::default();
+    pub fn tick(&mut self, now: Cycle, output_credit: usize, output: &mut CoreTickOutput) {
+        output.memory_requests.clear();
+        output.haccs.clear();
+        output.mmh_retired = 0;
         let cycle = now.as_u64();
         let mut any_busy = false;
         let mut any_stalled = false;
+        // With nothing buffered and every pipeline idle the walk below would
+        // touch no state, so skip it; the rotation, the outbox drain and the
+        // idle accounting after it still run.
+        let has_work = !self.instx.is_empty() || self.busy_pipelines > 0;
 
         // Shared multiplier budget across pipelines for this cycle.
         let mut multiplier_budget = self.config.multipliers;
@@ -226,15 +237,21 @@ impl NeuraCore {
         let outbox_cap = self.config.ports * 8;
 
         let pipeline_count = self.pipelines.len();
-        for offset in 0..pipeline_count {
+        let walked = if has_work { pipeline_count } else { 0 };
+        for offset in 0..walked {
             // Round-robin start index so pipeline 0 is not structurally favoured.
-            let idx = (self.next_pipeline + offset) % pipeline_count;
+            // (`next_pipeline < pipeline_count`, so one subtraction wraps.)
+            let mut idx = self.next_pipeline + offset;
+            if idx >= pipeline_count {
+                idx -= pipeline_count;
+            }
             let pipeline = &mut self.pipelines[idx];
             match &mut pipeline.state {
                 PipelineState::Idle => {
                     if let Some(instr) = self.instx.pop_front() {
                         pipeline.state =
                             PipelineState::Decode { instr, remaining: 1, started: cycle };
+                        self.busy_pipelines += 1;
                         any_busy = true;
                     }
                 }
@@ -337,13 +354,17 @@ impl NeuraCore {
                         output.mmh_retired += 1;
                         self.cpi_histogram.record(cycle.saturating_sub(*started) + 1);
                         pipeline.state = PipelineState::Idle;
+                        self.busy_pipelines -= 1;
                     } else if self.outbox.len() >= outbox_cap {
                         self.stats.output_blocked_cycles += 1;
                     }
                 }
             }
         }
-        self.next_pipeline = (self.next_pipeline + 1) % pipeline_count.max(1);
+        self.next_pipeline += 1;
+        if self.next_pipeline >= pipeline_count {
+            self.next_pipeline = 0;
+        }
 
         // Drain the outbox up to the NoC injection credit.
         let to_send = output_credit.min(self.outbox.len());
@@ -361,7 +382,6 @@ impl NeuraCore {
             self.stats.idle_cycles += 1;
             output.outcome = TickOutcome::Idle;
         }
-        output
     }
 }
 
@@ -409,9 +429,10 @@ mod tests {
     ) -> Vec<HaccInstruction> {
         let mut haccs = Vec::new();
         let mut pending: Vec<(u64, usize)> = Vec::new(); // (ready_cycle, pipeline)
+        let mut out = CoreTickOutput::default();
         for c in 0..max_cycles {
-            let out = core.tick(Cycle(c), 16);
-            for req in out.memory_requests {
+            core.tick(Cycle(c), 16, &mut out);
+            for req in &out.memory_requests {
                 pending.push((c + mem_latency, req.pipeline));
             }
             let (ready, rest): (Vec<_>, Vec<_>) = pending.into_iter().partition(|&(t, _)| t <= c);
@@ -419,7 +440,7 @@ mod tests {
             for (_, pipeline) in ready {
                 core.memory_response(pipeline);
             }
-            haccs.extend(out.haccs);
+            haccs.extend(out.haccs.iter().copied());
             if core.is_idle() && pending.is_empty() {
                 break;
             }
@@ -490,9 +511,10 @@ mod tests {
         // Run with zero output credit: HACCs accumulate internally, none escape.
         let mut produced = 0;
         let mut pending: Vec<(u64, usize)> = Vec::new();
+        let mut out = CoreTickOutput::default();
         for c in 0..200u64 {
-            let out = core.tick(Cycle(c), 0);
-            for req in out.memory_requests {
+            core.tick(Cycle(c), 0, &mut out);
+            for req in &out.memory_requests {
                 pending.push((c + 5, req.pipeline));
             }
             let (ready, rest): (Vec<_>, Vec<_>) = pending.into_iter().partition(|&(t, _)| t <= c);
@@ -507,7 +529,8 @@ mod tests {
         // Granting credit drains them.
         let mut drained = 0;
         for c in 200..400u64 {
-            drained += core.tick(Cycle(c), 4).haccs.len();
+            core.tick(Cycle(c), 4, &mut out);
+            drained += out.haccs.len();
         }
         assert_eq!(drained, 16);
     }
@@ -529,10 +552,11 @@ mod tests {
         core.accept(mmh(4, &[0, 1, 2, 3], &[0, 1]));
         let mut requests = 0;
         let mut pending: Vec<(u64, usize)> = Vec::new();
+        let mut out = CoreTickOutput::default();
         for c in 0..50u64 {
-            let out = core.tick(Cycle(c), 16);
+            core.tick(Cycle(c), 16, &mut out);
             requests += out.memory_requests.len();
-            for req in out.memory_requests {
+            for req in &out.memory_requests {
                 pending.push((c + 1, req.pipeline));
             }
             let (ready, rest): (Vec<_>, Vec<_>) = pending.into_iter().partition(|&(t, _)| t <= c);
@@ -543,5 +567,75 @@ mod tests {
         }
         assert_eq!(requests, 4);
         assert_eq!(core.stats().memory_requests, 4);
+    }
+
+    /// The idle tick skips the pipeline walk, so everything the walk used
+    /// to leave behind is pinned here against what the walk would do:
+    /// `Idle` outcome and empty output every cycle, exactly `n` idle cycles,
+    /// and the round-robin cursor advanced by `n` — visible afterwards as
+    /// the pipeline that picks up the next instruction.
+    #[test]
+    fn idle_ticks_equal_the_full_pipeline_walk() {
+        let pipelines = core_config().pipelines;
+        let mut out = CoreTickOutput::default();
+        for idle_ticks in 0..=2 * pipelines as u64 + 1 {
+            let mut core = NeuraCore::new(0, 0, core_config());
+            core.prepare(8);
+            for c in 0..idle_ticks {
+                core.tick(Cycle(c), 4, &mut out);
+                assert_eq!(out.outcome, TickOutcome::Idle);
+                assert!(out.memory_requests.is_empty() && out.haccs.is_empty());
+                assert_eq!(out.mmh_retired, 0);
+            }
+            assert!(core.is_idle());
+            assert_eq!(core.load(), 0);
+            let expected = NeuraCoreStats { idle_cycles: idle_ticks, ..NeuraCoreStats::default() };
+            assert_eq!(core.stats(), &expected);
+
+            // The walk starts at the rotated cursor, so that pipeline decodes
+            // the instruction and issues its four operand reads.
+            core.accept(mmh(2, &[0, 1], &[0, 1]));
+            let mut cycle = idle_ticks;
+            while out.memory_requests.is_empty() {
+                core.tick(Cycle(cycle), 4, &mut out);
+                assert_eq!(out.outcome, TickOutcome::Busy);
+                cycle += 1;
+            }
+            let owner = idle_ticks as usize % pipelines;
+            assert!(out.memory_requests.iter().all(|req| req.pipeline == owner));
+            assert_eq!(core.load(), 1);
+        }
+    }
+
+    /// A core whose pipelines have all retired but whose outbox still holds
+    /// HACCs takes the idle path too; the outbox must keep draining on it.
+    #[test]
+    fn idle_path_still_drains_the_outbox() {
+        let mut core = NeuraCore::new(0, 0, core_config());
+        core.prepare(8);
+        core.accept(mmh(4, &[0, 1, 2, 3], &[0, 1, 2, 3]));
+        let mut out = CoreTickOutput::default();
+        let mut cycle = 0u64;
+        // Zero credit: compute finishes, all 16 HACCs wait in the outbox.
+        while core.load() > 0 {
+            core.tick(Cycle(cycle), 0, &mut out);
+            for req in &out.memory_requests {
+                core.memory_response(req.pipeline);
+            }
+            cycle += 1;
+            assert!(cycle < 200, "the instruction never retired");
+        }
+        assert!(!core.is_idle(), "HACCs are stuck in the outbox");
+        let idle_before = core.stats().idle_cycles;
+        let mut drained = 0;
+        for _ in 0..4 {
+            core.tick(Cycle(cycle), 4, &mut out);
+            assert_eq!(out.outcome, TickOutcome::Idle);
+            drained += out.haccs.len();
+            cycle += 1;
+        }
+        assert_eq!(drained, 16);
+        assert_eq!(core.stats().idle_cycles, idle_before + 4);
+        assert!(core.is_idle());
     }
 }

@@ -10,6 +10,7 @@
 //! stalling inserts when the pad fills up.
 
 use crate::config::{EvictionPolicy, NeuraMemConfig};
+use crate::inthash::IntMap;
 use crate::isa::HaccInstruction;
 use neura_sim::{Cycle, Histogram};
 use serde::{Deserialize, Serialize};
@@ -66,7 +67,7 @@ pub struct NeuraMem {
     /// Resident-tag index (tag → slot).  Hardware finds the line with the
     /// comparator array; the index keeps the model exact in the presence of
     /// eviction holes without changing the occupancy/capacity behaviour.
-    index: std::collections::HashMap<u64, usize>,
+    index: IntMap<usize>,
     occupied: usize,
     /// Incoming HACC instructions awaiting a hash engine.
     input: VecDeque<HaccInstruction>,
@@ -88,7 +89,7 @@ impl NeuraMem {
             config,
             eviction,
             pad: vec![None; config.hashlines],
-            index: std::collections::HashMap::new(),
+            index: IntMap::default(),
             occupied: 0,
             input: VecDeque::new(),
             evicted: VecDeque::new(),
@@ -142,6 +143,12 @@ impl NeuraMem {
     /// Removes all evicted (completed) output elements produced so far.
     pub fn drain_evicted(&mut self) -> Vec<EvictedLine> {
         self.evicted.drain(..).collect()
+    }
+
+    /// Removes the oldest evicted output element, if any — the
+    /// non-allocating form of [`Self::drain_evicted`] the run loop uses.
+    pub fn pop_evicted(&mut self) -> Option<EvictedLine> {
+        self.evicted.pop_front()
     }
 
     /// True when no work remains anywhere in the unit.
@@ -433,5 +440,38 @@ mod tests {
         mem.tick(Cycle(150));
         assert_eq!(mem.hacc_latency_histogram().count(), 1);
         assert!(mem.hacc_latency_histogram().mean() >= 140.0);
+    }
+
+    /// A unit with an empty instruction buffer is not necessarily done:
+    /// under barrier eviction completed lines wait for the next barrier, and
+    /// once it comes the unit has output to hand over even though nothing
+    /// arrived. A run loop that skipped empty-input units would lose them.
+    #[test]
+    fn empty_input_with_barrier_pending_lines_still_has_work() {
+        let mut mem = NeuraMem::new(0, small_config(64), EvictionPolicy::Barrier);
+        for t in 0..5u64 {
+            assert!(mem.accept(hacc(t, 1.0, 1)));
+        }
+        mem.tick(Cycle(0));
+        assert_eq!(mem.backlog(), 0);
+        assert!(mem.is_idle(), "completed lines are resident, nothing is owed yet");
+        assert_eq!(mem.occupancy(), 5);
+
+        // Idle ticks neither evict nor lose the pending lines.
+        for c in 1..4u64 {
+            mem.tick(Cycle(c));
+        }
+        assert_eq!(mem.stats().idle_cycles, 3);
+        assert!(mem.pop_evicted().is_none());
+
+        mem.barrier(Cycle(4));
+        assert!(!mem.is_idle(), "evicted lines await pickup although the input is empty");
+        let mut tags = Vec::new();
+        while let Some(line) = mem.pop_evicted() {
+            assert_eq!(line.evicted_at, 4);
+            tags.push(line.tag);
+        }
+        assert_eq!(tags, vec![0, 1, 2, 3, 4]);
+        assert!(mem.is_idle() && mem.pad_is_empty());
     }
 }

@@ -9,7 +9,8 @@ use crate::request::{MemoryRequest, MemoryResponse, RequestId, RequestKind};
 use crate::HbmTiming;
 use neura_sim::{Component, Cycle};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Aggregate statistics exported by a [`MemoryController`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -61,9 +62,37 @@ struct PendingRequest {
     issued_at: u64,
 }
 
+/// An issued transaction, ordered so the *earliest* `(completed_at, id)`
+/// is the maximum of a [`BinaryHeap`] (ids are unique per controller).
 #[derive(Debug, Clone)]
 struct InFlight {
     response: MemoryResponse,
+}
+
+impl InFlight {
+    fn key(&self) -> (u64, RequestId) {
+        (self.response.completed_at, self.response.id)
+    }
+}
+
+impl PartialEq for InFlight {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for InFlight {}
+
+impl PartialOrd for InFlight {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for InFlight {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
 }
 
 /// A per-tile memory controller fronting one HBM channel.
@@ -75,7 +104,11 @@ pub struct MemoryController {
     queue_capacity: usize,
     read_queue: VecDeque<PendingRequest>,
     write_queue: VecDeque<PendingRequest>,
-    in_flight: Vec<InFlight>,
+    /// Issued transactions, earliest completion on top, so a tick retires
+    /// in O(retired · log n) instead of scanning every one of them.
+    in_flight: BinaryHeap<InFlight>,
+    /// The requests coalesced into the transaction being issued (reused).
+    group: Vec<PendingRequest>,
     next_id: u64,
     stats: ControllerStats,
     /// Maximum number of DRAM transactions issued per cycle.
@@ -92,7 +125,8 @@ impl MemoryController {
             queue_capacity: queue_capacity.max(1),
             read_queue: VecDeque::new(),
             write_queue: VecDeque::new(),
-            in_flight: Vec::new(),
+            in_flight: BinaryHeap::new(),
+            group: Vec::new(),
             next_id: 0,
             stats: ControllerStats::default(),
             issue_width: 4,
@@ -158,17 +192,13 @@ impl MemoryController {
     pub fn tick(&mut self, now: Cycle, completed: &mut Vec<MemoryResponse>) {
         let cycle = now.as_u64();
 
-        // Retire finished transactions.
-        let mut index = 0;
-        while index < self.in_flight.len() {
-            if self.in_flight[index].response.completed_at <= cycle {
-                let done = self.in_flight.swap_remove(index);
-                self.stats.completed += 1;
-                self.stats.total_latency += done.response.latency();
-                completed.push(done.response);
-            } else {
-                index += 1;
-            }
+        // Retire finished transactions. Responses of one cycle come out in
+        // `(completed_at, id)` order; consumers must not depend on it.
+        while self.in_flight.peek().is_some_and(|head| head.response.completed_at <= cycle) {
+            let done = self.in_flight.pop().expect("peeked").response;
+            self.stats.completed += 1;
+            self.stats.total_latency += done.latency();
+            completed.push(done);
         }
 
         // Issue new transactions, reads first (they stall compute), writes after.
@@ -178,21 +208,23 @@ impl MemoryController {
             let Some(head) = queue.pop_front() else { break };
 
             // Coalesce immediately-contiguous same-kind requests into one transaction.
-            let mut group = vec![head];
+            let base_addr = head.request.addr;
+            let mut total_bytes = head.request.bytes;
+            self.group.clear();
+            self.group.push(head);
             while let Some(next) = queue.front() {
-                let last = &group[group.len() - 1].request;
-                if last.is_contiguous_with(&next.request) && group.len() < 8 {
-                    group.push(queue.pop_front().expect("front exists"));
+                let last = &self.group[self.group.len() - 1].request;
+                if last.is_contiguous_with(&next.request) && self.group.len() < 8 {
+                    total_bytes += next.request.bytes;
+                    self.group.push(queue.pop_front().expect("front exists"));
                 } else {
                     break;
                 }
             }
-            let total_bytes: usize = group.iter().map(|p| p.request.bytes).sum();
-            let base_addr = group[0].request.addr;
             let (done_at, _) = self.channel.access(base_addr, total_bytes, cycle);
             self.stats.transactions_issued += 1;
-            self.stats.requests_coalesced += (group.len() - 1) as u64;
-            for pending in group {
+            self.stats.requests_coalesced += (self.group.len() - 1) as u64;
+            for pending in self.group.drain(..) {
                 self.in_flight.push(InFlight {
                     response: MemoryResponse {
                         id: pending.id,

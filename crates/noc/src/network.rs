@@ -53,9 +53,14 @@ pub struct TorusNetwork {
     latency_histogram: Histogram,
     hop_histogram: Histogram,
     name: String,
-    /// Packets delivered to their destination, awaiting pickup by the
-    /// attached component: `(destination node, packet)`.
-    delivered_store: Vec<(usize, Packet)>,
+    /// Packets sitting in router input buffers (kept in step with the
+    /// routers so [`Self::in_flight`] never re-sums them).
+    buffered: usize,
+    /// Packets delivered to their destination router, awaiting pickup by
+    /// the attached component.
+    waiting: usize,
+    /// Router-to-router transfers of the cycle being ticked (reused).
+    moves: Vec<(usize, Packet)>,
 }
 
 impl TorusNetwork {
@@ -70,7 +75,9 @@ impl TorusNetwork {
             latency_histogram: Histogram::new(4, 64),
             hop_histogram: Histogram::new(1, 64),
             name: format!("torus-{}x{}", topology.width(), topology.height()),
-            delivered_store: Vec::new(),
+            buffered: 0,
+            waiting: 0,
+            moves: Vec::new(),
         }
     }
 
@@ -100,6 +107,7 @@ impl TorusNetwork {
         match self.routers[src].accept(packet) {
             Ok(()) => {
                 self.stats.injected += 1;
+                self.buffered += 1;
                 Ok(())
             }
             Err(p) => {
@@ -109,52 +117,57 @@ impl TorusNetwork {
         }
     }
 
-    /// Advances the whole fabric one cycle.
+    /// Advances the whole fabric one cycle. Packets that reach their
+    /// destination router are accounted here and stay in that router's
+    /// delivery queue until [`Self::drain_delivered`] picks them up.
     pub fn tick(&mut self, now: Cycle) {
-        let mut moves: Vec<(usize, Packet)> = Vec::new();
-        for router in &mut self.routers {
-            router.route_cycle(&self.topology, self.links_per_cycle, &mut moves);
+        if self.buffered == 0 {
+            return;
         }
-        for (next, packet) in moves {
-            // Router-to-router hops are throughput-limited, not buffer-limited
-            // (see `Router::force_accept`), which keeps the torus deadlock-free.
-            self.routers[next].force_accept(packet);
-        }
-        // Account for deliveries that happened this cycle.
         let now = now.as_u64();
+        let mut moves = std::mem::take(&mut self.moves);
         for router in &mut self.routers {
-            for packet in router.take_delivered(usize::MAX) {
+            if router.buffered() == 0 {
+                continue;
+            }
+            let delivered = router.route_cycle(&self.topology, self.links_per_cycle, &mut moves);
+            for packet in router.newest_delivered(delivered) {
                 self.stats.delivered += 1;
                 self.stats.total_latency += packet.latency(now);
                 self.stats.total_hops += u64::from(packet.hops);
                 self.stats.bytes_delivered += packet.bytes as u64;
                 self.latency_histogram.record(packet.latency(now));
                 self.hop_histogram.record(u64::from(packet.hops));
-                // Hand the packet back to the destination router's delivery
-                // queue for pickup by the attached component.
-                self.delivered_store.push((packet.dst, packet));
             }
+            self.buffered -= delivered;
+            self.waiting += delivered;
         }
+        for (next, packet) in moves.drain(..) {
+            // Router-to-router hops are throughput-limited, not buffer-limited
+            // (see `Router::force_accept`), which keeps the torus deadlock-free.
+            self.routers[next].force_accept(packet);
+        }
+        self.moves = moves;
     }
 
     /// Removes all packets delivered to `node` since the last drain.
     pub fn drain_delivered(&mut self, node: usize) -> Vec<Packet> {
         let mut taken = Vec::new();
-        let mut remaining = Vec::with_capacity(self.delivered_store.len());
-        for (dst, packet) in self.delivered_store.drain(..) {
-            if dst == node {
-                taken.push(packet);
-            } else {
-                remaining.push((dst, packet));
-            }
-        }
-        self.delivered_store = remaining;
+        self.drain_delivered_into(node, &mut taken);
         taken
+    }
+
+    /// [`Self::drain_delivered`] appending to a caller-owned buffer, so a
+    /// per-cycle caller allocates nothing.
+    pub fn drain_delivered_into(&mut self, node: usize, out: &mut Vec<Packet>) {
+        let router = &mut self.routers[node];
+        self.waiting -= router.delivered_waiting();
+        out.extend(router.drain_delivered());
     }
 
     /// Number of packets anywhere in the fabric (buffered or awaiting pickup).
     pub fn in_flight(&self) -> usize {
-        self.routers.iter().map(Router::occupancy).sum::<usize>() + self.delivered_store.len()
+        self.buffered + self.waiting
     }
 
     /// Aggregate statistics.

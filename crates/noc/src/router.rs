@@ -58,6 +58,11 @@ impl Router {
         self.buffer_capacity - self.input.len()
     }
 
+    /// Number of packets in the input buffer, still to be routed.
+    pub fn buffered(&self) -> usize {
+        self.input.len()
+    }
+
     /// Number of packets buffered (input + undelivered local).
     pub fn occupancy(&self) -> usize {
         self.input.len() + self.delivered.len()
@@ -93,10 +98,9 @@ impl Router {
         self.stats
     }
 
-    /// Removes up to `max` packets destined for the local node.
-    pub fn take_delivered(&mut self, max: usize) -> Vec<Packet> {
-        let take = max.min(self.delivered.len());
-        self.delivered.drain(..take).collect()
+    /// Removes every packet delivered to the local node, oldest first.
+    pub fn drain_delivered(&mut self) -> impl Iterator<Item = Packet> + '_ {
+        self.delivered.drain(..)
     }
 
     /// Number of packets waiting in the local delivery queue.
@@ -104,35 +108,40 @@ impl Router {
         self.delivered.len()
     }
 
+    /// The `count` most recently delivered packets still awaiting pickup
+    /// (what [`Self::route_cycle`] just reported), oldest first.
+    pub fn newest_delivered(&self, count: usize) -> impl Iterator<Item = &Packet> {
+        self.delivered.range(self.delivered.len() - count..)
+    }
+
     /// Routes up to `links_per_cycle` packets, pushing them to `outgoing` as
     /// `(next_node, packet)` pairs; packets for this node go to the delivery
-    /// queue.  Throughput — not buffer credits — is the limiting resource for
-    /// router-to-router hops, so the fabric cannot deadlock on the torus
-    /// wrap-around links.
+    /// queue, and their number is returned.  Throughput — not buffer credits —
+    /// is the limiting resource for router-to-router hops, so the fabric
+    /// cannot deadlock on the torus wrap-around links.
     pub fn route_cycle(
         &mut self,
         topology: &TorusTopology,
         links_per_cycle: usize,
         outgoing: &mut Vec<(usize, Packet)>,
-    ) {
-        let mut moved = 0usize;
-        while moved < links_per_cycle {
+    ) -> usize {
+        let mut delivered = 0usize;
+        for _ in 0..links_per_cycle {
             let Some(mut packet) = self.input.pop_front() else { break };
             let dir = topology.route(self.node, packet.dst);
+            self.stats.bytes_routed += packet.bytes as u64;
             if dir == Direction::Local {
                 self.stats.delivered += 1;
-                self.stats.bytes_routed += packet.bytes as u64;
                 self.delivered.push_back(packet);
-                moved += 1;
+                delivered += 1;
                 continue;
             }
             let next = topology.neighbor(self.node, dir);
             packet.hops += 1;
             self.stats.forwarded += 1;
-            self.stats.bytes_routed += packet.bytes as u64;
             outgoing.push((next, packet));
-            moved += 1;
         }
+        delivered
     }
 }
 
@@ -148,7 +157,7 @@ mod tests {
         let mut out = Vec::new();
         r.route_cycle(&topo, 4, &mut out);
         assert!(out.is_empty());
-        assert_eq!(r.take_delivered(10).len(), 1);
+        assert_eq!(r.drain_delivered().count(), 1);
         assert_eq!(r.stats().delivered, 1);
     }
 

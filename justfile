@@ -7,7 +7,7 @@
 bins := "table1 table3 table4 table5 fig11 fig13 fig14 fig15 fig16 fig17 ablation"
 
 # Run everything CI runs.
-ci: fmt clippy build test artifacts tune serve serve-parallel trace xval profile
+ci: fmt clippy build test perf-selftest artifacts tune serve serve-parallel trace xval profile
 
 # Formatting check (apply with `just fmt-fix`).
 fmt:
@@ -174,6 +174,18 @@ profile-paper:
 # deltas. Add flags via just trend a b "--fail-above 2".
 trend before after *flags="":
     cargo run --release -q -p neura_bench --bin trend -- {{before}} {{after}} {{flags}}
+
+# The host-side perf ledger (benchmark/README.md): every workload timed,
+# then traced with the isolated layer drives. Flags pass through, e.g.
+# `just perf --workload chip-skewed --seed 3 --seconds 30 --trace 0`.
+perf *flags="":
+    bash benchmark/run.sh {{flags}}
+
+# The ledger's own tests at tiny scale. The benchmark is a package of its
+# own, so this is what notices a workspace change that breaks the API
+# footprint listed in the header of benchmark/src/layers.rs.
+perf-selftest:
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 # Criterion micro-benchmarks (stubbed offline: single-pass wall-clock
 # timing); measurements are also collected as lab artifacts under
