@@ -19,8 +19,7 @@
 //!   the reproduced speedup ratios meaningful.
 //!
 //! The models are intentionally first-order: they are the substitute for
-//! measurements that require hardware this repository does not have, as
-//! recorded in `DESIGN.md`.
+//! measurements that require hardware this repository does not have.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

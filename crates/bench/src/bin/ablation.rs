@@ -1,5 +1,6 @@
-//! Design-space ablations called out in DESIGN.md: compute mapping, eviction
-//! policy, MMH tile height and HashPad size, all on the Cora-analog SpGEMM.
+//! Design-space ablations of the paper's Section 3 choices: compute mapping,
+//! eviction policy, MMH tile height and HashPad size, all on the Cora-analog
+//! SpGEMM.
 //!
 //! The four ablations are declared as `neura_lab` experiment specs and their
 //! points — fourteen full cycle-level simulations — run concurrently on the

@@ -38,7 +38,7 @@ use neura_bench::{fmt, print_table, sim_matrix_at_fidelity};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::{ChipConfig, HbmPreset, TileSize};
 use neura_chip::profile::{Profile, Profiler, StallCause, DEFAULT_WINDOW_CYCLES};
-use neura_lab::{profile_records, Artifact, Runner, PROFILE_SCHEMA};
+use neura_lab::{profile_records, Artifact, Flags, Runner, PROFILE_SCHEMA};
 use neura_sparse::DatasetCatalog;
 use std::path::PathBuf;
 
@@ -82,68 +82,53 @@ fn parse_args() -> Args {
         require_conservation: false,
         json_path: None,
     };
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| -> String {
-            args.next().unwrap_or_else(|| bad_usage(&format!("{flag} needs a value")))
-        };
+    let mut flags = Flags::from_env(usage());
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
             "--dataset" => {
-                let name = value("--dataset");
+                let name = flags.value("--dataset");
                 if DatasetCatalog::by_name(&name).is_none() {
-                    bad_usage(&format!("dataset {name:?} is not in the catalog"));
+                    flags.bad_usage(&format!("dataset {name:?} is not in the catalog"));
                 }
                 parsed.datasets.push(name);
             }
             "--tile" => {
-                let raw = value("--tile");
-                let tile = TileSize::ALL.into_iter().find(|t| t.label() == raw);
-                parsed
-                    .tiles
-                    .push(tile.unwrap_or_else(|| bad_usage(&format!("unknown tile size {raw:?}"))));
+                parsed.tiles.push(flags.known("--tile", "tile size", |raw| {
+                    TileSize::ALL.into_iter().find(|t| t.label() == raw)
+                }));
             }
             "--hbm" => {
-                let raw = value("--hbm");
-                let preset = HbmPreset::ALL.into_iter().find(|p| p.name() == raw);
-                parsed.hbms.push(
-                    preset.unwrap_or_else(|| bad_usage(&format!("unknown HBM preset {raw:?}"))),
-                );
+                parsed.hbms.push(flags.known("--hbm", "HBM preset", |raw| {
+                    HbmPreset::ALL.into_iter().find(|p| p.name() == raw)
+                }));
             }
             "--shrink" => {
-                let raw = value("--shrink");
-                parsed.shrinks.push(match raw.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => bad_usage(&format!("--shrink {raw:?} is not a positive integer")),
-                });
+                parsed.shrinks.push(flags.parsed(
+                    "--shrink",
+                    "a positive integer",
+                    Flags::at_least_one,
+                ));
             }
             "--window" => {
-                let raw = value("--window");
-                parsed.window = match raw.parse::<u64>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => bad_usage(&format!("--window {raw:?} is not a positive cycle count")),
-                };
+                parsed.window =
+                    flags.parsed("--window", "a positive cycle count", Flags::at_least_one);
             }
             "--max-stall-frac" => {
-                let raw = value("--max-stall-frac");
-                parsed.max_stall_frac = Some(match raw.parse::<f64>() {
-                    Ok(f) if (0.0..=1.0).contains(&f) => f,
-                    _ => bad_usage(&format!("--max-stall-frac {raw:?} is not a fraction in 0..=1")),
-                });
+                parsed.max_stall_frac =
+                    Some(flags.parsed("--max-stall-frac", "a fraction in 0..=1", |f: &f64| {
+                        (0.0..=1.0).contains(f)
+                    }));
             }
             "--require-conservation" => parsed.require_conservation = true,
             "--json" => {
-                parsed.json_path = Some(match args.peek() {
-                    Some(next) if !next.starts_with("--") => {
-                        PathBuf::from(args.next().expect("peeked"))
-                    }
-                    _ => Artifact::default_path("profile"),
-                });
+                parsed.json_path = Some(
+                    flags
+                        .optional_path()
+                        .map_or_else(|| Artifact::default_path("profile"), PathBuf::from),
+                );
             }
-            "--help" | "-h" => {
-                println!("{}", usage());
-                std::process::exit(0);
-            }
-            other => bad_usage(&format!("unrecognised argument {other:?}")),
+            "--help" | "-h" => flags.help(),
+            other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
         }
     }
     if parsed.datasets.is_empty() {
@@ -385,9 +370,4 @@ fn size_matched_tile(name: &str) -> TileSize {
     } else {
         TileSize::Tile64
     }
-}
-
-fn bad_usage(message: &str) -> ! {
-    eprintln!("{message}\n{}", usage());
-    std::process::exit(2);
 }

@@ -85,7 +85,8 @@ use neura_chip::config::{ChipConfig, TileSize};
 use neura_chip::profile::{Profile, Profiler, DEFAULT_WINDOW_CYCLES};
 use neura_lab::spec::derive_seed;
 use neura_lab::{
-    profile_records, Artifact, ArtifactSession, RunRecord, Runner, PROFILE_SCHEMA, TIMELINE_SCHEMA,
+    profile_records, Artifact, ArtifactSession, Flags, RunRecord, Runner, PROFILE_SCHEMA,
+    TIMELINE_SCHEMA,
 };
 use neura_serve::cost::{analytic_class_cost, hybrid_scaled_cycles, CostModel};
 use neura_serve::policy::{DEFAULT_BATCH_TIMEOUT_S, DEFAULT_MAX_BATCH};
@@ -212,7 +213,7 @@ struct Args {
     passthrough: Vec<String>,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> (Args, Flags) {
     let mut parsed = Args {
         arrivals: Vec::new(),
         rps: Vec::new(),
@@ -247,161 +248,129 @@ fn parse_args() -> Args {
         speedup: false,
         passthrough: Vec::new(),
     };
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| -> String {
-            args.next().unwrap_or_else(|| bad_usage(&format!("{flag} needs a value")))
-        };
+    let mut flags = Flags::from_env(usage());
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
             "--arrival" => {
-                let raw = value("--arrival");
-                parsed.arrivals.push(
-                    ArrivalProcess::parse(&raw)
-                        .unwrap_or_else(|| bad_usage(&format!("unknown arrival process {raw:?}"))),
-                );
+                parsed.arrivals.push(flags.known(
+                    "--arrival",
+                    "arrival process",
+                    ArrivalProcess::parse,
+                ));
             }
-            "--rps" => {
-                let raw = value("--rps");
-                parsed.rps.push(match raw.parse::<f64>() {
-                    Ok(r) if r.is_finite() && r > 0.0 => r,
-                    _ => bad_usage(&format!("--rps {raw:?} is not a positive rate")),
-                });
-            }
+            "--rps" => parsed.rps.push(flags.parsed("--rps", "a positive rate", Flags::positive)),
             "--policy" => {
-                let raw = value("--policy");
+                let raw = flags.value("--policy");
                 if Policy::parse(&raw).is_none() {
-                    bad_usage(&format!("unknown policy {raw:?}"));
+                    flags.bad_usage(&format!("unknown policy {raw:?}"));
                 }
                 parsed.policy_names.push(raw);
             }
             "--shards" => {
-                let raw = value("--shards");
-                match raw.parse::<usize>() {
-                    Ok(n) if n >= 1 => {
-                        parsed.fleets.push(FleetMix::uniform(TileSize::Tile16, n));
-                    }
-                    _ => bad_usage(&format!("--shards {raw:?} is not a positive integer")),
-                }
+                let n = flags.parsed("--shards", "a positive integer", Flags::at_least_one);
+                parsed.fleets.push(FleetMix::uniform(TileSize::Tile16, n));
             }
             "--fleet" => {
-                let raw = value("--fleet");
+                let raw = flags.value("--fleet");
                 parsed.fleets.push(
-                    FleetMix::parse(&raw)
-                        .unwrap_or_else(|| bad_usage(&format!("unparseable fleet mix {raw:?}"))),
+                    FleetMix::parse(&raw).unwrap_or_else(|| {
+                        flags.bad_usage(&format!("unparseable fleet mix {raw:?}"))
+                    }),
                 );
             }
             "--dispatch" => {
-                let raw = value("--dispatch");
-                parsed.dispatches.push(
-                    DispatchKind::parse(&raw)
-                        .unwrap_or_else(|| bad_usage(&format!("unknown dispatch policy {raw:?}"))),
-                );
+                parsed.dispatches.push(flags.known(
+                    "--dispatch",
+                    "dispatch policy",
+                    DispatchKind::parse,
+                ));
             }
             "--clients" => {
-                let raw = value("--clients");
-                parsed.clients.push(match raw.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => bad_usage(&format!("--clients {raw:?} is not a positive integer")),
-                });
+                parsed.clients.push(flags.parsed(
+                    "--clients",
+                    "a positive integer",
+                    Flags::at_least_one,
+                ));
             }
             "--think-ms" => {
-                let raw = value("--think-ms");
-                parsed.think_ms = Some(match raw.parse::<f64>() {
-                    Ok(t) if t.is_finite() && t >= 0.0 => t,
-                    _ => bad_usage(&format!("--think-ms {raw:?} is not a think time")),
-                });
+                parsed.think_ms =
+                    Some(flags.parsed("--think-ms", "a think time", Flags::non_negative));
             }
             "--autoscale" => {
-                let raw = value("--autoscale");
+                let raw = flags.value("--autoscale");
                 let bounds = raw.split_once(':').and_then(|(lo, hi)| {
                     let lo = lo.parse::<usize>().ok().filter(|&n| n >= 1)?;
                     let hi = hi.parse::<usize>().ok().filter(|&n| n >= lo)?;
                     Some((lo, hi))
                 });
                 parsed.autoscale = Some(bounds.unwrap_or_else(|| {
-                    bad_usage(&format!("--autoscale {raw:?} is not MIN:MAX with 1 <= MIN <= MAX"))
+                    flags.bad_usage(&format!(
+                        "--autoscale {raw:?} is not MIN:MAX with 1 <= MIN <= MAX"
+                    ))
                 }));
             }
             "--provision-ms" => {
-                let raw = value("--provision-ms");
-                parsed.provision_ms = Some(match raw.parse::<f64>() {
-                    Ok(t) if t.is_finite() && t >= 0.0 => t,
-                    _ => bad_usage(&format!("--provision-ms {raw:?} is not a delay")),
-                });
+                parsed.provision_ms =
+                    Some(flags.parsed("--provision-ms", "a delay", Flags::non_negative));
             }
             "--check-ms" => {
-                let raw = value("--check-ms");
-                parsed.check_ms = Some(match raw.parse::<f64>() {
-                    Ok(t) if t.is_finite() && t > 0.0 => t,
-                    _ => bad_usage(&format!("--check-ms {raw:?} is not an interval")),
-                });
+                parsed.check_ms = Some(flags.parsed("--check-ms", "an interval", Flags::positive));
             }
             "--duration" => {
-                let raw = value("--duration");
-                parsed.duration_s = match raw.parse::<f64>() {
-                    Ok(d) if d.is_finite() && d > 0.0 => d,
-                    _ => bad_usage(&format!("--duration {raw:?} is not a positive duration")),
-                };
+                parsed.duration_s =
+                    flags.parsed("--duration", "a positive duration", Flags::positive);
                 parsed.duration_given = true;
             }
             "--dataset" => {
-                let name = value("--dataset");
+                let name = flags.value("--dataset");
                 if DatasetCatalog::by_name(&name).is_none() {
-                    bad_usage(&format!("dataset {name:?} is not in the catalog"));
+                    flags.bad_usage(&format!("dataset {name:?} is not in the catalog"));
                 }
                 parsed.mix.push(name);
             }
             "--max-batch" => {
-                let raw = value("--max-batch");
-                parsed.max_batch = match raw.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => bad_usage(&format!("--max-batch {raw:?} is not a positive integer")),
-                };
+                parsed.max_batch =
+                    flags.parsed("--max-batch", "a positive integer", Flags::at_least_one);
             }
             "--batch-timeout-ms" => {
-                let raw = value("--batch-timeout-ms");
-                parsed.batch_timeout_s = match raw.parse::<f64>() {
-                    Ok(t) if t.is_finite() && t >= 0.0 => t / 1e3,
-                    _ => bad_usage(&format!("--batch-timeout-ms {raw:?} is not a timeout")),
-                };
+                let ms: f64 = flags.parsed("--batch-timeout-ms", "a timeout", Flags::non_negative);
+                parsed.batch_timeout_s = ms / 1e3;
                 parsed.batch_timeout_given = true;
             }
             "--scenario" => {
-                let raw = value("--scenario");
+                let raw = flags.value("--scenario");
                 if raw.eq_ignore_ascii_case("all") {
                     parsed.scenarios.extend(ScenarioSpec::names().iter().map(|n| n.to_string()));
                 } else if let Some(spec) = ScenarioSpec::by_name(&raw) {
                     parsed.scenarios.push(spec.name.to_string());
                 } else {
-                    bad_usage(&format!(
+                    flags.bad_usage(&format!(
                         "unknown scenario {raw:?}; the library has: {}",
                         ScenarioSpec::names().join(", ")
                     ));
                 }
             }
             "--queue-bound" => {
-                let raw = value("--queue-bound");
-                parsed.queue_bound = Some(match raw.parse::<usize>() {
-                    Ok(n) => n,
-                    _ => bad_usage(&format!("--queue-bound {raw:?} is not an integer")),
-                });
+                parsed.queue_bound = Some(flags.parsed("--queue-bound", "an integer", |_| true));
             }
             "--tenant" => {
-                let raw = value("--tenant");
+                let raw = flags.value("--tenant");
                 let tenant = TenantMix::parse_tenant(&raw).unwrap_or_else(|| {
-                    bad_usage(&format!("--tenant {raw:?} is not name:weight[:limit_rps[:slo_ms]]"))
+                    flags.bad_usage(&format!(
+                        "--tenant {raw:?} is not name:weight[:limit_rps[:slo_ms]]"
+                    ))
                 });
                 if parsed.tenants.iter().any(|t| t.name == tenant.name) {
-                    bad_usage(&format!("duplicate tenant name {:?}", tenant.name));
+                    flags.bad_usage(&format!("duplicate tenant name {:?}", tenant.name));
                 }
                 parsed.tenants.push(tenant);
             }
             "--fault" => {
-                let raw = value("--fault");
+                let raw = flags.value("--fault");
                 // Validate the fragment now; the real spec is rebuilt per
                 // arm with a seed derived from the arm's workload seed.
                 if FaultSpec::parse(&raw, 0, 1.0).is_none() {
-                    bad_usage(&format!(
+                    flags.bad_usage(&format!(
                         "--fault {raw:?} is not a crashN/pfX/degGxM regime like crash2+pf0.5"
                     ));
                 }
@@ -409,77 +378,54 @@ fn parse_args() -> Args {
             }
             "--trace" => {
                 parsed.trace = true;
-                if matches!(args.peek(), Some(next) if !next.starts_with("--")) {
-                    parsed.trace_path = Some(args.next().expect("peeked"));
-                }
+                parsed.trace_path = flags.optional_path();
             }
             "--profile" => {
                 parsed.profile = true;
-                if matches!(args.peek(), Some(next) if !next.starts_with("--")) {
-                    parsed.profile_path = Some(args.next().expect("peeked"));
-                }
+                parsed.profile_path = flags.optional_path();
             }
             "--window-ms" => {
-                let raw = value("--window-ms");
-                parsed.window_ms = Some(match raw.parse::<f64>() {
-                    Ok(w) if w.is_finite() && w > 0.0 => w,
-                    _ => bad_usage(&format!("--window-ms {raw:?} is not a positive width")),
-                });
+                parsed.window_ms =
+                    Some(flags.parsed("--window-ms", "a positive width", Flags::positive));
             }
             "--cost-model" => {
-                let raw = value("--cost-model");
-                parsed.cost_model = CostModel::parse(&raw)
-                    .unwrap_or_else(|| bad_usage(&format!("unknown cost model {raw:?}")));
+                parsed.cost_model = flags.known("--cost-model", "cost model", CostModel::parse);
             }
             "--epochs" => {
-                let raw = value("--epochs");
-                parsed.epochs = Some(match raw.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => bad_usage(&format!("--epochs {raw:?} is not a positive integer")),
-                });
+                parsed.epochs =
+                    Some(flags.parsed("--epochs", "a positive integer", Flags::at_least_one));
             }
             "--epoch-ms" => {
-                let raw = value("--epoch-ms");
-                parsed.epoch_ms = Some(match raw.parse::<f64>() {
-                    Ok(w) if w.is_finite() && w > 0.0 => w,
-                    _ => bad_usage(&format!("--epoch-ms {raw:?} is not a positive width")),
-                });
+                parsed.epoch_ms =
+                    Some(flags.parsed("--epoch-ms", "a positive width", Flags::positive));
             }
             "--lanes" => {
-                let raw = value("--lanes");
-                parsed.lanes = Some(match raw.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => bad_usage(&format!("--lanes {raw:?} is not a positive integer")),
-                });
+                parsed.lanes =
+                    Some(flags.parsed("--lanes", "a positive integer", Flags::at_least_one));
             }
             "--no-meta" => parsed.no_meta = true,
             "--speedup" => parsed.speedup = true,
-            "--help" | "-h" => {
-                println!("{}", usage());
-                std::process::exit(0);
-            }
+            "--help" | "-h" => flags.help(),
             // Only --json [PATH] is forwarded to the artifact session.
             "--json" => {
                 parsed.passthrough.push(arg);
-                if matches!(args.peek(), Some(next) if !next.starts_with("--")) {
-                    parsed.passthrough.push(args.next().expect("peeked"));
-                }
+                parsed.passthrough.extend(flags.optional_path());
             }
-            other => bad_usage(&format!("unrecognised argument {other:?}")),
+            other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
         }
     }
     if parsed.mix.is_empty() {
         parsed.mix = vec!["cora".to_string(), "wiki-Vote".to_string(), "facebook".to_string()];
     }
-    parsed
+    (parsed, flags)
 }
 
 fn main() {
-    let mut args = parse_args();
+    let (mut args, flags) = parse_args();
     // Profiles come out of the per-class cycle simulations; the analytic
     // and hybrid models have no (or too few) simulations to attach to.
     if args.profile && args.cost_model != CostModel::Cycle {
-        bad_usage(&format!(
+        flags.bad_usage(&format!(
             "--profile requires the cycle cost model, but --cost-model {} prices classes \
              without per-class simulations",
             args.cost_model.name()
@@ -501,7 +447,7 @@ fn main() {
         for mix in &args.fleets {
             for group in &mix.groups {
                 if !(min..=max).contains(&group.shards) {
-                    bad_usage(&format!(
+                    flags.bad_usage(&format!(
                         "--autoscale {min}:{max} is incompatible with fleet {:?}: group {:?} \
                          starts with {} shard(s); pass --fleet/--shards sizes within the bounds",
                         mix.id, group.name, group.shards
@@ -518,7 +464,7 @@ fn main() {
         for mix in &args.fleets {
             for &(group, _) in &spec.degraded {
                 if group >= mix.groups.len() {
-                    bad_usage(&format!(
+                    flags.bad_usage(&format!(
                         "--fault {raw:?} degrades group {group}, but fleet {:?} only has {} \
                          group(s)",
                         mix.id,
@@ -1055,9 +1001,4 @@ fn main() {
     }
 
     session.finish();
-}
-
-fn bad_usage(message: &str) -> ! {
-    eprintln!("{message}\n{}", usage());
-    std::process::exit(2);
 }

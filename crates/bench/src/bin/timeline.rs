@@ -28,7 +28,7 @@ use std::process::ExitCode;
 
 use neura_bench::{fmt, print_table};
 use neura_lab::trend::load_artifact;
-use neura_lab::{Artifact, RunRecord, TIMELINE_SCHEMA};
+use neura_lab::{Artifact, Flags, RunRecord, TIMELINE_SCHEMA};
 
 fn usage() -> String {
     "usage: timeline [PATH] [--scope PREFIX] [--max-worst-p99-ms X] [--max-recovery-ms X]\n\
@@ -117,32 +117,21 @@ fn main() -> ExitCode {
     let mut max_recovery_ms: Option<f64> = None;
     let mut min_window_slo: Option<f64> = None;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| -> f64 {
-            let raw = args.next().unwrap_or_else(|| bad_usage(&format!("{flag} needs a value")));
-            match raw.parse::<f64>() {
-                Ok(v) if v.is_finite() && v >= 0.0 => v,
-                _ => bad_usage(&format!("{flag} {raw:?} is not a non-negative number")),
-            }
-        };
+    let mut flags = Flags::from_env(usage());
+    while let Some(arg) = flags.next() {
+        let mut value =
+            |flag: &str| flags.parsed(flag, "a non-negative number", Flags::non_negative);
         match arg.as_str() {
-            "--scope" => {
-                scope_filter =
-                    Some(args.next().unwrap_or_else(|| bad_usage("--scope needs a value")));
-            }
+            "--scope" => scope_filter = Some(flags.value("--scope")),
             "--max-worst-p99-ms" => max_worst_p99_ms = Some(value("--max-worst-p99-ms")),
             "--max-recovery-ms" => max_recovery_ms = Some(value("--max-recovery-ms")),
             "--min-window-slo" => min_window_slo = Some(value("--min-window-slo")),
-            "--help" | "-h" => {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
+            "--help" | "-h" => flags.help(),
             other if other.starts_with("--") => {
-                bad_usage(&format!("unrecognised argument {other:?}"))
+                flags.bad_usage(&format!("unrecognised argument {other:?}"))
             }
             _ if path.is_none() => path = Some(PathBuf::from(arg)),
-            other => bad_usage(&format!("unexpected extra path {other:?}")),
+            other => flags.bad_usage(&format!("unexpected extra path {other:?}")),
         }
     }
     let path = path.unwrap_or_else(|| Artifact::default_path("timeline"));
@@ -248,9 +237,4 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-fn bad_usage(message: &str) -> ! {
-    eprintln!("{message}\n{}", usage());
-    std::process::exit(2);
 }

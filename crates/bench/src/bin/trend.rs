@@ -30,7 +30,7 @@ use std::process::ExitCode;
 
 use neura_bench::{fmt, print_table};
 use neura_lab::trend::{self, TrendReport};
-use neura_lab::Artifact;
+use neura_lab::{Artifact, Flags};
 
 fn usage() -> String {
     "usage: trend [--fail-above PCT] BEFORE AFTER\n\
@@ -46,28 +46,22 @@ fn main() -> ExitCode {
     let mut fail_above: Option<f64> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    let mut flags = Flags::from_env(usage());
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
             "--fail-above" => {
-                let raw = args.next().unwrap_or_else(|| bad_usage("--fail-above needs a value"));
-                fail_above = Some(match raw.parse::<f64>() {
-                    Ok(pct) if pct.is_finite() && pct >= 0.0 => pct,
-                    _ => bad_usage(&format!("--fail-above {raw:?} is not a percentage")),
-                });
+                fail_above =
+                    Some(flags.parsed("--fail-above", "a percentage", Flags::non_negative));
             }
-            "--help" | "-h" => {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
+            "--help" | "-h" => flags.help(),
             other if other.starts_with("--") => {
-                bad_usage(&format!("unrecognised argument {other:?}"))
+                flags.bad_usage(&format!("unrecognised argument {other:?}"))
             }
             _ => paths.push(PathBuf::from(arg)),
         }
     }
     let [before, after] = paths.as_slice() else {
-        bad_usage("expected exactly two paths (BEFORE and AFTER)");
+        flags.bad_usage("expected exactly two paths (BEFORE and AFTER)");
     };
 
     let (pairs, unmatched) = match collect_pairs(before, after) {
@@ -262,9 +256,4 @@ fn print_wall_clock(label: &str, before: &Artifact, after: &Artifact) {
     if let Some(speedup) = after.meta_value("speedup") {
         println!("{label}: measured lane speedup (AFTER): {}x", fmt(speedup, 2));
     }
-}
-
-fn bad_usage(message: &str) -> ! {
-    eprintln!("{message}\n{}", usage());
-    std::process::exit(2);
 }

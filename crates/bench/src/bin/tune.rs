@@ -37,7 +37,9 @@ use neura_chip::analytic::{AnalyticModel, WorkloadFeatures};
 use neura_chip::config::{ChipConfig, HbmPreset};
 use neura_chip::power::PowerModel;
 use neura_lab::spec::derive_seed;
-use neura_lab::{ArtifactSession, Evaluation, Objective, Runner, SweepGrid, TuneSpec, Tuner};
+use neura_lab::{
+    ArtifactSession, Evaluation, Flags, Objective, Runner, SweepGrid, TuneSpec, Tuner,
+};
 use neura_serve::cost::{analytic_class_cost, CostModel};
 use neura_serve::{
     simulate_stream, ArrivalProcess, ClassCost, CostTable, DispatchKind, Policy, Request,
@@ -204,46 +206,33 @@ fn main() {
     let mut cost_model = CostModel::default();
     let mut passthrough: Vec<String> = Vec::new();
 
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(arg) = args.next() {
+    let mut flags = Flags::from_env(usage());
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
             "--dataset" => {
-                let name = args.next().unwrap_or_else(|| bad_usage("--dataset needs a value"));
+                let name = flags.value("--dataset");
                 if DatasetCatalog::by_name(&name).is_none() {
-                    bad_usage(&format!("dataset {name:?} is not in the catalog"));
+                    flags.bad_usage(&format!("dataset {name:?} is not in the catalog"));
                 }
                 datasets.push(name);
             }
             "--objective" => {
-                let raw = args.next().unwrap_or_else(|| bad_usage("--objective needs a value"));
-                objective = Objective::parse(&raw)
-                    .unwrap_or_else(|| bad_usage(&format!("unknown objective {raw:?}")));
+                objective = flags.known("--objective", "objective", Objective::parse);
             }
             "--budget" => {
-                let raw = args.next().unwrap_or_else(|| bad_usage("--budget needs a value"));
-                budget = match raw.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => bad_usage(&format!("--budget {raw:?} is not a positive integer")),
-                };
+                budget = flags.parsed("--budget", "a positive integer", Flags::at_least_one);
             }
             "--cost-model" => {
-                let raw = args.next().unwrap_or_else(|| bad_usage("--cost-model needs a value"));
-                cost_model = CostModel::parse(&raw)
-                    .unwrap_or_else(|| bad_usage(&format!("unknown cost model {raw:?}")));
+                cost_model = flags.known("--cost-model", "cost model", CostModel::parse);
             }
-            "--help" | "-h" => {
-                println!("{}", usage());
-                return;
-            }
+            "--help" | "-h" => flags.help(),
             // Only --json [PATH] is forwarded to the artifact session; any
             // other argument gets *this* binary's usage, not the session's.
             "--json" => {
                 passthrough.push(arg);
-                if matches!(args.peek(), Some(next) if !next.starts_with("--")) {
-                    passthrough.push(args.next().expect("peeked"));
-                }
+                passthrough.extend(flags.optional_path());
             }
-            other => bad_usage(&format!("unrecognised argument {other:?}")),
+            other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
         }
     }
     if datasets.is_empty() {
@@ -356,9 +345,4 @@ fn main() {
     );
 
     session.finish();
-}
-
-fn bad_usage(message: &str) -> ! {
-    eprintln!("{message}\n{}", usage());
-    std::process::exit(2);
 }

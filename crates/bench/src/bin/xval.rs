@@ -50,7 +50,7 @@ use neura_chip::analytic::{
     feature_vector, AnalyticModel, GroupCoeffs, WorkloadFeatures, FEATURES,
 };
 use neura_chip::config::{ChipConfig, HbmPreset, TileSize};
-use neura_lab::{ArtifactSession, RunRecord, Runner};
+use neura_lab::{ArtifactSession, Flags, RunRecord, Runner};
 use neura_sparse::DatasetCatalog;
 
 /// Golden bound on the mean absolute relative error (percent) at paper
@@ -103,61 +103,49 @@ fn parse_args() -> Args {
         dump: false,
         passthrough: Vec::new(),
     };
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| -> String {
-            args.next().unwrap_or_else(|| bad_usage(&format!("{flag} needs a value")))
-        };
+    let mut flags = Flags::from_env(usage());
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
             "--dataset" => {
-                let name = value("--dataset");
+                let name = flags.value("--dataset");
                 if DatasetCatalog::by_name(&name).is_none() {
-                    bad_usage(&format!("dataset {name:?} is not in the catalog"));
+                    flags.bad_usage(&format!("dataset {name:?} is not in the catalog"));
                 }
                 parsed.datasets.push(name);
             }
             "--tile" => {
-                let raw = value("--tile");
-                let tile = TileSize::ALL.into_iter().find(|t| t.label() == raw);
-                parsed
-                    .tiles
-                    .push(tile.unwrap_or_else(|| bad_usage(&format!("unknown tile size {raw:?}"))));
+                parsed.tiles.push(flags.known("--tile", "tile size", |raw| {
+                    TileSize::ALL.into_iter().find(|t| t.label() == raw)
+                }));
             }
             "--hbm" => {
-                let raw = value("--hbm");
-                let preset = HbmPreset::ALL.into_iter().find(|p| p.name() == raw);
-                parsed.hbms.push(
-                    preset.unwrap_or_else(|| bad_usage(&format!("unknown HBM preset {raw:?}"))),
-                );
+                parsed.hbms.push(flags.known("--hbm", "HBM preset", |raw| {
+                    HbmPreset::ALL.into_iter().find(|p| p.name() == raw)
+                }));
             }
             "--frequency" => {
-                let raw = value("--frequency");
-                parsed.frequencies.push(match raw.parse::<f64>() {
-                    Ok(f) if f.is_finite() && f > 0.0 => f,
-                    _ => bad_usage(&format!("--frequency {raw:?} is not a positive GHz value")),
-                });
+                parsed.frequencies.push(flags.parsed(
+                    "--frequency",
+                    "a positive GHz value",
+                    Flags::positive,
+                ));
             }
             "--shrink" => {
-                let raw = value("--shrink");
-                parsed.shrinks.push(match raw.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => bad_usage(&format!("--shrink {raw:?} is not a positive integer")),
-                });
+                parsed.shrinks.push(flags.parsed(
+                    "--shrink",
+                    "a positive integer",
+                    Flags::at_least_one,
+                ));
             }
             "--fit" => parsed.fit = true,
             "--dump" => parsed.dump = true,
-            "--help" | "-h" => {
-                println!("{}", usage());
-                std::process::exit(0);
-            }
+            "--help" | "-h" => flags.help(),
             // Only --json [PATH] is forwarded to the artifact session.
             "--json" => {
                 parsed.passthrough.push(arg);
-                if matches!(args.peek(), Some(next) if !next.starts_with("--")) {
-                    parsed.passthrough.push(args.next().expect("peeked"));
-                }
+                parsed.passthrough.extend(flags.optional_path());
             }
-            other => bad_usage(&format!("unrecognised argument {other:?}")),
+            other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
         }
     }
     if parsed.datasets.is_empty() {
@@ -635,9 +623,4 @@ fn solve_linear(a: &mut [Vec<f64>], b: &mut [f64]) -> Vec<f64> {
         x[row] = sum / a[row][row];
     }
     x
-}
-
-fn bad_usage(message: &str) -> ! {
-    eprintln!("{message}\n{}", usage());
-    std::process::exit(2);
 }

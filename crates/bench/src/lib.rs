@@ -1,8 +1,8 @@
 //! Shared helpers for the benchmark harness binaries.
 //!
 //! Every table and figure of the paper's evaluation has a corresponding
-//! binary in `src/bin/` (see `DESIGN.md` for the index). The experiment
-//! machinery those binaries run on — declarative sweeps, the parallel
+//! binary in `src/bin/` (the README's "Paper artifacts" table is the index).
+//! The experiment machinery those binaries run on — declarative sweeps, the parallel
 //! runner, table/JSON rendering and golden checks — lives in `neura_lab`;
 //! this crate keeps only the dataset scaling glue and re-exports the lab
 //! surface the binaries (and older callers) use, so `neura_bench::print_table`

@@ -757,3 +757,32 @@ fn serve_is_thread_invariant_and_trend_diffs_directories() {
 
     std::fs::remove_dir_all(&json_dir).ok();
 }
+
+/// The six flag-taking tools share one command-line reader
+/// (`neura_lab::Flags`): an unknown flag and a flag missing its value both
+/// exit with code 2 and put the complaint plus the binary's own usage text
+/// on stderr, before any simulation starts.
+#[test]
+fn malformed_command_lines_exit_2_with_the_usage_text() {
+    const TOOLS: [(&str, &str, &str); 6] = [
+        ("serve", env!("CARGO_BIN_EXE_serve"), "--rps"),
+        ("profile", env!("CARGO_BIN_EXE_profile"), "--shrink"),
+        ("xval", env!("CARGO_BIN_EXE_xval"), "--frequency"),
+        ("tune", env!("CARGO_BIN_EXE_tune"), "--budget"),
+        ("timeline", env!("CARGO_BIN_EXE_timeline"), "--scope"),
+        ("trend", env!("CARGO_BIN_EXE_trend"), "--fail-above"),
+    ];
+    for (bin, exe, value_flag) in TOOLS {
+        for (arg, complaint) in [
+            ("--no-such-flag", "unrecognised argument \"--no-such-flag\"".to_string()),
+            (value_flag, format!("{value_flag} needs a value")),
+        ] {
+            let output = Command::new(exe).arg(arg).output().expect("spawn binary");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(2), "{bin} {arg}: exit code\n{stderr}");
+            assert!(stderr.starts_with(&complaint), "{bin} {arg}: complaint first\n{stderr}");
+            assert!(stderr.contains(&format!("usage: {bin} ")), "{bin} {arg}: usage\n{stderr}");
+            assert!(output.stdout.is_empty(), "{bin} {arg}: nothing may run before the exit");
+        }
+    }
+}

@@ -72,10 +72,6 @@ use crate::config::{ChipConfig, TileSize};
 use neura_mem::HbmPreset;
 use neura_sparse::{bloat, CsrMatrix};
 
-/// Bytes per stored non-zero (4-byte row index + 4-byte column index +
-/// 4-byte value), matching the DRAM traffic accounting of the simulator.
-pub const BYTES_PER_NNZ: u64 = 12;
-
 /// Structural features of one SpGEMM workload — everything the analytic
 /// model reads about the *workload* (configuration features are taken
 /// from the [`ChipConfig`] at pricing time).
@@ -168,12 +164,6 @@ impl WorkloadFeatures {
     /// `WorkloadProfile::flops` in `neura_baselines`.
     pub fn flops(&self) -> u64 {
         2 * self.partial_products
-    }
-
-    /// Bytes streamed from DRAM for both operands plus the written
-    /// output, at [`BYTES_PER_NNZ`] bytes per element.
-    pub fn streamed_bytes(&self) -> u64 {
-        BYTES_PER_NNZ * (2 * self.nnz + self.output_nnz)
     }
 }
 
@@ -448,15 +438,6 @@ impl AnalyticModel {
     /// Returns the calibrated model (checked-in fitted coefficients).
     pub fn calibrated() -> &'static AnalyticModel {
         &CALIBRATED
-    }
-
-    /// Builds a model from explicit coefficient groups (used by the
-    /// fitting harness to evaluate candidate fits). Panics if the groups
-    /// are out of order or violate an invariant.
-    pub fn from_groups(groups: [GroupCoeffs; GROUPS]) -> Self {
-        let model = AnalyticModel { groups };
-        model.validate();
-        model
     }
 
     /// Asserts the structural invariants: groups in tile-major

@@ -97,6 +97,103 @@ pub fn scale_multiplier() -> usize {
     }
 }
 
+/// Reader over a binary's command-line arguments: the one place that knows
+/// how a flag takes its value, how `--json [PATH]`-style optional values
+/// peek, and that a malformed command line prints the message and the usage
+/// text on stderr and exits with code 2. Iterating yields the arguments
+/// not yet consumed as a value.
+#[derive(Debug)]
+pub struct Flags {
+    args: std::iter::Peekable<std::vec::IntoIter<String>>,
+    usage: String,
+}
+
+impl Flags {
+    /// A reader over `std::env::args()` (program name skipped).
+    pub fn from_env(usage: impl Into<String>) -> Self {
+        Self::new(usage, std::env::args().skip(1))
+    }
+
+    /// A reader over an explicit argument list.
+    pub fn new(usage: impl Into<String>, args: impl IntoIterator<Item = String>) -> Self {
+        let args: Vec<String> = args.into_iter().collect();
+        Flags { args: args.into_iter().peekable(), usage: usage.into() }
+    }
+
+    /// The value of `flag`: the next argument, or a usage error without one.
+    pub fn value(&mut self, flag: &str) -> String {
+        self.args.next().unwrap_or_else(|| self.bad_usage(&format!("{flag} needs a value")))
+    }
+
+    /// The value of `flag` parsed as `T` and accepted by `valid`; anything
+    /// else is the usage error `<flag> "<raw>" is not <what>`.
+    pub fn parsed<T: std::str::FromStr>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        valid: impl FnOnce(&T) -> bool,
+    ) -> T {
+        let raw = self.value(flag);
+        match raw.parse::<T>() {
+            Ok(parsed) if valid(&parsed) => parsed,
+            _ => self.bad_usage(&format!("{flag} {raw:?} is not {what}")),
+        }
+    }
+
+    /// The value of `flag` resolved by name through `lookup`; a name it does
+    /// not know is the usage error `unknown <what> "<raw>"`.
+    pub fn known<T>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        lookup: impl FnOnce(&str) -> Option<T>,
+    ) -> T {
+        let raw = self.value(flag);
+        lookup(&raw).unwrap_or_else(|| self.bad_usage(&format!("unknown {what} {raw:?}")))
+    }
+
+    /// The optional value of a `--flag [PATH]`: the next argument, consumed
+    /// only when it does not itself start with `--`.
+    pub fn optional_path(&mut self) -> Option<String> {
+        self.args.next_if(|next| !next.starts_with("--"))
+    }
+
+    /// Prints `message` and the usage text on stderr and exits with code 2.
+    pub fn bad_usage(&self, message: &str) -> ! {
+        eprintln!("{message}\n{}", self.usage);
+        std::process::exit(2);
+    }
+
+    /// Prints the usage text on stdout and exits with code 0 (`--help`).
+    pub fn help(&self) -> ! {
+        println!("{}", self.usage);
+        std::process::exit(0);
+    }
+
+    /// [`Self::parsed`] validator: a positive integer.
+    pub fn at_least_one<T: From<u8> + PartialOrd>(n: &T) -> bool {
+        *n >= T::from(1)
+    }
+
+    /// [`Self::parsed`] validator: a finite float above zero.
+    pub fn positive(x: &f64) -> bool {
+        x.is_finite() && *x > 0.0
+    }
+
+    /// [`Self::parsed`] validator: a finite float at or above zero.
+    pub fn non_negative(x: &f64) -> bool {
+        x.is_finite() && *x >= 0.0
+    }
+}
+
+impl Iterator for Flags {
+    type Item = String;
+
+    fn next(&mut self) -> Option<String> {
+        self.args.next()
+    }
+}
+
 /// A binary's artifact under construction plus the `--json` destination
 /// parsed from its command line.
 ///
@@ -127,25 +224,18 @@ impl ArtifactSession {
         args: impl IntoIterator<Item = String>,
     ) -> Self {
         let mut json_path = None;
-        let mut args = args.into_iter().peekable();
-        while let Some(arg) = args.next() {
+        let mut flags = Flags::new(Self::usage(bin), args);
+        while let Some(arg) = flags.next() {
             match arg.as_str() {
                 "--json" => {
-                    json_path = Some(match args.peek() {
-                        Some(next) if !next.starts_with("--") => {
-                            PathBuf::from(args.next().expect("peeked"))
-                        }
-                        _ => Artifact::default_path(bin),
-                    });
+                    json_path = Some(
+                        flags
+                            .optional_path()
+                            .map_or_else(|| Artifact::default_path(bin), PathBuf::from),
+                    );
                 }
-                "--help" | "-h" => {
-                    println!("{}", Self::usage(bin));
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unrecognised argument {other:?}\n{}", Self::usage(bin));
-                    std::process::exit(2);
-                }
+                "--help" | "-h" => flags.help(),
+                other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
             }
         }
         ArtifactSession { artifact: Artifact::new(bin, scale_mult), json_path }

@@ -200,11 +200,18 @@ impl std::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// Arrays and objects may nest this deep; emitted artifacts nest at most
+/// five levels, and the bound keeps a hostile file (200 000 `[` bytes) a
+/// [`JsonParseError`] instead of a stack overflow in the recursive parser.
+const MAX_JSON_DEPTH: usize = 128;
+
 /// Parses a JSON document. Supports the full emitted surface (and standard
 /// JSON generally, including `\uXXXX` escapes with surrogate pairs); rejects
-/// trailing garbage.
+/// trailing garbage, arrays and objects nested more than 128 deep, and
+/// numbers that overflow `f64` (the emitter could only write those back as
+/// `null`).
 pub fn parse_json(input: &str) -> Result<JsonValue, JsonParseError> {
-    let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut parser = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     parser.skip_ws();
     let value = parser.value()?;
     parser.skip_ws();
@@ -217,6 +224,8 @@ pub fn parse_json(input: &str) -> Result<JsonValue, JsonParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -258,8 +267,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(self.error("arrays and objects nested too deep"));
+                }
+                self.depth += 1;
+                let container = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                container
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
@@ -407,9 +423,10 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| JsonParseError { offset: start, message: format!("bad number {text:?}") })
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(JsonValue::Number(n)),
+            _ => Err(JsonParseError { offset: start, message: format!("bad number {text:?}") }),
+        }
     }
 }
 
@@ -883,6 +900,27 @@ mod tests {
     fn parser_rejects_trailing_garbage() {
         assert!(parse_json("{} x").is_err());
         assert!(parse_json("[1, 2,]").is_err());
+    }
+
+    #[test]
+    fn parser_bounds_nesting_depth_instead_of_overflowing_the_stack() {
+        for open in ["[", "{\"a\":"] {
+            let err = parse_json(&open.repeat(200_000)).unwrap_err();
+            assert!(err.message.contains("nested too deep"), "{err}");
+        }
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse_json(&nested(MAX_JSON_DEPTH)).is_ok());
+        assert!(parse_json(&nested(MAX_JSON_DEPTH + 1)).is_err());
+        // Depth counts open containers, not containers seen.
+        assert!(parse_json(&format!("[{}]", vec!["[]"; 1000].join(","))).is_ok());
+    }
+
+    #[test]
+    fn parser_rejects_numbers_that_overflow_to_infinity() {
+        for text in ["1e999", "-1e999", "[1e999]"] {
+            assert!(parse_json(text).is_err(), "{text} must not parse to inf");
+        }
+        assert_eq!(parse_json("1e-999").unwrap(), JsonValue::Number(0.0));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use crate::channel::Channel;
 use crate::request::{MemoryRequest, MemoryResponse, RequestId, RequestKind};
 use crate::HbmTiming;
-use neura_sim::{Component, Cycle};
+use neura_sim::Cycle;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -42,15 +42,6 @@ impl ControllerStats {
             0.0
         } else {
             self.total_latency as f64 / self.completed as f64
-        }
-    }
-
-    /// Fraction of requests that were folded into an earlier transaction.
-    pub fn coalescing_rate(&self) -> f64 {
-        if self.requests_accepted == 0 {
-            0.0
-        } else {
-            self.requests_coalesced as f64 / self.requests_accepted as f64
         }
     }
 }
@@ -99,7 +90,6 @@ impl Ord for InFlight {
 #[derive(Debug)]
 pub struct MemoryController {
     tile_id: usize,
-    name: String,
     channel: Channel,
     queue_capacity: usize,
     read_queue: VecDeque<PendingRequest>,
@@ -120,7 +110,6 @@ impl MemoryController {
     pub fn new(tile_id: usize, timing: HbmTiming, queue_capacity: usize) -> Self {
         MemoryController {
             tile_id,
-            name: format!("mem-controller-{tile_id}"),
             channel: Channel::new(timing),
             queue_capacity: queue_capacity.max(1),
             read_queue: VecDeque::new(),
@@ -239,23 +228,6 @@ impl MemoryController {
     }
 }
 
-impl Component for MemoryController {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, cycle: Cycle) {
-        // When driven as a bare component the completions are discarded;
-        // the accelerator model drives `tick(now, &mut Vec)` directly instead.
-        let mut sink = Vec::new();
-        MemoryController::tick(self, cycle, &mut sink);
-    }
-
-    fn is_idle(&self) -> bool {
-        self.pending() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,7 +299,7 @@ mod tests {
         done_ids.sort();
         ids.sort();
         assert_eq!(done_ids, ids);
-        assert!(ctrl.is_idle());
+        assert_eq!(ctrl.pending(), 0);
     }
 
     #[test]
@@ -342,12 +314,17 @@ mod tests {
     }
 
     #[test]
-    fn component_impl_reports_idle_correctly() {
+    fn pending_and_in_flight_follow_a_request_from_queue_to_completion() {
         let mut ctrl = MemoryController::new(3, HbmTiming::hbm2(), 8);
-        assert!(Component::is_idle(&ctrl));
+        assert_eq!((ctrl.pending(), ctrl.in_flight()), (0, 0));
         ctrl.submit(MemoryRequest::read(0, 64), Cycle(0)).unwrap();
-        assert!(!Component::is_idle(&ctrl));
-        assert_eq!(Component::name(&ctrl), "mem-controller-3");
+        assert_eq!((ctrl.pending(), ctrl.in_flight()), (1, 0), "queued, not yet issued");
+        let mut done = Vec::new();
+        ctrl.tick(Cycle(0), &mut done);
+        assert_eq!((ctrl.pending(), ctrl.in_flight()), (1, 1), "issued to the channel");
+        assert_eq!(ctrl.tile_id(), 3);
+        drive(&mut ctrl, 200);
+        assert_eq!((ctrl.pending(), ctrl.in_flight()), (0, 0));
     }
 
     #[test]

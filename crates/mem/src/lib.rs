@@ -12,9 +12,7 @@
 //!   data return,
 //! * [`MemoryController`] — per-tile controller with read/write queues,
 //!   request coalescing (Step 3 of the paper's on-chip dataflow) and
-//!   utilisation statistics,
-//! * [`HbmStack`] — the eight-channel assembly with an interleaved address
-//!   map.
+//!   utilisation statistics; the accelerator builds one per tile.
 //!
 //! # Example
 //!
@@ -38,13 +36,11 @@
 pub mod bank;
 pub mod channel;
 pub mod controller;
-pub mod hbm;
 pub mod request;
 pub mod timing;
 
 pub use bank::Bank;
 pub use channel::Channel;
 pub use controller::{ControllerStats, MemoryController};
-pub use hbm::HbmStack;
 pub use request::{MemoryRequest, MemoryResponse, RequestId, RequestKind};
 pub use timing::{HbmPreset, HbmTiming};

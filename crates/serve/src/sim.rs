@@ -225,14 +225,6 @@ impl ServeOutcome {
         served_percentiles(self.latencies_s.iter().copied(), pcts)
     }
 
-    /// Latencies that are neither served (`>= 0`) nor the shed sentinel —
-    /// always 0 for a correct simulation. Exposed so suites can assert the
-    /// invariant directly instead of having broken values silently
-    /// filtered out of the percentiles.
-    pub fn invalid_latencies(&self) -> usize {
-        self.latencies_s.iter().filter(|&&l| !(l >= 0.0 || l == SHED_LATENCY_S)).count()
-    }
-
     /// Mean served latency in seconds (0 when nothing was served).
     pub fn mean_latency_s(&self) -> f64 {
         let served = self.requests();

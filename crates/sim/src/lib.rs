@@ -1,71 +1,47 @@
-//! Cycle-level simulation kernel — the reproduction's analogue of NeuraSim.
+//! Cycle-level simulation primitives — what every crate of the reproduction
+//! shares of the paper's NeuraSim.
 //!
-//! The paper's NeuraSim is a cycle-accurate, multi-threaded, modular
-//! simulator inspired by the Structural Simulation Toolkit.  This crate
-//! provides the equivalent foundations in safe Rust:
+//! The cycle loop itself lives in `neura_chip` (`Accelerator` drives cores,
+//! NoC, NeuraMems and memory controllers by hand in Figure 5 order); this
+//! crate holds the types that loop and its units are written in:
 //!
 //! * [`Cycle`] — a strongly-typed cycle counter plus frequency conversions,
-//! * [`LatencyQueue`] — the bounded, latency-tagged FIFO used for every
-//!   instruction buffer, packet buffer and memory queue in the model,
-//! * [`Component`] — the trait each modelled hardware block implements,
-//! * [`Engine`] — the driver that ticks components until the machine drains,
-//! * [`stats`] — counters, histograms and time-series used to produce every
-//!   figure in the paper (CPI histograms, utilisation traces, …),
+//! * [`Histogram`] — fixed-bin sample histograms behind the paper's CPI and
+//!   HACC-latency figures,
 //! * [`LatencyHistogram`] — mergeable log-bucketed percentile state shared
 //!   by the serving telemetry and the chip-level profiler,
-//! * [`rng`] — a small deterministic RNG so simulations are reproducible
-//!   without depending on global random state.
+//! * [`DeterministicRng`] — a small explicitly-seeded RNG so simulations are
+//!   reproducible without depending on global random state.
 //!
-//! The kernel is deliberately synchronous and deterministic: given the same
-//! workload and configuration, every run produces bit-identical statistics.
+//! Everything here is deterministic: given the same samples and seeds,
+//! every run produces bit-identical statistics.
 //!
 //! # Example
 //!
 //! ```
-//! use neura_sim::{Component, Cycle, Engine, LatencyQueue};
+//! use neura_sim::{Cycle, DeterministicRng, Histogram};
 //!
-//! /// A toy component that drains a queue, one item per cycle.
-//! struct Drain {
-//!     queue: LatencyQueue<u32>,
-//!     drained: u32,
+//! let mut rng = DeterministicRng::new(7);
+//! let mut cpi = Histogram::new(25, 4); // bins 0-25, 25-50, 50-75, 75-100+
+//! let mut now = Cycle::ZERO;
+//! for _ in 0..100 {
+//!     let latency = rng.next_below(120);
+//!     cpi.record(latency);
+//!     now += latency;
 //! }
-//!
-//! impl Component for Drain {
-//!     fn name(&self) -> &str { "drain" }
-//!     fn tick(&mut self, cycle: Cycle) {
-//!         self.queue.advance(cycle);
-//!         if let Some(v) = self.queue.pop() {
-//!             self.drained += v;
-//!         }
-//!     }
-//!     fn is_idle(&self) -> bool { self.queue.is_empty() }
-//! }
-//!
-//! let mut drain = Drain { queue: LatencyQueue::new(8, 2), drained: 0 };
-//! for v in 1..=3 {
-//!     drain.queue.push(v, Cycle(0)).unwrap();
-//! }
-//! let mut engine = Engine::new();
-//! let report = engine.run(&mut [&mut drain], 100);
-//! assert!(report.completed);
-//! assert_eq!(drain.drained, 6);
+//! assert_eq!(cpi.count(), 100);
+//! assert!(now.to_seconds(1e9) < 120.0 * 100.0 / 1e9);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod component;
 pub mod cycle;
-pub mod engine;
 pub mod latency;
-pub mod queue;
 pub mod rng;
 pub mod stats;
 
-pub use component::Component;
 pub use cycle::Cycle;
-pub use engine::{Engine, RunReport};
 pub use latency::{LatencyHistogram, RELATIVE_ERROR_BOUND, SUB_BUCKET_BITS};
-pub use queue::{LatencyQueue, QueueFullError};
 pub use rng::DeterministicRng;
-pub use stats::{Counter, Histogram, StatsRegistry};
+pub use stats::Histogram;

@@ -183,12 +183,8 @@ perf *flags="":
 
 # The ledger's own tests at tiny scale. The benchmark is a package of its
 # own, so this is what notices a workspace change that breaks the API
-# footprint listed in the header of benchmark/src/layers.rs.
+# footprint listed in the header of benchmark/src/layers.rs — or whose
+# dependency edits would rewrite the ledger's committed lock file.
 perf-selftest:
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
-
-# Criterion micro-benchmarks (stubbed offline: single-pass wall-clock
-# timing); measurements are also collected as lab artifacts under
-# target/artifacts/bench_*.json.
-bench:
-    NEURA_CRITERION_JSON=target/artifacts cargo bench -p neura_bench
+    git diff --exit-code benchmark/Cargo.lock
