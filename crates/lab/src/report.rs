@@ -205,36 +205,46 @@ impl std::error::Error for JsonParseError {}
 /// [`JsonParseError`] instead of a stack overflow in the recursive parser.
 const MAX_JSON_DEPTH: usize = 128;
 
-/// Parses a JSON document. Supports the full emitted surface (and standard
-/// JSON generally, including `\uXXXX` escapes with surrogate pairs); rejects
-/// trailing garbage, arrays and objects nested more than 128 deep, and
-/// numbers that overflow `f64` (the emitter could only write those back as
-/// `null`).
+/// Parses a JSON document in time linear in its length. Supports the full
+/// emitted surface (and standard JSON generally, including `\uXXXX` escapes
+/// with surrogate pairs); rejects trailing garbage, arrays and objects
+/// nested more than 128 deep, numbers outside the RFC 8259 grammar (`01`,
+/// `1.`, `-.5`, `1.e3`) and numbers that overflow `f64` (the emitter could
+/// only write those back as `null`).
+///
+/// The parser keeps the `&str` it was given, so string contents are copied
+/// out as sub-slices of already-validated UTF-8: a char-boundary check per
+/// run, never a re-validation of the remaining input.
 pub fn parse_json(input: &str) -> Result<JsonValue, JsonParseError> {
-    let mut parser = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
+    let mut parser = Parser { text: input, pos: 0, depth: 0 };
     parser.skip_ws();
     let value = parser.value()?;
     parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
+    if parser.pos != parser.text.len() {
         return Err(parser.error("trailing characters after document"));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     /// Arrays and objects currently open around `pos`.
     depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// The document's bytes, for byte-wise scanning.
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn error(&self, message: &str) -> JsonParseError {
         JsonParseError { offset: self.pos, message: message.to_string() }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -253,7 +263,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, JsonParseError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -349,13 +359,20 @@ impl<'a> Parser<'a> {
                     out.push(self.escape()?);
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so neither can sit inside a multi-byte
+                    // scalar and the run ends on a char boundary; `get`
+                    // checks both ends and nothing in between.
+                    let run = self.bytes()[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.text.len() - self.pos);
+                    let chunk = self
+                        .text
+                        .get(self.pos..self.pos + run)
+                        .ok_or_else(|| self.error("invalid UTF-8 in string"))?;
+                    out.push_str(chunk);
+                    self.pos += run;
                 }
             }
         }
@@ -422,12 +439,46 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.text[start..self.pos];
         match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(JsonValue::Number(n)),
+            Ok(n) if n.is_finite() && is_json_number(text.as_bytes()) => Ok(JsonValue::Number(n)),
             _ => Err(JsonParseError { offset: start, message: format!("bad number {text:?}") }),
         }
     }
+}
+
+/// Whether `text` matches the RFC 8259 number grammar,
+/// `-? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?` — stricter than
+/// `f64::from_str`, which also takes `01`, `1.`, `.5` and `1.e3`.
+fn is_json_number(text: &[u8]) -> bool {
+    fn digits(text: &[u8]) -> usize {
+        text.iter().take_while(|b| b.is_ascii_digit()).count()
+    }
+    let mut rest = text.strip_prefix(b"-").unwrap_or(text);
+    rest = match rest {
+        [b'0', tail @ ..] => tail,
+        [b'1'..=b'9', ..] => &rest[digits(rest)..],
+        _ => return false,
+    };
+    if let [b'.', tail @ ..] = rest {
+        let n = digits(tail);
+        if n == 0 {
+            return false;
+        }
+        rest = &tail[n..];
+    }
+    if let [b'e' | b'E', tail @ ..] = rest {
+        let tail = match tail {
+            [b'+' | b'-', unsigned @ ..] => unsigned,
+            _ => tail,
+        };
+        let n = digits(tail);
+        if n == 0 {
+            return false;
+        }
+        rest = &tail[n..];
+    }
+    rest.is_empty()
 }
 
 // ---------------------------------------------------------------------------
@@ -921,6 +972,87 @@ mod tests {
             assert!(parse_json(text).is_err(), "{text} must not parse to inf");
         }
         assert_eq!(parse_json("1e-999").unwrap(), JsonValue::Number(0.0));
+    }
+
+    #[test]
+    fn parser_rejects_numbers_outside_the_json_grammar() {
+        // `f64::from_str` takes all of these; RFC 8259 takes none.
+        for text in ["[01]", "[1.]", "[-.5]", "[1.e3]"] {
+            let err = parse_json(text).unwrap_err();
+            assert!(err.message.starts_with("bad number"), "{text}: {err}");
+            assert_eq!(err.offset, 1, "{text}: the error points at the number");
+        }
+        for text in ["-", "-01", "00", "1e", "1e+", "1.5.2", "1E5.0", "+1", ".5", "0x10", "1-2"] {
+            assert!(parse_json(text).is_err(), "{text} is not a JSON number");
+        }
+        for (text, value) in [
+            ("0", 0.0_f64),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-0.5e-3", -0.5e-3),
+            ("1E+2", 100.0),
+            ("12.25e0", 12.25),
+        ] {
+            let parsed = parse_json(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(parsed.as_f64().map(f64::to_bits), Some(value.to_bits()), "{text}");
+        }
+        assert!(parse_json("[0,1]").is_ok(), "a lone zero may be followed by a separator");
+    }
+
+    #[test]
+    fn every_emitted_number_spelling_parses() {
+        // The shortest round-trip form across magnitudes, signs and
+        // exponent spellings (`1e300`, `2.5e-9`, `1e-7`, `5e-324`).
+        let mut values = vec![f64::MIN_POSITIVE, f64::MAX, f64::MIN, 5e-324, 1e-7, 1e16, 1e21];
+        for exp in -30..=30 {
+            for mantissa in [1.0, 1.5, 9.999_999, 123_456.789] {
+                values.push(mantissa * 10f64.powi(exp));
+                values.push(-mantissa * 10f64.powi(exp));
+            }
+        }
+        for n in values {
+            let mut out = String::new();
+            write_number(&mut out, n);
+            assert!(is_json_number(out.as_bytes()), "emitter wrote {out}");
+            let parsed = parse_json(&out).unwrap().as_f64().unwrap();
+            assert_eq!(parsed.to_bits(), n.to_bits(), "{out} round-trips");
+        }
+    }
+
+    #[test]
+    fn multi_byte_scalars_beside_escapes_round_trip() {
+        // 2-, 3- and 4-byte scalars directly beside `\\`, `\"` and `\uXXXX`
+        // escapes, at the start and at the very end of the string.
+        for s in [
+            "é\\ü",
+            "\\é",
+            "€\"€",
+            "\"😀\"",
+            "😀\\",
+            "\u{1}é\u{1f}€\u{2}😀",
+            "é€😀",
+            "a😀",
+            "😀",
+            "ü\\\"\u{7}€\\\\😀\"",
+        ] {
+            let value = JsonValue::String(s.to_string());
+            let text = value.to_pretty();
+            assert_eq!(parse_json(&text).unwrap(), value, "{s:?} via {text:?}");
+            // As an object key and with no trailing newline: the string's
+            // closing quote is then the last byte but one of the input.
+            let object = JsonValue::Object(vec![(s.to_string(), value.clone())]);
+            assert_eq!(parse_json(object.to_pretty().trim_end()).unwrap(), object, "{s:?}");
+        }
+        // Hand-written escapes next to raw multi-byte scalars.
+        assert_eq!(
+            parse_json("\"é\\u00e9€\\u20ac😀\\ud83d\\ude00\"").unwrap(),
+            JsonValue::String("éé€€😀😀".into())
+        );
+        // A multi-byte scalar that runs into the end of input, unterminated.
+        for text in ["\"é", "\"€", "\"😀", "\"a\\\\😀"] {
+            assert_eq!(parse_json(text).unwrap_err().message, "unterminated string", "{text:?}");
+        }
     }
 
     #[test]

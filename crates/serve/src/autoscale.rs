@@ -137,7 +137,7 @@ impl AutoscalePolicy {
                 return Decision::Up { group };
             }
         }
-        if backlog == 0 && !fleet.idle_shards(now).is_empty() {
+        if backlog == 0 && (0..fleet.capacity()).any(|s| fleet.is_idle(s, now)) {
             if let Some(group) = self.scale_down_group(fleet, now, pending) {
                 return Decision::Down { group };
             }
@@ -198,7 +198,7 @@ fn busy_fraction(fleet: &ShardFleet, group: usize, now: f64) -> f64 {
 }
 
 fn idle_in_group(fleet: &ShardFleet, group: usize, now: f64) -> usize {
-    fleet.idle_shards(now).into_iter().filter(|&s| fleet.group_of(s) == group).count()
+    (0..fleet.capacity()).filter(|&s| fleet.group_of(s) == group && fleet.is_idle(s, now)).count()
 }
 
 /// One controller decision.

@@ -27,6 +27,8 @@ use std::collections::BTreeMap;
 use neura_chip::analytic::{AnalyticModel, WorkloadFeatures};
 use neura_chip::config::ChipConfig;
 
+use crate::fleet::ShardGroup;
+
 /// The workload class of one request: which dataset of the serving mix it
 /// queries (an index into the mix, not a name — the stream generator and
 /// the queueing simulation never need the string) and how much the
@@ -147,6 +149,25 @@ struct FingerprintCosts {
     costs: BTreeMap<RequestClass, ClassCost>,
 }
 
+impl FingerprintCosts {
+    /// The batch service time on this silicon (see
+    /// [`CostTable::service_seconds`]); `fingerprint` only names the
+    /// silicon in the unknown-class panic.
+    fn service_seconds(
+        &self,
+        fingerprint: &str,
+        class: RequestClass,
+        batch_size: usize,
+        marginal_fraction: f64,
+    ) -> f64 {
+        let cost = self.costs.get(&class).unwrap_or_else(|| {
+            panic!("no memoised cost for request class {class:?} under {fingerprint:?}")
+        });
+        let first = cost.cycles as f64 * self.seconds_per_cycle;
+        first * (1.0 + marginal_fraction * (batch_size - 1) as f64)
+    }
+}
+
 impl Default for CostTable {
     fn default() -> Self {
         Self::new()
@@ -263,11 +284,7 @@ impl CostTable {
             .silicon
             .get(fingerprint)
             .unwrap_or_else(|| panic!("fingerprint {fingerprint:?} was never registered"));
-        let cost = entry.costs.get(&class).unwrap_or_else(|| {
-            panic!("no memoised cost for request class {class:?} under {fingerprint:?}")
-        });
-        let first = cost.cycles as f64 * entry.seconds_per_cycle;
-        first * (1.0 + self.marginal_fraction * (batch_size - 1) as f64)
+        entry.service_seconds(fingerprint, class, batch_size, self.marginal_fraction)
     }
 
     /// The shortest-job-first weight of one request of a class — its flops,
@@ -318,6 +335,67 @@ impl CostTable {
         self.silicon.iter().flat_map(|(fp, entry)| {
             entry.costs.iter().map(move |(class, cost)| (fp.as_str(), *class, *cost))
         })
+    }
+}
+
+/// A [`CostTable`] resolved against one fleet for the length of a replay:
+/// every shard group's fingerprint is looked up once, here, so pricing a
+/// batch on a group is an array read plus the class lookup instead of a
+/// string-keyed map walk per candidate shard — what the dispatch policies
+/// and the event loop read on every dispatch.
+///
+/// Resolution never fails: a group whose fingerprint was never registered
+/// panics on first *use*, with the same message
+/// [`CostTable::service_seconds`] gives, so a fleet may still list a group
+/// no batch ever lands on.
+#[derive(Debug, Clone)]
+pub struct FleetCosts<'a> {
+    table: &'a CostTable,
+    /// Per shard group: its fingerprint and, when registered, its costs.
+    groups: Vec<(String, Option<&'a FingerprintCosts>)>,
+    median_weight: u64,
+}
+
+impl<'a> FleetCosts<'a> {
+    /// Resolves `table` against a fleet's shard groups, in group order.
+    pub fn new(table: &'a CostTable, groups: &[ShardGroup]) -> Self {
+        let groups = groups
+            .iter()
+            .map(|group| {
+                let fingerprint = group.config.fingerprint();
+                let costs = table.silicon.get(&fingerprint);
+                (fingerprint, costs)
+            })
+            .collect();
+        FleetCosts { table, groups, median_weight: table.median_weight() }
+    }
+
+    /// [`CostTable::service_seconds`] on the silicon of shard group `group`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `batch_size == 0`, the group's fingerprint was never
+    /// registered, or the class was never measured under it.
+    pub fn service_seconds(&self, group: usize, class: RequestClass, batch_size: usize) -> f64 {
+        assert!(batch_size >= 1, "a batch serves at least one request");
+        let (fingerprint, entry) = &self.groups[group];
+        let entry =
+            entry.unwrap_or_else(|| panic!("fingerprint {fingerprint:?} was never registered"));
+        entry.service_seconds(fingerprint, class, batch_size, self.table.marginal_fraction)
+    }
+
+    /// [`CostTable::weight`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the class was never measured under any fingerprint.
+    pub fn weight(&self, class: RequestClass) -> u64 {
+        self.table.weight(class)
+    }
+
+    /// [`CostTable::median_weight`], computed once at resolution.
+    pub fn median_weight(&self) -> u64 {
+        self.median_weight
     }
 }
 

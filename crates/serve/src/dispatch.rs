@@ -24,7 +24,7 @@
 //! Every choice is a pure function of `(fleet state, class, costs)`, so
 //! replays stay deterministic.
 
-use crate::cost::{CostTable, RequestClass};
+use crate::cost::{FleetCosts, RequestClass};
 use crate::fleet::ShardFleet;
 
 /// Picks a shard for a ready batch among the currently idle ones.
@@ -36,6 +36,8 @@ pub trait DispatchPolicy {
     /// for a batch of `batch` requests of `class` at time `now`, or `None`
     /// to hold the batch until a busy shard frees up (only allowed while
     /// one exists — the simulation re-offers the batch at that event).
+    /// `costs` is the cost table resolved against `fleet`'s groups, so
+    /// pricing a candidate is indexed by [`ShardFleet::group_of`].
     fn choose(
         &self,
         fleet: &ShardFleet,
@@ -43,7 +45,7 @@ pub trait DispatchPolicy {
         class: RequestClass,
         batch: usize,
         now: f64,
-        costs: &CostTable,
+        costs: &FleetCosts<'_>,
     ) -> Option<usize>;
 }
 
@@ -51,18 +53,16 @@ pub trait DispatchPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeastLoaded;
 
-/// Least-loaded restricted to `idle`, as a helper for the other policies.
-fn least_loaded_of(fleet: &ShardFleet, idle: &[usize]) -> usize {
-    *idle
-        .iter()
-        .min_by(|&&a, &&b| {
-            fleet
-                .busy_until(a)
-                .partial_cmp(&fleet.busy_until(b))
-                .expect("busy horizons are finite")
-                .then(a.cmp(&b))
-        })
-        .expect("dispatch requires at least one idle shard")
+/// Least-loaded among `idle` (`None` when it is empty), as a helper for
+/// the other policies.
+fn least_loaded_of(fleet: &ShardFleet, idle: impl Iterator<Item = usize>) -> Option<usize> {
+    idle.min_by(|&a, &b| {
+        fleet
+            .busy_until(a)
+            .partial_cmp(&fleet.busy_until(b))
+            .expect("busy horizons are finite")
+            .then(a.cmp(&b))
+    })
 }
 
 impl DispatchPolicy for LeastLoaded {
@@ -77,9 +77,12 @@ impl DispatchPolicy for LeastLoaded {
         _class: RequestClass,
         _batch: usize,
         _now: f64,
-        _costs: &CostTable,
+        _costs: &FleetCosts<'_>,
     ) -> Option<usize> {
-        Some(least_loaded_of(fleet, idle))
+        Some(
+            least_loaded_of(fleet, idle.iter().copied())
+                .expect("dispatch requires at least one idle shard"),
+        )
     }
 }
 
@@ -99,7 +102,7 @@ impl DispatchPolicy for ClassAffinity {
         class: RequestClass,
         batch: usize,
         now: f64,
-        costs: &CostTable,
+        costs: &FleetCosts<'_>,
     ) -> Option<usize> {
         // A class is "big" when its work sits at or above the median of the
         // memoised classes; big prefers the highest-throughput group, small
@@ -114,10 +117,9 @@ impl DispatchPolicy for ClassAffinity {
                 (if big { ordering } else { ordering.reverse() }).then(b.cmp(&a))
             })
             .expect("fleets have at least one group");
-        let in_group: Vec<usize> =
-            idle.iter().copied().filter(|&s| fleet.group_of(s) == preferred).collect();
-        if !in_group.is_empty() {
-            return Some(least_loaded_of(fleet, &in_group));
+        let in_group = idle.iter().copied().filter(|&s| fleet.group_of(s) == preferred);
+        if let Some(shard) = least_loaded_of(fleet, in_group) {
+            return Some(shard);
         }
         // The preferred group is fully busy. An off-group shard only gets
         // the batch when serving there *now* beats waiting for the
@@ -128,10 +130,10 @@ impl DispatchPolicy for ClassAffinity {
             .filter(|&s| fleet.is_active(s) && fleet.group_of(s) == preferred)
             .map(|s| fleet.busy_until(s))
             .fold(f64::INFINITY, f64::min);
-        let wait_cost = (preferred_free - now).max(0.0)
-            + costs.service_seconds(fleet.fingerprint(preferred), class, batch);
+        let wait_cost =
+            (preferred_free - now).max(0.0) + costs.service_seconds(preferred, class, batch);
         let off_group = CostAware.choose(fleet, idle, class, batch, now, costs)?;
-        let off_cost = costs.service_seconds(fleet.shard_fingerprint(off_group), class, batch);
+        let off_cost = costs.service_seconds(fleet.group_of(off_group), class, batch);
         if preferred_free.is_finite() && wait_cost <= off_cost {
             None
         } else {
@@ -156,12 +158,12 @@ impl DispatchPolicy for CostAware {
         class: RequestClass,
         batch: usize,
         _now: f64,
-        costs: &CostTable,
+        costs: &FleetCosts<'_>,
     ) -> Option<usize> {
+        // Each candidate is priced once, not once per comparison.
         idle.iter()
-            .min_by(|&&a, &&b| {
-                let sa = costs.service_seconds(fleet.shard_fingerprint(a), class, batch);
-                let sb = costs.service_seconds(fleet.shard_fingerprint(b), class, batch);
+            .map(|&s| (costs.service_seconds(fleet.group_of(s), class, batch), s))
+            .min_by(|&(sa, a), &(sb, b)| {
                 sa.partial_cmp(&sb)
                     .expect("service times are finite")
                     .then(
@@ -172,7 +174,7 @@ impl DispatchPolicy for CostAware {
                     )
                     .then(a.cmp(&b))
             })
-            .copied()
+            .map(|(_, shard)| shard)
     }
 }
 
@@ -216,19 +218,32 @@ impl DispatchKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::ClassCost;
+    use crate::cost::{ClassCost, CostTable};
     use crate::fleet::ShardGroup;
     use neura_chip::config::ChipConfig;
 
     /// One Tile-64 shard (slot 0) + two Tile-4 shards (slots 1, 2), with a
     /// big class that is 8x cheaper on the Tile-64 and a small class that
     /// costs about the same everywhere.
-    fn fixture() -> (ShardFleet, CostTable, RequestClass, RequestClass) {
-        let groups = vec![
+    fn groups() -> Vec<ShardGroup> {
+        vec![
             ShardGroup::new("t64", ChipConfig::tile_64(), 1),
             ShardGroup::new("t4", ChipConfig::tile_4(), 2),
-        ];
-        let fleet = ShardFleet::new(&groups, None);
+        ]
+    }
+
+    fn resolve(costs: &CostTable) -> FleetCosts<'_> {
+        FleetCosts::new(costs, &groups())
+    }
+
+    fn idle_shards(fleet: &ShardFleet, now: f64) -> Vec<usize> {
+        let mut idle = Vec::new();
+        fleet.idle_shards(now, &mut idle);
+        idle
+    }
+
+    fn fixture() -> (ShardFleet, CostTable, RequestClass, RequestClass) {
+        let fleet = ShardFleet::new(&groups(), None);
         let mut costs = CostTable::new();
         let t64 = costs.register(&ChipConfig::tile_64());
         let t4 = costs.register(&ChipConfig::tile_4());
@@ -247,25 +262,25 @@ mod tests {
         fleet.dispatch(0, 0.0, 2.0, 1);
         fleet.dispatch(1, 0.0, 1.0, 1);
         // At t=3 all are idle; shard 2 never worked (busy_until 0 < 1 < 2).
-        let idle = fleet.idle_shards(3.0);
-        assert_eq!(LeastLoaded.choose(&fleet, &idle, big, 1, 3.0, &costs), Some(2));
+        let idle = idle_shards(&fleet, 3.0);
+        assert_eq!(LeastLoaded.choose(&fleet, &idle, big, 1, 3.0, &resolve(&costs)), Some(2));
         // Fresh fleet: all tie at 0.0, lowest index wins.
         let (fleet, costs, big, _) = fixture();
-        let idle = fleet.idle_shards(0.0);
-        assert_eq!(LeastLoaded.choose(&fleet, &idle, big, 1, 0.0, &costs), Some(0));
+        let idle = idle_shards(&fleet, 0.0);
+        assert_eq!(LeastLoaded.choose(&fleet, &idle, big, 1, 0.0, &resolve(&costs)), Some(0));
     }
 
     #[test]
     fn affinity_routes_big_to_big_silicon_and_small_to_small() {
         let (fleet, costs, big, small) = fixture();
-        let idle = fleet.idle_shards(0.0);
+        let idle = idle_shards(&fleet, 0.0);
         assert_eq!(
-            ClassAffinity.choose(&fleet, &idle, big, 1, 0.0, &costs),
+            ClassAffinity.choose(&fleet, &idle, big, 1, 0.0, &resolve(&costs)),
             Some(0),
             "big -> Tile-64"
         );
         assert_eq!(
-            ClassAffinity.choose(&fleet, &idle, small, 1, 0.0, &costs),
+            ClassAffinity.choose(&fleet, &idle, small, 1, 0.0, &resolve(&costs)),
             Some(1),
             "small -> Tile-4"
         );
@@ -277,23 +292,27 @@ mod tests {
         // Tile-64 busy for 2 ms; waiting (2 ms + 1 ms service) beats the
         // 8 ms the batch would cost on an idle Tile-4 shard.
         fleet.dispatch(0, 0.0, 0.002, 1);
-        let idle = fleet.idle_shards(0.0);
+        let idle = idle_shards(&fleet, 0.0);
         assert_eq!(idle, vec![1, 2]);
-        assert_eq!(ClassAffinity.choose(&fleet, &idle, big, 1, 0.0, &costs), None, "hold");
+        assert_eq!(
+            ClassAffinity.choose(&fleet, &idle, big, 1, 0.0, &resolve(&costs)),
+            None,
+            "hold"
+        );
         // ... but a 10 ms horizon flips the comparison: overflow to the
         // cheapest idle shard.
         let (mut fleet, costs, big, _) = fixture();
         fleet.dispatch(0, 0.0, 0.010, 1);
-        let idle = fleet.idle_shards(0.0);
-        assert_eq!(ClassAffinity.choose(&fleet, &idle, big, 1, 0.0, &costs), Some(1));
+        let idle = idle_shards(&fleet, 0.0);
+        assert_eq!(ClassAffinity.choose(&fleet, &idle, big, 1, 0.0, &resolve(&costs)), Some(1));
     }
 
     #[test]
     fn cost_aware_minimises_the_memoised_service_time() {
         let (mut fleet, costs, big, small) = fixture();
-        let idle = fleet.idle_shards(0.0);
+        let idle = idle_shards(&fleet, 0.0);
         assert_eq!(
-            CostAware.choose(&fleet, &idle, big, 1, 0.0, &costs),
+            CostAware.choose(&fleet, &idle, big, 1, 0.0, &resolve(&costs)),
             Some(0),
             "8x cheaper on Tile-64"
         );
@@ -301,8 +320,8 @@ mod tests {
         // still wins (40k vs 50k cycles); make it busy and the Tile-4
         // shards take over.
         fleet.dispatch(0, 0.0, 5.0, 1);
-        let idle = fleet.idle_shards(0.0);
-        assert_eq!(CostAware.choose(&fleet, &idle, small, 1, 0.0, &costs), Some(1));
+        let idle = idle_shards(&fleet, 0.0);
+        assert_eq!(CostAware.choose(&fleet, &idle, small, 1, 0.0, &resolve(&costs)), Some(1));
     }
 
     #[test]

@@ -40,7 +40,7 @@ use neura_lab::Runner;
 
 use crate::arrivals::{ClosedLoopClients, ClosedLoopSpec, Request, Workload};
 use crate::autoscale::{Decision, ScaleEvent};
-use crate::cost::{CostTable, RequestClass};
+use crate::cost::{FleetCosts, RequestClass};
 use crate::fault::{CrashEvent, FaultPlan};
 use crate::fleet::{lane_groups, lane_share, GroupStats, ShardFleet, ShardGroup, ShardStats};
 use crate::policy::Policy;
@@ -201,27 +201,42 @@ fn issue_queue(first: Vec<(f64, usize)>) -> IssueQueue {
     first.into_iter().map(|(at, client)| Reverse((TimeKey(at), client))).collect()
 }
 
-/// The central backlog, shaped by the policy.
+/// The central backlog, shaped by the policy. Every operation costs
+/// O(log n) or better in the queue depth, so a replay that lets the
+/// backlog grow (a flash crowd, an overload) pays per request, not per
+/// request × depth.
 #[derive(Debug, Clone)]
 enum Backlog {
-    /// FIFO / SJF: one queue in arrival order.
-    Single(VecDeque<usize>),
-    /// Batching: one arrival-ordered queue per request class.
-    Classed(BTreeMap<RequestClass, VecDeque<usize>>),
+    /// FIFO: one queue in arrival order.
+    Fifo(VecDeque<usize>),
+    /// SJF: a min-heap on `(weight(class), id)`, the weight looked up once
+    /// at insertion. Smallest estimated work first, ties to the earlier
+    /// arrival (ids are issued in arrival order). The selection depends
+    /// only on the *set* of queued requests, never on queue position, so
+    /// re-queueing a held or crashed unit is a plain insertion.
+    Sjf(BinaryHeap<Reverse<(u64, usize)>>),
+    /// Batching: one arrival-ordered queue per request class, plus their
+    /// summed length (read several times per event).
+    Classed { queues: BTreeMap<RequestClass, VecDeque<usize>>, len: usize },
 }
 
 impl Backlog {
     fn new(policy: Policy) -> Self {
         match policy {
-            Policy::Fifo | Policy::Sjf => Backlog::Single(VecDeque::new()),
-            Policy::BatchByDataset { .. } => Backlog::Classed(BTreeMap::new()),
+            Policy::Fifo => Backlog::Fifo(VecDeque::new()),
+            Policy::Sjf => Backlog::Sjf(BinaryHeap::new()),
+            Policy::BatchByDataset { .. } => Backlog::Classed { queues: BTreeMap::new(), len: 0 },
         }
     }
 
-    fn push(&mut self, id: usize, class: RequestClass) {
+    fn push(&mut self, id: usize, class: RequestClass, costs: &FleetCosts<'_>) {
         match self {
-            Backlog::Single(queue) => queue.push_back(id),
-            Backlog::Classed(queues) => queues.entry(class).or_default().push_back(id),
+            Backlog::Fifo(queue) => queue.push_back(id),
+            Backlog::Sjf(heap) => heap.push(Reverse((costs.weight(class), id))),
+            Backlog::Classed { queues, len } => {
+                queues.entry(class).or_default().push_back(id);
+                *len += 1;
+            }
         }
     }
 
@@ -229,33 +244,39 @@ impl Backlog {
     /// queue, preserving order — used when the dispatch policy holds the
     /// unit for busy preferred silicon, and when a crash returns a
     /// victim's in-flight batch for re-dispatch.
-    fn push_front(&mut self, unit: &[usize], class: RequestClass) {
+    fn push_front(&mut self, unit: &[usize], class: RequestClass, costs: &FleetCosts<'_>) {
         match self {
-            Backlog::Single(queue) => {
+            Backlog::Fifo(queue) => {
                 for &id in unit.iter().rev() {
                     queue.push_front(id);
                 }
             }
-            Backlog::Classed(queues) => {
+            Backlog::Sjf(heap) => {
+                let weight = costs.weight(class);
+                heap.extend(unit.iter().map(|&id| Reverse((weight, id))));
+            }
+            Backlog::Classed { queues, len } => {
                 let queue = queues.entry(class).or_default();
                 for &id in unit.iter().rev() {
                     queue.push_front(id);
                 }
+                *len += unit.len();
             }
         }
     }
 
     fn len(&self) -> usize {
         match self {
-            Backlog::Single(queue) => queue.len(),
-            Backlog::Classed(queues) => queues.values().map(VecDeque::len).sum(),
+            Backlog::Fifo(queue) => queue.len(),
+            Backlog::Sjf(heap) => heap.len(),
+            Backlog::Classed { len, .. } => *len,
         }
     }
 
     /// The earliest future time at which a currently-unready unit becomes
     /// ready by timeout (batching policy only).
     fn next_deadline(&self, now: f64, policy: Policy, requests: &[Request]) -> Option<f64> {
-        let (Backlog::Classed(queues), Policy::BatchByDataset { max_batch, timeout_s }) =
+        let (Backlog::Classed { queues, .. }, Policy::BatchByDataset { max_batch, timeout_s }) =
             (self, policy)
         else {
             return None;
@@ -267,49 +288,47 @@ impl Backlog {
             .fold(None, |best, t| Some(best.map_or(t, |b: f64| b.min(t))))
     }
 
-    /// Removes and returns the next ready dispatch unit at `now`, if any.
+    /// Moves the next ready dispatch unit at `now` into `unit` (cleared
+    /// first — the caller recycles one buffer across dispatches); `false`
+    /// when nothing is ready.
     fn take_ready(
         &mut self,
         now: f64,
         policy: Policy,
         requests: &[Request],
-        costs: &CostTable,
-    ) -> Option<Vec<usize>> {
+        unit: &mut Vec<usize>,
+    ) -> bool {
+        unit.clear();
         match (self, policy) {
-            (Backlog::Single(queue), Policy::Fifo) => queue.pop_front().map(|id| vec![id]),
-            (Backlog::Single(queue), Policy::Sjf) => {
-                // Smallest estimated work first; arrival order (the queue
-                // order) breaks ties because `min_by_key` keeps the first
-                // minimum.
-                let pos = queue
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &id)| (costs.weight(requests[id].class), id))
-                    .map(|(pos, _)| pos)?;
-                queue.remove(pos).map(|id| vec![id])
+            (Backlog::Fifo(queue), Policy::Fifo) => unit.extend(queue.pop_front()),
+            (Backlog::Sjf(heap), Policy::Sjf) => {
+                unit.extend(heap.pop().map(|Reverse((_, id))| id));
             }
-            (Backlog::Classed(queues), Policy::BatchByDataset { max_batch, timeout_s }) => {
+            (Backlog::Classed { queues, len }, Policy::BatchByDataset { max_batch, timeout_s }) => {
                 // Among ready classes, serve the one whose head request has
                 // waited longest (ties broken by class order — the BTreeMap
                 // key order — so selection is deterministic).
-                let class = queues
+                let ready = queues
                     .iter()
                     .filter(|(_, q)| class_ready(q, requests, max_batch, timeout_s, now))
                     .min_by(|(ca, qa), (cb, qb)| {
                         let (ha, hb) = (head_arrival(qa, requests), head_arrival(qb, requests));
                         ha.partial_cmp(&hb).expect("arrival times are finite").then(ca.cmp(cb))
                     })
-                    .map(|(class, _)| *class)?;
-                let queue = queues.get_mut(&class).expect("selected class is present");
-                let take = queue.len().min(max_batch);
-                let batch: Vec<usize> = queue.drain(..take).collect();
-                if queue.is_empty() {
-                    queues.remove(&class);
+                    .map(|(class, _)| *class);
+                if let Some(class) = ready {
+                    let queue = queues.get_mut(&class).expect("selected class is present");
+                    let take = queue.len().min(max_batch);
+                    unit.extend(queue.drain(..take));
+                    *len -= take;
+                    if queue.is_empty() {
+                        queues.remove(&class);
+                    }
                 }
-                Some(batch)
             }
             _ => unreachable!("backlog shape always matches the policy"),
         }
+        !unit.is_empty()
     }
 }
 
@@ -327,16 +346,44 @@ fn class_ready(
     queue.len() >= max_batch || head_arrival(queue, requests) + timeout_s <= now
 }
 
-/// Where the next request comes from: a cursor into a pre-materialised
-/// open-loop stream (the stream itself lives in [`Ctx`], so seam clones
-/// stay cheap) or a closed-loop client population driven by completions.
+/// Where the next request comes from, and every request that has arrived
+/// so far: a cursor into a pre-materialised open-loop stream (the stream
+/// itself lives in [`Ctx`] and the arrived requests are its prefix, so a
+/// seam clone copies one integer) or a closed-loop client population
+/// driven by completions, which owns the requests it has issued.
 #[derive(Debug, Clone)]
 enum SourceState {
-    Open { cursor: usize },
-    Closed { clients: ClosedLoopClients, pending: IssueQueue, owners: Vec<usize> },
+    Open {
+        cursor: usize,
+    },
+    Closed {
+        clients: ClosedLoopClients,
+        pending: IssueQueue,
+        /// Every request issued so far, id-ordered.
+        issued: Vec<Request>,
+        /// The client that issued each request, id-ordered.
+        owners: Vec<usize>,
+    },
 }
 
 impl SourceState {
+    fn closed(clients: ClosedLoopClients, first: Vec<(f64, usize)>) -> Self {
+        SourceState::Closed {
+            clients,
+            pending: issue_queue(first),
+            issued: Vec::new(),
+            owners: Vec::new(),
+        }
+    }
+
+    /// Every request that has arrived so far, indexed by id.
+    fn arrived<'s>(&'s self, stream: &'s [Request]) -> &'s [Request] {
+        match self {
+            SourceState::Open { cursor } => &stream[..*cursor],
+            SourceState::Closed { issued, .. } => issued,
+        }
+    }
+
     /// The next arrival time, if any request is still due.
     fn next_time(&self, stream: &[Request]) -> Option<f64> {
         match self {
@@ -345,20 +392,20 @@ impl SourceState {
         }
     }
 
-    /// Moves every request due at or before `now` into `arrived`.
-    fn pop_due(&mut self, now: f64, stream: &[Request], arrived: &mut Vec<Request>) {
+    /// Lets every request due at or before `now` arrive: they extend
+    /// [`Self::arrived`].
+    fn pop_due(&mut self, now: f64, stream: &[Request]) {
         match self {
             SourceState::Open { cursor } => {
                 while let Some(request) = stream.get(*cursor) {
                     if request.arrival_s > now {
                         break;
                     }
-                    debug_assert_eq!(request.id, arrived.len(), "open streams arrive in id order");
-                    arrived.push(*request);
+                    debug_assert_eq!(request.id, *cursor, "open streams arrive in id order");
                     *cursor += 1;
                 }
             }
-            SourceState::Closed { clients, pending, owners } => {
+            SourceState::Closed { clients, pending, issued, owners } => {
                 // The heap pops due clients in (time, client) order, so
                 // ids are deterministic even when issue times tie.
                 while let Some(&Reverse((t, client))) = pending.peek() {
@@ -367,7 +414,7 @@ impl SourceState {
                     }
                     pending.pop();
                     let class = clients.draw_class(client);
-                    arrived.push(Request { id: arrived.len(), arrival_s: t.0, class, tenant: 0 });
+                    issued.push(Request { id: issued.len(), arrival_s: t.0, class, tenant: 0 });
                     owners.push(client);
                 }
             }
@@ -377,7 +424,7 @@ impl SourceState {
     /// Tells the source a request completed (closed loops schedule the
     /// owning client's next request; open streams don't care).
     fn on_complete(&mut self, id: usize, finish: f64) {
-        if let SourceState::Closed { clients, pending, owners } = self {
+        if let SourceState::Closed { clients, pending, owners, .. } = self {
             let client = owners[id];
             if let Some(at) = clients.next_issue_at(client, finish) {
                 pending.push(Reverse((TimeKey(at), client)));
@@ -432,6 +479,8 @@ struct Ctx<'a> {
     /// The open-loop stream (empty for closed loops), referenced by the
     /// cursor in [`SourceState::Open`].
     stream: &'a [Request],
+    /// The cost table resolved against `cfg.groups`, once per replay.
+    costs: FleetCosts<'a>,
     /// Admission control sheds open-loop arrivals only: closed-loop
     /// clients self-limit (they wait for their response instead of being
     /// dropped), and shedding their zero-think re-issues would spin the
@@ -443,7 +492,10 @@ struct Ctx<'a> {
 /// the event loop at a pause point. Cloning an `EngineState` at an epoch
 /// boundary is the seam — queue handoff, in-flight carry-over, fault
 /// plan, pending provisioning ops, autoscaler clock, and the closed-loop
-/// RNG streams all travel with it.
+/// RNG streams all travel with it. Its size follows what is *pending* at
+/// the pause (backlog, in-flight batches, closed-loop clients), not what
+/// has already happened: the arrived requests of an open loop are a
+/// prefix of [`Ctx::stream`], named by the source's cursor.
 #[derive(Debug, Clone)]
 struct EngineState {
     now: f64,
@@ -451,8 +503,9 @@ struct EngineState {
     plan: Option<FaultPlan>,
     backlog: Backlog,
     source: SourceState,
-    arrived: Vec<Request>,
-    in_flight: Vec<Option<Vec<usize>>>,
+    /// The batch each shard slot is serving (empty = none). A slot's
+    /// vector is recycled from batch to batch.
+    in_flight: Vec<Vec<usize>>,
     gates: Vec<Option<TenantGate>>,
     tenant_offered: Vec<u64>,
     tenant_shed: Vec<u64>,
@@ -528,7 +581,7 @@ fn initial_state(
     let gates: Vec<Option<TenantGate>> = tenants.map_or_else(Vec::new, |mix| {
         mix.tenants().iter().map(|t| t.rate_limit_rps.map(TenantGate::new)).collect()
     });
-    let in_flight = vec![None; fleet.capacity()];
+    let in_flight = vec![Vec::new(); fleet.capacity()];
     let tenant_count = gates.len();
     EngineState {
         now: 0.0,
@@ -537,7 +590,6 @@ fn initial_state(
         fleet,
         plan,
         source,
-        arrived: Vec::new(),
         in_flight,
         gates,
         tenant_offered: vec![0; tenant_count],
@@ -578,8 +630,12 @@ fn run_until(
 ) -> bool {
     let cfg = ctx.cfg;
     let policy = cfg.policy;
-    let costs = cfg.costs;
+    let costs = &ctx.costs;
     let dispatcher = cfg.dispatch.policy();
+    // The candidate shards and the unit on offer, reused by every dispatch
+    // of this fragment.
+    let mut idle = Vec::new();
+    let mut unit = Vec::new();
 
     loop {
         // Dispatch every unit that is ready while an idle shard exists; the
@@ -592,39 +648,42 @@ fn run_until(
         // dispatchable at the pause instant was already dispatched (or
         // held, and the hold re-selects the same unit and restores it).
         loop {
-            let idle = st.fleet.idle_shards(st.now);
+            st.fleet.idle_shards(st.now, &mut idle);
             if idle.is_empty() {
                 break;
             }
-            let Some(batch) = st.backlog.take_ready(st.now, policy, &st.arrived, costs) else {
+            let arrived = st.source.arrived(ctx.stream);
+            if !st.backlog.take_ready(st.now, policy, arrived, &mut unit) {
                 break;
-            };
-            let class = st.arrived[batch[0]].class;
-            let Some(shard) =
-                dispatcher.choose(&st.fleet, &idle, class, batch.len(), st.now, costs)
+            }
+            let class = arrived[unit[0]].class;
+            let Some(shard) = dispatcher.choose(&st.fleet, &idle, class, unit.len(), st.now, costs)
             else {
                 debug_assert!(
                     st.fleet.next_busy_free_at(st.now).is_finite(),
                     "a policy may only hold a batch while some shard is busy"
                 );
-                st.backlog.push_front(&batch, class);
+                st.backlog.push_front(&unit, class, costs);
                 break;
             };
-            let healthy =
-                costs.service_seconds(st.fleet.shard_fingerprint(shard), class, batch.len());
-            let degraded = st.plan.as_ref().map_or(1.0, |p| p.multiplier(st.fleet.group_of(shard)));
+            let group = st.fleet.group_of(shard);
+            let healthy = costs.service_seconds(group, class, unit.len());
+            let degraded = st.plan.as_ref().map_or(1.0, |p| p.multiplier(group));
             let service_s = healthy * degraded;
-            st.fleet.dispatch(shard, st.now, service_s, batch.len() as u64);
+            st.fleet.dispatch(shard, st.now, service_s, unit.len() as u64);
             if let Some(events) = trace_buf(&mut out) {
                 events.push(TraceEvent::Dispatch {
                     at_s: st.now,
                     shard,
-                    group: st.fleet.group_of(shard),
-                    requests: batch.len(),
+                    group,
+                    requests: unit.len(),
                     service_s,
                 });
             }
-            st.in_flight[shard] = Some(batch);
+            // The slot's previous batch completed and left its (empty)
+            // vector behind: that becomes the next unit buffer.
+            debug_assert!(st.in_flight[shard].is_empty(), "an idle shard serves no batch");
+            std::mem::swap(&mut st.in_flight[shard], &mut unit);
         }
 
         // The next event: an arrival, a batch completing, a batch timeout
@@ -634,20 +693,19 @@ fn run_until(
         // dispatch loop each of these lies in the future, and every
         // finite-time source below is consumed when due, so the loop
         // always makes progress.
-        let work_remains = st.source.next_time(ctx.stream).is_some()
+        let next_arrival = st.source.next_time(ctx.stream);
+        let work_remains = next_arrival.is_some()
             || st.backlog.len() > 0
             || !st.pending_ops.is_empty()
-            || st.in_flight.iter().any(Option::is_some);
-        let mut t_next = f64::INFINITY;
-        if let Some(t) = st.source.next_time(ctx.stream) {
-            t_next = t_next.min(t);
-        }
+            || st.in_flight.iter().any(|batch| !batch.is_empty());
+        let mut t_next = next_arrival.unwrap_or(f64::INFINITY);
         for (slot, batch) in st.in_flight.iter().enumerate() {
-            if batch.is_some() {
+            if !batch.is_empty() {
                 t_next = t_next.min(st.fleet.busy_until(slot));
             }
         }
-        if let Some(deadline) = st.backlog.next_deadline(st.now, policy, &st.arrived) {
+        let arrived = st.source.arrived(ctx.stream);
+        if let Some(deadline) = st.backlog.next_deadline(st.now, policy, arrived) {
             t_next = t_next.min(deadline);
         }
         for op in &st.pending_ops {
@@ -681,12 +739,12 @@ fn run_until(
         // 1. Completions due at `now` finalise, in slot order: the batch
         //    really finished, so its latencies are now facts no crash can
         //    retract.
-        for (slot, entry) in st.in_flight.iter_mut().enumerate() {
-            if entry.is_some() && st.fleet.busy_until(slot) <= st.now {
-                let batch = entry.take().expect("slot checked above");
+        for (slot, batch) in st.in_flight.iter_mut().enumerate() {
+            if !batch.is_empty() && st.fleet.busy_until(slot) <= st.now {
                 let finish = st.fleet.busy_until(slot);
-                for &id in &batch {
-                    let latency = finish - st.arrived[id].arrival_s;
+                for &id in batch.iter() {
+                    let request = st.source.arrived(ctx.stream)[id];
+                    let latency = finish - request.arrival_s;
                     st.source.on_complete(id, finish);
                     if let Some(o) = out.as_deref_mut() {
                         o.latencies.push((id, latency));
@@ -694,7 +752,7 @@ fn run_until(
                             events.push(TraceEvent::Complete {
                                 at_s: finish,
                                 id,
-                                tenant: st.arrived[id].tenant,
+                                tenant: request.tenant,
                                 latency_s: latency,
                             });
                         }
@@ -704,6 +762,7 @@ fn run_until(
                 if let Some(o) = out.as_deref_mut() {
                     o.batch_sizes.push((finish, batch.len()));
                 }
+                batch.clear();
             }
         }
 
@@ -711,10 +770,10 @@ fn run_until(
         //    completions, so a zero-think closed-loop re-issue lands in
         //    the same event). An arrival sheds when the backlog is at its
         //    bound, or when its tenant's token bucket is empty.
-        let first_new = st.arrived.len();
-        st.source.pop_due(st.now, ctx.stream, &mut st.arrived);
-        for req in &st.arrived[first_new..] {
-            let (id, class, tenant) = (req.id, req.class, req.tenant);
+        let first_new = st.source.arrived(ctx.stream).len();
+        st.source.pop_due(st.now, ctx.stream);
+        for id in first_new..st.source.arrived(ctx.stream).len() {
+            let Request { class, tenant, .. } = st.source.arrived(ctx.stream)[id];
             if let Some(count) = st.tenant_offered.get_mut(tenant) {
                 *count += 1;
             }
@@ -738,7 +797,7 @@ fn run_until(
                 true
             };
             if admit {
-                st.backlog.push(id, class);
+                st.backlog.push(id, class, costs);
                 if let Some(events) = trace_buf(&mut out) {
                     events.push(TraceEvent::Admit { at_s: st.now, id });
                 }
@@ -782,16 +841,17 @@ fn run_until(
                             .then(b.cmp(&a))
                     });
                 let Some(victim) = victim else { continue };
-                let batch = st.in_flight[victim].take();
-                let redispatched = batch.as_ref().map_or(0, Vec::len);
+                let batch = &mut st.in_flight[victim];
+                let redispatched = batch.len();
                 let lost_service_s = if redispatched > 0 {
                     (st.fleet.busy_until(victim) - st.now).max(0.0)
                 } else {
                     0.0
                 };
-                if let Some(batch) = batch {
-                    let class = st.arrived[batch[0]].class;
-                    st.backlog.push_front(&batch, class);
+                if redispatched > 0 {
+                    let class = st.source.arrived(ctx.stream)[batch[0]].class;
+                    st.backlog.push_front(batch, class, costs);
+                    batch.clear();
                 }
                 st.fleet.crash(victim, st.now, redispatched as u64);
                 if let Some(o) = out.as_deref_mut() {
@@ -904,13 +964,10 @@ fn run_until(
 
 /// Builds the final [`ServeOutcome`] (and trace) from a terminal state
 /// and the merged fragment outputs.
-fn assemble(
-    cfg: &ServeConfig<'_>,
-    tenants: Option<&TenantMix>,
-    st: EngineState,
-    out: FragmentOut,
-) -> (ServeOutcome, Option<Trace>) {
-    let mut latencies = vec![f64::NAN; st.arrived.len()];
+fn assemble(ctx: &Ctx<'_>, st: EngineState, out: FragmentOut) -> (ServeOutcome, Option<Trace>) {
+    let (cfg, tenants) = (ctx.cfg, ctx.tenants);
+    let arrived = st.source.arrived(ctx.stream);
+    let mut latencies = vec![f64::NAN; arrived.len()];
     for &(id, latency) in &out.latencies {
         debug_assert!(latencies[id].is_nan(), "request {id} resolved twice");
         latencies[id] = latency;
@@ -947,8 +1004,8 @@ fn assemble(
     });
     let outcome = ServeOutcome {
         latencies_s: latencies,
-        arrivals_s: st.arrived.iter().map(|r| r.arrival_s).collect(),
-        tenants: st.arrived.iter().map(|r| r.tenant).collect(),
+        arrivals_s: arrived.iter().map(|r| r.arrival_s).collect(),
+        tenants: arrived.iter().map(|r| r.tenant).collect(),
         shed: out.shed,
         shed_queue: st.shed_queue,
         shed_limit: st.shed_limit,
@@ -983,7 +1040,7 @@ fn run_fragments(
         let mut st = initial;
         let mut out = FragmentOut::new(tracing);
         run_until(ctx, &mut st, f64::INFINITY, Some(&mut out));
-        return assemble(ctx.cfg, ctx.tenants, st, out);
+        return assemble(ctx, st, out);
     }
 
     // Pass 1 (serial, output-free): the seam state at each boundary.
@@ -1024,7 +1081,7 @@ fn run_fragments(
         }
         terminal = Some(state);
     }
-    assemble(ctx.cfg, ctx.tenants, terminal.expect("at least one fragment"), merged)
+    assemble(ctx, terminal.expect("at least one fragment"), merged)
 }
 
 /// How many lanes a closed-loop scenario actually decomposes into under
@@ -1065,10 +1122,14 @@ fn run_lanes(
         let mut lane_cfg = *cfg;
         lane_cfg.groups = &lane_fleets[lane];
         let (clients, first) = spec.lane_clients(lane, lanes);
-        let source =
-            SourceState::Closed { clients, pending: issue_queue(first), owners: Vec::new() };
-        let ctx = Ctx { cfg: &lane_cfg, tenants: None, stream: &[], admission: false };
-        let mut st = initial_state(&lane_cfg, None, source);
+        let ctx = Ctx {
+            cfg: &lane_cfg,
+            tenants: None,
+            stream: &[],
+            costs: FleetCosts::new(lane_cfg.costs, lane_cfg.groups),
+            admission: false,
+        };
+        let mut st = initial_state(&lane_cfg, None, SourceState::closed(clients, first));
         let mut out = FragmentOut::new(tracing);
         run_until(&ctx, &mut st, f64::INFINITY, Some(&mut out));
         (st, out)
@@ -1111,7 +1172,7 @@ fn merge_lanes(
     // Global ids: every lane's arrivals merged by (time, lane, local id).
     let mut order: Vec<(f64, usize, usize)> = Vec::new();
     for (lane, (st, _)) in results.iter().enumerate() {
-        order.extend(st.arrived.iter().map(|r| (r.arrival_s, lane, r.id)));
+        order.extend(st.source.arrived(&[]).iter().map(|r| (r.arrival_s, lane, r.id)));
     }
     order.sort_by(|a, b| {
         a.0.partial_cmp(&b.0)
@@ -1120,7 +1181,7 @@ fn merge_lanes(
             .then(a.2.cmp(&b.2))
     });
     let mut id_maps: Vec<Vec<usize>> =
-        results.iter().map(|(st, _)| vec![usize::MAX; st.arrived.len()]).collect();
+        results.iter().map(|(st, _)| vec![usize::MAX; st.source.arrived(&[]).len()]).collect();
     let mut arrivals_s = Vec::with_capacity(order.len());
     for (global, &(at, lane, local)) in order.iter().enumerate() {
         id_maps[lane][local] = global;
@@ -1287,7 +1348,8 @@ fn run_stream(
     plan: &EnginePlan,
     tracing: bool,
 ) -> (ServeOutcome, Option<Trace>) {
-    let ctx = Ctx { cfg, tenants, stream, admission: true };
+    let costs = FleetCosts::new(cfg.costs, cfg.groups);
+    let ctx = Ctx { cfg, tenants, stream, costs, admission: true };
     let initial = initial_state(cfg, tenants, SourceState::Open { cursor: 0 });
     run_fragments(&ctx, initial, horizon, plan, tracing)
 }
@@ -1315,10 +1377,9 @@ fn run_workload(
                 return run_lanes(spec, cfg, lanes, plan, tracing);
             }
             let (clients, first) = spec.clients();
-            let source =
-                SourceState::Closed { clients, pending: issue_queue(first), owners: Vec::new() };
-            let ctx = Ctx { cfg, tenants: cfg.tenants, stream: &[], admission: false };
-            let initial = initial_state(cfg, cfg.tenants, source);
+            let costs = FleetCosts::new(cfg.costs, cfg.groups);
+            let ctx = Ctx { cfg, tenants: cfg.tenants, stream: &[], costs, admission: false };
+            let initial = initial_state(cfg, cfg.tenants, SourceState::closed(clients, first));
             run_fragments(&ctx, initial, spec.duration_s, plan, tracing)
         }
     }
@@ -1397,4 +1458,257 @@ pub fn simulate_stream_config_traced_parallel(
     let horizon = requests.last().map_or(0.0, |r| r.arrival_s);
     let (outcome, trace) = run_stream(requests, cfg, cfg.tenants, horizon, plan, true);
     (outcome, trace.expect("tracing was requested"))
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::cost::{ClassCost, CostTable};
+
+    /// The backlog as it was before SJF got its own ordered variant and
+    /// `Classed` its running length: FIFO and SJF share one arrival-ordered
+    /// queue, SJF selects by a linear scan with a weight lookup per queued
+    /// request, and the batching length is summed per call. Kept as the
+    /// reference the differential tests replay against.
+    #[derive(Debug, Clone)]
+    enum ReferenceBacklog {
+        Single(VecDeque<usize>),
+        Classed(BTreeMap<RequestClass, VecDeque<usize>>),
+    }
+
+    impl ReferenceBacklog {
+        fn new(policy: Policy) -> Self {
+            match policy {
+                Policy::Fifo | Policy::Sjf => ReferenceBacklog::Single(VecDeque::new()),
+                Policy::BatchByDataset { .. } => ReferenceBacklog::Classed(BTreeMap::new()),
+            }
+        }
+
+        fn push(&mut self, id: usize, class: RequestClass) {
+            match self {
+                ReferenceBacklog::Single(queue) => queue.push_back(id),
+                ReferenceBacklog::Classed(queues) => queues.entry(class).or_default().push_back(id),
+            }
+        }
+
+        fn push_front(&mut self, unit: &[usize], class: RequestClass) {
+            let queue = match self {
+                ReferenceBacklog::Single(queue) => queue,
+                ReferenceBacklog::Classed(queues) => queues.entry(class).or_default(),
+            };
+            for &id in unit.iter().rev() {
+                queue.push_front(id);
+            }
+        }
+
+        fn len(&self) -> usize {
+            match self {
+                ReferenceBacklog::Single(queue) => queue.len(),
+                ReferenceBacklog::Classed(queues) => queues.values().map(VecDeque::len).sum(),
+            }
+        }
+
+        fn take_ready(
+            &mut self,
+            now: f64,
+            policy: Policy,
+            requests: &[Request],
+            costs: &CostTable,
+        ) -> Option<Vec<usize>> {
+            match (self, policy) {
+                (ReferenceBacklog::Single(queue), Policy::Fifo) => {
+                    queue.pop_front().map(|id| vec![id])
+                }
+                (ReferenceBacklog::Single(queue), Policy::Sjf) => {
+                    // Smallest estimated work first; arrival order (the queue
+                    // order) breaks ties because `min_by_key` keeps the first
+                    // minimum.
+                    let pos = queue
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, &id)| (costs.weight(requests[id].class), id))
+                        .map(|(pos, _)| pos)?;
+                    queue.remove(pos).map(|id| vec![id])
+                }
+                (
+                    ReferenceBacklog::Classed(queues),
+                    Policy::BatchByDataset { max_batch, timeout_s },
+                ) => {
+                    let class = queues
+                        .iter()
+                        .filter(|(_, q)| class_ready(q, requests, max_batch, timeout_s, now))
+                        .min_by(|(ca, qa), (cb, qb)| {
+                            let (ha, hb) = (head_arrival(qa, requests), head_arrival(qb, requests));
+                            ha.partial_cmp(&hb).expect("arrival times are finite").then(ca.cmp(cb))
+                        })
+                        .map(|(class, _)| *class)?;
+                    let queue = queues.get_mut(&class).expect("selected class is present");
+                    let take = queue.len().min(max_batch);
+                    let batch: Vec<usize> = queue.drain(..take).collect();
+                    if queue.is_empty() {
+                        queues.remove(&class);
+                    }
+                    Some(batch)
+                }
+                _ => unreachable!("backlog shape always matches the policy"),
+            }
+        }
+    }
+
+    /// Five classes, two pairs of which share a weight, so SJF ties fall
+    /// through to the id.
+    const WEIGHTS: [u64; 5] = [30, 10, 20, 10, 30];
+
+    fn class(index: usize) -> RequestClass {
+        RequestClass { dataset: index % WEIGHTS.len(), shrink: 1 }
+    }
+
+    fn weights() -> CostTable {
+        let mut table = CostTable::new();
+        table.register_rate("chip", 1e-9);
+        for (index, &flops) in WEIGHTS.iter().enumerate() {
+            table.insert("chip", class(index), ClassCost { cycles: 1, flops });
+        }
+        table
+    }
+
+    const ARRIVAL_GAP_S: f64 = 0.001;
+
+    /// Replays `ops` on the backlog and on the reference and checks, after
+    /// every step, that both hold the same number of requests, hand out
+    /// the same units and report the same next deadline. An op is `(kind,
+    /// pick)`: 0–1 an arrival of class `pick`; 2 a dispatch; 3 a hold (the
+    /// unit goes straight back); 4 a crash (an earlier dispatched unit
+    /// comes back); 5 a crash of two same-class units at once, re-queued
+    /// as one multi-id unit.
+    fn replay_against_the_reference(policy: Policy, ops: &[(usize, usize)]) {
+        let table = weights();
+        let costs = FleetCosts::new(&table, &[]);
+        let mut backlog = Backlog::new(policy);
+        let mut reference = ReferenceBacklog::new(policy);
+        let mut requests: Vec<Request> = Vec::new();
+        let mut dispatched: Vec<Vec<usize>> = Vec::new();
+        let mut unit = vec![usize::MAX];
+        for (step, &(kind, pick)) in ops.iter().enumerate() {
+            // Time follows the arrivals, plus a pick-dependent slack so
+            // batch timeouts sometimes have and sometimes have not expired.
+            let now = requests.len() as f64 * ARRIVAL_GAP_S + (pick % 4) as f64 * ARRIVAL_GAP_S;
+            match kind {
+                0 | 1 => {
+                    let id = requests.len();
+                    let arrival_s = id as f64 * ARRIVAL_GAP_S;
+                    requests.push(Request { id, arrival_s, class: class(pick), tenant: 0 });
+                    backlog.push(id, class(pick), &costs);
+                    reference.push(id, class(pick));
+                }
+                2 | 3 => {
+                    let expected = reference.take_ready(now, policy, &requests, &table);
+                    let took = backlog.take_ready(now, policy, &requests, &mut unit);
+                    assert_eq!(took.then_some(&unit), expected.as_ref(), "step {step}");
+                    if let Some(expected) = expected {
+                        if kind == 3 {
+                            let class = requests[unit[0]].class;
+                            backlog.push_front(&unit, class, &costs);
+                            reference.push_front(&expected, class);
+                        } else {
+                            dispatched.push(expected);
+                        }
+                    }
+                }
+                _ if dispatched.is_empty() => {}
+                4 => {
+                    let crashed = dispatched.swap_remove(pick % dispatched.len());
+                    let class = requests[crashed[0]].class;
+                    backlog.push_front(&crashed, class, &costs);
+                    reference.push_front(&crashed, class);
+                }
+                _ => {
+                    let mut crashed = dispatched.swap_remove(pick % dispatched.len());
+                    let class = requests[crashed[0]].class;
+                    if let Some(other) =
+                        dispatched.iter().position(|u| requests[u[0]].class == class)
+                    {
+                        crashed.extend(dispatched.swap_remove(other));
+                    }
+                    backlog.push_front(&crashed, class, &costs);
+                    reference.push_front(&crashed, class);
+                }
+            }
+            assert_eq!(backlog.len(), reference.len(), "step {step}");
+            if let Backlog::Classed { queues, len } = &backlog {
+                assert_eq!(*len, queues.values().map(VecDeque::len).sum::<usize>(), "step {step}");
+            }
+            let in_flight: usize = dispatched.iter().map(Vec::len).sum();
+            assert_eq!(backlog.len() + in_flight, requests.len(), "step {step}: conservation");
+        }
+        // Drain: far enough in the future every batch timeout has expired.
+        let end = requests.len() as f64 * ARRIVAL_GAP_S + 1.0;
+        while let Some(expected) = reference.take_ready(end, policy, &requests, &table) {
+            assert!(backlog.take_ready(end, policy, &requests, &mut unit));
+            assert_eq!(unit, expected, "drain");
+            assert_eq!(backlog.len(), reference.len(), "drain");
+        }
+        assert!(!backlog.take_ready(end, policy, &requests, &mut unit));
+        assert_eq!(backlog.len(), 0);
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<(usize, usize)>> {
+        proptest::collection::vec((0usize..6, 0usize..64), 1..300)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The ordered SJF backlog yields the id sequence and length of
+        /// the linear scan it replaced, under any interleaving of
+        /// arrivals, dispatches, holds and crash re-queues.
+        #[test]
+        fn sjf_heap_matches_the_linear_scan(ops in arb_ops()) {
+            replay_against_the_reference(Policy::Sjf, &ops);
+        }
+
+        /// The running `Classed` length equals the summed one at every
+        /// step, and batches come out as before (multi-id units, partial
+        /// batches flushed by timeout, crash re-queues at the class head).
+        #[test]
+        fn classed_running_length_matches_the_summed_one(
+            ops in arb_ops(),
+            max_batch in 1usize..=4,
+        ) {
+            replay_against_the_reference(Policy::batch(max_batch, 2.0 * ARRIVAL_GAP_S), &ops);
+        }
+
+        #[test]
+        fn fifo_is_unchanged(ops in arb_ops()) {
+            replay_against_the_reference(Policy::Fifo, &ops);
+        }
+    }
+
+    #[test]
+    fn sjf_breaks_weight_ties_by_id_across_classes_and_requeues() {
+        // Classes 1 and 3 both weigh 10: the earlier id wins whichever
+        // class it is in, and a re-queued id keeps its place in the order.
+        let table = weights();
+        let costs = FleetCosts::new(&table, &[]);
+        let mut backlog = Backlog::new(Policy::Sjf);
+        let requests: Vec<Request> = [0, 3, 1, 2, 1]
+            .iter()
+            .enumerate()
+            .map(|(id, &c)| Request { id, arrival_s: id as f64, class: class(c), tenant: 0 })
+            .collect();
+        for request in &requests {
+            backlog.push(request.id, request.class, &costs);
+        }
+        let mut unit = Vec::new();
+        let mut order = Vec::new();
+        assert!(backlog.take_ready(9.0, Policy::Sjf, &requests, &mut unit));
+        assert_eq!(unit, [1], "weight 10, the earliest id");
+        backlog.push_front(&unit, class(3), &costs);
+        while backlog.take_ready(9.0, Policy::Sjf, &requests, &mut unit) {
+            order.push(unit[0]);
+        }
+        assert_eq!(order, [1, 2, 4, 3, 0]);
+    }
 }

@@ -244,10 +244,18 @@ impl ShardFleet {
         info.first_shard..info.first_shard + info.capacity
     }
 
-    /// The active shards that are idle at `now`, in slot order — the
-    /// candidate set every dispatch policy chooses from.
-    pub fn idle_shards(&self, now: f64) -> Vec<usize> {
-        (0..self.capacity()).filter(|&s| self.active[s] && self.busy_until[s] <= now).collect()
+    /// Whether a shard slot is provisioned and not serving a batch at `now`.
+    pub(crate) fn is_idle(&self, shard: usize, now: f64) -> bool {
+        self.active[shard] && self.busy_until[shard] <= now
+    }
+
+    /// Fills `idle` with the active shards that are idle at `now`, in slot
+    /// order — the candidate set every dispatch policy chooses from. The
+    /// buffer is the caller's, cleared first, so the event loop asks once
+    /// per dispatch without allocating.
+    pub fn idle_shards(&self, now: f64, idle: &mut Vec<usize>) {
+        idle.clear();
+        idle.extend((0..self.capacity()).filter(|&s| self.is_idle(s, now)));
     }
 
     /// The earliest time any active shard becomes free.
@@ -312,8 +320,7 @@ impl ShardFleet {
     /// first, so slot 0 — the always-on baseline shard — retires last).
     /// Returns the slot, or `None` when no active slot is idle at `now`.
     pub fn deactivate_idle(&mut self, group: usize, now: f64) -> Option<usize> {
-        let slot =
-            self.group_slots(group).rev().find(|&s| self.active[s] && self.busy_until[s] <= now)?;
+        let slot = self.group_slots(group).rev().find(|&s| self.is_idle(s, now))?;
         self.deactivate_slot(slot);
         Some(slot)
     }
@@ -413,6 +420,14 @@ impl ShardFleet {
 mod tests {
     use super::*;
 
+    /// [`ShardFleet::idle_shards`] into a buffer that starts with stale
+    /// entries, which the call must clear.
+    fn idle_shards(fleet: &ShardFleet, now: f64) -> Vec<usize> {
+        let mut idle = vec![usize::MAX; 2];
+        fleet.idle_shards(now, &mut idle);
+        idle
+    }
+
     fn two_groups() -> Vec<ShardGroup> {
         vec![
             ShardGroup::new("t64", ChipConfig::tile_64(), 1),
@@ -436,11 +451,11 @@ mod tests {
     #[test]
     fn dispatch_tracks_busy_horizon_and_stats() {
         let mut fleet = ShardFleet::new(&two_groups(), None);
-        assert_eq!(fleet.idle_shards(0.0), vec![0, 1, 2]);
+        assert_eq!(idle_shards(&fleet, 0.0), vec![0, 1, 2]);
         fleet.dispatch(0, 0.0, 2.0, 4);
         fleet.dispatch(1, 0.0, 1.0, 1);
-        assert_eq!(fleet.idle_shards(0.5), vec![2]);
-        assert_eq!(fleet.idle_shards(1.5), vec![1, 2]);
+        assert_eq!(idle_shards(&fleet, 0.5), vec![2]);
+        assert_eq!(idle_shards(&fleet, 1.5), vec![1, 2]);
         assert!((fleet.next_free_at() - 0.0).abs() < 1e-12, "shard 2 is already free");
         fleet.dispatch(2, 0.0, 3.0, 1);
         assert!((fleet.next_free_at() - 1.0).abs() < 1e-12);
@@ -470,7 +485,7 @@ mod tests {
         let mut fleet = ShardFleet::new(&groups, Some(&[3]));
         assert_eq!(fleet.capacity(), 3);
         assert_eq!(fleet.active_shards(), 1, "over-allocated slots start inactive");
-        assert_eq!(fleet.idle_shards(0.0), vec![0]);
+        assert_eq!(idle_shards(&fleet, 0.0), vec![0]);
 
         assert_eq!(fleet.activate(0, 1.0), Some(1));
         assert_eq!(fleet.activate(0, 1.0), Some(2));
@@ -504,7 +519,7 @@ mod tests {
         // A crashed slot re-enters the provisioning pool like any retired
         // slot, and comes back idle.
         assert_eq!(fleet.activate(0, 2.0), Some(0));
-        assert!(fleet.idle_shards(2.0).contains(&0));
+        assert!(idle_shards(&fleet, 2.0).contains(&0));
     }
 
     #[test]
@@ -537,7 +552,7 @@ mod tests {
         assert_eq!(fleet.deactivate_idle(0, 1.0), Some(1));
         // Re-provision later: the old busy horizon must not bleed through.
         assert_eq!(fleet.activate(0, 5.0), Some(1));
-        assert!(fleet.idle_shards(5.0).contains(&1));
+        assert!(idle_shards(&fleet, 5.0).contains(&1));
     }
 
     #[test]

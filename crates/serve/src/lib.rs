@@ -85,7 +85,9 @@ pub mod telemetry;
 
 pub use arrivals::{ArrivalProcess, ClosedLoopSpec, Request, StreamSpec, Workload};
 pub use autoscale::{AutoscalePolicy, ScaleEvent};
-pub use cost::{ClassCost, CostModel, CostTable, RequestClass, DEFAULT_MARGINAL_BATCH_FRACTION};
+pub use cost::{
+    ClassCost, CostModel, CostTable, FleetCosts, RequestClass, DEFAULT_MARGINAL_BATCH_FRACTION,
+};
 pub use dispatch::{ClassAffinity, CostAware, DispatchKind, DispatchPolicy, LeastLoaded};
 pub use engine::{
     simulate_config_parallel, simulate_config_traced_parallel, simulate_stream_config_parallel,

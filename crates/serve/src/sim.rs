@@ -58,8 +58,10 @@ use crate::telemetry::Trace;
 /// filter on `latency >= 0.0`.
 pub const SHED_LATENCY_S: f64 = -1.0;
 
-/// Nearest-rank percentiles in seconds over served latencies — the one
-/// percentile implementation every outcome metric goes through. Shed
+/// Nearest-rank percentiles in seconds over served latencies — filter,
+/// sort, rank: the three steps every outcome percentile goes through
+/// ([`ServeOutcome::records`] runs the same three over one bucketing pass
+/// for the scenario and its tenants). Shed
 /// requests are excluded by matching the [`SHED_LATENCY_S`] sentinel
 /// exactly, *not* by a silent `>= 0` range filter: any other negative
 /// (or non-finite) latency is a simulation bug, so it trips the debug
@@ -71,26 +73,47 @@ pub const SHED_LATENCY_S: f64 = -1.0;
 ///
 /// Panics unless every percentile is within `(0, 100]`.
 fn served_percentiles(latencies: impl Iterator<Item = f64>, pcts: &[f64]) -> Vec<f64> {
-    let mut sorted: Vec<f64> = latencies
-        .filter(|&l| {
-            debug_assert!(
-                l >= 0.0 || l == SHED_LATENCY_S,
-                "latency {l} is neither served nor the shed sentinel"
-            );
-            l != SHED_LATENCY_S
-        })
-        .collect();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    pcts.iter()
-        .map(|&pct| {
-            assert!(pct > 0.0 && pct <= 100.0, "percentile must be within (0, 100]");
-            if sorted.is_empty() {
-                return 0.0;
-            }
-            let rank = (pct / 100.0 * sorted.len() as f64).ceil() as usize;
-            sorted[rank.clamp(1, sorted.len()) - 1]
-        })
-        .collect()
+    let mut served: Vec<f64> = latencies.filter(|&l| is_served(l)).collect();
+    sort_latencies(&mut served);
+    pcts.iter().map(|&pct| nearest_rank(&served, pct)).collect()
+}
+
+/// Whether a latency belongs to a served request (see
+/// [`served_percentiles`] for why the sentinel is matched exactly).
+fn is_served(latency: f64) -> bool {
+    debug_assert!(
+        latency >= 0.0 || latency == SHED_LATENCY_S,
+        "latency {latency} is neither served nor the shed sentinel"
+    );
+    latency != SHED_LATENCY_S
+}
+
+fn sort_latencies(latencies: &mut [f64]) {
+    latencies.sort_unstable_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+}
+
+/// The nearest-rank `pct`-th percentile of an ascending slice (0 when it
+/// is empty).
+///
+/// # Panics
+///
+/// Panics unless `pct` is within `(0, 100]`.
+fn nearest_rank(sorted: &[f64], pct: f64) -> f64 {
+    assert!(pct > 0.0 && pct <= 100.0, "percentile must be within (0, 100]");
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (pct / 100.0 * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// The arithmetic mean in slice order (0 for an empty slice).
+fn mean_or_zero(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        0.0
+    } else {
+        values.iter().sum::<f64>() / values.len() as f64
+    }
 }
 
 /// Per-tenant admission accounting (populated only when a tenant mix is
@@ -194,12 +217,7 @@ impl ServeOutcome {
 
     /// Mean recovery time over the repaired crashes (0 when none).
     pub fn mean_recovery_s(&self) -> f64 {
-        let times = self.recovery_times_s();
-        if times.is_empty() {
-            0.0
-        } else {
-            times.iter().sum::<f64>() / times.len() as f64
-        }
+        mean_or_zero(&self.recovery_times_s())
     }
 
     /// Latency percentile in seconds over *served* requests
@@ -285,26 +303,31 @@ impl ServeOutcome {
     /// (arrived but not yet completed; shed requests never occupy the
     /// system) — the quantity a closed loop bounds by its client count.
     pub fn max_in_flight(&self) -> usize {
+        // The served requests' arrival and completion times, each
+        // ascending. Ids follow arrival order, so the arrival sort finds
+        // its input sorted and only the completions really move.
+        let (mut arrivals, mut completions): (Vec<f64>, Vec<f64>) = self
+            .arrivals_s
+            .iter()
+            .zip(&self.latencies_s)
+            .filter(|&(_, &latency)| latency >= 0.0)
+            .map(|(&arrival, &latency)| (arrival, arrival + latency))
+            .unzip();
+        let by_time = |a: &f64, b: &f64| a.partial_cmp(b).expect("event times are finite");
+        arrivals.sort_unstable_by(by_time);
+        completions.sort_unstable_by(by_time);
         // +1 at each arrival, −1 at each completion; completions at the
         // same instant as an arrival are processed first (a closed-loop
-        // client's next request can only follow its response).
-        let mut events: Vec<(f64, i64)> = Vec::with_capacity(2 * self.latencies_s.len());
-        for (&arrival, &latency) in self.arrivals_s.iter().zip(&self.latencies_s) {
-            if latency < 0.0 {
-                continue;
+        // client's next request can only follow its response). The count
+        // only peaks at an arrival.
+        let (mut completed, mut peak) = (0usize, 0usize);
+        for (arrived, &arrival) in arrivals.iter().enumerate() {
+            while completions.get(completed).is_some_and(|&finish| finish <= arrival) {
+                completed += 1;
             }
-            events.push((arrival, 1));
-            events.push((arrival + latency, -1));
+            peak = peak.max((arrived + 1).saturating_sub(completed));
         }
-        events.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0).expect("event times are finite").then(a.1.cmp(&b.1))
-        });
-        let (mut in_flight, mut peak) = (0i64, 0i64);
-        for (_, delta) in events {
-            in_flight += delta;
-            peak = peak.max(in_flight);
-        }
-        peak as usize
+        peak
     }
 
     /// The artifact records describing this outcome: one scenario summary
@@ -316,7 +339,21 @@ impl ServeOutcome {
     /// served counts). `scope` prefixes every record ID and `params` is
     /// attached to each record.
     pub fn records(&self, scope: &str, params: &[(String, String)]) -> Vec<RunRecord> {
-        let tails = self.latency_percentiles_s(&[50.0, 95.0, 99.0]);
+        // One pass buckets every served latency: all of them for the
+        // scenario tails and, under a tenant mix, each tenant's own.
+        let mut served = Vec::with_capacity(self.latencies_s.len());
+        let mut tenant_served = vec![Vec::new(); self.tenant_outcomes.len()];
+        for (&owner, &latency) in self.tenants.iter().zip(&self.latencies_s) {
+            if is_served(latency) {
+                served.push(latency);
+                if let Some(bucket) = tenant_served.get_mut(owner) {
+                    bucket.push(latency);
+                }
+            }
+        }
+        sort_latencies(&mut served);
+        let tails = [50.0, 95.0, 99.0].map(|pct| nearest_rank(&served, pct));
+        let recoveries = self.recovery_times_s();
         let mut summary = RunRecord::new(format!("{scope}/summary"))
             .metric("requests", self.requests() as f64)
             .metric("offered", self.offered() as f64)
@@ -327,8 +364,8 @@ impl ServeOutcome {
             .metric("crashes", self.crash_events.len() as f64)
             .metric("redispatched", self.redispatched() as f64)
             .metric("provision_failures", self.provision_failures as f64)
-            .metric("recoveries", self.recovery_times_s().len() as f64)
-            .unit_metric("recovery_time_ms", self.mean_recovery_s() * 1e3, "ms")
+            .metric("recoveries", recoveries.len() as f64)
+            .unit_metric("recovery_time_ms", mean_or_zero(&recoveries) * 1e3, "ms")
             .unit_metric("p50_latency_ms", tails[0] * 1e3, "ms")
             .unit_metric("p95_latency_ms", tails[1] * 1e3, "ms")
             .unit_metric("p99_latency_ms", tails[2] * 1e3, "ms")
@@ -346,15 +383,9 @@ impl ServeOutcome {
             .metric("scale_events", self.scale_events.len() as f64);
         summary.params = params.to_vec();
         let mut records = vec![summary];
-        for (t, tenant) in self.tenant_outcomes.iter().enumerate() {
-            let served: Vec<f64> = self
-                .tenants
-                .iter()
-                .zip(&self.latencies_s)
-                .filter(|&(&owner, &l)| owner == t && l != SHED_LATENCY_S)
-                .map(|(_, &l)| l)
-                .collect();
-            let p99 = served_percentiles(served.iter().copied(), &[99.0])[0];
+        for (tenant, mut served) in self.tenant_outcomes.iter().zip(tenant_served) {
+            sort_latencies(&mut served);
+            let p99 = nearest_rank(&served, 99.0);
             let admitted = tenant.offered - tenant.shed;
             let shed_rate =
                 if tenant.offered > 0 { tenant.shed as f64 / tenant.offered as f64 } else { 0.0 };

@@ -181,10 +181,21 @@ trend before after *flags="":
 perf *flags="":
     bash benchmark/run.sh {{flags}}
 
+# benchmark/README.md § "Comparing two commits", mechanised: two git
+# worktrees, two target directories, the parent's benchmark/ on both
+# sides, alternating order, another --seed per pair, run_seconds from
+# BENCHMARK.json. Prints per-metric quartiles, medians and pairs won;
+# fails when a sim_digest differs between the sides or an operation
+# failed. E.g. `just perf-pair HEAD~1 HEAD serve-fleet`.
+perf-pair parent change workload pairs="10":
+    bash scripts/perf-pair.sh {{parent}} {{change}} {{workload}} {{pairs}}
+
 # The ledger's own tests at tiny scale. The benchmark is a package of its
 # own, so this is what notices a workspace change that breaks the API
 # footprint listed in the header of benchmark/src/layers.rs — or whose
-# dependency edits would rewrite the ledger's committed lock file.
+# dependency edits would rewrite the ledger's committed lock file. Also
+# checks that the perf-pair script still parses (running it takes minutes).
 perf-selftest:
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
     git diff --exit-code benchmark/Cargo.lock
+    bash -n scripts/perf-pair.sh
