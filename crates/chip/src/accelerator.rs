@@ -28,7 +28,6 @@ use neura_noc::{Packet, TorusNetwork, TorusTopology};
 use neura_sim::{Cycle, Histogram};
 use neura_sparse::{CooMatrix, CsrMatrix, DenseMatrix, SparseError};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Errors produced while running a workload on the accelerator model.
@@ -187,6 +186,17 @@ impl PayloadSlab {
     }
 }
 
+/// Sorts eviction-ordered outputs by tag and keeps, of a tag evicted more
+/// than once, the entry evicted last.
+fn last_write_per_tag(mut outputs: Vec<(u64, f64)>) -> Vec<(u64, f64)> {
+    // Stable, so entries of one tag stay in eviction order.
+    outputs.sort_by_key(|&(tag, _)| tag);
+    outputs.reverse();
+    outputs.dedup_by_key(|&mut (tag, _)| tag);
+    outputs.reverse();
+    outputs
+}
+
 /// The NeuraChip accelerator model.
 #[derive(Debug)]
 pub struct Accelerator {
@@ -249,7 +259,7 @@ impl Accelerator {
         let program = compiler::compile_spgemm(&a.to_csc(), b, self.config.mmh_tile);
         let (outputs, report) = self.run_program_profiled(&program, profiler)?;
         let mut coo = CooMatrix::new(a.rows(), b.cols());
-        for (&tag, &value) in &outputs {
+        for (tag, value) in last_write_per_tag(outputs) {
             let (r, c) = program.coords_of(tag);
             coo.push(r, c, value).expect("tag coordinates are in bounds");
         }
@@ -276,7 +286,8 @@ impl Accelerator {
         let program = compiler::compile_aggregation(&a.to_csc(), features, self.config.mmh_tile);
         let (outputs, report) = self.run_program(&program)?;
         let mut aggregated = DenseMatrix::zeros(a.rows(), features.cols());
-        for (&tag, &value) in &outputs {
+        // In eviction order, so a later write to a tag replaces an earlier one.
+        for (tag, value) in outputs {
             let (r, c) = program.coords_of(tag);
             *aggregated.get_mut(r, c) = value;
         }
@@ -285,8 +296,11 @@ impl Accelerator {
 
     /// Executes a compiled [`Program`] cycle by cycle.
     ///
-    /// Returns the accumulated output elements (tag → value) together with
-    /// the execution report.
+    /// Returns the accumulated output elements as `(tag, value)` in the
+    /// order the NeuraMems evicted them, together with the execution
+    /// report. A compiled program evicts every tag exactly once; should
+    /// malformed counters evict one twice, the later entry is the value
+    /// that was written back last.
     ///
     /// # Errors
     ///
@@ -295,7 +309,7 @@ impl Accelerator {
     pub fn run_program(
         &mut self,
         program: &Program,
-    ) -> Result<(HashMap<u64, f64>, ExecutionReport), ChipError> {
+    ) -> Result<(Vec<(u64, f64)>, ExecutionReport), ChipError> {
         self.run_program_profiled(program, None)
     }
 
@@ -309,7 +323,7 @@ impl Accelerator {
         &mut self,
         program: &Program,
         mut profiler: Option<&mut Profiler>,
-    ) -> Result<(HashMap<u64, f64>, ExecutionReport), ChipError> {
+    ) -> Result<(Vec<(u64, f64)>, ExecutionReport), ChipError> {
         let cfg = &self.config;
         let total_cores = cfg.total_cores();
         let total_mems = cfg.total_mems();
@@ -339,7 +353,7 @@ impl Accelerator {
         let out_cols = program.output_shape.1.max(1) as u64;
 
         // --- bookkeeping -----------------------------------------------------
-        let mut outputs: HashMap<u64, f64> = HashMap::with_capacity(program.output_nnz);
+        let mut outputs: Vec<(u64, f64)> = Vec::with_capacity(program.output_nnz);
         let mut payloads = PayloadSlab::default();
         // Issuing (core, pipeline) of every outstanding read, per tile by request id.
         let mut read_owner: Vec<IntMap<(usize, usize)>> = vec![IntMap::default(); cfg.tiles];
@@ -474,6 +488,12 @@ impl Accelerator {
             let mut pad_full_stalls = 0u64;
             let mut haccs_processed = 0u64;
             for (mem_idx, mem) in mems.iter_mut().enumerate() {
+                if noc.waiting_at(mem_node(mem_idx)) == 0 && mem.is_idle() {
+                    // Nothing arrived, is buffered or awaits write-back: the
+                    // tick counts an idle cycle and the rest has no effect.
+                    mem.tick(now);
+                    continue;
+                }
                 noc.drain_delivered_into(mem_node(mem_idx), &mut delivered);
                 for packet in delivered.drain(..) {
                     if let Some(prof) = profiler.as_deref_mut() {
@@ -492,7 +512,7 @@ impl Accelerator {
                 pad_occupancy = pad_occupancy + mem.occupancy() as u64 - occupied_before as u64;
                 // (8) Collect evictions and write them back.
                 while let Some(evicted) = mem.pop_evicted() {
-                    outputs.insert(evicted.tag, evicted.value);
+                    outputs.push((evicted.tag, evicted.value));
                     let addr = compiler::layout::OUTPUT_BASE + evicted.tag * 8;
                     let request = MemoryRequest::write(addr, 8);
                     let tile = mem_tile(mem_idx);
@@ -559,7 +579,7 @@ impl Accelerator {
                     mem.barrier(now);
                     mem.flush(now);
                     while let Some(evicted) = mem.pop_evicted() {
-                        outputs.insert(evicted.tag, evicted.value);
+                        outputs.push((evicted.tag, evicted.value));
                         let addr = compiler::layout::OUTPUT_BASE + evicted.tag * 8;
                         retry_writebacks.push((mem_tile(mem_idx), MemoryRequest::write(addr, 8)));
                     }
@@ -737,6 +757,13 @@ mod tests {
         let run = chip.run_aggregation(&a, &x).expect("simulation drains");
         let reference = neura_sparse::spmm::spmm(&a, &x).unwrap();
         assert!(run.aggregated.max_abs_diff(&reference).unwrap() < 1e-9);
+    }
+
+    #[test]
+    fn a_repeated_tag_keeps_its_last_eviction() {
+        let evictions = vec![(7, 1.0), (2, 2.0), (7, 3.0), (5, 4.0), (2, 5.0), (7, 6.0)];
+        assert_eq!(last_write_per_tag(evictions), [(2, 5.0), (5, 4.0), (7, 6.0)]);
+        assert_eq!(last_write_per_tag(Vec::new()), []);
     }
 
     #[test]

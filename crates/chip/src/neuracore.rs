@@ -97,7 +97,7 @@ enum PipelineState {
     Idle,
     Decode { instr: MmhInstruction, remaining: u64, started: u64 },
     WaitMem { instr: MmhInstruction, outstanding: usize, started: u64 },
-    Compute { instr: MmhInstruction, produced: usize, started: u64 },
+    Compute { instr: MmhInstruction, produced: usize, next: (usize, usize), started: u64 },
 }
 
 #[derive(Debug)]
@@ -123,6 +123,13 @@ pub struct NeuraCore {
     /// Pipelines not in [`PipelineState::Idle`], kept in step with every
     /// state transition so `load`/`is_idle`/the idle tick never scan.
     busy_pipelines: usize,
+    /// Set when a tick found no pipeline able to move (each one idle with
+    /// nothing buffered, or waiting on operand reads) and left the outbox
+    /// empty. Until [`Self::accept`] or the last outstanding
+    /// [`Self::memory_response`] of a pipeline clears it, every tick
+    /// repeats that one, so it only rotates `next_pipeline` and counts the
+    /// cycle.
+    settled: bool,
 }
 
 impl NeuraCore {
@@ -142,6 +149,7 @@ impl NeuraCore {
             cpi_histogram: Histogram::new(25, 20),
             next_pipeline: 0,
             busy_pipelines: 0,
+            settled: false,
         }
     }
 
@@ -165,6 +173,7 @@ impl NeuraCore {
             p.state = PipelineState::Idle;
         }
         self.busy_pipelines = 0;
+        self.settled = false;
     }
 
     /// True when the instruction buffer can accept another MMH instruction.
@@ -186,6 +195,7 @@ impl NeuraCore {
         }
         self.instx.push_back(instr);
         self.stats.mmh_accepted += 1;
+        self.settled = false;
         true
     }
 
@@ -195,6 +205,10 @@ impl NeuraCore {
         if let Some(p) = self.pipelines.get_mut(pipeline) {
             if let PipelineState::WaitMem { outstanding, .. } = &mut p.state {
                 *outstanding = outstanding.saturating_sub(1);
+                // A pipeline still short of operands stalls exactly as before.
+                if *outstanding == 0 {
+                    self.settled = false;
+                }
             }
         }
     }
@@ -225,11 +239,13 @@ impl NeuraCore {
         output.mmh_retired = 0;
         let cycle = now.as_u64();
         let mut any_busy = false;
-        let mut any_stalled = false;
-        // With nothing buffered and every pipeline idle the walk below would
-        // touch no state, so skip it; the rotation, the outbox drain and the
-        // idle accounting after it still run.
-        let has_work = !self.instx.is_empty() || self.busy_pipelines > 0;
+        // With nothing buffered and every pipeline idle, or on a settled
+        // core, the walk below would touch no state, so skip it; the
+        // rotation, the (then empty) outbox drain and the accounting after it
+        // still run. A settled core with occupied pipelines has them all
+        // waiting on operands, which is what the walk would report.
+        let mut any_stalled = self.settled && self.busy_pipelines > 0;
+        let has_work = !self.settled && (!self.instx.is_empty() || self.busy_pipelines > 0);
 
         // Shared multiplier budget across pipelines for this cycle.
         let mut multiplier_budget = self.config.multipliers;
@@ -321,25 +337,27 @@ impl NeuraCore {
                             },
                         );
                         let started = *started;
-                        pipeline.state = PipelineState::Compute { instr, produced: 0, started };
+                        pipeline.state =
+                            PipelineState::Compute { instr, produced: 0, next: (0, 0), started };
                         any_busy = true;
                     } else {
                         any_stalled = true;
                     }
                 }
-                PipelineState::Compute { instr, produced, started } => {
+                // `next` is the `(a, b)` operand pair of partial product number
+                // `produced` (`produced == a * b_cols.len() + b`), stepped
+                // with it so no `HACC` costs a division.
+                PipelineState::Compute { instr, produced, next: (a_idx, b_idx), started } => {
                     any_busy = true;
                     let total = instr.hacc_count();
+                    let b_len = instr.work.b_cols.len();
                     while *produced < total
                         && multiplier_budget > 0
                         && self.outbox.len() < outbox_cap
                     {
-                        let b_len = instr.work.b_cols.len();
-                        let a_idx = *produced / b_len;
-                        let b_idx = *produced % b_len;
-                        let row = instr.work.a_rows[a_idx];
-                        let col = instr.work.b_cols[b_idx];
-                        let value = instr.work.a_values[a_idx] * instr.work.b_values[b_idx];
+                        let row = instr.work.a_rows[*a_idx];
+                        let col = instr.work.b_cols[*b_idx];
+                        let value = instr.work.a_values[*a_idx] * instr.work.b_values[*b_idx];
                         let counter = instr.work.counters[*produced];
                         let tag = row as u64 * self.out_cols + col as u64;
                         let mut hacc = HaccInstruction::new(tag, value, counter);
@@ -347,6 +365,11 @@ impl NeuraCore {
                         self.outbox.push_back(hacc);
                         self.stats.haccs_generated += 1;
                         *produced += 1;
+                        *b_idx += 1;
+                        if *b_idx == b_len {
+                            *b_idx = 0;
+                            *a_idx += 1;
+                        }
                         multiplier_budget -= 1;
                     }
                     if *produced >= total {
@@ -382,6 +405,10 @@ impl NeuraCore {
             self.stats.idle_cycles += 1;
             output.outcome = TickOutcome::Idle;
         }
+        // A tick without a busy pipeline changed no pipeline state and
+        // generated no HACC, so with the outbox empty the next one is this
+        // one again until an instruction or an operand arrives.
+        self.settled = !any_busy && self.outbox.is_empty();
     }
 }
 
@@ -604,6 +631,99 @@ mod tests {
             let owner = idle_ticks as usize % pipelines;
             assert!(out.memory_requests.iter().all(|req| req.pipeline == owner));
             assert_eq!(core.load(), 1);
+        }
+    }
+
+    /// Two cores driven in lock step: `cores[0]` as is, `cores[1]` with the
+    /// settled flag cleared before every tick, which makes it walk its
+    /// pipelines every cycle.
+    struct LockStep {
+        cores: [NeuraCore; 2],
+        outs: [CoreTickOutput; 2],
+        cycle: u64,
+        /// Ticks `cores[0]` took on the settled path.
+        settled_ticks: u64,
+    }
+
+    impl LockStep {
+        /// Ticks both cores, checks that the cycle produced the same output
+        /// on each and returns the pipelines that issued operand reads.
+        fn tick(&mut self) -> Vec<usize> {
+            self.settled_ticks += u64::from(self.cores[0].settled);
+            self.cores[1].settled = false;
+            for (core, out) in self.cores.iter_mut().zip(&mut self.outs) {
+                core.tick(Cycle(self.cycle), 4, out);
+            }
+            let ([fast, walked], cycle) = (&self.outs, self.cycle);
+            assert_eq!(fast.outcome, walked.outcome, "cycle {cycle}");
+            assert_eq!(fast.mmh_retired, walked.mmh_retired, "cycle {cycle}");
+            assert_eq!(fast.memory_requests, walked.memory_requests, "cycle {cycle}");
+            assert_eq!(fast.haccs, walked.haccs, "cycle {cycle}");
+            self.cycle += 1;
+            fast.memory_requests.iter().map(|req| req.pipeline).collect()
+        }
+
+        fn respond(&mut self, pipelines: &[usize]) {
+            for core in &mut self.cores {
+                pipelines.iter().for_each(|&pipeline| core.memory_response(pipeline));
+            }
+        }
+
+        fn accept(&mut self, instr: &MmhInstruction) {
+            for core in &mut self.cores {
+                assert!(core.accept(instr.clone()));
+            }
+        }
+    }
+
+    /// The settled tick skips the pipeline walk of a core whose pipelines
+    /// all wait on operands. Against a core that always walks: `stalled`
+    /// stalled cycles, a partial and then the completing operand arrival,
+    /// and a second instruction that the rotated cursor hands to one of two
+    /// idle pipelines. Every tick's output, the final counters, the cursor
+    /// and the CPI samples must agree.
+    #[test]
+    fn settled_ticks_equal_the_full_pipeline_walk() {
+        let config = NeuraCoreConfig { pipelines: 3, ..core_config() };
+        for stalled in 0..=2 * config.pipelines as u64 + 1 {
+            let mut pair = LockStep {
+                cores: [NeuraCore::new(0, 0, config), NeuraCore::new(0, 0, config)],
+                outs: Default::default(),
+                cycle: 0,
+                settled_ticks: 0,
+            };
+            pair.cores.iter_mut().for_each(|core| core.prepare(8));
+            pair.accept(&mmh(2, &[0, 1], &[0, 1, 2]));
+            let mut waiting = Vec::new();
+            while waiting.is_empty() {
+                waiting = pair.tick();
+            }
+            assert_eq!(waiting.len(), 4);
+            for _ in 0..stalled {
+                assert!(pair.tick().is_empty());
+            }
+            // Three of four operands: the pipeline still stalls, and the core
+            // stays settled through it.
+            pair.respond(&waiting[..3]);
+            assert!(pair.tick().is_empty());
+            assert_eq!(pair.outs[0].outcome, TickOutcome::Stalled);
+            assert!(pair.cores[0].settled);
+            // The last operand wakes the first instruction; the second goes
+            // to whichever idle pipeline the cursor reaches first.
+            pair.respond(&waiting[3..]);
+            pair.accept(&mmh(2, &[2, 3], &[1, 2]));
+            while !pair.cores[1].is_idle() {
+                let issued = pair.tick();
+                pair.respond(&issued);
+                assert!(pair.cycle < 200, "the instructions never retired");
+            }
+            let [fast, walked] = &pair.cores;
+            assert_eq!(pair.settled_ticks, stalled, "the settled tick was not what ran");
+            assert_eq!(fast.stats(), walked.stats());
+            assert_eq!(fast.stats().mmh_completed, 2);
+            assert_eq!(fast.cpi_histogram(), walked.cpi_histogram());
+            assert_eq!(fast.next_pipeline, walked.next_pipeline);
+            assert!(fast.is_idle());
         }
     }
 

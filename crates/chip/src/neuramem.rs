@@ -54,6 +54,9 @@ struct HashLine {
     tag: u64,
     data: f64,
     counter: u32,
+    /// The line sits off its tag's home slot (`tag % hashlines`), placed
+    /// there by probing: every later hit on it counts as a collision.
+    displaced: bool,
 }
 
 /// A NeuraMem accumulation unit.
@@ -214,8 +217,7 @@ impl NeuraMem {
             line.data += hacc.data;
             line.counter = line.counter.saturating_sub(1);
             let done = line.counter == 0;
-            let home = (hacc.tag as usize) % self.pad.len();
-            if slot != home {
+            if line.displaced {
                 self.stats.collisions += 1;
             }
             self.finish_hacc(&hacc, now);
@@ -241,7 +243,8 @@ impl NeuraMem {
             self.stats.collisions += 1;
         }
         let counter = hacc.counter.saturating_sub(1);
-        self.pad[slot] = Some(HashLine { tag: hacc.tag, data: hacc.data, counter });
+        self.pad[slot] =
+            Some(HashLine { tag: hacc.tag, data: hacc.data, counter, displaced: probes > 0 });
         self.index.insert(hacc.tag, slot);
         self.occupied += 1;
         self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.occupied);

@@ -10,13 +10,20 @@
 //! moves a simulated statistic fails here rather than only in
 //! `just profile` / `just xval`, which tier-1 does not run.
 //!
+//! A second table pins the stall-bound regime the power-law cells barely
+//! reach: a banded 96-node matrix on (Tile-16, Tile-64) × (hbm2, ddr4) ×
+//! eviction policy, where most core ticks find every pipeline waiting on
+//! DRAM. Its values were captured before stalled cores took the O(1) tick.
+//!
 //! A change that *means* to alter the modelled machine re-captures the
-//! table: the failure message prints the rows to paste.
+//! tables: the failure message prints the rows to paste.
 
 use neura_chip::accelerator::{Accelerator, ExecutionReport};
 use neura_chip::config::{ChipConfig, EvictionPolicy, TileSize};
 use neura_chip::mapping::MappingKind;
+use neura_mem::HbmPreset;
 use neura_sparse::gen::GraphGenerator;
+use neura_sparse::CsrMatrix;
 
 /// FNV-1a over the report's `Debug` text (stable across platforms and
 /// std versions, unlike `DefaultHasher`).
@@ -26,10 +33,39 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-fn run(tile: TileSize, eviction: EvictionPolicy, mapping: MappingKind) -> ExecutionReport {
-    let a = GraphGenerator::power_law(64, 64 * 6, 2.1, 3).generate().to_csr();
-    let config = ChipConfig::for_tile_size(tile).with_eviction(eviction).with_mapping(mapping);
-    Accelerator::new(config).run_spgemm(&a, &a).expect("simulation drains").report
+fn run(a: &CsrMatrix, config: &ChipConfig) -> ExecutionReport {
+    Accelerator::new(config.clone()).run_spgemm(a, a).expect("simulation drains").report
+}
+
+/// Runs every `(label, config)` cell on `a`, compares
+/// `(total_cycles, fnv1a(Debug))` with `golden` in order and returns the
+/// reports.
+fn assert_pinned(
+    a: &CsrMatrix,
+    cells: Vec<(String, ChipConfig)>,
+    golden: &[(u64, u64)],
+) -> Vec<ExecutionReport> {
+    assert_eq!(cells.len(), golden.len());
+    let reports: Vec<ExecutionReport> = cells.iter().map(|(_, config)| run(a, config)).collect();
+    let hashes: Vec<u64> = reports.iter().map(|report| fnv1a(&format!("{report:?}"))).collect();
+    let table: String = reports
+        .iter()
+        .zip(&hashes)
+        .zip(&cells)
+        .map(|((report, hash), (label, _))| {
+            format!("    ({}, {hash:#018x}), // {label}\n", report.total_cycles)
+        })
+        .collect();
+    for (((report, hash), (label, _)), golden) in
+        reports.iter().zip(&hashes).zip(&cells).zip(golden)
+    {
+        assert_eq!(
+            (report.total_cycles, *hash),
+            *golden,
+            "{label} diverged from the pinned loop; its report is now\n{report:?}\nfull table:\n{table}"
+        );
+    }
+    reports
 }
 
 /// `(total_cycles, fnv1a(Debug))` per cell, in `cells()` order.
@@ -60,46 +96,51 @@ const GOLDEN: [(u64, u64); 24] = [
     (1685, 0xe4dbb0ca4a864b91), // Tile-64 Barrier drhm
 ];
 
-fn cells() -> Vec<(TileSize, EvictionPolicy, MappingKind)> {
+#[test]
+fn execution_reports_match_the_pinned_loop() {
+    let a = GraphGenerator::power_law(64, 64 * 6, 2.1, 3).generate().to_csr();
     let mut cells = Vec::new();
     for tile in TileSize::ALL {
         for eviction in [EvictionPolicy::Rolling, EvictionPolicy::Barrier] {
             for mapping in MappingKind::ALL {
-                cells.push((tile, eviction, mapping));
+                let config =
+                    ChipConfig::for_tile_size(tile).with_eviction(eviction).with_mapping(mapping);
+                cells.push((format!("{} {eviction:?} {}", tile.name(), mapping.name()), config));
             }
         }
     }
-    cells
+    assert_pinned(&a, cells, &GOLDEN);
 }
 
+/// `(total_cycles, fnv1a(Debug))` per stall-bound cell, in loop order.
+const GOLDEN_STALLED: [(u64, u64); 8] = [
+    (2289, 0xb0b9789385c24a8f), // Tile-16 hbm2 Rolling
+    (3337, 0xabf70c6553d08178), // Tile-16 hbm2 Barrier
+    (3206, 0x3f2fe6070e6dc25b), // Tile-16 ddr4 Rolling
+    (4587, 0xf5cb6279277d72ae), // Tile-16 ddr4 Barrier
+    (1978, 0x5764250cc636b132), // Tile-64 hbm2 Rolling
+    (3162, 0x6ff52606caf67d7a), // Tile-64 hbm2 Barrier
+    (3021, 0xf570bcdeb1a2037a), // Tile-64 ddr4 Rolling
+    (4454, 0xd6e4c4c4e07c227a), // Tile-64 ddr4 Barrier
+];
+
 #[test]
-fn execution_reports_match_the_pinned_loop() {
-    let cells = cells();
-    assert_eq!(cells.len(), GOLDEN.len());
-    let actual: Vec<(u64, u64, String)> = cells
-        .iter()
-        .map(|&(tile, eviction, mapping)| {
-            let report = run(tile, eviction, mapping);
-            let text = format!("{report:?}");
-            (report.total_cycles, fnv1a(&text), text)
-        })
-        .collect();
-    let table: String = actual
-        .iter()
-        .zip(&cells)
-        .map(|((cycles, hash, _), (tile, eviction, mapping))| {
-            format!(
-                "    ({cycles}, {hash:#018x}), // {} {eviction:?} {}\n",
-                tile.name(),
-                mapping.name()
-            )
-        })
-        .collect();
-    for (((cycles, hash, text), cell), golden) in actual.iter().zip(&cells).zip(&GOLDEN) {
-        assert_eq!(
-            (*cycles, *hash),
-            *golden,
-            "{cell:?} diverged from the pinned loop; its report is now\n{text}\nfull table:\n{table}"
+fn stall_bound_reports_match_the_pinned_loop() {
+    let a = GraphGenerator::banded(96, 6, 3).generate().to_csr();
+    let mut cells = Vec::new();
+    for tile in [TileSize::Tile16, TileSize::Tile64] {
+        for preset in [HbmPreset::Hbm2, HbmPreset::Ddr4] {
+            for eviction in [EvictionPolicy::Rolling, EvictionPolicy::Barrier] {
+                let config =
+                    ChipConfig::for_tile_size(tile).with_hbm_preset(preset).with_eviction(eviction);
+                cells.push((format!("{} {} {eviction:?}", tile.name(), preset.name()), config));
+            }
+        }
+    }
+    for report in assert_pinned(&a, cells, &GOLDEN_STALLED) {
+        assert!(
+            report.core_stall_cycles > report.core_busy_cycles,
+            "the cell is meant to be stall-bound: {report:?}"
         );
     }
 }

@@ -8,10 +8,12 @@
 //! * [`TorusTopology`] — coordinates, wrap-around neighbours and minimal
 //!   hop distances,
 //! * [`Packet`] — a routed message with byte size and latency bookkeeping,
-//! * [`Router`] — per-node input-buffered router using dimension-order
-//!   routing with per-port bandwidth limits,
 //! * [`TorusNetwork`] — the assembled fabric with injection, per-cycle
-//!   advancement, delivery queues and traffic statistics.
+//!   advancement, delivery queues and traffic statistics. It owns every
+//!   in-flight packet in one slab; its per-node routers (input-buffered,
+//!   dimension-order, a per-cycle link budget, [`RouterStats`]) queue
+//!   4-byte handles into that slab and look the next hop up in a table
+//!   built once per network, so a hop copies no packet and divides nothing.
 //!
 //! # Example
 //!
@@ -40,5 +42,5 @@ pub mod topology;
 
 pub use network::{NetworkStats, TorusNetwork};
 pub use packet::Packet;
-pub use router::Router;
+pub use router::RouterStats;
 pub use topology::{Direction, TorusTopology};

@@ -1,8 +1,8 @@
 //! The assembled torus fabric.
 
 use crate::packet::Packet;
-use crate::router::Router;
-use crate::topology::TorusTopology;
+use crate::router::{Handle, Router};
+use crate::topology::{RouteTable, TorusTopology};
 use neura_sim::{Cycle, Histogram};
 use serde::{Deserialize, Serialize};
 
@@ -44,11 +44,22 @@ impl NetworkStats {
 }
 
 /// A 2D-torus network of input-buffered routers.
+///
+/// The network owns every packet in the fabric in one slab; router queues
+/// hold [`Handle`]s into it. A hop therefore moves four bytes and updates
+/// the packet in place, and a `Packet` value leaves the slab only when
+/// [`Self::drain_delivered`] hands it to the attached component, which
+/// also returns its slot for the next injection.
 #[derive(Debug)]
 pub struct TorusNetwork {
     topology: TorusTopology,
+    routes: RouteTable,
     routers: Vec<Router>,
     links_per_cycle: usize,
+    /// The packet slab: a slot is live from `inject` to its drain.
+    packets: Vec<Packet>,
+    /// Slab slots whose packet has been drained.
+    free: Vec<Handle>,
     stats: NetworkStats,
     latency_histogram: Histogram,
     hop_histogram: Histogram,
@@ -59,7 +70,11 @@ pub struct TorusNetwork {
     /// the attached component.
     waiting: usize,
     /// Router-to-router transfers of the cycle being ticked (reused).
-    moves: Vec<(usize, Packet)>,
+    moves: Vec<(usize, Handle)>,
+    /// Bit `n % 64` of word `n / 64` is set while router `n` has packets to
+    /// route, so a tick visits only those — in ascending node order, the
+    /// order that fixes how transfers interleave in a shared next hop.
+    active: Vec<u64>,
 }
 
 impl TorusNetwork {
@@ -68,14 +83,18 @@ impl TorusNetwork {
         let routers = (0..topology.nodes()).map(|n| Router::new(n, buffer_capacity)).collect();
         TorusNetwork {
             topology,
+            routes: RouteTable::new(&topology),
             routers,
             links_per_cycle: 2,
+            packets: Vec::new(),
+            free: Vec::new(),
             stats: NetworkStats::default(),
             latency_histogram: Histogram::new(4, 64),
             hop_histogram: Histogram::new(1, 64),
             buffered: 0,
             waiting: 0,
             moves: Vec::new(),
+            active: vec![0; topology.nodes().div_ceil(64)],
         }
     }
 
@@ -102,17 +121,28 @@ impl TorusNetwork {
         let src = packet.src;
         assert!(src < self.routers.len(), "source node {src} out of range");
         assert!(packet.dst < self.routers.len(), "destination node out of range");
-        match self.routers[src].accept(packet) {
-            Ok(()) => {
-                self.stats.injected += 1;
-                self.buffered += 1;
-                Ok(())
-            }
-            Err(p) => {
-                self.stats.injection_rejected += 1;
-                Err(p)
-            }
+        if self.routers[src].is_full() {
+            self.stats.injection_rejected += 1;
+            return Err(packet);
         }
+        let handle = match self.free.pop() {
+            Some(handle) => {
+                self.packets[handle as usize] = packet;
+                handle
+            }
+            None => {
+                let handle = Handle::try_from(self.packets.len())
+                    .expect("fewer than 2^32 packets are in the fabric at once");
+                self.packets.push(packet);
+                handle
+            }
+        };
+        let accepted = self.routers[src].accept(handle);
+        debug_assert!(accepted, "fullness was checked above");
+        self.active[src / 64] |= 1 << (src % 64);
+        self.stats.injected += 1;
+        self.buffered += 1;
+        Ok(())
     }
 
     /// Advances the whole fabric one cycle. Packets that reach their
@@ -124,26 +154,40 @@ impl TorusNetwork {
         }
         let now = now.as_u64();
         let mut moves = std::mem::take(&mut self.moves);
-        for router in &mut self.routers {
-            if router.buffered() == 0 {
-                continue;
+        for word in 0..self.active.len() {
+            // A snapshot: transfers set bits only after every router has routed.
+            let mut pending = self.active[word];
+            while pending != 0 {
+                let bit = pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                let router = &mut self.routers[word * 64 + bit];
+                let delivered = router.route_cycle(
+                    &self.routes,
+                    &mut self.packets,
+                    self.links_per_cycle,
+                    &mut moves,
+                );
+                for handle in router.newest_delivered(delivered) {
+                    let packet = &self.packets[handle as usize];
+                    self.stats.delivered += 1;
+                    self.stats.total_latency += packet.latency(now);
+                    self.stats.total_hops += u64::from(packet.hops);
+                    self.stats.bytes_delivered += packet.bytes as u64;
+                    self.latency_histogram.record(packet.latency(now));
+                    self.hop_histogram.record(u64::from(packet.hops));
+                }
+                self.buffered -= delivered;
+                self.waiting += delivered;
+                if router.buffered() == 0 {
+                    self.active[word] &= !(1 << bit);
+                }
             }
-            let delivered = router.route_cycle(&self.topology, self.links_per_cycle, &mut moves);
-            for packet in router.newest_delivered(delivered) {
-                self.stats.delivered += 1;
-                self.stats.total_latency += packet.latency(now);
-                self.stats.total_hops += u64::from(packet.hops);
-                self.stats.bytes_delivered += packet.bytes as u64;
-                self.latency_histogram.record(packet.latency(now));
-                self.hop_histogram.record(u64::from(packet.hops));
-            }
-            self.buffered -= delivered;
-            self.waiting += delivered;
         }
-        for (next, packet) in moves.drain(..) {
+        for (next, handle) in moves.drain(..) {
             // Router-to-router hops are throughput-limited, not buffer-limited
             // (see `Router::force_accept`), which keeps the torus deadlock-free.
-            self.routers[next].force_accept(packet);
+            self.routers[next].force_accept(handle);
+            self.active[next / 64] |= 1 << (next % 64);
         }
         self.moves = moves;
     }
@@ -160,7 +204,17 @@ impl TorusNetwork {
     pub fn drain_delivered_into(&mut self, node: usize, out: &mut Vec<Packet>) {
         let router = &mut self.routers[node];
         self.waiting -= router.delivered_waiting();
-        out.extend(router.drain_delivered());
+        while let Some(handle) = router.pop_delivered() {
+            out.push(self.packets[handle as usize].clone());
+            self.free.push(handle);
+        }
+    }
+
+    /// Number of packets delivered to `node` and not yet drained; lets a
+    /// per-cycle caller pass over the (many) nodes nothing has reached.
+    #[inline]
+    pub fn waiting_at(&self, node: usize) -> usize {
+        self.routers[node].delivered_waiting()
     }
 
     /// Number of packets anywhere in the fabric (buffered or awaiting pickup).
@@ -186,7 +240,8 @@ impl TorusNetwork {
         &self.hop_histogram
     }
 
-    /// Per-router congestion (blocked cycles), indexed by node id.
+    /// Per-router congestion ([`crate::RouterStats::blocked_cycles`]:
+    /// transfers that arrived over capacity), indexed by node id.
     pub fn congestion_map(&self) -> Vec<u64> {
         self.routers.iter().map(|r| r.stats().blocked_cycles).collect()
     }

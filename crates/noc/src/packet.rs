@@ -4,9 +4,11 @@ use serde::{Deserialize, Serialize};
 
 /// A message routed over the torus fabric.
 ///
-/// In the NeuraChip model a packet typically carries one `HACC` instruction
-/// (16 bytes, Figure 9) from a NeuraCore to a NeuraMem, or an eviction
-/// write-back from a NeuraMem toward its tile's memory controller.
+/// In the NeuraChip model every packet carries one `HACC` instruction
+/// (16 bytes, Figure 9) from a NeuraCore to a NeuraMem; the accelerator
+/// keeps the instruction itself in a table of its own, keyed by `id`.
+/// Eviction write-backs do not travel the NoC: a NeuraMem submits them
+/// straight to its tile's memory controller.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Packet {
     /// Caller-assigned identifier (e.g. partial-product sequence number).

@@ -1,9 +1,16 @@
 //! Input-buffered router with dimension-order routing.
+//!
+//! A router holds no [`Packet`]: its queues carry [`Handle`]s into the
+//! packet slab of the [`TorusNetwork`](crate::TorusNetwork) it belongs to,
+//! so a hop moves four bytes and the packet is updated where it lies.
 
 use crate::packet::Packet;
-use crate::topology::{Direction, TorusTopology};
+use crate::topology::RouteTable;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+
+/// Index of a packet in its network's slab.
+pub(crate) type Handle = u32;
 
 /// Per-router statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -12,28 +19,29 @@ pub struct RouterStats {
     pub forwarded: u64,
     /// Packets delivered to the local node.
     pub delivered: u64,
-    /// Cycles in which at least one packet could not move because the
-    /// downstream buffer was full (congestion indicator).
+    /// Router-to-router transfers that arrived while the input buffer was
+    /// already at or over its nominal capacity (congestion indicator). A
+    /// count of transfers, not of cycles: several can land in one cycle.
     pub blocked_cycles: u64,
     /// Total payload bytes that traversed this router.
     pub bytes_routed: u64,
 }
 
-/// One node's router: an input queue per direction plus a delivery queue.
+/// One node's router: a merged input queue plus a delivery queue.
 #[derive(Debug, Clone)]
-pub struct Router {
+pub(crate) struct Router {
     node: usize,
     buffer_capacity: usize,
     /// Single merged input buffer (the paper's "packet buffers").
-    input: VecDeque<Packet>,
+    input: VecDeque<Handle>,
     /// Packets destined to the local node, awaiting pickup.
-    delivered: VecDeque<Packet>,
+    delivered: VecDeque<Handle>,
     stats: RouterStats,
 }
 
 impl Router {
     /// Creates a router for `node` with the given input-buffer capacity.
-    pub fn new(node: usize, buffer_capacity: usize) -> Self {
+    pub(crate) fn new(node: usize, buffer_capacity: usize) -> Self {
         Router {
             node,
             buffer_capacity: buffer_capacity.max(1),
@@ -43,40 +51,25 @@ impl Router {
         }
     }
 
-    /// The node this router serves.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
-    /// True when the input buffer cannot accept another packet.
-    pub fn is_full(&self) -> bool {
+    /// True when the input buffer cannot accept another injected packet.
+    pub(crate) fn is_full(&self) -> bool {
         self.input.len() >= self.buffer_capacity
     }
 
-    /// Free slots in the input buffer.
-    pub fn free_slots(&self) -> usize {
-        self.buffer_capacity - self.input.len()
-    }
-
     /// Number of packets in the input buffer, still to be routed.
-    pub fn buffered(&self) -> usize {
+    pub(crate) fn buffered(&self) -> usize {
         self.input.len()
     }
 
-    /// Number of packets buffered (input + undelivered local).
-    pub fn occupancy(&self) -> usize {
-        self.input.len() + self.delivered.len()
-    }
-
-    /// Accepts a newly *injected* packet into the input buffer.  Returns the
-    /// packet back to the caller when the buffer is full (injection
+    /// Accepts a newly *injected* packet into the input buffer. Returns
+    /// `false`, taking nothing, when the buffer is full (injection
     /// back-pressure toward the attached NeuraCore).
-    pub fn accept(&mut self, packet: Packet) -> Result<(), Packet> {
+    pub(crate) fn accept(&mut self, packet: Handle) -> bool {
         if self.is_full() {
-            return Err(packet);
+            return false;
         }
         self.input.push_back(packet);
-        Ok(())
+        true
     }
 
     /// Accepts a packet forwarded from a neighbouring router.
@@ -84,62 +77,65 @@ impl Router {
     /// Router-to-router transfers are never refused: the fabric uses
     /// credit-free forwarding with throughput limits instead of hard buffer
     /// limits, which keeps the wrap-around torus free of routing deadlock.
-    /// Cycles in which the buffer is over its nominal capacity are counted
-    /// as congestion ([`RouterStats::blocked_cycles`]).
-    pub fn force_accept(&mut self, packet: Packet) {
-        if self.input.len() >= self.buffer_capacity {
+    /// A transfer that finds the buffer at or over its nominal capacity is
+    /// counted as congestion ([`RouterStats::blocked_cycles`]).
+    pub(crate) fn force_accept(&mut self, packet: Handle) {
+        if self.is_full() {
             self.stats.blocked_cycles += 1;
         }
         self.input.push_back(packet);
     }
 
     /// Statistics snapshot.
-    pub fn stats(&self) -> RouterStats {
+    pub(crate) fn stats(&self) -> RouterStats {
         self.stats
     }
 
-    /// Removes every packet delivered to the local node, oldest first.
-    pub fn drain_delivered(&mut self) -> impl Iterator<Item = Packet> + '_ {
-        self.delivered.drain(..)
+    /// Removes the oldest packet delivered to the local node, if any. (A
+    /// pop per packet: most calls find the queue empty, where a `drain`
+    /// costs more to set up and tear down than the check.)
+    pub(crate) fn pop_delivered(&mut self) -> Option<Handle> {
+        self.delivered.pop_front()
     }
 
     /// Number of packets waiting in the local delivery queue.
-    pub fn delivered_waiting(&self) -> usize {
+    pub(crate) fn delivered_waiting(&self) -> usize {
         self.delivered.len()
     }
 
     /// The `count` most recently delivered packets still awaiting pickup
     /// (what [`Self::route_cycle`] just reported), oldest first.
-    pub fn newest_delivered(&self, count: usize) -> impl Iterator<Item = &Packet> {
-        self.delivered.range(self.delivered.len() - count..)
+    pub(crate) fn newest_delivered(&self, count: usize) -> impl Iterator<Item = Handle> + '_ {
+        self.delivered.range(self.delivered.len() - count..).copied()
     }
 
-    /// Routes up to `links_per_cycle` packets, pushing them to `outgoing` as
-    /// `(next_node, packet)` pairs; packets for this node go to the delivery
-    /// queue, and their number is returned.  Throughput — not buffer credits —
-    /// is the limiting resource for router-to-router hops, so the fabric
-    /// cannot deadlock on the torus wrap-around links.
-    pub fn route_cycle(
+    /// Routes up to `links_per_cycle` packets of the slab `packets`, pushing
+    /// them to `outgoing` as `(next_node, packet)` pairs; packets for this
+    /// node go to the delivery queue, and their number is returned.
+    /// Throughput — not buffer credits — is the limiting resource for
+    /// router-to-router hops, so the fabric cannot deadlock on the torus
+    /// wrap-around links.
+    pub(crate) fn route_cycle(
         &mut self,
-        topology: &TorusTopology,
+        routes: &RouteTable,
+        packets: &mut [Packet],
         links_per_cycle: usize,
-        outgoing: &mut Vec<(usize, Packet)>,
+        outgoing: &mut Vec<(usize, Handle)>,
     ) -> usize {
         let mut delivered = 0usize;
         for _ in 0..links_per_cycle {
-            let Some(mut packet) = self.input.pop_front() else { break };
-            let dir = topology.route(self.node, packet.dst);
+            let Some(handle) = self.input.pop_front() else { break };
+            let packet = &mut packets[handle as usize];
             self.stats.bytes_routed += packet.bytes as u64;
-            if dir == Direction::Local {
+            if packet.dst == self.node {
                 self.stats.delivered += 1;
-                self.delivered.push_back(packet);
+                self.delivered.push_back(handle);
                 delivered += 1;
                 continue;
             }
-            let next = topology.neighbor(self.node, dir);
             packet.hops += 1;
             self.stats.forwarded += 1;
-            outgoing.push((next, packet));
+            outgoing.push((routes.next_hop(self.node, packet.dst), handle));
         }
         delivered
     }
@@ -148,62 +144,70 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::TorusTopology;
+
+    /// A slab of `count` packets from node 0 to `dst`; packet `i` has handle `i`.
+    fn slab(count: u32, dst: usize) -> Vec<Packet> {
+        (0..count).map(|id| Packet::new(u64::from(id), 0, dst, 16)).collect()
+    }
 
     #[test]
     fn local_packets_are_delivered() {
-        let topo = TorusTopology::new(2, 2);
+        let routes = RouteTable::new(&TorusTopology::new(2, 2));
+        let mut packets = slab(1, 0);
         let mut r = Router::new(0, 4);
-        r.accept(Packet::new(1, 0, 0, 16)).unwrap();
+        assert!(r.accept(0));
         let mut out = Vec::new();
-        r.route_cycle(&topo, 4, &mut out);
+        r.route_cycle(&routes, &mut packets, 4, &mut out);
         assert!(out.is_empty());
-        assert_eq!(r.drain_delivered().count(), 1);
+        assert_eq!(r.pop_delivered(), Some(0));
+        assert_eq!(r.pop_delivered(), None);
         assert_eq!(r.stats().delivered, 1);
     }
 
     #[test]
     fn remote_packets_move_toward_destination() {
-        let topo = TorusTopology::new(4, 1);
+        let routes = RouteTable::new(&TorusTopology::new(4, 1));
+        let mut packets = slab(1, 2);
         let mut r = Router::new(0, 4);
-        r.accept(Packet::new(1, 0, 2, 16)).unwrap();
+        assert!(r.accept(0));
         let mut out = Vec::new();
-        r.route_cycle(&topo, 1, &mut out);
-        assert_eq!(out.len(), 1);
-        let (next, packet) = &out[0];
-        assert_eq!(*next, 1);
-        assert_eq!(packet.hops, 1);
+        r.route_cycle(&routes, &mut packets, 1, &mut out);
+        assert_eq!(out, [(1, 0)]);
+        assert_eq!(packets[0].hops, 1);
     }
 
     #[test]
     fn buffer_capacity_rejects_excess_injections() {
         let mut r = Router::new(0, 2);
-        assert!(r.accept(Packet::new(1, 0, 1, 8)).is_ok());
-        assert!(r.accept(Packet::new(2, 0, 1, 8)).is_ok());
-        assert!(r.accept(Packet::new(3, 0, 1, 8)).is_err());
+        assert!(r.accept(0));
+        assert!(r.accept(1));
+        assert!(!r.accept(2));
         assert!(r.is_full());
-        assert_eq!(r.free_slots(), 0);
+        assert_eq!(r.buffered(), 2);
     }
 
     #[test]
     fn forwarded_packets_are_never_refused_but_count_congestion() {
         let mut r = Router::new(0, 1);
-        r.force_accept(Packet::new(1, 3, 1, 8));
+        r.force_accept(0);
         assert_eq!(r.stats().blocked_cycles, 0);
-        r.force_accept(Packet::new(2, 3, 1, 8));
-        assert_eq!(r.occupancy(), 2, "forwarded packets always land");
+        r.force_accept(1);
+        assert_eq!(r.buffered(), 2, "forwarded packets always land");
         assert_eq!(r.stats().blocked_cycles, 1, "over-capacity transfer counts as congestion");
     }
 
     #[test]
     fn links_per_cycle_limits_throughput() {
-        let topo = TorusTopology::new(4, 1);
+        let routes = RouteTable::new(&TorusTopology::new(4, 1));
+        let mut packets = slab(6, 2);
         let mut r = Router::new(0, 8);
-        for i in 0..6 {
-            r.accept(Packet::new(i, 0, 2, 8)).unwrap();
+        for handle in 0..6 {
+            assert!(r.accept(handle));
         }
         let mut out = Vec::new();
-        r.route_cycle(&topo, 2, &mut out);
+        r.route_cycle(&routes, &mut packets, 2, &mut out);
         assert_eq!(out.len(), 2);
-        assert_eq!(r.occupancy(), 4);
+        assert_eq!(r.buffered(), 4);
     }
 }

@@ -1,13 +1,17 @@
 //! `TorusNetwork` against a straightforward reference model.
 //!
-//! The network keeps per-destination delivery queues, running in-flight
-//! counters and a reused transfer buffer, and skips empty routers. The
-//! reference below is the plain algorithm those replaced — route every
-//! router, apply the transfers, append the cycle's deliveries to one
-//! store, filter the store per drain, re-sum every buffer for
+//! The network keeps its packets in one slab and queues 4-byte handles,
+//! reads next hops from a table, keeps per-destination delivery queues,
+//! running in-flight counters and a reused transfer buffer, and skips
+//! empty routers. The reference below is the plain algorithm those
+//! replaced — queues of whole packets, `TorusTopology::route` per hop,
+//! route every router, apply the transfers, append the cycle's deliveries
+//! to one store, filter the store per drain, re-sum every buffer for
 //! `in_flight` — and must be indistinguishable from outside: per-node
 //! delivery order, `stats()`, both histograms, `congestion_map()` and
-//! `in_flight()`, for any inject/tick/drain schedule.
+//! `in_flight()`, for any inject/tick/drain schedule on any torus up to
+//! the 16×16 of Tile-64, at the buffer capacities and link budgets the
+//! chip configurations use.
 
 use neura_noc::{Direction, NetworkStats, Packet, TorusNetwork, TorusTopology};
 use neura_sim::{Cycle, Histogram};
@@ -102,50 +106,82 @@ type Step = (Vec<(usize, usize)>, bool, u64);
 
 fn arb_schedule() -> impl Strategy<Value = Vec<Step>> {
     let step = (
-        proptest::collection::vec((0usize..64, 0usize..64), 0..8),
+        proptest::collection::vec((0usize..256, 0usize..256), 0..8),
         (0u8..8).prop_map(|roll| roll > 0),
         0u64..=u64::MAX,
     );
     proptest::collection::vec(step, 1..60)
 }
 
+/// The network and the reference, driven in lock step.
+struct Pair {
+    net: TorusNetwork,
+    reference: Reference,
+    next_id: u64,
+    now: u64,
+}
+
+impl Pair {
+    fn step(&mut self, (injections, tick, drains): Step) -> Result<(), String> {
+        let (nodes, now) = (self.reference.topology.nodes(), self.now);
+        for (src, dst) in injections {
+            let id = self.next_id;
+            let packet = Packet::new(id, src % nodes, dst % nodes, 8 + (id % 3) as usize * 4);
+            self.next_id += 1;
+            prop_assert_eq!(
+                self.net.inject(packet.clone(), Cycle(now)),
+                self.reference.inject(packet, now)
+            );
+        }
+        if tick {
+            self.net.tick(Cycle(now));
+            self.reference.tick(now);
+        }
+        for node in (0..nodes).filter(|node| drains >> (node % 64) & 1 == 1) {
+            prop_assert_eq!(self.net.drain_delivered(node), self.reference.drain(node));
+        }
+        prop_assert_eq!(self.net.in_flight(), self.reference.in_flight());
+        prop_assert_eq!(self.net.stats(), &self.reference.stats);
+        prop_assert_eq!(self.net.congestion_map(), self.reference.blocked.clone());
+        self.now += 1;
+        Ok(())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Each round is a random schedule followed by ticking and draining
+    /// everything until both sides are empty, so a later round injects
+    /// into a slab whose every slot has been handed back (as do the
+    /// injections that follow a drain inside one schedule).
     #[test]
     fn network_is_indistinguishable_from_the_reference(
-        (width, height) in (1usize..=5, 1usize..=4),
-        (capacity, links) in (1usize..=4, 1usize..=3),
-        schedule in arb_schedule(),
+        (width, height) in (1usize..=16, 1usize..=16),
+        (capacity, links) in (1usize..=16, 1usize..=4),
+        rounds in proptest::collection::vec(arb_schedule(), 1..=3),
     ) {
         let topology = TorusTopology::new(width, height);
-        let nodes = topology.nodes();
-        let mut net = TorusNetwork::new(topology, capacity).with_links_per_cycle(links);
-        let mut reference = Reference::new(topology, capacity, links);
-        let mut next_id = 0u64;
-        // After the schedule, tick and drain everything until both are empty.
-        let drain_all = std::iter::repeat_n((Vec::new(), true, u64::MAX), 400);
-        for (cycle, (injections, tick, drains)) in schedule.into_iter().chain(drain_all).enumerate() {
-            let now = cycle as u64;
-            for (src, dst) in injections {
-                let packet = Packet::new(next_id, src % nodes, dst % nodes, 8 + (next_id % 3) as usize * 4);
-                next_id += 1;
-                prop_assert_eq!(net.inject(packet.clone(), Cycle(now)), reference.inject(packet, now));
+        let mut pair = Pair {
+            net: TorusNetwork::new(topology, capacity).with_links_per_cycle(links),
+            reference: Reference::new(topology, capacity, links),
+            next_id: 0,
+            now: 0,
+        };
+        for schedule in rounds {
+            for step in schedule {
+                pair.step(step)?;
             }
-            if tick {
-                net.tick(Cycle(now));
-                reference.tick(now);
+            let mut drain_steps = 0;
+            while pair.reference.in_flight() > 0 {
+                pair.step((Vec::new(), true, u64::MAX))?;
+                drain_steps += 1;
+                prop_assert!(drain_steps < 2_000, "the fabric never drained");
             }
-            for node in (0..nodes).filter(|node| drains >> (node % 64) & 1 == 1) {
-                prop_assert_eq!(net.drain_delivered(node), reference.drain(node));
-            }
-            prop_assert_eq!(net.in_flight(), reference.in_flight());
-            prop_assert_eq!(net.stats(), &reference.stats);
-            prop_assert_eq!(net.congestion_map(), reference.blocked.clone());
+            prop_assert_eq!(pair.net.in_flight(), 0);
+            prop_assert_eq!(pair.net.stats().delivered, pair.net.stats().injected);
         }
-        prop_assert_eq!(net.in_flight(), 0);
-        prop_assert_eq!(net.stats().delivered, net.stats().injected);
-        prop_assert_eq!(net.latency_histogram(), &reference.latency);
-        prop_assert_eq!(net.hop_histogram(), &reference.hops);
+        prop_assert_eq!(pair.net.latency_histogram(), &pair.reference.latency);
+        prop_assert_eq!(pair.net.hop_histogram(), &pair.reference.hops);
     }
 }

@@ -36,7 +36,14 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, sample: u64) {
-        let idx = ((sample / self.bin_width) as usize).min(self.bins.len() - 1);
+        // The run loops record several samples per simulated instruction,
+        // two of them into power-of-two bins (NoC latency and hop count).
+        let bin = if self.bin_width.is_power_of_two() {
+            sample >> self.bin_width.trailing_zeros()
+        } else {
+            sample / self.bin_width
+        };
+        let idx = (bin as usize).min(self.bins.len() - 1);
         self.bins[idx] += 1;
         self.count += 1;
         self.sum += sample;

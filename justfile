@@ -181,12 +181,13 @@ trend before after *flags="":
 perf *flags="":
     bash benchmark/run.sh {{flags}}
 
-# benchmark/README.md § "Comparing two commits", mechanised: two git
-# worktrees, two target directories, the parent's benchmark/ on both
-# sides, alternating order, another --seed per pair, run_seconds from
-# BENCHMARK.json. Prints per-metric quartiles, medians and pairs won;
-# fails when a sim_digest differs between the sides or an operation
-# failed. E.g. `just perf-pair HEAD~1 HEAD serve-fleet`.
+# benchmark/README.md § "Comparing two commits", mechanised: two `git
+# archive` checkouts, two target directories, the parent's benchmark/ on
+# both sides, alternating order, another --seed per pair, run_seconds
+# from BENCHMARK.json, then one --trace 1 run per side. Prints per-metric
+# quartiles, medians and pairs won, and the per-layer rows that moved by
+# more than 10 %; fails when a sim_digest differs between the sides or an
+# operation failed. E.g. `just perf-pair HEAD~1 HEAD serve-fleet`.
 perf-pair parent change workload pairs="10":
     bash scripts/perf-pair.sh {{parent}} {{change}} {{workload}} {{pairs}}
 

@@ -1,17 +1,21 @@
 #!/usr/bin/env bash
 # scripts/perf-pair.sh PARENT CHANGE WORKLOAD [PAIRS]     (`just perf-pair`)
 #
-# benchmark/README.md § "Comparing two commits", mechanised: checks the
-# two commits out as `git worktree`s, builds each once into its own
+# benchmark/README.md § "Comparing two commits", mechanised: unpacks the
+# two commits with `git archive`, builds each once into its own
 # CARGO_TARGET_DIR with the *parent's* benchmark/ on both sides (a change
 # that claims a gain may not edit the benchmark), then runs PAIRS (default
 # 10) pairs of --trace 0 runs of WORKLOAD, alternating which side goes
 # first, each pair with another --seed, both sides of a pair with the same
-# seed, at the run_seconds of BENCHMARK.json.
+# seed, at the run_seconds of BENCHMARK.json, and finishes with one
+# --trace 1 run per side at the last seed.
 #
 # Prints, as Markdown, per end-to-end metric: each side's Q1 / median / Q3,
 # the change's median against the parent's, the parent's interquartile
-# range, and the pairs the change won. Exits non-zero when a pair's
+# range, and the pairs the change won; then, from the traced runs, the
+# per-layer rows (`chip.run.*`, `noc.torus.*`, `*.share`) whose value moved
+# by more than 10 % — one run a side, so a pointer to where the saving
+# appeared, not a measurement of it. Exits non-zero when a pair's
 # sim_digest differs between the sides or an operation failed.
 set -euo pipefail
 if [[ $# -lt 3 || $# -gt 4 ]]; then
@@ -22,29 +26,26 @@ parent="$1" change="$2" workload="$3" pairs="${4:-10}"
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 seconds="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')"
 work="$(mktemp -d "${TMPDIR:-/tmp}/perf-pair.XXXXXX")"
-cleanup() {
-    for side in parent change; do
-        git worktree remove --force "$work/$side" 2>/dev/null || true
-    done
-    rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 
-git worktree add --quiet --detach "$work/parent" "$parent"
-git worktree add --quiet --detach "$work/change" "$change"
+for side in parent change; do
+    mkdir "$work/$side"
+    git archive "${!side}" | tar -x -C "$work/$side"
+done
 rm -rf "$work/change/benchmark"
 cp -r "$work/parent/benchmark" "$work/change/benchmark"
 for side in parent change; do
-    echo "building $side ($(git -C "$work/$side" rev-parse --short HEAD))" >&2
+    echo "building $side ($(git rev-parse --short "${!side}"))" >&2
     CARGO_TARGET_DIR="$work/target-$side" cargo build --release --offline --quiet \
         --manifest-path "$work/$side/benchmark/Cargo.toml" >&2
 done
 
-run_side() { # side seed
-    local dir="$work/out/$1/seed$2"
+run_side() { # side seed [trace]
+    local trace="${3:-0}"
+    local dir="$work/out/$1/seed$2-trace$trace"
     mkdir -p "$dir"
     (cd "$work/$1" && "$work/target-$1/release/neura_perf" --workload "$workload" \
-        --seed "$2" --seconds "$seconds" --trace 0 --out "$dir") >"$dir/stdout" || true
+        --seed "$2" --seconds "$seconds" --trace "$trace" --out "$dir") >"$dir/stdout" || true
 }
 for seed in $(seq 1 "$pairs"); do
     if ((seed % 2)); then order="parent change"; else order="change parent"; fi
@@ -53,25 +54,38 @@ for seed in $(seq 1 "$pairs"); do
     done
     echo "pair $seed of $pairs ($order)" >&2
 done
+for side in parent change; do
+    run_side "$side" "$pairs" 1
+done
+echo "traced run per side at seed $pairs" >&2
 
 python3 - "$work/out" "$workload" "$pairs" "$seconds" <<'PY'
-import json, statistics, sys
+import fnmatch, json, statistics, sys
 
 out, workload, pairs, seconds = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
 bench = json.load(open("BENCHMARK.json"))
 runs, bad = {"parent": [], "change": []}, []
+
+def read_run(side, seed, trace):
+    """The metric values of one run; failures are appended to `bad`."""
+    lines = open(f"{out}/{side}/seed{seed}-trace{trace}/stdout").read().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        sys.exit(f"FAIL: {side} seed {seed} --trace {trace} printed no result")
+    if not result["correct"] or result["failed"]:
+        bad.append(f"{side} seed {seed} --trace {trace}: "
+                   f"{result['failed']} of {result['attempted']} operations failed")
+    digest = next((l for l in lines if l.startswith("sim_digest")), None)
+    return {name: m["value"] for name, m in result["metrics"].items()}, digest
+
 for seed in range(1, pairs + 1):
     digests = {}
     for side in runs:
-        lines = open(f"{out}/{side}/seed{seed}/stdout").read().splitlines()
-        try:
-            result = json.loads(lines[-1])
-            digests[side] = next(l for l in lines if l.startswith("sim_digest"))
-        except (IndexError, ValueError, StopIteration):
-            sys.exit(f"FAIL: {side} seed {seed} printed no result")
-        if not result["correct"] or result["failed"]:
-            bad.append(f"{side} seed {seed}: {result['failed']} of {result['attempted']} operations failed")
-        runs[side].append({name: m["value"] for name, m in result["metrics"].items()})
+        metrics, digests[side] = read_run(side, seed, 0)
+        if digests[side] is None:
+            sys.exit(f"FAIL: {side} seed {seed} printed no sim_digest")
+        runs[side].append(metrics)
     if digests["parent"] != digests["change"]:
         bad.append(f"seed {seed}: sim_digest differs ({digests['parent']} vs {digests['change']})")
 
@@ -89,6 +103,19 @@ for metric in bench["end_to_end"]:
     ties = sum(a == b for a, b in zip(p, c))
     print(f"| {name} | {metric['unit']} | {p1:.6g} / {pm:.6g} / {p3:.6g} | {c1:.6g} / {cm:.6g} / {c3:.6g} "
           f"| {cm / pm - 1:+.1%} | {(p3 - p1) / pm:.1%} | {won} of {pairs - ties} |")
+
+(traced_parent, _), (traced_change, _) = (read_run(side, pairs, 1) for side in ("parent", "change"))
+print(f"\nPer-layer rows that moved by more than 10 % (one `--trace 1` run per side, seed {pairs}).\n")
+print("| metric | unit | better | parent | change | change vs parent |")
+print("|---|---|---|---|---|---|")
+for metric in bench["per_layer"]:
+    name = metric["name"]
+    if not any(fnmatch.fnmatch(name, pattern) for pattern in ("chip.run.*", "noc.torus.*", "*.share")):
+        continue
+    p, c = traced_parent.get(name), traced_change.get(name)
+    if not p or c is None or abs(c / p - 1) <= 0.10:
+        continue
+    print(f"| {name} | {metric['unit']} | {metric['better']} | {p:.6g} | {c:.6g} | {c / p - 1:+.1%} |")
 for line in bad:
     print(f"FAIL: {line}", file=sys.stderr)
 sys.exit(1 if bad else 0)
