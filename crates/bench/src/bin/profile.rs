@@ -34,7 +34,7 @@
 //! The per-window attribution table prints for every cell when the sweep
 //! has at most four cells, otherwise only for the most-stalled cell.
 
-use neura_bench::{fmt, print_table, sim_matrix_at_fidelity};
+use neura_bench::{fmt, print_table, sim_matrix_at_fidelity, size_matched_tile};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::{ChipConfig, HbmPreset, TileSize};
 use neura_chip::profile::{Profile, Profiler, StallCause, DEFAULT_WINDOW_CYCLES};
@@ -353,21 +353,4 @@ fn print_attribution(cell: &Cell, profile: &Profile) {
         ],
         &rows,
     );
-}
-
-/// The chip tier a practitioner would deploy for a graph of this size:
-/// terciles of the Table-1 suite by node count (same pairing as `xval`).
-fn size_matched_tile(name: &str) -> TileSize {
-    let dataset = DatasetCatalog::by_name(name).expect("validated at parse time");
-    let mut nodes: Vec<_> = DatasetCatalog::spgemm_suite().iter().map(|d| d.nodes).collect();
-    nodes.sort_unstable();
-    let small = nodes[nodes.len().div_ceil(3) - 1];
-    let mid = nodes[(2 * nodes.len()).div_ceil(3) - 1];
-    if dataset.nodes <= small {
-        TileSize::Tile4
-    } else if dataset.nodes <= mid {
-        TileSize::Tile16
-    } else {
-        TileSize::Tile64
-    }
 }

@@ -48,11 +48,11 @@
 //!   simulations (cycle cost model only) and emit one
 //!   `neura_lab.profile/v1` profile per (chip fingerprint, request class)
 //!   beside the run artifact (default `target/artifacts/serve-profile.json`)
-//! - `--epochs N` / `--epoch-ms X` — run every scenario replay through the
+//! - `--epochs N` — run every scenario replay through the
 //!   parallel-in-time engine (`neura_serve::engine`): the timeline splits
-//!   into N equal epochs (or epochs of X simulated milliseconds) whose
-//!   fragments replay concurrently and merge at the boundaries; the merged
-//!   artifact is byte-identical to the serial replay
+//!   into N equal epochs whose fragments replay concurrently and merge at
+//!   the boundaries; the merged artifact is byte-identical to the serial
+//!   replay
 //! - `--lanes L` — split eligible closed-loop scenarios into L independent
 //!   client/shard lanes that replay concurrently (a *scenario parameter*:
 //!   results are thread-count invariant at a fixed lane count)
@@ -78,7 +78,7 @@
 //! replays the identical demand.
 
 use neura_baselines::workload::WorkloadProfile;
-use neura_bench::{fmt, print_table, sim_matrix_at_fidelity};
+use neura_bench::{fmt, print_table, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::analytic::WorkloadFeatures;
 use neura_chip::config::{ChipConfig, TileSize};
@@ -98,13 +98,6 @@ use neura_serve::{
 };
 use neura_sparse::DatasetCatalog;
 
-/// Per-request workload shrink classes: a request queries the full
-/// simulator workload of its dataset, half of it, or a quarter.
-const REQUEST_SHRINKS: [usize; 3] = [1, 2, 4];
-
-/// Base seed of every workload (scenario seeds derive from it).
-const STREAM_SEED: u64 = 0x5EED_CAFE;
-
 /// Clients of the default closed-loop arm.
 const DEFAULT_CLIENTS: usize = 64;
 
@@ -123,7 +116,7 @@ fn usage() -> String {
      \x20            [--duration S] [--dataset NAME]... [--max-batch N] [--batch-timeout-ms X]\n\
      \x20            [--scenario NAME]... [--queue-bound N] [--tenant SPEC]... [--fault SPEC]\n\
      \x20            [--trace [PATH]] [--profile [PATH]] [--window-ms X] [--cost-model M]\n\
-     \x20            [--epochs N] [--epoch-ms X] [--lanes L] [--no-meta] [--speedup]\n\
+     \x20            [--epochs N] [--lanes L] [--no-meta] [--speedup]\n\
      \n\
      --json [PATH]         write a machine-readable artifact (default: target/artifacts/serve.json)\n\
      --arrival A           poisson | bursty (repeatable; default: poisson)\n\
@@ -163,7 +156,6 @@ fn usage() -> String {
      \x20                    hybrid = analytic rescaled through one cycle anchor per silicon)\n\
      --epochs N            replay each scenario as N parallel-in-time epoch fragments\n\
      \x20                    (merged results are byte-identical to the serial replay)\n\
-     --epoch-ms X          epoch width in simulated milliseconds (alternative to --epochs)\n\
      --lanes L             split eligible closed-loop scenarios into L parallel\n\
      \x20                    client/shard lanes (a scenario parameter, not a tuning knob)\n\
      --no-meta             omit wall-clock/engine meta fields from the artifact (exact\n\
@@ -206,7 +198,6 @@ struct Args {
     window_ms: Option<f64>,
     cost_model: CostModel,
     epochs: Option<usize>,
-    epoch_ms: Option<f64>,
     lanes: Option<usize>,
     no_meta: bool,
     speedup: bool,
@@ -242,7 +233,6 @@ fn parse_args() -> (Args, Flags) {
         window_ms: None,
         cost_model: CostModel::default(),
         epochs: None,
-        epoch_ms: None,
         lanes: None,
         no_meta: false,
         speedup: false,
@@ -394,10 +384,6 @@ fn parse_args() -> (Args, Flags) {
             "--epochs" => {
                 parsed.epochs =
                     Some(flags.parsed("--epochs", "a positive integer", Flags::at_least_one));
-            }
-            "--epoch-ms" => {
-                parsed.epoch_ms =
-                    Some(flags.parsed("--epoch-ms", "a positive width", Flags::positive));
             }
             "--lanes" => {
                 parsed.lanes =
@@ -766,14 +752,11 @@ fn main() {
     let window_s = args.window_ms.map(|ms| ms / 1e3).unwrap_or(duration_s / 50.0);
     let cli_tenants = (!args.tenants.is_empty()).then(|| TenantMix::new(args.tenants.clone()));
     // The engine plan every replay runs under: serial unless --epochs /
-    // --epoch-ms / --lanes asked for parallel-in-time fragments. The merged
-    // results are byte-identical to the serial replay either way.
+    // --lanes asked for parallel-in-time fragments. The merged results
+    // are byte-identical to the serial replay either way.
     let mut plan = EnginePlan::serial();
     if let Some(n) = args.epochs {
         plan = plan.with_epochs(n);
-    }
-    if let Some(ms) = args.epoch_ms {
-        plan = plan.with_epoch_s(ms / 1e3);
     }
     if let Some(l) = args.lanes {
         plan = plan.with_lanes(l);
@@ -818,9 +801,6 @@ fn main() {
         session.set_meta("epochs", plan.epochs as f64);
         session.set_meta("lanes", plan.lanes as f64);
         session.set_meta("threads", runner.threads() as f64);
-        if let Some(ms) = args.epoch_ms {
-            session.set_meta("epoch_ms", ms);
-        }
     }
 
     let mut timeline_artifact =

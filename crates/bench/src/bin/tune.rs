@@ -31,7 +31,7 @@
 //!   winner is simulator-verified at a fraction of the simulations)
 
 use neura_baselines::workload::WorkloadProfile;
-use neura_bench::{fmt, print_table, sim_matrix_at_fidelity};
+use neura_bench::{fmt, print_table, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::analytic::{AnalyticModel, WorkloadFeatures};
 use neura_chip::config::{ChipConfig, HbmPreset};
@@ -42,17 +42,10 @@ use neura_lab::{
 };
 use neura_serve::cost::{analytic_class_cost, CostModel};
 use neura_serve::{
-    simulate_stream, ArrivalProcess, ClassCost, CostTable, DispatchKind, Policy, Request,
-    RequestClass, ShardGroup, StreamSpec,
+    simulate_config_parallel, ArrivalProcess, ClassCost, CostTable, DispatchKind, EnginePlan,
+    Policy, RequestClass, ServeConfig, ShardGroup, StreamSpec, Workload,
 };
 use neura_sparse::{CsrMatrix, DatasetCatalog};
-
-/// Per-request shrink classes of the serve-p99 reference stream (the same
-/// ladder the `serve` binary uses).
-const SERVE_SHRINKS: [usize; 3] = [1, 2, 4];
-
-/// Base seed of the serve-p99 reference streams.
-const SERVE_SEED: u64 = 0x5EED_CAFE;
 
 /// The coarse search grid for one dataset. Every axis includes the paper
 /// default, so the baseline configuration is itself a grid member.
@@ -94,7 +87,7 @@ fn class_costs(
 ) -> (CostTable, String) {
     let mut costs = CostTable::new();
     let fingerprint = costs.register(config);
-    for class_shrink in SERVE_SHRINKS {
+    for class_shrink in REQUEST_SHRINKS {
         let a = sim_matrix_at_fidelity(dataset, rung_shrink * class_shrink);
         let cost = if exact {
             let mut chip = Accelerator::new(config.clone());
@@ -147,19 +140,19 @@ fn run_serve_p99(
     // stream only sets arrivals and is identical for every candidate of a
     // rung, so the winner/baseline comparison stays fair either way).
     let exact_references = cost_model == CostModel::Cycle;
-    let references: Vec<(usize, Vec<Request>)> = tuner
+    let references: Vec<(usize, Workload)> = tuner
         .shrinks()
         .into_iter()
         .map(|rung_shrink| {
             let (costs, fingerprint) =
                 class_costs(&baseline, dataset, rung_shrink, exact_references);
-            let mean_service_s = SERVE_SHRINKS
+            let mean_service_s = REQUEST_SHRINKS
                 .iter()
                 .map(|&s| {
                     costs.service_seconds(&fingerprint, RequestClass { dataset: 0, shrink: s }, 1)
                 })
                 .sum::<f64>()
-                / SERVE_SHRINKS.len() as f64;
+                / REQUEST_SHRINKS.len() as f64;
             let rps = (0.8 / mean_service_s).max(1.0).round();
             let duration_s = (2_000.0 / rps).clamp(1e-3, 2.0);
             let stream = StreamSpec {
@@ -167,11 +160,11 @@ fn run_serve_p99(
                 rps,
                 duration_s,
                 mix_size: 1,
-                shrinks: SERVE_SHRINKS.to_vec(),
-                seed: derive_seed(SERVE_SEED, &format!("tune/{dataset}/x{rung_shrink}")),
+                shrinks: REQUEST_SHRINKS.to_vec(),
+                seed: derive_seed(STREAM_SEED, &format!("tune/{dataset}/x{rung_shrink}")),
             }
             .generate();
-            (rung_shrink, stream)
+            (rung_shrink, Workload::Replay(stream))
         })
         .collect();
     tuner.run_tiered(runner, |point, ctx| {
@@ -188,8 +181,8 @@ fn run_serve_p99(
         };
         let (costs, _) = class_costs(&point.config, dataset, ctx.shrink, exact);
         let fleet = [ShardGroup::new("cand", point.config.clone(), 1)];
-        let outcome =
-            simulate_stream(stream, Policy::Fifo, &fleet, DispatchKind::LeastLoaded, None, &costs);
+        let cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs);
+        let outcome = simulate_config_parallel(stream, &cfg, &EnginePlan::serial());
         let p99 = outcome.latency_percentile_s(99.0);
         Evaluation::scored(p99)
             .with_metric("p99_latency_ms", p99 * 1e3, "ms")

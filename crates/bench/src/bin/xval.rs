@@ -44,7 +44,7 @@
 //!   Fitting defaults to shrinks 1, 2, 4, 8 so the model also covers the
 //!   tuner's reduced-fidelity rungs.
 
-use neura_bench::{fmt, print_table, sim_matrix_at_fidelity};
+use neura_bench::{fmt, print_table, sim_matrix_at_fidelity, size_matched_tile};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::analytic::{
     feature_vector, AnalyticModel, GroupCoeffs, WorkloadFeatures, FEATURES,
@@ -403,25 +403,6 @@ fn main() {
 
 fn join(items: impl Iterator<Item = impl ToString>) -> String {
     items.map(|i| i.to_string()).collect::<Vec<_>>().join("+")
-}
-
-/// The chip tier a practitioner would deploy for a graph of this size:
-/// terciles of the Table-1 suite by node count. Smallest third Tile-4,
-/// middle third Tile-16, largest third Tile-64; datasets outside the
-/// suite are placed by the same thresholds.
-fn size_matched_tile(name: &str) -> TileSize {
-    let dataset = DatasetCatalog::by_name(name).expect("validated at parse time");
-    let mut nodes: Vec<_> = DatasetCatalog::spgemm_suite().iter().map(|d| d.nodes).collect();
-    nodes.sort_unstable();
-    let small = nodes[nodes.len().div_ceil(3) - 1];
-    let mid = nodes[(2 * nodes.len()).div_ceil(3) - 1];
-    if dataset.nodes <= small {
-        TileSize::Tile4
-    } else if dataset.nodes <= mid {
-        TileSize::Tile16
-    } else {
-        TileSize::Tile64
-    }
 }
 
 /// One fitting sample: the shipped feature vector, the oracle's cycle

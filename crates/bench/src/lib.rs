@@ -10,7 +10,8 @@
 
 #![warn(missing_docs)]
 
-use neura_sparse::{CsrMatrix, Dataset};
+use neura_chip::config::TileSize;
+use neura_sparse::{CsrMatrix, Dataset, DatasetCatalog};
 
 pub use neura_lab::{fmt, print_table, scale_multiplier, SCALE_MULT_ENV};
 
@@ -21,6 +22,15 @@ pub const SIM_SCALE: usize = 512;
 /// Default down-scaling factor for analytical-model workloads (cheaper, so a
 /// larger fraction of the original size is retained).
 pub const MODEL_SCALE: usize = 64;
+
+/// Per-request workload shrink classes of every serving stream (the
+/// `serve` sweep and the tuner's serve-p99 reference streams): a request
+/// queries the full simulator workload of its dataset, half of it, or a
+/// quarter.
+pub const REQUEST_SHRINKS: [usize; 3] = [1, 2, 4];
+
+/// Base seed of every serving workload (scenario seeds derive from it).
+pub const STREAM_SEED: u64 = 0x5EED_CAFE;
 
 /// Generates the scaled CSR adjacency matrix of a dataset with a fixed seed.
 ///
@@ -40,7 +50,7 @@ pub fn scaled_matrix(dataset: &Dataset, scale: usize) -> CsrMatrix {
 /// Panics when the name is not in the catalog: sweep grids are declared
 /// with string names, so a typo must fail loudly, not silently skip work.
 pub fn scaled_matrix_by_name(name: &str, scale: usize) -> CsrMatrix {
-    let dataset = neura_sparse::DatasetCatalog::by_name(name)
+    let dataset = DatasetCatalog::by_name(name)
         .unwrap_or_else(|| panic!("dataset {name:?} is not in the catalog"));
     scaled_matrix(&dataset, scale)
 }
@@ -56,17 +66,41 @@ pub fn scaled_matrix_by_name(name: &str, scale: usize) -> CsrMatrix {
 /// — down to the generator's 32-node floor, which a large
 /// [`scale_multiplier`] (smoke runs) reaches at every shrink level.
 pub fn sim_matrix_at_fidelity(name: &str, shrink: usize) -> CsrMatrix {
-    let dataset = neura_sparse::DatasetCatalog::by_name(name)
+    let dataset = DatasetCatalog::by_name(name)
         .unwrap_or_else(|| panic!("dataset {name:?} is not in the catalog"));
     let full_nodes = (dataset.nodes / SIM_SCALE).clamp(256, 2_000);
     let target_nodes = (full_nodes / shrink.max(1)).max(32);
     scaled_matrix(&dataset, (dataset.nodes / target_nodes).max(1))
 }
 
+/// The chip tier a practitioner would deploy for a graph of this size
+/// (the pairing `xval` and `profile` sweep by default): terciles of the
+/// Table-1 suite by node count. Smallest third Tile-4, middle third
+/// Tile-16, largest third Tile-64; datasets outside the suite are placed
+/// by the same thresholds.
+///
+/// # Panics
+///
+/// Panics when the name is not in the catalog.
+pub fn size_matched_tile(name: &str) -> TileSize {
+    let dataset = DatasetCatalog::by_name(name)
+        .unwrap_or_else(|| panic!("dataset {name:?} is not in the catalog"));
+    let mut nodes: Vec<_> = DatasetCatalog::spgemm_suite().iter().map(|d| d.nodes).collect();
+    nodes.sort_unstable();
+    let small = nodes[nodes.len().div_ceil(3) - 1];
+    let mid = nodes[(2 * nodes.len()).div_ceil(3) - 1];
+    if dataset.nodes <= small {
+        TileSize::Tile4
+    } else if dataset.nodes <= mid {
+        TileSize::Tile16
+    } else {
+        TileSize::Tile64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neura_sparse::DatasetCatalog;
 
     #[test]
     fn scaled_matrix_is_deterministic() {

@@ -257,7 +257,7 @@ impl Accelerator {
             }));
         }
         let program = compiler::compile_spgemm(&a.to_csc(), b, self.config.mmh_tile);
-        let (outputs, report) = self.run_program_profiled(&program, profiler)?;
+        let (outputs, report) = self.run(&program, profiler)?;
         let mut coo = CooMatrix::new(a.rows(), b.cols());
         for (tag, value) in last_write_per_tag(outputs) {
             let (r, c) = program.coords_of(tag);
@@ -284,7 +284,7 @@ impl Accelerator {
             }));
         }
         let program = compiler::compile_aggregation(&a.to_csc(), features, self.config.mmh_tile);
-        let (outputs, report) = self.run_program(&program)?;
+        let (outputs, report) = self.run(&program, None)?;
         let mut aggregated = DenseMatrix::zeros(a.rows(), features.cols());
         // In eviction order, so a later write to a tag replaces an earlier one.
         for (tag, value) in outputs {
@@ -294,7 +294,9 @@ impl Accelerator {
         Ok(AggregationRun { aggregated, report })
     }
 
-    /// Executes a compiled [`Program`] cycle by cycle.
+    /// Executes a compiled [`Program`] cycle by cycle, feeding the
+    /// optional [`Profiler`] once per cycle (see
+    /// [`Self::run_spgemm_profiled`] for the contract).
     ///
     /// Returns the accumulated output elements as `(tag, value)` in the
     /// order the NeuraMems evicted them, together with the execution
@@ -306,20 +308,7 @@ impl Accelerator {
     ///
     /// Returns [`ChipError::Incomplete`] if the machine fails to drain within
     /// the cycle budget.
-    pub fn run_program(
-        &mut self,
-        program: &Program,
-    ) -> Result<(Vec<(u64, f64)>, ExecutionReport), ChipError> {
-        self.run_program_profiled(program, None)
-    }
-
-    /// [`Self::run_program`] with an optional [`Profiler`] attached (see
-    /// [`Self::run_spgemm_profiled`] for the contract).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::run_program`].
-    pub fn run_program_profiled(
+    fn run(
         &mut self,
         program: &Program,
         mut profiler: Option<&mut Profiler>,

@@ -153,12 +153,6 @@ impl WorkloadFeatures {
         }
     }
 
-    /// Multiplication bloat: partial products per output non-zero (≥ 1
-    /// for any non-empty product).
-    pub fn bloat_factor(&self) -> f64 {
-        self.partial_products as f64 / (self.output_nnz.max(1)) as f64
-    }
-
     /// Floating-point operations of the multiplication (one multiply and
     /// one accumulate per partial product) — identical to
     /// `WorkloadProfile::flops` in `neura_baselines`.
@@ -284,7 +278,7 @@ pub const GROUPS: usize = TileSize::ALL.len() * HbmPreset::ALL.len();
 /// sweep/tuner surfaces produce), otherwise the preset with the nearest
 /// channel width and miss latency, so hand-built custom timings still get
 /// a sane estimate instead of a panic.
-pub fn hbm_group_preset(config: &ChipConfig) -> HbmPreset {
+fn hbm_group_preset(config: &ChipConfig) -> HbmPreset {
     if let Some(preset) = HbmPreset::of(&config.hbm) {
         return preset;
     }
@@ -592,7 +586,6 @@ mod tests {
         assert_eq!(w.nnz, a.nnz() as u64);
         assert_eq!(w.partial_products, report.intermediate_partial_products);
         assert_eq!(w.output_nnz, report.output_nnz as u64);
-        assert!(w.bloat_factor() >= 1.0);
         assert_eq!(w.flops(), 2 * report.intermediate_partial_products);
         assert!(w.max_row_pp >= w.partial_products.div_ceil(w.rows.max(1)));
         assert!(w.max_row_pp <= w.partial_products);

@@ -90,11 +90,6 @@ impl<'p> Dispatcher<'p> {
         &self.stats
     }
 
-    /// Number of instructions sent to each core (Figure 12's x-axis data).
-    pub fn per_core_histogram(&self) -> &[u64] {
-        &self.per_core_dispatched
-    }
-
     /// Attempts to dispatch up to `dispatch_width` instructions this cycle.
     ///
     /// `core_can_accept` and `core_load` describe the current state of every
@@ -209,10 +204,13 @@ mod tests {
         let mut d = Dispatcher::new(&p, 8, DispatchPolicy::RoundRobin, 1);
         let can_accept = vec![true; 8];
         let load = vec![0usize; 8];
+        let mut hist = [0u64; 8];
         while !d.is_done() {
-            d.dispatch_cycle(&can_accept, &load, |_, _| true);
+            d.dispatch_cycle(&can_accept, &load, |core, _| {
+                hist[core] += 1;
+                true
+            });
         }
-        let hist = d.per_core_histogram();
         let max = *hist.iter().max().unwrap();
         let min = *hist.iter().min().unwrap();
         assert!(max - min <= 1, "round robin must be balanced, got {hist:?}");

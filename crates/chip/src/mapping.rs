@@ -187,7 +187,7 @@ impl DrhmMapping {
     }
 
     /// Creates a DRHM mapping with an explicit `k` (number of upper TAG bits ignored).
-    pub fn with_k(units: usize, seed: u64, k: u32) -> Self {
+    fn with_k(units: usize, seed: u64, k: u32) -> Self {
         assert!(units > 0, "mapping needs at least one unit");
         assert!(k < 32, "k must leave at least one low bit");
         DrhmMapping { units, k, base_seed: seed }

@@ -195,7 +195,7 @@ impl Profile {
     }
 
     /// Total idle core-cycles including the drain epilogue.
-    pub fn idle_total(&self) -> u64 {
+    fn idle_total(&self) -> u64 {
         self.idle + self.epilogue_idle
     }
 

@@ -6,9 +6,10 @@
 //! both histograms, per-core and per-mem work, NoC hops and latency, DRAM
 //! latency and bytes, peak HashPad occupancy — is pinned by hash. The
 //! values were captured before the loop was made activity-proportional,
-//! so any host-side speed-up of `Accelerator::run_program_profiled` that
-//! moves a simulated statistic fails here rather than only in
-//! `just profile` / `just xval`, which tier-1 does not run.
+//! so any host-side speed-up of the run loop behind
+//! `Accelerator::run_spgemm` that moves a simulated statistic fails here
+//! rather than only in `just profile` / `just xval`, which tier-1 does
+//! not run.
 //!
 //! A second table pins the stall-bound regime the power-law cells barely
 //! reach: a banded 96-node matrix on (Tile-16, Tile-64) × (hbm2, ddr4) ×

@@ -98,17 +98,6 @@ impl TuneSpec {
         self.budget = budget;
         self
     }
-
-    /// Overrides the survivor fraction (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < keep < 1`.
-    pub fn with_keep(mut self, keep: f64) -> Self {
-        assert!(keep > 0.0 && keep < 1.0, "keep fraction must be in (0, 1)");
-        self.keep = keep;
-        self
-    }
 }
 
 /// One planned rung: how many candidates it evaluates and at what fidelity.
@@ -120,7 +109,7 @@ pub struct RungPlan {
     pub size: usize,
     /// Extra workload-shrink factor (1 = full fidelity). The full halving
     /// ladder ends at shrink 1 and doubles backwards, with rungs beyond
-    /// [`MAX_SHRINK`] doublings from the end sharing the cheapest shrink;
+    /// three doublings (shrink 8) from the end sharing the cheapest shrink;
     /// a budget-truncated ladder keeps the shrinks the full ladder
     /// assigned, so its last executed rung may be > 1.
     pub shrink: usize,
@@ -235,13 +224,15 @@ impl Tuner {
     /// # Panics
     ///
     /// Panics when the grid sweeps more than one dataset (the baseline
-    /// comparison would be ambiguous; run one tuner per dataset).
+    /// comparison would be ambiguous; run one tuner per dataset) or
+    /// [`TuneSpec::keep`] is outside `(0, 1)`.
     pub fn new(spec: TuneSpec) -> Self {
         assert!(
             spec.grid.datasets.len() <= 1,
             "a tuner optimises one dataset at a time (grid sweeps {})",
             spec.grid.datasets.len()
         );
+        assert!(spec.keep > 0.0 && spec.keep < 1.0, "keep fraction must be in (0, 1)");
         let experiment =
             ExperimentSpec::new(spec.name.clone(), spec.base.clone(), spec.grid.clone());
         let points = experiment.points();
@@ -282,7 +273,7 @@ impl Tuner {
     ///
     /// Panics for objectives that cannot score a single report
     /// ([`Objective::ServeP99`]) — wire those through
-    /// [`Self::run_scored`].
+    /// [`Self::run_tiered`].
     pub fn run<F>(&self, runner: &Runner, eval: F) -> TuneOutcome
     where
         F: Fn(&SweepPoint, usize) -> ExecutionReport + Sync,
@@ -290,36 +281,27 @@ impl Tuner {
         let objective = self.spec.objective;
         assert!(
             objective.scores_reports(),
-            "objective {:?} needs an external scorer; use Tuner::run_scored",
+            "objective {:?} needs an external scorer; use Tuner::run_tiered",
             objective.name()
         );
-        self.run_scored(runner, |point, shrink| {
-            let report = eval(point, shrink);
+        self.run_tiered(runner, |point, ctx| {
+            let report = eval(point, ctx.shrink);
             let score = objective.score(&point.config, &report);
             Evaluation { score, report: Some(report), metrics: Vec::new() }
         })
     }
 
-    /// Runs the halving ladder over caller-scored evaluations — the
-    /// general form behind [`Self::run`], and the entry point for
-    /// objectives whose score comes from a larger simulation than one
-    /// kernel run (the serve-p99 objective scores a serving replay).
-    /// `eval` must be deterministic in `(point, shrink)`.
-    pub fn run_scored<F>(&self, runner: &Runner, eval: F) -> TuneOutcome
-    where
-        F: Fn(&SweepPoint, usize) -> Evaluation + Sync,
-    {
-        self.run_tiered(runner, |point, ctx| eval(point, ctx.shrink))
-    }
-
-    /// Runs the halving ladder with full rung context — the entry point
-    /// for *tiered* scorers that change how a point is priced per rung
-    /// (e.g. the hybrid cost model: analytic estimates on screening rungs,
-    /// the cycle oracle on the final rung). The baseline comparison is
-    /// evaluated with `is_final = true` at the final rung's shrink, so a
-    /// tiered scorer always judges the winner and the paper default with
-    /// the same (most expensive) tier. `eval` must be deterministic in
-    /// `(point, context)`.
+    /// Runs the halving ladder over caller-scored evaluations with full
+    /// rung context — the general form behind [`Self::run`]. It is the
+    /// entry point for objectives whose score comes from a larger
+    /// simulation than one kernel run (the serve-p99 objective scores a
+    /// serving replay) and for *tiered* scorers that change how a point is
+    /// priced per rung (e.g. the hybrid cost model: analytic estimates on
+    /// screening rungs, the cycle oracle on the final rung). The baseline
+    /// comparison is evaluated with `is_final = true` at the final rung's
+    /// shrink, so a tiered scorer always judges the winner and the paper
+    /// default with the same (most expensive) tier. `eval` must be
+    /// deterministic in `(point, context)`.
     pub fn run_tiered<F>(&self, runner: &Runner, eval: F) -> TuneOutcome
     where
         F: Fn(&SweepPoint, RungContext) -> Evaluation + Sync,
@@ -551,7 +533,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "keep fraction")]
     fn degenerate_keep_fraction_is_rejected() {
-        TuneSpec::new("t", ChipConfig::tile_16(), SweepGrid::new(), Objective::Cycles)
-            .with_keep(1.0);
+        let mut spec =
+            TuneSpec::new("t", ChipConfig::tile_16(), SweepGrid::new(), Objective::Cycles);
+        spec.keep = 1.0;
+        Tuner::new(spec);
     }
 }

@@ -27,10 +27,10 @@
 //!
 //! Everything is deterministic: points are enumerated by
 //! [`ExperimentSpec::points`](crate::spec::ExperimentSpec::points) (stable
-//! IDs and derived seeds), rungs execute on the ordered [`Runner`]
-//! (results collected in spec order for any thread count), and survivor
-//! selection breaks score ties by point index — so the tuner artifact is
-//! byte-identical for any `NEURA_LAB_THREADS`.
+//! IDs and derived seeds), rungs execute on the ordered
+//! [`Runner`](crate::Runner) (results collected in spec order for any
+//! thread count), and survivor selection breaks score ties by point index
+//! — so the tuner artifact is byte-identical for any `NEURA_LAB_THREADS`.
 
 mod halving;
 mod objective;

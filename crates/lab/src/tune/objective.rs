@@ -28,7 +28,7 @@ pub enum Objective {
     /// tail under load, queueing included — instead of single-kernel
     /// cycles. This objective is scored by a serving simulation, not by a
     /// single [`ExecutionReport`], so it runs through
-    /// [`Tuner::run_scored`](crate::tune::Tuner::run_scored) (the `tune`
+    /// [`Tuner::run_tiered`](crate::tune::Tuner::run_tiered) (the `tune`
     /// binary wires `neura_serve` in); [`Objective::score`] panics for it.
     ServeP99,
 }
@@ -84,7 +84,7 @@ impl Objective {
     ///
     /// Panics for [`Objective::ServeP99`]: a single kernel report carries
     /// no tail latency. Use
-    /// [`Tuner::run_scored`](crate::tune::Tuner::run_scored) with a
+    /// [`Tuner::run_tiered`](crate::tune::Tuner::run_tiered) with a
     /// serving evaluator instead.
     pub fn score(&self, config: &ChipConfig, report: &ExecutionReport) -> f64 {
         let score = match self {
@@ -96,7 +96,7 @@ impl Objective {
             Objective::Speedup => report.execution_seconds,
             Objective::ServeP99 => panic!(
                 "the serve-p99 objective is scored by a serving simulation; \
-                 run the tuner through Tuner::run_scored"
+                 run the tuner through Tuner::run_tiered"
             ),
         };
         if score.is_finite() {

@@ -46,7 +46,7 @@ impl NetworkStats {
 /// A 2D-torus network of input-buffered routers.
 ///
 /// The network owns every packet in the fabric in one slab; router queues
-/// hold [`Handle`]s into it. A hop therefore moves four bytes and updates
+/// hold 4-byte handles into it. A hop therefore moves four bytes and updates
 /// the packet in place, and a `Packet` value leaves the slab only when
 /// [`Self::drain_delivered`] hands it to the attached component, which
 /// also returns its slot for the next injection.

@@ -1,6 +1,6 @@
 //! Input-buffered router with dimension-order routing.
 //!
-//! A router holds no [`Packet`]: its queues carry [`Handle`]s into the
+//! A router holds no [`Packet`]: its queues carry `Handle`s into the
 //! packet slab of the [`TorusNetwork`](crate::TorusNetwork) it belongs to,
 //! so a hop moves four bytes and the packet is updated where it lies.
 

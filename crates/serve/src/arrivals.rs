@@ -293,9 +293,9 @@ fn exp_draw(rng: &mut StdRng, mean: f64) -> f64 {
     -(1.0 - u).ln() * mean
 }
 
-/// One serving workload: an open-loop stream (stationary or rate-shaped)
-/// or a closed-loop population. The unit every scenario simulates and
-/// every sweep axis enumerates.
+/// One serving workload: an open-loop stream (stationary, rate-shaped or
+/// pre-generated) or a closed-loop population. The unit every scenario
+/// simulates and every sweep axis enumerates.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Workload {
     /// Open-loop: arrivals ignore completions.
@@ -303,6 +303,10 @@ pub enum Workload {
     /// Open-loop with rate shapes and/or tenants composed over the base
     /// generator (see [`crate::scenario`]).
     Shaped(crate::scenario::ShapedStream),
+    /// Open-loop, pre-generated: an explicit stream as
+    /// [`StreamSpec::generate`] produces it — sorted by arrival time, ids
+    /// in arrival order. Its horizon is the last arrival.
+    Replay(Vec<Request>),
     /// Closed-loop: each client waits for its response (plus a think time)
     /// before issuing the next request.
     Closed(ClosedLoopSpec),

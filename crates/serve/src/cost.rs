@@ -221,11 +221,6 @@ impl CostTable {
             .seconds_per_cycle = seconds_per_cycle;
     }
 
-    /// Whether a fingerprint has been registered.
-    pub fn is_registered(&self, fingerprint: &str) -> bool {
-        self.silicon.contains_key(fingerprint)
-    }
-
     /// Whether the cost of a class has been measured under a fingerprint —
     /// the memoisation check: a mixed fleet only simulates the
     /// (fingerprint, class) pairs this returns `false` for.
@@ -298,12 +293,6 @@ impl CostTable {
             .flops
             .get(&class)
             .unwrap_or_else(|| panic!("no memoised weight for request class {class:?}"))
-    }
-
-    /// The flops of every memoised class, in class order — the basis for
-    /// class-affinity dispatch's big/small split.
-    pub fn class_weights(&self) -> impl Iterator<Item = (RequestClass, u64)> + '_ {
-        self.flops.iter().map(|(class, flops)| (*class, *flops))
     }
 
     /// The median flops over all memoised classes (0 when none are
@@ -456,7 +445,6 @@ mod tests {
         let mut t = CostTable::new();
         let fp = t.register(&config);
         assert_eq!(fp, config.fingerprint());
-        assert!(t.is_registered(&fp));
         t.insert(
             &fp,
             RequestClass { dataset: 0, shrink: 1 },
@@ -513,8 +501,6 @@ mod tests {
         assert_eq!(t.weight(big), 100);
         assert_eq!(t.weight(small), 25);
         assert_eq!(t.median_weight(), 100, "median over classes, not entries");
-        let classes: Vec<RequestClass> = t.class_weights().map(|(c, _)| c).collect();
-        assert_eq!(classes, vec![big, small], "class order: shrink 1 sorts before shrink 4");
     }
 
     #[test]

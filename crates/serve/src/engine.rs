@@ -1,8 +1,12 @@
-//! The parallel-in-time serving engine behind [`sim`](crate::sim).
+//! The serving engine: the event loop, its two replay entry points and
+//! the parallel-in-time plans.
 //!
-//! The event loop that used to live inline in `sim::run` is factored here
-//! into a resumable fragment runner: [`run_until`] advances an
-//! [`EngineState`] up to (but excluding) a time limit and can be called
+//! [`simulate_config_parallel`] and [`simulate_config_traced_parallel`]
+//! are the whole replay API: a [`Workload`], a [`ServeConfig`] and an
+//! [`EnginePlan`] in, a [`ServeOutcome`] (and a [`Trace`]) out.
+//!
+//! The event loop is a resumable fragment runner: `run_until` advances
+//! the engine state up to (but excluding) a time limit and can be called
 //! again to continue — the seam between two calls carries the backlog,
 //! the in-flight batches, the fault plan, the pending provisioning ops
 //! and the closed-loop client RNGs, so splitting a replay at any set of
@@ -19,7 +23,7 @@
 //!   happens *before* the time-advance accrual, a span that crosses a
 //!   boundary is still accrued in one `f64` operation by the next
 //!   fragment — so the merged artifact is byte-identical to the serial
-//!   engine for every epoch width and every thread count (serial = one
+//!   engine for every epoch count and every thread count (serial = one
 //!   epoch).
 //! - **Lanes** partition a closed-loop scenario *itself*: clients and
 //!   shard groups split round-robin into independent sub-scenarios that
@@ -29,9 +33,6 @@
 //!   scenario definition — `lanes = 4` is a *different scenario* than
 //!   `lanes = 1`, with identical results for every thread count — and is
 //!   what buys near-linear speedup on long closed-loop replays.
-//!
-//! The [`sim`](crate::sim) entry points are thin wrappers over
-//! [`simulate_config_parallel`] and friends with a serial plan.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -49,24 +50,21 @@ use crate::sim::{ServeConfig, ServeOutcome, TenantOutcome, SHED_LATENCY_S};
 use crate::telemetry::{ShedReason, Trace, TraceEvent, TraceGroup, TraceTenant};
 
 /// Upper bound on the number of epoch fragments a plan expands to, so a
-/// tiny `--epoch-ms` against a long horizon cannot allocate an absurd
-/// seam vector. Beyond it the remaining timeline runs as one fragment.
+/// huge `--epochs` cannot allocate an absurd seam vector: larger counts
+/// are clamped to it.
 pub const MAX_EPOCHS: usize = 1024;
 
 /// How a scenario replay is decomposed for parallel execution.
 ///
 /// The default ([`EnginePlan::serial`]) runs the classic single-fragment
-/// event loop. Epoch settings split the timeline; a lane count splits a
+/// event loop. An epoch count splits the timeline; a lane count splits a
 /// closed-loop scenario into independent sub-scenarios (see the module
 /// docs for the determinism contract of each axis).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnginePlan {
     /// Number of equal-width timeline epochs over the workload horizon
-    /// (used when [`Self::epoch_s`] is unset; `1` = serial).
+    /// (`1` = serial).
     pub epochs: usize,
-    /// Explicit epoch width in simulated seconds; overrides
-    /// [`Self::epochs`] when set.
-    pub epoch_s: Option<f64>,
     /// Closed-loop lane count (`1` = undecomposed). Lanes apply only to
     /// closed-loop workloads without autoscaling, admission control,
     /// tenants, or effectful faults; ineligible scenarios fall back to
@@ -86,7 +84,7 @@ impl Default for EnginePlan {
 impl EnginePlan {
     /// The serial plan: one epoch, one lane, runner-default threads.
     pub fn serial() -> Self {
-        EnginePlan { epochs: 1, epoch_s: None, lanes: 1, threads: None }
+        EnginePlan { epochs: 1, lanes: 1, threads: None }
     }
 
     /// Sets the epoch count (builder style).
@@ -97,17 +95,6 @@ impl EnginePlan {
     pub fn with_epochs(mut self, epochs: usize) -> Self {
         assert!(epochs >= 1, "an engine plan needs at least one epoch");
         self.epochs = epochs;
-        self
-    }
-
-    /// Sets an explicit epoch width in simulated seconds (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `width_s` is finite and positive.
-    pub fn with_epoch_s(mut self, width_s: f64) -> Self {
-        assert!(width_s.is_finite() && width_s > 0.0, "epoch width must be finite and positive");
-        self.epoch_s = Some(width_s);
         self
     }
 
@@ -136,7 +123,7 @@ impl EnginePlan {
 
     /// Whether this plan decomposes nothing (single epoch, single lane).
     pub fn is_serial(&self) -> bool {
-        self.epochs <= 1 && self.epoch_s.is_none() && self.lanes <= 1
+        self.epochs <= 1 && self.lanes <= 1
     }
 
     fn runner(&self) -> Runner {
@@ -153,21 +140,8 @@ impl EnginePlan {
         if !horizon.is_finite() || horizon <= 0.0 {
             return Vec::new();
         }
-        let mut cuts = Vec::new();
-        if let Some(width) = self.epoch_s {
-            // Multiply per boundary instead of accumulating so the cut
-            // positions don't drift with float error.
-            let mut k = 1usize;
-            while (k as f64) * width < horizon && cuts.len() < MAX_EPOCHS - 1 {
-                cuts.push(k as f64 * width);
-                k += 1;
-            }
-        } else if self.epochs > 1 {
-            let epochs = self.epochs.min(MAX_EPOCHS);
-            for k in 1..epochs {
-                cuts.push(horizon * k as f64 / epochs as f64);
-            }
-        }
+        let epochs = self.epochs.min(MAX_EPOCHS);
+        let mut cuts: Vec<f64> = (1..epochs).map(|k| horizon * k as f64 / epochs as f64).collect();
         cuts.dedup();
         cuts
     }
@@ -1371,6 +1345,11 @@ fn run_workload(
             let tenants = cfg.tenants.or(shaped.tenants.as_ref());
             run_stream(&stream, cfg, tenants, shaped.base.duration_s, plan, tracing)
         }
+        Workload::Replay(stream) => {
+            assert_sorted(stream);
+            let horizon = stream.last().map_or(0.0, |r| r.arrival_s);
+            run_stream(stream, cfg, cfg.tenants, horizon, plan, tracing)
+        }
         Workload::Closed(spec) => {
             let lanes = lane_count(spec, cfg, plan);
             if lanes > 1 {
@@ -1392,16 +1371,28 @@ fn assert_sorted(requests: &[Request]) {
     );
 }
 
-/// [`simulate_config`](crate::sim::simulate_config) under an explicit
-/// [`EnginePlan`]: the same outcome, computed by epoch fragments and/or
-/// closed-loop lanes. With [`EnginePlan::serial`] this *is* the serial
-/// engine; with epochs the outcome is byte-identical to serial for every
-/// epoch width and thread count; with lanes the lane count is part of
-/// the scenario (identical across thread counts at a fixed lane count).
+/// Replays one serving scenario under an [`EnginePlan`] and returns its
+/// metrics.
+///
+/// The fleet is described by `cfg.groups` (one entry per shard group, each
+/// with its own configuration); every group's fingerprint must be
+/// registered in `cfg.costs` with every class of the workload measured
+/// under it. With `cfg.autoscale` set, each group's initial shard count
+/// must lie within the policy's `[min, max]` bounds and the fleet
+/// pre-allocates `max` slots per group. For a [`Workload::Shaped`] stream,
+/// an explicit `cfg.tenants` wins over the stream's own mix; without
+/// either, every request is tenant 0.
+///
+/// With [`EnginePlan::serial`] this *is* the serial engine; with epochs
+/// the outcome is byte-identical to serial for every epoch count and
+/// thread count; with lanes the lane count is part of the scenario
+/// (identical across thread counts at a fixed lane count).
 ///
 /// # Panics
 ///
-/// As [`simulate`](crate::sim::simulate).
+/// Panics when a [`Workload::Replay`] stream is unsorted, a (fingerprint,
+/// class) pair is missing from the cost table, the fleet is empty, or an
+/// autoscaled group starts outside the policy bounds.
 pub fn simulate_config_parallel(
     workload: &Workload,
     cfg: &ServeConfig<'_>,
@@ -1410,53 +1401,24 @@ pub fn simulate_config_parallel(
     run_workload(workload, cfg, plan, false).0
 }
 
-/// [`simulate_config_parallel`] that additionally records the lifecycle
-/// [`Trace`] (see
-/// [`simulate_config_traced`](crate::sim::simulate_config_traced)).
+/// [`simulate_config_parallel`] that additionally records the full request
+/// lifecycle as a [`Trace`] for the telemetry layer (windowed
+/// [`Timeline`](crate::telemetry::Timeline) views, timeline artifacts).
+///
+/// The outcome is identical to the untraced replay — tracing only
+/// appends events, it never influences a decision — and the untraced
+/// entry point skips every trace push, so replays without a trace pay
+/// nothing for this hook existing.
 ///
 /// # Panics
 ///
-/// As [`simulate`](crate::sim::simulate).
+/// As [`simulate_config_parallel`].
 pub fn simulate_config_traced_parallel(
     workload: &Workload,
     cfg: &ServeConfig<'_>,
     plan: &EnginePlan,
 ) -> (ServeOutcome, Trace) {
     let (outcome, trace) = run_workload(workload, cfg, plan, true);
-    (outcome, trace.expect("tracing was requested"))
-}
-
-/// [`simulate_stream_config`](crate::sim::simulate_stream_config) under
-/// an explicit [`EnginePlan`] (epoch fragments only — lanes apply to
-/// closed loops).
-///
-/// # Panics
-///
-/// As [`simulate`](crate::sim::simulate).
-pub fn simulate_stream_config_parallel(
-    requests: &[Request],
-    cfg: &ServeConfig<'_>,
-    plan: &EnginePlan,
-) -> ServeOutcome {
-    assert_sorted(requests);
-    let horizon = requests.last().map_or(0.0, |r| r.arrival_s);
-    run_stream(requests, cfg, cfg.tenants, horizon, plan, false).0
-}
-
-/// [`simulate_stream_config_parallel`] that additionally records the
-/// lifecycle [`Trace`].
-///
-/// # Panics
-///
-/// As [`simulate`](crate::sim::simulate).
-pub fn simulate_stream_config_traced_parallel(
-    requests: &[Request],
-    cfg: &ServeConfig<'_>,
-    plan: &EnginePlan,
-) -> (ServeOutcome, Trace) {
-    assert_sorted(requests);
-    let horizon = requests.last().map_or(0.0, |r| r.arrival_s);
-    let (outcome, trace) = run_stream(requests, cfg, cfg.tenants, horizon, plan, true);
     (outcome, trace.expect("tracing was requested"))
 }
 

@@ -203,19 +203,9 @@ impl ShardFleet {
         &self.groups[group].fingerprint
     }
 
-    /// The fingerprint of the group a shard belongs to.
-    pub fn shard_fingerprint(&self, shard: usize) -> &str {
-        self.fingerprint(self.shard_group[shard])
-    }
-
     /// A group's peak throughput (the class-affinity ranking signal).
     pub fn peak_gflops(&self, group: usize) -> f64 {
         self.groups[group].peak_gflops
-    }
-
-    /// A group's name.
-    pub fn group_name(&self, group: usize) -> &str {
-        &self.groups[group].name
     }
 
     /// When a shard's current batch finishes (0 when it never served one).
@@ -442,9 +432,7 @@ mod tests {
         assert_eq!(fleet.group_count(), 2);
         assert_eq!(fleet.shard_groups(), &[0, 1, 1]);
         assert_eq!(fleet.fingerprint(0), ChipConfig::tile_64().fingerprint());
-        assert_eq!(fleet.shard_fingerprint(2), ChipConfig::tile_4().fingerprint());
         assert!(fleet.peak_gflops(0) > fleet.peak_gflops(1));
-        assert_eq!(fleet.group_name(1), "t4");
         assert_eq!(fleet.active_shards(), 3);
     }
 

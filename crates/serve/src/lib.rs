@@ -10,13 +10,14 @@
 //! and deterministic fault injection, measured as tail latency, sustained
 //! throughput, shed rate, queue depth, per-shard and per-group
 //! utilisation, crash/recovery accounting and provisioned shard-seconds
-//! cost. Data flows through nine modules:
+//! cost. Data flows through these modules:
 //!
 //! 1. **[`arrivals`]** — demand. A [`StreamSpec`] (Poisson or bursty
 //!    arrivals, target rate, duration, request mix) expands into a
 //!    deterministic, time-sorted open-loop stream; a [`ClosedLoopSpec`]
 //!    describes N clients with seeded think times whose next request only
-//!    exists once the previous response lands. Both are [`Workload`]s.
+//!    exists once the previous response lands. Both are [`Workload`]s, as
+//!    is an explicit pre-generated stream ([`Workload::Replay`]).
 //! 2. **[`cost`]** — a [`CostTable`] memoises the cycle cost of one
 //!    request per *(chip fingerprint, [`RequestClass`])* pair
 //!    (`ChipConfig::fingerprint` × dataset × per-request shrink), measured
@@ -44,16 +45,20 @@
 //!    seed-derived [`FaultPlan`] of shard crashes (in-flight work
 //!    re-dispatches), provisioning failures and degraded-silicon service
 //!    multipliers.
-//! 9. **[`sim`]** — the event-source replay producing a [`ServeOutcome`]:
-//!    p50/p95/p99 latency, throughput, shed/crash/recovery accounting,
-//!    queue depth, utilisation, shard-seconds and scale events, emitted
-//!    as `neura_lab` `RunRecord`s. A [`ServeConfig`] carries the
-//!    admission-control and fault knobs alongside the classic
-//!    policy/fleet/dispatch/autoscale axes.
-//! 10. **[`telemetry`]** — deterministic observability: the `*_traced`
-//!     replay entry points record a [`Trace`] of per-request lifecycle
-//!     events (arrival → admit/shed → dispatch → completion, plus
-//!     crash/scale/provisioning events), a mergeable log-bucketed
+//! 9. **[`sim`]** and **[`engine`]** — the event-source replay. A
+//!    [`ServeConfig`] carries the admission-control and fault knobs
+//!    alongside the classic policy/fleet/dispatch/autoscale axes;
+//!    [`simulate_config_parallel`] replays a workload under it and an
+//!    [`EnginePlan`] (serial, timeline epochs, closed-loop lanes) into a
+//!    [`ServeOutcome`]: p50/p95/p99 latency, throughput,
+//!    shed/crash/recovery accounting, queue depth, utilisation,
+//!    shard-seconds and scale events, emitted as `neura_lab`
+//!    `RunRecord`s.
+//! 10. **[`telemetry`]** — deterministic observability:
+//!     [`simulate_config_traced_parallel`] records a [`Trace`] of
+//!     per-request lifecycle events (arrival → admit/shed → dispatch →
+//!     completion, plus crash/scale/provisioning events), a mergeable
+//!     log-bucketed
 //!     [`LatencyHistogram`] bounds percentile error at 1/256, and a
 //!     windowed [`Timeline`] replays the trace into fixed-interval
 //!     samples of queue depth, in-flight, shed rate, per-group
@@ -89,18 +94,12 @@ pub use cost::{
     ClassCost, CostModel, CostTable, FleetCosts, RequestClass, DEFAULT_MARGINAL_BATCH_FRACTION,
 };
 pub use dispatch::{ClassAffinity, CostAware, DispatchKind, DispatchPolicy, LeastLoaded};
-pub use engine::{
-    simulate_config_parallel, simulate_config_traced_parallel, simulate_stream_config_parallel,
-    simulate_stream_config_traced_parallel, EnginePlan,
-};
+pub use engine::{simulate_config_parallel, simulate_config_traced_parallel, EnginePlan};
 pub use fault::{CrashEvent, FaultPlan, FaultSpec};
 pub use fleet::{GroupStats, ShardFleet, ShardGroup, ShardStats};
 pub use policy::Policy;
 pub use scenario::{RateShape, ScenarioSpec, ShapedStream, TenantMix, TenantSpec};
-pub use sim::{
-    simulate, simulate_config, simulate_config_traced, simulate_stream, simulate_stream_config,
-    simulate_stream_config_traced, ServeConfig, ServeOutcome, TenantOutcome, SHED_LATENCY_S,
-};
+pub use sim::{ServeConfig, ServeOutcome, TenantOutcome, SHED_LATENCY_S};
 pub use spec::{FleetMix, ServeScenario, ServeSweep, WorkloadAxis};
 pub use telemetry::{
     LatencyHistogram, ShedReason, Timeline, Trace, TraceEvent, WindowStats, RELATIVE_ERROR_BOUND,

@@ -94,14 +94,6 @@ impl RateShape {
             RateShape::Flash { boost, .. } => boost.max(1.0),
         }
     }
-
-    /// Stable ID fragment (`"diurnal4x0.8"`, `"flash4.0@0.5"`).
-    pub fn id(&self) -> String {
-        match *self {
-            RateShape::Diurnal { cycles, depth } => format!("diurnal{cycles:?}x{depth:?}"),
-            RateShape::Flash { start, boost, .. } => format!("flash{boost:?}@{start:?}"),
-        }
-    }
 }
 
 /// One tenant of a multi-tenant mix.
@@ -295,16 +287,6 @@ impl ShapedStream {
             });
         }
         requests
-    }
-
-    /// Stable ID fragment: the shape IDs joined by `+` (`"flat"` when no
-    /// shape is configured).
-    pub fn shape_id(&self) -> String {
-        if self.shapes.is_empty() {
-            "flat".to_string()
-        } else {
-            self.shapes.iter().map(RateShape::id).collect::<Vec<_>>().join("+")
-        }
     }
 }
 
@@ -528,7 +510,6 @@ mod tests {
     fn unshaped_single_tenant_streams_match_their_base() {
         let shaped = ShapedStream { base: base(3), shapes: Vec::new(), tenants: None };
         assert_eq!(shaped.generate(), base(3).generate());
-        assert_eq!(shaped.shape_id(), "flat");
     }
 
     #[test]

@@ -1,17 +1,20 @@
-//! The event-driven serving simulation and its metrics.
+//! The serving simulation's configuration and metrics: [`ServeConfig`]
+//! in, [`ServeOutcome`] out.
 //!
-//! [`simulate`] replays one scenario as an *event-source* loop. Requests
-//! enter from a [`Workload`] — a pre-generated open-loop stream, a
-//! rate-shaped multi-tenant stream, or a closed-loop client population
-//! whose next arrival is only known once the previous response lands —
-//! and pass through admission control into a central backlog: a bounded
+//! [`simulate_config_parallel`](crate::engine::simulate_config_parallel)
+//! replays one scenario as an *event-source* loop. Requests enter from a
+//! [`Workload`](crate::arrivals::Workload) — an open-loop stream
+//! (generated from a spec or replayed as given), a rate-shaped
+//! multi-tenant stream, or a closed-loop client population whose next
+//! arrival is only known once the previous response lands — and pass
+//! through admission control into a central backlog: a bounded
 //! queue sheds arrivals beyond its [`ServeConfig::queue_bound`], and a
 //! tenant's token bucket sheds arrivals beyond its rate limit. The
 //! scheduling [`Policy`] turns the backlog into dispatch units (single
 //! requests for FIFO/SJF, per-class batches for the batching policy), a
 //! class-aware [`DispatchPolicy`](crate::dispatch::DispatchPolicy) places
 //! each unit on one idle shard of a (possibly heterogeneous, possibly
-//! autoscaled) [`ShardFleet`], and the unit is charged the memoised
+//! autoscaled) [`ShardFleet`](crate::fleet::ShardFleet), and the unit is charged the memoised
 //! service time of that shard's silicon — stretched by the fault plan's
 //! multiplier when the shard's group runs degraded. A [`FaultSpec`]
 //! additionally injects seed-derived shard crashes (the victim's
@@ -30,32 +33,24 @@
 //! non-negative latency), shed (the [`SHED_LATENCY_S`] sentinel), or
 //! crashed-and-redispatched until served.
 //!
-//! The event loop itself lives in [`crate::engine`] as a resumable
-//! fragment runner; the entry points here are thin wrappers running an
-//! [`EnginePlan::serial`] plan, so their signatures and artifacts are
-//! unchanged while `engine` adds epoch- and lane-parallel execution.
+//! The event loop itself, and the two replay entry points, live in
+//! [`crate::engine`].
 
 use neura_lab::RunRecord;
 
-use crate::arrivals::{Request, Workload};
 use crate::autoscale::{AutoscalePolicy, ScaleEvent};
 use crate::cost::CostTable;
 use crate::dispatch::DispatchKind;
-use crate::engine::{
-    simulate_config_parallel, simulate_config_traced_parallel, simulate_stream_config_parallel,
-    simulate_stream_config_traced_parallel, EnginePlan,
-};
 use crate::fault::{CrashEvent, FaultSpec};
 use crate::fleet::{GroupStats, ShardGroup, ShardStats};
 use crate::policy::Policy;
 use crate::scenario::TenantMix;
-use crate::telemetry::Trace;
 
 /// The latency sentinel a shed request carries in
 /// [`ServeOutcome::latencies_s`]. Deliberately a *finite* negative value —
 /// not NaN — so outcomes stay `PartialEq`-comparable and the determinism
 /// suite can keep asserting byte-for-byte equality. Served-only metrics
-/// filter on `latency >= 0.0`.
+/// exclude exactly this value.
 pub const SHED_LATENCY_S: f64 = -1.0;
 
 /// Nearest-rank percentiles in seconds over served latencies — filter,
@@ -181,7 +176,7 @@ impl ServeOutcome {
 
     /// Number of requests served to completion.
     pub fn requests(&self) -> usize {
-        self.latencies_s.iter().filter(|&&l| l >= 0.0).count()
+        self.latencies_s.iter().filter(|&&l| is_served(l)).count()
     }
 
     /// Fraction of offered requests shed at admission (0 for an empty
@@ -249,7 +244,7 @@ impl ServeOutcome {
         if served == 0 {
             0.0
         } else {
-            self.latencies_s.iter().filter(|&&l| l >= 0.0).sum::<f64>() / served as f64
+            self.latencies_s.iter().filter(|&&l| is_served(l)).sum::<f64>() / served as f64
         }
     }
 
@@ -272,7 +267,7 @@ impl ServeOutcome {
     }
 
     /// Largest completed batch.
-    pub fn max_batch_size(&self) -> usize {
+    fn max_batch_size(&self) -> usize {
         self.batch_sizes.iter().copied().max().unwrap_or(0)
     }
 
@@ -291,7 +286,7 @@ impl ServeOutcome {
     }
 
     /// Mean provisioned shard count over the makespan.
-    pub fn mean_active_shards(&self) -> f64 {
+    fn mean_active_shards(&self) -> f64 {
         if self.makespan_s > 0.0 {
             self.shard_seconds() / self.makespan_s
         } else {
@@ -310,7 +305,7 @@ impl ServeOutcome {
             .arrivals_s
             .iter()
             .zip(&self.latencies_s)
-            .filter(|&(_, &latency)| latency >= 0.0)
+            .filter(|&(_, &latency)| is_served(latency))
             .map(|(&arrival, &latency)| (arrival, arrival + latency))
             .unzip();
         let by_time = |a: &f64, b: &f64| a.partial_cmp(b).expect("event times are finite");
@@ -512,113 +507,13 @@ impl<'a> ServeConfig<'a> {
     }
 }
 
-/// Replays one serving scenario and returns its metrics.
-///
-/// The fleet is described by `groups` (one entry per shard group, each with
-/// its own configuration); every group's fingerprint must be registered in
-/// `costs` with every class of the workload measured under it. With
-/// `autoscale` set, each group's initial shard count must lie within the
-/// policy's `[min, max]` bounds and the fleet pre-allocates `max` slots per
-/// group.
-///
-/// This is the plain-configuration entry point; [`simulate_config`] takes
-/// the full [`ServeConfig`] with admission control and fault injection.
-///
-/// # Panics
-///
-/// Panics when an open-loop stream is unsorted, a (fingerprint, class) pair
-/// is missing from the cost table, the fleet is empty, or an autoscaled
-/// group starts outside the policy bounds.
-pub fn simulate(
-    workload: &Workload,
-    policy: Policy,
-    groups: &[ShardGroup],
-    dispatch: DispatchKind,
-    autoscale: Option<&AutoscalePolicy>,
-    costs: &CostTable,
-) -> ServeOutcome {
-    let mut cfg = ServeConfig::new(policy, groups, dispatch, costs);
-    cfg.autoscale = autoscale;
-    simulate_config(workload, &cfg)
-}
-
-/// [`simulate`] over an explicit, pre-generated open-loop stream (as
-/// [`StreamSpec::generate`] produces it: sorted by arrival time, ids in
-/// arrival order).
-///
-/// [`StreamSpec::generate`]: crate::arrivals::StreamSpec::generate
-///
-/// # Panics
-///
-/// As [`simulate`].
-pub fn simulate_stream(
-    requests: &[Request],
-    policy: Policy,
-    groups: &[ShardGroup],
-    dispatch: DispatchKind,
-    autoscale: Option<&AutoscalePolicy>,
-    costs: &CostTable,
-) -> ServeOutcome {
-    let mut cfg = ServeConfig::new(policy, groups, dispatch, costs);
-    cfg.autoscale = autoscale;
-    simulate_stream_config(requests, &cfg)
-}
-
-/// Replays one workload under a full [`ServeConfig`].
-///
-/// For a [`Workload::Shaped`] stream, an explicit `cfg.tenants` wins over
-/// the stream's own mix; without either, every request is tenant 0.
-///
-/// # Panics
-///
-/// As [`simulate`].
-pub fn simulate_config(workload: &Workload, cfg: &ServeConfig<'_>) -> ServeOutcome {
-    simulate_config_parallel(workload, cfg, &EnginePlan::serial())
-}
-
-/// [`simulate_config`] that additionally records the full request
-/// lifecycle as a [`Trace`] for the telemetry layer (windowed
-/// [`Timeline`](crate::telemetry::Timeline) views, timeline artifacts).
-///
-/// The outcome is identical to the untraced replay — tracing only
-/// appends events, it never influences a decision — and the untraced
-/// entry points skip every trace push, so replays without a trace pay
-/// nothing for this hook existing.
-///
-/// # Panics
-///
-/// As [`simulate`].
-pub fn simulate_config_traced(workload: &Workload, cfg: &ServeConfig<'_>) -> (ServeOutcome, Trace) {
-    simulate_config_traced_parallel(workload, cfg, &EnginePlan::serial())
-}
-
-/// [`simulate_config`] over an explicit, pre-generated open-loop stream.
-///
-/// # Panics
-///
-/// As [`simulate`].
-pub fn simulate_stream_config(requests: &[Request], cfg: &ServeConfig<'_>) -> ServeOutcome {
-    simulate_stream_config_parallel(requests, cfg, &EnginePlan::serial())
-}
-
-/// [`simulate_stream_config`] that additionally records the lifecycle
-/// [`Trace`] (see [`simulate_config_traced`]).
-///
-/// # Panics
-///
-/// As [`simulate`].
-pub fn simulate_stream_config_traced(
-    requests: &[Request],
-    cfg: &ServeConfig<'_>,
-) -> (ServeOutcome, Trace) {
-    simulate_stream_config_traced_parallel(requests, cfg, &EnginePlan::serial())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrivals::{ArrivalProcess, ClosedLoopSpec, StreamSpec};
+    use crate::arrivals::{ArrivalProcess, ClosedLoopSpec, Request, StreamSpec, Workload};
+    use crate::autoscale::AutoscalePolicy;
     use crate::cost::{ClassCost, RequestClass};
+    use crate::engine::{simulate_config_parallel, EnginePlan};
     use crate::scenario::{RateShape, ShapedStream, TenantSpec};
     use neura_chip::config::ChipConfig;
 
@@ -650,15 +545,12 @@ mod tests {
         Request { id, arrival_s, class: RequestClass { dataset, shrink: 1 }, tenant: 0 }
     }
 
+    /// Serial FIFO-dispatch replay of an explicit stream on `shards`
+    /// Tile-16 shards.
     fn sim(stream: &[Request], policy: Policy, shards: usize, costs: &CostTable) -> ServeOutcome {
-        simulate_stream(
-            stream,
-            policy,
-            &tile16_fleet(shards),
-            DispatchKind::LeastLoaded,
-            None,
-            costs,
-        )
+        let groups = tile16_fleet(shards);
+        let cfg = ServeConfig::new(policy, &groups, DispatchKind::LeastLoaded, costs);
+        simulate_config_parallel(&Workload::Replay(stream.to_vec()), &cfg, &EnginePlan::serial())
     }
 
     #[test]
@@ -757,9 +649,9 @@ mod tests {
         let class = RequestClass { dataset: 0, shrink: 1 };
         costs.insert(&t64, class, ClassCost { cycles: 250_000_000, flops: 10 });
         costs.insert(&t4, class, ClassCost { cycles: 1_000_000_000, flops: 10 });
-        let stream = [request(0, 0.0, 0)];
-        let outcome =
-            simulate_stream(&stream, Policy::Fifo, &groups, DispatchKind::CostAware, None, &costs);
+        let stream = Workload::Replay(vec![request(0, 0.0, 0)]);
+        let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::CostAware, &costs);
+        let outcome = simulate_config_parallel(&stream, &cfg, &EnginePlan::serial());
         assert!((outcome.latencies_s[0] - 0.25).abs() < 1e-12, "served on the Tile-64");
         assert_eq!(outcome.group_stats[0].requests, 1);
         assert_eq!(outcome.group_stats[1].requests, 0);
@@ -778,28 +670,15 @@ mod tests {
             shrinks: vec![1],
             seed: 17,
         });
-        let outcome = simulate(
-            &workload,
-            Policy::Fifo,
-            &tile16_fleet(1),
-            DispatchKind::LeastLoaded,
-            None,
-            &unit_costs(),
-        );
+        let (groups, costs) = (tile16_fleet(1), unit_costs());
+        let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+        let outcome = simulate_config_parallel(&workload, &cfg, &EnginePlan::serial());
         assert!(outcome.requests() > 3, "clients re-issue after completions");
         assert!(outcome.max_in_flight() <= 3);
         // One saturated shard: ~1 request per second of makespan.
         assert!(outcome.throughput_rps() <= 2.0 / 1.0 + 1e-9);
         // Deterministic replay.
-        let again = simulate(
-            &workload,
-            Policy::Fifo,
-            &tile16_fleet(1),
-            DispatchKind::LeastLoaded,
-            None,
-            &unit_costs(),
-        );
-        assert_eq!(outcome, again);
+        assert_eq!(outcome, simulate_config_parallel(&workload, &cfg, &EnginePlan::serial()));
     }
 
     #[test]
@@ -825,10 +704,9 @@ mod tests {
         });
         let costs = unit_costs();
         let fleet = tile16_fleet(1);
-        let open_out =
-            simulate(&open, Policy::Fifo, &fleet, DispatchKind::LeastLoaded, None, &costs);
-        let closed_out =
-            simulate(&closed, Policy::Fifo, &fleet, DispatchKind::LeastLoaded, None, &costs);
+        let cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs);
+        let open_out = simulate_config_parallel(&open, &cfg, &EnginePlan::serial());
+        let closed_out = simulate_config_parallel(&closed, &cfg, &EnginePlan::serial());
         assert!(open_out.max_in_flight() > 1);
         assert_eq!(closed_out.max_in_flight(), 1);
         assert!(
@@ -847,13 +725,13 @@ mod tests {
             .with_provision_delay_s(1.0)
             .with_up_backlog_per_shard(2.0);
         let costs = unit_costs();
-        let outcome = simulate_stream(
-            &stream,
-            Policy::Fifo,
-            &tile16_fleet(1),
-            DispatchKind::LeastLoaded,
-            Some(&policy),
-            &costs,
+        let groups = tile16_fleet(1);
+        let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
+            .with_autoscale(&policy);
+        let outcome = simulate_config_parallel(
+            &Workload::Replay(stream.clone()),
+            &cfg,
+            &EnginePlan::serial(),
         );
         assert!(!outcome.scale_events.is_empty(), "the backlog must trigger scale-ups");
         for event in &outcome.scale_events {
@@ -886,7 +764,11 @@ mod tests {
         let groups = tile16_fleet(1);
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
             .with_queue_bound(2);
-        let outcome = simulate_stream_config(&stream, &cfg);
+        let outcome = simulate_config_parallel(
+            &Workload::Replay(stream.to_vec()),
+            &cfg,
+            &EnginePlan::serial(),
+        );
         assert_eq!(outcome.offered(), 8);
         assert_eq!(outcome.requests(), 2, "bound 2 admits exactly two simultaneous arrivals");
         assert_eq!(outcome.shed, vec![2, 3, 4, 5, 6, 7]);
@@ -920,7 +802,11 @@ mod tests {
         let groups = tile16_fleet(4);
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
             .with_tenants(&mix);
-        let outcome = simulate_stream_config(&stream, &cfg);
+        let outcome = simulate_config_parallel(
+            &Workload::Replay(stream.to_vec()),
+            &cfg,
+            &EnginePlan::serial(),
+        );
         assert_eq!(outcome.requests(), 1);
         assert_eq!(outcome.shed_limit, 9);
         assert_eq!(outcome.shed_queue, 0);
@@ -949,7 +835,7 @@ mod tests {
         let groups = tile16_fleet(1);
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
             .with_queue_bound(0);
-        let outcome = simulate_config(&workload, &cfg);
+        let outcome = simulate_config_parallel(&workload, &cfg, &EnginePlan::serial());
         assert!(outcome.requests() > 0);
         assert!(outcome.shed.is_empty(), "closed-loop clients are never shed");
     }
@@ -975,7 +861,11 @@ mod tests {
         let groups = tile16_fleet(2);
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
             .with_faults(&faults);
-        let outcome = simulate_stream_config(&stream, &cfg);
+        let outcome = simulate_config_parallel(
+            &Workload::Replay(stream.to_vec()),
+            &cfg,
+            &EnginePlan::serial(),
+        );
         assert_eq!(outcome.crash_events.len(), 1);
         let crash = outcome.crash_events[0];
         assert!(crash.at_s < 1.0);
@@ -988,7 +878,14 @@ mod tests {
         // The redispatched request waited for the survivor: latency > 10 s.
         assert!(outcome.latencies_s.iter().any(|&l| l > 10.0));
         // Determinism: the sentinel-free outcome compares bit-for-bit.
-        assert_eq!(outcome, simulate_stream_config(&stream, &cfg));
+        assert_eq!(
+            outcome,
+            simulate_config_parallel(
+                &Workload::Replay(stream.to_vec()),
+                &cfg,
+                &EnginePlan::serial()
+            )
+        );
     }
 
     #[test]
@@ -1004,7 +901,11 @@ mod tests {
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
             .with_autoscale(&policy)
             .with_faults(&faults);
-        let outcome = simulate_stream_config(&stream, &cfg);
+        let outcome = simulate_config_parallel(
+            &Workload::Replay(stream.to_vec()),
+            &cfg,
+            &EnginePlan::serial(),
+        );
         assert!(outcome.provision_failures > 0, "every scheduled scale-up failed");
         assert!(outcome.scale_events.is_empty(), "no change ever landed");
         assert_eq!(outcome.group_stats[0].peak_active, 1);
@@ -1019,7 +920,11 @@ mod tests {
         let faults = FaultSpec::new(1, 1.0).with_degraded(0, 2.0);
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
             .with_faults(&faults);
-        let outcome = simulate_stream_config(&stream, &cfg);
+        let outcome = simulate_config_parallel(
+            &Workload::Replay(stream.to_vec()),
+            &cfg,
+            &EnginePlan::serial(),
+        );
         assert!((outcome.latencies_s[0] - 2.0).abs() < 1e-12, "2x multiplier on 1 s of service");
         let healthy = sim(&stream, Policy::Fifo, 1, &costs);
         assert!((healthy.latencies_s[0] - 1.0).abs() < 1e-12);
@@ -1043,30 +948,15 @@ mod tests {
             ])),
         };
         let workload = Workload::Shaped(shaped);
-        let outcome = simulate(
-            &workload,
-            Policy::Fifo,
-            &tile16_fleet(8),
-            DispatchKind::LeastLoaded,
-            None,
-            &unit_costs(),
-        );
+        let (groups, costs) = (tile16_fleet(8), unit_costs());
+        let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+        let outcome = simulate_config_parallel(&workload, &cfg, &EnginePlan::serial());
         assert!(outcome.requests() > 0);
         assert_eq!(outcome.tenant_outcomes.len(), 2, "the stream's mix reaches the accounting");
         assert!(outcome.tenants.contains(&1), "both tenants offer traffic");
         let offered: u64 = outcome.tenant_outcomes.iter().map(|t| t.offered).sum();
         assert_eq!(offered as usize, outcome.offered());
-        assert_eq!(
-            outcome,
-            simulate(
-                &workload,
-                Policy::Fifo,
-                &tile16_fleet(8),
-                DispatchKind::LeastLoaded,
-                None,
-                &unit_costs(),
-            )
-        );
+        assert_eq!(outcome, simulate_config_parallel(&workload, &cfg, &EnginePlan::serial()));
     }
 
     #[test]
@@ -1109,7 +999,11 @@ mod tests {
         let groups = tile16_fleet(1);
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
             .with_tenants(&mix);
-        let outcome = simulate_stream_config(&stream, &cfg);
+        let outcome = simulate_config_parallel(
+            &Workload::Replay(stream.to_vec()),
+            &cfg,
+            &EnginePlan::serial(),
+        );
         let records = outcome.records("serve/demo", &[]);
         let tenant = records.iter().find(|r| r.id == "serve/demo/tenant/gold").expect("present");
         assert_eq!(tenant.metric_value("offered"), Some(2.0));
@@ -1119,14 +1013,17 @@ mod tests {
         assert!(tenant.params.contains(&("tenant".to_string(), "gold".to_string())));
     }
 
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let outcome = ServeOutcome {
-            latencies_s: vec![4.0, 1.0, 3.0, 2.0, SHED_LATENCY_S],
-            arrivals_s: vec![0.0; 5],
-            tenants: vec![0; 5],
-            shed: vec![4],
-            shed_queue: 1,
+    /// A hand-built outcome over the given latencies (everything else
+    /// zeroed), for the readers that never look past them.
+    fn outcome_with(latencies_s: Vec<f64>) -> ServeOutcome {
+        let n = latencies_s.len();
+        let shed: Vec<usize> = (0..n).filter(|&id| latencies_s[id] == SHED_LATENCY_S).collect();
+        ServeOutcome {
+            latencies_s,
+            arrivals_s: vec![0.0; n],
+            tenants: vec![0; n],
+            shed_queue: shed.len() as u64,
+            shed,
             shed_limit: 0,
             tenant_outcomes: Vec::new(),
             crash_events: Vec::new(),
@@ -1134,12 +1031,17 @@ mod tests {
             makespan_s: 4.0,
             queue_depth_mean: 0.0,
             queue_depth_max: 0,
-            batch_sizes: vec![1; 4],
+            batch_sizes: Vec::new(),
             shard_stats: vec![ShardStats::default()],
             shard_groups: vec![0],
             group_stats: Vec::new(),
             scale_events: Vec::new(),
-        };
+        }
+    }
+
+    #[test]
+    fn percentiles_are_nearest_rank() {
+        let outcome = outcome_with(vec![4.0, 1.0, 3.0, 2.0, SHED_LATENCY_S]);
         assert_eq!(outcome.latency_percentile_s(50.0), 2.0, "the shed sentinel is excluded");
         assert_eq!(outcome.latency_percentile_s(75.0), 3.0);
         assert_eq!(outcome.latency_percentile_s(99.0), 4.0);
@@ -1148,5 +1050,27 @@ mod tests {
         assert_eq!(outcome.offered(), 5);
         assert!((outcome.shed_rate() - 0.2).abs() < 1e-12);
         assert!((outcome.mean_latency_s() - 2.5).abs() < 1e-12);
+    }
+
+    /// A latency that is neither served nor the shed sentinel is a
+    /// simulation bug: every served-only reader trips the same assertion
+    /// instead of some of them silently dropping the request.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn an_impossible_latency_trips_every_served_only_reader() {
+        let outcome = outcome_with(vec![1.0, -2.0, SHED_LATENCY_S]);
+        type Reader = fn(&ServeOutcome);
+        let readers: [(&str, Reader); 5] = [
+            ("requests", |o| _ = o.requests()),
+            ("mean_latency_s", |o| _ = o.mean_latency_s()),
+            ("max_in_flight", |o| _ = o.max_in_flight()),
+            ("latency_percentile_s", |o| _ = o.latency_percentile_s(99.0)),
+            ("records", |o| _ = o.records("serve/demo", &[])),
+        ];
+        for (name, read) in readers {
+            let panic = std::panic::catch_unwind(|| read(&outcome)).expect_err(name);
+            let message = panic.downcast_ref::<String>().expect("a formatted assertion message");
+            assert!(message.contains("neither served nor the shed sentinel"), "{name}: {message}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests of the parallel-in-time engine's determinism contract:
 //! for *arbitrary* scenario specs — bursty and Poisson streams, every
 //! policy, elastic fleets, bounded queues, fault regimes — and arbitrary
-//! epoch plans (counts, widths, thread counts), the merged parallel
+//! epoch plans (coarse and fine counts, thread counts), the merged parallel
 //! replay must produce the same outcome, the same trace and the same
 //! artifact bytes as the serial engine; admitted requests are served or
 //! shed exactly once across every seam; and the closed-loop lane
@@ -10,10 +10,9 @@
 use neura_chip::config::ChipConfig;
 use neura_lab::Artifact;
 use neura_serve::{
-    simulate_config_traced_parallel, simulate_stream_config_traced,
-    simulate_stream_config_traced_parallel, ArrivalProcess, AutoscalePolicy, ClassCost,
-    ClosedLoopSpec, CostTable, DispatchKind, EnginePlan, FaultSpec, Policy, RequestClass,
-    ServeConfig, ShardGroup, StreamSpec, Workload,
+    simulate_config_traced_parallel, ArrivalProcess, AutoscalePolicy, ClassCost, ClosedLoopSpec,
+    CostTable, DispatchKind, EnginePlan, FaultSpec, Policy, RequestClass, ServeConfig, ShardGroup,
+    StreamSpec, Workload,
 };
 use proptest::prelude::*;
 
@@ -60,19 +59,14 @@ fn arb_policy() -> impl Strategy<Value = Policy> {
     })
 }
 
-/// An arbitrary epoch plan: a fragment count or a width in seconds, on an
-/// arbitrary worker-pool size (1 = pinned serial execution of the same
-/// fragment schedule).
+/// An arbitrary epoch plan: a handful of fragments or up to a thousand
+/// (epochs down to a millisecond of a one-second stream, most of them
+/// empty), on an arbitrary worker-pool size (1 = pinned serial execution
+/// of the same fragment schedule).
 fn arb_plan() -> impl Strategy<Value = EnginePlan> {
-    (0usize..2, 2usize..=12, 0.001f64..0.3, 0usize..3).prop_map(
-        |(kind, epochs, width_s, threads)| {
-            let plan = match kind {
-                0 => EnginePlan::serial().with_epochs(epochs),
-                _ => EnginePlan::serial().with_epoch_s(width_s),
-            };
-            plan.with_threads([1, 2, 8][threads])
-        },
-    )
+    (0usize..2, 2usize..=12, 13usize..=1000, 0usize..3).prop_map(|(kind, few, many, threads)| {
+        EnginePlan::serial().with_epochs([few, many][kind]).with_threads([1, 2, 8][threads])
+    })
 }
 
 /// An arbitrary fault regime over the stream horizon: up to two crashes,
@@ -125,15 +119,16 @@ proptest! {
             .with_up_backlog_per_shard(2.0);
         let mut cfg = ServeConfig::new(policy, &fleet, DispatchKind::LeastLoaded, &costs);
         if elastic == 1 {
-            cfg.autoscale = Some(&autoscale);
+            cfg = cfg.with_autoscale(&autoscale);
         }
         // 0 = unbounded; 1..=8 = a backlog bound tight enough to shed.
         cfg.queue_bound = (bound_pick > 0).then_some(bound_pick);
         cfg.faults = fault.as_ref();
 
-        let (serial, serial_trace) = simulate_stream_config_traced(&stream, &cfg);
-        let (parallel, parallel_trace) =
-            simulate_stream_config_traced_parallel(&stream, &cfg, &plan);
+        let workload = Workload::Replay(stream.clone());
+        let (serial, serial_trace) =
+            simulate_config_traced_parallel(&workload, &cfg, &EnginePlan::serial());
+        let (parallel, parallel_trace) = simulate_config_traced_parallel(&workload, &cfg, &plan);
         prop_assert_eq!(&serial, &parallel);
         prop_assert_eq!(&serial_trace, &parallel_trace);
         prop_assert_eq!(artifact_bytes(&serial), artifact_bytes(&parallel));

@@ -12,10 +12,8 @@
 
 use neura_chip::config::ChipConfig;
 use neura_serve::{
-    simulate_config, simulate_config_parallel, simulate_config_traced,
-    simulate_config_traced_parallel, simulate_stream_config, simulate_stream_config_parallel,
-    simulate_stream_config_traced, simulate_stream_config_traced_parallel, AutoscalePolicy,
-    ClassCost, ClosedLoopSpec, CostTable, DispatchKind, EnginePlan, Policy, Request, RequestClass,
+    simulate_config_parallel, simulate_config_traced_parallel, AutoscalePolicy, ClassCost,
+    ClosedLoopSpec, CostTable, DispatchKind, EnginePlan, Policy, Request, RequestClass,
     ServeConfig, ShardGroup, Workload,
 };
 
@@ -44,7 +42,9 @@ fn request(id: usize, arrival_s: f64, dataset: usize, shrink: usize) -> Request 
     Request { id, arrival_s, class: RequestClass { dataset, shrink }, tenant: 0 }
 }
 
-/// The hand-built boundary-straddling schedule. With `EPOCH_S = 1/64`:
+/// The hand-built boundary-straddling schedule. Its last arrival — a
+/// replay's horizon — lands at exactly `EPOCHS × EPOCH_S = 11/64`, so
+/// `EPOCHS` equal epochs cut at every multiple of `EPOCH_S = 1/64`:
 ///
 /// - the t = 0 burst under-fills the batch, so its flush deadline is
 ///   `0 + TIMEOUT = 1/64` — *exactly* the first epoch boundary;
@@ -56,6 +56,7 @@ fn request(id: usize, arrival_s: f64, dataset: usize, shrink: usize) -> Request 
 /// - a straggler at `3/256` arrives *just* before the first boundary, so
 ///   in-flight work and a non-empty backlog carry across the seam.
 const EPOCH_S: f64 = 1.0 / 64.0;
+const EPOCHS: usize = 11;
 const TIMEOUT_S: f64 = 1.0 / 64.0;
 const CHECK_S: f64 = 1.0 / 256.0;
 const PROVISION_S: f64 = 1.0 / 128.0;
@@ -75,10 +76,12 @@ fn boundary_schedule() -> Vec<Request> {
         request(5, 5.0 / 256.0, 0, 1),
     ];
     // A sparse tail across several more boundaries keeps the autoscaler
-    // scaling both ways and the backlog draining and refilling.
-    for k in 0..12usize {
+    // scaling both ways and the backlog draining and refilling; its last
+    // arrival, at 44/256, sets the horizon.
+    for k in 0..=12usize {
         stream.push(request(6 + k, 1.0 / 32.0 + k as f64 * 3.0 / 256.0, k % 2, 1 + k % 2));
     }
+    assert_eq!(stream.last().map(|r| r.arrival_s), Some(EPOCHS as f64 * EPOCH_S));
     stream
 }
 
@@ -90,31 +93,33 @@ fn batch_deadline_and_autoscale_check_fire_in_serial_order_at_the_boundary() {
         .with_check_interval_s(CHECK_S)
         .with_provision_delay_s(PROVISION_S)
         .with_up_backlog_per_shard(2.0);
-    let mut cfg =
-        ServeConfig::new(Policy::batch(8, TIMEOUT_S), &fleet, DispatchKind::LeastLoaded, &costs);
-    cfg.autoscale = Some(&autoscale);
-    let stream = boundary_schedule();
+    let cfg =
+        ServeConfig::new(Policy::batch(8, TIMEOUT_S), &fleet, DispatchKind::LeastLoaded, &costs)
+            .with_autoscale(&autoscale);
+    let schedule = boundary_schedule();
+    let stream = Workload::Replay(schedule.clone());
 
-    let (serial, serial_trace) = simulate_stream_config_traced(&stream, &cfg);
-    // Epoch boundaries at every multiple of 1/64 — each one coincides
-    // with a batch flush deadline and an autoscaler check, and the first
-    // with an arrival as well.
+    let (serial, serial_trace) =
+        simulate_config_traced_parallel(&stream, &cfg, &EnginePlan::serial());
+    // `EPOCHS` epochs put a boundary at every multiple of 1/64 — each one
+    // coincides with a batch flush deadline and an autoscaler check, and
+    // the first with an arrival as well.
     for plan in [
-        EnginePlan::serial().with_epoch_s(EPOCH_S),
-        EnginePlan::serial().with_epoch_s(EPOCH_S).with_threads(1),
+        EnginePlan::serial().with_epochs(EPOCHS),
+        EnginePlan::serial().with_epochs(EPOCHS).with_threads(1),
         EnginePlan::serial().with_epochs(5),
         EnginePlan::serial().with_epochs(2).with_threads(8),
     ] {
-        let (epoch, epoch_trace) = simulate_stream_config_traced_parallel(&stream, &cfg, &plan);
+        let (epoch, epoch_trace) = simulate_config_traced_parallel(&stream, &cfg, &plan);
         assert_eq!(serial, epoch, "outcome must not depend on the epoch plan {plan:?}");
         assert_eq!(serial_trace, epoch_trace, "trace order must survive the seam {plan:?}");
-        assert_eq!(epoch, simulate_stream_config_parallel(&stream, &cfg, &plan));
+        assert_eq!(epoch, simulate_config_parallel(&stream, &cfg, &plan));
     }
     // The schedule really exercises what it claims: batching happened and
     // the autoscaler really moved.
     assert!(serial.batch_sizes.iter().any(|&b| b > 1), "the burst must batch");
     assert!(!serial.scale_events.is_empty(), "the autoscaler must act");
-    assert_eq!(serial.requests(), stream.len());
+    assert_eq!(serial.requests(), schedule.len());
 }
 
 #[test]
@@ -130,12 +135,13 @@ fn fragments_that_drain_before_their_boundary_stay_identical() {
     for i in 0..6usize {
         stream.push(request(6 + i, 0.75 + i as f64 * 1.0 / 1024.0, i % 2, 2));
     }
-    let serial = simulate_stream_config(&stream, &cfg);
+    let stream = Workload::Replay(stream);
+    let serial = simulate_config_parallel(&stream, &cfg, &EnginePlan::serial());
     for epochs in [2usize, 3, 7, 64, 1024] {
         let plan = EnginePlan::serial().with_epochs(epochs);
         assert_eq!(
             serial,
-            simulate_stream_config_parallel(&stream, &cfg, &plan),
+            simulate_config_parallel(&stream, &cfg, &plan),
             "draining early must not perturb the merge at {epochs} epochs"
         );
     }
@@ -154,13 +160,13 @@ fn closed_loop_epochs_match_the_serial_replay() {
         shrinks: vec![1, 2],
         seed: 7,
     });
-    let (serial, serial_trace) = simulate_config_traced(&workload, &cfg);
+    let (serial, serial_trace) =
+        simulate_config_traced_parallel(&workload, &cfg, &EnginePlan::serial());
     for epochs in [2usize, 5, 16] {
         let plan = EnginePlan::serial().with_epochs(epochs);
         let (epoch, epoch_trace) = simulate_config_traced_parallel(&workload, &cfg, &plan);
         assert_eq!(serial, epoch, "closed-loop epochs must merge exactly ({epochs})");
         assert_eq!(serial_trace, epoch_trace);
-        let _ = plan;
     }
 }
 
@@ -168,8 +174,8 @@ fn closed_loop_epochs_match_the_serial_replay() {
 fn shedding_across_seams_conserves_every_request() {
     let costs = costs();
     let fleet = tile16_fleet(1);
-    let mut cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs);
-    cfg.queue_bound = Some(2);
+    let cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs)
+        .with_queue_bound(2);
     // An overloading burst right before each boundary: admissions and
     // sheds happen on both sides of every seam.
     let mut stream = Vec::new();
@@ -179,11 +185,12 @@ fn shedding_across_seams_conserves_every_request() {
             stream.push(request(stream.len(), base + j as f64 / 8192.0, j % 2, 1));
         }
     }
-    let serial = simulate_stream_config(&stream, &cfg);
+    let workload = Workload::Replay(stream.clone());
+    let serial = simulate_config_parallel(&workload, &cfg, &EnginePlan::serial());
     assert!(!serial.shed.is_empty(), "the bound must actually shed");
     for epochs in [2usize, 4, 8] {
         let plan = EnginePlan::serial().with_epochs(epochs);
-        let epoch = simulate_stream_config_parallel(&stream, &cfg, &plan);
+        let epoch = simulate_config_parallel(&workload, &cfg, &plan);
         assert_eq!(serial, epoch);
         // Conservation across seams: every request is served or shed
         // exactly once, never both, never dropped.
@@ -218,7 +225,7 @@ fn lane_decomposition_is_thread_invariant_and_conserves_requests() {
     }
     // One lane is the serial engine exactly.
     assert_eq!(
-        simulate_config(&workload, &cfg),
+        simulate_config_parallel(&workload, &cfg, &EnginePlan::serial()),
         simulate_config_parallel(&workload, &cfg, &EnginePlan::serial().with_lanes(1)),
     );
     // Conservation and closed-loop invariants hold on the merged outcome.
@@ -241,8 +248,8 @@ fn ineligible_scenarios_fall_back_to_epochs_under_a_lane_plan() {
     let costs = costs();
     let fleet = tile16_fleet(2);
     let autoscale = AutoscalePolicy::new(1, 3).with_check_interval_s(CHECK_S);
-    let mut cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs);
-    cfg.autoscale = Some(&autoscale);
+    let cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs)
+        .with_autoscale(&autoscale);
     // Autoscaling makes the closed loop ineligible for lanes: the plan's
     // lane request must quietly degrade to the (exact) epoch path.
     let workload = Workload::Closed(ClosedLoopSpec {
@@ -253,7 +260,7 @@ fn ineligible_scenarios_fall_back_to_epochs_under_a_lane_plan() {
         shrinks: vec![1, 2],
         seed: 3,
     });
-    let serial = simulate_config(&workload, &cfg);
+    let serial = simulate_config_parallel(&workload, &cfg, &EnginePlan::serial());
     let plan = EnginePlan::serial().with_lanes(4).with_epochs(3);
     assert_eq!(serial, simulate_config_parallel(&workload, &cfg, &plan));
 }

@@ -8,8 +8,9 @@
 
 use neura_chip::config::ChipConfig;
 use neura_serve::{
-    simulate_stream_config, ArrivalProcess, AutoscalePolicy, ClassCost, CostTable, DispatchKind,
-    FaultSpec, Policy, RequestClass, ServeConfig, ShardGroup, StreamSpec,
+    simulate_config_parallel, ArrivalProcess, AutoscalePolicy, ClassCost, CostTable, DispatchKind,
+    EnginePlan, FaultSpec, Policy, Request, RequestClass, ServeConfig, ServeOutcome, ShardGroup,
+    StreamSpec, Workload,
 };
 use proptest::prelude::*;
 
@@ -33,6 +34,11 @@ fn synthetic_costs(mix_size: usize, shrinks: &[usize]) -> CostTable {
 
 fn tile16_fleet(n: usize) -> Vec<ShardGroup> {
     vec![ShardGroup::new("t16", ChipConfig::tile_16(), n)]
+}
+
+/// Serial replay of an explicit stream.
+fn replay(stream: &[Request], cfg: &ServeConfig<'_>) -> ServeOutcome {
+    simulate_config_parallel(&Workload::Replay(stream.to_vec()), cfg, &EnginePlan::serial())
 }
 
 fn arb_stream() -> impl Strategy<Value = StreamSpec> {
@@ -88,7 +94,7 @@ proptest! {
         if elastic == 1 {
             cfg = cfg.with_autoscale(&autoscale);
         }
-        let outcome = simulate_stream_config(&stream, &cfg);
+        let outcome = replay(&stream, &cfg);
 
         prop_assert_eq!(outcome.offered(), stream.len());
         prop_assert_eq!(outcome.shed.len(), 0);
@@ -108,7 +114,7 @@ proptest! {
             prop_assert_eq!(crash.group, 0);
         }
         // Pure function of the inputs: replaying changes nothing.
-        prop_assert_eq!(outcome, simulate_stream_config(&stream, &cfg));
+        prop_assert_eq!(outcome, replay(&stream, &cfg));
     }
 
     /// Post-crash recovery is bounded below by the provisioning delay:
@@ -139,7 +145,7 @@ proptest! {
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
             .with_autoscale(&autoscale)
             .with_faults(&fault);
-        let outcome = simulate_stream_config(&stream, &cfg);
+        let outcome = replay(&stream, &cfg);
         prop_assert_eq!(outcome.requests(), stream.len());
         for recovery in outcome.recovery_times_s() {
             prop_assert!(recovery >= delay_ms / 1e3 - 1e-9,
@@ -171,7 +177,7 @@ proptest! {
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
             .with_autoscale(&autoscale)
             .with_faults(&fault);
-        let outcome = simulate_stream_config(&stream, &cfg);
+        let outcome = replay(&stream, &cfg);
         prop_assert!(outcome.scale_events.iter().all(|e| e.delta < 0),
             "a scale-up took effect despite pf=1.0");
         prop_assert!(outcome.provision_failures > 0,
@@ -194,9 +200,9 @@ proptest! {
         let costs = synthetic_costs(spec.mix_size, &spec.shrinks);
         let groups = tile16_fleet(2);
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
-        let healthy = simulate_stream_config(&stream, &cfg);
+        let healthy = replay(&stream, &cfg);
         let fault = FaultSpec::new(1, 1.0).with_degraded(0, multiplier);
-        let degraded = simulate_stream_config(&stream, &cfg.with_faults(&fault));
+        let degraded = replay(&stream, &cfg.with_faults(&fault));
         prop_assert_eq!(degraded.requests(), stream.len());
         let healthy_p99 = healthy.latency_percentile_s(99.0);
         let degraded_p99 = degraded.latency_percentile_s(99.0);

@@ -15,8 +15,8 @@
 
 use neura_chip::config::{ChipConfig, TileSize};
 use neura_serve::{
-    simulate_stream, ArrivalProcess, ClassCost, CostTable, DispatchKind, FleetMix, Policy,
-    RequestClass, StreamSpec,
+    simulate_config_parallel, ArrivalProcess, ClassCost, CostTable, DispatchKind, EnginePlan,
+    FleetMix, Policy, Request, RequestClass, ServeConfig, ServeOutcome, StreamSpec, Workload,
 };
 
 /// Flops of the two request classes: a heavy GNN query and a light one.
@@ -46,7 +46,7 @@ fn peak_costs() -> CostTable {
 /// simulated second (~1600 requests) — about 25% load on the homogeneous
 /// fleet and 30% on the lone Tile-64, so queueing is present but the tail
 /// is governed by placement, not saturation.
-fn pinned_stream() -> Vec<neura_serve::Request> {
+fn pinned_stream() -> Vec<Request> {
     StreamSpec {
         arrival: ArrivalProcess::Poisson,
         rps: 1600.0,
@@ -56,6 +56,17 @@ fn pinned_stream() -> Vec<neura_serve::Request> {
         seed: 0xBEEF,
     }
     .generate()
+}
+
+/// Serial FIFO replay of `stream` on `mix` under `dispatch`.
+fn fifo(
+    stream: &[Request],
+    mix: &FleetMix,
+    dispatch: DispatchKind,
+    costs: &CostTable,
+) -> ServeOutcome {
+    let cfg = ServeConfig::new(Policy::Fifo, &mix.groups, dispatch, costs);
+    simulate_config_parallel(&Workload::Replay(stream.to_vec()), &cfg, &EnginePlan::serial())
 }
 
 #[test]
@@ -76,8 +87,7 @@ fn class_affinity_hetero_fleet_beats_equal_shard_homogeneous_on_p99() {
     );
 
     let p99 = |mix: &FleetMix, dispatch: DispatchKind| {
-        simulate_stream(&stream, Policy::Fifo, &mix.groups, dispatch, None, &costs)
-            .latency_percentile_s(99.0)
+        fifo(&stream, mix, dispatch, &costs).latency_percentile_s(99.0)
     };
     let hetero_affinity = p99(&hetero, DispatchKind::ClassAffinity);
     let hetero_blind = p99(&hetero, DispatchKind::LeastLoaded);
@@ -102,22 +112,8 @@ fn class_affinity_hetero_fleet_beats_equal_shard_homogeneous_on_p99() {
     // onto Tile-4 silicon whenever the Tile-64 is busy, so its *tail* hits
     // the same ~6 ms overflow wall. Only affinity's willingness to queue
     // for the right silicon rescues the p99.
-    let cost_out = simulate_stream(
-        &stream,
-        Policy::Fifo,
-        &hetero.groups,
-        DispatchKind::CostAware,
-        None,
-        &costs,
-    );
-    let blind_out = simulate_stream(
-        &stream,
-        Policy::Fifo,
-        &hetero.groups,
-        DispatchKind::LeastLoaded,
-        None,
-        &costs,
-    );
+    let cost_out = fifo(&stream, &hetero, DispatchKind::CostAware, &costs);
+    let blind_out = fifo(&stream, &hetero, DispatchKind::LeastLoaded, &costs);
     assert!(
         cost_out.mean_latency_s() < blind_out.mean_latency_s(),
         "cost-aware dispatch must improve the mean over class-blind dispatch ({} vs {})",
@@ -135,14 +131,7 @@ fn per_group_accounting_splits_the_mixed_fleet() {
     let stream = pinned_stream();
     let costs = peak_costs();
     let hetero = FleetMix::mixed(&[(TileSize::Tile64, 1), (TileSize::Tile4, 4)]);
-    let outcome = simulate_stream(
-        &stream,
-        Policy::Fifo,
-        &hetero.groups,
-        DispatchKind::ClassAffinity,
-        None,
-        &costs,
-    );
+    let outcome = fifo(&stream, &hetero, DispatchKind::ClassAffinity, &costs);
     let groups = &outcome.group_stats;
     assert_eq!(groups.len(), 2);
     assert_eq!(groups[0].name, "t64");

@@ -9,9 +9,10 @@
 use neura_chip::config::ChipConfig;
 use neura_serve::scenario::TENANT_BURST_S;
 use neura_serve::{
-    simulate_config, simulate_stream, simulate_stream_config, ArrivalProcess, AutoscalePolicy,
-    ClassCost, CostTable, DispatchKind, Policy, RateShape, RequestClass, ScenarioSpec, ServeConfig,
-    ServeOutcome, ShapedStream, ShardGroup, StreamSpec, TenantMix, TenantSpec, Workload,
+    simulate_config_parallel, simulate_config_traced_parallel, ArrivalProcess, AutoscalePolicy,
+    ClassCost, CostTable, DispatchKind, EnginePlan, Policy, RateShape, RequestClass, ScenarioSpec,
+    ServeConfig, ServeOutcome, ShapedStream, ShardGroup, StreamSpec, TenantMix, TenantSpec,
+    Workload,
 };
 use proptest::prelude::*;
 
@@ -44,6 +45,11 @@ fn mean_service_s(costs: &CostTable, mix_size: usize, shrinks: &[usize]) -> f64 
         .flat_map(|dataset| shrinks.iter().map(move |&shrink| RequestClass { dataset, shrink }))
         .collect();
     classes.iter().map(|&c| costs.service_seconds(&fp, c, 1)).sum::<f64>() / classes.len() as f64
+}
+
+/// The serial engine.
+fn serial(workload: &Workload, cfg: &ServeConfig<'_>) -> ServeOutcome {
+    simulate_config_parallel(workload, cfg, &EnginePlan::serial())
 }
 
 fn arb_stream() -> impl Strategy<Value = StreamSpec> {
@@ -104,15 +110,12 @@ proptest! {
         spec in arb_stream(),
         shards in 1usize..=3,
     ) {
-        let stream = spec.generate();
+        let stream = Workload::Replay(spec.generate());
         let costs = synthetic_costs(spec.mix_size, &spec.shrinks);
         let groups = tile16_fleet(shards);
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
-        let unbounded = simulate_stream_config(&stream, &cfg);
-        let bounded = simulate_stream_config(
-            &stream,
-            &cfg.with_queue_bound(unbounded.queue_depth_max + 1),
-        );
+        let unbounded = serial(&stream, &cfg);
+        let bounded = serial(&stream, &cfg.with_queue_bound(unbounded.queue_depth_max + 1));
         prop_assert_eq!(bounded.shed.len(), 0);
         prop_assert_eq!(bounded, unbounded);
     }
@@ -145,7 +148,7 @@ proptest! {
                 seed,
             }
             .generate();
-            let outcome = simulate_stream_config(&stream, &cfg);
+            let outcome = serial(&Workload::Replay(stream.clone()), &cfg);
             prop_assert_eq!(outcome.offered(), stream.len());
             prop_assert_eq!(outcome.requests() + outcome.shed.len(), stream.len());
             prop_assert_eq!(outcome.batch_sizes.iter().sum::<usize>(), outcome.requests());
@@ -201,7 +204,7 @@ proptest! {
         let costs = synthetic_costs(2, &[1, 2]);
         let groups = tile16_fleet(4);
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
-        let outcome = simulate_config(&workload, &cfg);
+        let outcome = serial(&workload, &cfg);
         let tenant = &outcome.tenant_outcomes[0];
         prop_assert_eq!(tenant.offered as usize, outcome.offered());
         let admitted = tenant.offered - tenant.shed;
@@ -254,7 +257,7 @@ fn library_scenario_arms_are_identical_across_runner_threads() {
             }
             cfg.queue_bound = scenario.queue_bound;
             cfg.faults = fault.as_ref();
-            let outcome = simulate_config(&workload, &cfg);
+            let outcome = serial(&workload, &cfg);
             assert_eq!(
                 outcome.requests() + outcome.shed.len(),
                 outcome.offered(),
@@ -271,11 +274,13 @@ fn library_scenario_arms_are_identical_across_runner_threads() {
     assert_eq!(two, run_all(2), "outcomes diverge across repeat runs");
 }
 
-/// The plain-stream entry points agree with the config entry points, so
-/// the legacy `simulate_stream` callers and the `ServeConfig` callers can
-/// never drift apart.
+/// An explicit stream is the same workload as the spec that generated
+/// it: `Replay(spec.generate())` and `Open(spec)` produce the identical
+/// outcome and trace, serially and split into epochs (whose boundaries
+/// differ — a replay's horizon is its last arrival, not the spec's
+/// duration).
 #[test]
-fn config_and_legacy_entry_points_agree() {
+fn replaying_a_generated_stream_equals_the_open_workload() {
     let spec = StreamSpec {
         arrival: ArrivalProcess::Poisson,
         rps: 400.0,
@@ -284,11 +289,57 @@ fn config_and_legacy_entry_points_agree() {
         shrinks: vec![1, 2],
         seed: 3,
     };
-    let stream = spec.generate();
+    let replay = Workload::Replay(spec.generate());
+    let open = Workload::Open(spec);
     let costs = synthetic_costs(2, &[1, 2]);
     let groups = tile16_fleet(2);
-    let legacy =
-        simulate_stream(&stream, Policy::Fifo, &groups, DispatchKind::LeastLoaded, None, &costs);
+    let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
+        .with_queue_bound(4);
+    for plan in [EnginePlan::serial(), EnginePlan::serial().with_epochs(3)] {
+        let (outcome, trace) = simulate_config_traced_parallel(&open, &cfg, &plan);
+        assert!(
+            outcome.requests() > 0 && !outcome.shed.is_empty(),
+            "the scenario serves and sheds"
+        );
+        assert_eq!((outcome.clone(), trace), simulate_config_traced_parallel(&replay, &cfg, &plan));
+        assert_eq!(outcome, simulate_config_parallel(&replay, &cfg, &plan));
+    }
+}
+
+/// An empty replay is a valid workload with nothing in it.
+#[test]
+fn an_empty_replay_produces_the_zeroed_outcome() {
+    let costs = synthetic_costs(1, &[1]);
+    let groups = tile16_fleet(2);
     let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
-    assert_eq!(legacy, simulate_stream_config(&stream, &cfg));
+    for plan in [EnginePlan::serial(), EnginePlan::serial().with_epochs(3)] {
+        let outcome = simulate_config_parallel(&Workload::Replay(Vec::new()), &cfg, &plan);
+        assert_eq!(outcome.offered(), 0);
+        assert_eq!(outcome.requests(), 0);
+        assert_eq!(outcome.makespan_s, 0.0);
+        assert_eq!(outcome.throughput_rps(), 0.0);
+        assert_eq!(outcome.latency_percentile_s(99.0), 0.0);
+        assert_eq!(outcome.shard_seconds(), 0.0);
+        assert!(outcome.batch_sizes.is_empty() && outcome.shed.is_empty());
+    }
+}
+
+#[test]
+#[should_panic(expected = "sorted by arrival time")]
+fn an_unsorted_replay_is_rejected() {
+    let mut stream = StreamSpec {
+        arrival: ArrivalProcess::Poisson,
+        rps: 400.0,
+        duration_s: 0.1,
+        mix_size: 1,
+        shrinks: vec![1],
+        seed: 3,
+    }
+    .generate();
+    assert!(stream.len() > 2);
+    stream.swap(0, 2);
+    let costs = synthetic_costs(1, &[1]);
+    let groups = tile16_fleet(1);
+    let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+    serial(&Workload::Replay(stream), &cfg);
 }

@@ -7,8 +7,8 @@
 use neura_chip::config::{ChipConfig, TileSize};
 use neura_lab::{Artifact, Runner};
 use neura_serve::{
-    simulate, ArrivalProcess, AutoscalePolicy, ClassCost, CostTable, DispatchKind, FleetMix,
-    Policy, RequestClass, ServeSweep,
+    simulate_config_parallel, ArrivalProcess, AutoscalePolicy, ClassCost, CostTable, DispatchKind,
+    EnginePlan, FleetMix, Policy, RequestClass, ServeConfig, ServeSweep,
 };
 
 /// Synthetic costs for every class on all three tile sizes: bigger silicon
@@ -54,14 +54,10 @@ fn run_with(threads: usize) -> String {
     let table = costs();
     let outcomes = Runner::new(threads).run(&scenarios, |_, scenario| {
         let workload = scenario.workload_spec(1.0, 2, &[1, 2]);
-        simulate(
-            &workload,
-            scenario.policy,
-            &scenario.fleet.groups,
-            scenario.dispatch,
-            scenario.autoscale.as_ref(),
-            &table,
-        )
+        let mut cfg =
+            ServeConfig::new(scenario.policy, &scenario.fleet.groups, scenario.dispatch, &table);
+        cfg.autoscale = scenario.autoscale.as_ref();
+        simulate_config_parallel(&workload, &cfg, &EnginePlan::serial())
     });
     let mut artifact = Artifact::new("serve", 1);
     for (scenario, outcome) in scenarios.iter().zip(&outcomes) {

@@ -8,8 +8,9 @@
 
 use neura_chip::config::ChipConfig;
 use neura_serve::{
-    simulate, simulate_stream, ArrivalProcess, AutoscalePolicy, ClassCost, ClosedLoopSpec,
-    CostTable, DispatchKind, Policy, RequestClass, ShardGroup, StreamSpec, Workload,
+    simulate_config_parallel, ArrivalProcess, AutoscalePolicy, ClassCost, ClosedLoopSpec,
+    CostTable, DispatchKind, EnginePlan, Policy, RequestClass, ServeConfig, ServeOutcome,
+    ShardGroup, StreamSpec, Workload,
 };
 use proptest::prelude::*;
 
@@ -36,6 +37,11 @@ fn synthetic_costs(mix_size: usize, shrinks: &[usize]) -> CostTable {
 /// A homogeneous Tile-16 fleet of `n` shards.
 fn tile16_fleet(n: usize) -> Vec<ShardGroup> {
     vec![ShardGroup::new("t16", ChipConfig::tile_16(), n)]
+}
+
+/// The serial engine.
+fn serial(workload: &Workload, cfg: &ServeConfig<'_>) -> ServeOutcome {
+    simulate_config_parallel(workload, cfg, &EnginePlan::serial())
 }
 
 fn arb_stream() -> impl Strategy<Value = StreamSpec> {
@@ -101,8 +107,11 @@ proptest! {
     ) {
         let stream = spec.generate();
         let costs = synthetic_costs(spec.mix_size, &spec.shrinks);
-        let outcome =
-            simulate_stream(&stream, policy, &tile16_fleet(shards), dispatch, None, &costs);
+        let fleet = tile16_fleet(shards);
+        let outcome = serial(
+            &Workload::Replay(stream.clone()),
+            &ServeConfig::new(policy, &fleet, dispatch, &costs),
+        );
 
         prop_assert_eq!(outcome.requests(), stream.len());
         // Every request appears in exactly one batch.
@@ -131,20 +140,14 @@ proptest! {
     /// binary's smoke check also pins).
     #[test]
     fn more_shards_never_worsen_fifo_p99(spec in arb_stream()) {
-        let stream = spec.generate();
+        let stream = Workload::Replay(spec.generate());
         let costs = synthetic_costs(spec.mix_size, &spec.shrinks);
         let p99: Vec<f64> = [1usize, 2, 4]
             .iter()
             .map(|&shards| {
-                simulate_stream(
-                    &stream,
-                    Policy::Fifo,
-                    &tile16_fleet(shards),
-                    DispatchKind::LeastLoaded,
-                    None,
-                    &costs,
-                )
-                .latency_percentile_s(99.0)
+                let fleet = tile16_fleet(shards);
+                let cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs);
+                serial(&stream, &cfg).latency_percentile_s(99.0)
             })
             .collect();
         prop_assert!(p99[0] >= p99[1] - 1e-9, "s1 {} vs s2 {}", p99[0], p99[1]);
@@ -160,12 +163,11 @@ proptest! {
         policy in arb_policy(),
         dispatch in arb_dispatch(),
     ) {
-        let stream = spec.generate();
+        let stream = Workload::Replay(spec.generate());
         let costs = synthetic_costs(spec.mix_size, &spec.shrinks);
         let fleet = tile16_fleet(2);
-        let a = simulate_stream(&stream, policy, &fleet, dispatch, None, &costs);
-        let b = simulate_stream(&stream, policy, &fleet, dispatch, None, &costs);
-        prop_assert_eq!(a, b);
+        let cfg = ServeConfig::new(policy, &fleet, dispatch, &costs);
+        prop_assert_eq!(serial(&stream, &cfg), serial(&stream, &cfg));
     }
 
     /// A closed loop never has more requests in flight than it has
@@ -189,8 +191,8 @@ proptest! {
         let costs = synthetic_costs(2, &[1, 2]);
         let workload = Workload::Closed(spec);
         let fleet = tile16_fleet(shards);
-        let outcome =
-            simulate(&workload, policy, &fleet, DispatchKind::LeastLoaded, None, &costs);
+        let cfg = ServeConfig::new(policy, &fleet, DispatchKind::LeastLoaded, &costs);
+        let outcome = serial(&workload, &cfg);
         prop_assert!(outcome.max_in_flight() <= clients,
             "{} in flight with {} clients", outcome.max_in_flight(), clients);
         prop_assert!(outcome.requests() >= 1, "staggered starts land inside the horizon");
@@ -198,8 +200,7 @@ proptest! {
         prop_assert!(outcome.latencies_s.iter().all(|l| l.is_finite() && *l > 0.0));
         // No request is issued at or beyond the horizon.
         prop_assert!(outcome.arrivals_s.iter().all(|&t| t < 0.25));
-        let again = simulate(&workload, policy, &fleet, DispatchKind::LeastLoaded, None, &costs);
-        prop_assert_eq!(outcome, again);
+        prop_assert_eq!(outcome, serial(&workload, &cfg));
     }
 
     /// The autoscaled fleet stays within `[min, max]` shards *per group*
@@ -226,14 +227,9 @@ proptest! {
         let fleet: Vec<ShardGroup> = (0..groups)
             .map(|g| ShardGroup::new(format!("g{g}"), ChipConfig::tile_16(), min))
             .collect();
-        let outcome = simulate_stream(
-            &stream,
-            Policy::Fifo,
-            &fleet,
-            DispatchKind::LeastLoaded,
-            Some(&policy),
-            &costs,
-        );
+        let cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs)
+            .with_autoscale(&policy);
+        let outcome = serial(&Workload::Replay(stream.clone()), &cfg);
         // Replay the events: every group's running count starts at `min`,
         // stays inside its own bounds, and every effect lags its decision
         // by exactly the delay.

@@ -10,10 +10,9 @@
 
 use neura_chip::config::ChipConfig;
 use neura_serve::{
-    simulate_config, simulate_config_traced, simulate_stream_config, simulate_stream_config_traced,
-    ArrivalProcess, AutoscalePolicy, ClassCost, CostTable, DispatchKind, LatencyHistogram, Policy,
-    RequestClass, ScenarioSpec, ServeConfig, ServeOutcome, StreamSpec, Timeline, Workload,
-    RELATIVE_ERROR_BOUND,
+    simulate_config_parallel, simulate_config_traced_parallel, ArrivalProcess, AutoscalePolicy,
+    ClassCost, CostTable, DispatchKind, EnginePlan, LatencyHistogram, Policy, RequestClass,
+    ScenarioSpec, ServeConfig, ServeOutcome, StreamSpec, Timeline, Workload, RELATIVE_ERROR_BOUND,
 };
 use proptest::prelude::*;
 
@@ -83,7 +82,7 @@ fn run_library_scenario_traced(scenario: &ScenarioSpec, window_s: f64) -> (Serve
     }
     cfg.queue_bound = scenario.queue_bound;
     cfg.faults = fault.as_ref();
-    let (outcome, trace) = simulate_config_traced(&workload, &cfg);
+    let (outcome, trace) = simulate_config_traced_parallel(&workload, &cfg, &EnginePlan::serial());
     let timeline = Timeline::build(&trace, &outcome, window_s);
     (outcome, timeline)
 }
@@ -124,15 +123,15 @@ proptest! {
         bound in 0usize..64,
     ) {
         use neura_serve::TraceEvent;
-        let stream = spec.generate();
+        let stream = Workload::Replay(spec.generate());
         let costs = synthetic_costs(spec.mix_size, &spec.shrinks);
         let groups = tile16_fleet(shards);
         let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
         // Bounds under 4 stand in for "no bound": the generated range
         // covers both admission-control arms without an Option strategy.
         cfg.queue_bound = (bound >= 4).then_some(bound);
-        let untraced = simulate_stream_config(&stream, &cfg);
-        let (traced, trace) = simulate_stream_config_traced(&stream, &cfg);
+        let untraced = simulate_config_parallel(&stream, &cfg, &EnginePlan::serial());
+        let (traced, trace) = simulate_config_traced_parallel(&stream, &cfg, &EnginePlan::serial());
         prop_assert_eq!(&traced, &untraced);
 
         let count = |pred: &dyn Fn(&TraceEvent) -> bool| trace.events.iter().filter(|e| pred(e)).count();
@@ -324,8 +323,8 @@ fn traced_config_entry_point_matches_untraced_for_closed_loops() {
         shrinks: vec![1, 2],
         seed: 11,
     });
-    let untraced = simulate_config(&workload, &cfg);
-    let (traced, trace) = simulate_config_traced(&workload, &cfg);
+    let untraced = simulate_config_parallel(&workload, &cfg, &EnginePlan::serial());
+    let (traced, trace) = simulate_config_traced_parallel(&workload, &cfg, &EnginePlan::serial());
     assert_eq!(traced, untraced);
     assert_eq!(
         trace

@@ -2,8 +2,8 @@
 //!
 //! COO is the natural construction format: graph generators and dataset
 //! loaders emit `(row, col, value)` triplets which are then converted to the
-//! compressed formats ([`CsrMatrix`](crate::CsrMatrix) /
-//! [`CscMatrix`](crate::CscMatrix)) that the NeuraChip compiler consumes.
+//! compressed formats ([`CsrMatrix`] / [`CscMatrix`]) that the NeuraChip
+//! compiler consumes.
 
 use crate::{CscMatrix, CsrMatrix, DenseMatrix, Result, SparseError};
 use serde::{Deserialize, Serialize};

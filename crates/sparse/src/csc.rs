@@ -9,8 +9,8 @@ use serde::{Deserialize, Serialize};
 
 /// A sparse matrix in compressed sparse column format.
 ///
-/// Structural invariants mirror [`CsrMatrix`](crate::CsrMatrix) with the
-/// roles of rows and columns exchanged.
+/// Structural invariants mirror [`CsrMatrix`] with the roles of rows and
+/// columns exchanged.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CscMatrix {
     rows: usize,
@@ -195,11 +195,6 @@ impl CscMatrix {
         }
         dense
     }
-
-    /// Largest number of stored entries in any column (an imbalance indicator).
-    pub fn max_col_nnz(&self) -> usize {
-        (0..self.cols).map(|c| self.col_nnz(c)).max().unwrap_or(0)
-    }
 }
 
 impl From<CooMatrix> for CscMatrix {
@@ -237,7 +232,6 @@ mod tests {
         assert_eq!(m.col(0), (&[0usize, 2][..], &[1.0, 4.0][..]));
         assert_eq!(m.col_nnz(1), 1);
         assert_eq!(m.col_nnz(2), 2);
-        assert_eq!(m.max_col_nnz(), 2);
     }
 
     #[test]

@@ -242,11 +242,6 @@ impl CsrMatrix {
             }
         }
     }
-
-    /// Largest number of stored entries in any row (an imbalance indicator).
-    pub fn max_row_nnz(&self) -> usize {
-        (0..self.rows).map(|r| self.row_nnz(r)).max().unwrap_or(0)
-    }
 }
 
 impl From<CooMatrix> for CsrMatrix {
@@ -318,7 +313,6 @@ mod tests {
         assert_eq!(m.row(0), (&[0usize, 2][..], &[1.0, 2.0][..]));
         assert_eq!(m.row_nnz(1), 1);
         assert_eq!(m.nnz(), 5);
-        assert_eq!(m.max_row_nnz(), 2);
     }
 
     #[test]

@@ -61,14 +61,6 @@ impl Dataset {
         }
     }
 
-    /// Generates a synthetic analog at the published size.
-    ///
-    /// For the largest graphs this can be slow; prefer
-    /// [`Dataset::generate_scaled`] for tests and quick experiments.
-    pub fn generate_full(&self, seed: u64) -> CooMatrix {
-        self.generate_with_nodes(self.nodes, self.edges, seed)
-    }
-
     /// Generates a synthetic analog scaled down to roughly `nodes / scale`
     /// vertices while preserving the average degree.
     ///
@@ -284,7 +276,7 @@ mod tests {
     #[test]
     fn generate_full_uses_published_node_count_for_small_graphs() {
         let cora = DatasetCatalog::by_name("cora").unwrap();
-        let g = cora.generate_full(1);
+        let g = cora.generate_scaled(1, 1);
         assert_eq!(g.rows(), 2_708);
     }
 }

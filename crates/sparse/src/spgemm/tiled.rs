@@ -46,15 +46,6 @@ impl TiledTrace {
     pub fn instruction_count(&self) -> usize {
         self.tasks.len()
     }
-
-    /// Average number of partial products per task.
-    pub fn avg_partial_products_per_task(&self) -> f64 {
-        if self.tasks.is_empty() {
-            0.0
-        } else {
-            self.partial_products as f64 / self.tasks.len() as f64
-        }
-    }
 }
 
 /// Computes `C = A × B` with NeuraChip's tiled Gustavson dataflow and records
@@ -147,14 +138,6 @@ mod tests {
         let trace = tiled_gustavson(&a, &a, 4);
         assert!(trace.tasks.iter().all(|t| t.a_rows.len() <= 4 && !t.a_rows.is_empty()));
         assert!(trace.tasks.iter().all(|t| t.a_rows.len() == t.a_values.len()));
-    }
-
-    #[test]
-    fn avg_partial_products_is_total_over_tasks() {
-        let a = GraphGenerator::erdos_renyi(30, 0.2, 2).generate().to_csr();
-        let trace = tiled_gustavson(&a, &a, 4);
-        let expected = trace.partial_products as f64 / trace.tasks.len() as f64;
-        assert!((trace.avg_partial_products_per_task() - expected).abs() < 1e-12);
     }
 
     #[test]

@@ -30,13 +30,6 @@ pub fn degree_stats(m: &CsrMatrix) -> DegreeStats {
     summarize(&degrees)
 }
 
-/// Computes per-column degree statistics (via the transpose).
-pub fn column_degree_stats(m: &CsrMatrix) -> DegreeStats {
-    let csc = m.to_csc();
-    let degrees: Vec<usize> = (0..csc.cols()).map(|c| csc.col_nnz(c)).collect();
-    summarize(&degrees)
-}
-
 fn summarize(degrees: &[usize]) -> DegreeStats {
     if degrees.is_empty() {
         return DegreeStats {
@@ -147,15 +140,5 @@ mod tests {
         let concentrated = gini(&[0, 0, 0, 1000]);
         assert!(concentrated > 0.7);
         assert!(concentrated <= 1.0);
-    }
-
-    #[test]
-    fn column_stats_match_transpose_row_stats() {
-        let m = GraphGenerator::rmat(6, 200, 77).generate().to_csr();
-        let col = column_degree_stats(&m);
-        let row_of_t = degree_stats(&m.transpose());
-        assert_eq!(col.min, row_of_t.min);
-        assert_eq!(col.max, row_of_t.max);
-        assert!((col.mean - row_of_t.mean).abs() < 1e-12);
     }
 }

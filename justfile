@@ -7,7 +7,7 @@
 bins := "table1 table3 table4 table5 fig11 fig13 fig14 fig15 fig16 fig17 ablation"
 
 # Run everything CI runs.
-ci: fmt clippy build test perf-selftest artifacts tune serve serve-parallel trace xval profile
+ci: fmt clippy doc build test perf-selftest artifacts tune serve serve-parallel trace xval profile
 
 # Formatting check (apply with `just fmt-fix`).
 fmt:
@@ -19,6 +19,10 @@ fmt-fix:
 # Lints, warnings are errors.
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
+
+# API docs, warnings are errors (broken or private intra-doc links).
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Release build of every crate and binary.
 build:
