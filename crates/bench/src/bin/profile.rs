@@ -28,25 +28,22 @@
 //! - `--window CYCLES` — profile window width (default: 1024)
 //! - `--max-stall-frac F` — exit non-zero when any cell's *worst window*
 //!   stalls more than fraction `F` of its core-cycles
-//! - `--require-conservation` — exit non-zero on any conservation
-//!   violation even at smoke scale (paper-scale runs always enforce it)
+//!
+//! A conservation violation in any cell exits non-zero at every scale.
 //!
 //! The per-window attribution table prints for every cell when the sweep
 //! has at most four cells, otherwise only for the most-stalled cell.
 
-use neura_bench::{fmt, print_table, sim_matrix_at_fidelity, size_matched_tile};
+use neura_bench::{fmt, print_table, sim_matrix_at_fidelity, ChipGrid, GridCell};
 use neura_chip::accelerator::Accelerator;
-use neura_chip::config::{ChipConfig, HbmPreset, TileSize};
 use neura_chip::profile::{Profile, Profiler, StallCause, DEFAULT_WINDOW_CYCLES};
 use neura_lab::{profile_records, Artifact, Flags, Runner, PROFILE_SCHEMA};
-use neura_sparse::DatasetCatalog;
 use std::path::PathBuf;
 
 fn usage() -> String {
     format!(
         "usage: profile [--json [PATH]] [--dataset NAME]... [--tile T]... [--hbm P]...\n\
          \x20              [--shrink N]... [--window CYCLES] [--max-stall-frac F]\n\
-         \x20              [--require-conservation]\n\
          \n\
          --json [PATH]          write a {PROFILE_SCHEMA} artifact (default:\n\
          \x20                      target/artifacts/profile.json)\n\
@@ -55,60 +52,30 @@ fn usage() -> String {
          --hbm P                hbm2 | hbm2-dual | ddr4 (repeatable; default: all three)\n\
          --shrink N             workload shrink factor (repeatable; default: 1)\n\
          --window CYCLES        profile window width in cycles (default: {DEFAULT_WINDOW_CYCLES})\n\
-         --max-stall-frac F     fail when any cell's worst window stalls more than F\n\
-         --require-conservation fail on any conservation violation at any scale"
+         --max-stall-frac F     fail when any cell's worst window stalls more than F"
     )
 }
 
 struct Args {
-    datasets: Vec<String>,
-    tiles: Vec<TileSize>,
-    hbms: Vec<HbmPreset>,
-    shrinks: Vec<usize>,
+    grid: ChipGrid,
     window: u64,
     max_stall_frac: Option<f64>,
-    require_conservation: bool,
     json_path: Option<PathBuf>,
 }
 
 fn parse_args() -> Args {
     let mut parsed = Args {
-        datasets: Vec::new(),
-        tiles: Vec::new(),
-        hbms: Vec::new(),
-        shrinks: Vec::new(),
+        grid: ChipGrid::default(),
         window: DEFAULT_WINDOW_CYCLES,
         max_stall_frac: None,
-        require_conservation: false,
         json_path: None,
     };
     let mut flags = Flags::from_env(usage());
     while let Some(arg) = flags.next() {
+        if parsed.grid.take_flag(&arg, &mut flags) {
+            continue;
+        }
         match arg.as_str() {
-            "--dataset" => {
-                let name = flags.value("--dataset");
-                if DatasetCatalog::by_name(&name).is_none() {
-                    flags.bad_usage(&format!("dataset {name:?} is not in the catalog"));
-                }
-                parsed.datasets.push(name);
-            }
-            "--tile" => {
-                parsed.tiles.push(flags.known("--tile", "tile size", |raw| {
-                    TileSize::ALL.into_iter().find(|t| t.label() == raw)
-                }));
-            }
-            "--hbm" => {
-                parsed.hbms.push(flags.known("--hbm", "HBM preset", |raw| {
-                    HbmPreset::ALL.into_iter().find(|p| p.name() == raw)
-                }));
-            }
-            "--shrink" => {
-                parsed.shrinks.push(flags.parsed(
-                    "--shrink",
-                    "a positive integer",
-                    Flags::at_least_one,
-                ));
-            }
             "--window" => {
                 parsed.window =
                     flags.parsed("--window", "a positive cycle count", Flags::at_least_one);
@@ -119,7 +86,6 @@ fn parse_args() -> Args {
                         (0.0..=1.0).contains(f)
                     }));
             }
-            "--require-conservation" => parsed.require_conservation = true,
             "--json" => {
                 parsed.json_path = Some(
                     flags
@@ -131,70 +97,25 @@ fn parse_args() -> Args {
             other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
         }
     }
-    if parsed.datasets.is_empty() {
-        parsed.datasets =
-            DatasetCatalog::spgemm_suite().iter().map(|d| d.name.to_string()).collect();
-    }
-    if parsed.hbms.is_empty() {
-        parsed.hbms = HbmPreset::ALL.to_vec();
-    }
-    if parsed.shrinks.is_empty() {
-        parsed.shrinks = vec![1];
-    }
     parsed
 }
 
-/// One profiled point of the (dataset × tile × HBM × shrink) space.
-#[derive(Debug, Clone)]
-struct Cell {
-    dataset: String,
-    tile: TileSize,
-    hbm: HbmPreset,
-    shrink: usize,
-}
-
-impl Cell {
-    fn config(&self) -> ChipConfig {
-        ChipConfig::for_tile_size(self.tile).with_hbm_preset(self.hbm)
-    }
-
-    fn scope(&self) -> String {
-        format!(
-            "profile/{}/{}/{}/x{}",
-            self.dataset,
-            self.tile.label(),
-            self.hbm.name(),
-            self.shrink
-        )
-    }
+/// The artifact scope of one profiled cell.
+fn scope(cell: &GridCell) -> String {
+    format!("profile/{}/{}/{}/x{}", cell.dataset, cell.tile.label(), cell.hbm.name(), cell.shrink)
 }
 
 fn main() {
-    let args = parse_args();
+    let mut args = parse_args();
     let scale_mult = neura_bench::scale_multiplier();
     let runner = Runner::from_env();
-
-    let mut cells = Vec::new();
-    for dataset in &args.datasets {
-        let tiles = if args.tiles.is_empty() {
-            vec![size_matched_tile(dataset)]
-        } else {
-            args.tiles.clone()
-        };
-        for &tile in &tiles {
-            for &hbm in &args.hbms {
-                for &shrink in &args.shrinks {
-                    cells.push(Cell { dataset: dataset.clone(), tile, hbm, shrink });
-                }
-            }
-        }
-    }
+    let cells = args.grid.cells(&[1]);
 
     // One profiled cycle-level simulation per cell, fanned out on the lab
     // runner; the runner returns results in cell order, so the artifact
     // below is byte-identical across thread counts.
     let window = args.window;
-    let profiles: Vec<Profile> = runner.run(&cells, move |_, cell: &Cell| {
+    let profiles: Vec<Profile> = runner.run(&cells, move |_, cell: &GridCell| {
         let a = sim_matrix_at_fidelity(&cell.dataset, cell.shrink);
         let mut chip = Accelerator::new(cell.config());
         let mut profiler = Profiler::new(window);
@@ -207,9 +128,9 @@ fn main() {
     let mut rows = Vec::new();
     for (cell, profile) in cells.iter().zip(&profiles) {
         if let Err(message) = profile.check_conservation() {
-            violations.push(format!("{}: {message}", cell.scope()));
+            violations.push(format!("{}: {message}", scope(cell)));
         }
-        let mut records = profile_records(&cell.scope(), profile);
+        let mut records = profile_records(&scope(cell), profile);
         records[0].params.push(("dataset".to_string(), cell.dataset.clone()));
         records[0].params.push(("tile".to_string(), cell.tile.label().to_string()));
         records[0].params.push(("hbm".to_string(), cell.hbm.name().to_string()));
@@ -273,32 +194,25 @@ fn main() {
         eprintln!("conservation violation: {violation}");
     }
 
-    // Gates: conservation is always enforced at paper scale (and under
-    // --require-conservation at any scale); --max-stall-frac bounds the
-    // worst window of every cell.
-    let mut failed = false;
-    if !violations.is_empty() && (scale_mult <= 1 || args.require_conservation) {
-        failed = true;
-    }
+    // Gates: conservation holds by construction, so any violation fails
+    // the run; --max-stall-frac bounds the worst window of every cell.
+    let mut failed = !violations.is_empty();
     if let Some(bound) = args.max_stall_frac {
         for (cell, profile) in cells.iter().zip(&profiles) {
             let (worst, frac) = profile.worst_window().unwrap_or((0, 0.0));
             if frac > bound {
                 eprintln!(
                     "stall bound exceeded: {} window {worst} stalls {} > {bound}",
-                    cell.scope(),
+                    scope(cell),
                     fmt(frac, 4),
                 );
                 failed = true;
             }
         }
     }
-    let conservation_label =
-        if scale_mult <= 1 || args.require_conservation { "enforced" } else { "reported" };
     println!(
-        "golden [{}]: conservation {} -> {}; stall bound {}",
+        "golden [{}]: conservation -> {}; stall bound {}",
         if scale_mult <= 1 { "strict" } else { "smoke" },
-        conservation_label,
         if violations.is_empty() { "pass" } else { "FAIL" },
         match args.max_stall_frac {
             Some(bound) => format!("<= {bound} -> {}", if failed { "checked" } else { "pass" }),
@@ -322,7 +236,7 @@ fn dominant_cause(profile: &Profile) -> &'static str {
 
 /// Prints the per-window attribution table for one cell: the busy/stall/
 /// idle split and the share of each stall cause, window by window.
-fn print_attribution(cell: &Cell, profile: &Profile) {
+fn print_attribution(cell: &GridCell, profile: &Profile) {
     let rows: Vec<Vec<String>> = profile
         .windows
         .iter()
@@ -346,7 +260,7 @@ fn print_attribution(cell: &Cell, profile: &Profile) {
         })
         .collect();
     print_table(
-        &format!("Per-window attribution: {}", cell.scope()),
+        &format!("Per-window attribution: {}", scope(cell)),
         &[
             "Win", "Start", "Cycles", "Busy", "Stall", "Idle", "Fetch", "Pad", "NoC", "Disp",
             "MMH", "HACC",

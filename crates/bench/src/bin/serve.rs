@@ -94,7 +94,7 @@ use neura_serve::{
     simulate_config_parallel, simulate_config_traced_parallel, ArrivalProcess, AutoscalePolicy,
     ClassCost, ClosedLoopSpec, CostTable, DispatchKind, EnginePlan, FaultSpec, FleetMix, Policy,
     RequestClass, ScenarioSpec, ServeConfig, ServeScenario, ServeSweep, ShapedStream, TenantMix,
-    TenantSpec, Timeline, Workload,
+    TenantSpec, Timeline, Workload, MAX_TIMELINE_WINDOWS,
 };
 use neura_sparse::DatasetCatalog;
 
@@ -750,6 +750,22 @@ fn main() {
     // the untraced entry point runs, so tracing costs nothing when off.
     let mix_len = args.mix.len();
     let window_s = args.window_ms.map(|ms| ms / 1e3).unwrap_or(duration_s / 50.0);
+    // Every window of a timeline is allocated before the first event lands
+    // in it, so a width a few zeros too small must not size one: a usage
+    // error — before the replays for the horizon, and after them for a
+    // replay that drained so long past it that its timeline was not built.
+    let window_fits = |span_s: f64| span_s / window_s <= MAX_TIMELINE_WINDOWS as f64;
+    let refuse_window = |span_s: f64, what: &str| -> ! {
+        flags.bad_usage(&format!(
+            "--window-ms {} cuts the {span_s} s {what} into more than {MAX_TIMELINE_WINDOWS} \
+             timeline windows; the smallest width it accepts is --window-ms {}",
+            args.window_ms.unwrap_or(window_s * 1e3),
+            span_s * 1e3 / MAX_TIMELINE_WINDOWS as f64
+        ))
+    };
+    if args.trace && !window_fits(duration_s) {
+        refuse_window(duration_s, "horizon");
+    }
     let cli_tenants = (!args.tenants.is_empty()).then(|| TenantMix::new(args.tenants.clone()));
     // The engine plan every replay runs under: serial unless --epochs /
     // --lanes asked for parallel-in-time fragments. The merged results
@@ -786,12 +802,17 @@ fn main() {
         cfg.faults = fault.as_ref();
         if args.trace {
             let (outcome, trace) = simulate_config_traced_parallel(&workload, &cfg, &plan);
-            let timeline = Timeline::build(&trace, &outcome, window_s);
-            (outcome, Some(timeline))
+            let timeline = window_fits(outcome.makespan_s)
+                .then(|| Timeline::build(&trace, &outcome, window_s));
+            (outcome, timeline)
         } else {
             (simulate_config_parallel(&workload, &cfg, &plan), None)
         }
     });
+    let longest_s = outcomes.iter().map(|(outcome, _)| outcome.makespan_s).fold(0.0, f64::max);
+    if args.trace && !window_fits(longest_s) {
+        refuse_window(longest_s, "makespan of the longest replay");
+    }
     let sim_wall_s = sweep_started.elapsed().as_secs_f64();
     // Measurement context rides along as document-level meta — never gated
     // (trend diffs records only), and suppressed entirely by --no-meta so

@@ -44,14 +44,13 @@
 //!   Fitting defaults to shrinks 1, 2, 4, 8 so the model also covers the
 //!   tuner's reduced-fidelity rungs.
 
-use neura_bench::{fmt, print_table, sim_matrix_at_fidelity, size_matched_tile};
+use neura_bench::{fmt, print_table, sim_matrix_at_fidelity, ChipGrid, GridCell};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::analytic::{
     feature_vector, AnalyticModel, GroupCoeffs, WorkloadFeatures, FEATURES,
 };
-use neura_chip::config::{ChipConfig, HbmPreset, TileSize};
+use neura_chip::config::{HbmPreset, TileSize};
 use neura_lab::{ArtifactSession, Flags, RunRecord, Runner};
-use neura_sparse::DatasetCatalog;
 
 /// Golden bound on the mean absolute relative error (percent) at paper
 /// scale.
@@ -82,11 +81,8 @@ fn usage() -> String {
 }
 
 struct Args {
-    datasets: Vec<String>,
-    tiles: Vec<TileSize>,
-    hbms: Vec<HbmPreset>,
+    grid: ChipGrid,
     frequencies: Vec<f64>,
-    shrinks: Vec<usize>,
     fit: bool,
     dump: bool,
     passthrough: Vec<String>,
@@ -94,47 +90,23 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut parsed = Args {
-        datasets: Vec::new(),
-        tiles: Vec::new(),
-        hbms: Vec::new(),
+        grid: ChipGrid::default(),
         frequencies: Vec::new(),
-        shrinks: Vec::new(),
         fit: false,
         dump: false,
         passthrough: Vec::new(),
     };
     let mut flags = Flags::from_env(usage());
     while let Some(arg) = flags.next() {
+        if parsed.grid.take_flag(&arg, &mut flags) {
+            continue;
+        }
         match arg.as_str() {
-            "--dataset" => {
-                let name = flags.value("--dataset");
-                if DatasetCatalog::by_name(&name).is_none() {
-                    flags.bad_usage(&format!("dataset {name:?} is not in the catalog"));
-                }
-                parsed.datasets.push(name);
-            }
-            "--tile" => {
-                parsed.tiles.push(flags.known("--tile", "tile size", |raw| {
-                    TileSize::ALL.into_iter().find(|t| t.label() == raw)
-                }));
-            }
-            "--hbm" => {
-                parsed.hbms.push(flags.known("--hbm", "HBM preset", |raw| {
-                    HbmPreset::ALL.into_iter().find(|p| p.name() == raw)
-                }));
-            }
             "--frequency" => {
                 parsed.frequencies.push(flags.parsed(
                     "--frequency",
                     "a positive GHz value",
                     Flags::positive,
-                ));
-            }
-            "--shrink" => {
-                parsed.shrinks.push(flags.parsed(
-                    "--shrink",
-                    "a positive integer",
-                    Flags::at_least_one,
                 ));
             }
             "--fit" => parsed.fit = true,
@@ -148,37 +120,10 @@ fn parse_args() -> Args {
             other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
         }
     }
-    if parsed.datasets.is_empty() {
-        parsed.datasets =
-            DatasetCatalog::spgemm_suite().iter().map(|d| d.name.to_string()).collect();
-    }
-    if parsed.hbms.is_empty() {
-        parsed.hbms = HbmPreset::ALL.to_vec();
-    }
     if parsed.frequencies.is_empty() {
         parsed.frequencies = vec![1.0, 2.0];
     }
-    if parsed.shrinks.is_empty() {
-        parsed.shrinks = if parsed.fit || parsed.dump { vec![1, 2, 4, 8] } else { vec![1] };
-    }
     parsed
-}
-
-/// One sampled point of the (dataset × tile × HBM × shrink) space.
-/// Frequency is applied afterwards: it scales seconds, never cycles, so
-/// one simulation covers every frequency row.
-#[derive(Debug, Clone)]
-struct Cell {
-    dataset: String,
-    tile: TileSize,
-    hbm: HbmPreset,
-    shrink: usize,
-}
-
-impl Cell {
-    fn config(&self) -> ChipConfig {
-        ChipConfig::for_tile_size(self.tile).with_hbm_preset(self.hbm)
-    }
 }
 
 /// Both pricing paths on one cell.
@@ -189,29 +134,17 @@ struct Measured {
 }
 
 fn main() {
-    let args = parse_args();
+    let mut args = parse_args();
     let scale_mult = neura_bench::scale_multiplier();
     let runner = Runner::from_env();
-
-    let mut cells = Vec::new();
-    for dataset in &args.datasets {
-        let tiles = if args.tiles.is_empty() {
-            vec![size_matched_tile(dataset)]
-        } else {
-            args.tiles.clone()
-        };
-        for &tile in &tiles {
-            for &hbm in &args.hbms {
-                for &shrink in &args.shrinks {
-                    cells.push(Cell { dataset: dataset.clone(), tile, hbm, shrink });
-                }
-            }
-        }
-    }
+    // Frequency is applied after the simulations: it scales seconds, never
+    // cycles, so one cell covers every frequency row.
+    let default_shrinks: &[usize] = if args.fit || args.dump { &[1, 2, 4, 8] } else { &[1] };
+    let cells = args.grid.cells(default_shrinks);
 
     // One cycle-level simulation per cell, fanned out on the lab runner;
     // the symbolic feature pass rides along in the same worker.
-    let measured = runner.run(&cells, |_, cell: &Cell| {
+    let measured = runner.run(&cells, |_, cell: &GridCell| {
         let a = sim_matrix_at_fidelity(&cell.dataset, cell.shrink);
         let features = WorkloadFeatures::from_square(&a);
         let mut chip = Accelerator::new(cell.config());
@@ -266,7 +199,7 @@ fn main() {
     // Per-cell errors (signed, percent). Frequencies add service-time rows
     // but never new error samples: cycles are frequency-independent.
     let mut per_dataset: Vec<(String, Vec<f64>)> =
-        args.datasets.iter().map(|d| (d.clone(), Vec::new())).collect();
+        args.grid.datasets.iter().map(|d| (d.clone(), Vec::new())).collect();
     for (cell, m) in cells.iter().zip(&measured) {
         let config = cell.config();
         let analytic_cycles = model.cycles(&config, &m.features);
@@ -340,14 +273,16 @@ fn main() {
         .unit_metric("worst_abs_rel_error_pct", worst_abs, "%")
         .unit_metric("mean_bound_pct", MEAN_BOUND_PCT, "%")
         .unit_metric("worst_bound_pct", WORST_BOUND_PCT, "%");
-    let tiles_label = if args.tiles.is_empty() {
+    let tiles_label = if args.grid.tiles.is_empty() {
         "size-matched".to_string()
     } else {
-        join(args.tiles.iter().map(|t| t.label()))
+        join(args.grid.tiles.iter().map(|t| t.label()))
     };
     summary.params.push(("tiles".to_string(), tiles_label.clone()));
-    summary.params.push(("hbms".to_string(), join(args.hbms.iter().map(|h| h.name()))));
-    summary.params.push(("shrinks".to_string(), join(args.shrinks.iter().map(|s| s.to_string()))));
+    summary.params.push(("hbms".to_string(), join(args.grid.hbms.iter().map(|h| h.name()))));
+    summary
+        .params
+        .push(("shrinks".to_string(), join(args.grid.shrinks.iter().map(|s| s.to_string()))));
     summary
         .params
         .push(("frequencies".to_string(), join(args.frequencies.iter().map(|f| f.to_string()))));
@@ -366,8 +301,8 @@ fn main() {
         cells.len(),
         per_dataset.len(),
         tiles_label,
-        args.hbms.len(),
-        args.shrinks.len(),
+        args.grid.hbms.len(),
+        args.grid.shrinks.len(),
     );
 
     session.finish();
@@ -425,7 +360,7 @@ const SHRINK1_WEIGHT: f64 = 256.0;
 /// `crates/chip/src/analytic.rs`, plus the achieved training error per
 /// group (paper-scale cells and the full grid separately — the golden
 /// only judges the former).
-fn fit_and_print(cells: &[Cell], measured: &[Measured]) {
+fn fit_and_print(cells: &[GridCell], measured: &[Measured]) {
     let mut groups = Vec::new();
     let mut rows = Vec::new();
     for tile in TileSize::ALL {

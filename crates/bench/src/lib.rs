@@ -10,7 +10,8 @@
 
 #![warn(missing_docs)]
 
-use neura_chip::config::TileSize;
+use neura_chip::config::{ChipConfig, HbmPreset, TileSize};
+use neura_lab::Flags;
 use neura_sparse::{CsrMatrix, Dataset, DatasetCatalog};
 
 pub use neura_lab::{fmt, print_table, scale_multiplier, SCALE_MULT_ENV};
@@ -95,6 +96,102 @@ pub fn size_matched_tile(name: &str) -> TileSize {
         TileSize::Tile16
     } else {
         TileSize::Tile64
+    }
+}
+
+/// The (dataset × tile × HBM preset × shrink) grid the `xval` and
+/// `profile` sweeps share, as their `--dataset` / `--tile` / `--hbm` /
+/// `--shrink` flags fill it. An axis no flag named is empty until
+/// [`Self::cells`] resolves its default.
+#[derive(Debug, Default)]
+pub struct ChipGrid {
+    /// Dataset names (default: the Table-1 SpGEMM suite, all 20).
+    pub datasets: Vec<String>,
+    /// Tile sizes crossed with every dataset (default: each dataset's
+    /// [`size_matched_tile`] alone).
+    pub tiles: Vec<TileSize>,
+    /// HBM presets (default: all three).
+    pub hbms: Vec<HbmPreset>,
+    /// Workload shrink factors (default: the caller's).
+    pub shrinks: Vec<usize>,
+}
+
+/// One cell of a [`ChipGrid`]: a dataset at a shrink factor on a chip.
+#[derive(Debug, Clone)]
+pub struct GridCell {
+    /// Catalog name of the dataset.
+    pub dataset: String,
+    /// Tile size of the chip.
+    pub tile: TileSize,
+    /// HBM preset of the chip.
+    pub hbm: HbmPreset,
+    /// Workload shrink factor (see [`sim_matrix_at_fidelity`]).
+    pub shrink: usize,
+}
+
+impl GridCell {
+    /// The chip configuration of the cell.
+    pub fn config(&self) -> ChipConfig {
+        ChipConfig::for_tile_size(self.tile).with_hbm_preset(self.hbm)
+    }
+}
+
+impl ChipGrid {
+    /// Reads the value of `arg` off `flags` into its axis when `arg` is one
+    /// of the four grid flags — a value the axis does not know is a usage
+    /// error — and returns whether it was.
+    pub fn take_flag(&mut self, arg: &str, flags: &mut Flags) -> bool {
+        match arg {
+            "--dataset" => {
+                let name = flags.value("--dataset");
+                if DatasetCatalog::by_name(&name).is_none() {
+                    flags.bad_usage(&format!("dataset {name:?} is not in the catalog"));
+                }
+                self.datasets.push(name);
+            }
+            "--tile" => self.tiles.push(flags.known("--tile", "tile size", |raw| {
+                TileSize::ALL.into_iter().find(|t| t.label() == raw)
+            })),
+            "--hbm" => self.hbms.push(flags.known("--hbm", "HBM preset", |raw| {
+                HbmPreset::ALL.into_iter().find(|p| p.name() == raw)
+            })),
+            "--shrink" => self.shrinks.push(flags.parsed(
+                "--shrink",
+                "a positive integer",
+                Flags::at_least_one,
+            )),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Resolves the default of every axis no flag named (`default_shrinks`
+    /// for the shrink axis) and enumerates the cells: dataset-major, then
+    /// tile, HBM preset and shrink, the last varying fastest.
+    pub fn cells(&mut self, default_shrinks: &[usize]) -> Vec<GridCell> {
+        if self.datasets.is_empty() {
+            self.datasets =
+                DatasetCatalog::spgemm_suite().iter().map(|d| d.name.to_string()).collect();
+        }
+        if self.hbms.is_empty() {
+            self.hbms = HbmPreset::ALL.to_vec();
+        }
+        if self.shrinks.is_empty() {
+            self.shrinks = default_shrinks.to_vec();
+        }
+        let mut cells = Vec::new();
+        for dataset in &self.datasets {
+            let matched = [size_matched_tile(dataset)];
+            let tiles = if self.tiles.is_empty() { &matched[..] } else { &self.tiles };
+            for &tile in tiles {
+                for &hbm in &self.hbms {
+                    for &shrink in &self.shrinks {
+                        cells.push(GridCell { dataset: dataset.clone(), tile, hbm, shrink });
+                    }
+                }
+            }
+        }
+        cells
     }
 }
 

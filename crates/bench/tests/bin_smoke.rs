@@ -68,7 +68,7 @@ const INVOCATIONS: [(&str, &str, &str, &[&str]); 17] = [
         "profile",
         env!("CARGO_BIN_EXE_profile"),
         "profile",
-        &["--dataset", "cora", "--dataset", "facebook", "--require-conservation"],
+        &["--dataset", "cora", "--dataset", "facebook"],
     ),
 ];
 
@@ -756,6 +756,31 @@ fn serve_is_thread_invariant_and_trend_diffs_directories() {
     );
 
     std::fs::remove_dir_all(&json_dir).ok();
+}
+
+/// A `--window-ms` a few zeros too small is a usage error that names the
+/// smallest width the run's horizon accepts — not an attempt to allocate
+/// one window per 0.1 ns (which aborted the process on a 37 GB request).
+#[test]
+fn a_timeline_window_too_narrow_for_the_horizon_exits_2() {
+    let dir = std::env::temp_dir().join(format!("neura_narrow_window_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let output = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .env(neura_bench::SCALE_MULT_ENV, SMOKE_MULT)
+        .args(["--window-ms", "0.0000001", "--trace"])
+        .arg(dir.join("timeline.json"))
+        .arg("--json")
+        .arg(dir.join("serve.json"))
+        .output()
+        .expect("spawn serve");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "exit code\n{stderr}");
+    assert!(stderr.starts_with("--window-ms 0.0000001 cuts the "), "complaint first\n{stderr}");
+    assert!(stderr.contains("s horizon into more than"), "{stderr}");
+    assert!(stderr.contains("the smallest width it accepts is --window-ms "), "{stderr}");
+    assert!(stderr.contains("usage: serve "), "usage\n{stderr}");
+    assert!(!dir.join("timeline.json").exists() && !dir.join("serve.json").exists());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The six flag-taking tools share one command-line reader

@@ -13,17 +13,27 @@
 //! 6. routers carry the `HACC`s to NeuraMems selected by the compute mapping,
 //! 7. NeuraMems hash-accumulate the partial products,
 //! 8. completed hash-lines are evicted and written back to HBM.
+//!
+//! The walk is a private `Machine`: the assembled units plus the retry
+//! lists between them, with one method per stage (`dispatch`,
+//! `tick_cores`, `tick_noc`, `tick_mems`, `tick_memory`, then
+//! `is_drained` → `flush_and_drain` → `report`), so a sampling profiler
+//! reads the stage split of the host's time off the function names. Every
+//! stage reports to one observer, the crate-private `Observe` seam of
+//! [`crate::profile`]: `()` for a plain run, a [`Profiler`] for a
+//! profiled one, chosen once on entry and monomorphised, never tested
+//! for inside the loop.
 
 use crate::compiler::{self, Program};
 use crate::config::{ChipConfig, EvictionPolicy};
-use crate::dispatcher::{DispatchPolicy, Dispatcher};
+use crate::dispatcher::Dispatcher;
 use crate::inthash::IntMap;
 use crate::isa::HaccInstruction;
 use crate::mapping::ComputeMapping;
-use crate::neuracore::{CoreTickOutput, NeuraCore};
-use crate::neuramem::NeuraMem;
-use crate::profile::Profiler;
-use neura_mem::{MemoryController, MemoryRequest, MemoryResponse};
+use crate::neuracore::{CoreTickOutput, NeuraCore, NeuraCoreStats};
+use crate::neuramem::{NeuraMem, NeuraMemStats};
+use crate::profile::{Observe, Profiler};
+use neura_mem::{ControllerStats, MemoryController, MemoryRequest, MemoryResponse};
 use neura_noc::{Packet, TorusNetwork, TorusTopology};
 use neura_sim::{Cycle, Histogram};
 use neura_sparse::{CooMatrix, CsrMatrix, DenseMatrix, SparseError};
@@ -233,12 +243,13 @@ impl Accelerator {
 
     /// [`Self::run_spgemm`] with an optional [`Profiler`] attached.
     ///
-    /// With `Some(profiler)` the run loop feeds the profiler once per
-    /// cycle (windowed busy/stall/idle attribution, stall taxonomy, hop
-    /// and DRAM-latency distributions); call
-    /// [`Profiler::into_profile`] afterwards. With `None` this is
-    /// exactly [`Self::run_spgemm`]: nothing is constructed and the
-    /// simulation is byte-identical.
+    /// With `Some(profiler)` the profiler is the run loop's observer and
+    /// is fed once per cycle (windowed busy/stall/idle attribution, stall
+    /// taxonomy, hop and DRAM-latency distributions); call
+    /// [`Profiler::into_profile`] afterwards. With `None` the observer is
+    /// `()` and this is exactly [`Self::run_spgemm`]: nothing is
+    /// constructed or recorded. Either way the simulation is
+    /// byte-identical.
     ///
     /// # Errors
     ///
@@ -294,8 +305,8 @@ impl Accelerator {
         Ok(AggregationRun { aggregated, report })
     }
 
-    /// Executes a compiled [`Program`] cycle by cycle, feeding the
-    /// optional [`Profiler`] once per cycle (see
+    /// Executes a compiled [`Program`] on a freshly built [`Machine`],
+    /// observed by the [`Profiler`] if there is one (see
     /// [`Self::run_spgemm_profiled`] for the contract).
     ///
     /// Returns the accumulated output elements as `(tag, value)` in the
@@ -311,405 +322,412 @@ impl Accelerator {
     fn run(
         &mut self,
         program: &Program,
-        mut profiler: Option<&mut Profiler>,
+        profiler: Option<&mut Profiler>,
     ) -> Result<(Vec<(u64, f64)>, ExecutionReport), ChipError> {
-        let cfg = &self.config;
-        let total_cores = cfg.total_cores();
-        let total_mems = cfg.total_mems();
+        let max_cycles = self
+            .max_cycles_override
+            .unwrap_or_else(|| 200_000 + program.total_partial_products * 200);
+        let machine = Machine::new(&self.config, program);
+        match profiler {
+            Some(profiler) => machine.run(max_cycles, profiler),
+            None => machine.run(max_cycles, &mut ()),
+        }
+    }
+}
 
-        // --- build the machine ---------------------------------------------
+/// One assembled chip executing one program: the state the cycle loop
+/// carries, with one method per stage of the Figure-5 walk (the numbers in
+/// their docs are the module's step numbers). Every stage reports to an
+/// [`Observe`]r; see [`Machine::run`] for the order.
+struct Machine<'p> {
+    cfg: &'p ChipConfig,
+    program: &'p Program,
+    cores: Vec<NeuraCore<'p>>,
+    mems: Vec<NeuraMem>,
+    /// One per tile.
+    controllers: Vec<MemoryController>,
+    /// NoC node ids: cores first, then mems.
+    noc: TorusNetwork,
+    mapping: Box<dyn ComputeMapping>,
+    dispatcher: Dispatcher<'p>,
+    /// `(tag, value)` of every evicted line, in eviction order.
+    outputs: Vec<(u64, f64)>,
+    payloads: PayloadSlab,
+    /// Issuing (core, pipeline) of every outstanding read, per tile by request id.
+    read_owner: Vec<IntMap<(usize, usize)>>,
+    retry_reads: Vec<RetryRead>,
+    retry_injections: Vec<Packet>,
+    /// `(mem, hacc)` a NeuraMem's full instruction buffer turned away.
+    retry_accepts: Vec<(usize, HaccInstruction)>,
+    /// `(tile, request)` write-backs not yet taken by their controller.
+    retry_writebacks: Vec<(usize, MemoryRequest)>,
+    // Per-cycle scratch, allocated once.
+    core_out: CoreTickOutput,
+    delivered: Vec<Packet>,
+    done: Vec<MemoryResponse>,
+    in_flight_samples: u128,
+    peak_in_flight: usize,
+}
+
+impl<'p> Machine<'p> {
+    fn new(cfg: &'p ChipConfig, program: &'p Program) -> Self {
+        let (total_cores, total_mems) = (cfg.total_cores(), cfg.total_mems());
         let mut cores: Vec<NeuraCore> =
             (0..total_cores).map(|i| NeuraCore::new(i, i / cfg.cores_per_tile, cfg.core)).collect();
         for core in &mut cores {
             core.prepare(program.output_shape.1 as u64);
         }
-        let mut mems: Vec<NeuraMem> =
-            (0..total_mems).map(|i| NeuraMem::new(i, cfg.mem, cfg.eviction)).collect();
-        let mut controllers: Vec<MemoryController> = (0..cfg.tiles)
-            .map(|t| MemoryController::new(t, cfg.hbm, cfg.mem_queue_capacity))
-            .collect();
         let topology = TorusTopology::for_nodes(total_cores + total_mems);
-        let mut noc = TorusNetwork::new(topology, cfg.router_buffer)
-            .with_links_per_cycle(cfg.core.ports.max(2));
-        let mut mapping: Box<dyn ComputeMapping> = cfg.mapping.build(total_mems, cfg.seed);
-        let mut dispatcher =
-            Dispatcher::new(program, total_cores, DispatchPolicy::LeastLoaded, total_cores.max(4));
+        Machine {
+            cfg,
+            program,
+            cores,
+            mems: (0..total_mems).map(|i| NeuraMem::new(i, cfg.mem, cfg.eviction)).collect(),
+            controllers: (0..cfg.tiles)
+                .map(|t| MemoryController::new(t, cfg.hbm, cfg.mem_queue_capacity))
+                .collect(),
+            noc: TorusNetwork::new(topology, cfg.router_buffer)
+                .with_links_per_cycle(cfg.core.ports.max(2)),
+            mapping: cfg.mapping.build(total_mems, cfg.seed),
+            dispatcher: Dispatcher::new(program, total_cores.max(4)),
+            outputs: Vec::with_capacity(program.output_nnz),
+            payloads: PayloadSlab::default(),
+            read_owner: vec![IntMap::default(); cfg.tiles],
+            retry_reads: Vec::new(),
+            retry_injections: Vec::new(),
+            retry_accepts: Vec::new(),
+            retry_writebacks: Vec::new(),
+            core_out: CoreTickOutput::default(),
+            delivered: Vec::new(),
+            done: Vec::new(),
+            in_flight_samples: 0,
+            peak_in_flight: 0,
+        }
+    }
 
-        // NoC node ids: cores first, then mems.
-        let core_node = |core: usize| core;
-        let mem_node = |mem: usize| total_cores + mem;
-        let mem_tile = |mem: usize| mem / cfg.mems_per_tile;
-        let out_cols = program.output_shape.1.max(1) as u64;
-
-        // --- bookkeeping -----------------------------------------------------
-        let mut outputs: Vec<(u64, f64)> = Vec::with_capacity(program.output_nnz);
-        let mut payloads = PayloadSlab::default();
-        // Issuing (core, pipeline) of every outstanding read, per tile by request id.
-        let mut read_owner: Vec<IntMap<(usize, usize)>> = vec![IntMap::default(); cfg.tiles];
-        let mut retry_reads: Vec<RetryRead> = Vec::new();
-        let mut retry_injections: Vec<Packet> = Vec::new();
-        let mut retry_accepts: Vec<(usize, HaccInstruction)> = Vec::new(); // (mem, hacc)
-        let mut retry_writebacks: Vec<(usize, MemoryRequest)> = Vec::new(); // (tile, req)
-
-        // Per-cycle scratch, allocated once.
-        let mut can_accept: Vec<bool> = Vec::with_capacity(total_cores);
-        let mut load: Vec<usize> = Vec::with_capacity(total_cores);
-        let mut core_out = CoreTickOutput::default();
-        let mut refused: Vec<Packet> = Vec::new();
-        let mut delivered: Vec<Packet> = Vec::new();
-        let mut done: Vec<MemoryResponse> = Vec::new();
-
-        let mut in_flight_samples = 0u128;
-        let mut peak_in_flight = 0usize;
-        // Occupied hash-lines chip-wide, kept in step with every tick and
-        // barrier so the profiler never re-sums the NeuraMems.
-        let mut pad_occupancy = 0u64;
-
-        let max_cycles = self
-            .max_cycles_override
-            .unwrap_or_else(|| 200_000 + program.total_partial_products * 200);
-
+    /// Walks the machine cycle by cycle until it drains or `max_cycles`
+    /// — a bound on `total_cycles` — runs out.
+    fn run<O: Observe>(
+        mut self,
+        max_cycles: u64,
+        obs: &mut O,
+    ) -> Result<(Vec<(u64, f64)>, ExecutionReport), ChipError> {
         let mut cycle = 0u64;
-        let mut drained = false;
         while cycle < max_cycles {
             let now = Cycle(cycle);
-            if let Some(prof) = profiler.as_deref_mut() {
-                prof.begin_cycle(cycle);
-            }
-            let rejected_before = noc.stats().injection_rejected;
-
-            // (1) Dispatch MMH instructions.
-            if !dispatcher.is_done() {
-                can_accept.clear();
-                can_accept.extend(cores.iter().map(NeuraCore::can_accept));
-                load.clear();
-                load.extend(cores.iter().map(NeuraCore::load));
-                let dispatched_before = dispatcher.stats().dispatched;
-                dispatcher.dispatch_cycle(&can_accept, &load, |core_idx, instr| {
-                    cores[core_idx].accept(instr)
-                });
-                if let Some(prof) = profiler.as_deref_mut() {
-                    if !dispatcher.is_done() && dispatcher.stats().dispatched == dispatched_before {
-                        prof.note_dispatch_starved();
-                    }
-                }
-            }
-
-            // Barrier-eviction baseline: completed hash-lines are only
-            // released under capacity pressure (the "emergency barrier"),
-            // otherwise they stay resident until the end of the program.
-            if cfg.eviction == EvictionPolicy::Barrier {
-                for mem in &mut mems {
-                    let occupied = mem.occupancy();
-                    if occupied * 10 >= cfg.mem.hashlines * 9 {
-                        mem.barrier(now);
-                        pad_occupancy -= (occupied - mem.occupancy()) as u64;
-                    }
-                }
-            }
-
-            // Retry previously rejected memory requests before new ones.
-            retry_reads.retain(|retry| match controllers[retry.tile].submit(retry.request, now) {
-                Some(id) => {
-                    read_owner[retry.tile].insert(id.0, (retry.core, retry.pipeline));
-                    false
-                }
-                None => true,
-            });
-
-            // (2, 5) Tick the cores: collect memory requests and HACCs.
-            for (core_idx, core) in cores.iter_mut().enumerate() {
-                let credit = if retry_injections.len() > 256 { 0 } else { cfg.core.ports };
-                core.tick(now, credit, &mut core_out);
-                if let Some(prof) = profiler.as_deref_mut() {
-                    prof.record_core_tick(core_out.outcome, core_out.mmh_retired);
-                }
-                let tile = core.tile();
-                for req in &core_out.memory_requests {
-                    match controllers[tile].submit(req.request, now) {
-                        Some(id) => {
-                            read_owner[tile].insert(id.0, (core_idx, req.pipeline));
-                        }
-                        None => retry_reads.push(RetryRead {
-                            tile,
-                            core: core_idx,
-                            pipeline: req.pipeline,
-                            request: req.request,
-                        }),
-                    }
-                }
-                for &hacc in &core_out.haccs {
-                    let mem_idx = mapping.map(hacc.tag, hacc.tag / out_cols);
-                    let packet = Packet::new(
-                        payloads.insert(hacc),
-                        core_node(core_idx),
-                        mem_node(mem_idx),
-                        HaccInstruction::BYTES,
-                    );
-                    if let Err(p) = noc.inject(packet, now) {
-                        retry_injections.push(p);
-                    }
-                }
-            }
-
-            // Retry NoC injections that were previously refused.
-            for packet in retry_injections.drain(..) {
-                if let Err(p) = noc.inject(packet, now) {
-                    refused.push(p);
-                }
-            }
-            std::mem::swap(&mut retry_injections, &mut refused);
-            if let Some(prof) = profiler.as_deref_mut() {
-                if noc.stats().injection_rejected > rejected_before {
-                    prof.note_noc_backpressure();
-                }
-            }
-
-            // (6) Advance the NoC.
-            noc.tick(now);
-            if let Some(prof) = profiler.as_deref_mut() {
-                prof.record_noc_in_flight(noc.in_flight() as u64);
-            }
-
-            // (7) Deliver HACCs to NeuraMems and tick them.
-            retry_accepts.retain(|&(mem_idx, hacc)| !mems[mem_idx].accept(hacc));
-
-            let mut pad_full_stalls = 0u64;
-            let mut haccs_processed = 0u64;
-            for (mem_idx, mem) in mems.iter_mut().enumerate() {
-                if noc.waiting_at(mem_node(mem_idx)) == 0 && mem.is_idle() {
-                    // Nothing arrived, is buffered or awaits write-back: the
-                    // tick counts an idle cycle and the rest has no effect.
-                    mem.tick(now);
-                    continue;
-                }
-                noc.drain_delivered_into(mem_node(mem_idx), &mut delivered);
-                for packet in delivered.drain(..) {
-                    if let Some(prof) = profiler.as_deref_mut() {
-                        prof.record_hops(packet.hops);
-                    }
-                    let hacc = payloads.remove(packet.id);
-                    if !mem.accept(hacc) {
-                        retry_accepts.push((mem_idx, hacc));
-                    }
-                }
-                let (stalls_before, haccs_before, occupied_before) =
-                    (mem.stats().pad_full_stalls, mem.stats().haccs_processed, mem.occupancy());
-                mem.tick(now);
-                pad_full_stalls += mem.stats().pad_full_stalls - stalls_before;
-                haccs_processed += mem.stats().haccs_processed - haccs_before;
-                pad_occupancy = pad_occupancy + mem.occupancy() as u64 - occupied_before as u64;
-                // (8) Collect evictions and write them back.
-                while let Some(evicted) = mem.pop_evicted() {
-                    outputs.push((evicted.tag, evicted.value));
-                    let addr = compiler::layout::OUTPUT_BASE + evicted.tag * 8;
-                    let request = MemoryRequest::write(addr, 8);
-                    let tile = mem_tile(mem_idx);
-                    if controllers[tile].submit(request, now).is_none() {
-                        retry_writebacks.push((tile, request));
-                    }
-                }
-            }
-
-            // Retry write-backs rejected earlier.
-            retry_writebacks
-                .retain(|(tile, request)| controllers[*tile].submit(*request, now).is_none());
-
-            if let Some(prof) = profiler.as_deref_mut() {
-                prof.record_mems(pad_occupancy, pad_full_stalls, haccs_processed);
-            }
-
-            // (3, 4) Tick the memory controllers and deliver read responses.
-            // Responses of one cycle arrive in no particular order: each is a
-            // counter decrement here and a histogram sample in the profiler.
-            let mut in_flight_now = 0usize;
-            for (tile, controller) in controllers.iter_mut().enumerate() {
-                done.clear();
-                controller.tick(now, &mut done);
-                in_flight_now += controller.in_flight();
-                if let Some(prof) = profiler.as_deref_mut() {
-                    let (reads, writes) = controller.queue_depths();
-                    prof.record_channel(tile, (reads + writes) as u64);
-                    for response in &done {
-                        prof.record_dram_response(response.latency());
-                    }
-                }
-                for response in &done {
-                    if response.request.is_read() {
-                        if let Some((core_idx, pipeline)) = read_owner[tile].remove(&response.id.0)
-                        {
-                            cores[core_idx].memory_response(pipeline);
-                        }
-                    }
-                }
-            }
-            in_flight_samples += in_flight_now as u128;
-            peak_in_flight = peak_in_flight.max(in_flight_now);
-            if let Some(prof) = profiler.as_deref_mut() {
-                prof.record_hbm_in_flight(in_flight_now as u64);
-                prof.end_cycle();
-            }
-
-            // Termination check.
-            let machine_idle = dispatcher.is_done()
-                && cores.iter().all(NeuraCore::is_idle)
-                && noc.in_flight() == 0
-                && retry_injections.is_empty()
-                && retry_accepts.is_empty()
-                && retry_reads.is_empty()
-                && mems.iter().all(|m| m.backlog() == 0)
-                && controllers.iter().all(|c| c.pending() == 0);
-            if machine_idle {
-                // Barrier-mode residue (and any malformed counters) flushes here.
-                // The flushed lines still owe their write-back traffic, which is
-                // drained in the epilogue below so that deferring evictions
-                // (HACC-BE) cannot dodge the output-write cost.
-                for (mem_idx, mem) in mems.iter_mut().enumerate() {
-                    mem.barrier(now);
-                    mem.flush(now);
-                    while let Some(evicted) = mem.pop_evicted() {
-                        outputs.push((evicted.tag, evicted.value));
-                        let addr = compiler::layout::OUTPUT_BASE + evicted.tag * 8;
-                        retry_writebacks.push((mem_tile(mem_idx), MemoryRequest::write(addr, 8)));
-                    }
-                }
-                // Epilogue: keep ticking the memory system until every
-                // outstanding write-back has been committed to DRAM.
-                while (!retry_writebacks.is_empty() || controllers.iter().any(|c| c.pending() > 0))
-                    && cycle < max_cycles
-                {
-                    let now = Cycle(cycle);
-                    retry_writebacks.retain(|(tile, request)| {
-                        controllers[*tile].submit(*request, now).is_none()
-                    });
-                    for controller in controllers.iter_mut() {
-                        done.clear();
-                        controller.tick(now, &mut done);
-                        if let Some(prof) = profiler.as_deref_mut() {
-                            // Epilogue write-backs count toward the aggregate
-                            // DRAM-latency distribution (no window is open).
-                            for response in &done {
-                                prof.record_dram_response(response.latency());
-                            }
-                        }
-                    }
-                    cycle += 1;
-                }
-                // The budget bounds `total_cycles`: if it ran out in the epilogue,
-                // write-backs are uncommitted or the closing cycle does not fit.
+            obs.begin_cycle(cycle);
+            self.dispatch(obs);
+            self.tick_cores(now, obs);
+            self.tick_noc(now, obs);
+            self.tick_mems(now, obs);
+            self.tick_memory(now, obs);
+            obs.end_cycle();
+            if self.is_drained() {
+                cycle = self.flush_and_drain(cycle, max_cycles, obs);
+                // If the budget ran out in the epilogue, write-backs are
+                // uncommitted or the closing cycle does not fit.
                 if cycle < max_cycles {
-                    drained = true;
-                    cycle += 1;
+                    return Ok(self.report(cycle + 1, obs));
                 }
                 break;
             }
             cycle += 1;
         }
+        let processed: u64 = self.mems.iter().map(|m| m.stats().haccs_processed).sum();
+        Err(ChipError::Incomplete {
+            cycles: cycle,
+            outstanding_haccs: self.program.total_partial_products.saturating_sub(processed),
+        })
+    }
 
-        if !drained {
-            return Err(ChipError::Incomplete {
-                cycles: cycle,
-                outstanding_haccs: program
-                    .total_partial_products
-                    .saturating_sub(mems.iter().map(|m| m.stats().haccs_processed).sum::<u64>()),
-            });
+    /// (1) Dispatches `MMH` instructions to the least-loaded cores.
+    fn dispatch<O: Observe>(&mut self, obs: &mut O) {
+        if !self.dispatcher.is_done() && self.dispatcher.dispatch_cycle(&mut self.cores) == 0 {
+            obs.note_dispatch_starved();
+        }
+    }
+
+    /// (2, 5, 6) Ticks the cores: their operand reads go to the tile's
+    /// controller and their `HACC`s onto the NoC, toward the NeuraMem the
+    /// compute mapping selects. What either refused earlier goes first.
+    fn tick_cores<O: Observe>(&mut self, now: Cycle, obs: &mut O) {
+        let rejected_before = self.noc.stats().injection_rejected;
+        let (controllers, read_owner) = (&mut self.controllers, &mut self.read_owner);
+        self.retry_reads.retain(|retry| match controllers[retry.tile].submit(retry.request, now) {
+            Some(id) => {
+                read_owner[retry.tile].insert(id.0, (retry.core, retry.pipeline));
+                false
+            }
+            None => true,
+        });
+
+        let out_cols = self.program.output_shape.1.max(1) as u64;
+        let total_cores = self.cores.len();
+        let out = &mut self.core_out;
+        for (core_idx, core) in self.cores.iter_mut().enumerate() {
+            let credit = if self.retry_injections.len() > 256 { 0 } else { self.cfg.core.ports };
+            core.tick(now, credit, out);
+            obs.record_core_tick(out.outcome, out.mmh_retired);
+            let tile = core.tile();
+            for req in &out.memory_requests {
+                match controllers[tile].submit(req.request, now) {
+                    Some(id) => {
+                        read_owner[tile].insert(id.0, (core_idx, req.pipeline));
+                    }
+                    None => self.retry_reads.push(RetryRead {
+                        tile,
+                        core: core_idx,
+                        pipeline: req.pipeline,
+                        request: req.request,
+                    }),
+                }
+            }
+            for &hacc in &out.haccs {
+                let mem_idx = self.mapping.map(hacc.tag, hacc.tag / out_cols);
+                let packet = Packet::new(
+                    self.payloads.insert(hacc),
+                    core_idx,
+                    total_cores + mem_idx,
+                    HaccInstruction::BYTES,
+                );
+                if let Err(p) = self.noc.inject(packet, now) {
+                    self.retry_injections.push(p);
+                }
+            }
         }
 
-        // --- assemble the report --------------------------------------------
-        let total_cycles = cycle;
-        if let Some(prof) = profiler {
-            prof.finalize(total_cycles, total_cores as u64, total_mems as u64, cfg.tiles as u64);
+        let noc = &mut self.noc;
+        self.retry_injections.retain(|packet| noc.inject(packet.clone(), now).is_err());
+        if self.noc.stats().injection_rejected > rejected_before {
+            obs.note_noc_backpressure();
         }
+    }
+
+    /// (6) Advances the NoC.
+    fn tick_noc<O: Observe>(&mut self, now: Cycle, obs: &mut O) {
+        self.noc.tick(now);
+        obs.record_noc_in_flight(self.noc.in_flight() as u64);
+    }
+
+    /// (7, 8) Delivers arrived `HACC`s to the NeuraMems, ticks them and
+    /// hands their evictions to the tile's controller for write-back.
+    fn tick_mems<O: Observe>(&mut self, now: Cycle, obs: &mut O) {
+        // Barrier-eviction baseline: completed hash-lines are only
+        // released under capacity pressure (the "emergency barrier"),
+        // otherwise they stay resident until the end of the program.
+        if self.cfg.eviction == EvictionPolicy::Barrier {
+            for mem in &mut self.mems {
+                let occupied = mem.occupancy();
+                if occupied * 10 >= self.cfg.mem.hashlines * 9 {
+                    mem.barrier(now);
+                    obs.record_mem(occupied, mem.occupancy(), 0, 0);
+                }
+            }
+        }
+
+        let mems = &mut self.mems;
+        self.retry_accepts.retain(|&(mem_idx, hacc)| !mems[mem_idx].accept(hacc));
+
+        let first_mem_node = self.cores.len();
+        for (mem_idx, mem) in mems.iter_mut().enumerate() {
+            let node = first_mem_node + mem_idx;
+            if self.noc.waiting_at(node) == 0 && mem.is_idle() {
+                // Nothing arrived, is buffered or awaits write-back: the
+                // tick counts an idle cycle and the rest has no effect.
+                mem.tick(now);
+                continue;
+            }
+            self.noc.drain_delivered_into(node, &mut self.delivered);
+            for packet in self.delivered.drain(..) {
+                obs.record_hops(packet.hops);
+                let hacc = self.payloads.remove(packet.id);
+                if !mem.accept(hacc) {
+                    self.retry_accepts.push((mem_idx, hacc));
+                }
+            }
+            let (occupied, stalls, haccs) =
+                (mem.occupancy(), mem.stats().pad_full_stalls, mem.stats().haccs_processed);
+            mem.tick(now);
+            obs.record_mem(
+                occupied,
+                mem.occupancy(),
+                mem.stats().pad_full_stalls - stalls,
+                mem.stats().haccs_processed - haccs,
+            );
+            let tile = mem_idx / self.cfg.mems_per_tile;
+            while let Some(request) = pop_write_back(mem, &mut self.outputs) {
+                if self.controllers[tile].submit(request, now).is_none() {
+                    self.retry_writebacks.push((tile, request));
+                }
+            }
+        }
+    }
+
+    /// (8, 3, 4) One cycle of the memory system: resubmits the write-backs
+    /// refused earlier, ticks the controllers and delivers read responses
+    /// to the cores that wait on them. Returns the transactions in flight.
+    ///
+    /// Responses of one cycle arrive in no particular order: each is a
+    /// counter decrement here and a histogram sample in the observer.
+    fn tick_controllers<O: Observe>(&mut self, now: Cycle, obs: &mut O) -> usize {
+        let controllers = &mut self.controllers;
+        self.retry_writebacks
+            .retain(|&(tile, request)| controllers[tile].submit(request, now).is_none());
+        let mut in_flight = 0;
+        for (tile, controller) in controllers.iter_mut().enumerate() {
+            self.done.clear();
+            controller.tick(now, &mut self.done);
+            in_flight += controller.in_flight();
+            for response in &self.done {
+                obs.record_dram_response(response.latency());
+                if response.request.is_read() {
+                    if let Some((core, pipeline)) = self.read_owner[tile].remove(&response.id.0) {
+                        self.cores[core].memory_response(pipeline);
+                    }
+                }
+            }
+        }
+        in_flight
+    }
+
+    /// (3, 4) The memory stage of an executing cycle: [`Self::tick_controllers`]
+    /// plus the memory-pressure samples of the report and the observer.
+    fn tick_memory<O: Observe>(&mut self, now: Cycle, obs: &mut O) {
+        let in_flight = self.tick_controllers(now, obs);
+        self.in_flight_samples += in_flight as u128;
+        self.peak_in_flight = self.peak_in_flight.max(in_flight);
+        for (tile, controller) in self.controllers.iter().enumerate() {
+            let (reads, writes) = controller.queue_depths();
+            obs.record_channel(tile, (reads + writes) as u64);
+        }
+        obs.record_hbm_in_flight(in_flight as u64);
+    }
+
+    /// True when nothing is left to execute: every instruction dispatched,
+    /// every `HACC` accumulated, every read answered. Resident hash-lines
+    /// and write-backs may remain; [`Self::flush_and_drain`] settles those.
+    fn is_drained(&self) -> bool {
+        self.dispatcher.is_done()
+            && self.cores.iter().all(NeuraCore::is_idle)
+            && self.noc.in_flight() == 0
+            && self.retry_injections.is_empty()
+            && self.retry_accepts.is_empty()
+            && self.retry_reads.is_empty()
+            && self.mems.iter().all(|m| m.backlog() == 0)
+            && self.controllers.iter().all(|c| c.pending() == 0)
+    }
+
+    /// The write-back epilogue, entered in the cycle the machine drained.
+    ///
+    /// Flushes barrier-mode residue (and any malformed counters) out of the
+    /// HashPads, then keeps ticking the memory system from `cycle` until
+    /// every write-back is committed to DRAM or `max_cycles` is reached, so
+    /// that deferring evictions (HACC-BE) cannot dodge the output-write
+    /// cost. Returns the cycle it stopped at. No observer cycle is open:
+    /// only DRAM responses are reported.
+    fn flush_and_drain<O: Observe>(&mut self, mut cycle: u64, max_cycles: u64, obs: &mut O) -> u64 {
+        for (mem_idx, mem) in self.mems.iter_mut().enumerate() {
+            mem.barrier(Cycle(cycle));
+            mem.flush(Cycle(cycle));
+            // Queued, not submitted: they go behind the older write-backs.
+            while let Some(request) = pop_write_back(mem, &mut self.outputs) {
+                self.retry_writebacks.push((mem_idx / self.cfg.mems_per_tile, request));
+            }
+        }
+        while (!self.retry_writebacks.is_empty()
+            || self.controllers.iter().any(|c| c.pending() > 0))
+            && cycle < max_cycles
+        {
+            self.tick_controllers(Cycle(cycle), obs);
+            cycle += 1;
+        }
+        cycle
+    }
+
+    /// Seals the observer and assembles the outputs and the report of a
+    /// run that drained after `total_cycles`.
+    fn report<O: Observe>(
+        self,
+        total_cycles: u64,
+        obs: &mut O,
+    ) -> (Vec<(u64, f64)>, ExecutionReport) {
+        let (total_cores, total_mems) = (self.cores.len(), self.mems.len());
+        obs.finalize(total_cycles, total_cores as u64, total_mems as u64, self.cfg.tiles as u64);
+        // Ratios of an empty run are zero, not NaN.
+        let per = |sum: f64, count: f64| if count == 0.0 { 0.0 } else { sum / count };
+
         let mut mmh_cpi_histogram = Histogram::new(25, 20);
-        let mut hacc_latency_histogram = Histogram::new(50, 20);
-        let mut core_busy = 0u64;
-        let mut core_stall = 0u64;
-        let mut core_idle = 0u64;
+        let mut core_totals = NeuraCoreStats::default();
         let mut core_work = Vec::with_capacity(total_cores);
-        for core in &cores {
+        for core in &self.cores {
             let stats = core.stats();
-            core_busy += stats.busy_cycles;
-            core_stall += stats.stall_cycles;
-            core_idle += stats.idle_cycles;
+            core_totals.busy_cycles += stats.busy_cycles;
+            core_totals.stall_cycles += stats.stall_cycles;
+            core_totals.idle_cycles += stats.idle_cycles;
+            core_totals.mmh_completed += stats.mmh_completed;
             core_work.push(stats.haccs_generated);
             mmh_cpi_histogram.merge(core.cpi_histogram());
         }
+        let mut hacc_latency_histogram = Histogram::new(50, 20);
+        let mut mem_totals = NeuraMemStats::default();
         let mut mem_work = Vec::with_capacity(total_mems);
-        let mut peak_pad = 0usize;
-        let mut pad_stalls = 0u64;
-        let mut collisions = 0u64;
-        let mut evictions = 0u64;
-        for mem in &mems {
+        for mem in &self.mems {
             let stats = mem.stats();
             mem_work.push(stats.haccs_processed);
-            peak_pad = peak_pad.max(stats.peak_occupancy);
-            pad_stalls += stats.pad_full_stalls;
-            collisions += stats.collisions;
-            evictions += stats.evictions;
+            mem_totals.haccs_processed += stats.haccs_processed;
+            mem_totals.peak_occupancy = mem_totals.peak_occupancy.max(stats.peak_occupancy);
+            mem_totals.pad_full_stalls += stats.pad_full_stalls;
+            mem_totals.collisions += stats.collisions;
+            mem_totals.evictions += stats.evictions;
             hacc_latency_histogram.merge(mem.hacc_latency_histogram());
         }
-        let mmh_instructions: u64 = cores.iter().map(|c| c.stats().mmh_completed).sum();
-        let hacc_instructions: u64 = mems.iter().map(|m| m.stats().haccs_processed).sum();
-        let dram_bytes_read: u64 = controllers.iter().map(|c| c.stats().bytes_read).sum();
-        let dram_bytes_written: u64 = controllers.iter().map(|c| c.stats().bytes_written).sum();
-        let mean_dram_latency = {
-            let completed: u64 = controllers.iter().map(|c| c.stats().completed).sum();
-            let latency: u64 = controllers.iter().map(|c| c.stats().total_latency).sum();
-            if completed == 0 {
-                0.0
-            } else {
-                latency as f64 / completed as f64
-            }
+        let dram = |field: fn(&ControllerStats) -> u64| -> u64 {
+            self.controllers.iter().map(|c| field(c.stats())).sum()
         };
-        let execution_seconds = total_cycles as f64 / (self.config.frequency_ghz * 1e9);
-        let gops = if execution_seconds > 0.0 {
-            2.0 * program.total_partial_products as f64 / execution_seconds / 1e9
-        } else {
-            0.0
-        };
+        let execution_seconds = total_cycles as f64 / (self.cfg.frequency_ghz * 1e9);
+        let noc = self.noc.stats();
         let report = ExecutionReport {
             total_cycles,
-            mmh_instructions,
-            hacc_instructions,
-            core_busy_cycles: core_busy,
-            core_stall_cycles: core_stall,
-            core_idle_cycles: core_idle,
+            mmh_instructions: core_totals.mmh_completed,
+            hacc_instructions: mem_totals.haccs_processed,
+            core_busy_cycles: core_totals.busy_cycles,
+            core_stall_cycles: core_totals.stall_cycles,
+            core_idle_cycles: core_totals.idle_cycles,
             cpi: mmh_cpi_histogram.mean(),
-            ipc: if total_cycles == 0 {
-                0.0
-            } else {
-                mmh_instructions as f64 / total_cycles as f64
-            },
+            ipc: per(core_totals.mmh_completed as f64, total_cycles as f64),
             mmh_cpi_histogram,
             hacc_latency_histogram,
             core_work_histogram: core_work,
             mem_work_histogram: mem_work,
-            avg_in_flight_mem: if total_cycles == 0 {
-                0.0
-            } else {
-                in_flight_samples as f64 / total_cycles as f64
-            },
-            peak_in_flight_mem: peak_in_flight,
-            dram_bytes_read,
-            dram_bytes_written,
-            mean_dram_latency,
-            noc_packets: noc.stats().delivered,
-            noc_mean_latency: noc.stats().mean_latency(),
-            noc_mean_hops: noc.stats().mean_hops(),
-            peak_hashpad_occupancy: peak_pad,
-            hashpad_full_stalls: pad_stalls,
-            hash_collisions: collisions,
-            evictions,
+            avg_in_flight_mem: per(self.in_flight_samples as f64, total_cycles as f64),
+            peak_in_flight_mem: self.peak_in_flight,
+            dram_bytes_read: dram(|s| s.bytes_read),
+            dram_bytes_written: dram(|s| s.bytes_written),
+            mean_dram_latency: per(dram(|s| s.total_latency) as f64, dram(|s| s.completed) as f64),
+            noc_packets: noc.delivered,
+            noc_mean_latency: noc.mean_latency(),
+            noc_mean_hops: noc.mean_hops(),
+            peak_hashpad_occupancy: mem_totals.peak_occupancy,
+            hashpad_full_stalls: mem_totals.pad_full_stalls,
+            hash_collisions: mem_totals.collisions,
+            evictions: mem_totals.evictions,
             execution_seconds,
-            gops,
-            core_utilization: if total_cycles == 0 {
-                0.0
-            } else {
-                core_busy as f64 / (total_cycles as f64 * total_cores as f64)
-            },
+            gops: per(2.0 * self.program.total_partial_products as f64, execution_seconds) / 1e9,
+            core_utilization: per(
+                core_totals.busy_cycles as f64,
+                total_cycles as f64 * total_cores as f64,
+            ),
         };
-        Ok((outputs, report))
+        (self.outputs, report)
     }
+}
+
+/// (8) Takes `mem`'s oldest evicted line as an output element and returns
+/// the write that commits it to the output matrix in HBM.
+fn pop_write_back(mem: &mut NeuraMem, outputs: &mut Vec<(u64, f64)>) -> Option<MemoryRequest> {
+    let evicted = mem.pop_evicted()?;
+    outputs.push((evicted.tag, evicted.value));
+    Some(MemoryRequest::write(compiler::layout::OUTPUT_BASE + evicted.tag * 8, 8))
 }
 
 #[cfg(test)]

@@ -30,19 +30,15 @@ pub mod layout {
 /// A compiled workload: the instruction stream plus its metadata.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Program {
-    /// The `MMH` instruction stream in dispatch order.
+    /// The `MMH` instruction stream in dispatch order: column by column of
+    /// `A`, `tile` stored elements at a time.
     pub instructions: Vec<MmhInstruction>,
-    /// Indices into `instructions` marking the end of each processed column
-    /// of `A` (the DRHM reseed boundaries).
-    pub row_boundaries: Vec<usize>,
     /// Shape of the output matrix (rows, cols).
     pub output_shape: (usize, usize),
     /// Number of `HACC` instructions the program will generate.
     pub total_partial_products: u64,
     /// Number of distinct output elements (non-zeros of the result).
     pub output_nnz: usize,
-    /// Contribution count (reduction fan-in) per output tag.
-    pub fanin: HashMap<u64, u32>,
     /// Tile height used for the MMH instructions.
     pub tile: u8,
     /// Total operand bytes the NeuraCores must read from HBM.
@@ -82,8 +78,8 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
 
     let out_cols = b.cols() as u64;
-    // Pass 1: symbolic SpGEMM to obtain the contribution count of every
-    // output element (the rolling-eviction counters).
+    // Pass 1: symbolic SpGEMM to obtain the contribution count (reduction
+    // fan-in) of every output element — the rolling-eviction counters.
     let mut fanin: HashMap<u64, u32> = HashMap::new();
     for k in 0..a.cols() {
         let (a_rows, _) = a.col(k);
@@ -97,7 +93,6 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
 
     // Pass 2: emit the tiled instruction stream.
     let mut instructions = Vec::new();
-    let mut row_boundaries = Vec::new();
     let mut total_partial_products = 0u64;
     let mut input_bytes = 0u64;
     let mut a_cursor = 0u64; // index into A's value array (CSC order)
@@ -107,9 +102,6 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
         let (b_cols, b_vals) = b.row(k);
         if a_rows.is_empty() || b_cols.is_empty() {
             a_cursor += a_rows.len() as u64;
-            if !instructions.is_empty() {
-                row_boundaries.push(instructions.len());
-            }
             continue;
         }
         let b_row_start = b.row_ptr()[k] as u64;
@@ -124,14 +116,6 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
                     counters.push(fanin[&tag]);
                 }
             }
-            let work = MmhWork {
-                k,
-                a_rows: rows_chunk.to_vec(),
-                a_values: vals_chunk.to_vec(),
-                b_cols: b_cols.to_vec(),
-                b_values: b_vals.to_vec(),
-                counters,
-            };
             let instr = MmhInstruction {
                 tile,
                 base_addr: 0,
@@ -140,41 +124,31 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
                 b_data_addr: (layout::B_DATA_BASE + b_row_start * 8) as u32,
                 roll_counter_addr: (layout::COUNTER_BASE.wrapping_add(total_partial_products * 4))
                     as u32,
-                work: instr_work_placeholder(),
+                work: MmhWork {
+                    k,
+                    a_rows: rows_chunk.to_vec(),
+                    a_values: vals_chunk.to_vec(),
+                    b_cols: b_cols.to_vec(),
+                    b_values: b_vals.to_vec(),
+                    counters,
+                },
             };
-            // `instr_work_placeholder` keeps construction order readable; fill now.
-            let mut instr = instr;
-            instr.work = work;
             total_partial_products += instr.hacc_count() as u64;
             input_bytes += instr.operand_bytes() as u64;
             instructions.push(instr);
         }
         a_cursor += a_rows.len() as u64;
-        row_boundaries.push(instructions.len());
     }
 
     let output_nnz = fanin.len();
     Program {
         instructions,
-        row_boundaries,
         output_shape: (a.rows(), b.cols()),
         total_partial_products,
         output_nnz,
-        fanin,
         tile,
         input_bytes,
         output_bytes: output_nnz as u64 * 8,
-    }
-}
-
-fn instr_work_placeholder() -> MmhWork {
-    MmhWork {
-        k: 0,
-        a_rows: Vec::new(),
-        a_values: Vec::new(),
-        b_cols: Vec::new(),
-        b_values: Vec::new(),
-        counters: Vec::new(),
     }
 }
 
@@ -211,6 +185,20 @@ mod tests {
         GraphGenerator::power_law(60, 400, 2.1, seed).generate().to_csr()
     }
 
+    /// Contribution count per output tag, recounted from the instruction
+    /// stream the way the NeuraCores will expand it.
+    fn recount_fanin(program: &Program) -> HashMap<u64, u32> {
+        let mut fanin = HashMap::new();
+        for instr in &program.instructions {
+            for &i in &instr.work.a_rows {
+                for &j in &instr.work.b_cols {
+                    *fanin.entry(program.tag_of(i, j)).or_insert(0) += 1;
+                }
+            }
+        }
+        fanin
+    }
+
     #[test]
     fn partial_product_count_matches_reference() {
         let a = small_graph(1);
@@ -224,9 +212,10 @@ mod tests {
     fn fanin_sums_to_partial_products() {
         let a = small_graph(2);
         let program = compile_spgemm(&a.to_csc(), &a, 4);
-        let fanin_sum: u64 = program.fanin.values().map(|&f| f as u64).sum();
+        let fanin = recount_fanin(&program);
+        let fanin_sum: u64 = fanin.values().map(|&f| f as u64).sum();
         assert_eq!(fanin_sum, program.total_partial_products);
-        assert!(program.fanin.values().all(|&f| f >= 1));
+        assert_eq!(fanin.len(), program.output_nnz);
     }
 
     #[test]
@@ -257,28 +246,17 @@ mod tests {
     fn counters_match_fanin_for_each_partial_product() {
         let a = small_graph(5);
         let program = compile_spgemm(&a.to_csc(), &a, 4);
+        let fanin = recount_fanin(&program);
         for instr in &program.instructions {
             let mut idx = 0;
             for &i in &instr.work.a_rows {
                 for &j in &instr.work.b_cols {
                     let tag = program.tag_of(i, j);
-                    assert_eq!(instr.work.counters[idx], program.fanin[&tag]);
+                    assert_eq!(instr.work.counters[idx], fanin[&tag]);
                     idx += 1;
                 }
             }
         }
-    }
-
-    #[test]
-    fn row_boundaries_are_monotonic_and_end_at_last_instruction() {
-        let a = small_graph(6);
-        let program = compile_spgemm(&a.to_csc(), &a, 4);
-        assert!(program.row_boundaries.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(
-            *program.row_boundaries.last().unwrap(),
-            program.instruction_count(),
-            "the final boundary closes the program"
-        );
     }
 
     #[test]

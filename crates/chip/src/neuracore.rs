@@ -92,27 +92,28 @@ pub struct CoreTickOutput {
     pub mmh_retired: u32,
 }
 
-#[derive(Debug)]
-enum PipelineState {
+/// Where one pipeline is in the Figure-6 sequence. The instruction is the
+/// program's own, on loan from the dispatcher. `Compute::next` is the
+/// `(a, b)` operand pair of partial product number `produced`
+/// (`produced == a * b_cols.len() + b`), stepped with it so no `HACC`
+/// costs a division.
+#[derive(Debug, Clone, Copy)]
+enum PipelineState<'p> {
     Idle,
-    Decode { instr: MmhInstruction, remaining: u64, started: u64 },
-    WaitMem { instr: MmhInstruction, outstanding: usize, started: u64 },
-    Compute { instr: MmhInstruction, produced: usize, next: (usize, usize), started: u64 },
+    Decode { instr: &'p MmhInstruction, remaining: u64, started: u64 },
+    WaitMem { instr: &'p MmhInstruction, outstanding: usize, started: u64 },
+    Compute { instr: &'p MmhInstruction, produced: usize, next: (usize, usize), started: u64 },
 }
 
+/// The NeuraCore multiplication engine, executing instructions borrowed
+/// from a compiled program for `'p`.
 #[derive(Debug)]
-struct Pipeline {
-    state: PipelineState,
-}
-
-/// The NeuraCore multiplication engine.
-#[derive(Debug)]
-pub struct NeuraCore {
+pub struct NeuraCore<'p> {
     id: usize,
     tile: usize,
     config: NeuraCoreConfig,
-    instx: VecDeque<MmhInstruction>,
-    pipelines: Vec<Pipeline>,
+    instx: VecDeque<&'p MmhInstruction>,
+    pipelines: Vec<PipelineState<'p>>,
     /// Generated HACCs awaiting injection into the NoC (bounded by ports × 8).
     outbox: VecDeque<HaccInstruction>,
     /// Number of output columns of the current program (for tag computation).
@@ -132,17 +133,15 @@ pub struct NeuraCore {
     settled: bool,
 }
 
-impl NeuraCore {
+impl<'p> NeuraCore<'p> {
     /// Creates a NeuraCore belonging to tile `tile`.
     pub fn new(id: usize, tile: usize, config: NeuraCoreConfig) -> Self {
-        let pipelines =
-            (0..config.pipelines).map(|_| Pipeline { state: PipelineState::Idle }).collect();
         NeuraCore {
             id,
             tile,
             config,
             instx: VecDeque::new(),
-            pipelines,
+            pipelines: vec![PipelineState::Idle; config.pipelines],
             outbox: VecDeque::new(),
             out_cols: 1,
             stats: NeuraCoreStats::default(),
@@ -169,9 +168,7 @@ impl NeuraCore {
         self.out_cols = out_cols.max(1);
         self.instx.clear();
         self.outbox.clear();
-        for p in &mut self.pipelines {
-            p.state = PipelineState::Idle;
-        }
+        self.pipelines.fill(PipelineState::Idle);
         self.busy_pipelines = 0;
         self.settled = false;
     }
@@ -189,7 +186,7 @@ impl NeuraCore {
     /// Accepts an MMH instruction from the dispatcher.
     ///
     /// Returns `false` when the instruction buffer is full.
-    pub fn accept(&mut self, instr: MmhInstruction) -> bool {
+    pub fn accept(&mut self, instr: &'p MmhInstruction) -> bool {
         if !self.can_accept() {
             return false;
         }
@@ -202,13 +199,11 @@ impl NeuraCore {
     /// Notifies the core that one of pipeline `pipeline`'s memory requests
     /// completed.
     pub fn memory_response(&mut self, pipeline: usize) {
-        if let Some(p) = self.pipelines.get_mut(pipeline) {
-            if let PipelineState::WaitMem { outstanding, .. } = &mut p.state {
-                *outstanding = outstanding.saturating_sub(1);
-                // A pipeline still short of operands stalls exactly as before.
-                if *outstanding == 0 {
-                    self.settled = false;
-                }
+        if let Some(PipelineState::WaitMem { outstanding, .. }) = self.pipelines.get_mut(pipeline) {
+            *outstanding = outstanding.saturating_sub(1);
+            // A pipeline still short of operands stalls exactly as before.
+            if *outstanding == 0 {
+                self.settled = false;
             }
         }
     }
@@ -249,8 +244,6 @@ impl NeuraCore {
 
         // Shared multiplier budget across pipelines for this cycle.
         let mut multiplier_budget = self.config.multipliers;
-        // Outbox cap: allow a few cycles worth of buffering before blocking.
-        let outbox_cap = self.config.ports * 8;
 
         let pipeline_count = self.pipelines.len();
         let walked = if has_work { pipeline_count } else { 0 };
@@ -261,127 +254,10 @@ impl NeuraCore {
             if idx >= pipeline_count {
                 idx -= pipeline_count;
             }
-            let pipeline = &mut self.pipelines[idx];
-            match &mut pipeline.state {
-                PipelineState::Idle => {
-                    if let Some(instr) = self.instx.pop_front() {
-                        pipeline.state =
-                            PipelineState::Decode { instr, remaining: 1, started: cycle };
-                        self.busy_pipelines += 1;
-                        any_busy = true;
-                    }
-                }
-                PipelineState::Decode { instr, remaining, started } => {
-                    any_busy = true;
-                    if *remaining > 0 {
-                        *remaining -= 1;
-                    } else {
-                        // Issue the operand fetches: A data, B column indices,
-                        // B data and the rolling counters (Algorithm 1).
-                        let base = instr.base_addr as u64;
-                        let requests = [
-                            (instr.a_data_addr as u64, instr.work.a_rows.len() * 8),
-                            (instr.b_col_ind_addr as u64, instr.work.b_cols.len() * 4),
-                            (instr.b_data_addr as u64, instr.work.b_values.len() * 8),
-                            (instr.roll_counter_addr as u64, instr.work.counters.len() * 4),
-                        ];
-                        for (addr, bytes) in requests {
-                            output.memory_requests.push(CoreMemoryRequest {
-                                pipeline: idx,
-                                request: MemoryRequest::read(base + addr, bytes.max(4)),
-                            });
-                        }
-                        self.stats.memory_requests += 4;
-                        let instr = std::mem::replace(
-                            instr,
-                            MmhInstruction {
-                                tile: 1,
-                                base_addr: 0,
-                                a_data_addr: 0,
-                                b_col_ind_addr: 0,
-                                b_data_addr: 0,
-                                roll_counter_addr: 0,
-                                work: crate::isa::MmhWork {
-                                    k: 0,
-                                    a_rows: Vec::new(),
-                                    a_values: Vec::new(),
-                                    b_cols: Vec::new(),
-                                    b_values: Vec::new(),
-                                    counters: Vec::new(),
-                                },
-                            },
-                        );
-                        let started = *started;
-                        pipeline.state = PipelineState::WaitMem { instr, outstanding: 4, started };
-                    }
-                }
-                PipelineState::WaitMem { instr, outstanding, started } => {
-                    if *outstanding == 0 {
-                        let instr = std::mem::replace(
-                            instr,
-                            MmhInstruction {
-                                tile: 1,
-                                base_addr: 0,
-                                a_data_addr: 0,
-                                b_col_ind_addr: 0,
-                                b_data_addr: 0,
-                                roll_counter_addr: 0,
-                                work: crate::isa::MmhWork {
-                                    k: 0,
-                                    a_rows: Vec::new(),
-                                    a_values: Vec::new(),
-                                    b_cols: Vec::new(),
-                                    b_values: Vec::new(),
-                                    counters: Vec::new(),
-                                },
-                            },
-                        );
-                        let started = *started;
-                        pipeline.state =
-                            PipelineState::Compute { instr, produced: 0, next: (0, 0), started };
-                        any_busy = true;
-                    } else {
-                        any_stalled = true;
-                    }
-                }
-                // `next` is the `(a, b)` operand pair of partial product number
-                // `produced` (`produced == a * b_cols.len() + b`), stepped
-                // with it so no `HACC` costs a division.
-                PipelineState::Compute { instr, produced, next: (a_idx, b_idx), started } => {
-                    any_busy = true;
-                    let total = instr.hacc_count();
-                    let b_len = instr.work.b_cols.len();
-                    while *produced < total
-                        && multiplier_budget > 0
-                        && self.outbox.len() < outbox_cap
-                    {
-                        let row = instr.work.a_rows[*a_idx];
-                        let col = instr.work.b_cols[*b_idx];
-                        let value = instr.work.a_values[*a_idx] * instr.work.b_values[*b_idx];
-                        let counter = instr.work.counters[*produced];
-                        let tag = row as u64 * self.out_cols + col as u64;
-                        let mut hacc = HaccInstruction::new(tag, value, counter);
-                        hacc.generated_at = cycle;
-                        self.outbox.push_back(hacc);
-                        self.stats.haccs_generated += 1;
-                        *produced += 1;
-                        *b_idx += 1;
-                        if *b_idx == b_len {
-                            *b_idx = 0;
-                            *a_idx += 1;
-                        }
-                        multiplier_budget -= 1;
-                    }
-                    if *produced >= total {
-                        self.stats.mmh_completed += 1;
-                        output.mmh_retired += 1;
-                        self.cpi_histogram.record(cycle.saturating_sub(*started) + 1);
-                        pipeline.state = PipelineState::Idle;
-                        self.busy_pipelines -= 1;
-                    } else if self.outbox.len() >= outbox_cap {
-                        self.stats.output_blocked_cycles += 1;
-                    }
-                }
+            match self.step_pipeline(idx, cycle, &mut multiplier_budget, output) {
+                TickOutcome::Busy => any_busy = true,
+                TickOutcome::Stalled => any_stalled = true,
+                TickOutcome::Idle => {}
             }
         }
         self.next_pipeline += 1;
@@ -409,6 +285,93 @@ impl NeuraCore {
         // generated no HACC, so with the outbox empty the next one is this
         // one again until an instruction or an operand arrives.
         self.settled = !any_busy && self.outbox.is_empty();
+    }
+
+    /// Moves pipeline `idx` one step along the Figure-6 sequence and says
+    /// how it spent the cycle.
+    fn step_pipeline(
+        &mut self,
+        idx: usize,
+        cycle: u64,
+        multiplier_budget: &mut usize,
+        output: &mut CoreTickOutput,
+    ) -> TickOutcome {
+        let state = &mut self.pipelines[idx];
+        match *state {
+            PipelineState::Idle => {
+                let Some(instr) = self.instx.pop_front() else { return TickOutcome::Idle };
+                *state = PipelineState::Decode { instr, remaining: 1, started: cycle };
+                self.busy_pipelines += 1;
+            }
+            PipelineState::Decode { instr, remaining, started } if remaining > 0 => {
+                *state = PipelineState::Decode { instr, remaining: remaining - 1, started };
+            }
+            PipelineState::Decode { instr, started, .. } => {
+                // Issue the operand fetches: A data, B column indices,
+                // B data and the rolling counters (Algorithm 1).
+                let base = instr.base_addr as u64;
+                let requests = [
+                    (instr.a_data_addr as u64, instr.work.a_rows.len() * 8),
+                    (instr.b_col_ind_addr as u64, instr.work.b_cols.len() * 4),
+                    (instr.b_data_addr as u64, instr.work.b_values.len() * 8),
+                    (instr.roll_counter_addr as u64, instr.work.counters.len() * 4),
+                ];
+                for (addr, bytes) in requests {
+                    output.memory_requests.push(CoreMemoryRequest {
+                        pipeline: idx,
+                        request: MemoryRequest::read(base + addr, bytes.max(4)),
+                    });
+                }
+                self.stats.memory_requests += 4;
+                *state = PipelineState::WaitMem { instr, outstanding: 4, started };
+            }
+            PipelineState::WaitMem { outstanding, .. } if outstanding > 0 => {
+                return TickOutcome::Stalled;
+            }
+            PipelineState::WaitMem { instr, started, .. } => {
+                *state = PipelineState::Compute { instr, produced: 0, next: (0, 0), started };
+            }
+            PipelineState::Compute {
+                instr,
+                mut produced,
+                next: (mut a_idx, mut b_idx),
+                started,
+            } => {
+                // Outbox cap: allow a few cycles worth of buffering before blocking.
+                let outbox_cap = self.config.ports * 8;
+                let total = instr.hacc_count();
+                let work = &instr.work;
+                while produced < total && *multiplier_budget > 0 && self.outbox.len() < outbox_cap {
+                    let tag = work.a_rows[a_idx] as u64 * self.out_cols + work.b_cols[b_idx] as u64;
+                    let value = work.a_values[a_idx] * work.b_values[b_idx];
+                    let mut hacc = HaccInstruction::new(tag, value, work.counters[produced]);
+                    hacc.generated_at = cycle;
+                    self.outbox.push_back(hacc);
+                    self.stats.haccs_generated += 1;
+                    produced += 1;
+                    b_idx += 1;
+                    if b_idx == work.b_cols.len() {
+                        b_idx = 0;
+                        a_idx += 1;
+                    }
+                    *multiplier_budget -= 1;
+                }
+                if produced >= total {
+                    self.stats.mmh_completed += 1;
+                    output.mmh_retired += 1;
+                    self.cpi_histogram.record(cycle.saturating_sub(started) + 1);
+                    *state = PipelineState::Idle;
+                    self.busy_pipelines -= 1;
+                } else {
+                    if self.outbox.len() >= outbox_cap {
+                        self.stats.output_blocked_cycles += 1;
+                    }
+                    *state =
+                        PipelineState::Compute { instr, produced, next: (a_idx, b_idx), started };
+                }
+            }
+        }
+        TickOutcome::Busy
     }
 }
 
@@ -450,7 +413,7 @@ mod tests {
     /// Drives the core until idle, acknowledging all memory requests after
     /// `mem_latency` cycles.  Returns all generated HACCs.
     fn run_to_completion(
-        core: &mut NeuraCore,
+        core: &mut NeuraCore<'_>,
         mem_latency: u64,
         max_cycles: u64,
     ) -> Vec<HaccInstruction> {
@@ -477,9 +440,10 @@ mod tests {
 
     #[test]
     fn executes_a_single_mmh_and_produces_all_haccs() {
+        let instr = mmh(4, &[0, 1, 2, 3], &[0, 1, 2, 3]);
         let mut core = NeuraCore::new(0, 0, core_config());
         core.prepare(16);
-        assert!(core.accept(mmh(4, &[0, 1, 2, 3], &[0, 1, 2, 3])));
+        assert!(core.accept(&instr));
         let haccs = run_to_completion(&mut core, 10, 500);
         assert_eq!(haccs.len(), 16);
         assert!(core.is_idle());
@@ -493,25 +457,27 @@ mod tests {
 
     #[test]
     fn instruction_buffer_enforces_capacity() {
+        let instr = mmh(1, &[0], &[0]);
         let mut core = NeuraCore::new(0, 0, core_config());
         core.prepare(4);
         for _ in 0..4 {
-            assert!(core.accept(mmh(1, &[0], &[0])));
+            assert!(core.accept(&instr));
         }
-        assert!(!core.accept(mmh(1, &[0], &[0])));
+        assert!(!core.accept(&instr));
         assert_eq!(core.stats().mmh_accepted, 4);
     }
 
     #[test]
     fn memory_latency_creates_stall_cycles() {
+        let instr = mmh(4, &[0, 1], &[0, 1]);
         let mut fast = NeuraCore::new(0, 0, core_config());
         fast.prepare(8);
-        fast.accept(mmh(4, &[0, 1], &[0, 1]));
+        fast.accept(&instr);
         run_to_completion(&mut fast, 2, 500);
 
         let mut slow = NeuraCore::new(1, 0, core_config());
         slow.prepare(8);
-        slow.accept(mmh(4, &[0, 1], &[0, 1]));
+        slow.accept(&instr);
         run_to_completion(&mut slow, 100, 1_000);
 
         assert!(slow.stats().stall_cycles > fast.stats().stall_cycles);
@@ -519,10 +485,11 @@ mod tests {
 
     #[test]
     fn cpi_histogram_records_completed_instructions() {
+        let instr = mmh(2, &[0, 1], &[0, 1, 2]);
         let mut core = NeuraCore::new(0, 0, core_config());
         core.prepare(8);
         for _ in 0..3 {
-            core.accept(mmh(2, &[0, 1], &[0, 1, 2]));
+            core.accept(&instr);
         }
         run_to_completion(&mut core, 20, 2_000);
         assert_eq!(core.cpi_histogram().count(), 3);
@@ -532,9 +499,10 @@ mod tests {
 
     #[test]
     fn output_credit_limits_hacc_injection_per_cycle() {
+        let instr = mmh(4, &[0, 1, 2, 3], &[0, 1, 2, 3]);
         let mut core = NeuraCore::new(0, 0, core_config());
         core.prepare(8);
-        core.accept(mmh(4, &[0, 1, 2, 3], &[0, 1, 2, 3]));
+        core.accept(&instr);
         // Run with zero output credit: HACCs accumulate internally, none escape.
         let mut produced = 0;
         let mut pending: Vec<(u64, usize)> = Vec::new();
@@ -564,19 +532,21 @@ mod tests {
 
     #[test]
     fn load_counts_buffered_and_executing_instructions() {
+        let instrs = [mmh(1, &[0], &[0]), mmh(1, &[1], &[0])];
         let mut core = NeuraCore::new(0, 0, core_config());
         core.prepare(8);
         assert_eq!(core.load(), 0);
-        core.accept(mmh(1, &[0], &[0]));
-        core.accept(mmh(1, &[1], &[0]));
+        core.accept(&instrs[0]);
+        core.accept(&instrs[1]);
         assert_eq!(core.load(), 2);
     }
 
     #[test]
     fn four_memory_requests_per_mmh() {
+        let instr = mmh(4, &[0, 1, 2, 3], &[0, 1]);
         let mut core = NeuraCore::new(0, 0, core_config());
         core.prepare(8);
-        core.accept(mmh(4, &[0, 1, 2, 3], &[0, 1]));
+        core.accept(&instr);
         let mut requests = 0;
         let mut pending: Vec<(u64, usize)> = Vec::new();
         let mut out = CoreTickOutput::default();
@@ -604,6 +574,7 @@ mod tests {
     #[test]
     fn idle_ticks_equal_the_full_pipeline_walk() {
         let pipelines = core_config().pipelines;
+        let instr = mmh(2, &[0, 1], &[0, 1]);
         let mut out = CoreTickOutput::default();
         for idle_ticks in 0..=2 * pipelines as u64 + 1 {
             let mut core = NeuraCore::new(0, 0, core_config());
@@ -621,7 +592,7 @@ mod tests {
 
             // The walk starts at the rotated cursor, so that pipeline decodes
             // the instruction and issues its four operand reads.
-            core.accept(mmh(2, &[0, 1], &[0, 1]));
+            core.accept(&instr);
             let mut cycle = idle_ticks;
             while out.memory_requests.is_empty() {
                 core.tick(Cycle(cycle), 4, &mut out);
@@ -637,15 +608,15 @@ mod tests {
     /// Two cores driven in lock step: `cores[0]` as is, `cores[1]` with the
     /// settled flag cleared before every tick, which makes it walk its
     /// pipelines every cycle.
-    struct LockStep {
-        cores: [NeuraCore; 2],
+    struct LockStep<'p> {
+        cores: [NeuraCore<'p>; 2],
         outs: [CoreTickOutput; 2],
         cycle: u64,
         /// Ticks `cores[0]` took on the settled path.
         settled_ticks: u64,
     }
 
-    impl LockStep {
+    impl<'p> LockStep<'p> {
         /// Ticks both cores, checks that the cycle produced the same output
         /// on each and returns the pipelines that issued operand reads.
         fn tick(&mut self) -> Vec<usize> {
@@ -669,9 +640,9 @@ mod tests {
             }
         }
 
-        fn accept(&mut self, instr: &MmhInstruction) {
+        fn accept(&mut self, instr: &'p MmhInstruction) {
             for core in &mut self.cores {
-                assert!(core.accept(instr.clone()));
+                assert!(core.accept(instr));
             }
         }
     }
@@ -685,6 +656,7 @@ mod tests {
     #[test]
     fn settled_ticks_equal_the_full_pipeline_walk() {
         let config = NeuraCoreConfig { pipelines: 3, ..core_config() };
+        let instrs = [mmh(2, &[0, 1], &[0, 1, 2]), mmh(2, &[2, 3], &[1, 2])];
         for stalled in 0..=2 * config.pipelines as u64 + 1 {
             let mut pair = LockStep {
                 cores: [NeuraCore::new(0, 0, config), NeuraCore::new(0, 0, config)],
@@ -693,7 +665,7 @@ mod tests {
                 settled_ticks: 0,
             };
             pair.cores.iter_mut().for_each(|core| core.prepare(8));
-            pair.accept(&mmh(2, &[0, 1], &[0, 1, 2]));
+            pair.accept(&instrs[0]);
             let mut waiting = Vec::new();
             while waiting.is_empty() {
                 waiting = pair.tick();
@@ -711,7 +683,7 @@ mod tests {
             // The last operand wakes the first instruction; the second goes
             // to whichever idle pipeline the cursor reaches first.
             pair.respond(&waiting[3..]);
-            pair.accept(&mmh(2, &[2, 3], &[1, 2]));
+            pair.accept(&instrs[1]);
             while !pair.cores[1].is_idle() {
                 let issued = pair.tick();
                 pair.respond(&issued);
@@ -731,9 +703,10 @@ mod tests {
     /// HACCs takes the idle path too; the outbox must keep draining on it.
     #[test]
     fn idle_path_still_drains_the_outbox() {
+        let instr = mmh(4, &[0, 1, 2, 3], &[0, 1, 2, 3]);
         let mut core = NeuraCore::new(0, 0, core_config());
         core.prepare(8);
-        core.accept(mmh(4, &[0, 1, 2, 3], &[0, 1, 2, 3]));
+        core.accept(&instr);
         let mut out = CoreTickOutput::default();
         let mut cycle = 0u64;
         // Zero credit: compute finishes, all 16 HACCs wait in the outbox.

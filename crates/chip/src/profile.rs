@@ -4,11 +4,14 @@
 //! [`crate::ExecutionReport`] is an end-of-run aggregate — it can say
 //! *that* `core_stall_cycles` is high, never *when* or *why*. The
 //! profiler adds the missing axes without touching the fast path: the
-//! accelerator's run loop takes an `Option<&mut Profiler>`, and with
-//! `None` it constructs nothing, records nothing and stays byte-identical
-//! (the same contract the serving layer's `--trace` keeps for
-//! `serve.json`). With `Some`, the loop feeds the profiler once per
-//! cycle and the profiler folds the observations into:
+//! accelerator's run loop is generic over one crate-private observer
+//! seam, `Observe`, whose methods all default to nothing. An unprofiled
+//! run is the `()` instantiation — every observer call, and the
+//! bookkeeping that feeds only observer calls, compiles away, so it
+//! constructs nothing, records nothing and stays byte-identical (the
+//! same contract the serving layer's `--trace` keeps for `serve.json`).
+//! A profiled run is the [`Profiler`] instantiation: the loop feeds it
+//! once per cycle and the profiler folds the observations into:
 //!
 //! 1. a **windowed timeline** — per fixed-width cycle window the
 //!    per-core busy/stall/idle split, MMH/HACC retire counts, chip-wide
@@ -42,6 +45,7 @@
 //! (dataset × tile × HBM preset) and gates on the invariants, and
 //! `serve --profile` emits one profile per (fingerprint, request class).
 
+use crate::neuracore::TickOutcome;
 use neura_sim::LatencyHistogram;
 
 /// Why a core stall cycle happened, by the dominant chip-level condition
@@ -121,7 +125,7 @@ pub struct ProfileWindow {
     pub noc_in_flight_peak: u64,
     /// Peak in-flight HBM transactions (summed over channels).
     pub hbm_in_flight_peak: u64,
-    /// Peak queued-but-unissued HBM requests (summed over channels).
+    /// Peak queued-but-unissued HBM requests on any single channel.
     pub hbm_queue_peak: u64,
 }
 
@@ -295,8 +299,8 @@ impl Profile {
     }
 }
 
-/// Per-cycle scratch state, reset by [`Profiler::begin_cycle`] and folded
-/// into the current window by [`Profiler::end_cycle`].
+/// Per-cycle scratch state, reset when the [`Profiler`] opens a cycle and
+/// folded into the current window when it closes it.
 #[derive(Debug, Clone, Copy, Default)]
 struct CycleScratch {
     busy: u64,
@@ -309,18 +313,55 @@ struct CycleScratch {
     dispatch_starved: bool,
 }
 
-/// The recording half: created by a caller, threaded through the
-/// accelerator's run loop as `Option<&mut Profiler>`, and consumed with
-/// [`Profiler::into_profile`] after the run.
+/// What the accelerator's cycle loop reports while it runs. Every method
+/// defaults to nothing and the loop is generic over the observer, so the
+/// `()` instantiation is the bare loop; [`Profiler`] is the recording one.
+pub(crate) trait Observe {
+    /// Opens cycle `cycle`.
+    fn begin_cycle(&mut self, _cycle: u64) {}
+    /// The dispatcher had work but placed nothing this cycle.
+    fn note_dispatch_starved(&mut self) {}
+    /// One core's tick outcome and retire count.
+    fn record_core_tick(&mut self, _outcome: TickOutcome, _mmh: u32) {}
+    /// The NoC refused at least one injection this cycle.
+    fn note_noc_backpressure(&mut self) {}
+    /// The NoC's in-flight packet count after its tick.
+    fn record_noc_in_flight(&mut self, _in_flight: u64) {}
+    /// One delivered packet's hop count.
+    fn record_hops(&mut self, _hops: u32) {}
+    /// One NeuraMem's tick or barrier: its occupied hash-lines before and
+    /// after, and the full-stall cycles and HACCs the step added.
+    fn record_mem(&mut self, _before: usize, _after: usize, _pad_full: u64, _haccs: u64) {}
+    /// One completed DRAM request's latency in cycles (also during the
+    /// drain epilogue, where no cycle is open).
+    fn record_dram_response(&mut self, _latency: u64) {}
+    /// One channel's queued-but-unissued request count after its tick.
+    fn record_channel(&mut self, _channel: usize, _queued: u64) {}
+    /// The chip-wide in-flight HBM transaction count.
+    fn record_hbm_in_flight(&mut self, _in_flight: u64) {}
+    /// Closes the cycle.
+    fn end_cycle(&mut self) {}
+    /// The run drained after `total_cycles` (write-back epilogue included).
+    fn finalize(&mut self, _total_cycles: u64, _cores: u64, _mems: u64, _channels: u64) {}
+}
+
+/// The unobserved run.
+impl Observe for () {}
+
+/// The recording half: created by a caller, handed to
+/// [`crate::Accelerator::run_spgemm_profiled`], which runs the cycle loop
+/// with it as the observer, and consumed with [`Profiler::into_profile`]
+/// after the run.
 #[derive(Debug)]
 pub struct Profiler {
     window_cycles: u64,
     windows: Vec<ProfileWindow>,
     scratch: CycleScratch,
     in_cycle: bool,
-    observed_cycles: u64,
+    /// Occupied hash-lines chip-wide, kept in step with every NeuraMem
+    /// tick and barrier so no cycle re-sums the NeuraMems.
+    pad_occupancy: u64,
     hop_counts: Vec<u64>,
-    hops: LatencyHistogram,
     dram_latency: LatencyHistogram,
     channel_queue_peaks: Vec<u64>,
     hbm_in_flight_peak: u64,
@@ -344,9 +385,8 @@ impl Profiler {
             windows: Vec::new(),
             scratch: CycleScratch::default(),
             in_cycle: false,
-            observed_cycles: 0,
+            pad_occupancy: 0,
             hop_counts: Vec::new(),
-            hops: LatencyHistogram::new(),
             dram_latency: LatencyHistogram::new(),
             channel_queue_peaks: Vec::new(),
             hbm_in_flight_peak: 0,
@@ -366,12 +406,13 @@ impl Profiler {
     fn current_window(&mut self) -> &mut ProfileWindow {
         self.windows.last_mut().expect("begin_cycle opened a window")
     }
+}
 
+impl Observe for Profiler {
     /// Opens cycle `cycle`, rolling to a new window at each boundary.
-    pub(crate) fn begin_cycle(&mut self, cycle: u64) {
+    fn begin_cycle(&mut self, cycle: u64) {
         debug_assert!(!self.in_cycle, "begin_cycle without end_cycle");
         self.in_cycle = true;
-        self.observed_cycles += 1;
         if self.windows.is_empty() || cycle.is_multiple_of(self.window_cycles) {
             self.windows.push(ProfileWindow { start_cycle: cycle, ..ProfileWindow::default() });
         }
@@ -379,9 +420,7 @@ impl Profiler {
         self.scratch = CycleScratch::default();
     }
 
-    /// Records one core's tick outcome and retire count.
-    pub(crate) fn record_core_tick(&mut self, outcome: crate::neuracore::TickOutcome, mmh: u32) {
-        use crate::neuracore::TickOutcome;
+    fn record_core_tick(&mut self, outcome: TickOutcome, mmh: u32) {
         match outcome {
             TickOutcome::Busy => self.scratch.busy += 1,
             TickOutcome::Stalled => self.scratch.stall += 1,
@@ -390,50 +429,42 @@ impl Profiler {
         self.scratch.mmh_retired += u64::from(mmh);
     }
 
-    /// Marks that the NoC refused at least one injection this cycle.
-    pub(crate) fn note_noc_backpressure(&mut self) {
+    fn note_noc_backpressure(&mut self) {
         self.scratch.noc_backpressure = true;
     }
 
-    /// Marks that the dispatcher had work but placed nothing this cycle.
-    pub(crate) fn note_dispatch_starved(&mut self) {
+    fn note_dispatch_starved(&mut self) {
         self.scratch.dispatch_starved = true;
     }
 
-    /// Records one delivered packet's hop count.
-    pub(crate) fn record_hops(&mut self, hops: u32) {
+    fn record_hops(&mut self, hops: u32) {
         let h = hops as usize;
         if self.hop_counts.len() <= h {
             self.hop_counts.resize(h + 1, 0);
         }
         self.hop_counts[h] += 1;
-        self.hops.record(f64::from(hops));
     }
 
-    /// Samples the NoC's in-flight packet count after its tick.
-    pub(crate) fn record_noc_in_flight(&mut self, in_flight: u64) {
+    fn record_noc_in_flight(&mut self, in_flight: u64) {
         let window = self.current_window();
         window.noc_in_flight_peak = window.noc_in_flight_peak.max(in_flight);
     }
 
-    /// Records the mems' post-tick state: chip-wide pad occupancy, the
-    /// cycle's full-stall delta and HACCs processed.
-    pub(crate) fn record_mems(&mut self, occupancy: u64, pad_full_delta: u64, hacc_delta: u64) {
-        self.scratch.pad_full_stalls += pad_full_delta;
-        self.scratch.hacc_retired += hacc_delta;
-        let window = self.current_window();
-        window.pad_occupancy_peak = window.pad_occupancy_peak.max(occupancy);
+    fn record_mem(&mut self, before: usize, after: usize, pad_full: u64, haccs: u64) {
+        self.pad_occupancy = self.pad_occupancy + after as u64 - before as u64;
+        self.scratch.pad_full_stalls += pad_full;
+        self.scratch.hacc_retired += haccs;
     }
 
-    /// Records one completed DRAM request's latency in cycles. Also
-    /// called during the drain epilogue (the histogram is aggregate, not
-    /// windowed, so late write-backs still count).
-    pub(crate) fn record_dram_response(&mut self, latency: u64) {
+    /// The histogram is aggregate, not windowed, so the epilogue's late
+    /// write-backs still count.
+    fn record_dram_response(&mut self, latency: u64) {
         self.dram_latency.record(latency as f64);
     }
 
-    /// Samples one channel's queue depth and the running in-flight total.
-    pub(crate) fn record_channel(&mut self, channel: usize, queued: u64) {
+    /// Keeps the channel's own peak and, per window, the largest depth
+    /// any single channel reached.
+    fn record_channel(&mut self, channel: usize, queued: u64) {
         if self.channel_queue_peaks.len() <= channel {
             self.channel_queue_peaks.resize(channel + 1, 0);
         }
@@ -442,8 +473,7 @@ impl Profiler {
         window.hbm_queue_peak = window.hbm_queue_peak.max(queued);
     }
 
-    /// Samples the chip-wide in-flight HBM transaction count.
-    pub(crate) fn record_hbm_in_flight(&mut self, in_flight: u64) {
+    fn record_hbm_in_flight(&mut self, in_flight: u64) {
         self.hbm_in_flight_peak = self.hbm_in_flight_peak.max(in_flight);
         let window = self.current_window();
         window.hbm_in_flight_peak = window.hbm_in_flight_peak.max(in_flight);
@@ -451,7 +481,7 @@ impl Profiler {
 
     /// Closes the cycle: attributes the cycle's stalls to their cause and
     /// folds the scratch counters into the current window.
-    pub(crate) fn end_cycle(&mut self) {
+    fn end_cycle(&mut self) {
         debug_assert!(self.in_cycle, "end_cycle without begin_cycle");
         self.in_cycle = false;
         let scratch = self.scratch;
@@ -464,7 +494,9 @@ impl Profiler {
         } else {
             StallCause::OperandFetch
         };
+        let pad_occupancy = self.pad_occupancy;
         let window = self.current_window();
+        window.pad_occupancy_peak = window.pad_occupancy_peak.max(pad_occupancy);
         window.busy += scratch.busy;
         window.stall += scratch.stall;
         window.idle += scratch.idle;
@@ -478,7 +510,7 @@ impl Profiler {
     /// write-back epilogue the windows never saw; its core-cycles become
     /// [`Profile::epilogue_idle`] so busy + stall + idle conserves to
     /// `cores × total_cycles`.
-    pub(crate) fn finalize(&mut self, total_cycles: u64, cores: u64, mems: u64, channels: u64) {
+    fn finalize(&mut self, total_cycles: u64, cores: u64, mems: u64, channels: u64) {
         debug_assert!(!self.in_cycle, "finalize inside an open cycle");
         let windows = std::mem::take(&mut self.windows);
         let mut sums = ProfileWindow::default();
@@ -499,6 +531,12 @@ impl Profiler {
             observed <= expected,
             "profiler observed {observed} core-cycles but the run only spans {expected}"
         );
+        // The mergeable histogram is the exact one re-bucketed.
+        let hop_counts = std::mem::take(&mut self.hop_counts);
+        let mut hops = LatencyHistogram::new();
+        for (h, &packets) in hop_counts.iter().enumerate() {
+            hops.record_n(h as f64, packets);
+        }
         let mut channel_queue_peaks = std::mem::take(&mut self.channel_queue_peaks);
         channel_queue_peaks.resize(channels as usize, 0);
         self.finished = Some(Profile {
@@ -515,8 +553,8 @@ impl Profiler {
             stall_by,
             mmh_retired: sums.mmh_retired,
             hacc_retired: sums.hacc_retired,
-            hop_counts: std::mem::take(&mut self.hop_counts),
-            hops: std::mem::take(&mut self.hops),
+            hop_counts,
+            hops,
             dram_latency: std::mem::take(&mut self.dram_latency),
             channel_queue_peaks,
             hbm_in_flight_peak: self.hbm_in_flight_peak,

@@ -16,17 +16,26 @@
 //! eviction policy, where most core ticks find every pipeline waiting on
 //! DRAM. Its values were captured before stalled cores took the O(1) tick.
 //!
+//! A third table pins the *observed* side, which the reports do not
+//! show: the `Debug` rendering of the whole [`Profile`] — window split,
+//! stall buckets, hop counts, both latency histograms, queue peaks — of
+//! `run_spgemm_profiled` at two window widths on four of the cells above.
+//! Its values were captured on a checkout of the parent of the commit
+//! that turned the run loop into a `Machine` with an observer seam
+//! (4f3113e), so that refactor is judged against the loop it replaced.
+//!
 //! A change that *means* to alter the modelled machine re-captures the
 //! tables: the failure message prints the rows to paste.
 
 use neura_chip::accelerator::{Accelerator, ExecutionReport};
 use neura_chip::config::{ChipConfig, EvictionPolicy, TileSize};
 use neura_chip::mapping::MappingKind;
+use neura_chip::profile::{Profile, Profiler};
 use neura_mem::HbmPreset;
 use neura_sparse::gen::GraphGenerator;
 use neura_sparse::CsrMatrix;
 
-/// FNV-1a over the report's `Debug` text (stable across platforms and
+/// FNV-1a over a `Debug` text (stable across platforms and
 /// std versions, unlike `DefaultHasher`).
 fn fnv1a(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
@@ -34,39 +43,51 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-fn run(a: &CsrMatrix, config: &ChipConfig) -> ExecutionReport {
-    Accelerator::new(config.clone()).run_spgemm(a, a).expect("simulation drains").report
+fn run(a: &CsrMatrix, config: &ChipConfig) -> (u64, ExecutionReport) {
+    let report =
+        Accelerator::new(config.clone()).run_spgemm(a, a).expect("simulation drains").report;
+    (report.total_cycles, report)
 }
 
-/// Runs every `(label, config)` cell on `a`, compares
-/// `(total_cycles, fnv1a(Debug))` with `golden` in order and returns the
-/// reports.
-fn assert_pinned(
-    a: &CsrMatrix,
-    cells: Vec<(String, ChipConfig)>,
+fn run_profiled(a: &CsrMatrix, config: &ChipConfig, window_cycles: u64) -> (u64, Profile) {
+    let mut profiler = Profiler::new(window_cycles);
+    Accelerator::new(config.clone())
+        .run_spgemm_profiled(a, a, Some(&mut profiler))
+        .expect("simulation drains");
+    let profile = profiler.into_profile();
+    (profile.total_cycles, profile)
+}
+
+/// Runs every `(label, cell)` through `run`, compares the
+/// `(total_cycles, fnv1a(Debug))` of what it returns with `golden` in
+/// order and returns the results.
+fn assert_pinned<C, T: std::fmt::Debug>(
+    cells: Vec<(String, C)>,
     golden: &[(u64, u64)],
-) -> Vec<ExecutionReport> {
+    run: impl Fn(&C) -> (u64, T),
+) -> Vec<T> {
     assert_eq!(cells.len(), golden.len());
-    let reports: Vec<ExecutionReport> = cells.iter().map(|(_, config)| run(a, config)).collect();
-    let hashes: Vec<u64> = reports.iter().map(|report| fnv1a(&format!("{report:?}"))).collect();
-    let table: String = reports
+    let results: Vec<(u64, T)> = cells.iter().map(|(_, cell)| run(cell)).collect();
+    let hashes: Vec<u64> =
+        results.iter().map(|(_, result)| fnv1a(&format!("{result:?}"))).collect();
+    let table: String = results
         .iter()
         .zip(&hashes)
         .zip(&cells)
-        .map(|((report, hash), (label, _))| {
-            format!("    ({}, {hash:#018x}), // {label}\n", report.total_cycles)
+        .map(|(((cycles, _), hash), (label, _))| {
+            format!("    ({cycles}, {hash:#018x}), // {label}\n")
         })
         .collect();
-    for (((report, hash), (label, _)), golden) in
-        reports.iter().zip(&hashes).zip(&cells).zip(golden)
+    for ((((cycles, result), hash), (label, _)), golden) in
+        results.iter().zip(&hashes).zip(&cells).zip(golden)
     {
         assert_eq!(
-            (report.total_cycles, *hash),
+            (*cycles, *hash),
             *golden,
-            "{label} diverged from the pinned loop; its report is now\n{report:?}\nfull table:\n{table}"
+            "{label} diverged from the pinned loop; it is now\n{result:?}\nfull table:\n{table}"
         );
     }
-    reports
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
 /// `(total_cycles, fnv1a(Debug))` per cell, in `cells()` order.
@@ -110,7 +131,7 @@ fn execution_reports_match_the_pinned_loop() {
             }
         }
     }
-    assert_pinned(&a, cells, &GOLDEN);
+    assert_pinned(cells, &GOLDEN, |config| run(&a, config));
 }
 
 /// `(total_cycles, fnv1a(Debug))` per stall-bound cell, in loop order.
@@ -138,10 +159,51 @@ fn stall_bound_reports_match_the_pinned_loop() {
             }
         }
     }
-    for report in assert_pinned(&a, cells, &GOLDEN_STALLED) {
+    for report in assert_pinned(cells, &GOLDEN_STALLED, |config| run(&a, config)) {
         assert!(
             report.core_stall_cycles > report.core_busy_cycles,
             "the cell is meant to be stall-bound: {report:?}"
         );
     }
+}
+
+/// `(total_cycles, fnv1a(Debug))` per profiled cell and window width.
+const GOLDEN_PROFILES: [(u64, u64); 8] = [
+    (1370, 0xbfce530a4c4fb98c), // Tile-4 Rolling drhm / 256
+    (1370, 0x84470e4a6815c12b), // Tile-4 Rolling drhm / 1000
+    (3053, 0x20046b39fdda9738), // Tile-16 Barrier ring / 256
+    (3053, 0x50168a192edca4b5), // Tile-16 Barrier ring / 1000
+    (3021, 0x6035ce7d171a370e), // Tile-64 ddr4 Rolling / 256
+    (3021, 0x943bbca0a62605bc), // Tile-64 ddr4 Rolling / 1000
+    (4454, 0x8c40c55078f1e47a), // Tile-64 ddr4 Barrier / 256
+    (4454, 0x301ef3ad850a6382), // Tile-64 ddr4 Barrier / 1000
+];
+
+#[test]
+fn profiles_match_the_pinned_loop() {
+    let power_law = GraphGenerator::power_law(64, 64 * 6, 2.1, 3).generate().to_csr();
+    let banded = GraphGenerator::banded(96, 6, 3).generate().to_csr();
+    let stalled =
+        |eviction| ChipConfig::tile_64().with_hbm_preset(HbmPreset::Ddr4).with_eviction(eviction);
+    let configs = [
+        ("Tile-4 Rolling drhm", &power_law, ChipConfig::tile_4()),
+        (
+            "Tile-16 Barrier ring",
+            &power_law,
+            ChipConfig::tile_16()
+                .with_eviction(EvictionPolicy::Barrier)
+                .with_mapping(MappingKind::Ring),
+        ),
+        ("Tile-64 ddr4 Rolling", &banded, stalled(EvictionPolicy::Rolling)),
+        ("Tile-64 ddr4 Barrier", &banded, stalled(EvictionPolicy::Barrier)),
+    ];
+    let mut cells = Vec::new();
+    for (label, a, config) in configs {
+        for window_cycles in [256, 1_000] {
+            cells.push((format!("{label} / {window_cycles}"), (a, config.clone(), window_cycles)));
+        }
+    }
+    assert_pinned(cells, &GOLDEN_PROFILES, |(a, config, window_cycles)| {
+        run_profiled(a, config, *window_cycles)
+    });
 }

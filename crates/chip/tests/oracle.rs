@@ -1,0 +1,203 @@
+//! The functional oracle: whatever the configuration and however
+//! degenerate the input, the simulated chip computes what the reference
+//! kernel computes, or says — with a typed error, inside its cycle
+//! budget — that it could not.
+//!
+//! SpGEMM is compared with `==`, pattern *and* values. That is sound
+//! because every input here is integer-valued: partial products and their
+//! sums are exact in `f64`, so the order in which a HashPad happens to
+//! accumulate them cannot round differently from Gustavson's. Aggregation
+//! uses real-valued features and is held to `1e-9` instead.
+
+use neura_chip::accelerator::{Accelerator, ChipError};
+use neura_chip::config::{ChipConfig, EvictionPolicy, TileSize};
+use neura_chip::mapping::MappingKind;
+use neura_mem::HbmPreset;
+use neura_sparse::gen::{feature_matrix, GraphGenerator};
+use neura_sparse::{spgemm, spmm, CooMatrix, CsrMatrix};
+
+const EVICTIONS: [EvictionPolicy; 2] = [EvictionPolicy::Rolling, EvictionPolicy::Barrier];
+
+/// An `n × n` matrix holding a small positive integer at every `(r, c)`
+/// that `keep` selects.
+fn integer_matrix(n: usize, keep: impl Fn(usize, usize) -> bool) -> CsrMatrix {
+    let mut coo = CooMatrix::new(n, n);
+    for r in 0..n {
+        for c in (0..n).filter(|&c| keep(r, c)) {
+            coo.push(r, c, (1 + (3 * r + 5 * c) % 7) as f64).expect("in bounds");
+        }
+    }
+    coo.to_csr()
+}
+
+fn dense_row_and_column() -> CsrMatrix {
+    integer_matrix(6, |r, c| r == 2 || c == 4)
+}
+
+fn dense_6x6() -> CsrMatrix {
+    integer_matrix(6, |_, _| true)
+}
+
+/// Unweighted generator output: every stored value is an edge multiplicity.
+fn power_law_32() -> CsrMatrix {
+    GraphGenerator::power_law(32, 32 * 4, 2.1, 17).generate().to_csr()
+}
+
+fn banded_40() -> CsrMatrix {
+    GraphGenerator::banded(40, 2, 17).generate().to_csr()
+}
+
+/// Shapes a compiler or a drain check is likeliest to get wrong.
+fn degenerate_shapes() -> Vec<(&'static str, CsrMatrix)> {
+    vec![
+        ("4x4 empty", CsrMatrix::zeros(4, 4)),
+        ("0x0", CsrMatrix::zeros(0, 0)),
+        ("1x1", integer_matrix(1, |_, _| true)),
+        ("identity-5", CsrMatrix::identity(5)),
+        ("dense row + dense column", dense_row_and_column()),
+        ("dense 6x6", dense_6x6()),
+    ]
+}
+
+/// Every (tile × eviction × mapping × HBM preset × MMH height) cell.
+fn full_grid() -> Vec<(String, ChipConfig)> {
+    let mut grid = Vec::new();
+    for tile in TileSize::ALL {
+        for eviction in EVICTIONS {
+            for mapping in MappingKind::ALL {
+                for preset in [HbmPreset::Hbm2, HbmPreset::Ddr4] {
+                    for mmh in [1, 4, 8] {
+                        let config = ChipConfig::for_tile_size(tile)
+                            .with_eviction(eviction)
+                            .with_mapping(mapping)
+                            .with_hbm_preset(preset)
+                            .with_mmh_tile(mmh);
+                        let label = format!(
+                            "{} {eviction:?} {} {} MMH{mmh}",
+                            tile.name(),
+                            mapping.name(),
+                            preset.name()
+                        );
+                        grid.push((label, config));
+                    }
+                }
+            }
+        }
+    }
+    grid
+}
+
+fn assert_spgemm_matches(name: &str, a: &CsrMatrix, label: &str, config: &ChipConfig) {
+    let run = Accelerator::new(config.clone())
+        .run_spgemm(a, a)
+        .unwrap_or_else(|e| panic!("{name} on {label}: {e}"));
+    assert_eq!(run.product, spgemm::gustavson(a, a), "{name} on {label}");
+}
+
+#[test]
+fn degenerate_spgemm_equals_the_reference_on_every_configuration() {
+    let grid = full_grid();
+    assert_eq!(grid.len(), 144);
+    for (name, a) in degenerate_shapes() {
+        for (label, config) in &grid {
+            assert_spgemm_matches(name, &a, label, config);
+        }
+    }
+}
+
+#[test]
+fn graph_spgemm_equals_the_reference_on_every_configuration() {
+    let grid = full_grid();
+    for (name, a) in [("power-law 32", power_law_32()), ("banded 40", banded_40())] {
+        for (label, config) in &grid {
+            assert_spgemm_matches(name, &a, label, config);
+        }
+    }
+}
+
+#[test]
+fn aggregation_equals_the_reference_within_rounding() {
+    let shapes = [
+        ("4x4 empty", CsrMatrix::zeros(4, 4)),
+        ("0x0", CsrMatrix::zeros(0, 0)),
+        ("1x1", integer_matrix(1, |_, _| true)),
+        ("power-law 32", power_law_32()),
+        ("banded 40", banded_40()),
+    ];
+    for (name, a) in &shapes {
+        for width in [1, 3] {
+            let x = feature_matrix(a.cols(), width, 5);
+            let reference = spmm::spmm(a, &x).expect("shapes agree");
+            for tile in TileSize::ALL {
+                for eviction in EVICTIONS {
+                    let config = ChipConfig::for_tile_size(tile).with_eviction(eviction);
+                    let run = Accelerator::new(config).run_aggregation(a, &x).unwrap_or_else(|e| {
+                        panic!("{name} x{width} on {tile:?} {eviction:?}: {e}")
+                    });
+                    let diff = run.aggregated.max_abs_diff(&reference).expect("shapes agree");
+                    assert!(
+                        diff <= 1e-9,
+                        "{name} x{width} on {tile:?} {eviction:?}: off by {diff}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A budget is a bound on `total_cycles`: every budget short of the full
+/// run is a typed `Incomplete` that spent exactly the budget — never a
+/// hang, never a truncated `Ok`.
+#[test]
+fn every_short_budget_is_incomplete() {
+    let a = dense_row_and_column();
+    for eviction in EVICTIONS {
+        let config = ChipConfig::tile_4().with_eviction(eviction);
+        let full = Accelerator::new(config.clone()).run_spgemm(&a, &a).expect("drains");
+        let total = full.report.total_cycles;
+        for budget in 0..total {
+            match Accelerator::new(config.clone()).with_max_cycles(budget).run_spgemm(&a, &a) {
+                Err(ChipError::Incomplete { cycles, .. }) => assert_eq!(cycles, budget),
+                other => panic!("{eviction:?}: budget {budget} of {total} gave {other:?}"),
+            }
+        }
+        let exact = Accelerator::new(config).with_max_cycles(total).run_spgemm(&a, &a);
+        assert_eq!(exact.expect("the full run fits its own length").product, full.product);
+    }
+}
+
+/// A HashPad smaller than the set of tags live at once cannot finish some
+/// of these runs (a full pad stalls head-of-line on a tag that is not
+/// resident). Whatever happens, the answer is the right product or the
+/// typed error within the budget.
+#[test]
+fn an_undersized_hashpad_is_correct_or_incomplete() {
+    const BUDGET: u64 = 4_000;
+    let mut wedged = 0;
+    for (name, a) in
+        [("dense row + dense column", dense_row_and_column()), ("dense 6x6", dense_6x6())]
+    {
+        let reference = spgemm::gustavson(&a, &a);
+        for hashlines in 1..=3 {
+            for eviction in EVICTIONS {
+                for mapping in MappingKind::ALL {
+                    let mut config =
+                        ChipConfig::tile_4().with_eviction(eviction).with_mapping(mapping);
+                    config.mem.hashlines = hashlines;
+                    let label =
+                        format!("{name}, {hashlines} lines, {eviction:?} {}", mapping.name());
+                    match Accelerator::new(config).with_max_cycles(BUDGET).run_spgemm(&a, &a) {
+                        Ok(run) => assert_eq!(run.product, reference, "{label}"),
+                        Err(ChipError::Incomplete { cycles, outstanding_haccs }) => {
+                            assert_eq!(cycles, BUDGET, "{label}");
+                            assert!(outstanding_haccs > 0, "{label}");
+                            wedged += 1;
+                        }
+                        Err(other) => panic!("{label}: {other}"),
+                    }
+                }
+            }
+        }
+    }
+    assert!(wedged > 0, "no cell was undersized enough to wedge: shrink the pads");
+}

@@ -102,5 +102,6 @@ pub use scenario::{RateShape, ScenarioSpec, ShapedStream, TenantMix, TenantSpec}
 pub use sim::{ServeConfig, ServeOutcome, TenantOutcome, SHED_LATENCY_S};
 pub use spec::{FleetMix, ServeScenario, ServeSweep, WorkloadAxis};
 pub use telemetry::{
-    LatencyHistogram, ShedReason, Timeline, Trace, TraceEvent, WindowStats, RELATIVE_ERROR_BOUND,
+    LatencyHistogram, ShedReason, Timeline, Trace, TraceEvent, WindowStats, MAX_TIMELINE_WINDOWS,
+    RELATIVE_ERROR_BOUND,
 };

@@ -254,6 +254,13 @@ impl WindowStats {
     }
 }
 
+/// The most windows a [`Timeline`] may hold. The count is
+/// `makespan / window_s` with a caller-chosen — on the command line,
+/// user-typed — width, and every window is allocated up front, so it is
+/// bounded the way [`crate::engine::MAX_EPOCHS`] bounds `--epochs`. The default
+/// width gives about 50 windows.
+pub const MAX_TIMELINE_WINDOWS: usize = 1 << 14;
+
 /// The windowed time-series view of one traced replay.
 ///
 /// Built by [`Timeline::build`] from a [`Trace`] and its
@@ -289,11 +296,21 @@ impl Timeline {
     ///
     /// # Panics
     ///
-    /// Panics unless `window_s` is positive and finite.
+    /// Panics unless `window_s` is positive and finite, and when it cuts
+    /// the makespan into more than [`MAX_TIMELINE_WINDOWS`] windows (a
+    /// caller that takes the width from a user checks it against the
+    /// horizon first; a replay that drains long after its horizon can
+    /// still land here).
     pub fn build(trace: &Trace, outcome: &ServeOutcome, window_s: f64) -> Self {
         assert!(window_s > 0.0 && window_s.is_finite(), "window width must be a positive time");
         let makespan = outcome.makespan_s;
-        let count = ((makespan / window_s).ceil() as usize).max(1);
+        let count = (makespan / window_s).ceil();
+        assert!(
+            count <= MAX_TIMELINE_WINDOWS as f64,
+            "a {window_s} s window cuts the {makespan} s makespan into {count} windows, more \
+             than MAX_TIMELINE_WINDOWS = {MAX_TIMELINE_WINDOWS}: widen the window"
+        );
+        let count = (count as usize).max(1);
         let window_of = |t: f64| ((t / window_s) as usize).min(count - 1);
         let groups = trace.groups.len();
         let mut windows: Vec<WindowStats> = (0..count)

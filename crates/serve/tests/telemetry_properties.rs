@@ -87,6 +87,15 @@ fn run_library_scenario_traced(scenario: &ScenarioSpec, window_s: f64) -> (Serve
     (outcome, timeline)
 }
 
+/// The window count comes from a caller-chosen width, so `build` bounds it
+/// before allocating anything: a nanosecond window over a 0.3 s replay
+/// would otherwise try to reserve hundreds of millions of windows.
+#[test]
+#[should_panic(expected = "more than MAX_TIMELINE_WINDOWS")]
+fn a_window_far_narrower_than_the_replay_is_refused() {
+    run_library_scenario_traced(&ScenarioSpec::library()[0], 1e-9);
+}
+
 /// Exact nearest-rank percentile by sorting, the histogram's ground
 /// truth.
 fn exact_percentile(values: &[f64], pct: f64) -> f64 {

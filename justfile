@@ -7,7 +7,7 @@
 bins := "table1 table3 table4 table5 fig11 fig13 fig14 fig15 fig16 fig17 ablation"
 
 # Run everything CI runs.
-ci: fmt clippy doc build test perf-selftest artifacts tune serve serve-parallel trace xval profile
+ci: fmt clippy doc loc build test perf-selftest artifacts tune serve serve-parallel trace xval profile
 
 # Formatting check (apply with `just fmt-fix`).
 fmt:
@@ -23,6 +23,12 @@ clippy:
 # API docs, warnings are errors (broken or private intra-doc links).
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+# Non-test lines of Rust per crate (lines before each file's first
+# `#[cfg(test)]`): the figure the simplicity PRs report in CHANGES.md.
+# Printed, never gated.
+loc:
+    bash scripts/loc.sh
 
 # Release build of every crate and binary.
 build:
@@ -155,7 +161,7 @@ xval-paper:
 # Conservation is enforced even at smoke scale.
 profile:
     NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin profile -- --json \
-        --dataset facebook --dataset wiki-Vote --dataset cage12 --require-conservation
+        --dataset facebook --dataset wiki-Vote --dataset cage12
     cargo run --release -q -p neura_bench --bin trend -- \
         baselines/profile-smoke.json target/artifacts/profile.json --fail-above 0
 
@@ -163,7 +169,7 @@ profile:
 # profiler change (review the trend diff first).
 profile-rebaseline:
     NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin profile -- --json \
-        --dataset facebook --dataset wiki-Vote --dataset cage12 --require-conservation
+        --dataset facebook --dataset wiki-Vote --dataset cage12
     cp target/artifacts/profile.json baselines/profile-smoke.json
 
 # The full profiler sweep at paper scale: all 20 datasets on size-matched
