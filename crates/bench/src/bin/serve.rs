@@ -58,9 +58,6 @@
 //!   results are thread-count invariant at a fixed lane count)
 //! - `--no-meta` — suppress the wall-clock/engine meta fields in the
 //!   artifact, so byte-comparison across thread counts stays exact
-//! - `--speedup` — after the sweep, replay one large closed-loop lane
-//!   scenario twice (single-threaded, then on the full pool), assert the
-//!   outcomes identical and report the measured speedup
 //!
 //! Without fleet/dispatch/clients/autoscale flags, three comparison arms
 //! ride along with the classic shard-scaling sweep: a heterogeneous
@@ -92,21 +89,23 @@ use neura_serve::cost::{analytic_class_cost, hybrid_scaled_cycles, CostModel};
 use neura_serve::policy::{DEFAULT_BATCH_TIMEOUT_S, DEFAULT_MAX_BATCH};
 use neura_serve::{
     simulate_config_parallel, simulate_config_traced_parallel, ArrivalProcess, AutoscalePolicy,
-    ClassCost, ClosedLoopSpec, CostTable, DispatchKind, EnginePlan, FaultSpec, FleetMix, Policy,
+    ClassCost, CostTable, DispatchKind, EnginePlan, FaultSpec, FleetMix, Policy, RateShape,
     RequestClass, ScenarioSpec, ServeConfig, ServeScenario, ServeSweep, ShapedStream, TenantMix,
-    TenantSpec, Timeline, Workload, MAX_TIMELINE_WINDOWS,
+    TenantSpec, Timeline, Workload, WorkloadAxis, MAX_STREAM_REQUESTS, MAX_TIMELINE_WINDOWS,
 };
 use neura_sparse::DatasetCatalog;
 
 /// Clients of the default closed-loop arm.
 const DEFAULT_CLIENTS: usize = 64;
 
-/// Clients of the `--speedup` demo scenario (closed loop, lane-parallel).
-const SPEEDUP_CLIENTS: usize = 100_000;
+/// The most clients a `--clients` population may have: each gets its own
+/// seeded RNG stream before the replay starts.
+const MAX_CLIENTS: usize = 1 << 20;
 
-/// Shards (one Tile-16 group) of the `--speedup` demo fleet — also the
-/// cap on the demo's lane count.
-const SPEEDUP_SHARDS: usize = 8;
+/// The most shard slots one fleet may hold, however they are asked for
+/// (`--shards`, `--fleet`, the upper bound of `--autoscale`): every slot is
+/// allocated up front and every event walks all of them.
+const MAX_FLEET_SHARDS: usize = 1 << 12;
 
 fn usage() -> String {
     let mut text =
@@ -116,7 +115,7 @@ fn usage() -> String {
      \x20            [--duration S] [--dataset NAME]... [--max-batch N] [--batch-timeout-ms X]\n\
      \x20            [--scenario NAME]... [--queue-bound N] [--tenant SPEC]... [--fault SPEC]\n\
      \x20            [--trace [PATH]] [--profile [PATH]] [--window-ms X] [--cost-model M]\n\
-     \x20            [--epochs N] [--lanes L] [--no-meta] [--speedup]\n\
+     \x20            [--epochs N] [--lanes L] [--no-meta]\n\
      \n\
      --json [PATH]         write a machine-readable artifact (default: target/artifacts/serve.json)\n\
      --arrival A           poisson | bursty (repeatable; default: poisson)\n\
@@ -160,8 +159,6 @@ fn usage() -> String {
      \x20                    client/shard lanes (a scenario parameter, not a tuning knob)\n\
      --no-meta             omit wall-clock/engine meta fields from the artifact (exact\n\
      \x20                    byte-comparison across thread counts)\n\
-     --speedup             replay one large closed-loop lane scenario single-threaded and\n\
-     \x20                    on the full pool, assert identical outcomes, report speedup\n\
      scenario library:"
         .to_string();
     for sc in ScenarioSpec::library() {
@@ -200,7 +197,6 @@ struct Args {
     epochs: Option<usize>,
     lanes: Option<usize>,
     no_meta: bool,
-    speedup: bool,
     passthrough: Vec<String>,
 }
 
@@ -235,7 +231,6 @@ fn parse_args() -> (Args, Flags) {
         epochs: None,
         lanes: None,
         no_meta: false,
-        speedup: false,
         passthrough: Vec::new(),
     };
     let mut flags = Flags::from_env(usage());
@@ -278,8 +273,8 @@ fn parse_args() -> (Args, Flags) {
             "--clients" => {
                 parsed.clients.push(flags.parsed(
                     "--clients",
-                    "a positive integer",
-                    Flags::at_least_one,
+                    &format!("an integer within 1..={MAX_CLIENTS}"),
+                    |n| (1..=MAX_CLIENTS).contains(n),
                 ));
             }
             "--think-ms" => {
@@ -390,7 +385,6 @@ fn parse_args() -> (Args, Flags) {
                     Some(flags.parsed("--lanes", "a positive integer", Flags::at_least_one));
             }
             "--no-meta" => parsed.no_meta = true,
-            "--speedup" => parsed.speedup = true,
             "--help" | "-h" => flags.help(),
             // Only --json [PATH] is forwarded to the artifact session.
             "--json" => {
@@ -406,8 +400,38 @@ fn parse_args() -> (Args, Flags) {
     (parsed, flags)
 }
 
+/// A stream is materialised whole before its replay starts, so a rate and
+/// a duration whose product passes [`MAX_STREAM_REQUESTS`] are a usage
+/// error here — not the panic `StreamSpec::generate` would answer with,
+/// nor the allocation failure (or, at `--rps 1e300`, the endless loop) that
+/// came before it.
+fn refuse_oversized_stream(flags: &Flags, what: &str, rps: f64, duration_s: f64) {
+    if rps * duration_s > MAX_STREAM_REQUESTS as f64 {
+        flags.bad_usage(&format!(
+            "{what} expects {:?} requests over the {duration_s:?} s duration, and a stream holds \
+             at most {MAX_STREAM_REQUESTS}; the longest --duration that rate accepts is {:?}",
+            rps * duration_s,
+            MAX_STREAM_REQUESTS as f64 / rps
+        ));
+    }
+}
+
+/// Writes a side artifact (`--trace`, `--profile`) where its flag said, or
+/// at its default path.
+fn write_side_artifact(artifact: &Artifact, path: Option<&str>, default_stem: &str) {
+    let path = path.map_or_else(|| Artifact::default_path(default_stem), std::path::PathBuf::from);
+    artifact.write(&path).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    println!("wrote {} ({} records)", path.display(), artifact.records.len());
+}
+
 fn main() {
     let (mut args, flags) = parse_args();
+    // An explicit rate keeps --duration as typed, so its streams can be
+    // sized before anything runs; the calibrated rates are checked below,
+    // once the cost table they derive from exists.
+    for &rps in &args.rps {
+        refuse_oversized_stream(&flags, &format!("--rps {rps:?}"), rps, args.duration_s);
+    }
     // Profiles come out of the per-class cycle simulations; the analytic
     // and hybrid models have no (or too few) simulations to attach to.
     if args.profile && args.cost_model != CostModel::Cycle {
@@ -426,6 +450,20 @@ fn main() {
     if args.fleets.is_empty() {
         args.fleets =
             vec![1, 2, 4].into_iter().map(|n| FleetMix::uniform(TileSize::Tile16, n)).collect();
+    }
+    // Every slot of a fleet is allocated before its replay starts — under
+    // an autoscaler, up to its upper bound in every group.
+    for mix in &args.fleets {
+        let slots = mix.groups.iter().fold(0usize, |slots, group| {
+            slots.saturating_add(args.autoscale.map_or(group.shards, |(_, max)| max))
+        });
+        if slots > MAX_FLEET_SHARDS {
+            flags.bad_usage(&format!(
+                "fleet {:?} holds {slots} shard slots, and a fleet may hold 1..={MAX_FLEET_SHARDS} \
+                 (--shards, --fleet and the upper bound of --autoscale all count)",
+                mix.id
+            ));
+        }
     }
     // An autoscaled group must start inside the controller's bounds; catch
     // the mismatch here as a usage error instead of a simulation panic.
@@ -489,9 +527,8 @@ fn main() {
     if default_arms {
         tiles.extend([TileSize::Tile4, TileSize::Tile16, TileSize::Tile64]);
     }
-    if !scenario_specs.is_empty() || args.speedup {
-        // Scenario arms always run on a two-shard Tile-16 fleet, and the
-        // --speedup demo fleet is Tile-16 too.
+    if !scenario_specs.is_empty() {
+        // Scenario arms always run on a two-shard Tile-16 fleet.
         tiles.push(TileSize::Tile16);
     }
     tiles.sort_by_key(|t| t.label());
@@ -606,8 +643,7 @@ fn main() {
     // first fleet's leading group. Derived from the memoised cycle costs,
     // so everything stays a pure function of the inputs.
     let ref_fp = args.fleets[0].groups[0].config.fingerprint();
-    let mean_service_s = classes.iter().map(|&c| costs.service_seconds(&ref_fp, c, 1)).sum::<f64>()
-        / classes.len() as f64;
+    let mean_service_s = costs.mean_service_seconds(&ref_fp, &classes);
     if !args.batch_timeout_given {
         args.batch_timeout_s = mean_service_s * 20.0;
     }
@@ -717,11 +753,8 @@ fn main() {
     // under a 1..4-shard autoscaler whose provisioning path doubles as
     // the crash-recovery path.
     let scn_fleet = FleetMix::uniform(TileSize::Tile16, 2);
-    let scn_service_s = {
-        let fp = scn_fleet.groups[0].config.fingerprint();
-        classes.iter().map(|&c| costs.service_seconds(&fp, c, 1)).sum::<f64>()
-            / classes.len() as f64
-    };
+    let scn_service_s =
+        costs.mean_service_seconds(&scn_fleet.groups[0].config.fingerprint(), &classes);
     for sc in &scenario_specs {
         let rps = (sc.load * scn_fleet.total_shards() as f64 / scn_service_s).max(1.0).round();
         let mut arm = base
@@ -765,6 +798,16 @@ fn main() {
     };
     if args.trace && !window_fits(duration_s) {
         refuse_window(duration_s, "horizon");
+    }
+    // The calibrated rates — the auto rate, the scenario arms' — now have
+    // their duration: size every open-loop stream at the rate its
+    // generator runs at, the shapes' peak, before the first is built.
+    for scenario in &scenarios {
+        if let WorkloadAxis::Open { rps, .. } = scenario.workload {
+            let shapes = scenario.scenario.iter().flat_map(|sc| &sc.shapes);
+            let peak_rps = rps * shapes.map(RateShape::peak).product::<f64>();
+            refuse_oversized_stream(&flags, &scenario.id, peak_rps, duration_s);
+        }
     }
     let cli_tenants = (!args.tenants.is_empty()).then(|| TenantMix::new(args.tenants.clone()));
     // The engine plan every replay runs under: serial unless --epochs /
@@ -900,15 +943,7 @@ fn main() {
     }
 
     if args.trace {
-        let path = args
-            .trace_path
-            .as_deref()
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| Artifact::default_path("timeline"));
-        timeline_artifact
-            .write(&path)
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-        println!("wrote {} ({} records)", path.display(), timeline_artifact.records.len());
+        write_side_artifact(&timeline_artifact, args.trace_path.as_deref(), "timeline");
     }
 
     if args.profile {
@@ -935,70 +970,7 @@ fn main() {
             }
             profile_artifact.extend(records);
         }
-        let path = args
-            .profile_path
-            .as_deref()
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| Artifact::default_path("serve-profile"));
-        profile_artifact
-            .write(&path)
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-        println!("wrote {} ({} records)", path.display(), profile_artifact.records.len());
-    }
-
-    if args.speedup {
-        // One large closed-loop scenario, lane-decomposed, replayed twice:
-        // pinned to one thread and on the full pool. Lanes are a scenario
-        // parameter, so both replays run the *same* lane plan — the engine
-        // guarantees the outcomes identical, and the wall-clock ratio is
-        // the thread-level speedup of the lane decomposition.
-        let lanes = args
-            .lanes
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-            .clamp(1, SPEEDUP_SHARDS);
-        let demo_fleet = FleetMix::uniform(TileSize::Tile16, SPEEDUP_SHARDS);
-        let fp = demo_fleet.groups[0].config.fingerprint();
-        let service_s = classes.iter().map(|&c| costs.service_seconds(&fp, c, 1)).sum::<f64>()
-            / classes.len() as f64;
-        let spec = ClosedLoopSpec {
-            clients: SPEEDUP_CLIENTS,
-            think_s: service_s,
-            duration_s: service_s * 12_500.0,
-            mix_size: mix_len,
-            shrinks: REQUEST_SHRINKS.to_vec(),
-            seed: derive_seed(STREAM_SEED, "speedup"),
-        };
-        let workload = Workload::Closed(spec);
-        let cfg =
-            ServeConfig::new(Policy::Fifo, &demo_fleet.groups, DispatchKind::LeastLoaded, &costs);
-        let lane_plan = EnginePlan::serial().with_lanes(lanes);
-        let pinned_plan = lane_plan.clone().with_threads(1);
-        let started = std::time::Instant::now();
-        let serial = simulate_config_parallel(&workload, &cfg, &pinned_plan);
-        let serial_wall_s = started.elapsed().as_secs_f64();
-        let started = std::time::Instant::now();
-        let parallel = simulate_config_parallel(&workload, &cfg, &lane_plan);
-        let parallel_wall_s = started.elapsed().as_secs_f64();
-        assert_eq!(serial, parallel, "lane replay must be thread-count invariant");
-        let ratio = serial_wall_s / parallel_wall_s.max(1e-9);
-        println!(
-            "\nspeedup demo: {} closed-loop clients on {} Tile-16 shards, {} lane(s), \
-             {} requests served:\n\
-             \x20 serial (1 thread) {:.3} s — parallel ({} threads) {:.3} s — {:.2}x",
-            SPEEDUP_CLIENTS,
-            SPEEDUP_SHARDS,
-            lanes,
-            serial.requests(),
-            serial_wall_s,
-            runner.threads(),
-            parallel_wall_s,
-            ratio,
-        );
-        if !args.no_meta {
-            session.set_meta("serial_wall_s", serial_wall_s);
-            session.set_meta("parallel_wall_s", parallel_wall_s);
-            session.set_meta("speedup", ratio);
-        }
+        write_side_artifact(&profile_artifact, args.profile_path.as_deref(), "serve-profile");
     }
 
     session.finish();

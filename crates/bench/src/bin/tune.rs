@@ -146,14 +146,8 @@ fn run_serve_p99(
         .map(|rung_shrink| {
             let (costs, fingerprint) =
                 class_costs(&baseline, dataset, rung_shrink, exact_references);
-            let mean_service_s = REQUEST_SHRINKS
-                .iter()
-                .map(|&s| {
-                    costs.service_seconds(&fingerprint, RequestClass { dataset: 0, shrink: s }, 1)
-                })
-                .sum::<f64>()
-                / REQUEST_SHRINKS.len() as f64;
-            let rps = (0.8 / mean_service_s).max(1.0).round();
+            let classes = REQUEST_SHRINKS.map(|shrink| RequestClass { dataset: 0, shrink });
+            let rps = (0.8 / costs.mean_service_seconds(&fingerprint, &classes)).max(1.0).round();
             let duration_s = (2_000.0 / rps).clamp(1e-3, 2.0);
             let stream = StreamSpec {
                 arrival: ArrivalProcess::Poisson,

@@ -3,9 +3,9 @@
 //!
 //! Each binary is executed as a real subprocess (the exact artifact `cargo
 //! run` would launch) with [`neura_bench::SCALE_MULT_ENV`] set so the
-//! workloads shrink to seconds even in debug builds. All seventeen
-//! invocations (fifteen binaries plus a serve-p99 tuner run and an
-//! analytic-cost serve run) execute
+//! workloads shrink to seconds even in debug builds. All nineteen
+//! invocations (fifteen binaries plus a serve-p99 tuner run, an
+//! analytic-cost serve run and a hybrid-cost run of each) execute
 //! concurrently on the same `neura_lab::Runner` scoped-thread pool the
 //! binaries themselves use for their sweeps. Beyond exit status 0 and
 //! non-empty stdout, each binary's `--json` output must parse back through
@@ -24,7 +24,7 @@ const SMOKE_MULT: &str = "32";
 
 /// Every smoke invocation: a unique label (also the artifact file stem),
 /// the binary path, the artifact's `bin` name and extra arguments.
-const INVOCATIONS: [(&str, &str, &str, &[&str]); 17] = [
+const INVOCATIONS: [(&str, &str, &str, &[&str]); 19] = [
     ("table1", env!("CARGO_BIN_EXE_table1"), "table1", &[]),
     ("table3", env!("CARGO_BIN_EXE_table3"), "table3", &[]),
     ("table4", env!("CARGO_BIN_EXE_table4"), "table4", &[]),
@@ -51,6 +51,17 @@ const INVOCATIONS: [(&str, &str, &str, &[&str]); 17] = [
     // The analytic fast path through the serving layer: same scenarios,
     // classes priced by the closed-form model instead of cycle sims.
     ("serve-analytic", env!("CARGO_BIN_EXE_serve"), "serve", &["--cost-model", "analytic"]),
+    // The third pricing model, in both binaries that take it: analytic
+    // estimates rescaled through one cycle anchor per tile (`serve`), and
+    // analytic screening with the final rung re-scored on the cycle oracle
+    // (`tune`) — the `CostModel::Hybrid` arms nothing else runs.
+    ("serve-hybrid", env!("CARGO_BIN_EXE_serve"), "serve", &["--cost-model", "hybrid"]),
+    (
+        "tune-hybrid",
+        env!("CARGO_BIN_EXE_tune"),
+        "tune",
+        &["--dataset", "cora", "--cost-model", "hybrid"],
+    ),
     // Cross-validation harness: two datasets prove the sampling loop and
     // the error-report schema (numeric accuracy is a paper-scale claim,
     // checked by the `xval` golden / `just xval-paper`, not at 32 nodes).
@@ -62,8 +73,8 @@ const INVOCATIONS: [(&str, &str, &str, &[&str]); 17] = [
     ),
     // Chip profiler sweep: two datasets prove the windowed-attribution
     // loop and the profile artifact schema end to end (the full grid is
-    // a `just profile` job; conservation is enforced even at smoke scale
-    // via the flag).
+    // a `just profile` job; a conservation violation in any cell fails the
+    // run at every scale).
     (
         "profile",
         env!("CARGO_BIN_EXE_profile"),
@@ -346,7 +357,7 @@ fn check_scenario_arms(artifact: &Artifact) -> Result<(), String> {
     Ok(())
 }
 
-/// All fourteen invocations, in parallel, through the lab runner.
+/// Every invocation, in parallel, through the lab runner.
 #[test]
 fn all_binaries_run_and_emit_parseable_artifacts() {
     let json_dir = std::env::temp_dir().join(format!("neura_bench_smoke_{}", std::process::id()));
@@ -786,7 +797,9 @@ fn a_timeline_window_too_narrow_for_the_horizon_exits_2() {
 /// The six flag-taking tools share one command-line reader
 /// (`neura_lab::Flags`): an unknown flag and a flag missing its value both
 /// exit with code 2 and put the complaint plus the binary's own usage text
-/// on stderr, before any simulation starts.
+/// on stderr, before any simulation starts. So do the sizes `serve` takes
+/// from its command line — a stream, a client population, a fleet — when
+/// they pass what a replay may allocate.
 #[test]
 fn malformed_command_lines_exit_2_with_the_usage_text() {
     const TOOLS: [(&str, &str, &str); 6] = [
@@ -803,8 +816,19 @@ fn malformed_command_lines_exit_2_with_the_usage_text() {
             (vec![value_flag], format!("{value_flag} needs a value")),
         ];
         if bin == "serve" {
-            // The epoch-width spelling of `--epochs` is gone, not ignored.
+            // The epoch-width spelling of `--epochs` and the lane speed-up
+            // demo are gone, not ignored.
             cases.push((vec!["--epoch-ms", "5"], "unrecognised argument \"--epoch-ms\"".into()));
+            cases.push((vec!["--speedup"], "unrecognised argument \"--speedup\"".into()));
+            // An explicit rate keeps the 2 s default duration: 4e8 requests
+            // once died allocating 5 GB, and 1e300 req/s never returned.
+            let sized = [
+                (vec!["--rps", "200000000"], "--rps 200000000.0 expects 400000000.0 requests"),
+                (vec!["--rps", "1e300"], "--rps 1e300 expects 2e300 requests"),
+                (vec!["--clients", "2000000000"], "--clients \"2000000000\" is not an integer"),
+                (vec!["--shards", "100000000"], "fleet \"t16x100000000\" holds 100000000 shard"),
+            ];
+            cases.extend(sized.map(|(args, complaint)| (args, complaint.to_string())));
         }
         for (args, complaint) in cases {
             let output = Command::new(exe).args(&args).output().expect("spawn binary");

@@ -49,6 +49,14 @@ pub const BURST_PERIOD_S: f64 = 0.5;
 /// Minimum number of on/off periods a bursty stream spans.
 pub const BURST_PERIODS_MIN: f64 = 8.0;
 
+/// The most requests a [`StreamSpec`] may expect, `rps × duration_s`. A
+/// stream is materialised whole before its replay starts, and both factors
+/// are caller-chosen — on the `serve` command line, user-typed — so their
+/// product is bounded the way
+/// [`MAX_TIMELINE_WINDOWS`](crate::telemetry::MAX_TIMELINE_WINDOWS) bounds
+/// a timeline. The sweeps this repository runs stay near 20 000.
+pub const MAX_STREAM_REQUESTS: usize = 1 << 24;
+
 /// The arrival process shaping a request stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalProcess {
@@ -126,12 +134,22 @@ impl StreamSpec {
     /// # Panics
     ///
     /// Panics when the rate or duration is not finite and positive, the mix
-    /// is empty, or no shrink factor is given.
+    /// is empty, no shrink factor is given, or the stream expects more than
+    /// [`MAX_STREAM_REQUESTS`] requests (a caller that takes the rate or
+    /// the duration from a user checks the product first).
     pub fn generate(&self) -> Vec<Request> {
         assert!(self.rps.is_finite() && self.rps > 0.0, "arrival rate must be positive");
         assert!(
             self.duration_s.is_finite() && self.duration_s > 0.0,
             "stream duration must be positive"
+        );
+        assert!(
+            self.rps * self.duration_s <= MAX_STREAM_REQUESTS as f64,
+            "{} req/s over {} s expects {} requests, more than MAX_STREAM_REQUESTS = \
+             {MAX_STREAM_REQUESTS}: shorten the stream",
+            self.rps,
+            self.duration_s,
+            self.rps * self.duration_s
         );
         assert!(self.mix_size >= 1, "the serving mix needs at least one dataset");
         assert!(!self.shrinks.is_empty(), "at least one request shrink factor is required");
@@ -279,11 +297,6 @@ impl ClosedLoopClients {
         let at = completion_s + think;
         (at < self.spec.duration_s).then_some(at)
     }
-
-    /// The population's horizon.
-    pub fn duration_s(&self) -> f64 {
-        self.spec.duration_s
-    }
 }
 
 /// An exponential draw with the given mean (0 when the mean is 0). The RNG
@@ -409,6 +422,19 @@ mod tests {
         StreamSpec { rps: 0.0, ..spec(ArrivalProcess::Poisson, 1) }.generate();
     }
 
+    /// The expected request count is checked before the first request is
+    /// allocated: 2e8 req/s over 2 s would otherwise grow a 16 GB vector,
+    /// and 1e300 req/s would never get past the first millisecond.
+    #[test]
+    fn a_stream_expecting_more_than_the_bound_is_refused_before_it_allocates() {
+        for rps in [2e8, 1e300] {
+            let oversized = StreamSpec { rps, ..spec(ArrivalProcess::Poisson, 1) };
+            let refused = std::panic::catch_unwind(|| oversized.generate());
+            let message = *refused.expect_err("refused").downcast::<String>().expect("a message");
+            assert!(message.contains("more than MAX_STREAM_REQUESTS = 16777216"), "{message}");
+        }
+    }
+
     fn closed_spec(seed: u64) -> ClosedLoopSpec {
         ClosedLoopSpec {
             clients: 4,
@@ -444,7 +470,6 @@ mod tests {
         let next = clients.next_issue_at(0, 0.5).expect("mid-stream completions re-issue");
         assert!(next > 0.5 && next < 1.0 + 1.0, "completion plus a think draw");
         assert_eq!(clients.next_issue_at(0, 1.0), None, "at the horizon the client retires");
-        assert_eq!(clients.duration_s(), 1.0);
     }
 
     #[test]

@@ -282,6 +282,19 @@ impl CostTable {
         entry.service_seconds(fingerprint, class, batch_size, self.marginal_fraction)
     }
 
+    /// Mean single-request service time over `classes` on the fingerprinted
+    /// silicon: what callers calibrate arrival rates, think times, batch
+    /// timeouts and autoscaler cadences against.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `classes` is empty or a pair is unknown.
+    pub fn mean_service_seconds(&self, fingerprint: &str, classes: &[RequestClass]) -> f64 {
+        assert!(!classes.is_empty(), "a mean service time needs at least one class");
+        let total: f64 = classes.iter().map(|&c| self.service_seconds(fingerprint, c, 1)).sum();
+        total / classes.len() as f64
+    }
+
     /// The shortest-job-first weight of one request of a class — its flops,
     /// a property of the workload, not of any chip.
     ///

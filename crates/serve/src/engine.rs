@@ -5,34 +5,48 @@
 //! are the whole replay API: a [`Workload`], a [`ServeConfig`] and an
 //! [`EnginePlan`] in, a [`ServeOutcome`] (and a [`Trace`]) out.
 //!
-//! The event loop is a resumable fragment runner: `run_until` advances
-//! the engine state up to (but excluding) a time limit and can be called
-//! again to continue — the seam between two calls carries the backlog,
-//! the in-flight batches, the fault plan, the pending provisioning ops
-//! and the closed-loop client RNGs, so splitting a replay at any set of
-//! boundaries reproduces the serial event sequence exactly.
+//! **The loop.** A private `Engine` borrows a replay's context and its
+//! `EngineState`, and `Engine::run_until` is a short loop over one method
+//! per step: `dispatch_ready` (ready units go to idle shards),
+//! `next_event_s` (the earliest arrival, completion, batch timeout, crash,
+//! provisioning effect or autoscaler check), then at that instant, in
+//! this order, `complete_due`, `admit_due`, `crash_due`,
+//! `apply_provisioning` and `autoscale_check`. The loop is resumable: it
+//! stops *before* the first event at or past a time limit and can be
+//! called again — the state carries the backlog, the in-flight batches,
+//! the fault plan, the pending provisioning ops and the closed-loop client
+//! RNGs, so splitting a replay at any set of boundaries reproduces the
+//! serial event sequence exactly.
 //!
-//! On top of the fragment runner, an [`EnginePlan`] chooses how a
-//! scenario parallelises:
+//! **The recording seam.** The loop writes no output. Every fact it
+//! produces — dispatch, completion, batch done, arrival, admit, shed,
+//! crash, provisioning failure, scale — is one call on the private
+//! `Record` trait, chosen once per call and monomorphised: `()` keeps
+//! nothing, so whatever only a recorder computes is dropped with it;
+//! `FragmentOut` appends to the vectors that `assemble` — the one place a
+//! [`ServeOutcome`] and a [`Trace`] are built — reads. A recorder only
+//! listens, which is why recorded slices can be cut and merged freely.
+//!
+//! **The plans.** An [`EnginePlan`] chooses how a scenario parallelises:
 //!
 //! - **Epochs** partition the simulated timeline at fixed boundaries.
-//!   A first (cheap, output-free) pass computes the seam state at every
+//!   A first pass, recording into `()`, computes the seam state at every
 //!   boundary; a second pass replays all fragments concurrently on the
-//!   `neura_lab` work-stealing runner, each recording its slice of the
-//!   output, and the slices concatenate in epoch order. Because a pause
-//!   happens *before* the time-advance accrual, a span that crosses a
-//!   boundary is still accrued in one `f64` operation by the next
-//!   fragment — so the merged artifact is byte-identical to the serial
-//!   engine for every epoch count and every thread count (serial = one
-//!   epoch).
+//!   `neura_lab` work-stealing runner, each into its own `FragmentOut`,
+//!   and the slices concatenate in epoch order. Because a pause happens
+//!   *before* the time-advance accrual, a span that crosses a boundary is
+//!   still accrued in one `f64` operation by the next fragment — so the
+//!   merged artifact is byte-identical to the serial engine for every
+//!   epoch count and every thread count (serial = one epoch).
 //! - **Lanes** partition a closed-loop scenario *itself*: clients and
 //!   shard groups split round-robin into independent sub-scenarios that
-//!   replay concurrently and merge deterministically (arrivals by
-//!   `(time, lane, id)`, shard slots re-laid group-major, per-group
-//!   counters summed in lane order). A lane count is part of the
-//!   scenario definition — `lanes = 4` is a *different scenario* than
-//!   `lanes = 1`, with identical results for every thread count — and is
-//!   what buys near-linear speedup on long closed-loop replays.
+//!   replay concurrently, and `merge_lanes` reduces them to what
+//!   `assemble` takes from a single replay (arrivals by `(time, lane,
+//!   id)`, shard slots re-laid group-major, per-group counters summed in
+//!   lane order). A lane count is part of the scenario definition —
+//!   `lanes = 4` is a *different scenario* than `lanes = 1`, with
+//!   identical results for every thread count — and is where the
+//!   wall-clock win on long closed-loop replays lives.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -219,23 +233,20 @@ impl Backlog {
     /// unit for busy preferred silicon, and when a crash returns a
     /// victim's in-flight batch for re-dispatch.
     fn push_front(&mut self, unit: &[usize], class: RequestClass, costs: &FleetCosts<'_>) {
-        match self {
-            Backlog::Fifo(queue) => {
-                for &id in unit.iter().rev() {
-                    queue.push_front(id);
-                }
-            }
+        let queue = match self {
+            Backlog::Fifo(queue) => queue,
             Backlog::Sjf(heap) => {
                 let weight = costs.weight(class);
                 heap.extend(unit.iter().map(|&id| Reverse((weight, id))));
+                return;
             }
             Backlog::Classed { queues, len } => {
-                let queue = queues.entry(class).or_default();
-                for &id in unit.iter().rev() {
-                    queue.push_front(id);
-                }
                 *len += unit.len();
+                queues.entry(class).or_default()
             }
+        };
+        for &id in unit.iter().rev() {
+            queue.push_front(id);
         }
     }
 
@@ -408,7 +419,9 @@ impl SourceState {
 }
 
 /// A scheduled fleet-size change waiting for its provisioning delay.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Ordered as the fields are declared — (effect, decision, group, delta) —
+/// which is the order ops due at the same instant apply in.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 struct PendingOp {
     effect_s: f64,
     decision_s: f64,
@@ -449,17 +462,26 @@ impl TenantGate {
 /// The immutable (fragment-shared) side of one scenario replay.
 struct Ctx<'a> {
     cfg: &'a ServeConfig<'a>,
-    tenants: Option<&'a TenantMix>,
     /// The open-loop stream (empty for closed loops), referenced by the
     /// cursor in [`SourceState::Open`].
     stream: &'a [Request],
     /// The cost table resolved against `cfg.groups`, once per replay.
     costs: FleetCosts<'a>,
-    /// Admission control sheds open-loop arrivals only: closed-loop
-    /// clients self-limit (they wait for their response instead of being
-    /// dropped), and shedding their zero-think re-issues would spin the
-    /// clock.
-    admission: bool,
+}
+
+/// The counters only the outcome reads (the loop reads `makespan` back
+/// once, for the terminal accrual). They are cumulative, so they ride in
+/// the [`EngineState`]: the last fragment's state holds the totals.
+#[derive(Debug, Clone, Default)]
+struct Tally {
+    tenant_offered: Vec<u64>,
+    tenant_shed: Vec<u64>,
+    shed_queue: u64,
+    shed_limit: u64,
+    provision_failures: u64,
+    makespan: f64,
+    depth_integral: f64,
+    depth_max: usize,
 }
 
 /// Everything one fragment hands the next: the complete dynamic state of
@@ -481,22 +503,79 @@ struct EngineState {
     /// vector is recycled from batch to batch.
     in_flight: Vec<Vec<usize>>,
     gates: Vec<Option<TenantGate>>,
-    tenant_offered: Vec<u64>,
-    tenant_shed: Vec<u64>,
-    shed_queue: u64,
-    shed_limit: u64,
-    provision_failures: u64,
     pending_ops: Vec<PendingOp>,
     next_check: Option<f64>,
-    makespan: f64,
-    depth_integral: f64,
-    depth_max: usize,
+    tally: Tally,
 }
 
-/// One fragment's recorded slice of the outputs: everything the serial
-/// loop appended to as it ran. Fragments only *append* — outputs never
-/// feed back into the dynamics — so slices concatenate in epoch order
-/// into exactly the serial vectors.
+impl EngineState {
+    /// What a drained state contributes to the outcome.
+    fn finish(self, stream: &[Request]) -> Terminal {
+        let arrived = self.source.arrived(stream);
+        Terminal {
+            arrivals_s: arrived.iter().map(|r| r.arrival_s).collect(),
+            tenants: arrived.iter().map(|r| r.tenant).collect(),
+            shard_stats: self.fleet.stats().to_vec(),
+            shard_groups: self.fleet.shard_groups().to_vec(),
+            group_stats: self.fleet.group_stats(),
+            tally: self.tally,
+        }
+    }
+}
+
+/// The terminal side of a replay in the coordinates of its outcome —
+/// arrived requests (id-ordered), closing counters, the fleet's books —
+/// from [`EngineState::finish`] or, for a lane replay, [`merge_lanes`].
+struct Terminal {
+    arrivals_s: Vec<f64>,
+    tenants: Vec<usize>,
+    tally: Tally,
+    shard_stats: Vec<ShardStats>,
+    shard_groups: Vec<usize>,
+    group_stats: Vec<GroupStats>,
+}
+
+/// The facts the event loop emits, one method per fact, called in event
+/// order. Every body is empty by default and the loop is generic over its
+/// recorder, so whatever only a recorder needs — a latency, the service
+/// time a crash retracted, a [`TraceEvent`] — is computed inside one and
+/// a pass that records nothing compiles to the bare dynamics.
+trait Record {
+    /// A unit of `requests` requests started `service_s` seconds of
+    /// service on `shard` of `group`.
+    fn dispatch(
+        &mut self,
+        _at_s: f64,
+        _shard: usize,
+        _group: usize,
+        _requests: usize,
+        _service_s: f64,
+    ) {
+    }
+    /// Request `id`'s batch finished: its latency is final.
+    fn complete(&mut self, _finish_s: f64, _id: usize, _request: &Request) {}
+    /// A batch of `size` requests finished.
+    fn batch_done(&mut self, _finish_s: f64, _size: usize) {}
+    /// Request `id` of `tenant` entered the system.
+    fn arrival(&mut self, _at_s: f64, _id: usize, _tenant: usize) {}
+    /// Request `id` passed admission into the backlog.
+    fn admit(&mut self, _at_s: f64, _id: usize) {}
+    /// Request `id` of `tenant` was refused at admission.
+    fn shed(&mut self, _at_s: f64, _id: usize, _tenant: usize, _reason: ShedReason) {}
+    /// A shard crashed; `busy_until_s` is its horizon before the crash
+    /// retracted it.
+    fn crash(&mut self, _crash: CrashEvent, _busy_until_s: f64) {}
+    /// A scheduled scale-up of `group` failed to provision.
+    fn provision_failure(&mut self, _at_s: f64, _group: usize) {}
+    /// `op` took effect at `at_s`, leaving `fleet` behind.
+    fn scale(&mut self, _op: &PendingOp, _at_s: f64, _fleet: &ShardFleet) {}
+}
+
+/// Records nothing: the epoch plan's seam-finding pass.
+impl Record for () {}
+
+/// One fragment's recorded slice of the outputs: everything a replay
+/// appends to as it runs.
 #[derive(Debug, Default)]
 struct FragmentOut {
     /// `(id, latency)` of every request resolved in this fragment —
@@ -517,10 +596,77 @@ impl FragmentOut {
     fn new(tracing: bool) -> Self {
         FragmentOut { events: tracing.then(Vec::new), ..Default::default() }
     }
+
+    fn trace(&mut self, event: TraceEvent) {
+        if let Some(events) = &mut self.events {
+            events.push(event);
+        }
+    }
+
+    /// Appends the slice of the fragment that follows this one.
+    fn append(&mut self, next: FragmentOut) {
+        self.latencies.extend(next.latencies);
+        self.shed.extend(next.shed);
+        self.batch_sizes.extend(next.batch_sizes);
+        self.crash_events.extend(next.crash_events);
+        self.scale_events.extend(next.scale_events);
+        if let (Some(events), Some(next)) = (&mut self.events, next.events) {
+            events.extend(next);
+        }
+    }
 }
 
-fn trace_buf<'b>(out: &'b mut Option<&mut FragmentOut>) -> Option<&'b mut Vec<TraceEvent>> {
-    out.as_deref_mut().and_then(|o| o.events.as_mut())
+impl Record for FragmentOut {
+    fn dispatch(&mut self, at_s: f64, shard: usize, group: usize, requests: usize, service_s: f64) {
+        self.trace(TraceEvent::Dispatch { at_s, shard, group, requests, service_s });
+    }
+
+    fn complete(&mut self, finish_s: f64, id: usize, request: &Request) {
+        let latency_s = finish_s - request.arrival_s;
+        self.latencies.push((id, latency_s));
+        self.trace(TraceEvent::Complete { at_s: finish_s, id, tenant: request.tenant, latency_s });
+    }
+
+    fn batch_done(&mut self, finish_s: f64, size: usize) {
+        self.batch_sizes.push((finish_s, size));
+    }
+
+    fn arrival(&mut self, at_s: f64, id: usize, tenant: usize) {
+        self.trace(TraceEvent::Arrival { at_s, id, tenant });
+    }
+
+    fn admit(&mut self, at_s: f64, id: usize) {
+        self.trace(TraceEvent::Admit { at_s, id });
+    }
+
+    fn shed(&mut self, at_s: f64, id: usize, tenant: usize, reason: ShedReason) {
+        self.latencies.push((id, SHED_LATENCY_S));
+        self.shed.push(id);
+        self.trace(TraceEvent::Shed { at_s, id, tenant, reason });
+    }
+
+    fn crash(&mut self, crash: CrashEvent, busy_until_s: f64) {
+        let CrashEvent { at_s, shard, group, redispatched } = crash;
+        let lost_service_s = if redispatched > 0 { (busy_until_s - at_s).max(0.0) } else { 0.0 };
+        self.crash_events.push(crash);
+        self.trace(TraceEvent::Crash { at_s, shard, group, redispatched, lost_service_s });
+    }
+
+    fn provision_failure(&mut self, at_s: f64, group: usize) {
+        self.trace(TraceEvent::ProvisionFailure { at_s, group });
+    }
+
+    fn scale(&mut self, op: &PendingOp, at_s: f64, fleet: &ShardFleet) {
+        let (group, delta, active_total) = (op.group, op.delta, fleet.active_shards());
+        self.scale_events.push(ScaleEvent {
+            decision_s: op.decision_s,
+            effect_s: at_s,
+            group,
+            delta,
+            active_total,
+        });
+        self.trace(TraceEvent::Scale { at_s, group, delta, active_total });
+    }
 }
 
 /// The event-loop state at `t = 0`, mirroring the serial prelude.
@@ -566,107 +712,127 @@ fn initial_state(
         source,
         in_flight,
         gates,
-        tenant_offered: vec![0; tenant_count],
-        tenant_shed: vec![0; tenant_count],
-        shed_queue: 0,
-        shed_limit: 0,
-        provision_failures: 0,
         pending_ops: Vec::new(),
-        makespan: 0.0,
-        depth_integral: 0.0,
-        depth_max: 0,
+        tally: Tally {
+            tenant_offered: vec![0; tenant_count],
+            tenant_shed: vec![0; tenant_count],
+            ..Tally::default()
+        },
     }
 }
 
-/// Advances the event loop until the next event would land at or after
-/// `limit`, or until no further event exists. Returns `true` when the
-/// replay drained (no event at any time — the terminal state), `false`
-/// when it paused at the limit.
-///
-/// The pause happens *before* the time-advance accrual, so the span that
-/// crosses the boundary is accrued in a single `f64` operation by the
-/// next fragment, and an event exactly on a boundary belongs to the next
-/// fragment (fragments cover half-open windows `[start, limit)`). On
-/// drain the terminal capacity accrual runs (provisioned capacity is
-/// paid for until the last batch completes) and `now` advances to the
-/// makespan, so re-entering a drained state is a no-op rather than a
-/// second accrual.
-///
-/// With `out = None` only the state advances (the cheap seam-finding
-/// pass); with `Some`, resolved latencies, batch completions,
-/// crash/scale events and (when enabled) lifecycle trace events are
-/// recorded in event order.
-fn run_until(
-    ctx: &Ctx<'_>,
-    st: &mut EngineState,
-    limit: f64,
-    mut out: Option<&mut FragmentOut>,
-) -> bool {
-    let cfg = ctx.cfg;
-    let policy = cfg.policy;
-    let costs = &ctx.costs;
-    let dispatcher = cfg.dispatch.policy();
-    // The candidate shards and the unit on offer, reused by every dispatch
-    // of this fragment.
-    let mut idle = Vec::new();
-    let mut unit = Vec::new();
+/// One call of the event loop: the replay's context, the state it
+/// advances and the two buffers its dispatches reuse. [`Self::run_until`]
+/// is the loop; the other methods are its steps, in the order it runs them.
+struct Engine<'a> {
+    ctx: &'a Ctx<'a>,
+    st: &'a mut EngineState,
+    /// The idle shards the dispatch on offer may land on.
+    idle: Vec<usize>,
+    /// The unit on offer.
+    unit: Vec<usize>,
+}
 
-    loop {
-        // Dispatch every unit that is ready while an idle shard exists; the
-        // dispatch policy picks *which* idle shard serves each unit, or
-        // holds it (returning the unit to the queue head) to wait for busy
-        // preferred silicon — in which case the next release is the event
-        // that re-offers it. Latencies finalise at *completion*, not here:
-        // a crash may still retract the batch. Re-running this loop when a
-        // fragment resumes is a state-preserving no-op: everything
-        // dispatchable at the pause instant was already dispatched (or
-        // held, and the hold re-selects the same unit and restores it).
+impl<'a> Engine<'a> {
+    fn new(ctx: &'a Ctx<'a>, st: &'a mut EngineState) -> Self {
+        Engine { ctx, st, idle: Vec::new(), unit: Vec::new() }
+    }
+
+    /// Advances the state until the next event would land at or after
+    /// `limit`, or until no further event exists. Returns `true` when the
+    /// replay drained (no event at any time — the terminal state),
+    /// `false` when it paused at the limit.
+    ///
+    /// The pause happens *before* the time-advance accrual, so the span
+    /// that crosses the boundary is accrued in a single `f64` operation
+    /// by the next fragment, and an event exactly on a boundary belongs
+    /// to the next fragment (fragments cover half-open windows `[start,
+    /// limit)`). On drain the terminal capacity accrual runs (provisioned
+    /// capacity is paid for until the last batch completes) and `now`
+    /// advances to the makespan, so re-entering a drained state is a
+    /// no-op rather than a second accrual.
+    fn run_until<R: Record>(mut self, limit: f64, rec: &mut R) -> bool {
         loop {
-            st.fleet.idle_shards(st.now, &mut idle);
-            if idle.is_empty() {
+            self.dispatch_ready(rec);
+            let t_next = self.next_event_s();
+            let st = &mut *self.st;
+            if !t_next.is_finite() {
+                // Drained: the terminal accrual, once.
+                if st.tally.makespan > st.now {
+                    st.fleet.accrue(st.tally.makespan - st.now);
+                    st.now = st.tally.makespan;
+                }
+                return true;
+            }
+            if t_next >= limit {
+                return false;
+            }
+            st.fleet.accrue(t_next - st.now);
+            st.tally.depth_integral += st.backlog.len() as f64 * (t_next - st.now);
+            st.now = t_next;
+
+            self.complete_due(rec);
+            self.admit_due(rec);
+            self.crash_due(rec);
+            self.apply_provisioning(rec);
+            self.autoscale_check();
+        }
+    }
+
+    /// Dispatches every unit that is ready while an idle shard exists; the
+    /// dispatch policy picks *which* idle shard serves each unit, or holds
+    /// it (returning the unit to the queue head) to wait for busy
+    /// preferred silicon — in which case the next release is the event
+    /// that re-offers it. Latencies finalise at *completion*, not here: a
+    /// crash may still retract the batch. Re-running this step when a
+    /// fragment resumes is a state-preserving no-op: everything
+    /// dispatchable at the pause instant was already dispatched (or held,
+    /// and the hold re-selects the same unit and restores it).
+    fn dispatch_ready<R: Record>(&mut self, rec: &mut R) {
+        let (ctx, st) = (self.ctx, &mut *self.st);
+        let dispatcher = ctx.cfg.dispatch.policy();
+        loop {
+            st.fleet.idle_shards(st.now, &mut self.idle);
+            if self.idle.is_empty() {
                 break;
             }
             let arrived = st.source.arrived(ctx.stream);
-            if !st.backlog.take_ready(st.now, policy, arrived, &mut unit) {
+            if !st.backlog.take_ready(st.now, ctx.cfg.policy, arrived, &mut self.unit) {
                 break;
             }
-            let class = arrived[unit[0]].class;
-            let Some(shard) = dispatcher.choose(&st.fleet, &idle, class, unit.len(), st.now, costs)
+            let (class, requests) = (arrived[self.unit[0]].class, self.unit.len());
+            let Some(shard) =
+                dispatcher.choose(&st.fleet, &self.idle, class, requests, st.now, &ctx.costs)
             else {
                 debug_assert!(
                     st.fleet.next_busy_free_at(st.now).is_finite(),
                     "a policy may only hold a batch while some shard is busy"
                 );
-                st.backlog.push_front(&unit, class, costs);
+                st.backlog.push_front(&self.unit, class, &ctx.costs);
                 break;
             };
             let group = st.fleet.group_of(shard);
-            let healthy = costs.service_seconds(group, class, unit.len());
+            let healthy = ctx.costs.service_seconds(group, class, requests);
             let degraded = st.plan.as_ref().map_or(1.0, |p| p.multiplier(group));
             let service_s = healthy * degraded;
-            st.fleet.dispatch(shard, st.now, service_s, unit.len() as u64);
-            if let Some(events) = trace_buf(&mut out) {
-                events.push(TraceEvent::Dispatch {
-                    at_s: st.now,
-                    shard,
-                    group,
-                    requests: unit.len(),
-                    service_s,
-                });
-            }
+            st.fleet.dispatch(shard, st.now, service_s, requests as u64);
+            rec.dispatch(st.now, shard, group, requests, service_s);
             // The slot's previous batch completed and left its (empty)
             // vector behind: that becomes the next unit buffer.
             debug_assert!(st.in_flight[shard].is_empty(), "an idle shard serves no batch");
-            std::mem::swap(&mut st.in_flight[shard], &mut unit);
+            std::mem::swap(&mut st.in_flight[shard], &mut self.unit);
         }
+    }
 
-        // The next event: an arrival, a batch completing, a batch timeout
-        // expiring, an injected crash, a scheduled fleet change taking
-        // effect, or an autoscaler check (crashes and checks only while
-        // work remains — otherwise they could tick forever). After the
-        // dispatch loop each of these lies in the future, and every
-        // finite-time source below is consumed when due, so the loop
-        // always makes progress.
+    /// The time of the next event: an arrival, a batch completing, a batch
+    /// timeout expiring, an injected crash, a scheduled fleet change
+    /// taking effect, or an autoscaler check (crashes and checks only
+    /// while work remains — otherwise they could tick forever); infinite
+    /// when none is left. After [`Self::dispatch_ready`] each of these
+    /// lies in the future, and every finite-time source is consumed when
+    /// due, so the loop always makes progress.
+    fn next_event_s(&self) -> f64 {
+        let (ctx, st) = (self.ctx, &*self.st);
         let next_arrival = st.source.next_time(ctx.stream);
         let work_remains = next_arrival.is_some()
             || st.backlog.len() > 0
@@ -679,7 +845,7 @@ fn run_until(
             }
         }
         let arrived = st.source.arrived(ctx.stream);
-        if let Some(deadline) = st.backlog.next_deadline(st.now, policy, arrived) {
+        if let Some(deadline) = st.backlog.next_deadline(st.now, ctx.cfg.policy, arrived) {
             t_next = t_next.min(deadline);
         }
         for op in &st.pending_ops {
@@ -693,181 +859,130 @@ fn run_until(
                 t_next = t_next.min(check);
             }
         }
-        if !t_next.is_finite() {
-            // Drained. Provisioned capacity is paid for until the last
-            // batch completes; advancing `now` to the makespan makes the
-            // terminal accrual idempotent across later fragments.
-            if st.makespan > st.now {
-                st.fleet.accrue(st.makespan - st.now);
-                st.now = st.makespan;
-            }
-            return true;
-        }
-        if t_next >= limit {
-            return false;
-        }
-        st.fleet.accrue(t_next - st.now);
-        st.depth_integral += st.backlog.len() as f64 * (t_next - st.now);
-        st.now = t_next;
+        t_next
+    }
 
-        // 1. Completions due at `now` finalise, in slot order: the batch
-        //    really finished, so its latencies are now facts no crash can
-        //    retract.
+    /// Completions due at `now` finalise, in slot order: the batch really
+    /// finished, so its latencies are now facts no crash can retract.
+    fn complete_due<R: Record>(&mut self, rec: &mut R) {
+        let (ctx, st) = (self.ctx, &mut *self.st);
         for (slot, batch) in st.in_flight.iter_mut().enumerate() {
-            if !batch.is_empty() && st.fleet.busy_until(slot) <= st.now {
-                let finish = st.fleet.busy_until(slot);
-                for &id in batch.iter() {
-                    let request = st.source.arrived(ctx.stream)[id];
-                    let latency = finish - request.arrival_s;
-                    st.source.on_complete(id, finish);
-                    if let Some(o) = out.as_deref_mut() {
-                        o.latencies.push((id, latency));
-                        if let Some(events) = o.events.as_mut() {
-                            events.push(TraceEvent::Complete {
-                                at_s: finish,
-                                id,
-                                tenant: request.tenant,
-                                latency_s: latency,
-                            });
-                        }
-                    }
-                }
-                st.makespan = st.makespan.max(finish);
-                if let Some(o) = out.as_deref_mut() {
-                    o.batch_sizes.push((finish, batch.len()));
-                }
-                batch.clear();
+            let finish = st.fleet.busy_until(slot);
+            if batch.is_empty() || finish > st.now {
+                continue;
             }
+            for &id in batch.iter() {
+                let request = st.source.arrived(ctx.stream)[id];
+                st.source.on_complete(id, finish);
+                rec.complete(finish, id, &request);
+            }
+            st.tally.makespan = st.tally.makespan.max(finish);
+            rec.batch_done(finish, batch.len());
+            batch.clear();
         }
+    }
 
-        // 2. Arrivals due at `now` pass admission into the backlog (after
-        //    completions, so a zero-think closed-loop re-issue lands in
-        //    the same event). An arrival sheds when the backlog is at its
-        //    bound, or when its tenant's token bucket is empty.
+    /// Arrivals due at `now` pass admission into the backlog (after
+    /// completions, so a zero-think closed-loop re-issue lands in the
+    /// same event). An arrival sheds when the backlog is at its bound, or
+    /// when its tenant's token bucket is empty — open-loop arrivals only:
+    /// closed-loop clients self-limit (they wait for their response
+    /// instead of being dropped), and shedding their zero-think re-issues
+    /// would spin the clock.
+    fn admit_due<R: Record>(&mut self, rec: &mut R) {
+        let (ctx, st) = (self.ctx, &mut *self.st);
+        let now = st.now;
+        let gated = matches!(st.source, SourceState::Open { .. });
         let first_new = st.source.arrived(ctx.stream).len();
-        st.source.pop_due(st.now, ctx.stream);
+        st.source.pop_due(now, ctx.stream);
         for id in first_new..st.source.arrived(ctx.stream).len() {
             let Request { class, tenant, .. } = st.source.arrived(ctx.stream)[id];
-            if let Some(count) = st.tenant_offered.get_mut(tenant) {
+            if let Some(count) = st.tally.tenant_offered.get_mut(tenant) {
                 *count += 1;
             }
-            if let Some(events) = trace_buf(&mut out) {
-                events.push(TraceEvent::Arrival { at_s: st.now, id, tenant });
-            }
-            let mut reason = ShedReason::QueueFull;
-            let admit = if !ctx.admission {
-                true
-            } else if cfg.queue_bound.is_some_and(|bound| st.backlog.len() >= bound) {
-                st.shed_queue += 1;
-                false
-            } else if let Some(gate) = st.gates.get_mut(tenant).and_then(Option::as_mut) {
-                let pass = gate.admit(st.now);
-                if !pass {
-                    st.shed_limit += 1;
-                    reason = ShedReason::RateLimited;
-                }
-                pass
+            rec.arrival(now, id, tenant);
+            let gate = st.gates.get_mut(tenant).and_then(Option::as_mut);
+            let refusal = if !gated {
+                None
+            } else if ctx.cfg.queue_bound.is_some_and(|bound| st.backlog.len() >= bound) {
+                st.tally.shed_queue += 1;
+                Some(ShedReason::QueueFull)
+            } else if gate.is_some_and(|gate| !gate.admit(now)) {
+                st.tally.shed_limit += 1;
+                Some(ShedReason::RateLimited)
             } else {
-                true
+                None
             };
-            if admit {
-                st.backlog.push(id, class, costs);
-                if let Some(events) = trace_buf(&mut out) {
-                    events.push(TraceEvent::Admit { at_s: st.now, id });
+            match refusal {
+                None => {
+                    st.backlog.push(id, class, &ctx.costs);
+                    rec.admit(now, id);
                 }
-            } else {
-                if let Some(count) = st.tenant_shed.get_mut(tenant) {
-                    *count += 1;
-                }
-                if let Some(o) = out.as_deref_mut() {
-                    o.latencies.push((id, SHED_LATENCY_S));
-                    o.shed.push(id);
-                    if let Some(events) = o.events.as_mut() {
-                        events.push(TraceEvent::Shed { at_s: st.now, id, tenant, reason });
+                Some(reason) => {
+                    if let Some(count) = st.tally.tenant_shed.get_mut(tenant) {
+                        *count += 1;
                     }
+                    rec.shed(now, id, tenant, reason);
+                    st.source.on_complete(id, now);
                 }
-                st.source.on_complete(id, st.now);
             }
         }
-        st.depth_max = st.depth_max.max(st.backlog.len());
+        st.tally.depth_max = st.tally.depth_max.max(st.backlog.len());
+    }
 
-        // 3. Injected crashes due at `now`: the victim is the busiest
-        //    active shard of the scheduled group (ties to the lowest
-        //    slot), its in-flight batch returns to the queue head —
-        //    re-queued work bypasses admission; admitted work is never
-        //    shed — and the slot deactivates. A crash that would empty
-        //    the fleet, or lands in a group with no active shard, is
-        //    skipped: the simulation models degraded service, not total
-        //    outage.
-        if let Some(plan) = st.plan.as_mut() {
-            while let Some((at, group)) = plan.pop_crash_due(st.now) {
-                debug_assert!(at <= st.now, "crashes pop when due");
-                if st.fleet.active_shards() <= 1 {
-                    continue;
-                }
-                let victim = (0..st.fleet.capacity())
-                    .filter(|&s| st.fleet.group_of(s) == group && st.fleet.is_active(s))
-                    .max_by(|&a, &b| {
-                        st.fleet
-                            .busy_until(a)
-                            .partial_cmp(&st.fleet.busy_until(b))
-                            .expect("busy horizons are finite")
-                            .then(b.cmp(&a))
-                    });
-                let Some(victim) = victim else { continue };
-                let batch = &mut st.in_flight[victim];
-                let redispatched = batch.len();
-                let lost_service_s = if redispatched > 0 {
-                    (st.fleet.busy_until(victim) - st.now).max(0.0)
-                } else {
-                    0.0
-                };
-                if redispatched > 0 {
-                    let class = st.source.arrived(ctx.stream)[batch[0]].class;
-                    st.backlog.push_front(batch, class, costs);
-                    batch.clear();
-                }
-                st.fleet.crash(victim, st.now, redispatched as u64);
-                if let Some(o) = out.as_deref_mut() {
-                    o.crash_events.push(CrashEvent {
-                        at_s: st.now,
-                        shard: victim,
-                        group,
-                        redispatched,
-                    });
-                    if let Some(events) = o.events.as_mut() {
-                        events.push(TraceEvent::Crash {
-                            at_s: st.now,
-                            shard: victim,
-                            group,
-                            redispatched,
-                            lost_service_s,
-                        });
-                    }
-                }
-                st.depth_max = st.depth_max.max(st.backlog.len());
+    /// Injected crashes due at `now`: the victim is the busiest active
+    /// shard of the scheduled group (ties to the lowest slot), its
+    /// in-flight batch returns to the queue head — re-queued work
+    /// bypasses admission; admitted work is never shed — and the slot
+    /// deactivates. A crash that would empty the fleet, or lands in a
+    /// group with no active shard, is skipped: the simulation models
+    /// degraded service, not total outage.
+    fn crash_due<R: Record>(&mut self, rec: &mut R) {
+        let (ctx, st) = (self.ctx, &mut *self.st);
+        let Some(plan) = st.plan.as_mut() else { return };
+        while let Some((at, group)) = plan.pop_crash_due(st.now) {
+            debug_assert!(at <= st.now, "crashes pop when due");
+            if st.fleet.active_shards() <= 1 {
+                continue;
             }
+            let victim = (0..st.fleet.capacity())
+                .filter(|&s| st.fleet.group_of(s) == group && st.fleet.is_active(s))
+                .max_by(|&a, &b| {
+                    st.fleet
+                        .busy_until(a)
+                        .partial_cmp(&st.fleet.busy_until(b))
+                        .expect("busy horizons are finite")
+                        .then(b.cmp(&a))
+                });
+            let Some(victim) = victim else { continue };
+            let batch = &mut st.in_flight[victim];
+            let redispatched = batch.len();
+            if redispatched > 0 {
+                let class = st.source.arrived(ctx.stream)[batch[0]].class;
+                st.backlog.push_front(batch, class, &ctx.costs);
+                batch.clear();
+            }
+            let crash = CrashEvent { at_s: st.now, shard: victim, group, redispatched };
+            rec.crash(crash, st.fleet.busy_until(victim));
+            st.fleet.crash(victim, st.now, redispatched as u64);
+            st.tally.depth_max = st.tally.depth_max.max(st.backlog.len());
         }
+    }
 
-        // 4. Provisioning effects due at `now` apply, in (effect,
-        //    decision, group, delta) order. A scale-up rolls the fault
-        //    plan's provisioning die first — a failed roll leaves the
-        //    slot inactive and counts a provisioning failure. Scale-downs
-        //    go through the policy's shared retire path, which re-checks
-        //    the per-group floor and idleness at effect time.
+    /// Provisioning effects due at `now` apply, in [`PendingOp`] order. A
+    /// scale-up rolls the fault plan's provisioning
+    /// die first — a failed roll leaves the slot inactive and counts a
+    /// provisioning failure. Scale-downs go through the policy's shared
+    /// retire path, which re-checks the per-group floor and idleness at
+    /// effect time.
+    fn apply_provisioning<R: Record>(&mut self, rec: &mut R) {
+        let (ctx, st) = (self.ctx, &mut *self.st);
         while let Some(pos) = st
             .pending_ops
             .iter()
             .enumerate()
             .filter(|(_, op)| op.effect_s <= st.now)
-            .min_by(|(_, a), (_, b)| {
-                a.effect_s
-                    .partial_cmp(&b.effect_s)
-                    .expect("effect times are finite")
-                    .then(a.decision_s.partial_cmp(&b.decision_s).expect("finite"))
-                    .then(a.group.cmp(&b.group))
-                    .then(a.delta.cmp(&b.delta))
-            })
+            .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("op times are finite"))
             .map(|(pos, _)| pos)
         {
             let op = st.pending_ops.remove(pos);
@@ -875,73 +990,66 @@ fn run_until(
                 if st.plan.as_mut().is_none_or(FaultPlan::provision_succeeds) {
                     st.fleet.activate(op.group, st.now).is_some()
                 } else {
-                    st.provision_failures += 1;
-                    if let Some(events) = trace_buf(&mut out) {
-                        events.push(TraceEvent::ProvisionFailure { at_s: st.now, group: op.group });
-                    }
+                    st.tally.provision_failures += 1;
+                    rec.provision_failure(st.now, op.group);
                     false
                 }
             } else {
-                cfg.autoscale
+                ctx.cfg
+                    .autoscale
                     .expect("pending ops only exist under an autoscaler")
                     .retire_idle(&mut st.fleet, op.group, st.now)
                     .is_some()
             };
             if applied {
-                if let Some(o) = out.as_deref_mut() {
-                    o.scale_events.push(ScaleEvent {
-                        decision_s: op.decision_s,
-                        effect_s: st.now,
-                        group: op.group,
-                        delta: op.delta,
-                        active_total: st.fleet.active_shards(),
-                    });
-                    if let Some(events) = o.events.as_mut() {
-                        events.push(TraceEvent::Scale {
-                            at_s: st.now,
-                            group: op.group,
-                            delta: op.delta,
-                            active_total: st.fleet.active_shards(),
-                        });
-                    }
-                }
-            }
-        }
-
-        // 5. The autoscaler's periodic decision.
-        if let (Some(policy_as), Some(check)) = (cfg.autoscale, st.next_check) {
-            if check <= st.now {
-                let mut pending = vec![0i64; st.fleet.group_count()];
-                for op in &st.pending_ops {
-                    pending[op.group] += op.delta;
-                }
-                match policy_as.decide(&st.fleet, st.backlog.len(), st.now, &pending) {
-                    Decision::Hold => {}
-                    Decision::Up { group } => st.pending_ops.push(PendingOp {
-                        effect_s: st.now + policy_as.provision_delay_s,
-                        decision_s: st.now,
-                        group,
-                        delta: 1,
-                    }),
-                    Decision::Down { group } => st.pending_ops.push(PendingOp {
-                        effect_s: st.now + policy_as.provision_delay_s,
-                        decision_s: st.now,
-                        group,
-                        delta: -1,
-                    }),
-                }
-                st.next_check = Some(check + policy_as.check_interval_s);
+                rec.scale(&op, st.now, &st.fleet);
             }
         }
     }
+
+    /// The autoscaler's periodic decision.
+    fn autoscale_check(&mut self) {
+        let st = &mut *self.st;
+        let (Some(policy), Some(check)) = (self.ctx.cfg.autoscale, st.next_check) else { return };
+        if check > st.now {
+            return;
+        }
+        let mut pending = vec![0i64; st.fleet.group_count()];
+        for op in &st.pending_ops {
+            pending[op.group] += op.delta;
+        }
+        let delta = match policy.decide(&st.fleet, st.backlog.len(), st.now, &pending) {
+            Decision::Hold => None,
+            Decision::Up { group } => Some((group, 1)),
+            Decision::Down { group } => Some((group, -1)),
+        };
+        st.pending_ops.extend(delta.map(|(group, delta)| PendingOp {
+            effect_s: st.now + policy.provision_delay_s,
+            decision_s: st.now,
+            group,
+            delta,
+        }));
+        st.next_check = Some(check + policy.check_interval_s);
+    }
 }
 
-/// Builds the final [`ServeOutcome`] (and trace) from a terminal state
-/// and the merged fragment outputs.
-fn assemble(ctx: &Ctx<'_>, st: EngineState, out: FragmentOut) -> (ServeOutcome, Option<Trace>) {
-    let (cfg, tenants) = (ctx.cfg, ctx.tenants);
-    let arrived = st.source.arrived(ctx.stream);
-    let mut latencies = vec![f64::NAN; arrived.len()];
+/// Runs the loop on `st` up to `limit` with recording on and returns the
+/// fragment's slice of the outputs.
+fn record(ctx: &Ctx<'_>, st: &mut EngineState, limit: f64, tracing: bool) -> FragmentOut {
+    let mut out = FragmentOut::new(tracing);
+    Engine::new(ctx, st).run_until(limit, &mut out);
+    out
+}
+
+/// Builds the [`ServeOutcome`] (and trace) of a replay from its terminal
+/// side and its recorded outputs — the one place either is put together.
+fn assemble(
+    cfg: &ServeConfig<'_>,
+    tenants: Option<&TenantMix>,
+    end: Terminal,
+    out: FragmentOut,
+) -> (ServeOutcome, Option<Trace>) {
+    let mut latencies = vec![f64::NAN; end.arrivals_s.len()];
     for &(id, latency) in &out.latencies {
         debug_assert!(latencies[id].is_nan(), "request {id} resolved twice");
         latencies[id] = latency;
@@ -950,81 +1058,82 @@ fn assemble(ctx: &Ctx<'_>, st: EngineState, out: FragmentOut) -> (ServeOutcome, 
         latencies.iter().all(|&l| l >= 0.0 || l == SHED_LATENCY_S),
         "every request is served or shed, exactly once"
     );
-    let tenant_outcomes = tenants.map_or_else(Vec::new, |mix| {
-        mix.tenants()
-            .iter()
-            .enumerate()
-            .map(|(i, t)| TenantOutcome {
-                name: t.name.clone(),
-                slo_s: t.slo_s,
-                offered: st.tenant_offered[i],
-                shed: st.tenant_shed[i],
-            })
-            .collect()
-    });
+    let tenants = tenants.map_or(&[][..], TenantMix::tenants);
+    let Tally { makespan, depth_integral, .. } = end.tally;
     let trace = out.events.map(|events| Trace {
         groups: cfg
             .groups
             .iter()
             .map(|g| TraceGroup { name: g.name.clone(), initial_shards: g.shards })
             .collect(),
-        tenants: tenants.map_or_else(Vec::new, |mix| {
-            mix.tenants()
-                .iter()
-                .map(|t| TraceTenant { name: t.name.clone(), slo_s: t.slo_s })
-                .collect()
-        }),
+        tenants: tenants
+            .iter()
+            .map(|t| TraceTenant { name: t.name.clone(), slo_s: t.slo_s })
+            .collect(),
         events,
     });
     let outcome = ServeOutcome {
         latencies_s: latencies,
-        arrivals_s: arrived.iter().map(|r| r.arrival_s).collect(),
-        tenants: arrived.iter().map(|r| r.tenant).collect(),
+        arrivals_s: end.arrivals_s,
+        tenants: end.tenants,
         shed: out.shed,
-        shed_queue: st.shed_queue,
-        shed_limit: st.shed_limit,
-        tenant_outcomes,
+        shed_queue: end.tally.shed_queue,
+        shed_limit: end.tally.shed_limit,
+        tenant_outcomes: tenants
+            .iter()
+            .enumerate()
+            .map(|(i, t)| TenantOutcome {
+                name: t.name.clone(),
+                slo_s: t.slo_s,
+                offered: end.tally.tenant_offered[i],
+                shed: end.tally.tenant_shed[i],
+            })
+            .collect(),
         crash_events: out.crash_events,
-        provision_failures: st.provision_failures,
-        makespan_s: st.makespan,
-        queue_depth_mean: if st.makespan > 0.0 { st.depth_integral / st.makespan } else { 0.0 },
-        queue_depth_max: st.depth_max,
+        provision_failures: end.tally.provision_failures,
+        makespan_s: makespan,
+        queue_depth_mean: if makespan > 0.0 { depth_integral / makespan } else { 0.0 },
+        queue_depth_max: end.tally.depth_max,
         batch_sizes: out.batch_sizes.into_iter().map(|(_, size)| size).collect(),
-        shard_stats: st.fleet.stats().to_vec(),
-        shard_groups: st.fleet.shard_groups().to_vec(),
-        group_stats: st.fleet.group_stats(),
+        shard_stats: end.shard_stats,
+        shard_groups: end.shard_groups,
+        group_stats: end.group_stats,
         scale_events: out.scale_events,
     };
     (outcome, trace)
 }
 
-/// Runs one scenario as epoch fragments: a cheap serial pass finds the
-/// seam state at every boundary, then every fragment replays concurrently
-/// with output recording on and the slices concatenate in epoch order.
+/// Runs one scenario — `source` over `stream`, which is empty for a closed
+/// loop — as epoch fragments: a cheap serial pass finds the seam state at
+/// every boundary, then every fragment replays concurrently with output
+/// recording on and the slices concatenate in epoch order.
 fn run_fragments(
-    ctx: &Ctx<'_>,
-    initial: EngineState,
+    stream: &[Request],
+    source: SourceState,
+    cfg: &ServeConfig<'_>,
+    tenants: Option<&TenantMix>,
     horizon: f64,
     plan: &EnginePlan,
     tracing: bool,
 ) -> (ServeOutcome, Option<Trace>) {
+    let ctx = &Ctx { cfg, stream, costs: FleetCosts::new(cfg.costs, cfg.groups) };
+    let initial = initial_state(cfg, tenants, source);
     let boundaries = plan.boundaries(horizon);
     if boundaries.is_empty() {
         // Serial fast path: one fragment, no seam clones, no fan-out.
         let mut st = initial;
-        let mut out = FragmentOut::new(tracing);
-        run_until(ctx, &mut st, f64::INFINITY, Some(&mut out));
-        return assemble(ctx, st, out);
+        let out = record(ctx, &mut st, f64::INFINITY, tracing);
+        return assemble(cfg, tenants, st.finish(stream), out);
     }
 
-    // Pass 1 (serial, output-free): the seam state at each boundary.
+    // Pass 1 (serial, nothing recorded): the seam state at each boundary.
     // Re-entering a drained state is a no-op, so the walk safely covers
     // boundaries past the end of the action.
     let mut fragments: Vec<(EngineState, f64)> = Vec::with_capacity(boundaries.len() + 1);
     let mut cursor = initial;
     for &boundary in &boundaries {
         let mut next = cursor.clone();
-        run_until(ctx, &mut next, boundary, None);
+        Engine::new(ctx, &mut next).run_until(boundary, &mut ());
         fragments.push((cursor, boundary));
         cursor = next;
     }
@@ -1034,28 +1143,19 @@ fn run_fragments(
     // runner returns results in fragment order regardless of thread
     // interleaving, and outputs never feed back into the dynamics, so
     // concatenation reproduces the serial output byte for byte.
-    let runner = plan.runner();
-    let results = runner.run(&fragments, |_, (seam, limit)| {
+    let results = plan.runner().run(&fragments, |_, (seam, limit)| {
         let mut st = seam.clone();
-        let mut out = FragmentOut::new(tracing);
-        run_until(ctx, &mut st, *limit, Some(&mut out));
+        let out = record(ctx, &mut st, *limit, tracing);
         (st, out)
     });
 
-    let mut merged = FragmentOut::new(tracing);
-    let mut terminal = None;
+    let mut results = results.into_iter();
+    let (mut terminal, mut merged) = results.next().expect("at least one fragment");
     for (state, out) in results {
-        merged.latencies.extend(out.latencies);
-        merged.shed.extend(out.shed);
-        merged.batch_sizes.extend(out.batch_sizes);
-        merged.crash_events.extend(out.crash_events);
-        merged.scale_events.extend(out.scale_events);
-        if let (Some(into), Some(events)) = (merged.events.as_mut(), out.events) {
-            into.extend(events);
-        }
-        terminal = Some(state);
+        merged.append(out);
+        terminal = state;
     }
-    assemble(ctx, terminal.expect("at least one fragment"), merged)
+    assemble(cfg, tenants, terminal.finish(stream), merged)
 }
 
 /// How many lanes a closed-loop scenario actually decomposes into under
@@ -1090,242 +1190,124 @@ fn run_lanes(
 ) -> (ServeOutcome, Option<Trace>) {
     let lane_fleets: Vec<Vec<ShardGroup>> =
         (0..lanes).map(|lane| lane_groups(cfg.groups, lane, lanes)).collect();
-    let lane_ids: Vec<usize> = (0..lanes).collect();
-    let runner = plan.runner();
-    let results = runner.run(&lane_ids, |_, &lane| {
+    let results = plan.runner().run(&lane_fleets, |lane, groups| {
         let mut lane_cfg = *cfg;
-        lane_cfg.groups = &lane_fleets[lane];
+        lane_cfg.groups = groups;
         let (clients, first) = spec.lane_clients(lane, lanes);
-        let ctx = Ctx {
-            cfg: &lane_cfg,
-            tenants: None,
-            stream: &[],
-            costs: FleetCosts::new(lane_cfg.costs, lane_cfg.groups),
-            admission: false,
-        };
+        let costs = FleetCosts::new(lane_cfg.costs, lane_cfg.groups);
+        let ctx = Ctx { cfg: &lane_cfg, stream: &[], costs };
         let mut st = initial_state(&lane_cfg, None, SourceState::closed(clients, first));
-        let mut out = FragmentOut::new(tracing);
-        run_until(&ctx, &mut st, f64::INFINITY, Some(&mut out));
+        let out = record(&ctx, &mut st, f64::INFINITY, tracing);
         (st, out)
     });
-    merge_lanes(cfg, &results, lanes, tracing)
+    let (end, out) = merge_lanes(cfg, results, tracing);
+    assemble(cfg, None, end, out)
 }
 
-/// Deterministic lane merge: global request ids by `(arrival, lane,
-/// local id)`, shard slots re-laid group-major with each group's lanes
-/// contiguous, batches by `(finish, lane, sequence)`, trace events by
-/// `(time, lane, sequence)`, and every `f64` aggregate summed in lane
-/// order — so the merged outcome is identical for every thread count.
+/// Orders items laid down lane after lane by `(time, lane, position)`:
+/// the sort is stable and keyed by time alone, so items of equal time
+/// keep the lane-major order they arrived in.
+fn by_time<T>(mut items: Vec<T>, time_s: impl Fn(&T) -> f64) -> Vec<T> {
+    items.sort_by(|a, b| time_s(a).partial_cmp(&time_s(b)).expect("event times are finite"));
+    items
+}
+
+/// Deterministic lane merge: reduces the lanes to one [`Terminal`] and
+/// one [`FragmentOut`] in merged coordinates — global request ids by
+/// `(arrival, lane, local id)`, shard slots re-laid group-major with each
+/// group's lanes contiguous, batches and trace events by `(time, lane,
+/// sequence)`, and every `f64` aggregate summed in lane order — so what
+/// [`assemble`] builds from them is identical for every thread count.
 fn merge_lanes(
     cfg: &ServeConfig<'_>,
-    results: &[(EngineState, FragmentOut)],
-    lanes: usize,
+    lanes: Vec<(EngineState, FragmentOut)>,
     tracing: bool,
-) -> (ServeOutcome, Option<Trace>) {
-    let group_shards: Vec<usize> = cfg.groups.iter().map(|g| g.shards).collect();
-    let mut merged_first = vec![0usize; group_shards.len()];
-    for g in 1..group_shards.len() {
-        merged_first[g] = merged_first[g - 1] + group_shards[g - 1];
+) -> (Terminal, FragmentOut) {
+    // Lane-local shard slot → merged slot. Lane fleets are group-major
+    // over the same groups, so merged slots are handed out group by group
+    // and, within a group, lane by lane.
+    let mut slot_maps = vec![Vec::new(); lanes.len()];
+    let mut total_slots = 0;
+    for group in cfg.groups {
+        for (lane, map) in slot_maps.iter_mut().enumerate() {
+            let share = lane_share(group.shards, lane, lanes.len());
+            map.extend(total_slots..total_slots + share);
+            total_slots += share;
+        }
     }
-    let total_slots: usize = group_shards.iter().sum();
-
-    // Lane-local shard slot → merged slot (lane fleets are group-major
-    // over the same groups, so the map is a per-group offset shift).
-    let slot_maps: Vec<Vec<usize>> = (0..lanes)
-        .map(|lane| {
-            let mut map = Vec::new();
-            for (g, &shards) in group_shards.iter().enumerate() {
-                let before: usize = (0..lane).map(|m| lane_share(shards, m, lanes)).sum();
-                let share = lane_share(shards, lane, lanes);
-                map.extend((0..share).map(|s| merged_first[g] + before + s));
-            }
-            map
-        })
-        .collect();
 
     // Global ids: every lane's arrivals merged by (time, lane, local id).
-    let mut order: Vec<(f64, usize, usize)> = Vec::new();
-    for (lane, (st, _)) in results.iter().enumerate() {
-        order.extend(st.source.arrived(&[]).iter().map(|r| (r.arrival_s, lane, r.id)));
+    let mut order = Vec::new();
+    let mut id_maps = Vec::with_capacity(lanes.len());
+    for (lane, (st, _)) in lanes.iter().enumerate() {
+        let arrived = st.source.arrived(&[]);
+        order.extend(arrived.iter().map(|r| (r.arrival_s, lane, r.id)));
+        id_maps.push(vec![usize::MAX; arrived.len()]);
     }
-    order.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .expect("arrival times are finite")
-            .then(a.1.cmp(&b.1))
-            .then(a.2.cmp(&b.2))
-    });
-    let mut id_maps: Vec<Vec<usize>> =
-        results.iter().map(|(st, _)| vec![usize::MAX; st.source.arrived(&[]).len()]).collect();
-    let mut arrivals_s = Vec::with_capacity(order.len());
-    for (global, &(at, lane, local)) in order.iter().enumerate() {
+    let order = by_time(order, |&(arrival_s, _, _)| arrival_s);
+    for (global, &(_, lane, local)) in order.iter().enumerate() {
         id_maps[lane][local] = global;
-        arrivals_s.push(at);
     }
 
-    let total = order.len();
-    let mut latencies = vec![f64::NAN; total];
-    for (lane, (_, out)) in results.iter().enumerate() {
-        for &(local, latency) in &out.latencies {
-            debug_assert!(latencies[id_maps[lane][local]].is_nan(), "request resolved twice");
-            latencies[id_maps[lane][local]] = latency;
-        }
-    }
-    debug_assert!(
-        latencies.iter().all(|&l| l >= 0.0),
-        "lane-eligible closed loops serve every request"
-    );
-
-    // Batches in (finish, lane, sequence) order.
-    let mut batches: Vec<(f64, usize, usize, usize)> = Vec::new();
-    for (lane, (_, out)) in results.iter().enumerate() {
-        batches.extend(
-            out.batch_sizes
-                .iter()
-                .enumerate()
-                .map(|(seq, &(finish, size))| (finish, lane, seq, size)),
-        );
-    }
-    batches.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .expect("finish times are finite")
-            .then(a.1.cmp(&b.1))
-            .then(a.2.cmp(&b.2))
-    });
-
-    // Scalar aggregates, summed in lane order for f64 determinism.
-    let (mut makespan, mut depth_integral, mut depth_max) = (0.0f64, 0.0f64, 0usize);
-    for (st, out) in results {
-        makespan = makespan.max(st.makespan);
-        depth_integral += st.depth_integral;
-        depth_max = depth_max.max(st.depth_max);
+    // Per-group counters summed in lane order. Active shard counts are
+    // constant per lane (no autoscaling, no crashes), so summed peaks
+    // equal the merged peak.
+    let group_stats = lanes
+        .iter()
+        .map(|(st, _)| st.fleet.group_stats())
+        .reduce(|mut merged, lane| {
+            merged.iter_mut().zip(&lane).for_each(|(group, share)| group.absorb(share));
+            merged
+        })
+        .expect("a lane plan has at least one lane");
+    let mut end = Terminal {
+        arrivals_s: order.iter().map(|&(arrival_s, _, _)| arrival_s).collect(),
+        tenants: vec![0; order.len()],
+        tally: Tally::default(),
+        shard_stats: vec![ShardStats::default(); total_slots],
+        shard_groups: vec![0; total_slots],
+        group_stats,
+    };
+    let mut out = FragmentOut::new(tracing);
+    for ((st, lane_out), (ids, slots)) in lanes.into_iter().zip(id_maps.iter().zip(&slot_maps)) {
         debug_assert!(
-            out.shed.is_empty() && out.crash_events.is_empty() && out.scale_events.is_empty(),
+            lane_out.shed.is_empty()
+                && lane_out.crash_events.is_empty()
+                && lane_out.scale_events.is_empty(),
             "lane-eligible scenarios shed nothing and never change the fleet"
         );
-    }
-
-    // Shard slots re-laid group-major; per-group counters summed in lane
-    // order. Active shard counts are constant per lane (no autoscaling,
-    // no crashes), so summed peaks equal the merged peak.
-    let mut shard_stats = vec![ShardStats::default(); total_slots];
-    let mut shard_groups = Vec::with_capacity(total_slots);
-    for (g, &shards) in group_shards.iter().enumerate() {
-        shard_groups.extend(std::iter::repeat_n(g, shards));
-    }
-    for (lane, (st, _)) in results.iter().enumerate() {
-        for (local, stats) in st.fleet.stats().iter().enumerate() {
-            shard_stats[slot_maps[lane][local]] = *stats;
+        // Scalar aggregates, summed in lane order for f64 determinism.
+        end.tally.makespan = end.tally.makespan.max(st.tally.makespan);
+        end.tally.depth_integral += st.tally.depth_integral;
+        end.tally.depth_max = end.tally.depth_max.max(st.tally.depth_max);
+        for (local, &slot) in slots.iter().enumerate() {
+            end.shard_stats[slot] = st.fleet.stats()[local];
+            end.shard_groups[slot] = st.fleet.group_of(local);
+        }
+        out.latencies.extend(lane_out.latencies.iter().map(|&(id, latency)| (ids[id], latency)));
+        out.batch_sizes.extend(lane_out.batch_sizes);
+        for event in lane_out.events.into_iter().flatten() {
+            out.trace(remap_event(event, ids, slots));
         }
     }
-    let mut group_stats: Vec<GroupStats> = cfg
-        .groups
-        .iter()
-        .map(|g| GroupStats {
-            name: g.name.clone(),
-            capacity: g.shards,
-            busy_s: 0.0,
-            batches: 0,
-            requests: 0,
-            shard_seconds: 0.0,
-            peak_active: 0,
-        })
-        .collect();
-    for (st, _) in results {
-        for (g, lane_stats) in st.fleet.group_stats().into_iter().enumerate() {
-            let merged = &mut group_stats[g];
-            merged.busy_s += lane_stats.busy_s;
-            merged.batches += lane_stats.batches;
-            merged.requests += lane_stats.requests;
-            merged.shard_seconds += lane_stats.shard_seconds;
-            merged.peak_active += lane_stats.peak_active;
-        }
-    }
-
-    let outcome = ServeOutcome {
-        latencies_s: latencies,
-        arrivals_s,
-        tenants: vec![0; total],
-        shed: Vec::new(),
-        shed_queue: 0,
-        shed_limit: 0,
-        tenant_outcomes: Vec::new(),
-        crash_events: Vec::new(),
-        provision_failures: 0,
-        makespan_s: makespan,
-        queue_depth_mean: if makespan > 0.0 { depth_integral / makespan } else { 0.0 },
-        queue_depth_max: depth_max,
-        batch_sizes: batches.into_iter().map(|(_, _, _, size)| size).collect(),
-        shard_stats,
-        shard_groups,
-        group_stats,
-        scale_events: Vec::new(),
-    };
-
-    let trace = tracing.then(|| {
-        let mut keyed: Vec<(f64, usize, usize, TraceEvent)> = Vec::new();
-        for (lane, (_, out)) in results.iter().enumerate() {
-            if let Some(events) = &out.events {
-                keyed.extend(events.iter().enumerate().map(|(seq, event)| {
-                    (event.at_s(), lane, seq, remap_event(event, &id_maps[lane], &slot_maps[lane]))
-                }));
-            }
-        }
-        keyed.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("event times are finite")
-                .then(a.1.cmp(&b.1))
-                .then(a.2.cmp(&b.2))
-        });
-        Trace {
-            groups: cfg
-                .groups
-                .iter()
-                .map(|g| TraceGroup { name: g.name.clone(), initial_shards: g.shards })
-                .collect(),
-            tenants: Vec::new(),
-            events: keyed.into_iter().map(|(_, _, _, event)| event).collect(),
-        }
-    });
-    (outcome, trace)
+    out.batch_sizes = by_time(out.batch_sizes, |&(finish_s, _)| finish_s);
+    out.events = out.events.map(|events| by_time(events, TraceEvent::at_s));
+    (end, out)
 }
 
 /// Rewrites a lane-local trace event into merged coordinates.
-fn remap_event(event: &TraceEvent, ids: &[usize], slots: &[usize]) -> TraceEvent {
-    match *event {
-        TraceEvent::Arrival { at_s, id, tenant } => {
-            TraceEvent::Arrival { at_s, id: ids[id], tenant }
+fn remap_event(mut event: TraceEvent, ids: &[usize], slots: &[usize]) -> TraceEvent {
+    match &mut event {
+        TraceEvent::Arrival { id, .. }
+        | TraceEvent::Admit { id, .. }
+        | TraceEvent::Shed { id, .. }
+        | TraceEvent::Complete { id, .. } => *id = ids[*id],
+        TraceEvent::Dispatch { shard, .. } | TraceEvent::Crash { shard, .. } => {
+            *shard = slots[*shard];
         }
-        TraceEvent::Admit { at_s, id } => TraceEvent::Admit { at_s, id: ids[id] },
-        TraceEvent::Shed { at_s, id, tenant, reason } => {
-            TraceEvent::Shed { at_s, id: ids[id], tenant, reason }
-        }
-        TraceEvent::Complete { at_s, id, tenant, latency_s } => {
-            TraceEvent::Complete { at_s, id: ids[id], tenant, latency_s }
-        }
-        TraceEvent::Dispatch { at_s, shard, group, requests, service_s } => {
-            TraceEvent::Dispatch { at_s, shard: slots[shard], group, requests, service_s }
-        }
-        TraceEvent::Crash { at_s, shard, group, redispatched, lost_service_s } => {
-            TraceEvent::Crash { at_s, shard: slots[shard], group, redispatched, lost_service_s }
-        }
-        ref other @ (TraceEvent::Scale { .. } | TraceEvent::ProvisionFailure { .. }) => {
-            other.clone()
-        }
+        TraceEvent::Scale { .. } | TraceEvent::ProvisionFailure { .. } => {}
     }
-}
-
-fn run_stream(
-    stream: &[Request],
-    cfg: &ServeConfig<'_>,
-    tenants: Option<&TenantMix>,
-    horizon: f64,
-    plan: &EnginePlan,
-    tracing: bool,
-) -> (ServeOutcome, Option<Trace>) {
-    let costs = FleetCosts::new(cfg.costs, cfg.groups);
-    let ctx = Ctx { cfg, tenants, stream, costs, admission: true };
-    let initial = initial_state(cfg, tenants, SourceState::Open { cursor: 0 });
-    run_fragments(&ctx, initial, horizon, plan, tracing)
+    event
 }
 
 fn run_workload(
@@ -1334,21 +1316,22 @@ fn run_workload(
     plan: &EnginePlan,
     tracing: bool,
 ) -> (ServeOutcome, Option<Trace>) {
+    let open = SourceState::Open { cursor: 0 };
     match workload {
         Workload::Open(spec) => {
             let stream = spec.generate();
             assert_sorted(&stream);
-            run_stream(&stream, cfg, cfg.tenants, spec.duration_s, plan, tracing)
+            run_fragments(&stream, open, cfg, cfg.tenants, spec.duration_s, plan, tracing)
         }
         Workload::Shaped(shaped) => {
             let stream = shaped.generate();
             let tenants = cfg.tenants.or(shaped.tenants.as_ref());
-            run_stream(&stream, cfg, tenants, shaped.base.duration_s, plan, tracing)
+            run_fragments(&stream, open, cfg, tenants, shaped.base.duration_s, plan, tracing)
         }
         Workload::Replay(stream) => {
             assert_sorted(stream);
             let horizon = stream.last().map_or(0.0, |r| r.arrival_s);
-            run_stream(stream, cfg, cfg.tenants, horizon, plan, tracing)
+            run_fragments(stream, open, cfg, cfg.tenants, horizon, plan, tracing)
         }
         Workload::Closed(spec) => {
             let lanes = lane_count(spec, cfg, plan);
@@ -1356,10 +1339,8 @@ fn run_workload(
                 return run_lanes(spec, cfg, lanes, plan, tracing);
             }
             let (clients, first) = spec.clients();
-            let costs = FleetCosts::new(cfg.costs, cfg.groups);
-            let ctx = Ctx { cfg, tenants: cfg.tenants, stream: &[], costs, admission: false };
-            let initial = initial_state(cfg, cfg.tenants, SourceState::closed(clients, first));
-            run_fragments(&ctx, initial, spec.duration_s, plan, tracing)
+            let source = SourceState::closed(clients, first);
+            run_fragments(&[], source, cfg, cfg.tenants, spec.duration_s, plan, tracing)
         }
     }
 }

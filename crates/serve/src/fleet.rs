@@ -97,11 +97,24 @@ pub struct GroupStats {
     pub peak_active: usize,
 }
 
+impl GroupStats {
+    /// Adds the counters of `share`, the same group in another lane of a
+    /// lane-split fleet (see [`lane_groups`]): lanes partition the group's
+    /// slots, so every counter of the whole is the sum over its lanes.
+    pub(crate) fn absorb(&mut self, share: &GroupStats) {
+        self.capacity += share.capacity;
+        self.busy_s += share.busy_s;
+        self.batches += share.batches;
+        self.requests += share.requests;
+        self.shard_seconds += share.shard_seconds;
+        self.peak_active += share.peak_active;
+    }
+}
+
 /// Static per-group information the dispatch policies read.
 #[derive(Debug, Clone)]
 struct GroupInfo {
     name: String,
-    fingerprint: String,
     peak_gflops: f64,
     capacity: usize,
     first_shard: usize,
@@ -155,7 +168,6 @@ impl ShardFleet {
             );
             infos.push(GroupInfo {
                 name: group.name.clone(),
-                fingerprint: group.config.fingerprint(),
                 peak_gflops: group.config.peak_gflops(),
                 capacity,
                 first_shard: shard_group.len(),
@@ -188,19 +200,9 @@ impl ShardFleet {
         self.shard_group.len()
     }
 
-    /// Whether the fleet has no slots (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.shard_group.is_empty()
-    }
-
     /// The group a shard slot belongs to.
     pub fn group_of(&self, shard: usize) -> usize {
         self.shard_group[shard]
-    }
-
-    /// The cost-table fingerprint of a group's configuration.
-    pub fn fingerprint(&self, group: usize) -> &str {
-        &self.groups[group].fingerprint
     }
 
     /// A group's peak throughput (the class-affinity ranking signal).
@@ -246,16 +248,6 @@ impl ShardFleet {
     pub fn idle_shards(&self, now: f64, idle: &mut Vec<usize>) {
         idle.clear();
         idle.extend((0..self.capacity()).filter(|&s| self.is_idle(s, now)));
-    }
-
-    /// The earliest time any active shard becomes free.
-    pub fn next_free_at(&self) -> f64 {
-        self.busy_until
-            .iter()
-            .zip(&self.active)
-            .filter(|&(_, &active)| active)
-            .map(|(&until, _)| until)
-            .fold(f64::INFINITY, f64::min)
     }
 
     /// The earliest *future* release: the smallest busy-until strictly
@@ -361,11 +353,8 @@ impl ShardFleet {
     /// the simulation calls this once per time step, making
     /// [`GroupStats::shard_seconds`] the exact integral of active capacity.
     pub fn accrue(&mut self, dt: f64) {
-        for (g, info) in self.groups.iter().enumerate() {
-            let active = (info.first_shard..info.first_shard + info.capacity)
-                .filter(|&s| self.active[s])
-                .count();
-            self.active_seconds[g] += active as f64 * dt;
+        for g in 0..self.groups.len() {
+            self.active_seconds[g] += self.active_in_group(g) as f64 * dt;
         }
     }
 
@@ -380,7 +369,6 @@ impl ShardFleet {
             .iter()
             .enumerate()
             .map(|(g, info)| {
-                let slots = info.first_shard..info.first_shard + info.capacity;
                 let mut stats = GroupStats {
                     name: info.name.clone(),
                     capacity: info.capacity,
@@ -390,7 +378,7 @@ impl ShardFleet {
                     shard_seconds: self.active_seconds[g],
                     peak_active: self.peak_active[g],
                 };
-                for s in slots {
+                for s in self.group_slots(g) {
                     stats.busy_s += self.stats[s].busy_s;
                     stats.batches += self.stats[s].batches;
                     stats.requests += self.stats[s].requests;
@@ -426,12 +414,11 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_grouped_and_fingerprinted() {
+    fn slots_are_grouped_and_ranked_by_peak_throughput() {
         let fleet = ShardFleet::new(&two_groups(), None);
         assert_eq!(fleet.capacity(), 3);
         assert_eq!(fleet.group_count(), 2);
         assert_eq!(fleet.shard_groups(), &[0, 1, 1]);
-        assert_eq!(fleet.fingerprint(0), ChipConfig::tile_64().fingerprint());
         assert!(fleet.peak_gflops(0) > fleet.peak_gflops(1));
         assert_eq!(fleet.active_shards(), 3);
     }
@@ -444,9 +431,10 @@ mod tests {
         fleet.dispatch(1, 0.0, 1.0, 1);
         assert_eq!(idle_shards(&fleet, 0.5), vec![2]);
         assert_eq!(idle_shards(&fleet, 1.5), vec![1, 2]);
-        assert!((fleet.next_free_at() - 0.0).abs() < 1e-12, "shard 2 is already free");
+        assert!((fleet.next_busy_free_at(0.5) - 1.0).abs() < 1e-12, "shard 1 releases first");
         fleet.dispatch(2, 0.0, 3.0, 1);
-        assert!((fleet.next_free_at() - 1.0).abs() < 1e-12);
+        assert!((fleet.next_busy_free_at(1.5) - 2.0).abs() < 1e-12, "then shard 0");
+        assert_eq!(fleet.next_busy_free_at(3.0), f64::INFINITY, "nothing is busy past 3 s");
         let stats = fleet.stats()[0];
         assert!((stats.busy_s - 2.0).abs() < 1e-12);
         assert_eq!((stats.batches, stats.requests), (1, 4));

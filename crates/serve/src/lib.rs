@@ -74,6 +74,7 @@
 //! that, and its artifact is byte-identical for any `NEURA_LAB_THREADS`).
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod arrivals;
 pub mod autoscale;
@@ -88,7 +89,9 @@ pub mod sim;
 pub mod spec;
 pub mod telemetry;
 
-pub use arrivals::{ArrivalProcess, ClosedLoopSpec, Request, StreamSpec, Workload};
+pub use arrivals::{
+    ArrivalProcess, ClosedLoopSpec, Request, StreamSpec, Workload, MAX_STREAM_REQUESTS,
+};
 pub use autoscale::{AutoscalePolicy, ScaleEvent};
 pub use cost::{
     ClassCost, CostModel, CostTable, FleetCosts, RequestClass, DEFAULT_MARGINAL_BATCH_FRACTION,

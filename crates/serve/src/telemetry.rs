@@ -7,19 +7,17 @@
 //! run all blend into one number. This module adds the missing axis in
 //! three deterministic layers:
 //!
-//! 1. **[`Trace`]** — the raw record. When a caller uses the `*_traced`
-//!    entry points of [`crate::sim`], the event loop appends one
-//!    [`TraceEvent`] per lifecycle step (arrival → admit/shed →
-//!    dispatch/service start → completion, plus crash/scale/provisioning
-//!    events) in simulation-time order. Tracing is opt-in: the untraced
-//!    entry points skip every push, so the hot loop pays nothing.
+//! 1. **[`Trace`]** — the raw record. Under
+//!    [`simulate_config_traced_parallel`](crate::engine::simulate_config_traced_parallel)
+//!    the engine's recorder appends one [`TraceEvent`] per lifecycle step
+//!    (arrival → admit/shed → dispatch/service start → completion, plus
+//!    crash/scale/provisioning events) in simulation-time order. Tracing
+//!    is opt-in: the untraced entry point skips every push.
 //! 2. **[`LatencyHistogram`]** — mergeable percentile state. Latencies
 //!    land in log-spaced buckets (the float's exponent plus the top
 //!    [`SUB_BUCKET_BITS`] mantissa bits), so [`LatencyHistogram::merge`]
 //!    is exact bucket-count addition and every reported percentile sits
-//!    within [`RELATIVE_ERROR_BOUND`] of the exact-sort answer. This is
-//!    the state a future parallel-in-time engine can merge across
-//!    timeline fragments.
+//!    within [`RELATIVE_ERROR_BOUND`] of the exact-sort answer.
 //! 3. **[`Timeline`]** — the windowed view. [`Timeline::build`] replays a
 //!    trace into fixed-width windows sampling queue depth, in-flight
 //!    count, shed rate, per-group utilisation and active shards,
@@ -32,10 +30,8 @@
 
 use neura_lab::RunRecord;
 
-// The histogram grew up here; it now lives in the simulation kernel so the
-// chip-level profiler (which `neura_serve` sits above) can share it. The
-// re-export keeps every existing `neura_serve::LatencyHistogram` caller
-// working unchanged.
+// The histogram lives in the simulation kernel, where the chip profiler
+// (which `neura_serve` sits above) shares it.
 pub use neura_sim::{LatencyHistogram, RELATIVE_ERROR_BOUND, SUB_BUCKET_BITS};
 
 use crate::sim::ServeOutcome;
@@ -302,88 +298,43 @@ impl Timeline {
     /// horizon first; a replay that drains long after its horizon can
     /// still land here).
     pub fn build(trace: &Trace, outcome: &ServeOutcome, window_s: f64) -> Self {
-        assert!(window_s > 0.0 && window_s.is_finite(), "window width must be a positive time");
-        let makespan = outcome.makespan_s;
-        let count = (makespan / window_s).ceil();
-        assert!(
-            count <= MAX_TIMELINE_WINDOWS as f64,
-            "a {window_s} s window cuts the {makespan} s makespan into {count} windows, more \
-             than MAX_TIMELINE_WINDOWS = {MAX_TIMELINE_WINDOWS}: widen the window"
-        );
-        let count = (count as usize).max(1);
-        let window_of = |t: f64| ((t / window_s) as usize).min(count - 1);
-        let groups = trace.groups.len();
-        let mut windows: Vec<WindowStats> = (0..count)
-            .map(|w| WindowStats {
-                start_s: w as f64 * window_s,
-                groups: vec![GroupWindow::default(); groups],
-                tenants: vec![TenantWindow::default(); trace.tenants.len()],
-                ..WindowStats::default()
-            })
-            .collect();
-
-        // Clips `[from, to)` against every window it overlaps and adds
-        // `sign` times the overlap to that window's group busy time.
-        let add_busy =
-            |windows: &mut [WindowStats], group: usize, from: f64, to: f64, sign: f64| {
-                if to <= from {
-                    return;
-                }
-                let (first, last) = (window_of(from), window_of(to));
-                for (w, window) in windows.iter_mut().enumerate().take(last + 1).skip(first) {
-                    let lo = w as f64 * window_s;
-                    let hi = lo + window_s;
-                    let overlap = (to.min(hi) - from.max(lo)).max(0.0);
-                    window.groups[group].busy_s += sign * overlap;
-                }
-            };
-
+        let mut timeline = Timeline::blank(trace, outcome, window_s);
         let mut active: Vec<usize> = trace.groups.iter().map(|g| g.initial_shards).collect();
         let mut active_from = 0.0f64;
-        // Integrates the per-group active-shard step function over
-        // `[active_from, to)` into the overlapped windows.
-        let accrue_active = |windows: &mut [WindowStats], active: &[usize], from: f64, to: f64| {
-            if to <= from {
-                return;
-            }
-            let (first, last) = (window_of(from), window_of(to));
-            for (w, window) in windows.iter_mut().enumerate().take(last + 1).skip(first) {
-                let lo = w as f64 * window_s;
-                let hi = lo + window_s;
-                let overlap = (to.min(hi) - from.max(lo)).max(0.0);
+        // Integrates the per-group active-shard step function over a span
+        // on which it is constant.
+        let accrue_active = |timeline: &mut Timeline, active: &[usize], from: f64, to: f64| {
+            timeline.for_overlaps(from, to, |window, overlap| {
                 for (g, &n) in active.iter().enumerate() {
                     window.groups[g].active_seconds += n as f64 * overlap;
                 }
-            }
+            });
         };
 
         let mut depth = 0usize;
         let mut in_flight = 0usize;
-        let mut cursor = 0usize;
-        let close = |windows: &mut [WindowStats],
-                     cursor: &mut usize,
-                     upto: usize,
-                     depth: usize,
-                     in_flight: usize,
-                     active: &[usize]| {
-            while *cursor < upto {
-                let window = &mut windows[*cursor];
-                window.queue_depth_end = depth;
-                window.in_flight_end = in_flight;
-                for (g, &n) in active.iter().enumerate() {
-                    window.groups[g].active_end = n;
+        // Windows before `open` are closed: their end-of-window samples are
+        // taken and the next window's depth peak starts from them.
+        let mut open = 0usize;
+        let mut close_until =
+            |windows: &mut [WindowStats], upto, depth, in_flight, active: &[usize]| {
+                for w in open..upto {
+                    windows[w].queue_depth_end = depth;
+                    windows[w].in_flight_end = in_flight;
+                    for (g, &n) in active.iter().enumerate() {
+                        windows[w].groups[g].active_end = n;
+                    }
+                    if let Some(next) = windows.get_mut(w + 1) {
+                        next.queue_depth_peak = depth;
+                    }
                 }
-                *cursor += 1;
-                if *cursor < windows.len() {
-                    windows[*cursor].queue_depth_peak = depth;
-                }
-            }
-        };
+                open = open.max(upto);
+            };
 
         for event in &trace.events {
-            let w = window_of(event.at_s());
-            close(&mut windows, &mut cursor, w, depth, in_flight, &active);
-            let window = &mut windows[w];
+            let w = timeline.window_of(event.at_s());
+            close_until(&mut timeline.windows, w, depth, in_flight, &active);
+            let window = &mut timeline.windows[w];
             match *event {
                 TraceEvent::Arrival { .. } => window.arrivals += 1,
                 TraceEvent::Admit { .. } => {
@@ -401,7 +352,9 @@ impl Timeline {
                 }
                 TraceEvent::Dispatch { at_s, group, requests, service_s, .. } => {
                     depth -= requests;
-                    add_busy(&mut windows, group, at_s, at_s + service_s, 1.0);
+                    timeline.for_overlaps(at_s, at_s + service_s, |window, overlap| {
+                        window.groups[group].busy_s += overlap;
+                    });
                 }
                 TraceEvent::Complete { at_s: _, tenant, latency_s, .. } => {
                     in_flight -= 1;
@@ -417,34 +370,77 @@ impl Timeline {
                 }
                 TraceEvent::Crash { at_s, group, redispatched, lost_service_s, .. } => {
                     depth += redispatched;
-                    windows[w].queue_depth_peak = windows[w].queue_depth_peak.max(depth);
-                    add_busy(&mut windows, group, at_s, at_s + lost_service_s, -1.0);
-                    accrue_active(&mut windows, &active, active_from, at_s);
+                    window.queue_depth_peak = window.queue_depth_peak.max(depth);
+                    // The interrupted batch's lost tail comes back out.
+                    timeline.for_overlaps(at_s, at_s + lost_service_s, |window, overlap| {
+                        window.groups[group].busy_s -= overlap;
+                    });
+                    accrue_active(&mut timeline, &active, active_from, at_s);
                     active_from = at_s;
                     active[group] -= 1;
                 }
                 TraceEvent::Scale { at_s, group, delta, .. } => {
-                    accrue_active(&mut windows, &active, active_from, at_s);
+                    accrue_active(&mut timeline, &active, active_from, at_s);
                     active_from = at_s;
                     active[group] = (active[group] as i64 + delta) as usize;
                 }
                 TraceEvent::ProvisionFailure { .. } => window.provision_failures += 1,
             }
         }
-        accrue_active(&mut windows, &active, active_from, makespan);
-        close(&mut windows, &mut cursor, count, depth, in_flight, &active);
+        accrue_active(&mut timeline, &active, active_from, outcome.makespan_s);
+        let count = timeline.windows.len();
+        close_until(&mut timeline.windows, count, depth, in_flight, &active);
 
-        let mut merged = LatencyHistogram::new();
-        for window in &windows {
-            merged.merge(&window.histogram);
+        for window in &timeline.windows {
+            timeline.merged.merge(&window.histogram);
         }
+        timeline
+    }
+
+    /// The timeline of `outcome` before any event has landed in it: every
+    /// window allocated, every counter zero.
+    fn blank(trace: &Trace, outcome: &ServeOutcome, window_s: f64) -> Self {
+        assert!(window_s > 0.0 && window_s.is_finite(), "window width must be a positive time");
+        let makespan = outcome.makespan_s;
+        let count = (makespan / window_s).ceil();
+        assert!(
+            count <= MAX_TIMELINE_WINDOWS as f64,
+            "a {window_s} s window cuts the {makespan} s makespan into {count} windows, more \
+             than MAX_TIMELINE_WINDOWS = {MAX_TIMELINE_WINDOWS}: widen the window"
+        );
         Timeline {
             window_s,
-            windows,
-            merged,
+            windows: (0..(count as usize).max(1))
+                .map(|w| WindowStats {
+                    start_s: w as f64 * window_s,
+                    groups: vec![GroupWindow::default(); trace.groups.len()],
+                    tenants: vec![TenantWindow::default(); trace.tenants.len()],
+                    ..WindowStats::default()
+                })
+                .collect(),
+            merged: LatencyHistogram::new(),
             group_names: trace.groups.iter().map(|g| g.name.clone()).collect(),
             tenants: trace.tenants.clone(),
             recovery_times_s: outcome.recovery_times_s(),
+        }
+    }
+
+    /// The window `t` falls in; the makespan itself lands in the last one.
+    fn window_of(&self, t: f64) -> usize {
+        ((t / self.window_s) as usize).min(self.windows.len() - 1)
+    }
+
+    /// Clips `[from, to)` against every window it overlaps and hands `add`
+    /// each such window with the seconds of overlap.
+    fn for_overlaps(&mut self, from: f64, to: f64, mut add: impl FnMut(&mut WindowStats, f64)) {
+        if to <= from {
+            return;
+        }
+        let (first, last, window_s) = (self.window_of(from), self.window_of(to), self.window_s);
+        for (w, window) in self.windows.iter_mut().enumerate().take(last + 1).skip(first) {
+            let lo = w as f64 * window_s;
+            let hi = lo + window_s;
+            add(window, (to.min(hi) - from.max(lo)).max(0.0));
         }
     }
 

@@ -7,36 +7,15 @@
 //! shed exactly once across every seam; and the closed-loop lane
 //! decomposition is thread-invariant at any fixed lane count.
 
-use neura_chip::config::ChipConfig;
 use neura_lab::Artifact;
 use neura_serve::{
-    simulate_config_traced_parallel, ArrivalProcess, AutoscalePolicy, ClassCost, ClosedLoopSpec,
-    CostTable, DispatchKind, EnginePlan, FaultSpec, Policy, RequestClass, ServeConfig, ShardGroup,
-    StreamSpec, Workload,
+    simulate_config_traced_parallel, ArrivalProcess, AutoscalePolicy, ClosedLoopSpec, DispatchKind,
+    EnginePlan, FaultSpec, Policy, ServeConfig, StreamSpec, Workload,
 };
 use proptest::prelude::*;
 
-/// Synthetic Tile-16 costs with enough spread to exercise SJF reordering
-/// and batching (same shape as the other serving property suites).
-fn synthetic_costs(mix_size: usize, shrinks: &[usize]) -> CostTable {
-    let mut costs = CostTable::new();
-    let fp = costs.register(&ChipConfig::tile_16());
-    for dataset in 0..mix_size {
-        for &shrink in shrinks {
-            let cycles = 2_000_000 * (dataset as u64 + 1) / shrink as u64;
-            costs.insert(
-                &fp,
-                RequestClass { dataset, shrink },
-                ClassCost { cycles, flops: cycles },
-            );
-        }
-    }
-    costs
-}
-
-fn tile16_fleet(n: usize) -> Vec<ShardGroup> {
-    vec![ShardGroup::new("t16", ChipConfig::tile_16(), n)]
-}
+mod common;
+use common::{synthetic_costs, tile16_fleet};
 
 fn arb_stream() -> impl Strategy<Value = StreamSpec> {
     (0usize..2, 200.0f64..600.0, 1usize..=3, 0u64..1_000).prop_map(

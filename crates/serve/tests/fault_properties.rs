@@ -6,35 +6,14 @@
 //! floor; degraded silicon never improves the tail; and fault-injected
 //! replays stay deterministic.
 
-use neura_chip::config::ChipConfig;
 use neura_serve::{
-    simulate_config_parallel, ArrivalProcess, AutoscalePolicy, ClassCost, CostTable, DispatchKind,
-    EnginePlan, FaultSpec, Policy, Request, RequestClass, ServeConfig, ServeOutcome, ShardGroup,
-    StreamSpec, Workload,
+    simulate_config_parallel, ArrivalProcess, AutoscalePolicy, DispatchKind, EnginePlan, FaultSpec,
+    Policy, Request, ServeConfig, ServeOutcome, StreamSpec, Workload,
 };
 use proptest::prelude::*;
 
-/// A synthetic cost table covering every class a generated stream can
-/// draw on Tile-16 silicon (same spread as `serve_properties`).
-fn synthetic_costs(mix_size: usize, shrinks: &[usize]) -> CostTable {
-    let mut costs = CostTable::new();
-    let fp = costs.register(&ChipConfig::tile_16());
-    for dataset in 0..mix_size {
-        for &shrink in shrinks {
-            let cycles = 2_000_000 * (dataset as u64 + 1) / shrink as u64;
-            costs.insert(
-                &fp,
-                RequestClass { dataset, shrink },
-                ClassCost { cycles, flops: cycles },
-            );
-        }
-    }
-    costs
-}
-
-fn tile16_fleet(n: usize) -> Vec<ShardGroup> {
-    vec![ShardGroup::new("t16", ChipConfig::tile_16(), n)]
-}
+mod common;
+use common::{synthetic_costs, tile16_fleet};
 
 /// Serial replay of an explicit stream.
 fn replay(stream: &[Request], cfg: &ServeConfig<'_>) -> ServeOutcome {

@@ -10,42 +10,13 @@ use neura_chip::config::ChipConfig;
 use neura_serve::scenario::TENANT_BURST_S;
 use neura_serve::{
     simulate_config_parallel, simulate_config_traced_parallel, ArrivalProcess, AutoscalePolicy,
-    ClassCost, CostTable, DispatchKind, EnginePlan, Policy, RateShape, RequestClass, ScenarioSpec,
-    ServeConfig, ServeOutcome, ShapedStream, ShardGroup, StreamSpec, TenantMix, TenantSpec,
-    Workload,
+    DispatchKind, EnginePlan, Policy, RateShape, RequestClass, ScenarioSpec, ServeConfig,
+    ServeOutcome, ShapedStream, StreamSpec, TenantMix, TenantSpec, Workload,
 };
 use proptest::prelude::*;
 
-/// A synthetic cost table covering every class a generated stream can
-/// draw on Tile-16 silicon (same spread as `serve_properties`).
-fn synthetic_costs(mix_size: usize, shrinks: &[usize]) -> CostTable {
-    let mut costs = CostTable::new();
-    let fp = costs.register(&ChipConfig::tile_16());
-    for dataset in 0..mix_size {
-        for &shrink in shrinks {
-            let cycles = 2_000_000 * (dataset as u64 + 1) / shrink as u64;
-            costs.insert(
-                &fp,
-                RequestClass { dataset, shrink },
-                ClassCost { cycles, flops: cycles },
-            );
-        }
-    }
-    costs
-}
-
-fn tile16_fleet(n: usize) -> Vec<ShardGroup> {
-    vec![ShardGroup::new("t16", ChipConfig::tile_16(), n)]
-}
-
-/// Mean service time of one request across the synthetic classes.
-fn mean_service_s(costs: &CostTable, mix_size: usize, shrinks: &[usize]) -> f64 {
-    let fp = ChipConfig::tile_16().fingerprint();
-    let classes: Vec<RequestClass> = (0..mix_size)
-        .flat_map(|dataset| shrinks.iter().map(move |&shrink| RequestClass { dataset, shrink }))
-        .collect();
-    classes.iter().map(|&c| costs.service_seconds(&fp, c, 1)).sum::<f64>() / classes.len() as f64
-}
+mod common;
+use common::{synthetic_costs, tile16_fleet};
 
 /// The serial engine.
 fn serial(workload: &Workload, cfg: &ServeConfig<'_>) -> ServeOutcome {
@@ -132,7 +103,7 @@ proptest! {
         let costs = synthetic_costs(mix_size, &shrinks);
         let shards = 2;
         let groups = tile16_fleet(shards);
-        let capacity_rps = shards as f64 / mean_service_s(&costs, mix_size, &shrinks);
+        let capacity_rps = shards as f64 / costs.mean_service_seconds(&ChipConfig::tile_16().fingerprint(), &common::classes(mix_size, &shrinks));
         let bound = 32usize;
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
             .with_queue_bound(bound);
@@ -228,7 +199,11 @@ fn library_scenario_arms_are_identical_across_runner_threads() {
     let shrinks = vec![1, 2, 4];
     let costs = synthetic_costs(mix_size, &shrinks);
     let shards = 2;
-    let capacity_rps = shards as f64 / mean_service_s(&costs, mix_size, &shrinks);
+    let capacity_rps = shards as f64
+        / costs.mean_service_seconds(
+            &ChipConfig::tile_16().fingerprint(),
+            &common::classes(mix_size, &shrinks),
+        );
     let duration_s = 0.3;
     let library = ScenarioSpec::library();
     assert!(library.len() >= 5, "the sweep promises at least 5 named arms");

@@ -8,36 +8,13 @@
 
 use neura_chip::config::ChipConfig;
 use neura_serve::{
-    simulate_config_parallel, ArrivalProcess, AutoscalePolicy, ClassCost, ClosedLoopSpec,
-    CostTable, DispatchKind, EnginePlan, Policy, RequestClass, ServeConfig, ServeOutcome,
-    ShardGroup, StreamSpec, Workload,
+    simulate_config_parallel, ArrivalProcess, AutoscalePolicy, ClosedLoopSpec, DispatchKind,
+    EnginePlan, Policy, ServeConfig, ServeOutcome, ShardGroup, StreamSpec, Workload,
 };
 use proptest::prelude::*;
 
-/// A synthetic cost table covering every class a generated stream can draw
-/// on Tile-16 silicon: heavier datasets and lighter shrinks cost more,
-/// with enough spread that SJF reordering and batching amortisation are
-/// exercised.
-fn synthetic_costs(mix_size: usize, shrinks: &[usize]) -> CostTable {
-    let mut costs = CostTable::new();
-    let fp = costs.register(&ChipConfig::tile_16());
-    for dataset in 0..mix_size {
-        for &shrink in shrinks {
-            let cycles = 2_000_000 * (dataset as u64 + 1) / shrink as u64;
-            costs.insert(
-                &fp,
-                RequestClass { dataset, shrink },
-                ClassCost { cycles, flops: cycles },
-            );
-        }
-    }
-    costs
-}
-
-/// A homogeneous Tile-16 fleet of `n` shards.
-fn tile16_fleet(n: usize) -> Vec<ShardGroup> {
-    vec![ShardGroup::new("t16", ChipConfig::tile_16(), n)]
-}
+mod common;
+use common::{synthetic_costs, tile16_fleet};
 
 /// The serial engine.
 fn serial(workload: &Workload, cfg: &ServeConfig<'_>) -> ServeOutcome {

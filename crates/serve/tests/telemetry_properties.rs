@@ -5,61 +5,39 @@
 //! an exact sort within the documented relative-error bound and merging
 //! split streams equals the concatenated histogram; the flash-crowd
 //! scenario's worst window p99 strictly exceeds the run aggregate; crash
-//! recovery in the timeline waits out the provisioning delay; and traced
-//! timelines are identical across runner thread counts.
+//! recovery in the timeline waits out the provisioning delay; traced
+//! timelines are identical across runner thread counts; and the trace and
+//! the outcome of one replay, fed by the same recorder calls, agree fact
+//! for fact under serial, epoch and lane plans.
 
 use neura_chip::config::ChipConfig;
 use neura_serve::{
     simulate_config_parallel, simulate_config_traced_parallel, ArrivalProcess, AutoscalePolicy,
-    ClassCost, CostTable, DispatchKind, EnginePlan, LatencyHistogram, Policy, RequestClass,
-    ScenarioSpec, ServeConfig, ServeOutcome, StreamSpec, Timeline, Workload, RELATIVE_ERROR_BOUND,
+    ClosedLoopSpec, CrashEvent, DispatchKind, EnginePlan, FaultSpec, LatencyHistogram, Policy,
+    ScenarioSpec, ServeConfig, ServeOutcome, StreamSpec, Timeline, Trace, TraceEvent, Workload,
+    RELATIVE_ERROR_BOUND, SHED_LATENCY_S,
 };
 use proptest::prelude::*;
 
-/// A synthetic cost table covering every class a generated stream can
-/// draw on Tile-16 silicon (same spread as `scenario_properties`).
-fn synthetic_costs(mix_size: usize, shrinks: &[usize]) -> CostTable {
-    let mut costs = CostTable::new();
-    let fp = costs.register(&ChipConfig::tile_16());
-    for dataset in 0..mix_size {
-        for &shrink in shrinks {
-            let cycles = 2_000_000 * (dataset as u64 + 1) / shrink as u64;
-            costs.insert(
-                &fp,
-                RequestClass { dataset, shrink },
-                ClassCost { cycles, flops: cycles },
-            );
-        }
-    }
-    costs
-}
-
-fn tile16_fleet(n: usize) -> Vec<neura_serve::ShardGroup> {
-    vec![neura_serve::ShardGroup::new("t16", ChipConfig::tile_16(), n)]
-}
-
-/// Mean service time of one request across the synthetic classes.
-fn mean_service_s(costs: &CostTable, mix_size: usize, shrinks: &[usize]) -> f64 {
-    let fp = ChipConfig::tile_16().fingerprint();
-    let classes: Vec<RequestClass> = (0..mix_size)
-        .flat_map(|dataset| shrinks.iter().map(move |&shrink| RequestClass { dataset, shrink }))
-        .collect();
-    classes.iter().map(|&c| costs.service_seconds(&fp, c, 1)).sum::<f64>() / classes.len() as f64
-}
+mod common;
+use common::{synthetic_costs, tile16_fleet};
 
 /// The autoscaler's provisioning delay shared by every scenario run in
 /// this file, so the crash-recovery assertion can name its lower bound.
 const PROVISION_DELAY_S: f64 = 0.01;
 
-/// Runs one library scenario traced — the same calibration the
-/// `scenario_properties` thread-identity test uses — and windows the
-/// trace.
-fn run_library_scenario_traced(scenario: &ScenarioSpec, window_s: f64) -> (ServeOutcome, Timeline) {
+/// Runs one library scenario traced under `plan`, with the calibration the
+/// `scenario_properties` thread-identity test uses.
+fn trace_library_scenario(scenario: &ScenarioSpec, plan: &EnginePlan) -> (ServeOutcome, Trace) {
     let mix_size = 2;
     let shrinks = vec![1, 2, 4];
     let costs = synthetic_costs(mix_size, &shrinks);
     let shards = 2;
-    let capacity_rps = shards as f64 / mean_service_s(&costs, mix_size, &shrinks);
+    let capacity_rps = shards as f64
+        / costs.mean_service_seconds(
+            &ChipConfig::tile_16().fingerprint(),
+            &common::classes(mix_size, &shrinks),
+        );
     let duration_s = 0.3;
     let seed = neura_lab::spec::derive_seed(77, scenario.name);
     let base = StreamSpec {
@@ -82,9 +60,55 @@ fn run_library_scenario_traced(scenario: &ScenarioSpec, window_s: f64) -> (Serve
     }
     cfg.queue_bound = scenario.queue_bound;
     cfg.faults = fault.as_ref();
-    let (outcome, trace) = simulate_config_traced_parallel(&workload, &cfg, &EnginePlan::serial());
+    simulate_config_traced_parallel(&workload, &cfg, plan)
+}
+
+/// [`trace_library_scenario`] on the serial engine, windowed.
+fn run_library_scenario_traced(scenario: &ScenarioSpec, window_s: f64) -> (ServeOutcome, Timeline) {
+    let (outcome, trace) = trace_library_scenario(scenario, &EnginePlan::serial());
     let timeline = Timeline::build(&trace, &outcome, window_s);
     (outcome, timeline)
+}
+
+/// Reads the trace back into the facts the outcome also keeps and
+/// compares the two: every completion's latency, the shed ids in order,
+/// the dispatched requests against served + re-dispatched, and the crash
+/// and scale events one for one.
+fn assert_two_views_agree(outcome: &ServeOutcome, trace: &Trace, case: &str) {
+    let (mut completed, mut dispatched) = (0usize, 0usize);
+    let (mut shed, mut crashes, mut scales) = (Vec::new(), Vec::new(), Vec::new());
+    for event in &trace.events {
+        match *event {
+            TraceEvent::Complete { id, latency_s, .. } => {
+                assert_eq!(latency_s, outcome.latencies_s[id], "{case}: latency of request {id}");
+                completed += 1;
+            }
+            TraceEvent::Shed { id, .. } => {
+                assert_eq!(outcome.latencies_s[id], SHED_LATENCY_S, "{case}: shed request {id}");
+                shed.push(id);
+            }
+            TraceEvent::Dispatch { requests, .. } => dispatched += requests,
+            TraceEvent::Crash { at_s, shard, group, redispatched, .. } => {
+                crashes.push(CrashEvent { at_s, shard, group, redispatched });
+            }
+            TraceEvent::Scale { at_s, group, delta, active_total } => {
+                scales.push((at_s, group, delta, active_total));
+            }
+            TraceEvent::Arrival { .. }
+            | TraceEvent::Admit { .. }
+            | TraceEvent::ProvisionFailure { .. } => {}
+        }
+    }
+    assert_eq!(completed, outcome.requests(), "{case}: completions");
+    assert_eq!(shed, outcome.shed, "{case}: shed ids, in order");
+    assert_eq!(dispatched, outcome.requests() + outcome.redispatched(), "{case}: dispatches");
+    assert_eq!(crashes, outcome.crash_events, "{case}: crashes");
+    let scaled: Vec<_> = outcome
+        .scale_events
+        .iter()
+        .map(|e| (e.effect_s, e.group, e.delta, e.active_total))
+        .collect();
+    assert_eq!(scales, scaled, "{case}: scale events");
 }
 
 /// The window count comes from a caller-chosen width, so `build` bounds it
@@ -152,6 +176,66 @@ proptest! {
             trace.events.windows(2).all(|w| w[0].at_s() <= w[1].at_s()),
             "trace events must be time-sorted"
         );
+    }
+
+    /// The trace and the outcome are two views of the same calls: one
+    /// recorder call per fact feeds both sinks, so for an arbitrary open
+    /// stream under any policy, a shedding bound, an elastic fleet and a
+    /// fault regime, for a closed loop the lane plan really splits, and
+    /// for every library scenario, what the trace says happened is what
+    /// the outcome says happened — on the serial engine, across epoch
+    /// seams and through the lane merge's id and slot remapping.
+    #[test]
+    fn the_trace_and_the_outcome_are_two_views_of_the_same_calls(
+        spec in arb_stream(),
+        policy_pick in 0usize..3,
+        shards in 2usize..=3,
+        bound in 0usize..64,
+        crashes in 0usize..=2,
+        seed in 0u64..1_000,
+        clients in 2usize..=12,
+        scenario_index in 0usize..6,
+    ) {
+        let costs = synthetic_costs(3, &[1, 2, 4]);
+        let groups = tile16_fleet(shards);
+        let autoscale = AutoscalePolicy::new(1, shards + 1)
+            .with_check_interval_s(0.005)
+            .with_provision_delay_s(PROVISION_DELAY_S);
+        let fault = FaultSpec::new(seed, spec.duration_s)
+            .with_crashes(crashes)
+            .with_provision_fail(0.3)
+            .with_degraded(0, 1.5);
+        let policy = [Policy::Fifo, Policy::Sjf, Policy::batch(4, 0.005)][policy_pick];
+        let mut open = ServeConfig::new(policy, &groups, DispatchKind::LeastLoaded, &costs)
+            .with_autoscale(&autoscale);
+        open.queue_bound = (bound >= 4).then_some(bound);
+        open.faults = Some(&fault);
+        let closed = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+        let population = Workload::Closed(ClosedLoopSpec {
+            clients,
+            think_s: 0.002,
+            duration_s: 0.2,
+            mix_size: 2,
+            shrinks: vec![1, 2],
+            seed,
+        });
+        let scenario = &ScenarioSpec::library()[scenario_index];
+
+        let serial = EnginePlan::serial();
+        let plans = [
+            ("serial", serial.clone()),
+            ("3 epochs", serial.clone().with_epochs(3)),
+            ("2 lanes", serial.with_lanes(2)),
+        ];
+        for (plan_name, plan) in &plans {
+            let (outcome, trace) =
+                simulate_config_traced_parallel(&Workload::Open(spec.clone()), &open, plan);
+            assert_two_views_agree(&outcome, &trace, &format!("open stream, {plan_name}"));
+            let (outcome, trace) = simulate_config_traced_parallel(&population, &closed, plan);
+            assert_two_views_agree(&outcome, &trace, &format!("closed loop, {plan_name}"));
+            let (outcome, trace) = trace_library_scenario(scenario, plan);
+            assert_two_views_agree(&outcome, &trace, &format!("{}, {plan_name}", scenario.name));
+        }
     }
 
     /// The conservation law of the windowed view: inside every window,

@@ -34,6 +34,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 #![warn(missing_debug_implementations)]
 
 pub mod cycle;

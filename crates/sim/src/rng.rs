@@ -42,18 +42,6 @@ impl DeterministicRng {
         assert!(bound > 0, "bound must be positive");
         self.next_u64() % bound
     }
-
-    /// Next value as a float in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Returns an odd value, suitable as a multiplicative hash seed
-    /// (odd multipliers are invertible modulo powers of two, avoiding the
-    /// degenerate all-zero mapping).
-    pub fn next_odd(&mut self) -> u64 {
-        self.next_u64() | 1
-    }
 }
 
 impl Default for DeterministicRng {
@@ -95,23 +83,6 @@ mod tests {
         let mut rng = DeterministicRng::new(7);
         for _ in 0..1000 {
             assert!(rng.next_below(13) < 13);
-        }
-    }
-
-    #[test]
-    fn next_f64_is_unit_interval() {
-        let mut rng = DeterministicRng::new(9);
-        for _ in 0..1000 {
-            let v = rng.next_f64();
-            assert!((0.0..1.0).contains(&v));
-        }
-    }
-
-    #[test]
-    fn next_odd_is_odd() {
-        let mut rng = DeterministicRng::new(11);
-        for _ in 0..100 {
-            assert_eq!(rng.next_odd() & 1, 1);
         }
     }
 

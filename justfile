@@ -16,7 +16,9 @@ fmt:
 fmt-fix:
     cargo fmt
 
-# Lints, warnings are errors.
+# Lints, warnings are errors. The five simulation crates (sim, mem, noc,
+# chip, serve) warn on `clippy::too_many_lines` in their lib.rs, so there a
+# function over 100 lines fails here; lab and bench do not carry it yet.
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
 
@@ -78,11 +80,9 @@ serve:
 # Parallel-in-time serving engine checks: the smoke sweep replayed as 3
 # epoch fragments on 2 and 8 workers must reproduce the serial artifact
 # byte for byte (--no-meta strips the wall-clock meta so cmp is exact);
-# the serial artifact is additionally gated byte-for-byte against the
-# committed baseline (re-baseline deliberately with
-# `just serve-rebaseline`); and the --speedup demo replays one 100k-client
-# closed-loop lane scenario pinned to one thread and on the full pool,
-# asserting identical outcomes and reporting the measured speedup.
+# and the serial artifact is additionally gated byte-for-byte against
+# the committed baseline (re-baseline deliberately with
+# `just serve-rebaseline`).
 serve-parallel:
     NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin serve -- \
         --json target/artifacts/serve-serial.json --no-meta
@@ -94,7 +94,6 @@ serve-parallel:
     cmp target/artifacts/serve-serial.json target/artifacts/serve-epochs-t8.json
     cargo run --release -q -p neura_bench --bin trend -- \
         baselines/serve-smoke.json target/artifacts/serve-serial.json --fail-above 0
-    NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin serve -- --speedup --lanes 8
 
 # Refresh the committed serving smoke baseline after an intentional
 # serving-layer change (review the trend diff first).
