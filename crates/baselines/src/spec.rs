@@ -28,130 +28,133 @@ pub struct PlatformSpec {
     pub spgemm_gops_reference: f64,
 }
 
+/// Table 5, row for row.
+const TABLE5: [PlatformSpec; 10] = [
+    PlatformSpec {
+        name: "Xeon E5 (MKL)",
+        compute_units: "8 cores AVX2",
+        frequency_ghz: 2.9,
+        peak_gflops: 186.0,
+        on_chip_memory_mb: 15.0,
+        off_chip_bandwidth_gbps: 136.0,
+        technology_nm: 32,
+        area_mm2: Some(356.0),
+        power_w: Some(85.0),
+        spgemm_gops_reference: 1.12,
+    },
+    PlatformSpec {
+        name: "NVIDIA H100 (cuSPARSE)",
+        compute_units: "7296 FP64",
+        frequency_ghz: 1.6,
+        peak_gflops: 26_000.0,
+        on_chip_memory_mb: 50.0,
+        off_chip_bandwidth_gbps: 2_000.0,
+        technology_nm: 4,
+        area_mm2: Some(814.0),
+        power_w: Some(300.0),
+        spgemm_gops_reference: 1.45,
+    },
+    PlatformSpec {
+        name: "NVIDIA H100 (CUSP)",
+        compute_units: "7296 FP64",
+        frequency_ghz: 1.6,
+        peak_gflops: 26_000.0,
+        on_chip_memory_mb: 50.0,
+        off_chip_bandwidth_gbps: 2_000.0,
+        technology_nm: 4,
+        area_mm2: Some(814.0),
+        power_w: Some(300.0),
+        spgemm_gops_reference: 1.86,
+    },
+    PlatformSpec {
+        name: "AMD MI100 (hipSPARSE)",
+        compute_units: "7680 FP64",
+        frequency_ghz: 1.5,
+        peak_gflops: 11_500.0,
+        on_chip_memory_mb: 8.0,
+        off_chip_bandwidth_gbps: 1_200.0,
+        technology_nm: 7,
+        area_mm2: Some(750.0),
+        power_w: Some(300.0),
+        spgemm_gops_reference: 1.48,
+    },
+    PlatformSpec {
+        name: "OuterSPACE",
+        compute_units: "256 PEs",
+        frequency_ghz: 1.5,
+        peak_gflops: 384.0,
+        on_chip_memory_mb: 4.0,
+        off_chip_bandwidth_gbps: 128.0,
+        technology_nm: 32,
+        area_mm2: Some(86.74),
+        power_w: Some(24.0),
+        spgemm_gops_reference: 2.9,
+    },
+    PlatformSpec {
+        name: "SpArch",
+        compute_units: "2x8 Mults, 16x16 Merger",
+        frequency_ghz: 1.0,
+        peak_gflops: 32.0,
+        on_chip_memory_mb: 15.0,
+        off_chip_bandwidth_gbps: 128.0,
+        technology_nm: 40,
+        area_mm2: Some(28.49),
+        power_w: Some(9.26),
+        spgemm_gops_reference: 10.4,
+    },
+    PlatformSpec {
+        name: "Gamma",
+        compute_units: "32 PEs Radix-64",
+        frequency_ghz: 1.0,
+        peak_gflops: 32.0,
+        on_chip_memory_mb: 3.0,
+        off_chip_bandwidth_gbps: 128.0,
+        technology_nm: 45,
+        area_mm2: Some(30.6),
+        power_w: None,
+        spgemm_gops_reference: 16.5,
+    },
+    PlatformSpec {
+        name: "NeuraChip Tile-4",
+        compute_units: "2x4 NeuraCores",
+        frequency_ghz: 1.0,
+        peak_gflops: 8.0,
+        on_chip_memory_mb: 0.75,
+        off_chip_bandwidth_gbps: 128.0,
+        technology_nm: 7,
+        area_mm2: Some(2.37),
+        power_w: Some(11.46),
+        spgemm_gops_reference: 5.15,
+    },
+    PlatformSpec {
+        name: "NeuraChip Tile-16",
+        compute_units: "2x16 NeuraCores",
+        frequency_ghz: 1.0,
+        peak_gflops: 32.0,
+        on_chip_memory_mb: 3.0,
+        off_chip_bandwidth_gbps: 128.0,
+        technology_nm: 7,
+        area_mm2: Some(10.2),
+        power_w: Some(16.06),
+        spgemm_gops_reference: 24.75,
+    },
+    PlatformSpec {
+        name: "NeuraChip Tile-64",
+        compute_units: "2x64 NeuraCores",
+        frequency_ghz: 1.0,
+        peak_gflops: 128.0,
+        on_chip_memory_mb: 12.0,
+        off_chip_bandwidth_gbps: 128.0,
+        technology_nm: 7,
+        area_mm2: Some(35.26),
+        power_w: Some(24.22),
+        spgemm_gops_reference: 30.69,
+    },
+];
+
 /// Specifications of every platform listed in Table 5.
 pub fn table5_specs() -> Vec<PlatformSpec> {
-    vec![
-        PlatformSpec {
-            name: "Xeon E5 (MKL)",
-            compute_units: "8 cores AVX2",
-            frequency_ghz: 2.9,
-            peak_gflops: 186.0,
-            on_chip_memory_mb: 15.0,
-            off_chip_bandwidth_gbps: 136.0,
-            technology_nm: 32,
-            area_mm2: Some(356.0),
-            power_w: Some(85.0),
-            spgemm_gops_reference: 1.12,
-        },
-        PlatformSpec {
-            name: "NVIDIA H100 (cuSPARSE)",
-            compute_units: "7296 FP64",
-            frequency_ghz: 1.6,
-            peak_gflops: 26_000.0,
-            on_chip_memory_mb: 50.0,
-            off_chip_bandwidth_gbps: 2_000.0,
-            technology_nm: 4,
-            area_mm2: Some(814.0),
-            power_w: Some(300.0),
-            spgemm_gops_reference: 1.45,
-        },
-        PlatformSpec {
-            name: "NVIDIA H100 (CUSP)",
-            compute_units: "7296 FP64",
-            frequency_ghz: 1.6,
-            peak_gflops: 26_000.0,
-            on_chip_memory_mb: 50.0,
-            off_chip_bandwidth_gbps: 2_000.0,
-            technology_nm: 4,
-            area_mm2: Some(814.0),
-            power_w: Some(300.0),
-            spgemm_gops_reference: 1.86,
-        },
-        PlatformSpec {
-            name: "AMD MI100 (hipSPARSE)",
-            compute_units: "7680 FP64",
-            frequency_ghz: 1.5,
-            peak_gflops: 11_500.0,
-            on_chip_memory_mb: 8.0,
-            off_chip_bandwidth_gbps: 1_200.0,
-            technology_nm: 7,
-            area_mm2: Some(750.0),
-            power_w: Some(300.0),
-            spgemm_gops_reference: 1.48,
-        },
-        PlatformSpec {
-            name: "OuterSPACE",
-            compute_units: "256 PEs",
-            frequency_ghz: 1.5,
-            peak_gflops: 384.0,
-            on_chip_memory_mb: 4.0,
-            off_chip_bandwidth_gbps: 128.0,
-            technology_nm: 32,
-            area_mm2: Some(86.74),
-            power_w: Some(24.0),
-            spgemm_gops_reference: 2.9,
-        },
-        PlatformSpec {
-            name: "SpArch",
-            compute_units: "2x8 Mults, 16x16 Merger",
-            frequency_ghz: 1.0,
-            peak_gflops: 32.0,
-            on_chip_memory_mb: 15.0,
-            off_chip_bandwidth_gbps: 128.0,
-            technology_nm: 40,
-            area_mm2: Some(28.49),
-            power_w: Some(9.26),
-            spgemm_gops_reference: 10.4,
-        },
-        PlatformSpec {
-            name: "Gamma",
-            compute_units: "32 PEs Radix-64",
-            frequency_ghz: 1.0,
-            peak_gflops: 32.0,
-            on_chip_memory_mb: 3.0,
-            off_chip_bandwidth_gbps: 128.0,
-            technology_nm: 45,
-            area_mm2: Some(30.6),
-            power_w: None,
-            spgemm_gops_reference: 16.5,
-        },
-        PlatformSpec {
-            name: "NeuraChip Tile-4",
-            compute_units: "2x4 NeuraCores",
-            frequency_ghz: 1.0,
-            peak_gflops: 8.0,
-            on_chip_memory_mb: 0.75,
-            off_chip_bandwidth_gbps: 128.0,
-            technology_nm: 7,
-            area_mm2: Some(2.37),
-            power_w: Some(11.46),
-            spgemm_gops_reference: 5.15,
-        },
-        PlatformSpec {
-            name: "NeuraChip Tile-16",
-            compute_units: "2x16 NeuraCores",
-            frequency_ghz: 1.0,
-            peak_gflops: 32.0,
-            on_chip_memory_mb: 3.0,
-            off_chip_bandwidth_gbps: 128.0,
-            technology_nm: 7,
-            area_mm2: Some(10.2),
-            power_w: Some(16.06),
-            spgemm_gops_reference: 24.75,
-        },
-        PlatformSpec {
-            name: "NeuraChip Tile-64",
-            compute_units: "2x64 NeuraCores",
-            frequency_ghz: 1.0,
-            peak_gflops: 128.0,
-            on_chip_memory_mb: 12.0,
-            off_chip_bandwidth_gbps: 128.0,
-            technology_nm: 7,
-            area_mm2: Some(35.26),
-            power_w: Some(24.22),
-            spgemm_gops_reference: 30.69,
-        },
-    ]
+    TABLE5.to_vec()
 }
 
 impl PlatformSpec {

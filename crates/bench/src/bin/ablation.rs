@@ -19,30 +19,18 @@ fn main() {
     let mut session = ArtifactSession::from_args("ablation", neura_bench::scale_multiplier());
     let a = scaled_matrix_by_name("cora", 4);
 
-    let base = ChipConfig::tile_16();
+    // Four sweeps of one axis each, around the paper-default Tile-16 chip.
+    let spec = |name: &str, axis: SweepGrid| {
+        ExperimentSpec::new(name, ChipConfig::tile_16(), axis.datasets(["cora"]))
+    };
     let specs = [
-        ExperimentSpec::new(
-            "ablation/mapping",
-            base.clone(),
-            SweepGrid::new().datasets(["cora"]).mappings(MappingKind::ALL),
-        ),
-        ExperimentSpec::new(
+        spec("ablation/mapping", SweepGrid::new().mappings(MappingKind::ALL)),
+        spec(
             "ablation/eviction",
-            base.clone(),
-            SweepGrid::new()
-                .datasets(["cora"])
-                .evictions([EvictionPolicy::Rolling, EvictionPolicy::Barrier]),
+            SweepGrid::new().evictions([EvictionPolicy::Rolling, EvictionPolicy::Barrier]),
         ),
-        ExperimentSpec::new(
-            "ablation/mmh-tile",
-            base.clone(),
-            SweepGrid::new().datasets(["cora"]).mmh_tiles([1, 2, 4, 8]),
-        ),
-        ExperimentSpec::new(
-            "ablation/hashpad",
-            base,
-            SweepGrid::new().datasets(["cora"]).hashlines([256, 1024, 2048, 8192]),
-        ),
+        spec("ablation/mmh-tile", SweepGrid::new().mmh_tiles([1, 2, 4, 8])),
+        spec("ablation/hashpad", SweepGrid::new().hashlines([256, 1024, 2048, 8192])),
     ];
 
     // One flat point list across all four ablations: the runner interleaves
@@ -54,18 +42,27 @@ fn main() {
         chip.run_spgemm(&a, &a).expect("simulation drains").report
     });
     for (point, report) in points.iter().zip(&reports) {
-        let mut record = neura_lab::RunRecord::new(&point.id).with_execution(report);
-        record.params = point.params();
-        session.push(record);
+        session.push(point.record().with_execution(report));
     }
 
-    let group = |prefix: &str| -> Vec<(&SweepPoint, &ExecutionReport)> {
-        points.iter().zip(&reports).filter(|(p, _)| p.id.starts_with(prefix)).collect()
+    // One table per ablation: the points whose run IDs start with its name.
+    let table = |prefix: &str,
+                 title: &str,
+                 headers: &[&str],
+                 row: &dyn Fn(&SweepPoint, &ExecutionReport) -> Vec<String>| {
+        let rows: Vec<Vec<String>> = points
+            .iter()
+            .zip(&reports)
+            .filter(|(point, _)| point.id.starts_with(prefix))
+            .map(|(point, report)| row(point, report))
+            .collect();
+        print_table(title, headers, &rows);
     };
-
-    let rows: Vec<Vec<String>> = group("ablation/mapping/")
-        .iter()
-        .map(|(point, report)| {
+    table(
+        "ablation/mapping/",
+        "Ablation A: compute mapping (Tile-16, Cora analog)",
+        &["Mapping", "Cycles", "NeuraMem max/mean", "NeuraMem CV", "Core util %"],
+        &|point, report| {
             let (max_over_mean, cv) = imbalance(&report.mem_work_histogram);
             vec![
                 point.config.mapping.name().to_string(),
@@ -74,17 +71,13 @@ fn main() {
                 fmt(cv, 3),
                 fmt(report.core_utilization * 100.0, 1),
             ]
-        })
-        .collect();
-    print_table(
-        "Ablation A: compute mapping (Tile-16, Cora analog)",
-        &["Mapping", "Cycles", "NeuraMem max/mean", "NeuraMem CV", "Core util %"],
-        &rows,
+        },
     );
-
-    let rows: Vec<Vec<String>> = group("ablation/eviction/")
-        .iter()
-        .map(|(point, report)| {
+    table(
+        "ablation/eviction/",
+        "Ablation B: eviction policy (Tile-16, Cora analog)",
+        &["Eviction", "Cycles", "Peak pad occupancy", "Pad-full stalls", "Avg HACC latency"],
+        &|point, report| {
             vec![
                 neura_lab::spec::eviction_name(point.config.eviction).to_string(),
                 report.total_cycles.to_string(),
@@ -92,17 +85,13 @@ fn main() {
                 report.hashpad_full_stalls.to_string(),
                 fmt(report.hacc_latency_histogram.mean(), 0),
             ]
-        })
-        .collect();
-    print_table(
-        "Ablation B: eviction policy (Tile-16, Cora analog)",
-        &["Eviction", "Cycles", "Peak pad occupancy", "Pad-full stalls", "Avg HACC latency"],
-        &rows,
+        },
     );
-
-    let rows: Vec<Vec<String>> = group("ablation/mmh-tile/")
-        .iter()
-        .map(|(point, report)| {
+    table(
+        "ablation/mmh-tile/",
+        "Ablation C: MMH tile height (Tile-16, Cora analog)",
+        &["Variant", "MMH instructions", "Avg CPI", "Cycles", "GOP/s"],
+        &|point, report| {
             vec![
                 format!("MMH{}", point.config.mmh_tile),
                 report.mmh_instructions.to_string(),
@@ -110,29 +99,20 @@ fn main() {
                 report.total_cycles.to_string(),
                 fmt(report.gops, 2),
             ]
-        })
-        .collect();
-    print_table(
-        "Ablation C: MMH tile height (Tile-16, Cora analog)",
-        &["Variant", "MMH instructions", "Avg CPI", "Cycles", "GOP/s"],
-        &rows,
+        },
     );
-
-    let rows: Vec<Vec<String>> = group("ablation/hashpad/")
-        .iter()
-        .map(|(point, report)| {
+    table(
+        "ablation/hashpad/",
+        "Ablation D: HashPad size (hash-lines per NeuraMem)",
+        &["Hashlines", "Cycles", "Pad-full stalls", "Peak occupancy"],
+        &|point, report| {
             vec![
                 point.config.mem.hashlines.to_string(),
                 report.total_cycles.to_string(),
                 report.hashpad_full_stalls.to_string(),
                 report.peak_hashpad_occupancy.to_string(),
             ]
-        })
-        .collect();
-    print_table(
-        "Ablation D: HashPad size (hash-lines per NeuraMem)",
-        &["Hashlines", "Cycles", "Pad-full stalls", "Peak occupancy"],
-        &rows,
+        },
     );
 
     session.finish();

@@ -9,7 +9,7 @@ use neura_bench::{fmt, print_table, scaled_matrix_by_name};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::{ChipConfig, TileSize};
 use neura_chip::power::PowerModel;
-use neura_lab::{ArtifactSession, ExperimentSpec, RunRecord, Runner, SweepGrid};
+use neura_lab::{ArtifactSession, ExperimentSpec, Runner, SweepGrid};
 use neura_sparse::gen::feature_matrix;
 
 fn main() {
@@ -51,14 +51,15 @@ fn main() {
             power,
             busy: report.core_busy_cycles as f64,
         });
-        let mut record = RunRecord::new(&point.id)
-            .unit_metric("power_w", power, "W")
-            .metric("core_stall_cycles", report.core_stall_cycles as f64)
-            .metric("core_busy_cycles", report.core_busy_cycles as f64)
-            .metric("avg_in_flight_mem", report.avg_in_flight_mem)
-            .with_execution(report);
-        record.params = point.params();
-        session.push(record);
+        session.push(
+            point
+                .record()
+                .unit_metric("power_w", power, "W")
+                .metric("core_stall_cycles", report.core_stall_cycles as f64)
+                .metric("core_busy_cycles", report.core_busy_cycles as f64)
+                .metric("avg_in_flight_mem", report.avg_in_flight_mem)
+                .with_execution(report),
+        );
     }
 
     let base = &samples[0];

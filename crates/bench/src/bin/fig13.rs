@@ -13,7 +13,7 @@
 use neura_bench::{fmt, print_table, scaled_matrix_by_name};
 use neura_chip::config::ChipConfig;
 use neura_chip::mapping::{workload_histogram, MappingKind};
-use neura_lab::{ArtifactSession, ExperimentSpec, RunRecord, Runner, SweepGrid};
+use neura_lab::{ArtifactSession, ExperimentSpec, Runner, SweepGrid};
 use neura_sparse::gen::GraphGenerator;
 use neura_sparse::stats::{gini, imbalance};
 use neura_sparse::{CsrMatrix, DatasetCatalog};
@@ -87,14 +87,15 @@ fn main() {
             max_work.to_string(),
             fmt(*mean_work, 1),
         ]);
-        let mut record = RunRecord::new(&point.id)
-            .metric("max_over_mean", *max_over_mean)
-            .metric("cv", *cv)
-            .metric("gini", *gini_coeff)
-            .metric("max_work", *max_work as f64)
-            .metric("mean_work", *mean_work);
-        record.params = point.params();
-        session.push(record);
+        session.push(
+            point
+                .record()
+                .metric("max_over_mean", *max_over_mean)
+                .metric("cv", *cv)
+                .metric("gini", *gini_coeff)
+                .metric("max_work", *max_work as f64)
+                .metric("mean_work", *mean_work),
+        );
     }
     print_table(
         "Figures 12/13: per-NeuraMem workload distribution under each compute mapping",

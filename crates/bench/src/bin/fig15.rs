@@ -9,7 +9,7 @@ use neura_bench::{fmt, print_table, scaled_matrix_by_name};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::{ChipConfig, EvictionPolicy};
 use neura_lab::golden::{self, slugify};
-use neura_lab::{ArtifactSession, ExperimentSpec, RunRecord, Runner, SweepGrid};
+use neura_lab::{ArtifactSession, ExperimentSpec, Runner, SweepGrid};
 
 fn main() {
     let scale_mult = neura_bench::scale_multiplier();
@@ -54,11 +54,10 @@ fn main() {
         row.extend(hist.percentages().iter().map(|p| fmt(*p, 1)));
         rows.push(row);
 
-        let mut record = RunRecord::new(&point.id).with_execution(report);
+        let mut record = point.record().with_execution(report);
         for (label, pct) in labels.iter().zip(hist.percentages()) {
             record = record.unit_metric(format!("latency_bin_{}", slugify(label)), pct, "%");
         }
-        record.params = point.params();
         session.push(record);
     }
 

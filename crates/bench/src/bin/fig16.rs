@@ -51,8 +51,7 @@ fn main() {
     for (point, speedups) in &results {
         let dataset = point.dataset.clone().expect("dataset axis");
         let mut row = vec![dataset];
-        let mut record = RunRecord::new(&point.id);
-        record.params = point.params();
+        let mut record = point.record();
         for ((baseline, speedup), sink) in baselines.iter().zip(speedups).zip(&mut per_baseline) {
             sink.push(*speedup);
             row.push(fmt(*speedup, 2));
@@ -108,12 +107,13 @@ fn main() {
                     fmt(report.gops, 2),
                     fmt(report.core_utilization * 100.0, 1),
                 ]);
-                let mut record = RunRecord::new(&point.id)
-                    .metric("sim_nodes", *nodes as f64)
-                    .metric("sim_edges", *edges as f64)
-                    .with_execution(report);
-                record.params = point.params();
-                session.push(record);
+                session.push(
+                    point
+                        .record()
+                        .metric("sim_nodes", *nodes as f64)
+                        .metric("sim_edges", *edges as f64)
+                        .with_execution(report),
+                );
             }
             Err(e) => sim_rows.push(vec![name, format!("simulation failed: {e}")]),
         }

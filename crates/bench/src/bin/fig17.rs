@@ -51,8 +51,7 @@ fn main() {
     let mut sums = vec![0.0f64; baselines.len()];
     for (point, speedups) in &results {
         let mut row = vec![point.dataset.clone().expect("dataset axis")];
-        let mut record = RunRecord::new(&point.id);
-        record.params = point.params();
+        let mut record = point.record();
         for ((baseline, speedup), sum) in baselines.iter().zip(speedups).zip(&mut sums) {
             *sum += *speedup;
             row.push(fmt(*speedup, 2));

@@ -131,10 +131,7 @@ fn main() {
             violations.push(format!("{}: {message}", scope(cell)));
         }
         let mut records = profile_records(&scope(cell), profile);
-        records[0].params.push(("dataset".to_string(), cell.dataset.clone()));
-        records[0].params.push(("tile".to_string(), cell.tile.label().to_string()));
-        records[0].params.push(("hbm".to_string(), cell.hbm.name().to_string()));
-        records[0].params.push(("shrink".to_string(), cell.shrink.to_string()));
+        records[0].params = cell.params();
         artifact.extend(records);
 
         let (worst, worst_frac) = profile.worst_window().unwrap_or((0, 0.0));
@@ -183,22 +180,26 @@ fn main() {
     );
 
     if let Some(path) = &args.json_path {
-        if let Err(e) = artifact.write(path) {
-            eprintln!("profile: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("artifact: {}", path.display());
+        artifact.write_or_exit(path);
     }
+    enforce_gates(&cells, &profiles, &violations, args.max_stall_frac, scale_mult);
+}
 
-    for violation in &violations {
+/// The gates: conservation holds by construction, so any violation fails
+/// the run; `--max-stall-frac` bounds the worst window of every cell.
+fn enforce_gates(
+    cells: &[GridCell],
+    profiles: &[Profile],
+    violations: &[String],
+    max_stall_frac: Option<f64>,
+    scale_mult: usize,
+) {
+    for violation in violations {
         eprintln!("conservation violation: {violation}");
     }
-
-    // Gates: conservation holds by construction, so any violation fails
-    // the run; --max-stall-frac bounds the worst window of every cell.
     let mut failed = !violations.is_empty();
-    if let Some(bound) = args.max_stall_frac {
-        for (cell, profile) in cells.iter().zip(&profiles) {
+    if let Some(bound) = max_stall_frac {
+        for (cell, profile) in cells.iter().zip(profiles) {
             let (worst, frac) = profile.worst_window().unwrap_or((0, 0.0));
             if frac > bound {
                 eprintln!(
@@ -214,7 +215,7 @@ fn main() {
         "golden [{}]: conservation -> {}; stall bound {}",
         if scale_mult <= 1 { "strict" } else { "smoke" },
         if violations.is_empty() { "pass" } else { "FAIL" },
-        match args.max_stall_frac {
+        match max_stall_frac {
             Some(bound) => format!("<= {bound} -> {}", if failed { "checked" } else { "pass" }),
             None => "not requested".to_string(),
         },

@@ -60,24 +60,26 @@
 //!   artifact, so byte-comparison across thread counts stays exact
 //!
 //! Without fleet/dispatch/clients/autoscale flags, three comparison arms
-//! ride along with the classic shard-scaling sweep: a heterogeneous
-//! Tile-64+Tile-4 fleet against a homogeneous equal-shard Tile-16 fleet
-//! under all three dispatch policies, a closed-loop arm directly
-//! comparable to its open-loop twin, and an autoscaled arm reporting
-//! shard-seconds cost against the p99 it buys — plus every scenario of
-//! [`ScenarioSpec::library`] as a named `scn-*` arm on a two-shard Tile-16
-//! fleet, its rate calibrated to `load x fleet capacity` (diurnal and
-//! flash-crowd waves, a 3x overload against a bounded queue, a
-//! rate-limited tenant mix, shard crashes recovering through the
-//! autoscaler, and degraded silicon under flaky provisioning). Cycle
-//! costs are memoised once per (chip fingerprint, request class) — groups
-//! sharing silicon share the memo — and every serving arm of a workload
-//! replays the identical demand.
+//! ride along with the classic shard-scaling sweep — a heterogeneous
+//! Tile-64+Tile-4 fleet against an equal-shard Tile-16 fleet under all
+//! three dispatch policies, a closed-loop twin of an open-loop arm, an
+//! autoscaled arm reporting shard-seconds against the p99 it buys — plus
+//! every scenario of [`ScenarioSpec::library`] as a `scn-*` arm on a
+//! two-shard Tile-16 fleet at `load x fleet capacity`.
+//!
+//! [`parse_args`] reads every flag once, into the type the run uses, and
+//! `main` is then six phases, a function each: [`check_args`] holds the
+//! arguments against each other and against what a replay may allocate, so
+//! a misuse is a usage error before anything runs; [`price_classes`]
+//! memoises one cost per (chip fingerprint, request class), groups sharing
+//! silicon sharing the memo; [`calibrate`] derives every knob left open
+//! from it; [`enumerate_arms`] lists the scenarios, [`replay`] runs them —
+//! every arm of a workload on the identical demand — and [`emit_outcomes`]
+//! writes them down.
 
-use neura_baselines::workload::WorkloadProfile;
-use neura_bench::{fmt, print_table, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED};
-use neura_chip::accelerator::Accelerator;
-use neura_chip::analytic::WorkloadFeatures;
+use neura_bench::{
+    fmt, price_class, print_table, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED,
+};
 use neura_chip::config::{ChipConfig, TileSize};
 use neura_chip::profile::{Profile, Profiler, DEFAULT_WINDOW_CYCLES};
 use neura_lab::spec::derive_seed;
@@ -85,15 +87,20 @@ use neura_lab::{
     profile_records, Artifact, ArtifactSession, Flags, RunRecord, Runner, PROFILE_SCHEMA,
     TIMELINE_SCHEMA,
 };
-use neura_serve::cost::{analytic_class_cost, hybrid_scaled_cycles, CostModel};
-use neura_serve::policy::{DEFAULT_BATCH_TIMEOUT_S, DEFAULT_MAX_BATCH};
+use neura_serve::cost::{hybrid_scaled_cycles, CostModel};
+use neura_serve::policy::DEFAULT_MAX_BATCH;
 use neura_serve::{
     simulate_config_parallel, simulate_config_traced_parallel, ArrivalProcess, AutoscalePolicy,
     ClassCost, CostTable, DispatchKind, EnginePlan, FaultSpec, FleetMix, Policy, RateShape,
-    RequestClass, ScenarioSpec, ServeConfig, ServeScenario, ServeSweep, ShapedStream, TenantMix,
-    TenantSpec, Timeline, Workload, WorkloadAxis, MAX_STREAM_REQUESTS, MAX_TIMELINE_WINDOWS,
+    RequestClass, ScenarioSpec, ServeConfig, ServeOutcome, ServeScenario, ServeSweep, ShapedStream,
+    TenantMix, TenantSpec, Timeline, Workload, WorkloadAxis, MAX_CRASHES, MAX_STREAM_REQUESTS,
+    MAX_TIMELINE_WINDOWS,
 };
 use neura_sparse::DatasetCatalog;
+use std::path::PathBuf;
+
+/// The simulated horizon without `--duration`, in seconds.
+const DEFAULT_DURATION_S: f64 = 2.0;
 
 /// Clients of the default closed-loop arm.
 const DEFAULT_CLIENTS: usize = 64;
@@ -167,31 +174,32 @@ fn usage() -> String {
     text
 }
 
+#[derive(Default)]
 struct Args {
     arrivals: Vec<ArrivalProcess>,
     rps: Vec<f64>,
-    policy_names: Vec<String>,
-    fleets: Vec<FleetMix>,
-    dispatches: Vec<DispatchKind>,
     clients: Vec<usize>,
     think_ms: Option<f64>,
+    duration_s: Option<f64>,
+    mix: Vec<String>,
+    scenarios: Vec<ScenarioSpec>,
+    tenants: Vec<TenantSpec>,
+    /// As typed; the `batch` policy takes its knobs in [`calibrate`].
+    policies: Vec<Policy>,
+    max_batch: Option<usize>,
+    batch_timeout_ms: Option<f64>,
+    fleets: Vec<FleetMix>,
+    dispatches: Vec<DispatchKind>,
     autoscale: Option<(usize, usize)>,
     provision_ms: Option<f64>,
     check_ms: Option<f64>,
-    duration_s: f64,
-    duration_given: bool,
-    mix: Vec<String>,
-    max_batch: usize,
-    batch_timeout_s: f64,
-    batch_timeout_given: bool,
-    scenarios: Vec<String>,
     queue_bound: Option<usize>,
-    tenants: Vec<TenantSpec>,
-    fault: Option<String>,
-    trace: bool,
-    trace_path: Option<String>,
-    profile: bool,
-    profile_path: Option<String>,
+    /// The regime as typed, over a placeholder seed and window: every arm
+    /// fills in its own (see [`replay`]).
+    fault: Option<FaultSpec>,
+    /// Where `--trace` / `--profile` write their side artifact.
+    trace: Option<PathBuf>,
+    profile: Option<PathBuf>,
     window_ms: Option<f64>,
     cost_model: CostModel,
     epochs: Option<usize>,
@@ -200,134 +208,36 @@ struct Args {
     passthrough: Vec<String>,
 }
 
-fn parse_args() -> (Args, Flags) {
-    let mut parsed = Args {
-        arrivals: Vec::new(),
-        rps: Vec::new(),
-        policy_names: Vec::new(),
-        fleets: Vec::new(),
-        dispatches: Vec::new(),
-        clients: Vec::new(),
-        think_ms: None,
-        autoscale: None,
-        provision_ms: None,
-        check_ms: None,
-        duration_s: 2.0,
-        duration_given: false,
-        mix: Vec::new(),
-        max_batch: DEFAULT_MAX_BATCH,
-        batch_timeout_s: DEFAULT_BATCH_TIMEOUT_S,
-        batch_timeout_given: false,
-        scenarios: Vec::new(),
-        queue_bound: None,
-        tenants: Vec::new(),
-        fault: None,
-        trace: false,
-        trace_path: None,
-        profile: false,
-        profile_path: None,
-        window_ms: None,
-        cost_model: CostModel::default(),
-        epochs: None,
-        lanes: None,
-        no_meta: false,
-        passthrough: Vec::new(),
-    };
-    let mut flags = Flags::from_env(usage());
-    while let Some(arg) = flags.next() {
-        match arg.as_str() {
+impl Args {
+    /// Reads the value of `arg` when it is one of the flags that shape the
+    /// demand — what arrives, for how long, from whom — and returns whether
+    /// it was. Every reader parses a value once, into the type the run uses.
+    fn take_demand_flag(&mut self, arg: &str, flags: &mut Flags) -> bool {
+        match arg {
             "--arrival" => {
-                parsed.arrivals.push(flags.known(
-                    "--arrival",
-                    "arrival process",
-                    ArrivalProcess::parse,
-                ));
+                self.arrivals.push(flags.known(arg, "arrival process", ArrivalProcess::parse));
             }
-            "--rps" => parsed.rps.push(flags.parsed("--rps", "a positive rate", Flags::positive)),
-            "--policy" => {
-                let raw = flags.value("--policy");
-                if Policy::parse(&raw).is_none() {
-                    flags.bad_usage(&format!("unknown policy {raw:?}"));
-                }
-                parsed.policy_names.push(raw);
-            }
-            "--shards" => {
-                let n = flags.parsed("--shards", "a positive integer", Flags::at_least_one);
-                parsed.fleets.push(FleetMix::uniform(TileSize::Tile16, n));
-            }
-            "--fleet" => {
-                let raw = flags.value("--fleet");
-                parsed.fleets.push(
-                    FleetMix::parse(&raw).unwrap_or_else(|| {
-                        flags.bad_usage(&format!("unparseable fleet mix {raw:?}"))
-                    }),
-                );
-            }
-            "--dispatch" => {
-                parsed.dispatches.push(flags.known(
-                    "--dispatch",
-                    "dispatch policy",
-                    DispatchKind::parse,
-                ));
-            }
-            "--clients" => {
-                parsed.clients.push(flags.parsed(
-                    "--clients",
-                    &format!("an integer within 1..={MAX_CLIENTS}"),
-                    |n| (1..=MAX_CLIENTS).contains(n),
-                ));
-            }
+            "--rps" => self.rps.push(flags.parsed(arg, "a positive rate", Flags::positive)),
+            "--clients" => self.clients.push(flags.parsed(
+                arg,
+                &format!("an integer within 1..={MAX_CLIENTS}"),
+                |n| (1..=MAX_CLIENTS).contains(n),
+            )),
             "--think-ms" => {
-                parsed.think_ms =
-                    Some(flags.parsed("--think-ms", "a think time", Flags::non_negative));
-            }
-            "--autoscale" => {
-                let raw = flags.value("--autoscale");
-                let bounds = raw.split_once(':').and_then(|(lo, hi)| {
-                    let lo = lo.parse::<usize>().ok().filter(|&n| n >= 1)?;
-                    let hi = hi.parse::<usize>().ok().filter(|&n| n >= lo)?;
-                    Some((lo, hi))
-                });
-                parsed.autoscale = Some(bounds.unwrap_or_else(|| {
-                    flags.bad_usage(&format!(
-                        "--autoscale {raw:?} is not MIN:MAX with 1 <= MIN <= MAX"
-                    ))
-                }));
-            }
-            "--provision-ms" => {
-                parsed.provision_ms =
-                    Some(flags.parsed("--provision-ms", "a delay", Flags::non_negative));
-            }
-            "--check-ms" => {
-                parsed.check_ms = Some(flags.parsed("--check-ms", "an interval", Flags::positive));
+                self.think_ms = Some(flags.parsed(arg, "a think time", Flags::non_negative));
             }
             "--duration" => {
-                parsed.duration_s =
-                    flags.parsed("--duration", "a positive duration", Flags::positive);
-                parsed.duration_given = true;
+                self.duration_s = Some(flags.parsed(arg, "a positive duration", Flags::positive));
             }
-            "--dataset" => {
-                let name = flags.value("--dataset");
-                if DatasetCatalog::by_name(&name).is_none() {
-                    flags.bad_usage(&format!("dataset {name:?} is not in the catalog"));
-                }
-                parsed.mix.push(name);
-            }
-            "--max-batch" => {
-                parsed.max_batch =
-                    flags.parsed("--max-batch", "a positive integer", Flags::at_least_one);
-            }
-            "--batch-timeout-ms" => {
-                let ms: f64 = flags.parsed("--batch-timeout-ms", "a timeout", Flags::non_negative);
-                parsed.batch_timeout_s = ms / 1e3;
-                parsed.batch_timeout_given = true;
-            }
+            "--dataset" => self.mix.push(flags.known(arg, "dataset", |raw| {
+                DatasetCatalog::by_name(raw).map(|_| raw.to_string())
+            })),
             "--scenario" => {
-                let raw = flags.value("--scenario");
+                let raw = flags.value(arg);
                 if raw.eq_ignore_ascii_case("all") {
-                    parsed.scenarios.extend(ScenarioSpec::names().iter().map(|n| n.to_string()));
+                    self.scenarios.extend(ScenarioSpec::library());
                 } else if let Some(spec) = ScenarioSpec::by_name(&raw) {
-                    parsed.scenarios.push(spec.name.to_string());
+                    self.scenarios.push(spec);
                 } else {
                     flags.bad_usage(&format!(
                         "unknown scenario {raw:?}; the library has: {}",
@@ -335,63 +245,127 @@ fn parse_args() -> (Args, Flags) {
                     ));
                 }
             }
-            "--queue-bound" => {
-                parsed.queue_bound = Some(flags.parsed("--queue-bound", "an integer", |_| true));
-            }
             "--tenant" => {
-                let raw = flags.value("--tenant");
+                let raw = flags.value(arg);
                 let tenant = TenantMix::parse_tenant(&raw).unwrap_or_else(|| {
                     flags.bad_usage(&format!(
                         "--tenant {raw:?} is not name:weight[:limit_rps[:slo_ms]]"
                     ))
                 });
-                if parsed.tenants.iter().any(|t| t.name == tenant.name) {
+                if self.tenants.iter().any(|t| t.name == tenant.name) {
                     flags.bad_usage(&format!("duplicate tenant name {:?}", tenant.name));
                 }
-                parsed.tenants.push(tenant);
+                self.tenants.push(tenant);
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// [`Self::take_demand_flag`] for the flags that shape how the demand
+    /// is served: the policy, the fleet and what goes wrong with it.
+    fn take_serving_flag(&mut self, arg: &str, flags: &mut Flags) -> bool {
+        match arg {
+            "--policy" => self.policies.push(flags.known(arg, "policy", Policy::parse)),
+            "--max-batch" => {
+                self.max_batch = Some(flags.parsed(arg, "a positive integer", Flags::at_least_one));
+            }
+            "--batch-timeout-ms" => {
+                self.batch_timeout_ms = Some(flags.parsed(arg, "a timeout", Flags::non_negative));
+            }
+            "--shards" => {
+                let n = flags.parsed(arg, "a positive integer", Flags::at_least_one);
+                self.fleets.push(FleetMix::uniform(TileSize::Tile16, n));
+            }
+            "--fleet" => {
+                let raw = flags.value(arg);
+                self.fleets.push(
+                    FleetMix::parse(&raw).unwrap_or_else(|| {
+                        flags.bad_usage(&format!("unparseable fleet mix {raw:?}"))
+                    }),
+                );
+            }
+            "--dispatch" => {
+                self.dispatches.push(flags.known(arg, "dispatch policy", DispatchKind::parse));
+            }
+            "--autoscale" => {
+                let raw = flags.value(arg);
+                let bounds = raw.split_once(':').and_then(|(lo, hi)| {
+                    let lo = lo.parse::<usize>().ok().filter(|&n| n >= 1)?;
+                    let hi = hi.parse::<usize>().ok().filter(|&n| n >= lo)?;
+                    Some((lo, hi))
+                });
+                self.autoscale = Some(bounds.unwrap_or_else(|| {
+                    flags.bad_usage(&format!(
+                        "--autoscale {raw:?} is not MIN:MAX with 1 <= MIN <= MAX"
+                    ))
+                }));
+            }
+            "--provision-ms" => {
+                self.provision_ms = Some(flags.parsed(arg, "a delay", Flags::non_negative));
+            }
+            "--check-ms" => {
+                self.check_ms = Some(flags.parsed(arg, "an interval", Flags::positive));
+            }
+            "--queue-bound" => {
+                self.queue_bound = Some(flags.parsed(arg, "an integer", |_| true));
             }
             "--fault" => {
-                let raw = flags.value("--fault");
-                // Validate the fragment now; the real spec is rebuilt per
-                // arm with a seed derived from the arm's workload seed.
-                if FaultSpec::parse(&raw, 0, 1.0).is_none() {
+                let raw = flags.value(arg);
+                self.fault = Some(FaultSpec::parse(&raw, 0, 1.0).unwrap_or_else(|| {
                     flags.bad_usage(&format!(
-                        "--fault {raw:?} is not a crashN/pfX/degGxM regime like crash2+pf0.5"
-                    ));
-                }
-                parsed.fault = Some(raw);
+                        "--fault {raw:?} is not a crashN/pfX/degGxM regime like crash2+pf0.5 \
+                         (N within 1..={MAX_CRASHES})"
+                    ))
+                }));
             }
-            "--trace" => {
-                parsed.trace = true;
-                parsed.trace_path = flags.optional_path();
-            }
-            "--profile" => {
-                parsed.profile = true;
-                parsed.profile_path = flags.optional_path();
-            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// The last reader: the flags that shape the run itself — how classes
+    /// are priced, how replays are split, what is written — or a refusal.
+    fn take_run_flag(&mut self, arg: &str, flags: &mut Flags) {
+        match arg {
+            "--trace" => self.trace = Some(side_path(flags, "timeline")),
+            "--profile" => self.profile = Some(side_path(flags, "serve-profile")),
             "--window-ms" => {
-                parsed.window_ms =
-                    Some(flags.parsed("--window-ms", "a positive width", Flags::positive));
+                self.window_ms = Some(flags.parsed(arg, "a positive width", Flags::positive));
             }
             "--cost-model" => {
-                parsed.cost_model = flags.known("--cost-model", "cost model", CostModel::parse);
+                self.cost_model = flags.known(arg, "cost model", CostModel::parse);
             }
             "--epochs" => {
-                parsed.epochs =
-                    Some(flags.parsed("--epochs", "a positive integer", Flags::at_least_one));
+                self.epochs = Some(flags.parsed(arg, "a positive integer", Flags::at_least_one));
             }
             "--lanes" => {
-                parsed.lanes =
-                    Some(flags.parsed("--lanes", "a positive integer", Flags::at_least_one));
+                self.lanes = Some(flags.parsed(arg, "a positive integer", Flags::at_least_one));
             }
-            "--no-meta" => parsed.no_meta = true,
-            "--help" | "-h" => flags.help(),
+            "--no-meta" => self.no_meta = true,
             // Only --json [PATH] is forwarded to the artifact session.
             "--json" => {
-                parsed.passthrough.push(arg);
-                parsed.passthrough.extend(flags.optional_path());
+                self.passthrough.push(arg.to_string());
+                self.passthrough.extend(flags.optional_path());
             }
+            "--help" | "-h" => flags.help(),
             other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
+        }
+    }
+}
+
+/// The optional PATH of `--trace` / `--profile`, or the flag's default.
+fn side_path(flags: &mut Flags, default_stem: &str) -> PathBuf {
+    flags.optional_path().map_or_else(|| Artifact::default_path(default_stem), PathBuf::from)
+}
+
+fn parse_args() -> (Args, Flags) {
+    let mut parsed = Args::default();
+    let mut flags = Flags::from_env(usage());
+    while let Some(arg) = flags.next() {
+        if !parsed.take_demand_flag(&arg, &mut flags) && !parsed.take_serving_flag(&arg, &mut flags)
+        {
+            parsed.take_run_flag(&arg, &mut flags);
         }
     }
     if parsed.mix.is_empty() {
@@ -416,25 +390,21 @@ fn refuse_oversized_stream(flags: &Flags, what: &str, rps: f64, duration_s: f64)
     }
 }
 
-/// Writes a side artifact (`--trace`, `--profile`) where its flag said, or
-/// at its default path.
-fn write_side_artifact(artifact: &Artifact, path: Option<&str>, default_stem: &str) {
-    let path = path.map_or_else(|| Artifact::default_path(default_stem), std::path::PathBuf::from);
-    artifact.write(&path).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("wrote {} ({} records)", path.display(), artifact.records.len());
-}
-
-fn main() {
-    let (mut args, flags) = parse_args();
+/// Phase 1 — checks the arguments against each other before anything runs
+/// (a mismatch is a usage error, not a panic or an allocation failure
+/// mid-simulation) and resolves the default fleets and scenario arms.
+/// Returns whether the default comparison arms ride along.
+fn check_args(args: &mut Args, flags: &Flags) -> bool {
     // An explicit rate keeps --duration as typed, so its streams can be
-    // sized before anything runs; the calibrated rates are checked below,
-    // once the cost table they derive from exists.
+    // sized before anything runs; the calibrated rates are checked in
+    // `replay`, once the cost table they derive from exists.
     for &rps in &args.rps {
-        refuse_oversized_stream(&flags, &format!("--rps {rps:?}"), rps, args.duration_s);
+        let duration_s = args.duration_s.unwrap_or(DEFAULT_DURATION_S);
+        refuse_oversized_stream(flags, &format!("--rps {rps:?}"), rps, duration_s);
     }
     // Profiles come out of the per-class cycle simulations; the analytic
     // and hybrid models have no (or too few) simulations to attach to.
-    if args.profile && args.cost_model != CostModel::Cycle {
+    if args.profile.is_some() && args.cost_model != CostModel::Cycle {
         flags.bad_usage(&format!(
             "--profile requires the cycle cost model, but --cost-model {} prices classes \
              without per-class simulations",
@@ -448,12 +418,11 @@ fn main() {
         && args.clients.is_empty()
         && args.autoscale.is_none();
     if args.fleets.is_empty() {
-        args.fleets =
-            vec![1, 2, 4].into_iter().map(|n| FleetMix::uniform(TileSize::Tile16, n)).collect();
+        args.fleets = [1, 2, 4].map(|n| FleetMix::uniform(TileSize::Tile16, n)).to_vec();
     }
-    // Every slot of a fleet is allocated before its replay starts — under
-    // an autoscaler, up to its upper bound in every group.
     for mix in &args.fleets {
+        // Every slot of a fleet is allocated before its replay starts —
+        // under an autoscaler, up to its upper bound in every group.
         let slots = mix.groups.iter().fold(0usize, |slots, group| {
             slots.saturating_add(args.autoscale.map_or(group.shards, |(_, max)| max))
         });
@@ -464,209 +433,170 @@ fn main() {
                 mix.id
             ));
         }
-    }
-    // An autoscaled group must start inside the controller's bounds; catch
-    // the mismatch here as a usage error instead of a simulation panic.
-    if let Some((min, max)) = args.autoscale {
-        for mix in &args.fleets {
-            for group in &mix.groups {
-                if !(min..=max).contains(&group.shards) {
-                    flags.bad_usage(&format!(
-                        "--autoscale {min}:{max} is incompatible with fleet {:?}: group {:?} \
-                         starts with {} shard(s); pass --fleet/--shards sizes within the bounds",
-                        mix.id, group.name, group.shards
-                    ));
-                }
+        // An autoscaled group must start inside the controller's bounds.
+        if let Some((min, max)) = args.autoscale {
+            if let Some(group) = mix.groups.iter().find(|g| !(min..=max).contains(&g.shards)) {
+                flags.bad_usage(&format!(
+                    "--autoscale {min}:{max} is incompatible with fleet {:?}: group {:?} \
+                     starts with {} shard(s); pass --fleet/--shards sizes within the bounds",
+                    mix.id, group.name, group.shards
+                ));
             }
         }
-    }
-
-    // A CLI fault regime that degrades a group no fleet has is a usage
-    // error, not a mid-simulation panic.
-    if let Some(raw) = &args.fault {
-        let spec = FaultSpec::parse(raw, 0, 1.0).expect("validated at parse time");
-        for mix in &args.fleets {
-            for &(group, _) in &spec.degraded {
-                if group >= mix.groups.len() {
-                    flags.bad_usage(&format!(
-                        "--fault {raw:?} degrades group {group}, but fleet {:?} only has {} \
-                         group(s)",
-                        mix.id,
-                        mix.groups.len()
-                    ));
-                }
+        // A fault regime can only degrade a group the fleet has.
+        if let Some(fault) = &args.fault {
+            if let Some((group, _)) = fault.degraded.iter().find(|(g, _)| *g >= mix.groups.len()) {
+                flags.bad_usage(&format!(
+                    "--fault {:?} degrades group {group}, but fleet {:?} only has {} group(s)",
+                    fault.id(),
+                    mix.id,
+                    mix.groups.len()
+                ));
             }
         }
     }
     // Library scenarios: the explicit --scenario list wins; otherwise the
     // whole library rides along with the default comparison arms.
-    let mut scenario_specs: Vec<ScenarioSpec> = if args.scenarios.is_empty() {
-        if default_arms {
-            ScenarioSpec::library()
-        } else {
-            Vec::new()
-        }
-    } else {
-        args.scenarios
-            .iter()
-            .map(|name| ScenarioSpec::by_name(name).expect("validated at parse time"))
-            .collect()
-    };
+    if args.scenarios.is_empty() && default_arms {
+        args.scenarios = ScenarioSpec::library();
+    }
     let mut seen = std::collections::HashSet::new();
-    scenario_specs.retain(|s| seen.insert(s.name));
+    args.scenarios.retain(|s| seen.insert(s.name));
+    default_arms
+}
 
-    let mut session =
-        ArtifactSession::from_arg_list("serve", neura_bench::scale_multiplier(), args.passthrough);
-    let runner = Runner::from_env();
+/// What [`price_classes`] hands the later phases: one memoised cost per
+/// (tile, class) pair — `work`, tile-major — in the shared table.
+struct Pricing {
+    classes: Vec<RequestClass>,
+    work: Vec<(TileSize, RequestClass)>,
+    costs: CostTable,
+    /// The chip profile of each pair's simulation, under `--profile`.
+    profiles: Vec<Option<Profile>>,
+}
 
+/// The `tile` / `dataset` / `shrink` parameters of one priced pair.
+fn class_params(record: RunRecord, args: &Args, tile: TileSize, class: RequestClass) -> RunRecord {
+    record
+        .param("tile", tile.label())
+        .param("dataset", &args.mix[class.dataset])
+        .param("shrink", class.shrink)
+}
+
+/// Phase 2 — prices one request per (chip fingerprint, class) pair into the
+/// shared cost table, on the lab runner, and records each cost; fleets
+/// sharing a configuration share the memo by construction. `cycle` measures
+/// each pair with one simulation (under `--profile` the chip profiler rides
+/// along), `analytic` estimates every pair in closed form, and `hybrid`
+/// rescales the estimates through one anchor per tile: its measurement of
+/// the first class over its estimate of it.
+fn price_classes(
+    args: &Args,
+    default_arms: bool,
+    runner: &Runner,
+    session: &mut ArtifactSession,
+) -> Pricing {
     // The tile configurations any arm of this run can place shards on.
-    let hetero_mix = FleetMix::mixed(&[(TileSize::Tile64, 1), (TileSize::Tile4, 4)]);
-    let hetero_peer = FleetMix::uniform(TileSize::Tile16, 5);
     let mut tiles: Vec<TileSize> =
         args.fleets.iter().flat_map(|mix| mix.groups.iter().map(|g| g.config.tile_size)).collect();
     if default_arms {
-        tiles.extend([TileSize::Tile4, TileSize::Tile16, TileSize::Tile64]);
+        tiles.extend(TileSize::ALL);
     }
-    if !scenario_specs.is_empty() {
-        // Scenario arms always run on a two-shard Tile-16 fleet.
-        tiles.push(TileSize::Tile16);
+    if !args.scenarios.is_empty() {
+        tiles.extend(scenario_fleet().groups.iter().map(|g| g.config.tile_size));
     }
     tiles.sort_by_key(|t| t.label());
     tiles.dedup();
-
-    // Price one request per (chip fingerprint, class) pair into the shared
-    // cost table; every scenario then replays against it. Fleets sharing a
-    // configuration share the memo by construction. The default `cycle`
-    // model measures each pair with one cycle-level simulation, fanned out
-    // on the lab runner; `analytic` prices every pair with the closed-form
-    // fast path (no simulations), and `hybrid` anchors the analytic
-    // estimates to one cycle measurement per tile configuration.
-    let classes: Vec<RequestClass> = args
-        .mix
-        .iter()
-        .enumerate()
-        .flat_map(|(dataset, _)| REQUEST_SHRINKS.map(|shrink| RequestClass { dataset, shrink }))
+    let classes: Vec<RequestClass> = (0..args.mix.len())
+        .flat_map(|dataset| REQUEST_SHRINKS.map(|shrink| RequestClass { dataset, shrink }))
         .collect();
     let work: Vec<(TileSize, RequestClass)> =
         tiles.iter().flat_map(|&tile| classes.iter().map(move |&class| (tile, class))).collect();
-    let (measured, chip_profiles): (Vec<ClassCost>, Vec<Option<Profile>>) = match args.cost_model {
-        CostModel::Cycle => runner
-            .run(&work, |_, (tile, class)| {
-                let a = sim_matrix_at_fidelity(&args.mix[class.dataset], class.shrink);
-                let mut chip = Accelerator::new(ChipConfig::for_tile_size(*tile));
-                // With --profile, the chip profiler rides along on the same
-                // memoised simulation; profiling off constructs nothing.
-                let mut profiler = args.profile.then(|| Profiler::new(DEFAULT_WINDOW_CYCLES));
-                let report = chip
-                    .run_spgemm_profiled(&a, &a, profiler.as_mut())
-                    .expect("simulation drains")
-                    .report;
-                let profile = WorkloadProfile::from_square(&args.mix[class.dataset], &a);
-                (
-                    ClassCost { cycles: report.total_cycles, flops: profile.flops() },
-                    profiler.map(Profiler::into_profile),
-                )
-            })
-            .into_iter()
-            .unzip(),
-        CostModel::Analytic => (
-            runner.run(&work, |_, (tile, class)| {
-                let a = sim_matrix_at_fidelity(&args.mix[class.dataset], class.shrink);
-                let features = WorkloadFeatures::from_square(&a);
-                analytic_class_cost(&ChipConfig::for_tile_size(*tile), &features)
-            }),
-            Vec::new(),
-        ),
-        CostModel::Hybrid => {
-            // Symbolic features per class (cheap) plus one cycle-level
-            // anchor simulation per tile: every other (tile, class) pair is
-            // the analytic estimate rescaled through its tile's anchor.
-            let class_features = runner.run(&classes, |_, class: &RequestClass| {
-                let a = sim_matrix_at_fidelity(&args.mix[class.dataset], class.shrink);
-                WorkloadFeatures::from_square(&a)
-            });
-            let anchor = classes[0];
-            let anchors = runner.run(&tiles, |_, tile: &TileSize| {
-                let a = sim_matrix_at_fidelity(&args.mix[anchor.dataset], anchor.shrink);
-                let mut chip = Accelerator::new(ChipConfig::for_tile_size(*tile));
-                chip.run_spgemm(&a, &a).expect("simulation drains").report.total_cycles
-            });
-            let priced = work
-                .iter()
-                .map(|&(tile, class)| {
-                    let config = ChipConfig::for_tile_size(tile);
-                    let tile_index = tiles.iter().position(|&t| t == tile).expect("tile listed");
-                    let class_index =
-                        classes.iter().position(|&c| c == class).expect("class listed");
-                    let estimate = analytic_class_cost(&config, &class_features[class_index]);
-                    let anchor_estimate = analytic_class_cost(&config, &class_features[0]).cycles;
-                    ClassCost {
-                        cycles: hybrid_scaled_cycles(
-                            estimate.cycles,
-                            anchors[tile_index],
-                            anchor_estimate,
-                        ),
-                        flops: estimate.flops,
-                    }
-                })
-                .collect();
-            (priced, Vec::new())
-        }
+
+    let price = |tile, class: RequestClass, exact, profiler: Option<&mut Profiler>| {
+        let a = sim_matrix_at_fidelity(&args.mix[class.dataset], class.shrink);
+        price_class(&ChipConfig::for_tile_size(tile), &a, exact, profiler)
     };
+    let exact = args.cost_model == CostModel::Cycle;
+    let (mut priced, profiles): (Vec<ClassCost>, Vec<Option<Profile>>) = runner
+        .run(&work, |_, &(tile, class)| {
+            let mut profiler = args.profile.as_ref().map(|_| Profiler::new(DEFAULT_WINDOW_CYCLES));
+            let cost = price(tile, class, exact, profiler.as_mut());
+            (cost, profiler.map(Profiler::into_profile))
+        })
+        .into_iter()
+        .unzip();
+    if args.cost_model == CostModel::Hybrid {
+        let anchors = runner.run(&tiles, |_, &tile| price(tile, classes[0], true, None).cycles);
+        for (tile_costs, measured) in priced.chunks_mut(classes.len()).zip(anchors) {
+            let estimate = tile_costs[0].cycles;
+            for cost in tile_costs {
+                cost.cycles = hybrid_scaled_cycles(cost.cycles, measured, estimate);
+            }
+        }
+    }
+
     let mut costs = CostTable::new();
-    for (&(tile, class), cost) in work.iter().zip(&measured) {
+    for (&(tile, class), cost) in work.iter().zip(&priced) {
         let fp = costs.register(&ChipConfig::for_tile_size(tile));
         costs.insert(&fp, class, *cost);
-        let service_ms = costs.service_seconds(&fp, class, 1) * 1e3;
-        let mut record = RunRecord::new(format!(
-            "serve/cost/{}/{}/x{}",
-            tile.label(),
-            args.mix[class.dataset],
-            class.shrink
-        ))
-        .unit_metric("cycles", cost.cycles as f64, "cycles")
-        .unit_metric("service_ms", service_ms, "ms")
-        .metric("flops", cost.flops as f64);
-        record.params.push(("tile".to_string(), tile.label().to_string()));
-        record.params.push(("dataset".to_string(), args.mix[class.dataset].clone()));
-        record.params.push(("shrink".to_string(), class.shrink.to_string()));
+        let id =
+            format!("serve/cost/{}/{}/x{}", tile.label(), args.mix[class.dataset], class.shrink);
+        let mut record = class_params(RunRecord::new(id), args, tile, class)
+            .unit_metric("cycles", cost.cycles as f64, "cycles")
+            .unit_metric("service_ms", costs.service_seconds(&fp, class, 1) * 1e3, "ms")
+            .metric("flops", cost.flops as f64);
         if args.cost_model != CostModel::Cycle {
-            record.params.push(("cost_model".to_string(), args.cost_model.name().to_string()));
+            record = record.param("cost_model", args.cost_model.name());
         }
         session.push(record);
     }
+    Pricing { classes, work, costs, profiles }
+}
 
-    // Absolute request rates mean nothing across scale multipliers (a smoke
-    // run's requests are thousands of times cheaper than paper-scale ones),
-    // so every derived knob — arrival rate, batch timeout, think time,
-    // autoscaler cadence — calibrates against the mean service time of the
-    // first fleet's leading group. Derived from the memoised cycle costs,
-    // so everything stays a pure function of the inputs.
+/// The fleet every library scenario arm replays on.
+fn scenario_fleet() -> FleetMix {
+    FleetMix::uniform(TileSize::Tile16, 2)
+}
+
+/// What [`calibrate`] derives from the memoised costs.
+struct Calibration {
+    /// The demand and the policies every arm shares: arrivals x rates, the
+    /// think time, the policies with the `batch` knobs filled in.
+    base: ServeSweep,
+    duration_s: f64,
+    /// The 1..4-shard controller of the elastic arms; `--autoscale` swaps
+    /// its own bounds in.
+    elastic: AutoscalePolicy,
+}
+
+/// Phase 3 — calibrates every knob the command line left open. Absolute
+/// rates mean nothing across scale multipliers (a smoke run's requests are
+/// thousands of times cheaper than paper-scale ones), so arrival rate,
+/// batch timeout, think time and autoscaler cadence all derive from the
+/// memoised mean service time of the first fleet's leading group.
+fn calibrate(args: &Args, default_arms: bool, pricing: &Pricing) -> Calibration {
     let ref_fp = args.fleets[0].groups[0].config.fingerprint();
-    let mean_service_s = costs.mean_service_seconds(&ref_fp, &classes);
-    if !args.batch_timeout_given {
-        args.batch_timeout_s = mean_service_s * 20.0;
-    }
-    let policies: Vec<Policy> = if args.policy_names.is_empty() {
-        vec![Policy::Fifo, Policy::Sjf, Policy::batch(args.max_batch, args.batch_timeout_s)]
+    let mean_service_s = pricing.costs.mean_service_seconds(&ref_fp, &pricing.classes);
+    let batch = Policy::batch(
+        args.max_batch.unwrap_or(DEFAULT_MAX_BATCH),
+        args.batch_timeout_ms.map_or(mean_service_s * 20.0, |ms| ms / 1e3),
+    );
+    let policies = if args.policies.is_empty() {
+        vec![Policy::Fifo, Policy::Sjf, batch]
     } else {
-        args.policy_names
-            .iter()
-            .map(|name| match Policy::parse(name).expect("validated at parse time") {
-                Policy::BatchByDataset { .. } => {
-                    Policy::batch(args.max_batch, args.batch_timeout_s)
-                }
-                other => other,
-            })
-            .collect()
+        let knobs =
+            |policy| if matches!(policy, Policy::BatchByDataset { .. }) { batch } else { policy };
+        args.policies.iter().copied().map(knobs).collect()
     };
-    let mut duration_s = args.duration_s;
-    if args.rps.is_empty() {
+    let mut rps = args.rps.clone();
+    let mut duration_s = args.duration_s.unwrap_or(DEFAULT_DURATION_S);
+    if rps.is_empty() {
         let auto_rps = (0.8 / mean_service_s).max(1.0).round();
         // Keep auto-rated streams to ~20k requests so smoke runs (where a
         // request costs microseconds and the rate lands in the millions)
         // stay fast; an explicit --duration wins.
-        if !args.duration_given {
+        if args.duration_s.is_none() {
             duration_s = f64::min(duration_s, (20_000.0 / auto_rps).max(1e-3));
         }
         println!(
@@ -674,7 +604,7 @@ fn main() {
              service), duration {duration_s:.4} s",
             mean_service_s * 1e3,
         );
-        args.rps.push(auto_rps);
+        rps.push(auto_rps);
     }
     // Closed-loop think time: clients cycle once per (think + response), so
     // this targets ~80% offered load — for the user's first client count on
@@ -684,34 +614,35 @@ fn main() {
         let shards = if default_arms { 2.0 } else { args.fleets[0].total_shards() as f64 };
         (clients * mean_service_s / (0.8 * shards) - mean_service_s).max(0.0)
     });
-    let controller = |min: usize, max: usize| {
-        AutoscalePolicy::new(min, max)
-            .with_check_interval_s(args.check_ms.map(|ms| ms / 1e3).unwrap_or(mean_service_s * 5.0))
-            .with_provision_delay_s(
-                args.provision_ms.map(|ms| ms / 1e3).unwrap_or(mean_service_s * 25.0),
-            )
-    };
-
     let base = ServeSweep::new()
-        .arrivals(if args.arrivals.is_empty() {
-            vec![ArrivalProcess::Poisson]
-        } else {
-            args.arrivals.clone()
-        })
-        .rps(args.rps.clone())
+        .arrivals(args.arrivals.clone())
+        .rps(rps)
         .think_s(think_s)
-        .policies(policies.clone());
+        .policies(policies);
+    let elastic = AutoscalePolicy::new(1, 4)
+        .with_check_interval_s(args.check_ms.map_or(mean_service_s * 5.0, |ms| ms / 1e3))
+        .with_provision_delay_s(args.provision_ms.map_or(mean_service_s * 25.0, |ms| ms / 1e3));
+    Calibration { base, duration_s, elastic }
+}
+
+/// Phase 4 — enumerates the arms: the sweep the flags describe; with it,
+/// unless the user took over the fleet-shaped axes, the three default
+/// comparison arms; and one `scn-*` arm per library scenario.
+fn enumerate_arms(
+    args: &Args,
+    default_arms: bool,
+    pricing: &Pricing,
+    cal: &Calibration,
+) -> Vec<ServeScenario> {
+    let Calibration { base, elastic, .. } = cal;
     let mut sweep = base
         .clone()
         .fleets(args.fleets.clone())
-        .dispatches(if args.dispatches.is_empty() {
-            vec![DispatchKind::LeastLoaded]
-        } else {
-            args.dispatches.clone()
-        })
+        .dispatches(args.dispatches.clone())
         .closed_clients(args.clients.clone());
-    if let Some((min, max)) = args.autoscale {
-        sweep = sweep.autoscale([Some(controller(min, max))]);
+    if let Some((min_shards, max_shards)) = args.autoscale {
+        sweep =
+            sweep.autoscale([Some(AutoscalePolicy { min_shards, max_shards, ..elastic.clone() })]);
     }
     let mut scenarios = sweep.scenarios("serve", STREAM_SEED);
 
@@ -721,7 +652,10 @@ fn main() {
         let hetero = base
             .clone()
             .policies([Policy::Fifo])
-            .fleets([hetero_peer, hetero_mix])
+            .fleets([
+                FleetMix::uniform(TileSize::Tile16, 5),
+                FleetMix::mixed(&[(TileSize::Tile64, 1), (TileSize::Tile4, 4)]),
+            ])
             .dispatches(DispatchKind::ALL);
         // Closed-loop arm: the open twin (same fleet/policy/dispatch) runs
         // in the main sweep, so open and closed tails sit side by side.
@@ -737,92 +671,91 @@ fn main() {
             .clone()
             .policies([Policy::Fifo])
             .fleets([FleetMix::uniform(TileSize::Tile16, 1)])
-            .autoscale([Some(controller(1, 4))]);
+            .autoscale([Some(elastic.clone())]);
         for arm in [hetero, closed, autoscaled] {
-            let offset = scenarios.len();
-            for mut scenario in arm.scenarios("serve", STREAM_SEED) {
-                scenario.index += offset;
-                scenarios.push(scenario);
-            }
+            scenarios.extend(arm.scenarios("serve", STREAM_SEED));
         }
     }
 
-    // Library scenario arms: each replays on a two-shard Tile-16 fleet at
-    // a rate calibrated to `load x fleet capacity` — so "overload" means
-    // 3x capacity at every scale multiplier — with elastic scenarios
-    // under a 1..4-shard autoscaler whose provisioning path doubles as
-    // the crash-recovery path.
-    let scn_fleet = FleetMix::uniform(TileSize::Tile16, 2);
-    let scn_service_s =
-        costs.mean_service_seconds(&scn_fleet.groups[0].config.fingerprint(), &classes);
-    for sc in &scenario_specs {
-        let rps = (sc.load * scn_fleet.total_shards() as f64 / scn_service_s).max(1.0).round();
+    // Library scenario arms: each replays on the scenario fleet at a rate
+    // calibrated to `load x fleet capacity` — so "overload" means 3x
+    // capacity at every scale multiplier — with elastic scenarios under a
+    // 1..4-shard autoscaler whose provisioning path doubles as the
+    // crash-recovery path.
+    if args.scenarios.is_empty() {
+        return scenarios;
+    }
+    let fleet = scenario_fleet();
+    let service_s =
+        pricing.costs.mean_service_seconds(&fleet.groups[0].config.fingerprint(), &pricing.classes);
+    for sc in &args.scenarios {
+        let rps = (sc.load * fleet.total_shards() as f64 / service_s).max(1.0).round();
         let mut arm = base
             .clone()
             .arrivals([ArrivalProcess::Poisson])
             .rps([rps])
             .policies([Policy::Fifo])
-            .fleets([scn_fleet.clone()])
-            .dispatches([DispatchKind::LeastLoaded]);
+            .fleets([fleet.clone()]);
         if sc.elastic {
-            arm = arm.autoscale([Some(controller(1, 4))]);
+            arm = arm.autoscale([Some(elastic.clone())]);
         }
-        let offset = scenarios.len();
         for mut scenario in arm.scenarios(&format!("serve/scn-{}", sc.name), STREAM_SEED) {
-            scenario.index += offset;
             scenario.scenario = Some(sc.clone());
             scenarios.push(scenario);
         }
     }
+    scenarios
+}
 
-    // Replay every scenario on the runner; results collect in sweep order,
-    // so the artifact is byte-identical for any NEURA_LAB_THREADS. With
-    // --trace, each replay additionally records its lifecycle trace and
-    // folds it into a windowed timeline *inside* the worker — the bulky
-    // per-event trace never outlives its scenario — and without the flag
-    // the untraced entry point runs, so tracing costs nothing when off.
-    let mix_len = args.mix.len();
-    let window_s = args.window_ms.map(|ms| ms / 1e3).unwrap_or(duration_s / 50.0);
-    // Every window of a timeline is allocated before the first event lands
-    // in it, so a width a few zeros too small must not size one: a usage
-    // error — before the replays for the horizon, and after them for a
-    // replay that drained so long past it that its timeline was not built.
-    let window_fits = |span_s: f64| span_s / window_s <= MAX_TIMELINE_WINDOWS as f64;
-    let refuse_window = |span_s: f64, what: &str| -> ! {
+/// Every window of a timeline is allocated before the first event lands in
+/// it, so a width a few zeros too small must not size one: a usage error —
+/// before the replays for the horizon, and after them for a replay that
+/// drained so long past it that its timeline was not built.
+fn refuse_narrow_window(flags: &Flags, args: &Args, window_s: f64, span_s: f64, what: &str) {
+    if args.trace.is_some() && !window_fits(window_s, span_s) {
         flags.bad_usage(&format!(
             "--window-ms {} cuts the {span_s} s {what} into more than {MAX_TIMELINE_WINDOWS} \
              timeline windows; the smallest width it accepts is --window-ms {}",
             args.window_ms.unwrap_or(window_s * 1e3),
             span_s * 1e3 / MAX_TIMELINE_WINDOWS as f64
-        ))
-    };
-    if args.trace && !window_fits(duration_s) {
-        refuse_window(duration_s, "horizon");
+        ));
     }
+}
+
+fn window_fits(window_s: f64, span_s: f64) -> bool {
+    span_s / window_s <= MAX_TIMELINE_WINDOWS as f64
+}
+
+/// Phase 5 — replays every arm on the runner under `plan`; results collect
+/// in sweep order, so the artifact is byte-identical for any
+/// `NEURA_LAB_THREADS`. Under `--trace` each replay folds its lifecycle
+/// trace into a windowed timeline *inside* the worker — the bulky trace
+/// never outlives its scenario; without it the untraced entry point runs.
+fn replay(
+    args: &Args,
+    flags: &Flags,
+    runner: &Runner,
+    pricing: &Pricing,
+    cal: &Calibration,
+    scenarios: &[ServeScenario],
+    plan: &EnginePlan,
+) -> Vec<(ServeOutcome, Option<Timeline>)> {
+    let duration_s = cal.duration_s;
+    let window_s = args.window_ms.map_or(duration_s / 50.0, |ms| ms / 1e3);
+    refuse_narrow_window(flags, args, window_s, duration_s, "horizon");
     // The calibrated rates — the auto rate, the scenario arms' — now have
     // their duration: size every open-loop stream at the rate its
     // generator runs at, the shapes' peak, before the first is built.
-    for scenario in &scenarios {
+    for scenario in scenarios {
         if let WorkloadAxis::Open { rps, .. } = scenario.workload {
             let shapes = scenario.scenario.iter().flat_map(|sc| &sc.shapes);
             let peak_rps = rps * shapes.map(RateShape::peak).product::<f64>();
-            refuse_oversized_stream(&flags, &scenario.id, peak_rps, duration_s);
+            refuse_oversized_stream(flags, &scenario.id, peak_rps, duration_s);
         }
     }
     let cli_tenants = (!args.tenants.is_empty()).then(|| TenantMix::new(args.tenants.clone()));
-    // The engine plan every replay runs under: serial unless --epochs /
-    // --lanes asked for parallel-in-time fragments. The merged results
-    // are byte-identical to the serial replay either way.
-    let mut plan = EnginePlan::serial();
-    if let Some(n) = args.epochs {
-        plan = plan.with_epochs(n);
-    }
-    if let Some(l) = args.lanes {
-        plan = plan.with_lanes(l);
-    }
-    let sweep_started = std::time::Instant::now();
-    let outcomes = runner.run(&scenarios, |_, scenario: &ServeScenario| {
-        let mut workload = scenario.workload_spec(duration_s, mix_len, &REQUEST_SHRINKS);
+    let outcomes = runner.run(scenarios, |_, scenario: &ServeScenario| {
+        let mut workload = scenario.workload_spec(duration_s, args.mix.len(), &REQUEST_SHRINKS);
         // CLI tenants wrap the plain open arms (library arms carry their
         // own mix; closed loops have no admission gate to rate-limit).
         if scenario.scenario.is_none() {
@@ -830,47 +763,54 @@ fn main() {
                 workload = Workload::Shaped(ShapedStream::tenants_only(spec.clone(), mix.clone()));
             }
         }
+        // A library arm brings its own regime; a plain arm takes the
+        // --fault one, seeded from its workload over the run's horizon.
         let fault = match &scenario.scenario {
             Some(sc) => sc.fault_spec(scenario.seed, duration_s),
-            None => args.fault.as_ref().map(|raw| {
-                FaultSpec::parse(raw, derive_seed(scenario.seed, "cli-fault"), duration_s)
-                    .expect("validated at parse time")
+            None => args.fault.clone().map(|template| FaultSpec {
+                seed: derive_seed(scenario.seed, "cli-fault"),
+                window_s: duration_s,
+                ..template
             }),
         };
-        let mut cfg =
-            ServeConfig::new(scenario.policy, &scenario.fleet.groups, scenario.dispatch, &costs);
+        let mut cfg = ServeConfig::new(
+            scenario.policy,
+            &scenario.fleet.groups,
+            scenario.dispatch,
+            &pricing.costs,
+        );
         cfg.autoscale = scenario.autoscale.as_ref();
         cfg.queue_bound =
             scenario.scenario.as_ref().and_then(|sc| sc.queue_bound).or(args.queue_bound);
         cfg.faults = fault.as_ref();
-        if args.trace {
-            let (outcome, trace) = simulate_config_traced_parallel(&workload, &cfg, &plan);
-            let timeline = window_fits(outcome.makespan_s)
+        if args.trace.is_some() {
+            let (outcome, trace) = simulate_config_traced_parallel(&workload, &cfg, plan);
+            let timeline = window_fits(window_s, outcome.makespan_s)
                 .then(|| Timeline::build(&trace, &outcome, window_s));
             (outcome, timeline)
         } else {
-            (simulate_config_parallel(&workload, &cfg, &plan), None)
+            (simulate_config_parallel(&workload, &cfg, plan), None)
         }
     });
     let longest_s = outcomes.iter().map(|(outcome, _)| outcome.makespan_s).fold(0.0, f64::max);
-    if args.trace && !window_fits(longest_s) {
-        refuse_window(longest_s, "makespan of the longest replay");
-    }
-    let sim_wall_s = sweep_started.elapsed().as_secs_f64();
-    // Measurement context rides along as document-level meta — never gated
-    // (trend diffs records only), and suppressed entirely by --no-meta so
-    // CI can byte-compare artifacts across thread counts.
-    if !args.no_meta {
-        session.set_meta("sim_wall_s", sim_wall_s);
-        session.set_meta("epochs", plan.epochs as f64);
-        session.set_meta("lanes", plan.lanes as f64);
-        session.set_meta("threads", runner.threads() as f64);
-    }
+    refuse_narrow_window(flags, args, window_s, longest_s, "makespan of the longest replay");
+    outcomes
+}
 
+/// Phase 6 — every arm's records into the run artifact and its row into
+/// the summary table, printed here; returns the timeline artifact (empty
+/// without `--trace`).
+fn emit_outcomes(
+    args: &Args,
+    duration_s: f64,
+    scenarios: &[ServeScenario],
+    outcomes: &[(ServeOutcome, Option<Timeline>)],
+    session: &mut ArtifactSession,
+) -> Artifact {
     let mut timeline_artifact =
         Artifact::new("serve", neura_bench::scale_multiplier()).with_schema(TIMELINE_SCHEMA);
     let mut rows = Vec::new();
-    for (scenario, (outcome, timeline)) in scenarios.iter().zip(&outcomes) {
+    for (scenario, (outcome, timeline)) in scenarios.iter().zip(outcomes) {
         let shard_seconds = outcome.shard_seconds();
         let busy: f64 = outcome.group_stats.iter().map(|g| g.busy_s).sum();
         let util = if shard_seconds > 0.0 { busy / shard_seconds } else { 0.0 };
@@ -898,7 +838,6 @@ fn main() {
             timeline_artifact.extend(timeline.records(&scenario.id, &params));
         }
     }
-
     print_table(
         "Serving scenarios: tail latency, throughput and capacity cost under load",
         &[
@@ -915,6 +854,11 @@ fn main() {
         ],
         &rows,
     );
+    timeline_artifact
+}
+
+/// The reading guide under the table.
+fn print_notes(args: &Args, pricing: &Pricing) {
     println!(
         "\nEach scenario replays a deterministic {}-dataset workload on a fleet of\n\
          simulated chips: shard groups may mix tile sizes (class-aware dispatch\n\
@@ -926,8 +870,8 @@ fn main() {
          batch is charged a cycle cost memoised per (chip fingerprint x dataset x\n\
          request size) class ({} cycle-level simulations total). Serving arms of\n\
          the same workload share their seed, so they are directly comparable.",
-        mix_len,
-        work.len(),
+        args.mix.len(),
+        pricing.work.len(),
     );
     match args.cost_model {
         CostModel::Cycle => {}
@@ -938,40 +882,67 @@ fn main() {
         CostModel::Hybrid => println!(
             "cost model: hybrid — analytic class costs rescaled through one cycle-level \
              anchor simulation per tile configuration ({} simulations total).",
-            tiles.len(),
+            pricing.work.len() / pricing.classes.len(),
         ),
     }
+}
 
-    if args.trace {
-        write_side_artifact(&timeline_artifact, args.trace_path.as_deref(), "timeline");
-    }
-
-    if args.profile {
-        // One chip profile per memoised (chip fingerprint, request class)
-        // simulation — the exact cost-table entries the serving arms replay.
-        let mut profile_artifact =
-            Artifact::new("serve", neura_bench::scale_multiplier()).with_schema(PROFILE_SCHEMA);
-        for ((tile, class), chip_profile) in work.iter().zip(&chip_profiles) {
-            let chip_profile = chip_profile.as_ref().expect("cycle model profiles every pair");
-            let scope =
-                format!("serve/{}/{}/x{}", tile.label(), args.mix[class.dataset], class.shrink);
-            if let Err(err) = chip_profile.check_conservation() {
-                panic!("profile conservation violated for {scope}: {err}");
-            }
-            let mut records = profile_records(&scope, chip_profile);
-            if let Some(first) = records.first_mut() {
-                first.params.push(("tile".to_string(), tile.label().to_string()));
-                first.params.push(("dataset".to_string(), args.mix[class.dataset].clone()));
-                first.params.push(("shrink".to_string(), class.shrink.to_string()));
-                first.params.push((
-                    "fingerprint".to_string(),
-                    ChipConfig::for_tile_size(*tile).fingerprint(),
-                ));
-            }
-            profile_artifact.extend(records);
+/// `--profile`: one chip profile per memoised (chip fingerprint, request
+/// class) simulation — the exact cost-table entries the serving arms
+/// replay — as a `neura_lab.profile/v1` artifact.
+fn profile_artifact(args: &Args, pricing: &Pricing) -> Artifact {
+    let mut artifact =
+        Artifact::new("serve", neura_bench::scale_multiplier()).with_schema(PROFILE_SCHEMA);
+    for (&(tile, class), chip_profile) in pricing.work.iter().zip(&pricing.profiles) {
+        let chip_profile = chip_profile.as_ref().expect("cycle model profiles every pair");
+        let scope = format!("serve/{}/{}/x{}", tile.label(), args.mix[class.dataset], class.shrink);
+        if let Err(err) = chip_profile.check_conservation() {
+            panic!("profile conservation violated for {scope}: {err}");
         }
-        write_side_artifact(&profile_artifact, args.profile_path.as_deref(), "serve-profile");
+        let mut records = profile_records(&scope, chip_profile);
+        let summary = class_params(std::mem::take(&mut records[0]), args, tile, class);
+        records[0] = summary.param("fingerprint", ChipConfig::for_tile_size(tile).fingerprint());
+        artifact.extend(records);
+    }
+    artifact
+}
+
+fn main() {
+    let (mut args, flags) = parse_args();
+    let default_arms = check_args(&mut args, &flags);
+    let passthrough = std::mem::take(&mut args.passthrough);
+    let mut session =
+        ArtifactSession::from_arg_list("serve", neura_bench::scale_multiplier(), passthrough);
+    let runner = Runner::from_env();
+    let pricing = price_classes(&args, default_arms, &runner, &mut session);
+    let cal = calibrate(&args, default_arms, &pricing);
+    let scenarios = enumerate_arms(&args, default_arms, &pricing, &cal);
+
+    // The engine plan every replay runs under: serial unless --epochs /
+    // --lanes asked for parallel-in-time fragments. The merged results
+    // are byte-identical to the serial replay either way.
+    let plan = EnginePlan::serial()
+        .with_epochs(args.epochs.unwrap_or(1))
+        .with_lanes(args.lanes.unwrap_or(1));
+    let sweep_started = std::time::Instant::now();
+    let outcomes = replay(&args, &flags, &runner, &pricing, &cal, &scenarios, &plan);
+    // Measurement context rides along as document-level meta — never gated
+    // (trend diffs records only), and suppressed entirely by --no-meta so
+    // CI can byte-compare artifacts across thread counts.
+    if !args.no_meta {
+        session.set_meta("sim_wall_s", sweep_started.elapsed().as_secs_f64());
+        session.set_meta("epochs", plan.epochs as f64);
+        session.set_meta("lanes", plan.lanes as f64);
+        session.set_meta("threads", runner.threads() as f64);
     }
 
+    let timeline = emit_outcomes(&args, cal.duration_s, &scenarios, &outcomes, &mut session);
+    print_notes(&args, &pricing);
+    if let Some(path) = &args.trace {
+        timeline.write_or_exit(path);
+    }
+    if let Some(path) = &args.profile {
+        profile_artifact(&args, &pricing).write_or_exit(path);
+    }
     session.finish();
 }

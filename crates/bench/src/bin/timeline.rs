@@ -191,8 +191,26 @@ fn main() -> ExitCode {
         &rows,
     );
 
+    let failures = gate_failures(&summaries, max_worst_p99_ms, max_recovery_ms, min_window_slo);
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("timeline: {failure}");
+        }
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
+
+/// One message per scenario that breaks the windowing invariant or a bound
+/// the command line set.
+fn gate_failures(
+    summaries: &[ScopeSummary],
+    max_worst_p99_ms: Option<f64>,
+    max_recovery_ms: Option<f64>,
+    min_window_slo: Option<f64>,
+) -> Vec<String> {
     let mut failures: Vec<String> = Vec::new();
-    for s in &summaries {
+    for s in summaries {
         if s.worst_p99_ms < s.aggregate_p99_ms {
             failures.push(format!(
                 "{}: worst-window p99 {} ms undercut the aggregate p99 {} ms — the artifact \
@@ -230,11 +248,5 @@ fn main() -> ExitCode {
             }
         }
     }
-    if !failures.is_empty() {
-        for failure in &failures {
-            eprintln!("timeline: {failure}");
-        }
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    failures
 }

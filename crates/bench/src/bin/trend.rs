@@ -20,9 +20,9 @@
 //! `neura_lab.profile/v1` chip-profile artifacts likewise headline the
 //! per-scope worst-window stall fraction.
 //!
-//! Artifacts carrying wall-clock context as document meta (`sim_wall_s`,
-//! `speedup` — see the serve binary's parallel-engine flags) headline the
-//! before/after wall-clock ratio. Meta is measurement context, never
+//! Artifacts carrying wall-clock context as document meta (`sim_wall_s` —
+//! see the serve binary's parallel-engine flags) headline the before/after
+//! wall-clock ratio. Meta is measurement context, never
 //! gated: `--fail-above` only ever fires on record metrics.
 
 use std::path::{Path, PathBuf};
@@ -252,8 +252,5 @@ fn print_wall_clock(label: &str, before: &Artifact, after: &Artifact) {
             fmt(a, 4),
             fmt(ratio, 2)
         );
-    }
-    if let Some(speedup) = after.meta_value("speedup") {
-        println!("{label}: measured lane speedup (AFTER): {}x", fmt(speedup, 2));
     }
 }

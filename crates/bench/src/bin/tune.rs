@@ -30,20 +30,21 @@
 //!   baseline comparison re-score on the cycle oracle, so the reported
 //!   winner is simulator-verified at a fraction of the simulations)
 
-use neura_baselines::workload::WorkloadProfile;
-use neura_bench::{fmt, print_table, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED};
+use neura_bench::{
+    fmt, price_class, print_table, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED,
+};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::analytic::{AnalyticModel, WorkloadFeatures};
 use neura_chip::config::{ChipConfig, HbmPreset};
 use neura_chip::power::PowerModel;
 use neura_lab::spec::derive_seed;
 use neura_lab::{
-    ArtifactSession, Evaluation, Flags, Objective, Runner, SweepGrid, TuneSpec, Tuner,
+    ArtifactSession, Evaluation, Flags, Objective, Runner, SweepGrid, TuneOutcome, TuneSpec, Tuner,
 };
-use neura_serve::cost::{analytic_class_cost, CostModel};
+use neura_serve::cost::CostModel;
 use neura_serve::{
-    simulate_config_parallel, ArrivalProcess, ClassCost, CostTable, DispatchKind, EnginePlan,
-    Policy, RequestClass, ServeConfig, ShardGroup, StreamSpec, Workload,
+    simulate_config_parallel, ArrivalProcess, CostTable, DispatchKind, EnginePlan, Policy,
+    RequestClass, ServeConfig, ShardGroup, StreamSpec, Workload,
 };
 use neura_sparse::{CsrMatrix, DatasetCatalog};
 
@@ -75,31 +76,29 @@ fn usage() -> String {
         .to_string()
 }
 
+/// Which tier prices one evaluation: the cycle-level oracle (`true`) or
+/// the closed-form analytic estimate. `hybrid` screens with the estimate
+/// and keeps the oracle for the final rung and the baseline comparison.
+fn exact_tier(cost_model: CostModel, is_final: bool) -> bool {
+    match cost_model {
+        CostModel::Cycle => true,
+        CostModel::Analytic => false,
+        CostModel::Hybrid => is_final,
+    }
+}
+
 /// Prices the per-class costs of `config` for `dataset` at one rung
 /// fidelity (rung shrink × class shrink), as a single-fingerprint cost
-/// table. `exact` selects the tier: the cycle-level oracle (one simulation
-/// per class) or the closed-form analytic estimate (no simulations).
-fn class_costs(
-    config: &ChipConfig,
-    dataset: &str,
-    rung_shrink: usize,
-    exact: bool,
-) -> (CostTable, String) {
+/// table, on the tier `exact` selects (see [`price_class`]).
+fn class_costs(config: &ChipConfig, dataset: &str, rung_shrink: usize, exact: bool) -> CostTable {
     let mut costs = CostTable::new();
     let fingerprint = costs.register(config);
     for class_shrink in REQUEST_SHRINKS {
         let a = sim_matrix_at_fidelity(dataset, rung_shrink * class_shrink);
-        let cost = if exact {
-            let mut chip = Accelerator::new(config.clone());
-            let report = chip.run_spgemm(&a, &a).expect("simulation drains").report;
-            let profile = WorkloadProfile::from_square(dataset, &a);
-            ClassCost { cycles: report.total_cycles, flops: profile.flops() }
-        } else {
-            analytic_class_cost(config, &WorkloadFeatures::from_square(&a))
-        };
+        let cost = price_class(config, &a, exact, None);
         costs.insert(&fingerprint, RequestClass { dataset: 0, shrink: class_shrink }, cost);
     }
-    (costs, fingerprint)
+    costs
 }
 
 /// Scores an analytic cycle estimate on a report-backed objective without
@@ -134,20 +133,20 @@ fn run_serve_p99(
     runner: &Runner,
     dataset: &str,
     cost_model: CostModel,
-) -> neura_lab::TuneOutcome {
+) -> TuneOutcome {
     let baseline = tuner.spec().base.clone();
     // Reference-stream calibration follows the model's cheap tier (the
     // stream only sets arrivals and is identical for every candidate of a
     // rung, so the winner/baseline comparison stays fair either way).
-    let exact_references = cost_model == CostModel::Cycle;
+    let exact_references = exact_tier(cost_model, false);
     let references: Vec<(usize, Workload)> = tuner
         .shrinks()
         .into_iter()
         .map(|rung_shrink| {
-            let (costs, fingerprint) =
-                class_costs(&baseline, dataset, rung_shrink, exact_references);
+            let costs = class_costs(&baseline, dataset, rung_shrink, exact_references);
             let classes = REQUEST_SHRINKS.map(|shrink| RequestClass { dataset: 0, shrink });
-            let rps = (0.8 / costs.mean_service_seconds(&fingerprint, &classes)).max(1.0).round();
+            let service_s = costs.mean_service_seconds(&baseline.fingerprint(), &classes);
+            let rps = (0.8 / service_s).max(1.0).round();
             let duration_s = (2_000.0 / rps).clamp(1e-3, 2.0);
             let stream = StreamSpec {
                 arrival: ArrivalProcess::Poisson,
@@ -166,14 +165,8 @@ fn run_serve_p99(
             .iter()
             .find(|(s, _)| *s == ctx.shrink)
             .expect("every planned shrink has a reference stream");
-        // Hybrid: analytic class costs on screening rungs, the cycle
-        // oracle on the final rung and the baseline comparison.
-        let exact = match cost_model {
-            CostModel::Cycle => true,
-            CostModel::Analytic => false,
-            CostModel::Hybrid => ctx.is_final,
-        };
-        let (costs, _) = class_costs(&point.config, dataset, ctx.shrink, exact);
+        let exact = exact_tier(cost_model, ctx.is_final);
+        let costs = class_costs(&point.config, dataset, ctx.shrink, exact);
         let fleet = [ShardGroup::new("cand", point.config.clone(), 1)];
         let cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs);
         let outcome = simulate_config_parallel(stream, &cfg, &EnginePlan::serial());
@@ -183,6 +176,51 @@ fn run_serve_p99(
             .with_metric("mean_latency_ms", outcome.mean_latency_s() * 1e3, "ms")
             .with_metric("throughput_rps", outcome.throughput_rps(), "req/s")
             .with_metric("queue_depth_mean", outcome.queue_depth_mean, "req")
+    })
+}
+
+/// The kernel objectives (cycles, energy-delay, speedup): every candidate
+/// multiplies the dataset's workload at the rung's fidelity — on the cycle
+/// oracle, whose report backs the score and the record, or priced by the
+/// analytic model in nanoseconds. Under `hybrid` the final rung and the
+/// baseline re-score on the oracle, so the reported winner and its
+/// improvement factor are simulator-verified.
+fn run_kernel(
+    tuner: &Tuner,
+    runner: &Runner,
+    dataset: &str,
+    objective: Objective,
+    cost_model: CostModel,
+) -> TuneOutcome {
+    // One workload per fidelity, generated up front so every rung (and
+    // every thread) reuses the same deterministic matrix and features.
+    let workloads: Vec<(usize, CsrMatrix, WorkloadFeatures)> = tuner
+        .shrinks()
+        .into_iter()
+        .map(|shrink| {
+            let a = sim_matrix_at_fidelity(dataset, shrink);
+            let features = WorkloadFeatures::from_square(&a);
+            (shrink, a, features)
+        })
+        .collect();
+    tuner.run_tiered(runner, |point, ctx| {
+        let (_, a, features) = workloads
+            .iter()
+            .find(|(shrink, ..)| *shrink == ctx.shrink)
+            .expect("every planned shrink has a workload");
+        if exact_tier(cost_model, ctx.is_final) {
+            let mut chip = Accelerator::new(point.config.clone());
+            let report = chip.run_spgemm(a, a).expect("simulation drains").report;
+            let score = objective.score(&point.config, &report);
+            Evaluation { score, report: Some(report), metrics: Vec::new() }
+        } else {
+            let cycles = AnalyticModel::calibrated().cycles(&point.config, features);
+            Evaluation::scored(analytic_score(objective, &point.config, cycles)).with_metric(
+                "analytic_cycles",
+                cycles,
+                "cycles",
+            )
+        }
     })
 }
 
@@ -196,13 +234,9 @@ fn main() {
     let mut flags = Flags::from_env(usage());
     while let Some(arg) = flags.next() {
         match arg.as_str() {
-            "--dataset" => {
-                let name = flags.value("--dataset");
-                if DatasetCatalog::by_name(&name).is_none() {
-                    flags.bad_usage(&format!("dataset {name:?} is not in the catalog"));
-                }
-                datasets.push(name);
-            }
+            "--dataset" => datasets.push(flags.known("--dataset", "dataset", |raw| {
+                DatasetCatalog::by_name(raw).map(|_| raw.to_string())
+            })),
             "--objective" => {
                 objective = flags.known("--objective", "objective", Objective::parse);
             }
@@ -235,60 +269,10 @@ fn main() {
         let spec = TuneSpec::new("tune", ChipConfig::tile_16(), tune_grid(dataset), objective)
             .with_budget(budget);
         let tuner = Tuner::new(spec);
-
         let outcome = if objective == Objective::ServeP99 {
             run_serve_p99(&tuner, &runner, dataset, cost_model)
-        } else if cost_model == CostModel::Cycle {
-            // One workload per fidelity, generated up front so every rung
-            // (and every thread) reuses the same deterministic matrix.
-            let matrices: Vec<(usize, CsrMatrix)> = tuner
-                .shrinks()
-                .into_iter()
-                .map(|shrink| (shrink, sim_matrix_at_fidelity(dataset, shrink)))
-                .collect();
-            tuner.run(&runner, |point, shrink| {
-                let (_, a) = matrices
-                    .iter()
-                    .find(|(s, _)| *s == shrink)
-                    .expect("every planned shrink has a matrix");
-                let mut chip = Accelerator::new(point.config.clone());
-                chip.run_spgemm(a, a).expect("simulation drains").report
-            })
         } else {
-            // Two-tier rungs: workload features are extracted once per
-            // fidelity, then analytic screening prices each candidate in
-            // nanoseconds. Under `hybrid`, the final rung (and the
-            // baseline) re-score on the cycle oracle, so the reported
-            // winner and its improvement factor are simulator-verified.
-            let matrices: Vec<(usize, CsrMatrix)> = tuner
-                .shrinks()
-                .into_iter()
-                .map(|shrink| (shrink, sim_matrix_at_fidelity(dataset, shrink)))
-                .collect();
-            let features: Vec<(usize, WorkloadFeatures)> = matrices
-                .iter()
-                .map(|(shrink, a)| (*shrink, WorkloadFeatures::from_square(a)))
-                .collect();
-            tuner.run_tiered(&runner, |point, ctx| {
-                if cost_model == CostModel::Hybrid && ctx.is_final {
-                    let (_, a) = matrices
-                        .iter()
-                        .find(|(s, _)| *s == ctx.shrink)
-                        .expect("every planned shrink has a matrix");
-                    let mut chip = Accelerator::new(point.config.clone());
-                    let report = chip.run_spgemm(a, a).expect("simulation drains").report;
-                    let score = objective.score(&point.config, &report);
-                    Evaluation { score, report: Some(report), metrics: Vec::new() }
-                } else {
-                    let (_, workload) = features
-                        .iter()
-                        .find(|(s, _)| *s == ctx.shrink)
-                        .expect("every planned shrink has features");
-                    let cycles = AnalyticModel::calibrated().cycles(&point.config, workload);
-                    Evaluation::scored(analytic_score(objective, &point.config, cycles))
-                        .with_metric("analytic_cycles", cycles, "cycles")
-                }
-            })
+            run_kernel(&tuner, &runner, dataset, objective, cost_model)
         };
 
         // Serving tails are sub-millisecond at smoke scale: print them in

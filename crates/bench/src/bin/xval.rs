@@ -80,6 +80,7 @@ fn usage() -> String {
         .to_string()
 }
 
+#[derive(Default)]
 struct Args {
     grid: ChipGrid,
     frequencies: Vec<f64>,
@@ -89,13 +90,7 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let mut parsed = Args {
-        grid: ChipGrid::default(),
-        frequencies: Vec::new(),
-        fit: false,
-        dump: false,
-        passthrough: Vec::new(),
-    };
+    let mut parsed = Args::default();
     let mut flags = Flags::from_env(usage());
     while let Some(arg) = flags.next() {
         if parsed.grid.take_flag(&arg, &mut flags) {
@@ -136,7 +131,6 @@ struct Measured {
 fn main() {
     let mut args = parse_args();
     let scale_mult = neura_bench::scale_multiplier();
-    let runner = Runner::from_env();
     // Frequency is applied after the simulations: it scales seconds, never
     // cycles, so one cell covers every frequency row.
     let default_shrinks: &[usize] = if args.fit || args.dump { &[1, 2, 4, 8] } else { &[1] };
@@ -144,63 +138,142 @@ fn main() {
 
     // One cycle-level simulation per cell, fanned out on the lab runner;
     // the symbolic feature pass rides along in the same worker.
-    let measured = runner.run(&cells, |_, cell: &GridCell| {
+    let measured = Runner::from_env().run(&cells, |_, cell: &GridCell| {
         let a = sim_matrix_at_fidelity(&cell.dataset, cell.shrink);
         let features = WorkloadFeatures::from_square(&a);
         let mut chip = Accelerator::new(cell.config());
         let report = chip.run_spgemm(&a, &a).expect("simulation drains").report;
         Measured { features, cycle_cycles: report.total_cycles }
     });
-
     if args.dump {
-        // Raw sample table for offline model experiments (`--fit` is the
-        // supported fitting path; this exposes what it fits against).
-        println!(
-            "dataset,tile,hbm,shrink,rows,nnz,pp,out,max_row_pp,active_cols,instr1,instr2,\
-             instr4,instr8,cycles,cores,mems,tiles,bytes_per_cycle,latency"
-        );
-        for (cell, m) in cells.iter().zip(&measured) {
-            let config = cell.config();
-            println!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                cell.dataset,
-                cell.tile.label(),
-                cell.hbm.name(),
-                cell.shrink,
-                m.features.rows,
-                m.features.nnz,
-                m.features.partial_products,
-                m.features.output_nnz,
-                m.features.max_row_pp,
-                m.features.active_cols,
-                m.features.mmh_instructions[0],
-                m.features.mmh_instructions[1],
-                m.features.mmh_instructions[2],
-                m.features.mmh_instructions[3],
-                m.cycle_cycles,
-                config.total_cores(),
-                config.total_mems(),
-                config.tiles,
-                config.hbm.bytes_per_cycle,
-                config.hbm.row_miss_latency + config.hbm.base_latency,
-            );
-        }
-        return;
+        return dump(&cells, &measured);
     }
-
     if args.fit {
-        fit_and_print(&cells, &measured);
-        return;
+        return fit_and_print(&cells, &measured);
     }
 
-    let mut session = ArtifactSession::from_arg_list("xval", scale_mult, args.passthrough);
-    let model = AnalyticModel::calibrated();
+    let mut session =
+        ArtifactSession::from_arg_list("xval", scale_mult, std::mem::take(&mut args.passthrough));
+    let per_dataset = cell_records(&args, &cells, &measured, &mut session);
 
-    // Per-cell errors (signed, percent). Frequencies add service-time rows
-    // but never new error samples: cycles are frequency-independent.
+    let mut rows = Vec::new();
+    let mut all_errors: Vec<f64> = Vec::new();
+    for (dataset, errors) in &per_dataset {
+        let mean_abs = errors.iter().map(|e| e.abs()).sum::<f64>() / errors.len() as f64;
+        let worst_abs = errors.iter().map(|e| e.abs()).fold(0.0, f64::max);
+        all_errors.extend(errors);
+        rows.push(vec![
+            dataset.clone(),
+            errors.len().to_string(),
+            fmt(mean_abs, 2),
+            fmt(worst_abs, 2),
+        ]);
+        session.push(
+            RunRecord::new(format!("xval/{dataset}/summary"))
+                .metric("cells", errors.len() as f64)
+                .unit_metric("mean_abs_rel_error_pct", mean_abs, "%")
+                .unit_metric("worst_abs_rel_error_pct", worst_abs, "%")
+                .param("dataset", dataset),
+        );
+    }
+    let mean_abs = all_errors.iter().map(|e| e.abs()).sum::<f64>() / all_errors.len() as f64;
+    let worst_abs = all_errors.iter().map(|e| e.abs()).fold(0.0, f64::max);
+    rows.push(vec![
+        "ALL".to_string(),
+        all_errors.len().to_string(),
+        fmt(mean_abs, 2),
+        fmt(worst_abs, 2),
+    ]);
+    let tiles_label = if args.grid.tiles.is_empty() {
+        "size-matched".to_string()
+    } else {
+        join(args.grid.tiles.iter().map(|t| t.label()))
+    };
+    session.push(
+        RunRecord::new("xval/summary")
+            .metric("cells", all_errors.len() as f64)
+            .metric("datasets", per_dataset.len() as f64)
+            .unit_metric("mean_abs_rel_error_pct", mean_abs, "%")
+            .unit_metric("worst_abs_rel_error_pct", worst_abs, "%")
+            .unit_metric("mean_bound_pct", MEAN_BOUND_PCT, "%")
+            .unit_metric("worst_bound_pct", WORST_BOUND_PCT, "%")
+            .param("tiles", &tiles_label)
+            .param("hbms", join(args.grid.hbms.iter().map(|h| h.name())))
+            .param("shrinks", join(args.grid.shrinks.iter()))
+            .param("frequencies", join(args.frequencies.iter())),
+    );
+
+    print_table(
+        "Cross-validation: analytic estimate vs cycle-accurate simulator",
+        &["Dataset", "Cells", "Mean |err| %", "Worst |err| %"],
+        &rows,
+    );
+    println!(
+        "\n{} cells = {} dataset(s) x {} tile(s) x {} HBM preset(s) x {} shrink(s);\n\
+         each cell runs one cycle-level simulation and one closed-form estimate.\n\
+         Relative error is (analytic - cycle) / cycle on total cycles (frequency\n\
+         scales both paths' service times identically).",
+        cells.len(),
+        per_dataset.len(),
+        tiles_label,
+        args.grid.hbms.len(),
+        args.grid.shrinks.len(),
+    );
+
+    session.finish();
+    enforce_golden(scale_mult, mean_abs, worst_abs);
+}
+
+/// `--dump`: the raw sample table as CSV, for offline model experiments
+/// (`--fit` is the supported fitting path; this exposes what it fits
+/// against).
+fn dump(cells: &[GridCell], measured: &[Measured]) {
+    println!(
+        "dataset,tile,hbm,shrink,rows,nnz,pp,out,max_row_pp,active_cols,instr1,instr2,\
+         instr4,instr8,cycles,cores,mems,tiles,bytes_per_cycle,latency"
+    );
+    for (cell, m) in cells.iter().zip(measured) {
+        let config = cell.config();
+        println!(
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            cell.dataset,
+            cell.tile.label(),
+            cell.hbm.name(),
+            cell.shrink,
+            m.features.rows,
+            m.features.nnz,
+            m.features.partial_products,
+            m.features.output_nnz,
+            m.features.max_row_pp,
+            m.features.active_cols,
+            m.features.mmh_instructions[0],
+            m.features.mmh_instructions[1],
+            m.features.mmh_instructions[2],
+            m.features.mmh_instructions[3],
+            m.cycle_cycles,
+            config.total_cores(),
+            config.total_mems(),
+            config.tiles,
+            config.hbm.bytes_per_cycle,
+            config.hbm.row_miss_latency + config.hbm.base_latency,
+        );
+    }
+}
+
+/// Pushes one record per (cell, frequency) and returns the signed
+/// relative errors (percent) per dataset, in `--dataset` order. Frequencies
+/// add service-time rows but never new error samples: cycles are
+/// frequency-independent.
+fn cell_records(
+    args: &Args,
+    cells: &[GridCell],
+    measured: &[Measured],
+    session: &mut ArtifactSession,
+) -> Vec<(String, Vec<f64>)> {
+    let model = AnalyticModel::calibrated();
     let mut per_dataset: Vec<(String, Vec<f64>)> =
         args.grid.datasets.iter().map(|d| (d.clone(), Vec::new())).collect();
-    for (cell, m) in cells.iter().zip(&measured) {
+    for (cell, m) in cells.iter().zip(measured) {
         let config = cell.config();
         let analytic_cycles = model.cycles(&config, &m.features);
         let rel_error_pct =
@@ -230,85 +303,16 @@ fn main() {
                 analytic_cycles * s_per_cycle * 1e3,
                 "ms",
             );
-            record.params.push(("dataset".to_string(), cell.dataset.clone()));
-            record.params.push(("tile".to_string(), cell.tile.label().to_string()));
-            record.params.push(("hbm".to_string(), cell.hbm.name().to_string()));
-            record.params.push(("shrink".to_string(), cell.shrink.to_string()));
-            record.params.push(("frequency_ghz".to_string(), freq.to_string()));
-            session.push(record);
+            record.params = cell.params();
+            session.push(record.param("frequency_ghz", freq));
         }
     }
+    per_dataset
+}
 
-    let mut rows = Vec::new();
-    let mut all_errors: Vec<f64> = Vec::new();
-    for (dataset, errors) in &per_dataset {
-        let mean_abs = errors.iter().map(|e| e.abs()).sum::<f64>() / errors.len() as f64;
-        let worst_abs = errors.iter().map(|e| e.abs()).fold(0.0, f64::max);
-        all_errors.extend(errors);
-        rows.push(vec![
-            dataset.clone(),
-            errors.len().to_string(),
-            fmt(mean_abs, 2),
-            fmt(worst_abs, 2),
-        ]);
-        let mut record = RunRecord::new(format!("xval/{dataset}/summary"))
-            .metric("cells", errors.len() as f64)
-            .unit_metric("mean_abs_rel_error_pct", mean_abs, "%")
-            .unit_metric("worst_abs_rel_error_pct", worst_abs, "%");
-        record.params.push(("dataset".to_string(), dataset.clone()));
-        session.push(record);
-    }
-    let mean_abs = all_errors.iter().map(|e| e.abs()).sum::<f64>() / all_errors.len() as f64;
-    let worst_abs = all_errors.iter().map(|e| e.abs()).fold(0.0, f64::max);
-    rows.push(vec![
-        "ALL".to_string(),
-        all_errors.len().to_string(),
-        fmt(mean_abs, 2),
-        fmt(worst_abs, 2),
-    ]);
-    let mut summary = RunRecord::new("xval/summary")
-        .metric("cells", all_errors.len() as f64)
-        .metric("datasets", per_dataset.len() as f64)
-        .unit_metric("mean_abs_rel_error_pct", mean_abs, "%")
-        .unit_metric("worst_abs_rel_error_pct", worst_abs, "%")
-        .unit_metric("mean_bound_pct", MEAN_BOUND_PCT, "%")
-        .unit_metric("worst_bound_pct", WORST_BOUND_PCT, "%");
-    let tiles_label = if args.grid.tiles.is_empty() {
-        "size-matched".to_string()
-    } else {
-        join(args.grid.tiles.iter().map(|t| t.label()))
-    };
-    summary.params.push(("tiles".to_string(), tiles_label.clone()));
-    summary.params.push(("hbms".to_string(), join(args.grid.hbms.iter().map(|h| h.name()))));
-    summary
-        .params
-        .push(("shrinks".to_string(), join(args.grid.shrinks.iter().map(|s| s.to_string()))));
-    summary
-        .params
-        .push(("frequencies".to_string(), join(args.frequencies.iter().map(|f| f.to_string()))));
-    session.push(summary);
-
-    print_table(
-        "Cross-validation: analytic estimate vs cycle-accurate simulator",
-        &["Dataset", "Cells", "Mean |err| %", "Worst |err| %"],
-        &rows,
-    );
-    println!(
-        "\n{} cells = {} dataset(s) x {} tile(s) x {} HBM preset(s) x {} shrink(s);\n\
-         each cell runs one cycle-level simulation and one closed-form estimate.\n\
-         Relative error is (analytic - cycle) / cycle on total cycles (frequency\n\
-         scales both paths' service times identically).",
-        cells.len(),
-        per_dataset.len(),
-        tiles_label,
-        args.grid.hbms.len(),
-        args.grid.shrinks.len(),
-    );
-
-    session.finish();
-
-    // The golden: strict at paper scale, presence-only under a smoke
-    // multiplier (32-node matrices say nothing about paper-scale error).
+/// The golden: strict at paper scale, presence-only under a smoke
+/// multiplier (32-node matrices say nothing about paper-scale error).
+fn enforce_golden(scale_mult: usize, mean_abs: f64, worst_abs: f64) {
     if scale_mult <= 1 {
         let mean_ok = mean_abs <= MEAN_BOUND_PCT;
         let worst_ok = worst_abs <= WORST_BOUND_PCT;

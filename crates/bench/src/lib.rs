@@ -4,14 +4,20 @@
 //! binary in `src/bin/` (the README's "Paper artifacts" table is the index).
 //! The experiment machinery those binaries run on — declarative sweeps, the parallel
 //! runner, table/JSON rendering and golden checks — lives in `neura_lab`;
-//! this crate keeps only the dataset scaling glue and re-exports the lab
-//! surface the binaries (and older callers) use, so `neura_bench::print_table`
-//! et al. keep working.
+//! this crate keeps the dataset scaling glue, the [`ChipGrid`] the `xval`
+//! and `profile` sweeps share and the one class pricer ([`price_class`])
+//! behind `serve` and `tune`, and re-exports the lab surface the binaries
+//! (and older callers) use, so `neura_bench::print_table` et al. keep
+//! working.
 
 #![warn(missing_docs)]
 
+use neura_chip::accelerator::Accelerator;
+use neura_chip::analytic::WorkloadFeatures;
 use neura_chip::config::{ChipConfig, HbmPreset, TileSize};
+use neura_chip::profile::Profiler;
 use neura_lab::Flags;
+use neura_serve::cost::{analytic_class_cost, ClassCost};
 use neura_sparse::{CsrMatrix, Dataset, DatasetCatalog};
 
 pub use neura_lab::{fmt, print_table, scale_multiplier, SCALE_MULT_ENV};
@@ -74,6 +80,31 @@ pub fn sim_matrix_at_fidelity(name: &str, shrink: usize) -> CsrMatrix {
     scaled_matrix(&dataset, (dataset.nodes / target_nodes).max(1))
 }
 
+/// Prices one request of the self-product `a · a` on `config`, on either
+/// tier of the chip model: `exact` charges the `total_cycles` of one
+/// cycle-level simulation (a `profiler` rides along when given), otherwise
+/// the closed-form analytic estimate prices it without simulating. The
+/// flops — the shortest-job-first weight, a property of the workload alone
+/// — come from the same symbolic pass either way.
+///
+/// # Panics
+///
+/// Panics when the simulation does not drain within its cycle budget.
+pub fn price_class(
+    config: &ChipConfig,
+    a: &CsrMatrix,
+    exact: bool,
+    profiler: Option<&mut Profiler>,
+) -> ClassCost {
+    let features = WorkloadFeatures::from_square(a);
+    if !exact {
+        return analytic_class_cost(config, &features);
+    }
+    let mut chip = Accelerator::new(config.clone());
+    let report = chip.run_spgemm_profiled(a, a, profiler).expect("simulation drains").report;
+    ClassCost { cycles: report.total_cycles, flops: features.flops() }
+}
+
 /// The chip tier a practitioner would deploy for a graph of this size
 /// (the pairing `xval` and `profile` sweep by default): terciles of the
 /// Table-1 suite by node count. Smallest third Tile-4, middle third
@@ -134,6 +165,17 @@ impl GridCell {
     pub fn config(&self) -> ChipConfig {
         ChipConfig::for_tile_size(self.tile).with_hbm_preset(self.hbm)
     }
+
+    /// The `dataset` / `tile` / `hbm` / `shrink` parameters every record of
+    /// the cell carries.
+    pub fn params(&self) -> Vec<(String, String)> {
+        vec![
+            ("dataset".to_string(), self.dataset.clone()),
+            ("tile".to_string(), self.tile.label().to_string()),
+            ("hbm".to_string(), self.hbm.name().to_string()),
+            ("shrink".to_string(), self.shrink.to_string()),
+        ]
+    }
 }
 
 impl ChipGrid {
@@ -142,13 +184,9 @@ impl ChipGrid {
     /// error — and returns whether it was.
     pub fn take_flag(&mut self, arg: &str, flags: &mut Flags) -> bool {
         match arg {
-            "--dataset" => {
-                let name = flags.value("--dataset");
-                if DatasetCatalog::by_name(&name).is_none() {
-                    flags.bad_usage(&format!("dataset {name:?} is not in the catalog"));
-                }
-                self.datasets.push(name);
-            }
+            "--dataset" => self.datasets.push(flags.known("--dataset", "dataset", |raw| {
+                DatasetCatalog::by_name(raw).map(|_| raw.to_string())
+            })),
             "--tile" => self.tiles.push(flags.known("--tile", "tile size", |raw| {
                 TileSize::ALL.into_iter().find(|t| t.label() == raw)
             })),

@@ -1,19 +1,34 @@
-//! Smoke tests proving every paper figure/table binary runs to completion
-//! and emits a parseable machine-readable artifact.
+//! Smoke tests proving every paper figure/table binary and every tool runs
+//! to completion, emits a parseable machine-readable artifact, and emits
+//! the *same bytes* as the commit before it.
 //!
 //! Each binary is executed as a real subprocess (the exact artifact `cargo
 //! run` would launch) with [`neura_bench::SCALE_MULT_ENV`] set so the
-//! workloads shrink to seconds even in debug builds. All nineteen
-//! invocations (fifteen binaries plus a serve-p99 tuner run, an
-//! analytic-cost serve run and a hybrid-cost run of each) execute
-//! concurrently on the same `neura_lab::Runner` scoped-thread pool the
-//! binaries themselves use for their sweeps. Beyond exit status 0 and
-//! non-empty stdout, each binary's `--json` output must parse back through
-//! `neura_lab`'s artifact parser with at least one record and at least one
-//! metric per record — the numeric content at smoke scale is not
-//! meaningful, but the *schema* contract is enforced here; correctness of
-//! the underlying models is covered by the unit and property tests.
+//! workloads shrink to seconds even in debug builds. The rows of
+//! [`INVOCATIONS`] execute concurrently on the same `neura_lab::Runner`
+//! scoped-thread pool the binaries themselves use for their sweeps, in one
+//! scratch directory; the rows of [`READERS`] — tools that read what a
+//! first-phase row wrote — follow. Beyond exit status 0 and non-empty
+//! stdout, each `--json` output must parse back through `neura_lab`'s
+//! artifact parser with at least one record and at least one metric per
+//! record, and every row is held to a digest (see [`Pin`]): the numeric
+//! content at smoke scale is not meaningful, but that a refactor of a
+//! driver did not move it is.
+//!
+//! **The digest column is captured on the parent commit, never on the
+//! change under test.** To (re)capture: copy this file over
+//! `crates/bench/tests/bin_smoke.rs` in a checkout of the parent, run
+//! `cargo test -p neura_bench --test bin_smoke all_binaries`, and copy the
+//! `got` column of the mismatch report into the rows below. A row whose
+//! simulated bytes are *meant* to move is re-pinned the same way, from the
+//! commit that moved them, and its CHANGES.md entry says so.
+//!
+//! Every `--flag` a tool's `--help` documents must be passed by at least
+//! one invocation in the tables of this file (see
+//! `every_documented_flag_is_passed_by_some_invocation`), so a flag added
+//! without a smoke row fails here.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::Command;
 
@@ -22,54 +37,127 @@ use neura_lab::{parse_json, Artifact, RunRecord, Runner};
 /// Extra down-scaling applied on top of each binary's own scale factor.
 const SMOKE_MULT: &str = "32";
 
-/// Every smoke invocation: a unique label (also the artifact file stem),
-/// the binary path, the artifact's `bin` name and extra arguments.
-const INVOCATIONS: [(&str, &str, &str, &[&str]); 19] = [
-    ("table1", env!("CARGO_BIN_EXE_table1"), "table1", &[]),
-    ("table3", env!("CARGO_BIN_EXE_table3"), "table3", &[]),
-    ("table4", env!("CARGO_BIN_EXE_table4"), "table4", &[]),
-    ("table5", env!("CARGO_BIN_EXE_table5"), "table5", &[]),
-    ("fig11", env!("CARGO_BIN_EXE_fig11"), "fig11", &[]),
-    ("fig13", env!("CARGO_BIN_EXE_fig13"), "fig13", &[]),
-    ("fig14", env!("CARGO_BIN_EXE_fig14"), "fig14", &[]),
-    ("fig15", env!("CARGO_BIN_EXE_fig15"), "fig15", &[]),
-    ("fig16", env!("CARGO_BIN_EXE_fig16"), "fig16", &[]),
-    ("fig17", env!("CARGO_BIN_EXE_fig17"), "fig17", &[]),
-    ("ablation", env!("CARGO_BIN_EXE_ablation"), "ablation", &[]),
+/// What a row's digest — FNV-1a-64 — is taken over.
+#[derive(Debug, Clone, Copy)]
+enum Pin {
+    /// The artifact of this `bin` that the row's `--json <label>.json`
+    /// wrote: parsed, its wall-clock `meta` cleared, and serialised again
+    /// through `Artifact::to_bytes`.
+    Artifact(&'static str),
+    /// The bytes on stdout, for a tool whose product is what it prints.
+    Stdout,
+}
+
+/// One smoke invocation: a unique label (also the artifact file stem), the
+/// binary path, what the digest pins, the arguments (split at whitespace),
+/// and the digest.
+type Invocation = (&'static str, &'static str, Pin, &'static str, u64);
+
+const SERVE: &str = env!("CARGO_BIN_EXE_serve");
+const TUNE: &str = env!("CARGO_BIN_EXE_tune");
+const XVAL: &str = env!("CARGO_BIN_EXE_xval");
+const PROFILE: &str = env!("CARGO_BIN_EXE_profile");
+const TIMELINE: &str = env!("CARGO_BIN_EXE_timeline");
+const TREND: &str = env!("CARGO_BIN_EXE_trend");
+
+const INVOCATIONS: [Invocation; 26] = [
+    ("table1", env!("CARGO_BIN_EXE_table1"), Pin::Artifact("table1"), "", 0xfeea7b27c9578f9f),
+    ("table3", env!("CARGO_BIN_EXE_table3"), Pin::Artifact("table3"), "", 0xa6a1c33e1c9f081e),
+    ("table4", env!("CARGO_BIN_EXE_table4"), Pin::Artifact("table4"), "", 0x34657d0fa57721d3),
+    ("table5", env!("CARGO_BIN_EXE_table5"), Pin::Artifact("table5"), "", 0x383f5bba72edb554),
+    ("fig11", env!("CARGO_BIN_EXE_fig11"), Pin::Artifact("fig11"), "", 0x62f7a6ae6bc29bc0),
+    ("fig13", env!("CARGO_BIN_EXE_fig13"), Pin::Artifact("fig13"), "", 0xdf5471fc48a8ba3f),
+    ("fig14", env!("CARGO_BIN_EXE_fig14"), Pin::Artifact("fig14"), "", 0xe8b2e45fd1205765),
+    ("fig15", env!("CARGO_BIN_EXE_fig15"), Pin::Artifact("fig15"), "", 0xa60db585966d3ec4),
+    ("fig16", env!("CARGO_BIN_EXE_fig16"), Pin::Artifact("fig16"), "", 0x9673ebde074bc017),
+    ("fig17", env!("CARGO_BIN_EXE_fig17"), Pin::Artifact("fig17"), "", 0xc22ef9b6a7e8d290),
+    ("ablation", env!("CARGO_BIN_EXE_ablation"), Pin::Artifact("ablation"), "", 0x3af3dc7938e30e82),
     // Tuning all twenty datasets is a `just tune` job, not a smoke test;
     // one dataset proves the binary and its artifact schema end to end.
-    ("tune", env!("CARGO_BIN_EXE_tune"), "tune", &["--dataset", "cora"]),
+    ("tune", TUNE, Pin::Artifact("tune"), "--dataset cora", 0x48e94be16bb8983b),
     // The serve-aware objective: p99-under-load scoring through the
     // serving layer, budget-truncated so the smoke run stays cheap.
     (
         "tune-serve-p99",
-        env!("CARGO_BIN_EXE_tune"),
-        "tune",
-        &["--dataset", "cora", "--objective", "serve-p99", "--budget", "40"],
+        TUNE,
+        Pin::Artifact("tune"),
+        "--dataset cora --objective serve-p99 --budget 40",
+        0x464d161c11a2edd5,
     ),
-    ("serve", env!("CARGO_BIN_EXE_serve"), "serve", &[]),
+    ("serve", SERVE, Pin::Artifact("serve"), "", 0xba79d245ba6bbe06),
     // The analytic fast path through the serving layer: same scenarios,
     // classes priced by the closed-form model instead of cycle sims.
-    ("serve-analytic", env!("CARGO_BIN_EXE_serve"), "serve", &["--cost-model", "analytic"]),
+    ("serve-analytic", SERVE, Pin::Artifact("serve"), "--cost-model analytic", 0x535bb9431eebe44e),
     // The third pricing model, in both binaries that take it: analytic
     // estimates rescaled through one cycle anchor per tile (`serve`), and
     // analytic screening with the final rung re-scored on the cycle oracle
     // (`tune`) — the `CostModel::Hybrid` arms nothing else runs.
-    ("serve-hybrid", env!("CARGO_BIN_EXE_serve"), "serve", &["--cost-model", "hybrid"]),
+    ("serve-hybrid", SERVE, Pin::Artifact("serve"), "--cost-model hybrid", 0x4f849cb614753357),
     (
         "tune-hybrid",
-        env!("CARGO_BIN_EXE_tune"),
-        "tune",
-        &["--dataset", "cora", "--cost-model", "hybrid"],
+        TUNE,
+        Pin::Artifact("tune"),
+        "--dataset cora --cost-model hybrid",
+        0x8bfdd3d0f5d1f70e,
+    ),
+    // The flags of `serve` no default run passes, in three arms. An open
+    // one: bursty arrivals at an explicit rate and duration, the batch
+    // policy's knobs, a mixed fleet beside a plain one under cost-aware
+    // dispatch and an autoscaler with its cadence set, a bounded queue,
+    // two tenants (one rate-limited) and a crash-plus-flaky-provisioning
+    // regime.
+    (
+        "serve-open-flags",
+        SERVE,
+        Pin::Artifact("serve"),
+        "--arrival bursty --rps 200000 --duration 0.01 --dataset cora --policy batch --max-batch 4 \
+         --batch-timeout-ms 0.05 --fleet t64x1+t4x2 --fleet t16x2 --dispatch cost --autoscale 1:4 \
+         --provision-ms 0.5 --check-ms 0.1 --queue-bound 32 --tenant a:1 --tenant b:2:50000 \
+         --fault crash1+pf0.5",
+        0x12dfa8af61d0e971,
+    ),
+    // A closed one: a client population with its think time, split into
+    // lanes, on `--shards`, the chip profiler riding on the class pricing.
+    (
+        "serve-closed-flags",
+        SERVE,
+        Pin::Artifact("serve"),
+        "--clients 8 --think-ms 0.01 --lanes 2 --shards 2 --policy fifo --policy sjf \
+         --profile serve-closed-flags.profile.json",
+        0x0460b05095308840,
+    ),
+    // A library one: the overload scenario beside one plain arm, replayed
+    // as two epoch fragments and traced into the timeline the `timeline`
+    // row of `READERS` summarises.
+    (
+        "serve-scenario-flags",
+        SERVE,
+        Pin::Artifact("serve"),
+        "--scenario overload --shards 1 --policy fifo --epochs 2 --window-ms 0.05 --no-meta \
+         --trace serve-scenario-flags.timeline.json",
+        0xcaa0bd838d38e6c1,
     ),
     // Cross-validation harness: two datasets prove the sampling loop and
     // the error-report schema (numeric accuracy is a paper-scale claim,
     // checked by the `xval` golden / `just xval-paper`, not at 32 nodes).
+    ("xval", XVAL, Pin::Artifact("xval"), "--dataset facebook --dataset wiki-Vote", 0x009a18813167918d),
     (
-        "xval",
-        env!("CARGO_BIN_EXE_xval"),
-        "xval",
-        &["--dataset", "facebook", "--dataset", "wiki-Vote"],
+        "xval-flags",
+        XVAL,
+        Pin::Artifact("xval"),
+        "--dataset facebook --tile t4 --hbm hbm2 --frequency 1.5 --shrink 2",
+        0x0bbaa936971ef17e,
+    ),
+    // The two modes of `xval` that print instead of writing an artifact:
+    // the raw sample table, and a refit (every tile x HBM group needs more
+    // samples than coefficients, so the whole suite on every tile).
+    ("xval-dump", XVAL, Pin::Stdout, "--dump --dataset cora --tile t4", 0x32135aab8dbec068),
+    (
+        "xval-fit",
+        XVAL,
+        Pin::Stdout,
+        "--fit --shrink 1 --tile t4 --tile t16 --tile t64",
+        0x90a49c7f608300d2,
     ),
     // Chip profiler sweep: two datasets prove the windowed-attribution
     // loop and the profile artifact schema end to end (the full grid is
@@ -77,24 +165,65 @@ const INVOCATIONS: [(&str, &str, &str, &[&str]); 19] = [
     // run at every scale).
     (
         "profile",
-        env!("CARGO_BIN_EXE_profile"),
-        "profile",
-        &["--dataset", "cora", "--dataset", "facebook"],
+        PROFILE,
+        Pin::Artifact("profile"),
+        "--dataset cora --dataset facebook",
+        0x7ef3f6a4898907e5,
+    ),
+    (
+        "profile-flags",
+        PROFILE,
+        Pin::Artifact("profile"),
+        "--dataset cora --tile t4 --hbm hbm2 --shrink 2 --window 512 --max-stall-frac 1",
+        0xbb36a0596a90805e,
     ),
 ];
 
-fn run_smoke(
-    label: &str,
-    exe: &str,
-    bin: &str,
-    extra_args: &[&str],
-    json_dir: &Path,
-) -> Result<(), String> {
-    let json_path = json_dir.join(format!("{label}.json"));
+/// The second phase: tools that read an artifact a row of [`INVOCATIONS`]
+/// left in the scratch directory, pinned by what they print about it.
+const READERS: [Invocation; 2] = [
+    (
+        "timeline-gates",
+        TIMELINE,
+        Pin::Stdout,
+        "serve-scenario-flags.timeline.json --scope serve/scn-overload --max-worst-p99-ms 1e9 \
+         --max-recovery-ms 1e9 --min-window-slo 0",
+        0x92d0118bd0bc55e5,
+    ),
+    // `tune` writes no wall-clock meta, so a self-diff prints the same
+    // line every time.
+    ("trend-self", TREND, Pin::Stdout, "tune.json tune.json --fail-above 0", 0x872a348e6f931b4b),
+];
+
+/// The six flag-taking tools, each with one flag of its own that takes a
+/// value.
+const TOOLS: [(&str, &str, &str); 6] = [
+    ("serve", SERVE, "--rps"),
+    ("profile", PROFILE, "--shrink"),
+    ("xval", XVAL, "--frequency"),
+    ("tune", TUNE, "--budget"),
+    ("timeline", TIMELINE, "--scope"),
+    ("trend", TREND, "--fail-above"),
+];
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Runs one row in `dir` and holds what it produced to the row's digest.
+fn run_smoke(row: &Invocation, dir: &Path) -> Result<(), String> {
+    let &(label, exe, pin, args, digest) = row;
     let mut command = Command::new(exe);
-    command.arg("--json").arg(&json_path).env(neura_bench::SCALE_MULT_ENV, SMOKE_MULT);
-    command.args(extra_args);
-    let output = command.output().map_err(|e| format!("failed to spawn ({exe}): {e}"))?;
+    command.current_dir(dir).env(neura_bench::SCALE_MULT_ENV, SMOKE_MULT);
+    if let Pin::Artifact(_) = pin {
+        command.arg("--json").arg(format!("{label}.json"));
+    }
+    let output = command
+        .args(args.split_whitespace())
+        .output()
+        .map_err(|e| format!("failed to spawn ({exe}): {e}"))?;
     if !output.status.success() {
         return Err(format!(
             "exited with {:?}\nstderr:\n{}",
@@ -105,9 +234,29 @@ fn run_smoke(
     if output.stdout.is_empty() {
         return Err("produced no output on stdout".to_string());
     }
+    let got = match pin {
+        Pin::Stdout => fnv1a64(&output.stdout),
+        Pin::Artifact(bin) => {
+            let mut artifact = read_artifact(&dir.join(format!("{label}.json")), bin)?;
+            check_artifact(label, &artifact)?;
+            artifact.meta.clear();
+            fnv1a64(artifact.to_bytes().as_bytes())
+        }
+    };
+    if got != digest {
+        return Err(format!(
+            "moved the bytes its digest pins (see the file header before re-pinning):\n  \
+             label    {label}\n  expected {digest:#018x}\n  got      {got:#018x}"
+        ));
+    }
+    Ok(())
+}
 
-    let text = std::fs::read_to_string(&json_path)
-        .map_err(|e| format!("did not write {}: {e}", json_path.display()))?;
+/// Parses the artifact at `path` and checks the schema contract: it names
+/// `bin` and the smoke multiplier, and every record carries a metric.
+fn read_artifact(path: &Path, bin: &str) -> Result<Artifact, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("did not write {}: {e}", path.display()))?;
     let artifact = Artifact::from_json(
         &parse_json(&text).map_err(|e| format!("artifact does not parse: {e}"))?,
     )
@@ -126,7 +275,12 @@ fn run_smoke(
             return Err(format!("record {:?} has no metrics", record.id));
         }
     }
-    if bin == "tune" {
+    Ok(artifact)
+}
+
+/// What a binary's artifact must say beyond the schema.
+fn check_artifact(label: &str, artifact: &Artifact) -> Result<(), String> {
+    if artifact.bin == "tune" {
         let best = artifact
             .records
             .iter()
@@ -140,9 +294,9 @@ fn run_smoke(
         }
     }
     if label == "serve" {
-        check_serve_artifact(&artifact)?;
+        check_serve_artifact(artifact)?;
     }
-    if bin == "xval" {
+    if artifact.bin == "xval" {
         let summary = artifact
             .records
             .iter()
@@ -357,29 +511,79 @@ fn check_scenario_arms(artifact: &Artifact) -> Result<(), String> {
     Ok(())
 }
 
-/// Every invocation, in parallel, through the lab runner.
+/// Every invocation, in parallel, through the lab runner: the writers,
+/// then the readers of what they wrote.
 #[test]
 fn all_binaries_run_and_emit_parseable_artifacts() {
-    let json_dir = std::env::temp_dir().join(format!("neura_bench_smoke_{}", std::process::id()));
-    std::fs::create_dir_all(&json_dir).expect("create smoke artifact dir");
+    let dir = std::env::temp_dir().join(format!("neura_bench_smoke_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create smoke artifact dir");
 
-    let results = Runner::from_env().run(&INVOCATIONS, |_, (label, exe, bin, extra_args)| {
-        run_smoke(label, exe, bin, extra_args, &json_dir).map_err(|e| (*label, e))
-    });
-
-    std::fs::remove_dir_all(&json_dir).ok();
-
-    let failures: Vec<String> = results
-        .into_iter()
-        .filter_map(Result::err)
-        .map(|(label, error)| format!("{label}: {error}"))
-        .collect();
+    let runner = Runner::from_env();
+    let mut failures = Vec::new();
+    for phase in [&INVOCATIONS[..], &READERS[..]] {
+        let results = runner.run(phase, |_, row| run_smoke(row, &dir).map_err(|e| (row.0, e)));
+        failures.extend(
+            results
+                .into_iter()
+                .filter_map(Result::err)
+                .map(|(label, error)| format!("{label}: {error}")),
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
     assert!(
         failures.is_empty(),
         "{} binary smoke failure(s):\n{}",
         failures.len(),
         failures.join("\n")
     );
+}
+
+/// The `--flag` tokens of a usage text.
+fn documented_flags(usage: &str) -> BTreeSet<String> {
+    let word = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-';
+    usage
+        .split(|c: char| !word(c))
+        .filter(|token| token.starts_with("--") && token.len() > 2)
+        .map(str::to_string)
+        .collect()
+}
+
+/// Every `--flag` in a tool's `--help` text is passed by at least one
+/// invocation this file spawns from its tables — so the parser arm behind
+/// it runs in tier-1, and a flag added later without a row fails here.
+#[test]
+fn every_documented_flag_is_passed_by_some_invocation() {
+    for (bin, exe, value_flag) in TOOLS {
+        let help = Command::new(exe).arg("--help").output().expect("spawn binary");
+        assert!(help.status.success(), "{bin} --help failed");
+        let documented = documented_flags(&String::from_utf8_lossy(&help.stdout));
+        assert!(documented.contains(value_flag), "{bin}: --help does not list {value_flag}");
+
+        let mut passed: BTreeSet<String> = BTreeSet::from([value_flag.to_string()]);
+        for (_, _, pin, args, _) in INVOCATIONS.iter().chain(&READERS).filter(|row| row.1 == exe) {
+            passed.extend(documented_flags(args));
+            if let Pin::Artifact(_) = pin {
+                passed.insert("--json".to_string());
+            }
+        }
+        let missing: Vec<&String> = documented.difference(&passed).collect();
+        assert!(missing.is_empty(), "{bin}: no invocation in bin_smoke.rs passes {missing:?}");
+    }
+}
+
+/// A fleet with no Tile-16 group and no scenario arm prices no Tile-16
+/// class and must not ask the cost table for one (`serve --fleet t64x1`
+/// once panicked calibrating the scenario fleet it was not going to run).
+#[test]
+fn a_fleet_without_tile16_silicon_serves() {
+    let output = Command::new(SERVE)
+        .args(["--fleet", "t4x1", "--policy", "fifo"])
+        .env(neura_bench::SCALE_MULT_ENV, SMOKE_MULT)
+        .output()
+        .expect("spawn serve");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "serve --fleet t4x1 failed:\n{stderr}");
+    assert!(String::from_utf8_lossy(&output.stdout).contains("poisson/"), "no arm was replayed");
 }
 
 /// The traced serve run: `--trace` adds a `neura_lab.timeline/v1`
@@ -564,43 +768,8 @@ fn profiled_runs_emit_thread_invariant_conserving_profiles() {
         "serve-profile artifact bytes depend on the thread count"
     );
 
-    // Both artifacts carry the profile schema and conserve: taxonomy
-    // buckets sum to the stall cycles and busy + stall + idle (epilogue
-    // included) covers cores × total_cycles, per summary record.
     for bytes in [&sweep_two, &profile_bytes] {
-        let artifact = Artifact::from_json(&parse_json(bytes).expect("profile parses"))
-            .expect("profile follows the artifact schema");
-        assert_eq!(artifact.schema, neura_lab::PROFILE_SCHEMA);
-        let summaries: Vec<_> = artifact
-            .records
-            .iter()
-            .filter_map(|r| r.id.strip_suffix("/profile").map(|scope| (scope, r)))
-            .collect();
-        assert!(!summaries.is_empty(), "the profile artifact names no profiled runs");
-        for (scope, record) in &summaries {
-            let metric = |name: &str| {
-                record.metric_value(name).unwrap_or_else(|| panic!("{scope} lacks {name}"))
-            };
-            let buckets = metric("stall_operand_fetch")
-                + metric("stall_hashpad_full")
-                + metric("stall_noc_backpressure")
-                + metric("stall_dispatch_starvation");
-            assert_eq!(buckets, metric("stall_cycles"), "{scope}: taxonomy does not conserve");
-            let split = metric("busy_cycles")
-                + metric("stall_cycles")
-                + metric("idle_cycles")
-                + metric("epilogue_idle_cycles");
-            assert_eq!(
-                split,
-                metric("cores") * metric("total_cycles"),
-                "{scope}: cycle split does not conserve"
-            );
-            assert!(metric("worst_window_stall_frac") <= 1.0, "{scope}: stall frac > 1");
-        }
-        assert!(
-            artifact.records.iter().any(|r| r.id.contains("/window/")),
-            "the profile artifact has no per-window records"
-        );
+        assert_profiles_conserve(bytes);
     }
 
     // trend understands the schema: a self-diff headlines the worst-window
@@ -624,6 +793,45 @@ fn profiled_runs_emit_thread_invariant_conserving_profiles() {
     );
 
     std::fs::remove_dir_all(&json_dir).ok();
+}
+
+/// A profile artifact carries the profile schema and conserves: taxonomy
+/// buckets sum to the stall cycles and busy + stall + idle (epilogue
+/// included) covers cores × total_cycles, per summary record.
+fn assert_profiles_conserve(bytes: &str) {
+    let artifact = Artifact::from_json(&parse_json(bytes).expect("profile parses"))
+        .expect("profile follows the artifact schema");
+    assert_eq!(artifact.schema, neura_lab::PROFILE_SCHEMA);
+    let summaries: Vec<_> = artifact
+        .records
+        .iter()
+        .filter_map(|r| r.id.strip_suffix("/profile").map(|scope| (scope, r)))
+        .collect();
+    assert!(!summaries.is_empty(), "the profile artifact names no profiled runs");
+    for (scope, record) in &summaries {
+        let metric = |name: &str| {
+            record.metric_value(name).unwrap_or_else(|| panic!("{scope} lacks {name}"))
+        };
+        let buckets = metric("stall_operand_fetch")
+            + metric("stall_hashpad_full")
+            + metric("stall_noc_backpressure")
+            + metric("stall_dispatch_starvation");
+        assert_eq!(buckets, metric("stall_cycles"), "{scope}: taxonomy does not conserve");
+        let split = metric("busy_cycles")
+            + metric("stall_cycles")
+            + metric("idle_cycles")
+            + metric("epilogue_idle_cycles");
+        assert_eq!(
+            split,
+            metric("cores") * metric("total_cycles"),
+            "{scope}: cycle split does not conserve"
+        );
+        assert!(metric("worst_window_stall_frac") <= 1.0, "{scope}: stall frac > 1");
+    }
+    assert!(
+        artifact.records.iter().any(|r| r.id.contains("/window/")),
+        "the profile artifact has no per-window records"
+    );
 }
 
 /// The two-tier cost model must not perturb the default pipeline: a bare
@@ -798,18 +1006,10 @@ fn a_timeline_window_too_narrow_for_the_horizon_exits_2() {
 /// (`neura_lab::Flags`): an unknown flag and a flag missing its value both
 /// exit with code 2 and put the complaint plus the binary's own usage text
 /// on stderr, before any simulation starts. So do the sizes `serve` takes
-/// from its command line — a stream, a client population, a fleet — when
-/// they pass what a replay may allocate.
+/// from its command line — a stream, a client population, a fleet, a crash
+/// count — when they pass what a replay may allocate.
 #[test]
 fn malformed_command_lines_exit_2_with_the_usage_text() {
-    const TOOLS: [(&str, &str, &str); 6] = [
-        ("serve", env!("CARGO_BIN_EXE_serve"), "--rps"),
-        ("profile", env!("CARGO_BIN_EXE_profile"), "--shrink"),
-        ("xval", env!("CARGO_BIN_EXE_xval"), "--frequency"),
-        ("tune", env!("CARGO_BIN_EXE_tune"), "--budget"),
-        ("timeline", env!("CARGO_BIN_EXE_timeline"), "--scope"),
-        ("trend", env!("CARGO_BIN_EXE_trend"), "--fail-above"),
-    ];
     for (bin, exe, value_flag) in TOOLS {
         let mut cases = vec![
             (vec!["--no-such-flag"], "unrecognised argument \"--no-such-flag\"".to_string()),
@@ -827,6 +1027,13 @@ fn malformed_command_lines_exit_2_with_the_usage_text() {
                 (vec!["--rps", "1e300"], "--rps 1e300 expects 2e300 requests"),
                 (vec!["--clients", "2000000000"], "--clients \"2000000000\" is not an integer"),
                 (vec!["--shards", "100000000"], "fleet \"t16x100000000\" holds 100000000 shard"),
+                // Every crash is drawn and queued before the replay starts:
+                // two billion of them once aborted on a 32 GB allocation.
+                (
+                    vec!["--fault", "crash2000000000", "--shards", "1", "--policy", "fifo"],
+                    "--fault \"crash2000000000\" is not a crashN/pfX/degGxM regime like \
+                     crash2+pf0.5 (N within 1..=65536)",
+                ),
             ];
             cases.extend(sized.map(|(args, complaint)| (args, complaint.to_string())));
         }

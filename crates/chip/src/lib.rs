@@ -45,7 +45,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![warn(clippy::too_many_lines)]
 #![warn(missing_debug_implementations)]
 
 pub mod accelerator;

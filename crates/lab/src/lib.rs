@@ -279,18 +279,13 @@ impl ArtifactSession {
         &self.artifact
     }
 
-    /// Writes the artifact (when `--json` was requested) and returns it, so
-    /// the caller can hand it to [`golden::check`].
-    ///
-    /// Exits with code 1 if the file cannot be written — a silently dropped
-    /// artifact would defeat the whole point of the subsystem.
+    /// Writes the artifact (when `--json` was requested, through
+    /// [`Artifact::write_or_exit`]) and returns it, so the caller can hand
+    /// it to [`golden::check`].
     pub fn finish(self) -> Artifact {
         if let Some(path) = &self.json_path {
-            if let Err(e) = self.artifact.write(path) {
-                eprintln!("failed to write artifact {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            println!("\nwrote {} ({} records)", path.display(), self.artifact.records.len());
+            println!();
+            self.artifact.write_or_exit(path);
         }
         self.artifact
     }

@@ -871,6 +871,17 @@ impl Artifact {
         }
         std::fs::write(path, self.to_bytes())
     }
+
+    /// [`Self::write`] for a binary's `main`: reports the written file on
+    /// stdout, or complains on stderr and exits with code 1 — a silently
+    /// dropped artifact would defeat the whole point of the subsystem.
+    pub fn write_or_exit(&self, path: &Path) {
+        if let Err(e) = self.write(path) {
+            eprintln!("failed to write artifact {}: {e}", path.display());
+            std::process::exit(1);
+        }
+        println!("wrote {} ({} records)", path.display(), self.records.len());
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,9 +11,19 @@
 //! run ID and a seed derived from that ID — so the same spec always produces
 //! the same points with the same seeds, regardless of how (or on how many
 //! threads) it is executed.
+//!
+//! The enumeration is one mixed-radix walk over one private table
+//! (`SweepGrid::axes`) that lists the configuration axes slowest first;
+//! every swept value is a `Setting` that applies itself to a `ChipConfig`
+//! and names its run-ID segment. A new axis is a `pub` field and builder on
+//! [`SweepGrid`], a `Setting` variant with its two `match` arms, and one row
+//! of that table at the position it should vary — the point count, the
+//! walk and the IDs follow from the table.
 
 use neura_chip::config::{ChipConfig, EvictionPolicy, HbmPreset, TileSize};
 use neura_chip::mapping::MappingKind;
+
+use crate::report::RunRecord;
 
 /// The axes of a cartesian sweep. An empty axis means "hold the base
 /// configuration's value" and contributes exactly one (default) setting to
@@ -129,23 +139,8 @@ impl SweepGrid {
     /// Number of points the grid enumerates (product of non-empty axis
     /// lengths).
     pub fn len(&self) -> usize {
-        [
-            self.datasets.len(),
-            self.tile_sizes.len(),
-            self.mappings.len(),
-            self.evictions.len(),
-            self.mmh_tiles.len(),
-            self.hashlines.len(),
-            self.cores_per_tile.len(),
-            self.mems_per_tile.len(),
-            self.router_buffers.len(),
-            self.mem_queue_capacities.len(),
-            self.frequencies_ghz.len(),
-            self.hbm_presets.len(),
-        ]
-        .iter()
-        .map(|&n| n.max(1))
-        .product()
+        let config_points: usize = self.axes().iter().map(|axis| axis.len().max(1)).product();
+        self.datasets.len().max(1) * config_points
     }
 
     /// Whether the grid enumerates exactly one all-default point.
@@ -158,8 +153,6 @@ impl SweepGrid {
 /// its identity within the spec.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
-    /// Position in the spec's enumeration order (0-based).
-    pub index: usize,
     /// Stable run ID: `<spec>/<dataset>/<axis values that vary>`.
     pub id: String,
     /// Dataset name, when the grid has a dataset axis.
@@ -189,6 +182,12 @@ impl SweepPoint {
         params.push(("hbm".to_string(), hbm_name(&self.config)));
         params.push(("seed".to_string(), self.config.seed.to_string()));
         params
+    }
+
+    /// A record named after this point and carrying [`Self::params`], ready
+    /// to take the point's metrics.
+    pub fn record(&self) -> RunRecord {
+        RunRecord { id: self.id.clone(), params: self.params(), metrics: Vec::new() }
     }
 }
 
@@ -243,173 +242,131 @@ impl ExperimentSpec {
         } else {
             self.grid.datasets.iter().map(|d| Some(d.as_str())).collect()
         };
-        // The eleven config axes, each lifted to "None = hold the base value".
-        let tile_sizes: Vec<Option<TileSize>> = axis(&self.grid.tile_sizes);
-        let mappings: Vec<Option<MappingKind>> = axis(&self.grid.mappings);
-        let evictions: Vec<Option<EvictionPolicy>> = axis(&self.grid.evictions);
-        let mmh_tiles: Vec<Option<u8>> = axis(&self.grid.mmh_tiles);
-        let hashlines: Vec<Option<usize>> = axis(&self.grid.hashlines);
-        let cores: Vec<Option<usize>> = axis(&self.grid.cores_per_tile);
-        let mems: Vec<Option<usize>> = axis(&self.grid.mems_per_tile);
-        let router_buffers: Vec<Option<usize>> = axis(&self.grid.router_buffers);
-        let mem_queues: Vec<Option<usize>> = axis(&self.grid.mem_queue_capacities);
-        let frequencies: Vec<Option<f64>> = axis(&self.grid.frequencies_ghz);
-        let hbm_presets: Vec<Option<HbmPreset>> = axis(&self.grid.hbm_presets);
+        let axes = self.grid.axes();
+        let combos: usize = axes.iter().map(|axis| axis.len().max(1)).product();
 
-        // Mixed-radix decode over the config axes (slowest axis first, last
-        // axis varies fastest) — twelve nested loops written as one.
-        let radices = [
-            tile_sizes.len(),
-            mappings.len(),
-            evictions.len(),
-            mmh_tiles.len(),
-            hashlines.len(),
-            cores.len(),
-            mems.len(),
-            router_buffers.len(),
-            mem_queues.len(),
-            frequencies.len(),
-            hbm_presets.len(),
-        ];
-        let combos: usize = radices.iter().product();
-
-        let mut points = Vec::with_capacity(self.grid.len());
-        for dataset in &datasets {
-            let mut seed_scope = self.name.clone();
+        let mut points = Vec::with_capacity(datasets.len() * combos);
+        for dataset in datasets {
+            let mut scope = self.name.clone();
             if let Some(d) = dataset {
-                seed_scope.push('/');
-                seed_scope.push_str(d);
+                scope.push('/');
+                scope.push_str(d);
             }
-            let seed = derive_seed(self.base.seed, &seed_scope);
+            let seed = derive_seed(self.base.seed, &scope);
             for lin in 0..combos {
-                let mut idx = [0usize; 11];
-                let mut rem = lin;
-                for k in (0..radices.len()).rev() {
-                    idx[k] = rem % radices[k];
-                    rem /= radices[k];
-                }
-                let tile_size = tile_sizes[idx[0]];
-                let mapping = mappings[idx[1]];
-                let eviction = evictions[idx[2]];
-                let mmh_tile = mmh_tiles[idx[3]];
-                let lines = hashlines[idx[4]];
-                let core_count = cores[idx[5]];
-                let mem_count = mems[idx[6]];
-                let router_buffer = router_buffers[idx[7]];
-                let mem_queue = mem_queues[idx[8]];
-                let frequency = frequencies[idx[9]];
-                let hbm = hbm_presets[idx[10]];
-
-                let mut config = match tile_size {
-                    Some(t) => {
-                        // Preserve non-structural base overrides when
-                        // sweeping the tile size.
-                        ChipConfig::for_tile_size(t)
-                            .with_mapping(self.base.mapping)
-                            .with_eviction(self.base.eviction)
-                            .with_mmh_tile(self.base.mmh_tile)
-                            .with_router_buffer(self.base.router_buffer)
-                            .with_mem_queue_capacity(self.base.mem_queue_capacity)
-                            .with_frequency_ghz(self.base.frequency_ghz)
-                            .with_seed(self.base.seed)
-                    }
-                    None => self.base.clone(),
-                };
-                if tile_size.is_some() {
-                    config.hbm = self.base.hbm;
-                }
-                if let Some(m) = mapping {
-                    config.mapping = m;
-                }
-                if let Some(e) = eviction {
-                    config.eviction = e;
-                }
-                if let Some(t) = mmh_tile {
-                    config = config.with_mmh_tile(t);
-                }
-                if let Some(h) = lines {
-                    config.mem.hashlines = h;
-                }
-                if let Some(c) = core_count {
-                    config = config.with_cores_per_tile(c);
-                }
-                if let Some(m) = mem_count {
-                    config = config.with_mems_per_tile(m);
-                }
-                if let Some(rb) = router_buffer {
-                    config = config.with_router_buffer(rb);
-                }
-                if let Some(mq) = mem_queue {
-                    config = config.with_mem_queue_capacity(mq);
-                }
-                if let Some(f) = frequency {
-                    config = config.with_frequency_ghz(f);
-                }
-                if let Some(p) = hbm {
-                    config = config.with_hbm_preset(p);
-                }
-
-                let mut id = self.name.clone();
-                if let Some(d) = dataset {
+                // Mixed-radix decode of `lin`, slowest axis first: an axis's
+                // digit is `lin / stride % radix`, its stride the product of
+                // the radices after it. An empty axis has no digit, holds
+                // the base value and adds no ID segment.
+                let mut config = self.base.clone();
+                let mut id = scope.clone();
+                let mut stride = combos;
+                for axis in axes.iter().filter(|axis| !axis.is_empty()) {
+                    stride /= axis.len();
+                    let setting = axis[lin / stride % axis.len()];
+                    config = setting.apply(config);
                     id.push('/');
-                    id.push_str(d);
+                    id.push_str(&setting.segment());
                 }
-                if tile_size.is_some() {
-                    id.push('/');
-                    id.push_str(config.tile_size.name());
-                }
-                if mapping.is_some() {
-                    id.push('/');
-                    id.push_str(config.mapping.name());
-                }
-                if eviction.is_some() {
-                    id.push('/');
-                    id.push_str(eviction_name(config.eviction));
-                }
-                if mmh_tile.is_some() {
-                    id.push_str(&format!("/mmh{}", config.mmh_tile));
-                }
-                if lines.is_some() {
-                    id.push_str(&format!("/hl{}", config.mem.hashlines));
-                }
-                if core_count.is_some() {
-                    id.push_str(&format!("/c{}", config.cores_per_tile));
-                }
-                if mem_count.is_some() {
-                    id.push_str(&format!("/m{}", config.mems_per_tile));
-                }
-                if router_buffer.is_some() {
-                    id.push_str(&format!("/rb{}", config.router_buffer));
-                }
-                if mem_queue.is_some() {
-                    id.push_str(&format!("/mq{}", config.mem_queue_capacity));
-                }
-                if frequency.is_some() {
-                    id.push_str(&format!("/f{:?}", config.frequency_ghz));
-                }
-                if let Some(p) = hbm {
-                    id.push('/');
-                    id.push_str(p.name());
-                }
-
                 config.seed = seed;
-                points.push(SweepPoint {
-                    index: points.len(),
-                    id,
-                    dataset: dataset.map(str::to_string),
-                    config,
-                });
+                points.push(SweepPoint { id, dataset: dataset.map(str::to_string), config });
             }
         }
         points
     }
 }
 
-fn axis<T: Copy>(values: &[T]) -> Vec<Option<T>> {
-    if values.is_empty() {
-        vec![None]
-    } else {
-        values.iter().copied().map(Some).collect()
+/// One swept value of one configuration axis: it knows how to apply itself
+/// to a [`ChipConfig`] and how it names itself in a run ID.
+#[derive(Debug, Clone, Copy)]
+enum Setting {
+    TileSize(TileSize),
+    Mapping(MappingKind),
+    Eviction(EvictionPolicy),
+    MmhTile(u8),
+    Hashlines(usize),
+    CoresPerTile(usize),
+    MemsPerTile(usize),
+    RouterBuffer(usize),
+    MemQueueCapacity(usize),
+    FrequencyGhz(f64),
+    Hbm(HbmPreset),
+}
+
+impl SweepGrid {
+    /// The configuration axes in enumeration order, slowest first — the
+    /// order [`ExperimentSpec::points`] documents, and the one place a new
+    /// axis joins the walk.
+    fn axes(&self) -> [Vec<Setting>; 11] {
+        fn lift<T: Copy>(values: &[T], setting: fn(T) -> Setting) -> Vec<Setting> {
+            values.iter().copied().map(setting).collect()
+        }
+        [
+            lift(&self.tile_sizes, Setting::TileSize),
+            lift(&self.mappings, Setting::Mapping),
+            lift(&self.evictions, Setting::Eviction),
+            lift(&self.mmh_tiles, Setting::MmhTile),
+            lift(&self.hashlines, Setting::Hashlines),
+            lift(&self.cores_per_tile, Setting::CoresPerTile),
+            lift(&self.mems_per_tile, Setting::MemsPerTile),
+            lift(&self.router_buffers, Setting::RouterBuffer),
+            lift(&self.mem_queue_capacities, Setting::MemQueueCapacity),
+            lift(&self.frequencies_ghz, Setting::FrequencyGhz),
+            lift(&self.hbm_presets, Setting::Hbm),
+        ]
+    }
+}
+
+impl Setting {
+    /// `config` with this setting applied.
+    fn apply(self, mut config: ChipConfig) -> ChipConfig {
+        match self {
+            // The tile size is the first axis, so `config` is still the
+            // base: swap in the tile's structure and keep the base's
+            // non-structural overrides.
+            Setting::TileSize(tile) => {
+                let mut swept = ChipConfig::for_tile_size(tile)
+                    .with_mapping(config.mapping)
+                    .with_eviction(config.eviction)
+                    .with_mmh_tile(config.mmh_tile)
+                    .with_router_buffer(config.router_buffer)
+                    .with_mem_queue_capacity(config.mem_queue_capacity)
+                    .with_frequency_ghz(config.frequency_ghz)
+                    .with_seed(config.seed);
+                swept.hbm = config.hbm;
+                swept
+            }
+            Setting::Mapping(mapping) => config.with_mapping(mapping),
+            Setting::Eviction(eviction) => config.with_eviction(eviction),
+            Setting::MmhTile(tile) => config.with_mmh_tile(tile),
+            Setting::Hashlines(lines) => {
+                config.mem.hashlines = lines;
+                config
+            }
+            Setting::CoresPerTile(cores) => config.with_cores_per_tile(cores),
+            Setting::MemsPerTile(mems) => config.with_mems_per_tile(mems),
+            Setting::RouterBuffer(slots) => config.with_router_buffer(slots),
+            Setting::MemQueueCapacity(slots) => config.with_mem_queue_capacity(slots),
+            Setting::FrequencyGhz(ghz) => config.with_frequency_ghz(ghz),
+            Setting::Hbm(preset) => config.with_hbm_preset(preset),
+        }
+    }
+
+    /// The run-ID segment naming this setting.
+    fn segment(self) -> String {
+        match self {
+            Setting::TileSize(tile) => tile.name().to_string(),
+            Setting::Mapping(mapping) => mapping.name().to_string(),
+            Setting::Eviction(eviction) => eviction_name(eviction).to_string(),
+            Setting::MmhTile(tile) => format!("mmh{tile}"),
+            Setting::Hashlines(lines) => format!("hl{lines}"),
+            Setting::CoresPerTile(cores) => format!("c{cores}"),
+            Setting::MemsPerTile(mems) => format!("m{mems}"),
+            Setting::RouterBuffer(slots) => format!("rb{slots}"),
+            Setting::MemQueueCapacity(slots) => format!("mq{slots}"),
+            Setting::FrequencyGhz(ghz) => format!("f{ghz:?}"),
+            Setting::Hbm(preset) => preset.name().to_string(),
+        }
     }
 }
 

@@ -188,6 +188,16 @@ fn improvement(baseline_score: f64, best_score: f64) -> f64 {
     }
 }
 
+/// A score as the ladder ranks it: a non-finite one becomes `+inf`, so it
+/// can never win a rung.
+fn sanitised(score: f64) -> f64 {
+    if score.is_finite() {
+        score
+    } else {
+        f64::INFINITY
+    }
+}
+
 /// Builds the per-evaluation artifact record: the standard execution
 /// metric set when a report backs the score, any extra metrics, then the
 /// objective score; `extra_params` follow the point's own parameters.
@@ -307,11 +317,9 @@ impl Tuner {
         F: Fn(&SweepPoint, RungContext) -> Evaluation + Sync,
     {
         let objective = self.spec.objective;
-        let scope = self.scope();
         let mut candidates: Vec<usize> = (0..self.points.len()).collect();
         let mut records = Vec::new();
         let mut rungs: Vec<RungTrace> = Vec::new();
-        let mut evaluations = 0usize;
 
         for (step, plan) in self.plan.iter().enumerate() {
             let context = RungContext {
@@ -321,7 +329,6 @@ impl Tuner {
             };
             let selected: Vec<&SweepPoint> = candidates.iter().map(|&i| &self.points[i]).collect();
             let results = runner.run(&selected, |_, point| eval(point, context));
-            evaluations += selected.len();
 
             // Record each evaluation, then rank: ascending score, point
             // index breaking ties so the ranking is a pure function of the
@@ -329,8 +336,7 @@ impl Tuner {
             let mut ranked: Vec<(usize, f64)> = Vec::with_capacity(candidates.len());
             for (&index, evaluation) in candidates.iter().zip(&results) {
                 let point = &self.points[index];
-                let score =
-                    if evaluation.score.is_finite() { evaluation.score } else { f64::INFINITY };
+                let score = sanitised(evaluation.score);
                 ranked.push((index, score));
                 records.push(evaluation_record(
                     format!("{}/rung{}", point.id, plan.index),
@@ -352,16 +358,15 @@ impl Tuner {
             let survivors: Vec<usize> =
                 ranked.iter().take(next_size.min(ranked.len())).map(|&(i, _)| i).collect();
             let (best_index, best_score) = ranked[0];
-
-            let mut summary = RunRecord::new(format!("{scope}/rung{}/summary", plan.index))
-                .metric("evaluated", selected.len() as f64)
-                .metric("survivors", survivors.len() as f64)
-                .metric("shrink", plan.shrink as f64)
-                .unit_metric("best_score", best_score, objective.unit());
-            summary.params.push(("best".into(), self.points[best_index].id.clone()));
-            summary.params.push(("objective".into(), objective.name().into()));
-            records.push(summary);
-
+            records.push(
+                RunRecord::new(format!("{}/rung{}/summary", self.scope(), plan.index))
+                    .metric("evaluated", selected.len() as f64)
+                    .metric("survivors", survivors.len() as f64)
+                    .metric("shrink", plan.shrink as f64)
+                    .unit_metric("best_score", best_score, objective.unit())
+                    .param("best", &self.points[best_index].id)
+                    .param("objective", objective.name()),
+            );
             rungs.push(RungTrace {
                 index: plan.index,
                 shrink: plan.shrink,
@@ -372,27 +377,40 @@ impl Tuner {
             });
             candidates = survivors;
         }
+        self.conclude(&eval, rungs, records)
+    }
 
+    /// Compares the last rung's winner against the paper default at the
+    /// same fidelity — the baseline is scored as final — and closes the
+    /// record list with the baseline and `best_config` records.
+    fn conclude<F>(
+        &self,
+        eval: &F,
+        rungs: Vec<RungTrace>,
+        mut records: Vec<RunRecord>,
+    ) -> TuneOutcome
+    where
+        F: Fn(&SweepPoint, RungContext) -> Evaluation + Sync,
+    {
+        let objective = self.spec.objective;
+        let scope = self.scope();
         let last = rungs.last().expect("at least one rung always runs");
-        let final_shrink = last.shrink;
         let winner = self.points[last.best_index].clone();
         let winner_score = last.best_score;
 
-        // Compare the winner against the paper default at the same fidelity.
         let baseline = self.baseline_point(&scope);
         let baseline_context =
-            RungContext { index: last.index, shrink: final_shrink, is_final: true };
+            RungContext { index: last.index, shrink: last.shrink, is_final: true };
         let baseline_eval = eval(&baseline, baseline_context);
-        let baseline_score =
-            if baseline_eval.score.is_finite() { baseline_eval.score } else { f64::INFINITY };
-        evaluations += 1;
+        let baseline_score = sanitised(baseline_eval.score);
+        let evaluations = rungs.iter().map(|rung| rung.evaluated).sum::<usize>() + 1;
         records.push(evaluation_record(
             format!("{scope}/baseline"),
             &baseline_eval,
             baseline_score,
             objective,
             baseline.params(),
-            &[("shrink".into(), final_shrink.to_string())],
+            &[("shrink".into(), last.shrink.to_string())],
         ));
 
         let (best, best_score) = if winner_score <= baseline_score {
@@ -400,7 +418,6 @@ impl Tuner {
         } else {
             (baseline.clone(), baseline_score)
         };
-
         let mut best_record = RunRecord::new(format!("{scope}/best_config"))
             .unit_metric("objective_score", best_score, objective.unit())
             .unit_metric("baseline_score", baseline_score, objective.unit())
@@ -409,9 +426,7 @@ impl Tuner {
             .metric("rungs", rungs.len() as f64)
             .metric("grid_points", self.points.len() as f64);
         best_record.params = best.params();
-        best_record.params.push(("best".into(), best.id.clone()));
-        best_record.params.push(("objective".into(), objective.name().into()));
-        records.push(best_record);
+        records.push(best_record.param("best", &best.id).param("objective", objective.name()));
 
         TuneOutcome {
             objective,
@@ -443,7 +458,6 @@ impl Tuner {
         let mut config = self.spec.base.clone();
         config.seed = self.points[0].config.seed;
         SweepPoint {
-            index: self.points.len(),
             id: format!("{scope}/baseline"),
             dataset: self.spec.grid.datasets.first().cloned(),
             config,

@@ -63,9 +63,6 @@ proptest! {
             ));
         }
         prop_assert_eq!(combos.len(), points.len());
-        for (want, p) in points.iter().enumerate() {
-            prop_assert_eq!(p.index, want);
-        }
     }
 
     /// Swept axis values are faithfully applied to the resolved config.

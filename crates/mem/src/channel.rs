@@ -64,15 +64,6 @@ impl Channel {
         self.transactions
     }
 
-    /// Achieved bandwidth in bytes/cycle measured over `elapsed_cycles`.
-    pub fn achieved_bandwidth(&self, elapsed_cycles: u64) -> f64 {
-        if elapsed_cycles == 0 {
-            0.0
-        } else {
-            self.bytes_transferred as f64 / elapsed_cycles as f64
-        }
-    }
-
     /// Aggregate row-buffer hit rate over all banks.
     pub fn hit_rate(&self) -> f64 {
         let (mut h, mut m, mut c) = (0u64, 0u64, 0u64);
@@ -144,8 +135,6 @@ mod tests {
         ch.access(64, 64, 0);
         assert_eq!(ch.bytes_transferred(), 128);
         assert_eq!(ch.transactions(), 2);
-        assert!(ch.achieved_bandwidth(100) > 0.0);
-        assert_eq!(ch.achieved_bandwidth(0), 0.0);
     }
 
     #[test]

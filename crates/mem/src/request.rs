@@ -43,11 +43,6 @@ impl MemoryRequest {
         matches!(self.kind, RequestKind::Read)
     }
 
-    /// Address of the last byte touched by this request.
-    pub fn end_addr(&self) -> u64 {
-        self.addr + self.bytes.saturating_sub(1) as u64
-    }
-
     /// Whether `other` starts exactly where this request ends (candidates for
     /// coalescing into one DRAM transaction).
     pub fn is_contiguous_with(&self, other: &MemoryRequest) -> bool {
@@ -93,14 +88,6 @@ mod tests {
         assert!(a.is_contiguous_with(&b));
         assert!(!b.is_contiguous_with(&a));
         assert!(!b.is_contiguous_with(&c));
-    }
-
-    #[test]
-    fn end_addr_is_inclusive() {
-        let r = MemoryRequest::read(100, 64);
-        assert_eq!(r.end_addr(), 163);
-        let zero = MemoryRequest::read(10, 0);
-        assert_eq!(zero.end_addr(), 10);
     }
 
     #[test]

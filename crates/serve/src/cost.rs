@@ -131,9 +131,8 @@ pub fn hybrid_scaled_cycles(estimate: u64, anchor_measured: u64, anchor_estimate
 /// be inserted or queried under it; [`CostTable::register`] derives both
 /// from a [`ChipConfig`], and `register_rate` exists for synthetic tables
 /// in tests.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CostTable {
-    marginal_fraction: f64,
     /// Fingerprint → cycle time + per-class costs on that silicon. Nested
     /// (rather than keyed by `(String, RequestClass)` pairs) so the
     /// dispatch hot path looks costs up by `&str` without allocating.
@@ -153,46 +152,19 @@ impl FingerprintCosts {
     /// The batch service time on this silicon (see
     /// [`CostTable::service_seconds`]); `fingerprint` only names the
     /// silicon in the unknown-class panic.
-    fn service_seconds(
-        &self,
-        fingerprint: &str,
-        class: RequestClass,
-        batch_size: usize,
-        marginal_fraction: f64,
-    ) -> f64 {
+    fn service_seconds(&self, fingerprint: &str, class: RequestClass, batch_size: usize) -> f64 {
         let cost = self.costs.get(&class).unwrap_or_else(|| {
             panic!("no memoised cost for request class {class:?} under {fingerprint:?}")
         });
         let first = cost.cycles as f64 * self.seconds_per_cycle;
-        first * (1.0 + marginal_fraction * (batch_size - 1) as f64)
-    }
-}
-
-impl Default for CostTable {
-    fn default() -> Self {
-        Self::new()
+        first * (1.0 + DEFAULT_MARGINAL_BATCH_FRACTION * (batch_size - 1) as f64)
     }
 }
 
 impl CostTable {
-    /// Creates an empty table with the default marginal batch fraction.
+    /// Creates an empty table.
     pub fn new() -> Self {
-        CostTable {
-            marginal_fraction: DEFAULT_MARGINAL_BATCH_FRACTION,
-            silicon: BTreeMap::new(),
-            flops: BTreeMap::new(),
-        }
-    }
-
-    /// Overrides the marginal batch fraction (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ fraction ≤ 1`.
-    pub fn with_marginal_fraction(mut self, fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fraction), "marginal batch fraction must be within [0, 1]");
-        self.marginal_fraction = fraction;
-        self
+        Self::default()
     }
 
     /// Registers a chip configuration and returns its fingerprint — the key
@@ -279,7 +251,7 @@ impl CostTable {
             .silicon
             .get(fingerprint)
             .unwrap_or_else(|| panic!("fingerprint {fingerprint:?} was never registered"));
-        entry.service_seconds(fingerprint, class, batch_size, self.marginal_fraction)
+        entry.service_seconds(fingerprint, class, batch_size)
     }
 
     /// Mean single-request service time over `classes` on the fingerprinted
@@ -383,7 +355,7 @@ impl<'a> FleetCosts<'a> {
         let (fingerprint, entry) = &self.groups[group];
         let entry =
             entry.unwrap_or_else(|| panic!("fingerprint {fingerprint:?} was never registered"));
-        entry.service_seconds(fingerprint, class, batch_size, self.table.marginal_fraction)
+        entry.service_seconds(fingerprint, class, batch_size)
     }
 
     /// [`CostTable::weight`].
@@ -420,7 +392,7 @@ mod tests {
 
     #[test]
     fn service_time_amortises_batched_requests() {
-        let t = table().with_marginal_fraction(DEFAULT_MARGINAL_BATCH_FRACTION);
+        let t = table();
         let class = RequestClass { dataset: 0, shrink: 1 };
         let one = t.service_seconds(FP, class, 1);
         let four = t.service_seconds(FP, class, 4);
@@ -435,7 +407,7 @@ mod tests {
         // named constant — no duplicated 0.5 literals anywhere in the
         // serving path.
         assert_eq!(DEFAULT_MARGINAL_BATCH_FRACTION, 0.5);
-        let t = table(); // CostTable::new(), no override
+        let t = table();
         let class = RequestClass { dataset: 0, shrink: 1 };
         let one = t.service_seconds(FP, class, 1);
         for batch in [2_usize, 3, 8] {
@@ -443,13 +415,6 @@ mod tests {
             let expected = one * (1.0 + DEFAULT_MARGINAL_BATCH_FRACTION * (batch - 1) as f64);
             assert!((batched - expected).abs() < 1e-15, "batch of {batch}");
         }
-    }
-
-    #[test]
-    fn zero_marginal_fraction_makes_batches_free_after_the_first() {
-        let t = table().with_marginal_fraction(0.0);
-        let class = RequestClass { dataset: 0, shrink: 1 };
-        assert_eq!(t.service_seconds(FP, class, 1), t.service_seconds(FP, class, 8));
     }
 
     #[test]

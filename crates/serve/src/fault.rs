@@ -29,6 +29,11 @@ use rand::{Rng, SeedableRng};
 
 use neura_lab::spec::derive_seed;
 
+/// The most shard crashes one [`FaultSpec`] may inject: every crash is
+/// drawn, sorted and queued before the replay starts (the library
+/// scenarios inject 2).
+pub const MAX_CRASHES: usize = 1 << 16;
+
 /// Declarative description of a failure regime over one scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
@@ -37,8 +42,8 @@ pub struct FaultSpec {
     /// Window in seconds over which crash times are drawn (usually the
     /// workload duration).
     pub window_s: f64,
-    /// Number of shard crashes to inject, each at a seed-derived time in
-    /// a seed-derived group.
+    /// Number of shard crashes to inject (at most [`MAX_CRASHES`]), each
+    /// at a seed-derived time in a seed-derived group.
     pub crashes: usize,
     /// Probability that a scheduled scale-up fails at its effect time
     /// (the slot stays inactive; the controller must decide again).
@@ -121,7 +126,8 @@ impl FaultSpec {
 
     /// Parses an [`id`](Self::id)-style fragment (`"crash2"`,
     /// `"crash1+pf0.5+deg0x3.0"`, `"none"`) into a spec over the given
-    /// seed and window — the inverse of `id`, for `--fault` flags.
+    /// seed and window — the inverse of `id`, for `--fault` flags. A crash
+    /// count above [`MAX_CRASHES`] does not parse.
     pub fn parse(raw: &str, seed: u64, window_s: f64) -> Option<Self> {
         let mut spec = FaultSpec::new(seed, window_s);
         if raw.trim().eq_ignore_ascii_case("none") {
@@ -130,7 +136,7 @@ impl FaultSpec {
         for part in raw.split('+') {
             let part = part.trim();
             if let Some(count) = part.strip_prefix("crash") {
-                spec.crashes = count.parse().ok().filter(|&n| n > 0)?;
+                spec.crashes = count.parse().ok().filter(|n| (1..=MAX_CRASHES).contains(n))?;
             } else if let Some(probability) = part.strip_prefix("pf") {
                 let probability: f64 = probability.parse().ok()?;
                 if !(0.0..=1.0).contains(&probability) {
@@ -158,10 +164,16 @@ impl FaultSpec {
     ///
     /// # Panics
     ///
-    /// Panics when the fleet has no groups or a degraded entry names a
-    /// group outside the fleet.
+    /// Panics when the fleet has no groups, a degraded entry names a group
+    /// outside the fleet, or the spec injects more than [`MAX_CRASHES`]
+    /// crashes — checked before any is allocated.
     pub fn plan(&self, group_count: usize) -> FaultPlan {
         assert!(group_count >= 1, "a fault plan needs at least one shard group");
+        assert!(
+            self.crashes <= MAX_CRASHES,
+            "a fault spec injects at most {MAX_CRASHES} crashes, not {}",
+            self.crashes
+        );
         let mut rng = StdRng::seed_from_u64(derive_seed(self.seed, "faults"));
         let mut crashes: Vec<(f64, usize)> = (0..self.crashes)
             .map(|_| {
@@ -315,9 +327,19 @@ mod tests {
         ] {
             assert_eq!(FaultSpec::parse(&spec.id(), 9, 2.0), Some(spec.clone()), "{}", spec.id());
         }
-        for bad in ["crash", "crash0", "pf1.5", "deg0", "deg0x0.5", "bogus", "crash2+", ""] {
+        let too_many = format!("crash{}", MAX_CRASHES + 1);
+        for bad in
+            ["crash", "crash0", &too_many, "pf1.5", "deg0", "deg0x0.5", "bogus", "crash2+", ""]
+        {
             assert!(FaultSpec::parse(bad, 9, 2.0).is_none(), "{bad:?} must not parse");
         }
+        assert!(FaultSpec::parse(&format!("crash{MAX_CRASHES}"), 9, 2.0).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 crashes")]
+    fn a_plan_over_the_crash_bound_is_refused_before_it_allocates() {
+        FaultSpec::new(1, 1.0).with_crashes(2_000_000_000).plan(1);
     }
 
     #[test]

@@ -74,7 +74,6 @@
 //! that, and its artifact is byte-identical for any `NEURA_LAB_THREADS`).
 
 #![warn(missing_docs)]
-#![warn(clippy::too_many_lines)]
 
 pub mod arrivals;
 pub mod autoscale;
@@ -98,7 +97,7 @@ pub use cost::{
 };
 pub use dispatch::{ClassAffinity, CostAware, DispatchKind, DispatchPolicy, LeastLoaded};
 pub use engine::{simulate_config_parallel, simulate_config_traced_parallel, EnginePlan};
-pub use fault::{CrashEvent, FaultPlan, FaultSpec};
+pub use fault::{CrashEvent, FaultPlan, FaultSpec, MAX_CRASHES};
 pub use fleet::{GroupStats, ShardFleet, ShardGroup, ShardStats};
 pub use policy::Policy;
 pub use scenario::{RateShape, ScenarioSpec, ShapedStream, TenantMix, TenantSpec};

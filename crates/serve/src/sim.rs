@@ -397,8 +397,7 @@ impl ServeOutcome {
                 record = record.metric("slo_attainment", attainment);
             }
             record.params = params.to_vec();
-            record.params.push(("tenant".to_string(), tenant.name.clone()));
-            records.push(record);
+            records.push(record.param("tenant", &tenant.name));
         }
         for (g, group) in self.group_stats.iter().enumerate() {
             let utilisation =
@@ -412,8 +411,7 @@ impl ServeOutcome {
                 .metric("peak_active_shards", group.peak_active as f64)
                 .metric("capacity", group.capacity as f64);
             record.params = params.to_vec();
-            record.params.push(("group".to_string(), g.to_string()));
-            records.push(record);
+            records.push(record.param("group", g));
         }
         for (i, (stats, utilisation)) in
             self.shard_stats.iter().zip(self.utilisations()).enumerate()
@@ -424,9 +422,7 @@ impl ServeOutcome {
                 .metric("batches", stats.batches as f64)
                 .metric("requests", stats.requests as f64);
             record.params = params.to_vec();
-            record.params.push(("shard".to_string(), i.to_string()));
-            record.params.push(("group".to_string(), self.shard_groups[i].to_string()));
-            records.push(record);
+            records.push(record.param("shard", i).param("group", self.shard_groups[i]));
         }
         records
     }
@@ -525,8 +521,7 @@ mod tests {
     /// Two classes on Tile-16 silicon: 1 s and 0.5 s of service per request
     /// (Tile-16 runs at 1 GHz, so cycles map 1:1 to nanoseconds).
     fn unit_costs() -> CostTable {
-        let mut costs =
-            CostTable::new().with_marginal_fraction(crate::cost::DEFAULT_MARGINAL_BATCH_FRACTION);
+        let mut costs = CostTable::new();
         let fp = costs.register(&ChipConfig::tile_16());
         costs.insert(
             &fp,

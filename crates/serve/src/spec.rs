@@ -320,7 +320,6 @@ impl ServeSweep {
                                 .map(|p| format!("/{}", p.id()))
                                 .unwrap_or_default();
                             scenarios.push(ServeScenario {
-                                index: scenarios.len(),
                                 id: format!(
                                     "{name}/{}/{}/{}/{}{scale_suffix}",
                                     workload.id(),
@@ -348,8 +347,6 @@ impl ServeSweep {
 /// One enumerated serving scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeScenario {
-    /// Position in the sweep's enumeration order (0-based).
-    pub index: usize,
     /// Stable run ID:
     /// `<name>/<workload>/<fleet>/<dispatch>/<policy>[/<autoscale>]`.
     pub id: String,
@@ -483,9 +480,6 @@ mod tests {
         let ids: std::collections::HashSet<&str> =
             scenarios.iter().map(|s| s.id.as_str()).collect();
         assert_eq!(ids.len(), scenarios.len());
-        for (i, s) in scenarios.iter().enumerate() {
-            assert_eq!(s.index, i);
-        }
     }
 
     #[test]

@@ -543,8 +543,7 @@ impl Timeline {
                 }
             }
             record.params = params.to_vec();
-            record.params.push(("window".to_string(), w.to_string()));
-            records.push(record);
+            records.push(record.param("window", w));
         }
         records
     }

@@ -113,11 +113,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// Number of entries whose absolute value exceeds `eps`.
-    pub fn count_nonzero(&self, eps: f64) -> usize {
-        self.data.iter().filter(|v| v.abs() > eps).count()
-    }
-
     /// Dense matrix multiplication `self × rhs`.
     ///
     /// # Errors
@@ -248,12 +243,5 @@ mod tests {
         *a.get_mut(0, 1) = 5.0;
         let coo = a.to_coo();
         assert_eq!(coo.nnz(), 1);
-    }
-
-    #[test]
-    fn count_nonzero_uses_threshold() {
-        let a = DenseMatrix::from_rows(&[&[1e-9, 1.0], &[0.0, -2.0]]).unwrap();
-        assert_eq!(a.count_nonzero(1e-6), 2);
-        assert_eq!(a.count_nonzero(0.0), 3);
     }
 }

@@ -16,9 +16,10 @@ fmt:
 fmt-fix:
     cargo fmt
 
-# Lints, warnings are errors. The five simulation crates (sim, mem, noc,
-# chip, serve) warn on `clippy::too_many_lines` in their lib.rs, so there a
-# function over 100 lines fails here; lab and bench do not carry it yet.
+# Lints, warnings are errors. Also the shape gate: the root Cargo.toml sets
+# `clippy::too_many_lines` to warn under `[workspace.lints]` and every
+# crate and the umbrella package inherit it, so a function over 100 lines
+# fails here in any library, binary, example or test.
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
 
