@@ -52,7 +52,7 @@
 //!   parallel-in-time engine (`neura_serve::engine`): the timeline splits
 //!   into N equal epochs whose fragments replay concurrently and merge at
 //!   the boundaries; the merged artifact is byte-identical to the serial
-//!   replay
+//!   replay (N above `neura_serve::engine::MAX_EPOCHS` is a usage error)
 //! - `--lanes L` — split eligible closed-loop scenarios into L independent
 //!   client/shard lanes that replay concurrently (a *scenario parameter*:
 //!   results are thread-count invariant at a fixed lane count)
@@ -88,6 +88,7 @@ use neura_lab::{
     TIMELINE_SCHEMA,
 };
 use neura_serve::cost::{hybrid_scaled_cycles, CostModel};
+use neura_serve::engine::MAX_EPOCHS;
 use neura_serve::policy::DEFAULT_MAX_BATCH;
 use neura_serve::{
     simulate_config_parallel, simulate_config_traced_parallel, ArrivalProcess, AutoscalePolicy,
@@ -96,7 +97,6 @@ use neura_serve::{
     TenantMix, TenantSpec, Timeline, Workload, WorkloadAxis, MAX_CRASHES, MAX_STREAM_REQUESTS,
     MAX_TIMELINE_WINDOWS,
 };
-use neura_sparse::DatasetCatalog;
 use std::path::PathBuf;
 
 /// The simulated horizon without `--duration`, in seconds.
@@ -218,20 +218,14 @@ impl Args {
                 self.arrivals.push(flags.known(arg, "arrival process", ArrivalProcess::parse));
             }
             "--rps" => self.rps.push(flags.parsed(arg, "a positive rate", Flags::positive)),
-            "--clients" => self.clients.push(flags.parsed(
-                arg,
-                &format!("an integer within 1..={MAX_CLIENTS}"),
-                |n| (1..=MAX_CLIENTS).contains(n),
-            )),
+            "--clients" => self.clients.push(bounded(flags, arg, MAX_CLIENTS)),
             "--think-ms" => {
                 self.think_ms = Some(flags.parsed(arg, "a think time", Flags::non_negative));
             }
             "--duration" => {
                 self.duration_s = Some(flags.parsed(arg, "a positive duration", Flags::positive));
             }
-            "--dataset" => self.mix.push(flags.known(arg, "dataset", |raw| {
-                DatasetCatalog::by_name(raw).map(|_| raw.to_string())
-            })),
+            "--dataset" => self.mix.push(neura_bench::dataset_flag(flags)),
             "--scenario" => {
                 let raw = flags.value(arg);
                 if raw.eq_ignore_ascii_case("all") {
@@ -336,9 +330,7 @@ impl Args {
             "--cost-model" => {
                 self.cost_model = flags.known(arg, "cost model", CostModel::parse);
             }
-            "--epochs" => {
-                self.epochs = Some(flags.parsed(arg, "a positive integer", Flags::at_least_one));
-            }
+            "--epochs" => self.epochs = Some(bounded(flags, arg, MAX_EPOCHS)),
             "--lanes" => {
                 self.lanes = Some(flags.parsed(arg, "a positive integer", Flags::at_least_one));
             }
@@ -352,6 +344,11 @@ impl Args {
             other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
         }
     }
+}
+
+/// The value of `arg` as a count within `1..=max` (`--clients`, `--epochs`).
+fn bounded(flags: &mut Flags, arg: &str, max: usize) -> usize {
+    flags.parsed(arg, &format!("an integer within 1..={max}"), |n| (1..=max).contains(n))
 }
 
 /// The optional PATH of `--trace` / `--profile`, or the flag's default.

@@ -234,9 +234,7 @@ fn main() {
     let mut flags = Flags::from_env(usage());
     while let Some(arg) = flags.next() {
         match arg.as_str() {
-            "--dataset" => datasets.push(flags.known("--dataset", "dataset", |raw| {
-                DatasetCatalog::by_name(raw).map(|_| raw.to_string())
-            })),
+            "--dataset" => datasets.push(neura_bench::dataset_flag(&mut flags)),
             "--objective" => {
                 objective = flags.known("--objective", "objective", Objective::parse);
             }

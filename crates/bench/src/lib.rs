@@ -1,16 +1,19 @@
 //! Shared helpers for the benchmark harness binaries.
 //!
-//! Every table and figure of the paper's evaluation has a corresponding
-//! binary in `src/bin/` (the README's "Paper artifacts" table is the index).
-//! The experiment machinery those binaries run on — declarative sweeps, the parallel
-//! runner, table/JSON rendering and golden checks — lives in `neura_lab`;
-//! this crate keeps the dataset scaling glue, the [`ChipGrid`] the `xval`
-//! and `profile` sweeps share and the one class pricer ([`price_class`])
-//! behind `serve` and `tune`, and re-exports the lab surface the binaries
-//! (and older callers) use, so `neura_bench::print_table` et al. keep
-//! working.
+//! Every table and figure of the paper's evaluation is a row of
+//! [`paper::ARTIFACTS`], run by the one `paper` binary; the six tools
+//! (`serve`, `tune`, `xval`, `profile`, `timeline`, `trend`) are binaries of
+//! their own in `src/bin/`. The experiment machinery they run on —
+//! declarative sweeps, the parallel runner, table/JSON rendering and golden
+//! checks — lives in `neura_lab`; this crate keeps the dataset scaling glue,
+//! the [`ChipGrid`] the `xval` and `profile` sweeps share and the one class
+//! pricer ([`price_class`]) behind `serve` and `tune`, and re-exports the lab
+//! surface the binaries (and older callers) use, so `neura_bench::print_table`
+//! et al. keep working.
 
 #![warn(missing_docs)]
+
+pub mod paper;
 
 use neura_chip::accelerator::Accelerator;
 use neura_chip::analytic::WorkloadFeatures;
@@ -57,9 +60,19 @@ pub fn scaled_matrix(dataset: &Dataset, scale: usize) -> CsrMatrix {
 /// Panics when the name is not in the catalog: sweep grids are declared
 /// with string names, so a typo must fail loudly, not silently skip work.
 pub fn scaled_matrix_by_name(name: &str, scale: usize) -> CsrMatrix {
-    let dataset = DatasetCatalog::by_name(name)
-        .unwrap_or_else(|| panic!("dataset {name:?} is not in the catalog"));
-    scaled_matrix(&dataset, scale)
+    scaled_matrix(&catalog_dataset(name), scale)
+}
+
+/// The catalog entry of a dataset a sweep names — a panic when it has none.
+fn catalog_dataset(name: &str) -> Dataset {
+    DatasetCatalog::by_name(name)
+        .unwrap_or_else(|| panic!("dataset {name:?} is not in the catalog"))
+}
+
+/// Reads the value of a `--dataset` flag: a catalog name, or the usage
+/// error `unknown dataset "<raw>"`.
+pub fn dataset_flag(flags: &mut Flags) -> String {
+    flags.known("--dataset", "dataset", |raw| DatasetCatalog::by_name(raw).map(|_| raw.to_string()))
 }
 
 /// Generates a dataset's cycle-simulator matrix at a reduced tuning
@@ -73,8 +86,7 @@ pub fn scaled_matrix_by_name(name: &str, scale: usize) -> CsrMatrix {
 /// — down to the generator's 32-node floor, which a large
 /// [`scale_multiplier`] (smoke runs) reaches at every shrink level.
 pub fn sim_matrix_at_fidelity(name: &str, shrink: usize) -> CsrMatrix {
-    let dataset = DatasetCatalog::by_name(name)
-        .unwrap_or_else(|| panic!("dataset {name:?} is not in the catalog"));
+    let dataset = catalog_dataset(name);
     let full_nodes = (dataset.nodes / SIM_SCALE).clamp(256, 2_000);
     let target_nodes = (full_nodes / shrink.max(1)).max(32);
     scaled_matrix(&dataset, (dataset.nodes / target_nodes).max(1))
@@ -115,8 +127,7 @@ pub fn price_class(
 ///
 /// Panics when the name is not in the catalog.
 pub fn size_matched_tile(name: &str) -> TileSize {
-    let dataset = DatasetCatalog::by_name(name)
-        .unwrap_or_else(|| panic!("dataset {name:?} is not in the catalog"));
+    let dataset = catalog_dataset(name);
     let mut nodes: Vec<_> = DatasetCatalog::spgemm_suite().iter().map(|d| d.nodes).collect();
     nodes.sort_unstable();
     let small = nodes[nodes.len().div_ceil(3) - 1];
@@ -184,9 +195,7 @@ impl ChipGrid {
     /// error — and returns whether it was.
     pub fn take_flag(&mut self, arg: &str, flags: &mut Flags) -> bool {
         match arg {
-            "--dataset" => self.datasets.push(flags.known("--dataset", "dataset", |raw| {
-                DatasetCatalog::by_name(raw).map(|_| raw.to_string())
-            })),
+            "--dataset" => self.datasets.push(dataset_flag(flags)),
             "--tile" => self.tiles.push(flags.known("--tile", "tile size", |raw| {
                 TileSize::ALL.into_iter().find(|t| t.label() == raw)
             })),

@@ -4,19 +4,16 @@
 //!
 //! The four ablations are declared as `neura_lab` experiment specs and their
 //! points — fourteen full cycle-level simulations — run concurrently on the
-//! lab's work-stealing runner. Run with
-//! `cargo run --release -p neura_bench --bin ablation` (add `--json [path]`
-//! for a machine-readable artifact).
+//! lab's work-stealing runner.
 
-use neura_bench::{fmt, print_table, scaled_matrix_by_name};
+use crate::{fmt, print_table, scaled_matrix_by_name};
 use neura_chip::accelerator::{Accelerator, ExecutionReport};
 use neura_chip::config::{ChipConfig, EvictionPolicy};
 use neura_chip::mapping::MappingKind;
 use neura_lab::{ArtifactSession, ExperimentSpec, Runner, SweepGrid, SweepPoint};
 use neura_sparse::stats::imbalance;
 
-fn main() {
-    let mut session = ArtifactSession::from_args("ablation", neura_bench::scale_multiplier());
+pub(super) fn run(session: &mut ArtifactSession) {
     let a = scaled_matrix_by_name("cora", 4);
 
     // Four sweeps of one axis each, around the paper-default Tile-16 chip.
@@ -114,6 +111,4 @@ fn main() {
             ]
         },
     );
-
-    session.finish();
 }

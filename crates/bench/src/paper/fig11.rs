@@ -1,19 +1,16 @@
 //! Figure 11 — architectural impact of the tile configuration on a GCN
 //! (Cora) workload, normalised to Tile-4.
 //!
-//! The three tile sizes are a `neura_lab` sweep executed in parallel. Run
-//! with `cargo run --release -p neura_bench --bin fig11` (add `--json
-//! [path]` for a machine-readable artifact).
+//! The three tile sizes are a `neura_lab` sweep executed in parallel.
 
-use neura_bench::{fmt, print_table, scaled_matrix_by_name};
+use crate::{fmt, print_table, scaled_matrix_by_name};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::{ChipConfig, TileSize};
 use neura_chip::power::PowerModel;
-use neura_lab::{ArtifactSession, ExperimentSpec, Runner, SweepGrid};
+use neura_lab::{ArtifactSession, ExperimentSpec, Runner, SweepGrid, SweepPoint};
 use neura_sparse::gen::feature_matrix;
 
-fn main() {
-    let mut session = ArtifactSession::from_args("fig11", neura_bench::scale_multiplier());
+pub(super) fn run(session: &mut ArtifactSession) {
     let mut a = scaled_matrix_by_name("cora", 4);
     a.row_normalize();
     let x = feature_matrix(a.cols(), 16, 3);
@@ -29,32 +26,12 @@ fn main() {
         chip.run_aggregation(&a, &x).expect("simulation drains").report
     });
 
-    struct Sample {
-        tile: &'static str,
-        stall: f64,
-        cpi: f64,
-        ipc: f64,
-        in_flight: f64,
-        power: f64,
-        busy: f64,
-    }
-
-    let mut samples = Vec::new();
+    let power = |point: &SweepPoint| power_model.breakdown(&point.config).total_power_w();
     for (point, report) in &results {
-        let power = power_model.breakdown(&point.config).total_power_w();
-        samples.push(Sample {
-            tile: point.config.tile_size.name(),
-            stall: report.core_stall_cycles as f64,
-            cpi: report.cpi,
-            ipc: report.ipc,
-            in_flight: report.avg_in_flight_mem,
-            power,
-            busy: report.core_busy_cycles as f64,
-        });
         session.push(
             point
                 .record()
-                .unit_metric("power_w", power, "W")
+                .unit_metric("power_w", power(point), "W")
                 .metric("core_stall_cycles", report.core_stall_cycles as f64)
                 .metric("core_busy_cycles", report.core_busy_cycles as f64)
                 .metric("avg_in_flight_mem", report.avg_in_flight_mem)
@@ -62,18 +39,18 @@ fn main() {
         );
     }
 
-    let base = &samples[0];
-    let rows: Vec<Vec<String>> = samples
+    let (base_point, base) = &results[0];
+    let rows: Vec<Vec<String>> = results
         .iter()
-        .map(|s| {
+        .map(|(point, report)| {
             vec![
-                s.tile.to_string(),
-                fmt(s.stall / base.stall.max(1.0), 3),
-                fmt(s.cpi / base.cpi.max(1e-9), 3),
-                fmt(s.ipc / base.ipc.max(1e-9), 3),
-                fmt(s.in_flight / base.in_flight.max(1e-9), 3),
-                fmt(s.power / base.power.max(1e-9), 3),
-                fmt(s.busy / base.busy.max(1.0), 3),
+                point.config.tile_size.name().to_string(),
+                fmt(report.core_stall_cycles as f64 / (base.core_stall_cycles as f64).max(1.0), 3),
+                fmt(report.cpi / base.cpi.max(1e-9), 3),
+                fmt(report.ipc / base.ipc.max(1e-9), 3),
+                fmt(report.avg_in_flight_mem / base.avg_in_flight_mem.max(1e-9), 3),
+                fmt(power(point) / power(base_point).max(1e-9), 3),
+                fmt(report.core_busy_cycles as f64 / (base.core_busy_cycles as f64).max(1.0), 3),
             ]
         })
         .collect();
@@ -87,6 +64,4 @@ fn main() {
          instructions and power; CPI rises once DRAM cannot keep up; IPC improves\n\
          from Tile-4 to Tile-16 but saturates at Tile-64 under the 128 GB/s ceiling."
     );
-
-    session.finish();
 }

@@ -7,10 +7,8 @@
 //! of variation and Gini coefficient). The (dataset × mapping) sweep is a
 //! `neura_lab` experiment: matrices and tag groups are prepared once per
 //! dataset on the parallel runner, then the 24 sweep points fan out over it.
-//! Run with `cargo run --release -p neura_bench --bin fig13` (add `--json
-//! [path]` for a machine-readable artifact).
 
-use neura_bench::{fmt, print_table, scaled_matrix_by_name};
+use crate::{fmt, print_table, scaled_matrix_by_name};
 use neura_chip::config::ChipConfig;
 use neura_chip::mapping::{workload_histogram, MappingKind};
 use neura_lab::{ArtifactSession, ExperimentSpec, Runner, SweepGrid};
@@ -40,8 +38,7 @@ fn tag_rows(a: &CsrMatrix) -> Vec<Vec<u64>> {
         .collect()
 }
 
-fn main() {
-    let mut session = ArtifactSession::from_args("fig13", neura_bench::scale_multiplier());
+pub(super) fn run(session: &mut ArtifactSession) {
     let runner = Runner::from_env();
 
     let mut names: Vec<String> =
@@ -107,6 +104,4 @@ fn main() {
          (high max/mean), the random table and DRHM are flat, and DRHM stays flat\n\
          even for the dense matrix."
     );
-
-    session.finish();
 }

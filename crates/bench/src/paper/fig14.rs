@@ -3,19 +3,16 @@
 //! Runs the same Cora-analog SpGEMM on the Tile-16 configuration with each
 //! MMH tile height — a four-point `neura_lab` sweep executed in parallel —
 //! and prints the per-instruction cycle-count histogram (percentage of
-//! instructions per 25-cycle bin) plus the average. Run with
-//! `cargo run --release -p neura_bench --bin fig14` (add `--json [path]`
-//! for a machine-readable artifact).
+//! instructions per 25-cycle bin) plus the average, which is checked
+//! against `neura_lab::golden::fig14_goldens`.
 
-use neura_bench::{fmt, print_table, scaled_matrix_by_name};
+use crate::{fmt, print_table, scaled_matrix_by_name};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::ChipConfig;
-use neura_lab::golden::{self, slugify};
+use neura_lab::golden::slugify;
 use neura_lab::{ArtifactSession, ExperimentSpec, Runner, SweepGrid};
 
-fn main() {
-    let scale_mult = neura_bench::scale_multiplier();
-    let mut session = ArtifactSession::from_args("fig14", scale_mult);
+pub(super) fn run(session: &mut ArtifactSession) {
     let a = scaled_matrix_by_name("cora", 4);
 
     let spec = ExperimentSpec::new(
@@ -46,20 +43,15 @@ fn main() {
         session.push(record);
     }
 
-    let mut headers = vec!["Instruction".to_string(), "Avg CPI".to_string()];
-    headers.extend(labels);
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
+    let lead = ["Instruction", "Avg CPI"];
+    let headers: Vec<&str> = lead.into_iter().chain(labels.iter().map(String::as_str)).collect();
     print_table(
         "Figure 14: CPI histogram (percentage of MMH instructions per cycle bin)",
-        &header_refs,
+        &headers,
         &rows,
     );
     println!(
         "\nPaper averages: MMH1 91, MMH2 123, MMH4 295, MMH8 877 cycles — larger tiles\n\
          trade higher per-instruction latency for fewer instructions; MMH4 balances the two."
     );
-
-    let artifact = session.finish();
-    golden::check(&artifact, golden::fig14_goldens(), golden::Mode::from_scale_mult(scale_mult))
-        .print_and_enforce("Figure 14");
 }

@@ -1,19 +1,16 @@
 //! Figure 15 — HACC completion-latency histogram: barrier-based eviction
 //! (HACC-BE) versus rolling eviction (HACC-RE).
 //!
-//! The two eviction policies are a `neura_lab` sweep executed in parallel.
-//! Run with `cargo run --release -p neura_bench --bin fig15` (add `--json
-//! [path]` for a machine-readable artifact).
+//! The two eviction policies are a `neura_lab` sweep executed in parallel;
+//! the mean latencies are checked against `neura_lab::golden::fig15_goldens`.
 
-use neura_bench::{fmt, print_table, scaled_matrix_by_name};
+use crate::{fmt, print_table, scaled_matrix_by_name};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::{ChipConfig, EvictionPolicy};
-use neura_lab::golden::{self, slugify};
+use neura_lab::golden::slugify;
 use neura_lab::{ArtifactSession, ExperimentSpec, Runner, SweepGrid};
 
-fn main() {
-    let scale_mult = neura_bench::scale_multiplier();
-    let mut session = ArtifactSession::from_args("fig15", scale_mult);
+pub(super) fn run(session: &mut ArtifactSession) {
     let a = scaled_matrix_by_name("cora", 4);
 
     // The HashPad is scaled down with the dataset (the full 2048-line pad of
@@ -61,26 +58,15 @@ fn main() {
         session.push(record);
     }
 
-    let mut headers = vec![
-        "Scheme".to_string(),
-        "Avg latency".to_string(),
-        "Peak pad occupancy".to_string(),
-        "Pad-full stalls".to_string(),
-        "Total cycles".to_string(),
-    ];
-    headers.extend(labels);
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
+    let lead = ["Scheme", "Avg latency", "Peak pad occupancy", "Pad-full stalls", "Total cycles"];
+    let headers: Vec<&str> = lead.into_iter().chain(labels.iter().map(String::as_str)).collect();
     print_table(
         "Figure 15: HACC latency histogram, barrier vs rolling eviction (% per 50-cycle bin)",
-        &header_refs,
+        &headers,
         &rows,
     );
     println!(
         "\nPaper averages: HACC-BE 872 cycles vs HACC-RE 347 cycles — rolling eviction\n\
          keeps partial products resident for far fewer cycles and avoids pad-full stalls."
     );
-
-    let artifact = session.finish();
-    golden::check(&artifact, golden::fig15_goldens(), golden::Mode::from_scale_mult(scale_mult))
-        .print_and_enforce("Figure 15");
 }

@@ -2,30 +2,25 @@
 //! SpGEMM accelerators, per dataset plus the geometric mean.
 //!
 //! The per-dataset modeling and the supporting cycle-level simulations are
-//! `neura_lab` sweeps over the dataset axis, executed in parallel; the
-//! geometric-mean speedups are checked against the pinned golden values
-//! (strictly at paper scale, presence-only under `NEURA_BENCH_SCALE_MULT`).
-//! Run with `cargo run --release -p neura_bench --bin fig16` (add `--json
-//! [path]` for a machine-readable artifact).
+//! parallel `neura_lab` sweeps over the dataset axis; the geometric-mean
+//! speedups are checked against `neura_lab::golden::fig16_goldens`.
 
+use super::speedup_table;
+use crate::{
+    catalog_dataset, fmt, print_table, scaled_matrix, scaled_matrix_by_name, MODEL_SCALE, SIM_SCALE,
+};
 use neura_baselines::spgemm::{geometric_mean, SpgemmModel, SpgemmPlatform};
 use neura_baselines::WorkloadProfile;
-use neura_bench::{fmt, print_table, scaled_matrix_by_name, MODEL_SCALE, SIM_SCALE};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::ChipConfig;
-use neura_lab::golden::{self, slugify};
-use neura_lab::{ArtifactSession, ExperimentSpec, RunRecord, Runner, SweepGrid};
+use neura_lab::{ArtifactSession, ExperimentSpec, Runner, SweepGrid};
 use neura_sparse::DatasetCatalog;
 
-fn main() {
-    let scale_mult = neura_bench::scale_multiplier();
-    let mut session = ArtifactSession::from_args("fig16", scale_mult);
+pub(super) fn run(session: &mut ArtifactSession) {
     let runner = Runner::from_env();
 
     let baselines = SpgemmPlatform::FIGURE16_BASELINES;
     let tile16 = SpgemmPlatform::NeuraChip { tile: 16 };
-    let mut headers = vec!["Dataset".to_string()];
-    headers.extend(baselines.iter().map(|b| b.name().to_string()));
 
     // Modeled speedups: one sweep point per Table-1 dataset.
     let dataset_names: Vec<String> =
@@ -46,33 +41,15 @@ fn main() {
             .collect::<Vec<f64>>()
     });
 
-    let mut rows = Vec::new();
-    let mut per_baseline: Vec<Vec<f64>> = vec![Vec::new(); baselines.len()];
-    for (point, speedups) in &results {
-        let dataset = point.dataset.clone().expect("dataset axis");
-        let mut row = vec![dataset];
-        let mut record = point.record();
-        for ((baseline, speedup), sink) in baselines.iter().zip(speedups).zip(&mut per_baseline) {
-            sink.push(*speedup);
-            row.push(fmt(*speedup, 2));
-            record = record.unit_metric(slugify(baseline.name()), *speedup, "x");
-        }
-        rows.push(row);
-        session.push(record);
-    }
-
-    let mut gmean_row = vec!["G-Mean".to_string()];
-    let mut gmean_record = RunRecord::new("fig16/geomean");
-    for (baseline, speedups) in baselines.iter().zip(&per_baseline) {
-        let gmean = geometric_mean(speedups);
-        gmean_row.push(fmt(gmean, 2));
-        gmean_record = gmean_record.unit_metric(slugify(baseline.name()), gmean, "x");
-    }
-    rows.push(gmean_row);
-    session.push(gmean_record);
-
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    print_table("Figure 16: NeuraChip Tile-16 speedup over each platform", &header_refs, &rows);
+    speedup_table(
+        session,
+        "Figure 16: NeuraChip Tile-16 speedup over each platform",
+        &baselines.map(|b| b.name()),
+        &results,
+        "G-Mean",
+        "fig16/geomean",
+        geometric_mean,
+    );
     println!(
         "\nPaper geomean speedups: MKL 22.1x, cuSPARSE 17.1x, CUSP 13.3x, hipSPARSE 16.7x, \
          OuterSPACE 6.6x, SpArch 2.4x, Gamma 1.5x."
@@ -88,8 +65,8 @@ fn main() {
     );
     let sim_results = runner.run_spec(&sim_spec, |point| {
         let name = point.dataset.as_deref().expect("grid has a dataset axis");
-        let dataset = DatasetCatalog::by_name(name).expect("dataset exists");
-        let a = neura_bench::scaled_matrix(&dataset, SIM_SCALE.max(dataset.nodes / 2_000));
+        let dataset = catalog_dataset(name);
+        let a = scaled_matrix(&dataset, SIM_SCALE.max(dataset.nodes / 2_000));
         let mut chip = Accelerator::new(point.config.clone());
         let run = chip.run_spgemm(&a, &a);
         (a.rows(), a.nnz(), run.map(|r| r.report))
@@ -123,8 +100,4 @@ fn main() {
         &["Dataset", "Nodes (sim)", "Edges (sim)", "Cycles", "GOP/s", "Core util %"],
         &sim_rows,
     );
-
-    let artifact = session.finish();
-    golden::check(&artifact, golden::fig16_goldens(), golden::Mode::from_scale_mult(scale_mult))
-        .print_and_enforce("Figure 16");
 }

@@ -3,18 +3,14 @@
 //! Regenerates, for a synthetic analog of every Table-1 dataset, the bloat
 //! percent of the self-product `A × A` and prints it next to the paper's
 //! reported value. The per-dataset analysis runs on the `neura_lab`
-//! parallel runner. Run with
-//! `cargo run --release -p neura_bench --bin table1` (add `--json [path]`
-//! for a machine-readable artifact).
+//! parallel runner; the measured bloat must rank the suite in the pinned
+//! order (`neura_lab::golden::table1_bloat_order`).
 
-use neura_bench::{fmt, print_table, scaled_matrix, MODEL_SCALE};
-use neura_lab::{golden, ArtifactSession, RunRecord, Runner};
+use crate::{fmt, print_table, scaled_matrix, MODEL_SCALE};
+use neura_lab::{ArtifactSession, RunRecord, Runner};
 use neura_sparse::{bloat, DatasetCatalog};
 
-fn main() {
-    let scale_mult = neura_bench::scale_multiplier();
-    let mut session = ArtifactSession::from_args("table1", scale_mult);
-
+pub(super) fn run(session: &mut ArtifactSession) {
     let datasets = DatasetCatalog::spgemm_suite();
     let analyses = Runner::from_env().run(&datasets, |_, dataset| {
         let a = scaled_matrix(dataset, MODEL_SCALE);
@@ -63,12 +59,4 @@ fn main() {
         "\nNote: analogs are scaled down by {MODEL_SCALE}x with average degree preserved; \
          the bloat ordering across datasets is the quantity being reproduced."
     );
-
-    let artifact = session.finish();
-    golden::check_order(
-        &artifact,
-        &golden::table1_bloat_order(),
-        golden::Mode::from_scale_mult(scale_mult),
-    )
-    .print_and_enforce("Table 1");
 }

@@ -1,14 +1,10 @@
 //! Tables 2 and 3 — per-component and whole-chip configuration parameters.
-//!
-//! Run with `cargo run --release -p neura_bench --bin table3` (add `--json
-//! [path]` for a machine-readable artifact).
 
-use neura_bench::{fmt, print_table};
+use crate::{fmt, print_table};
 use neura_chip::config::{ChipConfig, TileSize};
 use neura_lab::{ArtifactSession, RunRecord};
 
-fn main() {
-    let mut session = ArtifactSession::from_args("table3", neura_bench::scale_multiplier());
+pub(super) fn run(session: &mut ArtifactSession) {
     let configs: Vec<ChipConfig> =
         TileSize::ALL.iter().map(|t| ChipConfig::for_tile_size(*t)).collect();
 
@@ -84,8 +80,6 @@ fn main() {
             .unit_metric("hbm_bandwidth_gbps", config.peak_bandwidth_gbps(), "GB/s"),
         );
     }
-
-    session.finish();
 }
 
 fn row(label: &str, configs: &[ChipConfig], f: impl Fn(&ChipConfig) -> String) -> Vec<String> {

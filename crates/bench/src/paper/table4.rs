@@ -1,17 +1,12 @@
 //! Table 4 — NeuraChip power and area breakdown per component.
-//!
-//! Run with `cargo run --release -p neura_bench --bin table4` (add `--json
-//! [path]` for a machine-readable artifact).
 
-use neura_bench::{fmt, print_table};
+use crate::{fmt, print_table};
 use neura_chip::config::TileSize;
 use neura_chip::power::table4_reference;
 use neura_lab::golden::slugify;
 use neura_lab::{ArtifactSession, RunRecord};
 
-fn main() {
-    let mut session = ArtifactSession::from_args("table4", neura_bench::scale_multiplier());
-
+pub(super) fn run(session: &mut ArtifactSession) {
     let mut area_rows = Vec::new();
     let mut power_rows = Vec::new();
     for tile in TileSize::ALL {
@@ -57,6 +52,4 @@ fn main() {
         &["Config", "NeuraCore", "NeuraMem", "Router", "Mem Controller", "Total"],
         &power_rows,
     );
-
-    session.finish();
 }

@@ -4,22 +4,16 @@
 //! on the common matrix suite and the derived efficiency metrics, plus the
 //! Tile-16 speedup row. Workload profiles are built in parallel on the
 //! `neura_lab` runner and the NeuraChip throughput/speedup numbers are
-//! checked against the pinned golden values (strictly at paper scale,
-//! presence-only under `NEURA_BENCH_SCALE_MULT`). Run with
-//! `cargo run --release -p neura_bench --bin table5` (add `--json [path]`
-//! for a machine-readable artifact).
+//! checked against `neura_lab::golden::table5_goldens`.
 
+use crate::{fmt, print_table, scaled_matrix, MODEL_SCALE};
 use neura_baselines::spgemm::{geometric_mean, SpgemmModel, SpgemmPlatform};
 use neura_baselines::WorkloadProfile;
-use neura_bench::{fmt, print_table, scaled_matrix, MODEL_SCALE};
-use neura_lab::golden::{self, slugify};
+use neura_lab::golden::slugify;
 use neura_lab::{ArtifactSession, RunRecord, Runner};
 use neura_sparse::DatasetCatalog;
 
-fn main() {
-    let scale_mult = neura_bench::scale_multiplier();
-    let mut session = ArtifactSession::from_args("table5", scale_mult);
-
+pub(super) fn run(session: &mut ArtifactSession) {
     // Modeled throughput over the common (Table 1) matrix suite; profile
     // construction (graph generation + SpGEMM analysis) fans out over the
     // runner, the per-platform estimates are cheap arithmetic.
@@ -28,18 +22,9 @@ fn main() {
         WorkloadProfile::from_square(d.name, &scaled_matrix(d, MODEL_SCALE))
     });
 
-    let platforms = [
-        SpgemmPlatform::CpuMkl,
-        SpgemmPlatform::GpuCusparse,
-        SpgemmPlatform::GpuCusp,
-        SpgemmPlatform::GpuHipsparse,
-        SpgemmPlatform::OuterSpace,
-        SpgemmPlatform::SpArch,
-        SpgemmPlatform::Gamma,
-        SpgemmPlatform::NeuraChip { tile: 4 },
-        SpgemmPlatform::NeuraChip { tile: 16 },
-        SpgemmPlatform::NeuraChip { tile: 64 },
-    ];
+    // Figure 16's seven baselines, then the three NeuraChip configurations.
+    let neurachips = [4, 16, 64].map(|tile| SpgemmPlatform::NeuraChip { tile });
+    let platforms = SpgemmPlatform::FIGURE16_BASELINES.into_iter().chain(neurachips);
     let tile16 = SpgemmPlatform::NeuraChip { tile: 16 };
 
     let mut rows = Vec::new();
@@ -114,8 +99,4 @@ fn main() {
         ],
         &rows,
     );
-
-    let artifact = session.finish();
-    golden::check(&artifact, golden::table5_goldens(), golden::Mode::from_scale_mult(scale_mult))
-        .print_and_enforce("Table 5");
 }

@@ -1,6 +1,7 @@
-//! Smoke tests proving every paper figure/table binary and every tool runs
-//! to completion, emits a parseable machine-readable artifact, and emits
-//! the *same bytes* as the commit before it.
+//! Smoke tests proving every paper figure/table (one `paper all` run over
+//! [`neura_bench::paper::ARTIFACTS`]) and every tool runs to completion,
+//! emits a parseable machine-readable artifact, and emits the *same bytes*
+//! as the commit before it.
 //!
 //! Each binary is executed as a real subprocess (the exact artifact `cargo
 //! run` would launch) with [`neura_bench::SCALE_MULT_ENV`] set so the
@@ -46,6 +47,10 @@ enum Pin {
     Artifact(&'static str),
     /// The bytes on stdout, for a tool whose product is what it prints.
     Stdout,
+    /// What `paper all --json` left under `target/artifacts/`: one artifact
+    /// per row of `neura_bench::paper::ARTIFACTS` and nothing else, each
+    /// held to its [`PAPER_DIGESTS`] entry (the row's own digest is unused).
+    PaperArtifacts,
 }
 
 /// One smoke invocation: a unique label (also the artifact file stem), the
@@ -53,6 +58,7 @@ enum Pin {
 /// and the digest.
 type Invocation = (&'static str, &'static str, Pin, &'static str, u64);
 
+const PAPER: &str = env!("CARGO_BIN_EXE_paper");
 const SERVE: &str = env!("CARGO_BIN_EXE_serve");
 const TUNE: &str = env!("CARGO_BIN_EXE_tune");
 const XVAL: &str = env!("CARGO_BIN_EXE_xval");
@@ -60,18 +66,29 @@ const PROFILE: &str = env!("CARGO_BIN_EXE_profile");
 const TIMELINE: &str = env!("CARGO_BIN_EXE_timeline");
 const TREND: &str = env!("CARGO_BIN_EXE_trend");
 
-const INVOCATIONS: [Invocation; 26] = [
-    ("table1", env!("CARGO_BIN_EXE_table1"), Pin::Artifact("table1"), "", 0xfeea7b27c9578f9f),
-    ("table3", env!("CARGO_BIN_EXE_table3"), Pin::Artifact("table3"), "", 0xa6a1c33e1c9f081e),
-    ("table4", env!("CARGO_BIN_EXE_table4"), Pin::Artifact("table4"), "", 0x34657d0fa57721d3),
-    ("table5", env!("CARGO_BIN_EXE_table5"), Pin::Artifact("table5"), "", 0x383f5bba72edb554),
-    ("fig11", env!("CARGO_BIN_EXE_fig11"), Pin::Artifact("fig11"), "", 0x62f7a6ae6bc29bc0),
-    ("fig13", env!("CARGO_BIN_EXE_fig13"), Pin::Artifact("fig13"), "", 0xdf5471fc48a8ba3f),
-    ("fig14", env!("CARGO_BIN_EXE_fig14"), Pin::Artifact("fig14"), "", 0xe8b2e45fd1205765),
-    ("fig15", env!("CARGO_BIN_EXE_fig15"), Pin::Artifact("fig15"), "", 0xa60db585966d3ec4),
-    ("fig16", env!("CARGO_BIN_EXE_fig16"), Pin::Artifact("fig16"), "", 0x9673ebde074bc017),
-    ("fig17", env!("CARGO_BIN_EXE_fig17"), Pin::Artifact("fig17"), "", 0xc22ef9b6a7e8d290),
-    ("ablation", env!("CARGO_BIN_EXE_ablation"), Pin::Artifact("ablation"), "", 0x3af3dc7938e30e82),
+/// The artifact digest of every row of `neura_bench::paper::ARTIFACTS`, in
+/// its order.
+const PAPER_DIGESTS: [(&str, u64); 11] = [
+    ("table1", 0xfeea7b27c9578f9f),
+    ("table3", 0xa6a1c33e1c9f081e),
+    ("table4", 0x34657d0fa57721d3),
+    ("table5", 0x383f5bba72edb554),
+    ("fig11", 0x62f7a6ae6bc29bc0),
+    ("fig13", 0xdf5471fc48a8ba3f),
+    ("fig14", 0xe8b2e45fd1205765),
+    ("fig15", 0xa60db585966d3ec4),
+    ("fig16", 0x9673ebde074bc017),
+    ("fig17", 0xc22ef9b6a7e8d290),
+    ("ablation", 0x3af3dc7938e30e82),
+];
+
+const INVOCATIONS: [Invocation; 18] = [
+    // All eleven paper artifacts from one process, at their default paths.
+    ("paper-all", PAPER, Pin::PaperArtifacts, "all --json", 0),
+    // The one-artifact path: an explicit `--json <path>` (the digest is
+    // fig14's entry of `PAPER_DIGESTS`), and no `--json` at all.
+    ("fig14", PAPER, Pin::Artifact("fig14"), "fig14", PAPER_DIGESTS[6].1),
+    ("paper-table1", PAPER, Pin::Stdout, "table1", 0xdf7702f5ebd60b39),
     // Tuning all twenty datasets is a `just tune` job, not a smoke test;
     // one dataset proves the binary and its artifact schema end to end.
     ("tune", TUNE, Pin::Artifact("tune"), "--dataset cora", 0x48e94be16bb8983b),
@@ -195,9 +212,10 @@ const READERS: [Invocation; 2] = [
     ("trend-self", TREND, Pin::Stdout, "tune.json tune.json --fail-above 0", 0x872a348e6f931b4b),
 ];
 
-/// The six flag-taking tools, each with one flag of its own that takes a
-/// value.
-const TOOLS: [(&str, &str, &str); 6] = [
+/// The flag-taking binaries, each with one flag its `--help` must list —
+/// for the six tools, one of their own that takes a value.
+const TOOLS: [(&str, &str, &str); 7] = [
+    ("paper", PAPER, "--json"),
     ("serve", SERVE, "--rps"),
     ("profile", PROFILE, "--shrink"),
     ("xval", XVAL, "--frequency"),
@@ -217,13 +235,11 @@ fn run_smoke(row: &Invocation, dir: &Path) -> Result<(), String> {
     let &(label, exe, pin, args, digest) = row;
     let mut command = Command::new(exe);
     command.current_dir(dir).env(neura_bench::SCALE_MULT_ENV, SMOKE_MULT);
+    command.args(args.split_whitespace());
     if let Pin::Artifact(_) = pin {
         command.arg("--json").arg(format!("{label}.json"));
     }
-    let output = command
-        .args(args.split_whitespace())
-        .output()
-        .map_err(|e| format!("failed to spawn ({exe}): {e}"))?;
+    let output = command.output().map_err(|e| format!("failed to spawn ({exe}): {e}"))?;
     if !output.status.success() {
         return Err(format!(
             "exited with {:?}\nstderr:\n{}",
@@ -234,15 +250,45 @@ fn run_smoke(row: &Invocation, dir: &Path) -> Result<(), String> {
     if output.stdout.is_empty() {
         return Err("produced no output on stdout".to_string());
     }
-    let got = match pin {
-        Pin::Stdout => fnv1a64(&output.stdout),
+    match pin {
+        Pin::Stdout => held_to(label, digest, fnv1a64(&output.stdout)),
         Pin::Artifact(bin) => {
-            let mut artifact = read_artifact(&dir.join(format!("{label}.json")), bin)?;
-            check_artifact(label, &artifact)?;
-            artifact.meta.clear();
-            fnv1a64(artifact.to_bytes().as_bytes())
+            held_to(label, digest, artifact_digest(label, &dir.join(format!("{label}.json")), bin)?)
         }
-    };
+        Pin::PaperArtifacts => {
+            let written = dir.join("target/artifacts");
+            let count = std::fs::read_dir(&written).map_err(|e| e.to_string())?.count();
+            if count != PAPER_DIGESTS.len() {
+                return Err(format!("left {count} files in {}", written.display()));
+            }
+            // Every mismatch, not the first: a re-pin copies the whole column.
+            let moved: Vec<String> = PAPER_DIGESTS
+                .iter()
+                .filter_map(|&(name, digest)| {
+                    let path = written.join(format!("{name}.json"));
+                    artifact_digest(name, &path, name)
+                        .and_then(|got| held_to(name, digest, got))
+                        .err()
+                })
+                .collect();
+            if moved.is_empty() {
+                Ok(())
+            } else {
+                Err(moved.join("\n"))
+            }
+        }
+    }
+}
+
+/// The digest of the artifact of `bin` at `path`, schema-checked on the way.
+fn artifact_digest(label: &str, path: &Path, bin: &str) -> Result<u64, String> {
+    let mut artifact = read_artifact(path, bin)?;
+    check_artifact(label, &artifact)?;
+    artifact.meta.clear();
+    Ok(fnv1a64(artifact.to_bytes().as_bytes()))
+}
+
+fn held_to(label: &str, digest: u64, got: u64) -> Result<(), String> {
     if got != digest {
         return Err(format!(
             "moved the bytes its digest pins (see the file header before re-pinning):\n  \
@@ -512,9 +558,13 @@ fn check_scenario_arms(artifact: &Artifact) -> Result<(), String> {
 }
 
 /// Every invocation, in parallel, through the lab runner: the writers,
-/// then the readers of what they wrote.
+/// then the readers of what they wrote. The paper digests are keyed by the
+/// artifact table itself, name for name.
 #[test]
 fn all_binaries_run_and_emit_parseable_artifacts() {
+    let table: Vec<&str> = neura_bench::paper::ARTIFACTS.iter().map(|a| a.name).collect();
+    assert_eq!(table, PAPER_DIGESTS.map(|(name, _)| name), "PAPER_DIGESTS covers ARTIFACTS");
+
     let dir = std::env::temp_dir().join(format!("neura_bench_smoke_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create smoke artifact dir");
 
@@ -1007,14 +1057,25 @@ fn a_timeline_window_too_narrow_for_the_horizon_exits_2() {
 /// exit with code 2 and put the complaint plus the binary's own usage text
 /// on stderr, before any simulation starts. So do the sizes `serve` takes
 /// from its command line — a stream, a client population, a fleet, a crash
-/// count — when they pass what a replay may allocate.
+/// count, an epoch count — when they pass what a replay may allocate, and
+/// so does `paper` for a name its table lacks, a stray flag after a name,
+/// and one `--json` path for all eleven artifacts.
 #[test]
 fn malformed_command_lines_exit_2_with_the_usage_text() {
     for (bin, exe, value_flag) in TOOLS {
-        let mut cases = vec![
-            (vec!["--no-such-flag"], "unrecognised argument \"--no-such-flag\"".to_string()),
-            (vec![value_flag], format!("{value_flag} needs a value")),
-        ];
+        let stray = "unrecognised argument \"--no-such-flag\"".to_string();
+        let mut cases = if bin == "paper" {
+            vec![
+                (vec!["nosuch"], "unknown artifact \"nosuch\"".to_string()),
+                (vec!["table1", "--no-such-flag"], stray),
+                (vec!["all", "--json", "some/path"], "`all` writes every artifact to".into()),
+            ]
+        } else {
+            vec![
+                (vec!["--no-such-flag"], stray),
+                (vec![value_flag], format!("{value_flag} needs a value")),
+            ]
+        };
         if bin == "serve" {
             // The epoch-width spelling of `--epochs` and the lane speed-up
             // demo are gone, not ignored.
@@ -1034,6 +1095,9 @@ fn malformed_command_lines_exit_2_with_the_usage_text() {
                     "--fault \"crash2000000000\" is not a crashN/pfX/degGxM regime like \
                      crash2+pf0.5 (N within 1..=65536)",
                 ),
+                // Past the bound the engine clamps to, `meta.epochs` would
+                // record a count the replay did not run.
+                (vec!["--epochs", "1025"], "--epochs \"1025\" is not an integer within 1..=1024"),
             ];
             cases.extend(sized.map(|(args, complaint)| (args, complaint.to_string())));
         }
@@ -1044,6 +1108,12 @@ fn malformed_command_lines_exit_2_with_the_usage_text() {
             assert!(stderr.starts_with(&complaint), "{bin} {args:?}: complaint first\n{stderr}");
             assert!(stderr.contains(&format!("usage: {bin} ")), "{bin} {args:?}: usage\n{stderr}");
             assert!(output.stdout.is_empty(), "{bin} {args:?}: nothing may run before the exit");
+            if args == ["nosuch"] {
+                let listed = |a: &neura_bench::paper::Row| {
+                    stderr.contains(&format!("\n  {:<9} {}", a.name, a.title))
+                };
+                assert!(neura_bench::paper::ARTIFACTS.iter().all(listed), "names\n{stderr}");
+            }
         }
     }
 }

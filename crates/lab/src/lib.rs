@@ -44,7 +44,7 @@
 //! ```no_run
 //! use neura_lab::{ArtifactSession, RunRecord};
 //!
-//! let mut session = ArtifactSession::from_args("demo", neura_lab::scale_multiplier());
+//! let mut session = ArtifactSession::from_arg_list("demo", 1, std::env::args().skip(1));
 //! session.push(RunRecord::new("demo/point").metric("total_cycles", 1234.0));
 //! session.finish(); // writes target/artifacts/demo.json when --json was given
 //! ```
@@ -197,7 +197,8 @@ impl Iterator for Flags {
 /// A binary's artifact under construction plus the `--json` destination
 /// parsed from its command line.
 ///
-/// Accepted arguments (shared by all 11 artifact binaries):
+/// Accepted arguments (what follows the name in `paper <artifact>`; the
+/// tools read their own flags and pass only `--json [PATH]` through):
 ///
 /// - `--json` — emit the artifact to `target/artifacts/<bin>.json`
 /// - `--json <path>` — emit the artifact to an explicit path
@@ -209,15 +210,10 @@ pub struct ArtifactSession {
 }
 
 impl ArtifactSession {
-    /// Parses `std::env::args()` and opens a session for `bin`.
+    /// Parses `args` and opens a session for `bin`.
     ///
     /// Exits the process with code 2 (and a usage message on stderr) on an
     /// unrecognised argument, and with code 0 on `--help`.
-    pub fn from_args(bin: &str, scale_mult: usize) -> Self {
-        Self::from_arg_list(bin, scale_mult, std::env::args().skip(1))
-    }
-
-    /// [`Self::from_args`] with an explicit argument list (testable core).
     pub fn from_arg_list(
         bin: &str,
         scale_mult: usize,
@@ -243,7 +239,7 @@ impl ArtifactSession {
 
     fn usage(bin: &str) -> String {
         format!(
-            "usage: {bin} [--json [PATH]]\n\
+            "usage: paper {bin} [--json [PATH]]\n\
              \n\
              --json [PATH]  write a machine-readable artifact ({SCHEMA}) to PATH\n\
              \x20              (default: {default})",

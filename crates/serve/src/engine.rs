@@ -63,9 +63,8 @@ use crate::scenario::{TenantMix, TENANT_BURST_S};
 use crate::sim::{ServeConfig, ServeOutcome, TenantOutcome, SHED_LATENCY_S};
 use crate::telemetry::{ShedReason, Trace, TraceEvent, TraceGroup, TraceTenant};
 
-/// Upper bound on the number of epoch fragments a plan expands to, so a
-/// huge `--epochs` cannot allocate an absurd seam vector: larger counts
-/// are clamped to it.
+/// Upper bound on the number of epoch fragments a plan expands to: larger
+/// counts are clamped to it (the `serve` binary refuses them up front).
 pub const MAX_EPOCHS: usize = 1024;
 
 /// How a scenario replay is decomposed for parallel execution.
@@ -1104,9 +1103,10 @@ fn assemble(
 }
 
 /// Runs one scenario — `source` over `stream`, which is empty for a closed
-/// loop — as epoch fragments: a cheap serial pass finds the seam state at
-/// every boundary, then every fragment replays concurrently with output
-/// recording on and the slices concatenate in epoch order.
+/// loop — as epoch fragments, a window at a time: a cheap serial pass finds
+/// the seam state each fragment of the window starts from, the window
+/// replays concurrently with output recording on, and the slices concatenate
+/// in epoch order. Memory follows the window, not the epoch count.
 fn run_fragments(
     stream: &[Request],
     source: SourceState,
@@ -1126,36 +1126,41 @@ fn run_fragments(
         return assemble(cfg, tenants, st.finish(stream), out);
     }
 
-    // Pass 1 (serial, nothing recorded): the seam state at each boundary.
-    // Re-entering a drained state is a no-op, so the walk safely covers
-    // boundaries past the end of the action.
-    let mut fragments: Vec<(EngineState, f64)> = Vec::with_capacity(boundaries.len() + 1);
+    // One fragment per limit, in windows wide enough to keep every worker busy.
+    let limits: Vec<f64> = boundaries.into_iter().chain([f64::INFINITY]).collect();
+    let runner = plan.runner();
+    let window = usize::max(8, 4 * runner.threads());
+    let mut merged = FragmentOut::new(tracing);
     let mut cursor = initial;
-    for &boundary in &boundaries {
-        let mut next = cursor.clone();
-        Engine::new(ctx, &mut next).run_until(boundary, &mut ());
-        fragments.push((cursor, boundary));
-        cursor = next;
-    }
-    fragments.push((cursor, f64::INFINITY));
+    for limits in limits.chunks(window) {
+        // Pass 1 (serial, nothing recorded): the seam state each fragment
+        // starts from. Re-entering a drained state is a no-op, so the walk
+        // safely covers boundaries past the end of the action.
+        let mut fragments = vec![(cursor, limits[0])];
+        for &limit in &limits[1..] {
+            let (seam, reached) = fragments.last().expect("the window's first fragment");
+            let mut next = seam.clone();
+            Engine::new(ctx, &mut next).run_until(*reached, &mut ());
+            fragments.push((next, limit));
+        }
 
-    // Pass 2 (parallel): replay every fragment with recording on. The
-    // runner returns results in fragment order regardless of thread
-    // interleaving, and outputs never feed back into the dynamics, so
-    // concatenation reproduces the serial output byte for byte.
-    let results = plan.runner().run(&fragments, |_, (seam, limit)| {
-        let mut st = seam.clone();
-        let out = record(ctx, &mut st, *limit, tracing);
-        (st, out)
-    });
-
-    let mut results = results.into_iter();
-    let (mut terminal, mut merged) = results.next().expect("at least one fragment");
-    for (state, out) in results {
-        merged.append(out);
-        terminal = state;
+        // Pass 2 (parallel): replay the window with recording on. Results
+        // come back in fragment order whatever the thread interleaving, and
+        // outputs never feed back into the dynamics, so concatenation is the
+        // serial output byte for byte — and the state the last replay ends in
+        // (the only one kept) is the seam the next window starts from.
+        let last = fragments.len() - 1;
+        let mut results = runner.run(&fragments, |index, (seam, limit)| {
+            let mut st = seam.clone();
+            let out = record(ctx, &mut st, *limit, tracing);
+            (out, (index == last).then_some(st))
+        });
+        cursor = results[last].1.take().expect("the last fragment keeps its state");
+        for (out, _) in results {
+            merged.append(out);
+        }
     }
-    assemble(cfg, tenants, terminal.finish(stream), merged)
+    assemble(cfg, tenants, cursor.finish(stream), merged)
 }
 
 /// How many lanes a closed-loop scenario actually decomposes into under

@@ -1,11 +1,5 @@
 # Local mirror of .github/workflows/ci.yml — `just ci` before pushing.
 
-# The 11 paper-artifact binaries (keep in sync with the loop in ci.yml and
-# the BINARIES table in crates/bench/tests/bin_smoke.rs, which additionally
-# covers the `tune` and `serve` binaries — they take their own flags, see
-# `just tune` / `just serve`).
-bins := "table1 table3 table4 table5 fig11 fig13 fig14 fig15 fig16 fig17 ablation"
-
 # Run everything CI runs.
 ci: fmt clippy doc loc build test perf-selftest artifacts tune serve serve-parallel trace xval profile
 
@@ -41,20 +35,17 @@ build:
 test:
     cargo test -q
 
-# Run all 11 binaries at smoke scale with --json and collect the
-# machine-readable artifacts under target/artifacts/ (what CI uploads).
+# Run every paper artifact (the rows of `neura_bench::paper::ARTIFACTS`) at
+# smoke scale with --json and collect the machine-readable artifacts under
+# target/artifacts/ (what CI uploads).
 artifacts:
-    for bin in {{bins}}; do \
-        NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin $bin -- --json || exit 1; \
-    done
+    NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin paper -- all --json
     ls -l target/artifacts/
 
 # Regenerate every paper artifact at full (scaled) size, with strict
 # golden checks against the pinned headline numbers. Slow.
 artifacts-paper:
-    for bin in {{bins}}; do \
-        cargo run --release -q -p neura_bench --bin $bin -- --json || exit 1; \
-    done
+    cargo run --release -q -p neura_bench --bin paper -- all --json
     ls -l target/artifacts/
 
 # Successive-halving ChipConfig auto-tuner at smoke scale, all datasets;
