@@ -43,10 +43,11 @@ impl BloatReport {
     }
 }
 
-/// Analyses the memory bloat of `A × B` without materialising intermediates
-/// beyond the row-wise accumulator.
+/// Analyses the memory bloat of `A × B` without materialising any
+/// intermediate or the output: [`spgemm::count_products`] walks the two
+/// sparsity patterns with one row-stamp array and computes no value.
 pub fn analyze(a: &CsrMatrix, b: &CsrMatrix) -> BloatReport {
-    let (_, stats) = spgemm::multiply_counting(a, b);
+    let stats = spgemm::count_products(a, b);
     BloatReport {
         intermediate_partial_products: stats.multiplications,
         output_nnz: stats.output_nnz,
@@ -61,14 +62,6 @@ pub fn analyze(a: &CsrMatrix, b: &CsrMatrix) -> BloatReport {
 /// configuration used in Table 1.
 pub fn analyze_square(a: &CsrMatrix) -> BloatReport {
     analyze(a, a)
-}
-
-/// Computes only the intermediate partial-product count of `A × B`
-/// (`Σ_k col_nnz_A(k) · row_nnz_B(k)`), without running the multiplication.
-pub fn partial_product_count(a: &CsrMatrix, b: &CsrMatrix) -> u64 {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let a_csc = a.to_csc();
-    (0..a.cols()).map(|k| a_csc.col_nnz(k) as u64 * b.row_nnz(k) as u64).sum()
 }
 
 #[cfg(test)]
@@ -91,7 +84,7 @@ mod tests {
     fn closed_form_partial_product_count_agrees_with_counting() {
         let a = GraphGenerator::rmat(7, 800, 3).generate().to_csr();
         let b = GraphGenerator::rmat(7, 700, 4).generate().to_csr();
-        let closed_form = partial_product_count(&a, &b);
+        let closed_form = spgemm::partial_product_count(&a, &b);
         let report = analyze(&a, &b);
         assert_eq!(closed_form, report.intermediate_partial_products);
     }

@@ -105,29 +105,22 @@ impl CooMatrix {
     /// Sorts entries row-major and sums duplicate coordinates in place.
     pub fn dedup(&mut self) {
         self.entries.sort_unstable_by_key(|a| (a.0, a.1));
-        let mut merged: Vec<(usize, usize, f64)> = Vec::with_capacity(self.entries.len());
-        for &(r, c, v) in &self.entries {
-            match merged.last_mut() {
-                Some(last) if last.0 == r && last.1 == c => last.2 += v,
-                _ => merged.push((r, c, v)),
+        // `dedup_by` hands over (current, kept): fold each duplicate into
+        // the kept entry, in sorted order.
+        self.entries.dedup_by(|cur, kept| {
+            let same = (kept.0, kept.1) == (cur.0, cur.1);
+            if same {
+                kept.2 += cur.2;
             }
-        }
-        self.entries = merged;
+            same
+        });
     }
 
     /// Converts to compressed sparse row format, summing duplicates.
     pub fn to_csr(&self) -> CsrMatrix {
         let mut sorted = self.clone();
         sorted.dedup();
-        let mut row_ptr = vec![0usize; self.rows + 1];
-        for &(r, _, _) in &sorted.entries {
-            row_ptr[r + 1] += 1;
-        }
-        for i in 0..self.rows {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let col_idx: Vec<usize> = sorted.entries.iter().map(|&(_, c, _)| c).collect();
-        let values: Vec<f64> = sorted.entries.iter().map(|&(_, _, v)| v).collect();
+        let (row_ptr, col_idx, values) = sorted.compress(self.rows, |&(r, c, _)| (r, c));
         CsrMatrix::from_raw_parts(self.rows, self.cols, row_ptr, col_idx, values)
             .expect("COO conversion always builds a structurally valid CSR")
     }
@@ -138,17 +131,27 @@ impl CooMatrix {
         sorted.dedup();
         // Re-sort column-major.
         sorted.entries.sort_unstable_by_key(|a| (a.1, a.0));
-        let mut col_ptr = vec![0usize; self.cols + 1];
-        for &(_, c, _) in &sorted.entries {
-            col_ptr[c + 1] += 1;
-        }
-        for i in 0..self.cols {
-            col_ptr[i + 1] += col_ptr[i];
-        }
-        let row_idx: Vec<usize> = sorted.entries.iter().map(|&(r, _, _)| r).collect();
-        let values: Vec<f64> = sorted.entries.iter().map(|&(_, _, v)| v).collect();
+        let (col_ptr, row_idx, values) = sorted.compress(self.cols, |&(r, c, _)| (c, r));
         CscMatrix::from_raw_parts(self.rows, self.cols, col_ptr, row_idx, values)
             .expect("COO conversion always builds a structurally valid CSC")
+    }
+
+    /// Pointer / index / value arrays of entries already sorted and merged
+    /// along `axes`' first (major, `< major_dim`) then second (minor) coordinate.
+    fn compress(
+        &self,
+        major_dim: usize,
+        axes: impl Fn(&(usize, usize, f64)) -> (usize, usize),
+    ) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        let mut ptr = vec![0usize; major_dim + 1];
+        for entry in &self.entries {
+            ptr[axes(entry).0 + 1] += 1;
+        }
+        for i in 0..major_dim {
+            ptr[i + 1] += ptr[i];
+        }
+        let (idx, values) = self.entries.iter().map(|entry| (axes(entry).1, entry.2)).unzip();
+        (ptr, idx, values)
     }
 
     /// Converts to a dense matrix, summing duplicates.

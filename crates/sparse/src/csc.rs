@@ -4,6 +4,7 @@
 //! SpGEMM) is stored in CSC so that the tiled Gustavson `MMH4` instruction
 //! can pull four elements of one column of `A` at a time (Section 3.1).
 
+use crate::csr::counting_transpose;
 use crate::{CooMatrix, CsrMatrix, DenseMatrix, Result, SparseError};
 use serde::{Deserialize, Serialize};
 
@@ -182,9 +183,13 @@ impl CscMatrix {
             .expect("CSC entries are always in bounds")
     }
 
-    /// Converts to compressed sparse row format.
+    /// Converts to compressed sparse row format (one counting transpose,
+    /// O(nnz + rows)).
     pub fn to_csr(&self) -> CsrMatrix {
-        self.to_coo().to_csr()
+        let (row_ptr, col_idx, values) =
+            counting_transpose(&self.col_ptr, &self.row_idx, &self.values, self.rows);
+        CsrMatrix::from_raw_parts(self.rows, self.cols, row_ptr, col_idx, values)
+            .expect("transposing a valid CSC yields a structurally valid CSR")
     }
 
     /// Converts to a dense matrix.

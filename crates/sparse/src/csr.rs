@@ -197,9 +197,13 @@ impl CsrMatrix {
             .expect("CSR entries are always in bounds")
     }
 
-    /// Converts to compressed sparse column format.
+    /// Converts to compressed sparse column format (one counting
+    /// transpose, O(nnz + cols)).
     pub fn to_csc(&self) -> CscMatrix {
-        self.to_coo().to_csc()
+        let (col_ptr, row_idx, values) =
+            counting_transpose(&self.row_ptr, &self.col_idx, &self.values, self.cols);
+        CscMatrix::from_raw_parts(self.rows, self.cols, col_ptr, row_idx, values)
+            .expect("transposing a valid CSR yields a structurally valid CSC")
     }
 
     /// Converts to a dense matrix.
@@ -211,13 +215,13 @@ impl CsrMatrix {
         dense
     }
 
-    /// Returns the transpose as a new CSR matrix.
+    /// Returns the transpose as a new CSR matrix (the arrays of
+    /// [`CsrMatrix::to_csc`], read as rows of the transposed shape).
     pub fn transpose(&self) -> CsrMatrix {
-        let mut coo = CooMatrix::new(self.cols, self.rows);
-        for (r, c, v) in self.iter() {
-            coo.push(c, r, v).expect("transposed entry is in bounds");
-        }
-        coo.to_csr()
+        let (row_ptr, col_idx, values) =
+            counting_transpose(&self.row_ptr, &self.col_idx, &self.values, self.cols);
+        CsrMatrix::from_raw_parts(self.cols, self.rows, row_ptr, col_idx, values)
+            .expect("transposing a valid CSR yields a structurally valid CSR")
     }
 
     /// Multiplies every stored value by `scale` in place.
@@ -242,6 +246,37 @@ impl CsrMatrix {
             }
         }
     }
+}
+
+/// Re-compresses a compressed matrix along its other dimension: `ptr` /
+/// `idx` / `values` are CSR (or CSC) arrays whose indices are `< minor`; the
+/// result is the CSC (or CSR) arrays of the same entries.  Counts each minor
+/// index, prefix-sums, then scatters in major order, so the indices inside
+/// every output slice come out ascending without a sort.
+pub(crate) fn counting_transpose(
+    ptr: &[usize],
+    idx: &[usize],
+    values: &[f64],
+    minor: usize,
+) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+    let mut out_ptr = vec![0usize; minor + 1];
+    for &m in idx {
+        out_ptr[m + 1] += 1;
+    }
+    for m in 0..minor {
+        out_ptr[m + 1] += out_ptr[m];
+    }
+    let mut next = out_ptr.clone();
+    let mut out_idx = vec![0usize; idx.len()];
+    let mut out_values = vec![0.0f64; idx.len()];
+    for (major, w) in ptr.windows(2).enumerate() {
+        for (&m, &v) in idx[w[0]..w[1]].iter().zip(&values[w[0]..w[1]]) {
+            out_idx[next[m]] = major;
+            out_values[next[m]] = v;
+            next[m] += 1;
+        }
+    }
+    (out_ptr, out_idx, out_values)
 }
 
 impl From<CooMatrix> for CsrMatrix {

@@ -1,7 +1,8 @@
 //! Row-wise (Gustavson) SpGEMM.
 
+use super::accumulator::{CsrRows, SparseAccumulator};
 use super::SpgemmStats;
-use crate::{CooMatrix, CsrMatrix};
+use crate::CsrMatrix;
 
 /// Computes `C = A × B` with the row-wise (Gustavson) dataflow.
 ///
@@ -23,47 +24,60 @@ pub fn gustavson(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
 pub fn gustavson_with_stats(a: &CsrMatrix, b: &CsrMatrix) -> (CsrMatrix, SpgemmStats) {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let mut stats = SpgemmStats::default();
-    let mut coo = CooMatrix::new(a.rows(), b.cols());
-
-    // Dense sparse-accumulator (SPA) over the columns of B, reset per row.
-    let mut accumulator = vec![0.0f64; b.cols()];
-    let mut occupied: Vec<usize> = Vec::new();
-    let mut touched = vec![false; b.cols()];
+    let mut out = CsrRows::new(a.rows(), b.cols());
+    let mut spa = SparseAccumulator::new(b.cols());
 
     for i in 0..a.rows() {
         let (a_cols, a_vals) = a.row(i);
         let mut row_partial_products = 0u64;
         for (&k, &a_ik) in a_cols.iter().zip(a_vals.iter()) {
             let (b_cols, b_vals) = b.row(k);
+            row_partial_products += b_cols.len() as u64;
             for (&j, &b_kj) in b_cols.iter().zip(b_vals.iter()) {
-                stats.multiplications += 1;
-                row_partial_products += 1;
-                if touched[j] {
+                if spa.add(j, a_ik * b_kj) {
                     stats.additions += 1;
-                    accumulator[j] += a_ik * b_kj;
-                } else {
-                    touched[j] = true;
-                    occupied.push(j);
-                    accumulator[j] = a_ik * b_kj;
                 }
             }
         }
-        if row_partial_products > 0 {
-            stats.active_rows += 1;
-        }
-        stats.max_row_partial_products = stats.max_row_partial_products.max(row_partial_products);
-        occupied.sort_unstable();
-        for &j in &occupied {
-            coo.push(i, j, accumulator[j]).expect("column index is in bounds");
-            accumulator[j] = 0.0;
-            touched[j] = false;
-        }
-        occupied.clear();
+        stats.record_row(row_partial_products);
+        spa.flush_row(&mut out);
     }
 
-    let product = coo.to_csr();
+    let product = out.finish();
     stats.output_nnz = product.nnz();
     (product, stats)
+}
+
+/// The [`SpgemmStats`] of `A × B` from the sparsity patterns alone: the
+/// same five fields as `gustavson_with_stats(a, b).1`, without computing a
+/// value, sorting a row or building the output.  One row-stamp array over
+/// the columns of `B` tells a first visit of `(i, j)` from a repeat.
+///
+/// # Panics
+///
+/// Panics if `a.cols() != b.rows()`.
+pub fn count_products(a: &CsrMatrix, b: &CsrMatrix) -> SpgemmStats {
+    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    let mut stats = SpgemmStats::default();
+    // `stamp[j] == i` once row `i` has produced an entry in column `j`; no
+    // row index reaches the initial value.
+    let mut stamp = vec![usize::MAX; b.cols()];
+    for i in 0..a.rows() {
+        let mut row_partial_products = 0u64;
+        for &k in a.row(i).0 {
+            let b_cols = b.row(k).0;
+            row_partial_products += b_cols.len() as u64;
+            for &j in b_cols {
+                if stamp[j] != i {
+                    stamp[j] = i;
+                    stats.output_nnz += 1;
+                }
+            }
+        }
+        stats.record_row(row_partial_products);
+    }
+    stats.additions = stats.multiplications - stats.output_nnz as u64;
+    stats
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Inner-product (output stationary) SpGEMM.
 
-use crate::{CooMatrix, CsrMatrix};
+use super::accumulator::CsrRows;
+use crate::CsrMatrix;
 
 /// Computes `C = A × B` with the inner-product dataflow.
 ///
@@ -16,39 +17,41 @@ use crate::{CooMatrix, CsrMatrix};
 pub fn inner_product(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let b_csc = b.to_csc();
-    let mut coo = CooMatrix::new(a.rows(), b.cols());
+    let mut out = CsrRows::new(a.rows(), b.cols());
     for i in 0..a.rows() {
         let (a_cols, a_vals) = a.row(i);
-        if a_cols.is_empty() {
-            continue;
-        }
-        for j in 0..b.cols() {
-            let (b_rows, b_vals) = b_csc.col(j);
-            if b_rows.is_empty() {
-                continue;
-            }
-            // Sorted-merge dot product of the two index lists.
-            let mut acc = 0.0;
-            let mut hit = false;
-            let (mut p, mut q) = (0usize, 0usize);
-            while p < a_cols.len() && q < b_rows.len() {
-                match a_cols[p].cmp(&b_rows[q]) {
-                    std::cmp::Ordering::Less => p += 1,
-                    std::cmp::Ordering::Greater => q += 1,
-                    std::cmp::Ordering::Equal => {
-                        acc += a_vals[p] * b_vals[q];
-                        hit = true;
-                        p += 1;
-                        q += 1;
-                    }
+        if !a_cols.is_empty() {
+            for j in 0..b.cols() {
+                let (b_rows, b_vals) = b_csc.col(j);
+                if let Some(c_ij) = sparse_dot(a_cols, a_vals, b_rows, b_vals) {
+                    out.push(j, c_ij);
                 }
             }
-            if hit {
-                coo.push(i, j, acc).expect("output coordinate is in bounds");
+        }
+        out.end_row();
+    }
+    out.finish()
+}
+
+/// Sorted-merge dot product of two sparse vectors; `None` when no index is
+/// stored in both (a sum that cancels to zero is still `Some`).
+fn sparse_dot(x_idx: &[usize], x_vals: &[f64], y_idx: &[usize], y_vals: &[f64]) -> Option<f64> {
+    let mut acc = 0.0;
+    let mut hit = false;
+    let (mut p, mut q) = (0usize, 0usize);
+    while p < x_idx.len() && q < y_idx.len() {
+        match x_idx[p].cmp(&y_idx[q]) {
+            std::cmp::Ordering::Less => p += 1,
+            std::cmp::Ordering::Greater => q += 1,
+            std::cmp::Ordering::Equal => {
+                acc += x_vals[p] * y_vals[q];
+                hit = true;
+                p += 1;
+                q += 1;
             }
         }
     }
-    coo.to_csr()
+    hit.then_some(acc)
 }
 
 #[cfg(test)]
@@ -56,6 +59,7 @@ mod tests {
     use super::*;
     use crate::gen::GraphGenerator;
     use crate::spgemm::gustavson;
+    use crate::CooMatrix;
 
     #[test]
     fn agrees_with_gustavson() {

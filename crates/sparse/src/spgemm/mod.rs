@@ -16,17 +16,35 @@
 //! All kernels produce identical numerical results; they differ only in the
 //! order in which partial products are generated, which is what the
 //! accelerator models in `neura-chip` care about.  [`multiply_counting`]
-//! additionally reports the partial-product trace statistics used by the
-//! memory-bloat analysis and the baseline accelerator models.
+//! additionally reports the partial-product trace statistics, and
+//! [`count_products`] computes the same statistics from the sparsity
+//! patterns alone, which is all the memory-bloat analysis and the baseline
+//! accelerator models need.
+//!
+//! # Output assembly
+//!
+//! Every kernel assembles its CSR output directly (`accumulator.rs`) and
+//! passes the arrays through [`CsrMatrix::from_raw_parts`]; none goes
+//! through a [`crate::CooMatrix`].  [`gustavson`] and [`inner_product`]
+//! finish one sorted row at a time — Gustavson through a dense
+//! sparse-accumulator over the columns of `B`.  [`outer_product`] and
+//! [`tiled_gustavson`] generate in `k`-major order, so they share a
+//! row-bucket accumulator: bucket sizes come from the operand structure
+//! (`Σ_k col_nnz_A(k) · row_nnz_B(k)` products in all), every partial product
+//! is scattered into its output row's bucket as a 16-byte `(column, value)`
+//! pair in generation order, and an explicit merge phase then sums each
+//! bucket with the same sparse-accumulator.  Products of one output element
+//! therefore add up in ascending `k` in all four kernels.
 
+mod accumulator;
 mod gustavson;
 mod inner;
 mod outer;
 mod tiled;
 
-pub use gustavson::{gustavson, gustavson_with_stats};
+pub use gustavson::{count_products, gustavson, gustavson_with_stats};
 pub use inner::inner_product;
-pub use outer::{outer_product, outer_product_partial_products};
+pub use outer::outer_product;
 pub use tiled::{tiled_gustavson, TiledTask, TiledTrace};
 
 use crate::CsrMatrix;
@@ -73,6 +91,13 @@ pub struct SpgemmStats {
 }
 
 impl SpgemmStats {
+    /// Accounts for one output row that received `partial_products`.
+    fn record_row(&mut self, partial_products: u64) {
+        self.multiplications += partial_products;
+        self.active_rows += usize::from(partial_products > 0);
+        self.max_row_partial_products = self.max_row_partial_products.max(partial_products);
+    }
+
     /// Total floating point operations (multiplications + additions).
     pub fn flops(&self) -> u64 {
         self.multiplications + self.additions
@@ -110,10 +135,25 @@ pub fn multiply(a: &CsrMatrix, b: &CsrMatrix, dataflow: Dataflow) -> crate::Resu
 
 /// Runs a row-wise SpGEMM while counting multiplications/additions.
 ///
-/// This is the canonical source of the partial-product counts used by the
-/// memory-bloat analysis (Table 1) and every analytical baseline model.
+/// The counts are the ones the memory-bloat analysis (Table 1) and every
+/// analytical baseline model use; callers that need only the counts take
+/// them from [`count_products`].
 pub fn multiply_counting(a: &CsrMatrix, b: &CsrMatrix) -> (CsrMatrix, SpgemmStats) {
     gustavson_with_stats(a, b)
+}
+
+/// Number of intermediate partial products of `A × B`,
+/// `Σ_k col_nnz_A(k) · row_nnz_B(k)`, without running the multiplication:
+/// each stored `a_ik` meets all of row `k` of `B`, so one pass over the
+/// column indices of `A` adds it up.  The count is the same for every
+/// dataflow; outer-product designs must *store* that many.
+///
+/// # Panics
+///
+/// Panics if `a.cols() != b.rows()`.
+pub fn partial_product_count(a: &CsrMatrix, b: &CsrMatrix) -> u64 {
+    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    a.col_idx().iter().map(|&k| b.row_nnz(k) as u64).sum()
 }
 
 #[cfg(test)]

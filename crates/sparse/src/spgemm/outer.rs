@@ -1,6 +1,7 @@
 //! Outer-product SpGEMM.
 
-use crate::{CooMatrix, CsrMatrix};
+use super::accumulator::RowBuckets;
+use crate::CsrMatrix;
 
 /// Computes `C = A × B` with the outer-product dataflow.
 ///
@@ -16,35 +17,25 @@ use crate::{CooMatrix, CsrMatrix};
 pub fn outer_product(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let a_csc = a.to_csc();
-    let mut coo = CooMatrix::new(a.rows(), b.cols());
+    let mut partial_products = RowBuckets::for_product(a, b);
     for k in 0..a.cols() {
         let (a_rows, a_vals) = a_csc.col(k);
         let (b_cols, b_vals) = b.row(k);
         for (&i, &a_ik) in a_rows.iter().zip(a_vals.iter()) {
-            for (&j, &b_kj) in b_cols.iter().zip(b_vals.iter()) {
-                coo.push(i, j, a_ik * b_kj).expect("output coordinate is in bounds");
-            }
+            partial_products.scatter(i, a_ik, b_cols, b_vals);
         }
     }
-    // Duplicate coordinates (one per contributing k) merge during conversion:
-    // this models the off-chip merge phase of outer-product accelerators.
-    coo.to_csr()
-}
-
-/// Number of intermediate partial products the outer-product dataflow
-/// generates for `A × B` (identical to the row-wise count, but exposed
-/// separately because outer-product designs must *store* them all).
-pub fn outer_product_partial_products(a: &CsrMatrix, b: &CsrMatrix) -> u64 {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let a_csc = a.to_csc();
-    (0..a.cols()).map(|k| a_csc.col_nnz(k) as u64 * b.row_nnz(k) as u64).sum()
+    // Every partial product is stored by now; coordinates repeated across
+    // `k` merge here, which models the off-chip merge phase of
+    // outer-product accelerators.
+    partial_products.merge()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::GraphGenerator;
-    use crate::spgemm::gustavson_with_stats;
+    use crate::spgemm::{gustavson_with_stats, partial_product_count};
 
     #[test]
     fn agrees_with_gustavson() {
@@ -54,7 +45,7 @@ mod tests {
         let (row_wise, stats) = gustavson_with_stats(&a, &b);
         assert!(outer.to_dense().max_abs_diff(&row_wise.to_dense()).unwrap() < 1e-9);
         // The two dataflows generate the same number of scalar products.
-        assert_eq!(outer_product_partial_products(&a, &b), stats.multiplications);
+        assert_eq!(partial_product_count(&a, &b), stats.multiplications);
     }
 
     #[test]
@@ -62,14 +53,14 @@ mod tests {
         // A = identity(3): each column has 1 nnz; B row nnz decides the count.
         let a = CsrMatrix::identity(3);
         let b = GraphGenerator::erdos_renyi(3, 0.9, 5).generate().to_csr();
-        assert_eq!(outer_product_partial_products(&a, &b), b.nnz() as u64);
+        assert_eq!(partial_product_count(&a, &b), b.nnz() as u64);
     }
 
     #[test]
     fn empty_matrices_produce_no_partial_products() {
         let a = CsrMatrix::zeros(4, 4);
         let b = CsrMatrix::zeros(4, 4);
-        assert_eq!(outer_product_partial_products(&a, &b), 0);
+        assert_eq!(partial_product_count(&a, &b), 0);
         assert_eq!(outer_product(&a, &b).nnz(), 0);
     }
 }

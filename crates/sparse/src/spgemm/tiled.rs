@@ -1,6 +1,7 @@
 //! Tiled Gustavson SpGEMM — the dataflow NeuraChip's `MMH` instructions implement.
 
-use crate::{CooMatrix, CsrMatrix};
+use super::accumulator::RowBuckets;
+use crate::CsrMatrix;
 use serde::{Deserialize, Serialize};
 
 /// One multiplication task of the tiled Gustavson dataflow.
@@ -63,7 +64,7 @@ pub fn tiled_gustavson(a: &CsrMatrix, b: &CsrMatrix, tile: usize) -> TiledTrace 
     assert!(tile > 0, "tile height must be at least 1");
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let a_csc = a.to_csc();
-    let mut coo = CooMatrix::new(a.rows(), b.cols());
+    let mut products = RowBuckets::for_product(a, b);
     let mut tasks = Vec::new();
     let mut partial_products = 0u64;
 
@@ -86,15 +87,13 @@ pub fn tiled_gustavson(a: &CsrMatrix, b: &CsrMatrix, tile: usize) -> TiledTrace 
             partial_products += task.partial_products();
             // Generate the partial products for this task.
             for (&i, &a_ik) in rows_chunk.iter().zip(vals_chunk.iter()) {
-                for (&j, &b_kj) in b_cols.iter().zip(b_vals.iter()) {
-                    coo.push(i, j, a_ik * b_kj).expect("output coordinate is in bounds");
-                }
+                products.scatter(i, a_ik, b_cols, b_vals);
             }
             tasks.push(task);
         }
     }
 
-    TiledTrace { product: coo.to_csr(), tasks, tile, partial_products }
+    TiledTrace { product: products.merge(), tasks, tile, partial_products }
 }
 
 #[cfg(test)]

@@ -19,7 +19,9 @@ fn arb_matrix(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatrix
     })
 }
 
-/// A pair of matrices with compatible shapes for multiplication.
+/// A pair of matrices with compatible, generally rectangular shapes for
+/// multiplication; at up to 60 entries in up to 23 × 23 most pairs have
+/// empty rows and empty columns on both sides.
 fn arb_pair() -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
     (1usize..24, 1usize..24, 1usize..24).prop_flat_map(|(m, k, n)| {
         let a_entries = proptest::collection::vec((0..m, 0..k, -3.0f64..3.0), 0..60);
@@ -36,6 +38,34 @@ fn arb_pair() -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
             (a.to_csr(), b.to_csr())
         })
     })
+}
+
+/// Every dataflow `spgemm::multiply` can run, tiled at each MMH height.
+const DATAFLOWS: [Dataflow; 7] = [
+    Dataflow::InnerProduct,
+    Dataflow::OuterProduct,
+    Dataflow::RowWise,
+    Dataflow::TiledRowWise(1),
+    Dataflow::TiledRowWise(2),
+    Dataflow::TiledRowWise(4),
+    Dataflow::TiledRowWise(8),
+];
+
+/// `a_i0·b_0j + a_i1·b_1j == 0` is a stored zero in every dataflow: an output
+/// entry exists wherever a partial product landed, whatever the sum.
+#[test]
+fn cancellation_stays_a_stored_zero_in_every_dataflow() {
+    let a = CooMatrix::from_triplets(2, 3, vec![(0, 0, 2.0), (0, 1, 1.0)]).unwrap().to_csr();
+    let b = CooMatrix::from_triplets(3, 4, vec![(0, 1, 1.5), (0, 3, 1.0), (1, 1, -3.0)])
+        .unwrap()
+        .to_csr();
+    for dataflow in DATAFLOWS {
+        let c = spgemm::multiply(&a, &b, dataflow).unwrap();
+        assert_eq!(c.row_ptr(), &[0, 2, 2], "{dataflow:?}");
+        assert_eq!(c.col_idx(), &[1, 3], "{dataflow:?}");
+        assert_eq!(c.values(), &[0.0, 2.0], "{dataflow:?}");
+    }
+    assert_eq!(spgemm::count_products(&a, &b).output_nnz, 2);
 }
 
 proptest! {
@@ -60,14 +90,34 @@ proptest! {
         prop_assert!(via_dense.max_abs_diff(&via_csr).unwrap() < 1e-12);
     }
 
-    /// All four SpGEMM dataflows agree with the dense reference product.
+    /// All four SpGEMM dataflows (tiled at every MMH height) agree with the
+    /// dense reference product, and with each other on the exact pattern.
     #[test]
     fn spgemm_dataflows_agree((a, b) in arb_pair()) {
         let dense = a.to_dense().matmul(&b.to_dense()).unwrap();
-        for dataflow in [Dataflow::InnerProduct, Dataflow::OuterProduct, Dataflow::RowWise, Dataflow::TiledRowWise(4)] {
+        let row_wise = spgemm::gustavson(&a, &b);
+        prop_assert!(row_wise.to_dense().max_abs_diff(&dense).unwrap() < 1e-6);
+        for dataflow in DATAFLOWS {
             let c = spgemm::multiply(&a, &b, dataflow).unwrap();
-            prop_assert!(c.to_dense().max_abs_diff(&dense).unwrap() < 1e-6);
+            prop_assert!(c.row_ptr() == row_wise.row_ptr(), "{dataflow:?}: row_ptr differs");
+            prop_assert!(c.col_idx() == row_wise.col_idx(), "{dataflow:?}: col_idx differs");
+            for (got, want) in c.values().iter().zip(row_wise.values()) {
+                prop_assert!((got - want).abs() <= 1e-9, "{dataflow:?}: {got} vs {want}");
+            }
         }
+    }
+
+    /// The pattern-only pass returns the counting multiplication's
+    /// statistics, all five fields.
+    #[test]
+    fn count_products_matches_the_counting_multiplication((a, b) in arb_pair()) {
+        prop_assert_eq!(spgemm::count_products(&a, &b), spgemm::gustavson_with_stats(&a, &b).1);
+    }
+
+    /// The counting transpose is the sort-based COO conversion, bit for bit.
+    #[test]
+    fn counting_transpose_matches_the_coo_conversion(m in arb_matrix(32, 128)) {
+        prop_assert_eq!(m.to_csc(), m.to_coo().to_csc());
     }
 
     /// The bloat report is internally consistent: pp >= nnz_out, fanin >= 1 when non-empty.
@@ -82,7 +132,7 @@ proptest! {
         }
         prop_assert_eq!(
             report.intermediate_partial_products,
-            bloat::partial_product_count(&a, &b)
+            spgemm::partial_product_count(&a, &b)
         );
     }
 

@@ -14,8 +14,8 @@
 # the change's median against the parent's, the parent's interquartile
 # range, and the pairs the change won; then, from the traced runs,
 # `chip.profiled.overhead` (the chip loop's observer seam: it moves by less
-# than any filter, so it always prints) and the per-layer rows
-# (`chip.run.*`, `noc.torus.*`, `*.share`) whose value moved by more than
+# than any filter, so it always prints) and every per-layer row of
+# BENCHMARK.json that is non-zero on the parent and moved by more than
 # 10 % — one run a side, so a pointer to where the saving appeared, not a
 # measurement of it. Exits non-zero when a pair's
 # sim_digest differs between the sides or an operation failed.
@@ -62,7 +62,7 @@ done
 echo "traced run per side at seed $pairs" >&2
 
 python3 - "$work/out" "$workload" "$pairs" "$seconds" <<'PY'
-import fnmatch, json, statistics, sys
+import json, statistics, sys
 
 out, workload, pairs, seconds = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
 bench = json.load(open("BENCHMARK.json"))
@@ -107,16 +107,13 @@ for metric in bench["end_to_end"]:
           f"| {cm / pm - 1:+.1%} | {(p3 - p1) / pm:.1%} | {won} of {pairs - ties} |")
 
 (traced_parent, _), (traced_change, _) = (read_run(side, pairs, 1) for side in ("parent", "change"))
-print(f"\n`chip.profiled.overhead` and the per-layer rows that moved by more than 10 % "
+print(f"\n`chip.profiled.overhead` and every non-zero per-layer row that moved by more than 10 % "
       f"(one `--trace 1` run per side, seed {pairs}).\n")
 print("| metric | unit | better | parent | change | change vs parent |")
 print("|---|---|---|---|---|---|")
 for metric in bench["per_layer"]:
     name = metric["name"]
     always = name == "chip.profiled.overhead"
-    if not always and not any(
-            fnmatch.fnmatch(name, pattern) for pattern in ("chip.run.*", "noc.torus.*", "*.share")):
-        continue
     p, c = traced_parent.get(name), traced_change.get(name)
     if not p or c is None or not (always or abs(c / p - 1) > 0.10):
         continue
