@@ -63,7 +63,7 @@ impl GnnPlatform {
         [GnnPlatform::EnGn, GnnPlatform::Grow, GnnPlatform::HyGcn, GnnPlatform::FlowGnn];
 
     /// Peak throughput of the platform's GNN configuration in GFLOP/s.
-    pub fn peak_gflops(&self) -> f64 {
+    pub(crate) fn peak_gflops(&self) -> f64 {
         match self {
             GnnPlatform::EnGn => 6_144.0,
             GnnPlatform::Grow => 4_096.0,

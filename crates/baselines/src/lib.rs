@@ -27,7 +27,7 @@
 pub mod gnn;
 pub mod spec;
 pub mod spgemm;
-pub mod workload;
+mod workload;
 
 pub use gnn::{GnnModel, GnnPlatform};
 pub use spec::PlatformSpec;

@@ -153,7 +153,7 @@ const TABLE5: [PlatformSpec; 10] = [
 ];
 
 /// Specifications of every platform listed in Table 5.
-pub fn table5_specs() -> Vec<PlatformSpec> {
+pub(crate) fn table5_specs() -> Vec<PlatformSpec> {
     TABLE5.to_vec()
 }
 

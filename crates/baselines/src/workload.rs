@@ -30,7 +30,7 @@ pub struct WorkloadProfile {
 
 impl WorkloadProfile {
     /// Builds the profile of `A × B`.
-    pub fn from_pair(name: &str, a: &CsrMatrix, b: &CsrMatrix) -> Self {
+    pub(crate) fn from_pair(name: &str, a: &CsrMatrix, b: &CsrMatrix) -> Self {
         let report = bloat::analyze(a, b);
         let degrees = stats::degree_stats(a);
         WorkloadProfile {
@@ -83,17 +83,17 @@ impl WorkloadProfile {
 
     /// Floating-point operations of the multiplication (one multiply and one
     /// add per partial product).
-    pub fn flops(&self) -> u64 {
+    pub(crate) fn flops(&self) -> u64 {
         2 * self.partial_products
     }
 
     /// Bytes of compulsory input traffic (values + indices of both operands).
-    pub fn input_bytes(&self) -> u64 {
+    pub(crate) fn input_bytes(&self) -> u64 {
         12 * (self.nnz_a as u64 + self.nnz_b as u64)
     }
 
     /// Bytes of compulsory output traffic.
-    pub fn output_bytes(&self) -> u64 {
+    pub(crate) fn output_bytes(&self) -> u64 {
         12 * self.output_nnz
     }
 }

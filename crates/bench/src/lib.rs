@@ -27,11 +27,11 @@ pub use neura_lab::{fmt, print_table, scale_multiplier, SCALE_MULT_ENV};
 
 /// Default down-scaling factor applied to the big SuiteSparse/SNAP analogs
 /// when they are fed to the cycle-level simulator.
-pub const SIM_SCALE: usize = 512;
+pub(crate) const SIM_SCALE: usize = 512;
 
 /// Default down-scaling factor for analytical-model workloads (cheaper, so a
 /// larger fraction of the original size is retained).
-pub const MODEL_SCALE: usize = 64;
+pub(crate) const MODEL_SCALE: usize = 64;
 
 /// Per-request workload shrink classes of every serving stream (the
 /// `serve` sweep and the tuner's serve-p99 reference streams): a request
@@ -46,7 +46,7 @@ pub const STREAM_SEED: u64 = 0x5EED_CAFE;
 ///
 /// The effective scale is `scale` times [`scale_multiplier`], so the smoke
 /// multiplier applies uniformly to every binary that goes through here.
-pub fn scaled_matrix(dataset: &Dataset, scale: usize) -> CsrMatrix {
+pub(crate) fn scaled_matrix(dataset: &Dataset, scale: usize) -> CsrMatrix {
     let scale = scale.saturating_mul(scale_multiplier());
     dataset.generate_scaled(scale, 0xDA7A + dataset.nodes as u64).to_csr()
 }
@@ -59,7 +59,7 @@ pub fn scaled_matrix(dataset: &Dataset, scale: usize) -> CsrMatrix {
 ///
 /// Panics when the name is not in the catalog: sweep grids are declared
 /// with string names, so a typo must fail loudly, not silently skip work.
-pub fn scaled_matrix_by_name(name: &str, scale: usize) -> CsrMatrix {
+pub(crate) fn scaled_matrix_by_name(name: &str, scale: usize) -> CsrMatrix {
     scaled_matrix(&catalog_dataset(name), scale)
 }
 
@@ -79,7 +79,7 @@ pub fn dataset_flag(flags: &mut Flags) -> String {
 /// fidelity (see `neura_lab::tune`).
 ///
 /// Full fidelity (`shrink == 1`) targets the node band the cycle-level
-/// figure binaries simulate: [`SIM_SCALE`] down-scaling, capped at ~2000
+/// figure binaries simulate: `SIM_SCALE` down-scaling, capped at ~2000
 /// nodes like `fig16` and floored at 256 nodes so even the smallest
 /// analogs leave the halving ladder room to climb. `shrink` then divides
 /// that target, so every rung of a tuner really simulates a smaller graph
@@ -126,7 +126,7 @@ pub fn price_class(
 /// # Panics
 ///
 /// Panics when the name is not in the catalog.
-pub fn size_matched_tile(name: &str) -> TileSize {
+pub(crate) fn size_matched_tile(name: &str) -> TileSize {
     let dataset = catalog_dataset(name);
     let mut nodes: Vec<_> = DatasetCatalog::spgemm_suite().iter().map(|d| d.nodes).collect();
     nodes.sort_unstable();
@@ -150,7 +150,7 @@ pub struct ChipGrid {
     /// Dataset names (default: the Table-1 SpGEMM suite, all 20).
     pub datasets: Vec<String>,
     /// Tile sizes crossed with every dataset (default: each dataset's
-    /// [`size_matched_tile`] alone).
+    /// `size_matched_tile` alone).
     pub tiles: Vec<TileSize>,
     /// HBM presets (default: all three).
     pub hbms: Vec<HbmPreset>,

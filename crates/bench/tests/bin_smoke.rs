@@ -1059,7 +1059,9 @@ fn a_timeline_window_too_narrow_for_the_horizon_exits_2() {
 /// from its command line — a stream, a client population, a fleet, a crash
 /// count, an epoch count — when they pass what a replay may allocate, and
 /// so does `paper` for a name its table lacks, a stray flag after a name,
-/// and one `--json` path for all eleven artifacts.
+/// and one `--json` path for all eleven artifacts. The two environment
+/// knobs (`NEURA_LAB_THREADS`, `NEURA_BENCH_SCALE_MULT`) are held to the same
+/// exit when set to something that is not a positive integer.
 #[test]
 fn malformed_command_lines_exit_2_with_the_usage_text() {
     for (bin, exe, value_flag) in TOOLS {
@@ -1115,5 +1117,17 @@ fn malformed_command_lines_exit_2_with_the_usage_text() {
                 assert!(neura_bench::paper::ARTIFACTS.iter().all(listed), "names\n{stderr}");
             }
         }
+    }
+    // A set-but-malformed environment knob ends the run the same way (no
+    // usage text: no flag is at fault); both once panicked with exit 101.
+    for (var, value, artifact) in
+        [("NEURA_LAB_THREADS", "zero", "table1"), ("NEURA_BENCH_SCALE_MULT", "abc", "table3")]
+    {
+        let output = Command::new(PAPER).arg(artifact).env(var, value).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let complaint = format!("{var}={value:?} is not a positive integer\n");
+        assert_eq!(output.status.code(), Some(2), "{var}={value}: exit code\n{stderr}");
+        assert_eq!(stderr, complaint, "{var}={value}: the complaint and nothing else");
+        assert!(output.stdout.is_empty(), "{var}={value}: nothing may run before the exit");
     }
 }

@@ -221,7 +221,7 @@ impl Accelerator {
     }
 
     /// The accelerator configuration.
-    pub fn config(&self) -> &ChipConfig {
+    pub(crate) fn config(&self) -> &ChipConfig {
         &self.config
     }
 
@@ -373,7 +373,7 @@ impl<'p> Machine<'p> {
     fn new(cfg: &'p ChipConfig, program: &'p Program) -> Self {
         let (total_cores, total_mems) = (cfg.total_cores(), cfg.total_mems());
         let mut cores: Vec<NeuraCore> =
-            (0..total_cores).map(|i| NeuraCore::new(i, i / cfg.cores_per_tile, cfg.core)).collect();
+            (0..total_cores).map(|i| NeuraCore::new(i / cfg.cores_per_tile, cfg.core)).collect();
         for core in &mut cores {
             core.prepare(program.output_shape.1 as u64);
         }

@@ -125,29 +125,13 @@ impl WorkloadFeatures {
     /// benchmark workload) via a symbolic pass.
     pub fn from_square(a: &CsrMatrix) -> Self {
         let report = bloat::analyze_square(a);
-        Self::from_bloat(a, a, a.nnz() as u64, max_row_pp(a, a), &report)
-    }
-
-    /// Extracts features for a general product `a · b`.
-    pub fn from_pair(a: &CsrMatrix, b: &CsrMatrix) -> Self {
-        let report = bloat::analyze(a, b);
-        Self::from_bloat(a, b, (a.nnz() + b.nnz()) as u64 / 2, max_row_pp(a, b), &report)
-    }
-
-    fn from_bloat(
-        a: &CsrMatrix,
-        b: &CsrMatrix,
-        nnz: u64,
-        max_row_pp: u64,
-        report: &bloat::BloatReport,
-    ) -> Self {
-        let (active_cols, mmh_instructions) = compiler_shape(a, b);
+        let (active_cols, mmh_instructions) = compiler_shape(a, a);
         WorkloadFeatures {
             rows: a.rows() as u64,
-            nnz,
+            nnz: a.nnz() as u64,
             partial_products: report.intermediate_partial_products,
             output_nnz: report.output_nnz as u64,
-            max_row_pp,
+            max_row_pp: max_row_pp(a, a),
             active_cols,
             mmh_instructions,
         }
@@ -200,8 +184,8 @@ fn max_row_pp(a: &CsrMatrix, b: &CsrMatrix) -> u64 {
 
 /// Fitted additive coefficients for one (tile size × HBM preset) group.
 ///
-/// Only `nnz_per_core` carries a sign constraint (non-negative, enforced
-/// by [`AnalyticModel::validate`]) — that, plus the hinge in
+/// Only `nnz_per_core` carries a sign constraint (non-negative, asserted
+/// by the `calibrated_model_is_valid` test) — that, plus the hinge in
 /// [`AnalyticModel::cycles`], is what backs the monotonicity guarantees.
 /// The other coefficients keep free signs: the fit needs negative
 /// corrections (e.g. output rows that overlap partial-product streaming)
@@ -426,7 +410,7 @@ const CALIBRATED_GROUPS: [GroupCoeffs; GROUPS] = [
 ];
 
 /// The shipped model with the checked-in calibrated coefficients.
-pub const CALIBRATED: AnalyticModel = AnalyticModel { groups: CALIBRATED_GROUPS };
+pub(crate) const CALIBRATED: AnalyticModel = AnalyticModel { groups: CALIBRATED_GROUPS };
 
 impl AnalyticModel {
     /// Returns the calibrated model (checked-in fitted coefficients).
@@ -434,46 +418,8 @@ impl AnalyticModel {
         &CALIBRATED
     }
 
-    /// Asserts the structural invariants: groups in tile-major
-    /// [`TileSize::ALL`] × [`HbmPreset::ALL`] order, finite coefficients,
-    /// intercept ≥ 1 (positivity floor) and `nnz_per_core` ≥ 0 (the
-    /// nnz-monotonicity guarantee).
-    pub fn validate(&self) {
-        let mut expect = TileSize::ALL
-            .iter()
-            .flat_map(|&tile| HbmPreset::ALL.into_iter().map(move |hbm| (tile, hbm)));
-        for group in &self.groups {
-            let (tile, hbm) = expect.next().expect("GROUPS matches the product size");
-            assert_eq!(
-                (group.tile, group.hbm),
-                (tile, hbm),
-                "groups must be tile-major over TileSize::ALL × HbmPreset::ALL",
-            );
-            for c in [
-                group.intercept,
-                group.instr_per_core,
-                group.active_cols,
-                group.pp_per_core,
-                group.max_row_pp,
-                group.out_per_mem,
-                group.nnz_per_core,
-                group.rows,
-            ] {
-                assert!(c.is_finite(), "non-finite coefficient in {tile:?}/{hbm:?} group");
-            }
-            assert!(
-                group.intercept >= 1.0,
-                "intercept must be ≥ 1 for strict positivity ({tile:?}/{hbm:?})",
-            );
-            assert!(
-                group.nnz_per_core >= 0.0,
-                "nnz coefficient must be non-negative for nnz monotonicity ({tile:?}/{hbm:?})",
-            );
-        }
-    }
-
     /// Coefficient group for a (tile size, HBM preset) pair.
-    pub fn group(&self, tile: TileSize, hbm: HbmPreset) -> &GroupCoeffs {
+    pub(crate) fn group(&self, tile: TileSize, hbm: HbmPreset) -> &GroupCoeffs {
         let tile_index = TileSize::ALL
             .iter()
             .position(|t| *t == tile)
@@ -529,9 +475,44 @@ mod tests {
         }
     }
 
+    /// The structural invariants of the checked-in coefficients: groups in
+    /// tile-major [`TileSize::ALL`] × [`HbmPreset::ALL`] order, finite
+    /// coefficients, intercept ≥ 1 (positivity floor) and `nnz_per_core` ≥ 0
+    /// (the nnz-monotonicity guarantee).
     #[test]
     fn calibrated_model_is_valid() {
-        AnalyticModel::calibrated().validate();
+        let model = AnalyticModel::calibrated();
+        let mut expect = TileSize::ALL
+            .iter()
+            .flat_map(|&tile| HbmPreset::ALL.into_iter().map(move |hbm| (tile, hbm)));
+        for group in &model.groups {
+            let (tile, hbm) = expect.next().expect("GROUPS matches the product size");
+            assert_eq!(
+                (group.tile, group.hbm),
+                (tile, hbm),
+                "groups must be tile-major over TileSize::ALL × HbmPreset::ALL",
+            );
+            for c in [
+                group.intercept,
+                group.instr_per_core,
+                group.active_cols,
+                group.pp_per_core,
+                group.max_row_pp,
+                group.out_per_mem,
+                group.nnz_per_core,
+                group.rows,
+            ] {
+                assert!(c.is_finite(), "non-finite coefficient in {tile:?}/{hbm:?} group");
+            }
+            assert!(
+                group.intercept >= 1.0,
+                "intercept must be ≥ 1 for strict positivity ({tile:?}/{hbm:?})",
+            );
+            assert!(
+                group.nnz_per_core >= 0.0,
+                "nnz coefficient must be non-negative for nnz monotonicity ({tile:?}/{hbm:?})",
+            );
+        }
     }
 
     #[test]

@@ -16,15 +16,15 @@ use std::collections::HashMap;
 /// Virtual-address-space layout used by the compiler.
 pub mod layout {
     /// Base address of matrix A's value array (CSC order).
-    pub const A_DATA_BASE: u64 = 0x0000_0000;
+    pub(crate) const A_DATA_BASE: u64 = 0x0000_0000;
     /// Base address of matrix B's column-index array (CSR order).
-    pub const B_COL_IDX_BASE: u64 = 0x4000_0000;
+    pub(crate) const B_COL_IDX_BASE: u64 = 0x4000_0000;
     /// Base address of matrix B's value array (CSR order).
-    pub const B_DATA_BASE: u64 = 0x8000_0000;
+    pub(crate) const B_DATA_BASE: u64 = 0x8000_0000;
     /// Base address of the rolling-counter array.
-    pub const COUNTER_BASE: u64 = 0xC000_0000;
+    pub(crate) const COUNTER_BASE: u64 = 0xC000_0000;
     /// Base address of the output matrix (indexed by output tag).
-    pub const OUTPUT_BASE: u64 = 0xE000_0000;
+    pub(crate) const OUTPUT_BASE: u64 = 0xE000_0000;
 }
 
 /// A compiled workload: the instruction stream plus its metadata.
@@ -53,13 +53,8 @@ impl Program {
         self.instructions.len()
     }
 
-    /// The output tag of element `(row, col)`.
-    pub fn tag_of(&self, row: usize, col: usize) -> u64 {
-        (row as u64) * self.output_shape.1 as u64 + col as u64
-    }
-
     /// Decodes an output tag back into `(row, col)`.
-    pub fn coords_of(&self, tag: u64) -> (usize, usize) {
+    pub(crate) fn coords_of(&self, tag: u64) -> (usize, usize) {
         let cols = self.output_shape.1 as u64;
         ((tag / cols) as usize, (tag % cols) as usize)
     }
@@ -158,7 +153,7 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
 /// same tiled-Gustavson lowering applies; every row of `X` then has
 /// `feature_dim` stored elements, which is exactly how the paper's
 /// aggregation-phase SpGEMM treats dense features.
-pub fn compile_aggregation(a: &CscMatrix, features: &DenseMatrix, tile: u8) -> Program {
+pub(crate) fn compile_aggregation(a: &CscMatrix, features: &DenseMatrix, tile: u8) -> Program {
     let features_csr = dense_to_csr(features);
     compile_spgemm(a, &features_csr, tile)
 }
@@ -185,6 +180,11 @@ mod tests {
         GraphGenerator::power_law(60, 400, 2.1, seed).generate().to_csr()
     }
 
+    /// The output tag of element `(row, col)`.
+    fn tag_of(program: &Program, row: usize, col: usize) -> u64 {
+        (row as u64) * program.output_shape.1 as u64 + col as u64
+    }
+
     /// Contribution count per output tag, recounted from the instruction
     /// stream the way the NeuraCores will expand it.
     fn recount_fanin(program: &Program) -> HashMap<u64, u32> {
@@ -192,7 +192,7 @@ mod tests {
         for instr in &program.instructions {
             for &i in &instr.work.a_rows {
                 for &j in &instr.work.b_cols {
-                    *fanin.entry(program.tag_of(i, j)).or_insert(0) += 1;
+                    *fanin.entry(tag_of(program, i, j)).or_insert(0) += 1;
                 }
             }
         }
@@ -251,7 +251,7 @@ mod tests {
             let mut idx = 0;
             for &i in &instr.work.a_rows {
                 for &j in &instr.work.b_cols {
-                    let tag = program.tag_of(i, j);
+                    let tag = tag_of(&program, i, j);
                     assert_eq!(instr.work.counters[idx], fanin[&tag]);
                     idx += 1;
                 }
@@ -264,7 +264,7 @@ mod tests {
         let a = small_graph(7);
         let program = compile_spgemm(&a.to_csc(), &a, 4);
         for &(r, c) in &[(0usize, 0usize), (3, 17), (59, 59)] {
-            let tag = program.tag_of(r, c);
+            let tag = tag_of(&program, r, c);
             assert_eq!(program.coords_of(tag), (r, c));
         }
     }

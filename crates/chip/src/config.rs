@@ -77,7 +77,7 @@ pub struct NeuraMemConfig {
 impl NeuraMemConfig {
     /// HashPad size in bytes: each hash-line stores TAG (4B), DATA (4B),
     /// COUNTER (2B) plus an ID/valid byte, rounded to 12 bytes per line.
-    pub fn hashpad_bytes(&self) -> usize {
+    pub(crate) fn hashpad_bytes(&self) -> usize {
         self.hashlines * 12
     }
 }

@@ -15,7 +15,7 @@ use crate::neuracore::NeuraCore;
 
 /// The dispatcher walks a borrowed [`Program`] and feeds NeuraCores.
 #[derive(Debug)]
-pub struct Dispatcher<'p> {
+pub(crate) struct Dispatcher<'p> {
     instructions: &'p [MmhInstruction],
     next_instruction: usize,
     dispatch_width: usize,
@@ -24,7 +24,7 @@ pub struct Dispatcher<'p> {
 impl<'p> Dispatcher<'p> {
     /// Creates a dispatcher over a compiled program that places up to
     /// `dispatch_width` (at least one) instructions per cycle.
-    pub fn new(program: &'p Program, dispatch_width: usize) -> Self {
+    pub(crate) fn new(program: &'p Program, dispatch_width: usize) -> Self {
         Dispatcher {
             instructions: &program.instructions,
             next_instruction: 0,
@@ -33,12 +33,12 @@ impl<'p> Dispatcher<'p> {
     }
 
     /// Number of instructions not yet dispatched.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.instructions.len() - self.next_instruction
     }
 
     /// True when every instruction has been dispatched.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.remaining() == 0
     }
 
@@ -51,7 +51,7 @@ impl<'p> Dispatcher<'p> {
     /// earlier in the cycle counts toward its core's load — otherwise the
     /// whole cycle would pile onto one core. The cycle ends early when the
     /// program runs out or every core is full.
-    pub fn dispatch_cycle(&mut self, cores: &mut [NeuraCore<'p>]) -> usize {
+    pub(crate) fn dispatch_cycle(&mut self, cores: &mut [NeuraCore<'p>]) -> usize {
         let mut placed = 0;
         while placed < self.dispatch_width {
             let Some(instr) = self.instructions.get(self.next_instruction) else { break };
@@ -84,7 +84,7 @@ mod tests {
     /// `count` cores that never tick, each with room for `buffer` instructions.
     fn cores<'p>(count: usize, buffer: usize) -> Vec<NeuraCore<'p>> {
         let config = NeuraCoreConfig { instruction_buffer: buffer, ..ChipConfig::tile_4().core };
-        (0..count).map(|id| NeuraCore::new(id, 0, config)).collect()
+        (0..count).map(|_| NeuraCore::new(0, config)).collect()
     }
 
     fn accepted(cores: &[NeuraCore<'_>]) -> Vec<u64> {

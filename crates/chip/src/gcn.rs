@@ -42,7 +42,7 @@ pub struct GcnRun {
 
 /// Estimates the cycles the combination GEMM takes on the given configuration:
 /// the maximum of its compute-bound and memory-bound times (roofline).
-pub fn combination_cycles(
+pub(crate) fn combination_cycles(
     config: &ChipConfig,
     rows: usize,
     in_features: usize,

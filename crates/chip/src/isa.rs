@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 /// Operation codes of the extended ISA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Opcode {
+pub(crate) enum Opcode {
     /// `matrix_mult_hash_N` with tile height `N ∈ {1, 2, 4, 8}`.
     Mmh(u8),
     /// `hash_accumulate`.
@@ -24,7 +24,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// The 8-bit encoding of the opcode.
-    pub fn encode(self) -> u8 {
+    pub(crate) fn encode(self) -> u8 {
         match self {
             Opcode::Mmh(1) => 0x10,
             Opcode::Mmh(2) => 0x11,
@@ -36,7 +36,7 @@ impl Opcode {
     }
 
     /// Decodes an 8-bit opcode.
-    pub fn decode(byte: u8) -> Option<Opcode> {
+    pub(crate) fn decode(byte: u8) -> Option<Opcode> {
         match byte {
             0x10 => Some(Opcode::Mmh(1)),
             0x11 => Some(Opcode::Mmh(2)),
@@ -92,13 +92,13 @@ pub struct MmhWork {
 
 impl MmhInstruction {
     /// Number of `HACC` instructions this instruction will dispatch.
-    pub fn hacc_count(&self) -> usize {
+    pub(crate) fn hacc_count(&self) -> usize {
         self.work.a_rows.len() * self.work.b_cols.len()
     }
 
     /// Number of operand bytes the NeuraCore must fetch from memory:
     /// A values, B column indices, B values and rolling counters.
-    pub fn operand_bytes(&self) -> usize {
+    pub(crate) fn operand_bytes(&self) -> usize {
         let a = self.work.a_rows.len() * 8;
         let b_idx = self.work.b_cols.len() * 4;
         let b_val = self.work.b_values.len() * 8;
@@ -138,7 +138,7 @@ pub struct HaccInstruction {
 
 impl HaccInstruction {
     /// Architectural size of the instruction in bytes (128 bits).
-    pub const BYTES: usize = 16;
+    pub(crate) const BYTES: usize = 16;
 
     /// Creates a `HACC` with the given tag, value and remaining-contribution count.
     pub fn new(tag: u64, data: f64, counter: u32) -> Self {

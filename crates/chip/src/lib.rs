@@ -15,10 +15,10 @@
 //! * [`config`] — Tile-4 / Tile-16 / Tile-64 configurations (Tables 2, 3),
 //! * [`compiler`] — lowering of SpGEMM / GCN aggregation workloads into
 //!   instruction streams with rolling-eviction counters,
-//! * [`neuracore`] — the quad-pipeline multiplication engine (Figure 6),
+//! * `neuracore` — the quad-pipeline multiplication engine (Figure 6),
 //! * [`neuramem`] — the hash-engine accumulation unit with rolling or
 //!   barrier eviction (Figures 8, 10),
-//! * [`dispatcher`] — push-based task distribution to NeuraCores,
+//! * `dispatcher` — push-based task distribution to NeuraCores,
 //! * [`accelerator`] — the full chip assembly and cycle-level execution,
 //! * [`analytic`] — the closed-form fast-path cost model fitted from
 //!   cycle-level runs (two-tier pricing: analytic estimate, cycle oracle),
@@ -51,12 +51,12 @@ pub mod accelerator;
 pub mod analytic;
 pub mod compiler;
 pub mod config;
-pub mod dispatcher;
+mod dispatcher;
 pub mod gcn;
 mod inthash;
 pub mod isa;
 pub mod mapping;
-pub mod neuracore;
+mod neuracore;
 pub mod neuramem;
 pub mod power;
 pub mod profile;

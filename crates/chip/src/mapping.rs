@@ -6,10 +6,10 @@
 //! *consistent* (same tag → same unit), *cheap to evaluate*, and
 //! *sparsity-agnostic*.  Four schemes are modelled:
 //!
-//! * [`RingMapping`] — round-robin / ring hashing,
-//! * [`ModularMapping`] — prime-number modular hashing,
-//! * [`RandomTableMapping`] — ideal random mapping with a full lookup table,
-//! * [`DrhmMapping`] — the paper's Dynamically Reseeding Hash-based Mapping.
+//! * `RingMapping` — round-robin / ring hashing,
+//! * `ModularMapping` — prime-number modular hashing,
+//! * `RandomTableMapping` — ideal random mapping with a full lookup table,
+//! * `DrhmMapping` — the paper's Dynamically Reseeding Hash-based Mapping.
 
 use neura_sim::DeterministicRng;
 use serde::{Deserialize, Serialize};
@@ -75,13 +75,13 @@ pub trait ComputeMapping: std::fmt::Debug + Send {
 
 /// Round-robin / ring hashing: `tag mod units`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RingMapping {
+pub(crate) struct RingMapping {
     units: usize,
 }
 
 impl RingMapping {
     /// Creates a ring mapping over `units` resources.
-    pub fn new(units: usize) -> Self {
+    pub(crate) fn new(units: usize) -> Self {
         assert!(units > 0, "mapping needs at least one unit");
         RingMapping { units }
     }
@@ -101,7 +101,7 @@ impl ComputeMapping for RingMapping {
 
 /// Prime-number modular hashing: `(tag · p) mod q mod units` with fixed primes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ModularMapping {
+pub(crate) struct ModularMapping {
     units: usize,
 }
 
@@ -110,7 +110,7 @@ const MODULAR_PRIME_MODULUS: u64 = 4_294_967_291; // largest 32-bit prime
 
 impl ModularMapping {
     /// Creates a prime-modular mapping over `units` resources.
-    pub fn new(units: usize) -> Self {
+    pub(crate) fn new(units: usize) -> Self {
         assert!(units > 0, "mapping needs at least one unit");
         ModularMapping { units }
     }
@@ -134,7 +134,7 @@ impl ComputeMapping for ModularMapping {
 /// but with memory growing linearly in the number of distinct tags — the
 /// impracticality the paper points out.
 #[derive(Debug)]
-pub struct RandomTableMapping {
+pub(crate) struct RandomTableMapping {
     units: usize,
     rng: DeterministicRng,
     table: std::collections::HashMap<u64, usize>,
@@ -142,7 +142,7 @@ pub struct RandomTableMapping {
 
 impl RandomTableMapping {
     /// Creates a random-table mapping over `units` resources.
-    pub fn new(units: usize, seed: u64) -> Self {
+    pub(crate) fn new(units: usize, seed: u64) -> Self {
         assert!(units > 0, "mapping needs at least one unit");
         RandomTableMapping { units, rng: DeterministicRng::new(seed), table: Default::default() }
     }
@@ -173,7 +173,7 @@ impl ComputeMapping for RandomTableMapping {
 /// functionally identical (same seed is always recovered for the same row)
 /// with O(1) state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DrhmMapping {
+pub(crate) struct DrhmMapping {
     units: usize,
     /// Number of upper bits masked away (`k` in Equation 3).
     k: u32,
@@ -182,7 +182,7 @@ pub struct DrhmMapping {
 
 impl DrhmMapping {
     /// Creates a DRHM mapping over `units` resources with the default `k = 12`.
-    pub fn new(units: usize, seed: u64) -> Self {
+    pub(crate) fn new(units: usize, seed: u64) -> Self {
         Self::with_k(units, seed, 12)
     }
 
@@ -195,15 +195,14 @@ impl DrhmMapping {
 
     /// The seed γ used for a given input row (always odd, so the
     /// multiplicative hash never degenerates).
-    pub fn gamma_for_row(&self, row: u64) -> u64 {
+    pub(crate) fn gamma_for_row(&self, row: u64) -> u64 {
         let mut z = self.base_seed ^ row.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         (z ^ (z >> 31)) | 1
     }
 
-    /// Lower-k-bit hash of Equation 3 for an arbitrary γ (exposed for tests
-    /// and for the upper/lower-bit comparison experiment).
+    /// Lower-k-bit hash of Equation 3 for an arbitrary γ.
     ///
     /// The `· γ mod N` of Equation 3 is realised as fixed-point
     /// multiplicative hashing (multiply by the odd seed, keep the upper half
@@ -211,15 +210,8 @@ impl DrhmMapping {
     /// ignore γ whenever `N` is a power of two, which defeats the reseeding;
     /// taking the upper product bits keeps the constant-time lookup while
     /// making every γ produce a genuinely different placement.
-    pub fn hash_lower(tag32: u32, gamma: u64, k: u32, units: usize) -> usize {
+    pub(crate) fn hash_lower(tag32: u32, gamma: u64, k: u32, units: usize) -> usize {
         let masked = ((tag32 << k) >> k) as u64;
-        let mixed = masked.wrapping_mul(gamma);
-        (((mixed >> 32) ^ mixed) % units as u64) as usize
-    }
-
-    /// Upper-k-bit hash of Equation 4.
-    pub fn hash_upper(tag32: u32, gamma: u64, k: u32, units: usize) -> usize {
-        let masked = ((tag32 >> k) << k) as u64;
         let mixed = masked.wrapping_mul(gamma);
         (((mixed >> 32) ^ mixed) % units as u64) as usize
     }
@@ -354,16 +346,12 @@ mod tests {
     }
 
     #[test]
-    fn lower_bit_hash_uses_low_bits_upper_uses_high() {
-        // Two tags differing only in the upper bits map identically under the
-        // lower-bit hash, and vice versa.
+    fn lower_bit_hash_ignores_the_masked_upper_bits() {
+        // Two tags differing only in the upper `k` bits map identically.
         let gamma = 0x9E3779B97F4A7C15 | 1;
         let a = DrhmMapping::hash_lower(0x0000_1234, gamma, 12, 64);
-        let b = DrhmMapping::hash_lower(0xFFF0_1234 & 0x000F_FFFF, gamma, 12, 64);
+        let b = DrhmMapping::hash_lower(0xFFF0_1234, gamma, 12, 64);
         assert_eq!(a, b);
-        let c = DrhmMapping::hash_upper(0x1234_0000, gamma, 12, 64);
-        let d = DrhmMapping::hash_upper(0x1234_0FFF, gamma, 12, 64);
-        assert_eq!(c, d);
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl NeuraMem {
     }
 
     /// True when the instruction buffer can accept another HACC.
-    pub fn can_accept(&self) -> bool {
+    pub(crate) fn can_accept(&self) -> bool {
         self.input.len() < self.config.instruction_buffer
     }
 
@@ -124,12 +124,12 @@ impl NeuraMem {
     }
 
     /// Number of buffered HACC instructions not yet processed.
-    pub fn backlog(&self) -> usize {
+    pub(crate) fn backlog(&self) -> usize {
         self.input.len()
     }
 
     /// Number of currently occupied hash-lines.
-    pub fn occupancy(&self) -> usize {
+    pub(crate) fn occupancy(&self) -> usize {
         self.occupied
     }
 
@@ -139,7 +139,7 @@ impl NeuraMem {
     }
 
     /// Histogram of HACC completion latencies (Figure 15).
-    pub fn hacc_latency_histogram(&self) -> &Histogram {
+    pub(crate) fn hacc_latency_histogram(&self) -> &Histogram {
         &self.hacc_latency
     }
 
@@ -150,22 +150,17 @@ impl NeuraMem {
 
     /// Removes the oldest evicted output element, if any — the
     /// non-allocating form of [`Self::drain_evicted`] the run loop uses.
-    pub fn pop_evicted(&mut self) -> Option<EvictedLine> {
+    pub(crate) fn pop_evicted(&mut self) -> Option<EvictedLine> {
         self.evicted.pop_front()
     }
 
     /// True when no work remains anywhere in the unit.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.input.is_empty() && self.evicted.is_empty()
     }
 
-    /// True when every hash-line is free (all outputs evicted).
-    pub fn pad_is_empty(&self) -> bool {
-        self.occupied == 0
-    }
-
     /// Row barrier: under barrier eviction, flush every completed line.
-    pub fn barrier(&mut self, now: Cycle) {
+    pub(crate) fn barrier(&mut self, now: Cycle) {
         if self.eviction == EvictionPolicy::Barrier {
             let pending = std::mem::take(&mut self.barrier_pending);
             for slot in pending {
@@ -311,7 +306,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].tag, 7);
         assert_eq!(out[0].value, 2.5);
-        assert!(mem.pad_is_empty());
+        assert_eq!(mem.occupancy(), 0);
     }
 
     #[test]
@@ -355,7 +350,7 @@ mod tests {
         assert_eq!(mem.occupancy(), 50);
         mem.barrier(Cycle(60));
         assert_eq!(mem.drain_evicted().len(), 50);
-        assert!(mem.pad_is_empty());
+        assert_eq!(mem.occupancy(), 0);
     }
 
     #[test]
@@ -475,6 +470,6 @@ mod tests {
             tags.push(line.tag);
         }
         assert_eq!(tags, vec![0, 1, 2, 3, 4]);
-        assert!(mem.is_idle() && mem.pad_is_empty());
+        assert!(mem.is_idle() && mem.occupancy() == 0);
     }
 }

@@ -97,12 +97,12 @@ impl GoldenReport {
     }
 
     /// Number of failed checks.
-    pub fn failures(&self) -> usize {
+    pub(crate) fn failures(&self) -> usize {
         self.outcomes.iter().filter(|o| !o.passed).count()
     }
 
     /// Prints the per-metric pass/fail table.
-    pub fn print(&self, title: &str) {
+    pub(crate) fn print(&self, title: &str) {
         let mode = match self.mode {
             Mode::Strict => "strict, paper scale",
             Mode::Smoke => "smoke, scaled run — presence only",
@@ -188,12 +188,12 @@ impl OrderReport {
     }
 
     /// Number of failed positions.
-    pub fn failures(&self) -> usize {
+    pub(crate) fn failures(&self) -> usize {
         self.outcomes.iter().filter(|o| !o.passed).count()
     }
 
     /// Prints the per-position pass/fail table.
-    pub fn print(&self, title: &str) {
+    pub(crate) fn print(&self, title: &str) {
         let mode = match self.mode {
             Mode::Strict => "strict, paper scale — descending order",
             Mode::Smoke => "smoke, scaled run — presence only",

@@ -12,11 +12,11 @@
 //!    eviction policy, MMH tile height, HashPad size).
 //!    [`ExperimentSpec::points`] enumerates the cartesian product in a
 //!    stable order with a stable run ID and derived seed per point.
-//! 2. **[`runner`]** — execute it. [`Runner`] fans the points out over a
+//! 2. **`runner`** — execute it. [`Runner`] fans the points out over a
 //!    scoped-thread work-stealing pool (a shared atomic cursor over the
 //!    point list; `std` only) and collects results *in spec order*, so
 //!    output is byte-identical regardless of the thread count.
-//! 3. **[`report`]** — record what happened. Each point produces a
+//! 3. **`report`** — record what happened. Each point produces a
 //!    [`RunRecord`] of parameters and [`Metric`]s; an [`Artifact`] bundles a
 //!    binary's records and serialises them through the crate's own
 //!    deterministic JSON emitter (the vendored `serde` is a no-op stub) to
@@ -52,8 +52,8 @@
 #![warn(missing_docs)]
 
 pub mod golden;
-pub mod report;
-pub mod runner;
+mod report;
+mod runner;
 pub mod spec;
 pub mod trend;
 pub mod tune;
@@ -82,18 +82,27 @@ pub const SCALE_MULT_ENV: &str = "NEURA_BENCH_SCALE_MULT";
 
 /// The extra down-scaling multiplier from [`SCALE_MULT_ENV`] (1 if unset).
 ///
-/// # Panics
+/// # Exits
 ///
-/// Panics when the variable is set but not a positive integer: a typo here
-/// would otherwise silently run the full paper-scale simulation, which is
-/// exactly what the caller was trying to avoid.
+/// With code 2 when the variable is set but not a positive integer: a typo
+/// here would otherwise silently run the full paper-scale simulation, which
+/// is exactly what the caller was trying to avoid.
 pub fn scale_multiplier() -> usize {
-    match std::env::var(SCALE_MULT_ENV) {
-        Err(_) => 1,
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(mult) if mult >= 1 => mult,
-            _ => panic!("{SCALE_MULT_ENV}={raw:?} is not a positive integer"),
-        },
+    positive_env(SCALE_MULT_ENV).unwrap_or(1)
+}
+
+/// The positive integer in environment variable `name`, `None` when unset.
+/// A value that is set but is not one (garbage, 0, overflow) ends the
+/// process the way [`Flags::bad_usage`] does: the complaint on stderr, exit
+/// code 2, nothing on stdout.
+fn positive_env(name: &str) -> Option<usize> {
+    let raw = std::env::var(name).ok()?;
+    match raw.parse::<usize>() {
+        Ok(n) if n >= 1 => Some(n),
+        _ => {
+            eprintln!("{name}={raw:?} is not a positive integer");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -248,11 +257,6 @@ impl ArtifactSession {
         )
     }
 
-    /// Where the artifact will be written, if `--json` was given.
-    pub fn json_path(&self) -> Option<&std::path::Path> {
-        self.json_path.as_deref()
-    }
-
     /// Appends one record.
     pub fn push(&mut self, record: RunRecord) {
         self.artifact.push(record);
@@ -268,11 +272,6 @@ impl ArtifactSession {
     /// [`Artifact::set_meta`]).
     pub fn set_meta(&mut self, key: impl Into<String>, value: f64) {
         self.artifact.set_meta(key, value);
-    }
-
-    /// Read access to the artifact built so far.
-    pub fn artifact(&self) -> &Artifact {
-        &self.artifact
     }
 
     /// Writes the artifact (when `--json` was requested, through
@@ -298,22 +297,22 @@ mod tests {
     #[test]
     fn no_args_means_no_json_emission() {
         let session = ArtifactSession::from_arg_list("demo", 1, strings(&[]));
-        assert_eq!(session.json_path(), None);
-        assert_eq!(session.artifact().bin, "demo");
+        assert_eq!(session.json_path.as_deref(), None);
+        assert_eq!(session.artifact.bin, "demo");
     }
 
     #[test]
     fn bare_json_flag_uses_the_default_path() {
         let session = ArtifactSession::from_arg_list("demo", 1, strings(&["--json"]));
-        assert_eq!(session.json_path(), Some(Artifact::default_path("demo").as_path()));
+        assert_eq!(session.json_path.as_deref(), Some(Artifact::default_path("demo").as_path()));
     }
 
     #[test]
     fn json_flag_accepts_an_explicit_path() {
         let session =
             ArtifactSession::from_arg_list("demo", 4, strings(&["--json", "/tmp/out.json"]));
-        assert_eq!(session.json_path(), Some(std::path::Path::new("/tmp/out.json")));
-        assert_eq!(session.artifact().scale_mult, 4);
+        assert_eq!(session.json_path.as_deref(), Some(std::path::Path::new("/tmp/out.json")));
+        assert_eq!(session.artifact.scale_mult, 4);
     }
 
     #[test]

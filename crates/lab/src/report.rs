@@ -36,7 +36,7 @@ pub const PROFILE_SCHEMA: &str = "neura_lab.profile/v1";
 
 /// Directory (relative to the working directory) where artifacts land when
 /// `--json` is given without an explicit path.
-pub const ARTIFACT_DIR: &str = "target/artifacts";
+pub(crate) const ARTIFACT_DIR: &str = "target/artifacts";
 
 // ---------------------------------------------------------------------------
 // JSON document model
@@ -733,7 +733,7 @@ impl Artifact {
     }
 
     /// Converts to the JSON document model.
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(&self) -> JsonValue {
         let mut fields = vec![
             ("schema".into(), JsonValue::String(self.schema.clone())),
             ("bin".into(), JsonValue::String(self.bin.clone())),
@@ -794,7 +794,7 @@ impl Artifact {
         JsonValue::Object(fields)
     }
 
-    /// Rebuilds an artifact from its JSON form (inverse of [`Self::to_json`]).
+    /// Rebuilds an artifact from its JSON form (inverse of `Self::to_json`).
     ///
     /// Used by tests and the smoke harness; unknown fields are ignored so the
     /// schema can grow additively.

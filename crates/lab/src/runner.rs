@@ -15,7 +15,7 @@ use crate::spec::{ExperimentSpec, SweepPoint};
 
 /// Environment variable overriding the worker count used by
 /// [`Runner::from_env`].
-pub const THREADS_ENV: &str = "NEURA_LAB_THREADS";
+pub(crate) const THREADS_ENV: &str = "NEURA_LAB_THREADS";
 
 /// The parallel executor. Holds only the worker count; each [`Runner::run`]
 /// call spawns a fresh scoped pool.
@@ -30,25 +30,18 @@ impl Runner {
         Runner { threads: threads.max(1) }
     }
 
-    /// Creates a runner sized from [`THREADS_ENV`] when set, otherwise from
+    /// Creates a runner sized from `THREADS_ENV` when set, otherwise from
     /// [`std::thread::available_parallelism`].
     ///
-    /// # Panics
+    /// # Exits
     ///
-    /// Panics when the variable is set but not a positive integer, for the
-    /// same reason the scale-multiplier knob does: a typo must not silently
-    /// pick a different parallelism than the caller intended.
+    /// With code 2 when the variable is set but not a positive integer, for
+    /// the same reason the scale-multiplier knob does: a typo must not
+    /// silently pick a different parallelism than the caller intended.
     pub fn from_env() -> Self {
-        match std::env::var(THREADS_ENV) {
-            Err(_) => {
-                let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-                Runner::new(threads)
-            }
-            Ok(raw) => match raw.parse::<usize>() {
-                Ok(n) if n >= 1 => Runner::new(n),
-                _ => panic!("{THREADS_ENV}={raw:?} is not a positive integer"),
-            },
-        }
+        let threads = crate::positive_env(THREADS_ENV)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        Runner::new(threads)
     }
 
     /// The worker count this runner uses.

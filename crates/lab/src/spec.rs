@@ -3,9 +3,9 @@
 //!
 //! A [`SweepGrid`] names the axes being varied (compute mapping, eviction
 //! policy, MMH tile height, HashPad size, tile size, dataset, plus the
-//! scaling axes: core/mem counts per tile, router buffering, memory-queue
-//! depth, clock frequency and HBM timing preset); an [`ExperimentSpec`]
-//! pairs a grid with a base configuration and a name.
+//! scaling axes: core/mem counts per tile, router buffering, clock
+//! frequency and HBM timing preset); an [`ExperimentSpec`] pairs a grid with
+//! a base configuration and a name.
 //! [`ExperimentSpec::points`] enumerates the full cartesian product in a
 //! stable, documented order, assigning each point a stable human-readable
 //! run ID and a seed derived from that ID — so the same spec always produces
@@ -50,8 +50,6 @@ pub struct SweepGrid {
     pub mems_per_tile: Vec<usize>,
     /// Router packet-buffer capacities to sweep.
     pub router_buffers: Vec<usize>,
-    /// Memory-controller queue capacities to sweep.
-    pub mem_queue_capacities: Vec<usize>,
     /// Clock frequencies (GHz) to sweep.
     pub frequencies_ghz: Vec<f64>,
     /// HBM timing presets to sweep.
@@ -115,12 +113,6 @@ impl SweepGrid {
     /// Sets the router packet-buffer axis (builder style).
     pub fn router_buffers(mut self, slots: impl IntoIterator<Item = usize>) -> Self {
         self.router_buffers = slots.into_iter().collect();
-        self
-    }
-
-    /// Sets the memory-controller queue-capacity axis (builder style).
-    pub fn mem_queue_capacities(mut self, slots: impl IntoIterator<Item = usize>) -> Self {
-        self.mem_queue_capacities = slots.into_iter().collect();
         self
     }
 
@@ -225,8 +217,8 @@ impl ExperimentSpec {
 
     /// Enumerates every point of the cartesian product, in a stable order:
     /// dataset-major, then tile size, mapping, eviction, MMH tile, HashPad
-    /// size, cores per tile, mems per tile, router buffer, memory-queue
-    /// capacity, frequency and HBM preset (the last axis varies fastest).
+    /// size, cores per tile, mems per tile, router buffer, frequency and
+    /// HBM preset (the last axis varies fastest).
     ///
     /// Run IDs name the spec, the dataset, and *only* the axes the grid
     /// actually sweeps (a one-point axis adds no ID segment), so IDs stay
@@ -288,7 +280,6 @@ enum Setting {
     CoresPerTile(usize),
     MemsPerTile(usize),
     RouterBuffer(usize),
-    MemQueueCapacity(usize),
     FrequencyGhz(f64),
     Hbm(HbmPreset),
 }
@@ -297,7 +288,7 @@ impl SweepGrid {
     /// The configuration axes in enumeration order, slowest first — the
     /// order [`ExperimentSpec::points`] documents, and the one place a new
     /// axis joins the walk.
-    fn axes(&self) -> [Vec<Setting>; 11] {
+    fn axes(&self) -> [Vec<Setting>; 10] {
         fn lift<T: Copy>(values: &[T], setting: fn(T) -> Setting) -> Vec<Setting> {
             values.iter().copied().map(setting).collect()
         }
@@ -310,7 +301,6 @@ impl SweepGrid {
             lift(&self.cores_per_tile, Setting::CoresPerTile),
             lift(&self.mems_per_tile, Setting::MemsPerTile),
             lift(&self.router_buffers, Setting::RouterBuffer),
-            lift(&self.mem_queue_capacities, Setting::MemQueueCapacity),
             lift(&self.frequencies_ghz, Setting::FrequencyGhz),
             lift(&self.hbm_presets, Setting::Hbm),
         ]
@@ -346,7 +336,6 @@ impl Setting {
             Setting::CoresPerTile(cores) => config.with_cores_per_tile(cores),
             Setting::MemsPerTile(mems) => config.with_mems_per_tile(mems),
             Setting::RouterBuffer(slots) => config.with_router_buffer(slots),
-            Setting::MemQueueCapacity(slots) => config.with_mem_queue_capacity(slots),
             Setting::FrequencyGhz(ghz) => config.with_frequency_ghz(ghz),
             Setting::Hbm(preset) => config.with_hbm_preset(preset),
         }
@@ -363,7 +352,6 @@ impl Setting {
             Setting::CoresPerTile(cores) => format!("c{cores}"),
             Setting::MemsPerTile(mems) => format!("m{mems}"),
             Setting::RouterBuffer(slots) => format!("rb{slots}"),
-            Setting::MemQueueCapacity(slots) => format!("mq{slots}"),
             Setting::FrequencyGhz(ghz) => format!("f{ghz:?}"),
             Setting::Hbm(preset) => preset.name().to_string(),
         }
@@ -463,14 +451,13 @@ mod tests {
                 .cores_per_tile([4, 8])
                 .mems_per_tile([4])
                 .router_buffers([8, 16])
-                .mem_queue_capacities([64])
                 .frequencies_ghz([1.0, 1.5])
                 .hbm_presets([HbmPreset::Hbm2, HbmPreset::Hbm2DualStack]),
         );
         let points = spec.points();
         assert_eq!(points.len(), 16);
-        assert_eq!(points[0].id, "scale/c4/m4/rb8/mq64/f1.0/hbm2");
-        assert_eq!(points[15].id, "scale/c8/m4/rb16/mq64/f1.5/hbm2-dual");
+        assert_eq!(points[0].id, "scale/c4/m4/rb8/f1.0/hbm2");
+        assert_eq!(points[15].id, "scale/c8/m4/rb16/f1.5/hbm2-dual");
         let last = &points[15].config;
         assert_eq!(last.cores_per_tile, 8);
         assert_eq!(last.router_buffer, 16);

@@ -72,7 +72,7 @@ impl TrendReport {
 
     /// Largest absolute relative change in percent (0 when nothing
     /// changed; infinite when a metric moved away from a zero baseline).
-    pub fn max_abs_rel_pct(&self) -> f64 {
+    pub(crate) fn max_abs_rel_pct(&self) -> f64 {
         self.deltas.iter().map(|d| d.rel_pct().abs()).fold(0.0, f64::max)
     }
 

@@ -5,7 +5,7 @@
 //! The paper publishes a handful of hand-picked design points (Tables 2/3)
 //! and ablates one axis at a time; this module *searches* the joint space
 //! instead. A [`TuneSpec`] names a base configuration, a coarse grid over
-//! any subset of the twelve sweep axes, an [`Objective`] and an evaluation
+//! any subset of the eleven sweep axes, an [`Objective`] and an evaluation
 //! budget. [`Tuner::run`] then executes classic successive halving:
 //!
 //! 1. **Rung 0** evaluates every grid point at the cheapest fidelity (the

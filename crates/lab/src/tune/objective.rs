@@ -73,7 +73,7 @@ impl Objective {
     /// Whether [`Self::score`] can condense an [`ExecutionReport`] into
     /// this objective's score. False for [`Objective::ServeP99`], which
     /// needs a serving simulation and a caller-supplied score.
-    pub fn scores_reports(&self) -> bool {
+    pub(crate) fn scores_reports(&self) -> bool {
         !matches!(self, Objective::ServeP99)
     }
 

@@ -16,17 +16,14 @@ pub enum RowBufferOutcome {
 
 /// State of one DRAM bank.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Bank {
+pub(crate) struct Bank {
     open_row: Option<u64>,
     busy_until: u64,
-    hits: u64,
-    misses: u64,
-    conflicts: u64,
 }
 
 impl Bank {
     /// Creates a bank with no open row.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Bank::default()
     }
 
@@ -36,47 +33,22 @@ impl Bank {
     /// The bank is busy until the returned completion cycle; a request that
     /// arrives earlier queues behind it (modelled by starting from
     /// `max(now, busy_until)`).
-    pub fn access(&mut self, row: u64, now: u64, timing: &HbmTiming) -> (u64, RowBufferOutcome) {
+    pub(crate) fn access(
+        &mut self,
+        row: u64,
+        now: u64,
+        timing: &HbmTiming,
+    ) -> (u64, RowBufferOutcome) {
         let start = now.max(self.busy_until);
         let (latency, outcome) = match self.open_row {
             Some(open) if open == row => (timing.row_hit_latency, RowBufferOutcome::Hit),
             Some(_) => (timing.row_conflict_latency, RowBufferOutcome::Conflict),
             None => (timing.row_miss_latency, RowBufferOutcome::Miss),
         };
-        match outcome {
-            RowBufferOutcome::Hit => self.hits += 1,
-            RowBufferOutcome::Miss => self.misses += 1,
-            RowBufferOutcome::Conflict => self.conflicts += 1,
-        }
         self.open_row = Some(row);
         let done = start + latency;
         self.busy_until = done;
         (done, outcome)
-    }
-
-    /// Cycle until which the bank is occupied.
-    pub fn busy_until(&self) -> u64 {
-        self.busy_until
-    }
-
-    /// Currently open row, if any.
-    pub fn open_row(&self) -> Option<u64> {
-        self.open_row
-    }
-
-    /// (hits, misses, conflicts) counters.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.conflicts)
-    }
-
-    /// Row-buffer hit rate in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.conflicts;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 }
 
@@ -91,7 +63,7 @@ mod tests {
         let (done, outcome) = bank.access(5, 0, &t);
         assert_eq!(outcome, RowBufferOutcome::Miss);
         assert_eq!(done, t.row_miss_latency);
-        assert_eq!(bank.open_row(), Some(5));
+        assert_eq!(bank.open_row, Some(5));
     }
 
     #[test]
@@ -101,7 +73,6 @@ mod tests {
         bank.access(5, 0, &t);
         let (_, outcome) = bank.access(5, 100, &t);
         assert_eq!(outcome, RowBufferOutcome::Hit);
-        assert_eq!(bank.stats(), (1, 1, 0));
     }
 
     #[test]
@@ -111,7 +82,7 @@ mod tests {
         bank.access(5, 0, &t);
         let (_, outcome) = bank.access(6, 100, &t);
         assert_eq!(outcome, RowBufferOutcome::Conflict);
-        assert_eq!(bank.open_row(), Some(6));
+        assert_eq!(bank.open_row, Some(6));
     }
 
     #[test]
@@ -121,17 +92,5 @@ mod tests {
         let (first_done, _) = bank.access(1, 0, &t);
         let (second_done, _) = bank.access(1, 0, &t);
         assert!(second_done >= first_done + t.row_hit_latency);
-    }
-
-    #[test]
-    fn hit_rate_reflects_history() {
-        let mut bank = Bank::new();
-        let t = HbmTiming::hbm2();
-        assert_eq!(bank.hit_rate(), 0.0);
-        bank.access(1, 0, &t);
-        bank.access(1, 0, &t);
-        bank.access(1, 0, &t);
-        bank.access(2, 0, &t);
-        assert!((bank.hit_rate() - 0.5).abs() < 1e-12);
     }
 }

@@ -15,7 +15,6 @@ pub struct Channel {
     banks: Vec<Bank>,
     /// Cycle until which the shared data bus is busy.
     bus_busy_until: u64,
-    bytes_transferred: u64,
     transactions: u64,
 }
 
@@ -23,16 +22,11 @@ impl Channel {
     /// Creates a channel with the given timing.
     pub fn new(timing: HbmTiming) -> Self {
         let banks = (0..timing.banks_per_channel).map(|_| Bank::new()).collect();
-        Channel { timing, banks, bus_busy_until: 0, bytes_transferred: 0, transactions: 0 }
-    }
-
-    /// The channel's timing parameters.
-    pub fn timing(&self) -> &HbmTiming {
-        &self.timing
+        Channel { timing, banks, bus_busy_until: 0, transactions: 0 }
     }
 
     /// Maps a byte address to (bank index, row index) within this channel.
-    pub fn map_address(&self, addr: u64) -> (usize, u64) {
+    pub(crate) fn map_address(&self, addr: u64) -> (usize, u64) {
         let burst = addr / self.timing.burst_bytes as u64;
         let bank = (burst % self.banks.len() as u64) as usize;
         let row = addr / self.timing.row_bytes as u64;
@@ -49,41 +43,13 @@ impl Channel {
         let bus_start = bank_done.max(self.bus_busy_until);
         let done = bus_start + transfer + self.timing.base_latency;
         self.bus_busy_until = bus_start + transfer;
-        self.bytes_transferred += bytes as u64;
         self.transactions += 1;
         (done, outcome)
-    }
-
-    /// Total bytes moved so far.
-    pub fn bytes_transferred(&self) -> u64 {
-        self.bytes_transferred
     }
 
     /// Total transactions serviced so far.
     pub fn transactions(&self) -> u64 {
         self.transactions
-    }
-
-    /// Aggregate row-buffer hit rate over all banks.
-    pub fn hit_rate(&self) -> f64 {
-        let (mut h, mut m, mut c) = (0u64, 0u64, 0u64);
-        for bank in &self.banks {
-            let (bh, bm, bc) = bank.stats();
-            h += bh;
-            m += bm;
-            c += bc;
-        }
-        let total = h + m + c;
-        if total == 0 {
-            0.0
-        } else {
-            h as f64 / total as f64
-        }
-    }
-
-    /// Cycle until which the data bus is occupied.
-    pub fn bus_busy_until(&self) -> u64 {
-        self.bus_busy_until
     }
 }
 
@@ -133,7 +99,6 @@ mod tests {
         let mut ch = Channel::new(HbmTiming::hbm2());
         ch.access(0, 64, 0);
         ch.access(64, 64, 0);
-        assert_eq!(ch.bytes_transferred(), 128);
         assert_eq!(ch.transactions(), 2);
     }
 
@@ -145,13 +110,7 @@ mod tests {
         let (done_a, _) = ch.access(0, 1024, 0);
         let (done_b, _) = ch.access(4096, 1024, 0);
         let transfer = HbmTiming::hbm2().transfer_cycles(1024);
-        assert!(done_b >= done_a.min(ch.bus_busy_until()) && done_b >= transfer);
-        assert!(ch.bus_busy_until() >= 2 * transfer);
-    }
-
-    #[test]
-    fn hit_rate_zero_when_untouched() {
-        let ch = Channel::new(HbmTiming::hbm2());
-        assert_eq!(ch.hit_rate(), 0.0);
+        assert!(done_b >= done_a.min(ch.bus_busy_until) && done_b >= transfer);
+        assert!(ch.bus_busy_until >= 2 * transfer);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! * [`HbmTiming`] — row-buffer hit/miss/conflict latencies, burst size and
 //!   per-channel bandwidth,
-//! * [`Bank`]/[`Channel`] — open-row tracking per bank and bandwidth-limited
+//! * [`Channel`] — open-row tracking per bank and bandwidth-limited
 //!   data return,
 //! * [`MemoryController`] — per-tile controller with read/write queues,
 //!   request coalescing (Step 3 of the paper's on-chip dataflow) and
@@ -33,14 +33,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bank;
-pub mod channel;
-pub mod controller;
-pub mod request;
-pub mod timing;
+mod bank;
+mod channel;
+mod controller;
+mod request;
+mod timing;
 
-pub use bank::Bank;
+pub use bank::RowBufferOutcome;
 pub use channel::Channel;
 pub use controller::{ControllerStats, MemoryController};
-pub use request::{MemoryRequest, MemoryResponse, RequestId, RequestKind};
+pub use request::{MemoryRequest, MemoryResponse, RequestId};
 pub use timing::{HbmPreset, HbmTiming};

@@ -8,7 +8,7 @@ pub struct RequestId(pub u64);
 
 /// Whether a request reads or writes memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum RequestKind {
+pub(crate) enum RequestKind {
     /// Read `bytes` from `addr`.
     Read,
     /// Write `bytes` to `addr`.
@@ -24,7 +24,7 @@ pub struct MemoryRequest {
     /// Number of bytes requested.
     pub bytes: usize,
     /// Read or write.
-    pub kind: RequestKind,
+    pub(crate) kind: RequestKind,
 }
 
 impl MemoryRequest {

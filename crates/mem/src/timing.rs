@@ -45,13 +45,13 @@ impl HbmTiming {
 
     /// A "dual-stacked" HBM configuration with twice the per-channel
     /// bandwidth (used for the 256 GB/s entry of Table 5, footnote α).
-    pub fn hbm2_dual_stack() -> Self {
+    pub(crate) fn hbm2_dual_stack() -> Self {
         HbmTiming { bytes_per_cycle: 32, ..Self::hbm2() }
     }
 
     /// DDR4-like parameters for the CPU baseline calibration (136 GB/s
     /// aggregate over the socket, higher latencies).
-    pub fn ddr4() -> Self {
+    pub(crate) fn ddr4() -> Self {
         HbmTiming {
             row_hit_latency: 22,
             row_miss_latency: 44,
@@ -65,7 +65,7 @@ impl HbmTiming {
     }
 
     /// Cycles needed to stream `bytes` through the channel at peak bandwidth.
-    pub fn transfer_cycles(&self, bytes: usize) -> u64 {
+    pub(crate) fn transfer_cycles(&self, bytes: usize) -> u64 {
         (bytes as u64).div_ceil(self.bytes_per_cycle as u64)
     }
 
@@ -88,10 +88,10 @@ impl Default for HbmTiming {
 pub enum HbmPreset {
     /// [`HbmTiming::hbm2`] — the paper's evaluated memory system.
     Hbm2,
-    /// [`HbmTiming::hbm2_dual_stack`] — twice the per-channel bandwidth
+    /// `HbmTiming::hbm2_dual_stack` — twice the per-channel bandwidth
     /// (Table 5 footnote α).
     Hbm2DualStack,
-    /// [`HbmTiming::ddr4`] — the CPU-baseline calibration timing.
+    /// `HbmTiming::ddr4` — the CPU-baseline calibration timing.
     Ddr4,
 }
 

@@ -11,7 +11,7 @@
 //! * [`TorusNetwork`] — the assembled fabric with injection, per-cycle
 //!   advancement, delivery queues and traffic statistics. It owns every
 //!   in-flight packet in one slab; its per-node routers (input-buffered,
-//!   dimension-order, a per-cycle link budget, [`RouterStats`]) queue
+//!   dimension-order, a per-cycle link budget) queue
 //!   4-byte handles into that slab and look the next hop up in a table
 //!   built once per network, so a hop copies no packet and divides nothing.
 //!
@@ -35,12 +35,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod network;
-pub mod packet;
-pub mod router;
-pub mod topology;
+mod network;
+mod packet;
+mod router;
+mod topology;
 
 pub use network::{NetworkStats, TorusNetwork};
 pub use packet::Packet;
-pub use router::RouterStats;
 pub use topology::{Direction, TorusTopology};

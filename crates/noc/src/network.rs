@@ -52,7 +52,6 @@ impl NetworkStats {
 /// also returns its slot for the next injection.
 #[derive(Debug)]
 pub struct TorusNetwork {
-    topology: TorusTopology,
     routes: RouteTable,
     routers: Vec<Router>,
     links_per_cycle: usize,
@@ -82,7 +81,6 @@ impl TorusNetwork {
     pub fn new(topology: TorusTopology, buffer_capacity: usize) -> Self {
         let routers = (0..topology.nodes()).map(|n| Router::new(n, buffer_capacity)).collect();
         TorusNetwork {
-            topology,
             routes: RouteTable::new(&topology),
             routers,
             links_per_cycle: 2,
@@ -103,11 +101,6 @@ impl TorusNetwork {
     pub fn with_links_per_cycle(mut self, links: usize) -> Self {
         self.links_per_cycle = links.max(1);
         self
-    }
-
-    /// The network topology.
-    pub fn topology(&self) -> &TorusTopology {
-        &self.topology
     }
 
     /// Injects a packet at its source router.
@@ -240,7 +233,7 @@ impl TorusNetwork {
         &self.hop_histogram
     }
 
-    /// Per-router congestion ([`crate::RouterStats::blocked_cycles`]:
+    /// Per-router congestion (blocked cycles:
     /// transfers that arrived over capacity), indexed by node id.
     pub fn congestion_map(&self) -> Vec<u64> {
         self.routers.iter().map(|r| r.stats().blocked_cycles).collect()
@@ -255,7 +248,7 @@ mod tests {
         let mut delivered = Vec::new();
         for c in 0..max_cycles {
             net.tick(Cycle(c));
-            for node in 0..net.topology().nodes() {
+            for node in 0..net.routers.len() {
                 delivered.extend(net.drain_delivered(node));
             }
             if net.in_flight() == 0 {
@@ -267,12 +260,13 @@ mod tests {
 
     #[test]
     fn single_packet_reaches_destination() {
-        let mut net = TorusNetwork::new(TorusTopology::new(4, 4), 8);
+        let topo = TorusTopology::new(4, 4);
+        let mut net = TorusNetwork::new(topo, 8);
         net.inject(Packet::new(1, 0, 15, 16), Cycle(0)).unwrap();
         let delivered = drive_until_empty(&mut net, 100);
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].id, 1);
-        assert_eq!(delivered[0].hops as usize, net.topology().distance(0, 15));
+        assert_eq!(delivered[0].hops as usize, topo.distance(0, 15));
     }
 
     #[test]

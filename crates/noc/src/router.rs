@@ -14,7 +14,7 @@ pub(crate) type Handle = u32;
 
 /// Per-router statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RouterStats {
+pub(crate) struct RouterStats {
     /// Packets forwarded to a neighbouring router.
     pub forwarded: u64,
     /// Packets delivered to the local node.

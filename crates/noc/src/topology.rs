@@ -50,12 +50,12 @@ impl TorusTopology {
     }
 
     /// Torus width (x extent).
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width
     }
 
     /// Torus height (y extent).
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.height
     }
 
@@ -69,13 +69,13 @@ impl TorusTopology {
     /// # Panics
     ///
     /// Panics if `node >= self.nodes()`.
-    pub fn coords(&self, node: usize) -> (usize, usize) {
+    pub(crate) fn coords(&self, node: usize) -> (usize, usize) {
         assert!(node < self.nodes(), "node {node} outside {}x{} torus", self.width, self.height);
         (node % self.width, node / self.width)
     }
 
     /// Converts (x, y) coordinates to a node id (coordinates wrap).
-    pub fn node_at(&self, x: usize, y: usize) -> usize {
+    pub(crate) fn node_at(&self, x: usize, y: usize) -> usize {
         (y % self.height) * self.width + (x % self.width)
     }
 

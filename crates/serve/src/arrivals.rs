@@ -35,7 +35,7 @@ use crate::cost::RequestClass;
 
 /// Fraction of each burst period during which a bursty stream admits
 /// arrivals.
-pub const BURST_ON_FRACTION: f64 = 0.25;
+pub(crate) const BURST_ON_FRACTION: f64 = 0.25;
 
 /// Upper bound on the on/off modulation period of a bursty stream, in
 /// seconds. Streams shorter than [`BURST_PERIODS_MIN`] such periods shrink
@@ -44,10 +44,10 @@ pub const BURST_ON_FRACTION: f64 = 0.25;
 /// peak rate only preserves the target *mean* rate when the stream spans
 /// whole periods, so a short stream must never sit inside a single
 /// on-window.
-pub const BURST_PERIOD_S: f64 = 0.5;
+pub(crate) const BURST_PERIOD_S: f64 = 0.5;
 
 /// Minimum number of on/off periods a bursty stream spans.
-pub const BURST_PERIODS_MIN: f64 = 8.0;
+pub(crate) const BURST_PERIODS_MIN: f64 = 8.0;
 
 /// The most requests a [`StreamSpec`] may expect, `rps × duration_s`. A
 /// stream is materialised whole before its replay starts, and both factors
@@ -124,7 +124,7 @@ impl StreamSpec {
     /// divides the duration exactly, so the on-time fraction — and with it
     /// the realised mean rate — matches [`BURST_ON_FRACTION`] for short
     /// streams too.
-    pub fn burst_period_s(&self) -> f64 {
+    pub(crate) fn burst_period_s(&self) -> f64 {
         (self.duration_s / BURST_PERIODS_MIN).min(BURST_PERIOD_S)
     }
 
@@ -219,7 +219,7 @@ pub struct ClosedLoopSpec {
 /// function of `(spec, client index)` — the order in which the fleet serves
 /// other clients cannot perturb it.
 #[derive(Debug, Clone)]
-pub struct ClosedLoopClients {
+pub(crate) struct ClosedLoopClients {
     spec: ClosedLoopSpec,
     rngs: Vec<StdRng>,
 }
@@ -233,7 +233,7 @@ impl ClosedLoopSpec {
     /// Panics when there are no clients, the think time is negative or
     /// non-finite, the duration is not positive, the mix is empty, or no
     /// shrink factor is given.
-    pub fn clients(&self) -> (ClosedLoopClients, Vec<(f64, usize)>) {
+    pub(crate) fn clients(&self) -> (ClosedLoopClients, Vec<(f64, usize)>) {
         self.lane_clients(0, 1)
     }
 
@@ -249,7 +249,7 @@ impl ClosedLoopSpec {
     /// # Panics
     ///
     /// As [`Self::clients`], plus when `lane >= lanes`.
-    pub fn lane_clients(
+    pub(crate) fn lane_clients(
         &self,
         lane: usize,
         lanes: usize,
@@ -282,7 +282,7 @@ impl ClosedLoopSpec {
 
 impl ClosedLoopClients {
     /// Draws the class of `client`'s next request.
-    pub fn draw_class(&mut self, client: usize) -> RequestClass {
+    pub(crate) fn draw_class(&mut self, client: usize) -> RequestClass {
         let rng = &mut self.rngs[client];
         let dataset = rng.gen_range(0..self.spec.mix_size);
         let shrink = self.spec.shrinks[rng.gen_range(0..self.spec.shrinks.len())];
@@ -292,7 +292,7 @@ impl ClosedLoopClients {
     /// The time `client` issues its next request after a response at
     /// `completion_s`, or `None` when that lands at or beyond the horizon
     /// (the client retires).
-    pub fn next_issue_at(&mut self, client: usize, completion_s: f64) -> Option<f64> {
+    pub(crate) fn next_issue_at(&mut self, client: usize, completion_s: f64) -> Option<f64> {
         let think = exp_draw(&mut self.rngs[client], self.spec.think_s);
         let at = completion_s + think;
         (at < self.spec.duration_s).then_some(at)

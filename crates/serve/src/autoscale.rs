@@ -108,7 +108,7 @@ impl AutoscalePolicy {
 
     /// The stable ID fragment of this controller (`as1-4`), used in
     /// scenario IDs.
-    pub fn id(&self) -> String {
+    pub(crate) fn id(&self) -> String {
         format!("as{}-{}", self.min_shards, self.max_shards)
     }
 
@@ -122,7 +122,7 @@ impl AutoscalePolicy {
     /// # Panics
     ///
     /// Panics unless `pending` has one entry per fleet group.
-    pub fn decide(
+    pub(crate) fn decide(
         &self,
         fleet: &ShardFleet,
         backlog: usize,
@@ -167,7 +167,12 @@ impl AutoscalePolicy {
     /// its floor, or no shard of the group is idle any more (capacity
     /// never vanishes mid-batch; forced removal is
     /// [`ShardFleet::crash`]'s job, not the controller's).
-    pub fn retire_idle(&self, fleet: &mut ShardFleet, group: usize, now: f64) -> Option<usize> {
+    pub(crate) fn retire_idle(
+        &self,
+        fleet: &mut ShardFleet,
+        group: usize,
+        now: f64,
+    ) -> Option<usize> {
         if fleet.active_in_group(group) <= self.min_shards {
             return None;
         }
@@ -203,7 +208,7 @@ fn idle_in_group(fleet: &ShardFleet, group: usize, now: f64) -> usize {
 
 /// One controller decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
+pub(crate) enum Decision {
     /// Keep the fleet as it is.
     Hold,
     /// Provision one shard in `group` (effective after the delay).

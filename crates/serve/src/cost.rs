@@ -58,7 +58,7 @@ pub struct ClassCost {
 /// Fraction of the single-request cost charged to each request of a batch
 /// beyond the first (operand fetch and program setup are shared across the
 /// batch; accumulation work is not).
-pub const DEFAULT_MARGINAL_BATCH_FRACTION: f64 = 0.5;
+pub(crate) const DEFAULT_MARGINAL_BATCH_FRACTION: f64 = 0.5;
 
 /// Which tier of the two-tier chip model prices request classes into the
 /// [`CostTable`].
@@ -182,7 +182,7 @@ impl CostTable {
     /// # Panics
     ///
     /// Panics unless `seconds_per_cycle` is finite and positive.
-    pub fn register_rate(&mut self, fingerprint: impl Into<String>, seconds_per_cycle: f64) {
+    pub(crate) fn register_rate(&mut self, fingerprint: impl Into<String>, seconds_per_cycle: f64) {
         assert!(
             seconds_per_cycle.is_finite() && seconds_per_cycle > 0.0,
             "seconds per cycle must be finite and positive"
@@ -273,7 +273,7 @@ impl CostTable {
     /// # Panics
     ///
     /// Panics when the class was never measured under any fingerprint.
-    pub fn weight(&self, class: RequestClass) -> u64 {
+    pub(crate) fn weight(&self, class: RequestClass) -> u64 {
         *self
             .flops
             .get(&class)
@@ -283,7 +283,7 @@ impl CostTable {
     /// The median flops over all memoised classes (0 when none are
     /// measured): classes at or above it count as "big" for class-affinity
     /// dispatch.
-    pub fn median_weight(&self) -> u64 {
+    pub(crate) fn median_weight(&self) -> u64 {
         let weights: Vec<u64> = self.flops.values().copied().collect();
         if weights.is_empty() {
             return 0;
@@ -323,7 +323,7 @@ impl CostTable {
 /// [`CostTable::service_seconds`] gives, so a fleet may still list a group
 /// no batch ever lands on.
 #[derive(Debug, Clone)]
-pub struct FleetCosts<'a> {
+pub(crate) struct FleetCosts<'a> {
     table: &'a CostTable,
     /// Per shard group: its fingerprint and, when registered, its costs.
     groups: Vec<(String, Option<&'a FingerprintCosts>)>,
@@ -332,7 +332,7 @@ pub struct FleetCosts<'a> {
 
 impl<'a> FleetCosts<'a> {
     /// Resolves `table` against a fleet's shard groups, in group order.
-    pub fn new(table: &'a CostTable, groups: &[ShardGroup]) -> Self {
+    pub(crate) fn new(table: &'a CostTable, groups: &[ShardGroup]) -> Self {
         let groups = groups
             .iter()
             .map(|group| {
@@ -350,7 +350,12 @@ impl<'a> FleetCosts<'a> {
     ///
     /// Panics when `batch_size == 0`, the group's fingerprint was never
     /// registered, or the class was never measured under it.
-    pub fn service_seconds(&self, group: usize, class: RequestClass, batch_size: usize) -> f64 {
+    pub(crate) fn service_seconds(
+        &self,
+        group: usize,
+        class: RequestClass,
+        batch_size: usize,
+    ) -> f64 {
         assert!(batch_size >= 1, "a batch serves at least one request");
         let (fingerprint, entry) = &self.groups[group];
         let entry =
@@ -363,12 +368,12 @@ impl<'a> FleetCosts<'a> {
     /// # Panics
     ///
     /// Panics when the class was never measured under any fingerprint.
-    pub fn weight(&self, class: RequestClass) -> u64 {
+    pub(crate) fn weight(&self, class: RequestClass) -> u64 {
         self.table.weight(class)
     }
 
     /// [`CostTable::median_weight`], computed once at resolution.
-    pub fn median_weight(&self) -> u64 {
+    pub(crate) fn median_weight(&self) -> u64 {
         self.median_weight
     }
 }

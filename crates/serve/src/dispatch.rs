@@ -28,7 +28,7 @@ use crate::cost::{FleetCosts, RequestClass};
 use crate::fleet::ShardFleet;
 
 /// Picks a shard for a ready batch among the currently idle ones.
-pub trait DispatchPolicy {
+pub(crate) trait DispatchPolicy {
     /// Stable lower-case name, used in run IDs and command lines.
     fn name(&self) -> &'static str;
 
@@ -51,7 +51,7 @@ pub trait DispatchPolicy {
 
 /// The shard idle longest wins (earliest busy-until, ties by slot index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeastLoaded;
+pub(crate) struct LeastLoaded;
 
 /// Least-loaded among `idle` (`None` when it is empty), as a helper for
 /// the other policies.
@@ -88,7 +88,7 @@ impl DispatchPolicy for LeastLoaded {
 
 /// Big classes go to the biggest silicon, small classes to the smallest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassAffinity;
+pub(crate) struct ClassAffinity;
 
 impl DispatchPolicy for ClassAffinity {
     fn name(&self) -> &'static str {
@@ -144,7 +144,7 @@ impl DispatchPolicy for ClassAffinity {
 
 /// The idle shard with the lowest memoised service time for this batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostAware;
+pub(crate) struct CostAware;
 
 impl DispatchPolicy for CostAware {
     fn name(&self) -> &'static str {
@@ -181,11 +181,11 @@ impl DispatchPolicy for CostAware {
 /// The dispatch policies as a sweepable, parseable axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchKind {
-    /// [`LeastLoaded`].
+    /// `LeastLoaded`.
     LeastLoaded,
-    /// [`ClassAffinity`].
+    /// `ClassAffinity`.
     ClassAffinity,
-    /// [`CostAware`].
+    /// `CostAware`.
     CostAware,
 }
 
@@ -195,7 +195,7 @@ impl DispatchKind {
         [DispatchKind::LeastLoaded, DispatchKind::ClassAffinity, DispatchKind::CostAware];
 
     /// The policy implementation this kind names.
-    pub fn policy(&self) -> &'static dyn DispatchPolicy {
+    pub(crate) fn policy(&self) -> &'static dyn DispatchPolicy {
         match self {
             DispatchKind::LeastLoaded => &LeastLoaded,
             DispatchKind::ClassAffinity => &ClassAffinity,

@@ -100,7 +100,7 @@ impl FaultSpec {
     }
 
     /// Whether the spec injects nothing at all.
-    pub fn is_benign(&self) -> bool {
+    pub(crate) fn is_benign(&self) -> bool {
         self.crashes == 0 && self.provision_fail == 0.0 && self.degraded.is_empty()
     }
 
@@ -167,7 +167,7 @@ impl FaultSpec {
     /// Panics when the fleet has no groups, a degraded entry names a group
     /// outside the fleet, or the spec injects more than [`MAX_CRASHES`]
     /// crashes — checked before any is allocated.
-    pub fn plan(&self, group_count: usize) -> FaultPlan {
+    pub(crate) fn plan(&self, group_count: usize) -> FaultPlan {
         assert!(group_count >= 1, "a fault plan needs at least one shard group");
         assert!(
             self.crashes <= MAX_CRASHES,
@@ -201,7 +201,7 @@ impl FaultSpec {
 
 /// The concrete, seed-derived fault schedule the simulation consumes.
 #[derive(Debug, Clone)]
-pub struct FaultPlan {
+pub(crate) struct FaultPlan {
     crashes: VecDeque<(f64, usize)>,
     multipliers: Vec<f64>,
     provision_fail: f64,
@@ -210,12 +210,12 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// The next scheduled crash time, if any remain.
-    pub fn next_crash_at(&self) -> Option<f64> {
+    pub(crate) fn next_crash_at(&self) -> Option<f64> {
         self.crashes.front().map(|&(at, _)| at)
     }
 
     /// Pops the next crash due at or before `now` as `(time, group)`.
-    pub fn pop_crash_due(&mut self, now: f64) -> Option<(f64, usize)> {
+    pub(crate) fn pop_crash_due(&mut self, now: f64) -> Option<(f64, usize)> {
         if self.next_crash_at()? <= now {
             self.crashes.pop_front()
         } else {
@@ -224,14 +224,14 @@ impl FaultPlan {
     }
 
     /// The service-time multiplier of a group (1 for healthy silicon).
-    pub fn multiplier(&self, group: usize) -> f64 {
+    pub(crate) fn multiplier(&self, group: usize) -> f64 {
         self.multipliers[group]
     }
 
     /// Rolls whether one scheduled scale-up succeeds. The roll stream is
     /// seeded, and the simulation consumes rolls in deterministic event
     /// order, so the sequence of outcomes is reproducible.
-    pub fn provision_succeeds(&mut self) -> bool {
+    pub(crate) fn provision_succeeds(&mut self) -> bool {
         if self.provision_fail <= 0.0 {
             return true;
         }

@@ -40,7 +40,7 @@ impl ShardGroup {
 /// The number of shards lane `lane` receives in a `lanes`-way round-robin
 /// split of a `shards`-shard group: `shards / lanes`, plus one for the
 /// first `shards % lanes` lanes. The shares sum to `shards` exactly.
-pub fn lane_share(shards: usize, lane: usize, lanes: usize) -> usize {
+pub(crate) fn lane_share(shards: usize, lane: usize, lanes: usize) -> usize {
     shards / lanes + usize::from(lane < shards % lanes)
 }
 
@@ -54,7 +54,7 @@ pub fn lane_share(shards: usize, lane: usize, lanes: usize) -> usize {
 /// # Panics
 ///
 /// Panics when `lane >= lanes`, or when a group's share would be empty.
-pub fn lane_groups(groups: &[ShardGroup], lane: usize, lanes: usize) -> Vec<ShardGroup> {
+pub(crate) fn lane_groups(groups: &[ShardGroup], lane: usize, lanes: usize) -> Vec<ShardGroup> {
     assert!(lanes >= 1 && lane < lanes, "lane index must lie within the lane count");
     groups
         .iter()
@@ -125,7 +125,7 @@ struct GroupInfo {
 /// Shard indices are global and stable: group 0's slots come first, then
 /// group 1's, and so on; a group's slots never move, whether active or not.
 #[derive(Debug, Clone)]
-pub struct ShardFleet {
+pub(crate) struct ShardFleet {
     groups: Vec<GroupInfo>,
     shard_group: Vec<usize>,
     busy_until: Vec<f64>,
@@ -144,7 +144,7 @@ impl ShardFleet {
     ///
     /// Panics when `groups` is empty, any group capacity is below its
     /// initial shard count, or two groups share a name.
-    pub fn new(groups: &[ShardGroup], capacity_per_group: Option<&[usize]>) -> Self {
+    pub(crate) fn new(groups: &[ShardGroup], capacity_per_group: Option<&[usize]>) -> Self {
         assert!(!groups.is_empty(), "a fleet needs at least one shard group");
         if let Some(caps) = capacity_per_group {
             assert_eq!(caps.len(), groups.len(), "one capacity per group");
@@ -191,42 +191,42 @@ impl ShardFleet {
     }
 
     /// Number of shard groups.
-    pub fn group_count(&self) -> usize {
+    pub(crate) fn group_count(&self) -> usize {
         self.groups.len()
     }
 
     /// Total allocated shard slots (active or not).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.shard_group.len()
     }
 
     /// The group a shard slot belongs to.
-    pub fn group_of(&self, shard: usize) -> usize {
+    pub(crate) fn group_of(&self, shard: usize) -> usize {
         self.shard_group[shard]
     }
 
     /// A group's peak throughput (the class-affinity ranking signal).
-    pub fn peak_gflops(&self, group: usize) -> f64 {
+    pub(crate) fn peak_gflops(&self, group: usize) -> f64 {
         self.groups[group].peak_gflops
     }
 
     /// When a shard's current batch finishes (0 when it never served one).
-    pub fn busy_until(&self, shard: usize) -> f64 {
+    pub(crate) fn busy_until(&self, shard: usize) -> f64 {
         self.busy_until[shard]
     }
 
     /// Whether a shard slot is currently provisioned.
-    pub fn is_active(&self, shard: usize) -> bool {
+    pub(crate) fn is_active(&self, shard: usize) -> bool {
         self.active[shard]
     }
 
     /// Number of active shards across the fleet.
-    pub fn active_shards(&self) -> usize {
+    pub(crate) fn active_shards(&self) -> usize {
         self.active.iter().filter(|&&a| a).count()
     }
 
     /// Number of active shards in one group.
-    pub fn active_in_group(&self, group: usize) -> usize {
+    pub(crate) fn active_in_group(&self, group: usize) -> usize {
         self.group_slots(group).filter(|&s| self.active[s]).count()
     }
 
@@ -245,7 +245,7 @@ impl ShardFleet {
     /// order — the candidate set every dispatch policy chooses from. The
     /// buffer is the caller's, cleared first, so the event loop asks once
     /// per dispatch without allocating.
-    pub fn idle_shards(&self, now: f64, idle: &mut Vec<usize>) {
+    pub(crate) fn idle_shards(&self, now: f64, idle: &mut Vec<usize>) {
         idle.clear();
         idle.extend((0..self.capacity()).filter(|&s| self.is_idle(s, now)));
     }
@@ -254,7 +254,7 @@ impl ShardFleet {
     /// beyond `now` over active shards (infinity when nothing is busy).
     /// The event the simulation waits on while a dispatch policy holds a
     /// batch for busy preferred silicon even though other shards idle.
-    pub fn next_busy_free_at(&self, now: f64) -> f64 {
+    pub(crate) fn next_busy_free_at(&self, now: f64) -> f64 {
         self.busy_until
             .iter()
             .zip(&self.active)
@@ -270,7 +270,13 @@ impl ShardFleet {
     ///
     /// Panics when the shard is inactive or still busy at `now` — the
     /// simulation only dispatches to idle, provisioned shards.
-    pub fn dispatch(&mut self, shard: usize, now: f64, service_s: f64, requests: u64) -> f64 {
+    pub(crate) fn dispatch(
+        &mut self,
+        shard: usize,
+        now: f64,
+        service_s: f64,
+        requests: u64,
+    ) -> f64 {
         assert!(self.active[shard], "shard {shard} is not provisioned at {now}");
         assert!(
             self.busy_until[shard] <= now,
@@ -287,7 +293,7 @@ impl ShardFleet {
 
     /// Activates one inactive slot of `group` (lowest slot index first).
     /// Returns the slot, or `None` when the group is at capacity.
-    pub fn activate(&mut self, group: usize, now: f64) -> Option<usize> {
+    pub(crate) fn activate(&mut self, group: usize, now: f64) -> Option<usize> {
         let slot = self.group_slots(group).find(|&s| !self.active[s])?;
         self.active[slot] = true;
         // A freshly provisioned shard starts idle *now* — any busy horizon
@@ -301,7 +307,7 @@ impl ShardFleet {
     /// Deactivates one *idle* active slot of `group` (highest slot index
     /// first, so slot 0 — the always-on baseline shard — retires last).
     /// Returns the slot, or `None` when no active slot is idle at `now`.
-    pub fn deactivate_idle(&mut self, group: usize, now: f64) -> Option<usize> {
+    pub(crate) fn deactivate_idle(&mut self, group: usize, now: f64) -> Option<usize> {
         let slot = self.group_slots(group).rev().find(|&s| self.is_idle(s, now))?;
         self.deactivate_slot(slot);
         Some(slot)
@@ -322,7 +328,7 @@ impl ShardFleet {
     ///
     /// Panics when the slot is not active, or `in_flight_requests`
     /// disagrees with the slot's busy state.
-    pub fn crash(&mut self, slot: usize, now: f64, in_flight_requests: u64) -> bool {
+    pub(crate) fn crash(&mut self, slot: usize, now: f64, in_flight_requests: u64) -> bool {
         assert!(self.active[slot], "only an active shard can crash");
         let was_busy = self.busy_until[slot] > now;
         assert_eq!(
@@ -352,19 +358,19 @@ impl ShardFleet {
     /// Accrues `dt` seconds of provisioned time to every active shard —
     /// the simulation calls this once per time step, making
     /// [`GroupStats::shard_seconds`] the exact integral of active capacity.
-    pub fn accrue(&mut self, dt: f64) {
+    pub(crate) fn accrue(&mut self, dt: f64) {
         for g in 0..self.groups.len() {
             self.active_seconds[g] += self.active_in_group(g) as f64 * dt;
         }
     }
 
     /// Per-shard counters, in slot order.
-    pub fn stats(&self) -> &[ShardStats] {
+    pub(crate) fn stats(&self) -> &[ShardStats] {
         &self.stats
     }
 
     /// Per-group aggregates, in group order.
-    pub fn group_stats(&self) -> Vec<GroupStats> {
+    pub(crate) fn group_stats(&self) -> Vec<GroupStats> {
         self.groups
             .iter()
             .enumerate()
@@ -389,7 +395,7 @@ impl ShardFleet {
     }
 
     /// The group → shard-slot mapping, one group index per slot.
-    pub fn shard_groups(&self) -> &[usize] {
+    pub(crate) fn shard_groups(&self) -> &[usize] {
         &self.shard_group
     }
 }

@@ -12,7 +12,7 @@
 //! utilisation, crash/recovery accounting and provisioned shard-seconds
 //! cost. Data flows through these modules:
 //!
-//! 1. **[`arrivals`]** — demand. A [`StreamSpec`] (Poisson or bursty
+//! 1. **`arrivals`** — demand. A [`StreamSpec`] (Poisson or bursty
 //!    arrivals, target rate, duration, request mix) expands into a
 //!    deterministic, time-sorted open-loop stream; a [`ClosedLoopSpec`]
 //!    describes N clients with seeded think times whose next request only
@@ -27,13 +27,13 @@
 //! 3. **[`policy`]** — *what* dispatches next: FIFO, shortest-job-first
 //!    (weighted by `WorkloadProfile::flops`) and batch-by-dataset
 //!    (max-batch-size / timeout knobs).
-//! 4. **[`fleet`]** — the shard model: [`ShardGroup`]s of chip replicas
+//! 4. **`fleet`** — the shard model: [`ShardGroup`]s of chip replicas
 //!    (each group its own `ChipConfig`), with activation bookkeeping for
 //!    elastic fleets and per-group shard-seconds accounting.
-//! 5. **[`dispatch`]** — *where* it dispatches: the class-aware
-//!    [`DispatchPolicy`] trait with least-loaded, class-affinity
+//! 5. **`dispatch`** — *where* it dispatches: the class-aware
+//!    `DispatchPolicy` trait with least-loaded, class-affinity
 //!    (big classes → big silicon) and cost-aware implementations.
-//! 6. **[`autoscale`]** — elastic capacity: an [`AutoscalePolicy`]
+//! 6. **`autoscale`** — elastic capacity: an [`AutoscalePolicy`]
 //!    queue-depth controller with a provisioning delay, growing and
 //!    shrinking the fleet between bounds while the outcome reports the
 //!    shard-seconds the latency cost.
@@ -41,11 +41,11 @@
 //!    waves, flash crowds) composed over the base generators by thinning,
 //!    [`TenantMix`]es with per-tenant rate limits and SLOs, and the named
 //!    [`ScenarioSpec`] library every `serve` sweep runs.
-//! 8. **[`fault`]** — failure regimes: a [`FaultSpec`] expands into a
-//!    seed-derived [`FaultPlan`] of shard crashes (in-flight work
+//! 8. **`fault`** — failure regimes: a [`FaultSpec`] expands into a
+//!    seed-derived `FaultPlan` of shard crashes (in-flight work
 //!    re-dispatches), provisioning failures and degraded-silicon service
 //!    multipliers.
-//! 9. **[`sim`]** and **[`engine`]** — the event-source replay. A
+//! 9. **`sim`** and **[`engine`]** — the event-source replay. A
 //!    [`ServeConfig`] carries the admission-control and fault knobs
 //!    alongside the classic policy/fleet/dispatch/autoscale axes;
 //!    [`simulate_config_parallel`] replays a workload under it and an
@@ -54,7 +54,7 @@
 //!    shed/crash/recovery accounting, queue depth, utilisation,
 //!    shard-seconds and scale events, emitted as `neura_lab`
 //!    `RunRecord`s.
-//! 10. **[`telemetry`]** — deterministic observability:
+//! 10. **`telemetry`** — deterministic observability:
 //!     [`simulate_config_traced_parallel`] records a [`Trace`] of
 //!     per-request lifecycle events (arrival → admit/shed → dispatch →
 //!     completion, plus crash/scale/provisioning events), a mergeable
@@ -75,30 +75,28 @@
 
 #![warn(missing_docs)]
 
-pub mod arrivals;
-pub mod autoscale;
+mod arrivals;
+mod autoscale;
 pub mod cost;
-pub mod dispatch;
+mod dispatch;
 pub mod engine;
-pub mod fault;
-pub mod fleet;
+mod fault;
+mod fleet;
 pub mod policy;
 pub mod scenario;
-pub mod sim;
+mod sim;
 pub mod spec;
-pub mod telemetry;
+mod telemetry;
 
 pub use arrivals::{
     ArrivalProcess, ClosedLoopSpec, Request, StreamSpec, Workload, MAX_STREAM_REQUESTS,
 };
 pub use autoscale::{AutoscalePolicy, ScaleEvent};
-pub use cost::{
-    ClassCost, CostModel, CostTable, FleetCosts, RequestClass, DEFAULT_MARGINAL_BATCH_FRACTION,
-};
-pub use dispatch::{ClassAffinity, CostAware, DispatchKind, DispatchPolicy, LeastLoaded};
+pub use cost::{ClassCost, CostModel, CostTable, RequestClass};
+pub use dispatch::DispatchKind;
 pub use engine::{simulate_config_parallel, simulate_config_traced_parallel, EnginePlan};
-pub use fault::{CrashEvent, FaultPlan, FaultSpec, MAX_CRASHES};
-pub use fleet::{GroupStats, ShardFleet, ShardGroup, ShardStats};
+pub use fault::{CrashEvent, FaultSpec, MAX_CRASHES};
+pub use fleet::{GroupStats, ShardGroup, ShardStats};
 pub use policy::Policy;
 pub use scenario::{RateShape, ScenarioSpec, ShapedStream, TenantMix, TenantSpec};
 pub use sim::{ServeConfig, ServeOutcome, TenantOutcome, SHED_LATENCY_S};

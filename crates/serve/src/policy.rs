@@ -6,7 +6,7 @@ pub const DEFAULT_MAX_BATCH: usize = 8;
 /// Default batching timeout of [`Policy::BatchByDataset`], in seconds: how
 /// long the oldest queued request of a class may wait before its partial
 /// batch is flushed.
-pub const DEFAULT_BATCH_TIMEOUT_S: f64 = 0.005;
+pub(crate) const DEFAULT_BATCH_TIMEOUT_S: f64 = 0.005;
 
 /// How queued requests are ordered and grouped into dispatch units.
 #[derive(Debug, Clone, Copy, PartialEq)]

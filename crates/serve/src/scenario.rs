@@ -1,7 +1,7 @@
 //! Composable production-traffic scenarios: rate shapes, tenant mixes and
 //! a library of named scenario definitions.
 //!
-//! The generators in [`crate::arrivals`] produce *stationary* demand — a
+//! The generators in `crate::arrivals` produce *stationary* demand — a
 //! fixed mean rate for the whole stream. Production traffic is not
 //! stationary: it follows daily cycles, spikes when something goes viral,
 //! and arrives from tenants with different weights, rate limits and
@@ -17,7 +17,7 @@
 //! A [`TenantMix`] assigns every surviving request a tenant drawn by
 //! weight from its own seed-derived stream; per-tenant rate limits and
 //! SLOs travel with the mix into the simulation's admission control (see
-//! [`crate::sim`]).
+//! `crate::sim`).
 //!
 //! [`ScenarioSpec::library`] names the canonical scenarios — diurnal,
 //! flash crowd, overload with load shedding, multi-tenant, crash/recovery
@@ -66,7 +66,7 @@ impl RateShape {
     /// # Panics
     ///
     /// Panics when a shape parameter is outside its documented range.
-    pub fn factor(&self, t: f64, duration_s: f64) -> f64 {
+    pub(crate) fn factor(&self, t: f64, duration_s: f64) -> f64 {
         match *self {
             RateShape::Diurnal { cycles, depth } => {
                 assert!(cycles > 0.0 && cycles.is_finite(), "diurnal cycles must be positive");
@@ -192,22 +192,12 @@ impl TenantMix {
 
     /// The tenants, in declaration order (request `tenant` indices point
     /// into this slice).
-    pub fn tenants(&self) -> &[TenantSpec] {
+    pub(crate) fn tenants(&self) -> &[TenantSpec] {
         &self.tenants
     }
 
-    /// Number of tenants.
-    pub fn len(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// Never true — [`Self::new`] rejects empty mixes.
-    pub fn is_empty(&self) -> bool {
-        self.tenants.is_empty()
-    }
-
     /// Draws one tenant index by weight.
-    pub fn draw(&self, rng: &mut StdRng) -> usize {
+    pub(crate) fn draw(&self, rng: &mut StdRng) -> usize {
         let total: f64 = self.tenants.iter().map(|t| t.weight).sum();
         let mut u = rng.gen::<f64>() * total;
         for (i, tenant) in self.tenants.iter().enumerate() {
@@ -220,7 +210,7 @@ impl TenantMix {
     }
 
     /// Stable ID fragment (`"gold4+free1"` — names and weights).
-    pub fn id(&self) -> String {
+    pub(crate) fn id(&self) -> String {
         self.tenants
             .iter()
             .map(|t| format!("{}{:?}", t.name, t.weight))
@@ -452,7 +442,7 @@ impl ScenarioSpec {
 }
 
 /// The backlog bound the overload scenarios shed at.
-pub const OVERLOAD_QUEUE_BOUND: usize = 64;
+pub(crate) const OVERLOAD_QUEUE_BOUND: usize = 64;
 
 #[cfg(test)]
 mod tests {
@@ -575,7 +565,7 @@ mod tests {
         }
         let mix = TenantMix::new(vec![gold, free]);
         assert_eq!(mix.id(), "gold4.0+free1.0");
-        assert_eq!(mix.len(), 2);
+        assert_eq!(mix.tenants.len(), 2);
     }
 
     #[test]

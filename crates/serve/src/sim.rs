@@ -210,11 +210,6 @@ impl ServeOutcome {
             .collect()
     }
 
-    /// Mean recovery time over the repaired crashes (0 when none).
-    pub fn mean_recovery_s(&self) -> f64 {
-        mean_or_zero(&self.recovery_times_s())
-    }
-
     /// Latency percentile in seconds over *served* requests
     /// (nearest-rank; 0 when nothing was served).
     ///
@@ -258,7 +253,7 @@ impl ServeOutcome {
     }
 
     /// Mean completed batch size (0 when nothing was dispatched).
-    pub fn mean_batch_size(&self) -> f64 {
+    pub(crate) fn mean_batch_size(&self) -> f64 {
         if self.batch_sizes.is_empty() {
             0.0
         } else {
@@ -272,7 +267,7 @@ impl ServeOutcome {
     }
 
     /// Per-shard-slot utilisation: busy seconds over the makespan.
-    pub fn utilisations(&self) -> Vec<f64> {
+    pub(crate) fn utilisations(&self) -> Vec<f64> {
         self.shard_stats
             .iter()
             .map(|s| if self.makespan_s > 0.0 { s.busy_s / self.makespan_s } else { 0.0 })
@@ -490,12 +485,6 @@ impl<'a> ServeConfig<'a> {
         self
     }
 
-    /// Applies a tenant mix's rate limits and accounting (builder style).
-    pub fn with_tenants(mut self, tenants: &'a TenantMix) -> Self {
-        self.tenants = Some(tenants);
-        self
-    }
-
     /// Injects a fault regime (builder style).
     pub fn with_faults(mut self, faults: &'a FaultSpec) -> Self {
         self.faults = Some(faults);
@@ -627,7 +616,7 @@ mod tests {
         assert_eq!(outcome.shard_seconds(), 0.0);
         assert_eq!(outcome.max_in_flight(), 0);
         assert_eq!(outcome.shed_rate(), 0.0);
-        assert_eq!(outcome.mean_recovery_s(), 0.0);
+        assert!(outcome.recovery_times_s().is_empty());
     }
 
     #[test]
@@ -795,8 +784,8 @@ mod tests {
         let stream: Vec<Request> = (0..10).map(|i| request(i, 0.1 * i as f64, 0)).collect();
         let costs = unit_costs();
         let groups = tile16_fleet(4);
-        let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
-            .with_tenants(&mix);
+        let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+        cfg.tenants = Some(&mix);
         let outcome = simulate_config_parallel(
             &Workload::Replay(stream.to_vec()),
             &cfg,
@@ -992,8 +981,8 @@ mod tests {
         let stream = [request(0, 0.0, 0), request(1, 0.0, 0)];
         let costs = unit_costs();
         let groups = tile16_fleet(1);
-        let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
-            .with_tenants(&mix);
+        let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+        cfg.tenants = Some(&mix);
         let outcome = simulate_config_parallel(
             &Workload::Replay(stream.to_vec()),
             &cfg,

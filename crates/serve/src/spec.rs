@@ -126,7 +126,7 @@ pub enum WorkloadAxis {
 impl WorkloadAxis {
     /// The ID fragment of this workload (`"poisson/rps800.0"`,
     /// `"closed64/think5.0"` — think time in milliseconds).
-    pub fn id(&self) -> String {
+    pub(crate) fn id(&self) -> String {
         match self {
             WorkloadAxis::Open { arrival, rps } => format!("{}/rps{rps:?}", arrival.name()),
             WorkloadAxis::Closed { clients, think_s } => {
@@ -137,7 +137,7 @@ impl WorkloadAxis {
 }
 
 /// The axes of a serving sweep. An empty axis contributes its single
-/// default setting (Poisson arrivals at [`DEFAULT_RPS`], no closed-loop
+/// default setting (Poisson arrivals at `DEFAULT_RPS`, no closed-loop
 /// arms, FIFO, one Tile-16 shard, least-loaded dispatch, fixed fleet).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeSweep {
@@ -160,10 +160,10 @@ pub struct ServeSweep {
 }
 
 /// Arrival rate used when the rate axis is left empty.
-pub const DEFAULT_RPS: f64 = 800.0;
+pub(crate) const DEFAULT_RPS: f64 = 800.0;
 
 /// Mean think time used when none is set, in seconds.
-pub const DEFAULT_THINK_S: f64 = 0.005;
+pub(crate) const DEFAULT_THINK_S: f64 = 0.005;
 
 impl Default for ServeSweep {
     fn default() -> Self {
@@ -253,7 +253,7 @@ impl ServeSweep {
     /// (arrival, rate) pair, then every closed-loop client count. A sweep
     /// that sets *only* the closed-loop axis is closed-only — open arms
     /// appear when an open axis is set explicitly or no closed arm exists.
-    pub fn workloads(&self) -> Vec<WorkloadAxis> {
+    pub(crate) fn workloads(&self) -> Vec<WorkloadAxis> {
         let mut workloads = Vec::new();
         if self.closed_clients.is_empty() || !self.arrivals.is_empty() || !self.rps.is_empty() {
             let arrivals = if self.arrivals.is_empty() {
@@ -275,7 +275,7 @@ impl ServeSweep {
     }
 
     /// Number of scenarios the sweep enumerates.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.workloads().len()
             * [self.fleets.len(), self.dispatches.len(), self.autoscale.len(), self.policies.len()]
                 .iter()

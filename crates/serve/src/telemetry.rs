@@ -15,7 +15,7 @@
 //!    is opt-in: the untraced entry point skips every push.
 //! 2. **[`LatencyHistogram`]** — mergeable percentile state. Latencies
 //!    land in log-spaced buckets (the float's exponent plus the top
-//!    [`SUB_BUCKET_BITS`] mantissa bits), so [`LatencyHistogram::merge`]
+//!    [`neura_sim::SUB_BUCKET_BITS`] mantissa bits), so [`LatencyHistogram::merge`]
 //!    is exact bucket-count addition and every reported percentile sits
 //!    within [`RELATIVE_ERROR_BOUND`] of the exact-sort answer.
 //! 3. **[`Timeline`]** — the windowed view. [`Timeline::build`] replays a
@@ -32,7 +32,7 @@ use neura_lab::RunRecord;
 
 // The histogram lives in the simulation kernel, where the chip profiler
 // (which `neura_serve` sits above) shares it.
-pub use neura_sim::{LatencyHistogram, RELATIVE_ERROR_BOUND, SUB_BUCKET_BITS};
+pub use neura_sim::{LatencyHistogram, RELATIVE_ERROR_BOUND};
 
 use crate::sim::ServeOutcome;
 
@@ -241,7 +241,7 @@ pub struct WindowStats {
 
 impl WindowStats {
     /// Fraction of the window's arrivals shed (0 for an idle window).
-    pub fn shed_rate(&self) -> f64 {
+    pub(crate) fn shed_rate(&self) -> f64 {
         if self.arrivals > 0 {
             self.shed as f64 / self.arrivals as f64
         } else {

@@ -5,7 +5,7 @@ use neura_chip::config::ChipConfig;
 use neura_serve::{ClassCost, CostTable, RequestClass, ShardGroup};
 
 /// Every class a stream over `mix_size` datasets and `shrinks` can draw.
-pub fn classes(mix_size: usize, shrinks: &[usize]) -> Vec<RequestClass> {
+pub(crate) fn classes(mix_size: usize, shrinks: &[usize]) -> Vec<RequestClass> {
     (0..mix_size)
         .flat_map(|dataset| shrinks.iter().map(move |&shrink| RequestClass { dataset, shrink }))
         .collect()
@@ -15,7 +15,7 @@ pub fn classes(mix_size: usize, shrinks: &[usize]) -> Vec<RequestClass> {
 /// on Tile-16 silicon: heavier datasets and lighter shrinks cost more,
 /// with enough spread that SJF reordering and batching amortisation are
 /// exercised.
-pub fn synthetic_costs(mix_size: usize, shrinks: &[usize]) -> CostTable {
+pub(crate) fn synthetic_costs(mix_size: usize, shrinks: &[usize]) -> CostTable {
     let mut costs = CostTable::new();
     let fp = costs.register(&ChipConfig::tile_16());
     for class in classes(mix_size, shrinks) {
@@ -26,6 +26,6 @@ pub fn synthetic_costs(mix_size: usize, shrinks: &[usize]) -> CostTable {
 }
 
 /// A homogeneous Tile-16 fleet of `n` shards.
-pub fn tile16_fleet(n: usize) -> Vec<ShardGroup> {
+pub(crate) fn tile16_fleet(n: usize) -> Vec<ShardGroup> {
     vec![ShardGroup::new("t16", ChipConfig::tile_16(), n)]
 }

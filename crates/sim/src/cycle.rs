@@ -23,12 +23,6 @@ impl Cycle {
         self.0
     }
 
-    /// The next cycle.
-    #[must_use]
-    pub fn next(self) -> Cycle {
-        Cycle(self.0 + 1)
-    }
-
     /// Converts the cycle count to seconds at the given clock frequency (Hz).
     ///
     /// # Panics
@@ -87,7 +81,6 @@ mod tests {
         let c = Cycle(10);
         assert_eq!(c + 5, Cycle(15));
         assert_eq!(Cycle(15) - c, 5);
-        assert_eq!(c.next(), Cycle(11));
         let mut d = c;
         d += 3;
         assert_eq!(d, Cycle(13));

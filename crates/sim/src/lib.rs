@@ -36,9 +36,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cycle;
-pub mod latency;
-pub mod rng;
+mod cycle;
+mod latency;
+mod rng;
 pub mod stats;
 
 pub use cycle::Cycle;

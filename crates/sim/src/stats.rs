@@ -83,11 +83,6 @@ impl Histogram {
         }
     }
 
-    /// Raw bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
     /// Bin counts normalised to percentages of all samples (the y-axis of
     /// Figures 14 and 15).
     pub fn percentages(&self) -> Vec<f64> {
@@ -158,7 +153,7 @@ mod tests {
         h.record(25);
         h.record(80);
         h.record(1000); // overflow clamps to last bin
-        assert_eq!(h.bins(), &[2, 1, 0, 2]);
+        assert_eq!(h.bins, [2, 1, 0, 2]);
         assert_eq!(h.count(), 5);
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(1000));

@@ -103,7 +103,7 @@ impl CooMatrix {
     }
 
     /// Sorts entries row-major and sums duplicate coordinates in place.
-    pub fn dedup(&mut self) {
+    pub(crate) fn dedup(&mut self) {
         self.entries.sort_unstable_by_key(|a| (a.0, a.1));
         // `dedup_by` hands over (current, kept): fold each duplicate into
         // the kept entry, in sorted order.

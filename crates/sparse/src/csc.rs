@@ -121,16 +121,6 @@ impl CscMatrix {
         }
     }
 
-    /// The column pointer array (`cols + 1` entries).
-    pub fn col_ptr(&self) -> &[usize] {
-        &self.col_ptr
-    }
-
-    /// The row index array (`nnz` entries).
-    pub fn row_idx(&self) -> &[usize] {
-        &self.row_idx
-    }
-
     /// The stored values (`nnz` entries).
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -145,15 +135,6 @@ impl CscMatrix {
         let start = self.col_ptr[c];
         let end = self.col_ptr[c + 1];
         (&self.row_idx[start..end], &self.values[start..end])
-    }
-
-    /// Number of stored entries in column `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= self.cols()`.
-    pub fn col_nnz(&self, c: usize) -> usize {
-        self.col_ptr[c + 1] - self.col_ptr[c]
     }
 
     /// Value at `(row, col)`, or `0.0` when the entry is not stored.
@@ -235,8 +216,8 @@ mod tests {
     fn structure_is_column_major() {
         let m = sample();
         assert_eq!(m.col(0), (&[0usize, 2][..], &[1.0, 4.0][..]));
-        assert_eq!(m.col_nnz(1), 1);
-        assert_eq!(m.col_nnz(2), 2);
+        assert_eq!(m.col(1).0.len(), 1);
+        assert_eq!(m.col(2).0.len(), 2);
     }
 
     #[test]

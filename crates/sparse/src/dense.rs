@@ -43,7 +43,7 @@ impl DenseMatrix {
     /// # Errors
     ///
     /// Returns [`SparseError::LengthMismatch`] when `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
+    pub(crate) fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
         if data.len() != rows * cols {
             return Err(SparseError::LengthMismatch { indices: rows * cols, values: data.len() });
         }

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 /// The family of random-graph model to draw from.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum GraphModel {
+pub(crate) enum GraphModel {
     /// Erdős–Rényi G(n, p): every edge independently present with probability `p`.
     ErdosRenyi {
         /// Edge probability in `[0, 1]`.
@@ -121,19 +121,13 @@ impl GraphGenerator {
     }
 
     /// Generator with an explicit [`GraphModel`].
-    pub fn with_model(nodes: usize, model: GraphModel, seed: u64) -> Self {
+    pub(crate) fn with_model(nodes: usize, model: GraphModel, seed: u64) -> Self {
         GraphGenerator { nodes, model, seed, self_loops: true, weighted: false }
     }
 
     /// Whether edge weights are drawn uniformly from `(0, 1]` instead of 1.0.
     pub fn weighted(mut self, weighted: bool) -> Self {
         self.weighted = weighted;
-        self
-    }
-
-    /// Whether self loops (diagonal entries) may be generated.
-    pub fn self_loops(mut self, allowed: bool) -> Self {
-        self.self_loops = allowed;
         self
     }
 
@@ -363,7 +357,8 @@ mod tests {
 
     #[test]
     fn self_loop_flag_removes_diagonal() {
-        let g = GraphGenerator::erdos_renyi(50, 0.2, 11).self_loops(false).generate();
+        let g = GraphGenerator { self_loops: false, ..GraphGenerator::erdos_renyi(50, 0.2, 11) }
+            .generate();
         assert!(g.iter().all(|&(r, c, _)| r != c));
     }
 

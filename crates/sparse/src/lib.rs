@@ -40,12 +40,12 @@
 #![warn(missing_debug_implementations)]
 
 pub mod bloat;
-pub mod coo;
-pub mod csc;
-pub mod csr;
+mod coo;
+mod csc;
+mod csr;
 pub mod datasets;
-pub mod dense;
-pub mod error;
+mod dense;
+mod error;
 pub mod gen;
 pub mod spgemm;
 pub mod spmm;

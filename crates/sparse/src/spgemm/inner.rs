@@ -14,7 +14,7 @@ use crate::CsrMatrix;
 /// # Panics
 ///
 /// Panics if `a.cols() != b.rows()`.
-pub fn inner_product(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
+pub(crate) fn inner_product(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let b_csc = b.to_csc();
     let mut out = CsrRows::new(a.rows(), b.cols());

@@ -2,16 +2,17 @@
 //!
 //! The paper's Figure 2 contrasts four ways of organising the multiplication
 //! stage of SpGEMM.  Each is implemented here as a functionally equivalent
-//! reference kernel:
+//! reference kernel, selected by value through [`multiply`]:
 //!
-//! * [`inner_product`] — computes each output element directly (InnerSP),
-//! * [`outer_product`] — forms one full partial-product matrix per column of
-//!   `A` / row of `B` (OuterSPACE, SpArch),
-//! * [`gustavson`] — the row-wise product used by Gamma, MatRaptor, SPADA and
-//!   as the basis of NeuraChip,
-//! * [`tiled_gustavson`] — NeuraChip's adaptation that processes `tile`
-//!   column elements of `A` at once (the `MMH4` instruction corresponds to
-//!   `tile == 4`).
+//! * [`Dataflow::InnerProduct`] — computes each output element directly
+//!   (InnerSP),
+//! * [`Dataflow::OuterProduct`] — forms one full partial-product matrix per
+//!   column of `A` / row of `B` (OuterSPACE, SpArch),
+//! * [`Dataflow::RowWise`] ([`gustavson()`]) — the row-wise product used by
+//!   Gamma, MatRaptor, SPADA and as the basis of NeuraChip,
+//! * [`Dataflow::TiledRowWise`] — NeuraChip's adaptation that processes
+//!   `tile` column elements of `A` at once (the `MMH4` instruction
+//!   corresponds to `tile == 4`).
 //!
 //! All kernels produce identical numerical results; they differ only in the
 //! order in which partial products are generated, which is what the
@@ -25,10 +26,10 @@
 //!
 //! Every kernel assembles its CSR output directly (`accumulator.rs`) and
 //! passes the arrays through [`CsrMatrix::from_raw_parts`]; none goes
-//! through a [`crate::CooMatrix`].  [`gustavson`] and [`inner_product`]
+//! through a [`crate::CooMatrix`].  The row-wise and inner-product kernels
 //! finish one sorted row at a time — Gustavson through a dense
-//! sparse-accumulator over the columns of `B`.  [`outer_product`] and
-//! [`tiled_gustavson`] generate in `k`-major order, so they share a
+//! sparse-accumulator over the columns of `B`.  The outer-product and tiled
+//! kernels generate in `k`-major order, so they share a
 //! row-bucket accumulator: bucket sizes come from the operand structure
 //! (`Σ_k col_nnz_A(k) · row_nnz_B(k)` products in all), every partial product
 //! is scattered into its output row's bucket as a 16-byte `(column, value)`
@@ -43,9 +44,9 @@ mod outer;
 mod tiled;
 
 pub use gustavson::{count_products, gustavson, gustavson_with_stats};
-pub use inner::inner_product;
-pub use outer::outer_product;
-pub use tiled::{tiled_gustavson, TiledTask, TiledTrace};
+use inner::inner_product;
+use outer::outer_product;
+use tiled::tiled_gustavson;
 
 use crate::CsrMatrix;
 use serde::{Deserialize, Serialize};
@@ -98,14 +99,9 @@ impl SpgemmStats {
         self.max_row_partial_products = self.max_row_partial_products.max(partial_products);
     }
 
-    /// Total floating point operations (multiplications + additions).
-    pub fn flops(&self) -> u64 {
-        self.multiplications + self.additions
-    }
-
     /// The paper's "bloat percent" (Equation 1):
     /// `(pp_interim - nnz_output) / nnz_output * 100`.
-    pub fn bloat_percent(&self) -> f64 {
+    pub(crate) fn bloat_percent(&self) -> f64 {
         if self.output_nnz == 0 {
             0.0
         } else {
@@ -129,7 +125,7 @@ pub fn multiply(a: &CsrMatrix, b: &CsrMatrix, dataflow: Dataflow) -> crate::Resu
         Dataflow::InnerProduct => inner_product(a, b),
         Dataflow::OuterProduct => outer_product(a, b),
         Dataflow::RowWise => gustavson(a, b),
-        Dataflow::TiledRowWise(tile) => tiled_gustavson(a, b, tile).product,
+        Dataflow::TiledRowWise(tile) => tiled_gustavson(a, b, tile),
     })
 }
 

@@ -14,7 +14,7 @@ use crate::CsrMatrix;
 /// # Panics
 ///
 /// Panics if `a.cols() != b.rows()`.
-pub fn outer_product(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
+pub(crate) fn outer_product(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let a_csc = a.to_csc();
     let mut partial_products = RowBuckets::for_product(a, b);

@@ -32,12 +32,6 @@ pub fn spmm(a: &CsrMatrix, x: &DenseMatrix) -> Result<DenseMatrix> {
     Ok(out)
 }
 
-/// Number of scalar multiply operations `spmm` performs: `nnz(A) × cols(X)`.
-pub fn spmm_flops(a: &CsrMatrix, feature_dim: usize) -> u64 {
-    // One multiply and one add per (nnz, column) pair: 2 flops each.
-    2 * a.nnz() as u64 * feature_dim as u64
-}
-
 /// Reference forward pass of a single GCN layer: `relu(A · X · W)` (Eq. 2).
 ///
 /// # Errors
@@ -87,13 +81,5 @@ mod tests {
         // Negative entries clamp to zero.
         assert_eq!(out.get(0, 1), 0.0);
         assert_eq!(out.get(1, 0), 2.0);
-    }
-
-    #[test]
-    fn flop_counts_are_positive_and_scale() {
-        let a = GraphGenerator::erdos_renyi(50, 0.1, 7).generate().to_csr();
-        assert!(spmm_flops(&a, 16) > 0);
-        assert!(spmm_flops(&a, 32) > spmm_flops(&a, 16));
-        assert_eq!(spmm_flops(&a, 16), 2 * a.nnz() as u64 * 16);
     }
 }

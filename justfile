@@ -1,7 +1,7 @@
 # Local mirror of .github/workflows/ci.yml — `just ci` before pushing.
 
 # Run everything CI runs.
-ci: fmt clippy doc loc build test perf-selftest artifacts tune serve serve-parallel trace xval profile
+ci: fmt clippy doc loc surface build test perf-selftest artifacts tune serve serve-parallel trace xval profile
 
 # Formatting check (apply with `just fmt-fix`).
 fmt:
@@ -13,7 +13,9 @@ fmt-fix:
 # Lints, warnings are errors. Also the shape gate: the root Cargo.toml sets
 # `clippy::too_many_lines` to warn under `[workspace.lints]` and every
 # crate and the umbrella package inherit it, so a function over 100 lines
-# fails here in any library, binary, example or test.
+# fails here in any library, binary, example or test. And the surface gate:
+# `unreachable_pub` under `[workspace.lints.rust]` fails a `pub` item in a
+# private module that its crate's `lib.rs` does not re-export.
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
 
@@ -26,6 +28,12 @@ doc:
 # Printed, never gated.
 loc:
     bash scripts/loc.sh
+
+# Per crate: `pub` declarations, `pub mod` lines, and the `pub` names no
+# file outside the crate's `src/` mentions. Printed, never gated — the gate
+# is `unreachable_pub` in `just clippy`.
+surface:
+    bash scripts/pub-surface.sh
 
 # Release build of every crate and binary.
 build:
@@ -196,8 +204,10 @@ perf-pair parent change workload pairs="10":
 # own, so this is what notices a workspace change that breaks the API
 # footprint listed in the header of benchmark/src/layers.rs — or whose
 # dependency edits would rewrite the ledger's committed lock file. Also
-# checks that the perf-pair script still parses (running it takes minutes).
+# checks that the perf-pair and pub-surface scripts still parse (running
+# the first takes minutes).
 perf-selftest:
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
     git diff --exit-code benchmark/Cargo.lock
     bash -n scripts/perf-pair.sh
+    bash -n scripts/pub-surface.sh

@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# scripts/pub-surface.sh                                  (`just surface`)
+#
+# The public surface of each library crate: the count of `pub`
+# declarations (`pub fn|struct|enum|trait|type|const|static|mod` before
+# each file's first `#[cfg(test)]`, as `scripts/loc.sh` counts lines), the
+# count of `pub mod` lines in the crate's `lib.rs`, and the `pub` names no
+# file outside the crate's own `src/` mentions as a word. The consumers
+# are every other `*.rs` in the repository: the other crates,
+# `crates/*/tests`, `crates/bench/src/bin`, `tests/`, `examples/`, the
+# umbrella `src/` and the ledger's `benchmark/src` and `benchmark/tests`.
+#
+# Printed for comparison against the parent commit, never gated. A listed
+# name is not a defect by itself: a type is `pub` because a consumed `pub`
+# signature returns or takes it, a method because a doctest calls it, and
+# a word scan cannot tell two items of the same name apart. The gate is
+# the compiler — `unreachable_pub` under `[workspace.lints.rust]` fails
+# `cargo clippy -- -D warnings` for a `pub` item in a private module that
+# the crate root does not re-export, and `dead_code` then sees the rest.
+set -euo pipefail
+cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
+decl='^[[:space:]]*pub (fn|struct|enum|trait|type|const|static|mod) '
+total=0 total_mods=0 total_unnamed=0
+for crate in crates/*/; do
+    crate="${crate%/}"
+    # The crate's own sources; its binaries are consumers like any other.
+    mapfile -t own < <(find "$crate/src" -name '*.rs' -not -path "$crate/src/bin/*" | sort)
+    mapfile -t consumers < <(find crates tests examples benchmark/src benchmark/tests src -name '*.rs' \
+        \( -not -path "$crate/src/*" -o -path "$crate/src/bin/*" \) | sort)
+    names="$(awk -v decl="$decl" '
+        FNR == 1 { test = 0 }
+        /#\[cfg\(test\)\]/ { test = 1 }
+        !test && $0 ~ decl {
+            sub(/^[[:space:]]*pub [a-z]+ /, ""); sub(/[^A-Za-z0-9_].*/, ""); print
+        }' "${own[@]}")"
+    count="$(grep -c . <<<"$names" || true)"
+    mods="$(grep -cE '^pub mod ' "$crate/src/lib.rs" || true)"
+    unnamed=()
+    for name in $(sort -u <<<"$names"); do
+        grep -qw -- "$name" "${consumers[@]}" || unnamed+=("$name")
+    done
+    printf '%-10s %4d pub, %2d pub mod, %3d named by no consumer\n' \
+        "$(basename "$crate")" "$count" "$mods" "${#unnamed[@]}"
+    [[ ${#unnamed[@]} -eq 0 ]] || printf '    %s\n' "${unnamed[*]}" | fold -s -w 76 | sed -e '2,$s/^/    /' -e 's/ *$//'
+    total=$((total + count)) total_mods=$((total_mods + mods)) total_unnamed=$((total_unnamed + ${#unnamed[@]}))
+done
+printf '%-10s %4d pub, %2d pub mod, %3d named by no consumer\n' total "$total" "$total_mods" "$total_unnamed"
