@@ -1,6 +1,7 @@
 //! Structural workload summaries consumed by the analytical platform models.
 
-use neura_sparse::{bloat, stats, CsrMatrix};
+use neura_sparse::spgemm::{self, SpgemmStats};
+use neura_sparse::{stats, CsrMatrix};
 use serde::{Deserialize, Serialize};
 
 /// Structural summary of one SpGEMM (or GCN aggregation) workload.
@@ -29,20 +30,19 @@ pub struct WorkloadProfile {
 }
 
 impl WorkloadProfile {
-    /// Builds the profile of `A × B`.
-    pub(crate) fn from_pair(name: &str, a: &CsrMatrix, b: &CsrMatrix) -> Self {
-        let report = bloat::analyze(a, b);
-        let degrees = stats::degree_stats(a);
+    /// The profile of `a` multiplied into a right operand of `nnz_b` stored
+    /// elements, given the product's operation counts.
+    fn from_counts(name: &str, a: &CsrMatrix, nnz_b: usize, counts: &SpgemmStats) -> Self {
         WorkloadProfile {
             name: name.to_string(),
             rows: a.rows(),
             nnz_a: a.nnz(),
-            nnz_b: b.nnz(),
-            partial_products: report.intermediate_partial_products,
-            output_nnz: report.output_nnz as u64,
-            bloat_percent: report.bloat_percent,
-            row_cv: degrees.coefficient_of_variation,
-            avg_fanin: report.average_reduction_fanin(),
+            nnz_b,
+            partial_products: counts.multiplications,
+            output_nnz: counts.output_nnz as u64,
+            bloat_percent: counts.bloat_percent(),
+            row_cv: stats::degree_stats(a).coefficient_of_variation,
+            avg_fanin: counts.average_fanin(),
             sparsity_percent: a.sparsity() * 100.0,
         }
     }
@@ -50,35 +50,19 @@ impl WorkloadProfile {
     /// Builds the profile of the self-product `A × A` (the Table 1 / Figure 16
     /// configuration).
     pub fn from_square(name: &str, a: &CsrMatrix) -> Self {
-        Self::from_pair(name, a, a)
+        Self::from_counts(name, a, a.nnz(), &spgemm::count_products(a, a))
     }
 
     /// Builds the profile of a GCN aggregation `A × X` with `feature_dim`
-    /// dense feature columns (every row of `X` is fully populated).
+    /// dense feature columns (every row of `X` is fully populated, and the
+    /// output is counted as dense: every row of `A` times `feature_dim`).
     pub fn from_aggregation(name: &str, a: &CsrMatrix, feature_dim: usize) -> Self {
-        let degrees = stats::degree_stats(a);
-        let partial_products = a.nnz() as u64 * feature_dim as u64;
-        let output_nnz = a.rows() as u64 * feature_dim as u64;
-        WorkloadProfile {
-            name: name.to_string(),
-            rows: a.rows(),
-            nnz_a: a.nnz(),
-            nnz_b: a.cols() * feature_dim,
-            partial_products,
-            output_nnz,
-            bloat_percent: if output_nnz == 0 {
-                0.0
-            } else {
-                (partial_products as f64 - output_nnz as f64) / output_nnz as f64 * 100.0
-            },
-            row_cv: degrees.coefficient_of_variation,
-            avg_fanin: if output_nnz == 0 {
-                0.0
-            } else {
-                partial_products as f64 / output_nnz as f64
-            },
-            sparsity_percent: a.sparsity() * 100.0,
-        }
+        let counts = SpgemmStats {
+            multiplications: a.nnz() as u64 * feature_dim as u64,
+            output_nnz: a.rows() * feature_dim,
+            ..SpgemmStats::default()
+        };
+        Self::from_counts(name, a, a.cols() * feature_dim, &counts)
     }
 
     /// Floating-point operations of the multiplication (one multiply and one
@@ -111,11 +95,20 @@ mod tests {
     fn square_profile_is_consistent_with_bloat_analysis() {
         let a = graph();
         let p = WorkloadProfile::from_square("test", &a);
-        let report = bloat::analyze_square(&a);
-        assert_eq!(p.partial_products, report.intermediate_partial_products);
-        assert_eq!(p.output_nnz, report.output_nnz as u64);
-        assert!((p.bloat_percent - report.bloat_percent).abs() < 1e-9);
+        let (_, numeric) = spgemm::multiply_counting(&a, &a);
+        assert_eq!(p.partial_products, numeric.multiplications);
+        assert_eq!(p.output_nnz, numeric.output_nnz as u64);
+        assert!((p.bloat_percent - numeric.bloat_percent()).abs() < 1e-9);
         assert_eq!(p.flops(), 2 * p.partial_products);
+    }
+
+    #[test]
+    fn profile_records_input_statistics() {
+        let a = GraphGenerator::erdos_renyi(100, 0.05, 13).generate().to_csr();
+        let p = WorkloadProfile::from_square("t", &a);
+        assert_eq!(p.rows, 100);
+        assert_eq!(p.nnz_a, a.nnz());
+        assert!(p.sparsity_percent > 90.0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn main() {
         flags.bad_usage("`all` writes every artifact to its default path: --json takes no PATH");
     }
 
-    let scale_mult = neura_bench::scale_multiplier();
+    let scale_mult = neura_lab::scale_multiplier();
     let mode = Mode::from_scale_mult(scale_mult);
     for row in selected {
         let mut session = ArtifactSession::from_arg_list(row.name, scale_mult, args.clone());

@@ -34,10 +34,10 @@
 //! The per-window attribution table prints for every cell when the sweep
 //! has at most four cells, otherwise only for the most-stalled cell.
 
-use neura_bench::{fmt, print_table, sim_matrix_at_fidelity, ChipGrid, GridCell};
+use neura_bench::{sim_matrix_at_fidelity, ChipGrid, GridCell};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::profile::{Profile, Profiler, StallCause, DEFAULT_WINDOW_CYCLES};
-use neura_lab::{profile_records, Artifact, Flags, Runner, PROFILE_SCHEMA};
+use neura_lab::{fmt, print_table, profile_records, Artifact, Flags, Runner, PROFILE_SCHEMA};
 use std::path::PathBuf;
 
 fn usage() -> String {
@@ -107,7 +107,7 @@ fn scope(cell: &GridCell) -> String {
 
 fn main() {
     let mut args = parse_args();
-    let scale_mult = neura_bench::scale_multiplier();
+    let scale_mult = neura_lab::scale_multiplier();
     let runner = Runner::from_env();
     let cells = args.grid.cells(&[1]);
 

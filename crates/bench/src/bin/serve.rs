@@ -77,15 +77,13 @@
 //! every arm of a workload on the identical demand — and [`emit_outcomes`]
 //! writes them down.
 
-use neura_bench::{
-    fmt, price_class, print_table, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED,
-};
+use neura_bench::{price_class, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED};
 use neura_chip::config::{ChipConfig, TileSize};
 use neura_chip::profile::{Profile, Profiler, DEFAULT_WINDOW_CYCLES};
 use neura_lab::spec::derive_seed;
 use neura_lab::{
-    profile_records, Artifact, ArtifactSession, Flags, RunRecord, Runner, PROFILE_SCHEMA,
-    TIMELINE_SCHEMA,
+    fmt, print_table, profile_records, Artifact, ArtifactSession, Flags, RunRecord, Runner,
+    PROFILE_SCHEMA, TIMELINE_SCHEMA,
 };
 use neura_serve::cost::{hybrid_scaled_cycles, CostModel};
 use neura_serve::engine::MAX_EPOCHS;
@@ -805,7 +803,7 @@ fn emit_outcomes(
     session: &mut ArtifactSession,
 ) -> Artifact {
     let mut timeline_artifact =
-        Artifact::new("serve", neura_bench::scale_multiplier()).with_schema(TIMELINE_SCHEMA);
+        Artifact::new("serve", neura_lab::scale_multiplier()).with_schema(TIMELINE_SCHEMA);
     let mut rows = Vec::new();
     for (scenario, (outcome, timeline)) in scenarios.iter().zip(outcomes) {
         let shard_seconds = outcome.shard_seconds();
@@ -889,7 +887,7 @@ fn print_notes(args: &Args, pricing: &Pricing) {
 /// replay — as a `neura_lab.profile/v1` artifact.
 fn profile_artifact(args: &Args, pricing: &Pricing) -> Artifact {
     let mut artifact =
-        Artifact::new("serve", neura_bench::scale_multiplier()).with_schema(PROFILE_SCHEMA);
+        Artifact::new("serve", neura_lab::scale_multiplier()).with_schema(PROFILE_SCHEMA);
     for (&(tile, class), chip_profile) in pricing.work.iter().zip(&pricing.profiles) {
         let chip_profile = chip_profile.as_ref().expect("cycle model profiles every pair");
         let scope = format!("serve/{}/{}/x{}", tile.label(), args.mix[class.dataset], class.shrink);
@@ -909,7 +907,7 @@ fn main() {
     let default_arms = check_args(&mut args, &flags);
     let passthrough = std::mem::take(&mut args.passthrough);
     let mut session =
-        ArtifactSession::from_arg_list("serve", neura_bench::scale_multiplier(), passthrough);
+        ArtifactSession::from_arg_list("serve", neura_lab::scale_multiplier(), passthrough);
     let runner = Runner::from_env();
     let pricing = price_classes(&args, default_arms, &runner, &mut session);
     let cal = calibrate(&args, default_arms, &pricing);

@@ -26,9 +26,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use neura_bench::{fmt, print_table};
 use neura_lab::trend::load_artifact;
-use neura_lab::{Artifact, Flags, RunRecord, TIMELINE_SCHEMA};
+use neura_lab::{fmt, print_table, Artifact, Flags, RunRecord, TIMELINE_SCHEMA};
 
 fn usage() -> String {
     "usage: timeline [PATH] [--scope PREFIX] [--max-worst-p99-ms X] [--max-recovery-ms X]\n\

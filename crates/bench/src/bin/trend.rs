@@ -28,9 +28,8 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use neura_bench::{fmt, print_table};
 use neura_lab::trend::{self, TrendReport};
-use neura_lab::{Artifact, Flags};
+use neura_lab::{fmt, print_table, Artifact, Flags};
 
 fn usage() -> String {
     "usage: trend [--fail-above PCT] BEFORE AFTER\n\

@@ -30,16 +30,15 @@
 //!   baseline comparison re-score on the cycle oracle, so the reported
 //!   winner is simulator-verified at a fraction of the simulations)
 
-use neura_bench::{
-    fmt, price_class, print_table, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED,
-};
+use neura_bench::{price_class, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::analytic::{AnalyticModel, WorkloadFeatures};
 use neura_chip::config::{ChipConfig, HbmPreset};
 use neura_chip::power::PowerModel;
 use neura_lab::spec::derive_seed;
 use neura_lab::{
-    ArtifactSession, Evaluation, Flags, Objective, Runner, SweepGrid, TuneOutcome, TuneSpec, Tuner,
+    fmt, print_table, ArtifactSession, Evaluation, Flags, Objective, Runner, SweepGrid,
+    TuneOutcome, TuneSpec, Tuner,
 };
 use neura_serve::cost::CostModel;
 use neura_serve::{
@@ -259,7 +258,7 @@ fn main() {
     }
 
     let mut session =
-        ArtifactSession::from_arg_list("tune", neura_bench::scale_multiplier(), passthrough);
+        ArtifactSession::from_arg_list("tune", neura_lab::scale_multiplier(), passthrough);
     let runner = Runner::from_env();
 
     let mut rows = Vec::new();

@@ -44,13 +44,13 @@
 //!   Fitting defaults to shrinks 1, 2, 4, 8 so the model also covers the
 //!   tuner's reduced-fidelity rungs.
 
-use neura_bench::{fmt, print_table, sim_matrix_at_fidelity, ChipGrid, GridCell};
+use neura_bench::{sim_matrix_at_fidelity, ChipGrid, GridCell};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::analytic::{
     feature_vector, AnalyticModel, GroupCoeffs, WorkloadFeatures, FEATURES,
 };
 use neura_chip::config::{HbmPreset, TileSize};
-use neura_lab::{ArtifactSession, Flags, RunRecord, Runner};
+use neura_lab::{fmt, print_table, ArtifactSession, Flags, RunRecord, Runner};
 
 /// Golden bound on the mean absolute relative error (percent) at paper
 /// scale.
@@ -130,7 +130,7 @@ struct Measured {
 
 fn main() {
     let mut args = parse_args();
-    let scale_mult = neura_bench::scale_multiplier();
+    let scale_mult = neura_lab::scale_multiplier();
     // Frequency is applied after the simulations: it scales seconds, never
     // cycles, so one cell covers every frequency row.
     let default_shrinks: &[usize] = if args.fit || args.dump { &[1, 2, 4, 8] } else { &[1] };

@@ -7,9 +7,7 @@
 //! declarative sweeps, the parallel runner, table/JSON rendering and golden
 //! checks — lives in `neura_lab`; this crate keeps the dataset scaling glue,
 //! the [`ChipGrid`] the `xval` and `profile` sweeps share and the one class
-//! pricer ([`price_class`]) behind `serve` and `tune`, and re-exports the lab
-//! surface the binaries (and older callers) use, so `neura_bench::print_table`
-//! et al. keep working.
+//! pricer ([`price_class`]) behind `serve` and `tune`.
 
 #![warn(missing_docs)]
 
@@ -19,11 +17,9 @@ use neura_chip::accelerator::Accelerator;
 use neura_chip::analytic::WorkloadFeatures;
 use neura_chip::config::{ChipConfig, HbmPreset, TileSize};
 use neura_chip::profile::Profiler;
-use neura_lab::Flags;
+use neura_lab::{scale_multiplier, Flags};
 use neura_serve::cost::{analytic_class_cost, ClassCost};
 use neura_sparse::{CsrMatrix, Dataset, DatasetCatalog};
-
-pub use neura_lab::{fmt, print_table, scale_multiplier, SCALE_MULT_ENV};
 
 /// Default down-scaling factor applied to the big SuiteSparse/SNAP analogs
 /// when they are fed to the cycle-level simulator.
@@ -95,9 +91,10 @@ pub fn sim_matrix_at_fidelity(name: &str, shrink: usize) -> CsrMatrix {
 /// Prices one request of the self-product `a · a` on `config`, on either
 /// tier of the chip model: `exact` charges the `total_cycles` of one
 /// cycle-level simulation (a `profiler` rides along when given), otherwise
-/// the closed-form analytic estimate prices it without simulating. The
-/// flops — the shortest-job-first weight, a property of the workload alone
-/// — come from the same symbolic pass either way.
+/// the closed-form analytic estimate prices it from one symbolic pass,
+/// without simulating. The flops — the shortest-job-first weight, a
+/// property of the workload alone — are two per partial product either way:
+/// counted by the symbolic pass, or by the simulation as `HACC`s.
 ///
 /// # Panics
 ///
@@ -108,13 +105,12 @@ pub fn price_class(
     exact: bool,
     profiler: Option<&mut Profiler>,
 ) -> ClassCost {
-    let features = WorkloadFeatures::from_square(a);
     if !exact {
-        return analytic_class_cost(config, &features);
+        return analytic_class_cost(config, &WorkloadFeatures::from_square(a));
     }
     let mut chip = Accelerator::new(config.clone());
     let report = chip.run_spgemm_profiled(a, a, profiler).expect("simulation drains").report;
-    ClassCost { cycles: report.total_cycles, flops: features.flops() }
+    ClassCost { cycles: report.total_cycles, flops: 2 * report.hacc_instructions }
 }
 
 /// The chip tier a practitioner would deploy for a graph of this size
@@ -272,19 +268,11 @@ mod tests {
     fn fidelity_ladder_really_shrinks_when_unscaled() {
         // Guarded like scale_multiplier_defaults_to_one: a smoke multiplier
         // legitimately collapses every fidelity to the 32-node floor.
-        if std::env::var(SCALE_MULT_ENV).is_err() {
+        if std::env::var(neura_lab::SCALE_MULT_ENV).is_err() {
             let full = sim_matrix_at_fidelity("cora", 1).rows();
             let cheap = sim_matrix_at_fidelity("cora", 8).rows();
             assert!(full > cheap, "shrink 8 must simulate a smaller graph ({full} vs {cheap})");
             assert!(cheap >= 32);
         }
-    }
-
-    #[test]
-    fn lab_reexports_are_live() {
-        // `fmt`/`print_table` moved to `neura_lab::report`; the re-exports
-        // must keep the old `neura_bench::fmt` call sites compiling.
-        assert_eq!(fmt(1.23456, 2), "1.23");
-        assert_eq!(SCALE_MULT_ENV, neura_lab::SCALE_MULT_ENV);
     }
 }

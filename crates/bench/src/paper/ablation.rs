@@ -6,11 +6,11 @@
 //! points — fourteen full cycle-level simulations — run concurrently on the
 //! lab's work-stealing runner.
 
-use crate::{fmt, print_table, scaled_matrix_by_name};
+use crate::scaled_matrix_by_name;
 use neura_chip::accelerator::{Accelerator, ExecutionReport};
 use neura_chip::config::{ChipConfig, EvictionPolicy};
 use neura_chip::mapping::MappingKind;
-use neura_lab::{ArtifactSession, ExperimentSpec, Runner, SweepGrid, SweepPoint};
+use neura_lab::{fmt, print_table, ArtifactSession, ExperimentSpec, Runner, SweepGrid, SweepPoint};
 use neura_sparse::stats::imbalance;
 
 pub(super) fn run(session: &mut ArtifactSession) {

@@ -3,11 +3,11 @@
 //!
 //! The three tile sizes are a `neura_lab` sweep executed in parallel.
 
-use crate::{fmt, print_table, scaled_matrix_by_name};
+use crate::scaled_matrix_by_name;
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::{ChipConfig, TileSize};
 use neura_chip::power::PowerModel;
-use neura_lab::{ArtifactSession, ExperimentSpec, Runner, SweepGrid, SweepPoint};
+use neura_lab::{fmt, print_table, ArtifactSession, ExperimentSpec, Runner, SweepGrid, SweepPoint};
 use neura_sparse::gen::feature_matrix;
 
 pub(super) fn run(session: &mut ArtifactSession) {

@@ -8,10 +8,10 @@
 //! `neura_lab` experiment: matrices and tag groups are prepared once per
 //! dataset on the parallel runner, then the 24 sweep points fan out over it.
 
-use crate::{fmt, print_table, scaled_matrix_by_name};
+use crate::scaled_matrix_by_name;
 use neura_chip::config::ChipConfig;
 use neura_chip::mapping::{workload_histogram, MappingKind};
-use neura_lab::{ArtifactSession, ExperimentSpec, Runner, SweepGrid};
+use neura_lab::{fmt, print_table, ArtifactSession, ExperimentSpec, Runner, SweepGrid};
 use neura_sparse::gen::GraphGenerator;
 use neura_sparse::stats::{gini, imbalance};
 use neura_sparse::{CsrMatrix, DatasetCatalog};

@@ -6,11 +6,11 @@
 //! instructions per 25-cycle bin) plus the average, which is checked
 //! against `neura_lab::golden::fig14_goldens`.
 
-use crate::{fmt, print_table, scaled_matrix_by_name};
+use crate::scaled_matrix_by_name;
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::ChipConfig;
 use neura_lab::golden::slugify;
-use neura_lab::{ArtifactSession, ExperimentSpec, Runner, SweepGrid};
+use neura_lab::{fmt, print_table, ArtifactSession, ExperimentSpec, Runner, SweepGrid};
 
 pub(super) fn run(session: &mut ArtifactSession) {
     let a = scaled_matrix_by_name("cora", 4);

@@ -4,11 +4,11 @@
 //! The two eviction policies are a `neura_lab` sweep executed in parallel;
 //! the mean latencies are checked against `neura_lab::golden::fig15_goldens`.
 
-use crate::{fmt, print_table, scaled_matrix_by_name};
+use crate::scaled_matrix_by_name;
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::{ChipConfig, EvictionPolicy};
 use neura_lab::golden::slugify;
-use neura_lab::{ArtifactSession, ExperimentSpec, Runner, SweepGrid};
+use neura_lab::{fmt, print_table, ArtifactSession, ExperimentSpec, Runner, SweepGrid};
 
 pub(super) fn run(session: &mut ArtifactSession) {
     let a = scaled_matrix_by_name("cora", 4);

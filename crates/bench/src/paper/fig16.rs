@@ -6,14 +6,12 @@
 //! speedups are checked against `neura_lab::golden::fig16_goldens`.
 
 use super::speedup_table;
-use crate::{
-    catalog_dataset, fmt, print_table, scaled_matrix, scaled_matrix_by_name, MODEL_SCALE, SIM_SCALE,
-};
+use crate::{catalog_dataset, scaled_matrix, scaled_matrix_by_name, MODEL_SCALE, SIM_SCALE};
 use neura_baselines::spgemm::{geometric_mean, SpgemmModel, SpgemmPlatform};
 use neura_baselines::WorkloadProfile;
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::ChipConfig;
-use neura_lab::{ArtifactSession, ExperimentSpec, Runner, SweepGrid};
+use neura_lab::{fmt, print_table, ArtifactSession, ExperimentSpec, Runner, SweepGrid};
 use neura_sparse::DatasetCatalog;
 
 pub(super) fn run(session: &mut ArtifactSession) {

@@ -22,10 +22,8 @@ use neura_lab::golden::{
     self, fig14_goldens, fig15_goldens, fig16_goldens, fig17_goldens, table1_bloat_order,
     table5_goldens, Golden, OrderGolden,
 };
-use neura_lab::{ArtifactSession, RunRecord, SweepPoint};
+use neura_lab::{fmt, print_table, ArtifactSession, RunRecord, SweepPoint};
 use Check::{Order, Values};
-
-use crate::{fmt, print_table};
 
 /// One table or figure of the paper's evaluation.
 #[derive(Debug, Clone, Copy)]

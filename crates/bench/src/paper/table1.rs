@@ -6,16 +6,15 @@
 //! parallel runner; the measured bloat must rank the suite in the pinned
 //! order (`neura_lab::golden::table1_bloat_order`).
 
-use crate::{fmt, print_table, scaled_matrix, MODEL_SCALE};
-use neura_lab::{ArtifactSession, RunRecord, Runner};
-use neura_sparse::{bloat, DatasetCatalog};
+use crate::{scaled_matrix, MODEL_SCALE};
+use neura_lab::{fmt, print_table, ArtifactSession, RunRecord, Runner};
+use neura_sparse::{spgemm, DatasetCatalog};
 
 pub(super) fn run(session: &mut ArtifactSession) {
     let datasets = DatasetCatalog::spgemm_suite();
     let analyses = Runner::from_env().run(&datasets, |_, dataset| {
         let a = scaled_matrix(dataset, MODEL_SCALE);
-        let report = bloat::analyze_square(&a);
-        (a.rows(), a.nnz(), report.bloat_percent)
+        (a.rows(), a.nnz(), spgemm::count_products(&a, &a).bloat_percent())
     });
 
     let mut rows = Vec::new();

@@ -1,8 +1,7 @@
 //! Tables 2 and 3 — per-component and whole-chip configuration parameters.
 
-use crate::{fmt, print_table};
 use neura_chip::config::{ChipConfig, TileSize};
-use neura_lab::{ArtifactSession, RunRecord};
+use neura_lab::{fmt, print_table, ArtifactSession, RunRecord};
 
 pub(super) fn run(session: &mut ArtifactSession) {
     let configs: Vec<ChipConfig> =

@@ -1,10 +1,9 @@
 //! Table 4 — NeuraChip power and area breakdown per component.
 
-use crate::{fmt, print_table};
 use neura_chip::config::TileSize;
 use neura_chip::power::table4_reference;
 use neura_lab::golden::slugify;
-use neura_lab::{ArtifactSession, RunRecord};
+use neura_lab::{fmt, print_table, ArtifactSession, RunRecord};
 
 pub(super) fn run(session: &mut ArtifactSession) {
     let mut area_rows = Vec::new();

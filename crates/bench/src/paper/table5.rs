@@ -6,11 +6,11 @@
 //! `neura_lab` runner and the NeuraChip throughput/speedup numbers are
 //! checked against `neura_lab::golden::table5_goldens`.
 
-use crate::{fmt, print_table, scaled_matrix, MODEL_SCALE};
+use crate::{scaled_matrix, MODEL_SCALE};
 use neura_baselines::spgemm::{geometric_mean, SpgemmModel, SpgemmPlatform};
 use neura_baselines::WorkloadProfile;
 use neura_lab::golden::slugify;
-use neura_lab::{ArtifactSession, RunRecord, Runner};
+use neura_lab::{fmt, print_table, ArtifactSession, RunRecord, Runner};
 use neura_sparse::DatasetCatalog;
 
 pub(super) fn run(session: &mut ArtifactSession) {

@@ -4,7 +4,7 @@
 //! as the commit before it.
 //!
 //! Each binary is executed as a real subprocess (the exact artifact `cargo
-//! run` would launch) with [`neura_bench::SCALE_MULT_ENV`] set so the
+//! run` would launch) with [`neura_lab::SCALE_MULT_ENV`] set so the
 //! workloads shrink to seconds even in debug builds. The rows of
 //! [`INVOCATIONS`] execute concurrently on the same `neura_lab::Runner`
 //! scoped-thread pool the binaries themselves use for their sweeps, in one
@@ -234,7 +234,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 fn run_smoke(row: &Invocation, dir: &Path) -> Result<(), String> {
     let &(label, exe, pin, args, digest) = row;
     let mut command = Command::new(exe);
-    command.current_dir(dir).env(neura_bench::SCALE_MULT_ENV, SMOKE_MULT);
+    command.current_dir(dir).env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT);
     command.args(args.split_whitespace());
     if let Pin::Artifact(_) = pin {
         command.arg("--json").arg(format!("{label}.json"));
@@ -628,7 +628,7 @@ fn every_documented_flag_is_passed_by_some_invocation() {
 fn a_fleet_without_tile16_silicon_serves() {
     let output = Command::new(SERVE)
         .args(["--fleet", "t4x1", "--policy", "fifo"])
-        .env(neura_bench::SCALE_MULT_ENV, SMOKE_MULT)
+        .env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT)
         .output()
         .expect("spawn serve");
     let stderr = String::from_utf8_lossy(&output.stderr);
@@ -658,7 +658,7 @@ fn traced_serve_emits_a_thread_invariant_timeline() {
             // Byte-compared across runs: strip the wall-clock meta block,
             // which is the one intentionally non-deterministic part.
             .arg("--no-meta")
-            .env(neura_bench::SCALE_MULT_ENV, SMOKE_MULT)
+            .env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT)
             .env("NEURA_LAB_THREADS", threads);
         if let Some(trace_path) = trace {
             command.arg("--trace").arg(trace_path);
@@ -769,7 +769,7 @@ fn profiled_runs_emit_thread_invariant_conserving_profiles() {
             .arg("--json")
             .arg(&path)
             .args(extra)
-            .env(neura_bench::SCALE_MULT_ENV, SMOKE_MULT)
+            .env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT)
             .env("NEURA_LAB_THREADS", threads);
         let output = command.output().expect("spawn binary");
         assert!(
@@ -902,7 +902,7 @@ fn cost_model_default_is_byte_identical_and_xval_is_thread_invariant() {
             .arg("--json")
             .arg(&path)
             .args(extra)
-            .env(neura_bench::SCALE_MULT_ENV, SMOKE_MULT)
+            .env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT)
             .env("NEURA_LAB_THREADS", threads)
             .output()
             .expect("spawn binary");
@@ -969,7 +969,7 @@ fn serve_is_thread_invariant_and_trend_diffs_directories() {
             // Byte-compared across thread counts: strip the wall-clock
             // meta block, the one intentionally non-deterministic part.
             .arg("--no-meta")
-            .env(neura_bench::SCALE_MULT_ENV, SMOKE_MULT)
+            .env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT)
             .env("NEURA_LAB_THREADS", threads)
             .output()
             .expect("spawn serve");
@@ -1035,7 +1035,7 @@ fn a_timeline_window_too_narrow_for_the_horizon_exits_2() {
     let dir = std::env::temp_dir().join(format!("neura_narrow_window_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let output = Command::new(env!("CARGO_BIN_EXE_serve"))
-        .env(neura_bench::SCALE_MULT_ENV, SMOKE_MULT)
+        .env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT)
         .args(["--window-ms", "0.0000001", "--trace"])
         .arg(dir.join("timeline.json"))
         .arg("--json")

@@ -36,7 +36,8 @@ use crate::profile::{Observe, Profiler};
 use neura_mem::{ControllerStats, MemoryController, MemoryRequest, MemoryResponse};
 use neura_noc::{Packet, TorusNetwork, TorusTopology};
 use neura_sim::{Cycle, Histogram};
-use neura_sparse::{CooMatrix, CsrMatrix, DenseMatrix, SparseError};
+use neura_sparse::spgemm::SymbolicProduct;
+use neura_sparse::{CsrMatrix, DenseMatrix, SparseError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -196,15 +197,19 @@ impl PayloadSlab {
     }
 }
 
-/// Sorts eviction-ordered outputs by tag and keeps, of a tag evicted more
-/// than once, the entry evicted last.
-fn last_write_per_tag(mut outputs: Vec<(u64, f64)>) -> Vec<(u64, f64)> {
-    // Stable, so entries of one tag stay in eviction order.
-    outputs.sort_by_key(|&(tag, _)| tag);
-    outputs.reverse();
-    outputs.dedup_by_key(|&mut (tag, _)| tag);
-    outputs.reverse();
-    outputs
+/// Assembles the product of a drained `program`: its symbolic pattern, with
+/// the eviction-ordered `outputs` scattered in as the values. A tag evicted
+/// more than once keeps the entry evicted last.
+fn scatter_into_pattern(program: Program, outputs: &[(u64, f64)]) -> CsrMatrix {
+    let mut values = vec![0.0; program.output_nnz];
+    for &(tag, value) in outputs {
+        let (r, c) = program.coords_of(tag);
+        values[program.pattern.position(r, c).expect("an evicted tag is in the pattern")] = value;
+    }
+    let (rows, cols) = program.output_shape;
+    let SymbolicProduct { row_ptr, col_idx, .. } = program.pattern;
+    CsrMatrix::from_raw_parts(rows, cols, row_ptr, col_idx, values)
+        .expect("the symbolic pattern is structurally valid CSR")
 }
 
 /// The NeuraChip accelerator model.
@@ -269,12 +274,7 @@ impl Accelerator {
         }
         let program = compiler::compile_spgemm(&a.to_csc(), b, self.config.mmh_tile);
         let (outputs, report) = self.run(&program, profiler)?;
-        let mut coo = CooMatrix::new(a.rows(), b.cols());
-        for (tag, value) in last_write_per_tag(outputs) {
-            let (r, c) = program.coords_of(tag);
-            coo.push(r, c, value).expect("tag coordinates are in bounds");
-        }
-        Ok(SpgemmRun { product: coo.to_csr(), report })
+        Ok(SpgemmRun { product: scatter_into_pattern(program, &outputs), report })
     }
 
     /// Runs the GCN aggregation `A × X` with dense features `X`.
@@ -768,9 +768,16 @@ mod tests {
 
     #[test]
     fn a_repeated_tag_keeps_its_last_eviction() {
-        let evictions = vec![(7, 1.0), (2, 2.0), (7, 3.0), (5, 4.0), (2, 5.0), (7, 6.0)];
-        assert_eq!(last_write_per_tag(evictions), [(2, 5.0), (5, 4.0), (7, 6.0)]);
-        assert_eq!(last_write_per_tag(Vec::new()), []);
+        // The product of 3 × 3 diagonals stores tags 0, 4 and 8.
+        let id = CsrMatrix::identity(3);
+        let program = compiler::compile_spgemm(&id.to_csc(), &id, 4);
+        let evictions = [(8, 1.0), (0, 2.0), (8, 3.0), (4, 4.0), (0, 5.0), (8, 6.0)];
+        let product = scatter_into_pattern(program, &evictions);
+        assert_eq!(product.col_idx(), [0, 1, 2]);
+        assert_eq!(product.values(), [5.0, 4.0, 6.0]);
+        let empty = CsrMatrix::zeros(3, 3);
+        let program = compiler::compile_spgemm(&empty.to_csc(), &empty, 4);
+        assert_eq!(scatter_into_pattern(program, &[]).nnz(), 0);
     }
 
     #[test]

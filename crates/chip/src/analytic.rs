@@ -70,7 +70,7 @@
 
 use crate::config::{ChipConfig, TileSize};
 use neura_mem::HbmPreset;
-use neura_sparse::{bloat, CsrMatrix};
+use neura_sparse::{spgemm, CsrMatrix};
 
 /// Structural features of one SpGEMM workload — everything the analytic
 /// model reads about the *workload* (configuration features are taken
@@ -124,14 +124,14 @@ impl WorkloadFeatures {
     /// Extracts features for the square product `a · a` (the paper's
     /// benchmark workload) via a symbolic pass.
     pub fn from_square(a: &CsrMatrix) -> Self {
-        let report = bloat::analyze_square(a);
+        let stats = spgemm::count_products(a, a);
         let (active_cols, mmh_instructions) = compiler_shape(a, a);
         WorkloadFeatures {
             rows: a.rows() as u64,
             nnz: a.nnz() as u64,
-            partial_products: report.intermediate_partial_products,
-            output_nnz: report.output_nnz as u64,
-            max_row_pp: max_row_pp(a, a),
+            partial_products: stats.multiplications,
+            output_nnz: stats.output_nnz as u64,
+            max_row_pp: stats.max_row_partial_products,
             active_cols,
             mmh_instructions,
         }
@@ -168,18 +168,6 @@ fn compiler_shape(a: &CsrMatrix, b: &CsrMatrix) -> (u64, [u64; 4]) {
         }
     }
     (active, instructions)
-}
-
-/// Partial products contributed by each row of `a` against `b`, reduced
-/// to the heaviest row. O(nnz) — no hashing, just fan-out counting.
-fn max_row_pp(a: &CsrMatrix, b: &CsrMatrix) -> u64 {
-    (0..a.rows())
-        .map(|i| {
-            let (cols, _) = a.row(i);
-            cols.iter().map(|&k| b.row_nnz(k) as u64).sum::<u64>()
-        })
-        .max()
-        .unwrap_or(0)
 }
 
 /// Fitted additive coefficients for one (tile size × HBM preset) group.
@@ -562,12 +550,13 @@ mod tests {
     fn features_match_symbolic_analysis() {
         let a = neura_sparse::gen::GraphGenerator::power_law(64, 256, 2.4, 7).generate().to_csr();
         let w = WorkloadFeatures::from_square(&a);
-        let report = bloat::analyze_square(&a);
+        let (_, numeric) = spgemm::multiply_counting(&a, &a);
         assert_eq!(w.rows, a.rows() as u64);
         assert_eq!(w.nnz, a.nnz() as u64);
-        assert_eq!(w.partial_products, report.intermediate_partial_products);
-        assert_eq!(w.output_nnz, report.output_nnz as u64);
-        assert_eq!(w.flops(), 2 * report.intermediate_partial_products);
+        assert_eq!(w.partial_products, numeric.multiplications);
+        assert_eq!(w.output_nnz, numeric.output_nnz as u64);
+        assert_eq!(w.flops(), 2 * numeric.multiplications);
+        assert_eq!(w.max_row_pp, numeric.max_row_partial_products);
         assert!(w.max_row_pp >= w.partial_products.div_ceil(w.rows.max(1)));
         assert!(w.max_row_pp <= w.partial_products);
         assert!(w.active_cols <= w.rows);

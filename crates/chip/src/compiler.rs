@@ -7,11 +7,17 @@
 //! operands out in a virtual address space, and — crucially for the
 //! rolling-eviction mechanism — precomputes the contribution count of every
 //! output element so each partial product can carry its eviction counter.
+//!
+//! That precomputation is the symbolic phase of Gustavson's algorithm and is
+//! not done here: [`neura_sparse::spgemm::symbolic`] derives the pattern of
+//! `C` and the fan-in of its elements once, the compiler looks every
+//! counter up in it by position, and the [`Program`] carries it on so the
+//! accelerator model assembles its result in the same arrays.
 
 use crate::isa::{MmhInstruction, MmhWork};
+use neura_sparse::spgemm::{self, SymbolicProduct};
 use neura_sparse::{CscMatrix, CsrMatrix, DenseMatrix};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Virtual-address-space layout used by the compiler.
 pub mod layout {
@@ -39,6 +45,9 @@ pub struct Program {
     pub total_partial_products: u64,
     /// Number of distinct output elements (non-zeros of the result).
     pub output_nnz: usize,
+    /// Pattern of the output matrix with the contribution count of every
+    /// element — the rolling-eviction counters, by output position.
+    pub pattern: SymbolicProduct,
     /// Tile height used for the MMH instructions.
     pub tile: u8,
     /// Total operand bytes the NeuraCores must read from HBM.
@@ -72,21 +81,10 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
     assert!(matches!(tile, 1 | 2 | 4 | 8), "MMH tile height must be 1, 2, 4 or 8");
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
 
-    let out_cols = b.cols() as u64;
-    // Pass 1: symbolic SpGEMM to obtain the contribution count (reduction
-    // fan-in) of every output element — the rolling-eviction counters.
-    let mut fanin: HashMap<u64, u32> = HashMap::new();
-    for k in 0..a.cols() {
-        let (a_rows, _) = a.col(k);
-        let (b_cols, _) = b.row(k);
-        for &i in a_rows {
-            for &j in b_cols {
-                *fanin.entry(i as u64 * out_cols + j as u64).or_insert(0) += 1;
-            }
-        }
-    }
+    // The contribution count (reduction fan-in) of every output element —
+    // the rolling-eviction counters.
+    let pattern = spgemm::symbolic(&a.to_csr(), b);
 
-    // Pass 2: emit the tiled instruction stream.
     let mut instructions = Vec::new();
     let mut total_partial_products = 0u64;
     let mut input_bytes = 0u64;
@@ -107,8 +105,9 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
             let mut counters = Vec::with_capacity(rows_chunk.len() * b_cols.len());
             for &i in rows_chunk {
                 for &j in b_cols {
-                    let tag = i as u64 * out_cols + j as u64;
-                    counters.push(fanin[&tag]);
+                    let at =
+                        pattern.position(i, j).expect("a partial product lands in the pattern");
+                    counters.push(pattern.fanin[at]);
                 }
             }
             let instr = MmhInstruction {
@@ -135,12 +134,13 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
         a_cursor += a_rows.len() as u64;
     }
 
-    let output_nnz = fanin.len();
+    let output_nnz = pattern.col_idx.len();
     Program {
         instructions,
         output_shape: (a.rows(), b.cols()),
         total_partial_products,
         output_nnz,
+        pattern,
         tile,
         input_bytes,
         output_bytes: output_nnz as u64 * 8,
@@ -174,7 +174,7 @@ fn dense_to_csr(m: &DenseMatrix) -> CsrMatrix {
 mod tests {
     use super::*;
     use neura_sparse::gen::{feature_matrix, GraphGenerator};
-    use neura_sparse::spgemm;
+    use std::collections::HashMap;
 
     fn small_graph(seed: u64) -> CsrMatrix {
         GraphGenerator::power_law(60, 400, 2.1, seed).generate().to_csr()

@@ -8,6 +8,10 @@
 //! sums are exact in `f64`, so the order in which a HashPad happens to
 //! accumulate them cannot round differently from Gustavson's. Aggregation
 //! uses real-valued features and is held to `1e-9` instead.
+//!
+//! Beside the hand-built shapes, a property test draws small rectangular
+//! operand pairs — dimensions from zero, signed values so that products
+//! cancel into stored zeros — and one configuration of the grid each.
 
 use neura_chip::accelerator::{Accelerator, ChipError};
 use neura_chip::config::{ChipConfig, EvictionPolicy, TileSize};
@@ -15,6 +19,7 @@ use neura_chip::mapping::MappingKind;
 use neura_mem::HbmPreset;
 use neura_sparse::gen::{feature_matrix, GraphGenerator};
 use neura_sparse::{spgemm, spmm, CooMatrix, CsrMatrix};
+use proptest::prelude::*;
 
 const EVICTIONS: [EvictionPolicy; 2] = [EvictionPolicy::Rolling, EvictionPolicy::Barrier];
 
@@ -112,6 +117,46 @@ fn graph_spgemm_equals_the_reference_on_every_configuration() {
         for (label, config) in &grid {
             assert_spgemm_matches(name, &a, label, config);
         }
+    }
+}
+
+/// An up-to-9 × 9 operand pair with compatible shapes, any dimension
+/// possibly zero, holding integers in `-2..=2` (explicit zeros included;
+/// duplicates of a coordinate sum).
+fn arb_integer_pair() -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
+    let entries = || proptest::collection::vec((0usize..90, 0usize..90, 0u8..5), 0..30);
+    (0usize..10, 0usize..10, 0usize..10, entries(), entries()).prop_map(|(m, k, n, a, b)| {
+        let build = |rows: usize, cols: usize, entries: &[(usize, usize, u8)]| {
+            let mut coo = CooMatrix::new(rows, cols);
+            if rows > 0 && cols > 0 {
+                for &(r, c, v) in entries {
+                    coo.push(r % rows, c % cols, f64::from(v) - 2.0).expect("in bounds");
+                }
+            }
+            coo.to_csr()
+        };
+        (build(m, k, &a), build(k, n, &b))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The simulated product is Gustavson's array for array: the same
+    /// `row_ptr` and `col_idx` — an element whose partial products cancel
+    /// stays a stored zero — and the same values.
+    #[test]
+    fn random_spgemm_equals_the_reference_array_for_array(
+        (a, b) in arb_integer_pair(),
+        cell in 0usize..144,
+    ) {
+        let (label, config) = &full_grid()[cell];
+        let run = Accelerator::new(config.clone()).run_spgemm(&a, &b);
+        let product = run.map_err(|e| format!("{label}: {e}"))?.product;
+        let reference = spgemm::gustavson(&a, &b);
+        prop_assert!(product.row_ptr() == reference.row_ptr(), "{label}: row_ptr of {product:?}");
+        prop_assert!(product.col_idx() == reference.col_idx(), "{label}: col_idx of {product:?}");
+        prop_assert!(product.values() == reference.values(), "{label}: values of {product:?}");
     }
 }
 

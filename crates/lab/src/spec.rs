@@ -3,9 +3,9 @@
 //!
 //! A [`SweepGrid`] names the axes being varied (compute mapping, eviction
 //! policy, MMH tile height, HashPad size, tile size, dataset, plus the
-//! scaling axes: core/mem counts per tile, router buffering, clock
-//! frequency and HBM timing preset); an [`ExperimentSpec`] pairs a grid with
-//! a base configuration and a name.
+//! scaling axes: core count per tile, router buffering, clock frequency and
+//! HBM timing preset); an [`ExperimentSpec`] pairs a grid with a base
+//! configuration and a name.
 //! [`ExperimentSpec::points`] enumerates the full cartesian product in a
 //! stable, documented order, assigning each point a stable human-readable
 //! run ID and a seed derived from that ID — so the same spec always produces
@@ -46,8 +46,6 @@ pub struct SweepGrid {
     pub hashlines: Vec<usize>,
     /// NeuraCore counts per tile to sweep.
     pub cores_per_tile: Vec<usize>,
-    /// NeuraMem counts per tile to sweep.
-    pub mems_per_tile: Vec<usize>,
     /// Router packet-buffer capacities to sweep.
     pub router_buffers: Vec<usize>,
     /// Clock frequencies (GHz) to sweep.
@@ -101,12 +99,6 @@ impl SweepGrid {
     /// Sets the NeuraCores-per-tile axis (builder style).
     pub fn cores_per_tile(mut self, cores: impl IntoIterator<Item = usize>) -> Self {
         self.cores_per_tile = cores.into_iter().collect();
-        self
-    }
-
-    /// Sets the NeuraMems-per-tile axis (builder style).
-    pub fn mems_per_tile(mut self, mems: impl IntoIterator<Item = usize>) -> Self {
-        self.mems_per_tile = mems.into_iter().collect();
         self
     }
 
@@ -217,8 +209,8 @@ impl ExperimentSpec {
 
     /// Enumerates every point of the cartesian product, in a stable order:
     /// dataset-major, then tile size, mapping, eviction, MMH tile, HashPad
-    /// size, cores per tile, mems per tile, router buffer, frequency and
-    /// HBM preset (the last axis varies fastest).
+    /// size, cores per tile, router buffer, frequency and HBM preset (the
+    /// last axis varies fastest).
     ///
     /// Run IDs name the spec, the dataset, and *only* the axes the grid
     /// actually sweeps (a one-point axis adds no ID segment), so IDs stay
@@ -278,7 +270,6 @@ enum Setting {
     MmhTile(u8),
     Hashlines(usize),
     CoresPerTile(usize),
-    MemsPerTile(usize),
     RouterBuffer(usize),
     FrequencyGhz(f64),
     Hbm(HbmPreset),
@@ -288,7 +279,7 @@ impl SweepGrid {
     /// The configuration axes in enumeration order, slowest first — the
     /// order [`ExperimentSpec::points`] documents, and the one place a new
     /// axis joins the walk.
-    fn axes(&self) -> [Vec<Setting>; 10] {
+    fn axes(&self) -> [Vec<Setting>; 9] {
         fn lift<T: Copy>(values: &[T], setting: fn(T) -> Setting) -> Vec<Setting> {
             values.iter().copied().map(setting).collect()
         }
@@ -299,7 +290,6 @@ impl SweepGrid {
             lift(&self.mmh_tiles, Setting::MmhTile),
             lift(&self.hashlines, Setting::Hashlines),
             lift(&self.cores_per_tile, Setting::CoresPerTile),
-            lift(&self.mems_per_tile, Setting::MemsPerTile),
             lift(&self.router_buffers, Setting::RouterBuffer),
             lift(&self.frequencies_ghz, Setting::FrequencyGhz),
             lift(&self.hbm_presets, Setting::Hbm),
@@ -334,7 +324,6 @@ impl Setting {
                 config
             }
             Setting::CoresPerTile(cores) => config.with_cores_per_tile(cores),
-            Setting::MemsPerTile(mems) => config.with_mems_per_tile(mems),
             Setting::RouterBuffer(slots) => config.with_router_buffer(slots),
             Setting::FrequencyGhz(ghz) => config.with_frequency_ghz(ghz),
             Setting::Hbm(preset) => config.with_hbm_preset(preset),
@@ -350,7 +339,6 @@ impl Setting {
             Setting::MmhTile(tile) => format!("mmh{tile}"),
             Setting::Hashlines(lines) => format!("hl{lines}"),
             Setting::CoresPerTile(cores) => format!("c{cores}"),
-            Setting::MemsPerTile(mems) => format!("m{mems}"),
             Setting::RouterBuffer(slots) => format!("rb{slots}"),
             Setting::FrequencyGhz(ghz) => format!("f{ghz:?}"),
             Setting::Hbm(preset) => preset.name().to_string(),
@@ -449,15 +437,14 @@ mod tests {
             ChipConfig::tile_16(),
             SweepGrid::new()
                 .cores_per_tile([4, 8])
-                .mems_per_tile([4])
                 .router_buffers([8, 16])
                 .frequencies_ghz([1.0, 1.5])
                 .hbm_presets([HbmPreset::Hbm2, HbmPreset::Hbm2DualStack]),
         );
         let points = spec.points();
         assert_eq!(points.len(), 16);
-        assert_eq!(points[0].id, "scale/c4/m4/rb8/f1.0/hbm2");
-        assert_eq!(points[15].id, "scale/c8/m4/rb16/f1.5/hbm2-dual");
+        assert_eq!(points[0].id, "scale/c4/rb8/f1.0/hbm2");
+        assert_eq!(points[15].id, "scale/c8/rb16/f1.5/hbm2-dual");
         let last = &points[15].config;
         assert_eq!(last.cores_per_tile, 8);
         assert_eq!(last.router_buffer, 16);

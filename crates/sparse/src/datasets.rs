@@ -192,7 +192,7 @@ fn gnn(name: &'static str, nodes: usize, edges: usize, feature_dim: usize) -> Da
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bloat;
+    use crate::spgemm;
 
     #[test]
     fn spgemm_suite_has_twenty_datasets() {
@@ -255,7 +255,7 @@ mod tests {
         let p2p = DatasetCatalog::by_name("p2p-Gnutella31").unwrap();
         let bloat_of = |d: &Dataset| {
             let m = d.generate_scaled(scale, 3).to_csr();
-            bloat::analyze_square(&m).bloat_percent
+            spgemm::count_products(&m, &m).bloat_percent()
         };
         let fb_b = bloat_of(&fb);
         let wiki_b = bloat_of(&wiki);

@@ -10,10 +10,11 @@
 //!   formats with loss-less conversions between them,
 //! * reference SpGEMM implementations for the four dataflows discussed in
 //!   the paper (inner product, outer product, row-wise/Gustavson and the
-//!   tiled Gustavson variant used by NeuraChip) in [`spgemm`],
+//!   tiled Gustavson variant used by NeuraChip) in [`spgemm`], with the one
+//!   symbolic pass that gives the memory-bloat analysis of Table 1 its
+//!   counts and the NeuraCompiler its pattern and fan-in,
 //! * sparse × dense multiplication ([`spmm`]) used by the GCN combination
 //!   stage,
-//! * memory-bloat analysis reproducing Table 1 ([`bloat`]),
 //! * random graph generators (Erdős–Rényi, R-MAT, power-law) in [`gen`],
 //! * a catalog of synthetic stand-ins for the paper's SNAP/SuiteSparse
 //!   datasets in [`datasets`], and
@@ -23,23 +24,23 @@
 //! # Quick example
 //!
 //! ```
-//! use neura_sparse::{gen::GraphGenerator, spgemm, bloat};
+//! use neura_sparse::{gen::GraphGenerator, spgemm};
 //!
 //! // A small scale-free graph, squared (the aggregation-style SpGEMM A×A).
 //! let a = GraphGenerator::power_law(500, 4_000, 2.2, 7).generate();
 //! let a_csr = a.to_csr();
 //! let a_csc = a.to_csc();
 //! let c = spgemm::gustavson(&a_csr, &a_csr);
-//! let report = bloat::analyze(&a_csr, &a_csr);
-//! assert_eq!(c.nnz(), report.output_nnz);
-//! assert!(report.intermediate_partial_products >= report.output_nnz as u64);
+//! let stats = spgemm::count_products(&a_csr, &a_csr);
+//! assert_eq!(c.nnz(), stats.output_nnz);
+//! assert!(stats.multiplications >= stats.output_nnz as u64);
+//! assert!(stats.bloat_percent() >= 0.0);
 //! let _ = a_csc; // CSC form is what NeuraChip streams for matrix A.
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bloat;
 mod coo;
 mod csc;
 mod csr;
@@ -51,7 +52,6 @@ pub mod spgemm;
 pub mod spmm;
 pub mod stats;
 
-pub use bloat::BloatReport;
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;

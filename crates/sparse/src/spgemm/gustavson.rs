@@ -1,7 +1,7 @@
-//! Row-wise (Gustavson) SpGEMM.
+//! Row-wise (Gustavson) SpGEMM: the numeric kernel and its symbolic phase.
 
 use super::accumulator::{CsrRows, SparseAccumulator};
-use super::SpgemmStats;
+use super::{SpgemmStats, SymbolicProduct};
 use crate::CsrMatrix;
 
 /// Computes `C = A × B` with the row-wise (Gustavson) dataflow.
@@ -17,11 +17,19 @@ use crate::CsrMatrix;
 /// Panics if `a.cols() != b.rows()` (use [`super::multiply`] for a fallible
 /// entry point).
 pub fn gustavson(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
-    gustavson_with_stats(a, b).0
+    multiply_counting(a, b).0
 }
 
 /// Same as [`gustavson`] but also returns operation counts.
-pub fn gustavson_with_stats(a: &CsrMatrix, b: &CsrMatrix) -> (CsrMatrix, SpgemmStats) {
+///
+/// The counts are the ones the memory-bloat analysis (Table 1) and every
+/// analytical baseline model use; callers that need only the counts take
+/// them from [`count_products`].
+///
+/// # Panics
+///
+/// Panics if `a.cols() != b.rows()`.
+pub fn multiply_counting(a: &CsrMatrix, b: &CsrMatrix) -> (CsrMatrix, SpgemmStats) {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let mut stats = SpgemmStats::default();
     let mut out = CsrRows::new(a.rows(), b.cols());
@@ -48,10 +56,35 @@ pub fn gustavson_with_stats(a: &CsrMatrix, b: &CsrMatrix) -> (CsrMatrix, SpgemmS
     (product, stats)
 }
 
+/// The symbolic phase of Gustavson's algorithm for output row `i`, the one
+/// walk over the sparsity patterns of `A × B`: every `(a.row(i), b.row(k))`
+/// pairing is visited and no value is read.  Each partial product is handed
+/// to `visit` as its column and whether it is the row's first there, which
+/// the row-stamp array over the columns of `B` tells (`stamp[j] == i` once
+/// row `i` has reached column `j`; it starts at a value no row index
+/// reaches).  Returns the row's partial-product count.
+fn walk_row(
+    a: &CsrMatrix,
+    b: &CsrMatrix,
+    i: usize,
+    stamp: &mut [usize],
+    mut visit: impl FnMut(usize, bool),
+) -> u64 {
+    let mut partial_products = 0u64;
+    for &k in a.row(i).0 {
+        let b_cols = b.row(k).0;
+        partial_products += b_cols.len() as u64;
+        for &j in b_cols {
+            visit(j, stamp[j] != i);
+            stamp[j] = i;
+        }
+    }
+    partial_products
+}
+
 /// The [`SpgemmStats`] of `A × B` from the sparsity patterns alone: the
-/// same five fields as `gustavson_with_stats(a, b).1`, without computing a
-/// value, sorting a row or building the output.  One row-stamp array over
-/// the columns of `B` tells a first visit of `(i, j)` from a repeat.
+/// same five fields as `multiply_counting(a, b).1`, without computing a
+/// value, sorting a row or building the output.
 ///
 /// # Panics
 ///
@@ -59,25 +92,43 @@ pub fn gustavson_with_stats(a: &CsrMatrix, b: &CsrMatrix) -> (CsrMatrix, SpgemmS
 pub fn count_products(a: &CsrMatrix, b: &CsrMatrix) -> SpgemmStats {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let mut stats = SpgemmStats::default();
-    // `stamp[j] == i` once row `i` has produced an entry in column `j`; no
-    // row index reaches the initial value.
     let mut stamp = vec![usize::MAX; b.cols()];
     for i in 0..a.rows() {
-        let mut row_partial_products = 0u64;
-        for &k in a.row(i).0 {
-            let b_cols = b.row(k).0;
-            row_partial_products += b_cols.len() as u64;
-            for &j in b_cols {
-                if stamp[j] != i {
-                    stamp[j] = i;
-                    stats.output_nnz += 1;
-                }
-            }
-        }
+        let row_partial_products =
+            walk_row(a, b, i, &mut stamp, |_, first| stats.output_nnz += usize::from(first));
         stats.record_row(row_partial_products);
     }
     stats.additions = stats.multiplications - stats.output_nnz as u64;
     stats
+}
+
+/// The symbolic product of `A × B`: the CSR pattern of `C` — the `row_ptr`
+/// and `col_idx` [`gustavson`] returns — with the reduction fan-in of every
+/// stored element, from the same walk as [`count_products`].
+///
+/// # Panics
+///
+/// Panics if `a.cols() != b.rows()`.
+pub fn symbolic(a: &CsrMatrix, b: &CsrMatrix) -> SymbolicProduct {
+    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    let mut stamp = vec![usize::MAX; b.cols()];
+    // Partial products the open row has put into each column it reached.
+    let mut count = vec![0u32; b.cols()];
+    let (mut row_ptr, mut col_idx, mut fanin) = (vec![0], Vec::new(), Vec::new());
+    for i in 0..a.rows() {
+        let row_start = col_idx.len();
+        walk_row(a, b, i, &mut stamp, |j, first| {
+            if first {
+                col_idx.push(j);
+                count[j] = 0;
+            }
+            count[j] += 1;
+        });
+        col_idx[row_start..].sort_unstable();
+        fanin.extend(col_idx[row_start..].iter().map(|&j| count[j]));
+        row_ptr.push(col_idx.len());
+    }
+    SymbolicProduct { row_ptr, col_idx, fanin }
 }
 
 #[cfg(test)]
@@ -115,7 +166,7 @@ mod tests {
         )
         .unwrap()
         .to_csr();
-        let (c, stats) = gustavson_with_stats(&a, &b);
+        let (c, stats) = multiply_counting(&a, &b);
         // Row 0 of A has 2 nnz, each scaling a 2-nnz row of B: 4 products.
         // Row 1 of A has 1 nnz scaling a 2-nnz row: 2 products.
         assert_eq!(stats.multiplications, 6);

@@ -16,11 +16,27 @@
 //!
 //! All kernels produce identical numerical results; they differ only in the
 //! order in which partial products are generated, which is what the
-//! accelerator models in `neura-chip` care about.  [`multiply_counting`]
-//! additionally reports the partial-product trace statistics, and
-//! [`count_products`] computes the same statistics from the sparsity
-//! patterns alone, which is all the memory-bloat analysis and the baseline
-//! accelerator models need.
+//! accelerator models in `neura-chip` care about.
+//!
+//! # The symbolic phase
+//!
+//! Which elements of `C` exist, and how many partial products merge into
+//! each, depends on the sparsity patterns alone.  One private walk over
+//! `(a.row(i), b.row(k))` derives it, behind two entry points that differ
+//! in what they keep:
+//!
+//! * [`count_products`] keeps only the [`SpgemmStats`] — partial products,
+//!   output non-zeros, the heaviest row — and allocates nothing but the
+//!   walk's stamp array.  [`SpgemmStats::bloat_percent`] is the paper's
+//!   Equation 1 (Table 1); `paper table1`, the analytic cost tier's
+//!   `WorkloadFeatures` and the baseline models' `WorkloadProfile` read it.
+//! * [`symbolic`] keeps the [`SymbolicProduct`]: the CSR pattern of `C`
+//!   with the reduction fan-in of every stored element.  The NeuraCompiler
+//!   takes its rolling-eviction counters from it and the accelerator model
+//!   scatters the evicted values into it.
+//!
+//! [`multiply_counting`] is the numeric row-wise kernel reporting the same
+//! statistics as it goes.
 //!
 //! # Output assembly
 //!
@@ -43,7 +59,7 @@ mod inner;
 mod outer;
 mod tiled;
 
-pub use gustavson::{count_products, gustavson, gustavson_with_stats};
+pub use gustavson::{count_products, gustavson, multiply_counting, symbolic};
 use inner::inner_product;
 use outer::outer_product;
 use tiled::tiled_gustavson;
@@ -99,14 +115,61 @@ impl SpgemmStats {
         self.max_row_partial_products = self.max_row_partial_products.max(partial_products);
     }
 
-    /// The paper's "bloat percent" (Equation 1):
-    /// `(pp_interim - nnz_output) / nnz_output * 100`.
-    pub(crate) fn bloat_percent(&self) -> f64 {
+    /// The paper's "bloat percent" (Equation 1 / Table 1): how many
+    /// intermediate partial products an SpGEMM produces relative to the
+    /// non-zeros that survive in the output,
+    ///
+    /// ```text
+    /// bloat% = (pp_interim − nnz_output) / nnz_output × 100
+    /// ```
+    ///
+    /// Large bloat means an accelerator following Gustavson's (or the outer
+    /// product) dataflow must hold many short-lived partial products on
+    /// chip, which motivates NeuraChip's rolling-eviction HashPad.  Zero for
+    /// an empty output.
+    pub fn bloat_percent(&self) -> f64 {
         if self.output_nnz == 0 {
             0.0
         } else {
             (self.multiplications as f64 - self.output_nnz as f64) / self.output_nnz as f64 * 100.0
         }
+    }
+
+    /// Average number of partial products that merge into one output
+    /// element; zero for an empty output.
+    pub fn average_fanin(&self) -> f64 {
+        if self.output_nnz == 0 {
+            0.0
+        } else {
+            self.multiplications as f64 / self.output_nnz as f64
+        }
+    }
+}
+
+/// The symbolic product of `A × B` ([`symbolic`]): which elements of `C`
+/// are stored, and how many partial products each one reduces.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SymbolicProduct {
+    /// CSR row pointers of `C` (`rows + 1` entries).
+    pub row_ptr: Vec<usize>,
+    /// Column indices of `C`, ascending inside every row.
+    pub col_idx: Vec<usize>,
+    /// Reduction fan-in of each stored element, parallel to `col_idx`: the
+    /// number of partial products `a_ik · b_kj` that sum into it (≥ 1).
+    pub fanin: Vec<u32>,
+}
+
+impl SymbolicProduct {
+    /// Index into `col_idx` / `fanin` of element `(row, col)`, if `C` stores
+    /// one there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not a row of `C`.
+    pub fn position(&self, row: usize, col: usize) -> Option<usize> {
+        let start = self.row_ptr[row];
+        let columns = &self.col_idx[start..self.row_ptr[row + 1]];
+        columns.binary_search(&col).ok().map(|offset| start + offset)
     }
 }
 
@@ -127,15 +190,6 @@ pub fn multiply(a: &CsrMatrix, b: &CsrMatrix, dataflow: Dataflow) -> crate::Resu
         Dataflow::RowWise => gustavson(a, b),
         Dataflow::TiledRowWise(tile) => tiled_gustavson(a, b, tile),
     })
-}
-
-/// Runs a row-wise SpGEMM while counting multiplications/additions.
-///
-/// The counts are the ones the memory-bloat analysis (Table 1) and every
-/// analytical baseline model use; callers that need only the counts take
-/// them from [`count_products`].
-pub fn multiply_counting(a: &CsrMatrix, b: &CsrMatrix) -> (CsrMatrix, SpgemmStats) {
-    gustavson_with_stats(a, b)
 }
 
 /// Number of intermediate partial products of `A × B`,
@@ -199,6 +253,43 @@ mod tests {
         // products takes k-1 additions).
         assert_eq!(stats.additions, stats.multiplications - c.nnz() as u64);
         assert!(stats.bloat_percent() >= 0.0);
+    }
+
+    #[test]
+    fn bloat_formula_matches_definition() {
+        let a = GraphGenerator::power_law(200, 1500, 2.2, 5).generate().to_csr();
+        let stats = count_products(&a, &a);
+        let expected = (stats.multiplications as f64 - stats.output_nnz as f64)
+            / stats.output_nnz as f64
+            * 100.0;
+        assert!((stats.bloat_percent() - expected).abs() < 1e-9);
+        assert!(stats.bloat_percent() >= 0.0);
+    }
+
+    #[test]
+    fn closed_form_partial_product_count_agrees_with_counting() {
+        let a = GraphGenerator::rmat(7, 800, 3).generate().to_csr();
+        let b = GraphGenerator::rmat(7, 700, 4).generate().to_csr();
+        assert_eq!(partial_product_count(&a, &b), count_products(&a, &b).multiplications);
+    }
+
+    #[test]
+    fn identity_has_zero_bloat() {
+        let id = CsrMatrix::identity(64);
+        let stats = count_products(&id, &id);
+        assert_eq!(stats.bloat_percent(), 0.0);
+        assert_eq!(stats.multiplications, 64);
+        assert_eq!(stats.output_nnz, 64);
+        assert_eq!(stats.average_fanin(), 1.0);
+    }
+
+    #[test]
+    fn denser_graphs_have_higher_bloat() {
+        let sparse = GraphGenerator::erdos_renyi(300, 0.01, 9).generate().to_csr();
+        let dense = GraphGenerator::erdos_renyi(300, 0.08, 9).generate().to_csr();
+        let sparse_bloat = count_products(&sparse, &sparse).bloat_percent();
+        let dense_bloat = count_products(&dense, &dense).bloat_percent();
+        assert!(dense_bloat > sparse_bloat);
     }
 
     #[test]

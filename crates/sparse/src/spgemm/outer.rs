@@ -35,14 +35,14 @@ pub(crate) fn outer_product(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
 mod tests {
     use super::*;
     use crate::gen::GraphGenerator;
-    use crate::spgemm::{gustavson_with_stats, partial_product_count};
+    use crate::spgemm::{multiply_counting, partial_product_count};
 
     #[test]
     fn agrees_with_gustavson() {
         let a = GraphGenerator::erdos_renyi(50, 0.1, 21).generate().to_csr();
         let b = GraphGenerator::erdos_renyi(50, 0.08, 22).generate().to_csr();
         let outer = outer_product(&a, &b);
-        let (row_wise, stats) = gustavson_with_stats(&a, &b);
+        let (row_wise, stats) = multiply_counting(&a, &b);
         assert!(outer.to_dense().max_abs_diff(&row_wise.to_dense()).unwrap() < 1e-9);
         // The two dataflows generate the same number of scalar products.
         assert_eq!(partial_product_count(&a, &b), stats.multiplications);

@@ -1,8 +1,8 @@
 //! Property-based tests for the sparse-matrix substrate.
 
 use neura_sparse::gen::GraphGenerator;
-use neura_sparse::spgemm::{self, Dataflow};
-use neura_sparse::{bloat, spmm, CooMatrix, CsrMatrix, DenseMatrix};
+use neura_sparse::spgemm::{self, Dataflow, SpgemmStats, SymbolicProduct};
+use neura_sparse::{spmm, CooMatrix, CsrMatrix, DenseMatrix};
 use proptest::prelude::*;
 
 /// Strategy producing a small random sparse matrix together with its shape.
@@ -38,6 +38,51 @@ fn arb_pair() -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
             (a.to_csr(), b.to_csr())
         })
     })
+}
+
+/// Operand pairs that stress the symbolic pass: every dimension may be zero
+/// (a 0 × n operand, an output without rows or columns), the few entries of
+/// an up-to-11 × 11 operand leave rows and columns empty, and every third
+/// `B` is fully dense with zeros stored — the CSR the NeuraCompiler builds
+/// of a GCN feature matrix.
+fn arb_degenerate_pair() -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
+    let coordinate = || (0usize..1_000, 0usize..1_000, -3.0f64..3.0);
+    let entries = || proptest::collection::vec(coordinate(), 0..40);
+    (0usize..12, 0usize..12, 0usize..12, 0usize..3, entries(), entries()).prop_map(
+        |(m, k, n, b_kind, a_entries, b_entries)| {
+            let sparse = |rows: usize, cols: usize, entries: &[(usize, usize, f64)]| {
+                let mut coo = CooMatrix::new(rows, cols);
+                if rows > 0 && cols > 0 {
+                    for &(r, c, v) in entries {
+                        coo.push(r % rows, c % cols, v).unwrap();
+                    }
+                }
+                coo.to_csr()
+            };
+            let b = if b_kind == 0 {
+                let row_ptr = (0..=k).map(|r| r * n).collect();
+                let col_idx = (0..k).flat_map(|_| 0..n).collect();
+                let values = (0..k * n).map(|i| (i % 3) as f64).collect();
+                CsrMatrix::from_raw_parts(k, n, row_ptr, col_idx, values).unwrap()
+            } else {
+                sparse(k, n, &b_entries)
+            };
+            (sparse(m, k, &a_entries), b)
+        },
+    )
+}
+
+/// The statistics a symbolic product implies, folded from its arrays alone.
+fn stats_of(product: &SymbolicProduct) -> SpgemmStats {
+    let mut stats = SpgemmStats { output_nnz: product.col_idx.len(), ..Default::default() };
+    for row in product.row_ptr.windows(2) {
+        let partial_products: u64 = product.fanin[row[0]..row[1]].iter().map(|&f| f as u64).sum();
+        stats.multiplications += partial_products;
+        stats.active_rows += usize::from(partial_products > 0);
+        stats.max_row_partial_products = stats.max_row_partial_products.max(partial_products);
+    }
+    stats.additions = stats.multiplications - stats.output_nnz as u64;
+    stats
 }
 
 /// Every dataflow `spgemm::multiply` can run, tiled at each MMH height.
@@ -111,7 +156,7 @@ proptest! {
     /// statistics, all five fields.
     #[test]
     fn count_products_matches_the_counting_multiplication((a, b) in arb_pair()) {
-        prop_assert_eq!(spgemm::count_products(&a, &b), spgemm::gustavson_with_stats(&a, &b).1);
+        prop_assert_eq!(spgemm::count_products(&a, &b), spgemm::multiply_counting(&a, &b).1);
     }
 
     /// The counting transpose is the sort-based COO conversion, bit for bit.
@@ -120,20 +165,17 @@ proptest! {
         prop_assert_eq!(m.to_csc(), m.to_coo().to_csc());
     }
 
-    /// The bloat report is internally consistent: pp >= nnz_out, fanin >= 1 when non-empty.
+    /// The bloat figures are internally consistent: pp >= nnz_out, fanin >= 1 when non-empty.
     #[test]
     fn bloat_report_invariants((a, b) in arb_pair()) {
         prop_assume!(a.cols() == b.rows());
-        let report = bloat::analyze(&a, &b);
-        prop_assert!(report.intermediate_partial_products >= report.output_nnz as u64);
-        if report.output_nnz > 0 {
-            prop_assert!(report.average_reduction_fanin() >= 1.0);
-            prop_assert!(report.bloat_percent >= 0.0);
+        let stats = spgemm::count_products(&a, &b);
+        prop_assert!(stats.multiplications >= stats.output_nnz as u64);
+        if stats.output_nnz > 0 {
+            prop_assert!(stats.average_fanin() >= 1.0);
+            prop_assert!(stats.bloat_percent() >= 0.0);
         }
-        prop_assert_eq!(
-            report.intermediate_partial_products,
-            spgemm::partial_product_count(&a, &b)
-        );
+        prop_assert_eq!(stats.multiplications, spgemm::partial_product_count(&a, &b));
     }
 
     /// SpMM against a random dense matrix matches the dense-dense reference.
@@ -175,5 +217,29 @@ proptest! {
         let id = DenseMatrix::identity(rows);
         let y = id.matmul(&x).unwrap();
         prop_assert!(y.max_abs_diff(&x).unwrap() < 1e-12);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The symbolic product against three independent references: the
+    /// numeric kernel's pattern, the closed-form partial-product count and
+    /// the counting walk's statistics.
+    #[test]
+    fn symbolic_product_matches_its_references((a, b) in arb_degenerate_pair()) {
+        let product = spgemm::symbolic(&a, &b);
+        let numeric = spgemm::gustavson(&a, &b);
+        prop_assert_eq!(&product.row_ptr[..], numeric.row_ptr());
+        prop_assert_eq!(&product.col_idx[..], numeric.col_idx());
+        prop_assert_eq!(product.fanin.len(), product.col_idx.len());
+        prop_assert!(product.fanin.iter().all(|&f| f >= 1));
+        let fanin_sum: u64 = product.fanin.iter().map(|&f| f as u64).sum();
+        prop_assert_eq!(fanin_sum, spgemm::partial_product_count(&a, &b));
+        prop_assert_eq!(stats_of(&product), spgemm::count_products(&a, &b));
+        for (r, c, _) in numeric.iter() {
+            let at = product.position(r, c);
+            prop_assert!(at.is_some_and(|p| product.col_idx[p] == c), "({r}, {c}) at {at:?}");
+        }
     }
 }

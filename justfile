@@ -25,15 +25,17 @@ doc:
 
 # Non-test lines of Rust per crate (lines before each file's first
 # `#[cfg(test)]`): the figure the simplicity PRs report in CHANGES.md.
-# Printed, never gated.
-loc:
-    bash scripts/loc.sh
+# Printed, never gated. `just loc HEAD~1` prints the before → after table
+# against that commit instead.
+loc rev="":
+    bash scripts/loc.sh {{rev}}
 
 # Per crate: `pub` declarations, `pub mod` lines, and the `pub` names no
 # file outside the crate's `src/` mentions. Printed, never gated — the gate
-# is `unreachable_pub` in `just clippy`.
-surface:
-    bash scripts/pub-surface.sh
+# is `unreachable_pub` in `just clippy`. `just surface HEAD~1` prints the
+# before → after table against that commit instead.
+surface rev="":
+    bash scripts/pub-surface.sh {{rev}}
 
 # Release build of every crate and binary.
 build:

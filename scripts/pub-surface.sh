@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# scripts/pub-surface.sh                                  (`just surface`)
+# scripts/pub-surface.sh [REV]                            (`just surface`)
 #
 # The public surface of each library crate: the count of `pub`
 # declarations (`pub fn|struct|enum|trait|type|const|static|mod` before
@@ -17,31 +17,60 @@
 # the compiler — `unreachable_pub` under `[workspace.lints.rust]` fails
 # `cargo clippy -- -D warnings` for a `pub` item in a private module that
 # the crate root does not re-export, and `dead_code` then sees the rest.
+#
+# With a REV (`scripts/pub-surface.sh HEAD~1`) the same scan is run over a
+# `git archive` of REV and the three counts are printed side by side, as
+# the Markdown table of before → after per crate that CHANGES.md carries.
 set -euo pipefail
+if [[ $# -gt 1 ]]; then
+    echo "usage: scripts/pub-surface.sh [REV]" >&2
+    exit 2
+fi
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
-decl='^[[:space:]]*pub (fn|struct|enum|trait|type|const|static|mod) '
-total=0 total_mods=0 total_unnamed=0
-for crate in crates/*/; do
-    crate="${crate%/}"
-    # The crate's own sources; its binaries are consumers like any other.
-    mapfile -t own < <(find "$crate/src" -name '*.rs' -not -path "$crate/src/bin/*" | sort)
-    mapfile -t consumers < <(find crates tests examples benchmark/src benchmark/tests src -name '*.rs' \
-        \( -not -path "$crate/src/*" -o -path "$crate/src/bin/*" \) | sort)
-    names="$(awk -v decl="$decl" '
-        FNR == 1 { test = 0 }
-        /#\[cfg\(test\)\]/ { test = 1 }
-        !test && $0 ~ decl {
-            sub(/^[[:space:]]*pub [a-z]+ /, ""); sub(/[^A-Za-z0-9_].*/, ""); print
-        }' "${own[@]}")"
-    count="$(grep -c . <<<"$names" || true)"
-    mods="$(grep -cE '^pub mod ' "$crate/src/lib.rs" || true)"
-    unnamed=()
-    for name in $(sort -u <<<"$names"); do
-        grep -qw -- "$name" "${consumers[@]}" || unnamed+=("$name")
+
+# The report of the tree at $1.
+scan() (
+    cd "$1"
+    decl='^[[:space:]]*pub (fn|struct|enum|trait|type|const|static|mod) '
+    total=0 total_mods=0 total_unnamed=0
+    for crate in crates/*/; do
+        crate="${crate%/}"
+        # The crate's own sources; its binaries are consumers like any other.
+        mapfile -t own < <(find "$crate/src" -name '*.rs' -not -path "$crate/src/bin/*" | sort)
+        mapfile -t consumers < <(find crates tests examples benchmark/src benchmark/tests src -name '*.rs' \
+            \( -not -path "$crate/src/*" -o -path "$crate/src/bin/*" \) | sort)
+        names="$(awk -v decl="$decl" '
+            FNR == 1 { test = 0 }
+            /#\[cfg\(test\)\]/ { test = 1 }
+            !test && $0 ~ decl {
+                sub(/^[[:space:]]*pub [a-z]+ /, ""); sub(/[^A-Za-z0-9_].*/, ""); print
+            }' "${own[@]}")"
+        count="$(grep -c . <<<"$names" || true)"
+        mods="$(grep -cE '^pub mod ' "$crate/src/lib.rs" || true)"
+        unnamed=()
+        for name in $(sort -u <<<"$names"); do
+            grep -qw -- "$name" "${consumers[@]}" || unnamed+=("$name")
+        done
+        printf '%-10s %4d pub, %2d pub mod, %3d named by no consumer\n' \
+            "$(basename "$crate")" "$count" "$mods" "${#unnamed[@]}"
+        [[ ${#unnamed[@]} -eq 0 ]] || printf '    %s\n' "${unnamed[*]}" | fold -s -w 76 | sed -e '2,$s/^/    /' -e 's/ *$//'
+        total=$((total + count)) total_mods=$((total_mods + mods)) total_unnamed=$((total_unnamed + ${#unnamed[@]}))
     done
-    printf '%-10s %4d pub, %2d pub mod, %3d named by no consumer\n' \
-        "$(basename "$crate")" "$count" "$mods" "${#unnamed[@]}"
-    [[ ${#unnamed[@]} -eq 0 ]] || printf '    %s\n' "${unnamed[*]}" | fold -s -w 76 | sed -e '2,$s/^/    /' -e 's/ *$//'
-    total=$((total + count)) total_mods=$((total_mods + mods)) total_unnamed=$((total_unnamed + ${#unnamed[@]}))
-done
-printf '%-10s %4d pub, %2d pub mod, %3d named by no consumer\n' total "$total" "$total_mods" "$total_unnamed"
+    printf '%-10s %4d pub, %2d pub mod, %3d named by no consumer\n' total "$total" "$total_mods" "$total_unnamed"
+)
+
+if [[ $# -eq 0 ]]; then
+    scan .
+    exit
+fi
+work="$(mktemp -d "${TMPDIR:-/tmp}/pub-surface.XXXXXX")"
+trap 'rm -rf "$work"' EXIT
+git archive "$1" | tar -x -C "$work"
+printf '| crate | `pub` decls | `pub mod` | named by no consumer |\n|---|---|---|---|\n'
+# The count lines only (`<crate> N pub, M pub mod, K named ...`); a crate
+# on one side only reads `-` on the other.
+awk '!/^[a-z]+ +[0-9]+ pub,/ { next }
+    NR == FNR { before[$1] = $2 " " $4 " " $7; next }
+    $1 == "total" { for (gone in before) if (gone != "total") { split(before[gone], b); printf "| %s | %s → - | %s → - | %s → - |\n", gone, b[1], b[2], b[3] } }
+    { split($1 in before ? before[$1] : "- - -", b); printf "| %s | %s → %s | %s → %s | %s → %s |\n", $1, b[1], $2, b[2], $4, b[3], $7; delete before[$1] }' \
+    <(scan "$work") <(scan .)

@@ -10,7 +10,7 @@ use neurachip_repro::chip::gcn::run_gcn_layer;
 use neurachip_repro::chip::mapping::MappingKind;
 use neurachip_repro::chip::power::PowerModel;
 use neurachip_repro::sparse::gen::{feature_matrix, weight_matrix, GraphGenerator};
-use neurachip_repro::sparse::{bloat, spgemm, spmm, DatasetCatalog};
+use neurachip_repro::sparse::{spgemm, spmm, DatasetCatalog};
 
 /// The full SpGEMM path on a dataset-catalog analog matches the reference
 /// kernel bit-for-bit in structure and to 1e-9 in values.
@@ -24,8 +24,8 @@ fn spgemm_on_dataset_analog_matches_reference() {
     assert_eq!(run.product.nnz(), reference.nnz());
     assert!(run.product.to_dense().max_abs_diff(&reference.to_dense()).unwrap() < 1e-9);
     // The simulated partial-product count matches the bloat analysis.
-    let report = bloat::analyze_square(&a);
-    assert_eq!(run.report.hacc_instructions, report.intermediate_partial_products);
+    let stats = spgemm::count_products(&a, &a);
+    assert_eq!(run.report.hacc_instructions, stats.multiplications);
 }
 
 /// A GCN layer on the accelerator matches the reference dense math for every
