@@ -23,6 +23,26 @@
 //! [`crate::profile`]: `()` for a plain run, a [`Profiler`] for a
 //! profiled one, chosen once on entry and monomorphised, never tested
 //! for inside the loop.
+//!
+//! A cycle costs what can change in it, not what the chip holds. Most of a
+//! Tile-64's 128 NeuraCores and 128 NeuraMems do nothing in a given cycle
+//! — cores wait some 900 cycles on HBM operands or idle behind a hub row
+//! — and the `Machine` does not visit those:
+//!
+//! - **Cores.** A core whose tick found nothing able to move is settled
+//!   and goes to sleep. Two things wake it: the dispatcher placing an
+//!   instruction on it, and the operand response that completes one of its
+//!   pipelines. The cycles in between are not lost: the core accounts them
+//!   itself, as stalled or idle cycles and steps of its round-robin cursor,
+//!   on its next tick or in `report`, and the observer is told every cycle
+//!   how many cores sleep in either state.
+//! - **NeuraMems.** A NeuraMem is ticked while the NoC holds deliveries for
+//!   it or it holds `HACC`s it has not processed; under barrier eviction
+//!   the per-cycle pressure check adds the ones it made evict. An idle
+//!   NeuraMem's tick has no effect and no counter, so nothing is owed.
+//!
+//! Both walks go in ascending unit index, the order that fixes how
+//! injections, controller submissions and write-backs interleave.
 
 use crate::compiler::{self, Program};
 use crate::config::{ChipConfig, EvictionPolicy};
@@ -197,6 +217,79 @@ impl PayloadSlab {
     }
 }
 
+/// A set of unit indices, a bit each, that knows its size. The cycle loop
+/// keeps the units that can change state in such sets and walks only
+/// those, in ascending index — the order a walk over every unit had.
+#[derive(Debug)]
+struct UnitSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl UnitSet {
+    /// The empty set over units `0..units`.
+    fn empty(units: usize) -> Self {
+        UnitSet { words: vec![0; units.div_ceil(64)], len: 0 }
+    }
+
+    /// All of the units `0..units`.
+    fn full(units: usize) -> Self {
+        let mut set = UnitSet::empty(units);
+        (0..units).for_each(|unit| set.insert(unit));
+        set
+    }
+
+    fn insert(&mut self, unit: usize) {
+        let (word, bit) = (&mut self.words[unit / 64], 1 << (unit % 64));
+        self.len += usize::from(*word & bit == 0);
+        *word |= bit;
+    }
+
+    fn remove(&mut self, unit: usize) {
+        let (word, bit) = (&mut self.words[unit / 64], 1 << (unit % 64));
+        self.len -= usize::from(*word & bit != 0);
+        *word &= !bit;
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Calls `keep` with each member in ascending order and removes the
+    /// ones it returns `false` for.
+    fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for (index, word) in self.words.iter_mut().enumerate() {
+            let mut pending = *word;
+            while pending != 0 {
+                let bit = pending.trailing_zeros();
+                pending &= pending - 1;
+                if !keep(index * 64 + bit as usize) {
+                    *word &= !(1 << bit);
+                    self.len -= 1;
+                }
+            }
+        }
+    }
+
+    /// True when `pred` holds for every member.
+    fn all(&self, mut pred: impl FnMut(usize) -> bool) -> bool {
+        self.words.iter().enumerate().all(|(index, &word)| {
+            let mut pending = word;
+            while pending != 0 {
+                if !pred(index * 64 + pending.trailing_zeros() as usize) {
+                    return false;
+                }
+                pending &= pending - 1;
+            }
+            true
+        })
+    }
+}
+
 /// Assembles the product of a drained `program`: its symbolic pattern, with
 /// the eviction-ordered `outputs` scattered in as the values. A tag evicted
 /// more than once keeps the entry evicted last.
@@ -343,7 +436,16 @@ struct Machine<'p> {
     cfg: &'p ChipConfig,
     program: &'p Program,
     cores: Vec<NeuraCore<'p>>,
+    /// The cores that are not settled: the ones [`Self::tick_cores`] ticks.
+    awake: UnitSet,
+    /// The settled cores that still hold work: their occupied pipelines
+    /// all wait on operands. The other settled cores are idle.
+    waiting: UnitSet,
     mems: Vec<NeuraMem>,
+    /// The NeuraMems that hold buffered `HACC`s, or evictions not yet
+    /// picked up: with the NoC's deliveries, the ones [`Self::tick_mems`]
+    /// ticks.
+    busy_mems: UnitSet,
     /// One per tile.
     controllers: Vec<MemoryController>,
     /// NoC node ids: cores first, then mems.
@@ -382,7 +484,10 @@ impl<'p> Machine<'p> {
             cfg,
             program,
             cores,
+            awake: UnitSet::full(total_cores),
+            waiting: UnitSet::empty(total_cores),
             mems: (0..total_mems).map(|i| NeuraMem::new(i, cfg.mem, cfg.eviction)).collect(),
+            busy_mems: UnitSet::empty(total_mems),
             controllers: (0..cfg.tiles)
                 .map(|t| MemoryController::new(t, cfg.hbm, cfg.mem_queue_capacity))
                 .collect(),
@@ -423,11 +528,12 @@ impl<'p> Machine<'p> {
             self.tick_memory(now, obs);
             obs.end_cycle();
             if self.is_drained() {
+                let executed = cycle + 1;
                 cycle = self.flush_and_drain(cycle, max_cycles, obs);
                 // If the budget ran out in the epilogue, write-backs are
                 // uncommitted or the closing cycle does not fit.
                 if cycle < max_cycles {
-                    return Ok(self.report(cycle + 1, obs));
+                    return Ok(self.report(executed, cycle + 1, obs));
                 }
                 break;
             }
@@ -440,16 +546,36 @@ impl<'p> Machine<'p> {
         })
     }
 
-    /// (1) Dispatches `MMH` instructions to the least-loaded cores.
+    /// Core `core` took an instruction or its last outstanding operand:
+    /// it is ticked again from the next [`Self::tick_cores`] on.
+    fn wake(awake: &mut UnitSet, waiting: &mut UnitSet, core: usize) {
+        awake.insert(core);
+        waiting.remove(core);
+    }
+
+    /// (1) Dispatches `MMH` instructions to the least-loaded cores, which
+    /// wakes them.
     fn dispatch<O: Observe>(&mut self, obs: &mut O) {
-        if !self.dispatcher.is_done() && self.dispatcher.dispatch_cycle(&mut self.cores) == 0 {
+        if self.dispatcher.is_done() {
+            return;
+        }
+        let (awake, waiting) = (&mut self.awake, &mut self.waiting);
+        let placed = self
+            .dispatcher
+            .dispatch_cycle(&mut self.cores, |core| Self::wake(awake, waiting, core));
+        if placed == 0 {
             obs.note_dispatch_starved();
         }
     }
 
-    /// (2, 5, 6) Ticks the cores: their operand reads go to the tile's
-    /// controller and their `HACC`s onto the NoC, toward the NeuraMem the
-    /// compute mapping selects. What either refused earlier goes first.
+    /// (2, 5, 6) Ticks the awake cores: their operand reads go to the
+    /// tile's controller and their `HACC`s onto the NoC, toward the NeuraMem
+    /// the compute mapping selects. What either refused earlier goes first.
+    ///
+    /// A core its tick leaves settled goes to sleep. The observer gets the
+    /// sleepers of the cycle as two counts; the cores account the cycles
+    /// they slept through themselves, on their next tick or in
+    /// [`Self::report`].
     fn tick_cores<O: Observe>(&mut self, now: Cycle, obs: &mut O) {
         let rejected_before = self.noc.stats().injection_rejected;
         let (controllers, read_owner) = (&mut self.controllers, &mut self.read_owner);
@@ -463,8 +589,11 @@ impl<'p> Machine<'p> {
 
         let out_cols = self.program.output_shape.1.max(1) as u64;
         let total_cores = self.cores.len();
+        let (asleep, waiting) = (total_cores - self.awake.len(), self.waiting.len());
+        obs.record_cores_asleep(waiting as u64, (asleep - waiting) as u64);
         let out = &mut self.core_out;
-        for (core_idx, core) in self.cores.iter_mut().enumerate() {
+        self.awake.retain(|core_idx| {
+            let core = &mut self.cores[core_idx];
             let credit = if self.retry_injections.len() > 256 { 0 } else { self.cfg.core.ports };
             core.tick(now, credit, out);
             obs.record_core_tick(out.outcome, out.mmh_retired);
@@ -494,7 +623,13 @@ impl<'p> Machine<'p> {
                     self.retry_injections.push(p);
                 }
             }
-        }
+            // Every tick until the next wake would repeat this one. A
+            // sleeper that still holds work waits on operands.
+            if core.is_settled() && !core.is_idle() {
+                self.waiting.insert(core_idx);
+            }
+            !core.is_settled()
+        });
 
         let noc = &mut self.noc;
         self.retry_injections.retain(|packet| noc.inject(packet.clone(), now).is_err());
@@ -509,35 +644,47 @@ impl<'p> Machine<'p> {
         obs.record_noc_in_flight(self.noc.in_flight() as u64);
     }
 
-    /// (7, 8) Delivers arrived `HACC`s to the NeuraMems, ticks them and
-    /// hands their evictions to the tile's controller for write-back.
+    /// (7, 8) Delivers arrived `HACC`s to the NeuraMems, ticks the ones
+    /// with work and hands their evictions to the tile's controller for
+    /// write-back.
+    ///
+    /// A NeuraMem has work when the NoC holds deliveries for it or it is in
+    /// `busy_mems`: it took a `HACC` it has not processed yet, or (barrier
+    /// policy) the pressure check below made it evict. The others are not
+    /// visited: their tick would find an empty instruction buffer.
     fn tick_mems<O: Observe>(&mut self, now: Cycle, obs: &mut O) {
         // Barrier-eviction baseline: completed hash-lines are only
         // released under capacity pressure (the "emergency barrier"),
         // otherwise they stay resident until the end of the program.
         if self.cfg.eviction == EvictionPolicy::Barrier {
-            for mem in &mut self.mems {
+            for (mem_idx, mem) in self.mems.iter_mut().enumerate() {
                 let occupied = mem.occupancy();
                 if occupied * 10 >= self.cfg.mem.hashlines * 9 {
                     mem.barrier(now);
                     obs.record_mem(occupied, mem.occupancy(), 0, 0);
+                    if !mem.is_idle() {
+                        self.busy_mems.insert(mem_idx);
+                    }
                 }
             }
         }
 
-        let mems = &mut self.mems;
-        self.retry_accepts.retain(|&(mem_idx, hacc)| !mems[mem_idx].accept(hacc));
+        let (mems, busy_mems) = (&mut self.mems, &mut self.busy_mems);
+        self.retry_accepts.retain(|&(mem_idx, hacc)| {
+            let accepted = mems[mem_idx].accept(hacc);
+            if accepted {
+                busy_mems.insert(mem_idx);
+            }
+            !accepted
+        });
 
         let first_mem_node = self.cores.len();
-        for (mem_idx, mem) in mems.iter_mut().enumerate() {
-            let node = first_mem_node + mem_idx;
-            if self.noc.waiting_at(node) == 0 && mem.is_idle() {
-                // Nothing arrived, is buffered or awaits write-back: the
-                // tick counts an idle cycle and the rest has no effect.
-                mem.tick(now);
-                continue;
-            }
-            self.noc.drain_delivered_into(node, &mut self.delivered);
+        for node in self.noc.nodes_with_deliveries() {
+            busy_mems.insert(node - first_mem_node);
+        }
+        busy_mems.retain(|mem_idx| {
+            let mem = &mut mems[mem_idx];
+            self.noc.drain_delivered_into(first_mem_node + mem_idx, &mut self.delivered);
             for packet in self.delivered.drain(..) {
                 obs.record_hops(packet.hops);
                 let hacc = self.payloads.remove(packet.id);
@@ -560,12 +707,14 @@ impl<'p> Machine<'p> {
                     self.retry_writebacks.push((tile, request));
                 }
             }
-        }
+            !mem.is_idle()
+        });
     }
 
     /// (8, 3, 4) One cycle of the memory system: resubmits the write-backs
     /// refused earlier, ticks the controllers and delivers read responses
-    /// to the cores that wait on them. Returns the transactions in flight.
+    /// to the cores that wait on them — the response that completes a
+    /// pipeline's operands wakes its core. Returns the transactions in flight.
     ///
     /// Responses of one cycle arrive in no particular order: each is a
     /// counter decrement here and a histogram sample in the observer.
@@ -582,7 +731,9 @@ impl<'p> Machine<'p> {
                 obs.record_dram_response(response.latency());
                 if response.request.is_read() {
                     if let Some((core, pipeline)) = self.read_owner[tile].remove(&response.id.0) {
-                        self.cores[core].memory_response(pipeline);
+                        if self.cores[core].memory_response(pipeline) {
+                            Self::wake(&mut self.awake, &mut self.waiting, core);
+                        }
                     }
                 }
             }
@@ -606,14 +757,19 @@ impl<'p> Machine<'p> {
     /// True when nothing is left to execute: every instruction dispatched,
     /// every `HACC` accumulated, every read answered. Resident hash-lines
     /// and write-backs may remain; [`Self::flush_and_drain`] settles those.
+    ///
+    /// Read off the sets: a core asleep is idle unless it is `waiting`, and
+    /// past [`Self::tick_mems`] a NeuraMem is in `busy_mems` exactly when it
+    /// has a backlog.
     fn is_drained(&self) -> bool {
         self.dispatcher.is_done()
-            && self.cores.iter().all(NeuraCore::is_idle)
+            && self.waiting.is_empty()
+            && self.awake.all(|core| self.cores[core].is_idle())
             && self.noc.in_flight() == 0
             && self.retry_injections.is_empty()
             && self.retry_accepts.is_empty()
             && self.retry_reads.is_empty()
-            && self.mems.iter().all(|m| m.backlog() == 0)
+            && self.busy_mems.is_empty()
             && self.controllers.iter().all(|c| c.pending() == 0)
     }
 
@@ -645,13 +801,17 @@ impl<'p> Machine<'p> {
     }
 
     /// Seals the observer and assembles the outputs and the report of a
-    /// run that drained after `total_cycles`.
+    /// run that drained after `total_cycles`, the first `executed` of them
+    /// in the main loop: the cores asleep at the end have those still to
+    /// account.
     fn report<O: Observe>(
-        self,
+        mut self,
+        executed: u64,
         total_cycles: u64,
         obs: &mut O,
     ) -> (Vec<(u64, f64)>, ExecutionReport) {
         let (total_cores, total_mems) = (self.cores.len(), self.mems.len());
+        self.cores.iter_mut().for_each(|core| core.catch_up(executed));
         obs.finalize(total_cycles, total_cores as u64, total_mems as u64, self.cfg.tiles as u64);
         // Ratios of an empty run are zero, not NaN.
         let per = |sum: f64, count: f64| if count == 0.0 { 0.0 } else { sum / count };

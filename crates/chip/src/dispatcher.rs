@@ -42,8 +42,9 @@ impl<'p> Dispatcher<'p> {
         self.remaining() == 0
     }
 
-    /// Places up to `dispatch_width` instructions this cycle and returns how
-    /// many it placed.
+    /// Places up to `dispatch_width` instructions this cycle, calls
+    /// `placed_on` with the index of the core that took each, and returns
+    /// how many it placed.
     ///
     /// Each goes to the core with the smallest [`NeuraCore::load`] among
     /// those that [`NeuraCore::can_accept`], lowest index first on a tie.
@@ -51,17 +52,25 @@ impl<'p> Dispatcher<'p> {
     /// earlier in the cycle counts toward its core's load — otherwise the
     /// whole cycle would pile onto one core. The cycle ends early when the
     /// program runs out or every core is full.
-    pub(crate) fn dispatch_cycle(&mut self, cores: &mut [NeuraCore<'p>]) -> usize {
+    pub(crate) fn dispatch_cycle(
+        &mut self,
+        cores: &mut [NeuraCore<'p>],
+        mut placed_on: impl FnMut(usize),
+    ) -> usize {
         let mut placed = 0;
         while placed < self.dispatch_width {
             let Some(instr) = self.instructions.get(self.next_instruction) else { break };
-            let Some(core) =
-                cores.iter_mut().filter(|core| core.can_accept()).min_by_key(|core| core.load())
+            let Some((index, core)) = cores
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, core)| core.can_accept())
+                .min_by_key(|(_, core)| core.load())
             else {
                 break;
             };
             let accepted = core.accept(instr);
             debug_assert!(accepted, "a core that can accept took the instruction");
+            placed_on(index);
             self.next_instruction += 1;
             placed += 1;
         }
@@ -98,12 +107,12 @@ mod tests {
         let mut cores = cores(4, p.instruction_count());
         let mut placed = 0;
         while !d.is_done() {
-            placed += d.dispatch_cycle(&mut cores);
+            placed += d.dispatch_cycle(&mut cores, |_| {});
         }
         assert_eq!(placed, p.instruction_count());
         assert_eq!(accepted(&cores).iter().sum::<u64>(), p.instruction_count() as u64);
         assert_eq!(d.remaining(), 0);
-        assert_eq!(d.dispatch_cycle(&mut cores), 0);
+        assert_eq!(d.dispatch_cycle(&mut cores, |_| {}), 0);
     }
 
     #[test]
@@ -117,7 +126,7 @@ mod tests {
             }
         }
         let mut d = Dispatcher::new(&p, 1);
-        assert_eq!(d.dispatch_cycle(&mut cores), 1);
+        assert_eq!(d.dispatch_cycle(&mut cores, |_| {}), 1);
         assert_eq!(accepted(&cores), [10, 10, 1, 10]);
     }
 
@@ -128,7 +137,9 @@ mod tests {
         let p = program();
         let mut cores = cores(4, 16);
         let mut d = Dispatcher::new(&p, 6);
-        assert_eq!(d.dispatch_cycle(&mut cores), 6);
+        let mut took = Vec::new();
+        assert_eq!(d.dispatch_cycle(&mut cores, |core| took.push(core)), 6);
+        assert_eq!(took, [0, 1, 2, 3, 0, 1]);
         assert_eq!(accepted(&cores), [2, 2, 1, 1]);
     }
 
@@ -137,12 +148,12 @@ mod tests {
         let p = program();
         let mut d = Dispatcher::new(&p, 4);
         let before = d.remaining();
-        assert_eq!(d.dispatch_cycle(&mut cores(2, 0)), 0);
+        assert_eq!(d.dispatch_cycle(&mut cores(2, 0), |_| {}), 0);
         assert_eq!(d.remaining(), before);
         // One free slot on one core: that is all a cycle can place.
         let mut cores = cores(2, 1);
         assert!(cores[0].accept(&p.instructions[0]));
-        assert_eq!(d.dispatch_cycle(&mut cores), 1);
+        assert_eq!(d.dispatch_cycle(&mut cores, |_| {}), 1);
         assert_eq!(accepted(&cores), [1, 1]);
         assert_eq!(d.remaining(), before - 1);
     }
@@ -151,8 +162,8 @@ mod tests {
     fn dispatch_width_limits_instructions_per_cycle() {
         let p = program();
         let mut d = Dispatcher::new(&p, 3);
-        assert_eq!(d.dispatch_cycle(&mut cores(4, 16)), 3.min(p.instruction_count()));
+        assert_eq!(d.dispatch_cycle(&mut cores(4, 16), |_| {}), 3.min(p.instruction_count()));
         // A zero width still makes progress.
-        assert_eq!(Dispatcher::new(&p, 0).dispatch_cycle(&mut cores(4, 16)), 1);
+        assert_eq!(Dispatcher::new(&p, 0).dispatch_cycle(&mut cores(4, 16), |_| {}), 1);
     }
 }

@@ -12,6 +12,12 @@
 //! [`CoreTickOutput`]; the accelerator forwards the
 //! former to the memory controller and the latter onto the NoC, and calls
 //! [`NeuraCore::memory_response`] when data returns.
+//!
+//! A core whose tick found nothing able to move is *settled*: until an
+//! instruction or a completing operand arrives every tick would repeat that
+//! one, so the accelerator does not call it at all, and the next
+//! [`NeuraCore::tick`] (or a final [`NeuraCore::catch_up`]) accounts the
+//! skipped cycles in bulk.
 
 use crate::config::NeuraCoreConfig;
 use crate::isa::{HaccInstruction, MmhInstruction};
@@ -118,6 +124,9 @@ pub(crate) struct NeuraCore<'p> {
     /// repeats that one, so it only rotates `next_pipeline` and counts the
     /// cycle.
     settled: bool,
+    /// The first cycle not yet accounted in `stats`: one past the last
+    /// tick, or where [`Self::catch_up`] stopped.
+    accounted_until: u64,
 }
 
 impl<'p> NeuraCore<'p> {
@@ -135,6 +144,7 @@ impl<'p> NeuraCore<'p> {
             next_pipeline: 0,
             busy_pipelines: 0,
             settled: false,
+            accounted_until: 0,
         }
     }
 
@@ -178,15 +188,45 @@ impl<'p> NeuraCore<'p> {
     }
 
     /// Notifies the core that one of pipeline `pipeline`'s memory requests
-    /// completed.
-    pub(crate) fn memory_response(&mut self, pipeline: usize) {
+    /// completed. Returns `true` when that was the pipeline's last
+    /// outstanding operand, which unsettles the core.
+    pub(crate) fn memory_response(&mut self, pipeline: usize) -> bool {
         if let Some(PipelineState::WaitMem { outstanding, .. }) = self.pipelines.get_mut(pipeline) {
             *outstanding = outstanding.saturating_sub(1);
             // A pipeline still short of operands stalls exactly as before.
             if *outstanding == 0 {
                 self.settled = false;
+                return true;
             }
         }
+        false
+    }
+
+    /// True while every tick would repeat the last one (see the module
+    /// docs): the caller may skip them until [`Self::accept`] or a
+    /// completing [`Self::memory_response`].
+    pub(crate) fn is_settled(&self) -> bool {
+        self.settled
+    }
+
+    /// Accounts the ticks a settled core was not given, up to but excluding
+    /// `cycle`. Each would have rotated `next_pipeline` and counted one
+    /// cycle — stalled if a pipeline is occupied (on a settled core they all
+    /// wait on operands), idle otherwise — and touched nothing else.
+    pub(crate) fn catch_up(&mut self, cycle: u64) {
+        let missed = cycle.saturating_sub(self.accounted_until);
+        if missed == 0 {
+            return;
+        }
+        if self.busy_pipelines > 0 {
+            self.stats.stall_cycles += missed;
+        } else {
+            self.stats.idle_cycles += missed;
+        }
+        let pipelines = self.pipelines.len().max(1);
+        self.next_pipeline =
+            (self.next_pipeline + (missed % pipelines as u64) as usize) % pipelines;
+        self.accounted_until = cycle;
     }
 
     /// Core statistics.
@@ -208,12 +248,15 @@ impl<'p> NeuraCore<'p> {
     /// cycle produced.
     ///
     /// `output_credit` bounds how many HACCs may be handed to the NoC this
-    /// cycle (router injection back-pressure).
+    /// cycle (router injection back-pressure). Cycles skipped since the
+    /// last tick are accounted first, as [`Self::catch_up`] describes.
     pub(crate) fn tick(&mut self, now: Cycle, output_credit: usize, output: &mut CoreTickOutput) {
         output.memory_requests.clear();
         output.haccs.clear();
         output.mmh_retired = 0;
         let cycle = now.as_u64();
+        self.catch_up(cycle);
+        self.accounted_until = cycle + 1;
         let mut any_busy = false;
         // With nothing buffered and every pipeline idle, or on a settled
         // core, the walk below would touch no state, so skip it; the
@@ -586,38 +629,70 @@ mod tests {
         }
     }
 
-    /// Two cores driven in lock step: `cores[0]` as is, `cores[1]` with the
-    /// settled flag cleared before every tick, which makes it walk its
-    /// pipelines every cycle.
+    /// How [`LockStep`] drives its second core.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Second {
+        /// Ticked every cycle with the settled flag cleared first, which
+        /// makes it walk its pipelines.
+        Walks,
+        /// Not ticked while settled, the way the accelerator drives a core;
+        /// [`LockStep::finish`] has it catch up.
+        Skips,
+    }
+
+    /// Two cores driven in lock step: `cores[0]` ticked every cycle as is,
+    /// `cores[1]` as `second` says.
     struct LockStep<'p> {
         cores: [NeuraCore<'p>; 2],
         outs: [CoreTickOutput; 2],
         cycle: u64,
+        second: Second,
         /// Ticks `cores[0]` took on the settled path.
         settled_ticks: u64,
     }
 
     impl<'p> LockStep<'p> {
+        fn new(config: NeuraCoreConfig, second: Second) -> Self {
+            let mut cores = [NeuraCore::new(0, config), NeuraCore::new(0, config)];
+            cores.iter_mut().for_each(|core| core.prepare(8));
+            LockStep { cores, outs: Default::default(), cycle: 0, second, settled_ticks: 0 }
+        }
+
         /// Ticks both cores, checks that the cycle produced the same output
-        /// on each and returns the pipelines that issued operand reads.
+        /// on each and returns the pipelines that issued operand reads. A
+        /// skipped tick stands as what the accelerator reports for it:
+        /// nothing out, stalled if a pipeline is occupied, else idle.
         fn tick(&mut self) -> Vec<usize> {
             self.settled_ticks += u64::from(self.cores[0].settled);
-            self.cores[1].settled = false;
-            for (core, out) in self.cores.iter_mut().zip(&mut self.outs) {
-                core.tick(Cycle(self.cycle), 4, out);
+            let [first, second] = &mut self.cores;
+            first.tick(Cycle(self.cycle), 4, &mut self.outs[0]);
+            if self.second == Second::Walks {
+                second.settled = false;
             }
-            let ([fast, walked], cycle) = (&self.outs, self.cycle);
-            assert_eq!(fast.outcome, walked.outcome, "cycle {cycle}");
-            assert_eq!(fast.mmh_retired, walked.mmh_retired, "cycle {cycle}");
-            assert_eq!(fast.memory_requests, walked.memory_requests, "cycle {cycle}");
-            assert_eq!(fast.haccs, walked.haccs, "cycle {cycle}");
+            if second.is_settled() {
+                let outcome = if second.busy_pipelines > 0 {
+                    TickOutcome::Stalled
+                } else {
+                    TickOutcome::Idle
+                };
+                self.outs[1] = CoreTickOutput { outcome, ..CoreTickOutput::default() };
+            } else {
+                second.tick(Cycle(self.cycle), 4, &mut self.outs[1]);
+            }
+            let ([fast, other], cycle) = (&self.outs, self.cycle);
+            assert_eq!(fast.outcome, other.outcome, "cycle {cycle}");
+            assert_eq!(fast.mmh_retired, other.mmh_retired, "cycle {cycle}");
+            assert_eq!(fast.memory_requests, other.memory_requests, "cycle {cycle}");
+            assert_eq!(fast.haccs, other.haccs, "cycle {cycle}");
             self.cycle += 1;
             fast.memory_requests.iter().map(|req| req.pipeline).collect()
         }
 
         fn respond(&mut self, pipelines: &[usize]) {
             for core in &mut self.cores {
-                pipelines.iter().for_each(|&pipeline| core.memory_response(pipeline));
+                for &pipeline in pipelines {
+                    core.memory_response(pipeline);
+                }
             }
         }
 
@@ -625,6 +700,16 @@ mod tests {
             for core in &mut self.cores {
                 assert!(core.accept(instr));
             }
+        }
+
+        /// Settles the second core's account and checks that the counters,
+        /// the cursor and the CPI samples of the two agree.
+        fn finish(&mut self) {
+            self.cores[1].catch_up(self.cycle);
+            let [first, second] = &self.cores;
+            assert_eq!(first.stats(), second.stats());
+            assert_eq!(first.cpi_histogram(), second.cpi_histogram());
+            assert_eq!(first.next_pipeline, second.next_pipeline);
         }
     }
 
@@ -639,13 +724,7 @@ mod tests {
         let config = NeuraCoreConfig { pipelines: 3, ..core_config() };
         let instrs = [mmh(2, &[0, 1], &[0, 1, 2]), mmh(2, &[2, 3], &[1, 2])];
         for stalled in 0..=2 * config.pipelines as u64 + 1 {
-            let mut pair = LockStep {
-                cores: [NeuraCore::new(0, config), NeuraCore::new(0, config)],
-                outs: Default::default(),
-                cycle: 0,
-                settled_ticks: 0,
-            };
-            pair.cores.iter_mut().for_each(|core| core.prepare(8));
+            let mut pair = LockStep::new(config, Second::Walks);
             pair.accept(&instrs[0]);
             let mut waiting = Vec::new();
             while waiting.is_empty() {
@@ -670,13 +749,56 @@ mod tests {
                 pair.respond(&issued);
                 assert!(pair.cycle < 200, "the instructions never retired");
             }
-            let [fast, walked] = &pair.cores;
             assert_eq!(pair.settled_ticks, stalled, "the settled tick was not what ran");
-            assert_eq!(fast.stats(), walked.stats());
-            assert_eq!(fast.stats().mmh_completed, 2);
-            assert_eq!(fast.cpi_histogram(), walked.cpi_histogram());
-            assert_eq!(fast.next_pipeline, walked.next_pipeline);
-            assert!(fast.is_idle());
+            pair.finish();
+            assert_eq!(pair.cores[0].stats().mmh_completed, 2);
+            assert!(pair.cores[0].is_idle());
+        }
+    }
+
+    /// The accelerator does not tick a settled core at all; the core
+    /// accounts the skipped cycles on its next tick, or in a final
+    /// `catch_up`. Against a core ticked every cycle, through gaps of
+    /// `skipped` cycles — long enough for the cursor to wrap — with no work,
+    /// waiting on four operands, waiting on the last one, and with no work
+    /// again at the end: every tick's output, the final counters, the cursor
+    /// (it picks the second instruction's pipeline) and the CPI samples must
+    /// agree.
+    #[test]
+    fn skipped_settled_ticks_equal_ticked_ones() {
+        let config = NeuraCoreConfig { pipelines: 3, ..core_config() };
+        let instrs = [mmh(2, &[0, 1], &[0, 1, 2]), mmh(2, &[2, 3], &[1, 2])];
+        for skipped in 0..=2 * config.pipelines as u64 + 1 {
+            let mut pair = LockStep::new(config, Second::Skips);
+            // The first tick of each gap is the one that settles the core.
+            let gap = |pair: &mut LockStep<'_>, outcome| {
+                for _ in 0..=skipped {
+                    assert!(pair.tick().is_empty());
+                    assert_eq!(pair.outs[0].outcome, outcome);
+                }
+            };
+            gap(&mut pair, TickOutcome::Idle);
+            pair.accept(&instrs[0]);
+            let mut waiting = Vec::new();
+            while waiting.is_empty() {
+                waiting = pair.tick();
+            }
+            gap(&mut pair, TickOutcome::Stalled);
+            // Three of four operands do not wake the core.
+            pair.respond(&waiting[..3]);
+            assert!(pair.cores[1].is_settled());
+            gap(&mut pair, TickOutcome::Stalled);
+            pair.respond(&waiting[3..]);
+            pair.accept(&instrs[1]);
+            while !pair.cores[0].is_idle() {
+                let issued = pair.tick();
+                pair.respond(&issued);
+                assert!(pair.cycle < 200, "the instructions never retired");
+            }
+            gap(&mut pair, TickOutcome::Idle);
+            assert!(pair.settled_ticks >= 4 * skipped, "the gaps were not skipped");
+            pair.finish();
+            assert_eq!(pair.cores[1].stats().mmh_completed, 2);
         }
     }
 

@@ -43,10 +43,6 @@ pub struct NeuraMemStats {
     pub collisions: u64,
     /// Peak number of occupied hash-lines.
     pub peak_occupancy: usize,
-    /// Cycles with at least one instruction processed.
-    pub busy_cycles: u64,
-    /// Cycles with no work performed.
-    pub idle_cycles: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -123,11 +119,6 @@ impl NeuraMem {
         true
     }
 
-    /// Number of buffered HACC instructions not yet processed.
-    pub(crate) fn backlog(&self) -> usize {
-        self.input.len()
-    }
-
     /// Number of currently occupied hash-lines.
     pub(crate) fn occupancy(&self) -> usize {
         self.occupied
@@ -173,6 +164,10 @@ impl NeuraMem {
     /// regardless of counter state (used to drain barrier-mode residue and to
     /// guard against malformed counters).
     pub fn flush(&mut self, now: Cycle) {
+        // Under rolling eviction the pad of a drained run is empty.
+        if self.occupied == 0 {
+            return;
+        }
         for slot in 0..self.pad.len() {
             if self.pad[slot].is_some() {
                 self.evict_slot(slot, now);
@@ -196,11 +191,6 @@ impl NeuraMem {
                 self.stats.pad_full_stalls += 1;
                 break;
             }
-        }
-        if processed > 0 {
-            self.stats.busy_cycles += 1;
-        } else {
-            self.stats.idle_cycles += 1;
         }
     }
 
@@ -382,7 +372,7 @@ mod tests {
         // Flush clears the pad and the stalled instruction can then proceed.
         mem.flush(Cycle(20));
         mem.tick(Cycle(21));
-        assert_eq!(mem.backlog(), 0);
+        assert_eq!(mem.input.len(), 0);
     }
 
     #[test]
@@ -426,7 +416,7 @@ mod tests {
         mem.tick(Cycle(0));
         // Only one instruction can retire per cycle with a single engine.
         assert_eq!(mem.stats().haccs_processed, 1);
-        assert_eq!(mem.backlog(), 9);
+        assert_eq!(mem.input.len(), 9);
     }
 
     #[test]
@@ -451,7 +441,7 @@ mod tests {
             assert!(mem.accept(hacc(t, 1.0, 1)));
         }
         mem.tick(Cycle(0));
-        assert_eq!(mem.backlog(), 0);
+        assert_eq!(mem.input.len(), 0);
         assert!(mem.is_idle(), "completed lines are resident, nothing is owed yet");
         assert_eq!(mem.occupancy(), 5);
 
@@ -459,7 +449,6 @@ mod tests {
         for c in 1..4u64 {
             mem.tick(Cycle(c));
         }
-        assert_eq!(mem.stats().idle_cycles, 3);
         assert!(mem.pop_evicted().is_none());
 
         mem.barrier(Cycle(4));

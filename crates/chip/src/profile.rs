@@ -38,7 +38,8 @@
 //! `TorusNetwork::hop_histogram`, `MemoryController::queue_depths`)
 //! rather than by threading the profiler *into* those crates — they sit
 //! below `neura_chip` in the workspace DAG, and the accelerator already
-//! owns the only loop that sees every unit every cycle.
+//! owns the only loop that accounts for every unit every cycle (a core it
+//! does not tick reaches the profiler as one of two per-cycle counts).
 //!
 //! Profiles serialize through `neura_lab` as a versioned
 //! `neura_lab.profile/v1` artifact; the `profile` binary sweeps
@@ -323,6 +324,9 @@ pub(crate) trait Observe {
     fn note_dispatch_starved(&mut self) {}
     /// One core's tick outcome and retire count.
     fn record_core_tick(&mut self, _outcome: TickOutcome, _mmh: u32) {}
+    /// The settled cores the cycle did not tick: how many of them wait on
+    /// operands and how many have no work.
+    fn record_cores_asleep(&mut self, _stalled: u64, _idle: u64) {}
     /// The NoC refused at least one injection this cycle.
     fn note_noc_backpressure(&mut self) {}
     /// The NoC's in-flight packet count after its tick.
@@ -427,6 +431,11 @@ impl Observe for Profiler {
             TickOutcome::Idle => self.scratch.idle += 1,
         }
         self.scratch.mmh_retired += u64::from(mmh);
+    }
+
+    fn record_cores_asleep(&mut self, stalled: u64, idle: u64) {
+        self.scratch.stall += stalled;
+        self.scratch.idle += idle;
     }
 
     fn note_noc_backpressure(&mut self) {

@@ -120,6 +120,41 @@ fn graph_spgemm_equals_the_reference_on_every_configuration() {
     }
 }
 
+/// Cores of 256 and 300 pipelines, the regime where a pipeline index no
+/// longer fits a byte. The index names the `memory_response` that wakes a
+/// sleeping core, and it has to survive the controller's refusals on the
+/// way (`RetryRead`; a two-slot queue refuses every read of the high
+/// pipelines at least once). A read that came back to the wrong pipeline
+/// would leave one waiting for ever. A pipeline takes an instruction at the
+/// round-robin cursor, one step a cycle, so the high indices are reached
+/// only by a program still dispatching after 256 cycles: 2 592 one-element
+/// `MMH1`s over the eight cores of a Tile-4, against two thin right-hand
+/// sides (fan-in 1 and 2).
+#[test]
+fn wide_cores_equal_the_reference_through_refused_reads() {
+    let a = integer_matrix(72, |r, c| (r + c) % 2 == 0);
+    let thin = [
+        ("diagonal", integer_matrix(72, |r, c| r == c)),
+        ("bidiagonal", integer_matrix(72, |r, c| c == r || c == (r + 1) % 72)),
+    ];
+    for (name, b) in &thin {
+        let reference = spgemm::gustavson(&a, b);
+        for pipelines in [256, 300] {
+            for eviction in EVICTIONS {
+                let mut config = ChipConfig::tile_4()
+                    .with_eviction(eviction)
+                    .with_mmh_tile(1)
+                    .with_mem_queue_capacity(2);
+                config.core.pipelines = pipelines;
+                let run = Accelerator::new(config)
+                    .run_spgemm(&a, b)
+                    .unwrap_or_else(|e| panic!("{name} {eviction:?} x{pipelines}: {e}"));
+                assert_eq!(run.product, reference, "{name} {eviction:?} x{pipelines}");
+            }
+        }
+    }
+}
+
 /// An up-to-9 × 9 operand pair with compatible shapes, any dimension
 /// possibly zero, holding integers in `-2..=2` (explicit zeros included;
 /// duplicates of a coordinate sum).

@@ -3,12 +3,15 @@
 //! (dataset × tile × HBM × window-width) cells — profiling changes
 //! nothing about the run it observes, the stall taxonomy and the
 //! windowed timeline conserve exactly (buckets sum to the stall
-//! counter, busy + stall + idle covers `cores × total_cycles`, window
-//! retire counts sum to the report's instruction counters), and the
-//! hop distribution carries exactly the NoC's delivered traffic.
+//! counter, busy + stall + idle covers `cores × total_cycles` and, window
+//! by window, `cores × window.cycles`; window retire counts sum to the
+//! report's instruction counters), and the hop distribution carries
+//! exactly the NoC's delivered traffic. The run loop ticks only the units
+//! that can change state; one hand-picked cell holds it to the paths where
+//! that is easiest to get wrong.
 
 use neura_chip::accelerator::{Accelerator, SpgemmRun};
-use neura_chip::config::{ChipConfig, HbmPreset, TileSize};
+use neura_chip::config::{ChipConfig, EvictionPolicy, HbmPreset, TileSize};
 use neura_chip::profile::{Profile, Profiler, StallCause};
 use neura_sparse::{CsrMatrix, DatasetCatalog};
 use proptest::prelude::*;
@@ -85,6 +88,9 @@ proptest! {
         let bucket_sum: u64 = StallCause::ALL.iter().map(|&c| profile.stall_by_cause(c)).sum();
         prop_assert_eq!(bucket_sum, run.report.core_stall_cycles);
         prop_assert!(profile.windows.iter().all(|w| w.cycles <= window_cycles));
+        for window in &profile.windows {
+            prop_assert_eq!(window.busy + window.stall + window.idle, profile.cores * window.cycles);
+        }
         let covered: u64 = profile.windows.iter().map(|w| w.cycles).sum();
         prop_assert!(covered <= profile.total_cycles, "windows cover at most the run");
     }
@@ -101,6 +107,35 @@ proptest! {
         let total_hops = (run.report.noc_mean_hops * run.report.noc_packets as f64).round() as u64;
         prop_assert_eq!(profile.hops_total(), total_hops);
     }
+}
+
+/// Barrier eviction on a Tile-64 whose HashPads hold eight lines. The 90 %
+/// pressure barrier fires all through the run, over a hundred times on a
+/// NeuraMem that nothing reached and that buffers nothing that cycle — the
+/// loop visits it only because the barrier released lines — and a full pad
+/// stalls its NeuraMem. At window width 1 every cycle must account for
+/// every core, ticked or asleep; the cycle count was captured at a1118a5,
+/// where the loop still visited every core and NeuraMem every cycle.
+#[test]
+fn pressure_barriers_on_unvisited_neuramems_keep_the_pinned_run() {
+    let a = small_matrix("cora");
+    let mut config = ChipConfig::tile_64().with_eviction(EvictionPolicy::Barrier);
+    config.mem.hashlines = 8;
+    let plain = Accelerator::new(config.clone()).run_spgemm(&a, &a).expect("simulation drains");
+    let (run, profile) = run_profiled(config, &a, 1);
+    assert_eq!(format!("{:?}", plain.report), format!("{:?}", run.report));
+    assert_eq!(plain.product, run.product);
+    assert_eq!(run.report.total_cycles, 2333);
+    assert_eq!(run.report.evictions as usize, run.product.nnz());
+    assert_eq!(run.report.peak_hashpad_occupancy, 8, "the pads never came under pressure");
+    assert!(run.report.hashpad_full_stalls > 0);
+    assert_eq!(profile.check_conservation(), Ok(()));
+    for window in &profile.windows {
+        assert_eq!(window.cycles, 1);
+        assert_eq!(window.busy + window.stall + window.idle, profile.cores);
+    }
+    assert_eq!(profile.idle, run.report.core_idle_cycles);
+    assert_eq!(profile.stall, run.report.core_stall_cycles);
 }
 
 #[test]

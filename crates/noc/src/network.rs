@@ -74,6 +74,9 @@ pub struct TorusNetwork {
     /// route, so a tick visits only those — in ascending node order, the
     /// order that fixes how transfers interleave in a shared next hop.
     active: Vec<u64>,
+    /// The same layout, set while node `n`'s delivery queue is non-empty, so
+    /// the attached components are asked only where something arrived.
+    deliverable: Vec<u64>,
 }
 
 impl TorusNetwork {
@@ -93,6 +96,7 @@ impl TorusNetwork {
             waiting: 0,
             moves: Vec::new(),
             active: vec![0; topology.nodes().div_ceil(64)],
+            deliverable: vec![0; topology.nodes().div_ceil(64)],
         }
     }
 
@@ -171,6 +175,9 @@ impl TorusNetwork {
                 }
                 self.buffered -= delivered;
                 self.waiting += delivered;
+                if delivered > 0 {
+                    self.deliverable[word] |= 1 << bit;
+                }
                 if router.buffered() == 0 {
                     self.active[word] &= !(1 << bit);
                 }
@@ -197,17 +204,23 @@ impl TorusNetwork {
     pub fn drain_delivered_into(&mut self, node: usize, out: &mut Vec<Packet>) {
         let router = &mut self.routers[node];
         self.waiting -= router.delivered_waiting();
+        self.deliverable[node / 64] &= !(1 << (node % 64));
         while let Some(handle) = router.pop_delivered() {
             out.push(self.packets[handle as usize].clone());
             self.free.push(handle);
         }
     }
 
-    /// Number of packets delivered to `node` and not yet drained; lets a
-    /// per-cycle caller pass over the (many) nodes nothing has reached.
-    #[inline]
-    pub fn waiting_at(&self, node: usize) -> usize {
-        self.routers[node].delivered_waiting()
+    /// The nodes holding delivered packets not yet drained, in ascending
+    /// order; lets a per-cycle caller pass over the (many) nodes nothing
+    /// has reached.
+    pub fn nodes_with_deliveries(&self) -> impl Iterator<Item = usize> + '_ {
+        self.deliverable.iter().enumerate().flat_map(|(word, &bits)| {
+            // Each step clears the lowest set bit of the one before.
+            std::iter::successors(Some(bits), |&rest| Some(rest & rest.wrapping_sub(1)))
+                .take_while(|&rest| rest != 0)
+                .map(move |rest| word * 64 + rest.trailing_zeros() as usize)
+        })
     }
 
     /// Number of packets anywhere in the fabric (buffered or awaiting pickup).

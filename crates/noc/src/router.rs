@@ -15,16 +15,10 @@ pub(crate) type Handle = u32;
 /// Per-router statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) struct RouterStats {
-    /// Packets forwarded to a neighbouring router.
-    pub forwarded: u64,
-    /// Packets delivered to the local node.
-    pub delivered: u64,
     /// Router-to-router transfers that arrived while the input buffer was
     /// already at or over its nominal capacity (congestion indicator). A
     /// count of transfers, not of cycles: several can land in one cycle.
     pub blocked_cycles: u64,
-    /// Total payload bytes that traversed this router.
-    pub bytes_routed: u64,
 }
 
 /// One node's router: a merged input queue plus a delivery queue.
@@ -126,15 +120,12 @@ impl Router {
         for _ in 0..links_per_cycle {
             let Some(handle) = self.input.pop_front() else { break };
             let packet = &mut packets[handle as usize];
-            self.stats.bytes_routed += packet.bytes as u64;
             if packet.dst == self.node {
-                self.stats.delivered += 1;
                 self.delivered.push_back(handle);
                 delivered += 1;
                 continue;
             }
             packet.hops += 1;
-            self.stats.forwarded += 1;
             outgoing.push((routes.next_hop(self.node, packet.dst), handle));
         }
         delivered
@@ -162,7 +153,6 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(r.pop_delivered(), Some(0));
         assert_eq!(r.pop_delivered(), None);
-        assert_eq!(r.stats().delivered, 1);
     }
 
     #[test]

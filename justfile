@@ -198,7 +198,9 @@ perf *flags="":
 # from BENCHMARK.json, then one --trace 1 run per side. Prints per-metric
 # quartiles, medians and pairs won, and the per-layer rows that moved by
 # more than 10 %; fails when a sim_digest differs between the sides or an
-# operation failed. E.g. `just perf-pair HEAD~1 HEAD serve-fleet`.
+# operation failed. E.g. `just perf-pair HEAD~1 HEAD serve-fleet`; the
+# workload `all` runs the four of BENCHMARK.json, in its order, on the one
+# pair of builds and into one table (`just perf-pair HEAD~1 HEAD all`).
 perf-pair parent change workload pairs="10":
     bash scripts/perf-pair.sh {{parent}} {{change}} {{workload}} {{pairs}}
 

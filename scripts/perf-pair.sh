@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# scripts/perf-pair.sh PARENT CHANGE WORKLOAD [PAIRS]     (`just perf-pair`)
+# scripts/perf-pair.sh PARENT CHANGE WORKLOAD|all [PAIRS]     (`just perf-pair`)
 #
 # benchmark/README.md § "Comparing two commits", mechanised: unpacks the
 # two commits with `git archive`, builds each once into its own
@@ -8,25 +8,29 @@
 # 10) pairs of --trace 0 runs of WORKLOAD, alternating which side goes
 # first, each pair with another --seed, both sides of a pair with the same
 # seed, at the run_seconds of BENCHMARK.json, and finishes with one
-# --trace 1 run per side at the last seed.
+# --trace 1 run per side at the last seed. `all` does that for every
+# workload of BENCHMARK.json in its order, on the one pair of builds.
 #
-# Prints, as Markdown, per end-to-end metric: each side's Q1 / median / Q3,
-# the change's median against the parent's, the parent's interquartile
-# range, and the pairs the change won; then, from the traced runs,
-# `chip.profiled.overhead` (the chip loop's observer seam: it moves by less
-# than any filter, so it always prints) and every per-layer row of
+# Prints, as Markdown, per workload and end-to-end metric: each side's
+# Q1 / median / Q3, the change's median against the parent's, the parent's
+# interquartile range, and the pairs the change won; then, from the traced
+# runs, `chip.profiled.overhead` (the chip loop's observer seam: it moves
+# by less than any filter, so it always prints) and every per-layer row of
 # BENCHMARK.json that is non-zero on the parent and moved by more than
 # 10 % — one run a side, so a pointer to where the saving appeared, not a
 # measurement of it. Exits non-zero when a pair's
 # sim_digest differs between the sides or an operation failed.
 set -euo pipefail
 if [[ $# -lt 3 || $# -gt 4 ]]; then
-    echo "usage: scripts/perf-pair.sh PARENT CHANGE WORKLOAD [PAIRS]" >&2
+    echo "usage: scripts/perf-pair.sh PARENT CHANGE WORKLOAD|all [PAIRS]" >&2
     exit 2
 fi
-parent="$1" change="$2" workload="$3" pairs="${4:-10}"
+parent="$1" change="$2" workloads="$3" pairs="${4:-10}"
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 seconds="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')"
+if [[ "$workloads" == all ]]; then
+    workloads="$(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+fi
 work="$(mktemp -d "${TMPDIR:-/tmp}/perf-pair.XXXXXX")"
 trap 'rm -rf "$work"' EXIT
 
@@ -42,82 +46,90 @@ for side in parent change; do
         --manifest-path "$work/$side/benchmark/Cargo.toml" >&2
 done
 
-run_side() { # side seed [trace]
-    local trace="${3:-0}"
-    local dir="$work/out/$1/seed$2-trace$trace"
+run_side() { # workload side seed [trace]
+    local trace="${4:-0}"
+    local dir="$work/out/$1/$2/seed$3-trace$trace"
     mkdir -p "$dir"
-    (cd "$work/$1" && "$work/target-$1/release/neura_perf" --workload "$workload" \
-        --seed "$2" --seconds "$seconds" --trace "$trace" --out "$dir") >"$dir/stdout" || true
+    (cd "$work/$2" && "$work/target-$2/release/neura_perf" --workload "$1" \
+        --seed "$3" --seconds "$seconds" --trace "$trace" --out "$dir") >"$dir/stdout" || true
 }
-for seed in $(seq 1 "$pairs"); do
-    if ((seed % 2)); then order="parent change"; else order="change parent"; fi
-    for side in $order; do
-        run_side "$side" "$seed"
+for workload in $workloads; do
+    for seed in $(seq 1 "$pairs"); do
+        if ((seed % 2)); then order="parent change"; else order="change parent"; fi
+        for side in $order; do
+            run_side "$workload" "$side" "$seed"
+        done
+        echo "$workload: pair $seed of $pairs ($order)" >&2
     done
-    echo "pair $seed of $pairs ($order)" >&2
+    for side in parent change; do
+        run_side "$workload" "$side" "$pairs" 1
+    done
+    echo "$workload: traced run per side at seed $pairs" >&2
 done
-for side in parent change; do
-    run_side "$side" "$pairs" 1
-done
-echo "traced run per side at seed $pairs" >&2
 
-python3 - "$work/out" "$workload" "$pairs" "$seconds" <<'PY'
+python3 - "$work/out" "$pairs" "$seconds" $workloads <<'PY'
 import json, statistics, sys
 
-out, workload, pairs, seconds = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+out, pairs, seconds, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
 bench = json.load(open("BENCHMARK.json"))
-runs, bad = {"parent": [], "change": []}, []
+bad = []
 
-def read_run(side, seed, trace):
+def read_run(workload, side, seed, trace):
     """The metric values of one run; failures are appended to `bad`."""
-    lines = open(f"{out}/{side}/seed{seed}-trace{trace}/stdout").read().splitlines()
+    run = f"{workload} {side} seed {seed} --trace {trace}"
+    lines = open(f"{out}/{workload}/{side}/seed{seed}-trace{trace}/stdout").read().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        sys.exit(f"FAIL: {side} seed {seed} --trace {trace} printed no result")
+        sys.exit(f"FAIL: {run} printed no result")
     if not result["correct"] or result["failed"]:
-        bad.append(f"{side} seed {seed} --trace {trace}: "
-                   f"{result['failed']} of {result['attempted']} operations failed")
+        bad.append(f"{run}: {result['failed']} of {result['attempted']} operations failed")
     digest = next((l for l in lines if l.startswith("sim_digest")), None)
     return {name: m["value"] for name, m in result["metrics"].items()}, digest
-
-for seed in range(1, pairs + 1):
-    digests = {}
-    for side in runs:
-        metrics, digests[side] = read_run(side, seed, 0)
-        if digests[side] is None:
-            sys.exit(f"FAIL: {side} seed {seed} printed no sim_digest")
-        runs[side].append(metrics)
-    if digests["parent"] != digests["change"]:
-        bad.append(f"seed {seed}: sim_digest differs ({digests['parent']} vs {digests['change']})")
 
 def quartiles(values):
     return statistics.quantiles(values, n=4) if len(values) > 1 else (values[0],) * 3
 
-print(f"`{workload}`: {pairs} alternating pairs x {seconds} s, seeds 1..{pairs}.\n")
-print("| metric | unit | parent Q1 / median / Q3 | change Q1 / median / Q3 | change vs parent | parent IQR | pairs won |")
-print("|---|---|---|---|---|---|---|")
-for metric in bench["end_to_end"]:
-    name, lower = metric["name"], metric["better"] == "lower"
-    p, c = ([run[name] for run in runs[side]] for side in ("parent", "change"))
-    (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
-    won = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
-    ties = sum(a == b for a, b in zip(p, c))
-    print(f"| {name} | {metric['unit']} | {p1:.6g} / {pm:.6g} / {p3:.6g} | {c1:.6g} / {cm:.6g} / {c3:.6g} "
-          f"| {cm / pm - 1:+.1%} | {(p3 - p1) / pm:.1%} | {won} of {pairs - ties} |")
+print(f"{pairs} alternating pairs x {seconds} s per workload, seeds 1..{pairs}.\n")
+print("| workload | metric | unit | parent Q1 / median / Q3 | change Q1 / median / Q3 | change vs parent | parent IQR | pairs won |")
+print("|---|---|---|---|---|---|---|---|")
+for workload in workloads:
+    runs = {"parent": [], "change": []}
+    for seed in range(1, pairs + 1):
+        digests = {}
+        for side in runs:
+            metrics, digests[side] = read_run(workload, side, seed, 0)
+            if digests[side] is None:
+                sys.exit(f"FAIL: {workload} {side} seed {seed} printed no sim_digest")
+            runs[side].append(metrics)
+        if digests["parent"] != digests["change"]:
+            bad.append(f"{workload} seed {seed}: sim_digest differs "
+                       f"({digests['parent']} vs {digests['change']})")
+    for metric in bench["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        p, c = ([run[name] for run in runs[side]] for side in ("parent", "change"))
+        (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
+        won = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+        ties = sum(a == b for a, b in zip(p, c))
+        print(f"| {workload} | {name} | {metric['unit']} | {p1:.6g} / {pm:.6g} / {p3:.6g} "
+              f"| {c1:.6g} / {cm:.6g} / {c3:.6g} "
+              f"| {cm / pm - 1:+.1%} | {(p3 - p1) / pm:.1%} | {won} of {pairs - ties} |")
 
-(traced_parent, _), (traced_change, _) = (read_run(side, pairs, 1) for side in ("parent", "change"))
 print(f"\n`chip.profiled.overhead` and every non-zero per-layer row that moved by more than 10 % "
-      f"(one `--trace 1` run per side, seed {pairs}).\n")
-print("| metric | unit | better | parent | change | change vs parent |")
-print("|---|---|---|---|---|---|")
-for metric in bench["per_layer"]:
-    name = metric["name"]
-    always = name == "chip.profiled.overhead"
-    p, c = traced_parent.get(name), traced_change.get(name)
-    if not p or c is None or not (always or abs(c / p - 1) > 0.10):
-        continue
-    print(f"| {name} | {metric['unit']} | {metric['better']} | {p:.6g} | {c:.6g} | {c / p - 1:+.1%} |")
+      f"(one `--trace 1` run per side and workload, seed {pairs}).\n")
+print("| workload | metric | unit | better | parent | change | change vs parent |")
+print("|---|---|---|---|---|---|---|")
+for workload in workloads:
+    (traced_parent, _), (traced_change, _) = (
+        read_run(workload, side, pairs, 1) for side in ("parent", "change"))
+    for metric in bench["per_layer"]:
+        name = metric["name"]
+        always = name == "chip.profiled.overhead"
+        p, c = traced_parent.get(name), traced_change.get(name)
+        if not p or c is None or not (always or abs(c / p - 1) > 0.10):
+            continue
+        print(f"| {workload} | {name} | {metric['unit']} | {metric['better']} "
+              f"| {p:.6g} | {c:.6g} | {c / p - 1:+.1%} |")
 for line in bad:
     print(f"FAIL: {line}", file=sys.stderr)
 sys.exit(1 if bad else 0)
