@@ -43,11 +43,18 @@
 //!
 //! Both walks go in ascending unit index, the order that fixes how
 //! injections, controller submissions and write-backs interleave.
+//!
+//! The memory side holds live state only. A HashPad stores its resident
+//! lines and an occupancy bit per line, not the whole array
+//! ([`crate::neuramem`]). A controller retires its in-flight requests
+//! from the front of a FIFO, because the channel completes them in issue
+//! order. An operand read carries its issuing pipeline in the request's
+//! tag, which the response hands back, so the `Machine` keeps no table of
+//! outstanding reads.
 
 use crate::compiler::{self, Program};
 use crate::config::{ChipConfig, EvictionPolicy};
 use crate::dispatcher::Dispatcher;
-use crate::inthash::IntMap;
 use crate::isa::HaccInstruction;
 use crate::mapping::ComputeMapping;
 use crate::neuracore::{CoreTickOutput, NeuraCore, NeuraCoreStats};
@@ -122,9 +129,10 @@ pub struct ExecutionReport {
     pub core_work_histogram: Vec<u64>,
     /// Partial products accumulated per NeuraMem (Figure 12 y-axis).
     pub mem_work_histogram: Vec<u64>,
-    /// Mean number of in-flight HBM transactions per cycle (memory pressure).
+    /// Mean number of in-flight HBM requests per cycle (memory pressure; a
+    /// transaction that coalesced k requests counts k).
     pub avg_in_flight_mem: f64,
-    /// Peak number of in-flight HBM transactions.
+    /// Peak number of in-flight HBM requests, counted the same way.
     pub peak_in_flight_mem: usize,
     /// Bytes read from HBM.
     pub dram_bytes_read: u64,
@@ -184,12 +192,10 @@ pub struct AggregationRun {
 }
 
 /// A core's operand read that the tile's controller refused, waiting to
-/// be resubmitted.
+/// be resubmitted. The request's tag names the pipeline that issued it.
 #[derive(Debug, Clone, Copy)]
 struct RetryRead {
     tile: usize,
-    core: usize,
-    pipeline: usize,
     request: MemoryRequest,
 }
 
@@ -455,8 +461,6 @@ struct Machine<'p> {
     /// `(tag, value)` of every evicted line, in eviction order.
     outputs: Vec<(u64, f64)>,
     payloads: PayloadSlab,
-    /// Issuing (core, pipeline) of every outstanding read, per tile by request id.
-    read_owner: Vec<IntMap<(usize, usize)>>,
     retry_reads: Vec<RetryRead>,
     retry_injections: Vec<Packet>,
     /// `(mem, hacc)` a NeuraMem's full instruction buffer turned away.
@@ -480,6 +484,11 @@ impl<'p> Machine<'p> {
             core.prepare(program.output_shape.1 as u64);
         }
         let topology = TorusTopology::for_nodes(total_cores + total_mems);
+        assert!(
+            u32::try_from(cfg.total_pipelines()).is_ok(),
+            "a read's tag names its pipeline in 32 bits, and {} pipelines do not fit",
+            cfg.total_pipelines()
+        );
         Machine {
             cfg,
             program,
@@ -497,7 +506,6 @@ impl<'p> Machine<'p> {
             dispatcher: Dispatcher::new(program, total_cores.max(4)),
             outputs: Vec::with_capacity(program.output_nnz),
             payloads: PayloadSlab::default(),
-            read_owner: vec![IntMap::default(); cfg.tiles],
             retry_reads: Vec::new(),
             retry_injections: Vec::new(),
             retry_accepts: Vec::new(),
@@ -578,14 +586,9 @@ impl<'p> Machine<'p> {
     /// [`Self::report`].
     fn tick_cores<O: Observe>(&mut self, now: Cycle, obs: &mut O) {
         let rejected_before = self.noc.stats().injection_rejected;
-        let (controllers, read_owner) = (&mut self.controllers, &mut self.read_owner);
-        self.retry_reads.retain(|retry| match controllers[retry.tile].submit(retry.request, now) {
-            Some(id) => {
-                read_owner[retry.tile].insert(id.0, (retry.core, retry.pipeline));
-                false
-            }
-            None => true,
-        });
+        let controllers = &mut self.controllers;
+        self.retry_reads
+            .retain(|retry| controllers[retry.tile].submit(retry.request, now).is_none());
 
         let out_cols = self.program.output_shape.1.max(1) as u64;
         let total_cores = self.cores.len();
@@ -598,17 +601,12 @@ impl<'p> Machine<'p> {
             core.tick(now, credit, out);
             obs.record_core_tick(out.outcome, out.mmh_retired);
             let tile = core.tile();
+            let first_pipeline = core_idx * self.cfg.core.pipelines;
             for req in &out.memory_requests {
-                match controllers[tile].submit(req.request, now) {
-                    Some(id) => {
-                        read_owner[tile].insert(id.0, (core_idx, req.pipeline));
-                    }
-                    None => self.retry_reads.push(RetryRead {
-                        tile,
-                        core: core_idx,
-                        pipeline: req.pipeline,
-                        request: req.request,
-                    }),
+                // `Machine::new` checked that every pipeline index fits.
+                let request = req.request.with_tag((first_pipeline + req.pipeline) as u32);
+                if controllers[tile].submit(request, now).is_none() {
+                    self.retry_reads.push(RetryRead { tile, request });
                 }
             }
             for &hacc in &out.haccs {
@@ -714,7 +712,9 @@ impl<'p> Machine<'p> {
     /// (8, 3, 4) One cycle of the memory system: resubmits the write-backs
     /// refused earlier, ticks the controllers and delivers read responses
     /// to the cores that wait on them — the response that completes a
-    /// pipeline's operands wakes its core. Returns the transactions in flight.
+    /// pipeline's operands wakes its core. Every read is a core's, and its
+    /// tag is the issuing pipeline's index across the chip
+    /// (`core × pipelines + pipeline`). Returns the requests in flight.
     ///
     /// Responses of one cycle arrive in no particular order: each is a
     /// counter decrement here and a histogram sample in the observer.
@@ -722,18 +722,19 @@ impl<'p> Machine<'p> {
         let controllers = &mut self.controllers;
         self.retry_writebacks
             .retain(|&(tile, request)| controllers[tile].submit(request, now).is_none());
+        let pipelines = self.cfg.core.pipelines;
         let mut in_flight = 0;
-        for (tile, controller) in controllers.iter_mut().enumerate() {
+        for controller in controllers.iter_mut() {
             self.done.clear();
             controller.tick(now, &mut self.done);
             in_flight += controller.in_flight();
             for response in &self.done {
                 obs.record_dram_response(response.latency());
                 if response.request.is_read() {
-                    if let Some((core, pipeline)) = self.read_owner[tile].remove(&response.id.0) {
-                        if self.cores[core].memory_response(pipeline) {
-                            Self::wake(&mut self.awake, &mut self.waiting, core);
-                        }
+                    let tag = response.request.tag() as usize;
+                    let (core, pipeline) = (tag / pipelines, tag % pipelines);
+                    if self.cores[core].memory_response(pipeline) {
+                        Self::wake(&mut self.awake, &mut self.waiting, core);
                     }
                 }
             }

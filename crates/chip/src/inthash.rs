@@ -1,9 +1,9 @@
 //! A cheap hasher for the run loop's integer-keyed tables.
 //!
-//! The keys (output tags, memory-request ids) are produced by the compiler
-//! and the controllers, never by outside input, so SipHash's flooding
-//! resistance buys nothing here and costs a large share of every `HACC`.
-//! None of these tables is iterated, so the hash never reaches a result.
+//! The keys (output tags) are produced by the compiler, never by outside
+//! input, so SipHash's flooding resistance buys nothing here and costs a
+//! large share of every `HACC`. No iteration order of these tables reaches
+//! a result: the one walk, a HashPad flush, sorts what it collects.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

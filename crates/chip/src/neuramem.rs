@@ -8,6 +8,15 @@
 //! (rolling eviction).  Under the barrier-eviction baseline, completed lines
 //! stay resident until an explicit row barrier, inflating occupancy and
 //! stalling inserts when the pad fills up.
+//!
+//! Rolling eviction keeps a pad nearly empty (a Tile-64 NeuraMem holds at
+//! most a few dozen of its 2 048 lines on the ledger's workloads), and the
+//! model stores what the pad holds, not the pad: one occupancy bit per
+//! hash-line, which a new tag's probe walks from its home slot
+//! `tag % hashlines`, and the resident lines keyed by tag, each with the
+//! slot it sits in. Slots, collisions, stalls and the slot-order sweep of a
+//! final flush are exactly a dense array's; a lock-step test holds the two
+//! together.
 
 use crate::config::{EvictionPolicy, NeuraMemConfig};
 use crate::inthash::IntMap;
@@ -45,9 +54,11 @@ pub struct NeuraMemStats {
     pub peak_occupancy: usize,
 }
 
+/// A resident hash-line, keyed by its tag.
 #[derive(Debug, Clone, Copy)]
 struct HashLine {
-    tag: u64,
+    /// Where in the pad it sits.
+    slot: usize,
     data: f64,
     counter: u32,
     /// The line sits off its tag's home slot (`tag % hashlines`), placed
@@ -61,20 +72,18 @@ pub struct NeuraMem {
     id: usize,
     config: NeuraMemConfig,
     eviction: EvictionPolicy,
-    /// Open-addressed HashPad: `None` lines are free.
-    pad: Vec<Option<HashLine>>,
-    /// Resident-tag index (tag → slot).  Hardware finds the line with the
-    /// comparator array; the index keeps the model exact in the presence of
-    /// eviction holes without changing the occupancy/capacity behaviour.
-    index: IntMap<usize>,
-    occupied: usize,
+    /// HashPad occupancy, a bit per hash-line: what probing walks.
+    taken: Vec<u64>,
+    /// The resident lines by tag. Hardware finds a line with the comparator
+    /// array; the map is the model's way to the same line.
+    lines: IntMap<HashLine>,
     /// Incoming HACC instructions awaiting a hash engine.
     input: VecDeque<HaccInstruction>,
     /// Completed lines awaiting write-back pickup by the accelerator.
     evicted: VecDeque<EvictedLine>,
-    /// Lines whose counter reached zero under barrier eviction, waiting for
-    /// the next barrier.
-    barrier_pending: Vec<usize>,
+    /// Tags of the lines whose counter reached zero under barrier
+    /// eviction, waiting for the next barrier.
+    barrier_pending: Vec<u64>,
     stats: NeuraMemStats,
     /// Histogram of HACC completion latency (generation → accumulation).
     hacc_latency: Histogram,
@@ -87,9 +96,8 @@ impl NeuraMem {
             id,
             config,
             eviction,
-            pad: vec![None; config.hashlines],
-            index: IntMap::default(),
-            occupied: 0,
+            taken: vec![0; config.hashlines.div_ceil(64)],
+            lines: IntMap::default(),
             input: VecDeque::new(),
             evicted: VecDeque::new(),
             barrier_pending: Vec::new(),
@@ -121,7 +129,7 @@ impl NeuraMem {
 
     /// Number of currently occupied hash-lines.
     pub(crate) fn occupancy(&self) -> usize {
-        self.occupied
+        self.lines.len()
     }
 
     /// Unit statistics.
@@ -154,24 +162,21 @@ impl NeuraMem {
     pub(crate) fn barrier(&mut self, now: Cycle) {
         if self.eviction == EvictionPolicy::Barrier {
             let pending = std::mem::take(&mut self.barrier_pending);
-            for slot in pending {
-                self.evict_slot(slot, now);
+            for tag in pending {
+                self.evict(tag, now);
             }
         }
     }
 
     /// Final flush at the end of the program: evicts every remaining line
     /// regardless of counter state (used to drain barrier-mode residue and to
-    /// guard against malformed counters).
+    /// guard against malformed counters), sweeping the pad in slot order.
     pub fn flush(&mut self, now: Cycle) {
-        // Under rolling eviction the pad of a drained run is empty.
-        if self.occupied == 0 {
-            return;
-        }
-        for slot in 0..self.pad.len() {
-            if self.pad[slot].is_some() {
-                self.evict_slot(slot, now);
-            }
+        let mut resident: Vec<(usize, u64)> =
+            self.lines.iter().map(|(&tag, line)| (line.slot, tag)).collect();
+        resident.sort_unstable();
+        for (_, tag) in resident {
+            self.evict(tag, now);
         }
         self.barrier_pending.clear();
     }
@@ -197,8 +202,7 @@ impl NeuraMem {
     /// Applies one HACC.  Returns `false` when no hash-line is available.
     fn apply(&mut self, hacc: HaccInstruction, now: Cycle) -> bool {
         // Hit on a resident tag: accumulate and decrement the counter.
-        if let Some(&slot) = self.index.get(&hacc.tag) {
-            let line = self.pad[slot].as_mut().expect("indexed slot is occupied");
+        if let Some(line) = self.lines.get_mut(&hacc.tag) {
             line.data += hacc.data;
             line.counter = line.counter.saturating_sub(1);
             let done = line.counter == 0;
@@ -207,35 +211,31 @@ impl NeuraMem {
             }
             self.finish_hacc(&hacc, now);
             if done {
-                self.complete_slot(slot, now);
+                self.complete(hacc.tag, now);
             }
             return true;
         }
         // Miss: allocate a free line by probing from the tag's home slot.
-        if self.occupied >= self.pad.len() {
+        let len = self.config.hashlines;
+        if self.lines.len() >= len {
             return false; // pad completely full of other tags
         }
-        let len = self.pad.len();
         let home = (hacc.tag as usize) % len;
         let mut slot = home;
-        let mut probes = 0usize;
-        while self.pad[slot].is_some() {
-            probes += 1;
-            slot = (slot + 1) % len;
-            debug_assert!(probes <= len, "occupancy check guarantees a free slot");
+        while self.taken[slot / 64] & (1 << (slot % 64)) != 0 {
+            slot = if slot + 1 == len { 0 } else { slot + 1 };
         }
-        if probes > 0 {
+        self.taken[slot / 64] |= 1 << (slot % 64);
+        let displaced = slot != home;
+        if displaced {
             self.stats.collisions += 1;
         }
         let counter = hacc.counter.saturating_sub(1);
-        self.pad[slot] =
-            Some(HashLine { tag: hacc.tag, data: hacc.data, counter, displaced: probes > 0 });
-        self.index.insert(hacc.tag, slot);
-        self.occupied += 1;
-        self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.occupied);
+        self.lines.insert(hacc.tag, HashLine { slot, data: hacc.data, counter, displaced });
+        self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.lines.len());
         self.finish_hacc(&hacc, now);
         if counter == 0 {
-            self.complete_slot(slot, now);
+            self.complete(hacc.tag, now);
         }
         true
     }
@@ -245,25 +245,20 @@ impl NeuraMem {
         self.hacc_latency.record(now.as_u64().saturating_sub(hacc.generated_at));
     }
 
-    /// Marks a slot's reduction as complete: rolling eviction writes it back
+    /// Marks a line's reduction as complete: rolling eviction writes it back
     /// immediately, barrier eviction defers to the next barrier.
-    fn complete_slot(&mut self, slot: usize, now: Cycle) {
+    fn complete(&mut self, tag: u64, now: Cycle) {
         match self.eviction {
-            EvictionPolicy::Rolling => self.evict_slot(slot, now),
-            EvictionPolicy::Barrier => self.barrier_pending.push(slot),
+            EvictionPolicy::Rolling => self.evict(tag, now),
+            EvictionPolicy::Barrier => self.barrier_pending.push(tag),
         }
     }
 
-    fn evict_slot(&mut self, slot: usize, now: Cycle) {
-        if let Some(line) = self.pad[slot].take() {
-            self.index.remove(&line.tag);
-            self.occupied -= 1;
+    fn evict(&mut self, tag: u64, now: Cycle) {
+        if let Some(line) = self.lines.remove(&tag) {
+            self.taken[line.slot / 64] &= !(1 << (line.slot % 64));
             self.stats.evictions += 1;
-            self.evicted.push_back(EvictedLine {
-                tag: line.tag,
-                value: line.data,
-                evicted_at: now.as_u64(),
-            });
+            self.evicted.push_back(EvictedLine { tag, value: line.data, evicted_at: now.as_u64() });
         }
     }
 }
@@ -460,5 +455,227 @@ mod tests {
         }
         assert_eq!(tags, vec![0, 1, 2, 3, 4]);
         assert!(mem.is_idle() && mem.occupancy() == 0);
+    }
+
+    /// The dense-pad NeuraMem the sparse one replaced, verbatim but for its
+    /// name and the accessors the lock-step test needs no copy of: every
+    /// hash-line stored, `None` when free, and a tag → slot index beside it.
+    #[derive(Debug)]
+    struct DenseMem {
+        config: NeuraMemConfig,
+        eviction: EvictionPolicy,
+        pad: Vec<Option<DenseLine>>,
+        index: IntMap<usize>,
+        occupied: usize,
+        input: VecDeque<HaccInstruction>,
+        evicted: VecDeque<EvictedLine>,
+        barrier_pending: Vec<usize>,
+        stats: NeuraMemStats,
+        hacc_latency: Histogram,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    struct DenseLine {
+        tag: u64,
+        data: f64,
+        counter: u32,
+        displaced: bool,
+    }
+
+    impl DenseMem {
+        fn new(config: NeuraMemConfig, eviction: EvictionPolicy) -> Self {
+            DenseMem {
+                config,
+                eviction,
+                pad: vec![None; config.hashlines],
+                index: IntMap::default(),
+                occupied: 0,
+                input: VecDeque::new(),
+                evicted: VecDeque::new(),
+                barrier_pending: Vec::new(),
+                stats: NeuraMemStats::default(),
+                hacc_latency: Histogram::new(50, 20),
+            }
+        }
+
+        fn accept(&mut self, hacc: HaccInstruction) -> bool {
+            if self.input.len() >= self.config.instruction_buffer {
+                return false;
+            }
+            self.input.push_back(hacc);
+            self.stats.haccs_received += 1;
+            true
+        }
+
+        fn barrier(&mut self, now: Cycle) {
+            if self.eviction == EvictionPolicy::Barrier {
+                let pending = std::mem::take(&mut self.barrier_pending);
+                for slot in pending {
+                    self.evict_slot(slot, now);
+                }
+            }
+        }
+
+        fn flush(&mut self, now: Cycle) {
+            if self.occupied == 0 {
+                return;
+            }
+            for slot in 0..self.pad.len() {
+                if self.pad[slot].is_some() {
+                    self.evict_slot(slot, now);
+                }
+            }
+            self.barrier_pending.clear();
+        }
+
+        fn tick(&mut self, now: Cycle) {
+            let throughput = self.config.hash_engines * self.config.comparators.max(1);
+            let mut processed = 0usize;
+            while processed < throughput {
+                let Some(hacc) = self.input.front().copied() else { break };
+                if self.apply(hacc, now) {
+                    self.input.pop_front();
+                    processed += 1;
+                } else {
+                    self.stats.pad_full_stalls += 1;
+                    break;
+                }
+            }
+        }
+
+        fn apply(&mut self, hacc: HaccInstruction, now: Cycle) -> bool {
+            if let Some(&slot) = self.index.get(&hacc.tag) {
+                let line = self.pad[slot].as_mut().expect("indexed slot is occupied");
+                line.data += hacc.data;
+                line.counter = line.counter.saturating_sub(1);
+                let done = line.counter == 0;
+                if line.displaced {
+                    self.stats.collisions += 1;
+                }
+                self.finish_hacc(&hacc, now);
+                if done {
+                    self.complete_slot(slot, now);
+                }
+                return true;
+            }
+            if self.occupied >= self.pad.len() {
+                return false;
+            }
+            let len = self.pad.len();
+            let home = (hacc.tag as usize) % len;
+            let mut slot = home;
+            let mut probes = 0usize;
+            while self.pad[slot].is_some() {
+                probes += 1;
+                slot = (slot + 1) % len;
+                debug_assert!(probes <= len, "occupancy check guarantees a free slot");
+            }
+            if probes > 0 {
+                self.stats.collisions += 1;
+            }
+            let counter = hacc.counter.saturating_sub(1);
+            self.pad[slot] =
+                Some(DenseLine { tag: hacc.tag, data: hacc.data, counter, displaced: probes > 0 });
+            self.index.insert(hacc.tag, slot);
+            self.occupied += 1;
+            self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.occupied);
+            self.finish_hacc(&hacc, now);
+            if counter == 0 {
+                self.complete_slot(slot, now);
+            }
+            true
+        }
+
+        fn finish_hacc(&mut self, hacc: &HaccInstruction, now: Cycle) {
+            self.stats.haccs_processed += 1;
+            self.hacc_latency.record(now.as_u64().saturating_sub(hacc.generated_at));
+        }
+
+        fn complete_slot(&mut self, slot: usize, now: Cycle) {
+            match self.eviction {
+                EvictionPolicy::Rolling => self.evict_slot(slot, now),
+                EvictionPolicy::Barrier => self.barrier_pending.push(slot),
+            }
+        }
+
+        fn evict_slot(&mut self, slot: usize, now: Cycle) {
+            if let Some(line) = self.pad[slot].take() {
+                self.index.remove(&line.tag);
+                self.occupied -= 1;
+                self.stats.evictions += 1;
+                self.evicted.push_back(EvictedLine {
+                    tag: line.tag,
+                    value: line.data,
+                    evicted_at: now.as_u64(),
+                });
+            }
+        }
+    }
+
+    /// An evicted line as the lock-step test compares it: the value by its
+    /// bits, so a reordered sum cannot pass for an equal one.
+    fn exact(lines: impl IntoIterator<Item = EvictedLine>) -> Vec<(u64, u64, u64)> {
+        lines.into_iter().map(|line| (line.tag, line.value.to_bits(), line.evicted_at)).collect()
+    }
+
+    /// One cycle of a lock-step run: the `HACC`s offered as `(tag, value,
+    /// counter, age)`, then a roll that is a barrier at 0 and a flush at 1.
+    type Step = (Vec<(u64, u8, u32, u64)>, u8);
+
+    fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+        let hacc = (0u64..40, 0u8..8, 1u32..4, 0u64..8);
+        proptest::collection::vec((proptest::collection::vec(hacc, 0..6), 0u8..12), 1..150)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Driven through the same `HACC` stream, barriers and flushes, the
+        /// sparse pad evicts what the dense one evicts — same order, tag,
+        /// value bits and cycle — and agrees on `stats()`, `occupancy()` and
+        /// the latency histogram after every tick. Forty tags on 8 or 16
+        /// lines collide, wrap around the pad's end and fill it up to
+        /// `pad_full_stalls`.
+        #[test]
+        fn the_sparse_pad_keeps_step_with_the_dense_one(
+            hashlines in 0usize..2,
+            policy in 0usize..2,
+            engines in 1usize..=2,
+            steps in arb_steps(),
+        ) {
+            let config = NeuraMemConfig {
+                hash_engines: engines,
+                comparators: 1,
+                instruction_buffer: 8,
+                ..small_config(8 << hashlines)
+            };
+            let eviction = [EvictionPolicy::Rolling, EvictionPolicy::Barrier][policy];
+            let (mut sparse, mut dense) = (NeuraMem::new(0, config, eviction), DenseMem::new(config, eviction));
+            for (cycle, (haccs, roll)) in steps.into_iter().enumerate() {
+                let now = Cycle(cycle as u64);
+                for (tag, value, counter, age) in haccs {
+                    let mut h = hacc(tag, f64::from(value) * 0.37 - 1.1, counter);
+                    h.generated_at = (cycle as u64).saturating_sub(age * 29);
+                    prop_assert_eq!(sparse.accept(h), dense.accept(h));
+                }
+                match roll {
+                    0 => (sparse.barrier(now), dense.barrier(now)),
+                    1 => (sparse.flush(now), dense.flush(now)),
+                    _ => ((), ()),
+                };
+                sparse.tick(now);
+                dense.tick(now);
+                prop_assert_eq!(exact(sparse.drain_evicted()), exact(dense.evicted.drain(..)));
+                prop_assert_eq!(sparse.stats(), &dense.stats);
+                prop_assert_eq!(sparse.occupancy(), dense.occupied);
+                prop_assert_eq!(sparse.hacc_latency_histogram(), &dense.hacc_latency);
+            }
+            let end = Cycle(1 << 20);
+            sparse.flush(end);
+            dense.flush(end);
+            prop_assert_eq!(exact(sparse.drain_evicted()), exact(dense.evicted.drain(..)));
+        }
     }
 }

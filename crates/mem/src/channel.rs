@@ -35,6 +35,12 @@ impl Channel {
 
     /// Services an access of `bytes` bytes at `addr`, arriving at `now`.
     /// Returns the completion cycle.
+    ///
+    /// For any addresses and sizes, completions strictly increase from one
+    /// access to the next: the data bus starts each transfer at or after
+    /// the end of the previous one, and a transfer, even of zero bytes,
+    /// takes at least a cycle. The memory controller retires in issue
+    /// order on the strength of this.
     pub fn access(&mut self, addr: u64, bytes: usize, now: u64) -> (u64, RowBufferOutcome) {
         let (bank_idx, row) = self.map_address(addr);
         let (bank_done, outcome) = self.banks[bank_idx].access(row, now, &self.timing);
@@ -56,6 +62,28 @@ impl Channel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HbmPreset;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The theorem the controller's in-flight FIFO rests on.
+        #[test]
+        fn completions_strictly_increase(
+            preset in 0usize..HbmPreset::ALL.len(),
+            accesses in proptest::collection::vec((0u64..1 << 20, 0usize..2_048, 0u64..4), 1..200),
+        ) {
+            let mut channel = Channel::new(HbmPreset::ALL[preset].timing());
+            let (mut now, mut last) = (0, None);
+            for (addr, bytes, wait) in accesses {
+                now += wait * wait * 20;
+                let (done, _) = channel.access(addr, bytes, now);
+                prop_assert!(last.is_none_or(|last| done > last), "{done} after {last:?}");
+                last = Some(done);
+            }
+        }
+    }
 
     #[test]
     fn address_mapping_interleaves_banks() {

@@ -9,8 +9,7 @@ use crate::request::{MemoryRequest, MemoryResponse, RequestId, RequestKind};
 use crate::HbmTiming;
 use neura_sim::Cycle;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Aggregate statistics exported by a [`MemoryController`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -42,39 +41,6 @@ struct PendingRequest {
     issued_at: u64,
 }
 
-/// An issued transaction, ordered so the *earliest* `(completed_at, id)`
-/// is the maximum of a [`BinaryHeap`] (ids are unique per controller).
-#[derive(Debug, Clone)]
-struct InFlight {
-    response: MemoryResponse,
-}
-
-impl InFlight {
-    fn key(&self) -> (u64, RequestId) {
-        (self.response.completed_at, self.response.id)
-    }
-}
-
-impl PartialEq for InFlight {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for InFlight {}
-
-impl PartialOrd for InFlight {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for InFlight {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.key().cmp(&self.key())
-    }
-}
-
 /// A per-tile memory controller fronting one HBM channel.
 #[derive(Debug)]
 pub struct MemoryController {
@@ -83,11 +49,10 @@ pub struct MemoryController {
     queue_capacity: usize,
     read_queue: VecDeque<PendingRequest>,
     write_queue: VecDeque<PendingRequest>,
-    /// Issued transactions, earliest completion on top, so a tick retires
-    /// in O(retired · log n) instead of scanning every one of them.
-    in_flight: BinaryHeap<InFlight>,
-    /// The requests coalesced into the transaction being issued (reused).
-    group: Vec<PendingRequest>,
+    /// Issued requests in issue order, which is completion order: the
+    /// channel completes each transaction strictly after the one before
+    /// (see [`Channel::access`]), so a tick retires from the front.
+    in_flight: VecDeque<MemoryResponse>,
     next_id: u64,
     stats: ControllerStats,
     /// Maximum number of DRAM transactions issued per cycle.
@@ -103,8 +68,7 @@ impl MemoryController {
             queue_capacity: queue_capacity.max(1),
             read_queue: VecDeque::new(),
             write_queue: VecDeque::new(),
-            in_flight: BinaryHeap::new(),
-            group: Vec::new(),
+            in_flight: VecDeque::new(),
             next_id: 0,
             stats: ControllerStats::default(),
             issue_width: 4,
@@ -143,8 +107,9 @@ impl MemoryController {
         self.read_queue.len() + self.write_queue.len() + self.in_flight.len()
     }
 
-    /// Number of in-flight DRAM transactions (issued, not yet completed) —
-    /// the "In-Flight InstX"/memory-pressure metric of Figure 11.
+    /// Number of in-flight requests (issued, not yet completed; a
+    /// transaction that coalesced k requests counts k) — the "In-Flight
+    /// InstX"/memory-pressure metric of Figure 11.
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
     }
@@ -165,10 +130,9 @@ impl MemoryController {
     pub fn tick(&mut self, now: Cycle, completed: &mut Vec<MemoryResponse>) {
         let cycle = now.as_u64();
 
-        // Retire finished transactions. Responses of one cycle come out in
-        // `(completed_at, id)` order; consumers must not depend on it.
-        while self.in_flight.peek().is_some_and(|head| head.response.completed_at <= cycle) {
-            let done = self.in_flight.pop().expect("peeked").response;
+        // Retire finished requests, in issue order.
+        while self.in_flight.front().is_some_and(|head| head.completed_at <= cycle) {
+            let done = self.in_flight.pop_front().expect("checked");
             self.stats.completed += 1;
             self.stats.total_latency += done.latency();
             completed.push(done);
@@ -176,37 +140,34 @@ impl MemoryController {
 
         // Issue new transactions, reads first (they stall compute), writes after.
         for _ in 0..self.issue_width {
-            let from_reads = !self.read_queue.is_empty();
-            let queue = if from_reads { &mut self.read_queue } else { &mut self.write_queue };
-            let Some(head) = queue.pop_front() else { break };
+            let queue = if self.read_queue.is_empty() {
+                &mut self.write_queue
+            } else {
+                &mut self.read_queue
+            };
+            let Some(head) = queue.front() else { break };
 
-            // Coalesce immediately-contiguous same-kind requests into one transaction.
-            let base_addr = head.request.addr;
-            let mut total_bytes = head.request.bytes;
-            self.group.clear();
-            self.group.push(head);
-            while let Some(next) = queue.front() {
-                let last = &self.group[self.group.len() - 1].request;
-                if last.is_contiguous_with(&next.request) && self.group.len() < 8 {
-                    total_bytes += next.request.bytes;
-                    self.group.push(queue.pop_front().expect("front exists"));
-                } else {
-                    break;
-                }
-            }
-            let (done_at, _) = self.channel.access(base_addr, total_bytes, cycle);
+            // Coalesce up to eight immediately-contiguous same-kind requests
+            // into one transaction.
+            let pairs = queue.iter().zip(queue.iter().skip(1));
+            let group = 1 + pairs
+                .take_while(|(last, next)| last.request.is_contiguous_with(&next.request))
+                .take(7)
+                .count();
+            let total_bytes = queue.iter().take(group).map(|pending| pending.request.bytes).sum();
+            let (done_at, _) = self.channel.access(head.request.addr, total_bytes, cycle);
+            debug_assert!(
+                self.in_flight.back().is_none_or(|last| last.completed_at < done_at),
+                "channel completions strictly increase, so in-flight order is completion order"
+            );
             self.stats.transactions_issued += 1;
-            self.stats.requests_coalesced += (self.group.len() - 1) as u64;
-            for pending in self.group.drain(..) {
-                self.in_flight.push(InFlight {
-                    response: MemoryResponse {
-                        id: pending.id,
-                        request: pending.request,
-                        issued_at: pending.issued_at,
-                        completed_at: done_at,
-                    },
-                });
-            }
+            self.stats.requests_coalesced += (group - 1) as u64;
+            self.in_flight.extend(queue.drain(..group).map(|pending| MemoryResponse {
+                id: pending.id,
+                request: pending.request,
+                issued_at: pending.issued_at,
+                completed_at: done_at,
+            }));
         }
         self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight.len());
     }

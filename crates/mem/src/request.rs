@@ -25,17 +25,31 @@ pub struct MemoryRequest {
     pub bytes: usize,
     /// Read or write.
     pub(crate) kind: RequestKind,
+    /// The requester's own label, returned untouched in the response.
+    tag: u32,
 }
 
 impl MemoryRequest {
     /// Creates a read request.
     pub fn read(addr: u64, bytes: usize) -> Self {
-        MemoryRequest { addr, bytes, kind: RequestKind::Read }
+        MemoryRequest { addr, bytes, kind: RequestKind::Read, tag: 0 }
     }
 
     /// Creates a write request.
     pub fn write(addr: u64, bytes: usize) -> Self {
-        MemoryRequest { addr, bytes, kind: RequestKind::Write }
+        MemoryRequest { addr, bytes, kind: RequestKind::Write, tag: 0 }
+    }
+
+    /// This request labelled with `tag`, an opaque value the controller
+    /// carries to the [`MemoryResponse`] (the chip names the issuing
+    /// pipeline with it). Requests start with tag 0.
+    pub fn with_tag(self, tag: u32) -> Self {
+        MemoryRequest { tag, ..self }
+    }
+
+    /// The label given by [`Self::with_tag`].
+    pub fn tag(&self) -> u32 {
+        self.tag
     }
 
     /// Returns `true` for read requests.
@@ -78,6 +92,13 @@ mod tests {
     fn constructors_set_kind() {
         assert!(MemoryRequest::read(0, 8).is_read());
         assert!(!MemoryRequest::write(0, 8).is_read());
+    }
+
+    #[test]
+    fn the_tag_travels_with_the_request_and_is_not_an_address() {
+        let tagged = MemoryRequest::read(0, 64).with_tag(u32::MAX);
+        assert_eq!((MemoryRequest::read(0, 64).tag(), tagged.tag()), (0, u32::MAX));
+        assert!(tagged.is_contiguous_with(&MemoryRequest::read(64, 8).with_tag(7)));
     }
 
     #[test]

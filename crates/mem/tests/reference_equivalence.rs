@@ -1,15 +1,18 @@
-//! `MemoryController` against the linear-scan reference it replaced.
+//! `MemoryController` against a linear-scan reference.
 //!
-//! The controller retires in-flight transactions from a min-heap keyed
-//! `(completed_at, id)` and reuses its coalescing buffer; the reference
-//! below scans every in-flight transaction every cycle. For any submit
-//! schedule the two must retire the same *set* of responses in every
-//! cycle and agree on `stats()`, `in_flight()` and `pending()`.
+//! The controller keeps its in-flight requests in a FIFO and retires from
+//! the front, which is sound only because channel completions strictly
+//! increase in issue order (`Channel::access`); it coalesces by peeking at
+//! its queue. The reference below assumes neither: it collects each
+//! transaction into a fresh group and scans every in-flight request every
+//! cycle. For any submit schedule the two must retire the same *set* of
+//! responses in every cycle and agree on `stats()`, `in_flight()` and
+//! `pending()`.
 //!
 //! The order of responses *within* one cycle is deliberately not compared:
-//! the heap yields `(completed_at, id)` order where the scan yielded
-//! swap-remove order, and every consumer of a response is order-free (a
-//! pipeline's outstanding-read decrement, a histogram sample, a sum).
+//! the FIFO yields issue order where the scan yields swap-remove order, and
+//! every consumer of a response is order-free (a pipeline's
+//! outstanding-read decrement, a histogram sample, a sum).
 
 use neura_mem::{
     Channel, ControllerStats, HbmPreset, MemoryController, MemoryRequest, MemoryResponse, RequestId,

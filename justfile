@@ -201,17 +201,20 @@ perf *flags="":
 # operation failed. E.g. `just perf-pair HEAD~1 HEAD serve-fleet`; the
 # workload `all` runs the four of BENCHMARK.json, in its order, on the one
 # pair of builds and into one table (`just perf-pair HEAD~1 HEAD all`).
-perf-pair parent change workload pairs="10":
-    bash scripts/perf-pair.sh {{parent}} {{change}} {{workload}} {{pairs}}
+# Extra flags pass through: `--json BENCH_<n>.json` also writes the tables,
+# the commits, the command and the host as a neura_lab.artifact/v1 ledger.
+perf-pair parent change workload pairs="10" *flags="":
+    bash scripts/perf-pair.sh {{parent}} {{change}} {{workload}} {{pairs}} {{flags}}
 
 # The ledger's own tests at tiny scale. The benchmark is a package of its
 # own, so this is what notices a workspace change that breaks the API
 # footprint listed in the header of benchmark/src/layers.rs — or whose
 # dependency edits would rewrite the ledger's committed lock file. Also
 # checks that the perf-pair and pub-surface scripts still parse (running
-# the first takes minutes).
+# the first takes minutes) and that every committed BENCH_*.json is JSON.
 perf-selftest:
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
     git diff --exit-code benchmark/Cargo.lock
     bash -n scripts/perf-pair.sh
     bash -n scripts/pub-surface.sh
+    bash -c 'shopt -s nullglob; for f in BENCH_*.json; do python3 -m json.tool "$f" > /dev/null || exit 1; done'

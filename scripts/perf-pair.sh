@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# scripts/perf-pair.sh PARENT CHANGE WORKLOAD|all [PAIRS]     (`just perf-pair`)
+# scripts/perf-pair.sh PARENT CHANGE WORKLOAD|all [PAIRS] [--json PATH]   (`just perf-pair`)
 #
 # benchmark/README.md § "Comparing two commits", mechanised: unpacks the
 # two commits with `git archive`, builds each once into its own
@@ -20,13 +20,38 @@
 # 10 % — one run a side, so a pointer to where the saving appeared, not a
 # measurement of it. Exits non-zero when a pair's
 # sim_digest differs between the sides or an operation failed.
+#
+# With --json PATH it also writes those tables to PATH as a
+# neura_lab.artifact/v1 document (the BENCH_*.json ledger at the repo
+# root): one record per workload and end-to-end metric (each side's
+# Q1 / median / Q3, the change against the parent, the parent's IQR, the
+# pairs won), one per moved per-layer row, one per workload for sim_digest
+# agreement, and one naming both commits, the command and the host (CPU
+# model, nproc, kernel release).
 set -euo pipefail
-if [[ $# -lt 3 || $# -gt 4 ]]; then
-    echo "usage: scripts/perf-pair.sh PARENT CHANGE WORKLOAD|all [PAIRS]" >&2
+usage() {
+    echo "usage: scripts/perf-pair.sh PARENT CHANGE WORKLOAD|all [PAIRS] [--json PATH]" >&2
     exit 2
+}
+command="scripts/perf-pair.sh $*"
+args=() json=""
+while [[ $# -gt 0 ]]; do
+    if [[ "$1" == --json ]]; then
+        [[ $# -ge 2 ]] || usage
+        json="$2"
+        [[ "$json" == /* ]] || json="$PWD/$json"
+        shift 2
+    else
+        args+=("$1")
+        shift
+    fi
+done
+if [[ ${#args[@]} -lt 3 || ${#args[@]} -gt 4 ]]; then
+    usage
 fi
-parent="$1" change="$2" workloads="$3" pairs="${4:-10}"
+parent="${args[0]}" change="${args[1]}" workloads="${args[2]}" pairs="${args[3]:-10}"
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
+commits="$(git rev-parse --verify "$parent^{commit}") $(git rev-parse --verify "$change^{commit}")"
 seconds="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')"
 if [[ "$workloads" == all ]]; then
     workloads="$(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
@@ -67,12 +92,18 @@ for workload in $workloads; do
     echo "$workload: traced run per side at seed $pairs" >&2
 done
 
-python3 - "$work/out" "$pairs" "$seconds" $workloads <<'PY'
-import json, statistics, sys
+python3 - "$work/out" "$pairs" "$seconds" "$json" "$commits" "$command" $workloads <<'PY'
+import json, os, platform, statistics, sys
 
-out, pairs, seconds, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
+out, pairs, seconds = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+json_path, commits, command, workloads = sys.argv[4], sys.argv[5].split(), sys.argv[6], sys.argv[7:]
 bench = json.load(open("BENCHMARK.json"))
 bad = []
+records = []  # the --json ledger, in neura_lab.artifact/v1 record form
+
+def record(rid, params, metrics):
+    records.append({"id": f"perf-pair/{rid}", "params": params,
+                    "metrics": [{"name": n, "value": v, "unit": u} for n, v, u in metrics]})
 
 def read_run(workload, side, seed, trace):
     """The metric values of one run; failures are appended to `bad`."""
@@ -95,6 +126,7 @@ print("| workload | metric | unit | parent Q1 / median / Q3 | change Q1 / median
 print("|---|---|---|---|---|---|---|---|")
 for workload in workloads:
     runs = {"parent": [], "change": []}
+    agreeing = 0
     for seed in range(1, pairs + 1):
         digests = {}
         for side in runs:
@@ -105,6 +137,10 @@ for workload in workloads:
         if digests["parent"] != digests["change"]:
             bad.append(f"{workload} seed {seed}: sim_digest differs "
                        f"({digests['parent']} vs {digests['change']})")
+        else:
+            agreeing += 1
+    record(f"{workload}/sim_digest", {"workload": workload},
+           [("pairs_agreeing", agreeing, "count"), ("pairs", pairs, "count")])
     for metric in bench["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         p, c = ([run[name] for run in runs[side]] for side in ("parent", "change"))
@@ -114,6 +150,12 @@ for workload in workloads:
         print(f"| {workload} | {name} | {metric['unit']} | {p1:.6g} / {pm:.6g} / {p3:.6g} "
               f"| {c1:.6g} / {cm:.6g} / {c3:.6g} "
               f"| {cm / pm - 1:+.1%} | {(p3 - p1) / pm:.1%} | {won} of {pairs - ties} |")
+        unit = metric["unit"]
+        record(f"{workload}/{name}", {"workload": workload, "metric": name, "better": metric["better"]},
+               [("parent_q1", p1, unit), ("parent_median", pm, unit), ("parent_q3", p3, unit),
+                ("change_q1", c1, unit), ("change_median", cm, unit), ("change_q3", c3, unit),
+                ("change_vs_parent", cm / pm - 1, "ratio"), ("parent_iqr", (p3 - p1) / pm, "ratio"),
+                ("pairs_won", won, "count"), ("pairs_decided", pairs - ties, "count")])
 
 print(f"\n`chip.profiled.overhead` and every non-zero per-layer row that moved by more than 10 % "
       f"(one `--trace 1` run per side and workload, seed {pairs}).\n")
@@ -130,7 +172,24 @@ for workload in workloads:
             continue
         print(f"| {workload} | {name} | {metric['unit']} | {metric['better']} "
               f"| {p:.6g} | {c:.6g} | {c / p - 1:+.1%} |")
+        record(f"{workload}/layer/{name}",
+               {"workload": workload, "metric": name, "better": metric["better"], "seed": str(pairs)},
+               [("parent", p, metric["unit"]), ("change", c, metric["unit"]),
+                ("change_vs_parent", c / p - 1, "ratio")])
 for line in bad:
     print(f"FAIL: {line}", file=sys.stderr)
+if json_path:
+    cpu = next((line.split(":", 1)[1].strip() for line in open("/proc/cpuinfo")
+                if line.startswith("model name")), "unknown")
+    record("run", {"parent": commits[0], "change": commits[1], "command": command,
+                   "cpu_model": cpu, "nproc": str(len(os.sched_getaffinity(0))),
+                   "kernel": platform.release(), "failures": "; ".join(bad) or "none"},
+           [("pairs", pairs, "count"), ("run_seconds", float(seconds), "s")])
+    records.insert(0, records.pop())
+    with open(json_path, "w") as f:
+        json.dump({"schema": "neura_lab.artifact/v1", "bin": "perf-pair", "scale_mult": 1,
+                   "records": records}, f, indent=2)
+        f.write("\n")
+    print(f"wrote {json_path}", file=sys.stderr)
 sys.exit(1 if bad else 0)
 PY
