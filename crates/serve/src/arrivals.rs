@@ -138,6 +138,16 @@ impl StreamSpec {
     /// [`MAX_STREAM_REQUESTS`] requests (a caller that takes the rate or
     /// the duration from a user checks the product first).
     pub fn generate(&self) -> Vec<Request> {
+        self.requests().collect()
+    }
+
+    /// The stream [`Self::generate`] collects, one request at a time, so a
+    /// consumer that drops some of them never holds them all.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::generate`], when called rather than when iterated.
+    pub(crate) fn requests(&self) -> Requests<'_> {
         assert!(self.rps.is_finite() && self.rps > 0.0, "arrival rate must be positive");
         assert!(
             self.duration_s.is_finite() && self.duration_s > 0.0,
@@ -154,36 +164,66 @@ impl StreamSpec {
         assert!(self.mix_size >= 1, "the serving mix needs at least one dataset");
         assert!(!self.shrinks.is_empty(), "at least one request shrink factor is required");
 
-        let mut rng = StdRng::seed_from_u64(self.seed);
         let peak_rate = match self.arrival {
             ArrivalProcess::Poisson => self.rps,
             ArrivalProcess::Bursty => self.rps / BURST_ON_FRACTION,
         };
+        Requests {
+            spec: self,
+            rng: StdRng::seed_from_u64(self.seed),
+            peak_rate,
+            burst_period: self.burst_period_s(),
+            t: 0.0,
+            next_id: 0,
+        }
+    }
+}
 
-        let burst_period = self.burst_period_s();
-        let mut requests = Vec::new();
-        let mut t = 0.0f64;
+/// The requests of a [`StreamSpec`], generated one at a time (see
+/// [`StreamSpec::requests`]).
+pub(crate) struct Requests<'a> {
+    spec: &'a StreamSpec,
+    rng: StdRng,
+    /// The rate candidates are drawn at (a bursty stream keeps only those
+    /// inside its on-windows).
+    peak_rate: f64,
+    burst_period: f64,
+    /// The last candidate's arrival time.
+    t: f64,
+    next_id: usize,
+}
+
+impl Iterator for Requests<'_> {
+    type Item = Request;
+
+    // Inlined so the generator's state stays in registers across a
+    // consumer's loop rather than round-tripping through memory per call.
+    #[inline]
+    fn next(&mut self) -> Option<Request> {
+        let spec = self.spec;
         loop {
             // Exponential inter-arrival via inverse CDF; u ∈ [0, 1) keeps
             // the argument of ln strictly positive.
-            let u: f64 = rng.gen();
-            t += -(1.0 - u).ln() / peak_rate;
-            if t >= self.duration_s {
-                break;
+            let u: f64 = self.rng.gen();
+            self.t += -(1.0 - u).ln() / self.peak_rate;
+            if self.t >= spec.duration_s {
+                return None;
             }
-            if self.arrival == ArrivalProcess::Bursty && !in_burst_window(t, burst_period) {
+            if spec.arrival == ArrivalProcess::Bursty && !in_burst_window(self.t, self.burst_period)
+            {
                 continue;
             }
-            let dataset = rng.gen_range(0..self.mix_size);
-            let shrink = self.shrinks[rng.gen_range(0..self.shrinks.len())];
-            requests.push(Request {
-                id: requests.len(),
-                arrival_s: t,
+            let dataset = self.rng.gen_range(0..spec.mix_size);
+            let shrink = spec.shrinks[self.rng.gen_range(0..spec.shrinks.len())];
+            let id = self.next_id;
+            self.next_id += 1;
+            return Some(Request {
+                id,
+                arrival_s: self.t,
                 class: RequestClass { dataset, shrink },
                 tenant: 0,
             });
         }
-        requests
     }
 }
 

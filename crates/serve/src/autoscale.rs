@@ -122,23 +122,17 @@ impl AutoscalePolicy {
     /// # Panics
     ///
     /// Panics unless `pending` has one entry per fleet group.
-    pub(crate) fn decide(
-        &self,
-        fleet: &ShardFleet,
-        backlog: usize,
-        now: f64,
-        pending: &[i64],
-    ) -> Decision {
+    pub(crate) fn decide(&self, fleet: &ShardFleet, backlog: usize, pending: &[i64]) -> Decision {
         assert_eq!(pending.len(), fleet.group_count(), "one pending count per group");
         let committed = |g: usize| fleet.active_in_group(g) as i64 + pending[g];
         let active: i64 = (0..fleet.group_count()).map(committed).sum();
         if backlog as f64 > self.up_backlog_per_shard * active.max(1) as f64 {
-            if let Some(group) = self.scale_up_group(fleet, now, pending) {
+            if let Some(group) = self.scale_up_group(fleet, pending) {
                 return Decision::Up { group };
             }
         }
-        if backlog == 0 && (0..fleet.capacity()).any(|s| fleet.is_idle(s, now)) {
-            if let Some(group) = self.scale_down_group(fleet, now, pending) {
+        if backlog == 0 && fleet.has_idle() {
+            if let Some(group) = self.scale_down_group(fleet, pending) {
                 return Decision::Down { group };
             }
         }
@@ -148,12 +142,11 @@ impl AutoscalePolicy {
     /// The group receiving a new shard: highest busy fraction among groups
     /// whose committed count (active + pending) is below `max_shards`,
     /// ties to the lowest index.
-    fn scale_up_group(&self, fleet: &ShardFleet, now: f64, pending: &[i64]) -> Option<usize> {
+    fn scale_up_group(&self, fleet: &ShardFleet, pending: &[i64]) -> Option<usize> {
         (0..fleet.group_count())
             .filter(|&g| fleet.active_in_group(g) as i64 + pending[g] < self.max_shards as i64)
             .max_by(|&a, &b| {
-                let fa = busy_fraction(fleet, a, now);
-                let fb = busy_fraction(fleet, b, now);
+                let (fa, fb) = (busy_fraction(fleet, a), busy_fraction(fleet, b));
                 fa.partial_cmp(&fb).expect("busy fractions are finite").then(b.cmp(&a))
             })
     }
@@ -167,43 +160,29 @@ impl AutoscalePolicy {
     /// its floor, or no shard of the group is idle any more (capacity
     /// never vanishes mid-batch; forced removal is
     /// [`ShardFleet::crash`]'s job, not the controller's).
-    pub(crate) fn retire_idle(
-        &self,
-        fleet: &mut ShardFleet,
-        group: usize,
-        now: f64,
-    ) -> Option<usize> {
+    pub(crate) fn retire_idle(&self, fleet: &mut ShardFleet, group: usize) -> Option<usize> {
         if fleet.active_in_group(group) <= self.min_shards {
             return None;
         }
-        fleet.deactivate_idle(group, now)
+        fleet.deactivate_idle(group)
     }
 
     /// The group losing a shard: most idle active shards among groups
     /// whose committed count (active + pending) is above `min_shards`,
     /// ties to the highest index.
-    fn scale_down_group(&self, fleet: &ShardFleet, now: f64, pending: &[i64]) -> Option<usize> {
+    fn scale_down_group(&self, fleet: &ShardFleet, pending: &[i64]) -> Option<usize> {
         (0..fleet.group_count())
             .filter(|&g| fleet.active_in_group(g) as i64 + pending[g] > self.min_shards as i64)
-            .max_by(|&a, &b| {
-                let ia = idle_in_group(fleet, a, now);
-                let ib = idle_in_group(fleet, b, now);
-                ia.cmp(&ib).then(a.cmp(&b))
-            })
+            .max_by(|&a, &b| fleet.idle_in_group(a).cmp(&fleet.idle_in_group(b)).then(a.cmp(&b)))
     }
 }
 
-fn busy_fraction(fleet: &ShardFleet, group: usize, now: f64) -> f64 {
+fn busy_fraction(fleet: &ShardFleet, group: usize) -> f64 {
     let active = fleet.active_in_group(group);
     if active == 0 {
         return 0.0;
     }
-    let idle = idle_in_group(fleet, group, now);
-    (active - idle) as f64 / active as f64
-}
-
-fn idle_in_group(fleet: &ShardFleet, group: usize, now: f64) -> usize {
-    (0..fleet.capacity()).filter(|&s| fleet.group_of(s) == group && fleet.is_idle(s, now)).count()
+    (active - fleet.idle_in_group(group)) as f64 / active as f64
 }
 
 /// One controller decision.
@@ -253,14 +232,14 @@ mod tests {
     fn backlog_above_threshold_scales_up_until_max() {
         let policy = AutoscalePolicy::new(1, 4);
         let mut f = fleet();
-        assert_eq!(policy.decide(&f, 10, 0.0, &[0]), Decision::Up { group: 0 });
+        assert_eq!(policy.decide(&f, 10, &[0]), Decision::Up { group: 0 });
         // Pending activations count against the max.
-        assert_eq!(policy.decide(&f, 100, 0.0, &[3]), Decision::Hold);
+        assert_eq!(policy.decide(&f, 100, &[3]), Decision::Hold);
         f.activate(0, 0.0);
         f.activate(0, 0.0);
         f.activate(0, 0.0);
         assert_eq!(f.active_shards(), 4);
-        assert_eq!(policy.decide(&f, 100, 0.0, &[0]), Decision::Hold, "at max");
+        assert_eq!(policy.decide(&f, 100, &[0]), Decision::Hold, "at max");
     }
 
     #[test]
@@ -268,24 +247,24 @@ mod tests {
         let policy = AutoscalePolicy::new(1, 4);
         let mut f = fleet();
         f.activate(0, 0.0);
-        assert_eq!(policy.decide(&f, 0, 0.0, &[0]), Decision::Down { group: 0 });
+        assert_eq!(policy.decide(&f, 0, &[0]), Decision::Down { group: 0 });
         // A pending deactivation already commits the group to its floor:
         // a second down decision before the first lands must hold.
-        assert_eq!(policy.decide(&f, 0, 0.0, &[-1]), Decision::Hold);
+        assert_eq!(policy.decide(&f, 0, &[-1]), Decision::Hold);
         // A busy fleet never sheds capacity, even with an empty backlog.
         f.dispatch(0, 0.0, 5.0, 1);
         f.dispatch(1, 0.0, 5.0, 1);
-        assert_eq!(policy.decide(&f, 0, 1.0, &[0]), Decision::Hold);
+        assert_eq!(policy.decide(&f, 0, &[0]), Decision::Hold);
         // At the minimum, hold.
         let f = fleet();
-        assert_eq!(policy.decide(&f, 0, 0.0, &[0]), Decision::Hold);
+        assert_eq!(policy.decide(&f, 0, &[0]), Decision::Hold);
     }
 
     #[test]
     fn moderate_backlog_holds() {
         let policy = AutoscalePolicy::new(1, 4).with_up_backlog_per_shard(4.0);
         let f = fleet();
-        assert_eq!(policy.decide(&f, 3, 0.0, &[0]), Decision::Hold, "3 <= 4 x 1 active");
+        assert_eq!(policy.decide(&f, 3, &[0]), Decision::Hold, "3 <= 4 x 1 active");
     }
 
     #[test]
@@ -300,12 +279,12 @@ mod tests {
         ];
         let f = ShardFleet::new(&groups, Some(&[4, 4]));
         let policy = AutoscalePolicy::new(1, 4);
-        assert_eq!(policy.decide(&f, 0, 0.0, &[0, -1]), Decision::Hold);
+        assert_eq!(policy.decide(&f, 0, &[0, -1]), Decision::Hold);
         // Without the pending deactivation, group 1 is the right donor.
-        assert_eq!(policy.decide(&f, 0, 0.0, &[0, 0]), Decision::Down { group: 1 });
+        assert_eq!(policy.decide(&f, 0, &[0, 0]), Decision::Down { group: 1 });
         // Scale-up similarly respects per-group commitments: group 1 full
         // up with pendings, group 0 takes the shard.
-        assert_eq!(policy.decide(&f, 100, 0.0, &[0, 2]), Decision::Up { group: 0 });
+        assert_eq!(policy.decide(&f, 100, &[0, 2]), Decision::Up { group: 0 });
     }
 
     #[test]
@@ -313,14 +292,14 @@ mod tests {
         let policy = AutoscalePolicy::new(1, 4);
         let mut f = fleet();
         f.activate(0, 0.0);
-        assert_eq!(policy.retire_idle(&mut f, 0, 0.0), Some(1), "idle above the floor retires");
-        assert_eq!(policy.retire_idle(&mut f, 0, 0.0), None, "at the floor the removal cancels");
+        assert_eq!(policy.retire_idle(&mut f, 0), Some(1), "idle above the floor retires");
+        assert_eq!(policy.retire_idle(&mut f, 0), None, "at the floor the removal cancels");
         // Above the floor but mid-batch: the removal cancels rather than
         // killing in-flight work — that forced path is `crash`'s alone.
         f.activate(0, 0.0);
         f.dispatch(0, 0.0, 5.0, 1);
         f.dispatch(1, 0.0, 5.0, 1);
-        assert_eq!(policy.retire_idle(&mut f, 0, 1.0), None);
+        assert_eq!(policy.retire_idle(&mut f, 0), None);
         assert_eq!(f.active_shards(), 2);
     }
 
@@ -334,19 +313,19 @@ mod tests {
         let mut f = fleet();
         f.activate(0, 0.0);
         assert_eq!(f.active_in_group(0), 2);
-        assert_eq!(policy.decide(&f, 100, 0.0, &[1]), Decision::Up { group: 0 });
+        assert_eq!(policy.decide(&f, 100, &[1]), Decision::Up { group: 0 });
         f.dispatch(0, 0.0, 5.0, 1);
         assert!(f.crash(0, 1.0, 1));
         assert_eq!(f.active_in_group(0), 1, "the crash removed exactly one active shard");
         // 100 > 2 x (1 active + 1 pending): still room below max, still Up.
-        assert_eq!(policy.decide(&f, 100, 1.0, &[1]), Decision::Up { group: 0 });
+        assert_eq!(policy.decide(&f, 100, &[1]), Decision::Up { group: 0 });
         // The pending activation lands and may reuse the crashed slot —
         // the group ends at 2 active, never 3.
         assert_eq!(f.activate(0, 1.5), Some(0));
         assert_eq!(f.active_in_group(0), 2);
         assert_eq!(f.group_stats()[0].peak_active, 2, "no phantom third shard ever existed");
         // At max with pendings the controller holds, crash or no crash.
-        assert_eq!(policy.decide(&f, 100, 1.5, &[2]), Decision::Hold);
+        assert_eq!(policy.decide(&f, 100, &[2]), Decision::Hold);
     }
 
     #[test]

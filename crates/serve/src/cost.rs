@@ -134,8 +134,9 @@ pub fn hybrid_scaled_cycles(estimate: u64, anchor_measured: u64, anchor_estimate
 #[derive(Debug, Clone, Default)]
 pub struct CostTable {
     /// Fingerprint → cycle time + per-class costs on that silicon. Nested
-    /// (rather than keyed by `(String, RequestClass)` pairs) so the
-    /// dispatch hot path looks costs up by `&str` without allocating.
+    /// (rather than keyed by `(String, RequestClass)` pairs) so a lookup
+    /// by `&str` does not allocate; a replay reads `FleetCosts`' dense
+    /// rows instead.
     silicon: BTreeMap<String, FingerprintCosts>,
     /// Class → flops (chip-independent; the SJF weight).
     flops: BTreeMap<RequestClass, u64>,
@@ -156,9 +157,19 @@ impl FingerprintCosts {
         let cost = self.costs.get(&class).unwrap_or_else(|| {
             panic!("no memoised cost for request class {class:?} under {fingerprint:?}")
         });
-        let first = cost.cycles as f64 * self.seconds_per_cycle;
-        first * (1.0 + DEFAULT_MARGINAL_BATCH_FRACTION * (batch_size - 1) as f64)
+        batch_seconds(self.first_seconds(cost), batch_size)
     }
+
+    /// The service time of one request of a class costing `cost`.
+    fn first_seconds(&self, cost: &ClassCost) -> f64 {
+        cost.cycles as f64 * self.seconds_per_cycle
+    }
+}
+
+/// The service time of a batch of `batch_size` requests whose first costs
+/// `first_s`: each request beyond the first adds the marginal fraction.
+fn batch_seconds(first_s: f64, batch_size: usize) -> f64 {
+    first_s * (1.0 + DEFAULT_MARGINAL_BATCH_FRACTION * (batch_size - 1) as f64)
 }
 
 impl CostTable {
@@ -312,55 +323,130 @@ impl CostTable {
     }
 }
 
-/// A [`CostTable`] resolved against one fleet for the length of a replay:
-/// every shard group's fingerprint is looked up once, here, so pricing a
-/// batch on a group is an array read plus the class lookup instead of a
-/// string-keyed map walk per candidate shard — what the dispatch policies
-/// and the event loop read on every dispatch.
+/// A [`RequestClass`] resolved against a [`FleetCosts`]: its position in
+/// the dense rows. Ids are dataset-major over the table's distinct shrink
+/// factors, so ascending ids are ascending classes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ClassId(usize);
+
+impl ClassId {
+    /// The position in `0..FleetCosts::class_count()`.
+    pub(crate) fn index(self) -> usize {
+        self.0
+    }
+}
+
+/// A [`CostTable`] resolved against one fleet for the length of a replay,
+/// into dense rows: the first-request seconds of every (shard group,
+/// class) pair and the SJF weight of every class, indexed by [`ClassId`] —
+/// so pricing a batch on a group is two array reads, not a string- and
+/// class-keyed map walk per candidate shard. This is what the dispatch
+/// policies and the event loop read on every dispatch and SJF push.
 ///
-/// Resolution never fails: a group whose fingerprint was never registered
-/// panics on first *use*, with the same message
-/// [`CostTable::service_seconds`] gives, so a fleet may still list a group
-/// no batch ever lands on.
+/// The class index spans the largest dataset index times the table's
+/// distinct shrink factors: its size follows the number of classes, never
+/// the magnitude of a shrink factor.
+///
+/// Resolution never fails: a group whose fingerprint was never registered,
+/// or a class never measured under it, panics on first *use*, with the
+/// message [`CostTable::service_seconds`] gives, so a fleet may still list
+/// a group no batch ever lands on.
 #[derive(Debug, Clone)]
 pub(crate) struct FleetCosts<'a> {
+    /// The table the rows came from, which words the panics for missing
+    /// pairs.
     table: &'a CostTable,
-    /// Per shard group: its fingerprint and, when registered, its costs.
-    groups: Vec<(String, Option<&'a FingerprintCosts>)>,
+    /// Per shard group: its fingerprint.
+    fingerprints: Vec<String>,
+    /// The table's distinct shrink factors, ascending.
+    shrinks: Vec<usize>,
+    /// One more than the table's largest dataset index.
+    datasets: usize,
+    /// Group-major: the first-request seconds of class `c` on group `g` at
+    /// `g × class_count + c` (`None` = not measured on that silicon).
+    first_s: Vec<Option<f64>>,
+    /// Per class: its SJF weight (`None` = measured nowhere).
+    weights: Vec<Option<u64>>,
     median_weight: u64,
 }
 
 impl<'a> FleetCosts<'a> {
     /// Resolves `table` against a fleet's shard groups, in group order.
     pub(crate) fn new(table: &'a CostTable, groups: &[ShardGroup]) -> Self {
-        let groups = groups
-            .iter()
-            .map(|group| {
-                let fingerprint = group.config.fingerprint();
-                let costs = table.silicon.get(&fingerprint);
-                (fingerprint, costs)
-            })
-            .collect();
-        FleetCosts { table, groups, median_weight: table.median_weight() }
+        // Every measured class has a weight, so the weight map spans them all.
+        let mut shrinks: Vec<usize> = table.flops.keys().map(|class| class.shrink).collect();
+        shrinks.sort_unstable();
+        shrinks.dedup();
+        let datasets = table.flops.keys().last().map_or(0, |class| class.dataset + 1);
+        let classes = datasets * shrinks.len();
+        let mut costs = FleetCosts {
+            table,
+            fingerprints: groups.iter().map(|group| group.config.fingerprint()).collect(),
+            shrinks,
+            datasets,
+            first_s: vec![None; groups.len() * classes],
+            weights: vec![None; classes],
+            median_weight: table.median_weight(),
+        };
+        for (&class, &flops) in &table.flops {
+            let id = costs.class_id(class);
+            costs.weights[id.0] = Some(flops);
+        }
+        for g in 0..groups.len() {
+            let Some(entry) = table.silicon.get(&costs.fingerprints[g]) else { continue };
+            for (&class, cost) in &entry.costs {
+                let id = costs.class_id(class);
+                costs.first_s[g * classes + id.0] = Some(entry.first_seconds(cost));
+            }
+        }
+        costs
     }
 
-    /// [`CostTable::service_seconds`] on the silicon of shard group `group`.
+    /// Number of class ids: every [`ClassId`] is below it.
+    pub(crate) fn class_count(&self) -> usize {
+        self.weights.len()
+    }
+
+    /// The id of `class`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the table measured no class with this dataset and
+    /// shrink factor under any fingerprint.
+    pub(crate) fn class_id(&self, class: RequestClass) -> ClassId {
+        match self.shrinks.iter().position(|&shrink| shrink == class.shrink) {
+            Some(rank) if class.dataset < self.datasets => {
+                ClassId(class.dataset * self.shrinks.len() + rank)
+            }
+            _ => panic!("no memoised cost for request class {class:?} under any fingerprint"),
+        }
+    }
+
+    /// The class an id stands for.
+    fn class(&self, id: ClassId) -> RequestClass {
+        let width = self.shrinks.len();
+        RequestClass { dataset: id.0 / width, shrink: self.shrinks[id.0 % width] }
+    }
+
+    /// [`CostTable::service_seconds`] on the silicon of shard group `group`,
+    /// bit for bit.
     ///
     /// # Panics
     ///
     /// Panics when `batch_size == 0`, the group's fingerprint was never
     /// registered, or the class was never measured under it.
-    pub(crate) fn service_seconds(
-        &self,
-        group: usize,
-        class: RequestClass,
-        batch_size: usize,
-    ) -> f64 {
+    pub(crate) fn service_seconds(&self, group: usize, class: ClassId, batch_size: usize) -> f64 {
         assert!(batch_size >= 1, "a batch serves at least one request");
-        let (fingerprint, entry) = &self.groups[group];
-        let entry =
-            entry.unwrap_or_else(|| panic!("fingerprint {fingerprint:?} was never registered"));
-        entry.service_seconds(fingerprint, class, batch_size)
+        let first_s = self.first_s[group * self.class_count() + class.0]
+            .unwrap_or_else(|| self.missing_cost(group, class));
+        batch_seconds(first_s, batch_size)
+    }
+
+    /// Panics as the table does for a pair it never measured.
+    #[cold]
+    fn missing_cost(&self, group: usize, class: ClassId) -> ! {
+        self.table.service_seconds(&self.fingerprints[group], self.class(class), 1);
+        unreachable!("the dense rows hold every pair the table prices")
     }
 
     /// [`CostTable::weight`].
@@ -368,8 +454,11 @@ impl<'a> FleetCosts<'a> {
     /// # Panics
     ///
     /// Panics when the class was never measured under any fingerprint.
-    pub(crate) fn weight(&self, class: RequestClass) -> u64 {
-        self.table.weight(class)
+    pub(crate) fn weight(&self, class: ClassId) -> u64 {
+        self.weights[class.0].unwrap_or_else(|| {
+            self.table.weight(self.class(class));
+            unreachable!("the dense rows hold every weight the table holds")
+        })
     }
 
     /// [`CostTable::median_weight`], computed once at resolution.
@@ -524,6 +613,111 @@ mod tests {
         assert_eq!(hybrid_scaled_cycles(500, 1_000, 1_000), 500);
         // Never below the one-cycle floor, even for tiny scaled values.
         assert_eq!(hybrid_scaled_cycles(1, 1, 1_000_000), 1);
+    }
+
+    /// The table the serving benchmark prices against: three tiles, four
+    /// datasets, shrinks {1, 2, 4}, smaller tiles proportionally slower.
+    fn benchmark_shaped() -> (CostTable, Vec<ShardGroup>) {
+        let mut table = CostTable::new();
+        let mut groups = Vec::new();
+        let tiles = [
+            ("t4", ChipConfig::tile_4(), 4),
+            ("t16", ChipConfig::tile_16(), 2),
+            ("t64", ChipConfig::tile_64(), 1),
+        ];
+        for (name, config, slowdown) in tiles {
+            let fp = table.register(&config);
+            for dataset in 0..4 {
+                for shrink in [1, 2, 4] {
+                    let cycles = 600_000 * slowdown * (dataset as u64 + 1) / shrink as u64;
+                    let cost = ClassCost { cycles, flops: cycles / slowdown };
+                    table.insert(&fp, RequestClass { dataset, shrink }, cost);
+                }
+            }
+            groups.push(ShardGroup::new(name, config, 2));
+        }
+        (table, groups)
+    }
+
+    /// A table with gaps: datasets {0, 2, 5} and shrinks {1, 64}, Tile-4
+    /// measuring only some of Tile-64's classes, and a Tile-16 group whose
+    /// silicon was never registered.
+    fn gapped() -> (CostTable, Vec<ShardGroup>) {
+        let mut table = CostTable::new();
+        let t64 = table.register(&ChipConfig::tile_64());
+        let t4 = table.register(&ChipConfig::tile_4());
+        let classes = [(0, 1), (0, 64), (2, 64), (5, 1), (5, 64)];
+        for (i, (dataset, shrink)) in classes.into_iter().enumerate() {
+            let class = RequestClass { dataset, shrink };
+            let cycles = 1_000 + 7_919 * i as u64;
+            table.insert(&t64, class, ClassCost { cycles, flops: 3 * cycles });
+            if i % 2 == 0 {
+                table.insert(&t4, class, ClassCost { cycles: 5 * cycles, flops: 3 * cycles });
+            }
+        }
+        let groups = vec![
+            ShardGroup::new("t64", ChipConfig::tile_64(), 1),
+            ShardGroup::new("t4", ChipConfig::tile_4(), 1),
+            ShardGroup::new("t16", ChipConfig::tile_16(), 1),
+        ];
+        (table, groups)
+    }
+
+    /// What `f` returns, or the message it panics with.
+    fn outcome<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|panic| {
+            let message = panic.downcast_ref::<String>().cloned();
+            message
+                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        })
+    }
+
+    /// Every (group, class, batch) of the dense rows prices exactly as the
+    /// table does — the same bits, or the same panic for a pair the table
+    /// never measured — and class ids ascend with the classes.
+    #[test]
+    fn dense_rows_equal_the_table_bit_for_bit() {
+        for (table, groups) in [benchmark_shaped(), gapped()] {
+            let costs = FleetCosts::new(&table, &groups);
+            let mut shrinks: Vec<usize> = table.flops.keys().map(|c| c.shrink).collect();
+            shrinks.sort_unstable();
+            shrinks.dedup();
+            let datasets = table.flops.keys().map(|c| c.dataset).max().expect("measured") + 1;
+            let grid = (0..datasets).flat_map(|dataset| {
+                shrinks.iter().map(move |&shrink| RequestClass { dataset, shrink })
+            });
+            for (index, class) in grid.enumerate() {
+                let id = costs.class_id(class);
+                assert_eq!(id.index(), index, "{class:?}");
+                let weight = outcome(|| costs.weight(id));
+                assert_eq!(weight, outcome(|| table.weight(class)), "{class:?}");
+                for (g, group) in groups.iter().enumerate() {
+                    let fp = group.config.fingerprint();
+                    for batch in 1..=16 {
+                        let dense = outcome(|| costs.service_seconds(g, id, batch).to_bits());
+                        let direct = outcome(|| table.service_seconds(&fp, class, batch).to_bits());
+                        assert_eq!(dense, direct, "{class:?} on {} x{batch}", group.name);
+                    }
+                }
+            }
+            assert_eq!(costs.class_count(), datasets * shrinks.len());
+            for outside in [
+                RequestClass { dataset: datasets, shrink: 1 },
+                RequestClass { dataset: 0, shrink: 3 },
+            ] {
+                let refused = outcome(|| costs.class_id(outside)).expect_err("outside the table");
+                assert!(refused.contains("no memoised cost for request class"), "{refused}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no memoised cost for request class")]
+    fn an_unmeasured_pair_still_panics_in_dense_rows() {
+        let (table, groups) = gapped();
+        let costs = FleetCosts::new(&table, &groups);
+        costs.service_seconds(0, costs.class_id(RequestClass { dataset: 1, shrink: 1 }), 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! Every choice is a pure function of `(fleet state, class, costs)`, so
 //! replays stay deterministic.
 
-use crate::cost::{FleetCosts, RequestClass};
+use crate::cost::{ClassId, FleetCosts};
 use crate::fleet::ShardFleet;
 
 /// Picks a shard for a ready batch among the currently idle ones.
@@ -42,7 +42,7 @@ pub(crate) trait DispatchPolicy {
         &self,
         fleet: &ShardFleet,
         idle: &[usize],
-        class: RequestClass,
+        class: ClassId,
         batch: usize,
         now: f64,
         costs: &FleetCosts<'_>,
@@ -74,7 +74,7 @@ impl DispatchPolicy for LeastLoaded {
         &self,
         fleet: &ShardFleet,
         idle: &[usize],
-        _class: RequestClass,
+        _class: ClassId,
         _batch: usize,
         _now: f64,
         _costs: &FleetCosts<'_>,
@@ -99,7 +99,7 @@ impl DispatchPolicy for ClassAffinity {
         &self,
         fleet: &ShardFleet,
         idle: &[usize],
-        class: RequestClass,
+        class: ClassId,
         batch: usize,
         now: f64,
         costs: &FleetCosts<'_>,
@@ -126,8 +126,9 @@ impl DispatchPolicy for ClassAffinity {
         // preferred group (earliest release + service on the right
         // silicon) — otherwise hold the batch; a queued millisecond is
         // cheaper than a misplaced batch on 4x-slower silicon.
-        let preferred_free = (0..fleet.capacity())
-            .filter(|&s| fleet.is_active(s) && fleet.group_of(s) == preferred)
+        let preferred_free = fleet
+            .group_slots(preferred)
+            .filter(|&s| fleet.is_active(s))
             .map(|s| fleet.busy_until(s))
             .fold(f64::INFINITY, f64::min);
         let wait_cost =
@@ -155,7 +156,7 @@ impl DispatchPolicy for CostAware {
         &self,
         fleet: &ShardFleet,
         idle: &[usize],
-        class: RequestClass,
+        class: ClassId,
         batch: usize,
         _now: f64,
         costs: &FleetCosts<'_>,
@@ -218,7 +219,7 @@ impl DispatchKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{ClassCost, CostTable};
+    use crate::cost::{ClassCost, CostTable, RequestClass};
     use crate::fleet::ShardGroup;
     use neura_chip::config::ChipConfig;
 
@@ -232,13 +233,23 @@ mod tests {
         ]
     }
 
-    fn resolve(costs: &CostTable) -> FleetCosts<'_> {
-        FleetCosts::new(costs, &groups())
+    /// `policy`'s choice for one request of `class`, priced by `costs`
+    /// resolved against the fixture's groups.
+    fn choose(
+        policy: &dyn DispatchPolicy,
+        fleet: &ShardFleet,
+        idle: &[usize],
+        class: RequestClass,
+        now: f64,
+        costs: &CostTable,
+    ) -> Option<usize> {
+        let costs = FleetCosts::new(costs, &groups());
+        policy.choose(fleet, idle, costs.class_id(class), 1, now, &costs)
     }
 
-    fn idle_shards(fleet: &ShardFleet, now: f64) -> Vec<usize> {
+    fn idle_shards(fleet: &ShardFleet) -> Vec<usize> {
         let mut idle = Vec::new();
-        fleet.idle_shards(now, &mut idle);
+        fleet.idle_shards(&mut idle);
         idle
     }
 
@@ -261,26 +272,28 @@ mod tests {
         let (mut fleet, costs, big, _) = fixture();
         fleet.dispatch(0, 0.0, 2.0, 1);
         fleet.dispatch(1, 0.0, 1.0, 1);
-        // At t=3 all are idle; shard 2 never worked (busy_until 0 < 1 < 2).
-        let idle = idle_shards(&fleet, 3.0);
-        assert_eq!(LeastLoaded.choose(&fleet, &idle, big, 1, 3.0, &resolve(&costs)), Some(2));
+        // At t=3 both batches completed and all are idle; shard 2 never
+        // worked (busy_until 0 < 1 < 2).
+        while fleet.pop_completion(3.0).is_some() {}
+        let idle = idle_shards(&fleet);
+        assert_eq!(choose(&LeastLoaded, &fleet, &idle, big, 3.0, &costs), Some(2));
         // Fresh fleet: all tie at 0.0, lowest index wins.
         let (fleet, costs, big, _) = fixture();
-        let idle = idle_shards(&fleet, 0.0);
-        assert_eq!(LeastLoaded.choose(&fleet, &idle, big, 1, 0.0, &resolve(&costs)), Some(0));
+        let idle = idle_shards(&fleet);
+        assert_eq!(choose(&LeastLoaded, &fleet, &idle, big, 0.0, &costs), Some(0));
     }
 
     #[test]
     fn affinity_routes_big_to_big_silicon_and_small_to_small() {
         let (fleet, costs, big, small) = fixture();
-        let idle = idle_shards(&fleet, 0.0);
+        let idle = idle_shards(&fleet);
         assert_eq!(
-            ClassAffinity.choose(&fleet, &idle, big, 1, 0.0, &resolve(&costs)),
+            choose(&ClassAffinity, &fleet, &idle, big, 0.0, &costs),
             Some(0),
             "big -> Tile-64"
         );
         assert_eq!(
-            ClassAffinity.choose(&fleet, &idle, small, 1, 0.0, &resolve(&costs)),
+            choose(&ClassAffinity, &fleet, &idle, small, 0.0, &costs),
             Some(1),
             "small -> Tile-4"
         );
@@ -292,27 +305,23 @@ mod tests {
         // Tile-64 busy for 2 ms; waiting (2 ms + 1 ms service) beats the
         // 8 ms the batch would cost on an idle Tile-4 shard.
         fleet.dispatch(0, 0.0, 0.002, 1);
-        let idle = idle_shards(&fleet, 0.0);
+        let idle = idle_shards(&fleet);
         assert_eq!(idle, vec![1, 2]);
-        assert_eq!(
-            ClassAffinity.choose(&fleet, &idle, big, 1, 0.0, &resolve(&costs)),
-            None,
-            "hold"
-        );
+        assert_eq!(choose(&ClassAffinity, &fleet, &idle, big, 0.0, &costs), None, "hold");
         // ... but a 10 ms horizon flips the comparison: overflow to the
         // cheapest idle shard.
         let (mut fleet, costs, big, _) = fixture();
         fleet.dispatch(0, 0.0, 0.010, 1);
-        let idle = idle_shards(&fleet, 0.0);
-        assert_eq!(ClassAffinity.choose(&fleet, &idle, big, 1, 0.0, &resolve(&costs)), Some(1));
+        let idle = idle_shards(&fleet);
+        assert_eq!(choose(&ClassAffinity, &fleet, &idle, big, 0.0, &costs), Some(1));
     }
 
     #[test]
     fn cost_aware_minimises_the_memoised_service_time() {
         let (mut fleet, costs, big, small) = fixture();
-        let idle = idle_shards(&fleet, 0.0);
+        let idle = idle_shards(&fleet);
         assert_eq!(
-            CostAware.choose(&fleet, &idle, big, 1, 0.0, &resolve(&costs)),
+            choose(&CostAware, &fleet, &idle, big, 0.0, &costs),
             Some(0),
             "8x cheaper on Tile-64"
         );
@@ -320,8 +329,8 @@ mod tests {
         // still wins (40k vs 50k cycles); make it busy and the Tile-4
         // shards take over.
         fleet.dispatch(0, 0.0, 5.0, 1);
-        let idle = idle_shards(&fleet, 0.0);
-        assert_eq!(CostAware.choose(&fleet, &idle, small, 1, 0.0, &resolve(&costs)), Some(1));
+        let idle = idle_shards(&fleet);
+        assert_eq!(choose(&CostAware, &fleet, &idle, small, 0.0, &costs), Some(1));
     }
 
     #[test]

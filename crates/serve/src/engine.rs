@@ -48,16 +48,19 @@
 //!   identical results for every thread count — and is where the
 //!   wall-clock win on long closed-loop replays lives.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use neura_lab::Runner;
 
 use crate::arrivals::{ClosedLoopClients, ClosedLoopSpec, Request, Workload};
 use crate::autoscale::{Decision, ScaleEvent};
-use crate::cost::{FleetCosts, RequestClass};
+use crate::bitset::BitSet;
+use crate::cost::{ClassId, FleetCosts};
 use crate::fault::{CrashEvent, FaultPlan};
-use crate::fleet::{lane_groups, lane_share, GroupStats, ShardFleet, ShardGroup, ShardStats};
+use crate::fleet::{
+    lane_groups, lane_share, GroupStats, ShardFleet, ShardGroup, ShardStats, TimeKey,
+};
 use crate::policy::Policy;
 use crate::scenario::{TenantMix, TENANT_BURST_S};
 use crate::sim::{ServeConfig, ServeOutcome, TenantOutcome, SHED_LATENCY_S};
@@ -160,25 +163,6 @@ impl EnginePlan {
     }
 }
 
-/// Total-order wrapper over a finite `f64` event time, so closed-loop
-/// issue times can live in a [`BinaryHeap`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TimeKey(f64);
-
-impl Eq for TimeKey {}
-
-impl PartialOrd for TimeKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TimeKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.partial_cmp(&other.0).expect("issue times are finite")
-    }
-}
-
 /// Min-heap of `(issue time, client)` pairs: pops in ascending
 /// `(time, client)` order, the exact order the serial engine's linear
 /// scan selected due clients in.
@@ -202,26 +186,33 @@ enum Backlog {
     /// only on the *set* of queued requests, never on queue position, so
     /// re-queueing a held or crashed unit is a plain insertion.
     Sjf(BinaryHeap<Reverse<(u64, usize)>>),
-    /// Batching: one arrival-ordered queue per request class, plus their
-    /// summed length (read several times per event).
-    Classed { queues: BTreeMap<RequestClass, VecDeque<usize>>, len: usize },
+    /// Batching: one arrival-ordered queue per class id, the set of
+    /// classes whose queue is non-empty (the only ones a selection
+    /// visits), and their summed length (read several times per event).
+    Classed { queues: Vec<VecDeque<usize>>, waiting: BitSet, len: usize },
 }
 
 impl Backlog {
-    fn new(policy: Policy) -> Self {
+    /// An empty backlog for `policy` over `classes` class ids.
+    fn new(policy: Policy, classes: usize) -> Self {
         match policy {
             Policy::Fifo => Backlog::Fifo(VecDeque::new()),
             Policy::Sjf => Backlog::Sjf(BinaryHeap::new()),
-            Policy::BatchByDataset { .. } => Backlog::Classed { queues: BTreeMap::new(), len: 0 },
+            Policy::BatchByDataset { .. } => Backlog::Classed {
+                queues: vec![VecDeque::new(); classes],
+                waiting: BitSet::new(classes),
+                len: 0,
+            },
         }
     }
 
-    fn push(&mut self, id: usize, class: RequestClass, costs: &FleetCosts<'_>) {
+    fn push(&mut self, id: usize, class: ClassId, costs: &FleetCosts<'_>) {
         match self {
             Backlog::Fifo(queue) => queue.push_back(id),
             Backlog::Sjf(heap) => heap.push(Reverse((costs.weight(class), id))),
-            Backlog::Classed { queues, len } => {
-                queues.entry(class).or_default().push_back(id);
+            Backlog::Classed { queues, waiting, len } => {
+                queues[class.index()].push_back(id);
+                waiting.insert(class.index());
                 *len += 1;
             }
         }
@@ -231,7 +222,7 @@ impl Backlog {
     /// queue, preserving order — used when the dispatch policy holds the
     /// unit for busy preferred silicon, and when a crash returns a
     /// victim's in-flight batch for re-dispatch.
-    fn push_front(&mut self, unit: &[usize], class: RequestClass, costs: &FleetCosts<'_>) {
+    fn push_front(&mut self, unit: &[usize], class: ClassId, costs: &FleetCosts<'_>) {
         let queue = match self {
             Backlog::Fifo(queue) => queue,
             Backlog::Sjf(heap) => {
@@ -239,9 +230,10 @@ impl Backlog {
                 heap.extend(unit.iter().map(|&id| Reverse((weight, id))));
                 return;
             }
-            Backlog::Classed { queues, len } => {
+            Backlog::Classed { queues, waiting, len } => {
                 *len += unit.len();
-                queues.entry(class).or_default()
+                waiting.insert(class.index());
+                &mut queues[class.index()]
             }
         };
         for &id in unit.iter().rev() {
@@ -260,13 +252,16 @@ impl Backlog {
     /// The earliest future time at which a currently-unready unit becomes
     /// ready by timeout (batching policy only).
     fn next_deadline(&self, now: f64, policy: Policy, requests: &[Request]) -> Option<f64> {
-        let (Backlog::Classed { queues, .. }, Policy::BatchByDataset { max_batch, timeout_s }) =
-            (self, policy)
+        let (
+            Backlog::Classed { queues, waiting, .. },
+            Policy::BatchByDataset { max_batch, timeout_s },
+        ) = (self, policy)
         else {
             return None;
         };
-        queues
-            .values()
+        waiting
+            .iter()
+            .map(|class| &queues[class])
             .filter(|q| !class_ready(q, requests, max_batch, timeout_s, now))
             .filter_map(|q| q.front().map(|&id| requests[id].arrival_s + timeout_s))
             .fold(None, |best, t| Some(best.map_or(t, |b: f64| b.min(t))))
@@ -288,25 +283,28 @@ impl Backlog {
             (Backlog::Sjf(heap), Policy::Sjf) => {
                 unit.extend(heap.pop().map(|Reverse((_, id))| id));
             }
-            (Backlog::Classed { queues, len }, Policy::BatchByDataset { max_batch, timeout_s }) => {
+            (
+                Backlog::Classed { queues, waiting, len },
+                Policy::BatchByDataset { max_batch, timeout_s },
+            ) => {
                 // Among ready classes, serve the one whose head request has
-                // waited longest (ties broken by class order — the BTreeMap
-                // key order — so selection is deterministic).
-                let ready = queues
+                // waited longest (ties broken by class order — ascending
+                // ids — so selection is deterministic).
+                let ready = waiting
                     .iter()
-                    .filter(|(_, q)| class_ready(q, requests, max_batch, timeout_s, now))
-                    .min_by(|(ca, qa), (cb, qb)| {
-                        let (ha, hb) = (head_arrival(qa, requests), head_arrival(qb, requests));
-                        ha.partial_cmp(&hb).expect("arrival times are finite").then(ca.cmp(cb))
-                    })
-                    .map(|(class, _)| *class);
+                    .filter(|&c| class_ready(&queues[c], requests, max_batch, timeout_s, now))
+                    .min_by(|&a, &b| {
+                        let ha = head_arrival(&queues[a], requests);
+                        let hb = head_arrival(&queues[b], requests);
+                        ha.partial_cmp(&hb).expect("arrival times are finite").then(a.cmp(&b))
+                    });
                 if let Some(class) = ready {
-                    let queue = queues.get_mut(&class).expect("selected class is present");
+                    let queue = &mut queues[class];
                     let take = queue.len().min(max_batch);
                     unit.extend(queue.drain(..take));
                     *len -= take;
                     if queue.is_empty() {
-                        queues.remove(&class);
+                        waiting.remove(class);
                     }
                 }
             }
@@ -498,8 +496,9 @@ struct EngineState {
     plan: Option<FaultPlan>,
     backlog: Backlog,
     source: SourceState,
-    /// The batch each shard slot is serving (empty = none). A slot's
-    /// vector is recycled from batch to batch.
+    /// The batch each shard slot is serving (empty = none) — storage only:
+    /// which slots serve and when each finishes is the fleet's completion
+    /// calendar. A slot's vector is recycled from batch to batch.
     in_flight: Vec<Vec<usize>>,
     gates: Vec<Option<TenantGate>>,
     pending_ops: Vec<PendingOp>,
@@ -674,11 +673,8 @@ impl Record for FragmentOut {
 ///
 /// Panics when the fleet is empty or an autoscaled group starts outside
 /// the policy bounds.
-fn initial_state(
-    cfg: &ServeConfig<'_>,
-    tenants: Option<&TenantMix>,
-    source: SourceState,
-) -> EngineState {
+fn initial_state(ctx: &Ctx<'_>, tenants: Option<&TenantMix>, source: SourceState) -> EngineState {
+    let cfg = ctx.cfg;
     let capacities: Option<Vec<usize>> = cfg.autoscale.map(|p| {
         cfg.groups
             .iter()
@@ -704,7 +700,7 @@ fn initial_state(
     let tenant_count = gates.len();
     EngineState {
         now: 0.0,
-        backlog: Backlog::new(cfg.policy),
+        backlog: Backlog::new(cfg.policy, ctx.costs.class_count()),
         next_check: cfg.autoscale.map(|p| p.check_interval_s),
         fleet,
         plan,
@@ -791,7 +787,7 @@ impl<'a> Engine<'a> {
         let (ctx, st) = (self.ctx, &mut *self.st);
         let dispatcher = ctx.cfg.dispatch.policy();
         loop {
-            st.fleet.idle_shards(st.now, &mut self.idle);
+            st.fleet.idle_shards(&mut self.idle);
             if self.idle.is_empty() {
                 break;
             }
@@ -799,12 +795,13 @@ impl<'a> Engine<'a> {
             if !st.backlog.take_ready(st.now, ctx.cfg.policy, arrived, &mut self.unit) {
                 break;
             }
-            let (class, requests) = (arrived[self.unit[0]].class, self.unit.len());
+            let class = ctx.costs.class_id(arrived[self.unit[0]].class);
+            let requests = self.unit.len();
             let Some(shard) =
                 dispatcher.choose(&st.fleet, &self.idle, class, requests, st.now, &ctx.costs)
             else {
                 debug_assert!(
-                    st.fleet.next_busy_free_at(st.now).is_finite(),
+                    st.fleet.next_busy_free_at().is_finite(),
                     "a policy may only hold a batch while some shard is busy"
                 );
                 st.backlog.push_front(&self.unit, class, &ctx.costs);
@@ -823,26 +820,23 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The time of the next event: an arrival, a batch completing, a batch
-    /// timeout expiring, an injected crash, a scheduled fleet change
-    /// taking effect, or an autoscaler check (crashes and checks only
-    /// while work remains — otherwise they could tick forever); infinite
-    /// when none is left. After [`Self::dispatch_ready`] each of these
-    /// lies in the future, and every finite-time source is consumed when
-    /// due, so the loop always makes progress.
+    /// The time of the next event: an arrival, a batch completing (the
+    /// head of the fleet's completion calendar), a batch timeout expiring,
+    /// an injected crash, a scheduled fleet change taking effect, or an
+    /// autoscaler check (crashes and checks only while work remains —
+    /// otherwise they could tick forever); infinite when none is left.
+    /// After [`Self::dispatch_ready`] each of these lies in the future, and
+    /// every finite-time source is consumed when due, so the loop always
+    /// makes progress.
     fn next_event_s(&self) -> f64 {
         let (ctx, st) = (self.ctx, &*self.st);
         let next_arrival = st.source.next_time(ctx.stream);
+        let next_completion = st.fleet.next_busy_free_at();
         let work_remains = next_arrival.is_some()
             || st.backlog.len() > 0
             || !st.pending_ops.is_empty()
-            || st.in_flight.iter().any(|batch| !batch.is_empty());
-        let mut t_next = next_arrival.unwrap_or(f64::INFINITY);
-        for (slot, batch) in st.in_flight.iter().enumerate() {
-            if !batch.is_empty() {
-                t_next = t_next.min(st.fleet.busy_until(slot));
-            }
-        }
+            || next_completion.is_finite();
+        let mut t_next = next_arrival.unwrap_or(f64::INFINITY).min(next_completion);
         let arrived = st.source.arrived(ctx.stream);
         if let Some(deadline) = st.backlog.next_deadline(st.now, ctx.cfg.policy, arrived) {
             t_next = t_next.min(deadline);
@@ -862,14 +856,16 @@ impl<'a> Engine<'a> {
     }
 
     /// Completions due at `now` finalise, in slot order: the batch really
-    /// finished, so its latencies are now facts no crash can retract.
+    /// finished, so its latencies are now facts no crash can retract. They
+    /// pop off the fleet's completion calendar, earliest finish then lowest
+    /// slot first; `now` is never past the calendar's head (it is one of
+    /// the times [`Self::next_event_s`] takes the minimum over), so every
+    /// due batch finishes exactly at `now` and the pop order is slot order.
     fn complete_due<R: Record>(&mut self, rec: &mut R) {
         let (ctx, st) = (self.ctx, &mut *self.st);
-        for (slot, batch) in st.in_flight.iter_mut().enumerate() {
-            let finish = st.fleet.busy_until(slot);
-            if batch.is_empty() || finish > st.now {
-                continue;
-            }
+        while let Some((finish, slot)) = st.fleet.pop_completion(st.now) {
+            debug_assert_eq!(finish, st.now, "a batch completes at its finish, never later");
+            let batch = &mut st.in_flight[slot];
             for &id in batch.iter() {
                 let request = st.source.arrived(ctx.stream)[id];
                 st.source.on_complete(id, finish);
@@ -914,7 +910,7 @@ impl<'a> Engine<'a> {
             };
             match refusal {
                 None => {
-                    st.backlog.push(id, class, &ctx.costs);
+                    st.backlog.push(id, ctx.costs.class_id(class), &ctx.costs);
                     rec.admit(now, id);
                 }
                 Some(reason) => {
@@ -944,9 +940,8 @@ impl<'a> Engine<'a> {
             if st.fleet.active_shards() <= 1 {
                 continue;
             }
-            let victim = (0..st.fleet.capacity())
-                .filter(|&s| st.fleet.group_of(s) == group && st.fleet.is_active(s))
-                .max_by(|&a, &b| {
+            let victim =
+                st.fleet.group_slots(group).filter(|&s| st.fleet.is_active(s)).max_by(|&a, &b| {
                     st.fleet
                         .busy_until(a)
                         .partial_cmp(&st.fleet.busy_until(b))
@@ -957,7 +952,7 @@ impl<'a> Engine<'a> {
             let batch = &mut st.in_flight[victim];
             let redispatched = batch.len();
             if redispatched > 0 {
-                let class = st.source.arrived(ctx.stream)[batch[0]].class;
+                let class = ctx.costs.class_id(st.source.arrived(ctx.stream)[batch[0]].class);
                 st.backlog.push_front(batch, class, &ctx.costs);
                 batch.clear();
             }
@@ -997,7 +992,7 @@ impl<'a> Engine<'a> {
                 ctx.cfg
                     .autoscale
                     .expect("pending ops only exist under an autoscaler")
-                    .retire_idle(&mut st.fleet, op.group, st.now)
+                    .retire_idle(&mut st.fleet, op.group)
                     .is_some()
             };
             if applied {
@@ -1017,7 +1012,7 @@ impl<'a> Engine<'a> {
         for op in &st.pending_ops {
             pending[op.group] += op.delta;
         }
-        let delta = match policy.decide(&st.fleet, st.backlog.len(), st.now, &pending) {
+        let delta = match policy.decide(&st.fleet, st.backlog.len(), &pending) {
             Decision::Hold => None,
             Decision::Up { group } => Some((group, 1)),
             Decision::Down { group } => Some((group, -1)),
@@ -1117,7 +1112,7 @@ fn run_fragments(
     tracing: bool,
 ) -> (ServeOutcome, Option<Trace>) {
     let ctx = &Ctx { cfg, stream, costs: FleetCosts::new(cfg.costs, cfg.groups) };
-    let initial = initial_state(cfg, tenants, source);
+    let initial = initial_state(ctx, tenants, source);
     let boundaries = plan.boundaries(horizon);
     if boundaries.is_empty() {
         // Serial fast path: one fragment, no seam clones, no fan-out.
@@ -1201,7 +1196,7 @@ fn run_lanes(
         let (clients, first) = spec.lane_clients(lane, lanes);
         let costs = FleetCosts::new(lane_cfg.costs, lane_cfg.groups);
         let ctx = Ctx { cfg: &lane_cfg, stream: &[], costs };
-        let mut st = initial_state(&lane_cfg, None, SourceState::closed(clients, first));
+        let mut st = initial_state(&ctx, None, SourceState::closed(clients, first));
         let out = record(&ctx, &mut st, f64::INFINITY, tracing);
         (st, out)
     });
@@ -1413,38 +1408,51 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::cost::{ClassCost, CostTable};
+    use crate::cost::{ClassCost, CostTable, RequestClass};
 
     /// The backlog as it was before SJF got its own ordered variant and
-    /// `Classed` its running length: FIFO and SJF share one arrival-ordered
-    /// queue, SJF selects by a linear scan with a weight lookup per queued
-    /// request, and the batching length is summed per call. Kept as the
+    /// `Classed` its running length and dense class ids: FIFO and SJF share
+    /// one arrival-ordered queue, SJF selects by a linear scan with a weight
+    /// lookup per queued request, batching keeps a queue per present class
+    /// in class order, and its length is summed per call. Kept as the
     /// reference the differential tests replay against.
     #[derive(Debug, Clone)]
     enum ReferenceBacklog {
         Single(VecDeque<usize>),
-        Classed(BTreeMap<RequestClass, VecDeque<usize>>),
+        Classed(Vec<(RequestClass, VecDeque<usize>)>),
+    }
+
+    /// The queue of `class`, inserted in class order when absent.
+    fn class_queue(
+        queues: &mut Vec<(RequestClass, VecDeque<usize>)>,
+        class: RequestClass,
+    ) -> &mut VecDeque<usize> {
+        let pos = queues.binary_search_by_key(&class, |&(c, _)| c).unwrap_or_else(|pos| {
+            queues.insert(pos, (class, VecDeque::new()));
+            pos
+        });
+        &mut queues[pos].1
     }
 
     impl ReferenceBacklog {
         fn new(policy: Policy) -> Self {
             match policy {
                 Policy::Fifo | Policy::Sjf => ReferenceBacklog::Single(VecDeque::new()),
-                Policy::BatchByDataset { .. } => ReferenceBacklog::Classed(BTreeMap::new()),
+                Policy::BatchByDataset { .. } => ReferenceBacklog::Classed(Vec::new()),
             }
         }
 
         fn push(&mut self, id: usize, class: RequestClass) {
             match self {
                 ReferenceBacklog::Single(queue) => queue.push_back(id),
-                ReferenceBacklog::Classed(queues) => queues.entry(class).or_default().push_back(id),
+                ReferenceBacklog::Classed(queues) => class_queue(queues, class).push_back(id),
             }
         }
 
         fn push_front(&mut self, unit: &[usize], class: RequestClass) {
             let queue = match self {
                 ReferenceBacklog::Single(queue) => queue,
-                ReferenceBacklog::Classed(queues) => queues.entry(class).or_default(),
+                ReferenceBacklog::Classed(queues) => class_queue(queues, class),
             };
             for &id in unit.iter().rev() {
                 queue.push_front(id);
@@ -1454,7 +1462,7 @@ mod tests {
         fn len(&self) -> usize {
             match self {
                 ReferenceBacklog::Single(queue) => queue.len(),
-                ReferenceBacklog::Classed(queues) => queues.values().map(VecDeque::len).sum(),
+                ReferenceBacklog::Classed(queues) => queues.iter().map(|(_, q)| q.len()).sum(),
             }
         }
 
@@ -1492,11 +1500,12 @@ mod tests {
                             ha.partial_cmp(&hb).expect("arrival times are finite").then(ca.cmp(cb))
                         })
                         .map(|(class, _)| *class)?;
-                    let queue = queues.get_mut(&class).expect("selected class is present");
+                    let pos = queues.iter().position(|&(c, _)| c == class)?;
+                    let queue = &mut queues[pos].1;
                     let take = queue.len().min(max_batch);
                     let batch: Vec<usize> = queue.drain(..take).collect();
                     if queue.is_empty() {
-                        queues.remove(&class);
+                        queues.remove(pos);
                     }
                     Some(batch)
                 }
@@ -1534,7 +1543,7 @@ mod tests {
     fn replay_against_the_reference(policy: Policy, ops: &[(usize, usize)]) {
         let table = weights();
         let costs = FleetCosts::new(&table, &[]);
-        let mut backlog = Backlog::new(policy);
+        let mut backlog = Backlog::new(policy, costs.class_count());
         let mut reference = ReferenceBacklog::new(policy);
         let mut requests: Vec<Request> = Vec::new();
         let mut dispatched: Vec<Vec<usize>> = Vec::new();
@@ -1548,7 +1557,7 @@ mod tests {
                     let id = requests.len();
                     let arrival_s = id as f64 * ARRIVAL_GAP_S;
                     requests.push(Request { id, arrival_s, class: class(pick), tenant: 0 });
-                    backlog.push(id, class(pick), &costs);
+                    backlog.push(id, costs.class_id(class(pick)), &costs);
                     reference.push(id, class(pick));
                 }
                 2 | 3 => {
@@ -1558,7 +1567,7 @@ mod tests {
                     if let Some(expected) = expected {
                         if kind == 3 {
                             let class = requests[unit[0]].class;
-                            backlog.push_front(&unit, class, &costs);
+                            backlog.push_front(&unit, costs.class_id(class), &costs);
                             reference.push_front(&expected, class);
                         } else {
                             dispatched.push(expected);
@@ -1569,7 +1578,7 @@ mod tests {
                 4 => {
                     let crashed = dispatched.swap_remove(pick % dispatched.len());
                     let class = requests[crashed[0]].class;
-                    backlog.push_front(&crashed, class, &costs);
+                    backlog.push_front(&crashed, costs.class_id(class), &costs);
                     reference.push_front(&crashed, class);
                 }
                 _ => {
@@ -1580,13 +1589,15 @@ mod tests {
                     {
                         crashed.extend(dispatched.swap_remove(other));
                     }
-                    backlog.push_front(&crashed, class, &costs);
+                    backlog.push_front(&crashed, costs.class_id(class), &costs);
                     reference.push_front(&crashed, class);
                 }
             }
             assert_eq!(backlog.len(), reference.len(), "step {step}");
-            if let Backlog::Classed { queues, len } = &backlog {
-                assert_eq!(*len, queues.values().map(VecDeque::len).sum::<usize>(), "step {step}");
+            if let Backlog::Classed { queues, waiting, len } = &backlog {
+                assert_eq!(*len, queues.iter().map(VecDeque::len).sum::<usize>(), "step {step}");
+                let non_empty = (0..queues.len()).filter(|&c| !queues[c].is_empty());
+                assert!(waiting.iter().eq(non_empty), "step {step}: waiting classes");
             }
             let in_flight: usize = dispatched.iter().map(Vec::len).sum();
             assert_eq!(backlog.len() + in_flight, requests.len(), "step {step}: conservation");
@@ -1640,20 +1651,20 @@ mod tests {
         // class it is in, and a re-queued id keeps its place in the order.
         let table = weights();
         let costs = FleetCosts::new(&table, &[]);
-        let mut backlog = Backlog::new(Policy::Sjf);
+        let mut backlog = Backlog::new(Policy::Sjf, costs.class_count());
         let requests: Vec<Request> = [0, 3, 1, 2, 1]
             .iter()
             .enumerate()
             .map(|(id, &c)| Request { id, arrival_s: id as f64, class: class(c), tenant: 0 })
             .collect();
         for request in &requests {
-            backlog.push(request.id, request.class, &costs);
+            backlog.push(request.id, costs.class_id(request.class), &costs);
         }
         let mut unit = Vec::new();
         let mut order = Vec::new();
         assert!(backlog.take_ready(9.0, Policy::Sjf, &requests, &mut unit));
         assert_eq!(unit, [1], "weight 10, the earliest id");
-        backlog.push_front(&unit, class(3), &costs);
+        backlog.push_front(&unit, costs.class_id(class(3)), &costs);
         while backlog.take_ready(9.0, Policy::Sjf, &requests, &mut unit) {
             order.push(unit[0]);
         }

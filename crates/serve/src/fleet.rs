@@ -10,8 +10,28 @@
 //! *Which* idle shard a batch lands on is the dispatch policy's decision
 //! (see [`crate::dispatch`]); the fleet only answers questions and keeps
 //! the books.
+//!
+//! The fleet also owns its dynamic state in the form the event loop asks
+//! for it, kept up to date by every operation that changes it — so no
+//! question costs a walk over the slots:
+//!
+//! - the **idle set**: a bit per slot that is provisioned and serving no
+//!   batch, set when a slot activates or its batch completes, cleared when
+//!   it dispatches, retires or crashes; the dispatch candidates are its
+//!   members in slot order;
+//! - the **completion calendar**: a min-heap of `(finish, slot)`, one
+//!   entry per batch in service, pushed at dispatch, popped when due
+//!   ([`ShardFleet::pop_completion`]) and dropped when its slot crashes —
+//!   the next release is its head;
+//! - the **active count** of every group, which provisioned-time accrual
+//!   multiplies and the autoscaler reads.
+
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use neura_chip::config::ChipConfig;
+
+use crate::bitset::BitSet;
 
 /// Spec-level description of one shard group: `shards` replicas of one
 /// chip configuration under a stable short name.
@@ -120,6 +140,25 @@ struct GroupInfo {
     first_shard: usize,
 }
 
+/// Total-order wrapper over a finite `f64` event time, so event times can
+/// live in a [`BinaryHeap`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct TimeKey(pub(crate) f64);
+
+impl Eq for TimeKey {}
+
+impl PartialOrd for TimeKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for TimeKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.partial_cmp(&other.0).expect("event times are finite")
+    }
+}
+
 /// A fleet of accelerator shards organised into groups.
 ///
 /// Shard indices are global and stable: group 0's slots come first, then
@@ -130,6 +169,13 @@ pub(crate) struct ShardFleet {
     shard_group: Vec<usize>,
     busy_until: Vec<f64>,
     active: Vec<bool>,
+    /// Active slots per group.
+    active_count: Vec<usize>,
+    /// The active slots serving no batch.
+    idle: BitSet,
+    /// `(finish, slot)` of every batch in service, earliest (then lowest
+    /// slot) first.
+    calendar: BinaryHeap<Reverse<(TimeKey, usize)>>,
     stats: Vec<ShardStats>,
     active_seconds: Vec<f64>,
     peak_active: Vec<usize>,
@@ -152,6 +198,7 @@ impl ShardFleet {
         let mut infos = Vec::with_capacity(groups.len());
         let mut shard_group = Vec::new();
         let mut active = Vec::new();
+        let mut active_count = Vec::with_capacity(groups.len());
         let mut peak_active = Vec::with_capacity(groups.len());
         for (g, group) in groups.iter().enumerate() {
             assert!(
@@ -176,14 +223,20 @@ impl ShardFleet {
                 shard_group.push(g);
                 active.push(slot < group.shards);
             }
+            active_count.push(group.shards);
             peak_active.push(group.shards);
         }
         let total = shard_group.len();
+        let mut idle = BitSet::new(total);
+        (0..total).filter(|&s| active[s]).for_each(|s| idle.insert(s));
         ShardFleet {
             groups: infos,
             shard_group,
             busy_until: vec![0.0; total],
             active,
+            active_count,
+            idle,
+            calendar: BinaryHeap::new(),
             stats: vec![ShardStats::default(); total],
             active_seconds: vec![0.0; groups.len()],
             peak_active,
@@ -222,53 +275,67 @@ impl ShardFleet {
 
     /// Number of active shards across the fleet.
     pub(crate) fn active_shards(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
+        self.active_count.iter().sum()
     }
 
     /// Number of active shards in one group.
     pub(crate) fn active_in_group(&self, group: usize) -> usize {
-        self.group_slots(group).filter(|&s| self.active[s]).count()
+        self.active_count[group]
     }
 
     /// Global slot indices of one group.
-    fn group_slots(&self, group: usize) -> std::ops::Range<usize> {
+    pub(crate) fn group_slots(&self, group: usize) -> std::ops::Range<usize> {
         let info = &self.groups[group];
         info.first_shard..info.first_shard + info.capacity
     }
 
-    /// Whether a shard slot is provisioned and not serving a batch at `now`.
-    pub(crate) fn is_idle(&self, shard: usize, now: f64) -> bool {
-        self.active[shard] && self.busy_until[shard] <= now
+    /// Whether any shard is idle.
+    pub(crate) fn has_idle(&self) -> bool {
+        !self.idle.is_empty()
     }
 
-    /// Fills `idle` with the active shards that are idle at `now`, in slot
-    /// order — the candidate set every dispatch policy chooses from. The
-    /// buffer is the caller's, cleared first, so the event loop asks once
-    /// per dispatch without allocating.
-    pub(crate) fn idle_shards(&self, now: f64, idle: &mut Vec<usize>) {
+    /// Number of idle shards in one group.
+    pub(crate) fn idle_in_group(&self, group: usize) -> usize {
+        self.group_slots(group).filter(|&s| self.idle.contains(s)).count()
+    }
+
+    /// Fills `idle` with the idle shards, in slot order — the candidate set
+    /// every dispatch policy chooses from. The buffer is the caller's,
+    /// cleared first, so the event loop asks once per dispatch without
+    /// allocating.
+    pub(crate) fn idle_shards(&self, idle: &mut Vec<usize>) {
         idle.clear();
-        idle.extend((0..self.capacity()).filter(|&s| self.is_idle(s, now)));
+        idle.extend(self.idle.iter());
     }
 
-    /// The earliest *future* release: the smallest busy-until strictly
-    /// beyond `now` over active shards (infinity when nothing is busy).
-    /// The event the simulation waits on while a dispatch policy holds a
-    /// batch for busy preferred silicon even though other shards idle.
-    pub(crate) fn next_busy_free_at(&self, now: f64) -> f64 {
-        self.busy_until
-            .iter()
-            .zip(&self.active)
-            .filter(|&(&until, &active)| active && until > now)
-            .map(|(&until, _)| until)
-            .fold(f64::INFINITY, f64::min)
+    /// The next release: the earliest finish of a batch in service
+    /// (infinity when nothing is busy). The event the simulation waits on
+    /// while a dispatch policy holds a batch for busy preferred silicon
+    /// even though other shards idle.
+    pub(crate) fn next_busy_free_at(&self) -> f64 {
+        self.calendar.peek().map_or(f64::INFINITY, |Reverse((finish, _))| finish.0)
+    }
+
+    /// Completes the earliest batch in service if it finishes at or before
+    /// `now`: its slot turns idle, and its `(finish, slot)` is returned.
+    /// Batches finishing together pop in slot order.
+    pub(crate) fn pop_completion(&mut self, now: f64) -> Option<(f64, usize)> {
+        let &Reverse((TimeKey(finish), slot)) = self.calendar.peek()?;
+        if finish > now {
+            return None;
+        }
+        self.calendar.pop();
+        self.idle.insert(slot);
+        Some((finish, slot))
     }
 
     /// Starts a batch of `requests` requests on `shard` at `now` for
-    /// `service_s` seconds; returns the batch completion time.
+    /// `service_s` seconds; returns the batch completion time, which the
+    /// calendar holds until [`Self::pop_completion`] pops it.
     ///
     /// # Panics
     ///
-    /// Panics when the shard is inactive or still busy at `now` — the
+    /// Panics when the shard is inactive or still serving a batch — the
     /// simulation only dispatches to idle, provisioned shards.
     pub(crate) fn dispatch(
         &mut self,
@@ -279,11 +346,13 @@ impl ShardFleet {
     ) -> f64 {
         assert!(self.active[shard], "shard {shard} is not provisioned at {now}");
         assert!(
-            self.busy_until[shard] <= now,
+            self.idle.contains(shard),
             "shard {shard} is busy until {} at {now}",
             self.busy_until[shard]
         );
         let finish = now + service_s;
+        self.idle.remove(shard);
+        self.calendar.push(Reverse((TimeKey(finish), shard)));
         self.busy_until[shard] = finish;
         self.stats[shard].busy_s += service_s;
         self.stats[shard].batches += 1;
@@ -296,19 +365,20 @@ impl ShardFleet {
     pub(crate) fn activate(&mut self, group: usize, now: f64) -> Option<usize> {
         let slot = self.group_slots(group).find(|&s| !self.active[s])?;
         self.active[slot] = true;
+        self.idle.insert(slot);
         // A freshly provisioned shard starts idle *now* — any busy horizon
         // left from a previous activation period is history.
         self.busy_until[slot] = self.busy_until[slot].max(now);
-        let active = self.active_in_group(group);
-        self.peak_active[group] = self.peak_active[group].max(active);
+        self.active_count[group] += 1;
+        self.peak_active[group] = self.peak_active[group].max(self.active_count[group]);
         Some(slot)
     }
 
-    /// Deactivates one *idle* active slot of `group` (highest slot index
-    /// first, so slot 0 — the always-on baseline shard — retires last).
-    /// Returns the slot, or `None` when no active slot is idle at `now`.
-    pub(crate) fn deactivate_idle(&mut self, group: usize, now: f64) -> Option<usize> {
-        let slot = self.group_slots(group).rev().find(|&s| self.is_idle(s, now))?;
+    /// Deactivates one *idle* slot of `group` (highest slot index first, so
+    /// slot 0 — the always-on baseline shard — retires last). Returns the
+    /// slot, or `None` when no slot of the group is idle.
+    pub(crate) fn deactivate_idle(&mut self, group: usize) -> Option<usize> {
+        let slot = self.group_slots(group).rev().find(|&s| self.idle.contains(s))?;
         self.deactivate_slot(slot);
         Some(slot)
     }
@@ -316,9 +386,9 @@ impl ShardFleet {
     /// Crashes an active slot at `now`: the slot deactivates through the
     /// same removal path a scale-down uses — except a crash does not wait
     /// for idleness. Any unfinished batch is retracted from the slot's
-    /// books: the remaining service time is refunded from `busy_s` and the
-    /// batch/request counters roll back, so the shard that eventually
-    /// re-serves the work accounts for it exactly once.
+    /// books and the calendar: the remaining service time is refunded from
+    /// `busy_s` and the batch/request counters roll back, so the shard that
+    /// eventually re-serves the work accounts for it exactly once.
     /// `in_flight_requests` is the size of the interrupted batch (0 when
     /// the shard crashed idle); the caller re-queues those requests.
     ///
@@ -330,18 +400,20 @@ impl ShardFleet {
     /// disagrees with the slot's busy state.
     pub(crate) fn crash(&mut self, slot: usize, now: f64, in_flight_requests: u64) -> bool {
         assert!(self.active[slot], "only an active shard can crash");
-        let was_busy = self.busy_until[slot] > now;
+        let was_busy = !self.idle.contains(slot);
         assert_eq!(
             was_busy,
             in_flight_requests > 0,
             "a busy shard crashes with its batch, an idle one with none"
         );
         if was_busy {
+            debug_assert!(self.busy_until[slot] > now, "due completions pop before a crash");
             let remaining = self.busy_until[slot] - now;
             self.stats[slot].busy_s -= remaining;
             self.stats[slot].batches -= 1;
             self.stats[slot].requests -= in_flight_requests;
             self.busy_until[slot] = now;
+            self.calendar.retain(|&Reverse((_, s))| s != slot);
         }
         self.deactivate_slot(slot);
         was_busy
@@ -353,14 +425,16 @@ impl ShardFleet {
     /// pool [`Self::activate`] provisions from.
     fn deactivate_slot(&mut self, slot: usize) {
         self.active[slot] = false;
+        self.idle.remove(slot);
+        self.active_count[self.shard_group[slot]] -= 1;
     }
 
     /// Accrues `dt` seconds of provisioned time to every active shard —
     /// the simulation calls this once per time step, making
     /// [`GroupStats::shard_seconds`] the exact integral of active capacity.
     pub(crate) fn accrue(&mut self, dt: f64) {
-        for g in 0..self.groups.len() {
-            self.active_seconds[g] += self.active_in_group(g) as f64 * dt;
+        for (seconds, &active) in self.active_seconds.iter_mut().zip(&self.active_count) {
+            *seconds += active as f64 * dt;
         }
     }
 
@@ -406,10 +480,15 @@ mod tests {
 
     /// [`ShardFleet::idle_shards`] into a buffer that starts with stale
     /// entries, which the call must clear.
-    fn idle_shards(fleet: &ShardFleet, now: f64) -> Vec<usize> {
+    fn idle_shards(fleet: &ShardFleet) -> Vec<usize> {
         let mut idle = vec![usize::MAX; 2];
-        fleet.idle_shards(now, &mut idle);
+        fleet.idle_shards(&mut idle);
         idle
+    }
+
+    /// Pops every completion due at `now`, in pop order.
+    fn complete_until(fleet: &mut ShardFleet, now: f64) -> Vec<(f64, usize)> {
+        std::iter::from_fn(|| fleet.pop_completion(now)).collect()
     }
 
     fn two_groups() -> Vec<ShardGroup> {
@@ -432,15 +511,18 @@ mod tests {
     #[test]
     fn dispatch_tracks_busy_horizon_and_stats() {
         let mut fleet = ShardFleet::new(&two_groups(), None);
-        assert_eq!(idle_shards(&fleet, 0.0), vec![0, 1, 2]);
+        assert_eq!(idle_shards(&fleet), vec![0, 1, 2]);
         fleet.dispatch(0, 0.0, 2.0, 4);
         fleet.dispatch(1, 0.0, 1.0, 1);
-        assert_eq!(idle_shards(&fleet, 0.5), vec![2]);
-        assert_eq!(idle_shards(&fleet, 1.5), vec![1, 2]);
-        assert!((fleet.next_busy_free_at(0.5) - 1.0).abs() < 1e-12, "shard 1 releases first");
+        assert_eq!(complete_until(&mut fleet, 0.5), vec![]);
+        assert_eq!(idle_shards(&fleet), vec![2]);
+        assert!((fleet.next_busy_free_at() - 1.0).abs() < 1e-12, "shard 1 releases first");
+        assert_eq!(complete_until(&mut fleet, 1.5), vec![(1.0, 1)]);
+        assert_eq!(idle_shards(&fleet), vec![1, 2]);
         fleet.dispatch(2, 0.0, 3.0, 1);
-        assert!((fleet.next_busy_free_at(1.5) - 2.0).abs() < 1e-12, "then shard 0");
-        assert_eq!(fleet.next_busy_free_at(3.0), f64::INFINITY, "nothing is busy past 3 s");
+        assert!((fleet.next_busy_free_at() - 2.0).abs() < 1e-12, "then shard 0");
+        assert_eq!(complete_until(&mut fleet, 3.0), vec![(2.0, 0), (3.0, 2)]);
+        assert_eq!(fleet.next_busy_free_at(), f64::INFINITY, "nothing is busy past 3 s");
         let stats = fleet.stats()[0];
         assert!((stats.busy_s - 2.0).abs() < 1e-12);
         assert_eq!((stats.batches, stats.requests), (1, 4));
@@ -467,7 +549,7 @@ mod tests {
         let mut fleet = ShardFleet::new(&groups, Some(&[3]));
         assert_eq!(fleet.capacity(), 3);
         assert_eq!(fleet.active_shards(), 1, "over-allocated slots start inactive");
-        assert_eq!(idle_shards(&fleet, 0.0), vec![0]);
+        assert_eq!(idle_shards(&fleet), vec![0]);
 
         assert_eq!(fleet.activate(0, 1.0), Some(1));
         assert_eq!(fleet.activate(0, 1.0), Some(2));
@@ -478,8 +560,8 @@ mod tests {
         fleet.dispatch(0, 1.0, 1.0, 1);
         // Highest *idle* slot retires first: slots 0 and 2 are busy, so
         // slot 1 goes; after that nothing is idle, so nothing retires.
-        assert_eq!(fleet.deactivate_idle(0, 1.0), Some(1));
-        assert_eq!(fleet.deactivate_idle(0, 1.0), None, "remaining active slots are busy");
+        assert_eq!(fleet.deactivate_idle(0), Some(1));
+        assert_eq!(fleet.deactivate_idle(0), None, "remaining active slots are busy");
         assert_eq!(fleet.active_shards(), 2);
         assert_eq!(fleet.group_stats()[0].peak_active, 3);
     }
@@ -501,7 +583,7 @@ mod tests {
         // A crashed slot re-enters the provisioning pool like any retired
         // slot, and comes back idle.
         assert_eq!(fleet.activate(0, 2.0), Some(0));
-        assert!(idle_shards(&fleet, 2.0).contains(&0));
+        assert!(idle_shards(&fleet).contains(&0));
     }
 
     #[test]
@@ -509,6 +591,7 @@ mod tests {
         let groups = vec![ShardGroup::new("t16", ChipConfig::tile_16(), 2)];
         let mut fleet = ShardFleet::new(&groups, None);
         fleet.dispatch(0, 0.0, 1.0, 1);
+        assert_eq!(complete_until(&mut fleet, 5.0), vec![(1.0, 0)]);
         assert!(!fleet.crash(0, 5.0, 0), "the batch finished long before the crash");
         let stats = fleet.stats()[0];
         assert!((stats.busy_s - 1.0).abs() < 1e-12);
@@ -531,10 +614,11 @@ mod tests {
         let mut fleet = ShardFleet::new(&groups, Some(&[2]));
         fleet.activate(0, 0.0);
         fleet.dispatch(1, 0.0, 1.0, 1);
-        assert_eq!(fleet.deactivate_idle(0, 1.0), Some(1));
+        assert_eq!(complete_until(&mut fleet, 1.0), vec![(1.0, 1)]);
+        assert_eq!(fleet.deactivate_idle(0), Some(1));
         // Re-provision later: the old busy horizon must not bleed through.
         assert_eq!(fleet.activate(0, 5.0), Some(1));
-        assert!(idle_shards(&fleet, 5.0).contains(&1));
+        assert!(idle_shards(&fleet).contains(&1));
     }
 
     #[test]
@@ -543,6 +627,98 @@ mod tests {
         let mut fleet = ShardFleet::new(&two_groups(), None);
         fleet.dispatch(0, 0.0, 2.0, 1);
         fleet.dispatch(0, 1.0, 1.0, 1);
+    }
+
+    /// Checks the fleet's incremental state against the definitions it
+    /// replaces, recomputed from scratch: a slot is idle when it is active
+    /// and its horizon has passed, the next release is the earliest horizon
+    /// of a slot serving a batch, and active counts are active slots
+    /// counted.
+    fn assert_matches_the_scans(fleet: &ShardFleet, serving: &[u64], now: f64, step: usize) {
+        let slots = 0..fleet.capacity();
+        let idle: Vec<usize> =
+            slots.clone().filter(|&s| fleet.is_active(s) && fleet.busy_until(s) <= now).collect();
+        assert_eq!(idle_shards(fleet), idle, "step {step}: idle set");
+        assert_eq!(fleet.has_idle(), !idle.is_empty(), "step {step}");
+        let next_release = slots
+            .clone()
+            .filter(|&s| serving[s] > 0)
+            .map(|s| fleet.busy_until(s))
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(fleet.next_busy_free_at(), next_release, "step {step}: next release");
+        let active = slots.filter(|&s| fleet.is_active(s)).count();
+        assert_eq!(fleet.active_shards(), active, "step {step}: active shards");
+        for g in 0..fleet.group_count() {
+            let group = fleet.group_slots(g);
+            let active = group.clone().filter(|&s| fleet.is_active(s)).count();
+            assert_eq!(fleet.active_in_group(g), active, "step {step}: group {g} active");
+            let group_idle = group.filter(|s| idle.contains(s)).count();
+            assert_eq!(fleet.idle_in_group(g), group_idle, "step {step}: group {g} idle");
+        }
+    }
+
+    /// Drives a fleet with spare slots through `ops` and checks it against
+    /// the scans after every step. An op is `(kind, pick)`: 0 lets
+    /// `0.25 × (pick % 4)` s pass and completes every batch due, earliest
+    /// (then lowest slot) first; 1 dispatches onto an idle slot for a
+    /// service of a multiple of 0.25 s, so finishes tie; 2 crashes an
+    /// active slot, busy or idle; 3 activates a slot of a group; 4 retires
+    /// an idle one.
+    fn drive_in_lock_step(ops: &[(usize, usize)]) {
+        let mut fleet = ShardFleet::new(&two_groups(), Some(&[3, 4]));
+        let mut serving = vec![0u64; fleet.capacity()];
+        let mut now = 0.0;
+        for (step, &(kind, pick)) in ops.iter().enumerate() {
+            match kind {
+                0 => {
+                    now += 0.25 * (pick % 4) as f64;
+                    let mut due: Vec<(f64, usize)> = (0..fleet.capacity())
+                        .filter(|&s| serving[s] > 0 && fleet.busy_until(s) <= now)
+                        .map(|s| (fleet.busy_until(s), s))
+                        .collect();
+                    due.sort_by(|a, b| a.partial_cmp(b).expect("finite finishes"));
+                    assert_eq!(complete_until(&mut fleet, now), due, "step {step}: completions");
+                    due.iter().for_each(|&(_, s)| serving[s] = 0);
+                }
+                1 => {
+                    let idle = idle_shards(&fleet);
+                    if let Some(&slot) = idle.get(pick % idle.len().max(1)) {
+                        let requests = 1 + (pick % 3) as u64;
+                        fleet.dispatch(slot, now, 0.25 * (1 + pick % 4) as f64, requests);
+                        serving[slot] = requests;
+                    }
+                }
+                2 => {
+                    let active: Vec<usize> =
+                        (0..fleet.capacity()).filter(|&s| fleet.is_active(s)).collect();
+                    if let Some(&slot) = active.get(pick % active.len().max(1)) {
+                        let requests = std::mem::take(&mut serving[slot]);
+                        assert_eq!(fleet.crash(slot, now, requests), requests > 0, "step {step}");
+                    }
+                }
+                3 => {
+                    fleet.activate(pick % fleet.group_count(), now);
+                }
+                _ => {
+                    fleet.deactivate_idle(pick % fleet.group_count());
+                }
+            }
+            assert_matches_the_scans(&fleet, &serving, now, step);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The idle set, the completion calendar and the active counts
+        /// equal the slot scans they replaced after every dispatch,
+        /// completion, crash, activation and retirement.
+        #[test]
+        fn incremental_state_keeps_step_with_the_scans(
+            ops in proptest::collection::vec((0usize..5, 0usize..64), 1..200),
+        ) {
+            drive_in_lock_step(&ops);
+        }
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //!    (max-batch-size / timeout knobs).
 //! 4. **`fleet`** — the shard model: [`ShardGroup`]s of chip replicas
 //!    (each group its own `ChipConfig`), with activation bookkeeping for
-//!    elastic fleets and per-group shard-seconds accounting.
+//!    elastic fleets and per-group shard-seconds accounting, and the idle
+//!    set and completion calendar the event loop reads instead of
+//!    scanning the slots.
 //! 5. **`dispatch`** — *where* it dispatches: the class-aware
 //!    `DispatchPolicy` trait with least-loaded, class-affinity
 //!    (big classes → big silicon) and cost-aware implementations.
@@ -77,6 +79,7 @@
 
 mod arrivals;
 mod autoscale;
+mod bitset;
 pub mod cost;
 mod dispatch;
 pub mod engine;

@@ -252,21 +252,30 @@ impl ShapedStream {
     /// checks.
     pub fn generate(&self) -> Vec<Request> {
         let peak: f64 = self.shapes.iter().map(RateShape::peak).product();
-        let raw = StreamSpec { rps: self.base.rps * peak, ..self.base.clone() }.generate();
+        // The candidates, the thinning draws and the tenant draws are three
+        // independent RNG streams, so candidates are thinned as they come
+        // and only the survivors are ever held.
+        let candidates = StreamSpec { rps: self.base.rps * peak, ..self.base.clone() };
         let mut thin = StdRng::seed_from_u64(derive_seed(self.base.seed, "shape"));
         let mut tenant_rng = StdRng::seed_from_u64(derive_seed(self.base.seed, "tenant"));
+        // Without a shape every candidate survives (`u < 1` for every draw
+        // `u` in [0, 1)), so the thinning stream, which nothing else reads,
+        // is not drawn from.
+        let thinned = !self.shapes.is_empty();
         let mut requests = Vec::new();
-        for request in raw {
-            let factor: f64 = self
-                .shapes
-                .iter()
-                .map(|s| s.factor(request.arrival_s, self.base.duration_s))
-                .product();
-            // Draw unconditionally so the survivor set of a request never
-            // depends on how earlier draws were used.
-            let keep = thin.gen::<f64>() < factor / peak;
-            if !keep {
-                continue;
+        for request in candidates.requests() {
+            if thinned {
+                let factor: f64 = self
+                    .shapes
+                    .iter()
+                    .map(|s| s.factor(request.arrival_s, self.base.duration_s))
+                    .product();
+                // Draw unconditionally so the survivor set of a request never
+                // depends on how earlier draws were used.
+                let keep = thin.gen::<f64>() < factor / peak;
+                if !keep {
+                    continue;
+                }
             }
             let tenant = self.tenants.as_ref().map_or(0, |mix| mix.draw(&mut tenant_rng));
             requests.push(Request {
@@ -590,6 +599,53 @@ mod tests {
         let fault = crash.fault_spec(1, 2.0).expect("crash scenario has faults");
         assert_eq!(fault.crashes, 2);
         assert_eq!(fault.id(), "crash2");
+    }
+
+    /// [`ShapedStream::generate`] as it was before it streamed: the whole
+    /// candidate stream generated first, then thinned in a second pass.
+    fn two_pass_generate(shaped: &ShapedStream) -> Vec<Request> {
+        let peak: f64 = shaped.shapes.iter().map(RateShape::peak).product();
+        let raw = StreamSpec { rps: shaped.base.rps * peak, ..shaped.base.clone() }.generate();
+        let mut thin = StdRng::seed_from_u64(derive_seed(shaped.base.seed, "shape"));
+        let mut tenant_rng = StdRng::seed_from_u64(derive_seed(shaped.base.seed, "tenant"));
+        let mut requests = Vec::new();
+        for request in raw {
+            let factor: f64 = shaped
+                .shapes
+                .iter()
+                .map(|s| s.factor(request.arrival_s, shaped.base.duration_s))
+                .product();
+            // Draw unconditionally so the survivor set of a request never
+            // depends on how earlier draws were used.
+            let keep = thin.gen::<f64>() < factor / peak;
+            if !keep {
+                continue;
+            }
+            let tenant = shaped.tenants.as_ref().map_or(0, |mix| mix.draw(&mut tenant_rng));
+            requests.push(Request {
+                id: requests.len(),
+                arrival_s: request.arrival_s,
+                class: request.class,
+                tenant,
+            });
+        }
+        requests
+    }
+
+    #[test]
+    fn streamed_thinning_equals_the_two_pass_body() {
+        for scenario in ScenarioSpec::library() {
+            for (seed, arrival) in [
+                (1, ArrivalProcess::Poisson),
+                (7, ArrivalProcess::Bursty),
+                (1234, ArrivalProcess::Poisson),
+            ] {
+                let shaped = scenario.shaped(StreamSpec { arrival, ..base(seed) });
+                let stream = shaped.generate();
+                assert!(!stream.is_empty(), "{} seed {seed}", scenario.name);
+                assert_eq!(stream, two_pass_generate(&shaped), "{} seed {seed}", scenario.name);
+            }
+        }
     }
 
     #[test]

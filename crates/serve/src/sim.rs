@@ -54,13 +54,13 @@ use crate::scenario::TenantMix;
 pub const SHED_LATENCY_S: f64 = -1.0;
 
 /// Nearest-rank percentiles in seconds over served latencies — filter,
-/// sort, rank: the three steps every outcome percentile goes through
-/// ([`ServeOutcome::records`] runs the same three over one bucketing pass
-/// for the scenario and its tenants). Shed
+/// then select each rank: the two steps every outcome percentile goes
+/// through ([`ServeOutcome::records`] runs the same selection over one
+/// bucketing pass for the scenario and its tenants). Shed
 /// requests are excluded by matching the [`SHED_LATENCY_S`] sentinel
 /// exactly, *not* by a silent `>= 0` range filter: any other negative
 /// (or non-finite) latency is a simulation bug, so it trips the debug
-/// assertion here and the sort's finiteness check in release builds
+/// assertion here and the selection's finiteness check in release builds
 /// instead of quietly vanishing from the tail. Returns 0 for every
 /// percentile when nothing was served.
 ///
@@ -69,8 +69,7 @@ pub const SHED_LATENCY_S: f64 = -1.0;
 /// Panics unless every percentile is within `(0, 100]`.
 fn served_percentiles(latencies: impl Iterator<Item = f64>, pcts: &[f64]) -> Vec<f64> {
     let mut served: Vec<f64> = latencies.filter(|&l| is_served(l)).collect();
-    sort_latencies(&mut served);
-    pcts.iter().map(|&pct| nearest_rank(&served, pct)).collect()
+    nearest_ranks(&mut served, pcts)
 }
 
 /// Whether a latency belongs to a served request (see
@@ -83,23 +82,40 @@ fn is_served(latency: f64) -> bool {
     latency != SHED_LATENCY_S
 }
 
-fn sort_latencies(latencies: &mut [f64]) {
-    latencies.sort_unstable_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-}
-
-/// The nearest-rank `pct`-th percentile of an ascending slice (0 when it
-/// is empty).
+/// The nearest-rank `pct`-th percentiles of `values` (0 each when it is
+/// empty) — the values the sorted slice holds at those ranks, found
+/// without sorting it: the ranks are visited in ascending order, each
+/// selected with `select_nth_unstable_by` within the part of the slice
+/// right of the previous one, which that selection left holding exactly
+/// the larger values. Reorders `values`.
 ///
 /// # Panics
 ///
-/// Panics unless `pct` is within `(0, 100]`.
-fn nearest_rank(sorted: &[f64], pct: f64) -> f64 {
-    assert!(pct > 0.0 && pct <= 100.0, "percentile must be within (0, 100]");
-    if sorted.is_empty() {
-        return 0.0;
+/// Panics unless every percentile is within `(0, 100]`.
+fn nearest_ranks(values: &mut [f64], pcts: &[f64]) -> Vec<f64> {
+    assert!(
+        pcts.iter().all(|&pct| pct > 0.0 && pct <= 100.0),
+        "percentile must be within (0, 100]"
+    );
+    let mut percentiles = vec![0.0; pcts.len()];
+    if values.is_empty() {
+        return percentiles;
     }
-    let rank = (pct / 100.0 * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    let index = |pct: f64| {
+        let rank = (pct / 100.0 * values.len() as f64).ceil() as usize;
+        rank.clamp(1, values.len()) - 1
+    };
+    let mut order: Vec<(usize, usize)> = pcts.iter().map(|&pct| index(pct)).zip(0..).collect();
+    order.sort_unstable();
+    let mut start = 0;
+    for (at, slot) in order {
+        let (_, value, _) = values[start..].select_nth_unstable_by(at - start, |a, b| {
+            a.partial_cmp(b).expect("latencies are finite")
+        });
+        percentiles[slot] = *value;
+        start = at;
+    }
+    percentiles
 }
 
 /// The arithmetic mean in slice order (0 for an empty slice).
@@ -213,8 +229,8 @@ impl ServeOutcome {
     /// Latency percentile in seconds over *served* requests
     /// (nearest-rank; 0 when nothing was served).
     ///
-    /// Sorts the latency vector per call — when reading several
-    /// percentiles, use [`Self::latency_percentiles_s`] to sort once.
+    /// Selects over the latency vector per call — when reading several
+    /// percentiles, use [`Self::latency_percentiles_s`] to filter once.
     ///
     /// # Panics
     ///
@@ -223,8 +239,8 @@ impl ServeOutcome {
         self.latency_percentiles_s(&[pct])[0]
     }
 
-    /// Several served-latency percentiles in seconds from a single sort
-    /// (nearest-rank; 0 when nothing was served).
+    /// Several served-latency percentiles in seconds from a single filter
+    /// pass (nearest-rank; 0 when nothing was served).
     ///
     /// # Panics
     ///
@@ -341,8 +357,7 @@ impl ServeOutcome {
                 }
             }
         }
-        sort_latencies(&mut served);
-        let tails = [50.0, 95.0, 99.0].map(|pct| nearest_rank(&served, pct));
+        let tails = nearest_ranks(&mut served, &[50.0, 95.0, 99.0]);
         let recoveries = self.recovery_times_s();
         let mut summary = RunRecord::new(format!("{scope}/summary"))
             .metric("requests", self.requests() as f64)
@@ -374,8 +389,7 @@ impl ServeOutcome {
         summary.params = params.to_vec();
         let mut records = vec![summary];
         for (tenant, mut served) in self.tenant_outcomes.iter().zip(tenant_served) {
-            sort_latencies(&mut served);
-            let p99 = nearest_rank(&served, 99.0);
+            let p99 = nearest_ranks(&mut served, &[99.0])[0];
             let admitted = tenant.offered - tenant.shed;
             let shed_rate =
                 if tenant.offered > 0 { tenant.shed as f64 / tenant.offered as f64 } else { 0.0 };
@@ -1034,6 +1048,81 @@ mod tests {
         assert_eq!(outcome.offered(), 5);
         assert!((outcome.shed_rate() - 0.2).abs() < 1e-12);
         assert!((outcome.mean_latency_s() - 2.5).abs() < 1e-12);
+    }
+
+    /// The sort-then-rank definition the selection replaced: the
+    /// nearest-rank `pct`-th percentile of the served latencies, sorted.
+    fn sorted_nearest_rank(latencies: &[f64], pct: f64) -> f64 {
+        let mut served: Vec<f64> =
+            latencies.iter().copied().filter(|&l| l != SHED_LATENCY_S).collect();
+        served.sort_unstable_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        if served.is_empty() {
+            return 0.0;
+        }
+        let rank = (pct / 100.0 * served.len() as f64).ceil() as usize;
+        served[rank.clamp(1, served.len()) - 1]
+    }
+
+    /// Latencies drawn from a small pool, so ties are common: zeros, the
+    /// shed sentinel, a repeated 1 s, and a value near zero.
+    const POOL: [f64; 8] = [0.0, SHED_LATENCY_S, 0.5, 1.0, 2.5, 1e-9, 3.0, 1.0];
+
+    /// Checks every percentile an outcome over `picks` — `(pool index,
+    /// tenant)` per request — reports against the sorted nearest rank, bit
+    /// for bit: asked for in any order, the summary tails and each
+    /// tenant's p99.
+    fn assert_selection_matches_sorting(picks: &[(usize, usize)], extra: f64) {
+        let latencies: Vec<f64> = picks.iter().map(|&(pick, _)| POOL[pick]).collect();
+        let bits = |latencies: &[f64], pct: f64| sorted_nearest_rank(latencies, pct).to_bits();
+        let mut outcome = outcome_with(latencies.clone());
+        let pcts = [99.0, extra, 50.0, 95.0, 99.0, 0.5, 100.0];
+        for (&pct, got) in pcts.iter().zip(outcome.latency_percentiles_s(&pcts)) {
+            assert_eq!(got.to_bits(), bits(&latencies, pct), "p{pct} of {latencies:?}");
+        }
+
+        outcome.tenants = picks.iter().map(|&(_, tenant)| tenant).collect();
+        let of_tenant = |tenant: usize| -> Vec<f64> {
+            picks.iter().filter(|p| p.1 == tenant).map(|&(pick, _)| POOL[pick]).collect()
+        };
+        outcome.tenant_outcomes = (0..2)
+            .map(|tenant| {
+                let own = of_tenant(tenant);
+                TenantOutcome {
+                    name: format!("t{tenant}"),
+                    slo_s: Some(1.0),
+                    offered: own.len() as u64,
+                    shed: own.iter().filter(|&&l| l == SHED_LATENCY_S).count() as u64,
+                }
+            })
+            .collect();
+        let records = outcome.records("serve/demo", &[]);
+        let tails = [("p50_latency_ms", 50.0), ("p95_latency_ms", 95.0), ("p99_latency_ms", 99.0)];
+        for (metric, pct) in tails {
+            let got = records[0].metric_value(metric).expect("summary tail");
+            let expected = sorted_nearest_rank(&latencies, pct) * 1e3;
+            assert_eq!(got.to_bits(), expected.to_bits(), "{metric} of {latencies:?}");
+        }
+        for tenant in 0..2 {
+            let got = records[1 + tenant].metric_value("p99_latency_ms").expect("tenant p99");
+            let expected = sorted_nearest_rank(&of_tenant(tenant), 99.0) * 1e3;
+            assert_eq!(got.to_bits(), expected.to_bits(), "tenant {tenant} of {picks:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Selection equals sorting on every population, its one-element
+        /// prefix and the empty one.
+        #[test]
+        fn selected_percentiles_equal_the_sorted_nearest_rank(
+            picks in proptest::collection::vec((0usize..POOL.len(), 0usize..2), 0..48),
+            extra in 1usize..=100,
+        ) {
+            for len in [0, picks.len().min(1), picks.len()] {
+                assert_selection_matches_sorting(&picks[..len], extra as f64);
+            }
+        }
     }
 
     /// A latency that is neither served nor the shed sentinel is a
