@@ -10,8 +10,8 @@
 //!   formats with loss-less conversions between them,
 //! * reference SpGEMM implementations for the four dataflows discussed in
 //!   the paper (inner product, outer product, row-wise/Gustavson and the
-//!   tiled Gustavson variant used by NeuraChip) in [`spgemm`], with the one
-//!   symbolic pass that gives the memory-bloat analysis of Table 1 its
+//!   tiled Gustavson variant used by NeuraChip) in [`spgemm`], with the
+//!   symbolic phase that gives the memory-bloat analysis of Table 1 its
 //!   counts and the NeuraCompiler its pattern and fan-in,
 //! * sparse × dense multiplication ([`spmm`]) used by the GCN combination
 //!   stage,

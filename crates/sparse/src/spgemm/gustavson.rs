@@ -56,35 +56,13 @@ pub fn multiply_counting(a: &CsrMatrix, b: &CsrMatrix) -> (CsrMatrix, SpgemmStat
     (product, stats)
 }
 
-/// The symbolic phase of Gustavson's algorithm for output row `i`, the one
-/// walk over the sparsity patterns of `A × B`: every `(a.row(i), b.row(k))`
-/// pairing is visited and no value is read.  Each partial product is handed
-/// to `visit` as its column and whether it is the row's first there, which
-/// the row-stamp array over the columns of `B` tells (`stamp[j] == i` once
-/// row `i` has reached column `j`; it starts at a value no row index
-/// reaches).  Returns the row's partial-product count.
-fn walk_row(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    i: usize,
-    stamp: &mut [usize],
-    mut visit: impl FnMut(usize, bool),
-) -> u64 {
-    let mut partial_products = 0u64;
-    for &k in a.row(i).0 {
-        let b_cols = b.row(k).0;
-        partial_products += b_cols.len() as u64;
-        for &j in b_cols {
-            visit(j, stamp[j] != i);
-            stamp[j] = i;
-        }
-    }
-    partial_products
-}
-
 /// The [`SpgemmStats`] of `A × B` from the sparsity patterns alone: the
 /// same five fields as `multiply_counting(a, b).1`, without computing a
-/// value, sorting a row or building the output.
+/// value or building the output.  One walk over every `(a.row(i),
+/// b.row(k))` pairing reads no value; a row-stamp array over the columns
+/// of `B` (`stamp[j] == i` once row `i` has reached column `j`; it starts
+/// at a value no row index reaches) tells a row's first product in a
+/// column, which is an output non-zero.
 ///
 /// # Panics
 ///
@@ -94,8 +72,15 @@ pub fn count_products(a: &CsrMatrix, b: &CsrMatrix) -> SpgemmStats {
     let mut stats = SpgemmStats::default();
     let mut stamp = vec![usize::MAX; b.cols()];
     for i in 0..a.rows() {
-        let row_partial_products =
-            walk_row(a, b, i, &mut stamp, |_, first| stats.output_nnz += usize::from(first));
+        let mut row_partial_products = 0u64;
+        for &k in a.row(i).0 {
+            let b_cols = b.row(k).0;
+            row_partial_products += b_cols.len() as u64;
+            for &j in b_cols {
+                stats.output_nnz += usize::from(stamp[j] != i);
+                stamp[j] = i;
+            }
+        }
         stats.record_row(row_partial_products);
     }
     stats.additions = stats.multiplications - stats.output_nnz as u64;
@@ -104,30 +89,26 @@ pub fn count_products(a: &CsrMatrix, b: &CsrMatrix) -> SpgemmStats {
 
 /// The symbolic product of `A × B`: the CSR pattern of `C` — the `row_ptr`
 /// and `col_idx` [`gustavson`] returns — with the reduction fan-in of every
-/// stored element, from the same walk as [`count_products`].
+/// stored element.  The rows go through the same sparse accumulator as the
+/// numeric kernel, counting one per partial product instead of adding its
+/// value, so they come out in column order without a sort.
 ///
 /// # Panics
 ///
 /// Panics if `a.cols() != b.rows()`.
 pub fn symbolic(a: &CsrMatrix, b: &CsrMatrix) -> SymbolicProduct {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let mut stamp = vec![usize::MAX; b.cols()];
-    // Partial products the open row has put into each column it reached.
-    let mut count = vec![0u32; b.cols()];
-    let (mut row_ptr, mut col_idx, mut fanin) = (vec![0], Vec::new(), Vec::new());
+    let mut out = CsrRows::new(a.rows(), b.cols());
+    let mut spa = SparseAccumulator::new(b.cols());
     for i in 0..a.rows() {
-        let row_start = col_idx.len();
-        walk_row(a, b, i, &mut stamp, |j, first| {
-            if first {
-                col_idx.push(j);
-                count[j] = 0;
+        for &k in a.row(i).0 {
+            for &j in b.row(k).0 {
+                spa.add(j, 1u32);
             }
-            count[j] += 1;
-        });
-        col_idx[row_start..].sort_unstable();
-        fanin.extend(col_idx[row_start..].iter().map(|&j| count[j]));
-        row_ptr.push(col_idx.len());
+        }
+        spa.flush_row(&mut out);
     }
+    let (row_ptr, col_idx, fanin) = out.into_parts();
     SymbolicProduct { row_ptr, col_idx, fanin }
 }
 

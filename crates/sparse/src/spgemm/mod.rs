@@ -21,19 +21,21 @@
 //! # The symbolic phase
 //!
 //! Which elements of `C` exist, and how many partial products merge into
-//! each, depends on the sparsity patterns alone.  One private walk over
-//! `(a.row(i), b.row(k))` derives it, behind two entry points that differ
-//! in what they keep:
+//! each, depends on the sparsity patterns alone.  Two entry points walk
+//! `(a.row(i), b.row(k))` without reading a value, and differ in what they
+//! keep:
 //!
 //! * [`count_products`] keeps only the [`SpgemmStats`] — partial products,
-//!   output non-zeros, the heaviest row — and allocates nothing but the
-//!   walk's stamp array.  [`SpgemmStats::bloat_percent`] is the paper's
-//!   Equation 1 (Table 1); `paper table1`, the analytic cost tier's
-//!   `WorkloadFeatures` and the baseline models' `WorkloadProfile` read it.
+//!   output non-zeros, the heaviest row — and allocates nothing but a
+//!   row-stamp array over the columns of `B`.
+//!   [`SpgemmStats::bloat_percent`] is the paper's Equation 1 (Table 1);
+//!   `paper table1`, the analytic cost tier's `WorkloadFeatures` and the
+//!   baseline models' `WorkloadProfile` read it.
 //! * [`symbolic`] keeps the [`SymbolicProduct`]: the CSR pattern of `C`
-//!   with the reduction fan-in of every stored element.  The NeuraCompiler
-//!   takes its rolling-eviction counters from it and the accelerator model
-//!   scatters the evicted values into it.
+//!   with the reduction fan-in of every stored element, counted per column
+//!   by the numeric kernel's sparse accumulator (below).  The
+//!   NeuraCompiler takes its rolling-eviction counters from it and the
+//!   accelerator model scatters the evicted values into it.
 //!
 //! [`multiply_counting`] is the numeric row-wise kernel reporting the same
 //! statistics as it goes.
@@ -42,15 +44,22 @@
 //!
 //! Every kernel assembles its CSR output directly (`accumulator.rs`) and
 //! passes the arrays through [`CsrMatrix::from_raw_parts`]; none goes
-//! through a [`crate::CooMatrix`].  The row-wise and inner-product kernels
-//! finish one sorted row at a time — Gustavson through a dense
-//! sparse-accumulator over the columns of `B`.  The outer-product and tiled
-//! kernels generate in `k`-major order, so they share a
-//! row-bucket accumulator: bucket sizes come from the operand structure
-//! (`Σ_k col_nnz_A(k) · row_nnz_B(k)` products in all), every partial product
-//! is scattered into its output row's bucket as a 16-byte `(column, value)`
-//! pair in generation order, and an explicit merge phase then sums each
-//! bucket with the same sparse-accumulator.  Products of one output element
+//! through a [`crate::CooMatrix`], and none sorts a row's columns.  The
+//! row-wise kernel and [`symbolic`] finish one row at a time through a
+//! dense sparse-accumulator over the columns of `B`, cut into blocks of
+//! 64: each block a `u64` word with one bit per column beside the 64
+//! columns' values, plus the list of blocks whose word the open row made
+//! non-zero.  Finishing a row sorts those block indices and walks each
+//! word's set bits upward, so the row comes out in ascending column order
+//! at O(products + W log W) for its `W` non-zero words, never O(columns of
+//! `B`).  The inner-product kernel visits the columns in
+//! order and needs no accumulator.  The outer-product and tiled kernels
+//! generate in `k`-major order, so they share a row-bucket accumulator:
+//! bucket sizes come from the operand structure (`Σ_k col_nnz_A(k) ·
+//! row_nnz_B(k)` products in all), every partial product is scattered into
+//! its output row's bucket as a 16-byte `(column, value)` pair in
+//! generation order, and an explicit merge phase then sums each bucket
+//! with the same sparse-accumulator.  Products of one output element
 //! therefore add up in ascending `k` in all four kernels.
 
 mod accumulator;

@@ -23,7 +23,21 @@ fn arb_matrix(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatrix
 /// multiplication; at up to 60 entries in up to 23 × 23 most pairs have
 /// empty rows and empty columns on both sides.
 fn arb_pair() -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
-    (1usize..24, 1usize..24, 1usize..24).prop_flat_map(|(m, k, n)| {
+    arb_pair_with_cols(1..24)
+}
+
+/// [`arb_pair`] with a `B` of 65–300 columns, so output rows span several
+/// 64-column words of the sparse accumulator's bitmap.
+fn arb_wide_pair() -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
+    arb_pair_with_cols(65..301)
+}
+
+/// `A` (up to 23 × 23) times `B` with a column count drawn from `cols`,
+/// up to 60 entries each.
+fn arb_pair_with_cols(
+    cols: std::ops::Range<usize>,
+) -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
+    (1usize..24, 1usize..24, cols).prop_flat_map(|(m, k, n)| {
         let a_entries = proptest::collection::vec((0..m, 0..k, -3.0f64..3.0), 0..60);
         let b_entries = proptest::collection::vec((0..k, 0..n, -3.0f64..3.0), 0..60);
         (a_entries, b_entries).prop_map(move |(ae, be)| {
@@ -113,6 +127,29 @@ fn cancellation_stays_a_stored_zero_in_every_dataflow() {
     assert_eq!(spgemm::count_products(&a, &b).output_nnz, 2);
 }
 
+/// The body of `spgemm_dataflows_agree`. The products of one output
+/// element add up in ascending `k` in every dataflow, so `RowWise`,
+/// `OuterProduct` and every `TiledRowWise` height agree bit for bit;
+/// `InnerProduct` starts its dot product at `0.0`, so a lone `-0.0` product
+/// reads `+0.0` there, and it is held to `==`.
+fn dataflows_agree(a: &CsrMatrix, b: &CsrMatrix) -> Result<(), String> {
+    let dense = a.to_dense().matmul(&b.to_dense()).unwrap();
+    let row_wise = spgemm::gustavson(a, b);
+    prop_assert!(row_wise.to_dense().max_abs_diff(&dense).unwrap() < 1e-6);
+    let bits = |c: &CsrMatrix| c.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for dataflow in DATAFLOWS {
+        let c = spgemm::multiply(a, b, dataflow).unwrap();
+        prop_assert!(c.row_ptr() == row_wise.row_ptr(), "{dataflow:?}: row_ptr differs");
+        prop_assert!(c.col_idx() == row_wise.col_idx(), "{dataflow:?}: col_idx differs");
+        if dataflow == Dataflow::InnerProduct {
+            prop_assert!(c.values() == row_wise.values(), "{dataflow:?}: values differ");
+        } else {
+            prop_assert!(bits(&c) == bits(&row_wise), "{dataflow:?}: value bits differ");
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -136,20 +173,12 @@ proptest! {
     }
 
     /// All four SpGEMM dataflows (tiled at every MMH height) agree with the
-    /// dense reference product, and with each other on the exact pattern.
+    /// dense reference product, and with each other exactly, on narrow
+    /// outputs and on outputs wider than one bitmap word.
     #[test]
-    fn spgemm_dataflows_agree((a, b) in arb_pair()) {
-        let dense = a.to_dense().matmul(&b.to_dense()).unwrap();
-        let row_wise = spgemm::gustavson(&a, &b);
-        prop_assert!(row_wise.to_dense().max_abs_diff(&dense).unwrap() < 1e-6);
-        for dataflow in DATAFLOWS {
-            let c = spgemm::multiply(&a, &b, dataflow).unwrap();
-            prop_assert!(c.row_ptr() == row_wise.row_ptr(), "{dataflow:?}: row_ptr differs");
-            prop_assert!(c.col_idx() == row_wise.col_idx(), "{dataflow:?}: col_idx differs");
-            for (got, want) in c.values().iter().zip(row_wise.values()) {
-                prop_assert!((got - want).abs() <= 1e-9, "{dataflow:?}: {got} vs {want}");
-            }
-        }
+    fn spgemm_dataflows_agree((a, b) in arb_pair(), (wide_a, wide_b) in arb_wide_pair()) {
+        dataflows_agree(&a, &b)?;
+        dataflows_agree(&wide_a, &wide_b)?;
     }
 
     /// The pattern-only pass returns the counting multiplication's

@@ -1,7 +1,7 @@
 # Local mirror of .github/workflows/ci.yml — `just ci` before pushing.
 
 # Run everything CI runs.
-ci: fmt clippy doc loc surface build test perf-selftest artifacts tune serve serve-parallel trace xval profile
+ci: fmt clippy doc loc surface build test perf-selftest artifacts paper-goldens tune serve serve-parallel trace xval profile
 
 # Formatting check (apply with `just fmt-fix`).
 fmt:
@@ -52,8 +52,16 @@ artifacts:
     NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin paper -- all --json
     ls -l target/artifacts/
 
+# The strict paper-scale goldens of the two artifacts the sparse layer
+# computes, Table 1 and Fig 16 (no scale multiplier, no --json); about
+# 0.1 s each warm.
+paper-goldens:
+    cargo run --release -q -p neura_bench --bin paper -- table1
+    cargo run --release -q -p neura_bench --bin paper -- fig16
+
 # Regenerate every paper artifact at full (scaled) size, with strict
-# golden checks against the pinned headline numbers. Slow.
+# golden checks against the pinned headline numbers. 0.8–1.3 s warm on a
+# 2-vCPU host (release build).
 artifacts-paper:
     cargo run --release -q -p neura_bench --bin paper -- all --json
     ls -l target/artifacts/
@@ -116,7 +124,7 @@ trace:
 
 # Serving scenarios at paper scale: memoised request costs come from
 # 256-2000-node cycle-level simulations, so tail latencies are in the
-# realistic millisecond band. Slow.
+# realistic millisecond band. About 0.2 s warm on a 2-vCPU host.
 serve-paper:
     cargo run --release -q -p neura_bench --bin serve -- --json
     ls -l target/artifacts/serve.json
@@ -149,7 +157,7 @@ xval-rebaseline:
 
 # Full cross-validation at paper scale: all 20 datasets, size-matched
 # tiles, all three HBM presets, with the strict golden (mean abs rel
-# error <= 5%, worst <= 15%) enforced. Slow (~2 min of cycle sims).
+# error <= 5%, worst <= 15%) enforced. 1.1–1.5 s warm on a 2-vCPU host.
 xval-paper:
     cargo run --release -q -p neura_bench --bin xval -- --json
     ls -l target/artifacts/xval.json
@@ -175,7 +183,7 @@ profile-rebaseline:
 
 # The full profiler sweep at paper scale: all 20 datasets on size-matched
 # tiles across the HBM presets, strict conservation golden enforced.
-# Slow (~minutes of cycle sims).
+# 1.2–1.9 s warm on a 2-vCPU host.
 profile-paper:
     cargo run --release -q -p neura_bench --bin profile -- --json
     ls -l target/artifacts/profile.json
