@@ -1,11 +1,11 @@
 //! `paper <name> [--json [PATH]]` regenerates one row of
 //! [`neura_bench::paper::ARTIFACTS`]; `paper all [--json]` runs every row in
-//! the paper's order and stops at the first failed check. This is the one
-//! place that reads the scale multiplier, opens and finishes the artifact
-//! session and enforces the row's golden check.
+//! the paper's order and stops at the first failed check. Every row runs at
+//! paper scale; this is the one place that opens and finishes the artifact
+//! session and enforces the row's strict golden check.
 
 use neura_bench::paper::{Check, ARTIFACTS};
-use neura_lab::golden::{self, Mode};
+use neura_lab::golden;
 use neura_lab::{ArtifactSession, Flags, SCHEMA};
 
 fn usage() -> String {
@@ -35,19 +35,17 @@ fn main() {
         flags.bad_usage("`all` writes every artifact to its default path: --json takes no PATH");
     }
 
-    let scale_mult = neura_lab::scale_multiplier();
-    let mode = Mode::from_scale_mult(scale_mult);
     for row in selected {
-        let mut session = ArtifactSession::from_arg_list(row.name, scale_mult, args.clone());
+        let mut session = ArtifactSession::from_arg_list(row.name, 1, args.clone());
         (row.run)(&mut session);
         let written = session.finish();
         match row.check {
             Check::None => {}
             Check::Values(goldens) => {
-                golden::check(&written, goldens(), mode).print_and_enforce(row.title);
+                golden::check(&written, goldens()).print_and_enforce(row.title);
             }
             Check::Order(order) => {
-                golden::check_order(&written, &order(), mode).print_and_enforce(row.title);
+                golden::check_order(&written, &order()).print_and_enforce(row.title);
             }
         }
     }

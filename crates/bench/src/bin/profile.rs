@@ -29,7 +29,8 @@
 //! - `--max-stall-frac F` — exit non-zero when any cell's *worst window*
 //!   stalls more than fraction `F` of its core-cycles
 //!
-//! A conservation violation in any cell exits non-zero at every scale.
+//! Every cell runs at paper scale; a conservation violation in any cell
+//! exits non-zero.
 //!
 //! The per-window attribution table prints for every cell when the sweep
 //! has at most four cells, otherwise only for the most-stalled cell.
@@ -107,7 +108,6 @@ fn scope(cell: &GridCell) -> String {
 
 fn main() {
     let mut args = parse_args();
-    let scale_mult = neura_lab::scale_multiplier();
     let runner = Runner::from_env();
     let cells = args.grid.cells(&[1]);
 
@@ -116,14 +116,14 @@ fn main() {
     // below is byte-identical across thread counts.
     let window = args.window;
     let profiles: Vec<Profile> = runner.run(&cells, move |_, cell: &GridCell| {
-        let a = sim_matrix_at_fidelity(&cell.dataset, cell.shrink);
+        let a = sim_matrix_at_fidelity(&cell.dataset, cell.shrink, 1);
         let mut chip = Accelerator::new(cell.config());
         let mut profiler = Profiler::new(window);
         chip.run_spgemm_profiled(&a, &a, Some(&mut profiler)).expect("simulation drains");
         profiler.into_profile()
     });
 
-    let mut artifact = Artifact::new("profile", scale_mult).with_schema(PROFILE_SCHEMA);
+    let mut artifact = Artifact::new("profile", 1).with_schema(PROFILE_SCHEMA);
     let mut violations: Vec<String> = Vec::new();
     let mut rows = Vec::new();
     for (cell, profile) in cells.iter().zip(&profiles) {
@@ -182,7 +182,7 @@ fn main() {
     if let Some(path) = &args.json_path {
         artifact.write_or_exit(path);
     }
-    enforce_gates(&cells, &profiles, &violations, args.max_stall_frac, scale_mult);
+    enforce_gates(&cells, &profiles, &violations, args.max_stall_frac);
 }
 
 /// The gates: conservation holds by construction, so any violation fails
@@ -192,7 +192,6 @@ fn enforce_gates(
     profiles: &[Profile],
     violations: &[String],
     max_stall_frac: Option<f64>,
-    scale_mult: usize,
 ) {
     for violation in violations {
         eprintln!("conservation violation: {violation}");
@@ -212,8 +211,7 @@ fn enforce_gates(
         }
     }
     println!(
-        "golden [{}]: conservation -> {}; stall bound {}",
-        if scale_mult <= 1 { "strict" } else { "smoke" },
+        "golden: conservation -> {}; stall bound {}",
         if violations.is_empty() { "pass" } else { "FAIL" },
         match max_stall_frac {
             Some(bound) => format!("<= {bound} -> {}", if failed { "checked" } else { "pass" }),

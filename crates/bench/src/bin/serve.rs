@@ -488,6 +488,7 @@ fn class_params(record: RunRecord, args: &Args, tile: TileSize, class: RequestCl
 fn price_classes(
     args: &Args,
     default_arms: bool,
+    scale_mult: usize,
     runner: &Runner,
     session: &mut ArtifactSession,
 ) -> Pricing {
@@ -509,7 +510,7 @@ fn price_classes(
         tiles.iter().flat_map(|&tile| classes.iter().map(move |&class| (tile, class))).collect();
 
     let price = |tile, class: RequestClass, exact, profiler: Option<&mut Profiler>| {
-        let a = sim_matrix_at_fidelity(&args.mix[class.dataset], class.shrink);
+        let a = sim_matrix_at_fidelity(&args.mix[class.dataset], class.shrink, scale_mult);
         price_class(&ChipConfig::for_tile_size(tile), &a, exact, profiler)
     };
     let exact = args.cost_model == CostModel::Cycle;
@@ -797,13 +798,13 @@ fn replay(
 /// without `--trace`).
 fn emit_outcomes(
     args: &Args,
+    scale_mult: usize,
     duration_s: f64,
     scenarios: &[ServeScenario],
     outcomes: &[(ServeOutcome, Option<Timeline>)],
     session: &mut ArtifactSession,
 ) -> Artifact {
-    let mut timeline_artifact =
-        Artifact::new("serve", neura_lab::scale_multiplier()).with_schema(TIMELINE_SCHEMA);
+    let mut timeline_artifact = Artifact::new("serve", scale_mult).with_schema(TIMELINE_SCHEMA);
     let mut rows = Vec::new();
     for (scenario, (outcome, timeline)) in scenarios.iter().zip(outcomes) {
         let shard_seconds = outcome.shard_seconds();
@@ -885,9 +886,8 @@ fn print_notes(args: &Args, pricing: &Pricing) {
 /// `--profile`: one chip profile per memoised (chip fingerprint, request
 /// class) simulation — the exact cost-table entries the serving arms
 /// replay — as a `neura_lab.profile/v1` artifact.
-fn profile_artifact(args: &Args, pricing: &Pricing) -> Artifact {
-    let mut artifact =
-        Artifact::new("serve", neura_lab::scale_multiplier()).with_schema(PROFILE_SCHEMA);
+fn profile_artifact(args: &Args, scale_mult: usize, pricing: &Pricing) -> Artifact {
+    let mut artifact = Artifact::new("serve", scale_mult).with_schema(PROFILE_SCHEMA);
     for (&(tile, class), chip_profile) in pricing.work.iter().zip(&pricing.profiles) {
         let chip_profile = chip_profile.as_ref().expect("cycle model profiles every pair");
         let scope = format!("serve/{}/{}/x{}", tile.label(), args.mix[class.dataset], class.shrink);
@@ -906,10 +906,10 @@ fn main() {
     let (mut args, flags) = parse_args();
     let default_arms = check_args(&mut args, &flags);
     let passthrough = std::mem::take(&mut args.passthrough);
-    let mut session =
-        ArtifactSession::from_arg_list("serve", neura_lab::scale_multiplier(), passthrough);
+    let scale_mult = neura_lab::scale_multiplier();
+    let mut session = ArtifactSession::from_arg_list("serve", scale_mult, passthrough);
     let runner = Runner::from_env();
-    let pricing = price_classes(&args, default_arms, &runner, &mut session);
+    let pricing = price_classes(&args, default_arms, scale_mult, &runner, &mut session);
     let cal = calibrate(&args, default_arms, &pricing);
     let scenarios = enumerate_arms(&args, default_arms, &pricing, &cal);
 
@@ -931,13 +931,14 @@ fn main() {
         session.set_meta("threads", runner.threads() as f64);
     }
 
-    let timeline = emit_outcomes(&args, cal.duration_s, &scenarios, &outcomes, &mut session);
+    let timeline =
+        emit_outcomes(&args, scale_mult, cal.duration_s, &scenarios, &outcomes, &mut session);
     print_notes(&args, &pricing);
     if let Some(path) = &args.trace {
         timeline.write_or_exit(path);
     }
     if let Some(path) = &args.profile {
-        profile_artifact(&args, &pricing).write_or_exit(path);
+        profile_artifact(&args, scale_mult, &pricing).write_or_exit(path);
     }
     session.finish();
 }

@@ -86,16 +86,15 @@ fn exact_tier(cost_model: CostModel, is_final: bool) -> bool {
     }
 }
 
-/// Prices the per-class costs of `config` for `dataset` at one rung
-/// fidelity (rung shrink × class shrink), as a single-fingerprint cost
+/// Prices the per-class costs of `config` on one rung's class workloads
+/// (a matrix per [`REQUEST_SHRINKS`] entry), as a single-fingerprint cost
 /// table, on the tier `exact` selects (see [`price_class`]).
-fn class_costs(config: &ChipConfig, dataset: &str, rung_shrink: usize, exact: bool) -> CostTable {
+fn class_costs(config: &ChipConfig, workloads: &[CsrMatrix], exact: bool) -> CostTable {
     let mut costs = CostTable::new();
     let fingerprint = costs.register(config);
-    for class_shrink in REQUEST_SHRINKS {
-        let a = sim_matrix_at_fidelity(dataset, rung_shrink * class_shrink);
-        let cost = price_class(config, &a, exact, None);
-        costs.insert(&fingerprint, RequestClass { dataset: 0, shrink: class_shrink }, cost);
+    for (shrink, a) in REQUEST_SHRINKS.into_iter().zip(workloads) {
+        let cost = price_class(config, a, exact, None);
+        costs.insert(&fingerprint, RequestClass { dataset: 0, shrink }, cost);
     }
     costs
 }
@@ -131,6 +130,7 @@ fn run_serve_p99(
     tuner: &Tuner,
     runner: &Runner,
     dataset: &str,
+    scale_mult: usize,
     cost_model: CostModel,
 ) -> TuneOutcome {
     let baseline = tuner.spec().base.clone();
@@ -138,11 +138,13 @@ fn run_serve_p99(
     // stream only sets arrivals and is identical for every candidate of a
     // rung, so the winner/baseline comparison stays fair either way).
     let exact_references = exact_tier(cost_model, false);
-    let references: Vec<(usize, Workload)> = tuner
+    let references: Vec<(usize, [CsrMatrix; 3], Workload)> = tuner
         .shrinks()
         .into_iter()
         .map(|rung_shrink| {
-            let costs = class_costs(&baseline, dataset, rung_shrink, exact_references);
+            let workloads = REQUEST_SHRINKS
+                .map(|class| sim_matrix_at_fidelity(dataset, rung_shrink * class, scale_mult));
+            let costs = class_costs(&baseline, &workloads, exact_references);
             let classes = REQUEST_SHRINKS.map(|shrink| RequestClass { dataset: 0, shrink });
             let service_s = costs.mean_service_seconds(&baseline.fingerprint(), &classes);
             let rps = (0.8 / service_s).max(1.0).round();
@@ -156,16 +158,15 @@ fn run_serve_p99(
                 seed: derive_seed(STREAM_SEED, &format!("tune/{dataset}/x{rung_shrink}")),
             }
             .generate();
-            (rung_shrink, Workload::Replay(stream))
+            (rung_shrink, workloads, Workload::Replay(stream))
         })
         .collect();
     tuner.run_tiered(runner, |point, ctx| {
-        let (_, stream) = references
+        let (_, workloads, stream) = references
             .iter()
-            .find(|(s, _)| *s == ctx.shrink)
+            .find(|(s, ..)| *s == ctx.shrink)
             .expect("every planned shrink has a reference stream");
-        let exact = exact_tier(cost_model, ctx.is_final);
-        let costs = class_costs(&point.config, dataset, ctx.shrink, exact);
+        let costs = class_costs(&point.config, workloads, exact_tier(cost_model, ctx.is_final));
         let fleet = [ShardGroup::new("cand", point.config.clone(), 1)];
         let cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs);
         let outcome = simulate_config_parallel(stream, &cfg, &EnginePlan::serial());
@@ -188,6 +189,7 @@ fn run_kernel(
     tuner: &Tuner,
     runner: &Runner,
     dataset: &str,
+    scale_mult: usize,
     objective: Objective,
     cost_model: CostModel,
 ) -> TuneOutcome {
@@ -197,7 +199,7 @@ fn run_kernel(
         .shrinks()
         .into_iter()
         .map(|shrink| {
-            let a = sim_matrix_at_fidelity(dataset, shrink);
+            let a = sim_matrix_at_fidelity(dataset, shrink, scale_mult);
             let features = WorkloadFeatures::from_square(&a);
             (shrink, a, features)
         })
@@ -257,8 +259,8 @@ fn main() {
         datasets = DatasetCatalog::spgemm_suite().iter().map(|d| d.name.to_string()).collect();
     }
 
-    let mut session =
-        ArtifactSession::from_arg_list("tune", neura_lab::scale_multiplier(), passthrough);
+    let scale_mult = neura_lab::scale_multiplier();
+    let mut session = ArtifactSession::from_arg_list("tune", scale_mult, passthrough);
     let runner = Runner::from_env();
 
     let mut rows = Vec::new();
@@ -267,9 +269,9 @@ fn main() {
             .with_budget(budget);
         let tuner = Tuner::new(spec);
         let outcome = if objective == Objective::ServeP99 {
-            run_serve_p99(&tuner, &runner, dataset, cost_model)
+            run_serve_p99(&tuner, &runner, dataset, scale_mult, cost_model)
         } else {
-            run_kernel(&tuner, &runner, dataset, objective, cost_model)
+            run_kernel(&tuner, &runner, dataset, scale_mult, objective, cost_model)
         };
 
         // Serving tails are sub-millisecond at smoke scale: print them in

@@ -5,12 +5,10 @@
 //! *both* pricing paths on every sample — one full cycle-level simulation
 //! and one closed-form estimate — and emits a `neura_lab.artifact/v1`
 //! error report: per-sample signed relative error, per-dataset and overall
-//! mean/worst absolute relative error. At paper scale the bounds are
-//! enforced as a golden: mean absolute relative error ≤ 5% and worst-case
-//! ≤ 15% across all sampled cells, or the process exits non-zero. Under
-//! `NEURA_BENCH_SCALE_MULT` the run is a smoke check (metrics must exist
-//! and be finite; tiny 32-node matrices say nothing about paper-scale
-//! accuracy).
+//! mean/worst absolute relative error. Every cell runs at paper scale, and
+//! the bounds are enforced as a golden: mean absolute relative error ≤ 5%
+//! and worst-case ≤ 15% across all sampled cells, or the process exits
+//! non-zero.
 //!
 //! The default grid covers all twenty Table-1 datasets × all three HBM
 //! presets, pairing each dataset with the chip tier sized for it: the
@@ -42,7 +40,7 @@
 //!   squares in relative-error space, paper-scale cells up-weighted, the
 //!   nnz coefficient clamped non-negative — the monotonicity guarantee).
 //!   Fitting defaults to shrinks 1, 2, 4, 8 so the model also covers the
-//!   tuner's reduced-fidelity rungs.
+//!   tuner's reduced-fidelity rungs. A grid it cannot fit is a usage error.
 
 use neura_bench::{sim_matrix_at_fidelity, ChipGrid, GridCell};
 use neura_chip::accelerator::Accelerator;
@@ -89,7 +87,7 @@ struct Args {
     passthrough: Vec<String>,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> (Args, Flags) {
     let mut parsed = Args::default();
     let mut flags = Flags::from_env(usage());
     while let Some(arg) = flags.next() {
@@ -118,7 +116,7 @@ fn parse_args() -> Args {
     if parsed.frequencies.is_empty() {
         parsed.frequencies = vec![1.0, 2.0];
     }
-    parsed
+    (parsed, flags)
 }
 
 /// Both pricing paths on one cell.
@@ -129,17 +127,19 @@ struct Measured {
 }
 
 fn main() {
-    let mut args = parse_args();
-    let scale_mult = neura_lab::scale_multiplier();
+    let (mut args, flags) = parse_args();
     // Frequency is applied after the simulations: it scales seconds, never
     // cycles, so one cell covers every frequency row.
     let default_shrinks: &[usize] = if args.fit || args.dump { &[1, 2, 4, 8] } else { &[1] };
     let cells = args.grid.cells(default_shrinks);
+    if args.fit {
+        refuse_thin_fit_groups(&flags, &cells);
+    }
 
     // One cycle-level simulation per cell, fanned out on the lab runner;
     // the symbolic feature pass rides along in the same worker.
     let measured = Runner::from_env().run(&cells, |_, cell: &GridCell| {
-        let a = sim_matrix_at_fidelity(&cell.dataset, cell.shrink);
+        let a = sim_matrix_at_fidelity(&cell.dataset, cell.shrink, 1);
         let features = WorkloadFeatures::from_square(&a);
         let mut chip = Accelerator::new(cell.config());
         let report = chip.run_spgemm(&a, &a).expect("simulation drains").report;
@@ -149,11 +149,11 @@ fn main() {
         return dump(&cells, &measured);
     }
     if args.fit {
-        return fit_and_print(&cells, &measured);
+        return fit_and_print(&flags, &cells, &measured);
     }
 
     let mut session =
-        ArtifactSession::from_arg_list("xval", scale_mult, std::mem::take(&mut args.passthrough));
+        ArtifactSession::from_arg_list("xval", 1, std::mem::take(&mut args.passthrough));
     let per_dataset = cell_records(&args, &cells, &measured, &mut session);
 
     let mut rows = Vec::new();
@@ -221,7 +221,7 @@ fn main() {
     );
 
     session.finish();
-    enforce_golden(scale_mult, mean_abs, worst_abs);
+    enforce_golden(mean_abs, worst_abs);
 }
 
 /// `--dump`: the raw sample table as CSV, for offline model experiments
@@ -310,33 +310,22 @@ fn cell_records(
     per_dataset
 }
 
-/// The golden: strict at paper scale, presence-only under a smoke
-/// multiplier (32-node matrices say nothing about paper-scale error).
-fn enforce_golden(scale_mult: usize, mean_abs: f64, worst_abs: f64) {
-    if scale_mult <= 1 {
-        let mean_ok = mean_abs <= MEAN_BOUND_PCT;
-        let worst_ok = worst_abs <= WORST_BOUND_PCT;
-        println!(
-            "golden [strict]: mean |err| {} <= {MEAN_BOUND_PCT}% -> {}; worst |err| {} <= \
-             {WORST_BOUND_PCT}% -> {}",
-            fmt(mean_abs, 2),
-            if mean_ok { "pass" } else { "FAIL" },
-            fmt(worst_abs, 2),
-            if worst_ok { "pass" } else { "FAIL" },
-        );
-        if !(mean_ok && worst_ok) {
-            eprintln!("xval: analytic model error exceeds the pinned bound");
-            std::process::exit(1);
-        }
-    } else {
-        let present = mean_abs.is_finite() && worst_abs.is_finite() && mean_abs >= 0.0;
-        println!(
-            "golden [smoke]: error metrics present and finite -> {}",
-            if present { "pass" } else { "FAIL" }
-        );
-        if !present {
-            std::process::exit(1);
-        }
+/// The golden: the mean and the worst absolute relative error within
+/// their pinned bounds.
+fn enforce_golden(mean_abs: f64, worst_abs: f64) {
+    let mean_ok = mean_abs <= MEAN_BOUND_PCT;
+    let worst_ok = worst_abs <= WORST_BOUND_PCT;
+    println!(
+        "golden: mean |err| {} <= {MEAN_BOUND_PCT}% -> {}; worst |err| {} <= \
+         {WORST_BOUND_PCT}% -> {}",
+        fmt(mean_abs, 2),
+        if mean_ok { "pass" } else { "FAIL" },
+        fmt(worst_abs, 2),
+        if worst_ok { "pass" } else { "FAIL" },
+    );
+    if !(mean_ok && worst_ok) {
+        eprintln!("xval: analytic model error exceeds the pinned bound");
+        std::process::exit(1);
     }
 }
 
@@ -359,12 +348,28 @@ struct FitSample {
 /// smallest power of two that meets both bounds on the default grid.
 const SHRINK1_WEIGHT: f64 = 256.0;
 
+/// `--fit` solves one system per (tile × HBM preset) group: a grid that
+/// leaves a group no more samples than unknowns is a usage error before
+/// anything simulates.
+fn refuse_thin_fit_groups(flags: &Flags, cells: &[GridCell]) {
+    for (tile, hbm) in TileSize::ALL.into_iter().flat_map(|t| HbmPreset::ALL.map(|h| (t, h))) {
+        let samples = cells.iter().filter(|c| (c.tile, c.hbm) == (tile, hbm)).count();
+        if samples <= FEATURES + 2 {
+            let (need, group) = (FEATURES + 2, format!("{}/{}", tile.label(), hbm.name()));
+            flags.bad_usage(&format!(
+                "--fit needs more than {need} samples in every tile x HBM group; the {group} \
+                 group has {samples} (add --dataset, --tile or --shrink values)"
+            ));
+        }
+    }
+}
+
 /// Refits the per-(tile × HBM preset) coefficient groups from this run's
 /// samples and prints the Rust table to paste into
 /// `crates/chip/src/analytic.rs`, plus the achieved training error per
 /// group (paper-scale cells and the full grid separately — the golden
 /// only judges the former).
-fn fit_and_print(cells: &[GridCell], measured: &[Measured]) {
+fn fit_and_print(flags: &Flags, cells: &[GridCell], measured: &[Measured]) {
     let mut groups = Vec::new();
     let mut rows = Vec::new();
     for tile in TileSize::ALL {
@@ -379,15 +384,13 @@ fn fit_and_print(cells: &[GridCell], measured: &[Measured]) {
                     shrink: cell.shrink,
                 })
                 .collect();
-            assert!(
-                samples.len() > FEATURES + 2,
-                "need more than {} samples to fit the {}/{} group (got {}); widen the grid",
-                FEATURES + 2,
-                tile.label(),
-                hbm.name(),
-                samples.len(),
-            );
-            let coeffs = fit_group(tile, hbm, &samples);
+            let Some(coeffs) = fit_group(tile, hbm, &samples) else {
+                let group = format!("{}/{}", tile.label(), hbm.name());
+                flags.bad_usage(&format!(
+                    "--fit cannot solve the {group} group: its samples are too alike (singular \
+                     normal equations; add --dataset, --tile or --shrink values)"
+                ));
+            };
             let model_of = |s: &FitSample| {
                 let workload = coeffs.instr_per_core * s.z[0]
                     + coeffs.active_cols * s.z[1]
@@ -451,15 +454,15 @@ fn fit_and_print(cells: &[GridCell], measured: &[Measured]) {
 /// drops that column and refits; all other coefficients keep free signs.
 /// The intercept is floored at 1 afterwards (the model's positivity
 /// floor) — a shift of O(100) cycles on O(10⁴⁺)-cycle groups.
-fn fit_group(tile: TileSize, hbm: HbmPreset, samples: &[FitSample]) -> GroupCoeffs {
+fn fit_group(tile: TileSize, hbm: HbmPreset, samples: &[FitSample]) -> Option<GroupCoeffs> {
     let mut nnz_active = true;
     loop {
-        let solution = least_squares(samples, nnz_active);
+        let solution = least_squares(samples, nnz_active)?;
         if nnz_active && solution[6] < 0.0 {
             nnz_active = false;
             continue;
         }
-        return GroupCoeffs {
+        return Some(GroupCoeffs {
             tile,
             hbm,
             intercept: solution[0].max(1.0),
@@ -470,14 +473,14 @@ fn fit_group(tile: TileSize, hbm: HbmPreset, samples: &[FitSample]) -> GroupCoef
             out_per_mem: solution[5],
             nnz_per_core: solution[6],
             rows: solution[7],
-        };
+        });
     }
 }
 
 /// Weighted least squares over the feature columns (plus an intercept)
 /// via the normal equations. Returns `[intercept, c0..c6]` with the nnz
-/// column forced to zero when inactive.
-fn least_squares(samples: &[FitSample], nnz_active: bool) -> [f64; FEATURES + 1] {
+/// column forced to zero when inactive, or `None` when they are singular.
+fn least_squares(samples: &[FitSample], nnz_active: bool) -> Option<[f64; FEATURES + 1]> {
     const NNZ: usize = 5;
     let columns: Vec<usize> = (0..FEATURES).filter(|&i| nnz_active || i != NNZ).collect();
     let n = 1 + columns.len();
@@ -496,21 +499,21 @@ fn least_squares(samples: &[FitSample], nnz_active: bool) -> [f64; FEATURES + 1]
             }
         }
     }
-    let solved = solve_linear(&mut ata, &mut atb);
+    let solved = solve_linear(&mut ata, &mut atb)?;
     let mut full = [0.0f64; FEATURES + 1];
     full[0] = solved[0];
     for (slot, &column) in solved[1..].iter().zip(&columns) {
         full[1 + column] = *slot;
     }
-    full
+    Some(full)
 }
 
-/// Gaussian elimination with partial pivoting. Panics on a singular
-/// system — with an intercept column and more distinct samples than
+/// Gaussian elimination with partial pivoting; `None` on a singular
+/// system. With an intercept column and more distinct samples than
 /// features the normal equations are well-posed, so a singular matrix
-/// means the sample grid degenerated (e.g. a single dataset at a single
-/// shrink, or features that are exactly collinear on the chosen grid).
-fn solve_linear(a: &mut [Vec<f64>], b: &mut [f64]) -> Vec<f64> {
+/// means the sample grid degenerated (e.g. every graph at the generator's
+/// 32-node floor, or features that are exactly collinear on the grid).
+fn solve_linear(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
     let n = b.len();
     for pivot in 0..n {
         let best = (pivot..n)
@@ -520,10 +523,9 @@ fn solve_linear(a: &mut [Vec<f64>], b: &mut [f64]) -> Vec<f64> {
             .expect("non-empty");
         a.swap(pivot, best);
         b.swap(pivot, best);
-        assert!(
-            a[pivot][pivot].abs() > 1e-12,
-            "singular normal equations: the sample grid is degenerate"
-        );
+        if a[pivot][pivot].abs() <= 1e-12 {
+            return None;
+        }
         let (head, tail) = a.split_at_mut(pivot + 1);
         let pivot_row = &head[pivot];
         for (offset, row) in tail.iter_mut().enumerate() {
@@ -542,5 +544,5 @@ fn solve_linear(a: &mut [Vec<f64>], b: &mut [f64]) -> Vec<f64> {
         }
         x[row] = sum / a[row][row];
     }
-    x
+    Some(x)
 }

@@ -17,7 +17,7 @@ use neura_chip::accelerator::Accelerator;
 use neura_chip::analytic::WorkloadFeatures;
 use neura_chip::config::{ChipConfig, HbmPreset, TileSize};
 use neura_chip::profile::Profiler;
-use neura_lab::{scale_multiplier, Flags};
+use neura_lab::Flags;
 use neura_serve::cost::{analytic_class_cost, ClassCost};
 use neura_sparse::{CsrMatrix, Dataset, DatasetCatalog};
 
@@ -38,12 +38,9 @@ pub const REQUEST_SHRINKS: [usize; 3] = [1, 2, 4];
 /// Base seed of every serving workload (scenario seeds derive from it).
 pub const STREAM_SEED: u64 = 0x5EED_CAFE;
 
-/// Generates the scaled CSR adjacency matrix of a dataset with a fixed seed.
-///
-/// The effective scale is `scale` times [`scale_multiplier`], so the smoke
-/// multiplier applies uniformly to every binary that goes through here.
+/// Generates the CSR adjacency matrix of a dataset down-scaled `scale`×,
+/// with a fixed seed.
 pub(crate) fn scaled_matrix(dataset: &Dataset, scale: usize) -> CsrMatrix {
-    let scale = scale.saturating_mul(scale_multiplier());
     dataset.generate_scaled(scale, 0xDA7A + dataset.nodes as u64).to_csr()
 }
 
@@ -79,13 +76,14 @@ pub fn dataset_flag(flags: &mut Flags) -> String {
 /// nodes like `fig16` and floored at 256 nodes so even the smallest
 /// analogs leave the halving ladder room to climb. `shrink` then divides
 /// that target, so every rung of a tuner really simulates a smaller graph
-/// — down to the generator's 32-node floor, which a large
-/// [`scale_multiplier`] (smoke runs) reaches at every shrink level.
-pub fn sim_matrix_at_fidelity(name: &str, shrink: usize) -> CsrMatrix {
+/// — down to the generator's 32-node floor. `scale_mult` shrinks it a
+/// further `scale_mult`× (1 at paper scale; `serve` and `tune` pass the
+/// [`neura_lab::scale_multiplier`] they read).
+pub fn sim_matrix_at_fidelity(name: &str, shrink: usize, scale_mult: usize) -> CsrMatrix {
     let dataset = catalog_dataset(name);
     let full_nodes = (dataset.nodes / SIM_SCALE).clamp(256, 2_000);
     let target_nodes = (full_nodes / shrink.max(1)).max(32);
-    scaled_matrix(&dataset, (dataset.nodes / target_nodes).max(1))
+    scaled_matrix(&dataset, (dataset.nodes / target_nodes).max(1).saturating_mul(scale_mult))
 }
 
 /// Prices one request of the self-product `a · a` on `config`, on either
@@ -266,13 +264,9 @@ mod tests {
 
     #[test]
     fn fidelity_ladder_really_shrinks_when_unscaled() {
-        // Guarded like scale_multiplier_defaults_to_one: a smoke multiplier
-        // legitimately collapses every fidelity to the 32-node floor.
-        if std::env::var(neura_lab::SCALE_MULT_ENV).is_err() {
-            let full = sim_matrix_at_fidelity("cora", 1).rows();
-            let cheap = sim_matrix_at_fidelity("cora", 8).rows();
-            assert!(full > cheap, "shrink 8 must simulate a smaller graph ({full} vs {cheap})");
-            assert!(cheap >= 32);
-        }
+        let full = sim_matrix_at_fidelity("cora", 1, 1).rows();
+        let cheap = sim_matrix_at_fidelity("cora", 8, 1).rows();
+        assert!(full > cheap, "shrink 8 must simulate a smaller graph ({full} vs {cheap})");
+        assert!(cheap >= 32);
     }
 }

@@ -3,8 +3,8 @@
 //! records — and one [`Row`] of [`ARTIFACTS`]. The `paper` binary drives
 //! them: `cargo run --release -p neura_bench --bin paper -- <name>` (add
 //! `--json [PATH]` for a machine-readable artifact) opens the session, calls
-//! the row's `run`, writes the artifact and enforces the row's [`Check`] —
-//! strictly at paper scale, presence-only under `NEURA_BENCH_SCALE_MULT`.
+//! the row's `run`, writes the artifact and enforces the row's [`Check`].
+//! Every row runs at paper scale, so every check is strict.
 
 mod ablation;
 mod fig11;

@@ -4,7 +4,10 @@
 //! as the commit before it.
 //!
 //! Each binary is executed as a real subprocess (the exact artifact `cargo
-//! run` would launch) with [`neura_lab::SCALE_MULT_ENV`] set so the
+//! run` would launch). `paper`, `xval` and `profile` always run at paper
+//! scale, so their rows hold the reproduction's numbers and run its strict
+//! goldens. `serve` and `tune`, whose full runs are still expensive, are
+//! launched with [`neura_lab::SCALE_MULT_ENV`] set (see [`tool`]) so their
 //! workloads shrink to seconds even in debug builds. The rows of
 //! [`INVOCATIONS`] execute concurrently on the same `neura_lab::Runner`
 //! scoped-thread pool the binaries themselves use for their sweeps, in one
@@ -12,15 +15,16 @@
 //! first-phase row wrote — follow. Beyond exit status 0 and non-empty
 //! stdout, each `--json` output must parse back through `neura_lab`'s
 //! artifact parser with at least one record and at least one metric per
-//! record, and every row is held to a digest (see [`Pin`]): the numeric
-//! content at smoke scale is not meaningful, but that a refactor of a
-//! driver did not move it is.
+//! record, and every row is held to a digest (see [`Pin`]): at paper scale
+//! the numbers themselves, at smoke scale only that a refactor of a tool
+//! did not move them.
 //!
 //! **The digest column is captured on the parent commit, never on the
 //! change under test.** To (re)capture: copy this file over
 //! `crates/bench/tests/bin_smoke.rs` in a checkout of the parent, run
-//! `cargo test -p neura_bench --test bin_smoke all_binaries`, and copy the
-//! `got` column of the mismatch report into the rows below. A row whose
+//! `cargo test -p neura_bench --test bin_smoke all_binaries` with
+//! `NEURA_BENCH_SCALE_MULT` unset in the shell, and copy the `got` column
+//! of the mismatch report into the rows below. A row whose
 //! simulated bytes are *meant* to move is re-pinned the same way, from the
 //! commit that moved them, and its CHANGES.md entry says so.
 //!
@@ -30,12 +34,14 @@
 //! without a smoke row fails here.
 
 use std::collections::BTreeSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 
 use neura_lab::{parse_json, Artifact, RunRecord, Runner};
 
-/// Extra down-scaling applied on top of each binary's own scale factor.
+/// The scale multiplier of every `serve` and `tune` launch: extra
+/// down-scaling on top of each tool's own scale factor.
 const SMOKE_MULT: &str = "32";
 
 /// What a row's digest — FNV-1a-64 — is taken over.
@@ -69,26 +75,27 @@ const TREND: &str = env!("CARGO_BIN_EXE_trend");
 /// The artifact digest of every row of `neura_bench::paper::ARTIFACTS`, in
 /// its order.
 const PAPER_DIGESTS: [(&str, u64); 11] = [
-    ("table1", 0xfeea7b27c9578f9f),
-    ("table3", 0xa6a1c33e1c9f081e),
-    ("table4", 0x34657d0fa57721d3),
-    ("table5", 0x383f5bba72edb554),
-    ("fig11", 0x62f7a6ae6bc29bc0),
-    ("fig13", 0xdf5471fc48a8ba3f),
-    ("fig14", 0xe8b2e45fd1205765),
-    ("fig15", 0xa60db585966d3ec4),
-    ("fig16", 0x9673ebde074bc017),
-    ("fig17", 0xc22ef9b6a7e8d290),
-    ("ablation", 0x3af3dc7938e30e82),
+    ("table1", 0x37286a7b18f20e25),
+    ("table3", 0xa3bdb5c690185c7a),
+    ("table4", 0x458684d03378f1bd),
+    ("table5", 0x56389c92b0134f49),
+    ("fig11", 0x4319fae1cc22a231),
+    ("fig13", 0x902b13499c7c65b5),
+    ("fig14", 0xc82c75eb58394636),
+    ("fig15", 0x9c72bb5ab875a0c8),
+    ("fig16", 0xccc531dc7050a38e),
+    ("fig17", 0x906c92c0a1e03bd2),
+    ("ablation", 0xf45fe4da7de574a8),
 ];
 
 const INVOCATIONS: [Invocation; 18] = [
-    // All eleven paper artifacts from one process, at their default paths.
+    // All eleven paper artifacts from one process, at their default paths,
+    // each under its strict golden.
     ("paper-all", PAPER, Pin::PaperArtifacts, "all --json", 0),
     // The one-artifact path: an explicit `--json <path>` (the digest is
     // fig14's entry of `PAPER_DIGESTS`), and no `--json` at all.
     ("fig14", PAPER, Pin::Artifact("fig14"), "fig14", PAPER_DIGESTS[6].1),
-    ("paper-table1", PAPER, Pin::Stdout, "table1", 0xdf7702f5ebd60b39),
+    ("paper-table1", PAPER, Pin::Stdout, "table1", 0xb194e6681520dad8),
     // Tuning all twenty datasets is a `just tune` job, not a smoke test;
     // one dataset proves the binary and its artifact schema end to end.
     ("tune", TUNE, Pin::Artifact("tune"), "--dataset cora", 0x48e94be16bb8983b),
@@ -154,45 +161,46 @@ const INVOCATIONS: [Invocation; 18] = [
          --trace serve-scenario-flags.timeline.json",
         0xcaa0bd838d38e6c1,
     ),
-    // Cross-validation harness: two datasets prove the sampling loop and
-    // the error-report schema (numeric accuracy is a paper-scale claim,
-    // checked by the `xval` golden / `just xval-paper`, not at 32 nodes).
-    ("xval", XVAL, Pin::Artifact("xval"), "--dataset facebook --dataset wiki-Vote", 0x009a18813167918d),
+    // Cross-validation harness: two datasets prove the sampling loop, the
+    // error-report schema and the accuracy golden (CI gates the whole
+    // suite against `baselines/xval.json`).
+    ("xval", XVAL, Pin::Artifact("xval"), "--dataset facebook --dataset wiki-Vote", 0xc7ce4387c4db58ee),
     (
         "xval-flags",
         XVAL,
         Pin::Artifact("xval"),
         "--dataset facebook --tile t4 --hbm hbm2 --frequency 1.5 --shrink 2",
-        0x0bbaa936971ef17e,
+        0x0b839709f2e8fa4f,
     ),
     // The two modes of `xval` that print instead of writing an artifact:
     // the raw sample table, and a refit (every tile x HBM group needs more
-    // samples than coefficients, so the whole suite on every tile).
-    ("xval-dump", XVAL, Pin::Stdout, "--dump --dataset cora --tile t4", 0x32135aab8dbec068),
+    // samples than coefficients, so the whole suite on every tile — at
+    // shrink 16, where the undersized Tile-4 cells do not thrash).
+    ("xval-dump", XVAL, Pin::Stdout, "--dump --dataset cora --tile t4", 0x2c103db372a8f2c7),
     (
         "xval-fit",
         XVAL,
         Pin::Stdout,
-        "--fit --shrink 1 --tile t4 --tile t16 --tile t64",
-        0x90a49c7f608300d2,
+        "--fit --shrink 16 --tile t4 --tile t16 --tile t64",
+        0xe1c9b81af6e7d604,
     ),
     // Chip profiler sweep: two datasets prove the windowed-attribution
-    // loop and the profile artifact schema end to end (the full grid is
-    // a `just profile` job; a conservation violation in any cell fails the
-    // run at every scale).
+    // loop and the profile artifact schema end to end (CI gates a
+    // three-dataset slice against `baselines/profile.json`; a conservation
+    // violation in any cell fails the run).
     (
         "profile",
         PROFILE,
         Pin::Artifact("profile"),
         "--dataset cora --dataset facebook",
-        0x7ef3f6a4898907e5,
+        0x7c45846767197b1d,
     ),
     (
         "profile-flags",
         PROFILE,
         Pin::Artifact("profile"),
         "--dataset cora --tile t4 --hbm hbm2 --shrink 2 --window 512 --max-stall-frac 1",
-        0xbb36a0596a90805e,
+        0xbaf737de956021d8,
     ),
 ];
 
@@ -230,11 +238,21 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
+/// A command for `exe`, with [`SMOKE_MULT`] set when it is one of the two
+/// tools that read the scale multiplier.
+fn tool(exe: &str) -> Command {
+    let mut command = Command::new(exe);
+    if exe == SERVE || exe == TUNE {
+        command.env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT);
+    }
+    command
+}
+
 /// Runs one row in `dir` and holds what it produced to the row's digest.
 fn run_smoke(row: &Invocation, dir: &Path) -> Result<(), String> {
     let &(label, exe, pin, args, digest) = row;
-    let mut command = Command::new(exe);
-    command.current_dir(dir).env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT);
+    let mut command = tool(exe);
+    command.current_dir(dir);
     command.args(args.split_whitespace());
     if let Pin::Artifact(_) = pin {
         command.arg("--json").arg(format!("{label}.json"));
@@ -299,7 +317,8 @@ fn held_to(label: &str, digest: u64, got: u64) -> Result<(), String> {
 }
 
 /// Parses the artifact at `path` and checks the schema contract: it names
-/// `bin` and the smoke multiplier, and every record carries a metric.
+/// `bin` and the scale its launch ran at (see [`tool`]), and every record
+/// carries a metric.
 fn read_artifact(path: &Path, bin: &str) -> Result<Artifact, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("did not write {}: {e}", path.display()))?;
@@ -310,7 +329,8 @@ fn read_artifact(path: &Path, bin: &str) -> Result<Artifact, String> {
     if artifact.bin != bin {
         return Err(format!("artifact names bin {:?}, expected {bin:?}", artifact.bin));
     }
-    if artifact.scale_mult.to_string() != SMOKE_MULT {
+    let scale_mult = if bin == "serve" || bin == "tune" { SMOKE_MULT } else { "1" };
+    if artifact.scale_mult.to_string() != scale_mult {
         return Err(format!("artifact records scale_mult {}", artifact.scale_mult));
     }
     if artifact.records.is_empty() {
@@ -626,14 +646,87 @@ fn every_documented_flag_is_passed_by_some_invocation() {
 /// once panicked calibrating the scenario fleet it was not going to run).
 #[test]
 fn a_fleet_without_tile16_silicon_serves() {
-    let output = Command::new(SERVE)
-        .args(["--fleet", "t4x1", "--policy", "fifo"])
-        .env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT)
-        .output()
-        .expect("spawn serve");
+    let output =
+        tool(SERVE).args(["--fleet", "t4x1", "--policy", "fifo"]).output().expect("spawn serve");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(output.status.success(), "serve --fleet t4x1 failed:\n{stderr}");
     assert!(String::from_utf8_lossy(&output.stdout).contains("poisson/"), "no arm was replayed");
+}
+
+/// `paper` reads no scale multiplier: with one set, `fig14 --json P` still
+/// writes the pinned paper-scale artifact.
+#[test]
+fn paper_runs_at_paper_scale_under_any_multiplier() {
+    let dir = scratch_dir("paper_scale");
+    let path = dir.join("fig14.json");
+    let output = Command::new(PAPER)
+        .args(["fig14", "--json"])
+        .arg(&path)
+        .env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT)
+        .output()
+        .expect("spawn paper");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "paper fig14 failed:\n{stderr}");
+    let held = artifact_digest("fig14", &path, "fig14")
+        .and_then(|got| held_to("fig14", PAPER_DIGESTS[6].1, got));
+    std::fs::remove_dir_all(&dir).ok();
+    if let Err(moved) = held {
+        panic!("{moved}");
+    }
+}
+
+/// A fresh scratch directory for one test.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("neura_bench_{name}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create artifact dir");
+    dir
+}
+
+/// One tool launch of a test: the binary, a label (the artifact is written
+/// to `<label>.json` in the test's scratch directory), the
+/// `NEURA_LAB_THREADS` it runs under, and its other arguments, split at
+/// whitespace (paths in them are relative to that directory).
+type Launch = (&'static str, &'static str, &'static str, &'static str);
+
+/// Runs one launch in `dir` and returns the text of the artifact it wrote.
+fn launch(dir: &Path, &(exe, label, threads, args): &Launch) -> String {
+    let path = dir.join(format!("{label}.json"));
+    let output = tool(exe)
+        .current_dir(dir)
+        .arg("--json")
+        .arg(&path)
+        .args(args.split_whitespace())
+        .env("NEURA_LAB_THREADS", threads)
+        .output()
+        .expect("spawn binary");
+    assert!(
+        output.status.success(),
+        "{label} failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    std::fs::read_to_string(&path).expect("artifact written")
+}
+
+/// Runs independent launches concurrently on the lab runner and returns
+/// their artifacts in launch order.
+fn launch_all<const N: usize>(dir: &Path, launches: [Launch; N]) -> [String; N] {
+    let artifacts = Runner::from_env().run(&launches, |_, row| launch(dir, row));
+    artifacts.try_into().expect("one artifact per launch")
+}
+
+/// The artifact of a plain `serve --no-meta` at two worker threads: the
+/// reference the serve variants of four tests are held to, launched once
+/// by whichever test asks first. `--no-meta` goes on every byte-compared
+/// serve run: it strips the wall-clock meta block, the one intentionally
+/// non-deterministic part.
+fn plain_serve() -> &'static str {
+    static PLAIN: OnceLock<String> = OnceLock::new();
+    PLAIN.get_or_init(|| {
+        let dir = scratch_dir("serve_plain");
+        let bytes = launch(&dir, &(SERVE, "serve_plain", "2", "--no-meta"));
+        std::fs::remove_dir_all(&dir).ok();
+        bytes
+    })
 }
 
 /// The traced serve run: `--trace` adds a `neura_lab.timeline/v1`
@@ -645,44 +738,21 @@ fn a_fleet_without_tile16_silicon_serves() {
 /// provisioning delay, and passes the `timeline` binary's checks.
 #[test]
 fn traced_serve_emits_a_thread_invariant_timeline() {
-    let json_dir =
-        std::env::temp_dir().join(format!("neura_bench_serve_trace_{}", std::process::id()));
-    std::fs::create_dir_all(&json_dir).expect("create artifact dir");
-
-    let serve = |label: &str, threads: &str, trace: Option<&Path>| {
-        let path = json_dir.join(format!("serve_{label}.json"));
-        let mut command = Command::new(env!("CARGO_BIN_EXE_serve"));
-        command
-            .arg("--json")
-            .arg(&path)
-            // Byte-compared across runs: strip the wall-clock meta block,
-            // which is the one intentionally non-deterministic part.
-            .arg("--no-meta")
-            .env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT)
-            .env("NEURA_LAB_THREADS", threads);
-        if let Some(trace_path) = trace {
-            command.arg("--trace").arg(trace_path);
-        }
-        let output = command.output().expect("spawn serve");
-        assert!(
-            output.status.success(),
-            "serve ({label}) failed:\n{}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-        std::fs::read_to_string(&path).expect("serve artifact written")
-    };
-
-    let timeline_two = json_dir.join("timeline_t2.json");
-    let timeline_eight = json_dir.join("timeline_t8.json");
-    let untraced = serve("plain", "2", None);
-    let traced_two = serve("t2", "2", Some(&timeline_two));
-    let traced_eight = serve("t8", "8", Some(&timeline_eight));
-    assert_eq!(untraced, traced_two, "tracing must not perturb the serve artifact");
+    let json_dir = scratch_dir("serve_trace");
+    let [traced_two, traced_eight] = launch_all(
+        &json_dir,
+        [
+            (SERVE, "serve_t2", "2", "--no-meta --trace timeline_t2.json"),
+            (SERVE, "serve_t8", "8", "--no-meta --trace timeline_t8.json"),
+        ],
+    );
+    assert_eq!(plain_serve(), traced_two, "tracing must not perturb the serve artifact");
     assert_eq!(traced_two, traced_eight);
+    let timeline_two = json_dir.join("timeline_t2.json");
     let timeline_bytes = std::fs::read_to_string(&timeline_two).expect("timeline written");
     assert_eq!(
         timeline_bytes,
-        std::fs::read_to_string(&timeline_eight).expect("timeline written"),
+        std::fs::read_to_string(json_dir.join("timeline_t8.json")).expect("timeline written"),
         "timeline artifact bytes depend on the thread count"
     );
 
@@ -742,7 +812,7 @@ fn traced_serve_emits_a_thread_invariant_timeline() {
     assert!(stdout.contains("Timeline:"), "unexpected timeline output:\n{stdout}");
     // Pointing it at the (plain-schema) serve artifact must fail loudly.
     let wrong = Command::new(env!("CARGO_BIN_EXE_timeline"))
-        .arg(json_dir.join("serve_plain.json"))
+        .arg(json_dir.join("serve_t2.json"))
         .output()
         .expect("spawn timeline");
     assert!(!wrong.status.success(), "a plain run artifact is not a timeline");
@@ -759,62 +829,30 @@ fn traced_serve_emits_a_thread_invariant_timeline() {
 /// stall fraction when diffing profile artifacts.
 #[test]
 fn profiled_runs_emit_thread_invariant_conserving_profiles() {
-    let json_dir = std::env::temp_dir().join(format!("neura_bench_profile_{}", std::process::id()));
-    std::fs::create_dir_all(&json_dir).expect("create artifact dir");
-
-    let run = |exe: &str, label: &str, threads: &str, extra: &[&std::ffi::OsStr]| {
-        let path = json_dir.join(format!("{label}.json"));
-        let mut command = Command::new(exe);
-        command
-            .arg("--json")
-            .arg(&path)
-            .args(extra)
-            .env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT)
-            .env("NEURA_LAB_THREADS", threads);
-        let output = command.output().expect("spawn binary");
-        assert!(
-            output.status.success(),
-            "{label} failed:\n{}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-        std::fs::read_to_string(&path).expect("run artifact written")
-    };
-    let dataset: &[&std::ffi::OsStr] =
-        &["--dataset".as_ref(), "cora".as_ref(), "--hbm".as_ref(), "hbm2".as_ref()];
+    let json_dir = scratch_dir("profile");
+    let [sweep_two, sweep_eight, profiled_two, profiled_eight] = launch_all(
+        &json_dir,
+        [
+            (PROFILE, "sweep_t2", "2", "--dataset cora --hbm hbm2"),
+            (PROFILE, "sweep_t8", "8", "--dataset cora --hbm hbm2"),
+            (SERVE, "serve_t2", "2", "--no-meta --profile serve_profile_t2.json"),
+            (SERVE, "serve_t8", "8", "--no-meta --profile serve_profile_t8.json"),
+        ],
+    );
 
     // The standalone sweep binary: byte-identical profiles at 2 vs 8
     // worker threads (the runner collects in input order by contract).
-    let profile_exe = env!("CARGO_BIN_EXE_profile");
-    let sweep_two = run(profile_exe, "sweep_t2", "2", dataset);
-    let sweep_eight = run(profile_exe, "sweep_t8", "8", dataset);
     assert_eq!(sweep_two, sweep_eight, "profile.json bytes depend on the thread count");
 
     // The serving layer: --profile leaves serve.json untouched and the
     // profile artifact is equally thread-invariant.
-    let serve_exe = env!("CARGO_BIN_EXE_serve");
-    let profile_two = json_dir.join("serve_profile_t2.json");
-    let profile_eight = json_dir.join("serve_profile_t8.json");
-    // --no-meta on every byte-compared serve run: the wall-clock meta
-    // block is the one intentionally non-deterministic part.
-    let unprofiled = run(serve_exe, "serve_plain", "2", &["--no-meta".as_ref()]);
-    let profiled_two = run(
-        serve_exe,
-        "serve_t2",
-        "2",
-        &["--no-meta".as_ref(), "--profile".as_ref(), profile_two.as_ref()],
-    );
-    let profiled_eight = run(
-        serve_exe,
-        "serve_t8",
-        "8",
-        &["--no-meta".as_ref(), "--profile".as_ref(), profile_eight.as_ref()],
-    );
-    assert_eq!(unprofiled, profiled_two, "profiling must not perturb the serve artifact");
+    assert_eq!(plain_serve(), profiled_two, "profiling must not perturb the serve artifact");
     assert_eq!(profiled_two, profiled_eight);
-    let profile_bytes = std::fs::read_to_string(&profile_two).expect("profile written");
+    let profile_bytes =
+        std::fs::read_to_string(json_dir.join("serve_profile_t2.json")).expect("profile written");
     assert_eq!(
         profile_bytes,
-        std::fs::read_to_string(&profile_eight).expect("profile written"),
+        std::fs::read_to_string(json_dir.join("serve_profile_t8.json")).expect("profile written"),
         "serve-profile artifact bytes depend on the thread count"
     );
 
@@ -892,46 +930,22 @@ fn assert_profiles_conserve(bytes: &str) {
 /// `NEURA_LAB_THREADS` settings like every other artifact writer.
 #[test]
 fn cost_model_default_is_byte_identical_and_xval_is_thread_invariant() {
-    let json_dir =
-        std::env::temp_dir().join(format!("neura_bench_cost_model_{}", std::process::id()));
-    std::fs::create_dir_all(&json_dir).expect("create artifact dir");
-
-    let run = |exe: &str, label: &str, threads: &str, extra: &[&str]| {
-        let path = json_dir.join(format!("{label}.json"));
-        let output = Command::new(exe)
-            .arg("--json")
-            .arg(&path)
-            .args(extra)
-            .env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT)
-            .env("NEURA_LAB_THREADS", threads)
-            .output()
-            .expect("spawn binary");
-        assert!(
-            output.status.success(),
-            "{label} failed:\n{}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-        std::fs::read_to_string(&path).expect("artifact written")
-    };
-
-    // --no-meta on every byte-compared serve run: the wall-clock meta
-    // block is the one intentionally non-deterministic part.
-    let serve_default = run(env!("CARGO_BIN_EXE_serve"), "serve_default", "2", &["--no-meta"]);
-    let serve_cycle = run(
-        env!("CARGO_BIN_EXE_serve"),
-        "serve_cycle",
-        "2",
-        &["--no-meta", "--cost-model", "cycle"],
+    let json_dir = scratch_dir("cost_model");
+    let xval_args = "--dataset facebook --tile t4 --hbm hbm2";
+    let [serve_cycle, serve_analytic, xval_two, xval_eight] = launch_all(
+        &json_dir,
+        [
+            (SERVE, "serve_cycle", "2", "--no-meta --cost-model cycle"),
+            (SERVE, "serve_analytic", "2", "--no-meta --cost-model analytic"),
+            (XVAL, "xval_t2", "2", xval_args),
+            (XVAL, "xval_t8", "8", xval_args),
+        ],
     );
+
+    let serve_default = plain_serve();
     assert_eq!(
         serve_default, serve_cycle,
         "an explicit --cost-model cycle run must be byte-identical to the default"
-    );
-    let serve_analytic = run(
-        env!("CARGO_BIN_EXE_serve"),
-        "serve_analytic",
-        "2",
-        &["--no-meta", "--cost-model", "analytic"],
     );
     assert_ne!(
         serve_default, serve_analytic,
@@ -942,9 +956,6 @@ fn cost_model_default_is_byte_identical_and_xval_is_thread_invariant() {
         "the analytic artifact must carry a cost_model param"
     );
 
-    let xval_args = ["--dataset", "facebook", "--tile", "t4", "--hbm", "hbm2"];
-    let xval_two = run(env!("CARGO_BIN_EXE_xval"), "xval_t2", "2", &xval_args);
-    let xval_eight = run(env!("CARGO_BIN_EXE_xval"), "xval_t8", "8", &xval_args);
     assert_eq!(xval_two, xval_eight, "xval artifact bytes depend on the thread count");
 
     std::fs::remove_dir_all(&json_dir).ok();
@@ -957,37 +968,16 @@ fn cost_model_default_is_byte_identical_and_xval_is_thread_invariant() {
 /// line.
 #[test]
 fn serve_is_thread_invariant_and_trend_diffs_directories() {
-    let json_dir =
-        std::env::temp_dir().join(format!("neura_bench_serve_trend_{}", std::process::id()));
-    std::fs::create_dir_all(&json_dir).expect("create artifact dir");
-
-    let serve_with_threads = |threads: &str| {
-        let path = json_dir.join(format!("serve_t{threads}.json"));
-        let output = Command::new(env!("CARGO_BIN_EXE_serve"))
-            .arg("--json")
-            .arg(&path)
-            // Byte-compared across thread counts: strip the wall-clock
-            // meta block, the one intentionally non-deterministic part.
-            .arg("--no-meta")
-            .env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT)
-            .env("NEURA_LAB_THREADS", threads)
-            .output()
-            .expect("spawn serve");
-        assert!(
-            output.status.success(),
-            "serve (threads={threads}) failed:\n{}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-        (path.clone(), std::fs::read_to_string(&path).expect("serve artifact written"))
-    };
-    let (path_two, bytes_two) = serve_with_threads("2");
-    let (_, bytes_eight) = serve_with_threads("8");
+    let json_dir = scratch_dir("serve_trend");
+    let bytes_eight = launch(&json_dir, &(SERVE, "serve_t8", "8", "--no-meta"));
+    let bytes_two = plain_serve();
     assert_eq!(bytes_two, bytes_eight, "serve artifact bytes depend on the thread count");
 
+    let path_eight = json_dir.join("serve_t8.json");
     let trend = Command::new(env!("CARGO_BIN_EXE_trend"))
         .args(["--fail-above", "0"])
-        .arg(&path_two)
-        .arg(&path_two)
+        .arg(&path_eight)
+        .arg(&path_eight)
         .output()
         .expect("spawn trend");
     let stdout = String::from_utf8_lossy(&trend.stdout);
@@ -1004,9 +994,9 @@ fn serve_is_thread_invariant_and_trend_diffs_directories() {
     let after_dir = json_dir.join("after");
     std::fs::create_dir_all(&before_dir).unwrap();
     std::fs::create_dir_all(&after_dir).unwrap();
-    std::fs::write(before_dir.join("serve.json"), &bytes_two).unwrap();
-    std::fs::write(after_dir.join("serve.json"), &bytes_two).unwrap();
-    std::fs::write(before_dir.join("extra.json"), &bytes_two).unwrap();
+    std::fs::write(before_dir.join("serve.json"), bytes_two).unwrap();
+    std::fs::write(after_dir.join("serve.json"), bytes_two).unwrap();
+    std::fs::write(before_dir.join("extra.json"), bytes_two).unwrap();
     let trend_dirs = Command::new(env!("CARGO_BIN_EXE_trend"))
         .args(["--fail-above", "0"])
         .arg(&before_dir)
@@ -1034,8 +1024,7 @@ fn serve_is_thread_invariant_and_trend_diffs_directories() {
 fn a_timeline_window_too_narrow_for_the_horizon_exits_2() {
     let dir = std::env::temp_dir().join(format!("neura_narrow_window_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let output = Command::new(env!("CARGO_BIN_EXE_serve"))
-        .env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT)
+    let output = tool(SERVE)
         .args(["--window-ms", "0.0000001", "--trace"])
         .arg(dir.join("timeline.json"))
         .arg("--json")
@@ -1057,11 +1046,13 @@ fn a_timeline_window_too_narrow_for_the_horizon_exits_2() {
 /// exit with code 2 and put the complaint plus the binary's own usage text
 /// on stderr, before any simulation starts. So do the sizes `serve` takes
 /// from its command line — a stream, a client population, a fleet, a crash
-/// count, an epoch count — when they pass what a replay may allocate, and
-/// so does `paper` for a name its table lacks, a stray flag after a name,
-/// and one `--json` path for all eleven artifacts. The two environment
-/// knobs (`NEURA_LAB_THREADS`, `NEURA_BENCH_SCALE_MULT`) are held to the same
-/// exit when set to something that is not a positive integer.
+/// count, an epoch count — when they pass what a replay may allocate; so
+/// does `xval --fit` on a grid it cannot fit; and so does `paper` for a
+/// name its table lacks, a stray flag after a name, and one `--json` path
+/// for all eleven artifacts. The two environment knobs
+/// (`NEURA_LAB_THREADS`, and `NEURA_BENCH_SCALE_MULT`, which `tune` reads)
+/// are held to the same exit when set to something that is not a positive
+/// integer.
 #[test]
 fn malformed_command_lines_exit_2_with_the_usage_text() {
     for (bin, exe, value_flag) in TOOLS {
@@ -1103,6 +1094,26 @@ fn malformed_command_lines_exit_2_with_the_usage_text() {
             ];
             cases.extend(sized.map(|(args, complaint)| (args, complaint.to_string())));
         }
+        if bin == "xval" {
+            // Both once panicked with exit 101: a group too thin to fit is
+            // refused before anything simulates, and one whose samples are
+            // all alike (every graph at the 32-node floor) before anything
+            // prints.
+            let unfit = [
+                (
+                    vec!["--fit", "--dataset", "cora"],
+                    "--fit needs more than 9 samples in every tile x HBM group; the t4/hbm2 \
+                     group has 4",
+                ),
+                (
+                    vec![
+                        "--fit", "--shrink", "64", "--tile", "t4", "--tile", "t16", "--tile", "t64",
+                    ],
+                    "--fit cannot solve the t4/hbm2 group: its samples are too alike",
+                ),
+            ];
+            cases.extend(unfit.map(|(args, complaint)| (args, complaint.to_string())));
+        }
         for (args, complaint) in cases {
             let output = Command::new(exe).args(&args).output().expect("spawn binary");
             let stderr = String::from_utf8_lossy(&output.stderr);
@@ -1120,10 +1131,11 @@ fn malformed_command_lines_exit_2_with_the_usage_text() {
     }
     // A set-but-malformed environment knob ends the run the same way (no
     // usage text: no flag is at fault); both once panicked with exit 101.
-    for (var, value, artifact) in
-        [("NEURA_LAB_THREADS", "zero", "table1"), ("NEURA_BENCH_SCALE_MULT", "abc", "table3")]
-    {
-        let output = Command::new(PAPER).arg(artifact).env(var, value).output().expect("spawn");
+    for (var, value, exe, args) in [
+        ("NEURA_LAB_THREADS", "zero", PAPER, &["table1"][..]),
+        (neura_lab::SCALE_MULT_ENV, "abc", TUNE, &["--dataset", "cora"]),
+    ] {
+        let output = Command::new(exe).args(args).env(var, value).output().expect("spawn");
         let stderr = String::from_utf8_lossy(&output.stderr);
         let complaint = format!("{var}={value:?} is not a positive integer\n");
         assert_eq!(output.status.code(), Some(2), "{var}={value}: exit code\n{stderr}");

@@ -64,7 +64,7 @@
 //! field is deliberately not claimed. The fit quality is pinned by the
 //! `xval` golden: mean absolute relative error ≤ 5% and worst-case ≤ 15%
 //! against the cycle oracle across all 20 paper datasets at paper scale
-//! (`just xval-paper`), and `crates/chip/tests/cost_model_properties.rs`
+//! (`just xval`, a CI gate), and `crates/chip/tests/cost_model_properties.rs`
 //! re-checks positivity, determinism, monotonicity and a seeded sample of
 //! the error bound on every test run.
 
@@ -284,8 +284,8 @@ pub struct AnalyticModel {
 /// weighted least squares in relative-error space (weight `1/cycles²`)
 /// with paper-scale (shrink-1) cells up-weighted 128×, iteratively
 /// re-solved with `nnz_per_core` clamped to zero when it goes negative.
-/// Validation on the paper-scale grid: see `baselines/xval-smoke.json`
-/// and the `xval` golden (mean abs rel error ≤ 5%, worst ≤ 15%).
+/// Validation on the paper-scale grid: see `baselines/xval.json` and the
+/// `xval` golden (mean abs rel error ≤ 5%, worst ≤ 15%).
 const CALIBRATED_GROUPS: [GroupCoeffs; GROUPS] = [
     GroupCoeffs {
         tile: TileSize::Tile4,

@@ -135,7 +135,7 @@ proptest! {
 
 /// Regenerates a dataset's paper-scale cycle-simulator matrix: the same
 /// deterministic recipe as `neura_bench::sim_matrix_at_fidelity` at
-/// shrink 1 without the smoke multiplier (this crate sits below
+/// shrink 1 and scale multiplier 1, as `xval` runs it (this crate sits below
 /// `neura_bench`, so the formula is restated here; the seed and the
 /// 512× / [256, 2000] band are pinned by the xval grid).
 fn paper_scale_matrix(name: &str) -> neura_sparse::CsrMatrix {

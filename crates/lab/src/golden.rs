@@ -5,12 +5,8 @@
 //! paper scale (pinned when the golden was recorded), with the paper's
 //! published number carried alongside for context — the check answers "did
 //! the reproduction regress", while the `paper` column keeps the published
-//! target visible in every report.
-//!
-//! Checks run in one of two modes: [`Mode::Strict`] (paper scale — the
-//! tolerance applies) and [`Mode::Smoke`] (any `NEURA_BENCH_SCALE_MULT`
-//! shrink — the numbers are meaningless at smoke scale, so the check only
-//! asserts the metric exists, is finite and is positive).
+//! target visible in every report. The artifacts are always paper scale,
+//! so every check is strict: the tolerance applies.
 
 use crate::report::{fmt, print_table, Artifact};
 
@@ -30,27 +26,6 @@ pub struct Golden {
     pub paper: Option<f64>,
 }
 
-/// How strictly golden values are enforced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Paper scale: values must match `expected` within `rel_tol`.
-    Strict,
-    /// Scaled-down smoke runs: only presence / finiteness / positivity.
-    Smoke,
-}
-
-impl Mode {
-    /// Picks the mode from the effective scale multiplier: strict at paper
-    /// scale (multiplier 1), smoke otherwise.
-    pub fn from_scale_mult(mult: usize) -> Mode {
-        if mult <= 1 {
-            Mode::Strict
-        } else {
-            Mode::Smoke
-        }
-    }
-}
-
 /// The outcome of checking one [`Golden`].
 #[derive(Debug, Clone)]
 pub struct Outcome {
@@ -58,22 +33,15 @@ pub struct Outcome {
     pub golden: Golden,
     /// The value found in the artifact, if present.
     pub actual: Option<f64>,
-    /// Whether the check passed in the mode it ran under.
+    /// Whether the check passed.
     pub passed: bool,
 }
 
 impl Outcome {
-    fn detail(&self, mode: Mode) -> String {
-        match (self.actual, mode) {
-            (None, _) => "metric missing".to_string(),
-            (Some(a), Mode::Smoke) => {
-                if self.passed {
-                    format!("present ({})", fmt(a, 3))
-                } else {
-                    format!("not finite/positive ({a})")
-                }
-            }
-            (Some(a), Mode::Strict) => {
+    fn detail(&self) -> String {
+        match self.actual {
+            None => "metric missing".to_string(),
+            Some(a) => {
                 let rel = (a - self.golden.expected).abs() / self.golden.expected.abs();
                 format!("Δ {:.2}% (tol {:.0}%)", rel * 100.0, self.golden.rel_tol * 100.0)
             }
@@ -84,8 +52,6 @@ impl Outcome {
 /// Result of checking a golden table against an artifact.
 #[derive(Debug, Clone)]
 pub struct GoldenReport {
-    /// The mode the checks ran under.
-    pub mode: Mode,
     /// One outcome per golden, in table order.
     pub outcomes: Vec<Outcome>,
 }
@@ -103,10 +69,6 @@ impl GoldenReport {
 
     /// Prints the per-metric pass/fail table.
     pub(crate) fn print(&self, title: &str) {
-        let mode = match self.mode {
-            Mode::Strict => "strict, paper scale",
-            Mode::Smoke => "smoke, scaled run — presence only",
-        };
         let rows: Vec<Vec<String>> = self
             .outcomes
             .iter()
@@ -118,12 +80,12 @@ impl GoldenReport {
                     fmt(o.golden.expected, 3),
                     o.golden.paper.map(|p| fmt(p, 2)).unwrap_or_else(|| "-".into()),
                     if o.passed { "pass".into() } else { "FAIL".into() },
-                    o.detail(self.mode),
+                    o.detail(),
                 ]
             })
             .collect();
         print_table(
-            &format!("{title} — golden checks ({mode})"),
+            &format!("{title} — golden checks (strict, paper scale)"),
             &["Record", "Metric", "Actual", "Expected", "Paper", "Status", "Detail"],
             &rows,
         );
@@ -165,16 +127,14 @@ pub struct OrderOutcome {
     pub record: &'static str,
     /// The metric value found, if present.
     pub actual: Option<f64>,
-    /// Whether this position passed (present/finite/positive in smoke mode;
-    /// additionally not greater than its predecessor in strict mode).
+    /// Whether this position passed: present, finite and not greater than
+    /// any predecessor.
     pub passed: bool,
 }
 
 /// Result of checking an [`OrderGolden`] against an artifact.
 #[derive(Debug, Clone)]
 pub struct OrderReport {
-    /// The mode the check ran under.
-    pub mode: Mode,
     /// The metric that was compared.
     pub metric: &'static str,
     /// One outcome per pinned record, in pinned order.
@@ -194,10 +154,6 @@ impl OrderReport {
 
     /// Prints the per-position pass/fail table.
     pub(crate) fn print(&self, title: &str) {
-        let mode = match self.mode {
-            Mode::Strict => "strict, paper scale — descending order",
-            Mode::Smoke => "smoke, scaled run — presence only",
-        };
         let rows: Vec<Vec<String>> = self
             .outcomes
             .iter()
@@ -212,7 +168,7 @@ impl OrderReport {
             })
             .collect();
         print_table(
-            &format!("{title} — {} ordering ({mode})", self.metric),
+            &format!("{title} — {} ordering (strict, paper scale — descending order)", self.metric),
             &["Rank", "Record", "Actual", "Status"],
             &rows,
         );
@@ -227,26 +183,19 @@ impl OrderReport {
     }
 }
 
-/// Checks a pinned ordering against the artifact. In strict mode each
-/// record's metric must be present, finite and no greater than *every*
-/// predecessor's (ties allowed) — the comparison runs against the minimum
-/// seen so far, so a single out-of-order spike does not mask later
-/// violations. In smoke mode only presence, finiteness and positivity are
-/// required.
-pub fn check_order(artifact: &Artifact, order: &OrderGolden, mode: Mode) -> OrderReport {
+/// Checks a pinned ordering against the artifact: each record's metric
+/// must be present, finite and no greater than *every* predecessor's (ties
+/// allowed) — the comparison runs against the minimum seen so far, so a
+/// single out-of-order spike does not mask later violations.
+pub fn check_order(artifact: &Artifact, order: &OrderGolden) -> OrderReport {
     let mut min_so_far: Option<f64> = None;
     let outcomes = order
         .records
         .iter()
         .map(|&record| {
             let actual = artifact.record(record).and_then(|r| r.metric_value(order.metric));
-            let passed = match (actual, mode) {
-                (None, _) => false,
-                (Some(a), Mode::Smoke) => a.is_finite() && a > 0.0,
-                (Some(a), Mode::Strict) => {
-                    a.is_finite() && min_so_far.map(|m| a <= m).unwrap_or(true)
-                }
-            };
+            let passed =
+                actual.is_some_and(|a| a.is_finite() && min_so_far.map(|m| a <= m).unwrap_or(true));
             // Only finite values participate in the running minimum — a NaN
             // or -inf position fails on its own without cascading failures
             // into every later (healthy) position.
@@ -258,27 +207,23 @@ pub fn check_order(artifact: &Artifact, order: &OrderGolden, mode: Mode) -> Orde
             OrderOutcome { record, actual, passed }
         })
         .collect();
-    OrderReport { mode, metric: order.metric, outcomes }
+    OrderReport { metric: order.metric, outcomes }
 }
 
 /// Checks every golden against the artifact.
-pub fn check(artifact: &Artifact, goldens: &[Golden], mode: Mode) -> GoldenReport {
+pub fn check(artifact: &Artifact, goldens: &[Golden]) -> GoldenReport {
     let outcomes = goldens
         .iter()
         .map(|&golden| {
             let actual = artifact.record(golden.record).and_then(|r| r.metric_value(golden.metric));
-            let passed = match (actual, mode) {
-                (None, _) => false,
-                (Some(a), Mode::Smoke) => a.is_finite() && a > 0.0,
-                (Some(a), Mode::Strict) => {
-                    a.is_finite()
-                        && (a - golden.expected).abs() <= golden.rel_tol * golden.expected.abs()
-                }
-            };
+            let passed = actual.is_some_and(|a| {
+                a.is_finite()
+                    && (a - golden.expected).abs() <= golden.rel_tol * golden.expected.abs()
+            });
             Outcome { golden, actual, passed }
         })
         .collect();
-    GoldenReport { mode, outcomes }
+    GoldenReport { outcomes }
 }
 
 /// Turns a display name into a stable slug used in record IDs and metric
@@ -435,28 +380,15 @@ mod tests {
 
     #[test]
     fn strict_mode_applies_relative_tolerance() {
-        assert!(check(&artifact_with(10.4), PIN, Mode::Strict).passed());
-        assert!(!check(&artifact_with(10.6), PIN, Mode::Strict).passed());
-        assert!(!check(&artifact_with(f64::NAN), PIN, Mode::Strict).passed());
-    }
-
-    #[test]
-    fn smoke_mode_only_requires_a_finite_positive_value() {
-        assert!(check(&artifact_with(0.001), PIN, Mode::Smoke).passed());
-        assert!(!check(&artifact_with(-1.0), PIN, Mode::Smoke).passed());
+        assert!(check(&artifact_with(10.4), PIN).passed());
+        assert!(!check(&artifact_with(10.6), PIN).passed());
+        assert!(!check(&artifact_with(f64::NAN), PIN).passed());
     }
 
     #[test]
     fn missing_metric_fails_in_both_modes() {
         let empty = Artifact::new("t", 1);
-        assert_eq!(check(&empty, PIN, Mode::Strict).failures(), 1);
-        assert_eq!(check(&empty, PIN, Mode::Smoke).failures(), 1);
-    }
-
-    #[test]
-    fn mode_selection_follows_scale_multiplier() {
-        assert_eq!(Mode::from_scale_mult(1), Mode::Strict);
-        assert_eq!(Mode::from_scale_mult(32), Mode::Smoke);
+        assert_eq!(check(&empty, PIN).failures(), 1);
     }
 
     #[test]
@@ -494,8 +426,8 @@ mod tests {
 
     #[test]
     fn strict_ordering_accepts_descending_and_ties() {
-        assert!(check_order(&ordered_artifact(&[3.0, 2.0, 2.0]), &ORDER, Mode::Strict).passed());
-        let report = check_order(&ordered_artifact(&[3.0, 4.0, 2.0]), &ORDER, Mode::Strict);
+        assert!(check_order(&ordered_artifact(&[3.0, 2.0, 2.0]), &ORDER).passed());
+        let report = check_order(&ordered_artifact(&[3.0, 4.0, 2.0]), &ORDER);
         assert!(!report.passed());
         assert_eq!(report.failures(), 1);
         assert!(!report.outcomes[1].passed, "the out-of-order position is the failure");
@@ -505,7 +437,7 @@ mod tests {
     fn strict_ordering_spike_does_not_mask_later_violations() {
         // Values compare against the minimum seen so far, not the previous
         // raw value: with [10, 50, 20] the 20 is out of rank too (> 10).
-        let report = check_order(&ordered_artifact(&[10.0, 50.0, 20.0]), &ORDER, Mode::Strict);
+        let report = check_order(&ordered_artifact(&[10.0, 50.0, 20.0]), &ORDER);
         assert_eq!(report.failures(), 2);
         assert!(!report.outcomes[1].passed);
         assert!(!report.outcomes[2].passed);
@@ -515,18 +447,9 @@ mod tests {
     fn strict_ordering_isolates_non_finite_values() {
         // A NaN fails its own position but must not poison the running
         // minimum and fail every later, correctly-ordered position.
-        let report = check_order(&ordered_artifact(&[f64::NAN, 5.0, 3.0]), &ORDER, Mode::Strict);
+        let report = check_order(&ordered_artifact(&[f64::NAN, 5.0, 3.0]), &ORDER);
         assert_eq!(report.failures(), 1);
         assert!(!report.outcomes[0].passed);
         assert!(report.outcomes[1].passed && report.outcomes[2].passed);
-    }
-
-    #[test]
-    fn smoke_ordering_only_requires_present_positive_values() {
-        // Ascending values pass in smoke mode (ordering is meaningless on
-        // shrunk workloads) but a missing record still fails.
-        assert!(check_order(&ordered_artifact(&[1.0, 2.0, 3.0]), &ORDER, Mode::Smoke).passed());
-        assert!(!check_order(&ordered_artifact(&[1.0, 2.0]), &ORDER, Mode::Smoke).passed());
-        assert!(!check_order(&ordered_artifact(&[1.0, -2.0, 3.0]), &ORDER, Mode::Smoke).passed());
     }
 }

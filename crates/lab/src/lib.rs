@@ -25,9 +25,7 @@
 //! 4. **[`golden`]** — check it. Tolerance-checked comparison of emitted
 //!    metrics against checked-in expected values for the paper's headline
 //!    numbers (Table 5 throughput, Figure 16/17 speedup means, Table 1
-//!    bloat ordering, Figure 14/15 histogram means), strict at paper scale
-//!    and relaxed to presence checks under [`SCALE_MULT_ENV`] smoke
-//!    shrinking.
+//!    bloat ordering, Figure 14/15 histogram means), all at paper scale.
 //!
 //! On top of the sweep machinery sit two more modules: **[`tune`]** — a
 //! successive-halving auto-tuner that *searches* the `ChipConfig` space
@@ -69,15 +67,14 @@ pub use tune::{Evaluation, Objective, RungContext, TuneOutcome, TuneSpec, Tuner}
 
 use std::path::PathBuf;
 
-/// Environment variable multiplying every down-scaling factor used by the
-/// figure/table binaries.
+/// Environment variable multiplying the workload down-scaling of the two
+/// tools whose full runs are still expensive, `serve` and `tune`.
 ///
-/// Setting e.g. `NEURA_BENCH_SCALE_MULT=16` shrinks each workload a further
-/// 16× (graphs never shrink below 32 nodes), turning every binary into a
-/// seconds-long smoke run. CI uses this to prove the binaries execute end to
-/// end without paying full simulation cost; leave it unset for paper-scale
-/// results. Golden checks relax to presence-only assertions whenever the
-/// multiplier is above 1 (see [`golden::Mode::from_scale_mult`]).
+/// Setting e.g. `NEURA_BENCH_SCALE_MULT=16` shrinks each of their workloads
+/// a further 16× (graphs never shrink below 32 nodes), turning them into
+/// seconds-long smoke runs; the artifact records the value. The paper
+/// artifacts, `xval` and `profile` do not read it: they always run at paper
+/// scale, under strict goldens.
 pub const SCALE_MULT_ENV: &str = "NEURA_BENCH_SCALE_MULT";
 
 /// The extra down-scaling multiplier from [`SCALE_MULT_ENV`] (1 if unset).

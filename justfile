@@ -1,7 +1,7 @@
 # Local mirror of .github/workflows/ci.yml — `just ci` before pushing.
 
 # Run everything CI runs.
-ci: fmt clippy doc loc surface build test perf-selftest artifacts paper-goldens tune serve serve-parallel trace xval profile
+ci: fmt clippy doc loc surface build test perf-selftest artifacts tune serve serve-parallel trace xval profile
 
 # Formatting check (apply with `just fmt-fix`).
 fmt:
@@ -46,23 +46,11 @@ test:
     cargo test -q
 
 # Run every paper artifact (the rows of `neura_bench::paper::ARTIFACTS`) at
-# smoke scale with --json and collect the machine-readable artifacts under
-# target/artifacts/ (what CI uploads).
+# paper scale, with strict golden checks against the pinned headline
+# numbers, and collect the machine-readable artifacts under
+# target/artifacts/ (what CI uploads). About 1-2 s warm on a 2-vCPU host
+# (release build).
 artifacts:
-    NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin paper -- all --json
-    ls -l target/artifacts/
-
-# The strict paper-scale goldens of the two artifacts the sparse layer
-# computes, Table 1 and Fig 16 (no scale multiplier, no --json); about
-# 0.1 s each warm.
-paper-goldens:
-    cargo run --release -q -p neura_bench --bin paper -- table1
-    cargo run --release -q -p neura_bench --bin paper -- fig16
-
-# Regenerate every paper artifact at full (scaled) size, with strict
-# golden checks against the pinned headline numbers. 0.8–1.3 s warm on a
-# 2-vCPU host (release build).
-artifacts-paper:
     cargo run --release -q -p neura_bench --bin paper -- all --json
     ls -l target/artifacts/
 
@@ -136,54 +124,46 @@ serve-paper:
 scenarios:
     cargo test -p neura_serve --test scenario_properties --test fault_properties
 
-# Sampled cross-validation of the analytic cost model at smoke scale:
-# a three-dataset slice of the (dataset x tile x HBM) grid, gated
+# Cross-validation of the analytic cost model at paper scale: all 20
+# datasets, size-matched tiles, all three HBM presets, with the strict
+# golden (mean abs rel error <= 5%, worst <= 15%) enforced, gated
 # byte-for-byte against the committed baseline (the cycle sims and the
 # closed-form model are both deterministic, so any drift is a real model
 # or simulator change and must be re-baselined deliberately via
-# `just xval-rebaseline`).
+# `just xval-rebaseline`). About 2 s warm on a 2-vCPU host.
 xval:
-    NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin xval -- --json \
-        --dataset facebook --dataset wiki-Vote --dataset cage12
-    cargo run --release -q -p neura_bench --bin trend -- \
-        baselines/xval-smoke.json target/artifacts/xval.json --fail-above 0
-
-# Refresh the committed smoke baseline after an intentional model or
-# simulator change (review the trend diff first).
-xval-rebaseline:
-    NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin xval -- --json \
-        --dataset facebook --dataset wiki-Vote --dataset cage12
-    cp target/artifacts/xval.json baselines/xval-smoke.json
-
-# Full cross-validation at paper scale: all 20 datasets, size-matched
-# tiles, all three HBM presets, with the strict golden (mean abs rel
-# error <= 5%, worst <= 15%) enforced. 1.1–1.5 s warm on a 2-vCPU host.
-xval-paper:
     cargo run --release -q -p neura_bench --bin xval -- --json
-    ls -l target/artifacts/xval.json
+    cargo run --release -q -p neura_bench --bin trend -- \
+        baselines/xval.json target/artifacts/xval.json --fail-above 0
 
-# Chip profiler sweep at smoke scale: a three-dataset slice of the
-# (dataset x tile x HBM) grid with windowed stall attribution, gated
-# byte-for-byte against the committed baseline (the profiled simulations
-# are deterministic, so any drift is a real simulator or profiler change
-# and must be re-baselined deliberately via `just profile-rebaseline`).
-# Conservation is enforced even at smoke scale.
+# Refresh the committed baseline after an intentional model or simulator
+# change (review the trend diff first).
+xval-rebaseline:
+    cargo run --release -q -p neura_bench --bin xval -- --json
+    cp target/artifacts/xval.json baselines/xval.json
+
+# Chip profiler sweep at paper scale: a three-dataset slice of the
+# (dataset x tile x HBM) grid with windowed stall attribution and the
+# conservation invariants enforced, gated byte-for-byte against the
+# committed baseline (the profiled simulations are deterministic, so any
+# drift is a real simulator or profiler change and must be re-baselined
+# deliberately via `just profile-rebaseline`).
 profile:
-    NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin profile -- --json \
+    cargo run --release -q -p neura_bench --bin profile -- --json \
         --dataset facebook --dataset wiki-Vote --dataset cage12
     cargo run --release -q -p neura_bench --bin trend -- \
-        baselines/profile-smoke.json target/artifacts/profile.json --fail-above 0
+        baselines/profile.json target/artifacts/profile.json --fail-above 0
 
-# Refresh the committed smoke baseline after an intentional simulator or
+# Refresh the committed baseline after an intentional simulator or
 # profiler change (review the trend diff first).
 profile-rebaseline:
-    NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin profile -- --json \
+    cargo run --release -q -p neura_bench --bin profile -- --json \
         --dataset facebook --dataset wiki-Vote --dataset cage12
-    cp target/artifacts/profile.json baselines/profile-smoke.json
+    cp target/artifacts/profile.json baselines/profile.json
 
-# The full profiler sweep at paper scale: all 20 datasets on size-matched
-# tiles across the HBM presets, strict conservation golden enforced.
-# 1.2–1.9 s warm on a 2-vCPU host.
+# The full profiler sweep: all 20 datasets on size-matched tiles across
+# the HBM presets, conservation enforced; its 3.3 MB artifact is not
+# committed. 1.2–1.9 s warm on a 2-vCPU host.
 profile-paper:
     cargo run --release -q -p neura_bench --bin profile -- --json
     ls -l target/artifacts/profile.json
