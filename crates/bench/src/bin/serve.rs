@@ -78,6 +78,7 @@
 //! writes them down.
 
 use neura_bench::{price_class, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED};
+use neura_chip::accelerator::ChipError;
 use neura_chip::config::{ChipConfig, TileSize};
 use neura_chip::profile::{Profile, Profiler, DEFAULT_WINDOW_CYCLES};
 use neura_lab::spec::derive_seed;
@@ -512,6 +513,7 @@ fn price_classes(
     let price = |tile, class: RequestClass, exact, profiler: Option<&mut Profiler>| {
         let a = sim_matrix_at_fidelity(&args.mix[class.dataset], class.shrink, scale_mult);
         price_class(&ChipConfig::for_tile_size(tile), &a, exact, profiler)
+            .unwrap_or_else(|e| unpriceable(&args.mix[class.dataset], tile, &e))
     };
     let exact = args.cost_model == CostModel::Cycle;
     let (mut priced, profiles): (Vec<ClassCost>, Vec<Option<Profile>>) = runner
@@ -548,6 +550,12 @@ fn price_classes(
         session.push(record);
     }
     Pricing { classes, work, costs, profiles }
+}
+
+/// Ends the run on a class the chip cannot price: its simulation wedged.
+fn unpriceable(dataset: &str, tile: TileSize, error: &ChipError) -> ! {
+    eprintln!("serve: cannot price {dataset} on {}: {error}", tile.label());
+    std::process::exit(1);
 }
 
 /// The fleet every library scenario arm replays on.

@@ -5,7 +5,10 @@
 //! scaling axes the paper does not sweep (NeuraCores per tile, router
 //! buffering, HBM preset); early rungs run on further-shrunk workloads and
 //! survivors are re-simulated at increasing fidelity (see
-//! `neura_lab::tune`). Run with
+//! `neura_lab::tune`). A candidate the chip cannot finish — its run wedges
+//! — scores `+inf`, so the ladder ranks it last, and its record carries the
+//! cycle the run stopped moving at and the partial products it left
+//! outstanding. Run with
 //! `cargo run --release -p neura_bench --bin tune` (add `--json [path]`
 //! for a machine-readable artifact). Flags:
 //!
@@ -31,7 +34,7 @@
 //!   winner is simulator-verified at a fraction of the simulations)
 
 use neura_bench::{price_class, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED};
-use neura_chip::accelerator::Accelerator;
+use neura_chip::accelerator::{Accelerator, ChipError};
 use neura_chip::analytic::{AnalyticModel, WorkloadFeatures};
 use neura_chip::config::{ChipConfig, HbmPreset};
 use neura_chip::power::PowerModel;
@@ -89,14 +92,33 @@ fn exact_tier(cost_model: CostModel, is_final: bool) -> bool {
 /// Prices the per-class costs of `config` on one rung's class workloads
 /// (a matrix per [`REQUEST_SHRINKS`] entry), as a single-fingerprint cost
 /// table, on the tier `exact` selects (see [`price_class`]).
-fn class_costs(config: &ChipConfig, workloads: &[CsrMatrix], exact: bool) -> CostTable {
+///
+/// # Errors
+///
+/// Returns [`ChipError::Wedged`] when the chip stops moving on a class.
+fn class_costs(
+    config: &ChipConfig,
+    workloads: &[CsrMatrix],
+    exact: bool,
+) -> Result<CostTable, ChipError> {
     let mut costs = CostTable::new();
     let fingerprint = costs.register(config);
     for (shrink, a) in REQUEST_SHRINKS.into_iter().zip(workloads) {
-        let cost = price_class(config, a, exact, None);
+        let cost = price_class(config, a, exact, None)?;
         costs.insert(&fingerprint, RequestClass { dataset: 0, shrink }, cost);
     }
-    costs
+    Ok(costs)
+}
+
+/// The evaluation of a candidate whose run wedged: a `+inf` score, ranked
+/// last, with where the run stopped moving as its metrics.
+fn wedged(error: ChipError) -> Evaluation {
+    let ChipError::Wedged { cycle, outstanding_haccs } = error else {
+        unreachable!("a self-product's operands agree in shape: {error}");
+    };
+    Evaluation::scored(f64::INFINITY)
+        .with_metric("wedged_at_cycle", cycle as f64, "cycles")
+        .with_metric("outstanding_haccs", outstanding_haccs as f64, "count")
 }
 
 /// Scores an analytic cycle estimate on a report-backed objective without
@@ -130,7 +152,6 @@ fn run_serve_p99(
     tuner: &Tuner,
     runner: &Runner,
     dataset: &str,
-    scale_mult: usize,
     cost_model: CostModel,
 ) -> TuneOutcome {
     let baseline = tuner.spec().base.clone();
@@ -143,8 +164,11 @@ fn run_serve_p99(
         .into_iter()
         .map(|rung_shrink| {
             let workloads = REQUEST_SHRINKS
-                .map(|class| sim_matrix_at_fidelity(dataset, rung_shrink * class, scale_mult));
-            let costs = class_costs(&baseline, &workloads, exact_references);
+                .map(|class| sim_matrix_at_fidelity(dataset, rung_shrink * class, 1));
+            let costs = class_costs(&baseline, &workloads, exact_references).unwrap_or_else(|e| {
+                eprintln!("tune: the paper-default chip cannot price {dataset}: {e}");
+                std::process::exit(1);
+            });
             let classes = REQUEST_SHRINKS.map(|shrink| RequestClass { dataset: 0, shrink });
             let service_s = costs.mean_service_seconds(&baseline.fingerprint(), &classes);
             let rps = (0.8 / service_s).max(1.0).round();
@@ -166,7 +190,11 @@ fn run_serve_p99(
             .iter()
             .find(|(s, ..)| *s == ctx.shrink)
             .expect("every planned shrink has a reference stream");
-        let costs = class_costs(&point.config, workloads, exact_tier(cost_model, ctx.is_final));
+        let costs =
+            match class_costs(&point.config, workloads, exact_tier(cost_model, ctx.is_final)) {
+                Ok(costs) => costs,
+                Err(error) => return wedged(error),
+            };
         let fleet = [ShardGroup::new("cand", point.config.clone(), 1)];
         let cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs);
         let outcome = simulate_config_parallel(stream, &cfg, &EnginePlan::serial());
@@ -189,7 +217,6 @@ fn run_kernel(
     tuner: &Tuner,
     runner: &Runner,
     dataset: &str,
-    scale_mult: usize,
     objective: Objective,
     cost_model: CostModel,
 ) -> TuneOutcome {
@@ -199,7 +226,7 @@ fn run_kernel(
         .shrinks()
         .into_iter()
         .map(|shrink| {
-            let a = sim_matrix_at_fidelity(dataset, shrink, scale_mult);
+            let a = sim_matrix_at_fidelity(dataset, shrink, 1);
             let features = WorkloadFeatures::from_square(&a);
             (shrink, a, features)
         })
@@ -210,10 +237,14 @@ fn run_kernel(
             .find(|(shrink, ..)| *shrink == ctx.shrink)
             .expect("every planned shrink has a workload");
         if exact_tier(cost_model, ctx.is_final) {
-            let mut chip = Accelerator::new(point.config.clone());
-            let report = chip.run_spgemm(a, a).expect("simulation drains").report;
-            let score = objective.score(&point.config, &report);
-            Evaluation { score, report: Some(report), metrics: Vec::new() }
+            match Accelerator::new(point.config.clone()).run_spgemm(a, a) {
+                Ok(run) => Evaluation {
+                    score: objective.score(&point.config, &run.report),
+                    report: Some(run.report),
+                    metrics: Vec::new(),
+                },
+                Err(error) => wedged(error),
+            }
         } else {
             let cycles = AnalyticModel::calibrated().cycles(&point.config, features);
             Evaluation::scored(analytic_score(objective, &point.config, cycles)).with_metric(
@@ -259,8 +290,7 @@ fn main() {
         datasets = DatasetCatalog::spgemm_suite().iter().map(|d| d.name.to_string()).collect();
     }
 
-    let scale_mult = neura_lab::scale_multiplier();
-    let mut session = ArtifactSession::from_arg_list("tune", scale_mult, passthrough);
+    let mut session = ArtifactSession::from_arg_list("tune", 1, passthrough);
     let runner = Runner::from_env();
 
     let mut rows = Vec::new();
@@ -269,13 +299,13 @@ fn main() {
             .with_budget(budget);
         let tuner = Tuner::new(spec);
         let outcome = if objective == Objective::ServeP99 {
-            run_serve_p99(&tuner, &runner, dataset, scale_mult, cost_model)
+            run_serve_p99(&tuner, &runner, dataset, cost_model)
         } else {
-            run_kernel(&tuner, &runner, dataset, scale_mult, objective, cost_model)
+            run_kernel(&tuner, &runner, dataset, objective, cost_model)
         };
 
-        // Serving tails are sub-millisecond at smoke scale: print them in
-        // ms so the table stays legible at every fidelity.
+        // Serving tails are sub-millisecond on the smaller datasets: print
+        // them in ms so the table stays legible at every fidelity.
         let (scale, digits) = if objective == Objective::ServeP99 { (1e3, 4) } else { (1.0, 3) };
         rows.push(vec![
             dataset.clone(),

@@ -13,7 +13,7 @@
 
 pub mod paper;
 
-use neura_chip::accelerator::Accelerator;
+use neura_chip::accelerator::{Accelerator, ChipError};
 use neura_chip::analytic::WorkloadFeatures;
 use neura_chip::config::{ChipConfig, HbmPreset, TileSize};
 use neura_chip::profile::Profiler;
@@ -77,8 +77,8 @@ pub fn dataset_flag(flags: &mut Flags) -> String {
 /// analogs leave the halving ladder room to climb. `shrink` then divides
 /// that target, so every rung of a tuner really simulates a smaller graph
 /// — down to the generator's 32-node floor. `scale_mult` shrinks it a
-/// further `scale_mult`× (1 at paper scale; `serve` and `tune` pass the
-/// [`neura_lab::scale_multiplier`] they read).
+/// further `scale_mult`× (1 at paper scale; `serve` passes the
+/// [`neura_lab::scale_multiplier`] it reads).
 pub fn sim_matrix_at_fidelity(name: &str, shrink: usize, scale_mult: usize) -> CsrMatrix {
     let dataset = catalog_dataset(name);
     let full_nodes = (dataset.nodes / SIM_SCALE).clamp(256, 2_000);
@@ -94,21 +94,22 @@ pub fn sim_matrix_at_fidelity(name: &str, shrink: usize, scale_mult: usize) -> C
 /// property of the workload alone — are two per partial product either way:
 /// counted by the symbolic pass, or by the simulation as `HACC`s.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the simulation does not drain within its cycle budget.
+/// Returns [`ChipError::Wedged`] when `exact` and the chip stops moving
+/// before the product drains.
 pub fn price_class(
     config: &ChipConfig,
     a: &CsrMatrix,
     exact: bool,
     profiler: Option<&mut Profiler>,
-) -> ClassCost {
+) -> Result<ClassCost, ChipError> {
     if !exact {
-        return analytic_class_cost(config, &WorkloadFeatures::from_square(a));
+        return Ok(analytic_class_cost(config, &WorkloadFeatures::from_square(a)));
     }
     let mut chip = Accelerator::new(config.clone());
-    let report = chip.run_spgemm_profiled(a, a, profiler).expect("simulation drains").report;
-    ClassCost { cycles: report.total_cycles, flops: 2 * report.hacc_instructions }
+    let report = chip.run_spgemm_profiled(a, a, profiler)?.report;
+    Ok(ClassCost { cycles: report.total_cycles, flops: 2 * report.hacc_instructions })
 }
 
 /// The chip tier a practitioner would deploy for a graph of this size

@@ -4,11 +4,11 @@
 //! as the commit before it.
 //!
 //! Each binary is executed as a real subprocess (the exact artifact `cargo
-//! run` would launch). `paper`, `xval` and `profile` always run at paper
-//! scale, so their rows hold the reproduction's numbers and run its strict
-//! goldens. `serve` and `tune`, whose full runs are still expensive, are
-//! launched with [`neura_lab::SCALE_MULT_ENV`] set (see [`tool`]) so their
-//! workloads shrink to seconds even in debug builds. The rows of
+//! run` would launch). `paper`, `xval`, `profile` and `tune` always run at
+//! paper scale, so their rows hold the reproduction's numbers (and the
+//! first three run its strict goldens). `serve` is launched with
+//! [`neura_lab::SCALE_MULT_ENV`] set (see [`tool`]) so its workloads
+//! shrink to seconds even in debug builds. The rows of
 //! [`INVOCATIONS`] execute concurrently on the same `neura_lab::Runner`
 //! scoped-thread pool the binaries themselves use for their sweeps, in one
 //! scratch directory; the rows of [`READERS`] — tools that read what a
@@ -40,8 +40,8 @@ use std::sync::OnceLock;
 
 use neura_lab::{parse_json, Artifact, RunRecord, Runner};
 
-/// The scale multiplier of every `serve` and `tune` launch: extra
-/// down-scaling on top of each tool's own scale factor.
+/// The scale multiplier of every `serve` launch: extra down-scaling on top
+/// of its own scale factor.
 const SMOKE_MULT: &str = "32";
 
 /// What a row's digest — FNV-1a-64 — is taken over.
@@ -98,7 +98,7 @@ const INVOCATIONS: [Invocation; 18] = [
     ("paper-table1", PAPER, Pin::Stdout, "table1", 0xb194e6681520dad8),
     // Tuning all twenty datasets is a `just tune` job, not a smoke test;
     // one dataset proves the binary and its artifact schema end to end.
-    ("tune", TUNE, Pin::Artifact("tune"), "--dataset cora", 0x48e94be16bb8983b),
+    ("tune", TUNE, Pin::Artifact("tune"), "--dataset cora", 0x81a62a03d41489f5),
     // The serve-aware objective: p99-under-load scoring through the
     // serving layer, budget-truncated so the smoke run stays cheap.
     (
@@ -106,7 +106,7 @@ const INVOCATIONS: [Invocation; 18] = [
         TUNE,
         Pin::Artifact("tune"),
         "--dataset cora --objective serve-p99 --budget 40",
-        0x464d161c11a2edd5,
+        0xc6a9186d1995ac47,
     ),
     ("serve", SERVE, Pin::Artifact("serve"), "", 0xba79d245ba6bbe06),
     // The analytic fast path through the serving layer: same scenarios,
@@ -122,7 +122,7 @@ const INVOCATIONS: [Invocation; 18] = [
         TUNE,
         Pin::Artifact("tune"),
         "--dataset cora --cost-model hybrid",
-        0x8bfdd3d0f5d1f70e,
+        0x6b527566e84eb1ab,
     ),
     // The flags of `serve` no default run passes, in three arms. An open
     // one: bursty arrivals at an explicit rate and duration, the batch
@@ -238,11 +238,11 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A command for `exe`, with [`SMOKE_MULT`] set when it is one of the two
-/// tools that read the scale multiplier.
+/// A command for `exe`, with [`SMOKE_MULT`] set when it is `serve`, the
+/// one tool that reads the scale multiplier.
 fn tool(exe: &str) -> Command {
     let mut command = Command::new(exe);
-    if exe == SERVE || exe == TUNE {
+    if exe == SERVE {
         command.env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT);
     }
     command
@@ -329,7 +329,7 @@ fn read_artifact(path: &Path, bin: &str) -> Result<Artifact, String> {
     if artifact.bin != bin {
         return Err(format!("artifact names bin {:?}, expected {bin:?}", artifact.bin));
     }
-    let scale_mult = if bin == "serve" || bin == "tune" { SMOKE_MULT } else { "1" };
+    let scale_mult = if bin == "serve" { SMOKE_MULT } else { "1" };
     if artifact.scale_mult.to_string() != scale_mult {
         return Err(format!("artifact records scale_mult {}", artifact.scale_mult));
     }
@@ -653,26 +653,39 @@ fn a_fleet_without_tile16_silicon_serves() {
     assert!(String::from_utf8_lossy(&output.stdout).contains("poisson/"), "no arm was replayed");
 }
 
-/// `paper` reads no scale multiplier: with one set, `fig14 --json P` still
-/// writes the pinned paper-scale artifact.
-#[test]
-fn paper_runs_at_paper_scale_under_any_multiplier() {
-    let dir = scratch_dir("paper_scale");
-    let path = dir.join("fig14.json");
-    let output = Command::new(PAPER)
-        .args(["fig14", "--json"])
+/// Runs `exe args --json P` with the scale multiplier set and holds the
+/// artifact of `bin` it writes to `digest`, the paper-scale pin.
+fn held_under_multiplier(exe: &str, bin: &str, args: &str, digest: u64) {
+    let dir = scratch_dir(&format!("{bin}_scale"));
+    let path = dir.join(format!("{bin}.json"));
+    let output = Command::new(exe)
+        .args(args.split_whitespace())
+        .arg("--json")
         .arg(&path)
         .env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT)
         .output()
-        .expect("spawn paper");
+        .expect("spawn binary");
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(output.status.success(), "paper fig14 failed:\n{stderr}");
-    let held = artifact_digest("fig14", &path, "fig14")
-        .and_then(|got| held_to("fig14", PAPER_DIGESTS[6].1, got));
+    assert!(output.status.success(), "{bin} {args} failed:\n{stderr}");
+    let held = artifact_digest(bin, &path, bin).and_then(|got| held_to(bin, digest, got));
     std::fs::remove_dir_all(&dir).ok();
     if let Err(moved) = held {
         panic!("{moved}");
     }
+}
+
+/// `paper` reads no scale multiplier: with one set, `fig14 --json P` still
+/// writes the pinned paper-scale artifact.
+#[test]
+fn paper_runs_at_paper_scale_under_any_multiplier() {
+    held_under_multiplier(PAPER, "fig14", "fig14", PAPER_DIGESTS[6].1);
+}
+
+/// Nor does `tune`: with one set, `--dataset cora` still writes the
+/// artifact the `tune` row pins.
+#[test]
+fn tune_runs_at_paper_scale_under_any_multiplier() {
+    held_under_multiplier(TUNE, "tune", "--dataset cora", INVOCATIONS[3].4);
 }
 
 /// A fresh scratch directory for one test.
@@ -1050,7 +1063,7 @@ fn a_timeline_window_too_narrow_for_the_horizon_exits_2() {
 /// does `xval --fit` on a grid it cannot fit; and so does `paper` for a
 /// name its table lacks, a stray flag after a name, and one `--json` path
 /// for all eleven artifacts. The two environment knobs
-/// (`NEURA_LAB_THREADS`, and `NEURA_BENCH_SCALE_MULT`, which `tune` reads)
+/// (`NEURA_LAB_THREADS`, and `NEURA_BENCH_SCALE_MULT`, which `serve` reads)
 /// are held to the same exit when set to something that is not a positive
 /// integer.
 #[test]
@@ -1133,7 +1146,7 @@ fn malformed_command_lines_exit_2_with_the_usage_text() {
     // usage text: no flag is at fault); both once panicked with exit 101.
     for (var, value, exe, args) in [
         ("NEURA_LAB_THREADS", "zero", PAPER, &["table1"][..]),
-        (neura_lab::SCALE_MULT_ENV, "abc", TUNE, &["--dataset", "cora"]),
+        (neura_lab::SCALE_MULT_ENV, "abc", SERVE, &["--fleet", "t4x1"]),
     ] {
         let output = Command::new(exe).args(args).env(var, value).output().expect("spawn");
         let stderr = String::from_utf8_lossy(&output.stderr);

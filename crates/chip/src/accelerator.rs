@@ -14,8 +14,8 @@
 //! 7. NeuraMems hash-accumulate the partial products,
 //! 8. completed hash-lines are evicted and written back to HBM.
 //!
-//! The walk is a private `Machine`: the assembled units plus the retry
-//! lists between them, with one method per stage (`dispatch`,
+//! The walk is a private `Machine`: the assembled units plus the queues of
+//! what one unit refused another, with one method per stage (`dispatch`,
 //! `tick_cores`, `tick_noc`, `tick_mems`, `tick_memory`, then
 //! `is_drained` → `flush_and_drain` → `report`), so a sampling profiler
 //! reads the stage split of the host's time off the function names. Every
@@ -44,6 +44,16 @@
 //! Both walks go in ascending unit index, the order that fixes how
 //! injections, controller submissions and write-backs interleave.
 //!
+//! A run ends when it drains or stops moving. Every cycle either makes
+//! progress — an instruction dispatched, an `MMH` retired or a `HACC`
+//! emitted, a NoC delivery, a `HACC` accumulated or a line evicted, a DRAM
+//! response — or it does not, and each kind of event happens at most a
+//! number of times the program's size bounds. A machine that goes
+//! [`ChipConfig::patience`] cycles without one is wedged (a full HashPad
+//! waiting head-of-line on a tag it cannot place is how), and the run
+//! returns [`ChipError::Wedged`]. So the cycle loop ends within
+//! `(events + 1) · patience` cycles.
+//!
 //! The memory side holds live state only. A HashPad stores its resident
 //! lines and an occupancy bit per line, not the whole array
 //! ([`crate::neuramem`]). A controller retires its in-flight requests
@@ -66,16 +76,18 @@ use neura_sim::{Cycle, Histogram};
 use neura_sparse::spgemm::SymbolicProduct;
 use neura_sparse::{CsrMatrix, DenseMatrix, SparseError};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Errors produced while running a workload on the accelerator model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChipError {
-    /// The simulation hit its cycle budget before the machine drained.
-    Incomplete {
-        /// Cycles simulated before giving up.
-        cycles: u64,
-        /// Partial products still unaccounted for.
+    /// The machine stopped moving before it drained: no progress event for
+    /// [`ChipConfig::patience`] cycles after `cycle`.
+    Wedged {
+        /// The last cycle in which anything made progress.
+        cycle: u64,
+        /// Partial products never accumulated.
         outstanding_haccs: u64,
     },
     /// The workload matrices had incompatible shapes.
@@ -85,9 +97,9 @@ pub enum ChipError {
 impl fmt::Display for ChipError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ChipError::Incomplete { cycles, outstanding_haccs } => write!(
+            ChipError::Wedged { cycle, outstanding_haccs } => write!(
                 f,
-                "simulation did not drain within {cycles} cycles ({outstanding_haccs} partial products outstanding)"
+                "simulation wedged: no progress after cycle {cycle} ({outstanding_haccs} partial products outstanding)"
             ),
             ChipError::Shape(e) => write!(f, "workload shape error: {e}"),
         }
@@ -315,13 +327,12 @@ fn scatter_into_pattern(program: Program, outputs: &[(u64, f64)]) -> CsrMatrix {
 #[derive(Debug)]
 pub struct Accelerator {
     config: ChipConfig,
-    max_cycles_override: Option<u64>,
 }
 
 impl Accelerator {
     /// Creates an accelerator with the given configuration.
     pub fn new(config: ChipConfig) -> Self {
-        Accelerator { config, max_cycles_override: None }
+        Accelerator { config }
     }
 
     /// The accelerator configuration.
@@ -329,18 +340,13 @@ impl Accelerator {
         &self.config
     }
 
-    /// Overrides the simulation cycle budget (mainly for tests).
-    pub fn with_max_cycles(mut self, max_cycles: u64) -> Self {
-        self.max_cycles_override = Some(max_cycles);
-        self
-    }
-
     /// Runs the SpGEMM `C = A × B` and returns the product with statistics.
     ///
     /// # Errors
     ///
     /// Returns [`ChipError::Shape`] when the shapes are incompatible and
-    /// [`ChipError::Incomplete`] if the simulation fails to drain.
+    /// [`ChipError::Wedged`] when the machine stops moving before it
+    /// drains.
     pub fn run_spgemm(&mut self, a: &CsrMatrix, b: &CsrMatrix) -> Result<SpgemmRun, ChipError> {
         self.run_spgemm_profiled(a, b, None)
     }
@@ -381,7 +387,8 @@ impl Accelerator {
     /// # Errors
     ///
     /// Returns [`ChipError::Shape`] when the shapes are incompatible and
-    /// [`ChipError::Incomplete`] if the simulation fails to drain.
+    /// [`ChipError::Wedged`] when the machine stops moving before it
+    /// drains.
     pub fn run_aggregation(
         &mut self,
         a: &CsrMatrix,
@@ -416,20 +423,17 @@ impl Accelerator {
     ///
     /// # Errors
     ///
-    /// Returns [`ChipError::Incomplete`] if the machine fails to drain within
-    /// the cycle budget.
+    /// Returns [`ChipError::Wedged`] when the machine stops moving before
+    /// it drains.
     fn run(
         &mut self,
         program: &Program,
         profiler: Option<&mut Profiler>,
     ) -> Result<(Vec<(u64, f64)>, ExecutionReport), ChipError> {
-        let max_cycles = self
-            .max_cycles_override
-            .unwrap_or_else(|| 200_000 + program.total_partial_products * 200);
         let machine = Machine::new(&self.config, program);
         match profiler {
-            Some(profiler) => machine.run(max_cycles, profiler),
-            None => machine.run(max_cycles, &mut ()),
+            Some(profiler) => machine.run(profiler),
+            None => machine.run(&mut ()),
         }
     }
 }
@@ -463,10 +467,14 @@ struct Machine<'p> {
     payloads: PayloadSlab,
     retry_reads: Vec<RetryRead>,
     retry_injections: Vec<Packet>,
-    /// `(mem, hacc)` a NeuraMem's full instruction buffer turned away.
-    retry_accepts: Vec<(usize, HaccInstruction)>,
+    /// Per NeuraMem, oldest first, the `HACC`s its full instruction buffer
+    /// turned away. A NeuraMem stays in `busy_mems` while its queue holds
+    /// any.
+    refused: Vec<VecDeque<HaccInstruction>>,
     /// `(tile, request)` write-backs not yet taken by their controller.
     retry_writebacks: Vec<(usize, MemoryRequest)>,
+    /// Something made progress in the current cycle (see [`Self::run`]).
+    progressed: bool,
     // Per-cycle scratch, allocated once.
     core_out: CoreTickOutput,
     delivered: Vec<Packet>,
@@ -508,8 +516,9 @@ impl<'p> Machine<'p> {
             payloads: PayloadSlab::default(),
             retry_reads: Vec::new(),
             retry_injections: Vec::new(),
-            retry_accepts: Vec::new(),
+            refused: vec![VecDeque::new(); total_mems],
             retry_writebacks: Vec::new(),
+            progressed: false,
             core_out: CoreTickOutput::default(),
             delivered: Vec::new(),
             done: Vec::new(),
@@ -518,15 +527,16 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Walks the machine cycle by cycle until it drains or `max_cycles`
-    /// — a bound on `total_cycles` — runs out.
+    /// Walks the machine cycle by cycle until it drains, or until
+    /// [`ChipConfig::patience`] cycles pass in which no stage reports
+    /// progress: then it is wedged.
     fn run<O: Observe>(
         mut self,
-        max_cycles: u64,
         obs: &mut O,
     ) -> Result<(Vec<(u64, f64)>, ExecutionReport), ChipError> {
-        let mut cycle = 0u64;
-        while cycle < max_cycles {
+        let patience = self.cfg.patience();
+        let mut last_progress = 0;
+        for cycle in 0.. {
             let now = Cycle(cycle);
             obs.begin_cycle(cycle);
             self.dispatch(obs);
@@ -536,20 +546,18 @@ impl<'p> Machine<'p> {
             self.tick_memory(now, obs);
             obs.end_cycle();
             if self.is_drained() {
-                let executed = cycle + 1;
-                cycle = self.flush_and_drain(cycle, max_cycles, obs);
-                // If the budget ran out in the epilogue, write-backs are
-                // uncommitted or the closing cycle does not fit.
-                if cycle < max_cycles {
-                    return Ok(self.report(executed, cycle + 1, obs));
-                }
+                let end = self.flush_and_drain(cycle, obs);
+                return Ok(self.report(cycle + 1, end + 1, obs));
+            }
+            if std::mem::take(&mut self.progressed) {
+                last_progress = cycle;
+            } else if cycle - last_progress >= patience {
                 break;
             }
-            cycle += 1;
         }
         let processed: u64 = self.mems.iter().map(|m| m.stats().haccs_processed).sum();
-        Err(ChipError::Incomplete {
-            cycles: cycle,
+        Err(ChipError::Wedged {
+            cycle: last_progress,
             outstanding_haccs: self.program.total_partial_products.saturating_sub(processed),
         })
     }
@@ -573,6 +581,8 @@ impl<'p> Machine<'p> {
             .dispatch_cycle(&mut self.cores, |core| Self::wake(awake, waiting, core));
         if placed == 0 {
             obs.note_dispatch_starved();
+        } else {
+            self.progressed = true;
         }
     }
 
@@ -600,6 +610,7 @@ impl<'p> Machine<'p> {
             let credit = if self.retry_injections.len() > 256 { 0 } else { self.cfg.core.ports };
             core.tick(now, credit, out);
             obs.record_core_tick(out.outcome, out.mmh_retired);
+            self.progressed |= out.mmh_retired > 0 || !out.haccs.is_empty();
             let tile = core.tile();
             let first_pipeline = core_idx * self.cfg.core.pipelines;
             for req in &out.memory_requests {
@@ -647,9 +658,15 @@ impl<'p> Machine<'p> {
     /// write-back.
     ///
     /// A NeuraMem has work when the NoC holds deliveries for it or it is in
-    /// `busy_mems`: it took a `HACC` it has not processed yet, or (barrier
-    /// policy) the pressure check below made it evict. The others are not
-    /// visited: their tick would find an empty instruction buffer.
+    /// `busy_mems`: it took a `HACC` it has not processed yet, it refused
+    /// one, or (barrier policy) the pressure check below made it evict. The
+    /// others are not visited: their tick would find an empty instruction
+    /// buffer.
+    ///
+    /// A refused `HACC` waits in the NeuraMem's `refused` queue. The queue
+    /// goes first in the NeuraMem's visit, for as long as its buffer takes
+    /// them, and a delivery joins its tail while it holds any, so a
+    /// NeuraMem takes its `HACC`s in the order they arrived.
     fn tick_mems<O: Observe>(&mut self, now: Cycle, obs: &mut O) {
         // Barrier-eviction baseline: completed hash-lines are only
         // released under capacity pressure (the "emergency barrier"),
@@ -667,45 +684,43 @@ impl<'p> Machine<'p> {
             }
         }
 
-        let (mems, busy_mems) = (&mut self.mems, &mut self.busy_mems);
-        self.retry_accepts.retain(|&(mem_idx, hacc)| {
-            let accepted = mems[mem_idx].accept(hacc);
-            if accepted {
-                busy_mems.insert(mem_idx);
-            }
-            !accepted
-        });
-
         let first_mem_node = self.cores.len();
         for node in self.noc.nodes_with_deliveries() {
-            busy_mems.insert(node - first_mem_node);
+            self.busy_mems.insert(node - first_mem_node);
+            self.progressed = true;
         }
-        busy_mems.retain(|mem_idx| {
-            let mem = &mut mems[mem_idx];
+        self.busy_mems.retain(|mem_idx| {
+            let (mem, refused) = (&mut self.mems[mem_idx], &mut self.refused[mem_idx]);
+            while refused.front().is_some_and(|&hacc| mem.accept(hacc)) {
+                refused.pop_front();
+            }
             self.noc.drain_delivered_into(first_mem_node + mem_idx, &mut self.delivered);
             for packet in self.delivered.drain(..) {
                 obs.record_hops(packet.hops);
                 let hacc = self.payloads.remove(packet.id);
-                if !mem.accept(hacc) {
-                    self.retry_accepts.push((mem_idx, hacc));
+                if !refused.is_empty() || !mem.accept(hacc) {
+                    refused.push_back(hacc);
                 }
             }
             let (occupied, stalls, haccs) =
                 (mem.occupancy(), mem.stats().pad_full_stalls, mem.stats().haccs_processed);
             mem.tick(now);
+            let accumulated = mem.stats().haccs_processed - haccs;
             obs.record_mem(
                 occupied,
                 mem.occupancy(),
                 mem.stats().pad_full_stalls - stalls,
-                mem.stats().haccs_processed - haccs,
+                accumulated,
             );
+            self.progressed |= accumulated > 0;
             let tile = mem_idx / self.cfg.mems_per_tile;
             while let Some(request) = pop_write_back(mem, &mut self.outputs) {
+                self.progressed = true;
                 if self.controllers[tile].submit(request, now).is_none() {
                     self.retry_writebacks.push((tile, request));
                 }
             }
-            !mem.is_idle()
+            !mem.is_idle() || !refused.is_empty()
         });
     }
 
@@ -727,6 +742,7 @@ impl<'p> Machine<'p> {
         for controller in controllers.iter_mut() {
             self.done.clear();
             controller.tick(now, &mut self.done);
+            self.progressed |= !self.done.is_empty();
             in_flight += controller.in_flight();
             for response in &self.done {
                 obs.record_dram_response(response.latency());
@@ -761,14 +777,13 @@ impl<'p> Machine<'p> {
     ///
     /// Read off the sets: a core asleep is idle unless it is `waiting`, and
     /// past [`Self::tick_mems`] a NeuraMem is in `busy_mems` exactly when it
-    /// has a backlog.
+    /// has a backlog or refused `HACC`s waiting.
     fn is_drained(&self) -> bool {
         self.dispatcher.is_done()
             && self.waiting.is_empty()
             && self.awake.all(|core| self.cores[core].is_idle())
             && self.noc.in_flight() == 0
             && self.retry_injections.is_empty()
-            && self.retry_accepts.is_empty()
             && self.retry_reads.is_empty()
             && self.busy_mems.is_empty()
             && self.controllers.iter().all(|c| c.pending() == 0)
@@ -778,11 +793,12 @@ impl<'p> Machine<'p> {
     ///
     /// Flushes barrier-mode residue (and any malformed counters) out of the
     /// HashPads, then keeps ticking the memory system from `cycle` until
-    /// every write-back is committed to DRAM or `max_cycles` is reached, so
-    /// that deferring evictions (HACC-BE) cannot dodge the output-write
-    /// cost. Returns the cycle it stopped at. No observer cycle is open:
-    /// only DRAM responses are reported.
-    fn flush_and_drain<O: Observe>(&mut self, mut cycle: u64, max_cycles: u64, obs: &mut O) -> u64 {
+    /// every write-back is committed to DRAM, so that deferring evictions
+    /// (HACC-BE) cannot dodge the output-write cost. Returns the cycle it
+    /// stopped at. No observer cycle is open: only DRAM responses are
+    /// reported. It always ends: with no reads left, every controller issues
+    /// its queued writes and retires them in a bounded number of cycles.
+    fn flush_and_drain<O: Observe>(&mut self, mut cycle: u64, obs: &mut O) -> u64 {
         for (mem_idx, mem) in self.mems.iter_mut().enumerate() {
             mem.barrier(Cycle(cycle));
             mem.flush(Cycle(cycle));
@@ -791,9 +807,7 @@ impl<'p> Machine<'p> {
                 self.retry_writebacks.push((mem_idx / self.cfg.mems_per_tile, request));
             }
         }
-        while (!self.retry_writebacks.is_empty()
-            || self.controllers.iter().any(|c| c.pending() > 0))
-            && cycle < max_cycles
+        while !self.retry_writebacks.is_empty() || self.controllers.iter().any(|c| c.pending() > 0)
         {
             self.tick_controllers(Cycle(cycle), obs);
             cycle += 1;
@@ -1034,42 +1048,6 @@ mod tests {
         assert!(run.report.dram_bytes_read > 0);
         assert!(run.report.dram_bytes_written >= run.report.evictions * 8);
         assert!(run.report.core_utilization > 0.0 && run.report.core_utilization <= 1.0);
-    }
-
-    #[test]
-    fn incomplete_simulation_is_detected() {
-        let a = small_graph(48, 8);
-        let mut chip = Accelerator::new(ChipConfig::tile_4()).with_max_cycles(5);
-        assert!(matches!(chip.run_spgemm(&a, &a), Err(ChipError::Incomplete { .. })));
-    }
-
-    /// A budget is a bound on `total_cycles`: one cycle short of the full
-    /// run must fail even when the machine itself has gone idle and only the
-    /// write-back epilogue (long under barrier eviction) is still running.
-    #[test]
-    fn cycle_budget_is_honoured_through_the_writeback_epilogue() {
-        let a = small_graph(48, 8);
-        for policy in [EvictionPolicy::Rolling, EvictionPolicy::Barrier] {
-            let config = ChipConfig::tile_4().with_eviction(policy);
-            let run_within = |budget: Option<u64>| {
-                let chip = Accelerator::new(config.clone());
-                let mut chip = match budget {
-                    Some(budget) => chip.with_max_cycles(budget),
-                    None => chip,
-                };
-                chip.run_spgemm(&a, &a).map(|run| run.report)
-            };
-            let full = run_within(None).expect("simulation drains");
-            let total = full.total_cycles;
-            for budget in total - 60..total {
-                match run_within(Some(budget)) {
-                    Err(ChipError::Incomplete { cycles, .. }) => assert_eq!(cycles, budget),
-                    other => panic!("{policy:?}: budget {budget} of {total} gave {other:?}"),
-                }
-            }
-            let exact = run_within(Some(total)).expect("the full run fits its own length");
-            assert_eq!(format!("{exact:?}"), format!("{full:?}"));
-        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::mapping::MappingKind;
 pub use neura_mem::HbmPreset;
 use neura_mem::HbmTiming;
+use neura_noc::TorusTopology;
 use serde::{Deserialize, Serialize};
 
 /// The three evaluated tile sizes.
@@ -338,6 +339,32 @@ impl ChipConfig {
         self.total_cores() * self.core.pipelines
     }
 
+    /// Cycles a run may pass without a progress event before it is
+    /// [`Wedged`](crate::accelerator::ChipError::Wedged) — derived from the
+    /// chip, not a knob.
+    ///
+    /// A machine that is still live waits longest for its next event (a
+    /// dispatch, an `MMH` retired or `HACC` emitted, a NoC delivery, a
+    /// `HACC` accumulated or line evicted, a DRAM response) when a request
+    /// waits at its controller behind all the controller can hold before
+    /// it: a full queue of `mem_queue_capacity` requests and the four
+    /// operand reads each pipeline of the tile has outstanding at most.
+    /// Each is at worst a row conflict, the fixed PHY latency and a burst
+    /// on the bus; what the response unblocks then crosses at most the
+    /// torus diameter. The paper's Tile-16 on HBM2 gets
+    /// (64 + 4 · 16) × (54 + 20 + 4) + 8 = 9 992 cycles. No draining run of
+    /// the paper artifacts, `xval`, `profile`, `tune`, `serve` or the test
+    /// suite goes more than 204 cycles without an event, and none comes
+    /// within a 49th of its own patience.
+    pub fn patience(&self) -> u64 {
+        let hbm = &self.hbm;
+        let burst = hbm.burst_bytes.div_ceil(hbm.bytes_per_cycle.max(1)) as u64;
+        let worst_access = hbm.row_conflict_latency + hbm.base_latency + burst;
+        let ahead = self.mem_queue_capacity + 4 * self.cores_per_tile * self.core.pipelines;
+        let torus = TorusTopology::for_nodes(self.total_cores() + self.total_mems());
+        ahead as u64 * worst_access + torus.diameter() as u64
+    }
+
     /// Total hash engines across all NeuraMems.
     pub fn total_hash_engines(&self) -> usize {
         self.total_mems() * self.mem.hash_engines
@@ -480,6 +507,18 @@ mod tests {
         assert_eq!(t64.total_mems(), 128);
         assert_eq!(t64.total_routers(), 256);
         assert_eq!(t64.total_pipelines(), 1024);
+    }
+
+    /// (queue + 4 reads × pipelines per tile) × worst access + diameter.
+    #[test]
+    fn patience_is_derived_from_the_chip() {
+        assert_eq!(ChipConfig::tile_4().patience(), (64 + 8) * 78 + 4);
+        assert_eq!(ChipConfig::tile_16().patience(), (64 + 64) * 78 + 8);
+        assert_eq!(ChipConfig::tile_64().patience(), (64 + 512) * 78 + 16);
+        let ddr4 = ChipConfig::tile_16().with_hbm_preset(HbmPreset::Ddr4);
+        assert_eq!(ddr4.patience(), 128 * (66 + 40 + 8) + 8);
+        let deep = ChipConfig::tile_16().with_mem_queue_capacity(128);
+        assert_eq!(deep.patience(), 192 * 78 + 8);
     }
 
     #[test]

@@ -116,8 +116,10 @@ impl NeuraMem {
         self.input.len() < self.config.instruction_buffer
     }
 
-    /// Enqueues a HACC instruction.  Returns `false` when the buffer is full
-    /// (the packet stays in the network — back-pressure).
+    /// Enqueues a HACC instruction.  Returns `false`, taking nothing, when
+    /// the buffer is full. The accelerator then keeps the refused `HACC`
+    /// outside the NoC, in a queue of this unit's that it offers again,
+    /// oldest first, before any later delivery.
     pub fn accept(&mut self, hacc: HaccInstruction) -> bool {
         if !self.can_accept() {
             return false;

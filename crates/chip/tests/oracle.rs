@@ -1,7 +1,7 @@
 //! The functional oracle: whatever the configuration and however
 //! degenerate the input, the simulated chip computes what the reference
-//! kernel computes, or says — with a typed error, inside its cycle
-//! budget — that it could not.
+//! kernel computes, or says — with a typed error, once it stops moving —
+//! that it could not.
 //!
 //! SpGEMM is compared with `==`, pattern *and* values. That is sound
 //! because every input here is integer-valued: partial products and their
@@ -225,34 +225,13 @@ fn aggregation_equals_the_reference_within_rounding() {
     }
 }
 
-/// A budget is a bound on `total_cycles`: every budget short of the full
-/// run is a typed `Incomplete` that spent exactly the budget — never a
-/// hang, never a truncated `Ok`.
-#[test]
-fn every_short_budget_is_incomplete() {
-    let a = dense_row_and_column();
-    for eviction in EVICTIONS {
-        let config = ChipConfig::tile_4().with_eviction(eviction);
-        let full = Accelerator::new(config.clone()).run_spgemm(&a, &a).expect("drains");
-        let total = full.report.total_cycles;
-        for budget in 0..total {
-            match Accelerator::new(config.clone()).with_max_cycles(budget).run_spgemm(&a, &a) {
-                Err(ChipError::Incomplete { cycles, .. }) => assert_eq!(cycles, budget),
-                other => panic!("{eviction:?}: budget {budget} of {total} gave {other:?}"),
-            }
-        }
-        let exact = Accelerator::new(config).with_max_cycles(total).run_spgemm(&a, &a);
-        assert_eq!(exact.expect("the full run fits its own length").product, full.product);
-    }
-}
-
 /// A HashPad smaller than the set of tags live at once cannot finish some
 /// of these runs (a full pad stalls head-of-line on a tag that is not
 /// resident). Whatever happens, the answer is the right product or the
-/// typed error within the budget.
+/// typed error, and a cell that wedges stopped moving early: these
+/// programs are a few dozen partial products long.
 #[test]
-fn an_undersized_hashpad_is_correct_or_incomplete() {
-    const BUDGET: u64 = 4_000;
+fn an_undersized_hashpad_is_correct_or_wedged() {
     let mut wedged = 0;
     for (name, a) in
         [("dense row + dense column", dense_row_and_column()), ("dense 6x6", dense_6x6())]
@@ -266,10 +245,10 @@ fn an_undersized_hashpad_is_correct_or_incomplete() {
                     config.mem.hashlines = hashlines;
                     let label =
                         format!("{name}, {hashlines} lines, {eviction:?} {}", mapping.name());
-                    match Accelerator::new(config).with_max_cycles(BUDGET).run_spgemm(&a, &a) {
+                    match Accelerator::new(config).run_spgemm(&a, &a) {
                         Ok(run) => assert_eq!(run.product, reference, "{label}"),
-                        Err(ChipError::Incomplete { cycles, outstanding_haccs }) => {
-                            assert_eq!(cycles, BUDGET, "{label}");
+                        Err(ChipError::Wedged { cycle, outstanding_haccs }) => {
+                            assert!(cycle < 1_000, "{label}: wedged at {cycle}");
                             assert!(outstanding_haccs > 0, "{label}");
                             wedged += 1;
                         }

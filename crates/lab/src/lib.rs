@@ -67,14 +67,12 @@ pub use tune::{Evaluation, Objective, RungContext, TuneOutcome, TuneSpec, Tuner}
 
 use std::path::PathBuf;
 
-/// Environment variable multiplying the workload down-scaling of the two
-/// tools whose full runs are still expensive, `serve` and `tune`.
+/// Environment variable multiplying the workload down-scaling of `serve`.
 ///
-/// Setting e.g. `NEURA_BENCH_SCALE_MULT=16` shrinks each of their workloads
-/// a further 16× (graphs never shrink below 32 nodes), turning them into
-/// seconds-long smoke runs; the artifact records the value. The paper
-/// artifacts, `xval` and `profile` do not read it: they always run at paper
-/// scale, under strict goldens.
+/// Setting e.g. `NEURA_BENCH_SCALE_MULT=16` shrinks each of its workloads
+/// a further 16× (graphs never shrink below 32 nodes); the artifact records
+/// the value. The paper artifacts, `xval`, `profile` and `tune` do not read
+/// it: they always run at paper scale.
 pub const SCALE_MULT_ENV: &str = "NEURA_BENCH_SCALE_MULT";
 
 /// The extra down-scaling multiplier from [`SCALE_MULT_ENV`] (1 if unset).

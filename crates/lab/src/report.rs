@@ -838,10 +838,13 @@ impl Artifact {
                         .and_then(JsonValue::as_str)
                         .ok_or("metric missing \"name\"")?
                         .to_string(),
-                    value: metric
-                        .get("value")
-                        .and_then(JsonValue::as_f64)
-                        .ok_or("metric missing \"value\"")?,
+                    // `null` is how a non-finite value was written.
+                    value: match metric.get("value") {
+                        Some(JsonValue::Null) => f64::NAN,
+                        value => {
+                            value.and_then(JsonValue::as_f64).ok_or("metric missing \"value\"")?
+                        }
+                    },
                     unit: metric.get("unit").and_then(JsonValue::as_str).map(str::to_string),
                 });
             }
@@ -1081,6 +1084,24 @@ mod tests {
         let parsed = Artifact::from_json(&parse_json(&text).unwrap()).unwrap();
         assert_eq!(parsed, artifact);
         assert_eq!(parsed.record("demo/a").unwrap().metric_value("gops"), Some(3.25));
+    }
+
+    /// A wedged tuner candidate scores `+inf`, which is written `null`:
+    /// the artifact still reads back, with NaN in its place, and writes the
+    /// same bytes again.
+    #[test]
+    fn a_non_finite_metric_reads_back_as_nan() {
+        let mut artifact = Artifact::new("demo", 1);
+        artifact.push(RunRecord::new("demo/wedged").metric("objective_score", f64::INFINITY));
+        let text = artifact.to_bytes();
+        let parsed = Artifact::from_json(&parse_json(&text).unwrap()).unwrap();
+        assert!(parsed
+            .record("demo/wedged")
+            .unwrap()
+            .metric_value("objective_score")
+            .unwrap()
+            .is_nan());
+        assert_eq!(parsed.to_bytes(), text);
     }
 
     #[test]

@@ -104,6 +104,11 @@ impl TorusTopology {
         dx.min(self.width - dx) + dy.min(self.height - dy)
     }
 
+    /// The largest [`Self::distance`] between two nodes.
+    pub fn diameter(&self) -> usize {
+        self.width / 2 + self.height / 2
+    }
+
     /// Next-hop direction under dimension-order (X then Y) minimal routing.
     /// Returns `Local` when `from == to`.
     pub fn route(&self, from: usize, to: usize) -> Direction {
@@ -255,6 +260,15 @@ mod tests {
             for b in [0, 5, 17, 63] {
                 assert_eq!(t.distance(a, b), t.distance(b, a));
             }
+        }
+    }
+
+    #[test]
+    fn diameter_is_the_longest_distance() {
+        for (width, height) in [(1, 1), (1, 4), (3, 3), (4, 3), (8, 8), (9, 7)] {
+            let t = TorusTopology::new(width, height);
+            let longest = (0..t.nodes()).map(|b| t.distance(0, b)).max();
+            assert_eq!(Some(t.diameter()), longest, "{width}x{height}");
         }
     }
 

@@ -54,16 +54,13 @@ artifacts:
     cargo run --release -q -p neura_bench --bin paper -- all --json
     ls -l target/artifacts/
 
-# Successive-halving ChipConfig auto-tuner at smoke scale, all datasets;
-# artifact collected at target/artifacts/tune.json.
-tune:
-    NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin tune -- --json
-    ls -l target/artifacts/tune.json
-
-# The tuner at paper scale (very slow): the fidelity ladder climbs to
+# Successive-halving ChipConfig auto-tuner at paper scale, all datasets;
+# artifact collected at target/artifacts/tune.json. About 10 s warm on a
+# 2-vCPU host (release build); the fidelity ladder climbs to
 # 256-2000-node analogs (the same node band the cycle-level figure
-# binaries simulate).
-tune-paper:
+# binaries simulate). A candidate the chip cannot finish wedges and is
+# ranked last.
+tune:
     cargo run --release -q -p neura_bench --bin tune -- --json
     ls -l target/artifacts/tune.json
 
