@@ -36,7 +36,7 @@ fn main() {
     }
 
     for row in selected {
-        let mut session = ArtifactSession::from_arg_list(row.name, 1, args.clone());
+        let mut session = ArtifactSession::from_arg_list(row.name, args.clone());
         (row.run)(&mut session);
         let written = session.finish();
         match row.check {

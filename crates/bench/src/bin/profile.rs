@@ -35,8 +35,7 @@
 //! The per-window attribution table prints for every cell when the sweep
 //! has at most four cells, otherwise only for the most-stalled cell.
 
-use neura_bench::{sim_matrix_at_fidelity, ChipGrid, GridCell};
-use neura_chip::accelerator::Accelerator;
+use neura_bench::{exit_wedged, price_class, sim_matrix_at_fidelity, ChipGrid, GridCell};
 use neura_chip::profile::{Profile, Profiler, StallCause, DEFAULT_WINDOW_CYCLES};
 use neura_lab::{fmt, print_table, profile_records, Artifact, Flags, Runner, PROFILE_SCHEMA};
 use std::path::PathBuf;
@@ -116,10 +115,11 @@ fn main() {
     // below is byte-identical across thread counts.
     let window = args.window;
     let profiles: Vec<Profile> = runner.run(&cells, move |_, cell: &GridCell| {
-        let a = sim_matrix_at_fidelity(&cell.dataset, cell.shrink, 1);
-        let mut chip = Accelerator::new(cell.config());
+        let a = sim_matrix_at_fidelity(&cell.dataset, cell.shrink);
         let mut profiler = Profiler::new(window);
-        chip.run_spgemm_profiled(&a, &a, Some(&mut profiler)).expect("simulation drains");
+        if let Err(e) = price_class(&cell.config(), &a, true, Some(&mut profiler)) {
+            exit_wedged("profile", &cell.dataset, cell.tile, Some(cell.hbm), &e);
+        }
         profiler.into_profile()
     });
 

@@ -9,7 +9,7 @@
 //!   `poisson`)
 //! - `--rps X` — mean arrival rate in requests/second (repeatable; default:
 //!   auto-calibrated to ~80% offered load on one reference shard, so
-//!   queueing is visible at every scale multiplier)
+//!   queueing is visible whatever the serving mix costs)
 //! - `--policy fifo|sjf|batch` — scheduling/batching policy (repeatable;
 //!   default: all three)
 //! - `--shards N` — homogeneous Tile-16 fleet of N shards (repeatable;
@@ -77,8 +77,7 @@
 //! every arm of a workload on the identical demand — and [`emit_outcomes`]
 //! writes them down.
 
-use neura_bench::{price_class, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED};
-use neura_chip::accelerator::ChipError;
+use neura_bench::{exit_wedged, price_class, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED};
 use neura_chip::config::{ChipConfig, TileSize};
 use neura_chip::profile::{Profile, Profiler, DEFAULT_WINDOW_CYCLES};
 use neura_lab::spec::derive_seed;
@@ -489,7 +488,6 @@ fn class_params(record: RunRecord, args: &Args, tile: TileSize, class: RequestCl
 fn price_classes(
     args: &Args,
     default_arms: bool,
-    scale_mult: usize,
     runner: &Runner,
     session: &mut ArtifactSession,
 ) -> Pricing {
@@ -511,9 +509,9 @@ fn price_classes(
         tiles.iter().flat_map(|&tile| classes.iter().map(move |&class| (tile, class))).collect();
 
     let price = |tile, class: RequestClass, exact, profiler: Option<&mut Profiler>| {
-        let a = sim_matrix_at_fidelity(&args.mix[class.dataset], class.shrink, scale_mult);
+        let a = sim_matrix_at_fidelity(&args.mix[class.dataset], class.shrink);
         price_class(&ChipConfig::for_tile_size(tile), &a, exact, profiler)
-            .unwrap_or_else(|e| unpriceable(&args.mix[class.dataset], tile, &e))
+            .unwrap_or_else(|e| exit_wedged("serve", &args.mix[class.dataset], tile, None, &e))
     };
     let exact = args.cost_model == CostModel::Cycle;
     let (mut priced, profiles): (Vec<ClassCost>, Vec<Option<Profile>>) = runner
@@ -552,12 +550,6 @@ fn price_classes(
     Pricing { classes, work, costs, profiles }
 }
 
-/// Ends the run on a class the chip cannot price: its simulation wedged.
-fn unpriceable(dataset: &str, tile: TileSize, error: &ChipError) -> ! {
-    eprintln!("serve: cannot price {dataset} on {}: {error}", tile.label());
-    std::process::exit(1);
-}
-
 /// The fleet every library scenario arm replays on.
 fn scenario_fleet() -> FleetMix {
     FleetMix::uniform(TileSize::Tile16, 2)
@@ -575,8 +567,8 @@ struct Calibration {
 }
 
 /// Phase 3 — calibrates every knob the command line left open. Absolute
-/// rates mean nothing across scale multipliers (a smoke run's requests are
-/// thousands of times cheaper than paper-scale ones), so arrival rate,
+/// rates mean nothing across serving mixes (a small dataset's requests are
+/// orders of magnitude cheaper than a large one's), so arrival rate,
 /// batch timeout, think time and autoscaler cadence all derive from the
 /// memoised mean service time of the first fleet's leading group.
 fn calibrate(args: &Args, default_arms: bool, pricing: &Pricing) -> Calibration {
@@ -597,7 +589,7 @@ fn calibrate(args: &Args, default_arms: bool, pricing: &Pricing) -> Calibration 
     let mut duration_s = args.duration_s.unwrap_or(DEFAULT_DURATION_S);
     if rps.is_empty() {
         let auto_rps = (0.8 / mean_service_s).max(1.0).round();
-        // Keep auto-rated streams to ~20k requests so smoke runs (where a
+        // Keep auto-rated streams to ~20k requests so cheap mixes (where a
         // request costs microseconds and the rate lands in the millions)
         // stay fast; an explicit --duration wins.
         if args.duration_s.is_none() {
@@ -683,7 +675,7 @@ fn enumerate_arms(
 
     // Library scenario arms: each replays on the scenario fleet at a rate
     // calibrated to `load x fleet capacity` — so "overload" means 3x
-    // capacity at every scale multiplier — with elastic scenarios under a
+    // capacity whatever the mix costs — with elastic scenarios under a
     // 1..4-shard autoscaler whose provisioning path doubles as the
     // crash-recovery path.
     if args.scenarios.is_empty() {
@@ -806,13 +798,12 @@ fn replay(
 /// without `--trace`).
 fn emit_outcomes(
     args: &Args,
-    scale_mult: usize,
     duration_s: f64,
     scenarios: &[ServeScenario],
     outcomes: &[(ServeOutcome, Option<Timeline>)],
     session: &mut ArtifactSession,
 ) -> Artifact {
-    let mut timeline_artifact = Artifact::new("serve", scale_mult).with_schema(TIMELINE_SCHEMA);
+    let mut timeline_artifact = Artifact::new("serve", 1).with_schema(TIMELINE_SCHEMA);
     let mut rows = Vec::new();
     for (scenario, (outcome, timeline)) in scenarios.iter().zip(outcomes) {
         let shard_seconds = outcome.shard_seconds();
@@ -894,8 +885,8 @@ fn print_notes(args: &Args, pricing: &Pricing) {
 /// `--profile`: one chip profile per memoised (chip fingerprint, request
 /// class) simulation — the exact cost-table entries the serving arms
 /// replay — as a `neura_lab.profile/v1` artifact.
-fn profile_artifact(args: &Args, scale_mult: usize, pricing: &Pricing) -> Artifact {
-    let mut artifact = Artifact::new("serve", scale_mult).with_schema(PROFILE_SCHEMA);
+fn profile_artifact(args: &Args, pricing: &Pricing) -> Artifact {
+    let mut artifact = Artifact::new("serve", 1).with_schema(PROFILE_SCHEMA);
     for (&(tile, class), chip_profile) in pricing.work.iter().zip(&pricing.profiles) {
         let chip_profile = chip_profile.as_ref().expect("cycle model profiles every pair");
         let scope = format!("serve/{}/{}/x{}", tile.label(), args.mix[class.dataset], class.shrink);
@@ -914,10 +905,9 @@ fn main() {
     let (mut args, flags) = parse_args();
     let default_arms = check_args(&mut args, &flags);
     let passthrough = std::mem::take(&mut args.passthrough);
-    let scale_mult = neura_lab::scale_multiplier();
-    let mut session = ArtifactSession::from_arg_list("serve", scale_mult, passthrough);
+    let mut session = ArtifactSession::from_arg_list("serve", passthrough);
     let runner = Runner::from_env();
-    let pricing = price_classes(&args, default_arms, scale_mult, &runner, &mut session);
+    let pricing = price_classes(&args, default_arms, &runner, &mut session);
     let cal = calibrate(&args, default_arms, &pricing);
     let scenarios = enumerate_arms(&args, default_arms, &pricing, &cal);
 
@@ -939,14 +929,13 @@ fn main() {
         session.set_meta("threads", runner.threads() as f64);
     }
 
-    let timeline =
-        emit_outcomes(&args, scale_mult, cal.duration_s, &scenarios, &outcomes, &mut session);
+    let timeline = emit_outcomes(&args, cal.duration_s, &scenarios, &outcomes, &mut session);
     print_notes(&args, &pricing);
     if let Some(path) = &args.trace {
         timeline.write_or_exit(path);
     }
     if let Some(path) = &args.profile {
-        profile_artifact(&args, scale_mult, &pricing).write_or_exit(path);
+        profile_artifact(&args, &pricing).write_or_exit(path);
     }
     session.finish();
 }

@@ -33,7 +33,7 @@
 //!   baseline comparison re-score on the cycle oracle, so the reported
 //!   winner is simulator-verified at a fraction of the simulations)
 
-use neura_bench::{price_class, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED};
+use neura_bench::{exit_wedged, price_class, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED};
 use neura_chip::accelerator::{Accelerator, ChipError};
 use neura_chip::analytic::{AnalyticModel, WorkloadFeatures};
 use neura_chip::config::{ChipConfig, HbmPreset};
@@ -163,12 +163,10 @@ fn run_serve_p99(
         .shrinks()
         .into_iter()
         .map(|rung_shrink| {
-            let workloads = REQUEST_SHRINKS
-                .map(|class| sim_matrix_at_fidelity(dataset, rung_shrink * class, 1));
-            let costs = class_costs(&baseline, &workloads, exact_references).unwrap_or_else(|e| {
-                eprintln!("tune: the paper-default chip cannot price {dataset}: {e}");
-                std::process::exit(1);
-            });
+            let workloads =
+                REQUEST_SHRINKS.map(|class| sim_matrix_at_fidelity(dataset, rung_shrink * class));
+            let costs = class_costs(&baseline, &workloads, exact_references)
+                .unwrap_or_else(|e| exit_wedged("tune", dataset, baseline.tile_size, None, &e));
             let classes = REQUEST_SHRINKS.map(|shrink| RequestClass { dataset: 0, shrink });
             let service_s = costs.mean_service_seconds(&baseline.fingerprint(), &classes);
             let rps = (0.8 / service_s).max(1.0).round();
@@ -226,7 +224,7 @@ fn run_kernel(
         .shrinks()
         .into_iter()
         .map(|shrink| {
-            let a = sim_matrix_at_fidelity(dataset, shrink, 1);
+            let a = sim_matrix_at_fidelity(dataset, shrink);
             let features = WorkloadFeatures::from_square(&a);
             (shrink, a, features)
         })
@@ -290,7 +288,7 @@ fn main() {
         datasets = DatasetCatalog::spgemm_suite().iter().map(|d| d.name.to_string()).collect();
     }
 
-    let mut session = ArtifactSession::from_arg_list("tune", 1, passthrough);
+    let mut session = ArtifactSession::from_arg_list("tune", passthrough);
     let runner = Runner::from_env();
 
     let mut rows = Vec::new();

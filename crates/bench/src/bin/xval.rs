@@ -42,8 +42,7 @@
 //!   Fitting defaults to shrinks 1, 2, 4, 8 so the model also covers the
 //!   tuner's reduced-fidelity rungs. A grid it cannot fit is a usage error.
 
-use neura_bench::{sim_matrix_at_fidelity, ChipGrid, GridCell};
-use neura_chip::accelerator::Accelerator;
+use neura_bench::{exit_wedged, price_class, sim_matrix_at_fidelity, ChipGrid, GridCell};
 use neura_chip::analytic::{
     feature_vector, AnalyticModel, GroupCoeffs, WorkloadFeatures, FEATURES,
 };
@@ -139,11 +138,11 @@ fn main() {
     // One cycle-level simulation per cell, fanned out on the lab runner;
     // the symbolic feature pass rides along in the same worker.
     let measured = Runner::from_env().run(&cells, |_, cell: &GridCell| {
-        let a = sim_matrix_at_fidelity(&cell.dataset, cell.shrink, 1);
-        let features = WorkloadFeatures::from_square(&a);
-        let mut chip = Accelerator::new(cell.config());
-        let report = chip.run_spgemm(&a, &a).expect("simulation drains").report;
-        Measured { features, cycle_cycles: report.total_cycles }
+        let a = sim_matrix_at_fidelity(&cell.dataset, cell.shrink);
+        let wedged = |e| exit_wedged("xval", &cell.dataset, cell.tile, Some(cell.hbm), &e);
+        let cycle_cycles =
+            price_class(&cell.config(), &a, true, None).unwrap_or_else(wedged).cycles;
+        Measured { features: WorkloadFeatures::from_square(&a), cycle_cycles }
     });
     if args.dump {
         return dump(&cells, &measured);
@@ -152,8 +151,7 @@ fn main() {
         return fit_and_print(&flags, &cells, &measured);
     }
 
-    let mut session =
-        ArtifactSession::from_arg_list("xval", 1, std::mem::take(&mut args.passthrough));
+    let mut session = ArtifactSession::from_arg_list("xval", std::mem::take(&mut args.passthrough));
     let per_dataset = cell_records(&args, &cells, &measured, &mut session);
 
     let mut rows = Vec::new();

@@ -6,8 +6,8 @@
 //! their own in `src/bin/`. The experiment machinery they run on —
 //! declarative sweeps, the parallel runner, table/JSON rendering and golden
 //! checks — lives in `neura_lab`; this crate keeps the dataset scaling glue,
-//! the [`ChipGrid`] the `xval` and `profile` sweeps share and the one class
-//! pricer ([`price_class`]) behind `serve` and `tune`.
+//! the [`ChipGrid`] the `xval` and `profile` sweeps share, and the simulating
+//! tools' class pricer ([`price_class`]) and wedge exit ([`exit_wedged`]).
 
 #![warn(missing_docs)]
 
@@ -76,14 +76,12 @@ pub fn dataset_flag(flags: &mut Flags) -> String {
 /// nodes like `fig16` and floored at 256 nodes so even the smallest
 /// analogs leave the halving ladder room to climb. `shrink` then divides
 /// that target, so every rung of a tuner really simulates a smaller graph
-/// — down to the generator's 32-node floor. `scale_mult` shrinks it a
-/// further `scale_mult`× (1 at paper scale; `serve` passes the
-/// [`neura_lab::scale_multiplier`] it reads).
-pub fn sim_matrix_at_fidelity(name: &str, shrink: usize, scale_mult: usize) -> CsrMatrix {
+/// — down to the generator's 32-node floor.
+pub fn sim_matrix_at_fidelity(name: &str, shrink: usize) -> CsrMatrix {
     let dataset = catalog_dataset(name);
     let full_nodes = (dataset.nodes / SIM_SCALE).clamp(256, 2_000);
     let target_nodes = (full_nodes / shrink.max(1)).max(32);
-    scaled_matrix(&dataset, (dataset.nodes / target_nodes).max(1).saturating_mul(scale_mult))
+    scaled_matrix(&dataset, (dataset.nodes / target_nodes).max(1))
 }
 
 /// Prices one request of the self-product `a · a` on `config`, on either
@@ -107,9 +105,25 @@ pub fn price_class(
     if !exact {
         return Ok(analytic_class_cost(config, &WorkloadFeatures::from_square(a)));
     }
-    let mut chip = Accelerator::new(config.clone());
-    let report = chip.run_spgemm_profiled(a, a, profiler)?.report;
+    let report = Accelerator::new(config.clone()).run_spgemm_profiled(a, a, profiler)?.report;
     Ok(ClassCost { cycles: report.total_cycles, flops: 2 * report.hacc_instructions })
+}
+
+/// Ends a run of `bin` on a cell whose simulation wedged, with exit code 1
+/// and one line on stderr, even when several workers wedge at once:
+/// `<bin>: cannot simulate <dataset> on <tile>[ at <hbm>]: <error>`.
+pub fn exit_wedged(
+    bin: &str,
+    dataset: &str,
+    tile: TileSize,
+    hbm: Option<HbmPreset>,
+    error: &ChipError,
+) -> ! {
+    static EXITING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _one_line = EXITING.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let at = hbm.map(|hbm| format!(" at {}", hbm.name())).unwrap_or_default();
+    eprintln!("{bin}: cannot simulate {dataset} on {}{at}: {error}", tile.label());
+    std::process::exit(1);
 }
 
 /// The chip tier a practitioner would deploy for a graph of this size
@@ -265,8 +279,8 @@ mod tests {
 
     #[test]
     fn fidelity_ladder_really_shrinks_when_unscaled() {
-        let full = sim_matrix_at_fidelity("cora", 1, 1).rows();
-        let cheap = sim_matrix_at_fidelity("cora", 8, 1).rows();
+        let full = sim_matrix_at_fidelity("cora", 1).rows();
+        let cheap = sim_matrix_at_fidelity("cora", 8).rows();
         assert!(full > cheap, "shrink 8 must simulate a smaller graph ({full} vs {cheap})");
         assert!(cheap >= 32);
     }

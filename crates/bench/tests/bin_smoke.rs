@@ -4,27 +4,22 @@
 //! as the commit before it.
 //!
 //! Each binary is executed as a real subprocess (the exact artifact `cargo
-//! run` would launch). `paper`, `xval`, `profile` and `tune` always run at
-//! paper scale, so their rows hold the reproduction's numbers (and the
-//! first three run its strict goldens). `serve` is launched with
-//! [`neura_lab::SCALE_MULT_ENV`] set (see [`tool`]) so its workloads
-//! shrink to seconds even in debug builds. The rows of
+//! run` would launch). Every binary runs at paper scale, the only scale
+//! there is, so every row holds the reproduction's own numbers (and
+//! `paper`, `xval` and `profile` run their strict goldens). The rows of
 //! [`INVOCATIONS`] execute concurrently on the same `neura_lab::Runner`
 //! scoped-thread pool the binaries themselves use for their sweeps, in one
 //! scratch directory; the rows of [`READERS`] — tools that read what a
 //! first-phase row wrote — follow. Beyond exit status 0 and non-empty
 //! stdout, each `--json` output must parse back through `neura_lab`'s
 //! artifact parser with at least one record and at least one metric per
-//! record, and every row is held to a digest (see [`Pin`]): at paper scale
-//! the numbers themselves, at smoke scale only that a refactor of a tool
-//! did not move them.
+//! record, and every row is held to a digest of its numbers (see [`Pin`]).
 //!
 //! **The digest column is captured on the parent commit, never on the
 //! change under test.** To (re)capture: copy this file over
 //! `crates/bench/tests/bin_smoke.rs` in a checkout of the parent, run
-//! `cargo test -p neura_bench --test bin_smoke all_binaries` with
-//! `NEURA_BENCH_SCALE_MULT` unset in the shell, and copy the `got` column
-//! of the mismatch report into the rows below. A row whose
+//! `cargo test -p neura_bench --test bin_smoke all_binaries`, and copy the
+//! `got` column of the mismatch report into the rows below. A row whose
 //! simulated bytes are *meant* to move is re-pinned the same way, from the
 //! commit that moved them, and its CHANGES.md entry says so.
 //!
@@ -39,10 +34,6 @@ use std::process::Command;
 use std::sync::OnceLock;
 
 use neura_lab::{parse_json, Artifact, RunRecord, Runner};
-
-/// The scale multiplier of every `serve` launch: extra down-scaling on top
-/// of its own scale factor.
-const SMOKE_MULT: &str = "32";
 
 /// What a row's digest — FNV-1a-64 — is taken over.
 #[derive(Debug, Clone, Copy)]
@@ -108,15 +99,15 @@ const INVOCATIONS: [Invocation; 18] = [
         "--dataset cora --objective serve-p99 --budget 40",
         0xc6a9186d1995ac47,
     ),
-    ("serve", SERVE, Pin::Artifact("serve"), "", 0xba79d245ba6bbe06),
+    ("serve", SERVE, Pin::Artifact("serve"), "", 0xa390f060e99f0442),
     // The analytic fast path through the serving layer: same scenarios,
     // classes priced by the closed-form model instead of cycle sims.
-    ("serve-analytic", SERVE, Pin::Artifact("serve"), "--cost-model analytic", 0x535bb9431eebe44e),
+    ("serve-analytic", SERVE, Pin::Artifact("serve"), "--cost-model analytic", 0x59e7076299ad2a53),
     // The third pricing model, in both binaries that take it: analytic
     // estimates rescaled through one cycle anchor per tile (`serve`), and
     // analytic screening with the final rung re-scored on the cycle oracle
     // (`tune`) — the `CostModel::Hybrid` arms nothing else runs.
-    ("serve-hybrid", SERVE, Pin::Artifact("serve"), "--cost-model hybrid", 0x4f849cb614753357),
+    ("serve-hybrid", SERVE, Pin::Artifact("serve"), "--cost-model hybrid", 0x9ea8af84190ced74),
     (
         "tune-hybrid",
         TUNE,
@@ -138,7 +129,7 @@ const INVOCATIONS: [Invocation; 18] = [
          --batch-timeout-ms 0.05 --fleet t64x1+t4x2 --fleet t16x2 --dispatch cost --autoscale 1:4 \
          --provision-ms 0.5 --check-ms 0.1 --queue-bound 32 --tenant a:1 --tenant b:2:50000 \
          --fault crash1+pf0.5",
-        0x12dfa8af61d0e971,
+        0x615bc564a4225139,
     ),
     // A closed one: a client population with its think time, split into
     // lanes, on `--shards`, the chip profiler riding on the class pricing.
@@ -148,7 +139,7 @@ const INVOCATIONS: [Invocation; 18] = [
         Pin::Artifact("serve"),
         "--clients 8 --think-ms 0.01 --lanes 2 --shards 2 --policy fifo --policy sjf \
          --profile serve-closed-flags.profile.json",
-        0x0460b05095308840,
+        0xdd5ab9594ed338a0,
     ),
     // A library one: the overload scenario beside one plain arm, replayed
     // as two epoch fragments and traced into the timeline the `timeline`
@@ -159,7 +150,7 @@ const INVOCATIONS: [Invocation; 18] = [
         Pin::Artifact("serve"),
         "--scenario overload --shards 1 --policy fifo --epochs 2 --window-ms 0.05 --no-meta \
          --trace serve-scenario-flags.timeline.json",
-        0xcaa0bd838d38e6c1,
+        0x6b253f6d516b8e44,
     ),
     // Cross-validation harness: two datasets prove the sampling loop, the
     // error-report schema and the accuracy golden (CI gates the whole
@@ -213,7 +204,7 @@ const READERS: [Invocation; 2] = [
         Pin::Stdout,
         "serve-scenario-flags.timeline.json --scope serve/scn-overload --max-worst-p99-ms 1e9 \
          --max-recovery-ms 1e9 --min-window-slo 0",
-        0x92d0118bd0bc55e5,
+        0x15b5bba2842f7c65,
     ),
     // `tune` writes no wall-clock meta, so a self-diff prints the same
     // line every time.
@@ -238,20 +229,10 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A command for `exe`, with [`SMOKE_MULT`] set when it is `serve`, the
-/// one tool that reads the scale multiplier.
-fn tool(exe: &str) -> Command {
-    let mut command = Command::new(exe);
-    if exe == SERVE {
-        command.env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT);
-    }
-    command
-}
-
 /// Runs one row in `dir` and holds what it produced to the row's digest.
 fn run_smoke(row: &Invocation, dir: &Path) -> Result<(), String> {
     let &(label, exe, pin, args, digest) = row;
-    let mut command = tool(exe);
+    let mut command = Command::new(exe);
     command.current_dir(dir);
     command.args(args.split_whitespace());
     if let Pin::Artifact(_) = pin {
@@ -317,8 +298,7 @@ fn held_to(label: &str, digest: u64, got: u64) -> Result<(), String> {
 }
 
 /// Parses the artifact at `path` and checks the schema contract: it names
-/// `bin` and the scale its launch ran at (see [`tool`]), and every record
-/// carries a metric.
+/// `bin` and paper scale, and every record carries a metric.
 fn read_artifact(path: &Path, bin: &str) -> Result<Artifact, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("did not write {}: {e}", path.display()))?;
@@ -329,8 +309,7 @@ fn read_artifact(path: &Path, bin: &str) -> Result<Artifact, String> {
     if artifact.bin != bin {
         return Err(format!("artifact names bin {:?}, expected {bin:?}", artifact.bin));
     }
-    let scale_mult = if bin == "serve" { SMOKE_MULT } else { "1" };
-    if artifact.scale_mult.to_string() != scale_mult {
+    if artifact.scale_mult != 1 {
         return Err(format!("artifact records scale_mult {}", artifact.scale_mult));
     }
     if artifact.records.is_empty() {
@@ -646,46 +625,13 @@ fn every_documented_flag_is_passed_by_some_invocation() {
 /// once panicked calibrating the scenario fleet it was not going to run).
 #[test]
 fn a_fleet_without_tile16_silicon_serves() {
-    let output =
-        tool(SERVE).args(["--fleet", "t4x1", "--policy", "fifo"]).output().expect("spawn serve");
+    let output = Command::new(SERVE)
+        .args(["--fleet", "t4x1", "--policy", "fifo"])
+        .output()
+        .expect("spawn serve");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(output.status.success(), "serve --fleet t4x1 failed:\n{stderr}");
     assert!(String::from_utf8_lossy(&output.stdout).contains("poisson/"), "no arm was replayed");
-}
-
-/// Runs `exe args --json P` with the scale multiplier set and holds the
-/// artifact of `bin` it writes to `digest`, the paper-scale pin.
-fn held_under_multiplier(exe: &str, bin: &str, args: &str, digest: u64) {
-    let dir = scratch_dir(&format!("{bin}_scale"));
-    let path = dir.join(format!("{bin}.json"));
-    let output = Command::new(exe)
-        .args(args.split_whitespace())
-        .arg("--json")
-        .arg(&path)
-        .env(neura_lab::SCALE_MULT_ENV, SMOKE_MULT)
-        .output()
-        .expect("spawn binary");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(output.status.success(), "{bin} {args} failed:\n{stderr}");
-    let held = artifact_digest(bin, &path, bin).and_then(|got| held_to(bin, digest, got));
-    std::fs::remove_dir_all(&dir).ok();
-    if let Err(moved) = held {
-        panic!("{moved}");
-    }
-}
-
-/// `paper` reads no scale multiplier: with one set, `fig14 --json P` still
-/// writes the pinned paper-scale artifact.
-#[test]
-fn paper_runs_at_paper_scale_under_any_multiplier() {
-    held_under_multiplier(PAPER, "fig14", "fig14", PAPER_DIGESTS[6].1);
-}
-
-/// Nor does `tune`: with one set, `--dataset cora` still writes the
-/// artifact the `tune` row pins.
-#[test]
-fn tune_runs_at_paper_scale_under_any_multiplier() {
-    held_under_multiplier(TUNE, "tune", "--dataset cora", INVOCATIONS[3].4);
 }
 
 /// A fresh scratch directory for one test.
@@ -704,7 +650,7 @@ type Launch = (&'static str, &'static str, &'static str, &'static str);
 /// Runs one launch in `dir` and returns the text of the artifact it wrote.
 fn launch(dir: &Path, &(exe, label, threads, args): &Launch) -> String {
     let path = dir.join(format!("{label}.json"));
-    let output = tool(exe)
+    let output = Command::new(exe)
         .current_dir(dir)
         .arg("--json")
         .arg(&path)
@@ -1037,7 +983,7 @@ fn serve_is_thread_invariant_and_trend_diffs_directories() {
 fn a_timeline_window_too_narrow_for_the_horizon_exits_2() {
     let dir = std::env::temp_dir().join(format!("neura_narrow_window_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let output = tool(SERVE)
+    let output = Command::new(SERVE)
         .args(["--window-ms", "0.0000001", "--trace"])
         .arg(dir.join("timeline.json"))
         .arg("--json")
@@ -1062,9 +1008,8 @@ fn a_timeline_window_too_narrow_for_the_horizon_exits_2() {
 /// count, an epoch count — when they pass what a replay may allocate; so
 /// does `xval --fit` on a grid it cannot fit; and so does `paper` for a
 /// name its table lacks, a stray flag after a name, and one `--json` path
-/// for all eleven artifacts. The two environment knobs
-/// (`NEURA_LAB_THREADS`, and `NEURA_BENCH_SCALE_MULT`, which `serve` reads)
-/// are held to the same exit when set to something that is not a positive
+/// for all eleven artifacts. The one environment knob, `NEURA_LAB_THREADS`,
+/// is held to the same exit when set to something that is not a positive
 /// integer.
 #[test]
 fn malformed_command_lines_exit_2_with_the_usage_text() {
@@ -1143,16 +1088,29 @@ fn malformed_command_lines_exit_2_with_the_usage_text() {
         }
     }
     // A set-but-malformed environment knob ends the run the same way (no
-    // usage text: no flag is at fault); both once panicked with exit 101.
-    for (var, value, exe, args) in [
-        ("NEURA_LAB_THREADS", "zero", PAPER, &["table1"][..]),
-        (neura_lab::SCALE_MULT_ENV, "abc", SERVE, &["--fleet", "t4x1"]),
-    ] {
-        let output = Command::new(exe).args(args).env(var, value).output().expect("spawn");
+    // usage text: no flag is at fault); it once panicked with exit 101.
+    let output =
+        Command::new(PAPER).arg("table1").env("NEURA_LAB_THREADS", "zero").output().expect("spawn");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "NEURA_LAB_THREADS=zero: exit code\n{stderr}");
+    assert_eq!(stderr, "NEURA_LAB_THREADS=\"zero\" is not a positive integer\n");
+    assert!(output.stdout.is_empty(), "NEURA_LAB_THREADS=zero: nothing may run before the exit");
+}
+
+/// A cell the chip cannot simulate ends `xval` and `profile` with exit code
+/// 1 and one line naming the cell and the wedge: `cit-Patents` does not
+/// drain on Tile-4 (both tools once panicked on it with exit 101).
+#[test]
+fn a_wedged_cell_exits_1_with_one_line() {
+    let wedge = "simulation wedged: no progress after cycle 68935 \
+                 (180345 partial products outstanding)";
+    for (bin, exe) in [("xval", XVAL), ("profile", PROFILE)] {
+        let output = Command::new(exe)
+            .args(["--dataset", "cit-Patents", "--tile", "t4", "--hbm", "hbm2"])
+            .output()
+            .expect("spawn binary");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        let complaint = format!("{var}={value:?} is not a positive integer\n");
-        assert_eq!(output.status.code(), Some(2), "{var}={value}: exit code\n{stderr}");
-        assert_eq!(stderr, complaint, "{var}={value}: the complaint and nothing else");
-        assert!(output.stdout.is_empty(), "{var}={value}: nothing may run before the exit");
+        assert_eq!(output.status.code(), Some(1), "{bin}: exit code\n{stderr}");
+        assert_eq!(stderr, format!("{bin}: cannot simulate cit-Patents on t4 at hbm2: {wedge}\n"));
     }
 }

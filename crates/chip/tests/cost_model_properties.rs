@@ -135,9 +135,9 @@ proptest! {
 
 /// Regenerates a dataset's paper-scale cycle-simulator matrix: the same
 /// deterministic recipe as `neura_bench::sim_matrix_at_fidelity` at
-/// shrink 1 and scale multiplier 1, as `xval` runs it (this crate sits below
-/// `neura_bench`, so the formula is restated here; the seed and the
-/// 512× / [256, 2000] band are pinned by the xval grid).
+/// shrink 1, as `xval` runs it (this crate sits below `neura_bench`, so the
+/// formula is restated here; the seed and the 512× / [256, 2000] band are
+/// pinned by the xval grid).
 fn paper_scale_matrix(name: &str) -> neura_sparse::CsrMatrix {
     let dataset = DatasetCatalog::by_name(name).expect("dataset is in the catalog");
     let target_nodes = (dataset.nodes / 512).clamp(256, 2_000);

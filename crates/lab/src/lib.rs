@@ -42,7 +42,7 @@
 //! ```no_run
 //! use neura_lab::{ArtifactSession, RunRecord};
 //!
-//! let mut session = ArtifactSession::from_arg_list("demo", 1, std::env::args().skip(1));
+//! let mut session = ArtifactSession::from_arg_list("demo", std::env::args().skip(1));
 //! session.push(RunRecord::new("demo/point").metric("total_cycles", 1234.0));
 //! session.finish(); // writes target/artifacts/demo.json when --json was given
 //! ```
@@ -66,25 +66,6 @@ pub use trend::{MetricDelta, TrendReport};
 pub use tune::{Evaluation, Objective, RungContext, TuneOutcome, TuneSpec, Tuner};
 
 use std::path::PathBuf;
-
-/// Environment variable multiplying the workload down-scaling of `serve`.
-///
-/// Setting e.g. `NEURA_BENCH_SCALE_MULT=16` shrinks each of its workloads
-/// a further 16× (graphs never shrink below 32 nodes); the artifact records
-/// the value. The paper artifacts, `xval`, `profile` and `tune` do not read
-/// it: they always run at paper scale.
-pub const SCALE_MULT_ENV: &str = "NEURA_BENCH_SCALE_MULT";
-
-/// The extra down-scaling multiplier from [`SCALE_MULT_ENV`] (1 if unset).
-///
-/// # Exits
-///
-/// With code 2 when the variable is set but not a positive integer: a typo
-/// here would otherwise silently run the full paper-scale simulation, which
-/// is exactly what the caller was trying to avoid.
-pub fn scale_multiplier() -> usize {
-    positive_env(SCALE_MULT_ENV).unwrap_or(1)
-}
 
 /// The positive integer in environment variable `name`, `None` when unset.
 /// A value that is set but is not one (garbage, 0, overflow) ends the
@@ -218,11 +199,7 @@ impl ArtifactSession {
     ///
     /// Exits the process with code 2 (and a usage message on stderr) on an
     /// unrecognised argument, and with code 0 on `--help`.
-    pub fn from_arg_list(
-        bin: &str,
-        scale_mult: usize,
-        args: impl IntoIterator<Item = String>,
-    ) -> Self {
+    pub fn from_arg_list(bin: &str, args: impl IntoIterator<Item = String>) -> Self {
         let mut json_path = None;
         let mut flags = Flags::new(Self::usage(bin), args);
         while let Some(arg) = flags.next() {
@@ -238,7 +215,7 @@ impl ArtifactSession {
                 other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
             }
         }
-        ArtifactSession { artifact: Artifact::new(bin, scale_mult), json_path }
+        ArtifactSession { artifact: Artifact::new(bin, 1), json_path }
     }
 
     fn usage(bin: &str) -> String {
@@ -291,23 +268,22 @@ mod tests {
 
     #[test]
     fn no_args_means_no_json_emission() {
-        let session = ArtifactSession::from_arg_list("demo", 1, strings(&[]));
+        let session = ArtifactSession::from_arg_list("demo", strings(&[]));
         assert_eq!(session.json_path.as_deref(), None);
         assert_eq!(session.artifact.bin, "demo");
     }
 
     #[test]
     fn bare_json_flag_uses_the_default_path() {
-        let session = ArtifactSession::from_arg_list("demo", 1, strings(&["--json"]));
+        let session = ArtifactSession::from_arg_list("demo", strings(&["--json"]));
         assert_eq!(session.json_path.as_deref(), Some(Artifact::default_path("demo").as_path()));
     }
 
     #[test]
     fn json_flag_accepts_an_explicit_path() {
-        let session =
-            ArtifactSession::from_arg_list("demo", 4, strings(&["--json", "/tmp/out.json"]));
+        let session = ArtifactSession::from_arg_list("demo", strings(&["--json", "/tmp/out.json"]));
         assert_eq!(session.json_path.as_deref(), Some(std::path::Path::new("/tmp/out.json")));
-        assert_eq!(session.artifact.scale_mult, 4);
+        assert_eq!(session.artifact.scale_mult, 1);
     }
 
     #[test]
@@ -315,20 +291,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("neura_lab_session_{}", std::process::id()));
         let path = dir.join("demo.json");
         let mut session =
-            ArtifactSession::from_arg_list("demo", 1, strings(&["--json", path.to_str().unwrap()]));
+            ArtifactSession::from_arg_list("demo", strings(&["--json", path.to_str().unwrap()]));
         session.push(RunRecord::new("demo/a").metric("m", 1.5));
         let artifact = session.finish();
         let text = std::fs::read_to_string(&path).unwrap();
         let parsed = Artifact::from_json(&parse_json(&text).unwrap()).unwrap();
         assert_eq!(parsed, artifact);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn scale_multiplier_defaults_to_one() {
-        // The test environment does not set the variable.
-        if std::env::var(SCALE_MULT_ENV).is_err() {
-            assert_eq!(scale_multiplier(), 1);
-        }
     }
 }

@@ -673,7 +673,9 @@ pub struct Artifact {
     pub schema: String,
     /// Name of the emitting binary (`"fig16"`, `"table5"`, …).
     pub bin: String,
-    /// The [`crate::scale_multiplier`] the run used (1 = paper scale).
+    /// The workload down-scaling the run used: 1, paper scale, for every
+    /// binary of the workspace (artifacts of older commits may record more,
+    /// which [`crate::trend`] warns about).
     pub scale_mult: usize,
     /// Document-level metadata in insertion order — measurement context
     /// (wall-clock, parallelism) that is *not* gated: `trend` diffs only

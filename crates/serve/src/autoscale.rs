@@ -49,8 +49,8 @@ impl AutoscalePolicy {
     /// Defaults: decisions every 10 ms, a 50 ms provisioning delay and a
     /// scale-up threshold of 4 queued requests per active shard — override
     /// with the builders (the `serve` binary derives interval and delay
-    /// from the memoised mean service time so they stay meaningful at
-    /// every scale multiplier).
+    /// from the memoised mean service time so they stay meaningful
+    /// whatever the serving mix costs).
     ///
     /// # Panics
     ///

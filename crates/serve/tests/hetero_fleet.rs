@@ -7,9 +7,9 @@
 //! Costs are pinned to the chips' Table-5 peak throughputs (8 / 32 / 128
 //! GFLOP/s for Tile-4/16/64): a request of `w` flops takes `w / peak`
 //! seconds, the throughput-bound regime the paper's scaling argument
-//! describes. That keeps the scenario deterministic and meaningful at
-//! smoke scale, where cycle-level simulations of tiny graphs stop
-//! separating the tile sizes. Both fleets aggregate 160 GFLOP/s over five
+//! describes. That keeps the scenario deterministic and meaningful on
+//! small graphs, where cycle-level simulations stop separating the tile
+//! sizes. Both fleets aggregate 160 GFLOP/s over five
 //! shards; the only difference is how the silicon is carved up — exactly
 //! the variable the dispatch policy exploits.
 

@@ -64,38 +64,41 @@ tune:
     cargo run --release -q -p neura_bench --bin tune -- --json
     ls -l target/artifacts/tune.json
 
-# Request-stream serving simulation at smoke scale. The default run
-# covers the classic shard-scaling sweep plus one heterogeneous
-# (Tile-64 + Tile-4, all three dispatch policies), one closed-loop and
-# one autoscaled scenario; artifact at target/artifacts/serve.json.
+# Request-stream serving simulation at paper scale: memoised request costs
+# come from 256-2000-node cycle-level simulations, so tail latencies are in
+# the realistic millisecond band. The default run covers the classic
+# shard-scaling sweep plus one heterogeneous (Tile-64 + Tile-4, all three
+# dispatch policies), one closed-loop and one autoscaled scenario, and the
+# scenario library; artifact at target/artifacts/serve.json. About 0.5 s
+# warm on a 2-vCPU host (release build).
 serve:
-    NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin serve -- --json
+    cargo run --release -q -p neura_bench --bin serve -- --json
     ls -l target/artifacts/serve.json
 
-# Parallel-in-time serving engine checks: the smoke sweep replayed as 3
+# Parallel-in-time serving engine checks: the default sweep replayed as 3
 # epoch fragments on 2 and 8 workers must reproduce the serial artifact
 # byte for byte (--no-meta strips the wall-clock meta so cmp is exact);
 # and the serial artifact is additionally gated byte-for-byte against
 # the committed baseline (re-baseline deliberately with
 # `just serve-rebaseline`).
 serve-parallel:
-    NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin serve -- \
+    cargo run --release -q -p neura_bench --bin serve -- \
         --json target/artifacts/serve-serial.json --no-meta
-    NEURA_LAB_THREADS=2 NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin serve -- \
+    NEURA_LAB_THREADS=2 cargo run --release -q -p neura_bench --bin serve -- \
         --json target/artifacts/serve-epochs-t2.json --no-meta --epochs 3
-    NEURA_LAB_THREADS=8 NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin serve -- \
+    NEURA_LAB_THREADS=8 cargo run --release -q -p neura_bench --bin serve -- \
         --json target/artifacts/serve-epochs-t8.json --no-meta --epochs 3
     cmp target/artifacts/serve-serial.json target/artifacts/serve-epochs-t2.json
     cmp target/artifacts/serve-serial.json target/artifacts/serve-epochs-t8.json
     cargo run --release -q -p neura_bench --bin trend -- \
-        baselines/serve-smoke.json target/artifacts/serve-serial.json --fail-above 0
+        baselines/serve.json target/artifacts/serve-serial.json --fail-above 0
 
-# Refresh the committed serving smoke baseline after an intentional
+# Refresh the committed serving baseline after an intentional
 # serving-layer change (review the trend diff first).
 serve-rebaseline:
-    NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin serve -- \
+    cargo run --release -q -p neura_bench --bin serve -- \
         --json target/artifacts/serve-serial.json --no-meta
-    cp target/artifacts/serve-serial.json baselines/serve-smoke.json
+    cp target/artifacts/serve-serial.json baselines/serve.json
 
 # The serving sweep with request-lifecycle tracing on: besides
 # serve.json (byte-identical to an untraced run), writes the windowed
@@ -103,16 +106,9 @@ serve-rebaseline:
 # summarises it — worst-window p99 vs the aggregate, crash recovery,
 # windowed SLO attainment — through the timeline binary.
 trace:
-    NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin serve -- --json --trace
+    cargo run --release -q -p neura_bench --bin serve -- --json --trace
     cargo run --release -q -p neura_bench --bin timeline
     ls -l target/artifacts/timeline.json
-
-# Serving scenarios at paper scale: memoised request costs come from
-# 256-2000-node cycle-level simulations, so tail latencies are in the
-# realistic millisecond band. About 0.2 s warm on a 2-vCPU host.
-serve-paper:
-    cargo run --release -q -p neura_bench --bin serve -- --json
-    ls -l target/artifacts/serve.json
 
 # The scenario-library and failure-injection property suites alone:
 # pinned load-shedding, tenant rate-limit, crash/recovery and
