@@ -44,10 +44,6 @@
 //!   emit a windowed `neura_lab.timeline/v1` artifact beside the run
 //!   artifact (default `target/artifacts/timeline.json`); `--window-ms X`
 //!   fixes the window width (default: 1/50th of the horizon)
-//! - `--profile [PATH]` — attach the chip profiler to the per-class cost
-//!   simulations (cycle cost model only) and emit one
-//!   `neura_lab.profile/v1` profile per (chip fingerprint, request class)
-//!   beside the run artifact (default `target/artifacts/serve-profile.json`)
 //! - `--epochs N` — run every scenario replay through the
 //!   parallel-in-time engine (`neura_serve::engine`): the timeline splits
 //!   into N equal epochs whose fragments replay concurrently and merge at
@@ -79,20 +75,18 @@
 
 use neura_bench::{exit_wedged, price_class, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED};
 use neura_chip::config::{ChipConfig, TileSize};
-use neura_chip::profile::{Profile, Profiler, DEFAULT_WINDOW_CYCLES};
 use neura_lab::spec::derive_seed;
 use neura_lab::{
-    fmt, print_table, profile_records, Artifact, ArtifactSession, Flags, RunRecord, Runner,
-    PROFILE_SCHEMA, TIMELINE_SCHEMA,
+    fmt, print_table, Artifact, ArtifactSession, Flags, RunRecord, Runner, TIMELINE_SCHEMA,
 };
 use neura_serve::cost::{hybrid_scaled_cycles, CostModel};
 use neura_serve::engine::MAX_EPOCHS;
 use neura_serve::policy::DEFAULT_MAX_BATCH;
 use neura_serve::{
     simulate_config_parallel, simulate_config_traced_parallel, ArrivalProcess, AutoscalePolicy,
-    ClassCost, CostTable, DispatchKind, EnginePlan, FaultSpec, FleetMix, Policy, RateShape,
-    RequestClass, ScenarioSpec, ServeConfig, ServeOutcome, ServeScenario, ServeSweep, ShapedStream,
-    TenantMix, TenantSpec, Timeline, Workload, WorkloadAxis, MAX_CRASHES, MAX_STREAM_REQUESTS,
+    CostTable, DispatchKind, EnginePlan, FaultSpec, FleetMix, Policy, RateShape, RequestClass,
+    ScenarioSpec, ServeConfig, ServeOutcome, ServeScenario, ServeSweep, ShapedStream, TenantMix,
+    TenantSpec, Timeline, Workload, WorkloadAxis, MAX_CRASHES, MAX_STREAM_REQUESTS,
     MAX_TIMELINE_WINDOWS,
 };
 use std::path::PathBuf;
@@ -119,8 +113,8 @@ fn usage() -> String {
      \x20            [--autoscale MIN:MAX] [--provision-ms X] [--check-ms X]\n\
      \x20            [--duration S] [--dataset NAME]... [--max-batch N] [--batch-timeout-ms X]\n\
      \x20            [--scenario NAME]... [--queue-bound N] [--tenant SPEC]... [--fault SPEC]\n\
-     \x20            [--trace [PATH]] [--profile [PATH]] [--window-ms X] [--cost-model M]\n\
-     \x20            [--epochs N] [--lanes L] [--no-meta]\n\
+     \x20            [--trace [PATH]] [--window-ms X] [--cost-model M] [--epochs N]\n\
+     \x20            [--lanes L] [--no-meta]\n\
      \n\
      --json [PATH]         write a machine-readable artifact (default: target/artifacts/serve.json)\n\
      --arrival A           poisson | bursty (repeatable; default: poisson)\n\
@@ -150,9 +144,6 @@ fn usage() -> String {
      --fault SPEC          fault regime for the plain arms, e.g. crash2+pf0.5+deg0x3.0\n\
      --trace [PATH]        record request lifecycles and write a windowed neura_lab.timeline/v1\n\
      \x20                    artifact (default: target/artifacts/timeline.json)\n\
-     --profile [PATH]      profile the per-class cost simulations (cycle cost model only) and\n\
-     \x20                    write a neura_lab.profile/v1 artifact (default:\n\
-     \x20                    target/artifacts/serve-profile.json)\n\
      --window-ms X         timeline window width (default: 1/50th of the horizon)\n\
      --cost-model M        cycle | analytic | hybrid — how request classes are priced\n\
      \x20                    (default: cycle = the cycle-accurate oracle; analytic = the\n\
@@ -195,9 +186,8 @@ struct Args {
     /// The regime as typed, over a placeholder seed and window: every arm
     /// fills in its own (see [`replay`]).
     fault: Option<FaultSpec>,
-    /// Where `--trace` / `--profile` write their side artifact.
+    /// Where `--trace` writes its side artifact.
     trace: Option<PathBuf>,
-    profile: Option<PathBuf>,
     window_ms: Option<f64>,
     cost_model: CostModel,
     epochs: Option<usize>,
@@ -320,8 +310,11 @@ impl Args {
     /// are priced, how replays are split, what is written — or a refusal.
     fn take_run_flag(&mut self, arg: &str, flags: &mut Flags) {
         match arg {
-            "--trace" => self.trace = Some(side_path(flags, "timeline")),
-            "--profile" => self.profile = Some(side_path(flags, "serve-profile")),
+            "--trace" => {
+                let path = flags.optional_path();
+                self.trace =
+                    Some(path.map_or_else(|| Artifact::default_path("timeline"), PathBuf::from));
+            }
             "--window-ms" => {
                 self.window_ms = Some(flags.parsed(arg, "a positive width", Flags::positive));
             }
@@ -347,11 +340,6 @@ impl Args {
 /// The value of `arg` as a count within `1..=max` (`--clients`, `--epochs`).
 fn bounded(flags: &mut Flags, arg: &str, max: usize) -> usize {
     flags.parsed(arg, &format!("an integer within 1..={max}"), |n| (1..=max).contains(n))
-}
-
-/// The optional PATH of `--trace` / `--profile`, or the flag's default.
-fn side_path(flags: &mut Flags, default_stem: &str) -> PathBuf {
-    flags.optional_path().map_or_else(|| Artifact::default_path(default_stem), PathBuf::from)
 }
 
 fn parse_args() -> (Args, Flags) {
@@ -396,15 +384,6 @@ fn check_args(args: &mut Args, flags: &Flags) -> bool {
     for &rps in &args.rps {
         let duration_s = args.duration_s.unwrap_or(DEFAULT_DURATION_S);
         refuse_oversized_stream(flags, &format!("--rps {rps:?}"), rps, duration_s);
-    }
-    // Profiles come out of the per-class cycle simulations; the analytic
-    // and hybrid models have no (or too few) simulations to attach to.
-    if args.profile.is_some() && args.cost_model != CostModel::Cycle {
-        flags.bad_usage(&format!(
-            "--profile requires the cycle cost model, but --cost-model {} prices classes \
-             without per-class simulations",
-            args.cost_model.name()
-        ));
     }
     // The comparison arms only ride along when the user has not taken over
     // the fleet-shaped axes.
@@ -466,25 +445,14 @@ struct Pricing {
     classes: Vec<RequestClass>,
     work: Vec<(TileSize, RequestClass)>,
     costs: CostTable,
-    /// The chip profile of each pair's simulation, under `--profile`.
-    profiles: Vec<Option<Profile>>,
-}
-
-/// The `tile` / `dataset` / `shrink` parameters of one priced pair.
-fn class_params(record: RunRecord, args: &Args, tile: TileSize, class: RequestClass) -> RunRecord {
-    record
-        .param("tile", tile.label())
-        .param("dataset", &args.mix[class.dataset])
-        .param("shrink", class.shrink)
 }
 
 /// Phase 2 — prices one request per (chip fingerprint, class) pair into the
 /// shared cost table, on the lab runner, and records each cost; fleets
 /// sharing a configuration share the memo by construction. `cycle` measures
-/// each pair with one simulation (under `--profile` the chip profiler rides
-/// along), `analytic` estimates every pair in closed form, and `hybrid`
-/// rescales the estimates through one anchor per tile: its measurement of
-/// the first class over its estimate of it.
+/// each pair with one simulation, `analytic` estimates every pair in closed
+/// form, and `hybrid` rescales the estimates through one anchor per tile:
+/// its measurement of the first class over its estimate of it.
 fn price_classes(
     args: &Args,
     default_arms: bool,
@@ -508,22 +476,15 @@ fn price_classes(
     let work: Vec<(TileSize, RequestClass)> =
         tiles.iter().flat_map(|&tile| classes.iter().map(move |&class| (tile, class))).collect();
 
-    let price = |tile, class: RequestClass, exact, profiler: Option<&mut Profiler>| {
+    let price = |tile, class: RequestClass, exact| {
         let a = sim_matrix_at_fidelity(&args.mix[class.dataset], class.shrink);
-        price_class(&ChipConfig::for_tile_size(tile), &a, exact, profiler)
+        price_class(&ChipConfig::for_tile_size(tile), &a, exact, None)
             .unwrap_or_else(|e| exit_wedged("serve", &args.mix[class.dataset], tile, None, &e))
     };
     let exact = args.cost_model == CostModel::Cycle;
-    let (mut priced, profiles): (Vec<ClassCost>, Vec<Option<Profile>>) = runner
-        .run(&work, |_, &(tile, class)| {
-            let mut profiler = args.profile.as_ref().map(|_| Profiler::new(DEFAULT_WINDOW_CYCLES));
-            let cost = price(tile, class, exact, profiler.as_mut());
-            (cost, profiler.map(Profiler::into_profile))
-        })
-        .into_iter()
-        .unzip();
+    let mut priced = runner.run(&work, |_, &(tile, class)| price(tile, class, exact));
     if args.cost_model == CostModel::Hybrid {
-        let anchors = runner.run(&tiles, |_, &tile| price(tile, classes[0], true, None).cycles);
+        let anchors = runner.run(&tiles, |_, &tile| price(tile, classes[0], true).cycles);
         for (tile_costs, measured) in priced.chunks_mut(classes.len()).zip(anchors) {
             let estimate = tile_costs[0].cycles;
             for cost in tile_costs {
@@ -538,7 +499,10 @@ fn price_classes(
         costs.insert(&fp, class, *cost);
         let id =
             format!("serve/cost/{}/{}/x{}", tile.label(), args.mix[class.dataset], class.shrink);
-        let mut record = class_params(RunRecord::new(id), args, tile, class)
+        let mut record = RunRecord::new(id)
+            .param("tile", tile.label())
+            .param("dataset", &args.mix[class.dataset])
+            .param("shrink", class.shrink)
             .unit_metric("cycles", cost.cycles as f64, "cycles")
             .unit_metric("service_ms", costs.service_seconds(&fp, class, 1) * 1e3, "ms")
             .metric("flops", cost.flops as f64);
@@ -547,7 +511,7 @@ fn price_classes(
         }
         session.push(record);
     }
-    Pricing { classes, work, costs, profiles }
+    Pricing { classes, work, costs }
 }
 
 /// The fleet every library scenario arm replays on.
@@ -710,7 +674,7 @@ fn enumerate_arms(
 fn refuse_narrow_window(flags: &Flags, args: &Args, window_s: f64, span_s: f64, what: &str) {
     if args.trace.is_some() && !window_fits(window_s, span_s) {
         flags.bad_usage(&format!(
-            "--window-ms {} cuts the {span_s} s {what} into more than {MAX_TIMELINE_WINDOWS} \
+            "--window-ms {:?} cuts the {span_s} s {what} into more than {MAX_TIMELINE_WINDOWS} \
              timeline windows; the smallest width it accepts is --window-ms {}",
             args.window_ms.unwrap_or(window_s * 1e3),
             span_s * 1e3 / MAX_TIMELINE_WINDOWS as f64
@@ -882,25 +846,6 @@ fn print_notes(args: &Args, pricing: &Pricing) {
     }
 }
 
-/// `--profile`: one chip profile per memoised (chip fingerprint, request
-/// class) simulation — the exact cost-table entries the serving arms
-/// replay — as a `neura_lab.profile/v1` artifact.
-fn profile_artifact(args: &Args, pricing: &Pricing) -> Artifact {
-    let mut artifact = Artifact::new("serve", 1).with_schema(PROFILE_SCHEMA);
-    for (&(tile, class), chip_profile) in pricing.work.iter().zip(&pricing.profiles) {
-        let chip_profile = chip_profile.as_ref().expect("cycle model profiles every pair");
-        let scope = format!("serve/{}/{}/x{}", tile.label(), args.mix[class.dataset], class.shrink);
-        if let Err(err) = chip_profile.check_conservation() {
-            panic!("profile conservation violated for {scope}: {err}");
-        }
-        let mut records = profile_records(&scope, chip_profile);
-        let summary = class_params(std::mem::take(&mut records[0]), args, tile, class);
-        records[0] = summary.param("fingerprint", ChipConfig::for_tile_size(tile).fingerprint());
-        artifact.extend(records);
-    }
-    artifact
-}
-
 fn main() {
     let (mut args, flags) = parse_args();
     let default_arms = check_args(&mut args, &flags);
@@ -933,9 +878,6 @@ fn main() {
     print_notes(&args, &pricing);
     if let Some(path) = &args.trace {
         timeline.write_or_exit(path);
-    }
-    if let Some(path) = &args.profile {
-        profile_artifact(&args, &pricing).write_or_exit(path);
     }
     session.finish();
 }

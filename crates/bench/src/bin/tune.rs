@@ -37,7 +37,6 @@ use neura_bench::{exit_wedged, price_class, sim_matrix_at_fidelity, REQUEST_SHRI
 use neura_chip::accelerator::{Accelerator, ChipError};
 use neura_chip::analytic::{AnalyticModel, WorkloadFeatures};
 use neura_chip::config::{ChipConfig, HbmPreset};
-use neura_chip::power::PowerModel;
 use neura_lab::spec::derive_seed;
 use neura_lab::{
     fmt, print_table, ArtifactSession, Evaluation, Flags, Objective, Runner, SweepGrid,
@@ -121,27 +120,6 @@ fn wedged(error: ChipError) -> Evaluation {
         .with_metric("outstanding_haccs", outstanding_haccs as f64, "count")
 }
 
-/// Scores an analytic cycle estimate on a report-backed objective without
-/// a report: the same formulas as [`Objective::score`], fed by the
-/// closed-form estimate instead of a simulation.
-fn analytic_score(objective: Objective, config: &ChipConfig, cycles: f64) -> f64 {
-    let seconds = cycles * config.seconds_per_cycle();
-    let score = match objective {
-        Objective::Cycles => cycles,
-        Objective::EnergyDelay => {
-            let power = PowerModel::calibrated().breakdown(config).total_power_w();
-            power * seconds * seconds
-        }
-        Objective::Speedup => seconds,
-        Objective::ServeP99 => unreachable!("serve-p99 runs through run_serve_p99"),
-    };
-    if score.is_finite() {
-        score
-    } else {
-        f64::INFINITY
-    }
-}
-
 /// The serve-p99 evaluator: every candidate serves the *same* reference
 /// stream per fidelity — Poisson arrivals at ~80% of the paper-default
 /// chip's capacity, ~2000 requests — on a single shard of its own silicon,
@@ -183,7 +161,7 @@ fn run_serve_p99(
             (rung_shrink, workloads, Workload::Replay(stream))
         })
         .collect();
-    tuner.run_tiered(runner, |point, ctx| {
+    tuner.run(runner, |point, ctx| {
         let (_, workloads, stream) = references
             .iter()
             .find(|(s, ..)| *s == ctx.shrink)
@@ -229,27 +207,21 @@ fn run_kernel(
             (shrink, a, features)
         })
         .collect();
-    tuner.run_tiered(runner, |point, ctx| {
+    tuner.run(runner, |point, ctx| {
         let (_, a, features) = workloads
             .iter()
             .find(|(shrink, ..)| *shrink == ctx.shrink)
             .expect("every planned shrink has a workload");
         if exact_tier(cost_model, ctx.is_final) {
             match Accelerator::new(point.config.clone()).run_spgemm(a, a) {
-                Ok(run) => Evaluation {
-                    score: objective.score(&point.config, &run.report),
-                    report: Some(run.report),
-                    metrics: Vec::new(),
-                },
+                Ok(run) => Evaluation::simulated(objective, &point.config, run.report),
                 Err(error) => wedged(error),
             }
         } else {
-            let cycles = AnalyticModel::calibrated().cycles(&point.config, features);
-            Evaluation::scored(analytic_score(objective, &point.config, cycles)).with_metric(
-                "analytic_cycles",
-                cycles,
-                "cycles",
-            )
+            let config = &point.config;
+            let cycles = AnalyticModel::calibrated().cycles(config, features);
+            let score = objective.score(config, cycles, cycles * config.seconds_per_cycle());
+            Evaluation::scored(score).with_metric("analytic_cycles", cycles, "cycles")
         }
     })
 }

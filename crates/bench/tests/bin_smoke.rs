@@ -79,7 +79,7 @@ const PAPER_DIGESTS: [(&str, u64); 11] = [
     ("ablation", 0xf45fe4da7de574a8),
 ];
 
-const INVOCATIONS: [Invocation; 18] = [
+const INVOCATIONS: [Invocation; 19] = [
     // All eleven paper artifacts from one process, at their default paths,
     // each under its strict golden.
     ("paper-all", PAPER, Pin::PaperArtifacts, "all --json", 0),
@@ -115,6 +115,16 @@ const INVOCATIONS: [Invocation; 18] = [
         "--dataset cora --cost-model hybrid",
         0x6b527566e84eb1ab,
     ),
+    // A kernel objective that is not `cycles` through both tiers: the
+    // analytic screening rungs and the cycle-level final rung score
+    // energy-delay through the one `Objective::score`.
+    (
+        "tune-edp-hybrid",
+        TUNE,
+        Pin::Artifact("tune"),
+        "--dataset cora --objective energy-delay --cost-model hybrid",
+        0xa5019fd8259d1e43,
+    ),
     // The flags of `serve` no default run passes, in three arms. An open
     // one: bursty arrivals at an explicit rate and duration, the batch
     // policy's knobs, a mixed fleet beside a plain one under cost-aware
@@ -132,13 +142,12 @@ const INVOCATIONS: [Invocation; 18] = [
         0x615bc564a4225139,
     ),
     // A closed one: a client population with its think time, split into
-    // lanes, on `--shards`, the chip profiler riding on the class pricing.
+    // lanes, on `--shards`.
     (
         "serve-closed-flags",
         SERVE,
         Pin::Artifact("serve"),
-        "--clients 8 --think-ms 0.01 --lanes 2 --shards 2 --policy fifo --policy sjf \
-         --profile serve-closed-flags.profile.json",
+        "--clients 8 --think-ms 0.01 --lanes 2 --shards 2 --policy fifo --policy sjf",
         0xdd5ab9594ed338a0,
     ),
     // A library one: the overload scenario beside one plain arm, replayed
@@ -779,45 +788,26 @@ fn traced_serve_emits_a_thread_invariant_timeline() {
     std::fs::remove_dir_all(&json_dir).ok();
 }
 
-/// The profiled runs: `profile` and `serve --profile` emit
-/// `neura_lab.profile/v1` artifacts that are byte-identical across
-/// `NEURA_LAB_THREADS`, profiling leaves the `serve.json` bytes exactly
-/// as an unprofiled run writes them (the profiler is pure observation on
-/// the same memoised simulations), every profile summary conserves its
-/// stall taxonomy and cycle split, and `trend` headlines the worst-window
-/// stall fraction when diffing profile artifacts.
+/// The profiled runs: `profile` emits `neura_lab.profile/v1` artifacts
+/// that are byte-identical across `NEURA_LAB_THREADS`, every profile
+/// summary conserves its stall taxonomy and cycle split, and `trend`
+/// headlines the worst-window stall fraction when diffing profile
+/// artifacts.
 #[test]
 fn profiled_runs_emit_thread_invariant_conserving_profiles() {
     let json_dir = scratch_dir("profile");
-    let [sweep_two, sweep_eight, profiled_two, profiled_eight] = launch_all(
+    let [sweep_two, sweep_eight] = launch_all(
         &json_dir,
         [
             (PROFILE, "sweep_t2", "2", "--dataset cora --hbm hbm2"),
             (PROFILE, "sweep_t8", "8", "--dataset cora --hbm hbm2"),
-            (SERVE, "serve_t2", "2", "--no-meta --profile serve_profile_t2.json"),
-            (SERVE, "serve_t8", "8", "--no-meta --profile serve_profile_t8.json"),
         ],
     );
 
-    // The standalone sweep binary: byte-identical profiles at 2 vs 8
-    // worker threads (the runner collects in input order by contract).
+    // Byte-identical profiles at 2 vs 8 worker threads (the runner
+    // collects in input order by contract).
     assert_eq!(sweep_two, sweep_eight, "profile.json bytes depend on the thread count");
-
-    // The serving layer: --profile leaves serve.json untouched and the
-    // profile artifact is equally thread-invariant.
-    assert_eq!(plain_serve(), profiled_two, "profiling must not perturb the serve artifact");
-    assert_eq!(profiled_two, profiled_eight);
-    let profile_bytes =
-        std::fs::read_to_string(json_dir.join("serve_profile_t2.json")).expect("profile written");
-    assert_eq!(
-        profile_bytes,
-        std::fs::read_to_string(json_dir.join("serve_profile_t8.json")).expect("profile written"),
-        "serve-profile artifact bytes depend on the thread count"
-    );
-
-    for bytes in [&sweep_two, &profile_bytes] {
-        assert_profiles_conserve(bytes);
-    }
+    assert_profiles_conserve(&sweep_two);
 
     // trend understands the schema: a self-diff headlines the worst-window
     // stall fraction instead of warning about an unknown artifact.
@@ -992,7 +982,7 @@ fn a_timeline_window_too_narrow_for_the_horizon_exits_2() {
         .expect("spawn serve");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(2), "exit code\n{stderr}");
-    assert!(stderr.starts_with("--window-ms 0.0000001 cuts the "), "complaint first\n{stderr}");
+    assert!(stderr.starts_with("--window-ms 1e-7 cuts the "), "complaint first\n{stderr}");
     assert!(stderr.contains("s horizon into more than"), "{stderr}");
     assert!(stderr.contains("the smallest width it accepts is --window-ms "), "{stderr}");
     assert!(stderr.contains("usage: serve "), "usage\n{stderr}");
@@ -1028,10 +1018,12 @@ fn malformed_command_lines_exit_2_with_the_usage_text() {
             ]
         };
         if bin == "serve" {
-            // The epoch-width spelling of `--epochs` and the lane speed-up
-            // demo are gone, not ignored.
+            // The epoch-width spelling of `--epochs`, the lane speed-up
+            // demo and the class-pricing profiler (`profile` is the one
+            // chip-profiling tool) are gone, not ignored.
             cases.push((vec!["--epoch-ms", "5"], "unrecognised argument \"--epoch-ms\"".into()));
             cases.push((vec!["--speedup"], "unrecognised argument \"--speedup\"".into()));
+            cases.push((vec!["--profile"], "unrecognised argument \"--profile\"".into()));
             // An explicit rate keeps the 2 s default duration: 4e8 requests
             // once died allocating 5 GB, and 1e300 req/s never returned.
             let sized = [
@@ -1049,6 +1041,12 @@ fn malformed_command_lines_exit_2_with_the_usage_text() {
                 // Past the bound the engine clamps to, `meta.epochs` would
                 // record a count the replay did not run.
                 (vec!["--epochs", "1025"], "--epochs \"1025\" is not an integer within 1..=1024"),
+                // The width is echoed as parsed: `{}` once spelled 1e-300
+                // out in 300 digits.
+                (
+                    vec!["--rps", "100", "--window-ms", "1e-300", "--trace"],
+                    "--window-ms 1e-300 cuts the",
+                ),
             ];
             cases.extend(sized.map(|(args, complaint)| (args, complaint.to_string())));
         }

@@ -43,8 +43,7 @@
 //!
 //! Profiles serialize through `neura_lab` as a versioned
 //! `neura_lab.profile/v1` artifact; the `profile` binary sweeps
-//! (dataset × tile × HBM preset) and gates on the invariants, and
-//! `serve --profile` emits one profile per (fingerprint, request class).
+//! (dataset × tile × HBM preset × shrink) and gates on the invariants.
 
 use crate::neuracore::TickOutcome;
 use neura_sim::LatencyHistogram;

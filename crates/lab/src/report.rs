@@ -28,7 +28,7 @@ pub const SCHEMA: &str = "neura_lab.artifact/v1";
 pub const TIMELINE_SCHEMA: &str = "neura_lab.timeline/v1";
 
 /// Schema tag for chip-profile artifacts (the cycle simulator's windowed
-/// stall attribution, emitted by `profile` and `serve --profile`). Same
+/// stall attribution, emitted by `profile`). Same
 /// document shape as [`SCHEMA`]; record IDs follow the `{scope}/profile` +
 /// `{scope}/window/NNN` + `{scope}/hops` + `{scope}/channel/NN`
 /// convention produced by [`profile_records`].

@@ -9,10 +9,10 @@ use crate::spec::{ExperimentSpec, SweepGrid, SweepPoint};
 use crate::tune::Objective;
 
 /// One scored evaluation of a grid point at one fidelity — the unit the
-/// halving ladder ranks. Report-backed objectives build it from an
-/// [`ExecutionReport`]; externally-scored objectives (serve-p99) build it
-/// from whatever simulation produced the score, attaching any extra
-/// metrics worth recording.
+/// halving ladder ranks. A cycle-level kernel run builds it from its
+/// [`ExecutionReport`] ([`Self::simulated`]); every other scorer — an
+/// analytic estimate, a serving replay — from whatever produced the score
+/// ([`Self::scored`]), attaching any extra metrics worth recording.
 #[derive(Debug, Clone)]
 pub struct Evaluation {
     /// The objective score; lower is better. Non-finite scores are
@@ -26,6 +26,13 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
+    /// A cycle-level run of `config`, scored by `objective` on the
+    /// report's cycles and seconds; the report rides along into the record.
+    pub fn simulated(objective: Objective, config: &ChipConfig, report: ExecutionReport) -> Self {
+        let score = objective.score(config, report.total_cycles as f64, report.execution_seconds);
+        Evaluation { score, report: Some(report), metrics: Vec::new() }
+    }
+
     /// An externally-scored evaluation with no backing report.
     pub fn scored(score: f64) -> Self {
         Evaluation { score, report: None, metrics: Vec::new() }
@@ -39,7 +46,7 @@ impl Evaluation {
 }
 
 /// Where in the halving ladder one evaluation sits — handed to
-/// [`Tuner::run_tiered`] scorers so two-tier cost models can pick a
+/// [`Tuner::run`] scorers so two-tier cost models can pick a
 /// fidelity *tier* per rung: analytic screening on the cheap rungs, the
 /// cycle-accurate oracle on the final rung (and on the baseline
 /// comparison, which is always scored as final so the
@@ -54,6 +61,9 @@ pub struct RungContext {
     /// the evaluation that decides the reported best configuration.
     pub is_final: bool,
 }
+
+/// Fraction of each rung that survives into the next: classic halving.
+const KEEP: f64 = 0.5;
 
 /// Largest workload-shrink factor an early rung may use. Deeper ladders
 /// reuse this cheapest fidelity rather than shrinking further (tiny graphs
@@ -77,20 +87,17 @@ pub struct TuneSpec {
     /// Maximum total evaluations across all rungs. Rung 0 (the full grid)
     /// always runs; later rungs are dropped once the budget is exhausted.
     pub budget: usize,
-    /// Fraction of each rung that survives into the next (exclusive 0..1).
-    pub keep: f64,
 }
 
 impl TuneSpec {
-    /// Creates a spec with an unlimited budget and the canonical halving
-    /// fraction (`keep = 0.5`).
+    /// Creates a spec with an unlimited budget.
     pub fn new(
         name: impl Into<String>,
         base: ChipConfig,
         grid: SweepGrid,
         objective: Objective,
     ) -> Self {
-        TuneSpec { name: name.into(), base, grid, objective, budget: usize::MAX, keep: 0.5 }
+        TuneSpec { name: name.into(), base, grid, objective, budget: usize::MAX }
     }
 
     /// Caps the total evaluation count (builder style).
@@ -234,19 +241,17 @@ impl Tuner {
     /// # Panics
     ///
     /// Panics when the grid sweeps more than one dataset (the baseline
-    /// comparison would be ambiguous; run one tuner per dataset) or
-    /// [`TuneSpec::keep`] is outside `(0, 1)`.
+    /// comparison would be ambiguous; run one tuner per dataset).
     pub fn new(spec: TuneSpec) -> Self {
         assert!(
             spec.grid.datasets.len() <= 1,
             "a tuner optimises one dataset at a time (grid sweeps {})",
             spec.grid.datasets.len()
         );
-        assert!(spec.keep > 0.0 && spec.keep < 1.0, "keep fraction must be in (0, 1)");
         let experiment =
             ExperimentSpec::new(spec.name.clone(), spec.base.clone(), spec.grid.clone());
         let points = experiment.points();
-        let plan = plan_rungs(points.len(), spec.keep, spec.budget);
+        let plan = plan_rungs(points.len(), spec.budget);
         Tuner { spec, points, plan }
     }
 
@@ -275,44 +280,17 @@ impl Tuner {
         shrinks
     }
 
-    /// Runs the halving ladder over a report-backed objective. `eval`
-    /// simulates one point at the given shrink factor and must be
-    /// deterministic in `(point, shrink)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for objectives that cannot score a single report
-    /// ([`Objective::ServeP99`]) — wire those through
-    /// [`Self::run_tiered`].
-    pub fn run<F>(&self, runner: &Runner, eval: F) -> TuneOutcome
-    where
-        F: Fn(&SweepPoint, usize) -> ExecutionReport + Sync,
-    {
-        let objective = self.spec.objective;
-        assert!(
-            objective.scores_reports(),
-            "objective {:?} needs an external scorer; use Tuner::run_tiered",
-            objective.name()
-        );
-        self.run_tiered(runner, |point, ctx| {
-            let report = eval(point, ctx.shrink);
-            let score = objective.score(&point.config, &report);
-            Evaluation { score, report: Some(report), metrics: Vec::new() }
-        })
-    }
-
-    /// Runs the halving ladder over caller-scored evaluations with full
-    /// rung context — the general form behind [`Self::run`]. It is the
-    /// entry point for objectives whose score comes from a larger
-    /// simulation than one kernel run (the serve-p99 objective scores a
-    /// serving replay) and for *tiered* scorers that change how a point is
-    /// priced per rung (e.g. the hybrid cost model: analytic estimates on
-    /// screening rungs, the cycle oracle on the final rung). The baseline
+    /// Runs the halving ladder; `eval` scores one point in its rung's
+    /// context. The rung context lets a *tiered* scorer change how a point
+    /// is priced per rung (e.g. the hybrid cost model: analytic estimates
+    /// on screening rungs, the cycle oracle on the final rung), and the
+    /// score may come from a larger simulation than one kernel run (the
+    /// serve-p99 objective scores a serving replay). The baseline
     /// comparison is evaluated with `is_final = true` at the final rung's
     /// shrink, so a tiered scorer always judges the winner and the paper
     /// default with the same (most expensive) tier. `eval` must be
     /// deterministic in `(point, context)`.
-    pub fn run_tiered<F>(&self, runner: &Runner, eval: F) -> TuneOutcome
+    pub fn run<F>(&self, runner: &Runner, eval: F) -> TuneOutcome
     where
         F: Fn(&SweepPoint, RungContext) -> Evaluation + Sync,
     {
@@ -465,7 +443,7 @@ impl Tuner {
     }
 }
 
-/// Plans the rung ladder: sizes shrink by `keep` per rung down to one
+/// Plans the rung ladder: sizes shrink by [`KEEP`] per rung down to one
 /// survivor; fidelity doubles towards the end of that full ladder (its
 /// last rung runs at full scale, its earliest rungs share the
 /// [`MAX_SHRINK`] clamp). The ladder is then truncated to `budget` total
@@ -473,11 +451,11 @@ impl Tuner {
 /// shrink the full ladder assigned them, so a small budget buys a cheap
 /// low-fidelity search rather than silently degenerating to an expensive
 /// full-fidelity exhaustive pass.
-fn plan_rungs(grid_points: usize, keep: f64, budget: usize) -> Vec<RungPlan> {
+fn plan_rungs(grid_points: usize, budget: usize) -> Vec<RungPlan> {
     let mut sizes = vec![grid_points.max(1)];
     while *sizes.last().expect("non-empty") > 1 {
         let current = *sizes.last().expect("non-empty");
-        let next = ((current as f64) * keep).ceil() as usize;
+        let next = ((current as f64) * KEEP).ceil() as usize;
         sizes.push(next.clamp(1, current - 1));
     }
 
@@ -503,7 +481,7 @@ mod tests {
 
     #[test]
     fn plan_halves_to_one_and_ends_at_full_fidelity() {
-        let plan = plan_rungs(16, 0.5, usize::MAX);
+        let plan = plan_rungs(16, usize::MAX);
         let sizes: Vec<usize> = plan.iter().map(|r| r.size).collect();
         assert_eq!(sizes, vec![16, 8, 4, 2, 1]);
         let shrinks: Vec<usize> = plan.iter().map(|r| r.shrink).collect();
@@ -513,28 +491,21 @@ mod tests {
 
     #[test]
     fn plan_respects_the_budget_but_always_runs_rung_zero() {
-        let plan = plan_rungs(16, 0.5, 25);
+        let plan = plan_rungs(16, 25);
         let sizes: Vec<usize> = plan.iter().map(|r| r.size).collect();
         assert_eq!(sizes, vec![16, 8], "16 + 8 = 24 fits, + 4 would exceed 25");
 
         // Truncated ladders keep the full ladder's cheap shrink factors —
         // a smaller budget must never buy a more expensive run.
         assert_eq!(plan.last().unwrap().shrink, 8, "truncation does not promote fidelity");
-        let tiny_budget = plan_rungs(16, 0.5, 3);
+        let tiny_budget = plan_rungs(16, 3);
         assert_eq!(tiny_budget.len(), 1, "rung 0 runs even over budget");
         assert_eq!(tiny_budget[0].shrink, 8, "a budget-truncated rung 0 stays cheap");
     }
 
     #[test]
     fn plan_for_one_point_is_a_single_full_fidelity_rung() {
-        assert_eq!(plan_rungs(1, 0.5, usize::MAX), vec![RungPlan { index: 0, size: 1, shrink: 1 }]);
-    }
-
-    #[test]
-    fn steeper_keep_fractions_cull_harder() {
-        let plan = plan_rungs(27, 1.0 / 3.0, usize::MAX);
-        let sizes: Vec<usize> = plan.iter().map(|r| r.size).collect();
-        assert_eq!(sizes, vec![27, 9, 3, 1]);
+        assert_eq!(plan_rungs(1, usize::MAX), vec![RungPlan { index: 0, size: 1, shrink: 1 }]);
     }
 
     #[test]
@@ -542,14 +513,5 @@ mod tests {
     fn multi_dataset_grids_are_rejected() {
         let grid = SweepGrid::new().datasets(["cora", "facebook"]);
         Tuner::new(TuneSpec::new("t", ChipConfig::tile_16(), grid, Objective::Cycles));
-    }
-
-    #[test]
-    #[should_panic(expected = "keep fraction")]
-    fn degenerate_keep_fraction_is_rejected() {
-        let mut spec =
-            TuneSpec::new("t", ChipConfig::tile_16(), SweepGrid::new(), Objective::Cycles);
-        spec.keep = 1.0;
-        Tuner::new(spec);
     }
 }

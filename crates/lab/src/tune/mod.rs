@@ -10,8 +10,8 @@
 //!
 //! 1. **Rung 0** evaluates every grid point at the cheapest fidelity (the
 //!    workload shrunk by the rung's `shrink` factor).
-//! 2. The top `keep` fraction by objective score survive; the survivor set
-//!    is the refined grid for the next rung.
+//! 2. The better half by objective score survives; the survivor set is
+//!    the refined grid for the next rung.
 //! 3. Later rungs re-evaluate only the survivors at increasing fidelity:
 //!    the full ladder ends at full fidelity and fidelity doubles towards
 //!    it (rungs more than three doublings from the end share the cheapest

@@ -6,7 +6,6 @@
 //! time maximises speedup); the human-facing speedup factor is derived in
 //! the outcome's `best_config` record as `baseline_score / best_score`.
 
-use neura_chip::accelerator::ExecutionReport;
 use neura_chip::config::ChipConfig;
 use neura_chip::power::PowerModel;
 
@@ -27,8 +26,8 @@ pub enum Objective {
     /// Scores a candidate by what actually matters in production — the
     /// tail under load, queueing included — instead of single-kernel
     /// cycles. This objective is scored by a serving simulation, not by a
-    /// single [`ExecutionReport`], so it runs through
-    /// [`Tuner::run_tiered`](crate::tune::Tuner::run_tiered) (the `tune`
+    /// kernel's cycles and seconds: its evaluator hands
+    /// [`Tuner::run`](crate::tune::Tuner::run) the replay's p99 (the `tune`
     /// binary wires `neura_serve` in); [`Objective::score`] panics for it.
     ServeP99,
 }
@@ -70,33 +69,26 @@ impl Objective {
         }
     }
 
-    /// Whether [`Self::score`] can condense an [`ExecutionReport`] into
-    /// this objective's score. False for [`Objective::ServeP99`], which
-    /// needs a serving simulation and a caller-supplied score.
-    pub(crate) fn scores_reports(&self) -> bool {
-        !matches!(self, Objective::ServeP99)
-    }
-
-    /// Scores one run; lower is better for every objective. Non-finite
+    /// Scores one kernel run of `config` that took `cycles` cycles and
+    /// `seconds` seconds — simulated or estimated, the one formula for
+    /// every cost tier; lower is better for every objective. Non-finite
     /// inputs score `+inf` so they can never win a rung.
     ///
     /// # Panics
     ///
-    /// Panics for [`Objective::ServeP99`]: a single kernel report carries
-    /// no tail latency. Use
-    /// [`Tuner::run_tiered`](crate::tune::Tuner::run_tiered) with a
-    /// serving evaluator instead.
-    pub fn score(&self, config: &ChipConfig, report: &ExecutionReport) -> f64 {
+    /// Panics for [`Objective::ServeP99`]: a single kernel run carries no
+    /// tail latency. Score it with a serving replay instead.
+    pub fn score(&self, config: &ChipConfig, cycles: f64, seconds: f64) -> f64 {
         let score = match self {
-            Objective::Cycles => report.total_cycles as f64,
+            Objective::Cycles => cycles,
             Objective::EnergyDelay => {
                 let power = PowerModel::calibrated().breakdown(config).total_power_w();
-                power * report.execution_seconds * report.execution_seconds
+                power * seconds * seconds
             }
-            Objective::Speedup => report.execution_seconds,
+            Objective::Speedup => seconds,
             Objective::ServeP99 => panic!(
-                "the serve-p99 objective is scored by a serving simulation; \
-                 run the tuner through Tuner::run_tiered"
+                "the serve-p99 objective is scored by a serving simulation, \
+                 not by one kernel run"
             ),
         };
         if score.is_finite() {
@@ -122,48 +114,24 @@ mod tests {
     }
 
     #[test]
-    fn only_serve_p99_needs_an_external_scorer() {
-        for objective in Objective::ALL {
-            assert_eq!(objective.scores_reports(), objective != Objective::ServeP99);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "serving simulation")]
     fn serve_p99_rejects_report_scoring() {
-        let report = fake_report(10, 1.0);
-        Objective::ServeP99.score(&ChipConfig::tile_16(), &report);
+        Objective::ServeP99.score(&ChipConfig::tile_16(), 10.0, 1.0);
     }
 
     #[test]
     fn energy_delay_penalises_bigger_chips_at_equal_time() {
-        let mut report = fake_report(1_000, 1e-6);
         let small = ChipConfig::tile_16();
         let big = ChipConfig::tile_16().with_cores_per_tile(16).with_mems_per_tile(16);
         let objective = Objective::EnergyDelay;
-        assert!(objective.score(&big, &report) > objective.score(&small, &report));
+        assert!(objective.score(&big, 1_000.0, 1e-6) > objective.score(&small, 1_000.0, 1e-6));
         // ... while cycles ignores the configuration entirely.
-        report.total_cycles = 999;
-        assert_eq!(Objective::Cycles.score(&big, &report), 999.0);
+        assert_eq!(Objective::Cycles.score(&big, 999.0, 1e-6), 999.0);
     }
 
     #[test]
     fn non_finite_scores_become_infinity() {
-        let report = fake_report(10, f64::NAN);
-        assert_eq!(Objective::Speedup.score(&ChipConfig::tile_16(), &report), f64::INFINITY);
-    }
-
-    /// A report with only the fields the objectives read filled in.
-    fn fake_report(cycles: u64, seconds: f64) -> ExecutionReport {
-        let mut chip = neura_chip::accelerator::Accelerator::new(tiny_config());
-        let a = neura_sparse::gen::GraphGenerator::power_law(32, 64, 2.0, 1).generate().to_csr();
-        let mut report = chip.run_spgemm(&a, &a).expect("tiny sim drains").report;
-        report.total_cycles = cycles;
-        report.execution_seconds = seconds;
-        report
-    }
-
-    fn tiny_config() -> ChipConfig {
-        ChipConfig::tile_4()
+        let score = Objective::Speedup.score(&ChipConfig::tile_16(), 10.0, f64::NAN);
+        assert_eq!(score, f64::INFINITY);
     }
 }

@@ -5,7 +5,7 @@
 
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::ChipConfig;
-use neura_lab::tune::{Objective, TuneOutcome, TuneSpec, Tuner};
+use neura_lab::tune::{Evaluation, Objective, TuneOutcome, TuneSpec, Tuner};
 use neura_lab::{Artifact, Runner, SweepGrid};
 use neura_sparse::gen::GraphGenerator;
 
@@ -19,9 +19,10 @@ fn run_once() -> (TuneOutcome, String) {
         .with_budget(24);
     let tuner = Tuner::new(spec);
     let a = GraphGenerator::power_law(96, 600, 2.1, 7).generate().to_csr();
-    let outcome = tuner.run(&Runner::new(4), |point, _shrink| {
+    let outcome = tuner.run(&Runner::new(4), |point, _context| {
         let mut chip = Accelerator::new(point.config.clone());
-        chip.run_spgemm(&a, &a).expect("simulation drains").report
+        let report = chip.run_spgemm(&a, &a).expect("simulation drains").report;
+        Evaluation::simulated(Objective::Speedup, &point.config, report)
     });
     let mut artifact = Artifact::new("tune", 1);
     artifact.extend(outcome.records().iter().cloned());

@@ -8,9 +8,9 @@
 
 use std::collections::HashSet;
 
-use neura_chip::accelerator::{Accelerator, ExecutionReport};
+use neura_chip::accelerator::Accelerator;
 use neura_chip::config::{ChipConfig, EvictionPolicy, HbmPreset};
-use neura_lab::tune::{Objective, TuneSpec, Tuner};
+use neura_lab::tune::{Evaluation, Objective, RungContext, TuneSpec, Tuner};
 use neura_lab::{Artifact, Runner, SweepGrid, SweepPoint};
 use neura_sparse::gen::GraphGenerator;
 use neura_sparse::CsrMatrix;
@@ -38,10 +38,17 @@ fn matrices_for(tuner: &Tuner) -> Vec<(usize, CsrMatrix)> {
         .collect()
 }
 
-fn simulate(matrices: &[(usize, CsrMatrix)], point: &SweepPoint, shrink: usize) -> ExecutionReport {
-    let (_, a) = matrices.iter().find(|(s, _)| *s == shrink).expect("matrix per shrink");
+/// Simulates `point` on its rung's matrix and scores the report.
+fn simulate(
+    objective: Objective,
+    matrices: &[(usize, CsrMatrix)],
+    point: &SweepPoint,
+    context: RungContext,
+) -> Evaluation {
+    let (_, a) = matrices.iter().find(|(s, _)| *s == context.shrink).expect("matrix per shrink");
     let mut chip = Accelerator::new(point.config.clone());
-    chip.run_spgemm(a, a).expect("simulation drains").report
+    let report = chip.run_spgemm(a, a).expect("simulation drains").report;
+    Evaluation::simulated(objective, &point.config, report)
 }
 
 #[test]
@@ -49,7 +56,7 @@ fn survivors_are_grid_members_and_rungs_strictly_shrink() {
     let tuner =
         Tuner::new(TuneSpec::new("prop", ChipConfig::tile_16(), test_grid(), Objective::Cycles));
     let matrices = matrices_for(&tuner);
-    let outcome = tuner.run(&Runner::new(4), |p, s| simulate(&matrices, p, s));
+    let outcome = tuner.run(&Runner::new(4), |p, c| simulate(Objective::Cycles, &matrices, p, c));
 
     let grid_ids: HashSet<&str> = tuner.points().iter().map(|p| p.id.as_str()).collect();
     for rung in &outcome.rungs {
@@ -80,7 +87,8 @@ fn tuner_artifact_is_byte_identical_across_thread_counts() {
             Objective::EnergyDelay,
         ));
         let matrices = matrices_for(&tuner);
-        let outcome = tuner.run(&Runner::new(threads), |p, s| simulate(&matrices, p, s));
+        let outcome = tuner
+            .run(&Runner::new(threads), |p, c| simulate(Objective::EnergyDelay, &matrices, p, c));
         let mut artifact = Artifact::new("tune", 1);
         artifact.extend(outcome.records().iter().cloned());
         artifact.to_bytes()
