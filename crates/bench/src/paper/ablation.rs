@@ -6,7 +6,7 @@
 //! points — fourteen full cycle-level simulations — run concurrently on the
 //! lab's work-stealing runner.
 
-use crate::scaled_matrix_by_name;
+use crate::{exit_wedged, scaled_matrix_by_name};
 use neura_chip::accelerator::{Accelerator, ExecutionReport};
 use neura_chip::config::{ChipConfig, EvictionPolicy};
 use neura_chip::mapping::MappingKind;
@@ -36,7 +36,9 @@ pub(super) fn run(session: &mut ArtifactSession) {
     let runner = Runner::from_env();
     let reports: Vec<ExecutionReport> = runner.run(&points, |_, point| {
         let mut chip = Accelerator::new(point.config.clone());
-        chip.run_spgemm(&a, &a).expect("simulation drains").report
+        chip.run_spgemm(&a, &a)
+            .unwrap_or_else(|e| exit_wedged("paper", "cora", point.config.tile_size, None, &e))
+            .report
     });
     for (point, report) in points.iter().zip(&reports) {
         session.push(point.record().with_execution(report));

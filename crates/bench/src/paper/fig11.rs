@@ -3,7 +3,7 @@
 //!
 //! The three tile sizes are a `neura_lab` sweep executed in parallel.
 
-use crate::scaled_matrix_by_name;
+use crate::{exit_wedged, scaled_matrix_by_name};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::{ChipConfig, TileSize};
 use neura_chip::power::PowerModel;
@@ -23,7 +23,9 @@ pub(super) fn run(session: &mut ArtifactSession) {
     );
     let results = Runner::from_env().run_spec(&spec, |point| {
         let mut chip = Accelerator::new(point.config.clone());
-        chip.run_aggregation(&a, &x).expect("simulation drains").report
+        chip.run_aggregation(&a, &x)
+            .unwrap_or_else(|e| exit_wedged("paper", "cora", point.config.tile_size, None, &e))
+            .report
     });
 
     let power = |point: &SweepPoint| power_model.breakdown(&point.config).total_power_w();

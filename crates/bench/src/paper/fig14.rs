@@ -6,7 +6,7 @@
 //! instructions per 25-cycle bin) plus the average, which is checked
 //! against `neura_lab::golden::fig14_goldens`.
 
-use crate::scaled_matrix_by_name;
+use crate::{exit_wedged, scaled_matrix_by_name};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::ChipConfig;
 use neura_lab::golden::slugify;
@@ -22,7 +22,9 @@ pub(super) fn run(session: &mut ArtifactSession) {
     );
     let results = Runner::from_env().run_spec(&spec, |point| {
         let mut chip = Accelerator::new(point.config.clone());
-        chip.run_spgemm(&a, &a).expect("simulation drains").report
+        chip.run_spgemm(&a, &a)
+            .unwrap_or_else(|e| exit_wedged("paper", "cora", point.config.tile_size, None, &e))
+            .report
     });
 
     let mut rows = Vec::new();

@@ -4,7 +4,7 @@
 //! The two eviction policies are a `neura_lab` sweep executed in parallel;
 //! the mean latencies are checked against `neura_lab::golden::fig15_goldens`.
 
-use crate::scaled_matrix_by_name;
+use crate::{exit_wedged, scaled_matrix_by_name};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::{ChipConfig, EvictionPolicy};
 use neura_lab::golden::slugify;
@@ -27,7 +27,9 @@ pub(super) fn run(session: &mut ArtifactSession) {
     );
     let results = Runner::from_env().run_spec(&spec, |point| {
         let mut chip = Accelerator::new(point.config.clone());
-        chip.run_spgemm(&a, &a).expect("simulation drains").report
+        chip.run_spgemm(&a, &a)
+            .unwrap_or_else(|e| exit_wedged("paper", "cora", point.config.tile_size, None, &e))
+            .report
     });
 
     let mut rows = Vec::new();

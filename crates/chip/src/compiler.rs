@@ -10,9 +10,10 @@
 //!
 //! That precomputation is the symbolic phase of Gustavson's algorithm and is
 //! not done here: [`neura_sparse::spgemm::symbolic`] derives the pattern of
-//! `C` and the fan-in of its elements once, the compiler looks every
-//! counter up in it by position, and the [`Program`] carries it on so the
-//! accelerator model assembles its result in the same arrays.
+//! `C` and the fan-in of its elements once, the compiler copies every
+//! counter out of it in one row-major pass over `A`, and the [`Program`]
+//! carries it on so the accelerator model assembles its result in the same
+//! arrays.
 
 use crate::isa::{MmhInstruction, MmhWork};
 use neura_sparse::spgemm::{self, SymbolicProduct};
@@ -83,14 +84,18 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
 
     // The contribution count (reduction fan-in) of every output element —
     // the rolling-eviction counters.
-    let pattern = spgemm::symbolic(&a.to_csr(), b);
+    let a_csr = a.to_csr();
+    let pattern = spgemm::symbolic(&a_csr, b);
 
     let mut instructions = Vec::new();
+    // The index of each column's first instruction.
+    let mut first_instruction = Vec::with_capacity(a.cols());
     let mut total_partial_products = 0u64;
     let mut input_bytes = 0u64;
     let mut a_cursor = 0u64; // index into A's value array (CSC order)
 
     for k in 0..a.cols() {
+        first_instruction.push(instructions.len());
         let (a_rows, a_vals) = a.col(k);
         let (b_cols, b_vals) = b.row(k);
         if a_rows.is_empty() || b_cols.is_empty() {
@@ -102,14 +107,6 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
             let chunk_end = (chunk_start + tile as usize).min(a_rows.len());
             let rows_chunk = &a_rows[chunk_start..chunk_end];
             let vals_chunk = &a_vals[chunk_start..chunk_end];
-            let mut counters = Vec::with_capacity(rows_chunk.len() * b_cols.len());
-            for &i in rows_chunk {
-                for &j in b_cols {
-                    let at =
-                        pattern.position(i, j).expect("a partial product lands in the pattern");
-                    counters.push(pattern.fanin[at]);
-                }
-            }
             let instr = MmhInstruction {
                 tile,
                 base_addr: 0,
@@ -124,7 +121,7 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
                     a_values: vals_chunk.to_vec(),
                     b_cols: b_cols.to_vec(),
                     b_values: b_vals.to_vec(),
-                    counters,
+                    counters: vec![0; rows_chunk.len() * b_cols.len()],
                 },
             };
             total_partial_products += instr.hacc_count() as u64;
@@ -133,6 +130,8 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
         }
         a_cursor += a_rows.len() as u64;
     }
+
+    write_counters(&mut instructions, &first_instruction, tile.into(), &a_csr, b, &pattern);
 
     let output_nnz = pattern.col_idx.len();
     Program {
@@ -144,6 +143,47 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
         tile,
         input_bytes,
         output_bytes: output_nnz as u64 * 8,
+    }
+}
+
+/// Writes the rolling-eviction counter of every partial product — the
+/// fan-in of the output element it lands in — into `instructions`, which
+/// [`compile_spgemm`] cut from the columns of `A`, `tile` stored elements
+/// at a time, `first_instruction[k]` the first of column `k`.
+///
+/// One row-major pass over `A` (`a_csr`): row `i`'s fan-ins are
+/// scattered into a dense array over the columns of `C`, then read for
+/// every `j` of `b.row(k)` into the slots of CSC entry `(k, i)`. Rows
+/// arrive in ascending order, as each column of the CSC lists them, so the
+/// entry is the next one of its column not yet visited.
+fn write_counters(
+    instructions: &mut [MmhInstruction],
+    first_instruction: &[usize],
+    tile: usize,
+    a_csr: &CsrMatrix,
+    b: &CsrMatrix,
+    pattern: &SymbolicProduct,
+) {
+    let mut fanin = vec![0u32; b.cols()];
+    let mut visited = vec![0usize; a_csr.cols()];
+    for i in 0..a_csr.rows() {
+        let row = pattern.row_ptr[i]..pattern.row_ptr[i + 1];
+        for (&j, &count) in pattern.col_idx[row.clone()].iter().zip(&pattern.fanin[row]) {
+            fanin[j] = count;
+        }
+        for &k in a_csr.row(i).0 {
+            let rank = visited[k];
+            visited[k] += 1;
+            let b_cols = b.row(k).0;
+            if b_cols.is_empty() {
+                continue;
+            }
+            let instr = &mut instructions[first_instruction[k] + rank / tile];
+            let at = rank % tile * b_cols.len();
+            for (slot, &j) in instr.work.counters[at..].iter_mut().zip(b_cols) {
+                *slot = fanin[j];
+            }
+        }
     }
 }
 
@@ -245,15 +285,17 @@ mod tests {
     #[test]
     fn counters_match_fanin_for_each_partial_product() {
         let a = small_graph(5);
-        let program = compile_spgemm(&a.to_csc(), &a, 4);
-        let fanin = recount_fanin(&program);
-        for instr in &program.instructions {
-            let mut idx = 0;
-            for &i in &instr.work.a_rows {
-                for &j in &instr.work.b_cols {
-                    let tag = tag_of(&program, i, j);
-                    assert_eq!(instr.work.counters[idx], fanin[&tag]);
-                    idx += 1;
+        for tile in [1u8, 2, 4, 8] {
+            let program = compile_spgemm(&a.to_csc(), &a, tile);
+            let fanin = recount_fanin(&program);
+            for instr in &program.instructions {
+                let mut idx = 0;
+                for &i in &instr.work.a_rows {
+                    for &j in &instr.work.b_cols {
+                        let tag = tag_of(&program, i, j);
+                        assert_eq!(instr.work.counters[idx], fanin[&tag]);
+                        idx += 1;
+                    }
                 }
             }
         }

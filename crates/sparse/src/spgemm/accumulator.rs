@@ -1,25 +1,22 @@
 //! Direct CSR assembly shared by the SpGEMM kernels and the symbolic phase.
 //!
-//! Three pieces, each used by more than one caller:
+//! Two pieces, each used by more than one caller:
 //!
 //! * [`CsrRows`] appends finished output rows; [`CsrRows::finish`] hands the
 //!   numeric arrays to [`CsrMatrix::from_raw_parts`], so every product is
 //!   still validated;
 //! * [`SparseAccumulator`] is the dense sparse-accumulator (SPA) that merges
 //!   what lands in the columns of one output row — partial products for the
-//!   numeric kernels, fan-in counts for the symbolic product — and emits the
+//!   numeric kernel, fan-in counts for the symbolic product — and emits the
 //!   row in ascending column order from a word bitmap, without sorting the
-//!   row's columns;
-//! * [`RowBuckets`] holds *every* partial product of a multiplication,
-//!   bucketed by output row in generation order, for the dataflows that
-//!   materialise them all before an explicit merge phase.
+//!   row's columns.
 
 use std::ops::AddAssign;
 
 use crate::CsrMatrix;
 
-/// Columns per block of the accumulator: the bits in one bitmap word.
-const WORD_BITS: usize = u64::BITS as usize;
+/// Columns per block of the accumulator: the bits in one `u64` word.
+const BLOCK: usize = u64::BITS as usize;
 
 /// A CSR matrix under construction, one finished row at a time; `T` is
 /// what each stored element carries.
@@ -72,201 +69,111 @@ impl CsrRows<f64> {
 
 /// Dense sparse-accumulator over the columns of one output row.
 ///
-/// The columns of `B` are cut into blocks of 64. A block holds one `u64`
-/// word whose bit `i` says whether the open row has reached the block's
-/// column `i`, beside the 64 values those columns have accumulated; `words`
-/// lists the blocks whose word the open row has made non-zero, in the
-/// order it made them so. [`flush_row`](Self::flush_row) sorts only those
-/// block indices, walks each word's set bits upward and zeroes it, so the
-/// row comes out in ascending column order. A row of `k` additions that
-/// reach `W ≤ min(k, ⌈cols / 64⌉)` words costs O(k + W log W) — never
-/// O(cols), which matters at paper scale, where rows span hundreds of
-/// thousands of columns and reach a handful.
+/// The columns of `B` are cut into blocks of 64. A block holds the values
+/// its columns have accumulated, one flag byte per column that says whether
+/// the open row has reached it, and whether `listed` names the block;
+/// `listed` names the blocks the open row has reached, in the order it
+/// reached them. [`flush_row`](Self::flush_row) sorts only those block
+/// indices, packs each block's flags into a `u64` word, walks its set bits
+/// upward and clears the flags, so the row comes out in ascending column
+/// order. A row of `k` additions that reach `W ≤ min(k, ⌈cols / 64⌉)`
+/// blocks costs O(k + W log W) — never O(cols), which matters at paper
+/// scale, where rows span hundreds of thousands of columns and reach a
+/// handful.
 ///
-/// A column's word and value share a block, so [`add`](Self::add) pays one
-/// bounds check, not two: on merge-heavy rows (banded inputs, where most
-/// partial products land on a column already reached) separate bit and
-/// value arrays made the test measurably dearer than a per-column flag.
+/// Every value rests at [`Summand::ZERO`], the additive identity, between
+/// rows, so [`add`](Self::add) adds on a column's first visit as on every
+/// later one: no branch asks whether the open row has reached the column,
+/// so scale-free rows, whose products land now on a new column and now on
+/// an old one, do not mispredict it. `add` stores the column's flag and
+/// never loads it: a bit in a shared word would make each `add` read what
+/// the one before it wrote, and serialise banded rows, whose successive
+/// products fall in one block. A column's flag and value share a block,
+/// so `add` pays one bounds check, not two.
 ///
-/// Each column adds up its values in the order `add` received them,
-/// starting from the first one (not from zero), so `f64` sums are the ones
-/// a sequential loop over that column's values computes.
+/// Each column adds up its values in the order `add` received them, so
+/// `f64` sums are the ones a sequential loop over that column's values
+/// computes.
 pub(crate) struct SparseAccumulator<T> {
     blocks: Vec<Block<T>>,
-    words: Vec<usize>,
+    listed: Vec<usize>,
+}
+
+/// What the accumulator sums: partial products, or fan-in counts.
+pub(crate) trait Summand: Copy + AddAssign {
+    /// The additive identity: `ZERO + x` is `x`, bit for bit, for every
+    /// `x`. For `f64` that is `-0.0`, not `0.0`: `0.0 + -0.0` is `0.0`, so a
+    /// lone `-0.0` product would lose its sign.
+    const ZERO: Self;
+}
+
+impl Summand for f64 {
+    const ZERO: f64 = -0.0;
+}
+
+impl Summand for u32 {
+    const ZERO: u32 = 0;
 }
 
 /// Sixty-four consecutive columns of the accumulator: which of them the
-/// open row has reached (bit `i` of `bits` for column `i`), and what each
-/// has accumulated.
+/// open row has reached (`reached[i]` is 1 for column `i`), what each has
+/// accumulated, and whether the accumulator lists the block.
 #[derive(Clone, Copy)]
 struct Block<T> {
-    bits: u64,
-    values: [T; WORD_BITS],
+    reached: [u8; BLOCK],
+    values: [T; BLOCK],
+    listed: bool,
 }
 
-impl<T: Copy + Default + AddAssign> SparseAccumulator<T> {
+impl<T: Summand> SparseAccumulator<T> {
     pub(crate) fn new(cols: usize) -> Self {
-        let empty = Block { bits: 0, values: [T::default(); WORD_BITS] };
-        SparseAccumulator { blocks: vec![empty; cols.div_ceil(WORD_BITS)], words: Vec::new() }
+        let empty = Block { reached: [0; BLOCK], values: [T::ZERO; BLOCK], listed: false };
+        SparseAccumulator { blocks: vec![empty; cols.div_ceil(BLOCK)], listed: Vec::new() }
     }
 
-    /// Accumulates `value` into column `col` — assigned on the open row's
-    /// first visit there, added afterwards; returns `true` when it merged
-    /// into an earlier value (one scalar addition).
+    /// Accumulates `value` into column `col` of the open row.
     #[inline]
-    pub(crate) fn add(&mut self, col: usize, value: T) -> bool {
-        let (w, i) = (col / WORD_BITS, col % WORD_BITS);
-        let block = &mut self.blocks[w];
-        if block.bits >> i & 1 != 0 {
-            block.values[i] += value;
-            true
-        } else {
-            if block.bits == 0 {
-                self.words.push(w);
-            }
-            block.bits |= 1 << i;
-            block.values[i] = value;
-            false
+    pub(crate) fn add(&mut self, col: usize, value: T) {
+        let (b, i) = (col / BLOCK, col % BLOCK);
+        let block = &mut self.blocks[b];
+        if !block.listed {
+            block.listed = true;
+            self.listed.push(b);
         }
+        block.reached[i] = 1;
+        block.values[i] += value;
     }
 
     /// Emits the accumulated row in ascending column order, closes it and
     /// resets the accumulator for the next row.
     pub(crate) fn flush_row(&mut self, out: &mut CsrRows<T>) {
-        self.words.sort_unstable();
-        for &w in &self.words {
-            let block = &mut self.blocks[w];
-            let mut bits = std::mem::take(&mut block.bits);
+        self.listed.sort_unstable();
+        for &b in &self.listed {
+            let block = &mut self.blocks[b];
+            block.listed = false;
+            let mut bits = 0u64;
+            for (n, flags) in block.reached.chunks_exact(8).enumerate() {
+                // Eight flags of 0 or 1, one per byte: the multiplication
+                // gathers them into its top byte, flag `i` at bit `56 + i`.
+                let flags = u64::from_le_bytes(flags.try_into().expect("eight flags"));
+                bits |= (flags.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * n);
+            }
+            block.reached = [0; BLOCK];
             while bits != 0 {
                 let i = bits.trailing_zeros() as usize;
-                out.push(w * WORD_BITS + i, block.values[i]);
+                out.push(b * BLOCK + i, std::mem::replace(&mut block.values[i], T::ZERO));
                 bits &= bits - 1;
             }
         }
-        self.words.clear();
+        self.listed.clear();
         out.end_row();
-    }
-}
-
-/// Every partial product of `A × B`, bucketed by output row.
-///
-/// The buckets are sized up front from the operand structure (row `i`
-/// receives `Σ_{k ∈ row i of A} row_nnz_B(k)` products, which over all rows
-/// is `Σ_k col_nnz_A(k) · row_nnz_B(k)`), so generation is a scatter into one
-/// 16-byte-per-product buffer and keeps generation order inside each row.
-/// [`RowBuckets::merge`] is the explicit merge phase.
-pub(crate) struct RowBuckets {
-    cols: usize,
-    /// Bucket `i` is `products[bounds[i]..bounds[i + 1]]`.
-    bounds: Vec<usize>,
-    /// Next free slot of each bucket.
-    next: Vec<usize>,
-    products: Vec<(usize, f64)>,
-}
-
-impl RowBuckets {
-    /// Buckets sized for the product `a × b`.
-    pub(crate) fn for_product(a: &CsrMatrix, b: &CsrMatrix) -> Self {
-        let mut bounds = Vec::with_capacity(a.rows() + 1);
-        bounds.push(0usize);
-        for i in 0..a.rows() {
-            let count: usize = a.row(i).0.iter().map(|&k| b.row_nnz(k)).sum();
-            bounds.push(bounds[i] + count);
-        }
-        let next = bounds[..a.rows()].to_vec();
-        let products = vec![(0usize, 0.0f64); bounds[a.rows()]];
-        RowBuckets { cols: b.cols(), bounds, next, products }
-    }
-
-    /// Generates the partial products of `a_ik` against row `k` of `B`
-    /// (`b_cols` / `b_vals`) into the bucket of output row `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket would receive more products than it was sized
-    /// for.
-    pub(crate) fn scatter(&mut self, row: usize, a_ik: f64, b_cols: &[usize], b_vals: &[f64]) {
-        let start = self.next[row];
-        let end = start + b_cols.len();
-        assert!(end <= self.bounds[row + 1], "output row {row} is over-filled");
-        for (slot, (&j, &b_kj)) in
-            self.products[start..end].iter_mut().zip(b_cols.iter().zip(b_vals))
-        {
-            *slot = (j, a_ik * b_kj);
-        }
-        self.next[row] = end;
-    }
-
-    /// The merge phase: sums each bucket's products per column, in
-    /// generation order, into one CSR row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bucket received fewer products than it was sized for.
-    pub(crate) fn merge(self) -> CsrMatrix {
-        let rows = self.next.len();
-        let mut out = CsrRows::new(rows, self.cols);
-        let mut spa = SparseAccumulator::new(self.cols);
-        for row in 0..rows {
-            assert!(self.next[row] == self.bounds[row + 1], "output row {row} is under-filled");
-            for &(col, product) in &self.products[self.bounds[row]..self.bounds[row + 1]] {
-                spa.add(col, product);
-            }
-            spa.flush_row(&mut out);
-        }
-        out.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CooMatrix;
     use proptest::prelude::*;
-
-    /// `A` (3 × 3) and `B` (3 × 3) whose product puts 3, 0 and 1 partial
-    /// products into output rows 0, 1 and 2.
-    fn pair() -> (CsrMatrix, CsrMatrix) {
-        let a = CooMatrix::from_triplets(3, 3, vec![(0, 0, 1.0), (0, 1, 1.0), (2, 2, 2.0)]);
-        let b = CooMatrix::from_triplets(
-            3,
-            3,
-            vec![(0, 0, 0.2), (0, 2, 0.1), (1, 2, 0.3), (2, 1, 4.0)],
-        );
-        (a.unwrap().to_csr(), b.unwrap().to_csr())
-    }
-
-    #[test]
-    fn buckets_merge_in_generation_order() {
-        let (a, b) = pair();
-        let mut buckets = RowBuckets::for_product(&a, &b);
-        buckets.scatter(2, 2.0, &[1], &[4.0]);
-        buckets.scatter(0, 1.0, &[0, 2], &[0.2, 0.1]);
-        buckets.scatter(0, 1.0, &[2], &[0.3]);
-        let c = buckets.merge();
-        assert_eq!(c.row_ptr(), &[0, 2, 2, 3]);
-        assert_eq!(c.col_idx(), &[0, 2, 1]);
-        assert_eq!(c.values(), &[0.2, 0.1 + 0.3, 8.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "row 2 is over-filled")]
-    fn over_filled_row_panics() {
-        let (a, b) = pair();
-        let mut buckets = RowBuckets::for_product(&a, &b);
-        buckets.scatter(2, 2.0, &[1, 2], &[4.0, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "row 0 is under-filled")]
-    fn under_filled_row_panics() {
-        let (a, b) = pair();
-        let mut buckets = RowBuckets::for_product(&a, &b);
-        buckets.scatter(0, 1.0, &[0, 2], &[0.2, 0.1]);
-        buckets.scatter(2, 2.0, &[1], &[4.0]);
-        let _ = buckets.merge();
-    }
 
     /// The sort-based accumulator the bitmap one replaced, kept as the
     /// reference it must match bit for bit: a `bool` per column, the list
@@ -282,15 +189,13 @@ mod tests {
             SortAccumulator { sums: vec![0.0; cols], seen: vec![false; cols], columns: Vec::new() }
         }
 
-        fn add(&mut self, col: usize, product: f64) -> bool {
+        fn add(&mut self, col: usize, product: f64) {
             if self.seen[col] {
                 self.sums[col] += product;
-                true
             } else {
                 self.seen[col] = true;
                 self.columns.push(col);
                 self.sums[col] = product;
-                false
             }
         }
 
@@ -347,7 +252,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// The bitmap accumulator emits the sort-based one's CSR arrays,
-        /// every value bit for bit, reports the same merges, and counts the
+        /// every value bit for bit (a lone `-0.0` included), and counts the
         /// same fan-in when it accumulates `u32`s.
         #[test]
         fn bitmap_rows_equal_the_sorted_reference((width, rows) in arb_rows()) {
@@ -361,8 +266,10 @@ mod tests {
             let mut want_fanin = CsrRows::new(rows.len(), width);
             for row in &rows {
                 for &(col, value) in row {
-                    prop_assert_eq!(bitmap.add(col, value), reference.add(col, value));
-                    prop_assert_eq!(fanin.add(col, 1u32), counted.add(col, 1.0));
+                    bitmap.add(col, value);
+                    reference.add(col, value);
+                    fanin.add(col, 1u32);
+                    counted.add(col, 1.0);
                 }
                 bitmap.flush_row(&mut got);
                 fanin.flush_row(&mut got_fanin);

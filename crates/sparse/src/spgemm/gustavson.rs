@@ -42,9 +42,7 @@ pub fn multiply_counting(a: &CsrMatrix, b: &CsrMatrix) -> (CsrMatrix, SpgemmStat
             let (b_cols, b_vals) = b.row(k);
             row_partial_products += b_cols.len() as u64;
             for (&j, &b_kj) in b_cols.iter().zip(b_vals.iter()) {
-                if spa.add(j, a_ik * b_kj) {
-                    stats.additions += 1;
-                }
+                spa.add(j, a_ik * b_kj);
             }
         }
         stats.record_row(row_partial_products);
@@ -52,7 +50,7 @@ pub fn multiply_counting(a: &CsrMatrix, b: &CsrMatrix) -> (CsrMatrix, SpgemmStat
     }
 
     let product = out.finish();
-    stats.output_nnz = product.nnz();
+    stats.record_output(product.nnz());
     (product, stats)
 }
 
@@ -70,6 +68,7 @@ pub fn multiply_counting(a: &CsrMatrix, b: &CsrMatrix) -> (CsrMatrix, SpgemmStat
 pub fn count_products(a: &CsrMatrix, b: &CsrMatrix) -> SpgemmStats {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let mut stats = SpgemmStats::default();
+    let mut output_nnz = 0;
     let mut stamp = vec![usize::MAX; b.cols()];
     for i in 0..a.rows() {
         let mut row_partial_products = 0u64;
@@ -77,13 +76,13 @@ pub fn count_products(a: &CsrMatrix, b: &CsrMatrix) -> SpgemmStats {
             let b_cols = b.row(k).0;
             row_partial_products += b_cols.len() as u64;
             for &j in b_cols {
-                stats.output_nnz += usize::from(stamp[j] != i);
+                output_nnz += usize::from(stamp[j] != i);
                 stamp[j] = i;
             }
         }
         stats.record_row(row_partial_products);
     }
-    stats.additions = stats.multiplications - stats.output_nnz as u64;
+    stats.record_output(output_nnz);
     stats
 }
 

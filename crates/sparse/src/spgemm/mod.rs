@@ -1,8 +1,7 @@
 //! Reference SpGEMM (sparse × sparse) implementations.
 //!
 //! The paper's Figure 2 contrasts four ways of organising the multiplication
-//! stage of SpGEMM.  Each is implemented here as a functionally equivalent
-//! reference kernel, selected by value through [`multiply`]:
+//! stage of SpGEMM, and [`multiply`] selects one by value:
 //!
 //! * [`Dataflow::InnerProduct`] — computes each output element directly
 //!   (InnerSP),
@@ -14,9 +13,18 @@
 //!   `tile` column elements of `A` at once (the `MMH4` instruction
 //!   corresponds to `tile == 4`).
 //!
-//! All kernels produce identical numerical results; they differ only in the
-//! order in which partial products are generated, which is what the
-//! accelerator models in `neura-chip` care about.
+//! On the host there are two kernels. The inner-product dataflow has its
+//! own; the other three run the row-wise kernel. What sets the outer-product
+//! and tiled dataflows apart is the order in which an accelerator
+//! generates, holds and merges partial products, and that is measured where
+//! it matters, not re-enacted in host memory: [`partial_product_count`] and
+//! [`SpgemmStats::bloat_percent`] (Table 1) count the partial products an
+//! outer-product design must store, and `neura_chip::compiler` lowers the
+//! tiled dataflow to the `MMH` instructions the cycle-level model runs. A
+//! host kernel that stored them all would reproduce the memory bloat the
+//! paper argues against. The products of one output element add up in
+//! ascending `k` in every dataflow, so all of them return the same bits,
+//! bar the inner product's sign of a lone `-0.0`.
 //!
 //! # The symbolic phase
 //!
@@ -42,9 +50,9 @@
 //!
 //! # Output assembly
 //!
-//! Every kernel assembles its CSR output directly (`accumulator.rs`) and
-//! passes the arrays through [`CsrMatrix::from_raw_parts`]; none goes
-//! through a [`crate::CooMatrix`], and none sorts a row's columns.  The
+//! Both kernels assemble their CSR output directly (`accumulator.rs`) and
+//! pass the arrays through [`CsrMatrix::from_raw_parts`]; neither goes
+//! through a [`crate::CooMatrix`], and neither sorts a row's columns.  The
 //! row-wise kernel and [`symbolic`] finish one row at a time through a
 //! dense sparse-accumulator over the columns of `B`, cut into blocks of
 //! 64: each block a `u64` word with one bit per column beside the 64
@@ -52,26 +60,16 @@
 //! non-zero.  Finishing a row sorts those block indices and walks each
 //! word's set bits upward, so the row comes out in ascending column order
 //! at O(products + W log W) for its `W` non-zero words, never O(columns of
-//! `B`).  The inner-product kernel visits the columns in
-//! order and needs no accumulator.  The outer-product and tiled kernels
-//! generate in `k`-major order, so they share a row-bucket accumulator:
-//! bucket sizes come from the operand structure (`Σ_k col_nnz_A(k) ·
-//! row_nnz_B(k)` products in all), every partial product is scattered into
-//! its output row's bucket as a 16-byte `(column, value)` pair in
-//! generation order, and an explicit merge phase then sums each bucket
-//! with the same sparse-accumulator.  Products of one output element
-//! therefore add up in ascending `k` in all four kernels.
+//! `B`).  The accumulator holds one output row at a time, never a partial
+//! product of another.  The inner-product kernel visits the columns in
+//! order and needs no accumulator.
 
 mod accumulator;
 mod gustavson;
 mod inner;
-mod outer;
-mod tiled;
 
 pub use gustavson::{count_products, gustavson, multiply_counting, symbolic};
 use inner::inner_product;
-use outer::outer_product;
-use tiled::tiled_gustavson;
 
 use crate::CsrMatrix;
 use serde::{Deserialize, Serialize};
@@ -81,11 +79,18 @@ use serde::{Deserialize, Serialize};
 pub enum Dataflow {
     /// Inner-product (output stationary) dataflow.
     InnerProduct,
-    /// Outer-product dataflow with explicit intermediate matrices.
+    /// Outer-product dataflow: for every `k`, column `k` of `A` times row
+    /// `k` of `B` forms a complete partial-product matrix, and the sum of
+    /// all of them is `C`.  OuterSPACE and SpArch store those matrices
+    /// before an explicit merge phase, which is the worst memory bloat of
+    /// the four; [`partial_product_count`] is what they store.
     OuterProduct,
     /// Row-wise (Gustavson) dataflow.
     RowWise,
-    /// Tiled row-wise dataflow with the given tile height.
+    /// Tiled row-wise dataflow with the given tile height: each column of
+    /// `A` is chopped into groups of `tile` stored elements, and every group
+    /// combined with row `k` of `B` is one `MMH<tile>` instruction
+    /// (`neura_chip::compiler` builds that decomposition for the chip).
     TiledRowWise(usize),
 }
 
@@ -122,6 +127,14 @@ impl SpgemmStats {
         self.multiplications += partial_products;
         self.active_rows += usize::from(partial_products > 0);
         self.max_row_partial_products = self.max_row_partial_products.max(partial_products);
+    }
+
+    /// Accounts for the output's stored elements, once every row is in:
+    /// merging `n` partial products into one element takes `n − 1`
+    /// additions.
+    fn record_output(&mut self, output_nnz: usize) {
+        self.output_nnz = output_nnz;
+        self.additions = self.multiplications - output_nnz as u64;
     }
 
     /// The paper's "bloat percent" (Equation 1 / Table 1): how many
@@ -185,7 +198,12 @@ impl SymbolicProduct {
 /// Runs the requested dataflow and returns the product matrix.
 ///
 /// All dataflows produce the same result; this entry point exists so callers
-/// (benchmarks, tests) can select a dataflow by value.
+/// (benchmarks, tests) can select a dataflow by value.  The outer-product
+/// and tiled dataflows run the row-wise kernel (see the module docs).
+///
+/// # Panics
+///
+/// Panics on [`Dataflow::TiledRowWise`] with a tile height of zero.
 pub fn multiply(a: &CsrMatrix, b: &CsrMatrix, dataflow: Dataflow) -> crate::Result<CsrMatrix> {
     if a.cols() != b.rows() {
         return Err(crate::SparseError::ShapeMismatch {
@@ -195,9 +213,8 @@ pub fn multiply(a: &CsrMatrix, b: &CsrMatrix, dataflow: Dataflow) -> crate::Resu
     }
     Ok(match dataflow {
         Dataflow::InnerProduct => inner_product(a, b),
-        Dataflow::OuterProduct => outer_product(a, b),
-        Dataflow::RowWise => gustavson(a, b),
-        Dataflow::TiledRowWise(tile) => tiled_gustavson(a, b, tile),
+        Dataflow::TiledRowWise(0) => panic!("tile height must be at least 1"),
+        Dataflow::OuterProduct | Dataflow::RowWise | Dataflow::TiledRowWise(_) => gustavson(a, b),
     })
 }
 
@@ -280,6 +297,29 @@ mod tests {
         let a = GraphGenerator::rmat(7, 800, 3).generate().to_csr();
         let b = GraphGenerator::rmat(7, 700, 4).generate().to_csr();
         assert_eq!(partial_product_count(&a, &b), count_products(&a, &b).multiplications);
+    }
+
+    #[test]
+    fn partial_product_count_formula() {
+        // A = identity(3): each column has 1 nnz; B row nnz decides the count.
+        let a = CsrMatrix::identity(3);
+        let b = GraphGenerator::erdos_renyi(3, 0.9, 5).generate().to_csr();
+        assert_eq!(partial_product_count(&a, &b), b.nnz() as u64);
+    }
+
+    #[test]
+    fn empty_matrices_produce_no_partial_products() {
+        let a = CsrMatrix::zeros(4, 4);
+        let b = CsrMatrix::zeros(4, 4);
+        assert_eq!(partial_product_count(&a, &b), 0);
+        assert_eq!(multiply(&a, &b, Dataflow::OuterProduct).unwrap().nnz(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "tile height")]
+    fn zero_tile_panics() {
+        let a = CsrMatrix::identity(2);
+        let _ = multiply(&a, &a, Dataflow::TiledRowWise(0));
     }
 
     #[test]

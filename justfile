@@ -197,10 +197,11 @@ perf-pair parent change workload pairs="10" *flags="":
 # footprint listed in the header of benchmark/src/layers.rs — or whose
 # dependency edits would rewrite the ledger's committed lock file. Also
 # checks that the perf-pair and pub-surface scripts still parse (running
-# the first takes minutes) and that every committed BENCH_*.json is JSON.
+# the first takes minutes) and that every committed BENCH_*.json is JSON
+# whose pairs agreed on every digest and failed no operation.
 perf-selftest:
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
     git diff --exit-code benchmark/Cargo.lock
     bash -n scripts/perf-pair.sh
     bash -n scripts/pub-surface.sh
-    bash -c 'shopt -s nullglob; for f in BENCH_*.json; do python3 -m json.tool "$f" > /dev/null || exit 1; done'
+    python3 scripts/check-ledgers.py
