@@ -34,9 +34,9 @@
 //!    percentile reporting.
 //!
 //! The NoC and memory-controller signals come in through their public
-//! observation surface (`Packet::hops` on drained packets,
-//! `TorusNetwork::hop_histogram`, `MemoryController::queue_depths`)
-//! rather than by threading the profiler *into* those crates — they sit
+//! observation surface (`Packet::hops` of the packets the accelerator
+//! drains from the NoC, and `MemoryController::queue_depths`) rather than
+//! by threading the profiler *into* those crates — they sit
 //! below `neura_chip` in the workspace DAG, and the accelerator already
 //! owns the only loop that accounts for every unit every cycle (a core it
 //! does not tick reaches the profiler as one of two per-cycle counts).

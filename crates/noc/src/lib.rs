@@ -7,13 +7,18 @@
 //!
 //! * [`TorusTopology`] — coordinates, wrap-around neighbours and minimal
 //!   hop distances,
-//! * [`Packet`] — a routed message with byte size and latency bookkeeping,
+//! * [`Packet`] — a routed message with byte size and latency bookkeeping;
+//!   its hop count is set when it is delivered, from the torus distance
+//!   of its source and destination (every dimension-order path is that
+//!   long),
 //! * [`TorusNetwork`] — the assembled fabric with injection, per-cycle
 //!   advancement, delivery queues and traffic statistics. It owns every
 //!   in-flight packet in one slab; its per-node routers (input-buffered,
-//!   dimension-order, a per-cycle link budget) queue
-//!   4-byte handles into that slab and look the next hop up in a table
-//!   built once per network, so a hop copies no packet and divides nothing.
+//!   dimension-order, a per-cycle link budget) queue 8-byte entries — a
+//!   packet's destination and its handle into that slab — in power-of-two
+//!   rings, and look the next hop up in a table built once per network,
+//!   so a hop reads no packet, divides nothing and takes no branch on
+//!   where the packet goes.
 //!
 //! # Example
 //!

@@ -1,10 +1,11 @@
 //! The assembled torus fabric.
 
 use crate::packet::Packet;
-use crate::router::{Handle, Router};
+use crate::router::{entry, entry_dst, entry_handle, Handle, Router, TickBuffers};
 use crate::topology::{RouteTable, TorusTopology};
 use neura_sim::{Cycle, Histogram};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// Aggregate network statistics.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -46,14 +47,17 @@ impl NetworkStats {
 /// A 2D-torus network of input-buffered routers.
 ///
 /// The network owns every packet in the fabric in one slab; router queues
-/// hold 4-byte handles into it. A hop therefore moves four bytes and updates
-/// the packet in place, and a `Packet` value leaves the slab only when
-/// [`Self::drain_delivered`] hands it to the attached component, which
-/// also returns its slot for the next injection.
+/// hold 8-byte entries, a packet's destination and its handle into the
+/// slab. A hop therefore moves eight bytes and reads no packet; the packet
+/// is looked up once, when it is delivered, and a `Packet` value leaves
+/// the slab only when [`Self::drain_delivered`] hands it to the attached
+/// component, which also returns its slot for the next injection.
 #[derive(Debug)]
 pub struct TorusNetwork {
     routes: RouteTable,
     routers: Vec<Router>,
+    /// Per node, the packets delivered there awaiting pickup, oldest first.
+    deliveries: Vec<VecDeque<Handle>>,
     links_per_cycle: usize,
     /// The packet slab: a slot is live from `inject` to its drain.
     packets: Vec<Packet>,
@@ -68,8 +72,9 @@ pub struct TorusNetwork {
     /// Packets delivered to their destination router, awaiting pickup by
     /// the attached component.
     waiting: usize,
-    /// Router-to-router transfers of the cycle being ticked (reused).
-    moves: Vec<(usize, Handle)>,
+    /// The transfers and arrivals of the cycle being ticked, sized for
+    /// every router forwarding `links_per_cycle` packets.
+    routed: TickBuffers,
     /// Bit `n % 64` of word `n / 64` is set while router `n` has packets to
     /// route, so a tick visits only those — in ascending node order, the
     /// order that fixes how transfers interleave in a shared next hop.
@@ -82,11 +87,13 @@ pub struct TorusNetwork {
 impl TorusNetwork {
     /// Creates a network over `topology` with the given per-router buffer capacity.
     pub fn new(topology: TorusTopology, buffer_capacity: usize) -> Self {
-        let routers = (0..topology.nodes()).map(|n| Router::new(n, buffer_capacity)).collect();
+        let routers = (0..topology.nodes()).map(|_| Router::new(buffer_capacity)).collect();
+        let links_per_cycle = 2;
         TorusNetwork {
             routes: RouteTable::new(&topology),
             routers,
-            links_per_cycle: 2,
+            deliveries: vec![VecDeque::new(); topology.nodes()],
+            links_per_cycle,
             packets: Vec::new(),
             free: Vec::new(),
             stats: NetworkStats::default(),
@@ -94,7 +101,7 @@ impl TorusNetwork {
             hop_histogram: Histogram::new(1, 64),
             buffered: 0,
             waiting: 0,
-            moves: Vec::new(),
+            routed: TickBuffers::new(topology.nodes() * links_per_cycle),
             active: vec![0; topology.nodes().div_ceil(64)],
             deliverable: vec![0; topology.nodes().div_ceil(64)],
         }
@@ -104,6 +111,7 @@ impl TorusNetwork {
     /// one per pipeline direction pair, matching the 128-bit data bus).
     pub fn with_links_per_cycle(mut self, links: usize) -> Self {
         self.links_per_cycle = links.max(1);
+        self.routed = TickBuffers::new(self.routers.len() * self.links_per_cycle);
         self
     }
 
@@ -115,9 +123,9 @@ impl TorusNetwork {
     /// the caller can retry next cycle (back-pressure).
     pub fn inject(&mut self, mut packet: Packet, now: Cycle) -> Result<(), Packet> {
         packet.injected_at = now.as_u64();
-        let src = packet.src;
+        let (src, dst) = (packet.src, packet.dst);
         assert!(src < self.routers.len(), "source node {src} out of range");
-        assert!(packet.dst < self.routers.len(), "destination node out of range");
+        assert!(dst < self.routers.len(), "destination node out of range");
         if self.routers[src].is_full() {
             self.stats.injection_rejected += 1;
             return Err(packet);
@@ -134,7 +142,7 @@ impl TorusNetwork {
                 handle
             }
         };
-        let accepted = self.routers[src].accept(handle);
+        let accepted = self.routers[src].accept(entry(dst, handle));
         debug_assert!(accepted, "fullness was checked above");
         self.active[src / 64] |= 1 << (src % 64);
         self.stats.injected += 1;
@@ -143,53 +151,70 @@ impl TorusNetwork {
     }
 
     /// Advances the whole fabric one cycle. Packets that reach their
-    /// destination router are accounted here and stay in that router's
+    /// destination router are accounted here and stay in that node's
     /// delivery queue until [`Self::drain_delivered`] picks them up.
+    ///
+    /// Every router routes first, in ascending node order, into the tick's
+    /// transfer and arrival buffers; then the arrivals are applied, then
+    /// the transfers, each in that same order — the order that fixes how
+    /// transfers interleave in a shared next hop.
     pub fn tick(&mut self, now: Cycle) {
         if self.buffered == 0 {
             return;
         }
-        let now = now.as_u64();
-        let mut moves = std::mem::take(&mut self.moves);
+        // Taken for the loop, so its cursors can live in registers.
+        let mut routed = std::mem::take(&mut self.routed);
+        (routed.moved, routed.arrived) = (0, 0);
         for word in 0..self.active.len() {
             // A snapshot: transfers set bits only after every router has routed.
             let mut pending = self.active[word];
+            let mut still_active = pending;
             while pending != 0 {
                 let bit = pending.trailing_zeros() as usize;
                 pending &= pending - 1;
-                let router = &mut self.routers[word * 64 + bit];
-                let delivered = router.route_cycle(
-                    &self.routes,
-                    &mut self.packets,
-                    self.links_per_cycle,
-                    &mut moves,
-                );
-                for handle in router.newest_delivered(delivered) {
-                    let packet = &self.packets[handle as usize];
-                    self.stats.delivered += 1;
-                    self.stats.total_latency += packet.latency(now);
-                    self.stats.total_hops += u64::from(packet.hops);
-                    self.stats.bytes_delivered += packet.bytes as u64;
-                    self.latency_histogram.record(packet.latency(now));
-                    self.hop_histogram.record(u64::from(packet.hops));
-                }
-                self.buffered -= delivered;
-                self.waiting += delivered;
-                if delivered > 0 {
-                    self.deliverable[word] |= 1 << bit;
-                }
-                if router.buffered() == 0 {
-                    self.active[word] &= !(1 << bit);
-                }
+                let node = word * 64 + bit;
+                let router = &mut self.routers[node];
+                router.route(node, &self.routes, self.links_per_cycle, &mut routed);
+                still_active &= !(u64::from(router.buffered() == 0) << bit);
             }
+            self.active[word] = still_active;
         }
-        for (next, handle) in moves.drain(..) {
+        self.routed = routed;
+        self.apply_arrivals(now.as_u64());
+        self.apply_transfers();
+    }
+
+    /// Moves the tick's arrivals to their delivery queues and accounts
+    /// them. A packet's hop count is its torus distance: dimension-order
+    /// routing takes exactly that many hops on every path.
+    fn apply_arrivals(&mut self, now: u64) {
+        let arrived = self.routed.arrived;
+        for &entry in &self.routed.arrivals[..arrived] {
+            let (node, handle) = (entry_dst(entry), entry_handle(entry));
+            let packet = &mut self.packets[handle as usize];
+            packet.hops += self.routes.distance(packet.src, packet.dst);
+            self.stats.delivered += 1;
+            self.stats.total_latency += packet.latency(now);
+            self.stats.total_hops += u64::from(packet.hops);
+            self.stats.bytes_delivered += packet.bytes as u64;
+            self.latency_histogram.record(packet.latency(now));
+            self.hop_histogram.record(u64::from(packet.hops));
+            self.deliveries[node].push_back(handle);
+            self.deliverable[node / 64] |= 1 << (node % 64);
+        }
+        self.buffered -= arrived;
+        self.waiting += arrived;
+    }
+
+    /// Hands the tick's transfers to their next routers.
+    fn apply_transfers(&mut self) {
+        for &(next, entry) in &self.routed.transfers[..self.routed.moved] {
+            let next = next as usize;
             // Router-to-router hops are throughput-limited, not buffer-limited
             // (see `Router::force_accept`), which keeps the torus deadlock-free.
-            self.routers[next].force_accept(handle);
+            self.routers[next].force_accept(entry);
             self.active[next / 64] |= 1 << (next % 64);
         }
-        self.moves = moves;
     }
 
     /// Removes all packets delivered to `node` since the last drain.
@@ -202,10 +227,12 @@ impl TorusNetwork {
     /// [`Self::drain_delivered`] appending to a caller-owned buffer, so a
     /// per-cycle caller allocates nothing.
     pub fn drain_delivered_into(&mut self, node: usize, out: &mut Vec<Packet>) {
-        let router = &mut self.routers[node];
-        self.waiting -= router.delivered_waiting();
+        let queue = &mut self.deliveries[node];
+        self.waiting -= queue.len();
         self.deliverable[node / 64] &= !(1 << (node % 64));
-        while let Some(handle) = router.pop_delivered() {
+        // A pop per packet: most calls find the queue empty, where a
+        // `drain` costs more to set up and tear down than the check.
+        while let Some(handle) = queue.pop_front() {
             out.push(self.packets[handle as usize].clone());
             self.free.push(handle);
         }

@@ -21,13 +21,15 @@ pub struct Packet {
     pub bytes: usize,
     /// Cycle at which the packet was injected (filled in by the network).
     pub injected_at: u64,
-    /// Number of router-to-router hops taken so far.
+    /// Number of router-to-router hops taken. The network adds them when
+    /// it delivers the packet, from the torus distance of `src` and `dst`:
+    /// dimension-order routing makes every path exactly that long.
     pub hops: u32,
 }
 
 impl Packet {
     /// Creates a packet; `injected_at` and `hops` start at zero and are
-    /// maintained by the network.
+    /// filled in by the network, at injection and at delivery.
     pub fn new(id: u64, src: usize, dst: usize, bytes: usize) -> Self {
         Packet { id, src, dst, bytes, injected_at: 0, hops: 0 }
     }

@@ -1,6 +1,7 @@
 //! Torus geometry: coordinates, neighbours and minimal distances.
 
 use serde::{Deserialize, Serialize};
+use std::hint::select_unpredictable;
 
 /// One of the four torus link directions (plus local ejection).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -147,8 +148,9 @@ pub(crate) struct RouteTable {
     width: u32,
     height: u32,
     coords: Vec<(u32, u32)>,
-    /// Neighbour node ids in `Direction` order: East, West, North, South.
-    neighbors: Vec<[u32; 4]>,
+    /// Neighbour node ids in `Direction` order — East, West, North, South —
+    /// then the node itself, the hop of a packet that has arrived.
+    neighbors: Vec<[u32; 5]>,
 }
 
 impl RouteTable {
@@ -172,7 +174,11 @@ impl RouteTable {
                 })
                 .collect(),
             neighbors: (0..topology.nodes())
-                .map(|node| links.map(|direction| narrow(topology.neighbor(node, direction))))
+                .map(|node| {
+                    let [east, west, north, south] =
+                        links.map(|direction| narrow(topology.neighbor(node, direction)));
+                    [east, west, north, south, narrow(node)]
+                })
                 .collect(),
         }
     }
@@ -181,20 +187,39 @@ impl RouteTable {
     /// [`TorusTopology::route`]; `from` itself once it has arrived.
     #[inline]
     pub(crate) fn next_hop(&self, from: usize, to: usize) -> usize {
-        if from == to {
-            return from;
-        }
         let ((fx, fy), (tx, ty)) = (self.coords[from], self.coords[to]);
         // Along a dimension where `f != t` the forward distance is in
         // `1..extent` and the backward one is `extent - forward`, so
         // `route`'s `forward <= backward` tie-break is `2 * forward <= extent`.
-        // Both dimensions are evaluated and one selected, so the hop has no
-        // data-dependent branch to mispredict.
-        let forward = |f: u32, t: u32, extent: u32| if t >= f { t - f } else { t + extent - f };
+        // Both dimensions and arrival are evaluated and one selected, so
+        // the hop has no data-dependent branch to mispredict.
         let along_x = usize::from(2 * forward(fx, tx, self.width) > self.width);
         let along_y = 2 + usize::from(2 * forward(fy, ty, self.height) > self.height);
-        let direction = if fx != tx { along_x } else { along_y };
+        let direction = select_unpredictable(fx != tx, along_x, along_y);
+        let direction = select_unpredictable(from == to, 4, direction);
         self.neighbors[from][direction] as usize
+    }
+
+    /// [`TorusTopology::distance`] from the table: the number of hops
+    /// [`Self::next_hop`] takes from `a` to `b`.
+    #[inline]
+    pub(crate) fn distance(&self, a: usize, b: usize) -> u32 {
+        let ((ax, ay), (bx, by)) = (self.coords[a], self.coords[b]);
+        let along = |f: u32, t: u32, extent: u32| {
+            let ahead = forward(f, t, extent);
+            ahead.min(extent - ahead)
+        };
+        along(ax, bx, self.width) + along(ay, by, self.height)
+    }
+}
+
+/// Steps from coordinate `f` to `t` moving forward on a ring of `extent`.
+#[inline]
+fn forward(f: u32, t: u32, extent: u32) -> u32 {
+    if t >= f {
+        t - f
+    } else {
+        t + extent - f
     }
 }
 
@@ -223,6 +248,32 @@ mod tests {
                             expected,
                             "{width}x{height}: {from} -> {to}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The network counts a packet's hops when it is delivered, as the
+    /// torus distance of its source and destination: that is exact only
+    /// because every dimension-order path is minimal.
+    #[test]
+    fn every_route_is_distance_hops_long() {
+        for width in 1..=9 {
+            for height in 1..=7 {
+                let t = TorusTopology::new(width, height);
+                let table = RouteTable::new(&t);
+                for a in 0..t.nodes() {
+                    for b in 0..t.nodes() {
+                        let (mut at, mut hops) = (a, 0);
+                        while at != b {
+                            at = table.next_hop(at, b);
+                            hops += 1;
+                            assert!(hops <= t.diameter(), "{width}x{height}: {a} -> {b} loops");
+                        }
+                        assert_eq!(table.next_hop(b, b), b);
+                        assert_eq!(hops, t.distance(a, b), "{width}x{height}: {a} -> {b}");
+                        assert_eq!(table.distance(a, b) as usize, hops, "{width}x{height}");
                     }
                 }
             }

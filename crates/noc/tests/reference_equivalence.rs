@@ -1,10 +1,12 @@
 //! `TorusNetwork` against a straightforward reference model.
 //!
-//! The network keeps its packets in one slab and queues 4-byte handles,
-//! reads next hops from a table, keeps per-destination delivery queues,
-//! running in-flight counters and a reused transfer buffer, and skips
-//! empty routers. The reference below is the plain algorithm those
-//! replaced — queues of whole packets, `TorusTopology::route` per hop,
+//! The network keeps its packets in one slab and queues 8-byte
+//! destination-and-handle entries in power-of-two rings, reads next hops
+//! from a table, routes into reused transfer and arrival buffers, counts
+//! hops at delivery, keeps per-destination delivery queues and running
+//! in-flight counters, and skips empty routers. The reference below is the
+//! plain algorithm those replaced — queues of whole packets,
+//! `TorusTopology::route` and a hop count per hop,
 //! route every router, apply the transfers, append the cycle's deliveries
 //! to one store, filter the store per drain, re-sum every buffer for
 //! `in_flight` — and must be indistinguishable from outside: per-node
@@ -184,4 +186,37 @@ proptest! {
         prop_assert_eq!(pair.net.latency_histogram(), &pair.reference.latency);
         prop_assert_eq!(pair.net.hop_histogram(), &pair.reference.hops);
     }
+}
+
+/// A burst that converges on one node of the 16×16 torus at capacity 1 and
+/// four links: every node sends to `hub` for four cycles, then the fabric
+/// drains. In one tick more than twice the hub's initial one slot of
+/// transfers land on it over capacity, so its ring grows past twice its
+/// initial size within that tick; delivery order, `stats()`,
+/// `congestion_map()` and both histograms still match the reference.
+#[test]
+fn a_converging_burst_grows_a_ring_and_matches_the_reference() -> Result<(), String> {
+    let topology = TorusTopology::new(16, 16);
+    let hub = 8 * 16 + 8;
+    let mut pair = Pair {
+        net: TorusNetwork::new(topology, 1).with_links_per_cycle(4),
+        reference: Reference::new(topology, 1, 4),
+        next_id: 0,
+        now: 0,
+    };
+    let burst: Vec<(usize, usize)> = (0..topology.nodes()).map(|src| (src, hub)).collect();
+    let mut steps = vec![(burst, true, 0); 4];
+    steps.extend(std::iter::repeat_n((Vec::new(), true, u64::MAX), 400));
+    let mut most_over_capacity = 0;
+    for step in steps {
+        let before = pair.net.congestion_map()[hub];
+        pair.step(step)?;
+        most_over_capacity = most_over_capacity.max(pair.net.congestion_map()[hub] - before);
+    }
+    assert_eq!(pair.net.in_flight(), 0, "the burst drained");
+    assert!(most_over_capacity > 2, "the hub's ring never grew twice in a tick");
+    assert_eq!(pair.net.stats().delivered, pair.net.stats().injected);
+    assert_eq!(pair.net.latency_histogram(), &pair.reference.latency);
+    assert_eq!(pair.net.hop_histogram(), &pair.reference.hops);
+    Ok(())
 }

@@ -1,7 +1,7 @@
 # Local mirror of .github/workflows/ci.yml — `just ci` before pushing.
 
 # Run everything CI runs.
-ci: fmt clippy doc loc surface build test perf-selftest artifacts tune serve serve-parallel trace xval profile
+ci: fmt clippy doc loc surface build test test-release perf-selftest artifacts tune serve serve-parallel trace xval profile
 
 # Formatting check (apply with `just fmt-fix`).
 fmt:
@@ -44,6 +44,12 @@ build:
 # Unit, integration, doc and bin-smoke tests.
 test:
     cargo test -q
+
+# The NoC and chip tests at release opt-level (overflow checks and debug
+# assertions off): the masked ring indices and packed queue entries of the
+# NoC, the chip's oracle and loop goldens. About 12 s warm.
+test-release:
+    cargo test --release -q -p neura_noc -p neura_chip
 
 # Run every paper artifact (the rows of `neura_bench::paper::ARTIFACTS`) at
 # paper scale, with strict golden checks against the pinned headline
