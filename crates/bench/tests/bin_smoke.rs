@@ -79,7 +79,7 @@ const PAPER_DIGESTS: [(&str, u64); 11] = [
     ("ablation", 0xf45fe4da7de574a8),
 ];
 
-const INVOCATIONS: [Invocation; 19] = [
+const INVOCATIONS: [Invocation; 20] = [
     // All eleven paper artifacts from one process, at their default paths,
     // each under its strict golden.
     ("paper-all", PAPER, Pin::PaperArtifacts, "all --json", 0),
@@ -149,6 +149,18 @@ const INVOCATIONS: [Invocation; 19] = [
         Pin::Artifact("serve"),
         "--clients 8 --think-ms 0.01 --lanes 2 --shards 2 --policy fifo --policy sjf",
         0xdd5ab9594ed338a0,
+    ),
+    // A zero-think closed loop: every client re-issues at its response's
+    // finish, so the in-flight peak is exactly the client count (50). The
+    // digest was captured on the commit that folds the peak in event
+    // order; its parent rebuilt completions as `arrival + latency`, which
+    // rounds past the next issue, and reported 51.
+    (
+        "serve-zero-think",
+        SERVE,
+        Pin::Artifact("serve"),
+        "--clients 50 --think-ms 0 --shards 2 --policy fifo",
+        0x238e29efe210a27d,
     ),
     // A library one: the overload scenario beside one plain arm, replayed
     // as two epoch fragments and traced into the timeline the `timeline`

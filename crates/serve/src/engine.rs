@@ -18,6 +18,16 @@
 //! RNGs, so splitting a replay at any set of boundaries reproduces the
 //! serial event sequence exactly.
 //!
+//! **The tally.** What the outcome needs beyond the recorded facts, the
+//! loop folds into a private `Tally` as it runs: shed and provisioning
+//! counts, per-tenant offers and sheds, the makespan, the backlog depth's
+//! time integral and peak, and the requests in flight — +1 per
+//! admission, −size per completed batch, a crash's re-queued batch
+//! staying in — with their peak, taken after each event's admissions
+//! (which follow its completions). The tally rides in the state, so
+//! epoch fragments carry it across seams; a lane replay's peak is swept
+//! again over the merged arrivals and batches by `merge_lanes`.
+//!
 //! **The recording seam.** The loop writes no output. Every fact it
 //! produces — dispatch, completion, batch done, arrival, admit, shed,
 //! crash, provisioning failure, scale — is one call on the private
@@ -189,7 +199,27 @@ enum Backlog {
     /// Batching: one arrival-ordered queue per class id, the set of
     /// classes whose queue is non-empty (the only ones a selection
     /// visits), and their summed length (read several times per event).
-    Classed { queues: Vec<VecDeque<usize>>, waiting: BitSet, len: usize },
+    Classed { queues: Vec<ClassQueue>, waiting: BitSet, len: usize },
+}
+
+/// One class queue of the batching backlog: its ids in arrival order and
+/// the arrival time of the first, kept beside them so that a selection
+/// or a deadline reads no request.
+#[derive(Debug, Clone, Default)]
+struct ClassQueue {
+    ids: VecDeque<usize>,
+    /// The arrival of `ids.front()`, set whenever the front changes: a
+    /// push into the empty queue, a `push_front`, a drain. Meaningless
+    /// while the queue is empty (the class is then not waiting).
+    head_s: f64,
+}
+
+impl ClassQueue {
+    /// Whether the class can dispatch at `now`: a full batch is queued,
+    /// or its head has waited out the timeout.
+    fn ready(&self, max_batch: usize, timeout_s: f64, now: f64) -> bool {
+        self.ids.len() >= max_batch || self.head_s + timeout_s <= now
+    }
 }
 
 impl Backlog {
@@ -199,19 +229,24 @@ impl Backlog {
             Policy::Fifo => Backlog::Fifo(VecDeque::new()),
             Policy::Sjf => Backlog::Sjf(BinaryHeap::new()),
             Policy::BatchByDataset { .. } => Backlog::Classed {
-                queues: vec![VecDeque::new(); classes],
+                queues: vec![ClassQueue::default(); classes],
                 waiting: BitSet::new(classes),
                 len: 0,
             },
         }
     }
 
-    fn push(&mut self, id: usize, class: ClassId, costs: &FleetCosts<'_>) {
+    /// Queues request `id`, which arrived at `arrival_s`.
+    fn push(&mut self, id: usize, arrival_s: f64, class: ClassId, costs: &FleetCosts<'_>) {
         match self {
             Backlog::Fifo(queue) => queue.push_back(id),
             Backlog::Sjf(heap) => heap.push(Reverse((costs.weight(class), id))),
             Backlog::Classed { queues, waiting, len } => {
-                queues[class.index()].push_back(id);
+                let queue = &mut queues[class.index()];
+                if queue.ids.is_empty() {
+                    queue.head_s = arrival_s;
+                }
+                queue.ids.push_back(id);
                 waiting.insert(class.index());
                 *len += 1;
             }
@@ -221,8 +256,9 @@ impl Backlog {
     /// Returns a unit taken by [`Self::take_ready`] to the head of its
     /// queue, preserving order — used when the dispatch policy holds the
     /// unit for busy preferred silicon, and when a crash returns a
-    /// victim's in-flight batch for re-dispatch.
-    fn push_front(&mut self, unit: &[usize], class: ClassId, costs: &FleetCosts<'_>) {
+    /// victim's in-flight batch for re-dispatch. `head_s` is the arrival
+    /// of `unit[0]`.
+    fn push_front(&mut self, unit: &[usize], head_s: f64, class: ClassId, costs: &FleetCosts<'_>) {
         let queue = match self {
             Backlog::Fifo(queue) => queue,
             Backlog::Sjf(heap) => {
@@ -233,7 +269,9 @@ impl Backlog {
             Backlog::Classed { queues, waiting, len } => {
                 *len += unit.len();
                 waiting.insert(class.index());
-                &mut queues[class.index()]
+                let queue = &mut queues[class.index()];
+                queue.head_s = head_s;
+                &mut queue.ids
             }
         };
         for &id in unit.iter().rev() {
@@ -251,7 +289,7 @@ impl Backlog {
 
     /// The earliest future time at which a currently-unready unit becomes
     /// ready by timeout (batching policy only).
-    fn next_deadline(&self, now: f64, policy: Policy, requests: &[Request]) -> Option<f64> {
+    fn next_deadline(&self, now: f64, policy: Policy) -> Option<f64> {
         let (
             Backlog::Classed { queues, waiting, .. },
             Policy::BatchByDataset { max_batch, timeout_s },
@@ -262,14 +300,15 @@ impl Backlog {
         waiting
             .iter()
             .map(|class| &queues[class])
-            .filter(|q| !class_ready(q, requests, max_batch, timeout_s, now))
-            .filter_map(|q| q.front().map(|&id| requests[id].arrival_s + timeout_s))
+            .filter(|q| !q.ready(max_batch, timeout_s, now))
+            .map(|q| q.head_s + timeout_s)
             .fold(None, |best, t| Some(best.map_or(t, |b: f64| b.min(t))))
     }
 
     /// Moves the next ready dispatch unit at `now` into `unit` (cleared
     /// first — the caller recycles one buffer across dispatches); `false`
-    /// when nothing is ready.
+    /// when nothing is ready. `requests` is read only for the arrival of
+    /// the request a partial drain leaves at the front of its queue.
     fn take_ready(
         &mut self,
         now: f64,
@@ -292,19 +331,19 @@ impl Backlog {
                 // ids — so selection is deterministic).
                 let ready = waiting
                     .iter()
-                    .filter(|&c| class_ready(&queues[c], requests, max_batch, timeout_s, now))
+                    .filter(|&c| queues[c].ready(max_batch, timeout_s, now))
                     .min_by(|&a, &b| {
-                        let ha = head_arrival(&queues[a], requests);
-                        let hb = head_arrival(&queues[b], requests);
+                        let (ha, hb) = (queues[a].head_s, queues[b].head_s);
                         ha.partial_cmp(&hb).expect("arrival times are finite").then(a.cmp(&b))
                     });
                 if let Some(class) = ready {
                     let queue = &mut queues[class];
-                    let take = queue.len().min(max_batch);
-                    unit.extend(queue.drain(..take));
+                    let take = queue.ids.len().min(max_batch);
+                    unit.extend(queue.ids.drain(..take));
                     *len -= take;
-                    if queue.is_empty() {
-                        waiting.remove(class);
+                    match queue.ids.front() {
+                        Some(&head) => queue.head_s = requests[head].arrival_s,
+                        None => waiting.remove(class),
                     }
                 }
             }
@@ -312,20 +351,6 @@ impl Backlog {
         }
         !unit.is_empty()
     }
-}
-
-fn head_arrival(queue: &VecDeque<usize>, requests: &[Request]) -> f64 {
-    queue.front().map(|&id| requests[id].arrival_s).unwrap_or(f64::INFINITY)
-}
-
-fn class_ready(
-    queue: &VecDeque<usize>,
-    requests: &[Request],
-    max_batch: usize,
-    timeout_s: f64,
-    now: f64,
-) -> bool {
-    queue.len() >= max_batch || head_arrival(queue, requests) + timeout_s <= now
 }
 
 /// Where the next request comes from, and every request that has arrived
@@ -479,6 +504,13 @@ struct Tally {
     makespan: f64,
     depth_integral: f64,
     depth_max: usize,
+    /// Requests in flight — admitted and not yet completed: +1 per
+    /// admission, −size per completed batch. A crash's re-queued batch
+    /// stays in.
+    live: usize,
+    /// The largest `live` after any event's admissions (which follow
+    /// its completions, so it is the count at the end of an instant).
+    live_max: usize,
 }
 
 /// Everything one fragment hands the next: the complete dynamic state of
@@ -795,7 +827,8 @@ impl<'a> Engine<'a> {
             if !st.backlog.take_ready(st.now, ctx.cfg.policy, arrived, &mut self.unit) {
                 break;
             }
-            let class = ctx.costs.class_id(arrived[self.unit[0]].class);
+            let head = arrived[self.unit[0]];
+            let class = ctx.costs.class_id(head.class);
             let requests = self.unit.len();
             let Some(shard) =
                 dispatcher.choose(&st.fleet, &self.idle, class, requests, st.now, &ctx.costs)
@@ -804,7 +837,7 @@ impl<'a> Engine<'a> {
                     st.fleet.next_busy_free_at().is_finite(),
                     "a policy may only hold a batch while some shard is busy"
                 );
-                st.backlog.push_front(&self.unit, class, &ctx.costs);
+                st.backlog.push_front(&self.unit, head.arrival_s, class, &ctx.costs);
                 break;
             };
             let group = st.fleet.group_of(shard);
@@ -837,8 +870,7 @@ impl<'a> Engine<'a> {
             || !st.pending_ops.is_empty()
             || next_completion.is_finite();
         let mut t_next = next_arrival.unwrap_or(f64::INFINITY).min(next_completion);
-        let arrived = st.source.arrived(ctx.stream);
-        if let Some(deadline) = st.backlog.next_deadline(st.now, ctx.cfg.policy, arrived) {
+        if let Some(deadline) = st.backlog.next_deadline(st.now, ctx.cfg.policy) {
             t_next = t_next.min(deadline);
         }
         for op in &st.pending_ops {
@@ -872,6 +904,7 @@ impl<'a> Engine<'a> {
                 rec.complete(finish, id, &request);
             }
             st.tally.makespan = st.tally.makespan.max(finish);
+            st.tally.live -= batch.len();
             rec.batch_done(finish, batch.len());
             batch.clear();
         }
@@ -891,7 +924,7 @@ impl<'a> Engine<'a> {
         let first_new = st.source.arrived(ctx.stream).len();
         st.source.pop_due(now, ctx.stream);
         for id in first_new..st.source.arrived(ctx.stream).len() {
-            let Request { class, tenant, .. } = st.source.arrived(ctx.stream)[id];
+            let Request { arrival_s, class, tenant, .. } = st.source.arrived(ctx.stream)[id];
             if let Some(count) = st.tally.tenant_offered.get_mut(tenant) {
                 *count += 1;
             }
@@ -910,7 +943,8 @@ impl<'a> Engine<'a> {
             };
             match refusal {
                 None => {
-                    st.backlog.push(id, ctx.costs.class_id(class), &ctx.costs);
+                    st.backlog.push(id, arrival_s, ctx.costs.class_id(class), &ctx.costs);
+                    st.tally.live += 1;
                     rec.admit(now, id);
                 }
                 Some(reason) => {
@@ -923,6 +957,7 @@ impl<'a> Engine<'a> {
             }
         }
         st.tally.depth_max = st.tally.depth_max.max(st.backlog.len());
+        st.tally.live_max = st.tally.live_max.max(st.tally.live);
     }
 
     /// Injected crashes due at `now`: the victim is the busiest active
@@ -952,8 +987,9 @@ impl<'a> Engine<'a> {
             let batch = &mut st.in_flight[victim];
             let redispatched = batch.len();
             if redispatched > 0 {
-                let class = ctx.costs.class_id(st.source.arrived(ctx.stream)[batch[0]].class);
-                st.backlog.push_front(batch, class, &ctx.costs);
+                let head = st.source.arrived(ctx.stream)[batch[0]];
+                let class = ctx.costs.class_id(head.class);
+                st.backlog.push_front(batch, head.arrival_s, class, &ctx.costs);
                 batch.clear();
             }
             let crash = CrashEvent { at_s: st.now, shard: victim, group, redispatched };
@@ -1088,6 +1124,7 @@ fn assemble(
         makespan_s: makespan,
         queue_depth_mean: if makespan > 0.0 { depth_integral / makespan } else { 0.0 },
         queue_depth_max: end.tally.depth_max,
+        peak_in_flight: end.tally.live_max,
         batch_sizes: out.batch_sizes.into_iter().map(|(_, size)| size).collect(),
         shard_stats: end.shard_stats,
         shard_groups: end.shard_groups,
@@ -1292,7 +1329,25 @@ fn merge_lanes(
     }
     out.batch_sizes = by_time(out.batch_sizes, |&(finish_s, _)| finish_s);
     out.events = out.events.map(|events| by_time(events, TraceEvent::at_s));
+    end.tally.live_max = peak_live(&end.arrivals_s, &out.batch_sizes);
     (end, out)
+}
+
+/// The peak in-flight count over time-ordered arrivals (every one
+/// admitted) and time-ordered `(finish, size)` batches: each arrival
+/// counts in after every batch that finished at or before it, the order
+/// the event loop completes and admits in at one instant.
+fn peak_live(arrivals_s: &[f64], batches: &[(f64, usize)]) -> usize {
+    let (mut live, mut peak, mut done) = (0usize, 0usize, 0);
+    for &arrival in arrivals_s {
+        while let Some(&(_, size)) = batches.get(done).filter(|&&(finish, _)| finish <= arrival) {
+            live -= size;
+            done += 1;
+        }
+        live += 1;
+        peak = peak.max(live);
+    }
+    peak
 }
 
 /// Rewrites a lane-local trace event into merged coordinates.
@@ -1422,6 +1477,22 @@ mod tests {
         Classed(Vec<(RequestClass, VecDeque<usize>)>),
     }
 
+    /// The arrival of the request at the front of `queue` (infinite when
+    /// it is empty), read from the stream as the backlog once did.
+    fn head_arrival(queue: &VecDeque<usize>, requests: &[Request]) -> f64 {
+        queue.front().map_or(f64::INFINITY, |&id| requests[id].arrival_s)
+    }
+
+    fn class_ready(
+        queue: &VecDeque<usize>,
+        requests: &[Request],
+        max_batch: usize,
+        timeout_s: f64,
+        now: f64,
+    ) -> bool {
+        queue.len() >= max_batch || head_arrival(queue, requests) + timeout_s <= now
+    }
+
     /// The queue of `class`, inserted in class order when absent.
     fn class_queue(
         queues: &mut Vec<(RequestClass, VecDeque<usize>)>,
@@ -1464,6 +1535,21 @@ mod tests {
                 ReferenceBacklog::Single(queue) => queue.len(),
                 ReferenceBacklog::Classed(queues) => queues.iter().map(|(_, q)| q.len()).sum(),
             }
+        }
+
+        fn next_deadline(&self, now: f64, policy: Policy, requests: &[Request]) -> Option<f64> {
+            let (
+                ReferenceBacklog::Classed(queues),
+                Policy::BatchByDataset { max_batch, timeout_s },
+            ) = (self, policy)
+            else {
+                return None;
+            };
+            queues
+                .iter()
+                .filter(|(_, q)| !class_ready(q, requests, max_batch, timeout_s, now))
+                .map(|(_, q)| head_arrival(q, requests) + timeout_s)
+                .reduce(f64::min)
         }
 
         fn take_ready(
@@ -1539,7 +1625,11 @@ mod tests {
     /// pick)`: 0–1 an arrival of class `pick`; 2 a dispatch; 3 a hold (the
     /// unit goes straight back); 4 a crash (an earlier dispatched unit
     /// comes back); 5 a crash of two same-class units at once, re-queued
-    /// as one multi-id unit.
+    /// as one multi-id unit; 6 a dispatch at the instant the next batch
+    /// timeout expires. Batches larger than a class queue's `max_batch`
+    /// drain it partially, so every way a queue's head changes — a push
+    /// into an empty queue, a hold or crash re-queue, a partial drain — is
+    /// followed by a selection and a deadline that read the cached head.
     fn replay_against_the_reference(policy: Policy, ops: &[(usize, usize)]) {
         let table = weights();
         let costs = FleetCosts::new(&table, &[]);
@@ -1551,36 +1641,40 @@ mod tests {
         for (step, &(kind, pick)) in ops.iter().enumerate() {
             // Time follows the arrivals, plus a pick-dependent slack so
             // batch timeouts sometimes have and sometimes have not expired.
-            let now = requests.len() as f64 * ARRIVAL_GAP_S + (pick % 4) as f64 * ARRIVAL_GAP_S;
+            let mut now = requests.len() as f64 * ARRIVAL_GAP_S + (pick % 4) as f64 * ARRIVAL_GAP_S;
+            let requeue =
+                |unit: &[usize], backlog: &mut Backlog, reference: &mut ReferenceBacklog| {
+                    let head = requests[unit[0]];
+                    backlog.push_front(unit, head.arrival_s, costs.class_id(head.class), &costs);
+                    reference.push_front(unit, head.class);
+                };
             match kind {
                 0 | 1 => {
                     let id = requests.len();
                     let arrival_s = id as f64 * ARRIVAL_GAP_S;
                     requests.push(Request { id, arrival_s, class: class(pick), tenant: 0 });
-                    backlog.push(id, costs.class_id(class(pick)), &costs);
+                    backlog.push(id, arrival_s, costs.class_id(class(pick)), &costs);
                     reference.push(id, class(pick));
                 }
-                2 | 3 => {
+                2 | 3 | 6 => {
+                    if kind == 6 {
+                        now = reference.next_deadline(now, policy, &requests).unwrap_or(now);
+                    }
                     let expected = reference.take_ready(now, policy, &requests, &table);
                     let took = backlog.take_ready(now, policy, &requests, &mut unit);
                     assert_eq!(took.then_some(&unit), expected.as_ref(), "step {step}");
-                    if let Some(expected) = expected {
-                        if kind == 3 {
-                            let class = requests[unit[0]].class;
-                            backlog.push_front(&unit, costs.class_id(class), &costs);
-                            reference.push_front(&expected, class);
-                        } else {
-                            dispatched.push(expected);
-                        }
+                    match expected {
+                        Some(_) if kind == 3 => requeue(&unit, &mut backlog, &mut reference),
+                        Some(expected) => dispatched.push(expected),
+                        None => {}
                     }
                 }
                 _ if dispatched.is_empty() => {}
-                4 => {
-                    let crashed = dispatched.swap_remove(pick % dispatched.len());
-                    let class = requests[crashed[0]].class;
-                    backlog.push_front(&crashed, costs.class_id(class), &costs);
-                    reference.push_front(&crashed, class);
-                }
+                4 => requeue(
+                    &dispatched.swap_remove(pick % dispatched.len()),
+                    &mut backlog,
+                    &mut reference,
+                ),
                 _ => {
                     let mut crashed = dispatched.swap_remove(pick % dispatched.len());
                     let class = requests[crashed[0]].class;
@@ -1589,18 +1683,11 @@ mod tests {
                     {
                         crashed.extend(dispatched.swap_remove(other));
                     }
-                    backlog.push_front(&crashed, costs.class_id(class), &costs);
-                    reference.push_front(&crashed, class);
+                    requeue(&crashed, &mut backlog, &mut reference);
                 }
             }
-            assert_eq!(backlog.len(), reference.len(), "step {step}");
-            if let Backlog::Classed { queues, waiting, len } = &backlog {
-                assert_eq!(*len, queues.iter().map(VecDeque::len).sum::<usize>(), "step {step}");
-                let non_empty = (0..queues.len()).filter(|&c| !queues[c].is_empty());
-                assert!(waiting.iter().eq(non_empty), "step {step}: waiting classes");
-            }
             let in_flight: usize = dispatched.iter().map(Vec::len).sum();
-            assert_eq!(backlog.len() + in_flight, requests.len(), "step {step}: conservation");
+            assert_agrees(&backlog, &reference, now, policy, &requests, in_flight, step);
         }
         // Drain: far enough in the future every batch timeout has expired.
         let end = requests.len() as f64 * ARRIVAL_GAP_S + 1.0;
@@ -1613,8 +1700,37 @@ mod tests {
         assert_eq!(backlog.len(), 0);
     }
 
+    /// The checks after one step of [`replay_against_the_reference`].
+    fn assert_agrees(
+        backlog: &Backlog,
+        reference: &ReferenceBacklog,
+        now: f64,
+        policy: Policy,
+        requests: &[Request],
+        in_flight: usize,
+        step: usize,
+    ) {
+        assert_eq!(backlog.len(), reference.len(), "step {step}");
+        assert_eq!(
+            backlog.next_deadline(now, policy).map(f64::to_bits),
+            reference.next_deadline(now, policy, requests).map(f64::to_bits),
+            "step {step}: next deadline"
+        );
+        if let Backlog::Classed { queues, waiting, len } = backlog {
+            assert_eq!(*len, queues.iter().map(|q| q.ids.len()).sum::<usize>(), "step {step}");
+            let non_empty = (0..queues.len()).filter(|&c| !queues[c].ids.is_empty());
+            assert!(waiting.iter().eq(non_empty), "step {step}: waiting classes");
+            for class in waiting.iter() {
+                let head = queues[class].head_s.to_bits();
+                let front = head_arrival(&queues[class].ids, requests).to_bits();
+                assert_eq!(head, front, "step {step}: class {class}'s cached head");
+            }
+        }
+        assert_eq!(backlog.len() + in_flight, requests.len(), "step {step}: conservation");
+    }
+
     fn arb_ops() -> impl Strategy<Value = Vec<(usize, usize)>> {
-        proptest::collection::vec((0usize..6, 0usize..64), 1..300)
+        proptest::collection::vec((0usize..7, 0usize..64), 1..300)
     }
 
     proptest! {
@@ -1658,13 +1774,13 @@ mod tests {
             .map(|(id, &c)| Request { id, arrival_s: id as f64, class: class(c), tenant: 0 })
             .collect();
         for request in &requests {
-            backlog.push(request.id, costs.class_id(request.class), &costs);
+            backlog.push(request.id, request.arrival_s, costs.class_id(request.class), &costs);
         }
         let mut unit = Vec::new();
         let mut order = Vec::new();
         assert!(backlog.take_ready(9.0, Policy::Sjf, &requests, &mut unit));
         assert_eq!(unit, [1], "weight 10, the earliest id");
-        backlog.push_front(&unit, costs.class_id(class(3)), &costs);
+        backlog.push_front(&unit, 1.0, costs.class_id(class(3)), &costs);
         while backlog.take_ready(9.0, Policy::Sjf, &requests, &mut unit) {
             order.push(unit[0]);
         }

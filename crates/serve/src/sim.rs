@@ -120,10 +120,15 @@ fn nearest_ranks(values: &mut [f64], pcts: &[f64]) -> Vec<f64> {
 
 /// The arithmetic mean in slice order (0 for an empty slice).
 fn mean_or_zero(values: &[f64]) -> f64 {
-    if values.is_empty() {
+    mean_of(values.iter().sum(), values.len())
+}
+
+/// The mean of `count` values summing to `sum` (0 when there are none).
+fn mean_of(sum: f64, count: usize) -> f64 {
+    if count == 0 {
         0.0
     } else {
-        values.iter().sum::<f64>() / values.len() as f64
+        sum / count as f64
     }
 }
 
@@ -147,8 +152,8 @@ pub struct ServeOutcome {
     /// Per-request latency (completion − arrival) in seconds, id-ordered;
     /// shed requests carry [`SHED_LATENCY_S`].
     pub latencies_s: Vec<f64>,
-    /// Per-request arrival time in seconds, id-ordered (so completion
-    /// times — and with them in-flight counts — are reconstructable).
+    /// Per-request arrival time in seconds, id-ordered; a served
+    /// request completed at `arrival + latency`, up to rounding.
     pub arrivals_s: Vec<f64>,
     /// Per-request tenant index, id-ordered (all 0 without a mix).
     pub tenants: Vec<usize>,
@@ -170,6 +175,9 @@ pub struct ServeOutcome {
     pub queue_depth_mean: f64,
     /// Largest backlog depth observed at any event.
     pub queue_depth_max: usize,
+    /// Largest number of admitted requests not yet completed, folded by
+    /// the event loop (read it through [`Self::max_in_flight`]).
+    pub(crate) peak_in_flight: usize,
     /// Size of every completed batch, in completion order.
     pub batch_sizes: Vec<usize>,
     /// Per-shard-slot counters.
@@ -251,18 +259,20 @@ impl ServeOutcome {
 
     /// Mean served latency in seconds (0 when nothing was served).
     pub fn mean_latency_s(&self) -> f64 {
-        let served = self.requests();
-        if served == 0 {
-            0.0
-        } else {
-            self.latencies_s.iter().filter(|&&l| is_served(l)).sum::<f64>() / served as f64
-        }
+        let served = self.latencies_s.iter().filter(|&&l| is_served(l));
+        let (count, sum) = served.fold((0, 0.0), |(count, sum), &l| (count + 1, sum + l));
+        mean_of(sum, count)
     }
 
     /// Sustained throughput: requests served per second of makespan.
     pub fn throughput_rps(&self) -> f64 {
+        self.per_makespan_s(self.requests())
+    }
+
+    /// `count` per second of makespan (0 for an empty makespan).
+    fn per_makespan_s(&self, count: usize) -> f64 {
         if self.makespan_s > 0.0 {
-            self.requests() as f64 / self.makespan_s
+            count as f64 / self.makespan_s
         } else {
             0.0
         }
@@ -306,34 +316,18 @@ impl ServeOutcome {
     }
 
     /// The largest number of *served* requests simultaneously in flight
-    /// (arrived but not yet completed; shed requests never occupy the
+    /// (admitted but not yet completed; shed requests never occupy the
     /// system) — the quantity a closed loop bounds by its client count.
+    ///
+    /// The event loop folds it in event order as it runs: +1 per
+    /// admission, −size per completed batch, a crash's re-queued batch
+    /// staying in flight, and an instant's completions counted out
+    /// before its admissions count in (a closed-loop client's next
+    /// request can only follow its response). Nothing is rebuilt from
+    /// `arrival + latency`, whose rounding can land a completion just
+    /// past the next admission.
     pub fn max_in_flight(&self) -> usize {
-        // The served requests' arrival and completion times, each
-        // ascending. Ids follow arrival order, so the arrival sort finds
-        // its input sorted and only the completions really move.
-        let (mut arrivals, mut completions): (Vec<f64>, Vec<f64>) = self
-            .arrivals_s
-            .iter()
-            .zip(&self.latencies_s)
-            .filter(|&(_, &latency)| is_served(latency))
-            .map(|(&arrival, &latency)| (arrival, arrival + latency))
-            .unzip();
-        let by_time = |a: &f64, b: &f64| a.partial_cmp(b).expect("event times are finite");
-        arrivals.sort_unstable_by(by_time);
-        completions.sort_unstable_by(by_time);
-        // +1 at each arrival, −1 at each completion; completions at the
-        // same instant as an arrival are processed first (a closed-loop
-        // client's next request can only follow its response). The count
-        // only peaks at an arrival.
-        let (mut completed, mut peak) = (0usize, 0usize);
-        for (arrived, &arrival) in arrivals.iter().enumerate() {
-            while completions.get(completed).is_some_and(|&finish| finish <= arrival) {
-                completed += 1;
-            }
-            peak = peak.max((arrived + 1).saturating_sub(completed));
-        }
-        peak
+        self.peak_in_flight
     }
 
     /// The artifact records describing this outcome: one scenario summary
@@ -345,22 +339,26 @@ impl ServeOutcome {
     /// served counts). `scope` prefixes every record ID and `params` is
     /// attached to each record.
     pub fn records(&self, scope: &str, params: &[(String, String)]) -> Vec<RunRecord> {
-        // One pass buckets every served latency: all of them for the
-        // scenario tails and, under a tenant mix, each tenant's own.
+        // One pass buckets every served latency — all of them for the
+        // scenario tails and, under a tenant mix, each tenant's own — and
+        // sums them in id order, as `mean_latency_s` does.
         let mut served = Vec::with_capacity(self.latencies_s.len());
         let mut tenant_served = vec![Vec::new(); self.tenant_outcomes.len()];
+        let mut latency_sum = 0.0;
         for (&owner, &latency) in self.tenants.iter().zip(&self.latencies_s) {
             if is_served(latency) {
                 served.push(latency);
+                latency_sum += latency;
                 if let Some(bucket) = tenant_served.get_mut(owner) {
                     bucket.push(latency);
                 }
             }
         }
+        let requests = served.len();
         let tails = nearest_ranks(&mut served, &[50.0, 95.0, 99.0]);
         let recoveries = self.recovery_times_s();
         let mut summary = RunRecord::new(format!("{scope}/summary"))
-            .metric("requests", self.requests() as f64)
+            .metric("requests", requests as f64)
             .metric("offered", self.offered() as f64)
             .metric("shed", self.shed.len() as f64)
             .metric("shed_rate", self.shed_rate())
@@ -374,8 +372,8 @@ impl ServeOutcome {
             .unit_metric("p50_latency_ms", tails[0] * 1e3, "ms")
             .unit_metric("p95_latency_ms", tails[1] * 1e3, "ms")
             .unit_metric("p99_latency_ms", tails[2] * 1e3, "ms")
-            .unit_metric("mean_latency_ms", self.mean_latency_s() * 1e3, "ms")
-            .unit_metric("throughput_rps", self.throughput_rps(), "req/s")
+            .unit_metric("mean_latency_ms", mean_of(latency_sum, requests) * 1e3, "ms")
+            .unit_metric("throughput_rps", self.per_makespan_s(requests), "req/s")
             .unit_metric("makespan_s", self.makespan_s, "s")
             .metric("queue_depth_mean", self.queue_depth_mean)
             .metric("queue_depth_max", self.queue_depth_max as f64)
@@ -677,6 +675,36 @@ mod tests {
         assert!(outcome.throughput_rps() <= 2.0 / 1.0 + 1e-9);
         // Deterministic replay.
         assert_eq!(outcome, simulate_config_parallel(&workload, &cfg, &EnginePlan::serial()));
+    }
+
+    /// Zero think time re-issues each request at its predecessor's finish.
+    /// `arrival + latency` rounds just past that finish for some requests,
+    /// so rebuilding completions from the latencies once counted a
+    /// response after the same client's next request and reported more
+    /// requests in flight than clients; the event-order fold cannot.
+    #[test]
+    fn zero_think_closed_loops_never_exceed_their_client_count() {
+        let clients = 50;
+        let workload = Workload::Closed(ClosedLoopSpec {
+            clients,
+            think_s: 0.0,
+            duration_s: 2.0,
+            mix_size: 2,
+            shrinks: vec![1],
+            seed: 23,
+        });
+        // Service times that are not whole numbers of seconds, nor of
+        // anything a binary fraction holds exactly.
+        let mut costs = CostTable::new();
+        let fp = costs.register(&ChipConfig::tile_16());
+        for (dataset, cycles) in [(0, 3_333_337), (1, 7_654_321)] {
+            costs.insert(&fp, RequestClass { dataset, shrink: 1 }, ClassCost { cycles, flops: 1 });
+        }
+        let groups = tile16_fleet(2);
+        let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+        let outcome = simulate_config_parallel(&workload, &cfg, &EnginePlan::serial());
+        assert!(outcome.requests() > 10 * clients, "clients re-issue many times");
+        assert_eq!(outcome.max_in_flight(), clients, "every client always has one outstanding");
     }
 
     #[test]
@@ -1029,6 +1057,7 @@ mod tests {
             makespan_s: 4.0,
             queue_depth_mean: 0.0,
             queue_depth_max: 0,
+            peak_in_flight: 0,
             batch_sizes: Vec::new(),
             shard_stats: vec![ShardStats::default()],
             shard_groups: vec![0],
@@ -1133,10 +1162,9 @@ mod tests {
     fn an_impossible_latency_trips_every_served_only_reader() {
         let outcome = outcome_with(vec![1.0, -2.0, SHED_LATENCY_S]);
         type Reader = fn(&ServeOutcome);
-        let readers: [(&str, Reader); 5] = [
+        let readers: [(&str, Reader); 4] = [
             ("requests", |o| _ = o.requests()),
             ("mean_latency_s", |o| _ = o.mean_latency_s()),
-            ("max_in_flight", |o| _ = o.max_in_flight()),
             ("latency_percentile_s", |o| _ = o.latency_percentile_s(99.0)),
             ("records", |o| _ = o.records("serve/demo", &[])),
         ];
