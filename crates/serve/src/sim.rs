@@ -74,7 +74,7 @@ fn served_percentiles(latencies: impl Iterator<Item = f64>, pcts: &[f64]) -> Vec
 
 /// Whether a latency belongs to a served request (see
 /// [`served_percentiles`] for why the sentinel is matched exactly).
-fn is_served(latency: f64) -> bool {
+pub(crate) fn is_served(latency: f64) -> bool {
     debug_assert!(
         latency >= 0.0 || latency == SHED_LATENCY_S,
         "latency {latency} is neither served nor the shed sentinel"
@@ -175,8 +175,8 @@ pub struct ServeOutcome {
     pub queue_depth_mean: f64,
     /// Largest backlog depth observed at any event.
     pub queue_depth_max: usize,
-    /// Largest number of admitted requests not yet completed, folded by
-    /// the event loop (read it through [`Self::max_in_flight`]).
+    /// Largest number of admitted requests not yet completed, counted in
+    /// event order (read it through [`Self::max_in_flight`]).
     pub(crate) peak_in_flight: usize,
     /// Size of every completed batch, in completion order.
     pub batch_sizes: Vec<usize>,
@@ -266,13 +266,8 @@ impl ServeOutcome {
 
     /// Sustained throughput: requests served per second of makespan.
     pub fn throughput_rps(&self) -> f64 {
-        self.per_makespan_s(self.requests())
-    }
-
-    /// `count` per second of makespan (0 for an empty makespan).
-    fn per_makespan_s(&self, count: usize) -> f64 {
         if self.makespan_s > 0.0 {
-            count as f64 / self.makespan_s
+            self.requests() as f64 / self.makespan_s
         } else {
             0.0
         }
@@ -319,13 +314,11 @@ impl ServeOutcome {
     /// (admitted but not yet completed; shed requests never occupy the
     /// system) — the quantity a closed loop bounds by its client count.
     ///
-    /// The event loop folds it in event order as it runs: +1 per
-    /// admission, −size per completed batch, a crash's re-queued batch
-    /// staying in flight, and an instant's completions counted out
-    /// before its admissions count in (a closed-loop client's next
-    /// request can only follow its response). Nothing is rebuilt from
-    /// `arrival + latency`, whose rounding can land a completion just
-    /// past the next admission.
+    /// It is counted in event order: +1 per admission, −size per
+    /// completed batch, a crash's re-queued batch staying in flight, and
+    /// an instant's completions counted out before its admissions count
+    /// in (a closed-loop client's next request can only follow its
+    /// response).
     pub fn max_in_flight(&self) -> usize {
         self.peak_in_flight
     }
@@ -339,16 +332,13 @@ impl ServeOutcome {
     /// served counts). `scope` prefixes every record ID and `params` is
     /// attached to each record.
     pub fn records(&self, scope: &str, params: &[(String, String)]) -> Vec<RunRecord> {
-        // One pass buckets every served latency — all of them for the
-        // scenario tails and, under a tenant mix, each tenant's own — and
-        // sums them in id order, as `mean_latency_s` does.
+        // One pass buckets every served latency: all of them for the
+        // scenario tails and, under a tenant mix, each tenant's own.
         let mut served = Vec::with_capacity(self.latencies_s.len());
         let mut tenant_served = vec![Vec::new(); self.tenant_outcomes.len()];
-        let mut latency_sum = 0.0;
         for (&owner, &latency) in self.tenants.iter().zip(&self.latencies_s) {
             if is_served(latency) {
                 served.push(latency);
-                latency_sum += latency;
                 if let Some(bucket) = tenant_served.get_mut(owner) {
                     bucket.push(latency);
                 }
@@ -372,8 +362,8 @@ impl ServeOutcome {
             .unit_metric("p50_latency_ms", tails[0] * 1e3, "ms")
             .unit_metric("p95_latency_ms", tails[1] * 1e3, "ms")
             .unit_metric("p99_latency_ms", tails[2] * 1e3, "ms")
-            .unit_metric("mean_latency_ms", mean_of(latency_sum, requests) * 1e3, "ms")
-            .unit_metric("throughput_rps", self.per_makespan_s(requests), "req/s")
+            .unit_metric("mean_latency_ms", self.mean_latency_s() * 1e3, "ms")
+            .unit_metric("throughput_rps", self.throughput_rps(), "req/s")
             .unit_metric("makespan_s", self.makespan_s, "s")
             .metric("queue_depth_mean", self.queue_depth_mean)
             .metric("queue_depth_max", self.queue_depth_max as f64)
@@ -677,11 +667,9 @@ mod tests {
         assert_eq!(outcome, simulate_config_parallel(&workload, &cfg, &EnginePlan::serial()));
     }
 
-    /// Zero think time re-issues each request at its predecessor's finish.
-    /// `arrival + latency` rounds just past that finish for some requests,
-    /// so rebuilding completions from the latencies once counted a
-    /// response after the same client's next request and reported more
-    /// requests in flight than clients; the event-order fold cannot.
+    /// Zero think time re-issues each request at its predecessor's finish,
+    /// which `arrival + latency` can round just past; a client still never
+    /// has more than one request in flight.
     #[test]
     fn zero_think_closed_loops_never_exceed_their_client_count() {
         let clients = 50;

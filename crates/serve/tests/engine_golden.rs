@@ -19,10 +19,7 @@
 //!
 //! A change that *means* to alter the serving model re-captures the
 //! table: the failure message prints the rows to paste. So does a change
-//! to what the `Debug` rendering holds: when `ServeOutcome` gained its
-//! folded in-flight peak, every row was re-captured, after the old table
-//! had been checked to hold for every cell with that one field stripped
-//! from the rendering (the records' `max_in_flight` included).
+//! to what the `Debug` rendering holds.
 
 use neura_chip::config::{ChipConfig, TileSize};
 use neura_lab::Artifact;

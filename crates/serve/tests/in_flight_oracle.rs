@@ -1,5 +1,5 @@
-//! Oracle property of [`ServeOutcome::max_in_flight`]: the peak the event
-//! loop folds as it runs equals the peak of admissions minus completions
+//! Oracle property of [`ServeOutcome::max_in_flight`]: the peak the engine
+//! reports equals the peak of admissions minus completions
 //! swept over the replay's own lifecycle trace, for open and closed
 //! workloads under every policy, with and without a queue bound, under
 //! crash and flaky-provisioning regimes, at zero and positive think time,
