@@ -152,7 +152,7 @@ const INVOCATIONS: [Invocation; 20] = [
     ),
     // A zero-think closed loop: every client re-issues at its response's
     // finish, so the in-flight peak is exactly the client count (50). The
-    // digest was captured on the commit that folds the peak in event
+    // digest was captured on the commit that counts the peak in event
     // order; its parent rebuilt completions as `arrival + latency`, which
     // rounds past the next issue, and reported 51.
     (

@@ -197,27 +197,7 @@ enum Backlog {
     /// Batching: one arrival-ordered queue per class id, the set of
     /// classes whose queue is non-empty (the only ones a selection
     /// visits), and their summed length (read several times per event).
-    Classed { queues: Vec<ClassQueue>, waiting: BitSet, len: usize },
-}
-
-/// One class queue of the batching backlog: its ids in arrival order and
-/// the arrival time of the first, kept beside them so that a selection
-/// or a deadline reads no request.
-#[derive(Debug, Clone, Default)]
-struct ClassQueue {
-    ids: VecDeque<usize>,
-    /// The arrival of `ids.front()`, set whenever the front changes: a
-    /// push into the empty queue, a `push_front`, a drain. Meaningless
-    /// while the queue is empty (the class is then not waiting).
-    head_s: f64,
-}
-
-impl ClassQueue {
-    /// Whether the class can dispatch at `now`: a full batch is queued,
-    /// or its head has waited out the timeout.
-    fn ready(&self, max_batch: usize, timeout_s: f64, now: f64) -> bool {
-        self.ids.len() >= max_batch || self.head_s + timeout_s <= now
-    }
+    Classed { queues: Vec<VecDeque<usize>>, waiting: BitSet, len: usize },
 }
 
 impl Backlog {
@@ -227,24 +207,19 @@ impl Backlog {
             Policy::Fifo => Backlog::Fifo(VecDeque::new()),
             Policy::Sjf => Backlog::Sjf(BinaryHeap::new()),
             Policy::BatchByDataset { .. } => Backlog::Classed {
-                queues: vec![ClassQueue::default(); classes],
+                queues: vec![VecDeque::new(); classes],
                 waiting: BitSet::new(classes),
                 len: 0,
             },
         }
     }
 
-    /// Queues request `id`, which arrived at `arrival_s`.
-    fn push(&mut self, id: usize, arrival_s: f64, class: ClassId, costs: &FleetCosts<'_>) {
+    fn push(&mut self, id: usize, class: ClassId, costs: &FleetCosts<'_>) {
         match self {
             Backlog::Fifo(queue) => queue.push_back(id),
             Backlog::Sjf(heap) => heap.push(Reverse((costs.weight(class), id))),
             Backlog::Classed { queues, waiting, len } => {
-                let queue = &mut queues[class.index()];
-                if queue.ids.is_empty() {
-                    queue.head_s = arrival_s;
-                }
-                queue.ids.push_back(id);
+                queues[class.index()].push_back(id);
                 waiting.insert(class.index());
                 *len += 1;
             }
@@ -254,9 +229,8 @@ impl Backlog {
     /// Returns a unit taken by [`Self::take_ready`] to the head of its
     /// queue, preserving order — used when the dispatch policy holds the
     /// unit for busy preferred silicon, and when a crash returns a
-    /// victim's in-flight batch for re-dispatch. `head_s` is the arrival
-    /// of `unit[0]`.
-    fn push_front(&mut self, unit: &[usize], head_s: f64, class: ClassId, costs: &FleetCosts<'_>) {
+    /// victim's in-flight batch for re-dispatch.
+    fn push_front(&mut self, unit: &[usize], class: ClassId, costs: &FleetCosts<'_>) {
         let queue = match self {
             Backlog::Fifo(queue) => queue,
             Backlog::Sjf(heap) => {
@@ -267,9 +241,7 @@ impl Backlog {
             Backlog::Classed { queues, waiting, len } => {
                 *len += unit.len();
                 waiting.insert(class.index());
-                let queue = &mut queues[class.index()];
-                queue.head_s = head_s;
-                &mut queue.ids
+                &mut queues[class.index()]
             }
         };
         for &id in unit.iter().rev() {
@@ -287,7 +259,7 @@ impl Backlog {
 
     /// The earliest future time at which a currently-unready unit becomes
     /// ready by timeout (batching policy only).
-    fn next_deadline(&self, now: f64, policy: Policy) -> Option<f64> {
+    fn next_deadline(&self, now: f64, policy: Policy, requests: &[Request]) -> Option<f64> {
         let (
             Backlog::Classed { queues, waiting, .. },
             Policy::BatchByDataset { max_batch, timeout_s },
@@ -298,15 +270,14 @@ impl Backlog {
         waiting
             .iter()
             .map(|class| &queues[class])
-            .filter(|q| !q.ready(max_batch, timeout_s, now))
-            .map(|q| q.head_s + timeout_s)
+            .filter(|q| !class_ready(q, requests, max_batch, timeout_s, now))
+            .filter_map(|q| q.front().map(|&id| requests[id].arrival_s + timeout_s))
             .fold(None, |best, t| Some(best.map_or(t, |b: f64| b.min(t))))
     }
 
     /// Moves the next ready dispatch unit at `now` into `unit` (cleared
     /// first — the caller recycles one buffer across dispatches); `false`
-    /// when nothing is ready. `requests` is read only for the arrival of
-    /// the request a partial drain leaves at the front of its queue.
+    /// when nothing is ready.
     fn take_ready(
         &mut self,
         now: f64,
@@ -329,19 +300,19 @@ impl Backlog {
                 // ids — so selection is deterministic).
                 let ready = waiting
                     .iter()
-                    .filter(|&c| queues[c].ready(max_batch, timeout_s, now))
+                    .filter(|&c| class_ready(&queues[c], requests, max_batch, timeout_s, now))
                     .min_by(|&a, &b| {
-                        let (ha, hb) = (queues[a].head_s, queues[b].head_s);
+                        let ha = head_arrival(&queues[a], requests);
+                        let hb = head_arrival(&queues[b], requests);
                         ha.partial_cmp(&hb).expect("arrival times are finite").then(a.cmp(&b))
                     });
                 if let Some(class) = ready {
                     let queue = &mut queues[class];
-                    let take = queue.ids.len().min(max_batch);
-                    unit.extend(queue.ids.drain(..take));
+                    let take = queue.len().min(max_batch);
+                    unit.extend(queue.drain(..take));
                     *len -= take;
-                    match queue.ids.front() {
-                        Some(&head) => queue.head_s = requests[head].arrival_s,
-                        None => waiting.remove(class),
+                    if queue.is_empty() {
+                        waiting.remove(class);
                     }
                 }
             }
@@ -349,6 +320,20 @@ impl Backlog {
         }
         !unit.is_empty()
     }
+}
+
+fn head_arrival(queue: &VecDeque<usize>, requests: &[Request]) -> f64 {
+    queue.front().map(|&id| requests[id].arrival_s).unwrap_or(f64::INFINITY)
+}
+
+fn class_ready(
+    queue: &VecDeque<usize>,
+    requests: &[Request],
+    max_batch: usize,
+    timeout_s: f64,
+    now: f64,
+) -> bool {
+    queue.len() >= max_batch || head_arrival(queue, requests) + timeout_s <= now
 }
 
 /// Where the next request comes from, and every request that has arrived
@@ -818,8 +803,7 @@ impl<'a> Engine<'a> {
             if !st.backlog.take_ready(st.now, ctx.cfg.policy, arrived, &mut self.unit) {
                 break;
             }
-            let head = arrived[self.unit[0]];
-            let class = ctx.costs.class_id(head.class);
+            let class = ctx.costs.class_id(arrived[self.unit[0]].class);
             let requests = self.unit.len();
             let Some(shard) =
                 dispatcher.choose(&st.fleet, &self.idle, class, requests, st.now, &ctx.costs)
@@ -828,7 +812,7 @@ impl<'a> Engine<'a> {
                     st.fleet.next_busy_free_at().is_finite(),
                     "a policy may only hold a batch while some shard is busy"
                 );
-                st.backlog.push_front(&self.unit, head.arrival_s, class, &ctx.costs);
+                st.backlog.push_front(&self.unit, class, &ctx.costs);
                 break;
             };
             let group = st.fleet.group_of(shard);
@@ -861,7 +845,8 @@ impl<'a> Engine<'a> {
             || !st.pending_ops.is_empty()
             || next_completion.is_finite();
         let mut t_next = next_arrival.unwrap_or(f64::INFINITY).min(next_completion);
-        if let Some(deadline) = st.backlog.next_deadline(st.now, ctx.cfg.policy) {
+        let arrived = st.source.arrived(ctx.stream);
+        if let Some(deadline) = st.backlog.next_deadline(st.now, ctx.cfg.policy, arrived) {
             t_next = t_next.min(deadline);
         }
         for op in &st.pending_ops {
@@ -914,7 +899,7 @@ impl<'a> Engine<'a> {
         let first_new = st.source.arrived(ctx.stream).len();
         st.source.pop_due(now, ctx.stream);
         for id in first_new..st.source.arrived(ctx.stream).len() {
-            let Request { arrival_s, class, tenant, .. } = st.source.arrived(ctx.stream)[id];
+            let Request { class, tenant, .. } = st.source.arrived(ctx.stream)[id];
             if let Some(count) = st.tally.tenant_offered.get_mut(tenant) {
                 *count += 1;
             }
@@ -933,7 +918,7 @@ impl<'a> Engine<'a> {
             };
             match refusal {
                 None => {
-                    st.backlog.push(id, arrival_s, ctx.costs.class_id(class), &ctx.costs);
+                    st.backlog.push(id, ctx.costs.class_id(class), &ctx.costs);
                     rec.admit(now, id);
                 }
                 Some(reason) => {
@@ -975,9 +960,8 @@ impl<'a> Engine<'a> {
             let batch = &mut st.in_flight[victim];
             let redispatched = batch.len();
             if redispatched > 0 {
-                let head = st.source.arrived(ctx.stream)[batch[0]];
-                let class = ctx.costs.class_id(head.class);
-                st.backlog.push_front(batch, head.arrival_s, class, &ctx.costs);
+                let class = ctx.costs.class_id(st.source.arrived(ctx.stream)[batch[0]].class);
+                st.backlog.push_front(batch, class, &ctx.costs);
                 batch.clear();
             }
             let crash = CrashEvent { at_s: st.now, shard: victim, group, redispatched };
@@ -1469,22 +1453,6 @@ mod tests {
         Classed(Vec<(RequestClass, VecDeque<usize>)>),
     }
 
-    /// The arrival of the request at the front of `queue` (infinite when
-    /// it is empty), read from the stream as the backlog once did.
-    fn head_arrival(queue: &VecDeque<usize>, requests: &[Request]) -> f64 {
-        queue.front().map_or(f64::INFINITY, |&id| requests[id].arrival_s)
-    }
-
-    fn class_ready(
-        queue: &VecDeque<usize>,
-        requests: &[Request],
-        max_batch: usize,
-        timeout_s: f64,
-        now: f64,
-    ) -> bool {
-        queue.len() >= max_batch || head_arrival(queue, requests) + timeout_s <= now
-    }
-
     /// The queue of `class`, inserted in class order when absent.
     fn class_queue(
         queues: &mut Vec<(RequestClass, VecDeque<usize>)>,
@@ -1621,7 +1589,7 @@ mod tests {
     /// timeout expires. Batches larger than a class queue's `max_batch`
     /// drain it partially, so every way a queue's head changes — a push
     /// into an empty queue, a hold or crash re-queue, a partial drain — is
-    /// followed by a selection and a deadline that read the cached head.
+    /// followed by a selection and a deadline.
     fn replay_against_the_reference(policy: Policy, ops: &[(usize, usize)]) {
         let table = weights();
         let costs = FleetCosts::new(&table, &[]);
@@ -1637,7 +1605,7 @@ mod tests {
             let requeue =
                 |unit: &[usize], backlog: &mut Backlog, reference: &mut ReferenceBacklog| {
                     let head = requests[unit[0]];
-                    backlog.push_front(unit, head.arrival_s, costs.class_id(head.class), &costs);
+                    backlog.push_front(unit, costs.class_id(head.class), &costs);
                     reference.push_front(unit, head.class);
                 };
             match kind {
@@ -1645,7 +1613,7 @@ mod tests {
                     let id = requests.len();
                     let arrival_s = id as f64 * ARRIVAL_GAP_S;
                     requests.push(Request { id, arrival_s, class: class(pick), tenant: 0 });
-                    backlog.push(id, arrival_s, costs.class_id(class(pick)), &costs);
+                    backlog.push(id, costs.class_id(class(pick)), &costs);
                     reference.push(id, class(pick));
                 }
                 2 | 3 | 6 => {
@@ -1704,19 +1672,14 @@ mod tests {
     ) {
         assert_eq!(backlog.len(), reference.len(), "step {step}");
         assert_eq!(
-            backlog.next_deadline(now, policy).map(f64::to_bits),
+            backlog.next_deadline(now, policy, requests).map(f64::to_bits),
             reference.next_deadline(now, policy, requests).map(f64::to_bits),
             "step {step}: next deadline"
         );
         if let Backlog::Classed { queues, waiting, len } = backlog {
-            assert_eq!(*len, queues.iter().map(|q| q.ids.len()).sum::<usize>(), "step {step}");
-            let non_empty = (0..queues.len()).filter(|&c| !queues[c].ids.is_empty());
+            assert_eq!(*len, queues.iter().map(VecDeque::len).sum::<usize>(), "step {step}");
+            let non_empty = (0..queues.len()).filter(|&c| !queues[c].is_empty());
             assert!(waiting.iter().eq(non_empty), "step {step}: waiting classes");
-            for class in waiting.iter() {
-                let head = queues[class].head_s.to_bits();
-                let front = head_arrival(&queues[class].ids, requests).to_bits();
-                assert_eq!(head, front, "step {step}: class {class}'s cached head");
-            }
         }
         assert_eq!(backlog.len() + in_flight, requests.len(), "step {step}: conservation");
     }
@@ -1766,13 +1729,13 @@ mod tests {
             .map(|(id, &c)| Request { id, arrival_s: id as f64, class: class(c), tenant: 0 })
             .collect();
         for request in &requests {
-            backlog.push(request.id, request.arrival_s, costs.class_id(request.class), &costs);
+            backlog.push(request.id, costs.class_id(request.class), &costs);
         }
         let mut unit = Vec::new();
         let mut order = Vec::new();
         assert!(backlog.take_ready(9.0, Policy::Sjf, &requests, &mut unit));
         assert_eq!(unit, [1], "weight 10, the earliest id");
-        backlog.push_front(&unit, 1.0, costs.class_id(class(3)), &costs);
+        backlog.push_front(&unit, costs.class_id(class(3)), &costs);
         while backlog.take_ready(9.0, Policy::Sjf, &requests, &mut unit) {
             order.push(unit[0]);
         }

@@ -64,7 +64,7 @@ fn arb_fault(window_s: f64) -> impl Strategy<Value = Option<FaultSpec>> {
 
 /// The serial replay and one under `epochs` and `lanes` on two threads
 /// must agree on outcome and trace; both peaks must equal the sweep.
-fn assert_fold_matches_sweep(
+fn assert_peak_matches_sweep(
     workload: &Workload,
     cfg: &ServeConfig<'_>,
     epochs: usize,
@@ -78,8 +78,8 @@ fn assert_fold_matches_sweep(
     let (planned, planned_trace) = simulate_config_traced_parallel(workload, cfg, &plan);
     assert_eq!(outcome, planned);
     assert_eq!(trace, planned_trace);
-    assert_eq!(outcome.max_in_flight(), swept_peak(&trace), "the serial fold");
-    assert_eq!(planned.max_in_flight(), swept_peak(&planned_trace), "the planned fold");
+    assert_eq!(outcome.max_in_flight(), swept_peak(&trace), "the reference plan");
+    assert_eq!(planned.max_in_flight(), swept_peak(&planned_trace), "the parallel plan");
     outcome
 }
 
@@ -118,7 +118,7 @@ proptest! {
         cfg.queue_bound = (bounded == 1).then_some(1);
         cfg.faults = fault.as_ref();
         let outcome =
-            assert_fold_matches_sweep(&Workload::Replay(spec.generate()), &cfg, epochs, 1);
+            assert_peak_matches_sweep(&Workload::Replay(spec.generate()), &cfg, epochs, 1);
         prop_assert!(outcome.max_in_flight() <= outcome.requests());
     }
 
@@ -155,7 +155,7 @@ proptest! {
             cfg.queue_bound = (bounded == 1).then_some(1);
             cfg.faults = fault.as_ref();
         }
-        let outcome = assert_fold_matches_sweep(&workload, &cfg, epochs, lanes);
+        let outcome = assert_peak_matches_sweep(&workload, &cfg, epochs, lanes);
         prop_assert!(outcome.max_in_flight() <= clients);
     }
 }
