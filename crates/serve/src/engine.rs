@@ -21,10 +21,13 @@
 //! **The tally.** What the outcome needs beyond the recorded facts, the
 //! loop folds into a private `Tally` as it runs: shed and provisioning
 //! counts, per-tenant offers and sheds, the makespan, the backlog depth's
-//! time integral and peak. The tally rides in the state, so epoch
-//! fragments carry it across seams. The in-flight peak is not tallied:
-//! `assemble` sweeps the served arrivals against the completed batches,
-//! which every plan records in time order.
+//! time integral and peak, and the requests in flight — +1 per
+//! admission, −size per completed batch, a crash's re-queued batch
+//! staying in — with their peak, taken after each event's admissions
+//! (which follow its completions). The tally rides in the state, so
+//! epoch fragments carry it across seams. Lanes cannot add their peaks,
+//! so `merge_lanes` sweeps the merged arrivals against the merged
+//! batches for theirs.
 //!
 //! **The recording seam.** The loop writes no output. Every fact it
 //! produces — dispatch, completion, batch done, arrival, admit, shed,
@@ -71,7 +74,7 @@ use crate::fleet::{
 };
 use crate::policy::Policy;
 use crate::scenario::{TenantMix, TENANT_BURST_S};
-use crate::sim::{is_served, ServeConfig, ServeOutcome, TenantOutcome, SHED_LATENCY_S};
+use crate::sim::{ServeConfig, ServeOutcome, TenantOutcome, SHED_LATENCY_S};
 use crate::telemetry::{ShedReason, Trace, TraceEvent, TraceGroup, TraceTenant};
 
 /// Upper bound on the number of epoch fragments a plan expands to: larger
@@ -487,6 +490,13 @@ struct Tally {
     makespan: f64,
     depth_integral: f64,
     depth_max: usize,
+    /// Requests in flight — admitted and not yet completed: +1 per
+    /// admission, −size per completed batch. A crash's re-queued batch
+    /// stays in.
+    live: usize,
+    /// The largest `live` after any event's admissions (which follow
+    /// its completions, so it is the count at the end of an instant).
+    live_max: usize,
 }
 
 /// Everything one fragment hands the next: the complete dynamic state of
@@ -880,6 +890,7 @@ impl<'a> Engine<'a> {
                 rec.complete(finish, id, &request);
             }
             st.tally.makespan = st.tally.makespan.max(finish);
+            st.tally.live -= batch.len();
             rec.batch_done(finish, batch.len());
             batch.clear();
         }
@@ -919,6 +930,7 @@ impl<'a> Engine<'a> {
             match refusal {
                 None => {
                     st.backlog.push(id, ctx.costs.class_id(class), &ctx.costs);
+                    st.tally.live += 1;
                     rec.admit(now, id);
                 }
                 Some(reason) => {
@@ -931,6 +943,7 @@ impl<'a> Engine<'a> {
             }
         }
         st.tally.depth_max = st.tally.depth_max.max(st.backlog.len());
+        st.tally.live_max = st.tally.live_max.max(st.tally.live);
     }
 
     /// Injected crashes due at `now`: the victim is the busiest active
@@ -1060,9 +1073,6 @@ fn assemble(
         latencies.iter().all(|&l| l >= 0.0 || l == SHED_LATENCY_S),
         "every request is served or shed, exactly once"
     );
-    let served_arrivals = end.arrivals_s.iter().zip(&latencies).filter(|&(_, &l)| is_served(l));
-    let peak_in_flight =
-        peak_live(served_arrivals.map(|(&arrival_s, _)| arrival_s), &out.batch_sizes);
     let tenants = tenants.map_or(&[][..], TenantMix::tenants);
     let Tally { makespan, depth_integral, .. } = end.tally;
     let trace = out.events.map(|events| Trace {
@@ -1099,7 +1109,7 @@ fn assemble(
         makespan_s: makespan,
         queue_depth_mean: if makespan > 0.0 { depth_integral / makespan } else { 0.0 },
         queue_depth_max: end.tally.depth_max,
-        peak_in_flight,
+        peak_in_flight: end.tally.live_max,
         batch_sizes: out.batch_sizes.into_iter().map(|(_, size)| size).collect(),
         shard_stats: end.shard_stats,
         shard_groups: end.shard_groups,
@@ -1304,18 +1314,17 @@ fn merge_lanes(
     }
     out.batch_sizes = by_time(out.batch_sizes, |&(finish_s, _)| finish_s);
     out.events = out.events.map(|events| by_time(events, TraceEvent::at_s));
+    end.tally.live_max = peak_live(&end.arrivals_s, &out.batch_sizes);
     (end, out)
 }
 
-/// The peak in-flight count over the time-ordered arrivals of the served
-/// requests (each admitted at its arrival) and the time-ordered
-/// `(finish, size)` batches they completed in: each arrival counts in
-/// after every batch that finished at or before it, the order the event
-/// loop completes and admits in at one instant. A crash's re-queued
-/// batch stays in, as it completes only once.
-fn peak_live(arrivals_s: impl IntoIterator<Item = f64>, batches: &[(f64, usize)]) -> usize {
+/// The peak in-flight count over time-ordered arrivals (every one
+/// admitted) and time-ordered `(finish, size)` batches: each arrival
+/// counts in after every batch that finished at or before it, the order
+/// the event loop completes and admits in at one instant.
+fn peak_live(arrivals_s: &[f64], batches: &[(f64, usize)]) -> usize {
     let (mut live, mut peak, mut done) = (0usize, 0usize, 0);
-    for arrival in arrivals_s {
+    for &arrival in arrivals_s {
         while let Some(&(_, size)) = batches.get(done).filter(|&&(finish, _)| finish <= arrival) {
             live -= size;
             done += 1;

@@ -74,7 +74,7 @@ fn served_percentiles(latencies: impl Iterator<Item = f64>, pcts: &[f64]) -> Vec
 
 /// Whether a latency belongs to a served request (see
 /// [`served_percentiles`] for why the sentinel is matched exactly).
-pub(crate) fn is_served(latency: f64) -> bool {
+fn is_served(latency: f64) -> bool {
     debug_assert!(
         latency >= 0.0 || latency == SHED_LATENCY_S,
         "latency {latency} is neither served nor the shed sentinel"
