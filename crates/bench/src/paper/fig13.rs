@@ -66,7 +66,7 @@ pub(super) fn run(session: &mut ArtifactSession) {
         let dataset = point.dataset.as_deref().expect("grid has a dataset axis");
         let index = names.iter().position(|n| n == dataset).expect("dataset prepared");
         let mut mapper = point.config.mapping.build(UNITS, point.config.seed);
-        let histogram = workload_histogram(mapper.as_mut(), &tag_groups[index]);
+        let histogram = workload_histogram(&mut mapper, &tag_groups[index]);
         let (max_over_mean, cv) = imbalance(&histogram);
         let max_work = histogram.iter().max().copied().unwrap_or(0);
         let mean_work = histogram.iter().sum::<u64>() as f64 / UNITS as f64;

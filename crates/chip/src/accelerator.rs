@@ -41,6 +41,8 @@
 //!   the per-cycle pressure check adds the ones it made evict. An idle
 //!   NeuraMem's tick has no effect and no counter, so nothing is owed.
 //!
+//! The awake cores, the waiting cores and the busy NeuraMems are each a
+//! [`neura_sim::BitSet`], the set the torus keeps of its active routers.
 //! Both walks go in ascending unit index, the order that fixes how
 //! injections, controller submissions and write-backs interleave.
 //!
@@ -66,13 +68,13 @@ use crate::compiler::{self, Program};
 use crate::config::{ChipConfig, EvictionPolicy};
 use crate::dispatcher::Dispatcher;
 use crate::isa::HaccInstruction;
-use crate::mapping::ComputeMapping;
+use crate::mapping::Mapper;
 use crate::neuracore::{CoreTickOutput, NeuraCore, NeuraCoreStats};
 use crate::neuramem::{NeuraMem, NeuraMemStats};
 use crate::profile::{Observe, Profiler};
 use neura_mem::{ControllerStats, MemoryController, MemoryRequest, MemoryResponse};
 use neura_noc::{Packet, TorusNetwork, TorusTopology};
-use neura_sim::{Cycle, Histogram};
+use neura_sim::{BitSet, Cycle, Histogram};
 use neura_sparse::spgemm::SymbolicProduct;
 use neura_sparse::{CsrMatrix, DenseMatrix, SparseError};
 use serde::{Deserialize, Serialize};
@@ -235,79 +237,6 @@ impl PayloadSlab {
     }
 }
 
-/// A set of unit indices, a bit each, that knows its size. The cycle loop
-/// keeps the units that can change state in such sets and walks only
-/// those, in ascending index — the order a walk over every unit had.
-#[derive(Debug)]
-struct UnitSet {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl UnitSet {
-    /// The empty set over units `0..units`.
-    fn empty(units: usize) -> Self {
-        UnitSet { words: vec![0; units.div_ceil(64)], len: 0 }
-    }
-
-    /// All of the units `0..units`.
-    fn full(units: usize) -> Self {
-        let mut set = UnitSet::empty(units);
-        (0..units).for_each(|unit| set.insert(unit));
-        set
-    }
-
-    fn insert(&mut self, unit: usize) {
-        let (word, bit) = (&mut self.words[unit / 64], 1 << (unit % 64));
-        self.len += usize::from(*word & bit == 0);
-        *word |= bit;
-    }
-
-    fn remove(&mut self, unit: usize) {
-        let (word, bit) = (&mut self.words[unit / 64], 1 << (unit % 64));
-        self.len -= usize::from(*word & bit != 0);
-        *word &= !bit;
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Calls `keep` with each member in ascending order and removes the
-    /// ones it returns `false` for.
-    fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        for (index, word) in self.words.iter_mut().enumerate() {
-            let mut pending = *word;
-            while pending != 0 {
-                let bit = pending.trailing_zeros();
-                pending &= pending - 1;
-                if !keep(index * 64 + bit as usize) {
-                    *word &= !(1 << bit);
-                    self.len -= 1;
-                }
-            }
-        }
-    }
-
-    /// True when `pred` holds for every member.
-    fn all(&self, mut pred: impl FnMut(usize) -> bool) -> bool {
-        self.words.iter().enumerate().all(|(index, &word)| {
-            let mut pending = word;
-            while pending != 0 {
-                if !pred(index * 64 + pending.trailing_zeros() as usize) {
-                    return false;
-                }
-                pending &= pending - 1;
-            }
-            true
-        })
-    }
-}
-
 /// Assembles the product of a drained `program`: its symbolic pattern, with
 /// the eviction-ordered `outputs` scattered in as the values. A tag evicted
 /// more than once keeps the entry evicted last.
@@ -447,20 +376,20 @@ struct Machine<'p> {
     program: &'p Program,
     cores: Vec<NeuraCore<'p>>,
     /// The cores that are not settled: the ones [`Self::tick_cores`] ticks.
-    awake: UnitSet,
+    awake: BitSet,
     /// The settled cores that still hold work: their occupied pipelines
     /// all wait on operands. The other settled cores are idle.
-    waiting: UnitSet,
+    waiting: BitSet,
     mems: Vec<NeuraMem>,
     /// The NeuraMems that hold buffered `HACC`s, or evictions not yet
     /// picked up: with the NoC's deliveries, the ones [`Self::tick_mems`]
     /// ticks.
-    busy_mems: UnitSet,
+    busy_mems: BitSet,
     /// One per tile.
     controllers: Vec<MemoryController>,
     /// NoC node ids: cores first, then mems.
     noc: TorusNetwork,
-    mapping: Box<dyn ComputeMapping>,
+    mapping: Mapper,
     dispatcher: Dispatcher<'p>,
     /// `(tag, value)` of every evicted line, in eviction order.
     outputs: Vec<(u64, f64)>,
@@ -501,10 +430,10 @@ impl<'p> Machine<'p> {
             cfg,
             program,
             cores,
-            awake: UnitSet::full(total_cores),
-            waiting: UnitSet::empty(total_cores),
+            awake: BitSet::full(total_cores),
+            waiting: BitSet::new(total_cores),
             mems: (0..total_mems).map(|i| NeuraMem::new(i, cfg.mem, cfg.eviction)).collect(),
-            busy_mems: UnitSet::empty(total_mems),
+            busy_mems: BitSet::new(total_mems),
             controllers: (0..cfg.tiles)
                 .map(|t| MemoryController::new(t, cfg.hbm, cfg.mem_queue_capacity))
                 .collect(),
@@ -564,7 +493,7 @@ impl<'p> Machine<'p> {
 
     /// Core `core` took an instruction or its last outstanding operand:
     /// it is ticked again from the next [`Self::tick_cores`] on.
-    fn wake(awake: &mut UnitSet, waiting: &mut UnitSet, core: usize) {
+    fn wake(awake: &mut BitSet, waiting: &mut BitSet, core: usize) {
         awake.insert(core);
         waiting.remove(core);
     }
@@ -781,7 +710,7 @@ impl<'p> Machine<'p> {
     fn is_drained(&self) -> bool {
         self.dispatcher.is_done()
             && self.waiting.is_empty()
-            && self.awake.all(|core| self.cores[core].is_idle())
+            && self.awake.iter().all(|core| self.cores[core].is_idle())
             && self.noc.in_flight() == 0
             && self.retry_injections.is_empty()
             && self.retry_reads.is_empty()

@@ -4,26 +4,40 @@
 //! products of a given output tag (and, symmetrically, which NeuraCore a
 //! multiplication task is pushed to).  The paper requires mappings to be
 //! *consistent* (same tag → same unit), *cheap to evaluate*, and
-//! *sparsity-agnostic*.  Four schemes are modelled:
+//! *sparsity-agnostic*.  Four schemes are modelled, one [`MappingKind`]
+//! each, and [`MappingKind::build`] makes the [`Mapper`] that evaluates it:
 //!
-//! * `RingMapping` — round-robin / ring hashing,
-//! * `ModularMapping` — prime-number modular hashing,
-//! * `RandomTableMapping` — ideal random mapping with a full lookup table,
-//! * `DrhmMapping` — the paper's Dynamically Reseeding Hash-based Mapping.
+//! * `ring` — round-robin / ring hashing,
+//! * `modular` — prime-number modular hashing,
+//! * `random-table` — ideal random mapping with a full lookup table,
+//! * `drhm` — the paper's Dynamically Reseeding Hash-based Mapping.
 
 use neura_sim::DeterministicRng;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Which mapping algorithm to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MappingKind {
-    /// Round-robin (ring) hashing.
+    /// Round-robin (ring) hashing: `tag mod units`.
     Ring,
-    /// Prime-number based modular hashing.
+    /// Prime-number based modular hashing: `(tag · p) mod q mod units`
+    /// with fixed primes.
     Modular,
-    /// Random mapping backed by a full lookup table (idealised).
+    /// Random mapping backed by a full lookup table (idealised): every
+    /// distinct tag gets an independent uniform unit, remembered to stay
+    /// consistent. Sparsity-agnostic, but its memory grows linearly in the
+    /// number of distinct tags — the impracticality the paper points out.
     RandomTable,
     /// Dynamically Reseeding Hash-based Mapping (the paper's contribution).
+    ///
+    /// Implements the lower-k-bit variant of Equation 3:
+    /// `H_l(TAG, γ) = ((TAG << k) >> k) · γ mod N` with `k = 12`, where the
+    /// seed `γ` changes for every row of the input sparse matrix.  The
+    /// paper stores the per-row seeds in a compact lookup table; the
+    /// [`Mapper`] derives γ for a row on demand from its base seed with a
+    /// SplitMix64-style mixer, which is functionally identical (same seed
+    /// is always recovered for the same row) with O(1) state.
     Drhm,
 }
 
@@ -43,17 +57,24 @@ impl MappingKind {
     }
 
     /// Builds the corresponding mapper over `units` target resources.
-    pub fn build(&self, units: usize, seed: u64) -> Box<dyn ComputeMapping> {
-        match self {
-            MappingKind::Ring => Box::new(RingMapping::new(units)),
-            MappingKind::Modular => Box::new(ModularMapping::new(units)),
-            MappingKind::RandomTable => Box::new(RandomTableMapping::new(units, seed)),
-            MappingKind::Drhm => Box::new(DrhmMapping::new(units, seed)),
-        }
+    ///
+    /// # Panics
+    ///
+    /// When `units` is 0.
+    pub fn build(&self, units: usize, seed: u64) -> Mapper {
+        assert!(units > 0, "mapping needs at least one unit");
+        Mapper { kind: *self, units, seed, rng: DeterministicRng::new(seed), table: HashMap::new() }
     }
 }
 
-/// A consistent assignment of tags to compute/accumulation units.
+const MODULAR_PRIME_MULTIPLIER: u64 = 2_654_435_761; // Knuth's multiplicative constant
+const MODULAR_PRIME_MODULUS: u64 = 4_294_967_291; // largest 32-bit prime
+
+/// The upper TAG bits DRHM ignores (`k` in Equation 3).
+const DRHM_K: u32 = 12;
+
+/// A consistent assignment of tags to compute/accumulation units: one
+/// [`MappingKind`] over a number of units.
 ///
 /// `row` is the output row the tag belongs to (the row of the input sparse
 /// matrix whose computation produced it).  DRHM derives its seed γ from the
@@ -61,175 +82,80 @@ impl MappingKind {
 /// partial product of a given output element maps to the same NeuraMem no
 /// matter when it is generated, while different rows still get statistically
 /// independent placements.  The other mappings ignore `row`.
-pub trait ComputeMapping: std::fmt::Debug + Send {
-    /// Maps a tag (belonging to output row `row`) to a unit index in `[0, units)`.
-    fn map(&mut self, tag: u64, row: u64) -> usize;
+#[derive(Debug)]
+pub struct Mapper {
+    kind: MappingKind,
+    units: usize,
+    /// DRHM's base seed (the random table draws from `rng`, seeded with it).
+    seed: u64,
+    /// `random-table` only: the draws for tags not seen before.
+    rng: DeterministicRng,
+    /// `random-table` only: the unit drawn for every tag seen so far.
+    table: HashMap<u64, usize>,
+}
 
-    /// Number of target units.
-    fn units(&self) -> usize;
+impl Mapper {
+    /// Maps a tag (belonging to output row `row`) to a unit index in `[0, units)`.
+    ///
+    /// Inlined, with the table lookup kept out of line: one function
+    /// holding the `HashMap` path made a ring or modular lookup up to twice
+    /// as slow as the virtual call this `match` replaced.
+    #[inline]
+    pub fn map(&mut self, tag: u64, row: u64) -> usize {
+        let units = self.units as u64;
+        match self.kind {
+            MappingKind::Ring => (tag % units) as usize,
+            MappingKind::Modular => {
+                let hashed = tag.wrapping_mul(MODULAR_PRIME_MULTIPLIER) % MODULAR_PRIME_MODULUS;
+                (hashed % units) as usize
+            }
+            MappingKind::RandomTable => self.table_lookup(tag),
+            MappingKind::Drhm => drhm_hash(tag as u32, drhm_gamma(self.seed, row), self.units),
+        }
+    }
+
+    /// `random-table`: the unit drawn for `tag`, drawn now if it is new.
+    #[inline(never)]
+    fn table_lookup(&mut self, tag: u64) -> usize {
+        let (units, rng) = (self.units as u64, &mut self.rng);
+        *self.table.entry(tag).or_insert_with(|| rng.next_below(units) as usize)
+    }
 
     /// Memory overhead of the mapping state in bytes (the paper's argument
     /// for DRHM over a full random table).
-    fn state_bytes(&self) -> usize;
-}
-
-/// Round-robin / ring hashing: `tag mod units`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct RingMapping {
-    units: usize,
-}
-
-impl RingMapping {
-    /// Creates a ring mapping over `units` resources.
-    pub(crate) fn new(units: usize) -> Self {
-        assert!(units > 0, "mapping needs at least one unit");
-        RingMapping { units }
+    pub fn state_bytes(&self) -> usize {
+        match self.kind {
+            MappingKind::Ring => 8,
+            MappingKind::Modular => 16,
+            // One (tag, unit) pair per distinct tag.
+            MappingKind::RandomTable => self.table.len() * (8 + 8),
+            // The base seed and k: constant regardless of workload size.
+            MappingKind::Drhm => 8 + 4,
+        }
     }
 }
 
-impl ComputeMapping for RingMapping {
-    fn map(&mut self, tag: u64, _row: u64) -> usize {
-        (tag % self.units as u64) as usize
-    }
-    fn units(&self) -> usize {
-        self.units
-    }
-    fn state_bytes(&self) -> usize {
-        8
-    }
+/// The DRHM seed γ of input row `row` under base seed `seed` (always odd,
+/// so the multiplicative hash never degenerates).
+fn drhm_gamma(seed: u64, row: u64) -> u64 {
+    let mut z = seed ^ row.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 31)) | 1
 }
 
-/// Prime-number modular hashing: `(tag · p) mod q mod units` with fixed primes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct ModularMapping {
-    units: usize,
-}
-
-const MODULAR_PRIME_MULTIPLIER: u64 = 2_654_435_761; // Knuth's multiplicative constant
-const MODULAR_PRIME_MODULUS: u64 = 4_294_967_291; // largest 32-bit prime
-
-impl ModularMapping {
-    /// Creates a prime-modular mapping over `units` resources.
-    pub(crate) fn new(units: usize) -> Self {
-        assert!(units > 0, "mapping needs at least one unit");
-        ModularMapping { units }
-    }
-}
-
-impl ComputeMapping for ModularMapping {
-    fn map(&mut self, tag: u64, _row: u64) -> usize {
-        let hashed = tag.wrapping_mul(MODULAR_PRIME_MULTIPLIER) % MODULAR_PRIME_MODULUS;
-        (hashed % self.units as u64) as usize
-    }
-    fn units(&self) -> usize {
-        self.units
-    }
-    fn state_bytes(&self) -> usize {
-        16
-    }
-}
-
-/// Idealised random mapping: every distinct tag gets an independent uniform
-/// unit, remembered in a lookup table to stay consistent.  Sparsity-agnostic
-/// but with memory growing linearly in the number of distinct tags — the
-/// impracticality the paper points out.
-#[derive(Debug)]
-pub(crate) struct RandomTableMapping {
-    units: usize,
-    rng: DeterministicRng,
-    table: std::collections::HashMap<u64, usize>,
-}
-
-impl RandomTableMapping {
-    /// Creates a random-table mapping over `units` resources.
-    pub(crate) fn new(units: usize, seed: u64) -> Self {
-        assert!(units > 0, "mapping needs at least one unit");
-        RandomTableMapping { units, rng: DeterministicRng::new(seed), table: Default::default() }
-    }
-}
-
-impl ComputeMapping for RandomTableMapping {
-    fn map(&mut self, tag: u64, _row: u64) -> usize {
-        let units = self.units;
-        let rng = &mut self.rng;
-        *self.table.entry(tag).or_insert_with(|| rng.next_below(units as u64) as usize)
-    }
-    fn units(&self) -> usize {
-        self.units
-    }
-    fn state_bytes(&self) -> usize {
-        // One (tag, unit) pair per distinct tag.
-        self.table.len() * (8 + 8)
-    }
-}
-
-/// Dynamically Reseeding Hash-based Mapping (DRHM).
+/// Lower-k-bit hash of Equation 3 for an arbitrary γ.
 ///
-/// Implements the lower-k-bit variant of Equation 3:
-/// `H_l(TAG, γ) = ((TAG << k) >> k) · γ mod N`, where the seed `γ` changes
-/// for every row of the input sparse matrix.  The paper stores the per-row
-/// seeds in a compact lookup table; this implementation derives γ for a row
-/// on demand from the base seed with a SplitMix64-style mixer, which is
-/// functionally identical (same seed is always recovered for the same row)
-/// with O(1) state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct DrhmMapping {
-    units: usize,
-    /// Number of upper bits masked away (`k` in Equation 3).
-    k: u32,
-    base_seed: u64,
-}
-
-impl DrhmMapping {
-    /// Creates a DRHM mapping over `units` resources with the default `k = 12`.
-    pub(crate) fn new(units: usize, seed: u64) -> Self {
-        Self::with_k(units, seed, 12)
-    }
-
-    /// Creates a DRHM mapping with an explicit `k` (number of upper TAG bits ignored).
-    fn with_k(units: usize, seed: u64, k: u32) -> Self {
-        assert!(units > 0, "mapping needs at least one unit");
-        assert!(k < 32, "k must leave at least one low bit");
-        DrhmMapping { units, k, base_seed: seed }
-    }
-
-    /// The seed γ used for a given input row (always odd, so the
-    /// multiplicative hash never degenerates).
-    pub(crate) fn gamma_for_row(&self, row: u64) -> u64 {
-        let mut z = self.base_seed ^ row.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) | 1
-    }
-
-    /// Lower-k-bit hash of Equation 3 for an arbitrary γ.
-    ///
-    /// The `· γ mod N` of Equation 3 is realised as fixed-point
-    /// multiplicative hashing (multiply by the odd seed, keep the upper half
-    /// of the product, reduce modulo `N`).  A plain low-bit modulo would
-    /// ignore γ whenever `N` is a power of two, which defeats the reseeding;
-    /// taking the upper product bits keeps the constant-time lookup while
-    /// making every γ produce a genuinely different placement.
-    pub(crate) fn hash_lower(tag32: u32, gamma: u64, k: u32, units: usize) -> usize {
-        let masked = ((tag32 << k) >> k) as u64;
-        let mixed = masked.wrapping_mul(gamma);
-        (((mixed >> 32) ^ mixed) % units as u64) as usize
-    }
-}
-
-impl ComputeMapping for DrhmMapping {
-    fn map(&mut self, tag: u64, row: u64) -> usize {
-        Self::hash_lower(tag as u32, self.gamma_for_row(row), self.k, self.units)
-    }
-
-    fn units(&self) -> usize {
-        self.units
-    }
-
-    fn state_bytes(&self) -> usize {
-        // The base seed and k: constant regardless of workload size.
-        8 + 4
-    }
+/// The `· γ mod N` of Equation 3 is realised as fixed-point
+/// multiplicative hashing (multiply by the odd seed, keep the upper half
+/// of the product, reduce modulo `N`).  A plain low-bit modulo would
+/// ignore γ whenever `N` is a power of two, which defeats the reseeding;
+/// taking the upper product bits keeps the constant-time lookup while
+/// making every γ produce a genuinely different placement.
+fn drhm_hash(tag32: u32, gamma: u64, units: usize) -> usize {
+    let masked = ((tag32 << DRHM_K) >> DRHM_K) as u64;
+    let mixed = masked.wrapping_mul(gamma);
+    (((mixed >> 32) ^ mixed) % units as u64) as usize
 }
 
 /// Builds the per-unit workload histogram produced by mapping every tag.
@@ -237,8 +163,8 @@ impl ComputeMapping for DrhmMapping {
 /// `rows[i]` lists the tags generated while computing input row `i`; the row
 /// index is what drives DRHM's seed selection.  The returned vector has one
 /// entry per unit and is the data behind Figures 12/13.
-pub fn workload_histogram(mapping: &mut dyn ComputeMapping, rows: &[Vec<u64>]) -> Vec<u64> {
-    let mut histogram = vec![0u64; mapping.units()];
+pub fn workload_histogram(mapping: &mut Mapper, rows: &[Vec<u64>]) -> Vec<u64> {
+    let mut histogram = vec![0u64; mapping.units];
     for (row_idx, row) in rows.iter().enumerate() {
         for &tag in row {
             histogram[mapping.map(tag, row_idx as u64)] += 1;
@@ -271,7 +197,7 @@ mod tests {
 
     #[test]
     fn ring_mapping_is_modulo() {
-        let mut m = RingMapping::new(8);
+        let mut m = MappingKind::Ring.build(8, 0);
         assert_eq!(m.map(0, 0), 0);
         assert_eq!(m.map(9, 0), 1);
         assert_eq!(m.map(16, 0), 0);
@@ -279,20 +205,19 @@ mod tests {
 
     #[test]
     fn drhm_uses_a_different_seed_per_row() {
-        let m = DrhmMapping::new(64, 3);
         let gammas: std::collections::HashSet<u64> =
-            (0..32u64).map(|row| m.gamma_for_row(row)).collect();
+            (0..32u64).map(|row| drhm_gamma(3, row)).collect();
         assert!(gammas.len() > 28, "per-row seeds must be (almost) all distinct");
         // The same row always yields the same seed (the compact lookup table).
-        assert_eq!(m.gamma_for_row(7), m.gamma_for_row(7));
-        let mut m = m;
+        assert_eq!(drhm_gamma(3, 7), drhm_gamma(3, 7));
+        let mut m = MappingKind::Drhm.build(64, 3);
         // And therefore the same (tag, row) pair always maps identically.
         assert_eq!(m.map(777, 5), m.map(777, 5));
     }
 
     #[test]
     fn drhm_placement_varies_across_rows() {
-        let mut m = DrhmMapping::new(64, 3);
+        let mut m = MappingKind::Drhm.build(64, 3);
         let placements: std::collections::HashSet<usize> =
             (0..16u64).map(|row| m.map(777, row)).collect();
         assert!(placements.len() > 4, "the same tag pattern must spread across rows");
@@ -300,8 +225,8 @@ mod tests {
 
     #[test]
     fn drhm_state_is_constant_size_random_table_grows() {
-        let mut drhm = DrhmMapping::new(32, 1);
-        let mut table = RandomTableMapping::new(32, 1);
+        let mut drhm = MappingKind::Drhm.build(32, 1);
+        let mut table = MappingKind::RandomTable.build(32, 1);
         for tag in 0..10_000u64 {
             drhm.map(tag, tag / 100);
             table.map(tag, tag / 100);
@@ -317,11 +242,11 @@ mod tests {
         let units = 16usize;
         let rows = strided_rows(64, units as u64, 32);
 
-        let mut ring = RingMapping::new(units);
+        let mut ring = MappingKind::Ring.build(units, 0);
         let ring_hist = workload_histogram(&mut ring, &rows);
         let (ring_peak, _) = imbalance(&ring_hist);
 
-        let mut drhm = DrhmMapping::new(units, 11);
+        let mut drhm = MappingKind::Drhm.build(units, 11);
         let drhm_hist = workload_histogram(&mut drhm, &rows);
         let (drhm_peak, _) = imbalance(&drhm_hist);
 
@@ -335,8 +260,8 @@ mod tests {
     fn drhm_balance_is_close_to_random_table() {
         let units = 32usize;
         let rows = strided_rows(128, 64, 64);
-        let mut drhm = DrhmMapping::new(units, 5);
-        let mut random = RandomTableMapping::new(units, 5);
+        let mut drhm = MappingKind::Drhm.build(units, 5);
+        let mut random = MappingKind::RandomTable.build(units, 5);
         let (drhm_peak, _) = imbalance(&workload_histogram(&mut drhm, &rows));
         let (rand_peak, _) = imbalance(&workload_histogram(&mut random, &rows));
         assert!(
@@ -349,8 +274,8 @@ mod tests {
     fn lower_bit_hash_ignores_the_masked_upper_bits() {
         // Two tags differing only in the upper `k` bits map identically.
         let gamma = 0x9E3779B97F4A7C15 | 1;
-        let a = DrhmMapping::hash_lower(0x0000_1234, gamma, 12, 64);
-        let b = DrhmMapping::hash_lower(0xFFF0_1234, gamma, 12, 64);
+        let a = drhm_hash(0x0000_1234, gamma, 64);
+        let b = drhm_hash(0xFFF0_1234, gamma, 64);
         assert_eq!(a, b);
     }
 
@@ -360,7 +285,7 @@ mod tests {
         let total_tags: u64 = rows.iter().map(|r| r.len() as u64).sum();
         for kind in MappingKind::ALL {
             let mut m = kind.build(8, 2);
-            let hist = workload_histogram(m.as_mut(), &rows);
+            let hist = workload_histogram(&mut m, &rows);
             assert_eq!(hist.iter().sum::<u64>(), total_tags, "{}", kind.name());
         }
     }
@@ -368,7 +293,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one unit")]
     fn zero_units_panics() {
-        RingMapping::new(0);
+        MappingKind::Ring.build(0, 0);
     }
 
     #[test]

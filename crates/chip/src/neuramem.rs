@@ -12,16 +12,16 @@
 //! Rolling eviction keeps a pad nearly empty (a Tile-64 NeuraMem holds at
 //! most a few dozen of its 2 048 lines on the ledger's workloads), and the
 //! model stores what the pad holds, not the pad: one occupancy bit per
-//! hash-line, which a new tag's probe walks from its home slot
-//! `tag % hashlines`, and the resident lines keyed by tag, each with the
-//! slot it sits in. Slots, collisions, stalls and the slot-order sweep of a
-//! final flush are exactly a dense array's; a lock-step test holds the two
-//! together.
+//! hash-line in a [`neura_sim::BitSet`], which a new tag's probe walks
+//! from its home slot `tag % hashlines`, and the resident lines keyed by
+//! tag, each with the slot it sits in. Slots, collisions, stalls and the
+//! slot-order sweep of a final flush are exactly a dense array's; a
+//! lock-step test holds the two together.
 
 use crate::config::{EvictionPolicy, NeuraMemConfig};
 use crate::inthash::IntMap;
 use crate::isa::HaccInstruction;
-use neura_sim::{Cycle, Histogram};
+use neura_sim::{BitSet, Cycle, Histogram};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -73,7 +73,7 @@ pub struct NeuraMem {
     config: NeuraMemConfig,
     eviction: EvictionPolicy,
     /// HashPad occupancy, a bit per hash-line: what probing walks.
-    taken: Vec<u64>,
+    taken: BitSet,
     /// The resident lines by tag. Hardware finds a line with the comparator
     /// array; the map is the model's way to the same line.
     lines: IntMap<HashLine>,
@@ -96,7 +96,7 @@ impl NeuraMem {
             id,
             config,
             eviction,
-            taken: vec![0; config.hashlines.div_ceil(64)],
+            taken: BitSet::new(config.hashlines),
             lines: IntMap::default(),
             input: VecDeque::new(),
             evicted: VecDeque::new(),
@@ -224,10 +224,10 @@ impl NeuraMem {
         }
         let home = (hacc.tag as usize) % len;
         let mut slot = home;
-        while self.taken[slot / 64] & (1 << (slot % 64)) != 0 {
+        while self.taken.contains(slot) {
             slot = if slot + 1 == len { 0 } else { slot + 1 };
         }
-        self.taken[slot / 64] |= 1 << (slot % 64);
+        self.taken.insert(slot);
         let displaced = slot != home;
         if displaced {
             self.stats.collisions += 1;
@@ -258,7 +258,7 @@ impl NeuraMem {
 
     fn evict(&mut self, tag: u64, now: Cycle) {
         if let Some(line) = self.lines.remove(&tag) {
-            self.taken[line.slot / 64] &= !(1 << (line.slot % 64));
+            self.taken.remove(line.slot);
             self.stats.evictions += 1;
             self.evicted.push_back(EvictedLine { tag, value: line.data, evicted_at: now.as_u64() });
         }

@@ -1,9 +1,14 @@
 //! The assembled torus fabric.
+//!
+//! A tick visits only the routers that hold packets, and the attached
+//! components are asked only at the nodes where something arrived: the
+//! network keeps both as a [`neura_sim::BitSet`], walked in ascending node
+//! order.
 
 use crate::packet::Packet;
 use crate::router::{entry, entry_dst, entry_handle, Handle, Router, TickBuffers};
 use crate::topology::{RouteTable, TorusTopology};
-use neura_sim::{Cycle, Histogram};
+use neura_sim::{BitSet, Cycle, Histogram};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -75,13 +80,13 @@ pub struct TorusNetwork {
     /// The transfers and arrivals of the cycle being ticked, sized for
     /// every router forwarding `links_per_cycle` packets.
     routed: TickBuffers,
-    /// Bit `n % 64` of word `n / 64` is set while router `n` has packets to
-    /// route, so a tick visits only those — in ascending node order, the
-    /// order that fixes how transfers interleave in a shared next hop.
-    active: Vec<u64>,
-    /// The same layout, set while node `n`'s delivery queue is non-empty, so
-    /// the attached components are asked only where something arrived.
-    deliverable: Vec<u64>,
+    /// The routers with packets to route, so a tick visits only those — in
+    /// ascending node order, the order that fixes how transfers interleave
+    /// in a shared next hop.
+    active: BitSet,
+    /// The nodes whose delivery queue is non-empty, so the attached
+    /// components are asked only where something arrived.
+    deliverable: BitSet,
 }
 
 impl TorusNetwork {
@@ -102,8 +107,8 @@ impl TorusNetwork {
             buffered: 0,
             waiting: 0,
             routed: TickBuffers::new(topology.nodes() * links_per_cycle),
-            active: vec![0; topology.nodes().div_ceil(64)],
-            deliverable: vec![0; topology.nodes().div_ceil(64)],
+            active: BitSet::new(topology.nodes()),
+            deliverable: BitSet::new(topology.nodes()),
         }
     }
 
@@ -144,7 +149,7 @@ impl TorusNetwork {
         };
         let accepted = self.routers[src].accept(entry(dst, handle));
         debug_assert!(accepted, "fullness was checked above");
-        self.active[src / 64] |= 1 << (src % 64);
+        self.active.insert(src);
         self.stats.injected += 1;
         self.buffered += 1;
         Ok(())
@@ -165,20 +170,13 @@ impl TorusNetwork {
         // Taken for the loop, so its cursors can live in registers.
         let mut routed = std::mem::take(&mut self.routed);
         (routed.moved, routed.arrived) = (0, 0);
-        for word in 0..self.active.len() {
-            // A snapshot: transfers set bits only after every router has routed.
-            let mut pending = self.active[word];
-            let mut still_active = pending;
-            while pending != 0 {
-                let bit = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                let node = word * 64 + bit;
-                let router = &mut self.routers[node];
-                router.route(node, &self.routes, self.links_per_cycle, &mut routed);
-                still_active &= !(u64::from(router.buffered() == 0) << bit);
-            }
-            self.active[word] = still_active;
-        }
+        // Transfers mark their next hops active only after every router
+        // has routed.
+        self.active.retain(|node| {
+            let router = &mut self.routers[node];
+            router.route(node, &self.routes, self.links_per_cycle, &mut routed);
+            router.buffered() != 0
+        });
         self.routed = routed;
         self.apply_arrivals(now.as_u64());
         self.apply_transfers();
@@ -200,7 +198,7 @@ impl TorusNetwork {
             self.latency_histogram.record(packet.latency(now));
             self.hop_histogram.record(u64::from(packet.hops));
             self.deliveries[node].push_back(handle);
-            self.deliverable[node / 64] |= 1 << (node % 64);
+            self.deliverable.insert(node);
         }
         self.buffered -= arrived;
         self.waiting += arrived;
@@ -213,7 +211,7 @@ impl TorusNetwork {
             // Router-to-router hops are throughput-limited, not buffer-limited
             // (see `Router::force_accept`), which keeps the torus deadlock-free.
             self.routers[next].force_accept(entry);
-            self.active[next / 64] |= 1 << (next % 64);
+            self.active.insert(next);
         }
     }
 
@@ -229,7 +227,7 @@ impl TorusNetwork {
     pub fn drain_delivered_into(&mut self, node: usize, out: &mut Vec<Packet>) {
         let queue = &mut self.deliveries[node];
         self.waiting -= queue.len();
-        self.deliverable[node / 64] &= !(1 << (node % 64));
+        self.deliverable.remove(node);
         // A pop per packet: most calls find the queue empty, where a
         // `drain` costs more to set up and tear down than the check.
         while let Some(handle) = queue.pop_front() {
@@ -242,12 +240,7 @@ impl TorusNetwork {
     /// order; lets a per-cycle caller pass over the (many) nodes nothing
     /// has reached.
     pub fn nodes_with_deliveries(&self) -> impl Iterator<Item = usize> + '_ {
-        self.deliverable.iter().enumerate().flat_map(|(word, &bits)| {
-            // Each step clears the lowest set bit of the one before.
-            std::iter::successors(Some(bits), |&rest| Some(rest & rest.wrapping_sub(1)))
-                .take_while(|&rest| rest != 0)
-                .map(move |rest| word * 64 + rest.trailing_zeros() as usize)
-        })
+        self.deliverable.iter()
     }
 
     /// Number of packets anywhere in the fabric (buffered or awaiting pickup).

@@ -63,10 +63,10 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use neura_lab::Runner;
+use neura_sim::BitSet;
 
 use crate::arrivals::{ClosedLoopClients, ClosedLoopSpec, Request, Workload};
 use crate::autoscale::{Decision, ScaleEvent};
-use crate::bitset::BitSet;
 use crate::cost::{ClassId, FleetCosts};
 use crate::fault::{CrashEvent, FaultPlan};
 use crate::fleet::{

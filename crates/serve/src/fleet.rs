@@ -15,10 +15,10 @@
 //! for it, kept up to date by every operation that changes it — so no
 //! question costs a walk over the slots:
 //!
-//! - the **idle set**: a bit per slot that is provisioned and serving no
-//!   batch, set when a slot activates or its batch completes, cleared when
-//!   it dispatches, retires or crashes; the dispatch candidates are its
-//!   members in slot order;
+//! - the **idle set**: a [`neura_sim::BitSet`] of the slots that are
+//!   provisioned and serving no batch, a slot added when it activates or
+//!   its batch completes and removed when it dispatches, retires or
+//!   crashes; the dispatch candidates are its members in slot order;
 //! - the **completion calendar**: a min-heap of `(finish, slot)`, one
 //!   entry per batch in service, pushed at dispatch, popped when due
 //!   ([`ShardFleet::pop_completion`]) and dropped when its slot crashes —
@@ -30,8 +30,7 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use neura_chip::config::ChipConfig;
-
-use crate::bitset::BitSet;
+use neura_sim::BitSet;
 
 /// Spec-level description of one shard group: `shards` replicas of one
 /// chip configuration under a stable short name.

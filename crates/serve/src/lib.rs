@@ -79,7 +79,6 @@
 
 mod arrivals;
 mod autoscale;
-mod bitset;
 pub mod cost;
 mod dispatch;
 pub mod engine;

@@ -11,7 +11,10 @@
 //! * [`LatencyHistogram`] — mergeable log-bucketed percentile state shared
 //!   by the serving telemetry and the chip-level profiler,
 //! * [`DeterministicRng`] — a small explicitly-seeded RNG so simulations are
-//!   reproducible without depending on global random state.
+//!   reproducible without depending on global random state,
+//! * [`BitSet`] — a fixed-capacity set of unit indices, one bit each, that
+//!   the chip loop, the torus, the HashPad and the serving fleet keep of the
+//!   units that can change, so a walk visits only those, in ascending index.
 //!
 //! Everything here is deterministic: given the same samples and seeds,
 //! every run produces bit-identical statistics.
@@ -36,11 +39,13 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod bitset;
 mod cycle;
 mod latency;
 mod rng;
 pub mod stats;
 
+pub use bitset::BitSet;
 pub use cycle::Cycle;
 pub use latency::{LatencyHistogram, RELATIVE_ERROR_BOUND, SUB_BUCKET_BITS};
 pub use rng::DeterministicRng;

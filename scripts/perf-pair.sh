@@ -7,27 +7,31 @@
 # that claims a gain may not edit the benchmark), then runs PAIRS (default
 # 10) pairs of --trace 0 runs of WORKLOAD, alternating which side goes
 # first, each pair with another --seed, both sides of a pair with the same
-# seed, at the run_seconds of BENCHMARK.json, and finishes with one
-# --trace 1 run per side at the last seed. `all` does that for every
-# workload of BENCHMARK.json in its order, on the one pair of builds.
+# seed, at the run_seconds of BENCHMARK.json, and finishes with three
+# rounds of one --trace 1 run per side at the last seed, again alternating
+# which side goes first. `all` does that for every workload of
+# BENCHMARK.json in its order, on the one pair of builds.
 #
 # Prints, as Markdown, per workload and end-to-end metric: each side's
 # Q1 / median / Q3, the change's median against the parent's, the parent's
 # interquartile range, and the pairs the change won; then, from the traced
-# runs, `chip.profiled.overhead` (the chip loop's observer seam: it moves
-# by less than any filter, so it always prints) and every per-layer row of
-# BENCHMARK.json that is non-zero on the parent and moved by more than
-# 10 % — one run a side, so a pointer to where the saving appeared, not a
-# measurement of it. Exits non-zero when a pair's
+# runs, each side's median and min–max of `chip.profiled.overhead` (the
+# chip loop's observer seam: it moves by less than any filter, so it
+# always prints) and of every per-layer row of BENCHMARK.json that is
+# non-zero on the parent, whose medians differ by more than 10 % and whose
+# two ranges do not overlap — three runs a side, so a pointer to where the
+# saving appeared, not a measurement of it. Exits non-zero when a pair's
 # sim_digest differs between the sides or an operation failed.
 #
 # With --json PATH it also writes those tables to PATH as a
 # neura_lab.artifact/v1 document (the BENCH_*.json ledger at the repo
 # root): one record per workload and end-to-end metric (each side's
 # Q1 / median / Q3, the change against the parent, the parent's IQR, the
-# pairs won), one per moved per-layer row, one per workload for sim_digest
-# agreement, and one naming both commits, the command and the host (CPU
-# model, nproc, kernel release).
+# pairs won), one per printed per-layer row (each side's median, min and
+# max over its three traced runs, the change's median against the
+# parent's), one per workload for sim_digest agreement, and one naming
+# both commits, the command and the host (CPU model, nproc, kernel
+# release).
 set -euo pipefail
 usage() {
     echo "usage: scripts/perf-pair.sh PARENT CHANGE WORKLOAD|all [PAIRS] [--json PATH]" >&2
@@ -71,9 +75,10 @@ for side in parent change; do
         --manifest-path "$work/$side/benchmark/Cargo.toml" >&2
 done
 
-run_side() { # workload side seed [trace]
+traced_runs=3
+run_side() { # workload side seed [trace round]
     local trace="${4:-0}"
-    local dir="$work/out/$1/$2/seed$3-trace$trace"
+    local dir="$work/out/$1/$2/seed$3-trace$trace${5:+-round$5}"
     mkdir -p "$dir"
     (cd "$work/$2" && "$work/target-$2/release/neura_perf" --workload "$1" \
         --seed "$3" --seconds "$seconds" --trace "$trace" --out "$dir") >"$dir/stdout" || true
@@ -86,17 +91,21 @@ for workload in $workloads; do
         done
         echo "$workload: pair $seed of $pairs ($order)" >&2
     done
-    for side in parent change; do
-        run_side "$workload" "$side" "$pairs" 1
+    for round in $(seq 1 "$traced_runs"); do
+        if ((round % 2)); then order="parent change"; else order="change parent"; fi
+        for side in $order; do
+            run_side "$workload" "$side" "$pairs" 1 "$round"
+        done
+        echo "$workload: traced round $round of $traced_runs at seed $pairs ($order)" >&2
     done
-    echo "$workload: traced run per side at seed $pairs" >&2
 done
 
-python3 - "$work/out" "$pairs" "$seconds" "$json" "$commits" "$command" $workloads <<'PY'
+python3 - "$work/out" "$pairs" "$seconds" "$json" "$commits" "$command" "$traced_runs" $workloads <<'PY'
 import json, os, platform, statistics, sys
 
 out, pairs, seconds = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-json_path, commits, command, workloads = sys.argv[4], sys.argv[5].split(), sys.argv[6], sys.argv[7:]
+json_path, commits, command = sys.argv[4], sys.argv[5].split(), sys.argv[6]
+traced_runs, workloads = int(sys.argv[7]), sys.argv[8:]
 bench = json.load(open("BENCHMARK.json"))
 bad = []
 records = []  # the --json ledger, in neura_lab.artifact/v1 record form
@@ -105,10 +114,11 @@ def record(rid, params, metrics):
     records.append({"id": f"perf-pair/{rid}", "params": params,
                     "metrics": [{"name": n, "value": v, "unit": u} for n, v, u in metrics]})
 
-def read_run(workload, side, seed, trace):
+def read_run(workload, side, seed, trace, round=None):
     """The metric values of one run; failures are appended to `bad`."""
-    run = f"{workload} {side} seed {seed} --trace {trace}"
-    lines = open(f"{out}/{workload}/{side}/seed{seed}-trace{trace}/stdout").read().splitlines()
+    run = f"{workload} {side} seed {seed} --trace {trace}" + (f" round {round}" if round else "")
+    suffix = f"-round{round}" if round else ""
+    lines = open(f"{out}/{workload}/{side}/seed{seed}-trace{trace}{suffix}/stdout").read().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
@@ -157,25 +167,34 @@ for workload in workloads:
                 ("change_vs_parent", cm / pm - 1, "ratio"), ("parent_iqr", (p3 - p1) / pm, "ratio"),
                 ("pairs_won", won, "count"), ("pairs_decided", pairs - ties, "count")])
 
-print(f"\n`chip.profiled.overhead` and every non-zero per-layer row that moved by more than 10 % "
-      f"(one `--trace 1` run per side and workload, seed {pairs}).\n")
-print("| workload | metric | unit | better | parent | change | change vs parent |")
+print(f"\n`chip.profiled.overhead` and every non-zero per-layer row whose medians differ by more "
+      f"than 10 % and whose min–max ranges do not overlap ({traced_runs} alternating `--trace 1` "
+      f"runs per side and workload, seed {pairs}).\n")
+print("| workload | metric | unit | better | parent median (min–max) | change median (min–max) "
+      "| change vs parent |")
 print("|---|---|---|---|---|---|---|")
 for workload in workloads:
-    (traced_parent, _), (traced_change, _) = (
-        read_run(workload, side, pairs, 1) for side in ("parent", "change"))
+    traced = {side: [read_run(workload, side, pairs, 1, r)[0] for r in range(1, traced_runs + 1)]
+              for side in ("parent", "change")}
     for metric in bench["per_layer"]:
-        name = metric["name"]
-        always = name == "chip.profiled.overhead"
-        p, c = traced_parent.get(name), traced_change.get(name)
-        if not p or c is None or not (always or abs(c / p - 1) > 0.10):
+        name, unit = metric["name"], metric["unit"]
+        p, c = ([run.get(name) for run in traced[side]] for side in ("parent", "change"))
+        if None in p or None in c:
             continue
-        print(f"| {workload} | {name} | {metric['unit']} | {metric['better']} "
-              f"| {p:.6g} | {c:.6g} | {c / p - 1:+.1%} |")
+        (pm, plo, phi), (cm, clo, chi) = ((statistics.median(v), min(v), max(v)) for v in (p, c))
+        if not pm:
+            continue
+        moved = abs(cm / pm - 1) > 0.10 and (chi < plo or clo > phi)
+        if not (name == "chip.profiled.overhead" or moved):
+            continue
+        print(f"| {workload} | {name} | {unit} | {metric['better']} "
+              f"| {pm:.6g} ({plo:.6g}–{phi:.6g}) | {cm:.6g} ({clo:.6g}–{chi:.6g}) "
+              f"| {cm / pm - 1:+.1%} |")
         record(f"{workload}/layer/{name}",
                {"workload": workload, "metric": name, "better": metric["better"], "seed": str(pairs)},
-               [("parent", p, metric["unit"]), ("change", c, metric["unit"]),
-                ("change_vs_parent", c / p - 1, "ratio")])
+               [("parent_median", pm, unit), ("parent_min", plo, unit), ("parent_max", phi, unit),
+                ("change_median", cm, unit), ("change_min", clo, unit), ("change_max", chi, unit),
+                ("change_vs_parent", cm / pm - 1, "ratio"), ("runs", traced_runs, "count")])
 for line in bad:
     print(f"FAIL: {line}", file=sys.stderr)
 if json_path:
