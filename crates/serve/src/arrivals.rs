@@ -29,7 +29,7 @@
 //! function of the spec regardless of service order.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::cost::RequestClass;
 
@@ -193,13 +193,12 @@ pub(crate) struct Requests<'a> {
     next_id: usize,
 }
 
-impl Iterator for Requests<'_> {
-    type Item = Request;
-
-    // Inlined so the generator's state stays in registers across a
-    // consumer's loop rather than round-tripping through memory per call.
+impl Requests<'_> {
+    /// The next candidate's arrival time (`None` once past the duration);
+    /// [`Self::class`] or [`Self::skip_class`] must follow before the next
+    /// call, as the class draws come after the time draws in the stream.
     #[inline]
-    fn next(&mut self) -> Option<Request> {
+    pub(crate) fn next_time(&mut self) -> Option<f64> {
         let spec = self.spec;
         loop {
             // Exponential inter-arrival via inverse CDF; u ∈ [0, 1) keeps
@@ -213,17 +212,41 @@ impl Iterator for Requests<'_> {
             {
                 continue;
             }
-            let dataset = self.rng.gen_range(0..spec.mix_size);
-            let shrink = spec.shrinks[self.rng.gen_range(0..spec.shrinks.len())];
-            let id = self.next_id;
-            self.next_id += 1;
-            return Some(Request {
-                id,
-                arrival_s: self.t,
-                class: RequestClass { dataset, shrink },
-                tenant: 0,
-            });
+            return Some(self.t);
         }
+    }
+
+    /// The class of the candidate [`Self::next_time`] returned.
+    #[inline]
+    pub(crate) fn class(&mut self) -> RequestClass {
+        let spec = self.spec;
+        let dataset = self.rng.gen_range(0..spec.mix_size);
+        let shrink = spec.shrinks[self.rng.gen_range(0..spec.shrinks.len())];
+        RequestClass { dataset, shrink }
+    }
+
+    /// Advances past the class draws of the candidate [`Self::next_time`]
+    /// returned without reducing them to a class: the stream continues
+    /// exactly as after [`Self::class`].
+    #[inline]
+    pub(crate) fn skip_class(&mut self) {
+        self.rng.next_u64();
+        self.rng.next_u64();
+    }
+}
+
+impl Iterator for Requests<'_> {
+    type Item = Request;
+
+    // Inlined so the generator's state stays in registers across a
+    // consumer's loop rather than round-tripping through memory per call.
+    #[inline]
+    fn next(&mut self) -> Option<Request> {
+        let arrival_s = self.next_time()?;
+        let class = self.class();
+        let id = self.next_id;
+        self.next_id += 1;
+        Some(Request { id, arrival_s, class, tenant: 0 })
     }
 }
 

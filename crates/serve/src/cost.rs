@@ -461,6 +461,17 @@ impl<'a> FleetCosts<'a> {
         })
     }
 
+    /// Per class id: the rank of its weight among the distinct weights,
+    /// ascending from 0 (`None` = measured nowhere). Classes that weigh the
+    /// same share a rank.
+    pub(crate) fn weight_ranks(&self) -> Vec<Option<usize>> {
+        let mut distinct: Vec<u64> = self.weights.iter().flatten().copied().collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let rank = |weight| distinct.binary_search(&weight).expect("every weight is listed");
+        self.weights.iter().map(|weight| weight.map(rank)).collect()
+    }
+
     /// [`CostTable::median_weight`], computed once at resolution.
     pub(crate) fn median_weight(&self) -> u64 {
         self.median_weight
@@ -702,6 +713,15 @@ mod tests {
                 }
             }
             assert_eq!(costs.class_count(), datasets * shrinks.len());
+            // Ranks order the classes exactly as their weights do.
+            let ranks = costs.weight_ranks();
+            for (a, b) in (0..ranks.len()).flat_map(|a| (0..ranks.len()).map(move |b| (a, b))) {
+                let (wa, wb) = (costs.weights[a], costs.weights[b]);
+                assert_eq!(ranks[a].is_some(), wa.is_some(), "class {a}");
+                if let (Some(ra), Some(rb), Some(wa), Some(wb)) = (ranks[a], ranks[b], wa, wb) {
+                    assert_eq!(ra.cmp(&rb), wa.cmp(&wb), "classes {a} and {b}");
+                }
+            }
             for outside in [
                 RequestClass { dataset: datasets, shrink: 1 },
                 RequestClass { dataset: 0, shrink: 3 },

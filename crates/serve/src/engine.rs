@@ -183,160 +183,362 @@ fn issue_queue(first: Vec<(f64, usize)>) -> IssueQueue {
     first.into_iter().map(|(at, client)| Reverse((TimeKey(at), client))).collect()
 }
 
-/// The central backlog, shaped by the policy. Every operation costs
-/// O(log n) or better in the queue depth, so a replay that lets the
-/// backlog grow (a flash crowd, an overload) pays per request, not per
-/// request × depth.
+/// The central backlog, shaped by the policy. No question a dispatch asks
+/// of it walks the waiting requests or the waiting classes: FIFO and SJF
+/// answer in O(1), batching in O(1) per class whose readiness or place
+/// changed since the last question. A class pays a binary search to be
+/// re-sorted only when its queue head changes. A replay that lets the
+/// backlog grow (a flash crowd, an overload) therefore pays per request,
+/// not per request × depth or per event × classes.
 #[derive(Debug, Clone)]
 enum Backlog {
     /// FIFO: one queue in arrival order.
     Fifo(VecDeque<usize>),
-    /// SJF: a min-heap on `(weight(class), id)`, the weight looked up once
-    /// at insertion. Smallest estimated work first, ties to the earlier
-    /// arrival (ids are issued in arrival order). The selection depends
-    /// only on the *set* of queued requests, never on queue position, so
-    /// re-queueing a held or crashed unit is a plain insertion.
-    Sjf(BinaryHeap<Reverse<(u64, usize)>>),
-    /// Batching: one arrival-ordered queue per class id, the set of
-    /// classes whose queue is non-empty (the only ones a selection
-    /// visits), and their summed length (read several times per event).
-    Classed { queues: Vec<VecDeque<usize>>, waiting: BitSet, len: usize },
+    /// SJF: smallest estimated work first, ties to the earlier arrival.
+    Sjf(RankQueues),
+    /// Batching: per-class queues served oldest head first.
+    Classed(AgeQueues),
 }
 
 impl Backlog {
-    /// An empty backlog for `policy` over `classes` class ids.
-    fn new(policy: Policy, classes: usize) -> Self {
+    /// An empty backlog for `policy` over the classes of `costs`.
+    fn new(policy: Policy, costs: &FleetCosts<'_>) -> Self {
         match policy {
             Policy::Fifo => Backlog::Fifo(VecDeque::new()),
-            Policy::Sjf => Backlog::Sjf(BinaryHeap::new()),
-            Policy::BatchByDataset { .. } => Backlog::Classed {
-                queues: vec![VecDeque::new(); classes],
-                waiting: BitSet::new(classes),
-                len: 0,
-            },
+            Policy::Sjf => Backlog::Sjf(RankQueues::new(costs)),
+            Policy::BatchByDataset { max_batch, timeout_s } => {
+                Backlog::Classed(AgeQueues::new(max_batch, timeout_s, costs.class_count()))
+            }
         }
     }
 
-    fn push(&mut self, id: usize, class: ClassId, costs: &FleetCosts<'_>) {
+    /// Admits request `id` of `class`, which arrived at `arrival_s`. Ids
+    /// are admitted in ascending order.
+    fn push(&mut self, id: usize, class: ClassId, arrival_s: f64, costs: &FleetCosts<'_>) {
         match self {
             Backlog::Fifo(queue) => queue.push_back(id),
-            Backlog::Sjf(heap) => heap.push(Reverse((costs.weight(class), id))),
-            Backlog::Classed { queues, waiting, len } => {
-                queues[class.index()].push_back(id);
-                waiting.insert(class.index());
-                *len += 1;
-            }
+            Backlog::Sjf(ranks) => ranks.push(id, class, costs),
+            Backlog::Classed(ages) => ages.push(id, class, arrival_s),
         }
     }
 
     /// Returns a unit taken by [`Self::take_ready`] to the head of its
     /// queue, preserving order — used when the dispatch policy holds the
     /// unit for busy preferred silicon, and when a crash returns a
-    /// victim's in-flight batch for re-dispatch.
-    fn push_front(&mut self, unit: &[usize], class: ClassId, costs: &FleetCosts<'_>) {
-        let queue = match self {
-            Backlog::Fifo(queue) => queue,
-            Backlog::Sjf(heap) => {
-                let weight = costs.weight(class);
-                heap.extend(unit.iter().map(|&id| Reverse((weight, id))));
-                return;
+    /// victim's in-flight batch for re-dispatch. `arrival_s` is the
+    /// arrival of `unit[0]`.
+    fn push_front(
+        &mut self,
+        unit: &[usize],
+        class: ClassId,
+        arrival_s: f64,
+        costs: &FleetCosts<'_>,
+    ) {
+        match self {
+            Backlog::Fifo(queue) => {
+                for &id in unit.iter().rev() {
+                    queue.push_front(id);
+                }
             }
-            Backlog::Classed { queues, waiting, len } => {
-                *len += unit.len();
-                waiting.insert(class.index());
-                &mut queues[class.index()]
-            }
-        };
-        for &id in unit.iter().rev() {
-            queue.push_front(id);
+            Backlog::Sjf(ranks) => ranks.push_front(unit, class, costs),
+            Backlog::Classed(ages) => ages.push_front(unit, class, arrival_s),
         }
     }
 
     fn len(&self) -> usize {
         match self {
             Backlog::Fifo(queue) => queue.len(),
-            Backlog::Sjf(heap) => heap.len(),
-            Backlog::Classed { len, .. } => *len,
+            Backlog::Sjf(ranks) => ranks.len,
+            Backlog::Classed(ages) => ages.len,
         }
     }
 
     /// The earliest future time at which a currently-unready unit becomes
     /// ready by timeout (batching policy only).
-    fn next_deadline(&self, now: f64, policy: Policy, requests: &[Request]) -> Option<f64> {
-        let (
-            Backlog::Classed { queues, waiting, .. },
-            Policy::BatchByDataset { max_batch, timeout_s },
-        ) = (self, policy)
-        else {
-            return None;
-        };
-        waiting
-            .iter()
-            .map(|class| &queues[class])
-            .filter(|q| !class_ready(q, requests, max_batch, timeout_s, now))
-            .filter_map(|q| q.front().map(|&id| requests[id].arrival_s + timeout_s))
-            .fold(None, |best, t| Some(best.map_or(t, |b: f64| b.min(t))))
+    fn next_deadline(&mut self, now: f64) -> Option<f64> {
+        match self {
+            Backlog::Classed(ages) => ages.next_deadline(now),
+            Backlog::Fifo(_) | Backlog::Sjf(_) => None,
+        }
     }
 
     /// Moves the next ready dispatch unit at `now` into `unit` (cleared
     /// first — the caller recycles one buffer across dispatches); `false`
-    /// when nothing is ready.
-    fn take_ready(
-        &mut self,
-        now: f64,
-        policy: Policy,
-        requests: &[Request],
-        unit: &mut Vec<usize>,
-    ) -> bool {
+    /// when nothing is ready. `requests` holds every arrived request, by id.
+    fn take_ready(&mut self, now: f64, requests: &[Request], unit: &mut Vec<usize>) -> bool {
         unit.clear();
-        match (self, policy) {
-            (Backlog::Fifo(queue), Policy::Fifo) => unit.extend(queue.pop_front()),
-            (Backlog::Sjf(heap), Policy::Sjf) => {
-                unit.extend(heap.pop().map(|Reverse((_, id))| id));
-            }
-            (
-                Backlog::Classed { queues, waiting, len },
-                Policy::BatchByDataset { max_batch, timeout_s },
-            ) => {
-                // Among ready classes, serve the one whose head request has
-                // waited longest (ties broken by class order — ascending
-                // ids — so selection is deterministic).
-                let ready = waiting
-                    .iter()
-                    .filter(|&c| class_ready(&queues[c], requests, max_batch, timeout_s, now))
-                    .min_by(|&a, &b| {
-                        let ha = head_arrival(&queues[a], requests);
-                        let hb = head_arrival(&queues[b], requests);
-                        ha.partial_cmp(&hb).expect("arrival times are finite").then(a.cmp(&b))
-                    });
-                if let Some(class) = ready {
-                    let queue = &mut queues[class];
-                    let take = queue.len().min(max_batch);
-                    unit.extend(queue.drain(..take));
-                    *len -= take;
-                    if queue.is_empty() {
-                        waiting.remove(class);
-                    }
-                }
-            }
-            _ => unreachable!("backlog shape always matches the policy"),
+        match self {
+            Backlog::Fifo(queue) => unit.extend(queue.pop_front()),
+            Backlog::Sjf(ranks) => unit.extend(ranks.pop()),
+            Backlog::Classed(ages) => ages.take_ready(now, requests, unit),
         }
         !unit.is_empty()
     }
 }
 
-fn head_arrival(queue: &VecDeque<usize>, requests: &[Request]) -> f64 {
-    queue.front().map(|&id| requests[id].arrival_s).unwrap_or(f64::INFINITY)
+/// The SJF backlog: one id-ordered FIFO queue per distinct class weight,
+/// lightest first, and the set of non-empty ones. The next request is the
+/// front of the lowest non-empty rank — smallest weight first, ties to the
+/// smaller id (ids are issued in arrival order) — so the selection depends
+/// only on the *set* of queued requests, as a min-heap on `(weight, id)`
+/// would pop it. An admission appends (its id is the largest yet), a held
+/// request goes back to the front (it was its rank's minimum), and only a
+/// crash re-queue, which may return units in any order, searches for its
+/// place.
+#[derive(Debug, Clone)]
+struct RankQueues {
+    /// Per class id: the rank of its weight (`None` = measured nowhere).
+    ranks: Vec<Option<usize>>,
+    /// Per rank: its queued ids, ascending.
+    queues: Vec<VecDeque<usize>>,
+    /// The ranks whose queue is non-empty.
+    non_empty: BitSet,
+    /// The summed queue length.
+    len: usize,
 }
 
-fn class_ready(
-    queue: &VecDeque<usize>,
-    requests: &[Request],
+impl RankQueues {
+    fn new(costs: &FleetCosts<'_>) -> Self {
+        let ranks = costs.weight_ranks();
+        let count = ranks.iter().flatten().max().map_or(0, |&rank| rank + 1);
+        RankQueues {
+            ranks,
+            queues: vec![VecDeque::new(); count],
+            non_empty: BitSet::new(count),
+            len: 0,
+        }
+    }
+
+    /// The queue of `class`'s weight, marked non-empty (the caller adds to
+    /// it).
+    ///
+    /// # Panics
+    ///
+    /// As [`FleetCosts::weight`], when `class` was measured nowhere.
+    fn queue(&mut self, class: ClassId, costs: &FleetCosts<'_>) -> &mut VecDeque<usize> {
+        let rank = self.ranks[class.index()].unwrap_or_else(|| {
+            costs.weight(class);
+            unreachable!("every measured class has a weight rank")
+        });
+        self.non_empty.insert(rank);
+        &mut self.queues[rank]
+    }
+
+    fn push(&mut self, id: usize, class: ClassId, costs: &FleetCosts<'_>) {
+        let queue = self.queue(class, costs);
+        debug_assert!(queue.back().is_none_or(|&last| last < id), "ids are admitted ascending");
+        queue.push_back(id);
+        self.len += 1;
+    }
+
+    fn push_front(&mut self, unit: &[usize], class: ClassId, costs: &FleetCosts<'_>) {
+        let queue = self.queue(class, costs);
+        for &id in unit.iter().rev() {
+            if queue.front().is_none_or(|&first| id < first) {
+                queue.push_front(id);
+            } else {
+                queue.insert(queue.partition_point(|&queued| queued < id), id);
+            }
+        }
+        self.len += unit.len();
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        let rank = self.non_empty.iter().next()?;
+        let queue = &mut self.queues[rank];
+        let id = queue.pop_front();
+        if queue.is_empty() {
+            self.non_empty.remove(rank);
+        }
+        self.len -= 1;
+        id
+    }
+}
+
+/// The batching backlog: one arrival-ordered queue per class id, each
+/// waiting class's head arrival, and the waiting classes split into two
+/// age indexes — `filling` (fewer than `max_batch` queued) and `full` —
+/// each sorted by `(head arrival, class id)`.
+///
+/// Among ready classes (full, or timed out) the one whose head has waited
+/// longest is served, ties to the lower class id. Every full class is
+/// ready, and the timed-out filling classes are a prefix of `filling`
+/// (`head + timeout_s` rounds monotonically in `head`), so the choice is
+/// the older of two fronts, and the next deadline is that of the first
+/// filling class past the prefix — the front itself, unless dispatch was
+/// held with a timed-out class waiting, and then a walk from where the
+/// previous call found the prefix's end.
+///
+/// A class enters an index when its queue becomes non-empty (arrivals are
+/// monotone, so at or near the back), moves from `filling` to `full` when
+/// a push fills it, and is re-sorted only when its head changes: a hold or
+/// crash re-queue, or a partial drain. Plain pushes into a waiting class
+/// touch no index.
+#[derive(Debug, Clone)]
+struct AgeQueues {
     max_batch: usize,
     timeout_s: f64,
-    now: f64,
-) -> bool {
-    queue.len() >= max_batch || head_arrival(queue, requests) + timeout_s <= now
+    /// Per class id: its queued ids, in queue order.
+    queues: Vec<VecDeque<usize>>,
+    /// Per class id: the arrival of its queue head (∞ when empty).
+    heads: Vec<f64>,
+    /// The waiting classes with fewer than `max_batch` queued, oldest head
+    /// first.
+    filling: VecDeque<usize>,
+    /// The waiting classes with at least `max_batch` queued, oldest head
+    /// first.
+    full: VecDeque<usize>,
+    /// The summed queue length.
+    len: usize,
+    /// Where [`Self::next_deadline`] last found the first filling class
+    /// that had not timed out: a hint its walk starts from, which no other
+    /// operation maintains (any position gives the same answer).
+    boundary: usize,
+    /// The classes [`Self::take_ready`] and [`Self::next_deadline`] have
+    /// inspected, so a test can check that the count per event does not
+    /// grow with the number of classes.
+    #[cfg(test)]
+    inspected: usize,
+}
+
+impl AgeQueues {
+    fn new(max_batch: usize, timeout_s: f64, classes: usize) -> Self {
+        AgeQueues {
+            max_batch,
+            timeout_s,
+            queues: vec![VecDeque::new(); classes],
+            heads: vec![f64::INFINITY; classes],
+            filling: VecDeque::new(),
+            full: VecDeque::new(),
+            len: 0,
+            boundary: 0,
+            #[cfg(test)]
+            inspected: 0,
+        }
+    }
+
+    /// Counts `classes` inspected classes.
+    #[cfg(test)]
+    fn inspect(&mut self, classes: usize) {
+        self.inspected += classes;
+    }
+
+    /// Counts nothing outside the tests.
+    #[cfg(not(test))]
+    #[inline]
+    fn inspect(&mut self, _classes: usize) {}
+
+    /// Whether waiting class `a` sorts before waiting class `b`.
+    fn older(heads: &[f64], a: usize, b: usize) -> bool {
+        heads[a].partial_cmp(&heads[b]).expect("arrival times are finite").then(a.cmp(&b)).is_lt()
+    }
+
+    /// The head arrivals, and the index waiting class `class` belongs in.
+    fn index(&mut self, class: usize) -> (&[f64], &mut VecDeque<usize>) {
+        let AgeQueues { max_batch, queues, heads, filling, full, .. } = self;
+        (heads, if queues[class].len() >= *max_batch { full } else { filling })
+    }
+
+    /// Files the waiting class `class` into its index, keyed by its
+    /// current head.
+    fn enter(&mut self, class: usize) {
+        let (heads, index) = self.index(class);
+        if index.back().is_none_or(|&last| Self::older(heads, last, class)) {
+            index.push_back(class);
+        } else {
+            index.insert(index.partition_point(|&c| Self::older(heads, c, class)), class);
+        }
+    }
+
+    /// Takes the waiting class `class` out of its index, before its head
+    /// or its fullness changes.
+    fn leave(&mut self, class: usize) {
+        let (heads, index) = self.index(class);
+        let at = if index.front() == Some(&class) {
+            0
+        } else {
+            index.partition_point(|&c| Self::older(heads, c, class))
+        };
+        debug_assert_eq!(index.get(at), Some(&class), "a waiting class sits at its key");
+        index.remove(at);
+    }
+
+    fn push(&mut self, id: usize, class: ClassId, arrival_s: f64) {
+        let class = class.index();
+        let queued = self.queues[class].len() + 1;
+        if queued == self.max_batch && queued > 1 {
+            self.leave(class);
+        }
+        self.queues[class].push_back(id);
+        self.len += 1;
+        if queued == 1 {
+            self.heads[class] = arrival_s;
+            self.enter(class);
+        } else if queued == self.max_batch {
+            self.enter(class);
+        }
+    }
+
+    fn push_front(&mut self, unit: &[usize], class: ClassId, arrival_s: f64) {
+        let class = class.index();
+        if !self.queues[class].is_empty() {
+            self.leave(class);
+        }
+        let queue = &mut self.queues[class];
+        for &id in unit.iter().rev() {
+            queue.push_front(id);
+        }
+        self.len += unit.len();
+        self.heads[class] = arrival_s;
+        self.enter(class);
+    }
+
+    /// Whether waiting class `class` has timed out at `now` (one
+    /// inspection).
+    fn timed_out(&mut self, class: usize, now: f64) -> bool {
+        self.inspect(1);
+        self.heads[class] + self.timeout_s <= now
+    }
+
+    /// The deadline of the first filling class that has not timed out:
+    /// the walk starts at the boundary the previous call found, so it costs
+    /// one step per class that crossed it (or per index change before it)
+    /// since, not one per waiting class.
+    fn next_deadline(&mut self, now: f64) -> Option<f64> {
+        let mut at = self.boundary.min(self.filling.len());
+        while at > 0 && !self.timed_out(self.filling[at - 1], now) {
+            at -= 1;
+        }
+        while at < self.filling.len() && self.timed_out(self.filling[at], now) {
+            at += 1;
+        }
+        self.boundary = at;
+        self.filling.get(at).map(|&class| self.heads[class] + self.timeout_s)
+    }
+
+    fn take_ready(&mut self, now: f64, requests: &[Request], unit: &mut Vec<usize>) {
+        let filling = self.filling.front().copied().filter(|&class| self.timed_out(class, now));
+        let full = self.full.front().copied();
+        self.inspect(usize::from(full.is_some()));
+        let class = match (filling, full) {
+            (Some(a), Some(b)) if Self::older(&self.heads, b, a) => self.full.pop_front(),
+            (Some(_), _) => self.filling.pop_front(),
+            (None, Some(_)) => self.full.pop_front(),
+            (None, None) => return,
+        };
+        let class = class.expect("the chosen class heads its index");
+        let queue = &mut self.queues[class];
+        let take = queue.len().min(self.max_batch);
+        unit.extend(queue.drain(..take));
+        self.len -= take;
+        match queue.front() {
+            Some(&head) => {
+                self.heads[class] = requests[head].arrival_s;
+                self.enter(class);
+            }
+            None => self.heads[class] = f64::INFINITY,
+        }
+    }
 }
 
 /// Where the next request comes from, and every request that has arrived
@@ -718,7 +920,7 @@ fn initial_state(ctx: &Ctx<'_>, tenants: Option<&TenantMix>, source: SourceState
     let tenant_count = gates.len();
     EngineState {
         now: 0.0,
-        backlog: Backlog::new(cfg.policy, ctx.costs.class_count()),
+        backlog: Backlog::new(cfg.policy, &ctx.costs),
         next_check: cfg.autoscale.map(|p| p.check_interval_s),
         fleet,
         plan,
@@ -810,10 +1012,11 @@ impl<'a> Engine<'a> {
                 break;
             }
             let arrived = st.source.arrived(ctx.stream);
-            if !st.backlog.take_ready(st.now, ctx.cfg.policy, arrived, &mut self.unit) {
+            if !st.backlog.take_ready(st.now, arrived, &mut self.unit) {
                 break;
             }
-            let class = ctx.costs.class_id(arrived[self.unit[0]].class);
+            let head = arrived[self.unit[0]];
+            let class = ctx.costs.class_id(head.class);
             let requests = self.unit.len();
             let Some(shard) =
                 dispatcher.choose(&st.fleet, &self.idle, class, requests, st.now, &ctx.costs)
@@ -822,7 +1025,7 @@ impl<'a> Engine<'a> {
                     st.fleet.next_busy_free_at().is_finite(),
                     "a policy may only hold a batch while some shard is busy"
                 );
-                st.backlog.push_front(&self.unit, class, &ctx.costs);
+                st.backlog.push_front(&self.unit, class, head.arrival_s, &ctx.costs);
                 break;
             };
             let group = st.fleet.group_of(shard);
@@ -846,8 +1049,8 @@ impl<'a> Engine<'a> {
     /// After [`Self::dispatch_ready`] each of these lies in the future, and
     /// every finite-time source is consumed when due, so the loop always
     /// makes progress.
-    fn next_event_s(&self) -> f64 {
-        let (ctx, st) = (self.ctx, &*self.st);
+    fn next_event_s(&mut self) -> f64 {
+        let (ctx, st) = (self.ctx, &mut *self.st);
         let next_arrival = st.source.next_time(ctx.stream);
         let next_completion = st.fleet.next_busy_free_at();
         let work_remains = next_arrival.is_some()
@@ -855,8 +1058,7 @@ impl<'a> Engine<'a> {
             || !st.pending_ops.is_empty()
             || next_completion.is_finite();
         let mut t_next = next_arrival.unwrap_or(f64::INFINITY).min(next_completion);
-        let arrived = st.source.arrived(ctx.stream);
-        if let Some(deadline) = st.backlog.next_deadline(st.now, ctx.cfg.policy, arrived) {
+        if let Some(deadline) = st.backlog.next_deadline(st.now) {
             t_next = t_next.min(deadline);
         }
         for op in &st.pending_ops {
@@ -910,7 +1112,7 @@ impl<'a> Engine<'a> {
         let first_new = st.source.arrived(ctx.stream).len();
         st.source.pop_due(now, ctx.stream);
         for id in first_new..st.source.arrived(ctx.stream).len() {
-            let Request { class, tenant, .. } = st.source.arrived(ctx.stream)[id];
+            let Request { class, tenant, arrival_s, .. } = st.source.arrived(ctx.stream)[id];
             if let Some(count) = st.tally.tenant_offered.get_mut(tenant) {
                 *count += 1;
             }
@@ -929,7 +1131,7 @@ impl<'a> Engine<'a> {
             };
             match refusal {
                 None => {
-                    st.backlog.push(id, ctx.costs.class_id(class), &ctx.costs);
+                    st.backlog.push(id, ctx.costs.class_id(class), arrival_s, &ctx.costs);
                     st.tally.live += 1;
                     rec.admit(now, id);
                 }
@@ -973,8 +1175,9 @@ impl<'a> Engine<'a> {
             let batch = &mut st.in_flight[victim];
             let redispatched = batch.len();
             if redispatched > 0 {
-                let class = ctx.costs.class_id(st.source.arrived(ctx.stream)[batch[0]].class);
-                st.backlog.push_front(batch, class, &ctx.costs);
+                let head = st.source.arrived(ctx.stream)[batch[0]];
+                let class = ctx.costs.class_id(head.class);
+                st.backlog.push_front(batch, class, head.arrival_s, &ctx.costs);
                 batch.clear();
             }
             let crash = CrashEvent { at_s: st.now, shard: victim, group, redispatched };
@@ -1462,6 +1665,20 @@ mod tests {
         Classed(Vec<(RequestClass, VecDeque<usize>)>),
     }
 
+    fn front_arrival(queue: &VecDeque<usize>, requests: &[Request]) -> f64 {
+        queue.front().map(|&id| requests[id].arrival_s).unwrap_or(f64::INFINITY)
+    }
+
+    fn queue_ready(
+        queue: &VecDeque<usize>,
+        requests: &[Request],
+        max_batch: usize,
+        timeout_s: f64,
+        now: f64,
+    ) -> bool {
+        queue.len() >= max_batch || front_arrival(queue, requests) + timeout_s <= now
+    }
+
     /// The queue of `class`, inserted in class order when absent.
     fn class_queue(
         queues: &mut Vec<(RequestClass, VecDeque<usize>)>,
@@ -1516,8 +1733,8 @@ mod tests {
             };
             queues
                 .iter()
-                .filter(|(_, q)| !class_ready(q, requests, max_batch, timeout_s, now))
-                .map(|(_, q)| head_arrival(q, requests) + timeout_s)
+                .filter(|(_, q)| !queue_ready(q, requests, max_batch, timeout_s, now))
+                .map(|(_, q)| front_arrival(q, requests) + timeout_s)
                 .reduce(f64::min)
         }
 
@@ -1549,9 +1766,10 @@ mod tests {
                 ) => {
                     let class = queues
                         .iter()
-                        .filter(|(_, q)| class_ready(q, requests, max_batch, timeout_s, now))
+                        .filter(|(_, q)| queue_ready(q, requests, max_batch, timeout_s, now))
                         .min_by(|(ca, qa), (cb, qb)| {
-                            let (ha, hb) = (head_arrival(qa, requests), head_arrival(qb, requests));
+                            let (ha, hb) =
+                                (front_arrival(qa, requests), front_arrival(qb, requests));
                             ha.partial_cmp(&hb).expect("arrival times are finite").then(ca.cmp(cb))
                         })
                         .map(|(class, _)| *class)?;
@@ -1569,40 +1787,49 @@ mod tests {
         }
     }
 
-    /// Five classes, two pairs of which share a weight, so SJF ties fall
-    /// through to the id.
+    /// Class weights, repeated over the classes of a table, so SJF ties
+    /// fall through to the id (five classes hold two pairs of ties).
     const WEIGHTS: [u64; 5] = [30, 10, 20, 10, 30];
 
-    fn class(index: usize) -> RequestClass {
-        RequestClass { dataset: index % WEIGHTS.len(), shrink: 1 }
+    /// Request class `index` of a table of `classes` classes.
+    fn class(index: usize, classes: usize) -> RequestClass {
+        RequestClass { dataset: index % classes, shrink: 1 }
     }
 
-    fn weights() -> CostTable {
+    /// `classes` classes weighing [`WEIGHTS`] in turn.
+    fn weights(classes: usize) -> CostTable {
         let mut table = CostTable::new();
         table.register_rate("chip", 1e-9);
-        for (index, &flops) in WEIGHTS.iter().enumerate() {
-            table.insert("chip", class(index), ClassCost { cycles: 1, flops });
+        for index in 0..classes {
+            let flops = WEIGHTS[index % WEIGHTS.len()];
+            table.insert("chip", class(index, classes), ClassCost { cycles: 1, flops });
         }
         table
     }
 
     const ARRIVAL_GAP_S: f64 = 0.001;
 
-    /// Replays `ops` on the backlog and on the reference and checks, after
-    /// every step, that both hold the same number of requests, hand out
-    /// the same units and report the same next deadline. An op is `(kind,
-    /// pick)`: 0–1 an arrival of class `pick`; 2 a dispatch; 3 a hold (the
-    /// unit goes straight back); 4 a crash (an earlier dispatched unit
-    /// comes back); 5 a crash of two same-class units at once, re-queued
-    /// as one multi-id unit; 6 a dispatch at the instant the next batch
-    /// timeout expires. Batches larger than a class queue's `max_batch`
-    /// drain it partially, so every way a queue's head changes — a push
-    /// into an empty queue, a hold or crash re-queue, a partial drain — is
-    /// followed by a selection and a deadline.
-    fn replay_against_the_reference(policy: Policy, ops: &[(usize, usize)]) {
-        let table = weights();
+    /// Replays `ops` over `classes` classes on the backlog and on the
+    /// reference and checks, after every step, that both hold the same
+    /// number of requests, hand out the same units and report the same
+    /// next deadline. An op is `(kind, pick)`: 0–1 an arrival of class
+    /// `pick`; 2 a dispatch; 3 a hold (the unit goes straight back); 4 a
+    /// crash (an earlier dispatched unit comes back); 5 a crash of two
+    /// same-class units at once, re-queued as one multi-id unit; 6 a
+    /// dispatch at the instant the next batch timeout expires. Batches
+    /// larger than a class queue's `max_batch` drain it partially, so every
+    /// way a queue's head changes — a push into an empty queue, a hold or
+    /// crash re-queue, a partial drain — is followed by a selection and a
+    /// deadline. Returns the classes a batching backlog inspected before
+    /// the final drain.
+    fn replay_against_the_reference(
+        policy: Policy,
+        ops: &[(usize, usize)],
+        classes: usize,
+    ) -> usize {
+        let table = weights(classes);
         let costs = FleetCosts::new(&table, &[]);
-        let mut backlog = Backlog::new(policy, costs.class_count());
+        let mut backlog = Backlog::new(policy, &costs);
         let mut reference = ReferenceBacklog::new(policy);
         let mut requests: Vec<Request> = Vec::new();
         let mut dispatched: Vec<Vec<usize>> = Vec::new();
@@ -1614,23 +1841,24 @@ mod tests {
             let requeue =
                 |unit: &[usize], backlog: &mut Backlog, reference: &mut ReferenceBacklog| {
                     let head = requests[unit[0]];
-                    backlog.push_front(unit, costs.class_id(head.class), &costs);
+                    backlog.push_front(unit, costs.class_id(head.class), head.arrival_s, &costs);
                     reference.push_front(unit, head.class);
                 };
             match kind {
                 0 | 1 => {
                     let id = requests.len();
                     let arrival_s = id as f64 * ARRIVAL_GAP_S;
-                    requests.push(Request { id, arrival_s, class: class(pick), tenant: 0 });
-                    backlog.push(id, costs.class_id(class(pick)), &costs);
-                    reference.push(id, class(pick));
+                    let class = class(pick, classes);
+                    requests.push(Request { id, arrival_s, class, tenant: 0 });
+                    backlog.push(id, costs.class_id(class), arrival_s, &costs);
+                    reference.push(id, class);
                 }
                 2 | 3 | 6 => {
                     if kind == 6 {
                         now = reference.next_deadline(now, policy, &requests).unwrap_or(now);
                     }
                     let expected = reference.take_ready(now, policy, &requests, &table);
-                    let took = backlog.take_ready(now, policy, &requests, &mut unit);
+                    let took = backlog.take_ready(now, &requests, &mut unit);
                     assert_eq!(took.then_some(&unit), expected.as_ref(), "step {step}");
                     match expected {
                         Some(_) if kind == 3 => requeue(&unit, &mut backlog, &mut reference),
@@ -1656,22 +1884,27 @@ mod tests {
                 }
             }
             let in_flight: usize = dispatched.iter().map(Vec::len).sum();
-            assert_agrees(&backlog, &reference, now, policy, &requests, in_flight, step);
+            assert_agrees(&mut backlog, &reference, now, policy, &requests, in_flight, step);
         }
+        let inspected = match &backlog {
+            Backlog::Classed(ages) => ages.inspected,
+            Backlog::Fifo(_) | Backlog::Sjf(_) => 0,
+        };
         // Drain: far enough in the future every batch timeout has expired.
         let end = requests.len() as f64 * ARRIVAL_GAP_S + 1.0;
         while let Some(expected) = reference.take_ready(end, policy, &requests, &table) {
-            assert!(backlog.take_ready(end, policy, &requests, &mut unit));
+            assert!(backlog.take_ready(end, &requests, &mut unit));
             assert_eq!(unit, expected, "drain");
             assert_eq!(backlog.len(), reference.len(), "drain");
         }
-        assert!(!backlog.take_ready(end, policy, &requests, &mut unit));
+        assert!(!backlog.take_ready(end, &requests, &mut unit));
         assert_eq!(backlog.len(), 0);
+        inspected
     }
 
     /// The checks after one step of [`replay_against_the_reference`].
     fn assert_agrees(
-        backlog: &Backlog,
+        backlog: &mut Backlog,
         reference: &ReferenceBacklog,
         now: f64,
         policy: Policy,
@@ -1681,16 +1914,48 @@ mod tests {
     ) {
         assert_eq!(backlog.len(), reference.len(), "step {step}");
         assert_eq!(
-            backlog.next_deadline(now, policy, requests).map(f64::to_bits),
+            backlog.next_deadline(now).map(f64::to_bits),
             reference.next_deadline(now, policy, requests).map(f64::to_bits),
             "step {step}: next deadline"
         );
-        if let Backlog::Classed { queues, waiting, len } = backlog {
-            assert_eq!(*len, queues.iter().map(VecDeque::len).sum::<usize>(), "step {step}");
-            let non_empty = (0..queues.len()).filter(|&c| !queues[c].is_empty());
-            assert!(waiting.iter().eq(non_empty), "step {step}: waiting classes");
+        match backlog {
+            Backlog::Fifo(_) => {}
+            Backlog::Sjf(ranks) => assert_ranked(ranks, step),
+            Backlog::Classed(ages) => assert_indexed(ages, requests, step),
         }
         assert_eq!(backlog.len() + in_flight, requests.len(), "step {step}: conservation");
+    }
+
+    /// The rank queues hold ascending ids, their summed length is the
+    /// running one, and the non-empty set names exactly the non-empty ranks.
+    fn assert_ranked(ranks: &RankQueues, step: usize) {
+        assert_eq!(ranks.len, ranks.queues.iter().map(VecDeque::len).sum::<usize>(), "step {step}");
+        assert!(ranks.queues.iter().all(|q| q.iter().is_sorted()), "step {step}: id order");
+        let non_empty = (0..ranks.queues.len()).filter(|&r| !ranks.queues[r].is_empty());
+        assert!(ranks.non_empty.iter().eq(non_empty), "step {step}: non-empty ranks");
+    }
+
+    /// The two age indexes hold exactly the waiting classes, each in the
+    /// index its length says and at the place its true head says, and the
+    /// summed length is the running one.
+    fn assert_indexed(ages: &AgeQueues, requests: &[Request], step: usize) {
+        assert_eq!(ages.len, ages.queues.iter().map(VecDeque::len).sum::<usize>(), "step {step}");
+        for (index, full) in [(&ages.filling, false), (&ages.full, true)] {
+            let ordered = index.iter().zip(index.iter().skip(1));
+            assert!(
+                ordered.clone().all(|(&a, &b)| AgeQueues::older(&ages.heads, a, b)),
+                "step {step}: age order"
+            );
+            for &class in index {
+                let queue = &ages.queues[class];
+                assert!(!queue.is_empty(), "step {step}: class {class} waits");
+                assert_eq!(queue.len() >= ages.max_batch, full, "step {step}: class {class}");
+                let head = front_arrival(queue, requests);
+                assert_eq!(ages.heads[class].to_bits(), head.to_bits(), "step {step}: head");
+            }
+        }
+        let waiting = ages.queues.iter().filter(|q| !q.is_empty()).count();
+        assert_eq!(ages.filling.len() + ages.full.len(), waiting, "step {step}: waiting classes");
     }
 
     fn arb_ops() -> impl Strategy<Value = Vec<(usize, usize)>> {
@@ -1700,12 +1965,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The ordered SJF backlog yields the id sequence and length of
+        /// The rank-queue SJF backlog yields the id sequence and length of
         /// the linear scan it replaced, under any interleaving of
         /// arrivals, dispatches, holds and crash re-queues.
         #[test]
         fn sjf_heap_matches_the_linear_scan(ops in arb_ops()) {
-            replay_against_the_reference(Policy::Sjf, &ops);
+            replay_against_the_reference(Policy::Sjf, &ops, WEIGHTS.len());
         }
 
         /// The running `Classed` length equals the summed one at every
@@ -1716,38 +1981,188 @@ mod tests {
             ops in arb_ops(),
             max_batch in 1usize..=4,
         ) {
-            replay_against_the_reference(Policy::batch(max_batch, 2.0 * ARRIVAL_GAP_S), &ops);
+            let policy = Policy::batch(max_batch, 2.0 * ARRIVAL_GAP_S);
+            replay_against_the_reference(policy, &ops, WEIGHTS.len());
         }
 
         #[test]
         fn fifo_is_unchanged(ops in arb_ops()) {
-            replay_against_the_reference(Policy::Fifo, &ops);
+            replay_against_the_reference(Policy::Fifo, &ops, WEIGHTS.len());
         }
+    }
+
+    /// Requests of classes `classes[id]`, arriving at `arrivals[id]`.
+    fn requests_of(classes: &[usize], arrivals: &[f64]) -> Vec<Request> {
+        let count = WEIGHTS.len();
+        let requests = classes.iter().zip(arrivals).enumerate();
+        requests
+            .map(|(id, (&c, &arrival_s))| Request {
+                id,
+                arrival_s,
+                class: class(c, count),
+                tenant: 0,
+            })
+            .collect()
     }
 
     #[test]
     fn sjf_breaks_weight_ties_by_id_across_classes_and_requeues() {
         // Classes 1 and 3 both weigh 10: the earlier id wins whichever
         // class it is in, and a re-queued id keeps its place in the order.
-        let table = weights();
+        let table = weights(WEIGHTS.len());
         let costs = FleetCosts::new(&table, &[]);
-        let mut backlog = Backlog::new(Policy::Sjf, costs.class_count());
-        let requests: Vec<Request> = [0, 3, 1, 2, 1]
-            .iter()
-            .enumerate()
-            .map(|(id, &c)| Request { id, arrival_s: id as f64, class: class(c), tenant: 0 })
-            .collect();
+        let mut backlog = Backlog::new(Policy::Sjf, &costs);
+        let requests = requests_of(&[0, 3, 1, 2, 1], &[0.0, 1.0, 2.0, 3.0, 4.0]);
         for request in &requests {
-            backlog.push(request.id, costs.class_id(request.class), &costs);
+            backlog.push(request.id, costs.class_id(request.class), request.arrival_s, &costs);
         }
         let mut unit = Vec::new();
         let mut order = Vec::new();
-        assert!(backlog.take_ready(9.0, Policy::Sjf, &requests, &mut unit));
+        assert!(backlog.take_ready(9.0, &requests, &mut unit));
         assert_eq!(unit, [1], "weight 10, the earliest id");
-        backlog.push_front(&unit, costs.class_id(class(3)), &costs);
-        while backlog.take_ready(9.0, Policy::Sjf, &requests, &mut unit) {
+        let class3 = costs.class_id(class(3, WEIGHTS.len()));
+        backlog.push_front(&unit, class3, requests[1].arrival_s, &costs);
+        while backlog.take_ready(9.0, &requests, &mut unit) {
             order.push(unit[0]);
         }
         assert_eq!(order, [1, 2, 4, 3, 0]);
+    }
+
+    /// Crashes may return same-weight units in either order; they come
+    /// back in id order, ahead of the same-weight request still queued.
+    #[test]
+    fn sjf_crash_requeues_return_to_id_order_in_either_order() {
+        let table = weights(WEIGHTS.len());
+        let costs = FleetCosts::new(&table, &[]);
+        // Ids 0 and 2 are class 1, id 1 is class 3: all weigh 10.
+        let requests = requests_of(&[1, 3, 1], &[0.0, 1.0, 2.0]);
+        for reverse in [false, true] {
+            let mut backlog = Backlog::new(Policy::Sjf, &costs);
+            for request in &requests {
+                backlog.push(request.id, costs.class_id(request.class), request.arrival_s, &costs);
+            }
+            let mut unit = Vec::new();
+            let mut taken = Vec::new();
+            for _ in 0..2 {
+                assert!(backlog.take_ready(9.0, &requests, &mut unit));
+                taken.push(unit[0]);
+            }
+            assert_eq!(taken, [0, 1]);
+            if reverse {
+                taken.reverse();
+            }
+            for id in taken {
+                let head = requests[id];
+                backlog.push_front(&[id], costs.class_id(head.class), head.arrival_s, &costs);
+            }
+            let mut order = Vec::new();
+            while backlog.take_ready(9.0, &requests, &mut unit) {
+                order.push(unit[0]);
+            }
+            assert_eq!(order, [0, 1, 2], "re-queued in reverse take order: {reverse}");
+        }
+    }
+
+    /// A batching backlog over the five test classes, holding `requests`.
+    fn classed(max_batch: usize, timeout_s: f64, requests: &[Request]) -> Backlog {
+        let table = weights(WEIGHTS.len());
+        let costs = FleetCosts::new(&table, &[]);
+        let mut backlog = Backlog::new(Policy::batch(max_batch, timeout_s), &costs);
+        for request in requests {
+            backlog.push(request.id, costs.class_id(request.class), request.arrival_s, &costs);
+        }
+        backlog
+    }
+
+    #[test]
+    fn classed_ties_on_bit_equal_heads_go_to_the_lower_class_id() {
+        // Class 3 arrives first in id order, but at the same instant as
+        // class 1: both time out together and class 1 goes first.
+        let requests = requests_of(&[3, 1], &[1.0, 1.0]);
+        let mut backlog = classed(4, 0.5, &requests);
+        let mut unit = Vec::new();
+        assert!(backlog.take_ready(2.0, &requests, &mut unit));
+        assert_eq!(unit, [1]);
+        assert!(backlog.take_ready(2.0, &requests, &mut unit));
+        assert_eq!(unit, [0]);
+    }
+
+    #[test]
+    fn classed_full_beats_an_older_filling_class_until_it_times_out() {
+        // Class 0 waits alone from t = 1; class 2 fills (max_batch 2)
+        // with a younger head. Before class 0 times out (t = 11) the full
+        // class goes first; once it has, the older class 0 does.
+        let requests = requests_of(&[0, 2, 2, 2, 2], &[1.0, 2.0, 3.0, 4.0, 4.5]);
+        let mut backlog = classed(2, 10.0, &requests[..3]);
+        let mut unit = Vec::new();
+        assert!(backlog.take_ready(5.0, &requests, &mut unit));
+        assert_eq!(unit, [1, 2], "full and younger beats filling and older");
+        assert!(!backlog.take_ready(5.0, &requests, &mut unit), "class 0 is not ready yet");
+        let table = weights(WEIGHTS.len());
+        let costs = FleetCosts::new(&table, &[]);
+        for request in &requests[3..] {
+            backlog.push(request.id, costs.class_id(request.class), request.arrival_s, &costs);
+        }
+        assert!(backlog.take_ready(11.0, &requests, &mut unit));
+        assert_eq!(unit, [0], "timed out and older beats full and younger");
+        assert!(backlog.take_ready(11.0, &requests, &mut unit));
+        assert_eq!(unit, [3, 4]);
+    }
+
+    #[test]
+    fn classed_deadline_skips_a_held_ready_class_bit_for_bit() {
+        // Class 0 (t = 0.1) has timed out at t = 0.35; class 4 is full;
+        // class 2 (t = 0.3) has not. Dispatch takes class 0 and holds it:
+        // the deadline is class 2's, as the reference computes it.
+        let policy = Policy::batch(2, 0.2);
+        let requests = requests_of(&[0, 4, 4, 2], &[0.1, 0.15, 0.2, 0.3]);
+        let mut backlog = classed(2, 0.2, &requests);
+        let mut reference = ReferenceBacklog::new(policy);
+        for request in &requests {
+            reference.push(request.id, request.class);
+        }
+        let (now, mut unit) = (0.35, Vec::new());
+        assert!(backlog.take_ready(now, &requests, &mut unit));
+        assert_eq!(unit, [0]);
+        let table = weights(WEIGHTS.len());
+        let costs = FleetCosts::new(&table, &[]);
+        backlog.push_front(&unit, costs.class_id(requests[0].class), requests[0].arrival_s, &costs);
+        let expected = reference.next_deadline(now, policy, &requests).map(f64::to_bits);
+        assert_eq!(expected, Some((0.3_f64 + 0.2).to_bits()));
+        assert_eq!(backlog.next_deadline(now).map(f64::to_bits), expected);
+    }
+
+    /// The classes a batching selection inspects per event do not grow
+    /// with the number of classes waiting: one arrival-heavy op sequence,
+    /// replayed over 12 and over 96 classes, inspects about as many per
+    /// op, where a walk over the waiting classes inspects about 8× as many.
+    /// With `max_batch` 64 no class fills, so both replays keep their
+    /// classes in the same index and the ratio compares like with like;
+    /// with `max_batch` 4 the 12 classes fill and the 96 do not, so only a
+    /// ceiling per op applies.
+    #[test]
+    fn batching_inspections_per_event_do_not_grow_with_the_classes() {
+        const KINDS: [usize; 10] = [0, 0, 1, 1, 1, 2, 3, 4, 5, 6];
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let ops: Vec<(usize, usize)> = (0..3_000)
+            .map(|_| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let draw = (state >> 33) as usize;
+                (KINDS[draw % KINDS.len()], (draw >> 4) % 1_024)
+            })
+            .collect();
+        for (max_batch, ratio) in [(64, Some(1.5)), (4, None)] {
+            let policy = Policy::batch(max_batch, 8.0 * ARRIVAL_GAP_S);
+            let per_event = |classes| {
+                replay_against_the_reference(policy, &ops, classes) as f64 / ops.len() as f64
+            };
+            let (few, many) = (per_event(12), per_event(96));
+            let message = format!(
+                "max_batch {max_batch}, classes inspected per event: \
+                 {few:.2} over 12 classes, {many:.2} over 96"
+            );
+            assert!(ratio.is_none_or(|ratio| many <= ratio * few), "{message}");
+            assert!(few.max(many) <= 3.0, "{message}");
+        }
     }
 }

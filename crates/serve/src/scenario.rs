@@ -87,6 +87,21 @@ impl RateShape {
         }
     }
 
+    /// The shape's smallest factor, computed as [`Self::factor`] computes
+    /// it at its minimum, so no factor is below it.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::factor`].
+    pub(crate) fn floor(&self) -> f64 {
+        // Validates the parameters at no particular time.
+        self.factor(0.0, 1.0);
+        match *self {
+            RateShape::Diurnal { depth, .. } => 1.0 - depth,
+            RateShape::Flash { boost, .. } => boost.min(1.0),
+        }
+    }
+
     /// The shape's largest factor — the thinning generator's headroom.
     pub fn peak(&self) -> f64 {
         match *self {
@@ -252,9 +267,15 @@ impl ShapedStream {
     /// checks.
     pub fn generate(&self) -> Vec<Request> {
         let peak: f64 = self.shapes.iter().map(RateShape::peak).product();
+        // A candidate whose thinning draw falls below `floor / peak`
+        // survives whatever the time: every factor is at least its shape's
+        // floor, and the product and the division round monotonically. So
+        // it is kept without computing its factor.
+        let floor: f64 = self.shapes.iter().map(RateShape::floor).product();
         // The candidates, the thinning draws and the tenant draws are three
-        // independent RNG streams, so candidates are thinned as they come
-        // and only the survivors are ever held.
+        // independent RNG streams, so candidates are thinned as they come,
+        // only the survivors are ever held, and a dropped candidate's class
+        // draws are skipped rather than reduced to a class.
         let candidates = StreamSpec { rps: self.base.rps * peak, ..self.base.clone() };
         let mut thin = StdRng::seed_from_u64(derive_seed(self.base.seed, "shape"));
         let mut tenant_rng = StdRng::seed_from_u64(derive_seed(self.base.seed, "tenant"));
@@ -263,27 +284,28 @@ impl ShapedStream {
         // is not drawn from.
         let thinned = !self.shapes.is_empty();
         let mut requests = Vec::new();
-        for request in candidates.requests() {
+        let mut stream = candidates.requests();
+        while let Some(arrival_s) = stream.next_time() {
             if thinned {
-                let factor: f64 = self
-                    .shapes
-                    .iter()
-                    .map(|s| s.factor(request.arrival_s, self.base.duration_s))
-                    .product();
                 // Draw unconditionally so the survivor set of a request never
                 // depends on how earlier draws were used.
-                let keep = thin.gen::<f64>() < factor / peak;
+                let u = thin.gen::<f64>();
+                let keep = u < floor / peak || {
+                    let factor: f64 = self
+                        .shapes
+                        .iter()
+                        .map(|s| s.factor(arrival_s, self.base.duration_s))
+                        .product();
+                    u < factor / peak
+                };
                 if !keep {
+                    stream.skip_class();
                     continue;
                 }
             }
+            let class = stream.class();
             let tenant = self.tenants.as_ref().map_or(0, |mix| mix.draw(&mut tenant_rng));
-            requests.push(Request {
-                id: requests.len(),
-                arrival_s: request.arrival_s,
-                class: request.class,
-                tenant,
-            });
+            requests.push(Request { id: requests.len(), arrival_s, class, tenant });
         }
         requests
     }
@@ -457,6 +479,7 @@ pub(crate) const OVERLOAD_QUEUE_BOUND: usize = 64;
 mod tests {
     use super::*;
     use crate::arrivals::ArrivalProcess;
+    use crate::cost::RequestClass;
 
     fn base(seed: u64) -> StreamSpec {
         StreamSpec {
@@ -658,5 +681,78 @@ mod tests {
             slo_s: None,
         };
         TenantMix::new(vec![t("a"), t("a")]);
+    }
+
+    /// [`ShapedStream::generate`] as it was before a thinned-out candidate
+    /// skipped its class draws and a sure survivor its factor: every
+    /// candidate is drawn in full and every factor computed.
+    fn generate_drawing_everything(shaped: &ShapedStream) -> Vec<Request> {
+        let peak: f64 = shaped.shapes.iter().map(RateShape::peak).product();
+        let candidates = StreamSpec { rps: shaped.base.rps * peak, ..shaped.base.clone() };
+        let mut thin = StdRng::seed_from_u64(derive_seed(shaped.base.seed, "shape"));
+        let mut tenant_rng = StdRng::seed_from_u64(derive_seed(shaped.base.seed, "tenant"));
+        let thinned = !shaped.shapes.is_empty();
+        let mut requests = Vec::new();
+        for request in candidates.requests() {
+            if thinned {
+                let factor: f64 = shaped
+                    .shapes
+                    .iter()
+                    .map(|s| s.factor(request.arrival_s, shaped.base.duration_s))
+                    .product();
+                let keep = thin.gen::<f64>() < factor / peak;
+                if !keep {
+                    continue;
+                }
+            }
+            let tenant = shaped.tenants.as_ref().map_or(0, |mix| mix.draw(&mut tenant_rng));
+            requests.push(Request {
+                id: requests.len(),
+                arrival_s: request.arrival_s,
+                class: request.class,
+                tenant,
+            });
+        }
+        requests
+    }
+
+    /// A request as bits, so two streams compare exactly.
+    fn bits(request: &Request) -> (usize, u64, RequestClass, usize) {
+        (request.id, request.arrival_s.to_bits(), request.class, request.tenant)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Skipping a dropped candidate's class draws and a sure survivor's
+        /// factor changes no bit of the stream: diurnal, flash (boosts and
+        /// dips), both stacked, no shape, over Poisson and bursty bases,
+        /// with and without tenants.
+        #[test]
+        fn generate_matches_drawing_everything(
+            (seed, shapes, bursty, tenants) in (0u64..1_000_000, 0usize..4, 0usize..2, 0usize..2),
+            (cycles, depth) in (0.5f64..8.0, 0.0f64..0.99),
+            (start, width, boost) in (0.0f64..0.9, 0.01f64..1.0, 0.2f64..6.0),
+            (rps, duration_s, mix_size) in (50.0f64..3_000.0, 0.5f64..3.0, 1usize..6),
+        ) {
+            let diurnal = RateShape::Diurnal { cycles, depth };
+            let flash = RateShape::Flash { start, width, boost };
+            let arrival = [ArrivalProcess::Poisson, ArrivalProcess::Bursty][bursty];
+            let tenant = |name: &str, weight| TenantSpec {
+                name: name.to_string(),
+                weight,
+                rate_limit_rps: None,
+                slo_s: None,
+            };
+            let shaped = ShapedStream {
+                base: StreamSpec { arrival, rps, duration_s, mix_size, shrinks: vec![1, 2, 4], seed },
+                shapes: [vec![diurnal], vec![flash], vec![diurnal, flash], Vec::new()][shapes].clone(),
+                tenants: (tenants == 1)
+                    .then(|| TenantMix::new(vec![tenant("gold", 3.0), tenant("free", 1.0)])),
+            };
+            let fast: Vec<_> = shaped.generate().iter().map(bits).collect();
+            let full: Vec<_> = generate_drawing_everything(&shaped).iter().map(bits).collect();
+            proptest::prop_assert_eq!(fast, full);
+        }
     }
 }

@@ -14,20 +14,26 @@
 #
 # Prints, as Markdown, per workload and end-to-end metric: each side's
 # Q1 / median / Q3, the change's median against the parent's, the parent's
-# interquartile range, and the pairs the change won; then, from the traced
-# runs, each side's median and min–max of `chip.profiled.overhead` (the
-# chip loop's observer seam: it moves by less than any filter, so it
+# interquartile range, the pairs the change won and a verdict — `gain`
+# when the change won at least 90 % of all pairs (9 of 10; a tie is not a
+# win) and its median moved the better way by more than the parent's IQR,
+# `regression` when its median is worse than the parent's by more than the
+# metric's BENCHMARK.json bound, `unresolved` otherwise. Then, from the
+# traced runs, each side's median and min–max of `chip.profiled.overhead`
+# (the chip loop's observer seam: it moves by less than any filter, so it
 # always prints) and of every per-layer row of BENCHMARK.json that is
 # non-zero on the parent, whose medians differ by more than 10 % and whose
 # two ranges do not overlap — three runs a side, so a pointer to where the
-# saving appeared, not a measurement of it. Exits non-zero when a pair's
-# sim_digest differs between the sides or an operation failed.
+# saving appeared, not a measurement of it: the heading says how many rows
+# were examined, and two ranges of three runs fail to overlap by chance
+# for 1 row in 10. Exits non-zero when a pair's sim_digest differs between
+# the sides or an operation failed.
 #
 # With --json PATH it also writes those tables to PATH as a
 # neura_lab.artifact/v1 document (the BENCH_*.json ledger at the repo
 # root): one record per workload and end-to-end metric (each side's
 # Q1 / median / Q3, the change against the parent, the parent's IQR, the
-# pairs won), one per printed per-layer row (each side's median, min and
+# pairs won, and the verdict as a param), one per printed per-layer row (each side's median, min and
 # max over its three traced runs, the change's median against the
 # parent's), one per workload for sim_digest agreement, and one naming
 # both commits, the command and the host (CPU model, nproc, kernel
@@ -132,8 +138,18 @@ def quartiles(values):
     return statistics.quantiles(values, n=4) if len(values) > 1 else (values[0],) * 3
 
 print(f"{pairs} alternating pairs x {seconds} s per workload, seeds 1..{pairs}.\n")
-print("| workload | metric | unit | parent Q1 / median / Q3 | change Q1 / median / Q3 | change vs parent | parent IQR | pairs won |")
-print("|---|---|---|---|---|---|---|---|")
+def verdict(metric, pm, cm, iqr, won):
+    """`gain`, `regression` or `unresolved` for one end-to-end row."""
+    better = (pm - cm if metric["better"] == "lower" else cm - pm) / pm
+    if better < -metric["bound"]:
+        return "regression"
+    if 10 * won >= 9 * pairs and better > iqr:
+        return "gain"
+    return "unresolved"
+
+print("| workload | metric | unit | parent Q1 / median / Q3 | change Q1 / median / Q3 "
+      "| change vs parent | parent IQR | pairs won | verdict |")
+print("|---|---|---|---|---|---|---|---|---|")
 for workload in workloads:
     runs = {"parent": [], "change": []}
     agreeing = 0
@@ -157,22 +173,20 @@ for workload in workloads:
         (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
         won = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
         ties = sum(a == b for a, b in zip(p, c))
+        iqr = (p3 - p1) / pm
+        call = verdict(metric, pm, cm, iqr, won)
         print(f"| {workload} | {name} | {metric['unit']} | {p1:.6g} / {pm:.6g} / {p3:.6g} "
               f"| {c1:.6g} / {cm:.6g} / {c3:.6g} "
-              f"| {cm / pm - 1:+.1%} | {(p3 - p1) / pm:.1%} | {won} of {pairs - ties} |")
+              f"| {cm / pm - 1:+.1%} | {iqr:.1%} | {won} of {pairs - ties} | {call} |")
         unit = metric["unit"]
-        record(f"{workload}/{name}", {"workload": workload, "metric": name, "better": metric["better"]},
+        record(f"{workload}/{name}",
+               {"workload": workload, "metric": name, "better": metric["better"], "verdict": call},
                [("parent_q1", p1, unit), ("parent_median", pm, unit), ("parent_q3", p3, unit),
                 ("change_q1", c1, unit), ("change_median", cm, unit), ("change_q3", c3, unit),
-                ("change_vs_parent", cm / pm - 1, "ratio"), ("parent_iqr", (p3 - p1) / pm, "ratio"),
+                ("change_vs_parent", cm / pm - 1, "ratio"), ("parent_iqr", iqr, "ratio"),
                 ("pairs_won", won, "count"), ("pairs_decided", pairs - ties, "count")])
 
-print(f"\n`chip.profiled.overhead` and every non-zero per-layer row whose medians differ by more "
-      f"than 10 % and whose min–max ranges do not overlap ({traced_runs} alternating `--trace 1` "
-      f"runs per side and workload, seed {pairs}).\n")
-print("| workload | metric | unit | better | parent median (min–max) | change median (min–max) "
-      "| change vs parent |")
-print("|---|---|---|---|---|---|---|")
+rows, examined = [], 0
 for workload in workloads:
     traced = {side: [read_run(workload, side, pairs, 1, r)[0] for r in range(1, traced_runs + 1)]
               for side in ("parent", "change")}
@@ -184,17 +198,30 @@ for workload in workloads:
         (pm, plo, phi), (cm, clo, chi) = ((statistics.median(v), min(v), max(v)) for v in (p, c))
         if not pm:
             continue
+        examined += 1
         moved = abs(cm / pm - 1) > 0.10 and (chi < plo or clo > phi)
         if not (name == "chip.profiled.overhead" or moved):
             continue
-        print(f"| {workload} | {name} | {unit} | {metric['better']} "
-              f"| {pm:.6g} ({plo:.6g}–{phi:.6g}) | {cm:.6g} ({clo:.6g}–{chi:.6g}) "
-              f"| {cm / pm - 1:+.1%} |")
+        rows.append(f"| {workload} | {name} | {unit} | {metric['better']} "
+                    f"| {pm:.6g} ({plo:.6g}–{phi:.6g}) | {cm:.6g} ({clo:.6g}–{chi:.6g}) "
+                    f"| {cm / pm - 1:+.1%} |")
         record(f"{workload}/layer/{name}",
                {"workload": workload, "metric": name, "better": metric["better"], "seed": str(pairs)},
                [("parent_median", pm, unit), ("parent_min", plo, unit), ("parent_max", phi, unit),
                 ("change_median", cm, unit), ("change_min", clo, unit), ("change_max", chi, unit),
                 ("change_vs_parent", cm / pm - 1, "ratio"), ("runs", traced_runs, "count")])
+# Under no change, all six traced runs are exchangeable, and one side's
+# three land wholly below or wholly above the other's in 2 of the 20 ways
+# to split six ranks into two triples.
+print(f"\n`chip.profiled.overhead` and every non-zero per-layer row whose medians differ by more "
+      f"than 10 % and whose min–max ranges do not overlap ({traced_runs} alternating `--trace 1` "
+      f"runs per side and workload, seed {pairs}). {examined} rows were examined; with three runs "
+      f"a side, two ranges fail to overlap by chance for about 1 row in 10, so up to about "
+      f"{examined / 10:.0f} rows may print with nothing changed.\n")
+print("| workload | metric | unit | better | parent median (min–max) | change median (min–max) "
+      "| change vs parent |")
+print("|---|---|---|---|---|---|---|")
+print(*rows, sep="\n")
 for line in bad:
     print(f"FAIL: {line}", file=sys.stderr)
 if json_path:
