@@ -395,9 +395,8 @@ struct AgeQueues {
     /// operation maintains (any position gives the same answer).
     boundary: usize,
     /// The classes [`Self::take_ready`] and [`Self::next_deadline`] have
-    /// inspected, so a test can check that the count per event does not
-    /// grow with the number of classes.
-    #[cfg(test)]
+    /// inspected, counted in test builds only, so a test can check that
+    /// the count per event does not grow with the number of classes.
     inspected: usize,
 }
 
@@ -412,21 +411,17 @@ impl AgeQueues {
             full: VecDeque::new(),
             len: 0,
             boundary: 0,
-            #[cfg(test)]
             inspected: 0,
         }
     }
 
-    /// Counts `classes` inspected classes.
-    #[cfg(test)]
-    fn inspect(&mut self, classes: usize) {
-        self.inspected += classes;
-    }
-
-    /// Counts nothing outside the tests.
-    #[cfg(not(test))]
+    /// Counts `classes` inspected classes (a no-op outside test builds).
     #[inline]
-    fn inspect(&mut self, _classes: usize) {}
+    fn inspect(&mut self, classes: usize) {
+        if cfg!(test) {
+            self.inspected += classes;
+        }
+    }
 
     /// Whether waiting class `a` sorts before waiting class `b`.
     fn older(heads: &[f64], a: usize, b: usize) -> bool {
@@ -2061,6 +2056,21 @@ mod tests {
             }
             assert_eq!(order, [0, 1, 2], "re-queued in reverse take order: {reverse}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "no memoised weight for request class")]
+    fn sjf_admitting_an_unmeasured_class_panics_as_the_table_does() {
+        // Datasets 0 and 2 are measured, so dataset 1 has an id but no
+        // weight, and no rank.
+        let mut table = CostTable::new();
+        table.register_rate("chip", 1e-9);
+        for index in [0, 2] {
+            table.insert("chip", class(index, 3), ClassCost { cycles: 1, flops: 10 });
+        }
+        let costs = FleetCosts::new(&table, &[]);
+        let mut backlog = Backlog::new(Policy::Sjf, &costs);
+        backlog.push(0, costs.class_id(class(1, 3)), 0.0, &costs);
     }
 
     /// A batching backlog over the five test classes, holding `requests`.

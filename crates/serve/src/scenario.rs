@@ -267,11 +267,11 @@ impl ShapedStream {
     /// checks.
     pub fn generate(&self) -> Vec<Request> {
         let peak: f64 = self.shapes.iter().map(RateShape::peak).product();
-        // A candidate whose thinning draw falls below `floor / peak`
-        // survives whatever the time: every factor is at least its shape's
-        // floor, and the product and the division round monotonically. So
-        // it is kept without computing its factor.
-        let floor: f64 = self.shapes.iter().map(RateShape::floor).product();
+        // A candidate whose thinning draw falls below `sure` survives
+        // whatever the time: every factor is at least its shape's floor,
+        // and the product and the division round monotonically. So it is
+        // kept without computing its factor.
+        let sure = self.shapes.iter().map(RateShape::floor).product::<f64>() / peak;
         // The candidates, the thinning draws and the tenant draws are three
         // independent RNG streams, so candidates are thinned as they come,
         // only the survivors are ever held, and a dropped candidate's class
@@ -290,7 +290,7 @@ impl ShapedStream {
                 // Draw unconditionally so the survivor set of a request never
                 // depends on how earlier draws were used.
                 let u = thin.gen::<f64>();
-                let keep = u < floor / peak || {
+                let keep = u < sure || {
                     let factor: f64 = self
                         .shapes
                         .iter()
@@ -683,39 +683,6 @@ mod tests {
         TenantMix::new(vec![t("a"), t("a")]);
     }
 
-    /// [`ShapedStream::generate`] as it was before a thinned-out candidate
-    /// skipped its class draws and a sure survivor its factor: every
-    /// candidate is drawn in full and every factor computed.
-    fn generate_drawing_everything(shaped: &ShapedStream) -> Vec<Request> {
-        let peak: f64 = shaped.shapes.iter().map(RateShape::peak).product();
-        let candidates = StreamSpec { rps: shaped.base.rps * peak, ..shaped.base.clone() };
-        let mut thin = StdRng::seed_from_u64(derive_seed(shaped.base.seed, "shape"));
-        let mut tenant_rng = StdRng::seed_from_u64(derive_seed(shaped.base.seed, "tenant"));
-        let thinned = !shaped.shapes.is_empty();
-        let mut requests = Vec::new();
-        for request in candidates.requests() {
-            if thinned {
-                let factor: f64 = shaped
-                    .shapes
-                    .iter()
-                    .map(|s| s.factor(request.arrival_s, shaped.base.duration_s))
-                    .product();
-                let keep = thin.gen::<f64>() < factor / peak;
-                if !keep {
-                    continue;
-                }
-            }
-            let tenant = shaped.tenants.as_ref().map_or(0, |mix| mix.draw(&mut tenant_rng));
-            requests.push(Request {
-                id: requests.len(),
-                arrival_s: request.arrival_s,
-                class: request.class,
-                tenant,
-            });
-        }
-        requests
-    }
-
     /// A request as bits, so two streams compare exactly.
     fn bits(request: &Request) -> (usize, u64, RequestClass, usize) {
         (request.id, request.arrival_s.to_bits(), request.class, request.tenant)
@@ -725,9 +692,10 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
 
         /// Skipping a dropped candidate's class draws and a sure survivor's
-        /// factor changes no bit of the stream: diurnal, flash (boosts and
-        /// dips), both stacked, no shape, over Poisson and bursty bases,
-        /// with and without tenants.
+        /// factor changes no bit of the stream against the two-pass body,
+        /// which draws every candidate's class and computes every factor:
+        /// diurnal, flash (boosts and dips), both stacked, no shape, over
+        /// Poisson and bursty bases, with and without tenants.
         #[test]
         fn generate_matches_drawing_everything(
             (seed, shapes, bursty, tenants) in (0u64..1_000_000, 0usize..4, 0usize..2, 0usize..2),
@@ -751,7 +719,7 @@ mod tests {
                     .then(|| TenantMix::new(vec![tenant("gold", 3.0), tenant("free", 1.0)])),
             };
             let fast: Vec<_> = shaped.generate().iter().map(bits).collect();
-            let full: Vec<_> = generate_drawing_everything(&shaped).iter().map(bits).collect();
+            let full: Vec<_> = two_pass_generate(&shaped).iter().map(bits).collect();
             proptest::prop_assert_eq!(fast, full);
         }
     }

@@ -187,10 +187,12 @@ perf *flags="":
 # benchmark/README.md § "Comparing two commits", mechanised: two `git
 # archive` checkouts, two target directories, the parent's benchmark/ on
 # both sides, alternating order, another --seed per pair, run_seconds
-# from BENCHMARK.json, then one --trace 1 run per side. Prints per-metric
-# quartiles, medians and pairs won, and the per-layer rows that moved by
-# more than 10 %; fails when a sim_digest differs between the sides or an
-# operation failed. E.g. `just perf-pair HEAD~1 HEAD serve-fleet`; the
+# from BENCHMARK.json, then three rounds of one --trace 1 run per side.
+# Prints per-metric quartiles, medians, pairs won and a verdict (gain,
+# regression or unresolved), and the per-layer rows that moved by more
+# than 10 % with the two sides' ranges apart, under a heading that counts
+# the rows examined; fails when a sim_digest differs between the sides or
+# an operation failed. E.g. `just perf-pair HEAD~1 HEAD serve-fleet`; the
 # workload `all` runs the four of BENCHMARK.json, in its order, on the one
 # pair of builds and into one table (`just perf-pair HEAD~1 HEAD all`).
 # Extra flags pass through: `--json BENCH_<n>.json` also writes the tables,
