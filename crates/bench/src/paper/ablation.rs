@@ -6,8 +6,9 @@
 //! points — fourteen full cycle-level simulations — run concurrently on the
 //! lab's work-stealing runner.
 
-use crate::{exit_wedged, scaled_matrix_by_name};
-use neura_chip::accelerator::{Accelerator, ExecutionReport};
+use super::simulate_cora;
+use crate::scaled_matrix_by_name;
+use neura_chip::accelerator::ExecutionReport;
 use neura_chip::config::{ChipConfig, EvictionPolicy};
 use neura_chip::mapping::MappingKind;
 use neura_lab::{fmt, print_table, ArtifactSession, ExperimentSpec, Runner, SweepGrid, SweepPoint};
@@ -34,12 +35,7 @@ pub(super) fn run(session: &mut ArtifactSession) {
     // the fourteen simulations instead of draining each group serially.
     let points: Vec<SweepPoint> = specs.iter().flat_map(ExperimentSpec::points).collect();
     let runner = Runner::from_env();
-    let reports: Vec<ExecutionReport> = runner.run(&points, |_, point| {
-        let mut chip = Accelerator::new(point.config.clone());
-        chip.run_spgemm(&a, &a)
-            .unwrap_or_else(|e| exit_wedged("paper", "cora", point.config.tile_size, None, &e))
-            .report
-    });
+    let reports: Vec<ExecutionReport> = runner.run(&points, |_, point| simulate_cora(&a, point));
     for (point, report) in points.iter().zip(&reports) {
         session.push(point.record().with_execution(report));
     }

@@ -6,10 +6,9 @@
 //! instructions per 25-cycle bin) plus the average, which is checked
 //! against `neura_lab::golden::fig14_goldens`.
 
-use crate::{exit_wedged, scaled_matrix_by_name};
-use neura_chip::accelerator::Accelerator;
+use super::{simulate_cora, with_bins};
+use crate::scaled_matrix_by_name;
 use neura_chip::config::ChipConfig;
-use neura_lab::golden::slugify;
 use neura_lab::{fmt, print_table, ArtifactSession, ExperimentSpec, Runner, SweepGrid};
 
 pub(super) fn run(session: &mut ArtifactSession) {
@@ -20,12 +19,7 @@ pub(super) fn run(session: &mut ArtifactSession) {
         ChipConfig::tile_16(),
         SweepGrid::new().datasets(["cora"]).mmh_tiles([1, 2, 4, 8]),
     );
-    let results = Runner::from_env().run_spec(&spec, |point| {
-        let mut chip = Accelerator::new(point.config.clone());
-        chip.run_spgemm(&a, &a)
-            .unwrap_or_else(|e| exit_wedged("paper", "cora", point.config.tile_size, None, &e))
-            .report
-    });
+    let results = Runner::from_env().run_spec(&spec, |point| simulate_cora(&a, point));
 
     let mut rows = Vec::new();
     let mut labels: Vec<String> = Vec::new();
@@ -34,15 +28,12 @@ pub(super) fn run(session: &mut ArtifactSession) {
         if labels.is_empty() {
             labels = hist.bin_labels();
         }
+        let percentages = hist.percentages();
         let mut row = vec![format!("MMH{}", point.config.mmh_tile), fmt(hist.mean(), 0)];
-        row.extend(hist.percentages().iter().map(|p| fmt(*p, 1)));
+        row.extend(percentages.iter().map(|p| fmt(*p, 1)));
         rows.push(row);
-
-        let mut record = point.record().with_execution(report);
-        for (label, pct) in labels.iter().zip(hist.percentages()) {
-            record = record.unit_metric(format!("cpi_bin_{}", slugify(label)), pct, "%");
-        }
-        session.push(record);
+        let record = point.record().with_execution(report);
+        session.push(with_bins(record, "cpi_bin", &labels, &percentages));
     }
 
     let lead = ["Instruction", "Avg CPI"];

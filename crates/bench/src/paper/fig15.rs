@@ -4,10 +4,9 @@
 //! The two eviction policies are a `neura_lab` sweep executed in parallel;
 //! the mean latencies are checked against `neura_lab::golden::fig15_goldens`.
 
-use crate::{exit_wedged, scaled_matrix_by_name};
-use neura_chip::accelerator::Accelerator;
+use super::{simulate_cora, with_bins};
+use crate::scaled_matrix_by_name;
 use neura_chip::config::{ChipConfig, EvictionPolicy};
-use neura_lab::golden::slugify;
 use neura_lab::{fmt, print_table, ArtifactSession, ExperimentSpec, Runner, SweepGrid};
 
 pub(super) fn run(session: &mut ArtifactSession) {
@@ -25,12 +24,7 @@ pub(super) fn run(session: &mut ArtifactSession) {
             .datasets(["cora"])
             .evictions([EvictionPolicy::Barrier, EvictionPolicy::Rolling]),
     );
-    let results = Runner::from_env().run_spec(&spec, |point| {
-        let mut chip = Accelerator::new(point.config.clone());
-        chip.run_spgemm(&a, &a)
-            .unwrap_or_else(|e| exit_wedged("paper", "cora", point.config.tile_size, None, &e))
-            .report
-    });
+    let results = Runner::from_env().run_spec(&spec, |point| simulate_cora(&a, point));
 
     let mut rows = Vec::new();
     let mut labels: Vec<String> = Vec::new();
@@ -50,14 +44,11 @@ pub(super) fn run(session: &mut ArtifactSession) {
             report.hashpad_full_stalls.to_string(),
             report.total_cycles.to_string(),
         ];
-        row.extend(hist.percentages().iter().map(|p| fmt(*p, 1)));
+        let percentages = hist.percentages();
+        row.extend(percentages.iter().map(|p| fmt(*p, 1)));
         rows.push(row);
-
-        let mut record = point.record().with_execution(report);
-        for (label, pct) in labels.iter().zip(hist.percentages()) {
-            record = record.unit_metric(format!("latency_bin_{}", slugify(label)), pct, "%");
-        }
-        session.push(record);
+        let record = point.record().with_execution(report);
+        session.push(with_bins(record, "latency_bin", &labels, &percentages));
     }
 
     let lead = ["Scheme", "Avg latency", "Peak pad occupancy", "Pad-full stalls", "Total cycles"];

@@ -18,11 +18,14 @@ mod table3;
 mod table4;
 mod table5;
 
+use crate::exit_wedged;
+use neura_chip::accelerator::{Accelerator, ExecutionReport};
 use neura_lab::golden::{
     self, fig14_goldens, fig15_goldens, fig16_goldens, fig17_goldens, table1_bloat_order,
     table5_goldens, Golden, OrderGolden,
 };
 use neura_lab::{fmt, print_table, ArtifactSession, RunRecord, SweepPoint};
+use neura_sparse::CsrMatrix;
 use Check::{Order, Values};
 
 /// One table or figure of the paper's evaluation.
@@ -63,6 +66,25 @@ pub const ARTIFACTS: &[Row] = &[
     Row { name: "fig17", title: "Figure 17", run: fig17::run, check: Values(fig17_goldens) },
     Row { name: "ablation", title: "Section 3 ablations", run: ablation::run, check: Check::None },
 ];
+
+/// Simulates `a · a` for one point of a Cora-analog sweep (Figures 14 and
+/// 15, the ablations), or exits on a wedged run with its one-line
+/// complaint.
+fn simulate_cora(a: &CsrMatrix, point: &SweepPoint) -> ExecutionReport {
+    Accelerator::new(point.config.clone())
+        .run_spgemm(a, a)
+        .unwrap_or_else(|e| exit_wedged("paper", "cora", point.config.tile_size, None, &e))
+        .report
+}
+
+/// `record` with one `<prefix>_<bin>` metric per histogram bin, `labels`
+/// naming the bins of `percentages`: the per-point records of Figures 14
+/// and 15.
+fn with_bins(record: RunRecord, prefix: &str, labels: &[String], percentages: &[f64]) -> RunRecord {
+    labels.iter().zip(percentages).fold(record, |record, (label, &pct)| {
+        record.unit_metric(format!("{prefix}_{}", golden::slugify(label)), pct, "%")
+    })
+}
 
 /// The table Figures 16 and 17 share: one row and record per sweep point of
 /// its speedups over `baselines`, closed by the `mean` of every column as

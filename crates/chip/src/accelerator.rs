@@ -30,12 +30,14 @@
 //! — and the `Machine` does not visit those:
 //!
 //! - **Cores.** A core whose tick found nothing able to move is settled
-//!   and goes to sleep. Two things wake it: the dispatcher placing an
-//!   instruction on it, and the operand response that completes one of its
-//!   pipelines. The cycles in between are not lost: the core accounts them
-//!   itself, as stalled or idle cycles and steps of its round-robin cursor,
-//!   on its next tick or in `report`, and the observer is told every cycle
-//!   how many cores sleep in either state.
+//!   and goes to sleep: `NeuraCore::tick` returns that, and the `Machine`'s
+//!   set of awake cores is the one place a core's sleep is kept. Two things
+//!   wake it: the dispatcher placing an instruction on it, and the operand
+//!   response that completes one of its pipelines. The cycles in between
+//!   are not lost: the core accounts them itself, as stalled or idle cycles
+//!   and steps of its round-robin cursor, on its next tick or in `report`,
+//!   and the observer is told every cycle how many cores sleep in either
+//!   state.
 //! - **NeuraMems.** A NeuraMem is ticked while the NoC holds deliveries for
 //!   it or it holds `HACC`s it has not processed; under barrier eviction
 //!   the per-cycle pressure check adds the ones it made evict. An idle
@@ -376,6 +378,8 @@ struct Machine<'p> {
     program: &'p Program,
     cores: Vec<NeuraCore<'p>>,
     /// The cores that are not settled: the ones [`Self::tick_cores`] ticks.
+    /// The one owner of a core's sleep: a core leaves it when its tick
+    /// returns that it settled, and [`Self::wake`] puts it back.
     awake: BitSet,
     /// The settled cores that still hold work: their occupied pipelines
     /// all wait on operands. The other settled cores are idle.
@@ -415,11 +419,10 @@ struct Machine<'p> {
 impl<'p> Machine<'p> {
     fn new(cfg: &'p ChipConfig, program: &'p Program) -> Self {
         let (total_cores, total_mems) = (cfg.total_cores(), cfg.total_mems());
-        let mut cores: Vec<NeuraCore> =
-            (0..total_cores).map(|i| NeuraCore::new(i / cfg.cores_per_tile, cfg.core)).collect();
-        for core in &mut cores {
-            core.prepare(program.output_shape.1 as u64);
-        }
+        let out_cols = program.output_shape.1 as u64;
+        let cores = (0..total_cores)
+            .map(|i| NeuraCore::new(i / cfg.cores_per_tile, cfg.core, out_cols))
+            .collect();
         let topology = TorusTopology::for_nodes(total_cores + total_mems);
         assert!(
             u32::try_from(cfg.total_pipelines()).is_ok(),
@@ -537,7 +540,7 @@ impl<'p> Machine<'p> {
         self.awake.retain(|core_idx| {
             let core = &mut self.cores[core_idx];
             let credit = if self.retry_injections.len() > 256 { 0 } else { self.cfg.core.ports };
-            core.tick(now, credit, out);
+            let settled = core.tick(now, credit, out);
             obs.record_core_tick(out.outcome, out.mmh_retired);
             self.progressed |= out.mmh_retired > 0 || !out.haccs.is_empty();
             let tile = core.tile();
@@ -563,10 +566,10 @@ impl<'p> Machine<'p> {
             }
             // Every tick until the next wake would repeat this one. A
             // sleeper that still holds work waits on operands.
-            if core.is_settled() && !core.is_idle() {
+            if settled && !core.is_idle() {
                 self.waiting.insert(core_idx);
             }
-            !core.is_settled()
+            !settled
         });
 
         let noc = &mut self.noc;

@@ -93,11 +93,12 @@ mod tests {
     /// `count` cores that never tick, each with room for `buffer` instructions.
     fn cores<'p>(count: usize, buffer: usize) -> Vec<NeuraCore<'p>> {
         let config = NeuraCoreConfig { instruction_buffer: buffer, ..ChipConfig::tile_4().core };
-        (0..count).map(|_| NeuraCore::new(0, config)).collect()
+        (0..count).map(|_| NeuraCore::new(0, config, 1)).collect()
     }
 
-    fn accepted(cores: &[NeuraCore<'_>]) -> Vec<u64> {
-        cores.iter().map(|core| core.stats().mmh_accepted).collect()
+    /// Instructions each core took: as the cores never tick, their load.
+    fn accepted(cores: &[NeuraCore<'_>]) -> Vec<usize> {
+        cores.iter().map(NeuraCore::load).collect()
     }
 
     #[test]
@@ -110,7 +111,7 @@ mod tests {
             placed += d.dispatch_cycle(&mut cores, |_| {});
         }
         assert_eq!(placed, p.instruction_count());
-        assert_eq!(accepted(&cores).iter().sum::<u64>(), p.instruction_count() as u64);
+        assert_eq!(accepted(&cores).iter().sum::<usize>(), p.instruction_count());
         assert_eq!(d.remaining(), 0);
         assert_eq!(d.dispatch_cycle(&mut cores, |_| {}), 0);
     }

@@ -15,9 +15,12 @@
 //!
 //! A core whose tick found nothing able to move is *settled*: until an
 //! instruction or a completing operand arrives every tick would repeat that
-//! one, so the accelerator does not call it at all, and the next
-//! [`NeuraCore::tick`] (or a final [`NeuraCore::catch_up`]) accounts the
-//! skipped cycles in bulk.
+//! one. [`NeuraCore::tick`] returns whether it settled the core, and the
+//! core keeps no flag of it: its sleep is owned by the accelerator, whose
+//! set of awake cores leaves a settled core untouched until
+//! [`NeuraCore::accept`] or a completing [`NeuraCore::memory_response`]
+//! wakes it. The next tick (or a final [`NeuraCore::catch_up`]) accounts
+//! the skipped cycles in bulk.
 
 use crate::config::NeuraCoreConfig;
 use crate::isa::{HaccInstruction, MmhInstruction};
@@ -29,22 +32,16 @@ use std::collections::VecDeque;
 /// Statistics exported by a NeuraCore.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub(crate) struct NeuraCoreStats {
-    /// MMH instructions accepted from the dispatcher.
-    pub mmh_accepted: u64,
     /// MMH instructions fully executed.
     pub mmh_completed: u64,
     /// HACC instructions generated.
     pub haccs_generated: u64,
-    /// Memory read requests issued.
-    pub memory_requests: u64,
     /// Cycles in which at least one pipeline was waiting on memory.
     pub stall_cycles: u64,
     /// Cycles in which at least one pipeline did useful work.
     pub busy_cycles: u64,
     /// Cycles in which the whole core was idle.
     pub idle_cycles: u64,
-    /// Cycles in which HACC output was blocked by NoC back-pressure.
-    pub output_blocked_cycles: u64,
 }
 
 /// A memory request produced by a pipeline, tagged with its origin so the
@@ -117,33 +114,27 @@ pub(crate) struct NeuraCore<'p> {
     /// Pipelines not in [`PipelineState::Idle`], kept in step with every
     /// state transition so `load`/`is_idle`/the idle tick never scan.
     busy_pipelines: usize,
-    /// Set when a tick found no pipeline able to move (each one idle with
-    /// nothing buffered, or waiting on operand reads) and left the outbox
-    /// empty. Until [`Self::accept`] or the last outstanding
-    /// [`Self::memory_response`] of a pipeline clears it, every tick
-    /// repeats that one, so it only rotates `next_pipeline` and counts the
-    /// cycle.
-    settled: bool,
     /// The first cycle not yet accounted in `stats`: one past the last
     /// tick, or where [`Self::catch_up`] stopped.
     accounted_until: u64,
 }
 
 impl<'p> NeuraCore<'p> {
-    /// Creates a NeuraCore belonging to tile `tile`.
-    pub(crate) fn new(tile: usize, config: NeuraCoreConfig) -> Self {
+    /// Creates a NeuraCore belonging to tile `tile` for a program whose
+    /// output matrix is `out_cols` wide (at least one; used for tag
+    /// computation).
+    pub(crate) fn new(tile: usize, config: NeuraCoreConfig, out_cols: u64) -> Self {
         NeuraCore {
             tile,
             config,
             instx: VecDeque::new(),
             pipelines: vec![PipelineState::Idle; config.pipelines],
             outbox: VecDeque::new(),
-            out_cols: 1,
+            out_cols: out_cols.max(1),
             stats: NeuraCoreStats::default(),
             cpi_histogram: Histogram::new(25, 20),
             next_pipeline: 0,
             busy_pipelines: 0,
-            settled: false,
             accounted_until: 0,
         }
     }
@@ -151,17 +142,6 @@ impl<'p> NeuraCore<'p> {
     /// The tile this core belongs to (selects the memory channel).
     pub(crate) fn tile(&self) -> usize {
         self.tile
-    }
-
-    /// Prepares the core for a new program by setting the output-matrix width
-    /// used for tag computation and clearing residual state.
-    pub(crate) fn prepare(&mut self, out_cols: u64) {
-        self.out_cols = out_cols.max(1);
-        self.instx.clear();
-        self.outbox.clear();
-        self.pipelines.fill(PipelineState::Idle);
-        self.busy_pipelines = 0;
-        self.settled = false;
     }
 
     /// True when the instruction buffer can accept another MMH instruction.
@@ -182,31 +162,19 @@ impl<'p> NeuraCore<'p> {
             return false;
         }
         self.instx.push_back(instr);
-        self.stats.mmh_accepted += 1;
-        self.settled = false;
         true
     }
 
     /// Notifies the core that one of pipeline `pipeline`'s memory requests
     /// completed. Returns `true` when that was the pipeline's last
-    /// outstanding operand, which unsettles the core.
+    /// outstanding operand, which wakes a settled core; a pipeline still
+    /// short of operands keeps stalling.
     pub(crate) fn memory_response(&mut self, pipeline: usize) -> bool {
         if let Some(PipelineState::WaitMem { outstanding, .. }) = self.pipelines.get_mut(pipeline) {
             *outstanding = outstanding.saturating_sub(1);
-            // A pipeline still short of operands stalls exactly as before.
-            if *outstanding == 0 {
-                self.settled = false;
-                return true;
-            }
+            return *outstanding == 0;
         }
         false
-    }
-
-    /// True while every tick would repeat the last one (see the module
-    /// docs): the caller may skip them until [`Self::accept`] or a
-    /// completing [`Self::memory_response`].
-    pub(crate) fn is_settled(&self) -> bool {
-        self.settled
     }
 
     /// Accounts the ticks a settled core was not given, up to but excluding
@@ -245,26 +213,31 @@ impl<'p> NeuraCore<'p> {
     }
 
     /// Advances the core one cycle, overwriting `output` with what the
-    /// cycle produced.
+    /// cycle produced, and returns whether it settled the core (see the
+    /// module docs): no pipeline moved and the outbox is empty, so every
+    /// tick until [`Self::accept`] or a completing
+    /// [`Self::memory_response`] would repeat this one.
     ///
     /// `output_credit` bounds how many HACCs may be handed to the NoC this
     /// cycle (router injection back-pressure). Cycles skipped since the
     /// last tick are accounted first, as [`Self::catch_up`] describes.
-    pub(crate) fn tick(&mut self, now: Cycle, output_credit: usize, output: &mut CoreTickOutput) {
+    pub(crate) fn tick(
+        &mut self,
+        now: Cycle,
+        output_credit: usize,
+        output: &mut CoreTickOutput,
+    ) -> bool {
         output.memory_requests.clear();
         output.haccs.clear();
         output.mmh_retired = 0;
         let cycle = now.as_u64();
         self.catch_up(cycle);
         self.accounted_until = cycle + 1;
-        let mut any_busy = false;
-        // With nothing buffered and every pipeline idle, or on a settled
-        // core, the walk below would touch no state, so skip it; the
-        // rotation, the (then empty) outbox drain and the accounting after it
-        // still run. A settled core with occupied pipelines has them all
-        // waiting on operands, which is what the walk would report.
-        let mut any_stalled = self.settled && self.busy_pipelines > 0;
-        let has_work = !self.settled && (!self.instx.is_empty() || self.busy_pipelines > 0);
+        let (mut any_busy, mut any_stalled) = (false, false);
+        // With nothing buffered and every pipeline idle the walk below
+        // would touch no state, so skip it; the rotation, the (then empty)
+        // outbox drain and the accounting after it still run.
+        let has_work = !self.instx.is_empty() || self.busy_pipelines > 0;
 
         // Shared multiplier budget across pipelines for this cycle.
         let mut multiplier_budget = self.config.multipliers;
@@ -308,7 +281,7 @@ impl<'p> NeuraCore<'p> {
         // A tick without a busy pipeline changed no pipeline state and
         // generated no HACC, so with the outbox empty the next one is this
         // one again until an instruction or an operand arrives.
-        self.settled = !any_busy && self.outbox.is_empty();
+        !any_busy && self.outbox.is_empty()
     }
 
     /// Moves pipeline `idx` one step along the Figure-6 sequence and says
@@ -346,7 +319,6 @@ impl<'p> NeuraCore<'p> {
                         request: MemoryRequest::read(base + addr, bytes.max(4)),
                     });
                 }
-                self.stats.memory_requests += 4;
                 *state = PipelineState::WaitMem { instr, outstanding: 4, started };
             }
             PipelineState::WaitMem { outstanding, .. } if outstanding > 0 => {
@@ -387,9 +359,6 @@ impl<'p> NeuraCore<'p> {
                     *state = PipelineState::Idle;
                     self.busy_pipelines -= 1;
                 } else {
-                    if self.outbox.len() >= outbox_cap {
-                        self.stats.output_blocked_cycles += 1;
-                    }
                     *state =
                         PipelineState::Compute { instr, produced, next: (a_idx, b_idx), started };
                 }
@@ -465,8 +434,7 @@ mod tests {
     #[test]
     fn executes_a_single_mmh_and_produces_all_haccs() {
         let instr = mmh(4, &[0, 1, 2, 3], &[0, 1, 2, 3]);
-        let mut core = NeuraCore::new(0, core_config());
-        core.prepare(16);
+        let mut core = NeuraCore::new(0, core_config(), 16);
         assert!(core.accept(&instr));
         let haccs = run_to_completion(&mut core, 10, 500);
         assert_eq!(haccs.len(), 16);
@@ -482,25 +450,22 @@ mod tests {
     #[test]
     fn instruction_buffer_enforces_capacity() {
         let instr = mmh(1, &[0], &[0]);
-        let mut core = NeuraCore::new(0, core_config());
-        core.prepare(4);
+        let mut core = NeuraCore::new(0, core_config(), 4);
         for _ in 0..4 {
             assert!(core.accept(&instr));
         }
         assert!(!core.accept(&instr));
-        assert_eq!(core.stats().mmh_accepted, 4);
+        assert_eq!(core.load(), 4, "the refused instruction is not buffered");
     }
 
     #[test]
     fn memory_latency_creates_stall_cycles() {
         let instr = mmh(4, &[0, 1], &[0, 1]);
-        let mut fast = NeuraCore::new(0, core_config());
-        fast.prepare(8);
+        let mut fast = NeuraCore::new(0, core_config(), 8);
         fast.accept(&instr);
         run_to_completion(&mut fast, 2, 500);
 
-        let mut slow = NeuraCore::new(0, core_config());
-        slow.prepare(8);
+        let mut slow = NeuraCore::new(0, core_config(), 8);
         slow.accept(&instr);
         run_to_completion(&mut slow, 100, 1_000);
 
@@ -510,8 +475,7 @@ mod tests {
     #[test]
     fn cpi_histogram_records_completed_instructions() {
         let instr = mmh(2, &[0, 1], &[0, 1, 2]);
-        let mut core = NeuraCore::new(0, core_config());
-        core.prepare(8);
+        let mut core = NeuraCore::new(0, core_config(), 8);
         for _ in 0..3 {
             core.accept(&instr);
         }
@@ -524,8 +488,7 @@ mod tests {
     #[test]
     fn output_credit_limits_hacc_injection_per_cycle() {
         let instr = mmh(4, &[0, 1, 2, 3], &[0, 1, 2, 3]);
-        let mut core = NeuraCore::new(0, core_config());
-        core.prepare(8);
+        let mut core = NeuraCore::new(0, core_config(), 8);
         core.accept(&instr);
         // Run with zero output credit: HACCs accumulate internally, none escape.
         let mut produced = 0;
@@ -557,8 +520,7 @@ mod tests {
     #[test]
     fn load_counts_buffered_and_executing_instructions() {
         let instrs = [mmh(1, &[0], &[0]), mmh(1, &[1], &[0])];
-        let mut core = NeuraCore::new(0, core_config());
-        core.prepare(8);
+        let mut core = NeuraCore::new(0, core_config(), 8);
         assert_eq!(core.load(), 0);
         core.accept(&instrs[0]);
         core.accept(&instrs[1]);
@@ -568,8 +530,7 @@ mod tests {
     #[test]
     fn four_memory_requests_per_mmh() {
         let instr = mmh(4, &[0, 1, 2, 3], &[0, 1]);
-        let mut core = NeuraCore::new(0, core_config());
-        core.prepare(8);
+        let mut core = NeuraCore::new(0, core_config(), 8);
         core.accept(&instr);
         let mut requests = 0;
         let mut pending: Vec<(u64, usize)> = Vec::new();
@@ -587,7 +548,6 @@ mod tests {
             }
         }
         assert_eq!(requests, 4);
-        assert_eq!(core.stats().memory_requests, 4);
     }
 
     /// The idle tick skips the pipeline walk, so everything the walk used
@@ -601,8 +561,7 @@ mod tests {
         let instr = mmh(2, &[0, 1], &[0, 1]);
         let mut out = CoreTickOutput::default();
         for idle_ticks in 0..=2 * pipelines as u64 + 1 {
-            let mut core = NeuraCore::new(0, core_config());
-            core.prepare(8);
+            let mut core = NeuraCore::new(0, core_config(), 8);
             for c in 0..idle_ticks {
                 core.tick(Cycle(c), 4, &mut out);
                 assert_eq!(out.outcome, TickOutcome::Idle);
@@ -629,33 +588,73 @@ mod tests {
         }
     }
 
-    /// How [`LockStep`] drives its second core.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Second {
-        /// Ticked every cycle with the settled flag cleared first, which
-        /// makes it walk its pipelines.
-        Walks,
-        /// Not ticked while settled, the way the accelerator drives a core;
-        /// [`LockStep::finish`] has it catch up.
-        Skips,
+    /// Ticks `core` at `cycle` and checks what the tick returned against
+    /// its definition: no pipeline moved and the outbox is empty.
+    fn tick_settles(core: &mut NeuraCore<'_>, cycle: u64, credit: usize) -> bool {
+        let mut out = CoreTickOutput::default();
+        let settled = core.tick(Cycle(cycle), credit, &mut out);
+        let expected = out.outcome != TickOutcome::Busy && core.outbox.is_empty();
+        assert_eq!(settled, expected, "cycle {cycle}: {:?}", out.outcome);
+        settled
     }
 
-    /// Two cores driven in lock step: `cores[0]` ticked every cycle as is,
-    /// `cores[1]` as `second` says.
+    /// `tick` settles the core exactly when no pipeline moved and the
+    /// outbox is empty: through an idle start, a gap of operand waits, a
+    /// retired instruction whose `HACC`s zero credit holds in the outbox,
+    /// and the drain that empties it.
+    #[test]
+    fn tick_settles_exactly_when_nothing_moved_and_the_outbox_is_empty() {
+        let instr = mmh(4, &[0, 1], &[0, 1]);
+        let mut core = NeuraCore::new(0, core_config(), 8);
+        assert!(tick_settles(&mut core, 0, 4), "an empty core settles");
+        assert!(core.accept(&instr));
+        let mut cycle = 1;
+        // Decode and the operand reads it issues on its last cycle.
+        while core.pipelines.iter().all(|p| !matches!(p, PipelineState::WaitMem { .. })) {
+            assert!(!tick_settles(&mut core, cycle, 4), "decoding moves a pipeline");
+            cycle += 1;
+        }
+        for _ in 0..5 {
+            assert!(tick_settles(&mut core, cycle, 4), "an operand wait settles");
+            cycle += 1;
+        }
+        let owner = core.pipelines.iter().position(|p| !matches!(p, PipelineState::Idle));
+        let owner = owner.expect("one pipeline holds the instruction");
+        for last in [false, false, false, true] {
+            assert_eq!(core.memory_response(owner), last, "only the fourth operand wakes");
+        }
+        // No credit: the instruction computes and retires, and its four
+        // HACCs keep the core from settling until credit drains them.
+        while core.load() > 0 {
+            assert!(!tick_settles(&mut core, cycle, 0), "compute moves a pipeline");
+            cycle += 1;
+        }
+        for _ in 0..3 {
+            assert!(!tick_settles(&mut core, cycle, 0), "HACCs wait in the outbox");
+            cycle += 1;
+        }
+        assert!(tick_settles(&mut core, cycle, 4), "the drain empties the outbox");
+        assert!(core.is_idle());
+    }
+
+    /// Two cores driven in lock step: `cores[0]` ticked every cycle,
+    /// `cores[1]` the way the accelerator drives a core — not ticked from
+    /// the tick that settles it until an instruction or a completing operand
+    /// wakes it; [`LockStep::finish`] has it catch up.
     struct LockStep<'p> {
         cores: [NeuraCore<'p>; 2],
         outs: [CoreTickOutput; 2],
         cycle: u64,
-        second: Second,
-        /// Ticks `cores[0]` took on the settled path.
-        settled_ticks: u64,
+        /// What the second core's last tick returned, until a wake.
+        asleep: bool,
+        /// Ticks the second core was not given.
+        skipped_ticks: u64,
     }
 
     impl<'p> LockStep<'p> {
-        fn new(config: NeuraCoreConfig, second: Second) -> Self {
-            let mut cores = [NeuraCore::new(0, config), NeuraCore::new(0, config)];
-            cores.iter_mut().for_each(|core| core.prepare(8));
-            LockStep { cores, outs: Default::default(), cycle: 0, second, settled_ticks: 0 }
+        fn new(config: NeuraCoreConfig) -> Self {
+            let cores = [NeuraCore::new(0, config, 8), NeuraCore::new(0, config, 8)];
+            LockStep { cores, outs: Default::default(), cycle: 0, asleep: false, skipped_ticks: 0 }
         }
 
         /// Ticks both cores, checks that the cycle produced the same output
@@ -663,21 +662,18 @@ mod tests {
         /// skipped tick stands as what the accelerator reports for it:
         /// nothing out, stalled if a pipeline is occupied, else idle.
         fn tick(&mut self) -> Vec<usize> {
-            self.settled_ticks += u64::from(self.cores[0].settled);
             let [first, second] = &mut self.cores;
             first.tick(Cycle(self.cycle), 4, &mut self.outs[0]);
-            if self.second == Second::Walks {
-                second.settled = false;
-            }
-            if second.is_settled() {
+            if self.asleep {
                 let outcome = if second.busy_pipelines > 0 {
                     TickOutcome::Stalled
                 } else {
                     TickOutcome::Idle
                 };
                 self.outs[1] = CoreTickOutput { outcome, ..CoreTickOutput::default() };
+                self.skipped_ticks += 1;
             } else {
-                second.tick(Cycle(self.cycle), 4, &mut self.outs[1]);
+                self.asleep = second.tick(Cycle(self.cycle), 4, &mut self.outs[1]);
             }
             let ([fast, other], cycle) = (&self.outs, self.cycle);
             assert_eq!(fast.outcome, other.outcome, "cycle {cycle}");
@@ -689,9 +685,11 @@ mod tests {
         }
 
         fn respond(&mut self, pipelines: &[usize]) {
-            for core in &mut self.cores {
-                for &pipeline in pipelines {
-                    core.memory_response(pipeline);
+            let [first, second] = &mut self.cores;
+            for &pipeline in pipelines {
+                first.memory_response(pipeline);
+                if second.memory_response(pipeline) {
+                    self.asleep = false;
                 }
             }
         }
@@ -700,6 +698,7 @@ mod tests {
             for core in &mut self.cores {
                 assert!(core.accept(instr));
             }
+            self.asleep = false;
         }
 
         /// Settles the second core's account and checks that the counters,
@@ -710,49 +709,6 @@ mod tests {
             assert_eq!(first.stats(), second.stats());
             assert_eq!(first.cpi_histogram(), second.cpi_histogram());
             assert_eq!(first.next_pipeline, second.next_pipeline);
-        }
-    }
-
-    /// The settled tick skips the pipeline walk of a core whose pipelines
-    /// all wait on operands. Against a core that always walks: `stalled`
-    /// stalled cycles, a partial and then the completing operand arrival,
-    /// and a second instruction that the rotated cursor hands to one of two
-    /// idle pipelines. Every tick's output, the final counters, the cursor
-    /// and the CPI samples must agree.
-    #[test]
-    fn settled_ticks_equal_the_full_pipeline_walk() {
-        let config = NeuraCoreConfig { pipelines: 3, ..core_config() };
-        let instrs = [mmh(2, &[0, 1], &[0, 1, 2]), mmh(2, &[2, 3], &[1, 2])];
-        for stalled in 0..=2 * config.pipelines as u64 + 1 {
-            let mut pair = LockStep::new(config, Second::Walks);
-            pair.accept(&instrs[0]);
-            let mut waiting = Vec::new();
-            while waiting.is_empty() {
-                waiting = pair.tick();
-            }
-            assert_eq!(waiting.len(), 4);
-            for _ in 0..stalled {
-                assert!(pair.tick().is_empty());
-            }
-            // Three of four operands: the pipeline still stalls, and the core
-            // stays settled through it.
-            pair.respond(&waiting[..3]);
-            assert!(pair.tick().is_empty());
-            assert_eq!(pair.outs[0].outcome, TickOutcome::Stalled);
-            assert!(pair.cores[0].settled);
-            // The last operand wakes the first instruction; the second goes
-            // to whichever idle pipeline the cursor reaches first.
-            pair.respond(&waiting[3..]);
-            pair.accept(&instrs[1]);
-            while !pair.cores[1].is_idle() {
-                let issued = pair.tick();
-                pair.respond(&issued);
-                assert!(pair.cycle < 200, "the instructions never retired");
-            }
-            assert_eq!(pair.settled_ticks, stalled, "the settled tick was not what ran");
-            pair.finish();
-            assert_eq!(pair.cores[0].stats().mmh_completed, 2);
-            assert!(pair.cores[0].is_idle());
         }
     }
 
@@ -769,7 +725,7 @@ mod tests {
         let config = NeuraCoreConfig { pipelines: 3, ..core_config() };
         let instrs = [mmh(2, &[0, 1], &[0, 1, 2]), mmh(2, &[2, 3], &[1, 2])];
         for skipped in 0..=2 * config.pipelines as u64 + 1 {
-            let mut pair = LockStep::new(config, Second::Skips);
+            let mut pair = LockStep::new(config);
             // The first tick of each gap is the one that settles the core.
             let gap = |pair: &mut LockStep<'_>, outcome| {
                 for _ in 0..=skipped {
@@ -786,7 +742,7 @@ mod tests {
             gap(&mut pair, TickOutcome::Stalled);
             // Three of four operands do not wake the core.
             pair.respond(&waiting[..3]);
-            assert!(pair.cores[1].is_settled());
+            assert!(pair.asleep);
             gap(&mut pair, TickOutcome::Stalled);
             pair.respond(&waiting[3..]);
             pair.accept(&instrs[1]);
@@ -796,7 +752,7 @@ mod tests {
                 assert!(pair.cycle < 200, "the instructions never retired");
             }
             gap(&mut pair, TickOutcome::Idle);
-            assert!(pair.settled_ticks >= 4 * skipped, "the gaps were not skipped");
+            assert!(pair.skipped_ticks >= 4 * skipped, "the gaps were not skipped");
             pair.finish();
             assert_eq!(pair.cores[1].stats().mmh_completed, 2);
         }
@@ -807,8 +763,7 @@ mod tests {
     #[test]
     fn idle_path_still_drains_the_outbox() {
         let instr = mmh(4, &[0, 1, 2, 3], &[0, 1, 2, 3]);
-        let mut core = NeuraCore::new(0, core_config());
-        core.prepare(8);
+        let mut core = NeuraCore::new(0, core_config(), 8);
         core.accept(&instr);
         let mut out = CoreTickOutput::default();
         let mut cycle = 0u64;

@@ -1,192 +1,100 @@
 //! Class-aware shard dispatch: which idle shard a ready batch lands on.
 //!
 //! The scheduling [`Policy`](crate::policy::Policy) decides *what* to
-//! dispatch next; a [`DispatchPolicy`] decides *where*. With homogeneous
+//! dispatch next; a [`DispatchKind`] decides *where*. With homogeneous
 //! fleets the two questions were one — any idle shard is as good as any
 //! other — but a heterogeneous fleet makes placement a real decision:
 //! sending a heavyweight request to a Tile-4 shard wastes the Tile-64
-//! silicon bought for exactly that class. Three implementations ship:
+//! silicon bought for exactly that class. Three kinds ship, and
+//! `DispatchKind::choose` is one `match` over their three functions:
 //!
-//! - [`LeastLoaded`] — the classic work-conserving default: the idle shard
-//!   that has been idle longest (earliest busy-until, ties by slot index).
-//! - [`ClassAffinity`] — big classes (flops at or above the memoised
-//!   median) prefer the group with the highest peak throughput, small
-//!   classes the lowest; within the preferred group, least-loaded. When
-//!   the preferred group is fully busy, it compares *waiting* for it
+//! - [`DispatchKind::LeastLoaded`] — the classic work-conserving default:
+//!   the idle shard that has been idle longest (earliest busy-until, ties
+//!   by slot index).
+//! - [`DispatchKind::ClassAffinity`] — big classes (flops at or above the
+//!   memoised median) prefer the group with the highest peak throughput,
+//!   small classes the lowest; within the preferred group, least-loaded.
+//!   When the preferred group is fully busy, it compares *waiting* for it
 //!   (remaining busy time plus service there) against serving immediately
 //!   on the best idle off-group shard, and holds the batch when waiting is
 //!   cheaper — dumping a Tile-64-class request onto an idle Tile-4 shard
-//!   is exactly the tail-latency mistake this policy exists to avoid.
-//! - [`CostAware`] — the idle shard with the lowest memoised service time
-//!   for this batch (ties by least-loaded, then slot index); greedy and
-//!   never waits.
+//!   is exactly the tail-latency mistake this kind exists to avoid.
+//! - [`DispatchKind::CostAware`] — the idle shard with the lowest memoised
+//!   service time for this batch (ties by least-loaded, then slot index);
+//!   greedy and never waits.
 //!
-//! Every choice is a pure function of `(fleet state, class, costs)`, so
-//! replays stay deterministic.
+//! The fleet owns everything a choice reads: the idle set, walked in
+//! ascending slot order, the busy-horizon order and each class size's
+//! preferred group. So every choice is a pure function of `(fleet state,
+//! class, costs)`, and replays stay deterministic.
 
 use crate::cost::{ClassId, FleetCosts};
 use crate::fleet::ShardFleet;
 
-/// Picks a shard for a ready batch among the currently idle ones.
-pub(crate) trait DispatchPolicy {
-    /// Stable lower-case name, used in run IDs and command lines.
-    fn name(&self) -> &'static str;
-
-    /// Chooses one of `idle` (non-empty, slot-ordered, all idle and active)
-    /// for a batch of `batch` requests of `class` at time `now`, or `None`
-    /// to hold the batch until a busy shard frees up (only allowed while
-    /// one exists — the simulation re-offers the batch at that event).
-    /// `costs` is the cost table resolved against `fleet`'s groups, so
-    /// pricing a candidate is indexed by [`ShardFleet::group_of`].
-    fn choose(
-        &self,
-        fleet: &ShardFleet,
-        idle: &[usize],
-        class: ClassId,
-        batch: usize,
-        now: f64,
-        costs: &FleetCosts<'_>,
-    ) -> Option<usize>;
-}
-
-/// The shard idle longest wins (earliest busy-until, ties by slot index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LeastLoaded;
-
-/// Least-loaded among `idle` (`None` when it is empty), as a helper for
-/// the other policies.
-fn least_loaded_of(fleet: &ShardFleet, idle: impl Iterator<Item = usize>) -> Option<usize> {
-    idle.min_by(|&a, &b| {
-        fleet
-            .busy_until(a)
-            .partial_cmp(&fleet.busy_until(b))
-            .expect("busy horizons are finite")
-            .then(a.cmp(&b))
-    })
-}
-
-impl DispatchPolicy for LeastLoaded {
-    fn name(&self) -> &'static str {
-        "least-loaded"
+/// Big classes go to the biggest silicon, small classes to the smallest,
+/// or wait for it.
+fn class_affinity(
+    fleet: &ShardFleet,
+    class: ClassId,
+    batch: usize,
+    now: f64,
+    costs: &FleetCosts<'_>,
+) -> Option<usize> {
+    // A class is "big" when its work sits at or above the median of the
+    // memoised classes.
+    let preferred = fleet.preferred_group(costs.weight(class) >= costs.median_weight());
+    let in_group = fleet.idle().filter(|&s| fleet.group_of(s) == preferred);
+    if let Some(shard) = in_group.min_by(|&a, &b| fleet.by_horizon(a, b)) {
+        return Some(shard);
     }
-
-    fn choose(
-        &self,
-        fleet: &ShardFleet,
-        idle: &[usize],
-        _class: ClassId,
-        _batch: usize,
-        _now: f64,
-        _costs: &FleetCosts<'_>,
-    ) -> Option<usize> {
-        Some(
-            least_loaded_of(fleet, idle.iter().copied())
-                .expect("dispatch requires at least one idle shard"),
-        )
-    }
-}
-
-/// Big classes go to the biggest silicon, small classes to the smallest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ClassAffinity;
-
-impl DispatchPolicy for ClassAffinity {
-    fn name(&self) -> &'static str {
-        "affinity"
-    }
-
-    fn choose(
-        &self,
-        fleet: &ShardFleet,
-        idle: &[usize],
-        class: ClassId,
-        batch: usize,
-        now: f64,
-        costs: &FleetCosts<'_>,
-    ) -> Option<usize> {
-        // A class is "big" when its work sits at or above the median of the
-        // memoised classes; big prefers the highest-throughput group, small
-        // the lowest (ties by group index, so the preference is stable).
-        let big = costs.weight(class) >= costs.median_weight();
-        let preferred = (0..fleet.group_count())
-            .max_by(|&a, &b| {
-                let (ga, gb) = (fleet.peak_gflops(a), fleet.peak_gflops(b));
-                let ordering = ga.partial_cmp(&gb).expect("peak throughput is finite");
-                // For "small", invert the throughput ordering; break ties
-                // toward the lower group index in both directions.
-                (if big { ordering } else { ordering.reverse() }).then(b.cmp(&a))
-            })
-            .expect("fleets have at least one group");
-        let in_group = idle.iter().copied().filter(|&s| fleet.group_of(s) == preferred);
-        if let Some(shard) = least_loaded_of(fleet, in_group) {
-            return Some(shard);
-        }
-        // The preferred group is fully busy. An off-group shard only gets
-        // the batch when serving there *now* beats waiting for the
-        // preferred group (earliest release + service on the right
-        // silicon) — otherwise hold the batch; a queued millisecond is
-        // cheaper than a misplaced batch on 4x-slower silicon.
-        let preferred_free = fleet
-            .group_slots(preferred)
-            .filter(|&s| fleet.is_active(s))
-            .map(|s| fleet.busy_until(s))
-            .fold(f64::INFINITY, f64::min);
-        let wait_cost =
-            (preferred_free - now).max(0.0) + costs.service_seconds(preferred, class, batch);
-        let off_group = CostAware.choose(fleet, idle, class, batch, now, costs)?;
-        let off_cost = costs.service_seconds(fleet.group_of(off_group), class, batch);
-        if preferred_free.is_finite() && wait_cost <= off_cost {
-            None
-        } else {
-            Some(off_group)
-        }
+    // The preferred group is fully busy. An off-group shard only gets
+    // the batch when serving there *now* beats waiting for the
+    // preferred group (earliest release + service on the right
+    // silicon) — otherwise hold the batch; a queued millisecond is
+    // cheaper than a misplaced batch on 4x-slower silicon.
+    let preferred_free = fleet
+        .group_slots(preferred)
+        .filter(|&s| fleet.is_active(s))
+        .map(|s| fleet.busy_until(s))
+        .fold(f64::INFINITY, f64::min);
+    let wait_cost =
+        (preferred_free - now).max(0.0) + costs.service_seconds(preferred, class, batch);
+    let off_group = cost_aware(fleet, class, batch, costs)?;
+    let off_cost = costs.service_seconds(fleet.group_of(off_group), class, batch);
+    if preferred_free.is_finite() && wait_cost <= off_cost {
+        None
+    } else {
+        Some(off_group)
     }
 }
 
 /// The idle shard with the lowest memoised service time for this batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CostAware;
-
-impl DispatchPolicy for CostAware {
-    fn name(&self) -> &'static str {
-        "cost"
-    }
-
-    fn choose(
-        &self,
-        fleet: &ShardFleet,
-        idle: &[usize],
-        class: ClassId,
-        batch: usize,
-        _now: f64,
-        costs: &FleetCosts<'_>,
-    ) -> Option<usize> {
-        // Each candidate is priced once, not once per comparison.
-        idle.iter()
-            .map(|&s| (costs.service_seconds(fleet.group_of(s), class, batch), s))
-            .min_by(|&(sa, a), &(sb, b)| {
-                sa.partial_cmp(&sb)
-                    .expect("service times are finite")
-                    .then(
-                        fleet
-                            .busy_until(a)
-                            .partial_cmp(&fleet.busy_until(b))
-                            .expect("busy horizons are finite"),
-                    )
-                    .then(a.cmp(&b))
-            })
-            .map(|(_, shard)| shard)
-    }
+fn cost_aware(
+    fleet: &ShardFleet,
+    class: ClassId,
+    batch: usize,
+    costs: &FleetCosts<'_>,
+) -> Option<usize> {
+    // Each candidate is priced once, not once per comparison.
+    fleet
+        .idle()
+        .map(|s| (costs.service_seconds(fleet.group_of(s), class, batch), s))
+        .min_by(|&(sa, a), &(sb, b)| {
+            sa.partial_cmp(&sb)
+                .expect("service times are finite")
+                .then_with(|| fleet.by_horizon(a, b))
+        })
+        .map(|(_, shard)| shard)
 }
 
 /// The dispatch policies as a sweepable, parseable axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchKind {
-    /// `LeastLoaded`.
+    /// The shard idle longest wins.
     LeastLoaded,
-    /// `ClassAffinity`.
+    /// Big classes go to big silicon, small classes to small.
     ClassAffinity,
-    /// `CostAware`.
+    /// The lowest memoised service time wins.
     CostAware,
 }
 
@@ -195,24 +103,43 @@ impl DispatchKind {
     pub const ALL: [DispatchKind; 3] =
         [DispatchKind::LeastLoaded, DispatchKind::ClassAffinity, DispatchKind::CostAware];
 
-    /// The policy implementation this kind names.
-    pub(crate) fn policy(&self) -> &'static dyn DispatchPolicy {
-        match self {
-            DispatchKind::LeastLoaded => &LeastLoaded,
-            DispatchKind::ClassAffinity => &ClassAffinity,
-            DispatchKind::CostAware => &CostAware,
-        }
-    }
-
     /// Stable lower-case name, used in run IDs and command lines.
     pub fn name(&self) -> &'static str {
-        self.policy().name()
+        match self {
+            DispatchKind::LeastLoaded => "least-loaded",
+            DispatchKind::ClassAffinity => "affinity",
+            DispatchKind::CostAware => "cost",
+        }
     }
 
     /// Parses a policy name (`"least-loaded"`, `"affinity"`, `"cost"`;
     /// case-insensitive).
     pub fn parse(raw: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|k| k.name().eq_ignore_ascii_case(raw))
+    }
+
+    /// Chooses one of `fleet`'s idle shards (at least one must be idle)
+    /// for a batch of `batch` requests of `class` at time `now`, or `None`
+    /// to hold the batch until a busy shard frees up (only while one
+    /// exists — the simulation re-offers the batch at that event).
+    /// `costs` is the cost table resolved against `fleet`'s groups, so
+    /// pricing a candidate is indexed by [`ShardFleet::group_of`].
+    pub(crate) fn choose(
+        self,
+        fleet: &ShardFleet,
+        class: ClassId,
+        batch: usize,
+        now: f64,
+        costs: &FleetCosts<'_>,
+    ) -> Option<usize> {
+        match self {
+            DispatchKind::LeastLoaded => {
+                let longest_idle = fleet.idle().min_by(|&a, &b| fleet.by_horizon(a, b));
+                Some(longest_idle.expect("dispatch requires at least one idle shard"))
+            }
+            DispatchKind::ClassAffinity => class_affinity(fleet, class, batch, now, costs),
+            DispatchKind::CostAware => cost_aware(fleet, class, batch, costs),
+        }
     }
 }
 
@@ -233,24 +160,29 @@ mod tests {
         ]
     }
 
-    /// `policy`'s choice for one request of `class`, priced by `costs`
-    /// resolved against the fixture's groups.
-    fn choose(
-        policy: &dyn DispatchPolicy,
+    /// `kind`'s choice for one request of `class`, priced by `costs`
+    /// resolved against `groups`.
+    fn choose_in(
+        kind: DispatchKind,
+        groups: &[ShardGroup],
         fleet: &ShardFleet,
-        idle: &[usize],
         class: RequestClass,
         now: f64,
         costs: &CostTable,
     ) -> Option<usize> {
-        let costs = FleetCosts::new(costs, &groups());
-        policy.choose(fleet, idle, costs.class_id(class), 1, now, &costs)
+        let costs = FleetCosts::new(costs, groups);
+        kind.choose(fleet, costs.class_id(class), 1, now, &costs)
     }
 
-    fn idle_shards(fleet: &ShardFleet) -> Vec<usize> {
-        let mut idle = Vec::new();
-        fleet.idle_shards(&mut idle);
-        idle
+    /// [`choose_in`] on the fixture's groups.
+    fn choose(
+        kind: DispatchKind,
+        fleet: &ShardFleet,
+        class: RequestClass,
+        now: f64,
+        costs: &CostTable,
+    ) -> Option<usize> {
+        choose_in(kind, &groups(), fleet, class, now, costs)
     }
 
     fn fixture() -> (ShardFleet, CostTable, RequestClass, RequestClass) {
@@ -275,25 +207,22 @@ mod tests {
         // At t=3 both batches completed and all are idle; shard 2 never
         // worked (busy_until 0 < 1 < 2).
         while fleet.pop_completion(3.0).is_some() {}
-        let idle = idle_shards(&fleet);
-        assert_eq!(choose(&LeastLoaded, &fleet, &idle, big, 3.0, &costs), Some(2));
+        assert_eq!(choose(DispatchKind::LeastLoaded, &fleet, big, 3.0, &costs), Some(2));
         // Fresh fleet: all tie at 0.0, lowest index wins.
         let (fleet, costs, big, _) = fixture();
-        let idle = idle_shards(&fleet);
-        assert_eq!(choose(&LeastLoaded, &fleet, &idle, big, 0.0, &costs), Some(0));
+        assert_eq!(choose(DispatchKind::LeastLoaded, &fleet, big, 0.0, &costs), Some(0));
     }
 
     #[test]
     fn affinity_routes_big_to_big_silicon_and_small_to_small() {
         let (fleet, costs, big, small) = fixture();
-        let idle = idle_shards(&fleet);
         assert_eq!(
-            choose(&ClassAffinity, &fleet, &idle, big, 0.0, &costs),
+            choose(DispatchKind::ClassAffinity, &fleet, big, 0.0, &costs),
             Some(0),
             "big -> Tile-64"
         );
         assert_eq!(
-            choose(&ClassAffinity, &fleet, &idle, small, 0.0, &costs),
+            choose(DispatchKind::ClassAffinity, &fleet, small, 0.0, &costs),
             Some(1),
             "small -> Tile-4"
         );
@@ -305,23 +234,20 @@ mod tests {
         // Tile-64 busy for 2 ms; waiting (2 ms + 1 ms service) beats the
         // 8 ms the batch would cost on an idle Tile-4 shard.
         fleet.dispatch(0, 0.0, 0.002, 1);
-        let idle = idle_shards(&fleet);
-        assert_eq!(idle, vec![1, 2]);
-        assert_eq!(choose(&ClassAffinity, &fleet, &idle, big, 0.0, &costs), None, "hold");
+        assert_eq!(fleet.idle().collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(choose(DispatchKind::ClassAffinity, &fleet, big, 0.0, &costs), None, "hold");
         // ... but a 10 ms horizon flips the comparison: overflow to the
         // cheapest idle shard.
         let (mut fleet, costs, big, _) = fixture();
         fleet.dispatch(0, 0.0, 0.010, 1);
-        let idle = idle_shards(&fleet);
-        assert_eq!(choose(&ClassAffinity, &fleet, &idle, big, 0.0, &costs), Some(1));
+        assert_eq!(choose(DispatchKind::ClassAffinity, &fleet, big, 0.0, &costs), Some(1));
     }
 
     #[test]
     fn cost_aware_minimises_the_memoised_service_time() {
         let (mut fleet, costs, big, small) = fixture();
-        let idle = idle_shards(&fleet);
         assert_eq!(
-            choose(&CostAware, &fleet, &idle, big, 0.0, &costs),
+            choose(DispatchKind::CostAware, &fleet, big, 0.0, &costs),
             Some(0),
             "8x cheaper on Tile-64"
         );
@@ -329,8 +255,30 @@ mod tests {
         // still wins (40k vs 50k cycles); make it busy and the Tile-4
         // shards take over.
         fleet.dispatch(0, 0.0, 5.0, 1);
-        let idle = idle_shards(&fleet);
-        assert_eq!(choose(&CostAware, &fleet, &idle, small, 0.0, &costs), Some(1));
+        assert_eq!(choose(DispatchKind::CostAware, &fleet, small, 0.0, &costs), Some(1));
+    }
+
+    /// A tie on service time goes to the shard with the earlier busy
+    /// horizon, and a tie on that to the lower slot.
+    #[test]
+    fn cost_aware_ties_go_to_the_earlier_horizon_then_the_lower_slot() {
+        let groups = [ShardGroup::new("t4", ChipConfig::tile_4(), 3)];
+        let mut costs = CostTable::new();
+        let t4 = costs.register(&ChipConfig::tile_4());
+        let class = RequestClass { dataset: 0, shrink: 1 };
+        costs.insert(&t4, class, ClassCost { cycles: 1_000, flops: 1_000 });
+        let choose = |fleet: &ShardFleet, now| {
+            choose_in(DispatchKind::CostAware, &groups, fleet, class, now, &costs)
+        };
+        let mut fleet = ShardFleet::new(&groups, None);
+        assert_eq!(choose(&fleet, 0.0), Some(0), "every horizon is 0: the lowest slot");
+        // Horizons 1.0, 0.5 and 0.5 once the three batches complete: the
+        // earlier horizon beats the lower slot 0, and slot 1 beats slot 2.
+        fleet.dispatch(0, 0.0, 1.0, 1);
+        fleet.dispatch(1, 0.0, 0.5, 1);
+        fleet.dispatch(2, 0.0, 0.5, 1);
+        while fleet.pop_completion(2.0).is_some() {}
+        assert_eq!(choose(&fleet, 2.0), Some(1));
     }
 
     #[test]

@@ -932,20 +932,18 @@ fn initial_state(ctx: &Ctx<'_>, tenants: Option<&TenantMix>, source: SourceState
 }
 
 /// One call of the event loop: the replay's context, the state it
-/// advances and the two buffers its dispatches reuse. [`Self::run_until`]
-/// is the loop; the other methods are its steps, in the order it runs them.
+/// advances and the buffer its dispatches reuse. [`Self::run_until`] is
+/// the loop; the other methods are its steps, in the order it runs them.
 struct Engine<'a> {
     ctx: &'a Ctx<'a>,
     st: &'a mut EngineState,
-    /// The idle shards the dispatch on offer may land on.
-    idle: Vec<usize>,
     /// The unit on offer.
     unit: Vec<usize>,
 }
 
 impl<'a> Engine<'a> {
     fn new(ctx: &'a Ctx<'a>, st: &'a mut EngineState) -> Self {
-        Engine { ctx, st, idle: Vec::new(), unit: Vec::new() }
+        Engine { ctx, st, unit: Vec::new() }
     }
 
     /// Advances the state until the next event would land at or after
@@ -990,22 +988,18 @@ impl<'a> Engine<'a> {
     }
 
     /// Dispatches every unit that is ready while an idle shard exists; the
-    /// dispatch policy picks *which* idle shard serves each unit, or holds
-    /// it (returning the unit to the queue head) to wait for busy
-    /// preferred silicon — in which case the next release is the event
-    /// that re-offers it. Latencies finalise at *completion*, not here: a
-    /// crash may still retract the batch. Re-running this step when a
-    /// fragment resumes is a state-preserving no-op: everything
-    /// dispatchable at the pause instant was already dispatched (or held,
-    /// and the hold re-selects the same unit and restores it).
+    /// [`DispatchKind`](crate::dispatch::DispatchKind) picks *which* idle
+    /// shard serves each unit, or holds it (returning the unit to the queue
+    /// head) to wait for busy preferred silicon — in which case the next
+    /// release is the event that re-offers it. Latencies finalise at
+    /// *completion*, not here: a crash may still retract the batch.
+    /// Re-running this step when a fragment resumes is a state-preserving
+    /// no-op: everything dispatchable at the pause instant was already
+    /// dispatched (or held, and the hold re-selects the same unit and
+    /// restores it).
     fn dispatch_ready<R: Record>(&mut self, rec: &mut R) {
         let (ctx, st) = (self.ctx, &mut *self.st);
-        let dispatcher = ctx.cfg.dispatch.policy();
-        loop {
-            st.fleet.idle_shards(&mut self.idle);
-            if self.idle.is_empty() {
-                break;
-            }
+        while st.fleet.has_idle() {
             let arrived = st.source.arrived(ctx.stream);
             if !st.backlog.take_ready(st.now, arrived, &mut self.unit) {
                 break;
@@ -1014,7 +1008,7 @@ impl<'a> Engine<'a> {
             let class = ctx.costs.class_id(head.class);
             let requests = self.unit.len();
             let Some(shard) =
-                dispatcher.choose(&st.fleet, &self.idle, class, requests, st.now, &ctx.costs)
+                ctx.cfg.dispatch.choose(&st.fleet, class, requests, st.now, &ctx.costs)
             else {
                 debug_assert!(
                     st.fleet.next_busy_free_at().is_finite(),

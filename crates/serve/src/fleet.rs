@@ -7,9 +7,9 @@
 //! backlog centrally — so a shard is a busy-until horizon, an active flag
 //! (autoscaling provisions and retires shards over time) and the counters
 //! behind the per-shard/per-group utilisation and shard-seconds metrics.
-//! *Which* idle shard a batch lands on is the dispatch policy's decision
-//! (see [`crate::dispatch`]); the fleet only answers questions and keeps
-//! the books.
+//! *Which* idle shard a batch lands on is the decision of the run's
+//! [`DispatchKind`](crate::dispatch::DispatchKind), one `match`; the fleet
+//! only answers its questions and keeps the books.
 //!
 //! The fleet also owns its dynamic state in the form the event loop asks
 //! for it, kept up to date by every operation that changes it — so no
@@ -18,13 +18,17 @@
 //! - the **idle set**: a [`neura_sim::BitSet`] of the slots that are
 //!   provisioned and serving no batch, a slot added when it activates or
 //!   its batch completes and removed when it dispatches, retires or
-//!   crashes; the dispatch candidates are its members in slot order;
+//!   crashes; the dispatch candidates are its members in slot order
+//!   ([`ShardFleet::idle`]), ranked by [`ShardFleet::by_horizon`];
 //! - the **completion calendar**: a min-heap of `(finish, slot)`, one
 //!   entry per batch in service, pushed at dispatch, popped when due
 //!   ([`ShardFleet::pop_completion`]) and dropped when its slot crashes —
 //!   the next release is its head;
 //! - the **active count** of every group, which provisioned-time accrual
 //!   multiplies and the autoscaler reads.
+//!
+//! Its one piece of static dispatch state is each class size's preferred
+//! group, worked out once at construction ([`ShardFleet::preferred_group`]).
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -130,11 +134,10 @@ impl GroupStats {
     }
 }
 
-/// Static per-group information the dispatch policies read.
+/// Static per-group information.
 #[derive(Debug, Clone)]
 struct GroupInfo {
     name: String,
-    peak_gflops: f64,
     capacity: usize,
     first_shard: usize,
 }
@@ -165,6 +168,8 @@ impl Ord for TimeKey {
 #[derive(Debug, Clone)]
 pub(crate) struct ShardFleet {
     groups: Vec<GroupInfo>,
+    /// The group small (`[0]`) and big (`[1]`) classes prefer.
+    preferred: [usize; 2],
     shard_group: Vec<usize>,
     busy_until: Vec<f64>,
     active: Vec<bool>,
@@ -214,7 +219,6 @@ impl ShardFleet {
             );
             infos.push(GroupInfo {
                 name: group.name.clone(),
-                peak_gflops: group.config.peak_gflops(),
                 capacity,
                 first_shard: shard_group.len(),
             });
@@ -225,11 +229,18 @@ impl ShardFleet {
             active_count.push(group.shards);
             peak_active.push(group.shards);
         }
+        // Big classes prefer the highest peak throughput, small ones the
+        // lowest; ties go to the lower group index either way.
+        let peak = |g: usize| groups[g].config.peak_gflops();
+        let first_best = |better: fn(f64, f64) -> bool| {
+            (1..groups.len()).fold(0, |best, g| if better(peak(g), peak(best)) { g } else { best })
+        };
         let total = shard_group.len();
         let mut idle = BitSet::new(total);
         (0..total).filter(|&s| active[s]).for_each(|s| idle.insert(s));
         ShardFleet {
             groups: infos,
+            preferred: [first_best(|a, b| a < b), first_best(|a, b| a > b)],
             shard_group,
             busy_until: vec![0.0; total],
             active,
@@ -257,14 +268,25 @@ impl ShardFleet {
         self.shard_group[shard]
     }
 
-    /// A group's peak throughput (the class-affinity ranking signal).
-    pub(crate) fn peak_gflops(&self, group: usize) -> f64 {
-        self.groups[group].peak_gflops
+    /// The group a big (`true`) or small class prefers under class
+    /// affinity: the highest peak throughput for a big one, the lowest for
+    /// a small one, ties to the lower group index.
+    pub(crate) fn preferred_group(&self, big: bool) -> usize {
+        self.preferred[usize::from(big)]
     }
 
     /// When a shard's current batch finishes (0 when it never served one).
     pub(crate) fn busy_until(&self, shard: usize) -> f64 {
         self.busy_until[shard]
+    }
+
+    /// Orders two slots by earliest busy horizon, then by lower slot: the
+    /// least-loaded order every dispatch kind ranks idle shards by.
+    pub(crate) fn by_horizon(&self, a: usize, b: usize) -> Ordering {
+        self.busy_until[a]
+            .partial_cmp(&self.busy_until[b])
+            .expect("busy horizons are finite")
+            .then(a.cmp(&b))
     }
 
     /// Whether a shard slot is currently provisioned.
@@ -298,18 +320,15 @@ impl ShardFleet {
         self.group_slots(group).filter(|&s| self.idle.contains(s)).count()
     }
 
-    /// Fills `idle` with the idle shards, in slot order — the candidate set
-    /// every dispatch policy chooses from. The buffer is the caller's,
-    /// cleared first, so the event loop asks once per dispatch without
-    /// allocating.
-    pub(crate) fn idle_shards(&self, idle: &mut Vec<usize>) {
-        idle.clear();
-        idle.extend(self.idle.iter());
+    /// The idle shards in ascending slot order — the candidate set every
+    /// dispatch kind chooses from, read in place.
+    pub(crate) fn idle(&self) -> impl Iterator<Item = usize> + '_ {
+        self.idle.iter()
     }
 
     /// The next release: the earliest finish of a batch in service
     /// (infinity when nothing is busy). The event the simulation waits on
-    /// while a dispatch policy holds a batch for busy preferred silicon
+    /// while a dispatch kind holds a batch for busy preferred silicon
     /// even though other shards idle.
     pub(crate) fn next_busy_free_at(&self) -> f64 {
         self.calendar.peek().map_or(f64::INFINITY, |Reverse((finish, _))| finish.0)
@@ -477,12 +496,9 @@ impl ShardFleet {
 mod tests {
     use super::*;
 
-    /// [`ShardFleet::idle_shards`] into a buffer that starts with stale
-    /// entries, which the call must clear.
-    fn idle_shards(fleet: &ShardFleet) -> Vec<usize> {
-        let mut idle = vec![usize::MAX; 2];
-        fleet.idle_shards(&mut idle);
-        idle
+    /// [`ShardFleet::idle`], collected.
+    fn idle_slots(fleet: &ShardFleet) -> Vec<usize> {
+        fleet.idle().collect()
     }
 
     /// Pops every completion due at `now`, in pop order.
@@ -503,21 +519,41 @@ mod tests {
         assert_eq!(fleet.capacity(), 3);
         assert_eq!(fleet.group_count(), 2);
         assert_eq!(fleet.shard_groups(), &[0, 1, 1]);
-        assert!(fleet.peak_gflops(0) > fleet.peak_gflops(1));
+        assert_eq!(fleet.preferred_group(true), 0, "big classes prefer the Tile-64");
+        assert_eq!(fleet.preferred_group(false), 1, "small classes prefer the Tile-4");
         assert_eq!(fleet.active_shards(), 3);
+    }
+
+    /// Equal peaks tie to the lower group index for both class sizes; the
+    /// fastest group wins big classes wherever it sits.
+    #[test]
+    fn preferred_groups_tie_to_the_lower_index() {
+        let twins = [
+            ShardGroup::new("a", ChipConfig::tile_16(), 1),
+            ShardGroup::new("b", ChipConfig::tile_16(), 1),
+        ];
+        let fleet = ShardFleet::new(&twins, None);
+        assert_eq!((fleet.preferred_group(true), fleet.preferred_group(false)), (0, 0));
+        let ascending = [
+            ShardGroup::new("t4", ChipConfig::tile_4(), 1),
+            ShardGroup::new("t16", ChipConfig::tile_16(), 1),
+            ShardGroup::new("t64", ChipConfig::tile_64(), 1),
+        ];
+        let fleet = ShardFleet::new(&ascending, None);
+        assert_eq!((fleet.preferred_group(true), fleet.preferred_group(false)), (2, 0));
     }
 
     #[test]
     fn dispatch_tracks_busy_horizon_and_stats() {
         let mut fleet = ShardFleet::new(&two_groups(), None);
-        assert_eq!(idle_shards(&fleet), vec![0, 1, 2]);
+        assert_eq!(idle_slots(&fleet), vec![0, 1, 2]);
         fleet.dispatch(0, 0.0, 2.0, 4);
         fleet.dispatch(1, 0.0, 1.0, 1);
         assert_eq!(complete_until(&mut fleet, 0.5), vec![]);
-        assert_eq!(idle_shards(&fleet), vec![2]);
+        assert_eq!(idle_slots(&fleet), vec![2]);
         assert!((fleet.next_busy_free_at() - 1.0).abs() < 1e-12, "shard 1 releases first");
         assert_eq!(complete_until(&mut fleet, 1.5), vec![(1.0, 1)]);
-        assert_eq!(idle_shards(&fleet), vec![1, 2]);
+        assert_eq!(idle_slots(&fleet), vec![1, 2]);
         fleet.dispatch(2, 0.0, 3.0, 1);
         assert!((fleet.next_busy_free_at() - 2.0).abs() < 1e-12, "then shard 0");
         assert_eq!(complete_until(&mut fleet, 3.0), vec![(2.0, 0), (3.0, 2)]);
@@ -548,7 +584,7 @@ mod tests {
         let mut fleet = ShardFleet::new(&groups, Some(&[3]));
         assert_eq!(fleet.capacity(), 3);
         assert_eq!(fleet.active_shards(), 1, "over-allocated slots start inactive");
-        assert_eq!(idle_shards(&fleet), vec![0]);
+        assert_eq!(idle_slots(&fleet), vec![0]);
 
         assert_eq!(fleet.activate(0, 1.0), Some(1));
         assert_eq!(fleet.activate(0, 1.0), Some(2));
@@ -582,7 +618,7 @@ mod tests {
         // A crashed slot re-enters the provisioning pool like any retired
         // slot, and comes back idle.
         assert_eq!(fleet.activate(0, 2.0), Some(0));
-        assert!(idle_shards(&fleet).contains(&0));
+        assert!(idle_slots(&fleet).contains(&0));
     }
 
     #[test]
@@ -617,7 +653,7 @@ mod tests {
         assert_eq!(fleet.deactivate_idle(0), Some(1));
         // Re-provision later: the old busy horizon must not bleed through.
         assert_eq!(fleet.activate(0, 5.0), Some(1));
-        assert!(idle_shards(&fleet).contains(&1));
+        assert!(idle_slots(&fleet).contains(&1));
     }
 
     #[test]
@@ -637,7 +673,7 @@ mod tests {
         let slots = 0..fleet.capacity();
         let idle: Vec<usize> =
             slots.clone().filter(|&s| fleet.is_active(s) && fleet.busy_until(s) <= now).collect();
-        assert_eq!(idle_shards(fleet), idle, "step {step}: idle set");
+        assert_eq!(idle_slots(fleet), idle, "step {step}: idle set");
         assert_eq!(fleet.has_idle(), !idle.is_empty(), "step {step}");
         let next_release = slots
             .clone()
@@ -680,7 +716,7 @@ mod tests {
                     due.iter().for_each(|&(_, s)| serving[s] = 0);
                 }
                 1 => {
-                    let idle = idle_shards(&fleet);
+                    let idle = idle_slots(&fleet);
                     if let Some(&slot) = idle.get(pick % idle.len().max(1)) {
                         let requests = 1 + (pick % 3) as u64;
                         fleet.dispatch(slot, now, 0.25 * (1 + pick % 4) as f64, requests);

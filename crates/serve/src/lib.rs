@@ -32,9 +32,9 @@
 //!    elastic fleets and per-group shard-seconds accounting, and the idle
 //!    set and completion calendar the event loop reads instead of
 //!    scanning the slots.
-//! 5. **`dispatch`** — *where* it dispatches: the class-aware
-//!    `DispatchPolicy` trait with least-loaded, class-affinity
-//!    (big classes → big silicon) and cost-aware implementations.
+//! 5. **`dispatch`** — *where* it dispatches: [`DispatchKind`] is the
+//!    placement, one `match` over least-loaded, class-affinity (big
+//!    classes → big silicon) and cost-aware choices of an idle shard.
 //! 6. **`autoscale`** — elastic capacity: an [`AutoscalePolicy`]
 //!    queue-depth controller with a provisioning delay, growing and
 //!    shrinking the fleet between bounds while the outcome reports the

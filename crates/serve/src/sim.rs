@@ -12,9 +12,9 @@
 //! tenant's token bucket sheds arrivals beyond its rate limit. The
 //! scheduling [`Policy`] turns the backlog into dispatch units (single
 //! requests for FIFO/SJF, per-class batches for the batching policy), a
-//! class-aware [`DispatchPolicy`](crate::dispatch::DispatchPolicy) places
-//! each unit on one idle shard of a (possibly heterogeneous, possibly
-//! autoscaled) [`ShardFleet`](crate::fleet::ShardFleet), and the unit is charged the memoised
+//! class-aware [`DispatchKind`] places each unit on one idle shard of a
+//! (possibly heterogeneous, possibly autoscaled)
+//! [`ShardFleet`](crate::fleet::ShardFleet), and the unit is charged the memoised
 //! service time of that shard's silicon — stretched by the fault plan's
 //! multiplier when the shard's group runs degraded. A [`FaultSpec`]
 //! additionally injects seed-derived shard crashes (the victim's

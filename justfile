@@ -187,7 +187,7 @@ perf *flags="":
 # benchmark/README.md § "Comparing two commits", mechanised: two `git
 # archive` checkouts, two target directories, the parent's benchmark/ on
 # both sides, alternating order, another --seed per pair, run_seconds
-# from BENCHMARK.json, then three rounds of one --trace 1 run per side.
+# from BENCHMARK.json, then five rounds of one --trace 1 run per side.
 # Prints per-metric quartiles, medians, pairs won and a verdict (gain,
 # regression or unresolved), and the per-layer rows that moved by more
 # than 10 % with the two sides' ranges apart, under a heading that counts

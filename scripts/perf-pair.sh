@@ -7,7 +7,7 @@
 # that claims a gain may not edit the benchmark), then runs PAIRS (default
 # 10) pairs of --trace 0 runs of WORKLOAD, alternating which side goes
 # first, each pair with another --seed, both sides of a pair with the same
-# seed, at the run_seconds of BENCHMARK.json, and finishes with three
+# seed, at the run_seconds of BENCHMARK.json, and finishes with five
 # rounds of one --trace 1 run per side at the last seed, again alternating
 # which side goes first. `all` does that for every workload of
 # BENCHMARK.json in its order, on the one pair of builds.
@@ -23,18 +23,19 @@
 # (the chip loop's observer seam: it moves by less than any filter, so it
 # always prints) and of every per-layer row of BENCHMARK.json that is
 # non-zero on the parent, whose medians differ by more than 10 % and whose
-# two ranges do not overlap — three runs a side, so a pointer to where the
+# two ranges do not overlap — five runs a side, so a pointer to where the
 # saving appeared, not a measurement of it: the heading says how many rows
-# were examined, and two ranges of three runs fail to overlap by chance
-# for 1 row in 10. Exits non-zero when a pair's sim_digest differs between
-# the sides or an operation failed.
+# were examined, and two ranges of five runs fail to overlap by chance
+# for about 1 row in 126 (2 of the C(10, 5) = 252 ways to split ten
+# exchangeable runs; three a side made it 1 in 10). Exits non-zero when a
+# pair's sim_digest differs between the sides or an operation failed.
 #
 # With --json PATH it also writes those tables to PATH as a
 # neura_lab.artifact/v1 document (the BENCH_*.json ledger at the repo
 # root): one record per workload and end-to-end metric (each side's
 # Q1 / median / Q3, the change against the parent, the parent's IQR, the
 # pairs won, and the verdict as a param), one per printed per-layer row (each side's median, min and
-# max over its three traced runs, the change's median against the
+# max over its five traced runs, the change's median against the
 # parent's), one per workload for sim_digest agreement, and one naming
 # both commits, the command and the host (CPU model, nproc, kernel
 # release).
@@ -81,7 +82,7 @@ for side in parent change; do
         --manifest-path "$work/$side/benchmark/Cargo.toml" >&2
 done
 
-traced_runs=3
+traced_runs=5
 run_side() { # workload side seed [trace round]
     local trace="${4:-0}"
     local dir="$work/out/$1/$2/seed$3-trace$trace${5:+-round$5}"
@@ -107,7 +108,7 @@ for workload in $workloads; do
 done
 
 python3 - "$work/out" "$pairs" "$seconds" "$json" "$commits" "$command" "$traced_runs" $workloads <<'PY'
-import json, os, platform, statistics, sys
+import json, math, os, platform, statistics, sys
 
 out, pairs, seconds = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 json_path, commits, command = sys.argv[4], sys.argv[5].split(), sys.argv[6]
@@ -210,14 +211,16 @@ for workload in workloads:
                [("parent_median", pm, unit), ("parent_min", plo, unit), ("parent_max", phi, unit),
                 ("change_median", cm, unit), ("change_min", clo, unit), ("change_max", chi, unit),
                 ("change_vs_parent", cm / pm - 1, "ratio"), ("runs", traced_runs, "count")])
-# Under no change, all six traced runs are exchangeable, and one side's
-# three land wholly below or wholly above the other's in 2 of the 20 ways
-# to split six ranks into two triples.
+# Under no change, all 2n traced runs are exchangeable, and one side's n
+# land wholly below or wholly above the other's in 2 of the C(2n, n) ways
+# to split the ranks into two halves.
+chance = 2 / math.comb(2 * traced_runs, traced_runs)
 print(f"\n`chip.profiled.overhead` and every non-zero per-layer row whose medians differ by more "
       f"than 10 % and whose min–max ranges do not overlap ({traced_runs} alternating `--trace 1` "
-      f"runs per side and workload, seed {pairs}). {examined} rows were examined; with three runs "
-      f"a side, two ranges fail to overlap by chance for about 1 row in 10, so up to about "
-      f"{examined / 10:.0f} rows may print with nothing changed.\n")
+      f"runs per side and workload, seed {pairs}). {examined} rows were examined; with "
+      f"{traced_runs} runs a side, two ranges fail to overlap by chance for about 1 row in "
+      f"{1 / chance:.0f}, so up to about {examined * chance:.0f} rows may print with nothing "
+      f"changed.\n")
 print("| workload | metric | unit | better | parent median (min–max) | change median (min–max) "
       "| change vs parent |")
 print("|---|---|---|---|---|---|---|")
