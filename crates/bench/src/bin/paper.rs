@@ -1,12 +1,14 @@
 //! `paper <name> [--json [PATH]]` regenerates one row of
 //! [`neura_bench::paper::ARTIFACTS`]; `paper all [--json]` runs every row in
 //! the paper's order and stops at the first failed check. Every row runs at
-//! paper scale; this is the one place that opens and finishes the artifact
-//! session and enforces the row's strict golden check.
+//! paper scale; this is the one place that reads the command line, hands
+//! each row its artifact, writes it and enforces the row's strict golden
+//! check.
 
 use neura_bench::paper::{Check, ARTIFACTS};
 use neura_lab::golden;
-use neura_lab::{ArtifactSession, Flags, SCHEMA};
+use neura_lab::{Artifact, Flags, SCHEMA};
+use std::path::PathBuf;
 
 fn usage() -> String {
     let rows = ARTIFACTS.iter().map(|row| format!("\n  {:<9} {}", row.name, row.title));
@@ -30,22 +32,34 @@ fn main() {
         None if name == "--help" || name == "-h" => flags.help(),
         None => flags.bad_usage(&format!("unknown artifact {name:?}")),
     };
-    let args: Vec<String> = flags.by_ref().collect();
-    if name == "all" && args.iter().any(|arg| !arg.starts_with("--")) {
+    // `Some(None)` for a bare `--json`: every row to its default path.
+    let mut json: Option<Option<String>> = None;
+    while let Some(arg) = flags.next() {
+        match arg.as_str() {
+            "--json" => json = Some(flags.optional_path()),
+            "--help" | "-h" => flags.help(),
+            other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
+        }
+    }
+    if name == "all" && matches!(json, Some(Some(_))) {
         flags.bad_usage("`all` writes every artifact to its default path: --json takes no PATH");
     }
 
     for row in selected {
-        let mut session = ArtifactSession::from_arg_list(row.name, args.clone());
-        (row.run)(&mut session);
-        let written = session.finish();
+        let mut artifact = Artifact::new(row.name, 1);
+        (row.run)(&mut artifact);
+        if let Some(path) = &json {
+            let path =
+                path.as_ref().map_or_else(|| Artifact::default_path(row.name), PathBuf::from);
+            artifact.write_or_exit(&path);
+        }
         match row.check {
             Check::None => {}
             Check::Values(goldens) => {
-                golden::check(&written, goldens()).print_and_enforce(row.title);
+                golden::check(&artifact, goldens()).print_and_enforce(row.title);
             }
             Check::Order(order) => {
-                golden::check_order(&written, &order()).print_and_enforce(row.title);
+                golden::check_order(&artifact, &order()).print_and_enforce(row.title);
             }
         }
     }

@@ -86,13 +86,7 @@ fn parse_args() -> Args {
                         (0.0..=1.0).contains(f)
                     }));
             }
-            "--json" => {
-                parsed.json_path = Some(
-                    flags
-                        .optional_path()
-                        .map_or_else(|| Artifact::default_path("profile"), PathBuf::from),
-                );
-            }
+            "--json" => parsed.json_path = Some(flags.artifact_path("profile")),
             "--help" | "-h" => flags.help(),
             other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
         }

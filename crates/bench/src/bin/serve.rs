@@ -52,8 +52,9 @@
 //! - `--lanes L` — split eligible closed-loop scenarios into L independent
 //!   client/shard lanes that replay concurrently (a *scenario parameter*:
 //!   results are thread-count invariant at a fixed lane count)
-//! - `--no-meta` — suppress the wall-clock/engine meta fields in the
-//!   artifact, so byte-comparison across thread counts stays exact
+//! - `--no-meta` — suppress the engine meta fields (epochs, lanes,
+//!   threads) in the artifact, so byte-comparison across thread counts
+//!   stays exact
 //!
 //! Without fleet/dispatch/clients/autoscale flags, three comparison arms
 //! ride along with the classic shard-scaling sweep — a heterogeneous
@@ -76,9 +77,7 @@
 use neura_bench::{exit_wedged, price_class, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED};
 use neura_chip::config::{ChipConfig, TileSize};
 use neura_lab::spec::derive_seed;
-use neura_lab::{
-    fmt, print_table, Artifact, ArtifactSession, Flags, RunRecord, Runner, TIMELINE_SCHEMA,
-};
+use neura_lab::{fmt, print_table, Artifact, Flags, RunRecord, Runner, TIMELINE_SCHEMA};
 use neura_serve::cost::{hybrid_scaled_cycles, CostModel};
 use neura_serve::engine::MAX_EPOCHS;
 use neura_serve::policy::DEFAULT_MAX_BATCH;
@@ -153,7 +152,7 @@ fn usage() -> String {
      \x20                    (merged results are byte-identical to the serial replay)\n\
      --lanes L             split eligible closed-loop scenarios into L parallel\n\
      \x20                    client/shard lanes (a scenario parameter, not a tuning knob)\n\
-     --no-meta             omit wall-clock/engine meta fields from the artifact (exact\n\
+     --no-meta             omit the engine meta fields from the artifact (exact\n\
      \x20                    byte-comparison across thread counts)\n\
      scenario library:"
         .to_string();
@@ -193,7 +192,8 @@ struct Args {
     epochs: Option<usize>,
     lanes: Option<usize>,
     no_meta: bool,
-    passthrough: Vec<String>,
+    /// Where `--json` writes the run artifact.
+    json: Option<PathBuf>,
 }
 
 impl Args {
@@ -310,11 +310,7 @@ impl Args {
     /// are priced, how replays are split, what is written — or a refusal.
     fn take_run_flag(&mut self, arg: &str, flags: &mut Flags) {
         match arg {
-            "--trace" => {
-                let path = flags.optional_path();
-                self.trace =
-                    Some(path.map_or_else(|| Artifact::default_path("timeline"), PathBuf::from));
-            }
+            "--trace" => self.trace = Some(flags.artifact_path("timeline")),
             "--window-ms" => {
                 self.window_ms = Some(flags.parsed(arg, "a positive width", Flags::positive));
             }
@@ -326,11 +322,7 @@ impl Args {
                 self.lanes = Some(flags.parsed(arg, "a positive integer", Flags::at_least_one));
             }
             "--no-meta" => self.no_meta = true,
-            // Only --json [PATH] is forwarded to the artifact session.
-            "--json" => {
-                self.passthrough.push(arg.to_string());
-                self.passthrough.extend(flags.optional_path());
-            }
+            "--json" => self.json = Some(flags.artifact_path("serve")),
             "--help" | "-h" => flags.help(),
             other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
         }
@@ -457,7 +449,7 @@ fn price_classes(
     args: &Args,
     default_arms: bool,
     runner: &Runner,
-    session: &mut ArtifactSession,
+    artifact: &mut Artifact,
 ) -> Pricing {
     // The tile configurations any arm of this run can place shards on.
     let mut tiles: Vec<TileSize> =
@@ -509,7 +501,7 @@ fn price_classes(
         if args.cost_model != CostModel::Cycle {
             record = record.param("cost_model", args.cost_model.name());
         }
-        session.push(record);
+        artifact.push(record);
     }
     Pricing { classes, work, costs }
 }
@@ -765,7 +757,7 @@ fn emit_outcomes(
     duration_s: f64,
     scenarios: &[ServeScenario],
     outcomes: &[(ServeOutcome, Option<Timeline>)],
-    session: &mut ArtifactSession,
+    artifact: &mut Artifact,
 ) -> Artifact {
     let mut timeline_artifact = Artifact::new("serve", 1).with_schema(TIMELINE_SCHEMA);
     let mut rows = Vec::new();
@@ -792,7 +784,7 @@ fn emit_outcomes(
         if args.cost_model != CostModel::Cycle {
             params.push(("cost_model".to_string(), args.cost_model.name().to_string()));
         }
-        session.extend(outcome.records(&scenario.id, &params));
+        artifact.extend(outcome.records(&scenario.id, &params));
         if let Some(timeline) = timeline {
             timeline_artifact.extend(timeline.records(&scenario.id, &params));
         }
@@ -849,10 +841,9 @@ fn print_notes(args: &Args, pricing: &Pricing) {
 fn main() {
     let (mut args, flags) = parse_args();
     let default_arms = check_args(&mut args, &flags);
-    let passthrough = std::mem::take(&mut args.passthrough);
-    let mut session = ArtifactSession::from_arg_list("serve", passthrough);
+    let mut artifact = Artifact::new("serve", 1);
     let runner = Runner::from_env();
-    let pricing = price_classes(&args, default_arms, &runner, &mut session);
+    let pricing = price_classes(&args, default_arms, &runner, &mut artifact);
     let cal = calibrate(&args, default_arms, &pricing);
     let scenarios = enumerate_arms(&args, default_arms, &pricing, &cal);
 
@@ -862,22 +853,22 @@ fn main() {
     let plan = EnginePlan::serial()
         .with_epochs(args.epochs.unwrap_or(1))
         .with_lanes(args.lanes.unwrap_or(1));
-    let sweep_started = std::time::Instant::now();
     let outcomes = replay(&args, &flags, &runner, &pricing, &cal, &scenarios, &plan);
     // Measurement context rides along as document-level meta — never gated
     // (trend diffs records only), and suppressed entirely by --no-meta so
     // CI can byte-compare artifacts across thread counts.
     if !args.no_meta {
-        session.set_meta("sim_wall_s", sweep_started.elapsed().as_secs_f64());
-        session.set_meta("epochs", plan.epochs as f64);
-        session.set_meta("lanes", plan.lanes as f64);
-        session.set_meta("threads", runner.threads() as f64);
+        artifact.set_meta("epochs", plan.epochs as f64);
+        artifact.set_meta("lanes", plan.lanes as f64);
+        artifact.set_meta("threads", runner.threads() as f64);
     }
 
-    let timeline = emit_outcomes(&args, cal.duration_s, &scenarios, &outcomes, &mut session);
+    let timeline = emit_outcomes(&args, cal.duration_s, &scenarios, &outcomes, &mut artifact);
     print_notes(&args, &pricing);
     if let Some(path) = &args.trace {
         timeline.write_or_exit(path);
     }
-    session.finish();
+    if let Some(path) = &args.json {
+        artifact.write_or_exit(path);
+    }
 }

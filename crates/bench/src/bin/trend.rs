@@ -20,10 +20,9 @@
 //! `neura_lab.profile/v1` chip-profile artifacts likewise headline the
 //! per-scope worst-window stall fraction.
 //!
-//! Artifacts carrying wall-clock context as document meta (`sim_wall_s` —
-//! see the serve binary's parallel-engine flags) headline the before/after
-//! wall-clock ratio. Meta is measurement context, never
-//! gated: `--fail-above` only ever fires on record metrics.
+//! Document meta (the engine plan and thread count `serve` records) is
+//! measurement context and is not diffed: `--fail-above` only ever fires
+//! on record metrics.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -89,7 +88,6 @@ fn main() -> ExitCode {
         let report = trend::diff(&b, &a);
         print_report(label, &report);
         print_worst_windows(label, &b, &a);
-        print_wall_clock(label, &b, &a);
         changed_total += report.changed().len();
         one_sided_metrics += report.only_in_before.len() + report.only_in_after.len();
         if let Some(pct) = fail_above {
@@ -234,22 +232,5 @@ fn print_worst_windows(label: &str, before: &Artifact, after: &Artifact) {
                 fmt(*a, 4)
             );
         }
-    }
-}
-
-/// Artifacts from the serve binary's parallel engine carry their sweep
-/// wall-clock as document meta. The before/after ratio is the headline a
-/// serial-vs-parallel comparison is run for, so print it when both sides
-/// carry it — it never participates in `--fail-above` gating (wall time
-/// varies run to run; only record metrics are byte-stable).
-fn print_wall_clock(label: &str, before: &Artifact, after: &Artifact) {
-    if let (Some(b), Some(a)) = (before.meta_value("sim_wall_s"), after.meta_value("sim_wall_s")) {
-        let ratio = if a > 0.0 { b / a } else { f64::INFINITY };
-        println!(
-            "{label}: sim wall clock: {} -> {} s ({}x, not gated)",
-            fmt(b, 4),
-            fmt(a, 4),
-            fmt(ratio, 2)
-        );
     }
 }

@@ -39,8 +39,8 @@ use neura_chip::analytic::{AnalyticModel, WorkloadFeatures};
 use neura_chip::config::{ChipConfig, HbmPreset};
 use neura_lab::spec::derive_seed;
 use neura_lab::{
-    fmt, print_table, ArtifactSession, Evaluation, Flags, Objective, Runner, SweepGrid,
-    TuneOutcome, TuneSpec, Tuner,
+    fmt, print_table, Artifact, Evaluation, Flags, Objective, Runner, SweepGrid, TuneOutcome,
+    TuneSpec, Tuner,
 };
 use neura_serve::cost::CostModel;
 use neura_serve::{
@@ -231,7 +231,7 @@ fn main() {
     let mut objective = Objective::Cycles;
     let mut budget = usize::MAX;
     let mut cost_model = CostModel::default();
-    let mut passthrough: Vec<String> = Vec::new();
+    let mut json_path = None;
 
     let mut flags = Flags::from_env(usage());
     while let Some(arg) = flags.next() {
@@ -246,13 +246,8 @@ fn main() {
             "--cost-model" => {
                 cost_model = flags.known("--cost-model", "cost model", CostModel::parse);
             }
+            "--json" => json_path = Some(flags.artifact_path("tune")),
             "--help" | "-h" => flags.help(),
-            // Only --json [PATH] is forwarded to the artifact session; any
-            // other argument gets *this* binary's usage, not the session's.
-            "--json" => {
-                passthrough.push(arg);
-                passthrough.extend(flags.optional_path());
-            }
             other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
         }
     }
@@ -260,7 +255,7 @@ fn main() {
         datasets = DatasetCatalog::spgemm_suite().iter().map(|d| d.name.to_string()).collect();
     }
 
-    let mut session = ArtifactSession::from_arg_list("tune", passthrough);
+    let mut artifact = Artifact::new("tune", 1);
     let runner = Runner::from_env();
 
     let mut rows = Vec::new();
@@ -286,7 +281,7 @@ fn main() {
             outcome.rungs.len().to_string(),
             outcome.evaluations.to_string(),
         ]);
-        session.extend(outcome.records().iter().cloned());
+        artifact.extend(outcome.records().iter().cloned());
     }
 
     print_table(
@@ -314,5 +309,7 @@ fn main() {
         tune_grid("cora").len(),
     );
 
-    session.finish();
+    if let Some(path) = &json_path {
+        artifact.write_or_exit(path);
+    }
 }

@@ -47,7 +47,8 @@ use neura_chip::analytic::{
     feature_vector, AnalyticModel, GroupCoeffs, WorkloadFeatures, FEATURES,
 };
 use neura_chip::config::{HbmPreset, TileSize};
-use neura_lab::{fmt, print_table, ArtifactSession, Flags, RunRecord, Runner};
+use neura_lab::{fmt, print_table, Artifact, Flags, RunRecord, Runner};
+use std::path::PathBuf;
 
 /// Golden bound on the mean absolute relative error (percent) at paper
 /// scale.
@@ -83,7 +84,7 @@ struct Args {
     frequencies: Vec<f64>,
     fit: bool,
     dump: bool,
-    passthrough: Vec<String>,
+    json_path: Option<PathBuf>,
 }
 
 fn parse_args() -> (Args, Flags) {
@@ -103,12 +104,8 @@ fn parse_args() -> (Args, Flags) {
             }
             "--fit" => parsed.fit = true,
             "--dump" => parsed.dump = true,
+            "--json" => parsed.json_path = Some(flags.artifact_path("xval")),
             "--help" | "-h" => flags.help(),
-            // Only --json [PATH] is forwarded to the artifact session.
-            "--json" => {
-                parsed.passthrough.push(arg);
-                parsed.passthrough.extend(flags.optional_path());
-            }
             other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
         }
     }
@@ -151,8 +148,8 @@ fn main() {
         return fit_and_print(&flags, &cells, &measured);
     }
 
-    let mut session = ArtifactSession::from_arg_list("xval", std::mem::take(&mut args.passthrough));
-    let per_dataset = cell_records(&args, &cells, &measured, &mut session);
+    let mut artifact = Artifact::new("xval", 1);
+    let per_dataset = cell_records(&args, &cells, &measured, &mut artifact);
 
     let mut rows = Vec::new();
     let mut all_errors: Vec<f64> = Vec::new();
@@ -166,7 +163,7 @@ fn main() {
             fmt(mean_abs, 2),
             fmt(worst_abs, 2),
         ]);
-        session.push(
+        artifact.push(
             RunRecord::new(format!("xval/{dataset}/summary"))
                 .metric("cells", errors.len() as f64)
                 .unit_metric("mean_abs_rel_error_pct", mean_abs, "%")
@@ -187,7 +184,7 @@ fn main() {
     } else {
         join(args.grid.tiles.iter().map(|t| t.label()))
     };
-    session.push(
+    artifact.push(
         RunRecord::new("xval/summary")
             .metric("cells", all_errors.len() as f64)
             .metric("datasets", per_dataset.len() as f64)
@@ -218,7 +215,9 @@ fn main() {
         args.grid.shrinks.len(),
     );
 
-    session.finish();
+    if let Some(path) = &args.json_path {
+        artifact.write_or_exit(path);
+    }
     enforce_golden(mean_abs, worst_abs);
 }
 
@@ -266,7 +265,7 @@ fn cell_records(
     args: &Args,
     cells: &[GridCell],
     measured: &[Measured],
-    session: &mut ArtifactSession,
+    artifact: &mut Artifact,
 ) -> Vec<(String, Vec<f64>)> {
     let model = AnalyticModel::calibrated();
     let mut per_dataset: Vec<(String, Vec<f64>)> =
@@ -302,7 +301,7 @@ fn cell_records(
                 "ms",
             );
             record.params = cell.params();
-            session.push(record.param("frequency_ghz", freq));
+            artifact.push(record.param("frequency_ghz", freq));
         }
     }
     per_dataset

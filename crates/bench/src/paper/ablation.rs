@@ -6,15 +6,15 @@
 //! points — fourteen full cycle-level simulations — run concurrently on the
 //! lab's work-stealing runner.
 
-use super::simulate_cora;
+use super::simulate;
 use crate::scaled_matrix_by_name;
 use neura_chip::accelerator::ExecutionReport;
 use neura_chip::config::{ChipConfig, EvictionPolicy};
 use neura_chip::mapping::MappingKind;
-use neura_lab::{fmt, print_table, ArtifactSession, ExperimentSpec, Runner, SweepGrid, SweepPoint};
+use neura_lab::{fmt, print_table, Artifact, ExperimentSpec, Runner, SweepGrid, SweepPoint};
 use neura_sparse::stats::imbalance;
 
-pub(super) fn run(session: &mut ArtifactSession) {
+pub(super) fn run(artifact: &mut Artifact) {
     let a = scaled_matrix_by_name("cora", 4);
 
     // Four sweeps of one axis each, around the paper-default Tile-16 chip.
@@ -35,9 +35,9 @@ pub(super) fn run(session: &mut ArtifactSession) {
     // the fourteen simulations instead of draining each group serially.
     let points: Vec<SweepPoint> = specs.iter().flat_map(ExperimentSpec::points).collect();
     let runner = Runner::from_env();
-    let reports: Vec<ExecutionReport> = runner.run(&points, |_, point| simulate_cora(&a, point));
+    let reports: Vec<ExecutionReport> = runner.run(&points, |_, point| simulate("cora", &a, point));
     for (point, report) in points.iter().zip(&reports) {
-        session.push(point.record().with_execution(report));
+        artifact.push(point.record().with_execution(report));
     }
 
     // One table per ablation: the points whose run IDs start with its name.

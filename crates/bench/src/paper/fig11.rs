@@ -7,10 +7,10 @@ use crate::{exit_wedged, scaled_matrix_by_name};
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::{ChipConfig, TileSize};
 use neura_chip::power::PowerModel;
-use neura_lab::{fmt, print_table, ArtifactSession, ExperimentSpec, Runner, SweepGrid, SweepPoint};
+use neura_lab::{fmt, print_table, Artifact, ExperimentSpec, Runner, SweepGrid, SweepPoint};
 use neura_sparse::gen::feature_matrix;
 
-pub(super) fn run(session: &mut ArtifactSession) {
+pub(super) fn run(artifact: &mut Artifact) {
     let mut a = scaled_matrix_by_name("cora", 4);
     a.row_normalize();
     let x = feature_matrix(a.cols(), 16, 3);
@@ -30,7 +30,7 @@ pub(super) fn run(session: &mut ArtifactSession) {
 
     let power = |point: &SweepPoint| power_model.breakdown(&point.config).total_power_w();
     for (point, report) in &results {
-        session.push(
+        artifact.push(
             point
                 .record()
                 .unit_metric("power_w", power(point), "W")

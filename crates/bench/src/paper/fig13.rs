@@ -11,7 +11,7 @@
 use crate::scaled_matrix_by_name;
 use neura_chip::config::ChipConfig;
 use neura_chip::mapping::{workload_histogram, MappingKind};
-use neura_lab::{fmt, print_table, ArtifactSession, ExperimentSpec, Runner, SweepGrid};
+use neura_lab::{fmt, print_table, Artifact, ExperimentSpec, Runner, SweepGrid};
 use neura_sparse::gen::GraphGenerator;
 use neura_sparse::stats::{gini, imbalance};
 use neura_sparse::{CsrMatrix, DatasetCatalog};
@@ -38,7 +38,7 @@ fn tag_rows(a: &CsrMatrix) -> Vec<Vec<u64>> {
         .collect()
 }
 
-pub(super) fn run(session: &mut ArtifactSession) {
+pub(super) fn run(artifact: &mut Artifact) {
     let runner = Runner::from_env();
 
     let mut names: Vec<String> =
@@ -84,7 +84,7 @@ pub(super) fn run(session: &mut ArtifactSession) {
             max_work.to_string(),
             fmt(*mean_work, 1),
         ]);
-        session.push(
+        artifact.push(
             point
                 .record()
                 .metric("max_over_mean", *max_over_mean)

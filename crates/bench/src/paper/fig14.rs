@@ -6,12 +6,12 @@
 //! instructions per 25-cycle bin) plus the average, which is checked
 //! against `neura_lab::golden::fig14_goldens`.
 
-use super::{simulate_cora, with_bins};
+use super::{simulate, with_bins};
 use crate::scaled_matrix_by_name;
 use neura_chip::config::ChipConfig;
-use neura_lab::{fmt, print_table, ArtifactSession, ExperimentSpec, Runner, SweepGrid};
+use neura_lab::{fmt, print_table, Artifact, ExperimentSpec, Runner, SweepGrid};
 
-pub(super) fn run(session: &mut ArtifactSession) {
+pub(super) fn run(artifact: &mut Artifact) {
     let a = scaled_matrix_by_name("cora", 4);
 
     let spec = ExperimentSpec::new(
@@ -19,7 +19,7 @@ pub(super) fn run(session: &mut ArtifactSession) {
         ChipConfig::tile_16(),
         SweepGrid::new().datasets(["cora"]).mmh_tiles([1, 2, 4, 8]),
     );
-    let results = Runner::from_env().run_spec(&spec, |point| simulate_cora(&a, point));
+    let results = Runner::from_env().run_spec(&spec, |point| simulate("cora", &a, point));
 
     let mut rows = Vec::new();
     let mut labels: Vec<String> = Vec::new();
@@ -33,7 +33,7 @@ pub(super) fn run(session: &mut ArtifactSession) {
         row.extend(percentages.iter().map(|p| fmt(*p, 1)));
         rows.push(row);
         let record = point.record().with_execution(report);
-        session.push(with_bins(record, "cpi_bin", &labels, &percentages));
+        artifact.push(with_bins(record, "cpi_bin", &labels, &percentages));
     }
 
     let lead = ["Instruction", "Avg CPI"];

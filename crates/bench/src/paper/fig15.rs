@@ -4,12 +4,12 @@
 //! The two eviction policies are a `neura_lab` sweep executed in parallel;
 //! the mean latencies are checked against `neura_lab::golden::fig15_goldens`.
 
-use super::{simulate_cora, with_bins};
+use super::{simulate, with_bins};
 use crate::scaled_matrix_by_name;
 use neura_chip::config::{ChipConfig, EvictionPolicy};
-use neura_lab::{fmt, print_table, ArtifactSession, ExperimentSpec, Runner, SweepGrid};
+use neura_lab::{fmt, print_table, Artifact, ExperimentSpec, Runner, SweepGrid};
 
-pub(super) fn run(session: &mut ArtifactSession) {
+pub(super) fn run(artifact: &mut Artifact) {
     let a = scaled_matrix_by_name("cora", 4);
 
     // The HashPad is scaled down with the dataset (the full 2048-line pad of
@@ -24,7 +24,7 @@ pub(super) fn run(session: &mut ArtifactSession) {
             .datasets(["cora"])
             .evictions([EvictionPolicy::Barrier, EvictionPolicy::Rolling]),
     );
-    let results = Runner::from_env().run_spec(&spec, |point| simulate_cora(&a, point));
+    let results = Runner::from_env().run_spec(&spec, |point| simulate("cora", &a, point));
 
     let mut rows = Vec::new();
     let mut labels: Vec<String> = Vec::new();
@@ -48,7 +48,7 @@ pub(super) fn run(session: &mut ArtifactSession) {
         row.extend(percentages.iter().map(|p| fmt(*p, 1)));
         rows.push(row);
         let record = point.record().with_execution(report);
-        session.push(with_bins(record, "latency_bin", &labels, &percentages));
+        artifact.push(with_bins(record, "latency_bin", &labels, &percentages));
     }
 
     let lead = ["Scheme", "Avg latency", "Peak pad occupancy", "Pad-full stalls", "Total cycles"];

@@ -5,16 +5,15 @@
 //! parallel `neura_lab` sweeps over the dataset axis; the geometric-mean
 //! speedups are checked against `neura_lab::golden::fig16_goldens`.
 
-use super::speedup_table;
+use super::{simulate, speedup_table};
 use crate::{catalog_dataset, scaled_matrix, scaled_matrix_by_name, MODEL_SCALE, SIM_SCALE};
 use neura_baselines::spgemm::{geometric_mean, SpgemmModel, SpgemmPlatform};
 use neura_baselines::WorkloadProfile;
-use neura_chip::accelerator::Accelerator;
 use neura_chip::config::ChipConfig;
-use neura_lab::{fmt, print_table, ArtifactSession, ExperimentSpec, Runner, SweepGrid};
+use neura_lab::{fmt, print_table, Artifact, ExperimentSpec, Runner, SweepGrid};
 use neura_sparse::DatasetCatalog;
 
-pub(super) fn run(session: &mut ArtifactSession) {
+pub(super) fn run(artifact: &mut Artifact) {
     let runner = Runner::from_env();
 
     let baselines = SpgemmPlatform::FIGURE16_BASELINES;
@@ -40,7 +39,7 @@ pub(super) fn run(session: &mut ArtifactSession) {
     });
 
     speedup_table(
-        session,
+        artifact,
         "Figure 16: NeuraChip Tile-16 speedup over each platform",
         &baselines.map(|b| b.name()),
         &results,
@@ -65,33 +64,25 @@ pub(super) fn run(session: &mut ArtifactSession) {
         let name = point.dataset.as_deref().expect("grid has a dataset axis");
         let dataset = catalog_dataset(name);
         let a = scaled_matrix(&dataset, SIM_SCALE.max(dataset.nodes / 2_000));
-        let mut chip = Accelerator::new(point.config.clone());
-        let run = chip.run_spgemm(&a, &a);
-        (a.rows(), a.nnz(), run.map(|r| r.report))
+        (a.rows(), a.nnz(), simulate(name, &a, point))
     });
     let mut sim_rows = Vec::new();
     for (point, (nodes, edges, report)) in &sim_results {
-        let name = point.dataset.clone().expect("dataset axis");
-        match report {
-            Ok(report) => {
-                sim_rows.push(vec![
-                    name,
-                    nodes.to_string(),
-                    edges.to_string(),
-                    report.total_cycles.to_string(),
-                    fmt(report.gops, 2),
-                    fmt(report.core_utilization * 100.0, 1),
-                ]);
-                session.push(
-                    point
-                        .record()
-                        .metric("sim_nodes", *nodes as f64)
-                        .metric("sim_edges", *edges as f64)
-                        .with_execution(report),
-                );
-            }
-            Err(e) => sim_rows.push(vec![name, format!("simulation failed: {e}")]),
-        }
+        sim_rows.push(vec![
+            point.dataset.clone().expect("dataset axis"),
+            nodes.to_string(),
+            edges.to_string(),
+            report.total_cycles.to_string(),
+            fmt(report.gops, 2),
+            fmt(report.core_utilization * 100.0, 1),
+        ]);
+        artifact.push(
+            point
+                .record()
+                .metric("sim_nodes", *nodes as f64)
+                .metric("sim_edges", *edges as f64)
+                .with_execution(report),
+        );
     }
     print_table(
         "Simulated Tile-16 runs",

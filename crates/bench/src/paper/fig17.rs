@@ -5,19 +5,19 @@
 //! `neura_lab::golden::fig17_goldens`.
 
 use super::speedup_table;
-use crate::{scaled_matrix, scaled_matrix_by_name};
+use crate::{exit_wedged, scaled_matrix, scaled_matrix_by_name};
 use neura_baselines::gnn::{speedup_over, GnnModel, GnnPlatform};
 use neura_baselines::WorkloadProfile;
 use neura_chip::accelerator::Accelerator;
-use neura_chip::config::ChipConfig;
+use neura_chip::config::{ChipConfig, TileSize};
 use neura_chip::gcn::run_gcn_layer;
-use neura_lab::{ArtifactSession, ExperimentSpec, RunRecord, Runner, SweepGrid};
+use neura_lab::{Artifact, ExperimentSpec, RunRecord, Runner, SweepGrid};
 use neura_sparse::gen::{feature_matrix, weight_matrix};
 use neura_sparse::DatasetCatalog;
 
 const HIDDEN_DIM: usize = 64;
 
-pub(super) fn run(session: &mut ArtifactSession) {
+pub(super) fn run(artifact: &mut Artifact) {
     let runner = Runner::from_env();
 
     let baselines = GnnPlatform::FIGURE17_BASELINES;
@@ -41,7 +41,7 @@ pub(super) fn run(session: &mut ArtifactSession) {
     });
 
     speedup_table(
-        session,
+        artifact,
         "Figure 17: NeuraChip Tile-16 speedup over GNN accelerators (GCN layer)",
         &baselines.map(|b| b.name()),
         &results,
@@ -57,22 +57,19 @@ pub(super) fn run(session: &mut ArtifactSession) {
     let x = feature_matrix(a.cols(), 32, 11);
     let w = weight_matrix(32, 16, 12);
     let mut chip = Accelerator::new(ChipConfig::tile_16());
-    match run_gcn_layer(&mut chip, &a, &x, &w) {
-        Ok(run) => {
-            let layer = &run.breakdown;
-            println!("\nSimulated GCN layer on the Cora analog (Tile-16):");
-            println!("  aggregation cycles : {}", layer.aggregation_cycles);
-            println!("  combination cycles : {}", layer.combination_cycles);
-            println!("  layer GFLOP/s      : {:.2}", layer.gops);
-            session.push(
-                RunRecord::new("fig17/sim/cora")
-                    .param("dataset", "cora")
-                    .param("tile", "Tile-16")
-                    .unit_metric("aggregation_cycles", layer.aggregation_cycles as f64, "cycles")
-                    .unit_metric("combination_cycles", layer.combination_cycles as f64, "cycles")
-                    .unit_metric("gops", layer.gops, "GFLOP/s"),
-            );
-        }
-        Err(e) => println!("\nSimulated GCN layer failed: {e}"),
-    }
+    let run = run_gcn_layer(&mut chip, &a, &x, &w)
+        .unwrap_or_else(|e| exit_wedged("paper", "cora", TileSize::Tile16, None, &e));
+    let layer = &run.breakdown;
+    println!("\nSimulated GCN layer on the Cora analog (Tile-16):");
+    println!("  aggregation cycles : {}", layer.aggregation_cycles);
+    println!("  combination cycles : {}", layer.combination_cycles);
+    println!("  layer GFLOP/s      : {:.2}", layer.gops);
+    artifact.push(
+        RunRecord::new("fig17/sim/cora")
+            .param("dataset", "cora")
+            .param("tile", "Tile-16")
+            .unit_metric("aggregation_cycles", layer.aggregation_cycles as f64, "cycles")
+            .unit_metric("combination_cycles", layer.combination_cycles as f64, "cycles")
+            .unit_metric("gops", layer.gops, "GFLOP/s"),
+    );
 }

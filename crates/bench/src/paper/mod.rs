@@ -2,9 +2,12 @@
 //! reproduction regenerates is one module here — its spec, its rows, its
 //! records — and one [`Row`] of [`ARTIFACTS`]. The `paper` binary drives
 //! them: `cargo run --release -p neura_bench --bin paper -- <name>` (add
-//! `--json [PATH]` for a machine-readable artifact) opens the session, calls
-//! the row's `run`, writes the artifact and enforces the row's [`Check`].
-//! Every row runs at paper scale, so every check is strict.
+//! `--json [PATH]` for a machine-readable artifact) reads the command line
+//! once, hands the row's `run` an empty [`Artifact`] to fill, writes it
+//! through [`Artifact::write_or_exit`] and enforces the row's [`Check`].
+//! Every row runs at paper scale, so every check is strict, and a
+//! supporting simulation that wedges ends the run through
+//! [`exit_wedged`].
 
 mod ablation;
 mod fig11;
@@ -24,7 +27,7 @@ use neura_lab::golden::{
     self, fig14_goldens, fig15_goldens, fig16_goldens, fig17_goldens, table1_bloat_order,
     table5_goldens, Golden, OrderGolden,
 };
-use neura_lab::{fmt, print_table, ArtifactSession, RunRecord, SweepPoint};
+use neura_lab::{fmt, print_table, Artifact, RunRecord, SweepPoint};
 use neura_sparse::CsrMatrix;
 use Check::{Order, Values};
 
@@ -35,8 +38,9 @@ pub struct Row {
     pub name: &'static str,
     /// What the paper calls it — the heading of its golden report.
     pub title: &'static str,
-    /// Simulates, prints the tables and pushes the records.
-    pub run: fn(&mut ArtifactSession),
+    /// Simulates, prints the tables and pushes the records into the
+    /// artifact the `paper` binary then writes and checks.
+    pub run: fn(&mut Artifact),
     /// What the written artifact is held to.
     pub check: Check,
 }
@@ -67,13 +71,13 @@ pub const ARTIFACTS: &[Row] = &[
     Row { name: "ablation", title: "Section 3 ablations", run: ablation::run, check: Check::None },
 ];
 
-/// Simulates `a · a` for one point of a Cora-analog sweep (Figures 14 and
-/// 15, the ablations), or exits on a wedged run with its one-line
+/// Simulates `a · a`, the analog of `dataset`, at one sweep point (Figures
+/// 14 to 16, the ablations), or exits on a wedged run with its one-line
 /// complaint.
-fn simulate_cora(a: &CsrMatrix, point: &SweepPoint) -> ExecutionReport {
+fn simulate(dataset: &str, a: &CsrMatrix, point: &SweepPoint) -> ExecutionReport {
     Accelerator::new(point.config.clone())
         .run_spgemm(a, a)
-        .unwrap_or_else(|e| exit_wedged("paper", "cora", point.config.tile_size, None, &e))
+        .unwrap_or_else(|e| exit_wedged("paper", dataset, point.config.tile_size, None, &e))
         .report
 }
 
@@ -90,7 +94,7 @@ fn with_bins(record: RunRecord, prefix: &str, labels: &[String], percentages: &[
 /// its speedups over `baselines`, closed by the `mean` of every column as
 /// the `label` row and the `mean_id` record.
 fn speedup_table(
-    session: &mut ArtifactSession,
+    artifact: &mut Artifact,
     title: &str,
     baselines: &[&str],
     results: &[(SweepPoint, Vec<f64>)],
@@ -109,7 +113,7 @@ fn speedup_table(
             record = record.unit_metric(golden::slugify(name), *speedup, "x");
         }
         rows.push(row);
-        session.push(record);
+        artifact.push(record);
     }
     let mut mean_row = vec![label.to_string()];
     let mut mean_record = RunRecord::new(mean_id);
@@ -119,7 +123,7 @@ fn speedup_table(
         mean_record = mean_record.unit_metric(golden::slugify(name), value, "x");
     }
     rows.push(mean_row);
-    session.push(mean_record);
+    artifact.push(mean_record);
     let headers: Vec<&str> = ["Dataset"].into_iter().chain(baselines.iter().copied()).collect();
     print_table(title, &headers, &rows);
 }

@@ -7,10 +7,10 @@
 //! order (`neura_lab::golden::table1_bloat_order`).
 
 use crate::{scaled_matrix, MODEL_SCALE};
-use neura_lab::{fmt, print_table, ArtifactSession, RunRecord, Runner};
+use neura_lab::{fmt, print_table, Artifact, RunRecord, Runner};
 use neura_sparse::{spgemm, DatasetCatalog};
 
-pub(super) fn run(session: &mut ArtifactSession) {
+pub(super) fn run(artifact: &mut Artifact) {
     let datasets = DatasetCatalog::spgemm_suite();
     let analyses = Runner::from_env().run(&datasets, |_, dataset| {
         let a = scaled_matrix(dataset, MODEL_SCALE);
@@ -38,7 +38,7 @@ pub(super) fn run(session: &mut ArtifactSession) {
         if let Some(paper) = dataset.paper_bloat_percent {
             record = record.unit_metric("bloat_percent_paper", paper, "%");
         }
-        session.push(record);
+        artifact.push(record);
     }
     print_table(
         "Table 1: SpGEMM memory bloat (synthetic analogs, scaled)",

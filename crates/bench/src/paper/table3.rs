@@ -1,9 +1,9 @@
 //! Tables 2 and 3 — per-component and whole-chip configuration parameters.
 
 use neura_chip::config::{ChipConfig, TileSize};
-use neura_lab::{fmt, print_table, ArtifactSession, RunRecord};
+use neura_lab::{fmt, print_table, Artifact, RunRecord};
 
-pub(super) fn run(session: &mut ArtifactSession) {
+pub(super) fn run(artifact: &mut Artifact) {
     let configs: Vec<ChipConfig> =
         TileSize::ALL.iter().map(|t| ChipConfig::for_tile_size(*t)).collect();
 
@@ -51,7 +51,7 @@ pub(super) fn run(session: &mut ArtifactSession) {
     );
 
     for config in &configs {
-        session.push(
+        artifact.push(
             RunRecord::new(format!(
                 "table3/{}",
                 neura_lab::golden::slugify(config.tile_size.name())

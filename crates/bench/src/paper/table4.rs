@@ -3,9 +3,9 @@
 use neura_chip::config::TileSize;
 use neura_chip::power::table4_reference;
 use neura_lab::golden::slugify;
-use neura_lab::{fmt, print_table, ArtifactSession, RunRecord};
+use neura_lab::{fmt, print_table, Artifact, RunRecord};
 
-pub(super) fn run(session: &mut ArtifactSession) {
+pub(super) fn run(artifact: &mut Artifact) {
     let mut area_rows = Vec::new();
     let mut power_rows = Vec::new();
     for tile in TileSize::ALL {
@@ -26,7 +26,7 @@ pub(super) fn run(session: &mut ArtifactSession) {
             fmt(b.memory_controller.power_w, 2),
             fmt(b.total_power_w(), 2),
         ]);
-        session.push(
+        artifact.push(
             RunRecord::new(format!("table4/{}", slugify(tile.name())))
                 .param("tile", tile.name())
                 .unit_metric("neuracore_area_mm2", b.neuracore.area_mm2, "mm^2")

@@ -10,10 +10,10 @@ use crate::{scaled_matrix, MODEL_SCALE};
 use neura_baselines::spgemm::{geometric_mean, SpgemmModel, SpgemmPlatform};
 use neura_baselines::WorkloadProfile;
 use neura_lab::golden::slugify;
-use neura_lab::{fmt, print_table, ArtifactSession, RunRecord, Runner};
+use neura_lab::{fmt, print_table, Artifact, RunRecord, Runner};
 use neura_sparse::DatasetCatalog;
 
-pub(super) fn run(session: &mut ArtifactSession) {
+pub(super) fn run(artifact: &mut Artifact) {
     // Modeled throughput over the common (Table 1) matrix suite; profile
     // construction (graph generation + SpGEMM analysis) fans out over the
     // runner, the per-platform estimates are cheap arithmetic.
@@ -77,7 +77,7 @@ pub(super) fn run(session: &mut ArtifactSession) {
         if let Some(e) = spec.area_efficiency() {
             record = record.unit_metric("gops_per_mm2", e, "GOP/s/mm^2");
         }
-        session.push(record);
+        artifact.push(record);
     }
     print_table(
         "Table 5: SpGEMM accelerator comparison",

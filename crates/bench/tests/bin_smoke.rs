@@ -39,8 +39,8 @@ use neura_lab::{parse_json, Artifact, RunRecord, Runner};
 #[derive(Debug, Clone, Copy)]
 enum Pin {
     /// The artifact of this `bin` that the row's `--json <label>.json`
-    /// wrote: parsed, its wall-clock `meta` cleared, and serialised again
-    /// through `Artifact::to_bytes`.
+    /// wrote: parsed, its `meta` (the engine plan and thread count)
+    /// cleared, and serialised again through `Artifact::to_bytes`.
     Artifact(&'static str),
     /// The bytes on stdout, for a tool whose product is what it prints.
     Stdout,
@@ -227,8 +227,8 @@ const READERS: [Invocation; 2] = [
          --max-recovery-ms 1e9 --min-window-slo 0",
         0x15b5bba2842f7c65,
     ),
-    // `tune` writes no wall-clock meta, so a self-diff prints the same
-    // line every time.
+    // `tune` writes no meta, so a self-diff prints the same line every
+    // time.
     ("trend-self", TREND, Pin::Stdout, "tune.json tune.json --fail-above 0", 0x872a348e6f931b4b),
 ];
 
@@ -697,8 +697,8 @@ fn launch_all<const N: usize>(dir: &Path, launches: [Launch; N]) -> [String; N] 
 /// The artifact of a plain `serve --no-meta` at two worker threads: the
 /// reference the serve variants of four tests are held to, launched once
 /// by whichever test asks first. `--no-meta` goes on every byte-compared
-/// serve run: it strips the wall-clock meta block, the one intentionally
-/// non-deterministic part.
+/// serve run: it strips the meta block, whose `threads` is the one part
+/// that varies with the worker count.
 fn plain_serve() -> &'static str {
     static PLAIN: OnceLock<String> = OnceLock::new();
     PLAIN.get_or_init(|| {
@@ -1009,8 +1009,8 @@ fn a_timeline_window_too_narrow_for_the_horizon_exits_2() {
 /// from its command line — a stream, a client population, a fleet, a crash
 /// count, an epoch count — when they pass what a replay may allocate; so
 /// does `xval --fit` on a grid it cannot fit; and so does `paper` for a
-/// name its table lacks, a stray flag after a name, and one `--json` path
-/// for all eleven artifacts. The one environment knob, `NEURA_LAB_THREADS`,
+/// name its table lacks, a stray flag or a second path after a name, and
+/// one `--json` path for all eleven artifacts. The one environment knob, `NEURA_LAB_THREADS`,
 /// is held to the same exit when set to something that is not a positive
 /// integer.
 #[test]
@@ -1022,6 +1022,7 @@ fn malformed_command_lines_exit_2_with_the_usage_text() {
                 (vec!["nosuch"], "unknown artifact \"nosuch\"".to_string()),
                 (vec!["table1", "--no-such-flag"], stray),
                 (vec!["all", "--json", "some/path"], "`all` writes every artifact to".into()),
+                (vec!["table1", "--json", "a", "b"], "unrecognised argument \"b\"".into()),
             ]
         } else {
             vec![

@@ -36,15 +36,27 @@
 //! between runs show up as numbers (the `trend` binary adds a
 //! `--fail-above` threshold on top).
 //!
-//! Binaries tie the stages together with an [`ArtifactSession`], which owns
-//! the `--json [path]` command-line contract:
+//! Binaries tie the stages together: each reads its flags once with
+//! [`Flags`], `--json [PATH]` included, builds one [`Artifact`] and writes
+//! it through [`Artifact::write_or_exit`], the one place an artifact is
+//! written:
 //!
 //! ```no_run
-//! use neura_lab::{ArtifactSession, RunRecord};
+//! use neura_lab::{Artifact, Flags, RunRecord};
 //!
-//! let mut session = ArtifactSession::from_arg_list("demo", std::env::args().skip(1));
-//! session.push(RunRecord::new("demo/point").metric("total_cycles", 1234.0));
-//! session.finish(); // writes target/artifacts/demo.json when --json was given
+//! let mut json_path = None;
+//! let mut flags = Flags::from_env("usage: demo [--json [PATH]]");
+//! while let Some(arg) = flags.next() {
+//!     match arg.as_str() {
+//!         "--json" => json_path = Some(flags.artifact_path("demo")),
+//!         other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
+//!     }
+//! }
+//! let mut artifact = Artifact::new("demo", 1);
+//! artifact.push(RunRecord::new("demo/point").metric("total_cycles", 1234.0));
+//! if let Some(path) = &json_path {
+//!     artifact.write_or_exit(path); // target/artifacts/demo.json for a bare --json
+//! }
 //! ```
 
 #![warn(missing_docs)]
@@ -143,6 +155,12 @@ impl Flags {
         self.args.next_if(|next| !next.starts_with("--"))
     }
 
+    /// Where a `--json [PATH]`-style flag sends its artifact: the flag's
+    /// optional value, or `target/artifacts/<stem>.json` without one.
+    pub fn artifact_path(&mut self, stem: &str) -> PathBuf {
+        self.optional_path().map_or_else(|| Artifact::default_path(stem), PathBuf::from)
+    }
+
     /// Prints `message` and the usage text on stderr and exits with code 2.
     pub fn bad_usage(&self, message: &str) -> ! {
         eprintln!("{message}\n{}", self.usage);
@@ -179,124 +197,40 @@ impl Iterator for Flags {
     }
 }
 
-/// A binary's artifact under construction plus the `--json` destination
-/// parsed from its command line.
-///
-/// Accepted arguments (what follows the name in `paper <artifact>`; the
-/// tools read their own flags and pass only `--json [PATH]` through):
-///
-/// - `--json` — emit the artifact to `target/artifacts/<bin>.json`
-/// - `--json <path>` — emit the artifact to an explicit path
-/// - `--help` / `-h` — print usage and exit
-#[derive(Debug)]
-pub struct ArtifactSession {
-    artifact: Artifact,
-    json_path: Option<PathBuf>,
-}
-
-impl ArtifactSession {
-    /// Parses `args` and opens a session for `bin`.
-    ///
-    /// Exits the process with code 2 (and a usage message on stderr) on an
-    /// unrecognised argument, and with code 0 on `--help`.
-    pub fn from_arg_list(bin: &str, args: impl IntoIterator<Item = String>) -> Self {
-        let mut json_path = None;
-        let mut flags = Flags::new(Self::usage(bin), args);
-        while let Some(arg) = flags.next() {
-            match arg.as_str() {
-                "--json" => {
-                    json_path = Some(
-                        flags
-                            .optional_path()
-                            .map_or_else(|| Artifact::default_path(bin), PathBuf::from),
-                    );
-                }
-                "--help" | "-h" => flags.help(),
-                other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
-            }
-        }
-        ArtifactSession { artifact: Artifact::new(bin, 1), json_path }
-    }
-
-    fn usage(bin: &str) -> String {
-        format!(
-            "usage: paper {bin} [--json [PATH]]\n\
-             \n\
-             --json [PATH]  write a machine-readable artifact ({SCHEMA}) to PATH\n\
-             \x20              (default: {default})",
-            SCHEMA = report::SCHEMA,
-            default = Artifact::default_path(bin).display(),
-        )
-    }
-
-    /// Appends one record.
-    pub fn push(&mut self, record: RunRecord) {
-        self.artifact.push(record);
-    }
-
-    /// Appends many records.
-    pub fn extend(&mut self, records: impl IntoIterator<Item = RunRecord>) {
-        self.artifact.extend(records);
-    }
-
-    /// Sets one document-level meta value (measurement context such as
-    /// wall-clock time — carried in the artifact but never gated, see
-    /// [`Artifact::set_meta`]).
-    pub fn set_meta(&mut self, key: impl Into<String>, value: f64) {
-        self.artifact.set_meta(key, value);
-    }
-
-    /// Writes the artifact (when `--json` was requested, through
-    /// [`Artifact::write_or_exit`]) and returns it, so the caller can hand
-    /// it to [`golden::check`].
-    pub fn finish(self) -> Artifact {
-        if let Some(path) = &self.json_path {
-            println!();
-            self.artifact.write_or_exit(path);
-        }
-        self.artifact
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn no_args_means_no_json_emission() {
-        let session = ArtifactSession::from_arg_list("demo", strings(&[]));
-        assert_eq!(session.json_path.as_deref(), None);
-        assert_eq!(session.artifact.bin, "demo");
+    fn flags(args: &[&str]) -> Flags {
+        Flags::new("usage: demo", args.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn bare_json_flag_uses_the_default_path() {
-        let session = ArtifactSession::from_arg_list("demo", strings(&["--json"]));
-        assert_eq!(session.json_path.as_deref(), Some(Artifact::default_path("demo").as_path()));
+        let mut flags = flags(&["--json", "--no-meta"]);
+        assert_eq!(flags.next().as_deref(), Some("--json"));
+        assert_eq!(flags.artifact_path("demo"), Artifact::default_path("demo"));
+        assert_eq!(flags.next().as_deref(), Some("--no-meta"));
+        assert_eq!(flags.next(), None);
     }
 
     #[test]
     fn json_flag_accepts_an_explicit_path() {
-        let session = ArtifactSession::from_arg_list("demo", strings(&["--json", "/tmp/out.json"]));
-        assert_eq!(session.json_path.as_deref(), Some(std::path::Path::new("/tmp/out.json")));
-        assert_eq!(session.artifact.scale_mult, 1);
+        let mut flags = flags(&["--json", "out/run.json"]);
+        assert_eq!(flags.next().as_deref(), Some("--json"));
+        assert_eq!(flags.artifact_path("demo"), PathBuf::from("out/run.json"));
+        assert_eq!(flags.next(), None);
     }
 
     #[test]
-    fn finish_round_trips_through_the_parser() {
-        let dir = std::env::temp_dir().join(format!("neura_lab_session_{}", std::process::id()));
+    fn write_or_exit_round_trips_through_the_parser() {
+        let dir = std::env::temp_dir().join(format!("neura_lab_write_{}", std::process::id()));
         let path = dir.join("demo.json");
-        let mut session =
-            ArtifactSession::from_arg_list("demo", strings(&["--json", path.to_str().unwrap()]));
-        session.push(RunRecord::new("demo/a").metric("m", 1.5));
-        let artifact = session.finish();
+        let mut artifact = Artifact::new("demo", 1);
+        artifact.push(RunRecord::new("demo/a").metric("m", 1.5));
+        artifact.write_or_exit(&path);
         let text = std::fs::read_to_string(&path).unwrap();
-        let parsed = Artifact::from_json(&parse_json(&text).unwrap()).unwrap();
-        assert_eq!(parsed, artifact);
+        assert_eq!(Artifact::from_json(&parse_json(&text).unwrap()).unwrap(), artifact);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -678,9 +678,10 @@ pub struct Artifact {
     /// which [`crate::trend`] warns about).
     pub scale_mult: usize,
     /// Document-level metadata in insertion order — measurement context
-    /// (wall-clock, parallelism) that is *not* gated: `trend` diffs only
-    /// [`Self::records`], so meta may vary run to run (wall-clock time
-    /// does) without breaking byte-identity gates on the records.
+    /// (the engine plan and thread count a run used) that is *not* gated:
+    /// `trend` diffs only [`Self::records`], so meta may vary run to run
+    /// (the thread count does) without breaking byte-identity gates on the
+    /// records.
     pub meta: Vec<(String, f64)>,
     /// All records, in emission order.
     pub records: Vec<RunRecord>,
@@ -705,11 +706,6 @@ impl Artifact {
             Some(entry) => entry.1 = value,
             None => self.meta.push((key, value)),
         }
-    }
-
-    /// Reads one document-level meta value.
-    pub fn meta_value(&self, key: &str) -> Option<f64> {
-        self.meta.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
     }
 
     /// Retags the artifact with a different schema (builder style) — used
@@ -877,15 +873,16 @@ impl Artifact {
         std::fs::write(path, self.to_bytes())
     }
 
-    /// [`Self::write`] for a binary's `main`: reports the written file on
-    /// stdout, or complains on stderr and exits with code 1 — a silently
+    /// [`Self::write`] for a binary's `main`, and the one place every tool
+    /// writes an artifact: reports the written file on stdout after a blank
+    /// line, or complains on stderr and exits with code 1 — a silently
     /// dropped artifact would defeat the whole point of the subsystem.
     pub fn write_or_exit(&self, path: &Path) {
         if let Err(e) = self.write(path) {
             eprintln!("failed to write artifact {}: {e}", path.display());
             std::process::exit(1);
         }
-        println!("wrote {} ({} records)", path.display(), self.records.len());
+        println!("\nwrote {} ({} records)", path.display(), self.records.len());
     }
 }
 

@@ -88,7 +88,7 @@ serve:
 
 # Parallel-in-time serving engine checks: the default sweep replayed as 3
 # epoch fragments on 2 and 8 workers must reproduce the serial artifact
-# byte for byte (--no-meta strips the wall-clock meta so cmp is exact);
+# byte for byte (--no-meta strips the thread-count meta so cmp is exact);
 # and the serial artifact is additionally gated byte-for-byte against
 # the committed baseline (re-baseline deliberately with
 # `just serve-rebaseline`).

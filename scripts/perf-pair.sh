@@ -19,16 +19,15 @@
 # win) and its median moved the better way by more than the parent's IQR,
 # `regression` when its median is worse than the parent's by more than the
 # metric's BENCHMARK.json bound, `unresolved` otherwise. Then, from the
-# traced runs, each side's median and min–max of `chip.profiled.overhead`
-# (the chip loop's observer seam: it moves by less than any filter, so it
-# always prints) and of every per-layer row of BENCHMARK.json that is
-# non-zero on the parent, whose medians differ by more than 10 % and whose
-# two ranges do not overlap — five runs a side, so a pointer to where the
-# saving appeared, not a measurement of it: the heading says how many rows
-# were examined, and two ranges of five runs fail to overlap by chance
-# for about 1 row in 126 (2 of the C(10, 5) = 252 ways to split ten
-# exchangeable runs; three a side made it 1 in 10). Exits non-zero when a
-# pair's sim_digest differs between the sides or an operation failed.
+# traced runs, each side's median and min–max of every per-layer row of
+# BENCHMARK.json that is non-zero on the parent, whose medians differ by
+# more than 10 % and whose two ranges do not overlap — five runs a side,
+# so a pointer to where the saving appeared, not a measurement of it: the
+# heading says how many rows were examined, and two ranges of five runs
+# fail to overlap by chance for about 1 row in 126 (2 of the C(10, 5) =
+# 252 ways to split ten exchangeable runs; three a side made it 1 in 10).
+# Exits non-zero when a pair's sim_digest differs between the sides or an
+# operation failed.
 #
 # With --json PATH it also writes those tables to PATH as a
 # neura_lab.artifact/v1 document (the BENCH_*.json ledger at the repo
@@ -201,7 +200,7 @@ for workload in workloads:
             continue
         examined += 1
         moved = abs(cm / pm - 1) > 0.10 and (chi < plo or clo > phi)
-        if not (name == "chip.profiled.overhead" or moved):
+        if not moved:
             continue
         rows.append(f"| {workload} | {name} | {unit} | {metric['better']} "
                     f"| {pm:.6g} ({plo:.6g}–{phi:.6g}) | {cm:.6g} ({clo:.6g}–{chi:.6g}) "
@@ -215,8 +214,8 @@ for workload in workloads:
 # land wholly below or wholly above the other's in 2 of the C(2n, n) ways
 # to split the ranks into two halves.
 chance = 2 / math.comb(2 * traced_runs, traced_runs)
-print(f"\n`chip.profiled.overhead` and every non-zero per-layer row whose medians differ by more "
-      f"than 10 % and whose min–max ranges do not overlap ({traced_runs} alternating `--trace 1` "
+print(f"\nEvery non-zero per-layer row whose medians differ by more than 10 % "
+      f"and whose min–max ranges do not overlap ({traced_runs} alternating `--trace 1` "
       f"runs per side and workload, seed {pairs}). {examined} rows were examined; with "
       f"{traced_runs} runs a side, two ranges fail to overlap by chance for about 1 row in "
       f"{1 / chance:.0f}, so up to about {examined * chance:.0f} rows may print with nothing "
