@@ -28,20 +28,6 @@ pub struct GnnEstimate {
     pub gflops: f64,
 }
 
-/// A platform able to estimate GCN-layer execution time.
-pub trait GnnModel: std::fmt::Debug {
-    /// Platform name as used in Figure 17.
-    fn name(&self) -> &'static str;
-    /// Estimates one GCN layer: `aggregation` profiles `A × X`, and
-    /// `in_features`/`out_features` describe the combination GEMM.
-    fn estimate(
-        &self,
-        aggregation: &WorkloadProfile,
-        in_features: usize,
-        out_features: usize,
-    ) -> GnnEstimate;
-}
-
 /// The GNN accelerators compared in Figure 17, plus NeuraChip itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum GnnPlatform {
@@ -86,10 +72,9 @@ impl GnnPlatform {
             GnnPlatform::NeuraChip => 0.140,
         }
     }
-}
 
-impl GnnModel for GnnPlatform {
-    fn name(&self) -> &'static str {
+    /// Platform name as used in Figure 17.
+    pub fn name(&self) -> &'static str {
         match self {
             GnnPlatform::EnGn => "EnGN",
             GnnPlatform::Grow => "GROW",
@@ -99,7 +84,9 @@ impl GnnModel for GnnPlatform {
         }
     }
 
-    fn estimate(
+    /// Estimates one GCN layer: `aggregation` profiles `A × X`, and
+    /// `in_features`/`out_features` describe the combination GEMM.
+    pub fn estimate(
         &self,
         aggregation: &WorkloadProfile,
         in_features: usize,

@@ -29,7 +29,7 @@ pub mod spec;
 pub mod spgemm;
 mod workload;
 
-pub use gnn::{GnnModel, GnnPlatform};
+pub use gnn::GnnPlatform;
 pub use spec::PlatformSpec;
 pub use spgemm::{PlatformEstimate, SpgemmModel, SpgemmPlatform};
 pub use workload::WorkloadProfile;

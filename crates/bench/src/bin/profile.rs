@@ -9,8 +9,8 @@
 //! (operand fetch / HashPad full / NoC backpressure / dispatch
 //! starvation), the exact NoC hop distribution and the DRAM-latency
 //! percentiles. Every profile is checked against its conservation
-//! invariants (taxonomy buckets sum to the stall cycles; busy + stall +
-//! idle covers `cores × total_cycles` exactly), and the run is
+//! invariant (each window's busy + stall + idle covers its cores and
+//! cycles exactly, and the windows cover at most the run), and the run is
 //! thread-count invariant: `NEURA_LAB_THREADS=2` and `=8` produce byte
 //! identical artifacts.
 //!
@@ -179,8 +179,8 @@ fn main() {
     enforce_gates(&cells, &profiles, &violations, args.max_stall_frac);
 }
 
-/// The gates: conservation holds by construction, so any violation fails
-/// the run; `--max-stall-frac` bounds the worst window of every cell.
+/// The gates: a timeline that does not cover its run fails the run, and
+/// `--max-stall-frac` bounds the worst window of every cell.
 fn enforce_gates(
     cells: &[GridCell],
     profiles: &[Profile],
@@ -222,7 +222,7 @@ fn enforce_gates(
 fn dominant_cause(profile: &Profile) -> &'static str {
     StallCause::ALL
         .into_iter()
-        .max_by_key(|&cause| profile.stall_by_cause(cause))
+        .max_by_key(|&cause| profile.total(|w| w.stall_by_cause(cause)))
         .expect("four causes")
         .name()
 }
@@ -235,13 +235,13 @@ fn print_attribution(cell: &GridCell, profile: &Profile) {
         .iter()
         .enumerate()
         .map(|(w, window)| {
-            let total = (window.busy + window.stall + window.idle).max(1) as f64;
+            let total = (window.busy + window.stall() + window.idle).max(1) as f64;
             let mut row = vec![
                 w.to_string(),
                 window.start_cycle.to_string(),
                 window.cycles.to_string(),
                 fmt(window.busy as f64 / total, 3),
-                fmt(window.stall as f64 / total, 3),
+                fmt(window.stall() as f64 / total, 3),
                 fmt(window.idle as f64 / total, 3),
             ];
             for cause in StallCause::ALL {

@@ -41,6 +41,8 @@
 //!   nnz coefficient clamped non-negative — the monotonicity guarantee).
 //!   Fitting defaults to shrinks 1, 2, 4, 8 so the model also covers the
 //!   tuner's reduced-fidelity rungs. A grid it cannot fit is a usage error.
+//!   So is `--json` beside `--fit` or `--dump`: both print and write no
+//!   artifact.
 
 use neura_bench::{exit_wedged, price_class, sim_matrix_at_fidelity, ChipGrid, GridCell};
 use neura_chip::analytic::{
@@ -108,6 +110,9 @@ fn parse_args() -> (Args, Flags) {
             "--help" | "-h" => flags.help(),
             other => flags.bad_usage(&format!("unrecognised argument {other:?}")),
         }
+    }
+    if parsed.json_path.is_some() && (parsed.dump || parsed.fit) {
+        flags.bad_usage("--json does not go with --dump or --fit: they write no artifact");
     }
     if parsed.frequencies.is_empty() {
         parsed.frequencies = vec![1.0, 2.0];

@@ -6,7 +6,7 @@
 
 use super::speedup_table;
 use crate::{exit_wedged, scaled_matrix, scaled_matrix_by_name};
-use neura_baselines::gnn::{speedup_over, GnnModel, GnnPlatform};
+use neura_baselines::gnn::{speedup_over, GnnPlatform};
 use neura_baselines::WorkloadProfile;
 use neura_chip::accelerator::Accelerator;
 use neura_chip::config::{ChipConfig, TileSize};

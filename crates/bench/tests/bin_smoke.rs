@@ -1008,7 +1008,8 @@ fn a_timeline_window_too_narrow_for_the_horizon_exits_2() {
 /// on stderr, before any simulation starts. So do the sizes `serve` takes
 /// from its command line — a stream, a client population, a fleet, a crash
 /// count, an epoch count — when they pass what a replay may allocate; so
-/// does `xval --fit` on a grid it cannot fit; and so does `paper` for a
+/// does `xval --fit` on a grid it cannot fit, and `xval --dump` or `--fit`
+/// beside `--json`; and so does `paper` for a
 /// name its table lacks, a stray flag or a second path after a name, and
 /// one `--json` path for all eleven artifacts. The one environment knob, `NEURA_LAB_THREADS`,
 /// is held to the same exit when set to something that is not a positive
@@ -1082,6 +1083,14 @@ fn malformed_command_lines_exit_2_with_the_usage_text() {
                 ),
             ];
             cases.extend(unfit.map(|(args, complaint)| (args, complaint.to_string())));
+            // Both print and return before an artifact exists, so a
+            // `--json` beside them once exited 0 having written nothing.
+            for mode in ["--dump", "--fit"] {
+                cases.push((
+                    vec![mode, "--dataset", "cora", "--tile", "t4", "--json", "dump.json"],
+                    "--json does not go with --dump or --fit".into(),
+                ));
+            }
         }
         for (args, complaint) in cases {
             let output = Command::new(exe).args(&args).output().expect("spawn binary");

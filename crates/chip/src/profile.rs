@@ -23,11 +23,9 @@
 //!    with precedence HashPad-full > NoC backpressure > dispatch
 //!    starvation > operand fetch (a stalled NeuraCore is mechanically
 //!    always waiting on operand reads; the taxonomy names the upstream
-//!    condition that made those reads slow). Because classification
-//!    happens exactly once per observed stall, the buckets sum to
-//!    `core_stall_cycles` *by construction*, and
-//!    busy + stall + idle = `cores × total_cycles` once the write-back
-//!    drain epilogue (where cores no longer tick) is padded as idle;
+//!    condition that made those reads slow). Classification happens
+//!    exactly once per observed stall, and a window's stall count *is*
+//!    the sum of its buckets;
 //! 3. **distributions** — an exact per-hop-count packet histogram (its
 //!    weighted total equals `NetworkStats::total_hops`), plus mergeable
 //!    [`LatencyHistogram`]s of hop counts and DRAM request latencies for
@@ -40,6 +38,14 @@
 //! below `neura_chip` in the workspace DAG, and the accelerator already
 //! owns the only loop that accounts for every unit every cycle (a core it
 //! does not tick reaches the profiler as one of two per-cycle counts).
+//!
+//! A profile stores each count once, in its windows: every run total is
+//! a fold over them ([`Profile::total`]), and the write-back drain
+//! epilogue (where cores no longer tick) is the idle remainder of
+//! `cores × total_cycles` that no window observed. So the totals cannot
+//! disagree with the timeline; what [`Profile::check_conservation`] still
+//! checks is that each window's busy + stall + idle covers exactly its
+//! cores and cycles.
 //!
 //! Profiles serialize through `neura_lab` as a versioned
 //! `neura_lab.profile/v1` artifact; the `profile` binary sweeps
@@ -96,8 +102,8 @@ impl StallCause {
 }
 
 /// One fixed-width cycle window of the profile timeline. All core-cycle
-/// fields count `(core, cycle)` pairs, so per window
-/// `busy + stall + idle = cores × cycles-observed-in-window`.
+/// counts are of `(core, cycle)` pairs, so per window
+/// `busy + stall() + idle = cores × cycles-observed-in-window`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileWindow {
     /// First cycle of the window.
@@ -107,11 +113,10 @@ pub struct ProfileWindow {
     pub cycles: u64,
     /// Core-cycles spent computing or decoding.
     pub busy: u64,
-    /// Core-cycles stalled on outstanding memory responses.
-    pub stall: u64,
     /// Core-cycles with no work.
     pub idle: u64,
-    /// Stall core-cycles per [`StallCause`], indexed by `StallCause::index`.
+    /// Core-cycles stalled on outstanding memory responses, per
+    /// [`StallCause`], indexed by `StallCause::index`.
     pub stall_by: [u64; 4],
     /// MMH instructions retired by all cores in the window.
     pub mmh_retired: u64,
@@ -130,24 +135,40 @@ pub struct ProfileWindow {
 }
 
 impl ProfileWindow {
+    /// Core-cycles stalled on outstanding memory responses: the sum of
+    /// the cause buckets.
+    pub fn stall(&self) -> u64 {
+        self.stall_by.iter().sum()
+    }
+
     /// Stall core-cycles attributed to `cause`.
     pub fn stall_by_cause(&self, cause: StallCause) -> u64 {
         self.stall_by[cause.index()]
     }
 
+    /// Core-cycles the window accounted for: busy + stall + idle.
+    fn core_cycles(&self) -> u64 {
+        self.busy + self.stall() + self.idle
+    }
+
     /// Stalled fraction of the window's observed core-cycles.
     pub fn stall_frac(&self) -> f64 {
-        let total = self.busy + self.stall + self.idle;
+        let total = self.core_cycles();
         if total == 0 {
             0.0
         } else {
-            self.stall as f64 / total as f64
+            self.stall() as f64 / total as f64
         }
     }
 }
 
 /// A finished profile: the windowed timeline, the stall taxonomy and the
 /// hop/DRAM-latency distributions of one simulated run.
+///
+/// It keeps only what its windows cannot give. Every run total is the sum
+/// of its windows' values ([`Self::total`]), and the idle core-cycles of
+/// the write-back drain epilogue are the remainder of
+/// `cores × total_cycles` ([`Self::epilogue_idle`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     /// Window width in cycles.
@@ -158,49 +179,50 @@ pub struct Profile {
     pub cores: u64,
     /// NeuraMems on the chip.
     pub mems: u64,
-    /// HBM channels (one memory controller per tile).
-    pub channels: u64,
     /// The timeline, one entry per window in cycle order.
     pub windows: Vec<ProfileWindow>,
-    /// Core-cycles busy over the whole run.
-    pub busy: u64,
-    /// Core-cycles stalled over the whole run (== `core_stall_cycles`).
-    pub stall: u64,
-    /// Core-cycles idle during the windowed (execute) phase.
-    pub idle: u64,
-    /// Core-cycles of the drain epilogue, where only the memory
-    /// controllers tick and every core is idle by definition.
-    pub epilogue_idle: u64,
-    /// Stall core-cycles per [`StallCause`], indexed by `StallCause::index`.
-    pub stall_by: [u64; 4],
-    /// MMH instructions retired over the run.
-    pub mmh_retired: u64,
-    /// HACC instructions processed over the run.
-    pub hacc_retired: u64,
     /// Exact delivered-packet hop distribution: `hop_counts[h]` packets
     /// crossed exactly `h` links. `Σ h × hop_counts[h]` equals the NoC's
     /// `total_hops`.
     pub hop_counts: Vec<u64>,
-    /// Mergeable hop histogram (for percentile reporting and fleet-level
-    /// aggregation; small integers bucket exactly).
-    pub hops: LatencyHistogram,
     /// Mergeable DRAM request-latency histogram, in cycles.
     pub dram_latency: LatencyHistogram,
-    /// Per-channel peak queued-but-unissued requests.
+    /// Per-channel peak queued-but-unissued requests, one entry per HBM
+    /// channel (one memory controller per tile).
     pub channel_queue_peaks: Vec<u64>,
-    /// Peak in-flight HBM transactions (summed over channels).
-    pub hbm_in_flight_peak: u64,
 }
 
 impl Profile {
-    /// Stall core-cycles attributed to `cause` over the whole run.
-    pub fn stall_by_cause(&self, cause: StallCause) -> u64 {
-        self.stall_by[cause.index()]
+    /// The run total of a window count: `profile.total(|w| w.busy)` is the
+    /// busy core-cycles of the run, `profile.total(ProfileWindow::stall)`
+    /// its stall core-cycles (== `core_stall_cycles`).
+    pub fn total(&self, count: impl Fn(&ProfileWindow) -> u64) -> u64 {
+        self.windows.iter().map(count).sum()
     }
 
-    /// Total idle core-cycles including the drain epilogue.
-    fn idle_total(&self) -> u64 {
-        self.idle + self.epilogue_idle
+    /// Core-cycles of the drain epilogue, where only the memory
+    /// controllers tick and every core is idle by definition: the part of
+    /// `cores × total_cycles` that no window observed (zero when the
+    /// windows over-count, which [`Self::check_conservation`] reports).
+    pub fn epilogue_idle(&self) -> u64 {
+        (self.cores * self.total_cycles).saturating_sub(self.total(ProfileWindow::core_cycles))
+    }
+
+    /// Mergeable hop histogram (for percentile reporting and fleet-level
+    /// aggregation; small integers bucket exactly): [`Self::hop_counts`]
+    /// re-bucketed.
+    pub fn hops(&self) -> LatencyHistogram {
+        let mut hops = LatencyHistogram::new();
+        for (h, &packets) in self.hop_counts.iter().enumerate() {
+            hops.record_n(h as f64, packets);
+        }
+        hops
+    }
+
+    /// Peak in-flight HBM transactions (summed over channels) over the
+    /// run: the largest window peak.
+    pub fn hbm_in_flight_peak(&self) -> u64 {
+        self.windows.iter().map(|w| w.hbm_in_flight_peak).max().unwrap_or(0)
     }
 
     /// Packets delivered by the NoC (the hop distribution's mass).
@@ -219,7 +241,7 @@ impl Profile {
         if total == 0 {
             0.0
         } else {
-            self.stall as f64 / total as f64
+            self.total(ProfileWindow::stall) as f64 / total as f64
         }
     }
 
@@ -236,64 +258,31 @@ impl Profile {
         worst
     }
 
-    /// Checks the profile's conservation invariants, returning the first
-    /// violation as a message:
+    /// Checks that the timeline covers the run, returning the first
+    /// violation as a message: each window's busy + stall + idle equals
+    /// `cores × window.cycles`, and the windows observe at most
+    /// `total_cycles` cycles.
     ///
-    /// 1. taxonomy buckets sum exactly to the stall cycles, globally and
-    ///    per window;
-    /// 2. busy + stall + idle (epilogue included) equals
-    ///    `cores × total_cycles`, and each window's split covers exactly
-    ///    its observed cycles;
-    /// 3. the aggregate counters equal the sums of their windows.
+    /// The rest of the conservation laws hold by construction: the run
+    /// totals are sums of the windows, a window's stall count is the sum
+    /// of its buckets, and the epilogue is the remainder of
+    /// `cores × total_cycles`.
     pub fn check_conservation(&self) -> Result<(), String> {
-        let buckets: u64 = self.stall_by.iter().sum();
-        if buckets != self.stall {
-            return Err(format!(
-                "taxonomy buckets sum to {buckets} but core_stall_cycles is {}",
-                self.stall
-            ));
-        }
-        let split = self.busy + self.stall + self.idle_total();
-        let expected = self.cores * self.total_cycles;
-        if split != expected {
-            return Err(format!(
-                "busy+stall+idle is {split} but cores × total_cycles is {expected}"
-            ));
-        }
-        let mut sums = ProfileWindow::default();
         for (w, window) in self.windows.iter().enumerate() {
-            let window_buckets: u64 = window.stall_by.iter().sum();
-            if window_buckets != window.stall {
+            let split = window.core_cycles();
+            if split != self.cores * window.cycles {
                 return Err(format!(
-                    "window {w}: buckets sum to {window_buckets} but stall is {}",
-                    window.stall
-                ));
-            }
-            let window_split = window.busy + window.stall + window.idle;
-            if window_split != self.cores * window.cycles {
-                return Err(format!(
-                    "window {w}: busy+stall+idle is {window_split} over {} cycles of {} cores",
+                    "window {w}: busy+stall+idle is {split} over {} cycles of {} cores",
                     window.cycles, self.cores
                 ));
             }
-            sums.busy += window.busy;
-            sums.stall += window.stall;
-            sums.idle += window.idle;
-            sums.mmh_retired += window.mmh_retired;
-            sums.hacc_retired += window.hacc_retired;
         }
-        for (name, aggregate, of_windows) in [
-            ("busy", self.busy, sums.busy),
-            ("stall", self.stall, sums.stall),
-            ("idle", self.idle, sums.idle),
-            ("mmh_retired", self.mmh_retired, sums.mmh_retired),
-            ("hacc_retired", self.hacc_retired, sums.hacc_retired),
-        ] {
-            if aggregate != of_windows {
-                return Err(format!(
-                    "aggregate {name} is {aggregate} but its windows sum to {of_windows}"
-                ));
-            }
+        let observed = self.total(|w| w.cycles);
+        if observed > self.total_cycles {
+            return Err(format!(
+                "the windows observe {observed} cycles but the run spans {}",
+                self.total_cycles
+            ));
         }
         Ok(())
     }
@@ -367,7 +356,6 @@ pub struct Profiler {
     hop_counts: Vec<u64>,
     dram_latency: LatencyHistogram,
     channel_queue_peaks: Vec<u64>,
-    hbm_in_flight_peak: u64,
     finished: Option<Profile>,
 }
 
@@ -392,7 +380,6 @@ impl Profiler {
             hop_counts: Vec::new(),
             dram_latency: LatencyHistogram::new(),
             channel_queue_peaks: Vec::new(),
-            hbm_in_flight_peak: 0,
             finished: None,
         }
     }
@@ -482,7 +469,6 @@ impl Observe for Profiler {
     }
 
     fn record_hbm_in_flight(&mut self, in_flight: u64) {
-        self.hbm_in_flight_peak = self.hbm_in_flight_peak.max(in_flight);
         let window = self.current_window();
         window.hbm_in_flight_peak = window.hbm_in_flight_peak.max(in_flight);
     }
@@ -506,7 +492,6 @@ impl Observe for Profiler {
         let window = self.current_window();
         window.pad_occupancy_peak = window.pad_occupancy_peak.max(pad_occupancy);
         window.busy += scratch.busy;
-        window.stall += scratch.stall;
         window.idle += scratch.idle;
         window.stall_by[cause.index()] += scratch.stall;
         window.mmh_retired += scratch.mmh_retired;
@@ -515,36 +500,17 @@ impl Observe for Profiler {
     }
 
     /// Seals the profile once the run drains. `total_cycles` includes the
-    /// write-back epilogue the windows never saw; its core-cycles become
-    /// [`Profile::epilogue_idle`] so busy + stall + idle conserves to
-    /// `cores × total_cycles`.
+    /// write-back epilogue the windows never saw; its core-cycles are
+    /// [`Profile::epilogue_idle`].
     fn finalize(&mut self, total_cycles: u64, cores: u64, mems: u64, channels: u64) {
         debug_assert!(!self.in_cycle, "finalize inside an open cycle");
         let windows = std::mem::take(&mut self.windows);
-        let mut sums = ProfileWindow::default();
-        let mut stall_by = [0u64; 4];
-        for window in &windows {
-            sums.busy += window.busy;
-            sums.stall += window.stall;
-            sums.idle += window.idle;
-            for (bucket, &count) in stall_by.iter_mut().zip(&window.stall_by) {
-                *bucket += count;
-            }
-            sums.mmh_retired += window.mmh_retired;
-            sums.hacc_retired += window.hacc_retired;
-        }
-        let observed = sums.busy + sums.stall + sums.idle;
+        let observed: u64 = windows.iter().map(ProfileWindow::core_cycles).sum();
         let expected = cores * total_cycles;
         assert!(
             observed <= expected,
             "profiler observed {observed} core-cycles but the run only spans {expected}"
         );
-        // The mergeable histogram is the exact one re-bucketed.
-        let hop_counts = std::mem::take(&mut self.hop_counts);
-        let mut hops = LatencyHistogram::new();
-        for (h, &packets) in hop_counts.iter().enumerate() {
-            hops.record_n(h as f64, packets);
-        }
         let mut channel_queue_peaks = std::mem::take(&mut self.channel_queue_peaks);
         channel_queue_peaks.resize(channels as usize, 0);
         self.finished = Some(Profile {
@@ -552,20 +518,54 @@ impl Observe for Profiler {
             total_cycles,
             cores,
             mems,
-            channels,
             windows,
-            busy: sums.busy,
-            stall: sums.stall,
-            idle: sums.idle,
-            epilogue_idle: expected - observed,
-            stall_by,
-            mmh_retired: sums.mmh_retired,
-            hacc_retired: sums.hacc_retired,
-            hop_counts,
-            hops,
+            hop_counts: std::mem::take(&mut self.hop_counts),
             dram_latency: std::mem::take(&mut self.dram_latency),
             channel_queue_peaks,
-            hbm_in_flight_peak: self.hbm_in_flight_peak,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two full windows of 3 cycles on 2 cores, in a 10-cycle run.
+    fn two_windows() -> Profile {
+        let window = |start_cycle| ProfileWindow {
+            start_cycle,
+            cycles: 3,
+            busy: 2,
+            idle: 1,
+            stall_by: [1, 1, 0, 1],
+            ..ProfileWindow::default()
+        };
+        Profile {
+            window_cycles: 3,
+            total_cycles: 10,
+            cores: 2,
+            mems: 2,
+            windows: vec![window(0), window(3)],
+            hop_counts: Vec::new(),
+            dram_latency: LatencyHistogram::new(),
+            channel_queue_peaks: vec![0],
+        }
+    }
+
+    #[test]
+    fn check_conservation_holds_each_window_and_the_run_to_their_cover() {
+        let mut profile = two_windows();
+        assert_eq!(profile.check_conservation(), Ok(()));
+        assert_eq!(profile.total(ProfileWindow::stall), 6);
+        assert_eq!(profile.epilogue_idle(), 2 * 10 - 2 * 6, "the four unobserved cycles");
+
+        profile.windows[1].idle -= 1;
+        let err = profile.check_conservation().unwrap_err();
+        assert!(err.starts_with("window 1: busy+stall+idle is 5 over 3 cycles"), "{err}");
+
+        let mut profile = two_windows();
+        profile.total_cycles = 5;
+        let err = profile.check_conservation().unwrap_err();
+        assert_eq!(err, "the windows observe 6 cycles but the run spans 5");
     }
 }

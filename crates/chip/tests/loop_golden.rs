@@ -17,12 +17,15 @@
 //! DRAM. Its values were captured before stalled cores took the O(1) tick.
 //!
 //! A third table pins the *observed* side, which the reports do not
-//! show: the `Debug` rendering of the whole [`Profile`] — window split,
-//! stall buckets, hop counts, both latency histograms, queue peaks — of
+//! show: a rendering of [`Profile`] that names each field it keeps — the
+//! scalars, every window's counters and peaks, the hop counts, the DRAM
+//! latency histogram and the channel queue peaks — of
 //! `run_spgemm_profiled` at two window widths on four of the cells above.
-//! Its values were captured on a checkout of the parent of the commit
-//! that turned the run loop into a `Machine` with an observer seam
-//! (4f3113e), so that refactor is judged against the loop it replaced.
+//! Naming the fields means a field added to or derived out of `Profile`
+//! moves no hash until the rendering names it. Its values were captured
+//! on 1d6abaa, where the run totals were still stored fields beside the
+//! windows, so the change that made them folds is judged against the
+//! profiles it replaced.
 //!
 //! A change that *means* to alter the modelled machine re-captures the
 //! tables: the failure message prints the rows to paste.
@@ -34,6 +37,7 @@ use neura_chip::profile::{Profile, Profiler};
 use neura_mem::HbmPreset;
 use neura_sparse::gen::GraphGenerator;
 use neura_sparse::CsrMatrix;
+use std::fmt;
 
 /// FNV-1a over a `Debug` text (stable across platforms and
 /// std versions, unlike `DefaultHasher`).
@@ -49,13 +53,50 @@ fn run(a: &CsrMatrix, config: &ChipConfig) -> (u64, ExecutionReport) {
     (report.total_cycles, report)
 }
 
-fn run_profiled(a: &CsrMatrix, config: &ChipConfig, window_cycles: u64) -> (u64, Profile) {
+/// A [`Profile`] whose `Debug` rendering names each field the golden pins.
+struct Named(Profile);
+
+impl fmt::Debug for Named {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let p = &self.0;
+        writeln!(
+            f,
+            "window_cycles={} total_cycles={} cores={} mems={}",
+            p.window_cycles, p.total_cycles, p.cores, p.mems
+        )?;
+        for w in &p.windows {
+            writeln!(
+                f,
+                "start_cycle={} cycles={} busy={} idle={} stall_by={:?} mmh_retired={} \
+                 hacc_retired={} pad_occupancy_peak={} pad_full_stalls={} \
+                 noc_in_flight_peak={} hbm_in_flight_peak={} hbm_queue_peak={}",
+                w.start_cycle,
+                w.cycles,
+                w.busy,
+                w.idle,
+                w.stall_by,
+                w.mmh_retired,
+                w.hacc_retired,
+                w.pad_occupancy_peak,
+                w.pad_full_stalls,
+                w.noc_in_flight_peak,
+                w.hbm_in_flight_peak,
+                w.hbm_queue_peak
+            )?;
+        }
+        writeln!(f, "hop_counts={:?}", p.hop_counts)?;
+        writeln!(f, "dram_latency={:?}", p.dram_latency)?;
+        write!(f, "channel_queue_peaks={:?}", p.channel_queue_peaks)
+    }
+}
+
+fn run_profiled(a: &CsrMatrix, config: &ChipConfig, window_cycles: u64) -> (u64, Named) {
     let mut profiler = Profiler::new(window_cycles);
     Accelerator::new(config.clone())
         .run_spgemm_profiled(a, a, Some(&mut profiler))
         .expect("simulation drains");
     let profile = profiler.into_profile();
-    (profile.total_cycles, profile)
+    (profile.total_cycles, Named(profile))
 }
 
 /// Runs every `(label, cell)` through `run`, compares the
@@ -167,16 +208,16 @@ fn stall_bound_reports_match_the_pinned_loop() {
     }
 }
 
-/// `(total_cycles, fnv1a(Debug))` per profiled cell and window width.
+/// `(total_cycles, fnv1a(Named))` per profiled cell and window width.
 const GOLDEN_PROFILES: [(u64, u64); 8] = [
-    (1370, 0xbfce530a4c4fb98c), // Tile-4 Rolling drhm / 256
-    (1370, 0x84470e4a6815c12b), // Tile-4 Rolling drhm / 1000
-    (3053, 0x20046b39fdda9738), // Tile-16 Barrier ring / 256
-    (3053, 0x50168a192edca4b5), // Tile-16 Barrier ring / 1000
-    (3021, 0x6035ce7d171a370e), // Tile-64 ddr4 Rolling / 256
-    (3021, 0x943bbca0a62605bc), // Tile-64 ddr4 Rolling / 1000
-    (4454, 0x8c40c55078f1e47a), // Tile-64 ddr4 Barrier / 256
-    (4454, 0x301ef3ad850a6382), // Tile-64 ddr4 Barrier / 1000
+    (1370, 0xf5ae69e8a7527d63), // Tile-4 Rolling drhm / 256
+    (1370, 0x5ca56d03d59ae4b9), // Tile-4 Rolling drhm / 1000
+    (3053, 0x2245c538b582daab), // Tile-16 Barrier ring / 256
+    (3053, 0xe055bb2a34aee451), // Tile-16 Barrier ring / 1000
+    (3021, 0xaa912e6a4318ff82), // Tile-64 ddr4 Rolling / 256
+    (3021, 0x6279fef93abca042), // Tile-64 ddr4 Rolling / 1000
+    (4454, 0x3587b4f8437504c7), // Tile-64 ddr4 Barrier / 256
+    (4454, 0x6153f8a8547faeeb), // Tile-64 ddr4 Barrier / 1000
 ];
 
 #[test]

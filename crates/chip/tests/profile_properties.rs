@@ -1,18 +1,18 @@
 //! Property tests of the opt-in chip profiler: the guarantees
 //! `neura_chip::profile` documents, checked over generated
 //! (dataset × tile × HBM × window-width) cells — profiling changes
-//! nothing about the run it observes, the stall taxonomy and the
-//! windowed timeline conserve exactly (buckets sum to the stall
-//! counter, busy + stall + idle covers `cores × total_cycles` and, window
-//! by window, `cores × window.cycles`; window retire counts sum to the
-//! report's instruction counters), and the hop distribution carries
-//! exactly the NoC's delivered traffic. The run loop ticks only the units
-//! that can change state; one hand-picked cell holds it to the paths where
-//! that is easiest to get wrong.
+//! nothing about the run it observes, the windowed timeline covers the run
+//! (`check_conservation`: window by window, busy + stall + idle is
+//! `cores × window.cycles`), its folds equal the `ExecutionReport`, which
+//! counts independently (the busy/stall/idle split, the stall buckets, the
+//! retire counts, the HBM in-flight peak and the channel count), and the
+//! hop distribution carries exactly the NoC's delivered traffic. The run
+//! loop ticks only the units that can change state; one hand-picked cell
+//! holds it to the paths where that is easiest to get wrong.
 
 use neura_chip::accelerator::{Accelerator, SpgemmRun};
 use neura_chip::config::{ChipConfig, EvictionPolicy, HbmPreset, TileSize};
-use neura_chip::profile::{Profile, Profiler, StallCause};
+use neura_chip::profile::{Profile, ProfileWindow, Profiler, StallCause};
 use neura_sparse::{CsrMatrix, DatasetCatalog};
 use proptest::prelude::*;
 
@@ -66,32 +66,46 @@ proptest! {
         prop_assert_eq!(profile, again);
     }
 
-    /// The conservation invariants hold at any window width: taxonomy
-    /// buckets sum to the stall counter, busy + stall + idle (epilogue
-    /// included) covers `cores × total_cycles`, the windowed splits match
-    /// the report's aggregate counters, window retire counts sum to the
-    /// report's instruction counters, and no window is wider than asked.
+    /// The conservation invariants hold at any window width: each window
+    /// covers its cores and cycles, the windows' folds match the report's
+    /// aggregate counters (split, stall buckets, retire counts, HBM peak),
+    /// the idle epilogue closes `cores × total_cycles`, there is one queue
+    /// peak per channel, and no window is wider than asked.
     #[test]
     fn profile_conserves_cycles_and_instructions(
         (dataset, config) in arb_cell(),
         window_cycles in 1u64..3000,
     ) {
         let a = small_matrix(dataset);
+        let tiles = config.tiles;
         let (run, profile) = run_profiled(config, &a, window_cycles);
         prop_assert!(profile.check_conservation().is_ok(), "{:?}", profile.check_conservation());
         prop_assert_eq!(profile.total_cycles, run.report.total_cycles);
-        prop_assert_eq!(profile.busy, run.report.core_busy_cycles);
-        prop_assert_eq!(profile.stall, run.report.core_stall_cycles);
-        prop_assert_eq!(profile.idle, run.report.core_idle_cycles);
-        prop_assert_eq!(profile.mmh_retired, run.report.mmh_instructions);
-        prop_assert_eq!(profile.hacc_retired, run.report.hacc_instructions);
-        let bucket_sum: u64 = StallCause::ALL.iter().map(|&c| profile.stall_by_cause(c)).sum();
+        prop_assert_eq!(profile.total(|w| w.busy), run.report.core_busy_cycles);
+        prop_assert_eq!(profile.total(ProfileWindow::stall), run.report.core_stall_cycles);
+        prop_assert_eq!(profile.total(|w| w.idle), run.report.core_idle_cycles);
+        prop_assert_eq!(profile.total(|w| w.mmh_retired), run.report.mmh_instructions);
+        prop_assert_eq!(profile.total(|w| w.hacc_retired), run.report.hacc_instructions);
+        let bucket_sum: u64 =
+            StallCause::ALL.iter().map(|&c| profile.total(|w| w.stall_by_cause(c))).sum();
         prop_assert_eq!(bucket_sum, run.report.core_stall_cycles);
+        let report_split = run.report.core_busy_cycles
+            + run.report.core_stall_cycles
+            + run.report.core_idle_cycles;
+        prop_assert_eq!(
+            report_split + profile.epilogue_idle(),
+            profile.cores * profile.total_cycles
+        );
+        prop_assert_eq!(profile.hbm_in_flight_peak(), run.report.peak_in_flight_mem as u64);
+        prop_assert_eq!(profile.channel_queue_peaks.len(), tiles);
         prop_assert!(profile.windows.iter().all(|w| w.cycles <= window_cycles));
         for window in &profile.windows {
-            prop_assert_eq!(window.busy + window.stall + window.idle, profile.cores * window.cycles);
+            prop_assert_eq!(
+                window.busy + window.stall() + window.idle,
+                profile.cores * window.cycles
+            );
         }
-        let covered: u64 = profile.windows.iter().map(|w| w.cycles).sum();
+        let covered: u64 = profile.total(|w| w.cycles);
         prop_assert!(covered <= profile.total_cycles, "windows cover at most the run");
     }
 
@@ -103,7 +117,7 @@ proptest! {
         let a = small_matrix(dataset);
         let (run, profile) = run_profiled(config, &a, 512);
         prop_assert_eq!(profile.noc_delivered(), run.report.noc_packets);
-        prop_assert_eq!(profile.hops.count(), run.report.noc_packets);
+        prop_assert_eq!(profile.hops().count(), run.report.noc_packets);
         let total_hops = (run.report.noc_mean_hops * run.report.noc_packets as f64).round() as u64;
         prop_assert_eq!(profile.hops_total(), total_hops);
     }
@@ -132,10 +146,10 @@ fn pressure_barriers_on_unvisited_neuramems_keep_the_pinned_run() {
     assert_eq!(profile.check_conservation(), Ok(()));
     for window in &profile.windows {
         assert_eq!(window.cycles, 1);
-        assert_eq!(window.busy + window.stall + window.idle, profile.cores);
+        assert_eq!(window.busy + window.stall() + window.idle, profile.cores);
     }
-    assert_eq!(profile.idle, run.report.core_idle_cycles);
-    assert_eq!(profile.stall, run.report.core_stall_cycles);
+    assert_eq!(profile.total(|w| w.idle), run.report.core_idle_cycles);
+    assert_eq!(profile.total(ProfileWindow::stall), run.report.core_stall_cycles);
 }
 
 #[test]

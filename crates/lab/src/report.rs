@@ -589,9 +589,9 @@ impl RunRecord {
 /// record carrying the exact hop distribution, and one
 /// `{scope}/channel/NN` record per HBM channel.
 pub fn profile_records(scope: &str, profile: &neura_chip::profile::Profile) -> Vec<RunRecord> {
-    use neura_chip::profile::StallCause;
+    use neura_chip::profile::{ProfileWindow, StallCause};
     let (worst_window, worst_frac) = profile.worst_window().unwrap_or((0, 0.0));
-    let hop_tails = profile.hops.percentiles(&[50.0, 99.0]);
+    let hop_tails = profile.hops().percentiles(&[50.0, 99.0]);
     let dram_tails = profile.dram_latency.percentiles(&[50.0, 99.0]);
     let mut summary = RunRecord::new(format!("{scope}/profile"))
         .unit_metric("window_cycles", profile.window_cycles as f64, "cycles")
@@ -599,24 +599,24 @@ pub fn profile_records(scope: &str, profile: &neura_chip::profile::Profile) -> V
         .unit_metric("total_cycles", profile.total_cycles as f64, "cycles")
         .metric("cores", profile.cores as f64)
         .metric("mems", profile.mems as f64)
-        .metric("channels", profile.channels as f64)
-        .unit_metric("busy_cycles", profile.busy as f64, "core-cycles")
-        .unit_metric("stall_cycles", profile.stall as f64, "core-cycles")
-        .unit_metric("idle_cycles", profile.idle as f64, "core-cycles")
-        .unit_metric("epilogue_idle_cycles", profile.epilogue_idle as f64, "core-cycles")
+        .metric("channels", profile.channel_queue_peaks.len() as f64)
+        .unit_metric("busy_cycles", profile.total(|w| w.busy) as f64, "core-cycles")
+        .unit_metric("stall_cycles", profile.total(ProfileWindow::stall) as f64, "core-cycles")
+        .unit_metric("idle_cycles", profile.total(|w| w.idle) as f64, "core-cycles")
+        .unit_metric("epilogue_idle_cycles", profile.epilogue_idle() as f64, "core-cycles")
         .metric("stall_frac", profile.stall_frac())
         .metric("worst_window", worst_window as f64)
         .metric("worst_window_stall_frac", worst_frac);
     for cause in StallCause::ALL {
         summary = summary.unit_metric(
             format!("stall_{}", cause.name()),
-            profile.stall_by_cause(cause) as f64,
+            profile.total(|w| w.stall_by_cause(cause)) as f64,
             "core-cycles",
         );
     }
     summary = summary
-        .metric("mmh_retired", profile.mmh_retired as f64)
-        .metric("hacc_retired", profile.hacc_retired as f64)
+        .metric("mmh_retired", profile.total(|w| w.mmh_retired) as f64)
+        .metric("hacc_retired", profile.total(|w| w.hacc_retired) as f64)
         .metric("noc_delivered", profile.noc_delivered() as f64)
         .unit_metric("hops_total", profile.hops_total() as f64, "hops")
         .unit_metric("hop_p50", hop_tails[0], "hops")
@@ -624,14 +624,14 @@ pub fn profile_records(scope: &str, profile: &neura_chip::profile::Profile) -> V
         .metric("dram_requests", profile.dram_latency.count() as f64)
         .unit_metric("dram_latency_p50", dram_tails[0], "cycles")
         .unit_metric("dram_latency_p99", dram_tails[1], "cycles")
-        .metric("hbm_in_flight_peak", profile.hbm_in_flight_peak as f64);
+        .metric("hbm_in_flight_peak", profile.hbm_in_flight_peak() as f64);
     let mut records = vec![summary];
     for (w, window) in profile.windows.iter().enumerate() {
         let mut record = RunRecord::new(format!("{scope}/window/{w:03}"))
             .unit_metric("start_cycle", window.start_cycle as f64, "cycles")
             .unit_metric("cycles", window.cycles as f64, "cycles")
             .unit_metric("busy", window.busy as f64, "core-cycles")
-            .unit_metric("stall", window.stall as f64, "core-cycles")
+            .unit_metric("stall", window.stall() as f64, "core-cycles")
             .unit_metric("idle", window.idle as f64, "core-cycles")
             .metric("stall_frac", window.stall_frac());
         for cause in StallCause::ALL {

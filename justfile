@@ -90,8 +90,9 @@ serve:
 # epoch fragments on 2 and 8 workers must reproduce the serial artifact
 # byte for byte (--no-meta strips the thread-count meta so cmp is exact);
 # and the serial artifact is additionally gated byte-for-byte against
-# the committed baseline (re-baseline deliberately with
-# `just serve-rebaseline`).
+# the committed baseline by cmp, after trend names any metric that moved
+# (trend compares metric values only). Re-baseline deliberately with
+# `just serve-rebaseline`.
 serve-parallel:
     cargo run --release -q -p neura_bench --bin serve -- \
         --json target/artifacts/serve-serial.json --no-meta
@@ -103,6 +104,7 @@ serve-parallel:
     cmp target/artifacts/serve-serial.json target/artifacts/serve-epochs-t8.json
     cargo run --release -q -p neura_bench --bin trend -- \
         baselines/serve.json target/artifacts/serve-serial.json --fail-above 0
+    cmp baselines/serve.json target/artifacts/serve-serial.json
 
 # Refresh the committed serving baseline after an intentional
 # serving-layer change (review the trend diff first).
@@ -131,7 +133,8 @@ scenarios:
 # Cross-validation of the analytic cost model at paper scale: all 20
 # datasets, size-matched tiles, all three HBM presets, with the strict
 # golden (mean abs rel error <= 5%, worst <= 15%) enforced, gated
-# byte-for-byte against the committed baseline (the cycle sims and the
+# byte-for-byte against the committed baseline by cmp, after trend names
+# any metric that moved (the cycle sims and the
 # closed-form model are both deterministic, so any drift is a real model
 # or simulator change and must be re-baselined deliberately via
 # `just xval-rebaseline`). About 2 s warm on a 2-vCPU host.
@@ -139,6 +142,7 @@ xval:
     cargo run --release -q -p neura_bench --bin xval -- --json
     cargo run --release -q -p neura_bench --bin trend -- \
         baselines/xval.json target/artifacts/xval.json --fail-above 0
+    cmp baselines/xval.json target/artifacts/xval.json
 
 # Refresh the committed baseline after an intentional model or simulator
 # change (review the trend diff first).
@@ -149,7 +153,8 @@ xval-rebaseline:
 # Chip profiler sweep at paper scale: a three-dataset slice of the
 # (dataset x tile x HBM) grid with windowed stall attribution and the
 # conservation invariants enforced, gated byte-for-byte against the
-# committed baseline (the profiled simulations are deterministic, so any
+# committed baseline by cmp, after trend names any metric that moved (the
+# profiled simulations are deterministic, so any
 # drift is a real simulator or profiler change and must be re-baselined
 # deliberately via `just profile-rebaseline`).
 profile:
@@ -157,6 +162,7 @@ profile:
         --dataset facebook --dataset wiki-Vote --dataset cage12
     cargo run --release -q -p neura_bench --bin trend -- \
         baselines/profile.json target/artifacts/profile.json --fail-above 0
+    cmp baselines/profile.json target/artifacts/profile.json
 
 # Refresh the committed baseline after an intentional simulator or
 # profiler change (review the trend diff first).
