@@ -73,17 +73,17 @@ impl CsrMatrix {
         }
         for (r, w) in row_ptr.windows(2).enumerate() {
             let slice = &col_idx[w[0]..w[1]];
-            for pair in slice.windows(2) {
-                if pair[1] <= pair[0] {
-                    return Err(SparseError::MalformedPointers {
-                        detail: format!("row {r} has unsorted or duplicate column indices"),
-                    });
-                }
+            // One pass without an early exit: strict ascent, and then the
+            // last column, the largest, is the one to check against `cols`.
+            let descents = slice.windows(2).fold(0, |n, pair| n + usize::from(pair[1] <= pair[0]));
+            if descents > 0 {
+                return Err(SparseError::MalformedPointers {
+                    detail: format!("row {r} has unsorted or duplicate column indices"),
+                });
             }
-            for &c in slice {
-                if c >= cols {
-                    return Err(SparseError::IndexOutOfBounds { row: r, col: c, rows, cols });
-                }
+            if slice.last().is_some_and(|&last| last >= cols) {
+                let c = slice[slice.partition_point(|&c| c < cols)];
+                return Err(SparseError::IndexOutOfBounds { row: r, col: c, rows, cols });
             }
         }
         Ok(CsrMatrix { rows, cols, row_ptr, col_idx, values })
@@ -325,6 +325,20 @@ mod tests {
     fn from_raw_parts_validates_column_bounds() {
         let err = CsrMatrix::from_raw_parts(1, 2, vec![0, 1], vec![7], vec![1.0]);
         assert!(matches!(err, Err(SparseError::IndexOutOfBounds { .. })));
+    }
+
+    #[test]
+    fn from_raw_parts_reports_the_unsorted_pair_before_the_out_of_range_column() {
+        // Row 1 reaches column 9 of 4 before its unsorted pair (9, 1).
+        let err = CsrMatrix::from_raw_parts(2, 4, vec![0, 1, 4], vec![0, 3, 9, 1], vec![1.0; 4]);
+        let err = err.unwrap_err().to_string();
+        assert!(err.contains("row 1 has unsorted or duplicate column indices"), "{err}");
+        // An earlier row's out-of-range column wins over a later row's pair.
+        let err = CsrMatrix::from_raw_parts(2, 4, vec![0, 1, 3], vec![7, 2, 1], vec![1.0; 3]);
+        assert!(matches!(err, Err(SparseError::IndexOutOfBounds { row: 0, col: 7, .. })));
+        // An ascending row with two columns out of range names the first.
+        let err = CsrMatrix::from_raw_parts(1, 4, vec![0, 3], vec![1, 5, 9], vec![1.0; 3]);
+        assert!(matches!(err, Err(SparseError::IndexOutOfBounds { row: 0, col: 5, .. })));
     }
 
     #[test]

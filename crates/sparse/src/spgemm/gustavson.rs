@@ -1,6 +1,6 @@
 //! Row-wise (Gustavson) SpGEMM: the numeric kernel and its symbolic phase.
 
-use super::accumulator::{CsrRows, SparseAccumulator};
+use super::accumulator::{CsrRows, RowMarks, SparseAccumulator};
 use super::{SpgemmStats, SymbolicProduct};
 use crate::CsrMatrix;
 
@@ -34,6 +34,7 @@ pub fn multiply_counting(a: &CsrMatrix, b: &CsrMatrix) -> (CsrMatrix, SpgemmStat
     let mut stats = SpgemmStats::default();
     let mut out = CsrRows::new(a.rows(), b.cols());
     let mut spa = SparseAccumulator::new(b.cols());
+    let marks = RowMarks::of(b);
 
     for i in 0..a.rows() {
         let (a_cols, a_vals) = a.row(i);
@@ -41,9 +42,7 @@ pub fn multiply_counting(a: &CsrMatrix, b: &CsrMatrix) -> (CsrMatrix, SpgemmStat
         for (&k, &a_ik) in a_cols.iter().zip(a_vals.iter()) {
             let (b_cols, b_vals) = b.row(k);
             row_partial_products += b_cols.len() as u64;
-            for (&j, &b_kj) in b_cols.iter().zip(b_vals.iter()) {
-                spa.add(j, a_ik * b_kj);
-            }
+            spa.add_segment(marks.row(k), b_cols, b_vals.iter().map(|&b_kj| a_ik * b_kj));
         }
         stats.record_row(row_partial_products);
         spa.flush_row(&mut out);
@@ -99,11 +98,10 @@ pub fn symbolic(a: &CsrMatrix, b: &CsrMatrix) -> SymbolicProduct {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let mut out = CsrRows::new(a.rows(), b.cols());
     let mut spa = SparseAccumulator::new(b.cols());
+    let marks = RowMarks::of(b);
     for i in 0..a.rows() {
         for &k in a.row(i).0 {
-            for &j in b.row(k).0 {
-                spa.add(j, 1u32);
-            }
+            spa.add_segment(marks.row(k), b.row(k).0, std::iter::repeat(1u32));
         }
         spa.flush_row(&mut out);
     }

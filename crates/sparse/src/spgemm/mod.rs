@@ -54,15 +54,20 @@
 //! pass the arrays through [`CsrMatrix::from_raw_parts`]; neither goes
 //! through a [`crate::CooMatrix`], and neither sorts a row's columns.  The
 //! row-wise kernel and [`symbolic`] finish one row at a time through a
-//! dense sparse-accumulator over the columns of `B`, cut into blocks of
-//! 64: each block a `u64` word with one bit per column beside the 64
-//! columns' values, plus the list of blocks whose word the open row made
-//! non-zero.  Finishing a row sorts those block indices and walks each
-//! word's set bits upward, so the row comes out in ascending column order
-//! at O(products + W log W) for its `W` non-zero words, never O(columns of
-//! `B`).  The accumulator holds one output row at a time, never a partial
-//! product of another.  The inner-product kernel visits the columns in
-//! order and needs no accumulator.
+//! dense sparse-accumulator over the columns of `B`: a value and a flag
+//! byte per column, the columns cut into blocks of 64, and a summary with
+//! one `u64` word per 4 096 columns, one bit per block.  Before it
+//! multiplies, the kernel lists for every row of `B` which blocks that row
+//! reaches, one `(summary word, block bits)` mark per word, in one pass
+//! over `B`.  Each `a_ik` then ORs row `k`'s marks into the summary — a
+//! word that was zero joins the row's list of words — and adds each
+//! partial product's value and stores its column's flag.  Finishing a row
+//! sorts only the listed words, walks each word's block bits upward and
+//! each block's flags upward, so the row comes out in ascending column
+//! order at O(products + marks + W log W + N) for its `W` summary words and
+//! `N` blocks, never O(columns of `B`).  The accumulator holds one output
+//! row at a time, never a partial product of another.  The inner-product
+//! kernel visits the columns in order and needs no accumulator.
 
 mod accumulator;
 mod gustavson;

@@ -26,6 +26,11 @@
 # heading says how many rows were examined, and two ranges of five runs
 # fail to overlap by chance for about 1 row in 126 (2 of the C(10, 5) =
 # 252 ways to split ten exchangeable runs; three a side made it 1 in 10).
+# Each run also records what it cost the kernel's accounting: the child's
+# user CPU, system CPU and minor page faults, as getrusage(RUSAGE_CHILDREN)
+# deltas. A table prints each side's medians over its --trace 0 runs per
+# workload, with the system share of the CPU, so a kernel claim shows its
+# system time and faults beside its wall time.
 # Exits non-zero when a pair's sim_digest differs between the sides or an
 # operation failed.
 #
@@ -35,7 +40,8 @@
 # Q1 / median / Q3, the change against the parent, the parent's IQR, the
 # pairs won, and the verdict as a param), one per printed per-layer row (each side's median, min and
 # max over its five traced runs, the change's median against the
-# parent's), one per workload for sim_digest agreement, and one naming
+# parent's), one per workload for sim_digest agreement, one per workload
+# with each side's rusage medians (below), and one naming
 # both commits, the command and the host (CPU model, nproc, kernel
 # release).
 set -euo pipefail
@@ -82,12 +88,26 @@ for side in parent change; do
 done
 
 traced_runs=5
+# Runs `DIR COMMAND...` with the command's stdout in DIR/stdout, and writes
+# what the command cost the kernel's accounting, as getrusage(RUSAGE_CHILDREN)
+# deltas around it, to DIR/rusage: user and system CPU seconds and minor
+# page faults.
+rusage='
+import json, resource, subprocess, sys
+before = resource.getrusage(resource.RUSAGE_CHILDREN)
+with open(sys.argv[1] + "/stdout", "w") as stdout:
+    subprocess.run(sys.argv[2:], stdout=stdout)
+after = resource.getrusage(resource.RUSAGE_CHILDREN)
+with open(sys.argv[1] + "/rusage", "w") as out:
+    json.dump({"user_s": after.ru_utime - before.ru_utime, "sys_s": after.ru_stime - before.ru_stime,
+               "minflt": after.ru_minflt - before.ru_minflt}, out)
+'
 run_side() { # workload side seed [trace round]
     local trace="${4:-0}"
     local dir="$work/out/$1/$2/seed$3-trace$trace${5:+-round$5}"
     mkdir -p "$dir"
-    (cd "$work/$2" && "$work/target-$2/release/neura_perf" --workload "$1" \
-        --seed "$3" --seconds "$seconds" --trace "$trace" --out "$dir") >"$dir/stdout" || true
+    (cd "$work/$2" && python3 -c "$rusage" "$dir" "$work/target-$2/release/neura_perf" \
+        --workload "$1" --seed "$3" --seconds "$seconds" --trace "$trace" --out "$dir") || true
 }
 for workload in $workloads; do
     for seed in $(seq 1 "$pairs"); do
@@ -185,6 +205,27 @@ for workload in workloads:
                 ("change_q1", c1, unit), ("change_median", cm, unit), ("change_q3", c3, unit),
                 ("change_vs_parent", cm / pm - 1, "ratio"), ("parent_iqr", iqr, "ratio"),
                 ("pairs_won", won, "count"), ("pairs_decided", pairs - ties, "count")])
+
+print("\nWhat each --trace 0 run cost the kernel's accounting, per side: medians over its "
+      f"{pairs} runs of the child's user CPU, system CPU, system share and minor faults "
+      "(getrusage(RUSAGE_CHILDREN) deltas; a run repeats passes for its whole "
+      f"{seconds} s, so these are per run, not per pass).\n")
+print("| workload | side | user s | system s | system share | minor faults |")
+print("|---|---|---|---|---|---|")
+for workload in workloads:
+    metrics = []
+    for side in ("parent", "change"):
+        costs = [json.load(open(f"{out}/{workload}/{side}/seed{seed}-trace0/rusage"))
+                 for seed in range(1, pairs + 1)]
+        user, system, faults, share = (statistics.median(v) for v in (
+            [c["user_s"] for c in costs], [c["sys_s"] for c in costs],
+            [c["minflt"] for c in costs],
+            [c["sys_s"] / ((c["user_s"] + c["sys_s"]) or 1) for c in costs]))
+        print(f"| {workload} | {side} | {user:.2f} | {system:.2f} | {share:.1%} | {faults:.0f} |")
+        metrics += [(f"{side}_user_s_median", user, "s"), (f"{side}_sys_s_median", system, "s"),
+                    (f"{side}_sys_share_median", share, "ratio"),
+                    (f"{side}_minflt_median", faults, "count")]
+    record(f"{workload}/rusage", {"workload": workload}, metrics + [("runs", pairs, "count")])
 
 rows, examined = [], 0
 for workload in workloads:
