@@ -329,7 +329,8 @@ mod tests {
 
     #[test]
     fn from_raw_parts_reports_the_unsorted_pair_before_the_out_of_range_column() {
-        // Row 1 reaches column 9 of 4 before its unsorted pair (9, 1).
+        // Row 1 holds column 9 of a 4-column matrix before its unsorted
+        // pair (9, 1): the unsorted pair is the error.
         let err = CsrMatrix::from_raw_parts(2, 4, vec![0, 1, 4], vec![0, 3, 9, 1], vec![1.0; 4]);
         let err = err.unwrap_err().to_string();
         assert!(err.contains("row 1 has unsorted or duplicate column indices"), "{err}");

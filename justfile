@@ -24,7 +24,8 @@ doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Non-test lines of Rust per crate (lines before each file's first
-# `#[cfg(test)]`): the figure the simplicity PRs report in CHANGES.md.
+# unindented `#[cfg(test)]`): the figure the simplicity PRs report in
+# CHANGES.md.
 # Printed, never gated. `just loc HEAD~1` prints the before → after table
 # against that commit instead.
 loc rev="":
@@ -195,10 +196,11 @@ perf *flags="":
 # both sides, alternating order, another --seed per pair, run_seconds
 # from BENCHMARK.json, then five rounds of one --trace 1 run per side.
 # Prints per-metric quartiles, medians, pairs won and a verdict (gain,
-# regression or unresolved), and the per-layer rows that moved by more
-# than 10 % with the two sides' ranges apart, under a heading that counts
-# the rows examined; fails when a sim_digest differs between the sides or
-# an operation failed. E.g. `just perf-pair HEAD~1 HEAD serve-fleet`; the
+# regression or unresolved), each side's median user CPU, system CPU,
+# system share and minor faults per run, and the per-layer rows that
+# moved by more than 10 % with the two sides' ranges apart, under a
+# heading that counts the rows examined; fails when a sim_digest differs
+# between the sides or an operation failed. E.g. `just perf-pair HEAD~1 HEAD serve-fleet`; the
 # workload `all` runs the four of BENCHMARK.json, in its order, on the one
 # pair of builds and into one table (`just perf-pair HEAD~1 HEAD all`).
 # Extra flags pass through: `--json BENCH_<n>.json` also writes the tables,
