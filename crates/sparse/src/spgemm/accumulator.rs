@@ -5,8 +5,8 @@
 //! * [`CsrRows`] appends finished output rows; [`CsrRows::finish`] hands the
 //!   numeric arrays to [`CsrMatrix::from_raw_parts`], so every product is
 //!   still validated;
-//! * [`RowMarks`] lists, once per product, which 64-column blocks each row
-//!   of `B` reaches, grouped by 4 096-column summary word;
+//! * [`RowMarks`] lists, once per multiplication, which 64-column blocks
+//!   each row of `B` reaches, grouped by 4 096-column summary word;
 //! * [`SparseAccumulator`] is the dense sparse-accumulator (SPA) that merges
 //!   what lands in the columns of one output row — partial products for the
 //!   numeric kernel, fan-in counts for the symbolic product — marks the
@@ -158,8 +158,9 @@ impl Mark {
     }
 }
 
-/// The [`Mark`]s of every row of `B`, built once per product in O(nnz B),
-/// so that each segment marks its blocks once instead of once per product.
+/// The [`Mark`]s of every row of `B`, built once per multiplication in
+/// O(nnz B), so that each segment marks its blocks once instead of once
+/// per partial product.
 pub(crate) struct RowMarks {
     row_ptr: Vec<usize>,
     marks: Vec<Mark>,
