@@ -3,17 +3,6 @@
 use crate::HbmTiming;
 use serde::{Deserialize, Serialize};
 
-/// Classification of an access relative to the bank's row buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RowBufferOutcome {
-    /// The requested row was already open.
-    Hit,
-    /// The bank was idle (no open row); an activate was required.
-    Miss,
-    /// A different row was open; precharge + activate were required.
-    Conflict,
-}
-
 /// State of one DRAM bank.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub(crate) struct Bank {
@@ -28,27 +17,24 @@ impl Bank {
     }
 
     /// Services an access to `row` arriving at `now`, returning the cycle at
-    /// which data is available and the row-buffer outcome.
+    /// which data is available: after the row-hit latency when `row` is
+    /// open, the row-miss latency when no row is, and the row-conflict
+    /// latency (precharge + activate) when another row is.
     ///
     /// The bank is busy until the returned completion cycle; a request that
     /// arrives earlier queues behind it (modelled by starting from
     /// `max(now, busy_until)`).
-    pub(crate) fn access(
-        &mut self,
-        row: u64,
-        now: u64,
-        timing: &HbmTiming,
-    ) -> (u64, RowBufferOutcome) {
+    pub(crate) fn access(&mut self, row: u64, now: u64, timing: &HbmTiming) -> u64 {
         let start = now.max(self.busy_until);
-        let (latency, outcome) = match self.open_row {
-            Some(open) if open == row => (timing.row_hit_latency, RowBufferOutcome::Hit),
-            Some(_) => (timing.row_conflict_latency, RowBufferOutcome::Conflict),
-            None => (timing.row_miss_latency, RowBufferOutcome::Miss),
+        let latency = match self.open_row {
+            Some(open) if open == row => timing.row_hit_latency,
+            Some(_) => timing.row_conflict_latency,
+            None => timing.row_miss_latency,
         };
         self.open_row = Some(row);
         let done = start + latency;
         self.busy_until = done;
-        (done, outcome)
+        done
     }
 }
 
@@ -60,9 +46,7 @@ mod tests {
     fn first_access_is_a_miss() {
         let mut bank = Bank::new();
         let t = HbmTiming::hbm2();
-        let (done, outcome) = bank.access(5, 0, &t);
-        assert_eq!(outcome, RowBufferOutcome::Miss);
-        assert_eq!(done, t.row_miss_latency);
+        assert_eq!(bank.access(5, 0, &t), t.row_miss_latency);
         assert_eq!(bank.open_row, Some(5));
     }
 
@@ -71,8 +55,7 @@ mod tests {
         let mut bank = Bank::new();
         let t = HbmTiming::hbm2();
         bank.access(5, 0, &t);
-        let (_, outcome) = bank.access(5, 100, &t);
-        assert_eq!(outcome, RowBufferOutcome::Hit);
+        assert_eq!(bank.access(5, 100, &t), 100 + t.row_hit_latency);
     }
 
     #[test]
@@ -80,8 +63,7 @@ mod tests {
         let mut bank = Bank::new();
         let t = HbmTiming::hbm2();
         bank.access(5, 0, &t);
-        let (_, outcome) = bank.access(6, 100, &t);
-        assert_eq!(outcome, RowBufferOutcome::Conflict);
+        assert_eq!(bank.access(6, 100, &t), 100 + t.row_conflict_latency);
         assert_eq!(bank.open_row, Some(6));
     }
 
@@ -89,8 +71,8 @@ mod tests {
     fn back_to_back_requests_serialise() {
         let mut bank = Bank::new();
         let t = HbmTiming::hbm2();
-        let (first_done, _) = bank.access(1, 0, &t);
-        let (second_done, _) = bank.access(1, 0, &t);
-        assert!(second_done >= first_done + t.row_hit_latency);
+        let first_done = bank.access(1, 0, &t);
+        let second_done = bank.access(1, 0, &t);
+        assert_eq!(second_done, first_done + t.row_hit_latency);
     }
 }

@@ -1,6 +1,6 @@
 //! One HBM channel: a set of banks plus a bandwidth-limited data bus.
 
-use crate::bank::{Bank, RowBufferOutcome};
+use crate::bank::Bank;
 use crate::HbmTiming;
 use serde::{Deserialize, Serialize};
 
@@ -15,14 +15,13 @@ pub struct Channel {
     banks: Vec<Bank>,
     /// Cycle until which the shared data bus is busy.
     bus_busy_until: u64,
-    transactions: u64,
 }
 
 impl Channel {
     /// Creates a channel with the given timing.
     pub fn new(timing: HbmTiming) -> Self {
         let banks = (0..timing.banks_per_channel).map(|_| Bank::new()).collect();
-        Channel { timing, banks, bus_busy_until: 0, transactions: 0 }
+        Channel { timing, banks, bus_busy_until: 0 }
     }
 
     /// Maps a byte address to (bank index, row index) within this channel.
@@ -41,21 +40,15 @@ impl Channel {
     /// the end of the previous one, and a transfer, even of zero bytes,
     /// takes at least a cycle. The memory controller retires in issue
     /// order on the strength of this.
-    pub fn access(&mut self, addr: u64, bytes: usize, now: u64) -> (u64, RowBufferOutcome) {
+    pub fn access(&mut self, addr: u64, bytes: usize, now: u64) -> u64 {
         let (bank_idx, row) = self.map_address(addr);
-        let (bank_done, outcome) = self.banks[bank_idx].access(row, now, &self.timing);
+        let bank_done = self.banks[bank_idx].access(row, now, &self.timing);
         // The data transfer occupies the shared bus after the bank produces it.
         let transfer = self.timing.transfer_cycles(bytes.max(1));
         let bus_start = bank_done.max(self.bus_busy_until);
         let done = bus_start + transfer + self.timing.base_latency;
         self.bus_busy_until = bus_start + transfer;
-        self.transactions += 1;
-        (done, outcome)
-    }
-
-    /// Total transactions serviced so far.
-    pub fn transactions(&self) -> u64 {
-        self.transactions
+        done
     }
 }
 
@@ -78,7 +71,7 @@ mod tests {
             let (mut now, mut last) = (0, None);
             for (addr, bytes, wait) in accesses {
                 now += wait * wait * 20;
-                let (done, _) = channel.access(addr, bytes, now);
+                let done = channel.access(addr, bytes, now);
                 prop_assert!(last.is_none_or(|last| done > last), "{done} after {last:?}");
                 last = Some(done);
             }
@@ -98,8 +91,8 @@ mod tests {
     #[test]
     fn sequential_bursts_use_different_banks_and_pipeline() {
         let mut ch = Channel::new(HbmTiming::hbm2());
-        let (done_a, _) = ch.access(0, 64, 0);
-        let (done_b, _) = ch.access(64, 64, 0);
+        let done_a = ch.access(0, 64, 0);
+        let done_b = ch.access(64, 64, 0);
         // Different banks: the second access should not pay a full serialised
         // bank latency on top of the first, only bus serialisation.
         assert!(done_b < done_a + HbmTiming::hbm2().row_miss_latency);
@@ -110,24 +103,14 @@ mod tests {
         let t = HbmTiming::hbm2();
         let mut hit_channel = Channel::new(t);
         hit_channel.access(0, 64, 0);
-        let (hit_done, outcome_hit) = hit_channel.access(0, 64, 500);
-        assert_eq!(outcome_hit, RowBufferOutcome::Hit);
+        let hit_done = hit_channel.access(0, 64, 500);
 
         let mut conflict_channel = Channel::new(t);
         conflict_channel.access(0, 64, 0);
         // Same bank (same burst-aligned address modulo banks), different row.
         let far = (t.row_bytes * t.banks_per_channel) as u64;
-        let (conflict_done, outcome_conf) = conflict_channel.access(far, 64, 500);
-        assert_eq!(outcome_conf, RowBufferOutcome::Conflict);
-        assert!(conflict_done > hit_done);
-    }
-
-    #[test]
-    fn bandwidth_accounting_accumulates() {
-        let mut ch = Channel::new(HbmTiming::hbm2());
-        ch.access(0, 64, 0);
-        ch.access(64, 64, 0);
-        assert_eq!(ch.transactions(), 2);
+        let conflict_done = conflict_channel.access(far, 64, 500);
+        assert_eq!(conflict_done - hit_done, t.row_conflict_latency - t.row_hit_latency);
     }
 
     #[test]
@@ -135,8 +118,8 @@ mod tests {
         let mut ch = Channel::new(HbmTiming::hbm2());
         // Two large transfers at the same time must be separated by at least
         // the transfer time of the first on the shared bus.
-        let (done_a, _) = ch.access(0, 1024, 0);
-        let (done_b, _) = ch.access(4096, 1024, 0);
+        let done_a = ch.access(0, 1024, 0);
+        let done_b = ch.access(4096, 1024, 0);
         let transfer = HbmTiming::hbm2().transfer_cycles(1024);
         assert!(done_b >= done_a.min(ch.bus_busy_until) && done_b >= transfer);
         assert!(ch.bus_busy_until >= 2 * transfer);

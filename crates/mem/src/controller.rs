@@ -14,14 +14,6 @@ use std::collections::VecDeque;
 /// Aggregate statistics exported by a [`MemoryController`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ControllerStats {
-    /// Requests accepted.
-    pub requests_accepted: u64,
-    /// Requests rejected because the queue was full.
-    pub requests_rejected: u64,
-    /// DRAM transactions issued after coalescing.
-    pub transactions_issued: u64,
-    /// Requests merged into a preceding contiguous transaction.
-    pub requests_coalesced: u64,
     /// Total bytes read.
     pub bytes_read: u64,
     /// Total bytes written.
@@ -30,8 +22,6 @@ pub struct ControllerStats {
     pub total_latency: u64,
     /// Number of completed requests.
     pub completed: u64,
-    /// Peak number of in-flight requests observed.
-    pub peak_in_flight: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -88,13 +78,11 @@ impl MemoryController {
             RequestKind::Write => &mut self.write_queue,
         };
         if queue.len() >= self.queue_capacity {
-            self.stats.requests_rejected += 1;
             return None;
         }
         let id = RequestId(self.next_id);
         self.next_id += 1;
         queue.push_back(PendingRequest { id, request, issued_at: now.as_u64() });
-        self.stats.requests_accepted += 1;
         match request.kind {
             RequestKind::Read => self.stats.bytes_read += request.bytes as u64,
             RequestKind::Write => self.stats.bytes_written += request.bytes as u64,
@@ -155,13 +143,11 @@ impl MemoryController {
                 .take(7)
                 .count();
             let total_bytes = queue.iter().take(group).map(|pending| pending.request.bytes).sum();
-            let (done_at, _) = self.channel.access(head.request.addr, total_bytes, cycle);
+            let done_at = self.channel.access(head.request.addr, total_bytes, cycle);
             debug_assert!(
                 self.in_flight.back().is_none_or(|last| last.completed_at < done_at),
                 "channel completions strictly increase, so in-flight order is completion order"
             );
-            self.stats.transactions_issued += 1;
-            self.stats.requests_coalesced += (group - 1) as u64;
             self.in_flight.extend(queue.drain(..group).map(|pending| MemoryResponse {
                 id: pending.id,
                 request: pending.request,
@@ -169,7 +155,6 @@ impl MemoryController {
                 completed_at: done_at,
             }));
         }
-        self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight.len());
     }
 }
 
@@ -207,7 +192,7 @@ mod tests {
         assert!(ctrl.submit(MemoryRequest::read(0, 64), Cycle(0)).is_some());
         assert!(ctrl.submit(MemoryRequest::read(64, 64), Cycle(0)).is_some());
         assert!(ctrl.submit(MemoryRequest::read(128, 64), Cycle(0)).is_none());
-        assert_eq!(ctrl.stats().requests_rejected, 1);
+        assert_eq!(ctrl.pending(), 2, "a refused request is not queued");
         // Writes use a separate queue.
         assert!(ctrl.submit(MemoryRequest::write(256, 64), Cycle(0)).is_some());
     }
@@ -220,8 +205,10 @@ mod tests {
         }
         let done = drive(&mut ctrl, 300);
         assert_eq!(done.len(), 4);
-        assert!(ctrl.stats().requests_coalesced >= 3);
-        assert!(ctrl.stats().transactions_issued < 4);
+        assert!(
+            done.iter().all(|r| r.completed_at == done[0].completed_at),
+            "one transaction completes every request it coalesced"
+        );
     }
 
     #[test]
@@ -230,9 +217,10 @@ mod tests {
         for i in 0..4u64 {
             ctrl.submit(MemoryRequest::read(i * 10_000, 64), Cycle(0)).unwrap();
         }
-        drive(&mut ctrl, 300);
-        assert_eq!(ctrl.stats().requests_coalesced, 0);
-        assert_eq!(ctrl.stats().transactions_issued, 4);
+        let done = drive(&mut ctrl, 300);
+        let mut completions: Vec<u64> = done.iter().map(|r| r.completed_at).collect();
+        completions.dedup();
+        assert_eq!(completions.len(), 4, "four transactions complete in four distinct cycles");
     }
 
     #[test]
@@ -286,8 +274,12 @@ mod tests {
         for i in 0..200u64 {
             heavy.submit(MemoryRequest::read(i * 8192, 64), Cycle(0)).unwrap();
         }
-        drive(&mut heavy, 5_000);
+        let (mut done, mut peak_in_flight) = (Vec::new(), 0);
+        for c in 0..5_000 {
+            heavy.tick(Cycle(c), &mut done);
+            peak_in_flight = peak_in_flight.max(heavy.in_flight());
+        }
         assert!(mean_latency(&heavy) > mean_latency(&light));
-        assert!(heavy.stats().peak_in_flight > 1);
+        assert!(peak_in_flight > 1);
     }
 }

@@ -10,9 +10,10 @@
 //!   per-channel bandwidth,
 //! * [`Channel`] — open-row tracking per bank and bandwidth-limited
 //!   data return,
-//! * [`MemoryController`] — per-tile controller with read/write queues,
-//!   request coalescing (Step 3 of the paper's on-chip dataflow) and
-//!   utilisation statistics; the accelerator builds one per tile.
+//! * [`MemoryController`] — per-tile controller with read/write queues and
+//!   request coalescing (Step 3 of the paper's on-chip dataflow); it counts
+//!   the bytes, latencies and completions the chip's report reads
+//!   ([`ControllerStats`]), and the accelerator builds one per tile.
 //!
 //! # Example
 //!
@@ -39,7 +40,6 @@ mod controller;
 mod request;
 mod timing;
 
-pub use bank::RowBufferOutcome;
 pub use channel::Channel;
 pub use controller::{ControllerStats, MemoryController};
 pub use request::{MemoryRequest, MemoryResponse, RequestId};

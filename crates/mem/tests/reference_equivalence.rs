@@ -41,13 +41,11 @@ impl Reference {
     fn submit(&mut self, request: MemoryRequest, now: u64) -> Option<RequestId> {
         let queue = if request.is_read() { &mut self.reads } else { &mut self.writes };
         if queue.len() >= self.capacity {
-            self.stats.requests_rejected += 1;
             return None;
         }
         let id = RequestId(self.next_id);
         self.next_id += 1;
         queue.push_back(Pending { id, request, issued_at: now });
-        self.stats.requests_accepted += 1;
         if request.is_read() {
             self.stats.bytes_read += request.bytes as u64;
         } else {
@@ -82,9 +80,7 @@ impl Reference {
                 }
             }
             let bytes = group.iter().map(|p| p.request.bytes).sum();
-            let (completed_at, _) = self.channel.access(group[0].request.addr, bytes, now);
-            self.stats.transactions_issued += 1;
-            self.stats.requests_coalesced += (group.len() - 1) as u64;
+            let completed_at = self.channel.access(group[0].request.addr, bytes, now);
             self.in_flight.extend(group.into_iter().map(|p| MemoryResponse {
                 id: p.id,
                 request: p.request,
@@ -92,7 +88,6 @@ impl Reference {
                 completed_at,
             }));
         }
-        self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight.len());
     }
 
     fn pending(&self) -> usize {
@@ -132,7 +127,7 @@ proptest! {
         };
         let by_id = |responses: &mut Vec<MemoryResponse>| responses.sort_by_key(|r| r.id);
         let (mut done, mut expected) = (Vec::new(), Vec::new());
-        let mut cycle = 0u64;
+        let (mut cycle, mut accepted) = (0u64, 0u64);
         let mut schedule = schedule.into_iter();
         loop {
             let submissions = schedule.next();
@@ -147,10 +142,9 @@ proptest! {
                     } else {
                         MemoryRequest::write(addr, 64)
                     };
-                    prop_assert_eq!(
-                        controller.submit(request, Cycle(cycle)),
-                        reference.submit(request, cycle)
-                    );
+                    let id = controller.submit(request, Cycle(cycle));
+                    accepted += u64::from(id.is_some());
+                    prop_assert_eq!(id, reference.submit(request, cycle));
                 }
             }
             done.clear();
@@ -166,6 +160,6 @@ proptest! {
             cycle += 1;
             prop_assert!(cycle < 200_000, "the controller never drained");
         }
-        prop_assert_eq!(controller.stats().completed, controller.stats().requests_accepted);
+        prop_assert_eq!(controller.stats().completed, accepted);
     }
 }

@@ -7,12 +7,13 @@
 //!
 //! * [`TorusTopology`] — coordinates, wrap-around neighbours and minimal
 //!   hop distances,
-//! * [`Packet`] — a routed message with byte size and latency bookkeeping;
-//!   its hop count is set when it is delivered, from the torus distance
-//!   of its source and destination (every dimension-order path is that
-//!   long),
+//! * [`Packet`] — a routed message with latency bookkeeping; its hop
+//!   count is set when it is delivered, from the torus distance of its
+//!   source and destination (every dimension-order path is that long),
 //! * [`TorusNetwork`] — the assembled fabric with injection, per-cycle
-//!   advancement, delivery queues and traffic statistics. It owns every
+//!   advancement, delivery queues and the four counts the chip
+//!   reads ([`NetworkStats`]: rejected injections, and delivered packets
+//!   with their summed latency and hops). It owns every
 //!   in-flight packet in one slab; its per-node routers (input-buffered,
 //!   dimension-order, a per-cycle link budget) queue 8-byte entries — a
 //!   packet's destination and its handle into that slab — in power-of-two

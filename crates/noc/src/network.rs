@@ -8,15 +8,13 @@
 use crate::packet::Packet;
 use crate::router::{entry, entry_dst, entry_handle, Handle, Router, TickBuffers};
 use crate::topology::{RouteTable, TorusTopology};
-use neura_sim::{BitSet, Cycle, Histogram};
+use neura_sim::{BitSet, Cycle};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Aggregate network statistics.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NetworkStats {
-    /// Packets injected.
-    pub injected: u64,
     /// Packets rejected at injection because the source router was full.
     pub injection_rejected: u64,
     /// Packets delivered to their destination routers.
@@ -25,8 +23,6 @@ pub struct NetworkStats {
     pub total_latency: u64,
     /// Sum of delivered-packet hop counts.
     pub total_hops: u64,
-    /// Total payload bytes delivered.
-    pub bytes_delivered: u64,
 }
 
 impl NetworkStats {
@@ -69,8 +65,6 @@ pub struct TorusNetwork {
     /// Slab slots whose packet has been drained.
     free: Vec<Handle>,
     stats: NetworkStats,
-    latency_histogram: Histogram,
-    hop_histogram: Histogram,
     /// Packets sitting in router input buffers (kept in step with the
     /// routers so [`Self::in_flight`] never re-sums them).
     buffered: usize,
@@ -102,8 +96,6 @@ impl TorusNetwork {
             packets: Vec::new(),
             free: Vec::new(),
             stats: NetworkStats::default(),
-            latency_histogram: Histogram::new(4, 64),
-            hop_histogram: Histogram::new(1, 64),
             buffered: 0,
             waiting: 0,
             routed: TickBuffers::new(topology.nodes() * links_per_cycle),
@@ -150,7 +142,6 @@ impl TorusNetwork {
         let accepted = self.routers[src].accept(entry(dst, handle));
         debug_assert!(accepted, "fullness was checked above");
         self.active.insert(src);
-        self.stats.injected += 1;
         self.buffered += 1;
         Ok(())
     }
@@ -194,9 +185,6 @@ impl TorusNetwork {
             self.stats.delivered += 1;
             self.stats.total_latency += packet.latency(now);
             self.stats.total_hops += u64::from(packet.hops);
-            self.stats.bytes_delivered += packet.bytes as u64;
-            self.latency_histogram.record(packet.latency(now));
-            self.hop_histogram.record(u64::from(packet.hops));
             self.deliveries[node].push_back(handle);
             self.deliverable.insert(node);
         }
@@ -251,25 +239,6 @@ impl TorusNetwork {
     /// Aggregate statistics.
     pub fn stats(&self) -> &NetworkStats {
         &self.stats
-    }
-
-    /// Histogram of delivered-packet latencies.
-    pub fn latency_histogram(&self) -> &Histogram {
-        &self.latency_histogram
-    }
-
-    /// Histogram of delivered-packet hop counts (bin width 1, so bin `i`
-    /// counts packets that crossed exactly `i` router-to-router links;
-    /// its total always equals [`NetworkStats::total_hops`] summed over
-    /// `bin × count`).
-    pub fn hop_histogram(&self) -> &Histogram {
-        &self.hop_histogram
-    }
-
-    /// Per-router congestion (blocked cycles:
-    /// transfers that arrived over capacity), indexed by node id.
-    pub fn congestion_map(&self) -> Vec<u64> {
-        self.routers.iter().map(|r| r.stats().blocked_cycles).collect()
     }
 }
 
@@ -337,12 +306,6 @@ mod tests {
             let (src, dst) = pairs[p.id as usize];
             assert_eq!(p.hops as usize, topo.distance(src, dst));
         }
-    }
-
-    #[test]
-    fn congestion_map_has_entry_per_router() {
-        let net = TorusNetwork::new(TorusTopology::new(3, 3), 4);
-        assert_eq!(net.congestion_map().len(), 9);
     }
 
     #[test]

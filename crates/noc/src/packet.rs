@@ -17,7 +17,8 @@ pub struct Packet {
     pub src: usize,
     /// Destination node id.
     pub dst: usize,
-    /// Payload size in bytes (used for bandwidth accounting).
+    /// Payload size in bytes, carried for the caller; the network does not
+    /// read it.
     pub bytes: usize,
     /// Cycle at which the packet was injected (filled in by the network).
     pub injected_at: u64,

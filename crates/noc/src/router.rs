@@ -13,7 +13,6 @@
 //! has routed.
 
 use crate::topology::RouteTable;
-use serde::{Deserialize, Serialize};
 
 /// Index of a packet in its network's slab.
 pub(crate) type Handle = u32;
@@ -37,15 +36,6 @@ pub(crate) fn entry_dst(entry: Entry) -> usize {
 #[inline]
 pub(crate) fn entry_handle(entry: Entry) -> Handle {
     entry as Handle
-}
-
-/// Per-router statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) struct RouterStats {
-    /// Router-to-router transfers that arrived while the input buffer was
-    /// already at or over its nominal capacity (congestion indicator). A
-    /// count of transfers, not of cycles: several can land in one cycle.
-    pub blocked_cycles: u64,
 }
 
 /// A FIFO of queue entries in a power-of-two ring, indexed by mask.
@@ -129,24 +119,19 @@ impl TickBuffers {
     }
 }
 
-/// One node's router: its input queue and congestion count.
+/// One node's router: its input queue.
 #[derive(Debug, Clone)]
 pub(crate) struct Router {
     buffer_capacity: usize,
     /// Single merged input buffer (the paper's "packet buffers").
     input: Ring,
-    stats: RouterStats,
 }
 
 impl Router {
     /// Creates a router with the given input-buffer capacity.
     pub(crate) fn new(buffer_capacity: usize) -> Self {
         let buffer_capacity = buffer_capacity.max(1);
-        Router {
-            buffer_capacity,
-            input: Ring::with_capacity(buffer_capacity),
-            stats: RouterStats::default(),
-        }
+        Router { buffer_capacity, input: Ring::with_capacity(buffer_capacity) }
     }
 
     /// True when the input buffer cannot accept another injected packet.
@@ -175,17 +160,11 @@ impl Router {
     /// Router-to-router transfers are never refused: the fabric uses
     /// credit-free forwarding with throughput limits instead of hard buffer
     /// limits, which keeps the wrap-around torus free of routing deadlock.
-    /// A transfer that finds the buffer at or over its nominal capacity is
-    /// counted as congestion ([`RouterStats::blocked_cycles`]).
+    /// A transfer that finds the buffer at or over its nominal capacity
+    /// grows the ring.
     #[inline]
     pub(crate) fn force_accept(&mut self, entry: Entry) {
-        self.stats.blocked_cycles += u64::from(self.is_full());
         self.input.push(entry);
-    }
-
-    /// Statistics snapshot.
-    pub(crate) fn stats(&self) -> RouterStats {
-        self.stats
     }
 
     /// Routes up to `links_per_cycle` entries of this router, at `node`,
@@ -257,13 +236,16 @@ mod tests {
     }
 
     #[test]
-    fn forwarded_packets_are_never_refused_but_count_congestion() {
+    fn forwarded_packets_are_never_refused() {
         let mut r = Router::new(1);
         r.force_accept(entry(1, 0));
-        assert_eq!(r.stats().blocked_cycles, 0);
+        assert!(r.is_full());
         r.force_accept(entry(1, 1));
         assert_eq!(r.buffered(), 2, "forwarded packets always land");
-        assert_eq!(r.stats().blocked_cycles, 1, "over-capacity transfer counts as congestion");
+        let routes = RouteTable::new(&TorusTopology::new(2, 1));
+        let mut out = TickBuffers::new(2);
+        r.route(0, &routes, 2, &mut out);
+        assert_eq!(&out.transfers[..out.moved], [(1, entry(1, 0)), (1, entry(1, 1))]);
     }
 
     #[test]

@@ -10,13 +10,12 @@
 //! route every router, apply the transfers, append the cycle's deliveries
 //! to one store, filter the store per drain, re-sum every buffer for
 //! `in_flight` — and must be indistinguishable from outside: per-node
-//! delivery order, `stats()`, both histograms, `congestion_map()` and
-//! `in_flight()`, for any inject/tick/drain schedule on any torus up to
-//! the 16×16 of Tile-64, at the buffer capacities and link budgets the
-//! chip configurations use.
+//! delivery order, `stats()` and `in_flight()`, for any inject/tick/drain
+//! schedule on any torus up to the 16×16 of Tile-64, at the buffer
+//! capacities and link budgets the chip configurations use.
 
 use neura_noc::{Direction, NetworkStats, Packet, TorusNetwork, TorusTopology};
-use neura_sim::{Cycle, Histogram};
+use neura_sim::Cycle;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -25,11 +24,10 @@ struct Reference {
     capacity: usize,
     links: usize,
     inputs: Vec<VecDeque<Packet>>,
-    blocked: Vec<u64>,
+    /// Per node, the longest its input queue has been after a tick.
+    peak: Vec<usize>,
     store: Vec<Packet>,
     stats: NetworkStats,
-    latency: Histogram,
-    hops: Histogram,
 }
 
 impl Reference {
@@ -39,11 +37,9 @@ impl Reference {
             capacity,
             links,
             inputs: vec![VecDeque::new(); topology.nodes()],
-            blocked: vec![0; topology.nodes()],
+            peak: vec![0; topology.nodes()],
             store: Vec::new(),
             stats: NetworkStats::default(),
-            latency: Histogram::new(4, 64),
-            hops: Histogram::new(1, 64),
         }
     }
 
@@ -53,7 +49,6 @@ impl Reference {
             self.stats.injection_rejected += 1;
             return Err(packet);
         }
-        self.stats.injected += 1;
         self.inputs[packet.src].push_back(packet);
         Ok(())
     }
@@ -74,18 +69,15 @@ impl Reference {
             }
         }
         for (next, packet) in moves {
-            if self.inputs[next].len() >= self.capacity {
-                self.blocked[next] += 1;
-            }
             self.inputs[next].push_back(packet);
+        }
+        for (peak, input) in self.peak.iter_mut().zip(&self.inputs) {
+            *peak = (*peak).max(input.len());
         }
         for packet in arrived {
             self.stats.delivered += 1;
             self.stats.total_latency += packet.latency(now);
             self.stats.total_hops += u64::from(packet.hops);
-            self.stats.bytes_delivered += packet.bytes as u64;
-            self.latency.record(packet.latency(now));
-            self.hops.record(u64::from(packet.hops));
             self.store.push(packet);
         }
     }
@@ -120,6 +112,8 @@ struct Pair {
     net: TorusNetwork,
     reference: Reference,
     next_id: u64,
+    /// Injections the network took (`Ok`).
+    accepted: u64,
     now: u64,
 }
 
@@ -130,10 +124,9 @@ impl Pair {
             let id = self.next_id;
             let packet = Packet::new(id, src % nodes, dst % nodes, 8 + (id % 3) as usize * 4);
             self.next_id += 1;
-            prop_assert_eq!(
-                self.net.inject(packet.clone(), Cycle(now)),
-                self.reference.inject(packet, now)
-            );
+            let injected = self.net.inject(packet.clone(), Cycle(now));
+            self.accepted += u64::from(injected.is_ok());
+            prop_assert_eq!(injected, self.reference.inject(packet, now));
         }
         if tick {
             self.net.tick(Cycle(now));
@@ -144,7 +137,6 @@ impl Pair {
         }
         prop_assert_eq!(self.net.in_flight(), self.reference.in_flight());
         prop_assert_eq!(self.net.stats(), &self.reference.stats);
-        prop_assert_eq!(self.net.congestion_map(), self.reference.blocked.clone());
         self.now += 1;
         Ok(())
     }
@@ -168,6 +160,7 @@ proptest! {
             net: TorusNetwork::new(topology, capacity).with_links_per_cycle(links),
             reference: Reference::new(topology, capacity, links),
             next_id: 0,
+            accepted: 0,
             now: 0,
         };
         for schedule in rounds {
@@ -181,19 +174,16 @@ proptest! {
                 prop_assert!(drain_steps < 2_000, "the fabric never drained");
             }
             prop_assert_eq!(pair.net.in_flight(), 0);
-            prop_assert_eq!(pair.net.stats().delivered, pair.net.stats().injected);
+            prop_assert_eq!(pair.net.stats().delivered, pair.accepted);
         }
-        prop_assert_eq!(pair.net.latency_histogram(), &pair.reference.latency);
-        prop_assert_eq!(pair.net.hop_histogram(), &pair.reference.hops);
     }
 }
 
 /// A burst that converges on one node of the 16×16 torus at capacity 1 and
 /// four links: every node sends to `hub` for four cycles, then the fabric
-/// drains. In one tick more than twice the hub's initial one slot of
-/// transfers land on it over capacity, so its ring grows past twice its
-/// initial size within that tick; delivery order, `stats()`,
-/// `congestion_map()` and both histograms still match the reference.
+/// drains. The hub's queue outgrows its one slot more than 64 times over,
+/// so its ring doubles at least seven times; delivery order, `stats()` and
+/// `in_flight()` still match the reference.
 #[test]
 fn a_converging_burst_grows_a_ring_and_matches_the_reference() -> Result<(), String> {
     let topology = TorusTopology::new(16, 16);
@@ -202,21 +192,17 @@ fn a_converging_burst_grows_a_ring_and_matches_the_reference() -> Result<(), Str
         net: TorusNetwork::new(topology, 1).with_links_per_cycle(4),
         reference: Reference::new(topology, 1, 4),
         next_id: 0,
+        accepted: 0,
         now: 0,
     };
     let burst: Vec<(usize, usize)> = (0..topology.nodes()).map(|src| (src, hub)).collect();
     let mut steps = vec![(burst, true, 0); 4];
     steps.extend(std::iter::repeat_n((Vec::new(), true, u64::MAX), 400));
-    let mut most_over_capacity = 0;
     for step in steps {
-        let before = pair.net.congestion_map()[hub];
         pair.step(step)?;
-        most_over_capacity = most_over_capacity.max(pair.net.congestion_map()[hub] - before);
     }
     assert_eq!(pair.net.in_flight(), 0, "the burst drained");
-    assert!(most_over_capacity > 2, "the hub's ring never grew twice in a tick");
-    assert_eq!(pair.net.stats().delivered, pair.net.stats().injected);
-    assert_eq!(pair.net.latency_histogram(), &pair.reference.latency);
-    assert_eq!(pair.net.hop_histogram(), &pair.reference.hops);
+    assert!(pair.reference.peak[hub] > 64, "the hub's ring never doubled seven times");
+    assert_eq!(pair.net.stats().delivered, pair.accepted);
     Ok(())
 }

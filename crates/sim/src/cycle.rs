@@ -7,8 +7,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// A clock-cycle timestamp.
 ///
 /// All NeuraChip configurations run at 1 GHz (Table 3), so a cycle count
-/// converts directly to nanoseconds; [`Cycle::to_seconds`] takes the
-/// frequency explicitly so other clock domains can be modelled too.
+/// converts directly to nanoseconds.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
@@ -21,16 +20,6 @@ impl Cycle {
     /// Returns the raw cycle count.
     pub fn as_u64(self) -> u64 {
         self.0
-    }
-
-    /// Converts the cycle count to seconds at the given clock frequency (Hz).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frequency_hz` is not finite and positive.
-    pub fn to_seconds(self, frequency_hz: f64) -> f64 {
-        assert!(frequency_hz.is_finite() && frequency_hz > 0.0, "clock frequency must be positive");
-        self.0 as f64 / frequency_hz
     }
 
     /// Saturating difference between two timestamps.
@@ -84,19 +73,6 @@ mod tests {
         let mut d = c;
         d += 3;
         assert_eq!(d, Cycle(13));
-    }
-
-    #[test]
-    fn to_seconds_uses_frequency() {
-        let c = Cycle(2_000_000_000);
-        assert!((c.to_seconds(1e9) - 2.0).abs() < 1e-12);
-        assert!((c.to_seconds(2e9) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn to_seconds_rejects_zero_frequency() {
-        Cycle(1).to_seconds(0.0);
     }
 
     #[test]

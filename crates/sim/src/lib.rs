@@ -5,7 +5,7 @@
 //! NoC, NeuraMems and memory controllers by hand in Figure 5 order); this
 //! crate holds the types that loop and its units are written in:
 //!
-//! * [`Cycle`] — a strongly-typed cycle counter plus frequency conversions,
+//! * [`Cycle`] — a strongly-typed cycle counter,
 //! * [`Histogram`] — fixed-bin sample histograms behind the paper's CPI and
 //!   HACC-latency figures,
 //! * [`LatencyHistogram`] — mergeable log-bucketed percentile state shared
@@ -33,7 +33,7 @@
 //!     now += latency;
 //! }
 //! assert_eq!(cpi.count(), 100);
-//! assert!(now.to_seconds(1e9) < 120.0 * 100.0 / 1e9);
+//! assert!(now < Cycle(120 * 100));
 //! ```
 
 #![warn(missing_docs)]

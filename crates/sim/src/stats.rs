@@ -18,8 +18,6 @@ pub struct Histogram {
     bins: Vec<u64>,
     count: u64,
     sum: u64,
-    min: u64,
-    max: u64,
 }
 
 impl Histogram {
@@ -31,24 +29,15 @@ impl Histogram {
     pub fn new(bin_width: u64, bin_count: usize) -> Self {
         assert!(bin_width > 0, "bin width must be positive");
         assert!(bin_count > 0, "bin count must be positive");
-        Histogram { bin_width, bins: vec![0; bin_count], count: 0, sum: 0, min: u64::MAX, max: 0 }
+        Histogram { bin_width, bins: vec![0; bin_count], count: 0, sum: 0 }
     }
 
     /// Records one sample.
     pub fn record(&mut self, sample: u64) {
-        // The run loops record several samples per simulated instruction,
-        // two of them into power-of-two bins (NoC latency and hop count).
-        let bin = if self.bin_width.is_power_of_two() {
-            sample >> self.bin_width.trailing_zeros()
-        } else {
-            sample / self.bin_width
-        };
-        let idx = (bin as usize).min(self.bins.len() - 1);
+        let idx = ((sample / self.bin_width) as usize).min(self.bins.len() - 1);
         self.bins[idx] += 1;
         self.count += 1;
         self.sum += sample;
-        self.min = self.min.min(sample);
-        self.max = self.max.max(sample);
     }
 
     /// Number of recorded samples.
@@ -62,24 +51,6 @@ impl Histogram {
             0.0
         } else {
             self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Minimum recorded sample, or `None` if empty.
-    pub fn min(&self) -> Option<u64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.min)
-        }
-    }
-
-    /// Maximum recorded sample, or `None` if empty.
-    pub fn max(&self) -> Option<u64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.max)
         }
     }
 
@@ -120,24 +91,6 @@ impl Histogram {
         }
         self.count += other.count;
         self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Approximate percentile (0–100) computed from the binned data.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (p.clamp(0.0, 100.0) / 100.0 * self.count as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &b) in self.bins.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return (i as u64 + 1) * self.bin_width;
-            }
-        }
-        self.bins.len() as u64 * self.bin_width
     }
 }
 
@@ -155,8 +108,6 @@ mod tests {
         h.record(1000); // overflow clamps to last bin
         assert_eq!(h.bins, [2, 1, 0, 2]);
         assert_eq!(h.count(), 5);
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(1000));
     }
 
     #[test]
@@ -182,15 +133,24 @@ mod tests {
             h.record(v);
         }
         assert!((h.mean() - 25.0).abs() < 1e-12);
-        assert!(h.percentile(50.0) <= h.percentile(100.0));
+        // A percentile is read off the cumulative percentages: the median
+        // falls in the first bin where they reach 50, `20-30`.
+        let cumulative: Vec<f64> = h
+            .percentages()
+            .iter()
+            .scan(0.0, |sum, p| {
+                *sum += p;
+                Some(*sum)
+            })
+            .collect();
+        assert_eq!(cumulative.iter().position(|&c| c >= 50.0), Some(2));
     }
 
     #[test]
     fn empty_histogram_is_well_behaved() {
         let h = Histogram::new(10, 4);
+        assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.percentile(99.0), 0);
         assert_eq!(h.percentages(), vec![0.0; 4]);
     }
 
