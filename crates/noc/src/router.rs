@@ -160,8 +160,8 @@ impl Router {
     /// Router-to-router transfers are never refused: the fabric uses
     /// credit-free forwarding with throughput limits instead of hard buffer
     /// limits, which keeps the wrap-around torus free of routing deadlock.
-    /// A transfer that finds the buffer at or over its nominal capacity
-    /// grows the ring.
+    /// A transfer may take the buffer past its nominal capacity; the ring
+    /// grows when its slots run out.
     #[inline]
     pub(crate) fn force_accept(&mut self, entry: Entry) {
         self.input.push(entry);

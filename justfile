@@ -31,10 +31,11 @@ doc:
 loc rev="":
     bash scripts/loc.sh {{rev}}
 
-# Per crate: `pub` declarations, `pub mod` lines, and the `pub` names no
-# file outside the crate's `src/` mentions. Printed, never gated — the gate
-# is `unreachable_pub` in `just clippy`. `just surface HEAD~1` prints the
-# before → after table against that commit instead.
+# Per crate: `pub` declarations, `pub mod` lines, the `pub` names no file
+# outside the crate's `src/` mentions, and those only test files mention.
+# Printed, never gated — the gate is `unreachable_pub` in `just clippy`.
+# `just surface HEAD~1` prints the before → after table against that
+# commit instead.
 surface rev="":
     bash scripts/pub-surface.sh {{rev}}
 
