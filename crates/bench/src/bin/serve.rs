@@ -74,7 +74,9 @@
 //! every arm of a workload on the identical demand — and [`emit_outcomes`]
 //! writes them down.
 
-use neura_bench::{exit_wedged, price_class, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED};
+use neura_bench::{
+    exit_wedged, price_class, push_once, sim_matrix_at_fidelity, REQUEST_SHRINKS, STREAM_SEED,
+};
 use neura_chip::config::{ChipConfig, TileSize};
 use neura_lab::spec::derive_seed;
 use neura_lab::{fmt, print_table, Artifact, Flags, RunRecord, Runner, TIMELINE_SCHEMA};
@@ -84,9 +86,8 @@ use neura_serve::policy::DEFAULT_MAX_BATCH;
 use neura_serve::{
     simulate_config_parallel, simulate_config_traced_parallel, ArrivalProcess, AutoscalePolicy,
     CostTable, DispatchKind, EnginePlan, FaultSpec, FleetMix, Policy, RateShape, RequestClass,
-    ScenarioSpec, ServeConfig, ServeOutcome, ServeScenario, ServeSweep, ShapedStream, TenantMix,
-    TenantSpec, Timeline, Workload, WorkloadAxis, MAX_CRASHES, MAX_STREAM_REQUESTS,
-    MAX_TIMELINE_WINDOWS,
+    ScenarioSpec, ServeConfig, ServeOutcome, ServeScenario, ServeSweep, TenantMix, TenantSpec,
+    Timeline, Workload, WorkloadAxis, MAX_CRASHES, MAX_STREAM_REQUESTS, MAX_TIMELINE_WINDOWS,
 };
 use std::path::PathBuf;
 
@@ -203,17 +204,24 @@ impl Args {
     fn take_demand_flag(&mut self, arg: &str, flags: &mut Flags) -> bool {
         match arg {
             "--arrival" => {
-                self.arrivals.push(flags.known(arg, "arrival process", ArrivalProcess::parse));
+                let arrival = flags.known(arg, "arrival process", ArrivalProcess::parse);
+                push_once(flags, arg, &mut self.arrivals, arrival, |a| a.name().to_string());
             }
-            "--rps" => self.rps.push(flags.parsed(arg, "a positive rate", Flags::positive)),
-            "--clients" => self.clients.push(bounded(flags, arg, MAX_CLIENTS)),
+            "--rps" => {
+                let rps = flags.parsed(arg, "a positive rate", Flags::positive);
+                push_once(flags, arg, &mut self.rps, rps, |r| format!("{r:?}"));
+            }
+            "--clients" => {
+                let clients = bounded(flags, arg, MAX_CLIENTS);
+                push_once(flags, arg, &mut self.clients, clients, usize::to_string);
+            }
             "--think-ms" => {
                 self.think_ms = Some(flags.parsed(arg, "a think time", Flags::non_negative));
             }
             "--duration" => {
                 self.duration_s = Some(flags.parsed(arg, "a positive duration", Flags::positive));
             }
-            "--dataset" => self.mix.push(neura_bench::dataset_flag(flags)),
+            "--dataset" => neura_bench::dataset_flag(flags, &mut self.mix),
             "--scenario" => {
                 let raw = flags.value(arg);
                 if raw.eq_ignore_ascii_case("all") {
@@ -248,7 +256,10 @@ impl Args {
     /// is served: the policy, the fleet and what goes wrong with it.
     fn take_serving_flag(&mut self, arg: &str, flags: &mut Flags) -> bool {
         match arg {
-            "--policy" => self.policies.push(flags.known(arg, "policy", Policy::parse)),
+            "--policy" => {
+                let policy = flags.known(arg, "policy", Policy::parse);
+                push_once(flags, arg, &mut self.policies, policy, Policy::name);
+            }
             "--max-batch" => {
                 self.max_batch = Some(flags.parsed(arg, "a positive integer", Flags::at_least_one));
             }
@@ -257,18 +268,18 @@ impl Args {
             }
             "--shards" => {
                 let n = flags.parsed(arg, "a positive integer", Flags::at_least_one);
-                self.fleets.push(FleetMix::uniform(TileSize::Tile16, n));
+                let fleet = FleetMix::uniform(TileSize::Tile16, n);
+                push_once(flags, arg, &mut self.fleets, fleet, |f| f.id.clone());
             }
             "--fleet" => {
                 let raw = flags.value(arg);
-                self.fleets.push(
-                    FleetMix::parse(&raw).unwrap_or_else(|| {
-                        flags.bad_usage(&format!("unparseable fleet mix {raw:?}"))
-                    }),
-                );
+                let fleet = FleetMix::parse(&raw)
+                    .unwrap_or_else(|| flags.bad_usage(&format!("unparseable fleet mix {raw:?}")));
+                push_once(flags, arg, &mut self.fleets, fleet, |f| f.id.clone());
             }
             "--dispatch" => {
-                self.dispatches.push(flags.known(arg, "dispatch policy", DispatchKind::parse));
+                let dispatch = flags.known(arg, "dispatch policy", DispatchKind::parse);
+                push_once(flags, arg, &mut self.dispatches, dispatch, |d| d.name().to_string());
             }
             "--autoscale" => {
                 let raw = flags.value(arg);
@@ -708,12 +719,10 @@ fn replay(
     let cli_tenants = (!args.tenants.is_empty()).then(|| TenantMix::new(args.tenants.clone()));
     let outcomes = runner.run(scenarios, |_, scenario: &ServeScenario| {
         let mut workload = scenario.workload_spec(duration_s, args.mix.len(), &REQUEST_SHRINKS);
-        // CLI tenants wrap the plain open arms (library arms carry their
+        // CLI tenants join the plain open arms (library arms carry their
         // own mix; closed loops have no admission gate to rate-limit).
-        if scenario.scenario.is_none() {
-            if let (Some(mix), Workload::Open(spec)) = (&cli_tenants, &workload) {
-                workload = Workload::Shaped(ShapedStream::tenants_only(spec.clone(), mix.clone()));
-            }
+        if let (None, Workload::Shaped(shaped)) = (&scenario.scenario, &mut workload) {
+            shaped.tenants.clone_from(&cli_tenants);
         }
         // A library arm brings its own regime; a plain arm takes the
         // --fault one, seeded from its workload over the run's horizon.

@@ -236,7 +236,7 @@ fn main() {
     let mut flags = Flags::from_env(usage());
     while let Some(arg) = flags.next() {
         match arg.as_str() {
-            "--dataset" => datasets.push(neura_bench::dataset_flag(&mut flags)),
+            "--dataset" => neura_bench::dataset_flag(&mut flags, &mut datasets),
             "--objective" => {
                 objective = flags.known("--objective", "objective", Objective::parse);
             }

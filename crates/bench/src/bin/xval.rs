@@ -44,7 +44,9 @@
 //!   So is `--json` beside `--fit` or `--dump`: both print and write no
 //!   artifact.
 
-use neura_bench::{exit_wedged, price_class, sim_matrix_at_fidelity, ChipGrid, GridCell};
+use neura_bench::{
+    exit_wedged, price_class, push_once, sim_matrix_at_fidelity, ChipGrid, GridCell,
+};
 use neura_chip::analytic::{
     feature_vector, AnalyticModel, GroupCoeffs, WorkloadFeatures, FEATURES,
 };
@@ -98,11 +100,10 @@ fn parse_args() -> (Args, Flags) {
         }
         match arg.as_str() {
             "--frequency" => {
-                parsed.frequencies.push(flags.parsed(
-                    "--frequency",
-                    "a positive GHz value",
-                    Flags::positive,
-                ));
+                let ghz = flags.parsed("--frequency", "a positive GHz value", Flags::positive);
+                push_once(&flags, "--frequency", &mut parsed.frequencies, ghz, |f| {
+                    format!("{f:?}")
+                });
             }
             "--fit" => parsed.fit = true,
             "--dump" => parsed.dump = true,

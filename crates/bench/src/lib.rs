@@ -62,10 +62,31 @@ fn catalog_dataset(name: &str) -> Dataset {
         .unwrap_or_else(|| panic!("dataset {name:?} is not in the catalog"))
 }
 
-/// Reads the value of a `--dataset` flag: a catalog name, or the usage
-/// error `unknown dataset "<raw>"`.
-pub fn dataset_flag(flags: &mut Flags) -> String {
-    flags.known("--dataset", "dataset", |raw| DatasetCatalog::by_name(raw).map(|_| raw.to_string()))
+/// Reads the value of a `--dataset` flag into `datasets`: a catalog name
+/// (else the usage error `unknown dataset "<raw>"`), once (see
+/// [`push_once`]).
+pub fn dataset_flag(flags: &mut Flags, datasets: &mut Vec<String>) {
+    let dataset = flags
+        .known("--dataset", "dataset", |raw| DatasetCatalog::by_name(raw).map(|_| raw.to_string()));
+    push_once(flags, "--dataset", datasets, dataset, String::clone);
+}
+
+/// Adds a value of the repeatable list flag `flag` to its list. Run IDs
+/// are built from the values' names, so a value whose `name` the list
+/// already holds is the usage error `duplicate <flag> value "<name>"`: it
+/// would run its arms again and write their record IDs twice.
+pub fn push_once<T>(
+    flags: &Flags,
+    flag: &str,
+    list: &mut Vec<T>,
+    value: T,
+    name: impl Fn(&T) -> String,
+) {
+    let named = name(&value);
+    if list.iter().any(|held| name(held) == named) {
+        flags.bad_usage(&format!("duplicate {flag} value {named:?}"));
+    }
+    list.push(value);
 }
 
 /// Generates a dataset's cycle-simulator matrix at a reduced tuning
@@ -200,22 +221,27 @@ impl GridCell {
 
 impl ChipGrid {
     /// Reads the value of `arg` off `flags` into its axis when `arg` is one
-    /// of the four grid flags — a value the axis does not know is a usage
-    /// error — and returns whether it was.
+    /// of the four grid flags — a value the axis does not know, or already
+    /// holds, is a usage error — and returns whether it was.
     pub fn take_flag(&mut self, arg: &str, flags: &mut Flags) -> bool {
         match arg {
-            "--dataset" => self.datasets.push(dataset_flag(flags)),
-            "--tile" => self.tiles.push(flags.known("--tile", "tile size", |raw| {
-                TileSize::ALL.into_iter().find(|t| t.label() == raw)
-            })),
-            "--hbm" => self.hbms.push(flags.known("--hbm", "HBM preset", |raw| {
-                HbmPreset::ALL.into_iter().find(|p| p.name() == raw)
-            })),
-            "--shrink" => self.shrinks.push(flags.parsed(
-                "--shrink",
-                "a positive integer",
-                Flags::at_least_one,
-            )),
+            "--dataset" => dataset_flag(flags, &mut self.datasets),
+            "--tile" => {
+                let tile = flags.known(arg, "tile size", |raw| {
+                    TileSize::ALL.into_iter().find(|t| t.label() == raw)
+                });
+                push_once(flags, arg, &mut self.tiles, tile, |t| t.label().to_string());
+            }
+            "--hbm" => {
+                let hbm = flags.known(arg, "HBM preset", |raw| {
+                    HbmPreset::ALL.into_iter().find(|p| p.name() == raw)
+                });
+                push_once(flags, arg, &mut self.hbms, hbm, |p| p.name().to_string());
+            }
+            "--shrink" => {
+                let shrink = flags.parsed(arg, "a positive integer", Flags::at_least_one);
+                push_once(flags, arg, &mut self.shrinks, shrink, usize::to_string);
+            }
             _ => return false,
         }
         true

@@ -344,8 +344,13 @@ fn read_artifact(path: &Path, bin: &str) -> Result<Artifact, String> {
     Ok(artifact)
 }
 
-/// What a binary's artifact must say beyond the schema.
+/// What a binary's artifact must say beyond the schema, starting with
+/// every record ID once (`RunRecord::id` is unique within an artifact).
 fn check_artifact(label: &str, artifact: &Artifact) -> Result<(), String> {
+    let mut ids = BTreeSet::new();
+    if let Some(twice) = artifact.records.iter().find(|r| !ids.insert(r.id.as_str())) {
+        return Err(format!("record ID {:?} appears twice", twice.id));
+    }
     if artifact.bin == "tune" {
         let best = artifact
             .records
@@ -1009,7 +1014,9 @@ fn a_timeline_window_too_narrow_for_the_horizon_exits_2() {
 /// from its command line — a stream, a client population, a fleet, a crash
 /// count, an epoch count — when they pass what a replay may allocate; so
 /// does `xval --fit` on a grid it cannot fit, and `xval --dump` or `--fit`
-/// beside `--json`; and so does `paper` for a
+/// beside `--json`; so does a value a repeatable list flag already holds
+/// (its record IDs would repeat), and none of these writes its `--json`
+/// artifact; and so does `paper` for a
 /// name its table lacks, a stray flag or a second path after a name, and
 /// one `--json` path for all eleven artifacts. The one environment knob, `NEURA_LAB_THREADS`,
 /// is held to the same exit when set to something that is not a positive
@@ -1031,6 +1038,7 @@ fn malformed_command_lines_exit_2_with_the_usage_text() {
                 (vec![value_flag], format!("{value_flag} needs a value")),
             ]
         };
+        cases.extend(repeated_values(bin));
         if bin == "serve" {
             // The epoch-width spelling of `--epochs`, the lane speed-up
             // demo and the class-pricing profiler (`profile` is the one
@@ -1099,6 +1107,8 @@ fn malformed_command_lines_exit_2_with_the_usage_text() {
             assert!(stderr.starts_with(&complaint), "{bin} {args:?}: complaint first\n{stderr}");
             assert!(stderr.contains(&format!("usage: {bin} ")), "{bin} {args:?}: usage\n{stderr}");
             assert!(output.stdout.is_empty(), "{bin} {args:?}: nothing may run before the exit");
+            let json = args.iter().position(|&a| a == "--json").and_then(|i| args.get(i + 1));
+            assert!(!json.is_some_and(|path| Path::new(path).exists()), "{bin} {args:?}: wrote");
             if args == ["nosuch"] {
                 let listed = |a: &neura_bench::paper::Row| {
                     stderr.contains(&format!("\n  {:<9} {}", a.name, a.title))
@@ -1115,6 +1125,37 @@ fn malformed_command_lines_exit_2_with_the_usage_text() {
     assert_eq!(output.status.code(), Some(2), "NEURA_LAB_THREADS=zero: exit code\n{stderr}");
     assert_eq!(stderr, "NEURA_LAB_THREADS=\"zero\" is not a positive integer\n");
     assert!(output.stdout.is_empty(), "NEURA_LAB_THREADS=zero: nothing may run before the exit");
+}
+
+/// Command lines of `bin` that repeat a value of a repeatable list flag,
+/// with the complaint each must exit 2 with. A repeat once ran its arms
+/// twice and wrote their record IDs twice (`xval` also printed a `NaN`
+/// row for it); the fleet of `--shards 1` is the fleet `t16x1`, and the
+/// frequency `1` is `1.0`.
+fn repeated_values(bin: &str) -> Vec<(Vec<&'static str>, String)> {
+    let mut cases = Vec::new();
+    if ["serve", "tune", "xval", "profile"].contains(&bin) {
+        let mut args = vec!["--dataset", "cora", "--dataset", "cora"];
+        if bin == "xval" {
+            args.extend(["--hbm", "hbm2", "--json", "x.json"]);
+        }
+        cases.push((args, "duplicate --dataset value \"cora\""));
+    }
+    if bin == "serve" {
+        cases.push((
+            vec!["--policy", "fifo", "--policy", "fifo", "--shards", "1", "--shards", "1"],
+            "duplicate --policy value \"fifo\"",
+        ));
+        cases
+            .push((vec!["--shards", "1", "--fleet", "t16x1"], "duplicate --fleet value \"t16x1\""));
+    }
+    if bin == "xval" {
+        cases.push((
+            vec!["--frequency", "1", "--frequency", "1.0"],
+            "duplicate --frequency value \"1.0\"",
+        ));
+    }
+    cases.into_iter().map(|(args, complaint)| (args, complaint.to_string())).collect()
 }
 
 /// A cell the chip cannot simulate ends `xval` and `profile` with exit code

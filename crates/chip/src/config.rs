@@ -269,17 +269,6 @@ impl ChipConfig {
         self
     }
 
-    /// Overrides the NeuraMem count per tile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mems` is zero.
-    pub fn with_mems_per_tile(mut self, mems: usize) -> Self {
-        assert!(mems >= 1, "a tile needs at least one NeuraMem");
-        self.mems_per_tile = mems;
-        self
-    }
-
     /// Overrides the router packet-buffer capacity.
     ///
     /// # Panics
@@ -591,13 +580,11 @@ mod tests {
     fn structural_builders_override_the_new_axes() {
         let cfg = ChipConfig::tile_16()
             .with_cores_per_tile(8)
-            .with_mems_per_tile(2)
             .with_router_buffer(32)
             .with_mem_queue_capacity(128)
             .with_frequency_ghz(1.5)
             .with_hbm_preset(HbmPreset::Hbm2DualStack);
         assert_eq!(cfg.cores_per_tile, 8);
-        assert_eq!(cfg.mems_per_tile, 2);
         assert_eq!(cfg.router_buffer, 32);
         assert_eq!(cfg.mem_queue_capacity, 128);
         assert!((cfg.frequency_ghz - 1.5).abs() < 1e-12);
@@ -649,7 +636,7 @@ mod tests {
             base.clone().with_mapping(MappingKind::Ring),
             base.clone().with_eviction(EvictionPolicy::Barrier),
             base.clone().with_cores_per_tile(8),
-            base.clone().with_mems_per_tile(2),
+            ChipConfig { mems_per_tile: 2, ..base.clone() },
             base.clone().with_router_buffer(32),
             base.clone().with_mem_queue_capacity(128),
             base.clone().with_frequency_ghz(1.5),

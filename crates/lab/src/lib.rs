@@ -9,7 +9,8 @@
 //! 1. **[`spec`]** — declare the experiment. An [`ExperimentSpec`] names a
 //!    base [`ChipConfig`](neura_chip::config::ChipConfig) and a
 //!    [`SweepGrid`] of axes to vary (dataset, tile size, compute mapping,
-//!    eviction policy, MMH tile height, HashPad size).
+//!    eviction policy, MMH tile height, HashPad size, NeuraCores per tile,
+//!    router buffer and HBM preset).
 //!    [`ExperimentSpec::points`] enumerates the cartesian product in a
 //!    stable order with a stable run ID and derived seed per point.
 //! 2. **`runner`** — execute it. [`Runner`] fans the points out over a

@@ -1,11 +1,12 @@
 //! Declarative experiment descriptions: a cartesian sweep over the
 //! [`ChipConfig`] design space and the datasets it runs on.
 //!
-//! A [`SweepGrid`] names the axes being varied (compute mapping, eviction
-//! policy, MMH tile height, HashPad size, tile size, dataset, plus the
-//! scaling axes: core count per tile, router buffering, clock frequency and
-//! HBM timing preset); an [`ExperimentSpec`] pairs a grid with a base
-//! configuration and a name.
+//! A [`SweepGrid`] names the axes being varied: the dataset, then eight
+//! configuration axes — tile size, compute mapping, eviction policy, MMH
+//! tile height, HashPad size (hash-lines per NeuraMem), NeuraCores per
+//! tile, router packet buffering and HBM timing preset. Everything else
+//! (the clock frequency, say) comes from the base configuration that an
+//! [`ExperimentSpec`] pairs with the grid under a name.
 //! [`ExperimentSpec::points`] enumerates the full cartesian product in a
 //! stable, documented order, assigning each point a stable human-readable
 //! run ID and a seed derived from that ID — so the same spec always produces
@@ -48,8 +49,6 @@ pub struct SweepGrid {
     pub cores_per_tile: Vec<usize>,
     /// Router packet-buffer capacities to sweep.
     pub router_buffers: Vec<usize>,
-    /// Clock frequencies (GHz) to sweep.
-    pub frequencies_ghz: Vec<f64>,
     /// HBM timing presets to sweep.
     pub hbm_presets: Vec<HbmPreset>,
 }
@@ -105,12 +104,6 @@ impl SweepGrid {
     /// Sets the router packet-buffer axis (builder style).
     pub fn router_buffers(mut self, slots: impl IntoIterator<Item = usize>) -> Self {
         self.router_buffers = slots.into_iter().collect();
-        self
-    }
-
-    /// Sets the clock-frequency axis in GHz (builder style).
-    pub fn frequencies_ghz(mut self, ghz: impl IntoIterator<Item = f64>) -> Self {
-        self.frequencies_ghz = ghz.into_iter().collect();
         self
     }
 
@@ -209,8 +202,8 @@ impl ExperimentSpec {
 
     /// Enumerates every point of the cartesian product, in a stable order:
     /// dataset-major, then tile size, mapping, eviction, MMH tile, HashPad
-    /// size, cores per tile, router buffer, frequency and HBM preset (the
-    /// last axis varies fastest).
+    /// size, cores per tile, router buffer and HBM preset (the last axis
+    /// varies fastest).
     ///
     /// Run IDs name the spec, the dataset, and *only* the axes the grid
     /// actually sweeps (a one-point axis adds no ID segment), so IDs stay
@@ -271,7 +264,6 @@ enum Setting {
     Hashlines(usize),
     CoresPerTile(usize),
     RouterBuffer(usize),
-    FrequencyGhz(f64),
     Hbm(HbmPreset),
 }
 
@@ -279,7 +271,7 @@ impl SweepGrid {
     /// The configuration axes in enumeration order, slowest first — the
     /// order [`ExperimentSpec::points`] documents, and the one place a new
     /// axis joins the walk.
-    fn axes(&self) -> [Vec<Setting>; 9] {
+    fn axes(&self) -> [Vec<Setting>; 8] {
         fn lift<T: Copy>(values: &[T], setting: fn(T) -> Setting) -> Vec<Setting> {
             values.iter().copied().map(setting).collect()
         }
@@ -291,7 +283,6 @@ impl SweepGrid {
             lift(&self.hashlines, Setting::Hashlines),
             lift(&self.cores_per_tile, Setting::CoresPerTile),
             lift(&self.router_buffers, Setting::RouterBuffer),
-            lift(&self.frequencies_ghz, Setting::FrequencyGhz),
             lift(&self.hbm_presets, Setting::Hbm),
         ]
     }
@@ -325,7 +316,6 @@ impl Setting {
             }
             Setting::CoresPerTile(cores) => config.with_cores_per_tile(cores),
             Setting::RouterBuffer(slots) => config.with_router_buffer(slots),
-            Setting::FrequencyGhz(ghz) => config.with_frequency_ghz(ghz),
             Setting::Hbm(preset) => config.with_hbm_preset(preset),
         }
     }
@@ -340,7 +330,6 @@ impl Setting {
             Setting::Hashlines(lines) => format!("hl{lines}"),
             Setting::CoresPerTile(cores) => format!("c{cores}"),
             Setting::RouterBuffer(slots) => format!("rb{slots}"),
-            Setting::FrequencyGhz(ghz) => format!("f{ghz:?}"),
             Setting::Hbm(preset) => preset.name().to_string(),
         }
     }
@@ -436,19 +425,21 @@ mod tests {
             "scale",
             ChipConfig::tile_16(),
             SweepGrid::new()
+                .hashlines([256, 1024])
                 .cores_per_tile([4, 8])
                 .router_buffers([8, 16])
-                .frequencies_ghz([1.0, 1.5])
                 .hbm_presets([HbmPreset::Hbm2, HbmPreset::Hbm2DualStack]),
         );
         let points = spec.points();
         assert_eq!(points.len(), 16);
-        assert_eq!(points[0].id, "scale/c4/rb8/f1.0/hbm2");
-        assert_eq!(points[15].id, "scale/c8/rb16/f1.5/hbm2-dual");
+        assert_eq!(points[0].id, "scale/hl256/c4/rb8/hbm2");
+        assert_eq!(points[1].id, "scale/hl256/c4/rb8/hbm2-dual");
+        assert_eq!(points[2].id, "scale/hl256/c4/rb16/hbm2");
+        assert_eq!(points[15].id, "scale/hl1024/c8/rb16/hbm2-dual");
         let last = &points[15].config;
+        assert_eq!(last.mem.hashlines, 1024);
         assert_eq!(last.cores_per_tile, 8);
         assert_eq!(last.router_buffer, 16);
-        assert!((last.frequency_ghz - 1.5).abs() < 1e-12);
         assert_eq!(last.hbm, HbmPreset::Hbm2DualStack.timing());
     }
 

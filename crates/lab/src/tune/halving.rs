@@ -144,15 +144,10 @@ pub struct RungTrace {
 /// of it.
 #[derive(Debug, Clone)]
 pub struct TuneOutcome {
-    /// The objective the run minimised.
-    pub objective: Objective,
     /// Best grid point at the final rung's fidelity.
     pub winner: SweepPoint,
-    /// The winner's score at full (final-rung) fidelity.
-    pub winner_score: f64,
-    /// The paper-default configuration, evaluated at the same fidelity.
-    pub baseline: SweepPoint,
-    /// The baseline's score.
+    /// The paper-default configuration's score at the final rung's
+    /// fidelity.
     pub baseline_score: f64,
     /// Whichever of winner/baseline scores better — by construction never
     /// worse than the paper default on the objective.
@@ -374,7 +369,6 @@ impl Tuner {
         let scope = self.scope();
         let last = rungs.last().expect("at least one rung always runs");
         let winner = self.points[last.best_index].clone();
-        let winner_score = last.best_score;
 
         let baseline = self.baseline_point(&scope);
         let baseline_context =
@@ -391,10 +385,10 @@ impl Tuner {
             &[("shrink".into(), last.shrink.to_string())],
         ));
 
-        let (best, best_score) = if winner_score <= baseline_score {
-            (winner.clone(), winner_score)
+        let (best, best_score) = if last.best_score <= baseline_score {
+            (winner.clone(), last.best_score)
         } else {
-            (baseline.clone(), baseline_score)
+            (baseline, baseline_score)
         };
         let mut best_record = RunRecord::new(format!("{scope}/best_config"))
             .unit_metric("objective_score", best_score, objective.unit())
@@ -406,18 +400,7 @@ impl Tuner {
         best_record.params = best.params();
         records.push(best_record.param("best", &best.id).param("objective", objective.name()));
 
-        TuneOutcome {
-            objective,
-            winner,
-            winner_score,
-            baseline,
-            baseline_score,
-            best,
-            best_score,
-            rungs,
-            evaluations,
-            records,
-        }
+        TuneOutcome { winner, baseline_score, best, best_score, rungs, evaluations, records }
     }
 
     /// The run-ID scope: the tuner name plus the dataset, when one is set.

@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn energy_delay_penalises_bigger_chips_at_equal_time() {
         let small = ChipConfig::tile_16();
-        let big = ChipConfig::tile_16().with_cores_per_tile(16).with_mems_per_tile(16);
+        let big = ChipConfig { mems_per_tile: 16, ..ChipConfig::tile_16().with_cores_per_tile(16) };
         let objective = Objective::EnergyDelay;
         assert!(objective.score(&big, 1_000.0, 1e-6) > objective.score(&small, 1_000.0, 1e-6));
         // ... while cycles ignores the configuration entirely.

@@ -14,7 +14,7 @@ fn run_once() -> (TuneOutcome, String) {
         .datasets(["cora"])
         .mmh_tiles([1, 2, 4, 8])
         .router_buffers([8, 16])
-        .frequencies_ghz([1.0, 1.25]);
+        .hashlines([1024, 2048]);
     let spec = TuneSpec::new("det", ChipConfig::tile_16().with_seed(42), grid, Objective::Speedup)
         .with_budget(24);
     let tuner = Tuner::new(spec);

@@ -369,15 +369,15 @@ fn exp_draw(rng: &mut StdRng, mean: f64) -> f64 {
     -(1.0 - u).ln() * mean
 }
 
-/// One serving workload: an open-loop stream (stationary, rate-shaped or
-/// pre-generated) or a closed-loop population. The unit every scenario
-/// simulates and every sweep axis enumerates.
+/// One serving workload: an open-loop stream, generated or pre-generated,
+/// or a closed-loop population. The unit every scenario simulates and
+/// every sweep axis enumerates.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Workload {
-    /// Open-loop: arrivals ignore completions.
-    Open(StreamSpec),
-    /// Open-loop with rate shapes and/or tenants composed over the base
-    /// generator (see [`crate::scenario`]).
+    /// Open-loop, generated: arrivals ignore completions. Rate shapes and
+    /// a tenant mix compose over the base [`StreamSpec`] (see
+    /// [`crate::scenario`]); with neither, the stream is the base
+    /// generator's own, bit for bit.
     Shaped(crate::scenario::ShapedStream),
     /// Open-loop, pre-generated: an explicit stream as
     /// [`StreamSpec::generate`] produces it — sorted by arrival time, ids

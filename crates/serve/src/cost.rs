@@ -204,13 +204,6 @@ impl CostTable {
             .seconds_per_cycle = seconds_per_cycle;
     }
 
-    /// Whether the cost of a class has been measured under a fingerprint —
-    /// the memoisation check: a mixed fleet only simulates the
-    /// (fingerprint, class) pairs this returns `false` for.
-    pub fn contains(&self, fingerprint: &str, class: RequestClass) -> bool {
-        self.silicon.get(fingerprint).is_some_and(|entry| entry.costs.contains_key(&class))
-    }
-
     /// Records the measured cost of one class under one fingerprint
     /// (replacing any previous entry).
     ///
@@ -227,20 +220,6 @@ impl CostTable {
         assert!(cost.cycles >= 1, "a request costs at least one cycle");
         entry.costs.insert(class, cost);
         self.flops.insert(class, cost.flops);
-    }
-
-    /// The measured cost of one class under one fingerprint.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the pair was never measured: a missing entry means the
-    /// stream and the memoisation phase disagree about the request mix or
-    /// the fleet, which must fail loudly rather than serve a request for
-    /// free.
-    pub fn cost(&self, fingerprint: &str, class: RequestClass) -> ClassCost {
-        *self.silicon.get(fingerprint).and_then(|entry| entry.costs.get(&class)).unwrap_or_else(
-            || panic!("no memoised cost for request class {class:?} under {fingerprint:?}"),
-        )
     }
 
     /// Service time of a batch of `batch_size` same-class requests on a
@@ -303,23 +282,6 @@ impl CostTable {
         let mut sorted = weights;
         sorted.sort_unstable();
         sorted[sorted.len() / 2]
-    }
-
-    /// Number of memoised (fingerprint, class) entries.
-    pub fn len(&self) -> usize {
-        self.silicon.values().map(|entry| entry.costs.len()).sum()
-    }
-
-    /// Whether no cost has been measured yet.
-    pub fn is_empty(&self) -> bool {
-        self.silicon.values().all(|entry| entry.costs.is_empty())
-    }
-
-    /// The memoised entries, in (fingerprint, class) order.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, RequestClass, ClassCost)> + '_ {
-        self.silicon.iter().flat_map(|(fp, entry)| {
-            entry.costs.iter().map(move |(class, cost)| (fp.as_str(), *class, *cost))
-        })
     }
 }
 
@@ -544,20 +506,21 @@ mod tests {
         let mut t = CostTable::new();
         let a = t.register(&ChipConfig::tile_16());
         let b = t.register(&ChipConfig::tile_16());
-        assert_eq!(a, b);
         let class = RequestClass { dataset: 0, shrink: 1 };
         t.insert(&a, class, ClassCost { cycles: 10, flops: 5 });
-        assert!(t.contains(&b, class), "the second group sees the first group's measurement");
-        assert_eq!(t.len(), 1);
+        let seconds = 10.0 * ChipConfig::tile_16().seconds_per_cycle();
+        assert_eq!(t.service_seconds(&b, class, 1), seconds, "the second group prices with it");
+        assert_eq!(a, b);
         // ... while different silicon gets its own entries.
         let c = t.register(&ChipConfig::tile_64());
-        assert!(!t.contains(&c, class));
+        let unmeasured = outcome(|| t.service_seconds(&c, class, 1)).expect_err("never measured");
+        assert!(unmeasured.contains("no memoised cost"), "{unmeasured}");
     }
 
     #[test]
     #[should_panic(expected = "no memoised cost")]
     fn unknown_class_fails_loudly() {
-        table().cost(FP, RequestClass { dataset: 9, shrink: 1 });
+        table().service_seconds(FP, RequestClass { dataset: 9, shrink: 1 }, 1);
     }
 
     #[test]
@@ -738,23 +701,5 @@ mod tests {
         let (table, groups) = gapped();
         let costs = FleetCosts::new(&table, &groups);
         costs.service_seconds(0, costs.class_id(RequestClass { dataset: 1, shrink: 1 }), 1);
-    }
-
-    #[test]
-    fn entries_iterate_in_fingerprint_then_class_order() {
-        let mut t = CostTable::new();
-        t.register_rate("b", 1.0);
-        t.register_rate("a", 1.0);
-        t.insert("b", RequestClass { dataset: 0, shrink: 1 }, ClassCost { cycles: 2, flops: 2 });
-        t.insert("a", RequestClass { dataset: 1, shrink: 1 }, ClassCost { cycles: 1, flops: 1 });
-        let keys: Vec<(&str, RequestClass)> = t.entries().map(|(fp, c, _)| (fp, c)).collect();
-        assert_eq!(
-            keys,
-            vec![
-                ("a", RequestClass { dataset: 1, shrink: 1 }),
-                ("b", RequestClass { dataset: 0, shrink: 1 })
-            ]
-        );
-        assert_eq!(t.len(), 2);
     }
 }

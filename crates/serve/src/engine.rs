@@ -1550,11 +1550,6 @@ fn run_workload(
 ) -> (ServeOutcome, Option<Trace>) {
     let open = SourceState::Open { cursor: 0 };
     match workload {
-        Workload::Open(spec) => {
-            let stream = spec.generate();
-            assert_sorted(&stream);
-            run_fragments(&stream, open, cfg, cfg.tenants, spec.duration_s, plan, tracing)
-        }
         Workload::Shaped(shaped) => {
             let stream = shaped.generate();
             let tenants = cfg.tenants.or(shaped.tenants.as_ref());

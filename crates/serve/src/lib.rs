@@ -16,8 +16,12 @@
 //!    arrivals, target rate, duration, request mix) expands into a
 //!    deterministic, time-sorted open-loop stream; a [`ClosedLoopSpec`]
 //!    describes N clients with seeded think times whose next request only
-//!    exists once the previous response lands. Both are [`Workload`]s, as
-//!    is an explicit pre-generated stream ([`Workload::Replay`]).
+//!    exists once the previous response lands. A [`Workload`] is one of
+//!    three sources: a generated open-loop stream ([`Workload::Shaped`],
+//!    a base `StreamSpec` under the rate shapes and tenant mix of
+//!    [`scenario`], or under none, when it is the base stream bit for
+//!    bit), a pre-generated one ([`Workload::Replay`]) or a closed-loop
+//!    population ([`Workload::Closed`]).
 //! 2. **[`cost`]** — a [`CostTable`] memoises the cycle cost of one
 //!    request per *(chip fingerprint, [`RequestClass`])* pair
 //!    (`ChipConfig::fingerprint` × dataset × per-request shrink), measured

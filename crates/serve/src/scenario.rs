@@ -249,11 +249,6 @@ pub struct ShapedStream {
 }
 
 impl ShapedStream {
-    /// A stream that only assigns tenants, without reshaping the rate.
-    pub fn tenants_only(base: StreamSpec, tenants: TenantMix) -> Self {
-        ShapedStream { base, shapes: Vec::new(), tenants: Some(tenants) }
-    }
-
     /// Expands the spec into a concrete stream: the base generator runs at
     /// the shapes' combined peak rate, each candidate survives with
     /// probability `factor(t) / peak`, survivors are re-numbered in
@@ -571,7 +566,7 @@ mod tests {
             TenantSpec { name: "a".into(), weight: 3.0, rate_limit_rps: None, slo_s: None },
             TenantSpec { name: "b".into(), weight: 1.0, rate_limit_rps: None, slo_s: None },
         ]);
-        let shaped = ShapedStream::tenants_only(base(13), mix);
+        let shaped = ShapedStream { base: base(13), shapes: Vec::new(), tenants: Some(mix) };
         let stream = shaped.generate();
         let b_share = stream.iter().filter(|r| r.tenant == 1).count() as f64 / stream.len() as f64;
         assert!((b_share - 0.25).abs() < 0.05, "tenant b drew {b_share}, expected ~0.25");

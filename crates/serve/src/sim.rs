@@ -431,8 +431,9 @@ impl ServeOutcome {
 /// mix with rate limits, and a fault regime.
 ///
 /// Admission control (queue bound and tenant limits) applies to open-loop
-/// arrivals only: a closed-loop population self-limits by construction —
-/// its clients wait rather than having requests dropped.
+/// arrivals only — a shaped stream, shapeless or not, or a replayed one: a
+/// closed-loop population self-limits by construction, its clients wait
+/// rather than having requests dropped.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig<'a> {
     /// The scheduling policy.
@@ -447,8 +448,10 @@ pub struct ServeConfig<'a> {
     pub costs: &'a CostTable,
     /// Backlog bound: arrivals beyond it are shed (`None` = unbounded).
     pub queue_bound: Option<usize>,
-    /// Tenant mix for admission control and per-tenant accounting
-    /// (`None` = the workload's own mix, or a single implicit tenant).
+    /// Tenant mix for admission control and per-tenant accounting: it wins
+    /// over a shaped stream's own mix (`None` = that mix, or a single
+    /// implicit tenant). A replay's requests keep their tenant indices and
+    /// a closed loop's are all tenant 0.
     pub tenants: Option<&'a TenantMix>,
     /// Fault regime to inject (`None` = a healthy fleet).
     pub faults: Option<&'a FaultSpec>,
@@ -473,24 +476,6 @@ impl<'a> ServeConfig<'a> {
             tenants: None,
             faults: None,
         }
-    }
-
-    /// Runs the fleet under an autoscaler (builder style).
-    pub fn with_autoscale(mut self, policy: &'a AutoscalePolicy) -> Self {
-        self.autoscale = Some(policy);
-        self
-    }
-
-    /// Bounds the backlog; arrivals beyond the bound shed (builder style).
-    pub fn with_queue_bound(mut self, bound: usize) -> Self {
-        self.queue_bound = Some(bound);
-        self
-    }
-
-    /// Injects a fault regime (builder style).
-    pub fn with_faults(mut self, faults: &'a FaultSpec) -> Self {
-        self.faults = Some(faults);
-        self
     }
 }
 
@@ -700,14 +685,15 @@ mod tests {
         // Same mean demand; the open loop keeps arriving at 2 rps against a
         // 1 rps shard and builds an unbounded queue, the closed loop's lone
         // client can never have more than one request outstanding.
-        let open = Workload::Open(StreamSpec {
+        let base = StreamSpec {
             arrival: ArrivalProcess::Poisson,
             rps: 2.0,
             duration_s: 10.0,
             mix_size: 1,
             shrinks: vec![1],
             seed: 5,
-        });
+        };
+        let open = Workload::Shaped(ShapedStream { base, shapes: Vec::new(), tenants: None });
         let closed = Workload::Closed(ClosedLoopSpec {
             clients: 1,
             think_s: 0.0,
@@ -740,8 +726,8 @@ mod tests {
             .with_up_backlog_per_shard(2.0);
         let costs = unit_costs();
         let groups = tile16_fleet(1);
-        let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
-            .with_autoscale(&policy);
+        let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+        cfg.autoscale = Some(&policy);
         let outcome = simulate_config_parallel(
             &Workload::Replay(stream.clone()),
             &cfg,
@@ -776,8 +762,8 @@ mod tests {
         let stream: Vec<Request> = (0..8).map(|i| request(i, 0.0, 0)).collect();
         let costs = unit_costs();
         let groups = tile16_fleet(1);
-        let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
-            .with_queue_bound(2);
+        let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+        cfg.queue_bound = Some(2);
         let outcome = simulate_config_parallel(
             &Workload::Replay(stream.to_vec()),
             &cfg,
@@ -847,8 +833,8 @@ mod tests {
         });
         let costs = unit_costs();
         let groups = tile16_fleet(1);
-        let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
-            .with_queue_bound(0);
+        let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+        cfg.queue_bound = Some(0);
         let outcome = simulate_config_parallel(&workload, &cfg, &EnginePlan::serial());
         assert!(outcome.requests() > 0);
         assert!(outcome.shed.is_empty(), "closed-loop clients are never shed");
@@ -873,8 +859,8 @@ mod tests {
         ];
         let faults = FaultSpec::new(11, 1.0).with_crashes(1);
         let groups = tile16_fleet(2);
-        let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
-            .with_faults(&faults);
+        let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+        cfg.faults = Some(&faults);
         let outcome = simulate_config_parallel(
             &Workload::Replay(stream.to_vec()),
             &cfg,
@@ -912,9 +898,9 @@ mod tests {
         let costs = unit_costs();
         let faults = FaultSpec::new(1, 1.0).with_provision_fail(1.0);
         let groups = tile16_fleet(1);
-        let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
-            .with_autoscale(&policy)
-            .with_faults(&faults);
+        let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+        cfg.autoscale = Some(&policy);
+        cfg.faults = Some(&faults);
         let outcome = simulate_config_parallel(
             &Workload::Replay(stream.to_vec()),
             &cfg,
@@ -932,8 +918,8 @@ mod tests {
         let costs = unit_costs();
         let groups = tile16_fleet(1);
         let faults = FaultSpec::new(1, 1.0).with_degraded(0, 2.0);
-        let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
-            .with_faults(&faults);
+        let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+        cfg.faults = Some(&faults);
         let outcome = simulate_config_parallel(
             &Workload::Replay(stream.to_vec()),
             &cfg,

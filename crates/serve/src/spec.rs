@@ -20,7 +20,7 @@ use crate::autoscale::AutoscalePolicy;
 use crate::dispatch::DispatchKind;
 use crate::fleet::ShardGroup;
 use crate::policy::Policy;
-use crate::scenario::ScenarioSpec;
+use crate::scenario::{ScenarioSpec, ShapedStream};
 
 /// A named fleet composition: one or more shard groups under a stable ID.
 #[derive(Debug, Clone, PartialEq)]
@@ -227,12 +227,6 @@ impl ServeSweep {
         self
     }
 
-    /// Sets the fleet axis to homogeneous Tile-16 fleets of the given
-    /// sizes (builder style) — the classic shard-scaling sweep.
-    pub fn shards(self, shards: impl IntoIterator<Item = usize>) -> Self {
-        self.fleets(shards.into_iter().map(|n| FleetMix::uniform(TileSize::Tile16, n)))
-    }
-
     /// Sets the dispatch-policy axis (builder style).
     pub fn dispatches(mut self, dispatches: impl IntoIterator<Item = DispatchKind>) -> Self {
         self.dispatches = dispatches.into_iter().collect();
@@ -419,7 +413,9 @@ impl ServeScenario {
     }
 
     /// The workload this scenario replays, given the sweep-wide knobs that
-    /// are not swept (duration, mix size, request shrink classes).
+    /// are not swept (duration, mix size, request shrink classes). An open
+    /// arm is always [`Workload::Shaped`]: a library arm's shapes and
+    /// tenants, or none over the plain stream.
     pub fn workload_spec(&self, duration_s: f64, mix_size: usize, shrinks: &[usize]) -> Workload {
         match &self.workload {
             WorkloadAxis::Open { arrival, rps } => {
@@ -431,10 +427,10 @@ impl ServeScenario {
                     shrinks: shrinks.to_vec(),
                     seed: self.seed,
                 };
-                match &self.scenario {
-                    Some(scenario) => Workload::Shaped(scenario.shaped(base)),
-                    None => Workload::Open(base),
-                }
+                Workload::Shaped(match &self.scenario {
+                    Some(scenario) => scenario.shaped(base),
+                    None => ShapedStream { base, shapes: Vec::new(), tenants: None },
+                })
             }
             WorkloadAxis::Closed { clients, think_s } => Workload::Closed(ClosedLoopSpec {
                 clients: *clients,
@@ -468,7 +464,7 @@ mod tests {
             .rps([200.0, 400.0])
             .closed_clients([16])
             .policies([Policy::Fifo, Policy::Sjf])
-            .shards([1, 2]);
+            .fleets([1, 2].map(|n| FleetMix::uniform(TileSize::Tile16, n)));
         let scenarios = sweep.scenarios("s", 9);
         assert_eq!(scenarios.len(), sweep.len());
         assert_eq!(scenarios.len(), (2 * 2 + 1) * 2 * 2);
@@ -546,10 +542,10 @@ mod tests {
     fn workload_spec_carries_the_scenario_seed_for_both_loops() {
         let open = &ServeSweep::new().scenarios("serve", 7)[0];
         match open.workload_spec(2.0, 3, &[1, 2]) {
-            Workload::Open(stream) => {
-                assert_eq!(stream.seed, open.seed);
-                assert_eq!(stream.mix_size, 3);
-                assert_eq!(stream.shrinks, vec![1, 2]);
+            Workload::Shaped(ShapedStream { base, shapes, tenants: None }) if shapes.is_empty() => {
+                assert_eq!(base.seed, open.seed);
+                assert_eq!(base.mix_size, 3);
+                assert_eq!(base.shrinks, vec![1, 2]);
             }
             _ => panic!("default sweeps are plain open-loop"),
         }

@@ -98,7 +98,7 @@ proptest! {
             .with_up_backlog_per_shard(2.0);
         let mut cfg = ServeConfig::new(policy, &fleet, DispatchKind::LeastLoaded, &costs);
         if elastic == 1 {
-            cfg = cfg.with_autoscale(&autoscale);
+            cfg.autoscale = Some(&autoscale);
         }
         // 0 = unbounded; 1..=8 = a backlog bound tight enough to shed.
         cfg.queue_bound = (bound_pick > 0).then_some(bound_pick);

@@ -93,9 +93,9 @@ fn batch_deadline_and_autoscale_check_fire_in_serial_order_at_the_boundary() {
         .with_check_interval_s(CHECK_S)
         .with_provision_delay_s(PROVISION_S)
         .with_up_backlog_per_shard(2.0);
-    let cfg =
-        ServeConfig::new(Policy::batch(8, TIMEOUT_S), &fleet, DispatchKind::LeastLoaded, &costs)
-            .with_autoscale(&autoscale);
+    let mut cfg =
+        ServeConfig::new(Policy::batch(8, TIMEOUT_S), &fleet, DispatchKind::LeastLoaded, &costs);
+    cfg.autoscale = Some(&autoscale);
     let schedule = boundary_schedule();
     let stream = Workload::Replay(schedule.clone());
 
@@ -174,8 +174,8 @@ fn closed_loop_epochs_match_the_serial_replay() {
 fn shedding_across_seams_conserves_every_request() {
     let costs = costs();
     let fleet = tile16_fleet(1);
-    let cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs)
-        .with_queue_bound(2);
+    let mut cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs);
+    cfg.queue_bound = Some(2);
     // An overloading burst right before each boundary: admissions and
     // sheds happen on both sides of every seam.
     let mut stream = Vec::new();
@@ -248,8 +248,8 @@ fn ineligible_scenarios_fall_back_to_epochs_under_a_lane_plan() {
     let costs = costs();
     let fleet = tile16_fleet(2);
     let autoscale = AutoscalePolicy::new(1, 3).with_check_interval_s(CHECK_S);
-    let cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs)
-        .with_autoscale(&autoscale);
+    let mut cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs);
+    cfg.autoscale = Some(&autoscale);
     // Autoscaling makes the closed loop ineligible for lanes: the plan's
     // lane request must quietly degrade to the (exact) epoch path.
     let workload = Workload::Closed(ClosedLoopSpec {

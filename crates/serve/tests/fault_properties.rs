@@ -68,10 +68,10 @@ proptest! {
         let autoscale = AutoscalePolicy::new(1, shards.max(2))
             .with_check_interval_s(0.005)
             .with_provision_delay_s(0.02);
-        let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
-            .with_faults(&fault);
+        let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+        cfg.faults = Some(&fault);
         if elastic == 1 {
-            cfg = cfg.with_autoscale(&autoscale);
+            cfg.autoscale = Some(&autoscale);
         }
         let outcome = replay(&stream, &cfg);
 
@@ -121,9 +121,9 @@ proptest! {
             .with_provision_delay_s(delay_ms / 1e3)
             .with_up_backlog_per_shard(1.0);
         let fault = FaultSpec::new(seed, 0.5).with_crashes(crashes);
-        let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
-            .with_autoscale(&autoscale)
-            .with_faults(&fault);
+        let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+        cfg.autoscale = Some(&autoscale);
+        cfg.faults = Some(&fault);
         let outcome = replay(&stream, &cfg);
         prop_assert_eq!(outcome.requests(), stream.len());
         for recovery in outcome.recovery_times_s() {
@@ -153,9 +153,9 @@ proptest! {
             .with_provision_delay_s(0.005)
             .with_up_backlog_per_shard(1.0);
         let fault = FaultSpec::new(seed, 1.0).with_provision_fail(1.0);
-        let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
-            .with_autoscale(&autoscale)
-            .with_faults(&fault);
+        let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+        cfg.autoscale = Some(&autoscale);
+        cfg.faults = Some(&fault);
         let outcome = replay(&stream, &cfg);
         prop_assert!(outcome.scale_events.iter().all(|e| e.delta < 0),
             "a scale-up took effect despite pf=1.0");
@@ -181,7 +181,7 @@ proptest! {
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
         let healthy = replay(&stream, &cfg);
         let fault = FaultSpec::new(1, 1.0).with_degraded(0, multiplier);
-        let degraded = replay(&stream, &cfg.with_faults(&fault));
+        let degraded = replay(&stream, &ServeConfig { faults: Some(&fault), ..cfg });
         prop_assert_eq!(degraded.requests(), stream.len());
         let healthy_p99 = healthy.latency_percentile_s(99.0);
         let degraded_p99 = degraded.latency_percentile_s(99.0);

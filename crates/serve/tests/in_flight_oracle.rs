@@ -113,8 +113,8 @@ proptest! {
             .with_check_interval_s(0.005)
             .with_provision_delay_s(0.01)
             .with_up_backlog_per_shard(2.0);
-        let mut cfg = ServeConfig::new(policy, &fleet, DispatchKind::LeastLoaded, &costs)
-            .with_autoscale(&autoscale);
+        let mut cfg = ServeConfig::new(policy, &fleet, DispatchKind::LeastLoaded, &costs);
+        cfg.autoscale = Some(&autoscale);
         cfg.queue_bound = (bounded == 1).then_some(1);
         cfg.faults = fault.as_ref();
         let outcome =

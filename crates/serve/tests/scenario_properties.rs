@@ -86,7 +86,8 @@ proptest! {
         let groups = tile16_fleet(shards);
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
         let unbounded = serial(&stream, &cfg);
-        let bounded = serial(&stream, &cfg.with_queue_bound(unbounded.queue_depth_max + 1));
+        let above = Some(unbounded.queue_depth_max + 1);
+        let bounded = serial(&stream, &ServeConfig { queue_bound: above, ..cfg });
         prop_assert_eq!(bounded.shed.len(), 0);
         prop_assert_eq!(bounded, unbounded);
     }
@@ -105,8 +106,8 @@ proptest! {
         let groups = tile16_fleet(shards);
         let capacity_rps = shards as f64 / costs.mean_service_seconds(&ChipConfig::tile_16().fingerprint(), &common::classes(mix_size, &shrinks));
         let bound = 32usize;
-        let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
-            .with_queue_bound(bound);
+        let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+        cfg.queue_bound = Some(bound);
         let mut shed_rates = Vec::new();
         let mut at_3x: Option<ServeOutcome> = None;
         for load in [0.5, 1.0, 3.0] {
@@ -171,7 +172,7 @@ proptest! {
             rate_limit_rps: Some(limit_rps),
             slo_s: None,
         }]);
-        let workload = Workload::Shaped(ShapedStream::tenants_only(base, mix));
+        let workload = Workload::Shaped(ShapedStream { base, shapes: Vec::new(), tenants: Some(mix) });
         let costs = synthetic_costs(2, &[1, 2]);
         let groups = tile16_fleet(4);
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
@@ -228,7 +229,7 @@ fn library_scenario_arms_are_identical_across_runner_threads() {
             let mut cfg =
                 ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
             if scenario.elastic {
-                cfg = cfg.with_autoscale(&autoscale);
+                cfg.autoscale = Some(&autoscale);
             }
             cfg.queue_bound = scenario.queue_bound;
             cfg.faults = fault.as_ref();
@@ -265,11 +266,11 @@ fn replaying_a_generated_stream_equals_the_open_workload() {
         seed: 3,
     };
     let replay = Workload::Replay(spec.generate());
-    let open = Workload::Open(spec);
+    let open = Workload::Shaped(ShapedStream { base: spec, shapes: Vec::new(), tenants: None });
     let costs = synthetic_costs(2, &[1, 2]);
     let groups = tile16_fleet(2);
-    let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
-        .with_queue_bound(4);
+    let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
+    cfg.queue_bound = Some(4);
     for plan in [EnginePlan::serial(), EnginePlan::serial().with_epochs(3)] {
         let (outcome, trace) = simulate_config_traced_parallel(&open, &cfg, &plan);
         assert!(

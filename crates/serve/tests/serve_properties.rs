@@ -204,8 +204,8 @@ proptest! {
         let fleet: Vec<ShardGroup> = (0..groups)
             .map(|g| ShardGroup::new(format!("g{g}"), ChipConfig::tile_16(), min))
             .collect();
-        let cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs)
-            .with_autoscale(&policy);
+        let mut cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs);
+        cfg.autoscale = Some(&policy);
         let outcome = serial(&Workload::Replay(stream.clone()), &cfg);
         // Replay the events: every group's running count starts at `min`,
         // stays inside its own bounds, and every effect lags its decision

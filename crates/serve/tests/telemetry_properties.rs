@@ -14,8 +14,8 @@ use neura_chip::config::ChipConfig;
 use neura_serve::{
     simulate_config_parallel, simulate_config_traced_parallel, ArrivalProcess, AutoscalePolicy,
     ClosedLoopSpec, CrashEvent, DispatchKind, EnginePlan, FaultSpec, LatencyHistogram, Policy,
-    ScenarioSpec, ServeConfig, ServeOutcome, StreamSpec, Timeline, Trace, TraceEvent, Workload,
-    RELATIVE_ERROR_BOUND, SHED_LATENCY_S,
+    ScenarioSpec, ServeConfig, ServeOutcome, ShapedStream, StreamSpec, Timeline, Trace, TraceEvent,
+    Workload, RELATIVE_ERROR_BOUND, SHED_LATENCY_S,
 };
 use proptest::prelude::*;
 
@@ -56,7 +56,7 @@ fn trace_library_scenario(scenario: &ScenarioSpec, plan: &EnginePlan) -> (ServeO
     let fault = scenario.fault_spec(seed, duration_s);
     let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
     if scenario.elastic {
-        cfg = cfg.with_autoscale(&autoscale);
+        cfg.autoscale = Some(&autoscale);
     }
     cfg.queue_bound = scenario.queue_bound;
     cfg.faults = fault.as_ref();
@@ -206,8 +206,8 @@ proptest! {
             .with_provision_fail(0.3)
             .with_degraded(0, 1.5);
         let policy = [Policy::Fifo, Policy::Sjf, Policy::batch(4, 0.005)][policy_pick];
-        let mut open = ServeConfig::new(policy, &groups, DispatchKind::LeastLoaded, &costs)
-            .with_autoscale(&autoscale);
+        let mut open = ServeConfig::new(policy, &groups, DispatchKind::LeastLoaded, &costs);
+        open.autoscale = Some(&autoscale);
         open.queue_bound = (bound >= 4).then_some(bound);
         open.faults = Some(&fault);
         let closed = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
@@ -220,6 +220,7 @@ proptest! {
             seed,
         });
         let scenario = &ScenarioSpec::library()[scenario_index];
+        let stream = Workload::Shaped(ShapedStream { base: spec, shapes: Vec::new(), tenants: None });
 
         let serial = EnginePlan::serial();
         let plans = [
@@ -228,8 +229,7 @@ proptest! {
             ("2 lanes", serial.with_lanes(2)),
         ];
         for (plan_name, plan) in &plans {
-            let (outcome, trace) =
-                simulate_config_traced_parallel(&Workload::Open(spec.clone()), &open, plan);
+            let (outcome, trace) = simulate_config_traced_parallel(&stream, &open, plan);
             assert_two_views_agree(&outcome, &trace, &format!("open stream, {plan_name}"));
             let (outcome, trace) = simulate_config_traced_parallel(&population, &closed, plan);
             assert_two_views_agree(&outcome, &trace, &format!("closed loop, {plan_name}"));

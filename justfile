@@ -32,8 +32,10 @@ loc rev="":
     bash scripts/loc.sh {{rev}}
 
 # Per crate: `pub` declarations, `pub mod` lines, the `pub` names no file
-# outside the crate's `src/` mentions, and those only test files mention.
-# Printed, never gated — the gate is `unreachable_pub` in `just clippy`.
+# outside the crate's `src/` mentions, those only test files mention, and
+# the `pub fn` names no non-test line of code anywhere calls, the crate's
+# own included (a word scan: a method named by a common word such as `len`
+# hides behind its other uses). Printed, never gated — the gate is `unreachable_pub` in `just clippy`.
 # `just surface HEAD~1` prints the before → after table against that
 # commit instead.
 surface rev="":
