@@ -211,26 +211,24 @@ fn print_report(label: &str, report: &TrendReport) {
     }
 }
 
-/// Timeline artifacts carry a per-scope worst-window p99 — the headline a
-/// windowed diff is usually run for — so print it next to the per-metric
-/// table. Prints nothing for plain run artifacts.
+/// The per-scope headlines a windowed diff is usually run for, printed
+/// next to the per-metric table: `(record suffix, metric, title, unit)`.
+/// Timeline artifacts carry the worst window's p99; chip profiles the stall
+/// fraction of the most-stalled window.
+const HEADLINES: [(&str, &str, &str, &str); 2] = [
+    ("/timeline", "worst_window_p99_ms", "worst-window p99", " ms"),
+    ("/profile", "worst_window_stall_frac", "worst-window stall fraction", ""),
+];
+
+/// Prints each [`HEADLINES`] row for every scope both artifacts carry it
+/// for; nothing for plain run artifacts.
 fn print_worst_windows(label: &str, before: &Artifact, after: &Artifact) {
-    let after_worst = trend::worst_window_p99s(after);
-    for (scope, b) in trend::worst_window_p99s(before) {
-        if let Some((_, a)) = after_worst.iter().find(|(s, _)| *s == scope) {
-            println!("{label}: worst-window p99 [{scope}]: {} -> {} ms", fmt(b, 4), fmt(*a, 4));
-        }
-    }
-    // Chip profiles headline the same way: the stall fraction of the
-    // most-stalled window is what a profile diff is usually run for.
-    let after_stall = trend::worst_window_stall_fracs(after);
-    for (scope, b) in trend::worst_window_stall_fracs(before) {
-        if let Some((_, a)) = after_stall.iter().find(|(s, _)| *s == scope) {
-            println!(
-                "{label}: worst-window stall fraction [{scope}]: {} -> {}",
-                fmt(b, 4),
-                fmt(*a, 4)
-            );
+    for (suffix, metric, title, unit) in HEADLINES {
+        let after_values = trend::summary_metric(after, suffix, metric);
+        for (scope, b) in trend::summary_metric(before, suffix, metric) {
+            if let Some((_, a)) = after_values.iter().find(|(s, _)| *s == scope) {
+                println!("{label}: {title} [{scope}]: {} -> {}{unit}", fmt(b, 4), fmt(*a, 4));
+            }
         }
     }
 }

@@ -178,17 +178,6 @@ pub struct ExecutionReport {
     pub core_utilization: f64,
 }
 
-impl ExecutionReport {
-    /// Speedup of this run relative to another (ratio of execution times).
-    pub fn speedup_over(&self, other: &ExecutionReport) -> f64 {
-        if self.execution_seconds == 0.0 {
-            0.0
-        } else {
-            other.execution_seconds / self.execution_seconds
-        }
-    }
-}
-
 /// Result of running an SpGEMM workload: the product matrix plus statistics.
 #[derive(Debug, Clone)]
 pub struct SpgemmRun {
@@ -313,7 +302,9 @@ impl Accelerator {
         Ok(SpgemmRun { product: scatter_into_pattern(program, &outputs), report })
     }
 
-    /// Runs the GCN aggregation `A × X` with dense features `X`.
+    /// Runs the GCN aggregation `A × X` with dense features `X`: the SpGEMM
+    /// with `X` stored in full, every entry an element of its row (see
+    /// [`compiler`]), returned dense.
     ///
     /// # Errors
     ///
@@ -325,21 +316,9 @@ impl Accelerator {
         a: &CsrMatrix,
         features: &DenseMatrix,
     ) -> Result<AggregationRun, ChipError> {
-        if a.cols() != features.rows() {
-            return Err(ChipError::Shape(SparseError::ShapeMismatch {
-                left: (a.rows(), a.cols()),
-                right: (features.rows(), features.cols()),
-            }));
-        }
-        let program = compiler::compile_aggregation(&a.to_csc(), features, self.config.mmh_tile);
-        let (outputs, report) = self.run(&program, None)?;
-        let mut aggregated = DenseMatrix::zeros(a.rows(), features.cols());
-        // In eviction order, so a later write to a tag replaces an earlier one.
-        for (tag, value) in outputs {
-            let (r, c) = program.coords_of(tag);
-            *aggregated.get_mut(r, c) = value;
-        }
-        Ok(AggregationRun { aggregated, report })
+        let SpgemmRun { product, report } =
+            self.run_spgemm(a, &compiler::dense_to_csr(features))?;
+        Ok(AggregationRun { aggregated: product.to_dense(), report })
     }
 
     /// Executes a compiled [`Program`] on a freshly built [`Machine`],

@@ -1,5 +1,4 @@
-//! The NeuraCompiler: lowers SpGEMM / GCN-aggregation workloads onto the
-//! NeuraChip ISA.
+//! The NeuraCompiler: lowers an SpGEMM onto the NeuraChip ISA.
 //!
 //! The compiler mirrors the paper's NeuraCompiler module: it takes the
 //! adjacency matrix in CSC form and the feature (or second adjacency) matrix
@@ -7,6 +6,10 @@
 //! operands out in a virtual address space, and — crucially for the
 //! rolling-eviction mechanism — precomputes the contribution count of every
 //! output element so each partial product can carry its eviction counter.
+//! A GCN aggregation `A · X` is the same lowering with the dense features
+//! stored in full, every entry an element of its CSR row, as the paper's
+//! aggregation-phase SpGEMM treats them. The instructions are the decoded
+//! tasks of the paper's 128-bit formats ([`crate::isa`]), not their words.
 //!
 //! That precomputation is the symbolic phase of Gustavson's algorithm and is
 //! not done here: [`neura_sparse::spgemm::symbolic`] derives the pattern of
@@ -49,12 +52,6 @@ pub struct Program {
     /// Pattern of the output matrix with the contribution count of every
     /// element — the rolling-eviction counters, by output position.
     pub pattern: SymbolicProduct,
-    /// Tile height used for the MMH instructions.
-    pub tile: u8,
-    /// Total operand bytes the NeuraCores must read from HBM.
-    pub input_bytes: u64,
-    /// Total bytes the NeuraMems will write back for the output matrix.
-    pub output_bytes: u64,
 }
 
 impl Program {
@@ -91,7 +88,6 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
     // The index of each column's first instruction.
     let mut first_instruction = Vec::with_capacity(a.cols());
     let mut total_partial_products = 0u64;
-    let mut input_bytes = 0u64;
     let mut a_cursor = 0u64; // index into A's value array (CSC order)
 
     for k in 0..a.cols() {
@@ -108,15 +104,12 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
             let rows_chunk = &a_rows[chunk_start..chunk_end];
             let vals_chunk = &a_vals[chunk_start..chunk_end];
             let instr = MmhInstruction {
-                tile,
-                base_addr: 0,
                 a_data_addr: (layout::A_DATA_BASE + (a_cursor + chunk_start as u64) * 8) as u32,
                 b_col_ind_addr: (layout::B_COL_IDX_BASE + b_row_start * 4) as u32,
                 b_data_addr: (layout::B_DATA_BASE + b_row_start * 8) as u32,
                 roll_counter_addr: (layout::COUNTER_BASE.wrapping_add(total_partial_products * 4))
                     as u32,
                 work: MmhWork {
-                    k,
                     a_rows: rows_chunk.to_vec(),
                     a_values: vals_chunk.to_vec(),
                     b_cols: b_cols.to_vec(),
@@ -125,7 +118,6 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
                 },
             };
             total_partial_products += instr.hacc_count() as u64;
-            input_bytes += instr.operand_bytes() as u64;
             instructions.push(instr);
         }
         a_cursor += a_rows.len() as u64;
@@ -133,16 +125,12 @@ pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
 
     write_counters(&mut instructions, &first_instruction, tile.into(), &a_csr, b, &pattern);
 
-    let output_nnz = pattern.col_idx.len();
     Program {
         instructions,
         output_shape: (a.rows(), b.cols()),
         total_partial_products,
-        output_nnz,
+        output_nnz: pattern.col_idx.len(),
         pattern,
-        tile,
-        input_bytes,
-        output_bytes: output_nnz as u64 * 8,
     }
 }
 
@@ -187,20 +175,11 @@ fn write_counters(
     }
 }
 
-/// Compiles the GCN aggregation `A × X` where `X` is a dense feature matrix.
-///
-/// The dense feature matrix is expressed as a fully-populated CSR so that the
-/// same tiled-Gustavson lowering applies; every row of `X` then has
-/// `feature_dim` stored elements, which is exactly how the paper's
-/// aggregation-phase SpGEMM treats dense features.
-pub(crate) fn compile_aggregation(a: &CscMatrix, features: &DenseMatrix, tile: u8) -> Program {
-    let features_csr = dense_to_csr(features);
-    compile_spgemm(a, &features_csr, tile)
-}
-
-/// Converts a dense matrix to CSR keeping every entry (including zeros) so
-/// the structural fan-in of the aggregation matches the dense computation.
-fn dense_to_csr(m: &DenseMatrix) -> CsrMatrix {
+/// Converts a dense matrix to CSR keeping every entry (including zeros), so
+/// that [`compile_spgemm`] lowers the GCN aggregation `A × X` with the
+/// structural fan-in of the dense computation: every row of `X` has
+/// `feature_dim` stored elements.
+pub(crate) fn dense_to_csr(m: &DenseMatrix) -> CsrMatrix {
     let rows = m.rows();
     let cols = m.cols();
     let row_ptr: Vec<usize> = (0..=rows).map(|r| r * cols).collect();
@@ -267,7 +246,6 @@ mod tests {
                 .instructions
                 .iter()
                 .all(|i| i.work.a_rows.len() <= tile as usize && !i.work.a_rows.is_empty()));
-            assert!(program.instructions.iter().all(|i| i.tile == tile));
         }
     }
 
@@ -315,19 +293,10 @@ mod tests {
     fn aggregation_lowering_covers_dense_features() {
         let a = small_graph(8);
         let x = feature_matrix(a.cols(), 8, 3);
-        let program = compile_aggregation(&a.to_csc(), &x, 4);
+        let program = compile_spgemm(&a.to_csc(), &dense_to_csr(&x), 4);
         // Every (non-empty row of A) × feature column pair is an output element.
         assert_eq!(program.total_partial_products, a.nnz() as u64 * 8);
         assert_eq!(program.output_shape, (a.rows(), 8));
-    }
-
-    #[test]
-    fn input_bytes_accounts_for_all_operands() {
-        let a = small_graph(9);
-        let program = compile_spgemm(&a.to_csc(), &a, 4);
-        let manual: u64 = program.instructions.iter().map(|i| i.operand_bytes() as u64).sum();
-        assert_eq!(program.input_bytes, manual);
-        assert_eq!(program.output_bytes, program.output_nnz as u64 * 8);
     }
 
     #[test]

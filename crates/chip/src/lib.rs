@@ -9,12 +9,15 @@
 //!
 //! The crate is organised bottom-up:
 //!
-//! * [`isa`] — the `MMH1/2/4/8` and `HACC` instruction formats (Figures 7, 9),
+//! * [`isa`] — the decoded `MMH1/2/4/8` and `HACC` instructions; the 128-bit
+//!   formats are the paper's (Figures 7, 9), and the model reads of them
+//!   only their size,
 //! * [`mapping`] — ring, prime-modular, random-table and DRHM compute
 //!   mappings (Section 3.5, Figures 12/13),
 //! * [`config`] — Tile-4 / Tile-16 / Tile-64 configurations (Tables 2, 3),
-//! * [`compiler`] — lowering of SpGEMM / GCN aggregation workloads into
-//!   instruction streams with rolling-eviction counters,
+//! * [`compiler`] — lowering of an SpGEMM into an instruction stream with
+//!   rolling-eviction counters (a GCN aggregation is the SpGEMM with its
+//!   dense features stored in full),
 //! * `neuracore` — the quad-pipeline multiplication engine (Figure 6),
 //! * [`neuramem`] — the hash-engine accumulation unit with rolling or
 //!   barrier eviction (Figures 8, 10),

@@ -305,8 +305,8 @@ impl<'p> NeuraCore<'p> {
             }
             PipelineState::Decode { instr, started, .. } => {
                 // Issue the operand fetches: A data, B column indices,
-                // B data and the rolling counters (Algorithm 1).
-                let base = instr.base_addr as u64;
+                // B data and the rolling counters (Algorithm 1), each
+                // sized by the elements it holds.
                 let requests = [
                     (instr.a_data_addr as u64, instr.work.a_rows.len() * 8),
                     (instr.b_col_ind_addr as u64, instr.work.b_cols.len() * 4),
@@ -316,7 +316,7 @@ impl<'p> NeuraCore<'p> {
                 for (addr, bytes) in requests {
                     output.memory_requests.push(CoreMemoryRequest {
                         pipeline: idx,
-                        request: MemoryRequest::read(base + addr, bytes.max(4)),
+                        request: MemoryRequest::read(addr, bytes.max(4)),
                     });
                 }
                 *state = PipelineState::WaitMem { instr, outstanding: 4, started };
@@ -384,16 +384,13 @@ mod tests {
         }
     }
 
-    fn mmh(tile: u8, rows: &[usize], cols: &[usize]) -> MmhInstruction {
+    fn mmh(rows: &[usize], cols: &[usize]) -> MmhInstruction {
         MmhInstruction {
-            tile,
-            base_addr: 0,
             a_data_addr: 0x100,
             b_col_ind_addr: 0x200,
             b_data_addr: 0x300,
             roll_counter_addr: 0x400,
             work: MmhWork {
-                k: 0,
                 a_rows: rows.to_vec(),
                 a_values: vec![2.0; rows.len()],
                 b_cols: cols.to_vec(),
@@ -433,7 +430,7 @@ mod tests {
 
     #[test]
     fn executes_a_single_mmh_and_produces_all_haccs() {
-        let instr = mmh(4, &[0, 1, 2, 3], &[0, 1, 2, 3]);
+        let instr = mmh(&[0, 1, 2, 3], &[0, 1, 2, 3]);
         let mut core = NeuraCore::new(0, core_config(), 16);
         assert!(core.accept(&instr));
         let haccs = run_to_completion(&mut core, 10, 500);
@@ -449,7 +446,7 @@ mod tests {
 
     #[test]
     fn instruction_buffer_enforces_capacity() {
-        let instr = mmh(1, &[0], &[0]);
+        let instr = mmh(&[0], &[0]);
         let mut core = NeuraCore::new(0, core_config(), 4);
         for _ in 0..4 {
             assert!(core.accept(&instr));
@@ -460,7 +457,7 @@ mod tests {
 
     #[test]
     fn memory_latency_creates_stall_cycles() {
-        let instr = mmh(4, &[0, 1], &[0, 1]);
+        let instr = mmh(&[0, 1], &[0, 1]);
         let mut fast = NeuraCore::new(0, core_config(), 8);
         fast.accept(&instr);
         run_to_completion(&mut fast, 2, 500);
@@ -474,7 +471,7 @@ mod tests {
 
     #[test]
     fn cpi_histogram_records_completed_instructions() {
-        let instr = mmh(2, &[0, 1], &[0, 1, 2]);
+        let instr = mmh(&[0, 1], &[0, 1, 2]);
         let mut core = NeuraCore::new(0, core_config(), 8);
         for _ in 0..3 {
             core.accept(&instr);
@@ -487,7 +484,7 @@ mod tests {
 
     #[test]
     fn output_credit_limits_hacc_injection_per_cycle() {
-        let instr = mmh(4, &[0, 1, 2, 3], &[0, 1, 2, 3]);
+        let instr = mmh(&[0, 1, 2, 3], &[0, 1, 2, 3]);
         let mut core = NeuraCore::new(0, core_config(), 8);
         core.accept(&instr);
         // Run with zero output credit: HACCs accumulate internally, none escape.
@@ -519,7 +516,7 @@ mod tests {
 
     #[test]
     fn load_counts_buffered_and_executing_instructions() {
-        let instrs = [mmh(1, &[0], &[0]), mmh(1, &[1], &[0])];
+        let instrs = [mmh(&[0], &[0]), mmh(&[1], &[0])];
         let mut core = NeuraCore::new(0, core_config(), 8);
         assert_eq!(core.load(), 0);
         core.accept(&instrs[0]);
@@ -529,7 +526,7 @@ mod tests {
 
     #[test]
     fn four_memory_requests_per_mmh() {
-        let instr = mmh(4, &[0, 1, 2, 3], &[0, 1]);
+        let instr = mmh(&[0, 1, 2, 3], &[0, 1]);
         let mut core = NeuraCore::new(0, core_config(), 8);
         core.accept(&instr);
         let mut requests = 0;
@@ -558,7 +555,7 @@ mod tests {
     #[test]
     fn idle_ticks_equal_the_full_pipeline_walk() {
         let pipelines = core_config().pipelines;
-        let instr = mmh(2, &[0, 1], &[0, 1]);
+        let instr = mmh(&[0, 1], &[0, 1]);
         let mut out = CoreTickOutput::default();
         for idle_ticks in 0..=2 * pipelines as u64 + 1 {
             let mut core = NeuraCore::new(0, core_config(), 8);
@@ -604,7 +601,7 @@ mod tests {
     /// and the drain that empties it.
     #[test]
     fn tick_settles_exactly_when_nothing_moved_and_the_outbox_is_empty() {
-        let instr = mmh(4, &[0, 1], &[0, 1]);
+        let instr = mmh(&[0, 1], &[0, 1]);
         let mut core = NeuraCore::new(0, core_config(), 8);
         assert!(tick_settles(&mut core, 0, 4), "an empty core settles");
         assert!(core.accept(&instr));
@@ -723,7 +720,7 @@ mod tests {
     #[test]
     fn skipped_settled_ticks_equal_ticked_ones() {
         let config = NeuraCoreConfig { pipelines: 3, ..core_config() };
-        let instrs = [mmh(2, &[0, 1], &[0, 1, 2]), mmh(2, &[2, 3], &[1, 2])];
+        let instrs = [mmh(&[0, 1], &[0, 1, 2]), mmh(&[2, 3], &[1, 2])];
         for skipped in 0..=2 * config.pipelines as u64 + 1 {
             let mut pair = LockStep::new(config);
             // The first tick of each gap is the one that settles the core.
@@ -762,7 +759,7 @@ mod tests {
     /// HACCs takes the idle path too; the outbox must keep draining on it.
     #[test]
     fn idle_path_still_drains_the_outbox() {
-        let instr = mmh(4, &[0, 1, 2, 3], &[0, 1, 2, 3]);
+        let instr = mmh(&[0, 1, 2, 3], &[0, 1, 2, 3]);
         let mut core = NeuraCore::new(0, core_config(), 8);
         core.accept(&instr);
         let mut out = CoreTickOutput::default();

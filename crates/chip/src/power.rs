@@ -4,8 +4,9 @@
 //! ASAP7 7-nm library and reports per-component area and average power for
 //! the three tile sizes (Table 4).  This module encodes those calibrated
 //! per-unit densities and recombines them for arbitrary configurations, so
-//! derived metrics (GOPS/W, GOPS/mm²) can be produced for Table 5 and for
-//! design-space sweeps.
+//! a throughput divided by [`PowerAreaBreakdown::total_power_w`] or
+//! [`PowerAreaBreakdown::total_area_mm2`] gives the GOPS/W and GOPS/mm² of
+//! Table 5 and of design-space sweeps.
 
 use crate::config::{ChipConfig, TileSize};
 use serde::{Deserialize, Serialize};
@@ -47,24 +48,6 @@ impl PowerAreaBreakdown {
             + self.neuramem.power_w
             + self.router.power_w
             + self.memory_controller.power_w
-    }
-
-    /// Energy efficiency in GOPS/W for a given achieved throughput.
-    pub fn energy_efficiency(&self, gops: f64) -> f64 {
-        if self.total_power_w() == 0.0 {
-            0.0
-        } else {
-            gops / self.total_power_w()
-        }
-    }
-
-    /// Area efficiency in GOPS/mm² for a given achieved throughput.
-    pub fn area_efficiency(&self, gops: f64) -> f64 {
-        if self.total_area_mm2() == 0.0 {
-            0.0
-        } else {
-            gops / self.total_area_mm2()
-        }
     }
 }
 
@@ -216,8 +199,8 @@ mod tests {
         // Table 5: Tile-16 achieves 24.75 GOP/s, 1.541 GOPS/W, 2.426 GOPS/mm².
         let b = table4_reference(TileSize::Tile16);
         let gops = 24.75;
-        assert!((b.energy_efficiency(gops) - 1.541).abs() < 0.01);
-        assert!((b.area_efficiency(gops) - 2.426).abs() < 0.01);
+        assert!((gops / b.total_power_w() - 1.541).abs() < 0.01);
+        assert!((gops / b.total_area_mm2() - 2.426).abs() < 0.01);
     }
 
     #[test]
@@ -231,12 +214,5 @@ mod tests {
         let grown = model.breakdown(&big);
         assert!(grown.total_area_mm2() > base.total_area_mm2());
         assert!(grown.total_power_w() > base.total_power_w());
-    }
-
-    #[test]
-    fn zero_power_breakdown_is_safe() {
-        let empty = PowerAreaBreakdown::default();
-        assert_eq!(empty.energy_efficiency(10.0), 0.0);
-        assert_eq!(empty.area_efficiency(10.0), 0.0);
     }
 }

@@ -141,33 +141,20 @@ pub fn diff(before: &Artifact, after: &Artifact) -> TrendReport {
     report
 }
 
-/// The worst-window p99s a timeline artifact carries: one
-/// `(scope, worst_window_p99_ms)` pair per `{scope}/timeline` summary
-/// record, in emission order. Empty for plain run artifacts, so callers
-/// can use it to print a timeline-specific headline only when there is
+/// One summary metric per scope: a `(scope, value)` pair per
+/// `{scope}{suffix}` record that carries `metric`, in emission order. A
+/// timeline artifact's `/timeline` summaries carry `worst_window_p99_ms` and
+/// a chip profile's `/profile` summaries `worst_window_stall_frac`, the
+/// headlines a windowed diff is usually run for. Empty for an artifact
+/// without such records, so callers print a headline only when there is
 /// one.
-pub fn worst_window_p99s(artifact: &Artifact) -> Vec<(String, f64)> {
+pub fn summary_metric(artifact: &Artifact, suffix: &str, metric: &str) -> Vec<(String, f64)> {
     artifact
         .records
         .iter()
         .filter_map(|r| {
-            let scope = r.id.strip_suffix("/timeline")?;
-            r.metric_value("worst_window_p99_ms").map(|v| (scope.to_string(), v))
-        })
-        .collect()
-}
-
-/// The worst-window stall fractions a chip-profile artifact carries: one
-/// `(scope, worst_window_stall_frac)` pair per `{scope}/profile` summary
-/// record, in emission order. Empty for run and timeline artifacts, so
-/// callers can print a profile-specific headline only when there is one.
-pub fn worst_window_stall_fracs(artifact: &Artifact) -> Vec<(String, f64)> {
-    artifact
-        .records
-        .iter()
-        .filter_map(|r| {
-            let scope = r.id.strip_suffix("/profile")?;
-            r.metric_value("worst_window_stall_frac").map(|v| (scope.to_string(), v))
+            let scope = r.id.strip_suffix(suffix)?;
+            r.metric_value(metric).map(|v| (scope.to_string(), v))
         })
         .collect()
 }
@@ -268,8 +255,9 @@ mod tests {
             "ms",
         ));
         timeline.push(RunRecord::new("flash/window/000").metric("served", 10.0));
-        assert_eq!(worst_window_p99s(&timeline), vec![("flash".to_string(), 420.0)]);
-        assert!(worst_window_p99s(&artifact(1.0, false)).is_empty());
+        let p99s = |a: &Artifact| summary_metric(a, "/timeline", "worst_window_p99_ms");
+        assert_eq!(p99s(&timeline), vec![("flash".to_string(), 420.0)]);
+        assert!(p99s(&artifact(1.0, false)).is_empty());
 
         let report = diff(&artifact(1.0, false), &timeline);
         assert!(

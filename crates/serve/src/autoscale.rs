@@ -92,20 +92,6 @@ impl AutoscalePolicy {
         self
     }
 
-    /// Overrides the scale-up threshold (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the threshold is finite and positive.
-    pub fn with_up_backlog_per_shard(mut self, backlog: f64) -> Self {
-        assert!(
-            backlog.is_finite() && backlog > 0.0,
-            "scale-up threshold must be finite and positive"
-        );
-        self.up_backlog_per_shard = backlog;
-        self
-    }
-
     /// The stable ID fragment of this controller (`as1-4`), used in
     /// scenario IDs.
     pub(crate) fn id(&self) -> String {
@@ -262,7 +248,7 @@ mod tests {
 
     #[test]
     fn moderate_backlog_holds() {
-        let policy = AutoscalePolicy::new(1, 4).with_up_backlog_per_shard(4.0);
+        let policy = AutoscalePolicy { up_backlog_per_shard: 4.0, ..AutoscalePolicy::new(1, 4) };
         let f = fleet();
         assert_eq!(policy.decide(&f, 3, &[0]), Decision::Hold, "3 <= 4 x 1 active");
     }
@@ -309,7 +295,7 @@ mod tests {
         // one of them crashes before the effect lands. The committed count
         // the next decision sees must be 1 active + 1 pending = 2 — not 3 —
         // so with max 4 and a deep backlog the controller may still grow.
-        let policy = AutoscalePolicy::new(1, 4).with_up_backlog_per_shard(2.0);
+        let policy = AutoscalePolicy { up_backlog_per_shard: 2.0, ..AutoscalePolicy::new(1, 4) };
         let mut f = fleet();
         f.activate(0, 0.0);
         assert_eq!(f.active_in_group(0), 2);
@@ -330,10 +316,10 @@ mod tests {
 
     #[test]
     fn ids_and_builders() {
-        let policy = AutoscalePolicy::new(2, 8)
-            .with_provision_delay_s(0.2)
-            .with_check_interval_s(0.05)
-            .with_up_backlog_per_shard(2.0);
+        let policy = AutoscalePolicy {
+            up_backlog_per_shard: 2.0,
+            ..AutoscalePolicy::new(2, 8).with_provision_delay_s(0.2).with_check_interval_s(0.05)
+        };
         assert_eq!(policy.id(), "as2-8");
         assert!((policy.provision_delay_s - 0.2).abs() < 1e-12);
         assert!((policy.check_interval_s - 0.05).abs() < 1e-12);

@@ -720,10 +720,10 @@ mod tests {
         // 20 requests land at t=0 on one 1 s/request shard; the controller
         // (check every 0.5 s, 1 s provisioning delay) grows the fleet.
         let stream: Vec<Request> = (0..20).map(|i| request(i, 0.0, 0)).collect();
-        let policy = AutoscalePolicy::new(1, 4)
-            .with_check_interval_s(0.5)
-            .with_provision_delay_s(1.0)
-            .with_up_backlog_per_shard(2.0);
+        let policy = AutoscalePolicy {
+            up_backlog_per_shard: 2.0,
+            ..AutoscalePolicy::new(1, 4).with_check_interval_s(0.5).with_provision_delay_s(1.0)
+        };
         let costs = unit_costs();
         let groups = tile16_fleet(1);
         let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
@@ -891,10 +891,10 @@ mod tests {
     #[test]
     fn failed_provisioning_keeps_the_fleet_small_and_counts() {
         let stream: Vec<Request> = (0..20).map(|i| request(i, 0.0, 0)).collect();
-        let policy = AutoscalePolicy::new(1, 4)
-            .with_check_interval_s(0.5)
-            .with_provision_delay_s(1.0)
-            .with_up_backlog_per_shard(2.0);
+        let policy = AutoscalePolicy {
+            up_backlog_per_shard: 2.0,
+            ..AutoscalePolicy::new(1, 4).with_check_interval_s(0.5).with_provision_delay_s(1.0)
+        };
         let costs = unit_costs();
         let faults = FaultSpec::new(1, 1.0).with_provision_fail(1.0);
         let groups = tile16_fleet(1);

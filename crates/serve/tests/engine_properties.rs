@@ -92,10 +92,9 @@ proptest! {
         let stream = spec.generate();
         let costs = synthetic_costs(spec.mix_size, &spec.shrinks);
         let fleet = tile16_fleet(shards);
-        let autoscale = AutoscalePolicy::new(1, shards + 1)
+        let autoscale = AutoscalePolicy { up_backlog_per_shard: 2.0, ..AutoscalePolicy::new(1, shards + 1)
             .with_check_interval_s(0.005)
-            .with_provision_delay_s(0.01)
-            .with_up_backlog_per_shard(2.0);
+            .with_provision_delay_s(0.01) };
         let mut cfg = ServeConfig::new(policy, &fleet, DispatchKind::LeastLoaded, &costs);
         if elastic == 1 {
             cfg.autoscale = Some(&autoscale);

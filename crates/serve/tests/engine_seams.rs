@@ -89,10 +89,12 @@ fn boundary_schedule() -> Vec<Request> {
 fn batch_deadline_and_autoscale_check_fire_in_serial_order_at_the_boundary() {
     let costs = costs();
     let fleet = tile16_fleet(1);
-    let autoscale = AutoscalePolicy::new(1, 3)
-        .with_check_interval_s(CHECK_S)
-        .with_provision_delay_s(PROVISION_S)
-        .with_up_backlog_per_shard(2.0);
+    let autoscale = AutoscalePolicy {
+        up_backlog_per_shard: 2.0,
+        ..AutoscalePolicy::new(1, 3)
+            .with_check_interval_s(CHECK_S)
+            .with_provision_delay_s(PROVISION_S)
+    };
     let mut cfg =
         ServeConfig::new(Policy::batch(8, TIMEOUT_S), &fleet, DispatchKind::LeastLoaded, &costs);
     cfg.autoscale = Some(&autoscale);

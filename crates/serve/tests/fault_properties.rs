@@ -116,10 +116,9 @@ proptest! {
         let stream = spec.generate();
         let costs = synthetic_costs(2, &[1, 2]);
         let groups = tile16_fleet(2);
-        let autoscale = AutoscalePolicy::new(1, 4)
+        let autoscale = AutoscalePolicy { up_backlog_per_shard: 1.0, ..AutoscalePolicy::new(1, 4)
             .with_check_interval_s(0.002)
-            .with_provision_delay_s(delay_ms / 1e3)
-            .with_up_backlog_per_shard(1.0);
+            .with_provision_delay_s(delay_ms / 1e3) };
         let fault = FaultSpec::new(seed, 0.5).with_crashes(crashes);
         let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
         cfg.autoscale = Some(&autoscale);
@@ -148,10 +147,9 @@ proptest! {
         let stream = spec.generate();
         let costs = synthetic_costs(2, &[1, 2]);
         let groups = tile16_fleet(1);
-        let autoscale = AutoscalePolicy::new(1, 4)
+        let autoscale = AutoscalePolicy { up_backlog_per_shard: 1.0, ..AutoscalePolicy::new(1, 4)
             .with_check_interval_s(0.002)
-            .with_provision_delay_s(0.005)
-            .with_up_backlog_per_shard(1.0);
+            .with_provision_delay_s(0.005) };
         let fault = FaultSpec::new(seed, 1.0).with_provision_fail(1.0);
         let mut cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs);
         cfg.autoscale = Some(&autoscale);

@@ -109,10 +109,9 @@ proptest! {
         };
         let costs = synthetic_costs(2, &[1, 2]);
         let fleet = tile16_fleet(shards);
-        let autoscale = AutoscalePolicy::new(1, shards + 1)
+        let autoscale = AutoscalePolicy { up_backlog_per_shard: 2.0, ..AutoscalePolicy::new(1, shards + 1)
             .with_check_interval_s(0.005)
-            .with_provision_delay_s(0.01)
-            .with_up_backlog_per_shard(2.0);
+            .with_provision_delay_s(0.01) };
         let mut cfg = ServeConfig::new(policy, &fleet, DispatchKind::LeastLoaded, &costs);
         cfg.autoscale = Some(&autoscale);
         cfg.queue_bound = (bounded == 1).then_some(1);

@@ -195,10 +195,9 @@ proptest! {
         let max = min + extra;
         let stream = spec.generate();
         let costs = synthetic_costs(spec.mix_size, &spec.shrinks);
-        let policy = AutoscalePolicy::new(min, max)
+        let policy = AutoscalePolicy { up_backlog_per_shard: 2.0, ..AutoscalePolicy::new(min, max)
             .with_check_interval_s(0.005)
-            .with_provision_delay_s(delay_ms / 1e3)
-            .with_up_backlog_per_shard(2.0);
+            .with_provision_delay_s(delay_ms / 1e3) };
         // Same silicon under distinct group names: the groups share their
         // cost memo (one fingerprint) but scale independently.
         let fleet: Vec<ShardGroup> = (0..groups)

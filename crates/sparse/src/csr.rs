@@ -215,15 +215,6 @@ impl CsrMatrix {
         dense
     }
 
-    /// Returns the transpose as a new CSR matrix (the arrays of
-    /// [`CsrMatrix::to_csc`], read as rows of the transposed shape).
-    pub fn transpose(&self) -> CsrMatrix {
-        let (row_ptr, col_idx, values) =
-            counting_transpose(&self.row_ptr, &self.col_idx, &self.values, self.cols);
-        CsrMatrix::from_raw_parts(self.cols, self.rows, row_ptr, col_idx, values)
-            .expect("transposing a valid CSR yields a structurally valid CSR")
-    }
-
     /// Multiplies every stored value by `scale` in place.
     pub fn scale(&mut self, scale: f64) {
         for v in &mut self.values {
@@ -372,17 +363,6 @@ mod tests {
         for i in 0..4 {
             assert_eq!(id.get(i, i), 1.0);
         }
-    }
-
-    #[test]
-    fn transpose_swaps_coordinates() {
-        let m = sample();
-        let t = m.transpose();
-        for (r, c, v) in m.iter() {
-            assert_eq!(t.get(c, r), v);
-        }
-        assert_eq!(t.rows(), m.cols());
-        assert_eq!(t.cols(), m.rows());
     }
 
     #[test]

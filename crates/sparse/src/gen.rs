@@ -65,7 +65,6 @@ pub struct GraphGenerator {
     nodes: usize,
     model: GraphModel,
     seed: u64,
-    self_loops: bool,
     weighted: bool,
 }
 
@@ -76,7 +75,6 @@ impl GraphGenerator {
             nodes,
             model: GraphModel::ErdosRenyi { p: p.clamp(0.0, 1.0) },
             seed,
-            self_loops: true,
             weighted: false,
         }
     }
@@ -87,7 +85,6 @@ impl GraphGenerator {
             nodes,
             model: GraphModel::PowerLaw { edges, exponent },
             seed,
-            self_loops: true,
             weighted: false,
         }
     }
@@ -99,36 +96,23 @@ impl GraphGenerator {
             nodes: 1usize << scale,
             model: GraphModel::Rmat { edges, probabilities: (0.57, 0.19, 0.19) },
             seed,
-            self_loops: true,
             weighted: false,
         }
     }
 
     /// Fully dense square matrix of the given order.
     pub fn dense(nodes: usize, seed: u64) -> Self {
-        GraphGenerator { nodes, model: GraphModel::Dense, seed, self_loops: true, weighted: true }
+        GraphGenerator { nodes, model: GraphModel::Dense, seed, weighted: true }
     }
 
     /// Banded matrix with the given half-bandwidth.
     pub fn banded(nodes: usize, bandwidth: usize, seed: u64) -> Self {
-        GraphGenerator {
-            nodes,
-            model: GraphModel::Banded { bandwidth },
-            seed,
-            self_loops: true,
-            weighted: false,
-        }
+        GraphGenerator { nodes, model: GraphModel::Banded { bandwidth }, seed, weighted: false }
     }
 
     /// Generator with an explicit [`GraphModel`].
     pub(crate) fn with_model(nodes: usize, model: GraphModel, seed: u64) -> Self {
-        GraphGenerator { nodes, model, seed, self_loops: true, weighted: false }
-    }
-
-    /// Whether edge weights are drawn uniformly from `(0, 1]` instead of 1.0.
-    pub fn weighted(mut self, weighted: bool) -> Self {
-        self.weighted = weighted;
-        self
+        GraphGenerator { nodes, model, seed, weighted: false }
     }
 
     /// Number of vertices the generated adjacency matrix will have.
@@ -163,10 +147,6 @@ impl GraphGenerator {
         }
     }
 
-    fn accept(&self, src: usize, dst: usize) -> bool {
-        self.self_loops || src != dst
-    }
-
     fn gen_erdos_renyi(&self, rng: &mut StdRng, coo: &mut CooMatrix, p: f64) {
         if self.nodes == 0 || p <= 0.0 {
             return;
@@ -182,10 +162,8 @@ impl GraphGenerator {
                 break;
             }
             let (src, dst) = (idx / self.nodes, idx % self.nodes);
-            if self.accept(src, dst) {
-                let w = self.edge_weight(rng);
-                coo.push(src, dst, w).expect("generated index is in bounds");
-            }
+            let w = self.edge_weight(rng);
+            coo.push(src, dst, w).expect("generated index is in bounds");
             idx += 1;
         }
     }
@@ -220,10 +198,8 @@ impl GraphGenerator {
         for _ in 0..edges {
             let src = sample(rng);
             let dst = rng.gen_range(0..self.nodes);
-            if self.accept(src, dst) {
-                let w = self.edge_weight(rng);
-                coo.push(src, dst, w).expect("generated index is in bounds");
-            }
+            let w = self.edge_weight(rng);
+            coo.push(src, dst, w).expect("generated index is in bounds");
         }
     }
 
@@ -258,10 +234,8 @@ impl GraphGenerator {
                 }
             }
             let (src, dst) = (row.min(self.nodes - 1), col.min(self.nodes - 1));
-            if self.accept(src, dst) {
-                let w = self.edge_weight(rng);
-                coo.push(src, dst, w).expect("generated index is in bounds");
-            }
+            let w = self.edge_weight(rng);
+            coo.push(src, dst, w).expect("generated index is in bounds");
         }
     }
 
@@ -279,10 +253,8 @@ impl GraphGenerator {
             let lo = r.saturating_sub(bandwidth);
             let hi = (r + bandwidth).min(self.nodes.saturating_sub(1));
             for c in lo..=hi {
-                if self.accept(r, c) {
-                    let w = self.edge_weight(rng);
-                    coo.push(r, c, w).expect("generated index is in bounds");
-                }
+                let w = self.edge_weight(rng);
+                coo.push(r, c, w).expect("generated index is in bounds");
             }
         }
     }
@@ -356,15 +328,9 @@ mod tests {
     }
 
     #[test]
-    fn self_loop_flag_removes_diagonal() {
-        let g = GraphGenerator { self_loops: false, ..GraphGenerator::erdos_renyi(50, 0.2, 11) }
-            .generate();
-        assert!(g.iter().all(|&(r, c, _)| r != c));
-    }
-
-    #[test]
     fn weighted_flag_produces_non_unit_values() {
-        let g = GraphGenerator::erdos_renyi(40, 0.2, 11).weighted(true).generate();
+        let g = GraphGenerator { weighted: true, ..GraphGenerator::erdos_renyi(40, 0.2, 11) }
+            .generate();
         assert!(g.iter().any(|&(_, _, v)| v != 1.0));
     }
 

@@ -99,18 +99,6 @@ pub enum Dataflow {
     TiledRowWise(usize),
 }
 
-impl Dataflow {
-    /// Human readable name used in reports.
-    pub fn name(&self) -> String {
-        match self {
-            Dataflow::InnerProduct => "inner-product".to_string(),
-            Dataflow::OuterProduct => "outer-product".to_string(),
-            Dataflow::RowWise => "row-wise".to_string(),
-            Dataflow::TiledRowWise(t) => format!("tiled-row-wise-{t}"),
-        }
-    }
-}
-
 /// Statistics gathered while running a counting SpGEMM.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SpgemmStats {
@@ -344,20 +332,6 @@ mod tests {
         let sparse_bloat = count_products(&sparse, &sparse).bloat_percent();
         let dense_bloat = count_products(&dense, &dense).bloat_percent();
         assert!(dense_bloat > sparse_bloat);
-    }
-
-    #[test]
-    fn dataflow_names_are_distinct() {
-        let names: std::collections::HashSet<String> = [
-            Dataflow::InnerProduct,
-            Dataflow::OuterProduct,
-            Dataflow::RowWise,
-            Dataflow::TiledRowWise(4),
-        ]
-        .iter()
-        .map(|d| d.name())
-        .collect();
-        assert_eq!(names.len(), 4);
     }
 
     #[test]

@@ -216,16 +216,6 @@ proptest! {
         prop_assert!(got.max_abs_diff(&expected).unwrap() < 1e-9);
     }
 
-    /// Transposing twice is the identity.
-    #[test]
-    fn transpose_is_involution(m in arb_matrix(24, 96)) {
-        let tt = m.transpose().transpose();
-        prop_assert_eq!(m.nnz(), tt.nnz());
-        for (r, c, v) in m.iter() {
-            prop_assert_eq!(tt.get(r, c), v);
-        }
-    }
-
     /// Generated graphs always fit their declared shape and dedup is idempotent.
     #[test]
     fn generators_stay_in_bounds(seed in 0u64..500, nodes in 8usize..64, edges in 1usize..400) {

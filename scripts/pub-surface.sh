@@ -20,7 +20,24 @@
 # not a comment; `fn <name>` is dropped from every line first, so no
 # definition counts as a call. Its blind spot is the word scan itself: a
 # method named by a common word (`contains`, `cost`, `len`, `shards`)
-# hides behind every other use of that word, and is checked by hand.
+# hides behind every other use of that word, and so does a name that two
+# items share. `neura_chip`'s `encode`, `decode`, `speedup_over` and
+# `energy_efficiency` hid that way until they were found by hand: the
+# `Opcode::encode()` and `Opcode::decode()` calls inside the instruction
+# methods counted as calls of every `encode` and `decode`, and
+# `neura_baselines` calls methods of the other two names.
+#
+# The cross-check that sees past names is the compiler, on a scratch copy
+# (never this tree), one `pub fn` at a time: rewrite its line to
+# `pub(crate) fn`, run `cargo check -p <crate> --lib`, and a `dead_code`
+# warning for it means no non-test code of its crate calls it; restore
+# the line and go on (about 20 s over `neura_chip`'s `pub fn`s, 41 of
+# which warn). A `git grep -w` of each warned name over `crates`,
+# `examples`, `src` and `benchmark/src`, leaving out the crate's own
+# `src/` and the test directories, then says whether another crate calls
+# it. Narrowing them all at once does not work: the crate's entry points
+# go private too, and everything they reach reads as dead. The script
+# prints this as guidance after its counts; nothing runs or gates it.
 #
 # Printed for comparison against the parent commit, never gated. A listed
 # name is not a defect by itself: a type is `pub` because a consumed `pub`
@@ -104,6 +121,8 @@ scan() (
 
 if [[ $# -eq 0 ]]; then
     scan .
+    echo "word scan only: a name two items share counts as called for both; cross-check on a"
+    echo "scratch copy, one pub fn -> pub(crate) fn at a time, with cargo check --lib (see header)"
     exit
 fi
 work="$(mktemp -d "${TMPDIR:-/tmp}/pub-surface.XXXXXX")"

@@ -122,8 +122,8 @@ fn efficiency_metrics_are_in_reported_range() {
     let model = PowerModel::calibrated();
     let breakdown = model.breakdown(&ChipConfig::tile_16());
     // Paper: Tile-16 achieves 24.75 GOP/s => 1.541 GOPS/W and 2.426 GOPS/mm².
-    let eff = breakdown.energy_efficiency(24.75);
-    let area_eff = breakdown.area_efficiency(24.75);
+    let eff = 24.75 / breakdown.total_power_w();
+    let area_eff = 24.75 / breakdown.total_area_mm2();
     assert!((eff - 1.541).abs() < 0.05);
     assert!((area_eff - 2.426).abs() < 0.05);
 }
