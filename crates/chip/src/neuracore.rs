@@ -524,17 +524,19 @@ mod tests {
         assert_eq!(core.load(), 2);
     }
 
+    /// The Decode arm alone sizes the operand reads: each is the bytes of
+    /// the elements it fetches (8 per value, 4 per index or counter).
     #[test]
     fn four_memory_requests_per_mmh() {
         let instr = mmh(&[0, 1, 2, 3], &[0, 1]);
         let mut core = NeuraCore::new(0, core_config(), 8);
         core.accept(&instr);
-        let mut requests = 0;
+        let mut reads = Vec::new();
         let mut pending: Vec<(u64, usize)> = Vec::new();
         let mut out = CoreTickOutput::default();
         for c in 0..50u64 {
             core.tick(Cycle(c), 16, &mut out);
-            requests += out.memory_requests.len();
+            reads.extend(out.memory_requests.iter().map(|r| (r.request.addr, r.request.bytes)));
             for req in &out.memory_requests {
                 pending.push((c + 1, req.pipeline));
             }
@@ -544,7 +546,8 @@ mod tests {
                 core.memory_response(p);
             }
         }
-        assert_eq!(requests, 4);
+        // 4 A values, 2 B indices, 2 B values, 4 × 2 counters.
+        assert_eq!(reads, [(0x100, 32), (0x200, 8), (0x300, 16), (0x400, 32)]);
     }
 
     /// The idle tick skips the pipeline walk, so everything the walk used
