@@ -299,6 +299,36 @@ mod tests {
         assert_eq!(program.output_shape, (a.rows(), 8));
     }
 
+    /// The operand addresses cover every operand once, where the layout
+    /// puts it: `A`'s values in CSC order, each read once unless its column
+    /// meets an empty row of `B`, each instruction's `B` row at its CSR
+    /// offset in both `B` arrays, and the rolling counters back to back,
+    /// one per partial product.
+    #[test]
+    fn input_bytes_accounts_for_all_operands() {
+        let a = small_graph(9);
+        let a_csc = a.to_csc();
+        let program = compile_spgemm(&a_csc, &a, 4);
+        let mut a_next = layout::A_DATA_BASE;
+        let mut a_bytes = 0;
+        let mut counter_next = layout::COUNTER_BASE;
+        for instr in &program.instructions {
+            let work = &instr.work;
+            assert!(instr.a_data_addr as u64 >= a_next, "A values are read in order, once");
+            a_next = instr.a_data_addr as u64 + work.a_rows.len() as u64 * 8;
+            a_bytes += work.a_rows.len() as u64 * 8;
+            let b_start = (instr.b_col_ind_addr as u64 - layout::B_COL_IDX_BASE) as usize / 4;
+            assert_eq!(instr.b_data_addr as u64, layout::B_DATA_BASE + b_start as u64 * 8);
+            assert_eq!(work.b_cols, a.col_idx()[b_start..b_start + work.b_cols.len()]);
+            assert_eq!(work.b_values, a.values()[b_start..b_start + work.b_values.len()]);
+            assert_eq!(instr.roll_counter_addr as u64, counter_next);
+            counter_next += work.counters.len() as u64 * 4;
+        }
+        let a_read = (0..a.rows()).filter(|&k| a.row_nnz(k) > 0).map(|k| a_csc.col(k).0.len());
+        assert_eq!(a_bytes, a_read.sum::<usize>() as u64 * 8);
+        assert_eq!(counter_next - layout::COUNTER_BASE, program.total_partial_products * 4);
+    }
+
     #[test]
     #[should_panic(expected = "inner dimensions")]
     fn shape_mismatch_panics() {
